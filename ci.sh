@@ -36,6 +36,15 @@ AIMS_THREADS=1 cargo test -q -p aims-service
 echo "== service tests (AIMS_THREADS=4, pooled fan-out) =="
 AIMS_THREADS=4 cargo test -q -p aims-service
 
+echo "== tier tests (AIMS_THREADS=1, serial transform and query pools) =="
+AIMS_THREADS=1 cargo test -q -p aims-tier
+
+echo "== tier tests (AIMS_THREADS=4, pooled transform and query pools) =="
+AIMS_THREADS=4 cargo test -q -p aims-tier
+
+echo "== telemetry tests =="
+cargo test -q -p aims-telemetry
+
 echo "== fault matrix (pinned seed 13) =="
 AIMS_FAULT_SEED=13 cargo test -q --test fault_matrix
 

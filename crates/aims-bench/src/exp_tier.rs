@@ -4,14 +4,17 @@
 //! wavelet form and a foreground planner runs progressive range sums the
 //! whole time. Gates: sustained ingest ≥ 1M samples/sec, every
 //! progressive trajectory monotone, and — once compaction drains — the
-//! store answers bit-identically to a serial single-store oracle.
+//! store answers bit-identically to a serial single-store oracle while
+//! keeping no more in memory than its cache budget and energy catalogs.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aims::tier::{compact, range_sum_on, Compactor, CompactorConfig, TierConfig, TieredStore};
+use aims::tier::{
+    compact, range_sum_on, Compactor, CompactorConfig, TierConfig, TieredStore, HIST_CACHE_BYTES,
+};
 use aims_dsp::filters::FilterKind;
 use aims_exec::ThreadPool;
 use aims_service::{TieredPlanner, TieredPlannerConfig};
@@ -62,6 +65,7 @@ pub fn e32_tier() {
     );
 
     let data = Arc::new(signal());
+    let telemetry_before = aims_telemetry::global().snapshot();
     let dir = std::env::temp_dir().join(format!("aims-e32-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let opts = FileDeviceOptions {
@@ -171,8 +175,20 @@ pub fn e32_tier() {
         let want = range_sum_on(&osnap, a, b, &serial);
         assert_eq!(got.to_bits(), want.to_bits(), "oracle drift on [{a}, {b}]");
     }
+    // Memory gate: every segment is historical now, so what is resident
+    // is the block cache (bounded) and 128 B of catalog per segment — not
+    // the 16 MiB that were ingested.
+    let resident_bytes = store.resident_bytes();
+    let catalogs = 8 * (SEG / BLOCK) * snap.segments().len();
+    assert!(
+        resident_bytes <= HIST_CACHE_BYTES + catalogs,
+        "resident {resident_bytes} B exceeds cache budget + catalogs"
+    );
+    let hist = aims_telemetry::global().snapshot().delta_since(&telemetry_before);
+    let (hits, misses) =
+        (hist.counter("tier.hist.cache_hits"), hist.counter("tier.hist.cache_misses"));
     store.checkpoint();
-    drop(store);
+    drop((snap, store));
     std::fs::remove_dir_all(&dir).ok();
 
     println!("{:>26} {:>14}", "metric", "value");
@@ -184,18 +200,23 @@ pub fn e32_tier() {
     println!("{:>26} {:>14}", "query p50 ms", format!("{p50:.3}"));
     println!("{:>26} {:>14}", "query p99 ms", format!("{p99:.3}"));
     println!("{:>26} {:>14}", "hot rows served", queries_hot_rows);
+    println!("{:>26} {:>14}", "resident KiB (drained)", resident_bytes / 1024);
+    println!("{:>26} {:>14}", "hist block reads", hist.counter("tier.hist.block_reads"));
+    println!("{:>26} {:>14}", "hist cache hits / misses", format!("{hits} / {misses}"));
 
     // The headline acceptance gate.
     assert!(ingest_rate >= 1.0e6, "ingest rate {ingest_rate:.0} samples/s below the 1M/s floor");
-    println!("\ngates: ingest >= 1M samples/s, monotone bounds on every live trajectory, and the");
-    println!("fully-compacted store answered bit-identically to the serial single-store oracle.");
+    println!("\ngates: ingest >= 1M samples/s, monotone bounds on every live trajectory, the");
+    println!("fully-compacted store answered bit-identically to the serial single-store oracle,");
+    println!("and its resident bytes fit the cache budget plus the energy catalogs.");
 
     let json = format!(
         "{{\"experiment\":\"e32_tier\",\"seed\":{SEED},\"samples\":{TOTAL},\
          \"ingest_samples_per_sec\":{ingest_rate:.1},\
          \"ingest_wall_ms\":{:.3},\"compaction_lag_ms\":{lag_ms:.3},\
          \"segments_compacted\":{compacted},\"queries\":{},\
-         \"query_p50_ms\":{p50:.4},\"query_p99_ms\":{p99:.4},\"hot_rows_served\":{}}}\n",
+         \"query_p50_ms\":{p50:.4},\"query_p99_ms\":{p99:.4},\"hot_rows_served\":{},\
+         \"resident_bytes\":{resident_bytes}}}\n",
         ingest_wall.as_secs_f64() * 1e3,
         latencies_ms.len(),
         queries_hot_rows

@@ -10,7 +10,9 @@
 //! Consistency across compaction: the planner snapshots the store at
 //! admission, so a segment→blocked swap that lands mid-query changes
 //! nothing the query sees — every sample is counted in exactly the tier
-//! the snapshot froze it in. While the query runs it holds the store's
+//! the snapshot froze it in. Historical blocks are not in memory: each
+//! round fetches the blocks it consumes through the store's block cache,
+//! most important first. While the query runs it holds the store's
 //! in-flight guard, which the background compactor reads to throttle
 //! itself (degradation over starvation, as in the QoS tier ladder).
 
@@ -36,12 +38,13 @@ impl Default for TieredPlannerConfig {
 /// trajectory that led there.
 #[derive(Clone, Debug)]
 pub struct TieredAnswer {
-    /// The converged (exact) range sum.
+    /// The converged range sum — exact unless the last step reports lost
+    /// blocks, in which case its bound says by how much it may be off.
     pub value: f64,
     /// Rounds the progressive evaluation took.
     pub rounds: usize,
     /// Every delivered refinement, in order; bounds are monotone
-    /// non-increasing and end at zero.
+    /// non-increasing and end at zero on a fault-free store.
     pub steps: Vec<TierStep>,
     /// Raw hot-tier samples summed exactly.
     pub hot_rows: usize,
@@ -70,9 +73,10 @@ impl<D: TierMedia> TieredPlanner<D> {
     }
 
     /// Evaluates `Σ f(t), t ∈ [a, b]` progressively: the hot tier answers
-    /// exactly in round one, then each round consumes the next
-    /// `blocks_per_round` most-important historical blocks until the bound
-    /// reaches zero. Returns the full trajectory.
+    /// exactly in round one, then each round fetches and consumes the next
+    /// `blocks_per_round` most-important historical blocks until none is
+    /// left — at which point the bound is zero unless the device lost a
+    /// block (see [`TierStep::blocks_lost`]). Returns the full trajectory.
     pub fn range_sum(&self, a: usize, b: usize) -> TieredAnswer {
         let _guard = self.store.begin_query();
         let snap = self.store.snapshot();

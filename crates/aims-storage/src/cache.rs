@@ -213,6 +213,20 @@ impl SharedBlockCache {
         if let Some(data) = self.lookup(id) {
             return Ok((data, BlockFetch { cache_hit: true, retries: 0 }));
         }
+        self.read_and_insert(device, id, policy)
+    }
+
+    /// The miss half of [`SharedBlockCache::get_or_read_outcome`]: reads
+    /// the device (retrying under `policy`) and caches the verified
+    /// payload, without looking the block up first. For callers that did
+    /// their own [`SharedBlockCache::lookup`] — e.g. because reaching the
+    /// device means taking a lock a cache hit should not wait for.
+    pub fn read_and_insert<D: BlockDevice + ?Sized>(
+        &self,
+        device: &D,
+        id: usize,
+        policy: &RetryPolicy,
+    ) -> Result<(Arc<Vec<f64>>, BlockFetch), ReadError> {
         let telemetry = global();
         let mut attempt = 0usize;
         let data = loop {

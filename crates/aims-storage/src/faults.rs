@@ -182,6 +182,12 @@ impl<D: RawMedia> FaultyDevice<D> {
         &self.inner
     }
 
+    /// The wrapped device, mutably — for operations the fault schedule
+    /// does not cover (e.g. a durable device's checkpoint).
+    pub fn inner_mut(&mut self) -> &mut D {
+        &mut self.inner
+    }
+
     /// Whether the schedule marks `block` permanently unreadable.
     pub fn is_dead(&self, block: usize) -> bool {
         self.plan.dead_fraction > 0.0

@@ -110,8 +110,13 @@ pub fn clear_spans() {
 mod tests {
     use super::*;
 
+    /// Both tests read the one process-wide trace buffer, and the flood
+    /// evicts whatever the other just recorded: they take turns.
+    static TRACE_BUFFER_TESTS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn spans_record_into_global_histograms_and_trace() {
+        let _turn = TRACE_BUFFER_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         clear_spans();
         {
             let _outer = SpanGuard::enter("test.span.outer");
@@ -132,6 +137,7 @@ mod tests {
 
     #[test]
     fn trace_buffer_is_bounded() {
+        let _turn = TRACE_BUFFER_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         for _ in 0..TRACE_CAPACITY + 10 {
             let _g = SpanGuard::enter("test.span.flood");
         }

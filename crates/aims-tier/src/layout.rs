@@ -15,12 +15,14 @@
 //!
 //! The hot manifest records, per slot, a state (`empty` / `sealed raw` /
 //! `retired` / `open`) and the slot's logical sample count; the historical
-//! manifest records a single *installed* flag per slot. The compaction
-//! swap protocol orders its writes so that, at every crash point, exactly
-//! one manifest claims each segment:
+//! manifest records, per slot, the slot's per-block coefficient energies
+//! followed by an *installed* flag — the catalog the progressive bound
+//! plans from, so a reopened store never reads a coefficient block to
+//! rebuild it. The compaction swap protocol orders its writes so that, at
+//! every crash point, exactly one manifest claims each segment:
 //!
 //! 1. coefficient blocks → hist WAL,
-//! 2. hist manifest `installed = 1`,
+//! 2. hist manifest `installed = 1` and the energy catalog (one flush),
 //! 3. hist checkpoint (the commit point),
 //! 4. hot manifest `retired` (raw slot released).
 //!
@@ -28,6 +30,12 @@
 //! coefficient writes are garbage that the redo overwrites. A crash
 //! between (3) and (4) is repaired on reopen by finishing the retirement,
 //! which is idempotent.
+//!
+//! Historical blocks are **write-once before install**: a segment's
+//! coefficient blocks are written before its `installed` flag commits,
+//! slots are never reused, and nothing names a segment historical before
+//! that flag is durable — so a cached historical block can never go stale
+//! and the read cache needs no invalidation.
 
 /// All values an f64 carries exactly: the manifest is stored through the
 /// same checksummed f64-block pipeline as the payload data.
@@ -89,22 +97,42 @@ impl TierConfig {
         self.segment_len / self.block_size
     }
 
-    /// Blocks the manifest region occupies (shared by both devices; the
-    /// hot manifest is the larger of the two encodings).
-    pub fn manifest_blocks(&self) -> usize {
-        (4 + 2 * self.max_segments).div_ceil(self.block_size)
+    /// Manifest values per slot on the hot device: (state, length).
+    const HOT_STRIDE: usize = 2;
+
+    /// Manifest values per slot on the historical device: one energy per
+    /// coefficient block plus the installed flag.
+    fn hist_stride(&self) -> usize {
+        self.blocks_per_segment() + 1
     }
 
-    /// First device block of segment slot `seg`.
-    pub fn data_block(&self, seg: usize) -> usize {
-        self.manifest_blocks() + seg * self.blocks_per_segment()
+    fn manifest_blocks(&self, stride: usize) -> usize {
+        (HEADER + stride * self.max_segments).div_ceil(self.block_size)
     }
 
-    /// Total blocks each device needs.
-    pub fn device_blocks(&self) -> usize {
-        self.manifest_blocks() + self.max_segments * self.blocks_per_segment()
+    /// First hot-device block of segment slot `seg`.
+    pub fn hot_block(&self, seg: usize) -> usize {
+        self.manifest_blocks(Self::HOT_STRIDE) + seg * self.blocks_per_segment()
+    }
+
+    /// First historical-device block of segment slot `seg`.
+    pub fn hist_block(&self, seg: usize) -> usize {
+        self.manifest_blocks(self.hist_stride()) + seg * self.blocks_per_segment()
+    }
+
+    /// Total blocks the hot device needs.
+    pub fn hot_device_blocks(&self) -> usize {
+        self.hot_block(self.max_segments)
+    }
+
+    /// Total blocks the historical device needs.
+    pub fn hist_device_blocks(&self) -> usize {
+        self.hist_block(self.max_segments)
     }
 }
+
+/// Manifest header values: magic, segment length, block size, total length.
+const HEADER: usize = 4;
 
 /// A manifest staged in memory as the flat f64 image of its device
 /// blocks. Mutations mark the touched block dirty so a flush writes only
@@ -112,33 +140,58 @@ impl TierConfig {
 pub(crate) struct Manifest {
     image: Vec<f64>,
     block_size: usize,
+    /// Values per slot (see [`TierConfig::HOT_STRIDE`] / `hist_stride`).
+    stride: usize,
     dirty: Vec<bool>,
 }
 
 impl Manifest {
-    pub(crate) fn fresh(magic: u64, cfg: &TierConfig) -> Self {
+    pub(crate) fn fresh_hot(cfg: &TierConfig) -> Self {
+        Self::fresh(HOT_MAGIC, cfg, TierConfig::HOT_STRIDE)
+    }
+
+    pub(crate) fn fresh_hist(cfg: &TierConfig) -> Self {
+        Self::fresh(HIST_MAGIC, cfg, cfg.hist_stride())
+    }
+
+    /// A fresh device is zero-filled, so only the header block differs
+    /// from what is already there; every slot block stays clean until a
+    /// slot is first set.
+    fn fresh(magic: u64, cfg: &TierConfig, stride: usize) -> Self {
+        let blocks = cfg.manifest_blocks(stride);
         let mut m = Manifest {
-            image: vec![0.0; cfg.manifest_blocks() * cfg.block_size],
+            image: vec![0.0; blocks * cfg.block_size],
             block_size: cfg.block_size,
-            dirty: vec![true; cfg.manifest_blocks()],
+            stride,
+            dirty: vec![false; blocks],
         };
         m.image[0] = f64::from_bits(magic);
         m.image[1] = cfg.segment_len as f64;
         m.image[2] = cfg.block_size as f64;
-        m.image[3] = 0.0;
+        m.dirty[0] = true;
         m
+    }
+
+    pub(crate) fn load_hot<D: aims_storage::BlockDevice>(device: &D, cfg: &TierConfig) -> Self {
+        Self::load(device, HOT_MAGIC, cfg, TierConfig::HOT_STRIDE, "hot")
+    }
+
+    pub(crate) fn load_hist<D: aims_storage::BlockDevice>(device: &D, cfg: &TierConfig) -> Self {
+        Self::load(device, HIST_MAGIC, cfg, cfg.hist_stride(), "hist")
     }
 
     /// Rebuilds the staged image from device blocks 0..M, validating the
     /// magic and geometry.
-    pub(crate) fn load<D: aims_storage::BlockDevice>(
+    fn load<D: aims_storage::BlockDevice>(
         device: &D,
         magic: u64,
         cfg: &TierConfig,
+        stride: usize,
         what: &str,
     ) -> Self {
-        let mut image = Vec::with_capacity(cfg.manifest_blocks() * cfg.block_size);
-        for b in 0..cfg.manifest_blocks() {
+        let blocks = cfg.manifest_blocks(stride);
+        let mut image = Vec::with_capacity(blocks * cfg.block_size);
+        for b in 0..blocks {
             let blk = device
                 .read_block(b)
                 .unwrap_or_else(|e| panic!("{what} manifest block {b} unreadable: {e:?}"));
@@ -147,7 +200,7 @@ impl Manifest {
         assert_eq!(image[0].to_bits(), f64::from_bits(magic).to_bits(), "{what} manifest magic");
         assert_eq!(image[1] as usize, cfg.segment_len, "{what} manifest segment_len");
         assert_eq!(image[2] as usize, cfg.block_size, "{what} manifest block_size");
-        Manifest { image, block_size: cfg.block_size, dirty: vec![false; cfg.manifest_blocks()] }
+        Manifest { image, block_size: cfg.block_size, stride, dirty: vec![false; blocks] }
     }
 
     fn set(&mut self, idx: usize, v: f64) {
@@ -157,32 +210,53 @@ impl Manifest {
         }
     }
 
+    fn slot(&self, seg: usize) -> usize {
+        HEADER + self.stride * seg
+    }
+
     pub(crate) fn set_total_len(&mut self, n: usize) {
         self.set(3, n as f64);
     }
 
     /// Hot encoding: per-slot (state, logical length) pairs.
     pub(crate) fn slot_state(&self, seg: usize) -> f64 {
-        self.image[4 + 2 * seg]
+        self.image[self.slot(seg)]
     }
 
     pub(crate) fn slot_len(&self, seg: usize) -> usize {
-        self.image[5 + 2 * seg] as usize
+        self.image[self.slot(seg) + 1] as usize
     }
 
     pub(crate) fn set_slot(&mut self, seg: usize, state: f64, len: usize) {
-        self.set(4 + 2 * seg, state);
-        self.set(5 + 2 * seg, len as f64);
+        let at = self.slot(seg);
+        self.set(at, state);
+        self.set(at + 1, len as f64);
     }
 
-    /// Hist encoding: one installed flag per slot (the length pairs keep
-    /// the hot layout so both manifests share a block budget).
+    /// Hist encoding: the per-block energies, then the installed flag.
+    /// The flag comes last because a flush writes blocks in ascending
+    /// order and the WAL replays a prefix: when a slot straddles two
+    /// manifest blocks, the block carrying the flag is the later one, so
+    /// a recovered flag always finds its whole catalog beside it.
     pub(crate) fn installed(&self, seg: usize) -> bool {
-        self.image[4 + 2 * seg] == 1.0
+        self.image[self.slot(seg) + self.stride - 1] == 1.0
     }
 
-    pub(crate) fn set_installed(&mut self, seg: usize) {
-        self.set(4 + 2 * seg, 1.0);
+    /// The energy catalog of an installed slot, ascending block order.
+    pub(crate) fn energies(&self, seg: usize) -> &[f64] {
+        let at = self.slot(seg);
+        &self.image[at..at + self.stride - 1]
+    }
+
+    /// Claims the slot for the historical tier: catalog and flag are
+    /// staged together so one flush carries both.
+    pub(crate) fn set_installed(&mut self, seg: usize, energies: &[f64]) {
+        assert_eq!(energies.len(), self.stride - 1, "one energy per coefficient block");
+        let at = self.slot(seg);
+        for (i, &e) in energies.iter().enumerate() {
+            self.set(at + i, e);
+        }
+        self.set(at + self.stride - 1, 1.0);
     }
 
     /// Writes the dirty manifest blocks through the device (and its WAL).

@@ -17,10 +17,13 @@
 //!   lifting kernels, and atomically swaps them into the historical
 //!   store via a crash-ordered manifest protocol ([`layout`]) —
 //!   coefficients → historical manifest → checkpoint → raw retirement.
-//!   A crash mid-compaction keeps the raw segment authoritative.
+//!   A crash mid-compaction keeps the raw segment authoritative. Once
+//!   installed, a segment lives only on the historical device: memory
+//!   holds the hot tier and one bounded block cache, not the data.
 //! - **Unified queries** ([`query`]): one range sum fans out across both
-//!   tiers — recent-exact plus historical-progressive — and merges under
-//!   a single monotone Cauchy–Schwarz bound. Queries run against
+//!   tiers — recent-exact plus historical-progressive, historical blocks
+//!   fetched on demand, most important first — and merges under a single
+//!   monotone Cauchy–Schwarz bound. Queries run against
 //!   [`store::TierSnapshot`]s, so a concurrent segment swap can never
 //!   double- or zero-count a sample.
 //! - **Acquisition wiring** ([`feed`]): the double-buffered recorder and
@@ -44,5 +47,6 @@ pub use feed::{feed_outcome, feed_recording, record_into_store, FeedReport};
 pub use layout::TierConfig;
 pub use query::{range_sum, range_sum_on, TierStep, TieredProgressive};
 pub use store::{
-    QueryGuard, SegCoeffs, SegmentView, TierMedia, TierSnapshot, TierStats, TieredStore,
+    block_energy, QueryGuard, SegCoeffs, SegmentView, TierMedia, TierSnapshot, TierStats,
+    TieredStore, HIST_CACHE_BYTES,
 };

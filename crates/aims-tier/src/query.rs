@@ -8,103 +8,94 @@
 //! local range indicator — computed in O(S) by the same lifting kernels
 //! that built the coefficients.
 //!
+//! The coefficients live on the historical device, so evaluation plans
+//! from the *weights* alone: a block is fetched only if its weights are
+//! not all zero (a fully covered Haar segment needs exactly its first
+//! block), its Cauchy–Schwarz gain comes from the snapshot's energy
+//! catalog, and blocks are fetched most-important-first as the
+//! evaluation consumes them. Every fully covered segment shares one
+//! weight vector, computed once per query.
+//!
 //! Determinism contract (the oracle bit-identity tests lean on this):
-//! every evaluation computes one partial per segment — raw samples or
-//! `w·c` products accumulated in ascending index order — and folds the
-//! partials in ascending segment order into a single accumulator. Two
-//! stores whose snapshots hold bit-identical payloads therefore return
-//! bit-identical sums, whether the partials were computed serially or
-//! fanned out on a pool.
+//! every block contributes one partial — `w·c` products accumulated in
+//! ascending index order — and the answer is one fixed fold of them: a
+//! historical segment's block partials in ascending block order into a
+//! segment partial, a hot segment's samples in ascending order into a
+//! segment partial, and the segment partials in ascending segment order
+//! into a single accumulator. The fold does not depend on the order the
+//! blocks were fetched in, on what the cache held, or on the pool's
+//! width, so two stores whose payloads are bit-identical return
+//! bit-identical sums.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use aims_dsp::dwt::dwt_full_inplace;
 use aims_dsp::kernel::DwtScratch;
 use aims_exec::ThreadPool;
 use aims_telemetry::global;
 
-use crate::store::{SnapKind, TierSnapshot};
+use crate::store::{SnapKind, SnapSeg, TierSnapshot};
 
 /// The DWT of the indicator vector of local range `[la, lb]` within a
-/// segment of `seg_len` slots.
-pub(crate) fn segment_weights(
-    seg_len: usize,
-    la: usize,
-    lb: usize,
-    filter: &aims_dsp::filters::WaveletFilter,
-    scratch: &mut DwtScratch,
-) -> Vec<f64> {
-    let mut w = vec![0.0; seg_len];
+/// segment and, per device block whose weights are not all zero,
+/// `(block, Σw²)` — the blocks a query must fetch.
+type Weights = (Vec<f64>, Vec<(usize, f64)>);
+
+fn weights_for(cfg: &crate::layout::TierConfig, la: usize, lb: usize) -> Weights {
+    let mut w = vec![0.0; cfg.segment_len];
     w[la..=lb].fill(1.0);
-    dwt_full_inplace(&mut w, filter, scratch);
-    w
+    dwt_full_inplace(&mut w, &cfg.filter.filter(), &mut DwtScratch::new());
+    let needed = w
+        .chunks(cfg.block_size)
+        .enumerate()
+        .filter_map(|(blk, wblk)| {
+            let wsq: f64 = wblk.iter().map(|x| x * x).sum();
+            (wsq != 0.0).then_some((blk, wsq))
+        })
+        .collect();
+    (w, needed)
 }
 
-/// One segment's exact contribution to `Σ f(t), t ∈ [a, b]` (global
-/// coordinates), or `None` when the segment doesn't overlap the range.
-fn segment_partial(
-    seg: &crate::store::SnapSeg,
-    a: usize,
-    b: usize,
-    cfg: &crate::layout::TierConfig,
-) -> Option<(f64, usize)> {
-    let end = seg.start + seg.len;
-    if b < seg.start || a >= end || seg.len == 0 {
-        return None;
-    }
-    let la = a.max(seg.start) - seg.start;
-    let lb = (b.min(end - 1)) - seg.start;
-    match &seg.kind {
-        SnapKind::Hot(data) => {
-            let mut acc = 0.0;
-            for &v in &data[la..=lb] {
-                acc += v;
-            }
-            Some((acc, lb - la + 1))
-        }
-        SnapKind::Hist(coeffs) => {
-            let filter = cfg.filter.filter();
-            let mut scratch = DwtScratch::new();
-            let w = segment_weights(cfg.segment_len, la, lb, &filter, &mut scratch);
-            let mut acc = 0.0;
-            for (wi, ci) in w.iter().zip(coeffs.coeffs.iter()) {
-                if *wi != 0.0 {
-                    acc += wi * ci;
-                }
-            }
-            Some((acc, 0))
-        }
-    }
+/// What one overlapping segment contributes to the plan.
+enum SegPlan {
+    /// Resident samples: summed exactly, up front.
+    Hot { sum: f64, rows: usize },
+    /// Device-resident coefficients under the segment's own weights, or
+    /// under the query's shared full-cover weights (`None`).
+    Hist { slot: usize, energy: Arc<[f64]>, own: Option<Weights> },
+}
+
+/// The exact answer's fold unit: one partial per overlapping segment.
+enum Part {
+    Hot(f64),
+    /// The segment's blocks, as a range of `items` in ascending block order.
+    Hist(Range<usize>),
+}
+
+/// One historical block's stake in an evaluation.
+struct BlockTerm {
+    /// Segment slot on the historical device, and block within it.
+    slot: usize,
+    blk: usize,
+    /// Which of the query's weight vectors applies.
+    weights: usize,
+    /// Cauchy–Schwarz gain `sqrt(Σw²_block · Σc²_block)` — how much of
+    /// the bound consuming this block removes.
+    gain: f64,
+    /// The block's exact contribution `Σ w·c` (ascending index order)
+    /// once fetched; stays `None` for a block the device could not
+    /// deliver.
+    partial: Option<f64>,
 }
 
 /// Exact range sum over `[a, b]` (inclusive, clamped to the snapshot),
-/// fanning segment partials out on `pool`. Bit-identical for every pool
-/// width, including serial.
+/// fanning segment sums and weight transforms out on `pool`. Bit-identical
+/// for every pool width, including serial. A block the historical device
+/// cannot deliver contributes nothing; [`TieredProgressive`] reports such
+/// blocks and bounds what they hide.
 pub fn range_sum_on(snap: &TierSnapshot, a: usize, b: usize, pool: &ThreadPool) -> f64 {
-    if snap.is_empty() || a > b || a >= snap.len() {
-        return 0.0;
-    }
-    let b = b.min(snap.len() - 1);
-    let cfg = snap.cfg;
-    let partials = pool.par_map(&snap.segs, |seg| segment_partial(seg, a, b, &cfg));
-    let mut acc = 0.0;
-    let mut hot_rows = 0usize;
-    let mut hot_segs = 0usize;
-    let mut hist_segs = 0usize;
-    for (seg, p) in snap.segs.iter().zip(partials) {
-        if let Some((v, rows)) = p {
-            acc += v;
-            hot_rows += rows;
-            match seg.kind {
-                SnapKind::Hot(_) => hot_segs += 1,
-                SnapKind::Hist(_) => hist_segs += 1,
-            }
-        }
-    }
-    let t = global();
-    t.counter("tier.query.hot_rows").add(hot_rows as u64);
-    if hot_segs > 0 && hist_segs > 0 {
-        t.counter("tier.query.merged").inc();
-    }
-    acc
+    TieredProgressive::new(snap, a, b, pool).drain().estimate
 }
 
 /// [`range_sum_on`] with a throwaway serial pool.
@@ -112,31 +103,35 @@ pub fn range_sum(snap: &TierSnapshot, a: usize, b: usize) -> f64 {
     range_sum_on(snap, a, b, &ThreadPool::new(1))
 }
 
-/// One unconsumed historical block's stake in a progressive evaluation.
-struct BlockTerm {
-    /// Cauchy–Schwarz gain `sqrt(Σw²_block · Σc²_block)` — how much of
-    /// the bound consuming this block removes.
-    gain: f64,
-    /// The block's exact contribution `Σ w·c` (ascending index order).
-    partial: f64,
-}
-
 /// Progressive two-tier evaluation: the hot tier answers exactly up
-/// front; historical blocks are consumed most-important-first, each step
-/// tightening one monotone Cauchy–Schwarz bound over everything not yet
-/// consumed. Once every block is consumed the estimate is replaced by the
-/// canonical exact evaluation, so a drained progressive query converges
-/// bit-identically to [`range_sum_on`].
-pub struct TieredProgressive {
+/// front; historical blocks are fetched and consumed most-important-
+/// first, each step tightening one monotone Cauchy–Schwarz bound over
+/// everything not yet consumed. Once every block is consumed the running
+/// estimate is replaced by the canonical fold of the same partials (see
+/// the module docs), so a drained progressive query *is* the exact
+/// evaluation, bit for bit.
+pub struct TieredProgressive<'a> {
+    snap: &'a TierSnapshot,
     /// Exact hot-tier contribution (zero-error from step 0).
     hot_part: f64,
     /// Raw samples the hot tier summed.
     pub hot_rows: usize,
+    /// Overlapping segments, ascending.
+    parts: Vec<Part>,
+    /// Needed historical blocks, segment- then block-ascending.
     items: Vec<BlockTerm>,
+    /// `items` indices in consumption order: gain-descending, ties in
+    /// planning order.
+    order: Vec<usize>,
+    weights: Vec<Vec<f64>>,
     consumed: usize,
+    lost: usize,
     hist_estimate: f64,
+    /// Σ gain of blocks not yet delivered (unconsumed or lost).
+    remaining: f64,
+    /// Σ gain of lost blocks: what the final bound cannot shed.
+    lost_bound: f64,
     bound: f64,
-    exact: f64,
 }
 
 /// One delivered refinement step.
@@ -146,80 +141,111 @@ pub struct TierStep {
     pub estimate: f64,
     /// Monotone Cauchy–Schwarz bound on `|estimate − exact|`.
     pub bound: f64,
-    /// Historical blocks consumed so far.
+    /// Historical blocks consumed so far (delivered or lost).
     pub blocks_consumed: usize,
+    /// Of those, blocks the device could not deliver even with retries;
+    /// each keeps its gain in `bound`.
+    pub blocks_lost: usize,
 }
 
-impl TieredProgressive {
+impl<'a> TieredProgressive<'a> {
     /// Plans a progressive evaluation of `Σ f(t), t ∈ [a, b]` against the
-    /// snapshot.
-    pub fn new(snap: &TierSnapshot, a: usize, b: usize, pool: &ThreadPool) -> Self {
-        let exact = range_sum_on(snap, a, b, pool);
+    /// snapshot: sums the hot segments and transforms the edge segments'
+    /// indicators on `pool`, and lists — without reading any — the
+    /// historical blocks the range needs.
+    pub fn new(snap: &'a TierSnapshot, a: usize, b: usize, pool: &ThreadPool) -> Self {
+        let mut prog = TieredProgressive {
+            snap,
+            hot_part: 0.0,
+            hot_rows: 0,
+            parts: Vec::new(),
+            items: Vec::new(),
+            order: Vec::new(),
+            weights: Vec::new(),
+            consumed: 0,
+            lost: 0,
+            hist_estimate: 0.0,
+            remaining: 0.0,
+            lost_bound: 0.0,
+            bound: 0.0,
+        };
         if snap.is_empty() || a > b || a >= snap.len() {
-            return TieredProgressive {
-                hot_part: 0.0,
-                hot_rows: 0,
-                items: Vec::new(),
-                consumed: 0,
-                hist_estimate: 0.0,
-                bound: 0.0,
-                exact,
-            };
+            return prog;
         }
         let b = b.min(snap.len() - 1);
         let cfg = snap.cfg;
-        let filter = cfg.filter.filter();
-        let bs = cfg.block_size;
-        let mut scratch = DwtScratch::new();
-        let mut hot_part = 0.0;
-        let mut hot_rows = 0usize;
-        let mut items = Vec::new();
-        for seg in &snap.segs {
-            let end = seg.start + seg.len;
-            if b < seg.start || a >= end || seg.len == 0 {
-                continue;
-            }
-            let la = a.max(seg.start) - seg.start;
-            let lb = (b.min(end - 1)) - seg.start;
-            match &seg.kind {
-                SnapKind::Hot(data) => {
-                    for &v in &data[la..=lb] {
-                        hot_part += v;
-                    }
-                    hot_rows += lb - la + 1;
+        let first = snap.segs.partition_point(|s| s.start + s.len <= a);
+        let last = snap.segs.partition_point(|s| s.start <= b);
+        let segs = &snap.segs[first..last];
+        let local = |s: &SnapSeg| (a.max(s.start) - s.start, b.min(s.start + s.len - 1) - s.start);
+        let whole = (0, cfg.segment_len - 1);
+
+        let plans = pool.par_map(segs, |seg| match &seg.kind {
+            SnapKind::Hot(data) => {
+                let (la, lb) = local(seg);
+                let mut sum = 0.0;
+                for &v in &data[la..=lb] {
+                    sum += v;
                 }
-                SnapKind::Hist(coeffs) => {
-                    let w = segment_weights(cfg.segment_len, la, lb, &filter, &mut scratch);
-                    for (blk, wblk) in w.chunks(bs).enumerate() {
-                        let wsq: f64 = wblk.iter().map(|x| x * x).sum();
-                        if wsq == 0.0 {
-                            continue;
-                        }
-                        let mut partial = 0.0;
-                        for (wi, ci) in wblk.iter().zip(&coeffs.coeffs[blk * bs..(blk + 1) * bs]) {
-                            if *wi != 0.0 {
-                                partial += wi * ci;
-                            }
-                        }
-                        let gain = (wsq * coeffs.block_energy[blk]).sqrt();
-                        items.push(BlockTerm { gain, partial });
-                    }
+                SegPlan::Hot { sum, rows: lb - la + 1 }
+            }
+            SnapKind::Hist { slot, energy } => {
+                let (la, lb) = local(seg);
+                let own = ((la, lb) != whole).then(|| weights_for(&cfg, la, lb));
+                SegPlan::Hist { slot: *slot, energy: Arc::clone(energy), own }
+            }
+        });
+
+        let mut full_needed = Vec::new();
+        if plans.iter().any(|p| matches!(p, SegPlan::Hist { own: None, .. })) {
+            let (w, needed) = weights_for(&cfg, whole.0, whole.1);
+            prog.weights.push(w);
+            full_needed = needed;
+        }
+        let (mut hot_segs, mut hist_segs) = (0usize, 0usize);
+        for plan in plans {
+            match plan {
+                SegPlan::Hot { sum, rows } => {
+                    prog.parts.push(Part::Hot(sum));
+                    prog.hot_part += sum;
+                    prog.hot_rows += rows;
+                    hot_segs += 1;
+                }
+                SegPlan::Hist { slot, energy, own } => {
+                    let (weights, needed) = match &own {
+                        Some((_, needed)) => (prog.weights.len(), needed),
+                        None => (0, &full_needed),
+                    };
+                    let start = prog.items.len();
+                    prog.items.extend(needed.iter().map(|&(blk, wsq)| BlockTerm {
+                        slot,
+                        blk,
+                        weights,
+                        gain: (wsq * energy[blk]).sqrt(),
+                        partial: None,
+                    }));
+                    prog.parts.push(Part::Hist(start..prog.items.len()));
+                    prog.weights.extend(own.map(|(w, _)| w));
+                    hist_segs += 1;
                 }
             }
         }
         // Most-important-first; ties keep planning order (stable sort) so
         // the consumption sequence is deterministic.
-        items.sort_by(|x, y| y.gain.partial_cmp(&x.gain).unwrap_or(std::cmp::Ordering::Equal));
-        let bound = items.iter().map(|i| i.gain).sum();
-        TieredProgressive {
-            hot_part,
-            hot_rows,
-            items,
-            consumed: 0,
-            hist_estimate: 0.0,
-            bound,
-            exact,
+        let items = &prog.items;
+        prog.order = (0..items.len()).collect();
+        prog.order.sort_by(|&x, &y| {
+            items[y].gain.partial_cmp(&items[x].gain).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        prog.remaining = prog.order.iter().fold(0.0, |acc, &i| acc + items[i].gain);
+        prog.bound = prog.remaining;
+
+        let t = global();
+        t.counter("tier.query.hot_rows").add(prog.hot_rows as u64);
+        if hot_segs > 0 && hist_segs > 0 {
+            t.counter("tier.query.merged").inc();
         }
+        prog
     }
 
     /// Historical blocks this evaluation will consume in total.
@@ -232,31 +258,76 @@ impl TieredProgressive {
         self.consumed >= self.items.len()
     }
 
+    /// The canonical fold of everything delivered so far.
+    fn folded(&self) -> f64 {
+        let mut acc = 0.0;
+        for part in &self.parts {
+            acc += match part {
+                Part::Hot(sum) => *sum,
+                Part::Hist(blocks) => {
+                    let mut seg = 0.0;
+                    for partial in self.items[blocks.clone()].iter().filter_map(|i| i.partial) {
+                        seg += partial;
+                    }
+                    seg
+                }
+            };
+        }
+        acc
+    }
+
     /// The current refinement.
     pub fn current(&self) -> TierStep {
-        if self.done() {
-            TierStep { estimate: self.exact, bound: 0.0, blocks_consumed: self.consumed }
-        } else {
-            TierStep {
-                estimate: self.hot_part + self.hist_estimate,
-                bound: self.bound.max(0.0),
-                blocks_consumed: self.consumed,
-            }
+        let estimate = if self.done() { self.folded() } else { self.hot_part + self.hist_estimate };
+        TierStep {
+            estimate,
+            bound: self.bound,
+            blocks_consumed: self.consumed,
+            blocks_lost: self.lost,
         }
     }
 
-    /// Consumes up to `k` more historical blocks, most-important-first,
-    /// and returns the refined step. The bound never increases.
-    pub fn step(&mut self, k: usize) -> TierStep {
-        let upto = (self.consumed + k.max(1)).min(self.items.len());
-        while self.consumed < upto {
-            let item = &self.items[self.consumed];
-            self.hist_estimate += item.partial;
-            // Subtracting a non-negative gain can't round upward, so the
-            // bound is monotone non-increasing in floating point too.
-            self.bound -= item.gain;
-            self.consumed += 1;
+    /// Reads one block through the store's cache and reduces it against
+    /// its weights; `None` when the device cannot deliver it.
+    fn fetch(&self, item: &BlockTerm) -> Option<f64> {
+        let coeffs = self.snap.hist.block(item.slot, item.blk).ok()?;
+        let bs = self.snap.cfg.block_size;
+        let w = &self.weights[item.weights][item.blk * bs..(item.blk + 1) * bs];
+        let mut partial = 0.0;
+        for (wi, ci) in w.iter().zip(coeffs.iter()) {
+            if *wi != 0.0 {
+                partial += wi * ci;
+            }
         }
+        Some(partial)
+    }
+
+    /// Fetches and consumes up to `k` more historical blocks,
+    /// most-important-first, and returns the refined step. The bound
+    /// never increases; a lost block leaves its gain in it.
+    pub fn step(&mut self, k: usize) -> TierStep {
+        let upto = (self.consumed + k.max(1)).min(self.order.len());
+        for &i in &self.order[self.consumed..upto] {
+            let partial = self.fetch(&self.items[i]);
+            let item = &mut self.items[i];
+            item.partial = partial;
+            match partial {
+                Some(p) => {
+                    self.hist_estimate += p;
+                    self.remaining -= item.gain;
+                }
+                None => {
+                    self.lost += 1;
+                    self.lost_bound += item.gain;
+                }
+            }
+        }
+        self.consumed = upto;
+        // `remaining` only ever sheds non-negative gains and `lost_bound`
+        // is part of it, so the running minimum changes nothing in exact
+        // arithmetic; it keeps the bound monotone under rounding too.
+        let bound = if self.done() { self.lost_bound } else { self.remaining.max(self.lost_bound) };
+        self.bound = self.bound.min(bound);
         self.current()
     }
 

@@ -1,27 +1,65 @@
-//! The two-tier store: durable hot segments + installed wavelet segments.
+//! The two-tier store: a resident hot tier over a device-resident
+//! historical tier.
 //!
-//! One [`TieredStore`] owns two block devices (hot raw, historical
-//! coefficients) behind a single mutex, and hands out cheap clones of
-//! itself — the ingest path, the background compactor and any number of
-//! query threads all hold the same store. Queries never evaluate under
-//! the lock: they take a [`TierSnapshot`] (Arc clones of every segment's
-//! payload plus a copy of the open tail), so a compaction swap that
+//! One [`TieredStore`] owns two block devices and hands out cheap clones
+//! of itself — the ingest path, the background compactor and any number
+//! of query threads all hold the same store.
+//!
+//! **What is resident.** The hot tier — the open tail and the sealed
+//! segments the compactor has not installed yet — lives in memory as raw
+//! samples (and durably on the hot device). An installed segment lives
+//! *only* on the historical device: the store keeps its logical length
+//! and its per-block energy catalog, and queries read its coefficient
+//! blocks on demand through one bounded [`SharedBlockCache`]
+//! (checksum-verified, retried). Memory is O(hot tier + cache), not
+//! O(data).
+//!
+//! **Locks.** The hot device and the segment table sit behind the ingest
+//! mutex; the historical device sits behind its own lock, so an install's
+//! commit (a full checkpoint) never stalls `push_slice`. Where both are
+//! needed the order is hot → hist, and [`TieredStore::install`] never
+//! holds the historical lock while it takes the ingest lock.
+//!
+//! **Why the cache needs no invalidation.** A historical block is written
+//! before its segment's `installed` flag commits and is never rewritten
+//! afterwards (slots are not reused), and no snapshot names a segment
+//! historical before that flag has committed — so a block that can be
+//! read at all has its final contents.
+//!
+//! Queries never evaluate under a lock: they take a [`TierSnapshot`]
+//! (an `Arc` of every hot segment's samples, a descriptor of every
+//! historical one, a copy of the open tail), so a compaction swap that
 //! completes mid-query cannot move a sample between tiers underneath it —
-//! each sample is seen in exactly the tier the snapshot captured.
+//! a segment the snapshot saw hot stays hot for that query.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-use aims_storage::{BlockDevice, FileDevice, FileDeviceOptions, MemDevice};
-use aims_telemetry::global;
-
-use crate::layout::{
-    Manifest, TierConfig, HIST_MAGIC, HOT_MAGIC, SLOT_EMPTY, SLOT_OPEN, SLOT_RAW, SLOT_RETIRED,
+use aims_storage::{
+    BlockDevice, DeviceStats, FaultyDevice, FileDevice, FileDeviceOptions, MemDevice, RawMedia,
+    ReadError, ReadErrorKind, RetryPolicy, SharedBlockCache,
 };
+use aims_telemetry::{global, Counter};
 
-/// A sealed segment's wavelet form: the full-depth DWT of the (zero-padded)
-/// segment, plus the per-device-block coefficient energies the progressive
-/// bound consumes.
+use crate::layout::{Manifest, TierConfig, SLOT_EMPTY, SLOT_OPEN, SLOT_RAW, SLOT_RETIRED};
+
+/// Byte budget of a store's historical block cache.
+pub const HIST_CACHE_BYTES: usize = 8 << 20;
+
+/// [`HIST_CACHE_BYTES`] in blocks of this geometry.
+fn cache_budget_blocks(cfg: &TierConfig) -> usize {
+    (HIST_CACHE_BYTES / (cfg.block_size * 8)).max(1)
+}
+
+/// Segment slots are a power-of-two number of blocks apart, so an odd
+/// shard count spreads the block every fully covered segment needs (its
+/// first) evenly over the cache's shards.
+const CACHE_SHARDS: usize = 7;
+
+/// A sealed segment's wavelet form as the compactor hands it to
+/// [`TieredStore::install`]: the full-depth DWT of the (zero-padded)
+/// segment, plus the per-device-block coefficient energies the
+/// progressive bound consumes.
 #[derive(Clone, Debug)]
 pub struct SegCoeffs {
     /// `segment_len` coefficients in flat error-tree order.
@@ -35,10 +73,14 @@ pub struct SegCoeffs {
 impl SegCoeffs {
     /// Builds the per-block energy catalog from a flat coefficient vector.
     pub fn from_coeffs(coeffs: Vec<f64>, len: usize, block_size: usize) -> Self {
-        let block_energy =
-            coeffs.chunks(block_size).map(|blk| blk.iter().map(|c| c * c).sum::<f64>()).collect();
+        let block_energy = coeffs.chunks(block_size).map(block_energy).collect();
         SegCoeffs { coeffs, len, block_energy }
     }
+}
+
+/// Σ c² of one coefficient block, ascending index order.
+pub fn block_energy(block: &[f64]) -> f64 {
+    block.iter().map(|c| c * c).sum()
 }
 
 /// A sealed segment's in-memory residency.
@@ -46,24 +88,14 @@ enum Seg {
     /// Sealed raw samples, durable on the hot device. `compacting` marks a
     /// segment claimed by the compactor (still served raw until installed).
     Raw { data: Arc<Vec<f64>>, compacting: bool },
-    /// Wavelet form installed on the historical device; raw slot retired.
-    Hist { coeffs: Arc<SegCoeffs> },
-}
-
-impl Seg {
-    fn len(&self) -> usize {
-        match self {
-            Seg::Raw { data, .. } => data.len(),
-            Seg::Hist { coeffs } => coeffs.len,
-        }
-    }
+    /// Installed on the historical device, raw slot retired: only the
+    /// logical length and the energy catalog stay in memory.
+    Hist { len: usize, energy: Arc<[f64]> },
 }
 
 struct Inner<D: BlockDevice> {
     hot: D,
-    hist: D,
     hot_man: Manifest,
-    hist_man: Manifest,
     segs: Vec<Seg>,
     /// The open (still-filling) tail segment; its slot is `segs.len()`.
     open_buf: Vec<f64>,
@@ -72,6 +104,96 @@ struct Inner<D: BlockDevice> {
     /// Samples covered by sealed segments (the manifest's ack frontier,
     /// before adding any synced open tail).
     durable_sealed: usize,
+    /// Sealed segments still raw (the compaction backlog).
+    sealed_raw: usize,
+}
+
+impl<D: BlockDevice> Inner<D> {
+    fn empty(cfg: &TierConfig, hot: D, hot_man: Manifest) -> Self {
+        Inner {
+            hot,
+            hot_man,
+            segs: Vec::new(),
+            open_buf: Vec::with_capacity(cfg.segment_len),
+            open_written: 0,
+            durable_sealed: 0,
+            sealed_raw: 0,
+        }
+    }
+}
+
+/// The historical device with its manifest, behind their own lock.
+struct HistState<D> {
+    device: D,
+    man: Manifest,
+}
+
+/// What a snapshot needs of the historical tier: coefficient blocks by
+/// (segment slot, block), verified and retried.
+pub(crate) trait BlockSource: Send + Sync {
+    fn block(&self, seg: usize, blk: usize) -> Result<Arc<Vec<f64>>, ReadError>;
+}
+
+/// The historical tier: the device, and the one cache every read of it
+/// goes through.
+struct HistTier<D> {
+    state: RwLock<HistState<D>>,
+    cache: SharedBlockCache,
+    cfg: TierConfig,
+    retry: RetryPolicy,
+    block_reads: Arc<Counter>,
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
+}
+
+impl<D: TierMedia> HistTier<D> {
+    fn new(cfg: TierConfig, device: D, man: Manifest, cache_blocks: usize) -> Self {
+        let shards = CACHE_SHARDS.min(cache_blocks);
+        let t = global();
+        HistTier {
+            state: RwLock::new(HistState { device, man }),
+            cache: SharedBlockCache::with_shards(cache_blocks / shards * shards, shards),
+            cfg,
+            retry: RetryPolicy::default(),
+            block_reads: t.counter("tier.hist.block_reads"),
+            cache_hits: t.counter("tier.hist.cache_hits"),
+            cache_misses: t.counter("tier.hist.cache_misses"),
+        }
+    }
+
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, HistState<D>> {
+        self.state.read().expect("a thread panicked holding the historical lock")
+    }
+
+    fn write(&self) -> std::sync::RwLockWriteGuard<'_, HistState<D>> {
+        self.state.write().expect("a thread panicked holding the historical lock")
+    }
+
+    fn cache_bytes(&self) -> usize {
+        self.cache.resident() * self.cfg.block_size * 8
+    }
+}
+
+impl<D: TierMedia> BlockSource for HistTier<D> {
+    fn block(&self, seg: usize, blk: usize) -> Result<Arc<Vec<f64>>, ReadError> {
+        let id = self.cfg.hist_block(seg) + blk;
+        // A hit never touches the device lock, so it never waits behind an
+        // install's commit.
+        if let Some(data) = self.cache.lookup(id) {
+            self.cache_hits.inc();
+            return Ok(data);
+        }
+        self.cache_misses.inc();
+        let fetched = self.cache.read_and_insert(&self.read().device, id, &self.retry);
+        // Dead blocks fail fast; any other failure used the whole budget.
+        let retries = match &fetched {
+            Ok((_, fetch)) => fetch.retries,
+            Err(e) if e.kind == ReadErrorKind::Dead => 0,
+            Err(_) => self.retry.retries,
+        };
+        self.block_reads.add(1 + retries as u64);
+        fetched.map(|(data, _)| data)
+    }
 }
 
 /// Live counts for telemetry and drills.
@@ -100,8 +222,10 @@ pub struct SegmentView {
 }
 
 pub(crate) enum SnapKind {
+    /// Resident raw samples (a sealed backlog segment or the open tail).
     Hot(Arc<Vec<f64>>),
-    Hist(Arc<SegCoeffs>),
+    /// Device-resident coefficients: the segment's slot and its catalog.
+    Hist { slot: usize, energy: Arc<[f64]> },
 }
 
 pub(crate) struct SnapSeg {
@@ -116,6 +240,7 @@ pub(crate) struct SnapSeg {
 pub struct TierSnapshot {
     pub(crate) cfg: TierConfig,
     pub(crate) segs: Vec<SnapSeg>,
+    pub(crate) hist: Arc<dyn BlockSource>,
     total_len: usize,
 }
 
@@ -137,9 +262,28 @@ impl TierSnapshot {
             .map(|s| SegmentView {
                 start: s.start,
                 len: s.len,
-                historical: matches!(s.kind, SnapKind::Hist(_)),
+                historical: matches!(s.kind, SnapKind::Hist { .. }),
             })
             .collect()
+    }
+
+    /// The per-block energy catalog of segment `i`, when the snapshot
+    /// serves it from the historical tier.
+    pub fn block_energies(&self, i: usize) -> Option<&[f64]> {
+        match &self.segs.get(i)?.kind {
+            SnapKind::Hist { energy, .. } => Some(energy),
+            SnapKind::Hot(_) => None,
+        }
+    }
+
+    /// Coefficient block `blk` of historical segment `i`, read the way
+    /// queries read it: through the store's cache, verified and retried.
+    /// `None` when the snapshot serves the segment hot.
+    pub fn hist_block(&self, i: usize, blk: usize) -> Option<Result<Arc<Vec<f64>>, ReadError>> {
+        match &self.segs.get(i)?.kind {
+            SnapKind::Hist { slot, .. } => Some(self.hist.block(*slot, blk)),
+            SnapKind::Hot(_) => None,
+        }
     }
 }
 
@@ -155,10 +299,11 @@ impl Drop for QueryGuard {
     }
 }
 
-/// The tiered store handle. `Clone` is cheap (an `Arc` bump); all clones
+/// The tiered store handle. `Clone` is cheap (`Arc` bumps); all clones
 /// share one store.
 pub struct TieredStore<D: TierMedia> {
     inner: Arc<Mutex<Inner<D>>>,
+    hist: Arc<HistTier<D>>,
     cfg: TierConfig,
     inflight: Arc<AtomicU64>,
 }
@@ -167,6 +312,7 @@ impl<D: TierMedia> Clone for TieredStore<D> {
     fn clone(&self) -> Self {
         TieredStore {
             inner: Arc::clone(&self.inner),
+            hist: Arc::clone(&self.hist),
             cfg: self.cfg,
             inflight: Arc::clone(&self.inflight),
         }
@@ -177,10 +323,9 @@ impl TieredStore<MemDevice> {
     /// A fresh in-memory store (tests, drills without durability).
     pub fn new_mem(cfg: TierConfig) -> Self {
         cfg.validate();
-        let blocks = cfg.device_blocks();
-        let hot = MemDevice::new(cfg.block_size, blocks);
-        let hist = MemDevice::new(cfg.block_size, blocks);
-        Self::fresh(cfg, hot, hist)
+        let hot = MemDevice::new(cfg.block_size, cfg.hot_device_blocks());
+        let hist = MemDevice::new(cfg.block_size, cfg.hist_device_blocks());
+        Self::with_devices(cfg, hot, hist)
     }
 }
 
@@ -205,15 +350,22 @@ impl TieredStore<FileDevice> {
     ) -> std::io::Result<Self> {
         cfg.validate();
         std::fs::create_dir_all(dir)?;
-        let blocks = cfg.device_blocks();
-        let hot = FileDevice::create(dir.join("hot"), cfg.block_size, blocks, hot_opts)?;
-        let hist = FileDevice::create(dir.join("hist"), cfg.block_size, blocks, hist_opts)?;
-        Ok(Self::fresh(cfg, hot, hist))
+        let hot =
+            FileDevice::create(dir.join("hot"), cfg.block_size, cfg.hot_device_blocks(), hot_opts)?;
+        let hist = FileDevice::create(
+            dir.join("hist"),
+            cfg.block_size,
+            cfg.hist_device_blocks(),
+            hist_opts,
+        )?;
+        Ok(Self::with_devices(cfg, hot, hist))
     }
 
     /// Reopens a durable store, replaying both WALs and repairing any
     /// half-finished compaction swap (installed-but-not-retired segments
     /// finish retirement; uninstalled ones stay raw — acked ingest wins).
+    /// Reads the two manifests, the raw backlog and the open tail; no
+    /// historical coefficient block.
     pub fn open_durable(
         dir: &std::path::Path,
         cfg: TierConfig,
@@ -237,56 +389,63 @@ impl TieredStore<FileDevice> {
 
     /// Checkpoints both devices (folds the WALs into the main files).
     pub fn checkpoint(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.hot.checkpoint();
-        inner.hist.checkpoint();
+        self.lock().hot.checkpoint();
+        self.hist.write().device.checkpoint();
     }
 
     /// Whether each device's seeded crash plan has fired: `(hot, hist)`.
     pub fn devices_crashed(&self) -> (bool, bool) {
-        let inner = self.inner.lock().unwrap();
-        (inner.hot.is_crashed(), inner.hist.is_crashed())
+        let hot = self.lock().hot.is_crashed();
+        (hot, self.hist.read().device.is_crashed())
     }
 }
 
 impl<D: TierMedia> TieredStore<D> {
-    fn fresh(cfg: TierConfig, mut hot: D, mut hist: D) -> Self {
-        assert!(hot.num_blocks() >= cfg.device_blocks(), "hot device too small");
-        assert!(hist.num_blocks() >= cfg.device_blocks(), "hist device too small");
-        let mut hot_man = Manifest::fresh(HOT_MAGIC, &cfg);
-        let mut hist_man = Manifest::fresh(HIST_MAGIC, &cfg);
+    /// A fresh store over two zero-filled devices (what
+    /// [`MemDevice::new`] and [`FileDevice::create`] produce): only the
+    /// manifest headers are written.
+    pub fn with_devices(cfg: TierConfig, hot: D, hist: D) -> Self {
+        Self::with_devices_and_cache(cfg, hot, hist, cache_budget_blocks(&cfg))
+    }
+
+    /// [`Self::with_devices`] with the cache sized in blocks — tests pin
+    /// answers across cache sizes; callers get the one constant.
+    pub(crate) fn with_devices_and_cache(
+        cfg: TierConfig,
+        mut hot: D,
+        mut hist: D,
+        cache_blocks: usize,
+    ) -> Self {
+        cfg.validate();
+        assert!(hot.num_blocks() >= cfg.hot_device_blocks(), "hot device too small");
+        assert!(hist.num_blocks() >= cfg.hist_device_blocks(), "hist device too small");
+        let mut hot_man = Manifest::fresh_hot(&cfg);
+        let mut hist_man = Manifest::fresh_hist(&cfg);
         hot_man.flush(&mut hot);
         hist_man.flush(&mut hist);
         global().counter("tier.segments.open").inc();
-        let inner = Inner {
-            hot,
-            hist,
-            hot_man,
-            hist_man,
-            segs: Vec::new(),
-            open_buf: Vec::with_capacity(cfg.segment_len),
-            open_written: 0,
-            durable_sealed: 0,
-        };
+        let inner = Inner::empty(&cfg, hot, hot_man);
+        Self::assemble(cfg, inner, HistTier::new(cfg, hist, hist_man, cache_blocks))
+    }
+
+    fn assemble(cfg: TierConfig, inner: Inner<D>, hist: HistTier<D>) -> Self {
         TieredStore {
             inner: Arc::new(Mutex::new(inner)),
+            hist: Arc::new(hist),
             cfg,
             inflight: Arc::new(AtomicU64::new(0)),
         }
     }
 
     /// Rebuilds in-memory state from the two manifests. The historical
-    /// manifest is authoritative for any segment it has installed.
+    /// manifest is authoritative for any segment it has installed, and
+    /// carries that segment's energy catalog — recovery reads hot blocks
+    /// only.
     fn recover(cfg: TierConfig, hot: D, hist: D) -> Self {
-        let hot_man = Manifest::load(&hot, HOT_MAGIC, &cfg, "hot");
-        let hist_man = Manifest::load(&hist, HIST_MAGIC, &cfg, "hist");
+        let hot_man = Manifest::load_hot(&hot, &cfg);
+        let hist_man = Manifest::load_hist(&hist, &cfg);
         let bs = cfg.block_size;
-        let mut segs = Vec::new();
-        let mut open_buf = Vec::with_capacity(cfg.segment_len);
-        let mut open_written = 0usize;
-        let mut durable_sealed = 0usize;
-        let mut finish_retirement = Vec::new();
-
+        let mut inner = Inner::empty(&cfg, hot, hot_man);
         let read_samples = |device: &D, first_block: usize, len: usize, what: &str| -> Vec<f64> {
             let mut out = Vec::with_capacity(len.div_ceil(bs) * bs);
             for b in 0..len.div_ceil(bs) {
@@ -300,47 +459,41 @@ impl<D: TierMedia> TieredStore<D> {
         };
 
         for seg in 0..cfg.max_segments {
-            let state = hot_man.slot_state(seg);
+            let state = inner.hot_man.slot_state(seg);
             if state == SLOT_EMPTY {
                 break;
             }
-            let len = hot_man.slot_len(seg);
-            let installed = hist_man.installed(seg);
+            let len = inner.hot_man.slot_len(seg);
             if state == SLOT_OPEN {
-                open_buf = read_samples(&hot, cfg.data_block(seg), len, "hot(open)");
+                inner.open_buf = read_samples(&inner.hot, cfg.hot_block(seg), len, "hot(open)");
                 // A synced partial tail block gets rewritten when it fills.
-                open_written = len / bs;
+                inner.open_written = len / bs;
                 break;
             }
-            if installed {
-                let coeffs = read_samples(&hist, cfg.data_block(seg), cfg.segment_len, "hist");
-                segs.push(Seg::Hist { coeffs: Arc::new(SegCoeffs::from_coeffs(coeffs, len, bs)) });
-                if state == SLOT_RAW {
-                    // Crashed between hist commit and raw retirement.
-                    finish_retirement.push((seg, len));
-                }
+            if hist_man.installed(seg) {
+                inner.segs.push(Seg::Hist { len, energy: hist_man.energies(seg).into() });
+                // Crashed between hist commit and raw retirement: finish
+                // it (a no-op for a slot already retired).
+                inner.hot_man.set_slot(seg, SLOT_RETIRED, len);
             } else {
                 assert!(
                     state == SLOT_RAW,
                     "segment {seg} retired on the hot device but never installed"
                 );
-                let data = read_samples(&hot, cfg.data_block(seg), len, "hot");
-                segs.push(Seg::Raw { data: Arc::new(data), compacting: false });
+                let data = read_samples(&inner.hot, cfg.hot_block(seg), len, "hot");
+                inner.segs.push(Seg::Raw { data: Arc::new(data), compacting: false });
+                inner.sealed_raw += 1;
             }
-            durable_sealed += len;
+            inner.durable_sealed += len;
         }
+        let Inner { hot, hot_man, .. } = &mut inner;
+        hot_man.flush(hot);
+        let hist = HistTier::new(cfg, hist, hist_man, cache_budget_blocks(&cfg));
+        Self::assemble(cfg, inner, hist)
+    }
 
-        let mut inner =
-            Inner { hot, hist, hot_man, hist_man, segs, open_buf, open_written, durable_sealed };
-        for (seg, len) in finish_retirement {
-            inner.hot_man.set_slot(seg, SLOT_RETIRED, len);
-        }
-        inner.hot_man.flush(&mut inner.hot);
-        TieredStore {
-            inner: Arc::new(Mutex::new(inner)),
-            cfg,
-            inflight: Arc::new(AtomicU64::new(0)),
-        }
+    fn lock(&self) -> MutexGuard<'_, Inner<D>> {
+        self.inner.lock().expect("a thread panicked holding the ingest lock")
     }
 
     /// The store's static geometry.
@@ -350,8 +503,8 @@ impl<D: TierMedia> TieredStore<D> {
 
     /// Logical samples pushed so far.
     pub fn len(&self) -> usize {
-        let inner = self.inner.lock().unwrap();
-        inner.segs.iter().map(Seg::len).sum::<usize>() + inner.open_buf.len()
+        let inner = self.lock();
+        inner.durable_sealed + inner.open_buf.len()
     }
 
     /// True when nothing has been pushed.
@@ -359,17 +512,39 @@ impl<D: TierMedia> TieredStore<D> {
         self.len() == 0
     }
 
-    /// Live tier counts.
+    /// Live tier counts, from running counters (no segment scan).
     pub fn stats(&self) -> TierStats {
-        let inner = self.inner.lock().unwrap();
-        let sealed_raw = inner.segs.iter().filter(|s| matches!(s, Seg::Raw { .. })).count();
-        let historical = inner.segs.len() - sealed_raw;
+        let inner = self.lock();
         TierStats {
-            total_len: inner.segs.iter().map(Seg::len).sum::<usize>() + inner.open_buf.len(),
+            total_len: inner.durable_sealed + inner.open_buf.len(),
             open_len: inner.open_buf.len(),
-            sealed_raw,
-            historical,
+            sealed_raw: inner.sealed_raw,
+            historical: inner.segs.len() - inner.sealed_raw,
         }
+    }
+
+    /// Bytes the store keeps in memory: the hot tier's raw samples (a
+    /// segment buffer per backlog segment + the open tail), the energy
+    /// catalogs of installed segments, and whatever the historical block
+    /// cache holds right now. Also published as the `tier.resident_bytes`
+    /// gauge, which is otherwise refreshed at every seal and install (not
+    /// per query: the query path stays off the ingest lock).
+    pub fn resident_bytes(&self) -> usize {
+        self.publish_resident(&self.lock())
+    }
+
+    fn publish_resident(&self, inner: &Inner<D>) -> usize {
+        let hot = 8 * (inner.sealed_raw * self.cfg.segment_len + inner.open_buf.len());
+        let catalogs = 8 * self.cfg.blocks_per_segment() * (inner.segs.len() - inner.sealed_raw);
+        let bytes = hot + catalogs + self.hist.cache_bytes();
+        global().gauge("tier.resident_bytes").set(bytes as f64);
+        bytes
+    }
+
+    /// I/O counters of the two devices: `(hot, hist)`.
+    pub fn device_stats(&self) -> (DeviceStats, DeviceStats) {
+        let hot = self.lock().hot.stats();
+        (hot, self.hist.read().device.stats())
     }
 
     /// Queries currently holding a [`QueryGuard`] — the compactor's
@@ -398,7 +573,7 @@ impl<D: TierMedia> TieredStore<D> {
         }
         let cfg = self.cfg;
         let bs = cfg.block_size;
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let mut i = 0usize;
         while i < xs.len() {
             let seg = inner.segs.len();
@@ -414,14 +589,14 @@ impl<D: TierMedia> TieredStore<D> {
             let complete = inner.open_buf.len() / bs;
             while inner.open_written < complete {
                 let b = inner.open_written;
-                let blk_id = cfg.data_block(seg) + b;
+                let blk_id = cfg.hot_block(seg) + b;
                 // Split borrows: the block payload lives in open_buf.
                 let Inner { hot, open_buf, .. } = &mut *inner;
                 hot.write_block(blk_id, &open_buf[b * bs..(b + 1) * bs]);
                 inner.open_written += 1;
             }
             if inner.open_buf.len() == cfg.segment_len {
-                Self::seal_locked(&mut inner, &cfg);
+                self.seal_locked(&mut inner);
             }
         }
     }
@@ -430,13 +605,14 @@ impl<D: TierMedia> TieredStore<D> {
     /// with zeros on device; the logical length is kept in the manifest).
     /// No-op on an empty tail.
     pub fn seal_open(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         if !inner.open_buf.is_empty() {
-            Self::seal_locked(&mut inner, &self.cfg);
+            self.seal_locked(&mut inner);
         }
     }
 
-    fn seal_locked(inner: &mut Inner<D>, cfg: &TierConfig) {
+    fn seal_locked(&self, inner: &mut Inner<D>) {
+        let cfg = &self.cfg;
         let bs = cfg.block_size;
         let seg = inner.segs.len();
         let len = inner.open_buf.len();
@@ -445,7 +621,7 @@ impl<D: TierMedia> TieredStore<D> {
             let b = len / bs;
             let mut tail = inner.open_buf[b * bs..].to_vec();
             tail.resize(bs, 0.0);
-            let blk_id = cfg.data_block(seg) + b;
+            let blk_id = cfg.hot_block(seg) + b;
             inner.hot.write_block(blk_id, &tail);
         }
         inner.durable_sealed += len;
@@ -457,11 +633,12 @@ impl<D: TierMedia> TieredStore<D> {
         let data = std::mem::replace(&mut inner.open_buf, Vec::with_capacity(cfg.segment_len));
         inner.open_written = 0;
         inner.segs.push(Seg::Raw { data: Arc::new(data), compacting: false });
+        inner.sealed_raw += 1;
         let t = global();
         t.counter("tier.segments.sealed").inc();
         t.counter("tier.segments.open").inc();
-        t.gauge("tier.segments.raw_pending")
-            .set(inner.segs.iter().filter(|s| matches!(s, Seg::Raw { .. })).count() as f64);
+        t.gauge("tier.segments.raw_pending").set(inner.sealed_raw as f64);
+        self.publish_resident(inner);
     }
 
     /// Makes the open tail durable up to the last pushed sample: writes
@@ -471,14 +648,14 @@ impl<D: TierMedia> TieredStore<D> {
     pub fn sync(&self) {
         let cfg = self.cfg;
         let bs = cfg.block_size;
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let seg = inner.segs.len();
         let len = inner.open_buf.len();
         if !len.is_multiple_of(bs) {
             let b = len / bs;
             let mut tail = inner.open_buf[b * bs..].to_vec();
             tail.resize(bs, 0.0);
-            let blk_id = cfg.data_block(seg) + b;
+            let blk_id = cfg.hot_block(seg) + b;
             inner.hot.write_block(blk_id, &tail);
         }
         if len > 0 {
@@ -490,16 +667,19 @@ impl<D: TierMedia> TieredStore<D> {
         hot_man.flush(hot);
     }
 
-    /// A consistent view for query evaluation. The open tail is copied;
-    /// sealed payloads are shared by `Arc`.
+    /// A consistent view for query evaluation. The open tail is copied,
+    /// hot payloads are shared by `Arc`, historical segments are named by
+    /// slot and catalog — their blocks are read when a query wants them.
     pub fn snapshot(&self) -> TierSnapshot {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         let mut segs = Vec::with_capacity(inner.segs.len() + 1);
         let mut start = 0usize;
-        for seg in &inner.segs {
+        for (slot, seg) in inner.segs.iter().enumerate() {
             let (len, kind) = match seg {
                 Seg::Raw { data, .. } => (data.len(), SnapKind::Hot(Arc::clone(data))),
-                Seg::Hist { coeffs } => (coeffs.len, SnapKind::Hist(Arc::clone(coeffs))),
+                Seg::Hist { len, energy } => {
+                    (*len, SnapKind::Hist { slot, energy: Arc::clone(energy) })
+                }
             };
             segs.push(SnapSeg { start, len, kind });
             start += len;
@@ -512,14 +692,18 @@ impl<D: TierMedia> TieredStore<D> {
             });
             start += inner.open_buf.len();
         }
-        TierSnapshot { cfg: self.cfg, segs, total_len: start }
+        let hist: Arc<dyn BlockSource> = self.hist.clone();
+        TierSnapshot { cfg: self.cfg, segs, hist, total_len: start }
     }
 
     /// Claims up to `max` sealed raw segments for compaction (oldest
     /// first), marking them so concurrent calls don't double-claim.
     pub fn claim_sealed(&self, max: usize) -> Vec<(usize, Arc<Vec<f64>>)> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let mut claimed = Vec::new();
+        if inner.sealed_raw == 0 {
+            return claimed;
+        }
         for (id, seg) in inner.segs.iter_mut().enumerate() {
             if claimed.len() >= max {
                 break;
@@ -536,60 +720,62 @@ impl<D: TierMedia> TieredStore<D> {
 
     /// Releases a claim without installing (compactor shutdown mid-cycle).
     pub fn release_claim(&self, seg: usize) {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(Seg::Raw { compacting, .. }) = inner.segs.get_mut(seg) {
+        if let Some(Seg::Raw { compacting, .. }) = self.lock().segs.get_mut(seg) {
             *compacting = false;
         }
     }
 
     /// The compaction swap: writes `coeffs` to the historical device,
-    /// commits it (manifest + checkpoint), then retires the raw slot and
-    /// swaps the in-memory segment to the wavelet tier. Ordered so a crash
-    /// at any point leaves exactly one manifest claiming the segment, with
-    /// the raw slot winning until the historical commit completes. Returns
+    /// commits it (manifest with the energy catalog + checkpoint), then
+    /// retires the raw slot and drops the segment's samples from memory.
+    /// Ordered so a crash at any point leaves exactly one manifest
+    /// claiming the segment, with the raw slot winning until the
+    /// historical commit completes. The historical work runs under the
+    /// historical lock alone; the ingest lock is taken only for the final
+    /// retire-and-swap, so `push_slice` never waits for a commit. Returns
     /// `false` — leaving the segment raw and re-claimable — when the
     /// historical device refuses the commit; retiring the raw slot on a
     /// commit that didn't land would orphan the segment on both devices.
     pub fn install(&self, seg: usize, coeffs: SegCoeffs) -> bool {
         let cfg = self.cfg;
-        let mut inner = self.inner.lock().unwrap();
-        let len = coeffs.len;
         debug_assert_eq!(coeffs.coeffs.len(), cfg.segment_len);
-        match &inner.segs[seg] {
-            Seg::Raw { data, .. } => debug_assert_eq!(data.len(), len),
-            Seg::Hist { .. } => panic!("segment {seg} installed twice"),
-        }
-        // (1) coefficient blocks through the hist WAL, ascending.
-        for b in 0..cfg.blocks_per_segment() {
-            let blk = &coeffs.coeffs[b * cfg.block_size..(b + 1) * cfg.block_size];
-            let blk_id = cfg.data_block(seg) + b;
-            inner.hist.write_block(blk_id, blk);
-        }
-        // (2) historical manifest claims the segment; (3) commit.
-        inner.hist_man.set_installed(seg);
-        {
-            let Inner { hist, hist_man, .. } = &mut *inner;
-            hist_man.flush(hist);
-        }
-        if !inner.hist.commit() {
+        let committed = {
+            let mut guard = self.hist.write();
+            let HistState { device, man } = &mut *guard;
+            // (1) coefficient blocks through the hist WAL, ascending.
+            for (b, blk) in coeffs.coeffs.chunks(cfg.block_size).enumerate() {
+                device.write_block(cfg.hist_block(seg) + b, blk);
+            }
+            // (2) historical manifest claims the segment and records its
+            // catalog; (3) commit.
+            man.set_installed(seg, &coeffs.block_energy);
+            man.flush(device);
+            device.commit()
+        };
+        let mut inner = self.lock();
+        let Seg::Raw { data, compacting } = &mut inner.segs[seg] else {
+            panic!("segment {seg} installed twice");
+        };
+        if !committed {
             // Historical device is gone; the raw slot stays authoritative
             // (the WAL's ordering keeps any partial install harmless).
-            if let Seg::Raw { compacting, .. } = &mut inner.segs[seg] {
-                *compacting = false;
-            }
+            *compacting = false;
             return false;
         }
         // (4) retire the raw slot and swap the in-memory tier.
+        let len = data.len();
+        debug_assert_eq!(len, coeffs.len);
         inner.hot_man.set_slot(seg, SLOT_RETIRED, len);
         {
             let Inner { hot, hot_man, .. } = &mut *inner;
             hot_man.flush(hot);
         }
-        inner.segs[seg] = Seg::Hist { coeffs: Arc::new(coeffs) };
+        inner.segs[seg] = Seg::Hist { len, energy: coeffs.block_energy.into() };
+        inner.sealed_raw -= 1;
         let t = global();
         t.counter("tier.segments.compacted").inc();
-        t.gauge("tier.segments.raw_pending")
-            .set(inner.segs.iter().filter(|s| matches!(s, Seg::Raw { .. })).count() as f64);
+        t.gauge("tier.segments.raw_pending").set(inner.sealed_raw as f64);
+        self.publish_resident(&inner);
         true
     }
 }
@@ -597,8 +783,9 @@ impl<D: TierMedia> TieredStore<D> {
 /// The devices a tiered store can live on: a [`BlockDevice`] plus the
 /// install commit point. A WAL-backed device checkpoints (fold + fsync)
 /// to make the historical claim durable before the raw slot is retired;
-/// the in-memory device needs nothing beyond the writes.
-pub trait TierMedia: BlockDevice {
+/// the in-memory device needs nothing beyond the writes. `Send + Sync`
+/// because snapshots read the historical device from query threads.
+pub trait TierMedia: BlockDevice + Send + Sync + 'static {
     /// Makes everything written so far durable (the historical install's
     /// commit point). Returns `false` when the device cannot honor the
     /// commit (e.g. a seeded crash fired) — the caller must then keep the
@@ -614,5 +801,90 @@ impl TierMedia for FileDevice {
     fn commit(&mut self) -> bool {
         self.checkpoint();
         !self.is_crashed()
+    }
+}
+
+/// Media faults layer over either tier; the commit point is the wrapped
+/// device's.
+impl<D: TierMedia + RawMedia> TierMedia for FaultyDevice<D> {
+    fn commit(&mut self) -> bool {
+        self.inner_mut().commit()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use aims_exec::ThreadPool;
+
+    use super::*;
+    use crate::compact;
+    use crate::query::{range_sum_on, TieredProgressive};
+
+    const SEG: usize = 64;
+    const BLOCK: usize = 16;
+
+    fn cfg() -> TierConfig {
+        TierConfig {
+            segment_len: SEG,
+            block_size: BLOCK,
+            max_segments: 16,
+            filter: aims_dsp::filters::FilterKind::Haar,
+        }
+    }
+
+    /// A fully compacted store whose cache holds `cache_blocks` blocks and
+    /// is still empty (installs do not populate it).
+    fn compacted(cache_blocks: usize) -> TieredStore<MemDevice> {
+        let cfg = cfg();
+        let device = |blocks| MemDevice::new(BLOCK, blocks);
+        let store = TieredStore::with_devices_and_cache(
+            cfg,
+            device(cfg.hot_device_blocks()),
+            device(cfg.hist_device_blocks()),
+            cache_blocks,
+        );
+        let signal: Vec<f64> =
+            (0..7 * SEG + 19).map(|i| ((i * 7919) % 211) as f64 / 7.0 - 13.0).collect();
+        store.push_slice(&signal);
+        store.seal_open();
+        compact::drain(&store, &ThreadPool::new(1));
+        store
+    }
+
+    /// Every answer and every progressive step, as bits.
+    fn transcript(store: &TieredStore<MemDevice>, pool: &ThreadPool) -> Vec<u64> {
+        let snap = store.snapshot();
+        let last = snap.len() - 1;
+        let mut out = Vec::new();
+        for (a, b) in [(0, last), (SEG / 2, 5 * SEG + 3), (3 * SEG, 4 * SEG - 1), (last, last)] {
+            out.push(range_sum_on(&snap, a, b, pool).to_bits());
+            let mut prog = TieredProgressive::new(&snap, a, b, pool);
+            while !prog.done() {
+                let step = prog.step(3);
+                out.extend([step.estimate.to_bits(), step.bound.to_bits()]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn answers_ignore_cache_state_cache_size_and_pool_width() {
+        let want = transcript(&compacted(1024), &ThreadPool::new(1));
+        for cache_blocks in [1024, 1] {
+            for threads in [1, 2, 8] {
+                let (store, pool) = (compacted(cache_blocks), ThreadPool::new(threads));
+                assert_eq!(store.hist.cache.resident(), 0, "installs must not fill the cache");
+                let cold = transcript(&store, &pool);
+                let warm = transcript(&store, &pool);
+                assert_eq!(cold, want, "cold, {cache_blocks}-block cache, {threads} threads");
+                assert_eq!(warm, want, "warm, {cache_blocks}-block cache, {threads} threads");
+                let stats = store.hist.cache.stats();
+                if cache_blocks == 1 {
+                    assert!(stats.evictions > 0, "a one-block cache must have thrashed");
+                } else {
+                    assert!(stats.hits > 0 && stats.evictions == 0, "the warm pass must have hit");
+                }
+            }
+        }
     }
 }

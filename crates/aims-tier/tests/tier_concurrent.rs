@@ -14,13 +14,15 @@
 //!   bit-identically to a single-pass serial oracle.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use aims_dsp::filters::FilterKind;
 use aims_exec::ThreadPool;
+use aims_storage::{BlockDevice, DeviceStats, MemDevice, ReadError};
 use aims_tier::{
-    compact, range_sum_on, Compactor, CompactorConfig, TierConfig, TieredProgressive, TieredStore,
+    compact, range_sum_on, transform_segment, Compactor, CompactorConfig, TierConfig, TierMedia,
+    TieredProgressive, TieredStore,
 };
 
 const SEG: usize = 128;
@@ -145,4 +147,88 @@ fn concurrent_ingest_compact_query_drill() {
         let want = range_sum_on(&osnap, a, b, &serial);
         assert_eq!(got.to_bits(), want.to_bits(), "range [{a}, {b}]");
     }
+}
+
+/// A memory device whose `commit()` — the install's checkpoint — parks at
+/// a gate: it meets the test at `entered`, then waits at `release`.
+struct GatedDevice {
+    inner: MemDevice,
+    gate: Option<(Arc<Barrier>, Arc<Barrier>)>,
+}
+
+impl BlockDevice for GatedDevice {
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn num_blocks(&self) -> usize {
+        self.inner.num_blocks()
+    }
+    fn read_raw_into(&self, id: usize, buf: &mut [f64]) -> Result<(), ReadError> {
+        self.inner.read_raw_into(id, buf)
+    }
+    fn stored_checksum(&self, id: usize) -> u64 {
+        self.inner.stored_checksum(id)
+    }
+    fn write_block(&mut self, id: usize, data: &[f64]) {
+        self.inner.write_block(id, data);
+    }
+    fn stats(&self) -> DeviceStats {
+        self.inner.stats()
+    }
+    fn reset_stats(&self) {
+        self.inner.reset_stats();
+    }
+}
+
+impl TierMedia for GatedDevice {
+    fn commit(&mut self) -> bool {
+        if let Some((entered, release)) = &self.gate {
+            entered.wait();
+            release.wait();
+        }
+        true
+    }
+}
+
+/// An install's commit is a full checkpoint on a durable device. It runs
+/// under the historical lock alone, so ingest — and snapshots — go on
+/// while it is in flight.
+#[test]
+fn ingest_does_not_wait_for_an_install_commit() {
+    let cfg = cfg();
+    let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+    let device = |blocks, gate| GatedDevice { inner: MemDevice::new(cfg.block_size, blocks), gate };
+    let store = TieredStore::with_devices(
+        cfg,
+        device(cfg.hot_device_blocks(), None),
+        device(cfg.hist_device_blocks(), Some((Arc::clone(&entered), Arc::clone(&release)))),
+    );
+    let data = signal();
+    store.push_slice(&data[..SEG]);
+
+    std::thread::scope(|scope| {
+        let installer = {
+            let store = store.clone();
+            scope.spawn(move || {
+                let (seg, raw) = store.claim_sealed(1).pop().expect("one sealed segment");
+                store.install(seg, transform_segment(&raw, &cfg))
+            })
+        };
+        entered.wait(); // the install is now parked inside its commit
+        let (done, pushed) = mpsc::channel();
+        {
+            let store = store.clone();
+            let data = &data;
+            scope.spawn(move || {
+                store.push_slice(&data[SEG..3 * SEG]);
+                done.send(store.snapshot().len()).ok();
+            });
+        }
+        let seen = pushed.recv_timeout(Duration::from_secs(10));
+        release.wait();
+        assert!(installer.join().expect("installer"), "commit was not refused");
+        assert_eq!(seen, Ok(3 * SEG), "push_slice waited for the install's commit");
+    });
+    let stats = store.stats();
+    assert_eq!((stats.historical, stats.sealed_raw), (1, 2));
 }

@@ -13,13 +13,18 @@
 //! - **Crash mid-ingest** (hot device dies at step k): on reopen the
 //!   store holds at least every sample acknowledged by a completed
 //!   `sync()`, and each recovered sample reads back bit-identical.
+//!
+//! Reopening is lazy: recovery reads the two manifests, the raw backlog
+//! and the open tail, and not one historical coefficient block — the
+//! energy catalog it plans from comes out of the historical manifest,
+//! and the sweep checks it bit for bit against the blocks themselves.
 
 use std::path::PathBuf;
 
 use aims_dsp::filters::FilterKind;
 use aims_exec::ThreadPool;
 use aims_storage::{CrashPlan, DurabilityMode, FileDeviceOptions};
-use aims_tier::{compact, range_sum_on, TierConfig, TieredStore};
+use aims_tier::{block_energy, compact, range_sum_on, TierConfig, TierSnapshot, TieredStore};
 
 const SEG: usize = 64;
 const BLOCK: usize = 16;
@@ -57,8 +62,25 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The catalog a reopened store recovered from its historical manifest
+/// must be exactly what its coefficient blocks say.
+fn assert_catalog_matches_blocks(snap: &TierSnapshot, what: &str) {
+    for i in 0..snap.segments().len() {
+        let Some(catalog) = snap.block_energies(i) else { continue };
+        assert_eq!(catalog.len(), SEG / BLOCK);
+        for (b, recovered) in catalog.iter().enumerate() {
+            let block = snap.hist_block(i, b).expect("historical segment").expect("readable block");
+            assert_eq!(
+                recovered.to_bits(),
+                block_energy(&block).to_bits(),
+                "{what}: segment {i} block {b} energy"
+            );
+        }
+    }
+}
+
 /// The serial single-pass oracle every recovered store must converge to.
-fn oracle_snapshot() -> aims_tier::TierSnapshot {
+fn oracle_snapshot() -> TierSnapshot {
     let oracle = TieredStore::new_mem(cfg());
     oracle.push_slice(&signal());
     oracle.seal_open();
@@ -74,7 +96,9 @@ fn crash_mid_compaction_keeps_raw_segments() {
     let mut kept_raw_cases = 0usize;
     let mut committed_cases = 0usize;
 
-    for step in (0..60u64).step_by(3) {
+    // Step 46 falls between the two manifest blocks that segment 2's
+    // catalog straddles: the flag must not be recovered without it.
+    for step in (0..60u64).step_by(3).chain([46]) {
         let dir = fresh_dir(&format!("hist-{step}"));
         // Phase 1: ingest cleanly (no crash armed), seal everything.
         {
@@ -108,6 +132,7 @@ fn crash_mid_compaction_keeps_raw_segments() {
         if hist > 0 {
             committed_cases += 1;
         }
+        assert_catalog_matches_blocks(&snap, &format!("step {step}"));
         // Every recovered sample is still queryable and correct: raw
         // segments answer exactly, so spot-check points bit-identically.
         for &t in &[0usize, SEG - 1, SEG, TOTAL - 1] {
@@ -185,4 +210,39 @@ fn crash_mid_ingest_preserves_acked_samples() {
         drop(store);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+#[test]
+fn reopen_reads_manifests_and_backlog_only() {
+    let data = signal();
+    let serial = ThreadPool::new(1);
+    let dir = fresh_dir("lazy");
+    let installed = 3;
+    {
+        let store = TieredStore::create_durable(&dir, cfg(), opts(CrashPlan::none())).unwrap();
+        store.push_slice(&data);
+        assert_eq!(compact::run_once(&store, &serial, installed), installed);
+        store.sync();
+        store.checkpoint();
+    }
+    let store = TieredStore::open_durable(&dir, cfg(), opts(CrashPlan::none())).unwrap();
+    let stats = store.stats();
+    assert_eq!((stats.historical, stats.sealed_raw, stats.open_len), (installed, 1, 21));
+    // `hot_block(0)` / `hist_block(0)` are where data starts: the size of
+    // each manifest. The backlog is one full segment and a 21-sample tail.
+    let (hot, hist) = store.device_stats();
+    let backlog_blocks = (SEG / BLOCK + 21usize.div_ceil(BLOCK)) as u64;
+    assert!(hot.reads <= cfg().hot_block(0) as u64 + backlog_blocks, "hot reads {}", hot.reads);
+    assert!(hist.reads <= cfg().hist_block(0) as u64, "hist reads {}", hist.reads);
+    // The lazily opened store still answers like the oracle once drained.
+    assert_catalog_matches_blocks(&store.snapshot(), "lazy reopen");
+    compact::run_once(&store, &serial, 1);
+    let (snap, osnap) = (store.snapshot(), oracle_snapshot());
+    for (a, b) in [(0, 4 * SEG - 1), (SEG / 2, 3 * SEG), (7, 7)] {
+        let got = range_sum_on(&snap, a, b, &serial);
+        let want = range_sum_on(&osnap, a, b, &serial);
+        assert_eq!(got.to_bits(), want.to_bits(), "range [{a}, {b}]");
+    }
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,6 +10,10 @@
 //! - Progressive evaluation delivers monotone non-increasing bounds,
 //!   every intermediate estimate lands within its bound of the exact
 //!   answer, and the drained estimate *is* the exact answer.
+//! - The store's running counters (`len`, `stats`) equal a recount of
+//!   the segments a snapshot lists, at every point of a build.
+//! - A snapshot taken before an install answers the same bits after it:
+//!   the raw samples it holds keep that segment hot for that query.
 
 use proptest::prelude::*;
 
@@ -32,6 +36,17 @@ fn oracle(signal: &[f64]) -> TieredStore<MemDevice> {
     store.seal_open();
     compact::drain(&store, &ThreadPool::new(1));
     store
+}
+
+/// `len()` and `stats()` come from running counters; a snapshot lists the
+/// segments themselves. They must agree.
+fn assert_counters_match_recount(store: &TieredStore<MemDevice>) {
+    let (stats, segs) = (store.stats(), store.snapshot().segments());
+    let historical = segs.iter().filter(|s| s.historical).count();
+    assert_eq!(stats.total_len, segs.iter().map(|s| s.len).sum::<usize>());
+    assert_eq!(stats.total_len, store.len());
+    assert_eq!(stats.historical, historical);
+    assert_eq!(stats.sealed_raw + usize::from(stats.open_len > 0), segs.len() - historical);
 }
 
 fn signal_strategy() -> impl Strategy<Value = Vec<f64>> {
@@ -66,9 +81,12 @@ proptest! {
                 if i % compact_every == 0 {
                     compact::run_once(&store, &pool, 2);
                 }
+                assert_counters_match_recount(&store);
             }
             store.seal_open();
+            assert_counters_match_recount(&store);
             compact::drain(&store, &pool);
+            assert_counters_match_recount(&store);
             let snap = store.snapshot();
             prop_assert_eq!(snap.len(), signal.len());
             // Every segment ended historical, and both stores agree on
@@ -137,6 +155,28 @@ proptest! {
             prop_assert_eq!(last.estimate.to_bits(), exact.to_bits());
             prop_assert_eq!(last.bound.to_bits(), 0.0f64.to_bits());
         }
+    }
+}
+
+/// A snapshot outlives the installs that land after it: the segments it
+/// saw raw stay raw for it, and its answers do not move by a bit.
+#[test]
+fn snapshot_taken_before_install_answers_identically_after() {
+    let signal: Vec<f64> = (0..SEG * 5 + 9).map(|i| ((i * 37) % 101) as f64 / 3.0 - 15.0).collect();
+    let store = TieredStore::new_mem(cfg());
+    store.push_slice(&signal);
+    let serial = ThreadPool::new(1);
+    compact::run_once(&store, &serial, 2);
+    let before = store.snapshot();
+    let want: Vec<u64> = ranges(signal.len())
+        .iter()
+        .map(|&(a, b)| range_sum_on(&before, a, b, &serial).to_bits())
+        .collect();
+    compact::drain(&store, &serial);
+    assert!(store.snapshot().segments().iter().filter(|s| s.historical).count() > 2);
+    assert_eq!(before.segments().iter().filter(|s| s.historical).count(), 2);
+    for (&(a, b), want) in ranges(signal.len()).iter().zip(want) {
+        assert_eq!(range_sum_on(&before, a, b, &serial).to_bits(), want, "range [{a}, {b}]");
     }
 }
 

@@ -1015,12 +1015,17 @@ fn print_tier_row(snap: &aims::telemetry::Snapshot) {
     let pending = snap.gauge("tier.segments.raw_pending").unwrap_or(0.0);
     let runs = snap.counter("tier.compaction.runs");
     let ms = snap.counter("tier.compaction.ns") as f64 / 1e6;
+    let resident_mib = snap.gauge("tier.resident_bytes").unwrap_or(0.0) / (1 << 20) as f64;
     println!(
         "tiers: {opened} opened / {sealed} sealed / {compacted} compacted \
          ({pending:.0} raw pending), {runs} compaction runs ({ms:.1} ms), \
-         {} hot rows / {} merged queries\n",
+         {} hot rows / {} merged queries, {resident_mib:.1} MiB resident, \
+         hist blocks: {} read / {} cache hits / {} misses\n",
         snap.counter("tier.query.hot_rows"),
         snap.counter("tier.query.merged"),
+        snap.counter("tier.hist.block_reads"),
+        snap.counter("tier.hist.cache_hits"),
+        snap.counter("tier.hist.cache_misses"),
     );
 }
 
@@ -1337,8 +1342,9 @@ fn cmd_durability(flags: &HashMap<String, String>) {
 /// form and a planner runs progressive range sums against live
 /// snapshots. Prints ingest rate, compaction lag, query latency and the
 /// `tier.*` telemetry, then exits non-zero unless every live trajectory
-/// kept monotone bounds and the drained store answered bit-identically
-/// to a serial single-store oracle.
+/// kept monotone bounds, the drained store answered bit-identically to a
+/// serial single-store oracle, and what it keeps resident fits the cache
+/// budget plus its energy catalogs.
 fn cmd_tiers(flags: &HashMap<String, String>) {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -1486,8 +1492,15 @@ fn cmd_tiers(flags: &HashMap<String, String>) {
             violations += 1;
         }
     }
+    // Fully drained, the store holds its cache and its catalogs: memory
+    // is bounded by the budget, not by what was ingested.
+    let resident_bytes = store.resident_bytes();
+    let catalogs = 8 * (segment / block) * snap.segments().len();
+    if resident_bytes > aims::tier::HIST_CACHE_BYTES + catalogs {
+        violations += 1;
+    }
     store.checkpoint();
-    drop(store);
+    drop((snap, store));
     if !keep {
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1510,6 +1523,7 @@ fn cmd_tiers(flags: &HashMap<String, String>) {
              \"threads\":{},\"ingest_samples_per_sec\":{rate:.1},\
              \"compaction_lag_ms\":{lag_ms:.3},\"segments_compacted\":{compacted},\
              \"queries\":{},\"query_p50_ms\":{:.4},\"query_p99_ms\":{:.4},\
+             \"resident_bytes\":{resident_bytes},\
              \"drained\":{drained},\"oracle_identical\":{oracle_ok},\"violations\":{violations}}}",
             aims::exec::configured_threads(),
             latencies_ms.len(),
@@ -1542,9 +1556,13 @@ fn cmd_tiers(flags: &HashMap<String, String>) {
             "tier.compaction.bytes",
             "tier.query.hot_rows",
             "tier.query.merged",
+            "tier.hist.block_reads",
+            "tier.hist.cache_hits",
+            "tier.hist.cache_misses",
         ] {
             println!("  {name:<26} {}", delta.counter(name));
         }
+        println!("  {:<26} {resident_bytes}", "tier.resident_bytes");
     }
     if violations > 0 {
         eprintln!("tier drill FAILED: {violations} invariant violation(s)");
