@@ -24,80 +24,39 @@ if [[ $fast -eq 0 ]]; then
     cargo build --release
 fi
 
-echo "== cargo test (AIMS_THREADS=1, serial execution layer) =="
-AIMS_THREADS=1 cargo test -q
+# Every suite in the workspace, under the serial and the pooled execution
+# layer (fan-out, transform and query pools all follow AIMS_THREADS).
+for threads in 1 4; do
+    echo "== cargo test --workspace (AIMS_THREADS=$threads) =="
+    AIMS_THREADS=$threads cargo test --workspace -q
+done
 
-echo "== cargo test (AIMS_THREADS=4, pooled execution layer) =="
-AIMS_THREADS=4 cargo test -q
-
-echo "== service tests (AIMS_THREADS=1, serial fan-out) =="
-AIMS_THREADS=1 cargo test -q -p aims-service
-
-echo "== service tests (AIMS_THREADS=4, pooled fan-out) =="
-AIMS_THREADS=4 cargo test -q -p aims-service
-
-echo "== tier tests (AIMS_THREADS=1, serial transform and query pools) =="
-AIMS_THREADS=1 cargo test -q -p aims-tier
-
-echo "== tier tests (AIMS_THREADS=4, pooled transform and query pools) =="
-AIMS_THREADS=4 cargo test -q -p aims-tier
-
-echo "== telemetry tests =="
-cargo test -q -p aims-telemetry
-
-echo "== fault matrix (pinned seed 13) =="
-AIMS_FAULT_SEED=13 cargo test -q --test fault_matrix
-
-echo "== fault matrix (pinned seed 1013) =="
-AIMS_FAULT_SEED=1013 cargo test -q --test fault_matrix
-
-echo "== ingest drill (pinned seed 17) =="
-AIMS_INGEST_FAULT_SEED=17 cargo test -q --test ingest_drill
-
-echo "== ingest drill (pinned seed 1017) =="
-AIMS_INGEST_FAULT_SEED=1017 cargo test -q --test ingest_drill
-
-echo "== crash matrix (pinned seed 17) =="
-AIMS_CRASH_SEED=17 cargo test -q --test crash_matrix
-
-echo "== crash matrix (pinned seed 2029) =="
-AIMS_CRASH_SEED=2029 cargo test -q --test crash_matrix
-
-echo "== chaos drill (pinned seed 4242) =="
-AIMS_CHAOS_SEED=4242 cargo test -q --test chaos_drill
-
-echo "== chaos drill (pinned seed 9001) =="
-AIMS_CHAOS_SEED=9001 cargo test -q --test chaos_drill
+# The seeded drills again, under two pinned seeds each.
+for pin in "AIMS_FAULT_SEED fault_matrix 13 1013" "AIMS_INGEST_FAULT_SEED ingest_drill 17 1017" \
+    "AIMS_CRASH_SEED crash_matrix 17 2029" "AIMS_CHAOS_SEED chaos_drill 4242 9001"; do
+    read -r var suite seed_a seed_b <<<"$pin"
+    for seed in "$seed_a" "$seed_b"; do
+        echo "== $suite (pinned seed $seed) =="
+        env "$var=$seed" cargo test -q --test "$suite"
+    done
+done
 
 if [[ $fast -eq 0 ]]; then
-    echo "== bench_parallel (E24 serial-vs-parallel, bit-identical gate) =="
-    cargo run --release -q -p aims-bench --bin experiments -- e24
-
-    echo "== bench_faults (E25 degraded-query error-vs-loss gate) =="
-    cargo run --release -q -p aims-bench --bin experiments -- e25
-
-    echo "== bench_ingest_faults (E26 recognition-under-dropout gate) =="
-    cargo run --release -q -p aims-bench --bin experiments -- e26
-    test -f target/bench_ingest_faults.json || {
-        echo "E26 did not record target/bench_ingest_faults.json" >&2
-        exit 1
-    }
-
-    echo "== bench_service (E27 shared-scan + cache gate) =="
-    cargo run --release -q -p aims-bench --bin experiments -- e27
-    test -f target/bench_service.json || {
-        echo "E27 did not record target/bench_service.json" >&2
-        exit 1
-    }
-
-    echo "== bench_trace (E28 tracing overhead + profile fidelity gate) =="
-    cargo run --release -q -p aims-bench --bin experiments -- e28
-    test -f target/bench_trace.json || {
-        echo "E28 did not record target/bench_trace.json" >&2
-        exit 1
-    }
-    # The exported flight-recorder trace must be valid Chrome trace-event
-    # JSON (loadable in about:tracing / Perfetto).
+    # Each experiment gates itself (bit-identity, bounds, floors) and
+    # records target/bench_<name>.json for the trend gate below.
+    for exp in "e24 parallel" "e25 faults" "e26 ingest_faults" "e27 service" "e28 trace" \
+        "e29 kernels" "e30 durability" "e31 chaos" "e32 tier"; do
+        read -r id name <<<"$exp"
+        echo "== $id (bench_$name) =="
+        rm -f "target/bench_$name.json"
+        AIMS_CHAOS_SEED=4242 cargo run --release -q -p aims-bench --bin experiments -- "$id"
+        test -f "target/bench_$name.json" || {
+            echo "$id did not record target/bench_$name.json" >&2
+            exit 1
+        }
+    done
+    # The flight-recorder trace E28 exported must be valid Chrome
+    # trace-event JSON (loadable in about:tracing / Perfetto).
     python3 - <<'EOF'
 import json
 with open("target/trace_e28.json") as f:
@@ -110,39 +69,10 @@ for e in events:
 print(f"chrome trace OK: {len(events)} events")
 EOF
 
-    echo "== bench_kernels (E29 serial kernel speed, bit-identity gate) =="
-    cargo run --release -q -p aims-bench --bin experiments -- e29
-    test -f target/bench_kernels.json || {
-        echo "E29 did not record target/bench_kernels.json" >&2
-        exit 1
-    }
-
-    echo "== bench_durability (E30 durability modes + crash-drill gate) =="
-    cargo run --release -q -p aims-bench --bin experiments -- e30
-    test -f target/bench_durability.json || {
-        echo "E30 did not record target/bench_durability.json" >&2
-        exit 1
-    }
-
-    echo "== bench_chaos (E31 adaptive QoS: chaos drill + scheduling gate) =="
-    AIMS_CHAOS_SEED=4242 cargo run --release -q -p aims-bench --bin experiments -- e31
-    test -f target/bench_chaos.json || {
-        echo "E31 did not record target/bench_chaos.json" >&2
-        exit 1
-    }
-
-    echo "== tier drill (AIMS_THREADS=1, serial transform pool) =="
-    AIMS_THREADS=1 target/release/aims-cli tiers --samples 200000
-
-    echo "== tier drill (AIMS_THREADS=4, pooled transform pool) =="
-    AIMS_THREADS=4 target/release/aims-cli tiers --samples 200000
-
-    echo "== bench_tier (E32 tiered ingest: rate + oracle bit-identity gate) =="
-    cargo run --release -q -p aims-bench --bin experiments -- e32
-    test -f target/bench_tier.json || {
-        echo "E32 did not record target/bench_tier.json" >&2
-        exit 1
-    }
+    for threads in 1 4; do
+        echo "== tier drill (AIMS_THREADS=$threads) =="
+        AIMS_THREADS=$threads target/release/aims-cli tiers --samples 200000
+    done
 
     echo "== perf trajectory gate (trend vs BENCH_TRAJECTORY.json) =="
     cargo run --release -q -p aims-bench --bin trend -- check

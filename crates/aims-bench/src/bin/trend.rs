@@ -1,23 +1,26 @@
-//! Perf-trajectory regression gate (ROADMAP item 4).
+//! Perf-trajectory regression gate (ROADMAP item 2).
 //!
-//! Each E-experiment records its key numbers in `target/bench_*.json`.
-//! This tool distills those files into a handful of named scalar
-//! metrics, compares them against the committed baselines in
-//! `BENCH_TRAJECTORY.json`, and exits non-zero when any metric has
-//! regressed beyond its tolerance — so a perf regression fails ci.sh
-//! the same way a broken test does.
+//! Every E-experiment records its result in a `target/bench_*.json`
+//! whose `"metrics"` array names the numbers it wants gated — `{name,
+//! value, direction, rel_tolerance, abs_tolerance}`, written by
+//! `aims_bench::record`. This tool reads those arrays, compares each
+//! value against the committed baseline in `BENCH_TRAJECTORY.json`, and
+//! exits non-zero when any metric has regressed beyond its tolerance —
+//! so a perf regression fails ci.sh the same way a broken test does. It
+//! knows nothing about any one experiment.
 //!
 //! Usage:
 //!   trend check            compare current numbers against baselines
 //!   trend check --record   also ratchet baselines on improvement and
 //!                          adopt any metrics not yet tracked
 //!
-//! Tolerances are per-metric: wall-time-derived numbers (speedups, the
-//! tracing overhead) get wide bands because they move with host load;
-//! seeded accuracy numbers (worst-case error, recognition F1) are
-//! deterministic and get tight ones. `higher` metrics regress by
-//! falling below `baseline * (1 - rel) - abs`; `lower` metrics by
-//! rising above `baseline * (1 + rel) + abs`.
+//! `higher` metrics regress by falling below `baseline * (1 - rel) -
+//! abs`; `lower` metrics by rising above `baseline * (1 + rel) + abs`.
+//! An experiment's tolerances seed a newly adopted metric; once a metric
+//! is tracked, the committed tolerances govern. A tracked metric whose
+//! experiment ran (some `eNN.*` metric is present) but no longer emits
+//! it is an error: a renamed number must not drop out of the gate
+//! silently. Metrics of experiments that did not run are skipped.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -25,320 +28,65 @@ use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
 
+use aims::drill::{Direction, Metric};
 use aims_telemetry::json::{self, JsonValue};
 
 const TRAJECTORY_PATH: &str = "BENCH_TRAJECTORY.json";
 const HISTORY_CAP: usize = 24;
 
-/// One tracked metric: where it came from, which way is better, and how
-/// much slack it gets before a change counts as a regression.
-struct MetricSpec {
-    name: &'static str,
-    direction: Direction,
-    rel_tolerance: f64,
-    abs_tolerance: f64,
+/// The `metrics[]` of one recorded experiment file.
+fn parse_metrics(path: &str, text: &str) -> Result<Vec<Metric>, String> {
+    let v = json::parse(text).map_err(|e| format!("{path}: {e:?}"))?;
+    let metrics = v
+        .get("metrics")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| format!("{path}: missing metrics[]"))?;
+    metrics
+        .iter()
+        .map(|m| {
+            Some(Metric {
+                name: m.str("name")?.to_string(),
+                value: m.num("value")?,
+                direction: m.str("direction").and_then(Direction::parse)?,
+                rel_tolerance: m.num("rel_tolerance")?,
+                abs_tolerance: m.num("abs_tolerance")?,
+            })
+        })
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| format!("{path}: malformed metrics[] entry"))
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Direction {
-    Higher,
-    Lower,
-}
-
-impl Direction {
-    fn as_str(self) -> &'static str {
-        match self {
-            Direction::Higher => "higher",
-            Direction::Lower => "lower",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "higher" => Some(Direction::Higher),
-            "lower" => Some(Direction::Lower),
-            _ => None,
-        }
-    }
-}
-
-/// Reads `target/bench_*.json` and distills the tracked metrics.
-/// Files that are missing are skipped (their metrics simply don't get
-/// checked this run); files that exist but don't parse are an error.
-fn collect_current() -> Result<Vec<(MetricSpec, f64)>, String> {
+/// Every metric of every `target/bench_*.json`, in file-name order.
+fn collect_current() -> Result<Vec<Metric>, String> {
+    let Ok(dir) = fs::read_dir("target") else { return Ok(Vec::new()) };
+    let mut paths: Vec<String> = dir
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with("bench_") && n.ends_with(".json"))
+        .map(|n| format!("target/{n}"))
+        .collect();
+    paths.sort();
     let mut out = Vec::new();
-
-    // E24 — parallel speedups, one metric per workload. These are
-    // ratios of two wall-clock runs on a shared host and swing up to
-    // 3x under contention (the 2-D DWT has been observed anywhere
-    // between 0.4x and 1.3x), so the band only catches catastrophic
-    // regressions; the --record ratchet tightens baselines once the
-    // ROADMAP item-4 kernel work makes them stable.
-    if let Some(v) = load("target/bench_parallel.json")? {
-        let workloads = v
-            .get("workloads")
-            .and_then(JsonValue::as_array)
-            .ok_or("bench_parallel.json: missing workloads[]")?;
-        for w in workloads {
-            let name = w.str("name").ok_or("bench_parallel.json: workload without name")?;
-            let speedup =
-                w.num("speedup").ok_or("bench_parallel.json: workload without speedup")?;
-            out.push((
-                MetricSpec {
-                    name: leak(format!("e24.{}.speedup", slug(name))),
-                    direction: Direction::Higher,
-                    rel_tolerance: 0.75,
-                    abs_tolerance: 0.0,
-                },
-                speedup,
-            ));
-        }
+    for path in paths {
+        let text = fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+        out.extend(parse_metrics(&path, &text)?);
     }
-
-    // E29 — serial kernel speedups vs the frozen pre-kernel
-    // implementations. Both sides run on the same core in the same
-    // process, so the ratio is steadier than E24's parallel numbers —
-    // but it is still a wall-clock ratio on a shared host: medium band.
-    if let Some(v) = load("target/bench_kernels.json")? {
-        let workloads = v
-            .get("workloads")
-            .and_then(JsonValue::as_array)
-            .ok_or("bench_kernels.json: missing workloads[]")?;
-        for w in workloads {
-            let name = w.str("name").ok_or("bench_kernels.json: workload without name")?;
-            let speedup = w.num("speedup").ok_or("bench_kernels.json: workload without speedup")?;
-            out.push((
-                MetricSpec {
-                    name: leak(format!("e29.{}.speedup", slug(name))),
-                    direction: Direction::Higher,
-                    rel_tolerance: 0.50,
-                    abs_tolerance: 0.0,
-                },
-                speedup,
-            ));
-        }
-    }
-
-    // E25 — worst relative error across the fault sweep. Seeded and
-    // deterministic: tight band.
-    if let Some(v) = load("target/bench_faults.json")? {
-        let worst = rows_extreme(&v, "worst_rel_error", f64::max, f64::NEG_INFINITY)
-            .ok_or("bench_faults.json: no worst_rel_error in rows[]")?;
-        out.push((
-            MetricSpec {
-                name: "e25.worst_rel_error",
-                direction: Direction::Lower,
-                rel_tolerance: 0.05,
-                abs_tolerance: 0.0,
-            },
-            worst,
-        ));
-    }
-
-    // E26 — minimum recognition F1 across dropout levels. Seeded: tight.
-    if let Some(v) = load("target/bench_ingest_faults.json")? {
-        let min_f1 = rows_extreme(&v, "f1", f64::min, f64::INFINITY)
-            .ok_or("bench_ingest_faults.json: no f1 in rows[]")?;
-        out.push((
-            MetricSpec {
-                name: "e26.min_f1",
-                direction: Direction::Higher,
-                rel_tolerance: 0.05,
-                abs_tolerance: 0.0,
-            },
-            min_f1,
-        ));
-    }
-
-    // E27 — shared-scan read reduction. Deterministic plan math, but
-    // admission timing can shift which queries share a scan: medium.
-    if let Some(v) = load("target/bench_service.json")? {
-        let reduction = v.num("reduction").ok_or("bench_service.json: missing reduction")?;
-        out.push((
-            MetricSpec {
-                name: "e27.reduction",
-                direction: Direction::Higher,
-                rel_tolerance: 0.20,
-                abs_tolerance: 0.0,
-            },
-            reduction,
-        ));
-    }
-
-    // E30 — durability-mode write throughput ratios. Each side is a
-    // wall-clock run doing real fsyncs, so the ratio moves with the
-    // host's storage stack: wide band, ratcheted by --record.
-    if let Some(v) = load("target/bench_durability.json")? {
-        for (field, name) in [
-            ("none_over_always", "e30.none_over_always.speedup"),
-            ("periodic_over_always", "e30.periodic_over_always.speedup"),
-        ] {
-            let ratio =
-                v.num(field).ok_or_else(|| format!("bench_durability.json: missing {field}"))?;
-            out.push((
-                MetricSpec {
-                    name,
-                    direction: Direction::Higher,
-                    rel_tolerance: 0.75,
-                    abs_tolerance: 0.0,
-                },
-                ratio,
-            ));
-        }
-    }
-
-    // E31 — adaptive QoS. The scheduling comparison (boost-weighted
-    // FIFO/utility bound-area ratio) is deterministic once the cohort
-    // is gathered, so it gets a modest band; the drill's shed fraction
-    // is a seeded workload property with a little admission-timing
-    // slack; recovery time and overload p99 are wall-clock numbers on
-    // a flooded service, so they get absolute bands wide enough for a
-    // loaded CI host.
-    if let Some(v) = load("target/bench_chaos.json")? {
-        let ratio = v.num("auc_ratio").ok_or("bench_chaos.json: missing auc_ratio")?;
-        out.push((
-            MetricSpec {
-                name: "e31.auc_ratio",
-                direction: Direction::Higher,
-                rel_tolerance: 0.15,
-                abs_tolerance: 0.0,
-            },
-            ratio,
-        ));
-        let shed = v.num("shed_fraction").ok_or("bench_chaos.json: missing shed_fraction")?;
-        out.push((
-            MetricSpec {
-                name: "e31.shed_fraction",
-                direction: Direction::Lower,
-                rel_tolerance: 0.25,
-                abs_tolerance: 0.05,
-            },
-            shed,
-        ));
-        let recovery = v.num("recovery_ms").ok_or("bench_chaos.json: missing recovery_ms")?;
-        out.push((
-            MetricSpec {
-                name: "e31.recovery_ms",
-                direction: Direction::Lower,
-                rel_tolerance: 0.0,
-                abs_tolerance: 500.0,
-            },
-            recovery,
-        ));
-        let p99 = v.num("p99_overload_ms").ok_or("bench_chaos.json: missing p99_overload_ms")?;
-        out.push((
-            MetricSpec {
-                name: "e31.p99_overload_ms",
-                direction: Direction::Lower,
-                rel_tolerance: 2.0,
-                abs_tolerance: 10.0,
-            },
-            p99,
-        ));
-    }
-
-    // E32 — tiered ingest. The absorption rate and query p99 are
-    // wall-clock numbers on a host also running the compactor, so they
-    // get wide bands (the 1M/s acceptance floor is asserted inside the
-    // experiment itself, not here); compaction lag moves with scheduler
-    // luck on a saturated box and gets an absolute allowance on top.
-    if let Some(v) = load("target/bench_tier.json")? {
-        let rate = v
-            .num("ingest_samples_per_sec")
-            .ok_or("bench_tier.json: missing ingest_samples_per_sec")?;
-        out.push((
-            MetricSpec {
-                name: "e32.ingest_samples_per_sec",
-                direction: Direction::Higher,
-                rel_tolerance: 0.60,
-                abs_tolerance: 0.0,
-            },
-            rate,
-        ));
-        let lag = v.num("compaction_lag_ms").ok_or("bench_tier.json: missing compaction_lag_ms")?;
-        out.push((
-            MetricSpec {
-                name: "e32.compaction_lag_ms",
-                direction: Direction::Lower,
-                rel_tolerance: 1.0,
-                abs_tolerance: 1000.0,
-            },
-            lag,
-        ));
-        let p99 = v.num("query_p99_ms").ok_or("bench_tier.json: missing query_p99_ms")?;
-        out.push((
-            MetricSpec {
-                name: "e32.query_p99_ms",
-                direction: Direction::Lower,
-                rel_tolerance: 2.0,
-                abs_tolerance: 10.0,
-            },
-            p99,
-        ));
-    }
-
-    // E28 — tracing overhead ratio. Pure wall-time delta on a ~20 ms
-    // run: the absolute band matters more than the relative one.
-    if let Some(v) = load("target/bench_trace.json")? {
-        let overhead = v.num("overhead").ok_or("bench_trace.json: missing overhead")?;
-        out.push((
-            MetricSpec {
-                name: "e28.overhead",
-                direction: Direction::Lower,
-                rel_tolerance: 0.0,
-                abs_tolerance: 0.04,
-            },
-            overhead,
-        ));
-    }
-
     Ok(out)
 }
 
-fn load(path: &str) -> Result<Option<JsonValue>, String> {
-    if !Path::new(path).exists() {
-        return Ok(None);
-    }
-    let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    json::parse(&text).map(Some).map_err(|e| format!("{path}: {e:?}"))
+/// The experiment a metric belongs to: `e31` for `e31.auc_ratio`.
+fn owner(name: &str) -> &str {
+    name.split('.').next().unwrap_or(name)
 }
 
-/// Folds `field` across the object's `rows[]` with the given combiner.
-fn rows_extreme(v: &JsonValue, field: &str, fold: fn(f64, f64) -> f64, init: f64) -> Option<f64> {
-    let rows = v.get("rows")?.as_array()?;
-    let mut acc = init;
-    let mut seen = false;
-    for r in rows {
-        if let Some(x) = r.num(field) {
-            acc = fold(acc, x);
-            seen = true;
-        }
-    }
-    seen.then_some(acc)
-}
-
-/// `"2-D DWT 1024^2 fwd+inv"` -> `"2_d_dwt_1024_2_fwd_inv"` — a stable
-/// metric-name fragment from a human workload label.
-fn slug(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    let mut last_sep = true;
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-            last_sep = false;
-        } else if !last_sep {
-            out.push('_');
-            last_sep = true;
-        }
-    }
-    if out.ends_with('_') {
-        out.pop();
-    }
-    out
-}
-
-fn leak(s: String) -> &'static str {
-    Box::leak(s.into_boxed_str())
+/// Tracked metrics whose experiment ran but no longer emits them.
+fn dropped<'a>(tracked: impl Iterator<Item = &'a String>, current: &[Metric]) -> Vec<&'a str> {
+    tracked
+        .map(String::as_str)
+        .filter(|t| {
+            current.iter().all(|m| m.name != *t)
+                && current.iter().any(|m| owner(&m.name) == owner(t))
+        })
+        .collect()
 }
 
 /// The committed state for one metric.
@@ -364,7 +112,7 @@ fn load_trajectory(path: &str) -> Result<BTreeMap<String, Tracked>, String> {
     for (name, m) in metrics {
         let direction = m
             .str("direction")
-            .and_then(Direction::from_str)
+            .and_then(Direction::parse)
             .ok_or_else(|| format!("{path}: metric {name} has bad direction"))?;
         let baseline =
             m.num("baseline").ok_or_else(|| format!("{path}: metric {name} has no baseline"))?;
@@ -434,8 +182,8 @@ fn main() -> ExitCode {
     };
     if current.is_empty() {
         eprintln!(
-            "trend: no target/bench_*.json files found — run the experiments first\n\
-             (cargo run --release -p aims-bench --bin experiments -- e24 e25 e26 e27 e28)"
+            "trend: no metrics in target/bench_*.json — run the experiments first\n\
+             (cargo run --release -p aims-bench --bin experiments -- e25 e26 e27 e28)"
         );
         return ExitCode::FAILURE;
     }
@@ -451,18 +199,19 @@ fn main() -> ExitCode {
     let mut regressions = 0usize;
     let mut changed = false;
     println!("perf trajectory vs {TRAJECTORY_PATH}:");
-    for (spec, value) in &current {
-        match trajectory.get_mut(spec.name) {
+    for spec in &current {
+        let value = spec.value;
+        match trajectory.get_mut(&spec.name) {
             None => {
                 if record {
                     trajectory.insert(
-                        spec.name.to_string(),
+                        spec.name.clone(),
                         Tracked {
                             direction: spec.direction,
                             rel_tolerance: spec.rel_tolerance,
                             abs_tolerance: spec.abs_tolerance,
-                            baseline: *value,
-                            history: vec![*value],
+                            baseline: value,
+                            history: vec![value],
                         },
                     );
                     changed = true;
@@ -477,16 +226,16 @@ fn main() -> ExitCode {
                 let (ok, bound) = match t.direction {
                     Direction::Higher => {
                         let min_ok = t.baseline * (1.0 - t.rel_tolerance) - t.abs_tolerance;
-                        (*value >= min_ok, min_ok)
+                        (value >= min_ok, min_ok)
                     }
                     Direction::Lower => {
                         let max_ok = t.baseline * (1.0 + t.rel_tolerance) + t.abs_tolerance;
-                        (*value <= max_ok, max_ok)
+                        (value <= max_ok, max_ok)
                     }
                 };
                 let improved = match t.direction {
-                    Direction::Higher => *value > t.baseline,
-                    Direction::Lower => *value < t.baseline,
+                    Direction::Higher => value > t.baseline,
+                    Direction::Lower => value < t.baseline,
                 };
                 let verdict = if !ok {
                     regressions += 1;
@@ -501,7 +250,7 @@ fn main() -> ExitCode {
                     spec.name, t.baseline, bound
                 );
                 if record {
-                    t.history.push(*value);
+                    t.history.push(value);
                     if t.history.len() > HISTORY_CAP {
                         let drop = t.history.len() - HISTORY_CAP;
                         t.history.drain(..drop);
@@ -509,7 +258,7 @@ fn main() -> ExitCode {
                     if improved {
                         // Ratchet: improvements become the new floor, so
                         // the gate tracks the best the code has done.
-                        t.baseline = *value;
+                        t.baseline = value;
                     }
                     changed = true;
                 }
@@ -525,11 +274,49 @@ fn main() -> ExitCode {
         println!("updated {TRAJECTORY_PATH}");
     }
 
+    let dropped = dropped(trajectory.keys(), &current);
+    for name in &dropped {
+        eprintln!("trend: tracked metric {name} is no longer emitted by its experiment");
+    }
     if regressions > 0 {
         eprintln!("trend: {regressions} metric(s) regressed beyond tolerance");
+    }
+    if regressions > 0 || !dropped.is_empty() {
         ExitCode::FAILURE
     } else {
         println!("trend: all {} tracked metrics within tolerance", current.len());
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SAMPLE: &str = r#"{"experiment":"e32_tier","seed":3634,"metrics":[
+        {"name":"e32.query_p99_ms","value":6.5,"direction":"lower","rel_tolerance":2,"abs_tolerance":10},
+        {"name":"e32.ingest_samples_per_sec","value":1240071.1,"direction":"higher","rel_tolerance":0.6,"abs_tolerance":0}]}"#;
+
+    #[test]
+    fn parses_a_recorded_metrics_array() {
+        let m = parse_metrics("sample", SAMPLE).unwrap();
+        assert_eq!(m[0], Metric::lower("e32.query_p99_ms", 6.5, 2.0, 10.0));
+        assert_eq!(m[1], Metric::higher("e32.ingest_samples_per_sec", 1240071.1, 0.6, 0.0));
+        // What `aims_bench::record` writes is what this reads.
+        let written = format!("{{\"metrics\":[{}]}}", m[0].to_json());
+        assert_eq!(parse_metrics("written", &written).unwrap(), m[..1]);
+        assert!(parse_metrics("bare", r#"{"rows":[]}"#).unwrap_err().contains("missing metrics"));
+        let bad = r#"{"metrics":[{"name":"x","value":1,"direction":"sideways"}]}"#;
+        assert!(parse_metrics("bad", bad).unwrap_err().contains("malformed"));
+    }
+
+    #[test]
+    fn a_renamed_metric_is_dropped_but_an_unrun_experiment_is_skipped() {
+        let current = parse_metrics("sample", SAMPLE).unwrap();
+        let tracked: Vec<String> =
+            ["e32.query_p99_ms", "e32.compaction_lag_ms", "e25.worst_rel_error"]
+                .map(String::from)
+                .to_vec();
+        assert_eq!(dropped(tracked.iter(), &current), ["e32.compaction_lag_ms"]);
     }
 }

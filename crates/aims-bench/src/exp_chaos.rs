@@ -2,10 +2,9 @@
 //! seeded drill (storage faults × sensor faults × overload) plus the
 //! utility-vs-FIFO round-scheduling comparison.
 
-use std::io::Write;
 use std::time::Duration;
 
-use aims::chaos::{run_drill, ChaosConfig};
+use aims::drill::chaos::{run, Config};
 use aims_dsp::filters::FilterKind;
 use aims_propolyne::blockstore::BlockedCoefficients;
 use aims_propolyne::cube::WaveletCube;
@@ -18,12 +17,6 @@ use crate::workloads::gaussian_mixture_cube;
 const SIDE: usize = 64;
 const BLOCK: usize = 16;
 const QUERIES: usize = 12;
-
-/// The master seed: `AIMS_CHAOS_SEED` if set (CI pins two values), else
-/// the default drill seed.
-fn chaos_seed() -> u64 {
-    std::env::var("AIMS_CHAOS_SEED").ok().and_then(|s| s.trim().parse().ok()).unwrap_or(4242)
-}
 
 /// A heterogeneous session mix: every third query is a broad **batch**
 /// report sweeping most of the cube; the rest are narrow **interactive**
@@ -154,35 +147,11 @@ pub fn e31_chaos_qos() {
     crate::header("E31", "adaptive QoS: composed chaos drill + utility-vs-FIFO scheduling");
 
     // Part 1 — the composed drill.
-    let cfg = ChaosConfig { seed: chaos_seed(), ..ChaosConfig::default() };
-    let (report, drill_elapsed) = crate::timed("e31.drill", || run_drill(&cfg));
-    println!(
-        "\ncomposed drill (seed {}, {:.0} ms):",
-        report.seed,
-        drill_elapsed.as_secs_f64() * 1e3
-    );
-    println!(
-        "{:>16} {:>7} {:>7} {:>7} {:>6} {:>6} {:>7} {:>6} {:>9}",
-        "phase", "submit", "accept", "reject", "done", "shed", "expire", "degr", "p99 ms"
-    );
-    for p in &report.phases {
-        println!(
-            "{:>16} {:>7} {:>7} {:>7} {:>6} {:>6} {:>7} {:>6} {:>9.2}",
-            p.name,
-            p.submitted,
-            p.accepted,
-            p.rejected,
-            p.done,
-            p.shed,
-            p.expired,
-            p.degraded,
-            p.p99_ms
-        );
-    }
-    println!(
-        "recovery {:.1} ms | shed fraction {:.3} | p99 overload {:.2} ms",
-        report.recovery_ms, report.shed_fraction, report.p99_overload_ms
-    );
+    // The master seed: `AIMS_CHAOS_SEED` if set (CI pins two values).
+    let cfg = Config { seed: aims::drill::env_seed("AIMS_CHAOS_SEED", 4242), ..Config::default() };
+    let (report, drill_elapsed) = crate::timed("e31.drill", || run(&cfg));
+    println!("\n{}", report.render_table());
+    println!("drill wall {:.0} ms", drill_elapsed.as_secs_f64() * 1e3);
     let violations = report.violations();
     assert!(
         report.passed(),
@@ -218,7 +187,7 @@ pub fn e31_chaos_qos() {
     // the utility objective the scheduler declares. The per-class areas
     // are reported alongside so the trade is visible: interactive
     // tightens faster, batch pays a bounded premium.
-    let boost = QosConfig::default().interactive_boost;
+    let boost = aims_service::qos::INTERACTIVE_BOOST;
     let class_area = |saucs: &[f64], batch: bool| -> f64 {
         saucs.iter().enumerate().filter(|&(k, _)| is_batch(k) == batch).map(|(_, &s)| s).sum()
     };
@@ -265,9 +234,9 @@ pub fn e31_chaos_qos() {
         fifo_int,
         utility_int,
     );
-    let path = std::path::Path::new("target").join("bench_chaos.json");
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = f.write_all(json.as_bytes());
-        println!("[recorded {}]", path.display());
-    }
+    // The scheduling comparison is deterministic once the cohort is
+    // gathered, so it gets a modest band; the drill brings its own.
+    let mut metrics = vec![crate::Metric::higher("e31.auc_ratio", auc_ratio, 0.15, 0.0)];
+    metrics.extend(crate::prefixed("e31", report.metrics()));
+    crate::record("bench_chaos.json", &json, &metrics);
 }

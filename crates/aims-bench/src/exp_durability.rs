@@ -4,17 +4,17 @@
 //! exact. Gates: fsync-always never loses an acknowledged write, and the
 //! recovered state is bit-identical to the committed write prefix.
 
-use std::io::Write;
 use std::time::Instant;
 
-use aims_storage::{
-    BlockDevice, CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions, MemDevice, RawMedia,
-};
+use aims::drill::crash::{self, identical, replica, WriteLog};
+use aims::drill::sub_seed;
+use aims_storage::{BlockDevice, CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions};
 
 const BLOCK: usize = 32;
 const NUM_BLOCKS: usize = 48;
 const MIXED_OPS: usize = 512;
 const SEED: u64 = 0xE30u64;
+const CHECKPOINT_BYTES: u64 = 16 * 1024;
 
 /// One measured durability mode.
 struct Row {
@@ -24,17 +24,7 @@ struct Row {
     writes_per_sec: f64,
     fsyncs: u64,
     checkpoints: u64,
-    recovery_ms: f64,
-    replayed: u64,
-    truncated_bytes: u64,
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    drill: crash::Report,
 }
 
 fn payload(tag: u64) -> Vec<f64> {
@@ -43,11 +33,10 @@ fn payload(tag: u64) -> Vec<f64> {
 
 /// The YCSB-style op sequence: a full load pass, then a 50/50 update/read
 /// mix over seeded keys. Returns the ordered write log (block, payload).
-fn op_log() -> Vec<(usize, Vec<f64>)> {
-    let mut log: Vec<(usize, Vec<f64>)> = (0..NUM_BLOCKS).map(|b| (b, payload(b as u64))).collect();
-    let mut state = SEED;
+fn op_log() -> WriteLog {
+    let mut log: WriteLog = (0..NUM_BLOCKS).map(|b| (b, payload(b as u64))).collect();
     for k in 0..MIXED_OPS {
-        let r = splitmix(&mut state);
+        let r = sub_seed(SEED, k as u64 + 1);
         if r & 1 == 0 {
             log.push(((r as usize >> 1) % NUM_BLOCKS, payload(0x1000 + k as u64)));
         }
@@ -55,86 +44,26 @@ fn op_log() -> Vec<(usize, Vec<f64>)> {
     log
 }
 
-fn opts(mode: DurabilityMode, crash: CrashPlan) -> FileDeviceOptions {
-    FileDeviceOptions { mode, crash, checkpoint_bytes: 16 * 1024, ..Default::default() }
-}
-
-fn fresh_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("aims-e30-{}-{tag}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
-fn bits(device: &impl RawMedia) -> Vec<Vec<u64>> {
-    (0..device.num_blocks())
-        .map(|b| device.raw_payload(b).iter().map(|v| v.to_bits()).collect())
-        .collect()
-}
-
-/// Applies the first `k` writes of the log to a memory replica.
-fn replica(log: &[(usize, Vec<f64>)], k: usize) -> MemDevice {
-    let mut mem = MemDevice::new(BLOCK, NUM_BLOCKS);
-    for (b, p) in &log[..k] {
-        mem.write_block(*b, p);
-    }
-    mem
-}
-
-/// Runs the workload with the crash plan armed, reopens, times recovery,
-/// and asserts the recovered state is bit-identical to a committed
-/// prefix of the write log covering every acknowledged write.
-fn crash_drill(mode: DurabilityMode, log: &[(usize, Vec<f64>)], tag: &str) -> (f64, u64, u64) {
-    let dir = fresh_dir(tag);
-    // A crash step in the thick of the mixed phase: past the load pass,
-    // before the tail.
-    let crash_step = NUM_BLOCKS as u64 * 2 + (SEED % 64);
-    let mut device =
-        FileDevice::create(&dir, BLOCK, NUM_BLOCKS, opts(mode, CrashPlan::at(SEED, crash_step)))
-            .unwrap();
-    let mut completed = 0usize;
-    let mut durable_at_crash = 0;
-    for (b, p) in log {
-        device.write_block(*b, p);
-        if device.is_crashed() {
-            durable_at_crash = device.durable_lsn();
-            break;
-        }
-        completed += 1;
-    }
-    assert!(device.is_crashed(), "drill crash step {crash_step} never fired ({mode:?})");
-    drop(device);
-
-    let t = Instant::now();
-    let device = FileDevice::open(&dir, opts(mode, CrashPlan::none())).unwrap();
-    let recovery_ms = t.elapsed().as_secs_f64() * 1e3;
-    let r = device.recovery();
-
-    // Gate: nothing acknowledged is lost. In fsync-always mode every
-    // completed write was acknowledged, so this is the headline claim.
-    if r.recovered_lsn > 0 {
-        assert!(
-            r.recovered_lsn >= durable_at_crash,
-            "{mode:?}: recovered lsn {} below acked frontier {durable_at_crash}",
-            r.recovered_lsn
-        );
-    }
-    if mode == DurabilityMode::Always {
-        assert!(
-            durable_at_crash >= completed as u64,
-            "always mode acked only {durable_at_crash} of {completed} completed writes"
-        );
-    }
-
-    // Gate: the reopened store is bit-identical to SOME committed prefix
-    // at least as long as the acked frontier (a post-checkpoint crash
-    // leaves an empty WAL, so the prefix is found by search).
-    let got = bits(&device);
-    let floor = if r.recovered_lsn > 0 { r.recovered_lsn } else { durable_at_crash } as usize;
-    let matched = (floor..=completed + 1).any(|k| bits(&replica(log, k.min(log.len()))) == got);
-    assert!(matched, "{mode:?}: recovered state matches no committed prefix >= {floor}");
-
-    std::fs::remove_dir_all(&dir).ok();
-    (recovery_ms, r.replayed_records, r.truncated_bytes)
+/// Runs the crash drill on `log` with the crash armed in the thick of the
+/// mixed phase — past the load pass, before the tail — and gates it: the
+/// crash fired, nothing acknowledged was lost (under fsync-always that is
+/// every completed write), and the reopened store is bit-identical to a
+/// committed prefix at least as long as the acked frontier.
+fn crash_drill(mode: DurabilityMode, log: &WriteLog) -> crash::Report {
+    let report = crash::run(&crash::Config {
+        seed: SEED,
+        mode,
+        block_size: BLOCK,
+        blocks: NUM_BLOCKS,
+        checkpoint_bytes: CHECKPOINT_BYTES,
+        log: log.clone(),
+        crash_step: Some(NUM_BLOCKS as u64 * 2 + (SEED % 64)),
+        dir: None,
+    });
+    assert!(report.crashed, "drill crash step never fired ({mode:?})");
+    let violations = report.violations();
+    assert!(violations.is_empty(), "{mode:?} crash drill: {violations:?}");
+    report
 }
 
 /// E30 — durable storage: acknowledged-write throughput per durability
@@ -156,10 +85,16 @@ pub fn e30_durability() {
     let mut rows: Vec<Row> = Vec::new();
     let ((), wall) = crate::timed("bench.e30.durability", || {
         for mode in modes {
-            let dir = fresh_dir(&mode.label().replace(':', "_"));
+            let dir = std::env::temp_dir().join(format!("aims-e30-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let opts = FileDeviceOptions {
+                mode,
+                crash: CrashPlan::none(),
+                checkpoint_bytes: CHECKPOINT_BYTES,
+                ..Default::default()
+            };
             let t = Instant::now();
-            let mut device =
-                FileDevice::create(&dir, BLOCK, NUM_BLOCKS, opts(mode, CrashPlan::none())).unwrap();
+            let mut device = FileDevice::create(&dir, BLOCK, NUM_BLOCKS, opts).unwrap();
             for (b, p) in &log {
                 device.write_block(*b, p);
             }
@@ -168,12 +103,10 @@ pub fn e30_durability() {
             let stats = device.wal_stats();
 
             // Sanity: the surviving state equals the full log on every mode.
-            assert_eq!(bits(&device), bits(&replica(&log, log.len())), "{mode:?} state drift");
+            assert!(identical(&device, &replica(&log, BLOCK, NUM_BLOCKS)), "{mode:?} state drift");
             device.close();
             std::fs::remove_dir_all(&dir).ok();
 
-            let (recovery_ms, replayed, truncated_bytes) =
-                crash_drill(mode, &log, &format!("drill-{}", mode.label().replace(':', "_")));
             rows.push(Row {
                 mode,
                 writes: log.len(),
@@ -181,9 +114,7 @@ pub fn e30_durability() {
                 writes_per_sec: log.len() as f64 / (wall_ms / 1e3),
                 fsyncs: stats.fsyncs,
                 checkpoints: stats.checkpoints,
-                recovery_ms,
-                replayed,
-                truncated_bytes,
+                drill: crash_drill(mode, &log),
             });
         }
     });
@@ -200,9 +131,9 @@ pub fn e30_durability() {
             format!("{:.0}", r.writes_per_sec),
             r.fsyncs,
             r.checkpoints,
-            format!("{:.3}", r.recovery_ms),
-            r.replayed,
-            r.truncated_bytes,
+            format!("{:.3}", r.drill.recovery_ms),
+            r.drill.recovery.replayed_records,
+            r.drill.recovery.truncated_bytes,
         );
     }
     let speedup = |num: &Row, den: &Row| num.writes_per_sec / den.writes_per_sec;
@@ -231,16 +162,22 @@ pub fn e30_durability() {
                 r.writes_per_sec,
                 r.fsyncs,
                 r.checkpoints,
-                r.recovery_ms,
-                r.replayed,
-                r.truncated_bytes
+                r.drill.recovery_ms,
+                r.drill.recovery.replayed_records,
+                r.drill.recovery.truncated_bytes
             ))
             .collect::<Vec<_>>()
             .join(",")
     );
-    let path = std::path::Path::new("target").join("bench_durability.json");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nrecorded {}", path.display()),
-        Err(e) => println!("\n(could not write {}: {e})", path.display()),
-    }
+    // Each side is a wall-clock run doing real fsyncs, so the ratios move
+    // with the host's storage stack: wide band.
+    let gate = |name: &str, ratio| crate::Metric::higher(name, ratio, 0.75, 0.0);
+    crate::record(
+        "bench_durability.json",
+        &json,
+        &[
+            gate("e30.none_over_always.speedup", none_over_always),
+            gate("e30.periodic_over_always.speedup", periodic_over_always),
+        ],
+    );
 }

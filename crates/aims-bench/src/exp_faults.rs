@@ -3,12 +3,9 @@
 //! error bound asserted at every point and bit-identity asserted at zero
 //! faults.
 
-use std::io::Write;
-
-use aims_storage::buffer::BufferPool;
-use aims_storage::device::{BlockDevice, RetryPolicy};
-use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
-use aims_storage::store::{AllocKind, WaveletStore};
+use aims::drill::faults::{run, Config};
+use aims_storage::device::RetryPolicy;
+use aims_storage::faults::{FaultKind, FaultPlan};
 
 /// One measured point of the degradation curve.
 struct Row {
@@ -33,7 +30,6 @@ pub fn e25_fault_degradation() {
     let seed = 0xA1B2u64;
     let signal: Vec<f64> =
         (0..n).map(|i| ((i * 13 + 5) % 31) as f64 - 15.0 + (i as f64 * 0.003).sin()).collect();
-    let plain = WaveletStore::from_signal(&signal, block, AllocKind::TreeTiling);
 
     // 64 range queries spread over the domain at several widths.
     let queries: Vec<(usize, usize)> = (0..64)
@@ -43,65 +39,39 @@ pub fn e25_fault_degradation() {
             (start, start + width - 1)
         })
         .collect();
-    let exact: Vec<f64> = {
-        let mut pool = BufferPool::new(256);
-        queries.iter().map(|&(a, b)| plain.range_sum(a, b, &mut pool)).collect()
-    };
 
     println!("store: n={n}, B={block}, tree tiling, {} range queries, seed {seed:#x}\n", 64);
 
-    let policy = RetryPolicy::with_retries(2);
     let mut rows: Vec<Row> = Vec::new();
+    let mut worst = Vec::new();
     let ((), wall) = crate::timed("bench.e25.faults", || {
         for dead_fraction in [0.0, 0.05, 0.1, 0.2, 0.4] {
-            let store =
-                WaveletStore::from_signal_on(&signal, block, AllocKind::TreeTiling, |bs, nb| {
-                    FaultyDevice::with_plan(
-                        bs,
-                        nb,
-                        FaultPlan::uniform(seed, FaultKind::DeadBlock, dead_fraction),
-                    )
-                });
-            let device = store.device();
-            let lost_blocks = (0..device.num_blocks()).filter(|&b| device.is_dead(b)).count();
-
-            let mut pool = BufferPool::new(256);
-            let mut degraded_queries = 0usize;
-            let mut sum_err = 0.0;
-            let mut sum_bound = 0.0;
-            let mut worst_rel = 0.0f64;
-            for (&(a, b), &truth) in queries.iter().zip(&exact) {
-                let got = store.range_sum_outcome(a, b, &mut pool, &policy);
-                let err = (got.value - truth).abs();
-                assert!(
-                    err <= got.error_bound + 1e-9,
-                    "bound violated at fraction {dead_fraction} [{a},{b}]: \
-                     err {err} > bound {}",
-                    got.error_bound
-                );
-                if dead_fraction == 0.0 {
-                    assert_eq!(
-                        got.value.to_bits(),
-                        truth.to_bits(),
-                        "zero-fault answer must be bit-identical [{a},{b}]"
-                    );
-                }
-                if got.degraded() {
-                    degraded_queries += 1;
-                    sum_err += err;
-                    sum_bound += got.error_bound;
-                    worst_rel = worst_rel.max(err / truth.abs().max(1.0));
-                }
-            }
-            let denom = degraded_queries.max(1) as f64;
+            let report = run(&Config {
+                plan: FaultPlan::uniform(seed, FaultKind::DeadBlock, dead_fraction),
+                retry: RetryPolicy::with_retries(2),
+                signal: signal.clone(),
+                block,
+                queries: queries.clone(),
+            });
+            // The drill checks every query: bit-identical when nothing was
+            // lost (all of them at fraction 0), within its bound otherwise.
+            let violations = report.violations();
+            assert!(violations.is_empty(), "fraction {dead_fraction}: {violations:?}");
+            let degraded = report.degraded().count();
+            assert!(
+                dead_fraction > 0.0 || degraded == 0,
+                "zero faults degraded {degraded} queries"
+            );
+            let denom = degraded.max(1) as f64;
             rows.push(Row {
                 dead_fraction,
-                lost_blocks,
-                degraded_queries,
-                mean_abs_error: sum_err / denom,
-                mean_bound: sum_bound / denom,
-                worst_rel_error: worst_rel,
+                lost_blocks: report.dead_blocks,
+                degraded_queries: degraded,
+                mean_abs_error: report.degraded().map(|r| r.abs_error()).sum::<f64>() / denom,
+                mean_bound: report.degraded().map(|r| r.got.error_bound).sum::<f64>() / denom,
+                worst_rel_error: report.worst_rel_error(),
             });
+            worst.extend(report.metrics());
         }
     });
 
@@ -141,9 +111,7 @@ pub fn e25_fault_degradation() {
             .collect::<Vec<_>>()
             .join(",")
     );
-    let path = std::path::Path::new("target").join("bench_faults.json");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nrecorded {}", path.display()),
-        Err(e) => println!("\n(could not write {}: {e})", path.display()),
-    }
+    // Gated: the sweep's worst case of the drill's own metric.
+    let worst = worst.into_iter().max_by(|a, b| a.value.total_cmp(&b.value));
+    crate::record("bench_faults.json", &json, &crate::prefixed("e25", worst));
 }

@@ -2,12 +2,10 @@
 //! streaming recognizer vs. wire dropout rate, for both gap-repair
 //! policies, with bit-identity asserted at zero faults.
 
-use std::io::Write;
-
-use aims_acquisition::ingest::{IngestConfig, RepairPolicy, SupervisedIngest};
-use aims_acquisition::recorder::RecorderConfig;
+use aims::drill::ingest::replay;
+use aims_acquisition::ingest::RepairPolicy;
 use aims_sensors::asl::AslVocabulary;
-use aims_sensors::faulty::{FaultySensorRig, SensorFaultPlan};
+use aims_sensors::faulty::SensorFaultPlan;
 use aims_sensors::glove::CyberGloveRig;
 use aims_sensors::noise::NoiseSource;
 use aims_stream::isolation::{evaluate_isolation, IsolationConfig, StreamRecognizer};
@@ -40,8 +38,7 @@ struct Row {
 pub fn e26_ingest_faults() {
     crate::header("E26", "fault-tolerant ingest: recognition F1 vs dropout rate x repair policy");
 
-    let seed: u64 =
-        std::env::var("AIMS_INGEST_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(2003);
+    let seed = aims::drill::env_seed("AIMS_INGEST_FAULT_SEED", 2003);
 
     // The well-separated vocabulary and sentence of the deflaked isolation
     // test: the clean baseline recognizes it perfectly, so every F1 drop
@@ -77,36 +74,23 @@ pub fn e26_ingest_faults() {
         clean_report.label_accuracy
     );
 
-    // A buffer the recorder can never overrun, so the only degradation
-    // measured is the injected wire faults.
-    let ingest_config = |policy| IngestConfig {
-        repair: policy,
-        recorder: RecorderConfig { buffer_frames: 1 << 16, batch_size: 64, store_latency_us: 0 },
-        ..IngestConfig::default()
-    };
-
     let mut rows: Vec<Row> = Vec::new();
     let ((), wall) = crate::timed("bench.e26.ingest_faults", || {
         for dropout in [0.0, 0.05, 0.1, 0.2] {
             for policy in RepairPolicy::ALL {
-                let rig = FaultySensorRig::new(SensorFaultPlan::dropout(seed, dropout));
-                let wire = rig.transmit(&clean);
-                let out = SupervisedIngest::new(ingest_config(policy)).ingest(clean.spec(), &wire);
-                if dropout == 0.0 {
-                    assert_eq!(out.stream.len(), clean.len(), "zero-fault frame count");
-                    for t in 0..clean.len() {
-                        for c in 0..clean.channels() {
-                            assert_eq!(
-                                out.stream.value(t, c).to_bits(),
-                                clean.value(t, c).to_bits(),
-                                "zero-fault ingest must be bit-identical (frame {t} ch {c})"
-                            );
-                        }
-                    }
-                    assert_eq!(out.stats.repaired_samples, 0);
-                } else {
-                    assert!(out.stats.repaired_samples > 0, "dropout {dropout} repaired nothing");
-                }
+                // The drill's recorder cannot overrun, so the only
+                // degradation measured is the injected wire faults; at zero
+                // dropout it checks bit-identity with the clean stream.
+                let drill = replay(&clean, &SensorFaultPlan::dropout(seed, dropout), policy);
+                let violations = drill.violations();
+                assert!(violations.is_empty(), "dropout {dropout}: {violations:?}");
+                let out = drill.outcome;
+                assert_eq!(
+                    out.stats.repaired_samples > 0,
+                    dropout > 0.0,
+                    "dropout {dropout} repaired {} samples",
+                    out.stats.repaired_samples
+                );
                 let (report, min_conf) = recognize(&out.stream, &out.quality);
                 if dropout == 0.0 {
                     assert_eq!(report.f1, clean_report.f1, "zero faults must score identically");
@@ -172,9 +156,11 @@ pub fn e26_ingest_faults() {
             .collect::<Vec<_>>()
             .join(",")
     );
-    let path = std::path::Path::new("target").join("bench_ingest_faults.json");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nrecorded {}", path.display()),
-        Err(e) => println!("\n(could not write {}: {e})", path.display()),
-    }
+    // Seeded and deterministic: tight band.
+    let min_f1 = rows.iter().map(|r| r.f1).fold(f64::INFINITY, f64::min);
+    crate::record(
+        "bench_ingest_faults.json",
+        &json,
+        &[crate::Metric::higher("e26.min_f1", min_f1, 0.05, 0.0)],
+    );
 }

@@ -10,8 +10,6 @@
 //! sorted merge for the batch dot) so the speedup is measured against the
 //! real predecessor, not a strawman.
 
-use std::io::Write;
-
 use aims_dsp::dwt::{analysis_step, dwt_standard_md_with, idwt_standard_md_with, synthesis_step};
 use aims_dsp::filters::{FilterKind, WaveletFilter};
 use aims_exec::ThreadPool;
@@ -243,9 +241,15 @@ pub fn e29_kernel_speed() {
             .collect::<Vec<_>>()
             .join(",")
     );
-    let path = std::path::Path::new("target").join("bench_kernels.json");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nrecorded {}", path.display()),
-        Err(e) => println!("\n(could not write {}: {e})", path.display()),
-    }
+    // Both sides run on one core in one process, so the ratio is steadier
+    // than a parallel speedup — but still wall-clock on a shared host:
+    // medium band.
+    let metrics: Vec<crate::Metric> = rows
+        .iter()
+        .map(|(name, to, tn)| {
+            let speedup = to / tn.max(1e-12);
+            crate::Metric::higher(format!("e29.{}.speedup", crate::slug(name)), speedup, 0.50, 0.0)
+        })
+        .collect();
+    crate::record("bench_kernels.json", &json, &metrics);
 }

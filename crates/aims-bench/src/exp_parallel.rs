@@ -2,8 +2,6 @@
 //! the three multicore hot paths (2-D DWT, ProPolyne batch, matmul), with
 //! bit-identical results asserted for every measurement.
 
-use std::io::Write;
-
 use aims_dsp::dwt::{dwt_standard_md_with, idwt_standard_md_with};
 use aims_dsp::filters::FilterKind;
 use aims_exec::{configured_threads, global_pool, ThreadPool};
@@ -107,9 +105,5 @@ pub fn e24_parallel_speedup() {
             .collect::<Vec<_>>()
             .join(",")
     );
-    let path = std::path::Path::new("target").join("bench_parallel.json");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nrecorded {}", path.display()),
-        Err(e) => println!("\n(could not write {}: {e})", path.display()),
-    }
+    crate::record("bench_parallel.json", &json, &[]);
 }

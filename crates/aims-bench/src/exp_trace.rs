@@ -13,7 +13,6 @@
 //!    device's own fault schedule, and the flight recorder exports
 //!    Chrome trace JSON that parses.
 
-use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -242,7 +241,7 @@ pub fn e28_tracing_overhead() {
         parsed.get("traceEvents").and_then(|v| v.as_array()).map(|a| a.len()).unwrap_or(0);
     assert!(n_events > 0, "traced runs must leave events in the flight recorder");
     let trace_path = std::path::Path::new("target").join("trace_e28.json");
-    match std::fs::File::create(&trace_path).and_then(|mut f| f.write_all(chrome.as_bytes())) {
+    match std::fs::write(&trace_path, chrome.as_bytes()) {
         Ok(()) => {}
         Err(e) => println!("(could not write {}: {e})", trace_path.display()),
     }
@@ -297,9 +296,10 @@ pub fn e28_tracing_overhead() {
         overhead,
         n_events,
     );
-    let path = std::path::Path::new("target").join("bench_trace.json");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nrecorded {}", path.display()),
-        Err(e) => println!("\n(could not write {}: {e})", path.display()),
-    }
+    // A wall-time delta on a ~20 ms run: the absolute band is what matters.
+    crate::record(
+        "bench_trace.json",
+        &json,
+        &[crate::Metric::lower("e28.overhead", overhead, 0.0, 0.04)],
+    );
 }

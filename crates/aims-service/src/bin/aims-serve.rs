@@ -19,8 +19,8 @@ use std::io::Write;
 use std::sync::Arc;
 
 use aims_dsp::filters::{FilterKind, WaveletFilter};
-use aims_propolyne::{BlockedCoefficients, DataCube, WaveletCube};
-use aims_service::{QueryService, Server, ServiceConfig};
+use aims_propolyne::{BlockedCoefficients, WaveletCube};
+use aims_service::{demo_cube, QueryService, Server, ServiceConfig};
 use aims_storage::{BlockDevice, DurabilityMode, FileDevice, FileDeviceOptions};
 
 struct Opts {
@@ -72,20 +72,6 @@ fn parse_opts() -> Result<Opts, String> {
         }
     }
     Ok(opts)
-}
-
-/// The deterministic demo cube every harness in this workspace uses: an
-/// N×N grid of small pseudo-random counts from one xorshift seed.
-fn demo_cube(side: usize, seed: u64) -> WaveletCube {
-    let mut cube = DataCube::zeros(&[side, side]);
-    let mut state = seed;
-    for v in cube.values_mut() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        *v = (state % 9) as f64;
-    }
-    cube.transform(&FilterKind::Db4.filter())
 }
 
 /// Header meta blob for `--data` stores: dims + the filter name, enough

@@ -65,7 +65,7 @@ pub use error::ServiceError;
 pub use profile::{QueryProfile, SlowQueryEntry, SlowQueryLog, SlowReason, TrajectoryPoint};
 pub use qos::{QosConfig, SchedulerPolicy, Tier};
 pub use server::Server;
-pub use service::{QosStats, QueryService, ServiceConfig};
+pub use service::{demo_cube, QosStats, QueryService, ServiceConfig};
 pub use session::{Outcome, Polled, QuerySpec, Refinement, SessionHandle, Update};
 pub use tiered::{TieredAnswer, TieredPlanner, TieredPlannerConfig};
 pub use wire::{Frame, ProgressKind};

@@ -119,8 +119,6 @@ impl QueryProfile {
 /// Why a profile landed in the slow-query log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlowReason {
-    /// End-to-end latency exceeded the configured threshold.
-    Latency,
     /// Degraded (permanently failed) blocks reached the threshold.
     Degraded,
 }
@@ -129,7 +127,6 @@ impl SlowReason {
     /// Stable lowercase label for logs.
     pub fn as_str(self) -> &'static str {
         match self {
-            SlowReason::Latency => "latency",
             SlowReason::Degraded => "degraded",
         }
     }
@@ -240,7 +237,7 @@ mod tests {
         for i in 0..5u64 {
             log.push(SlowQueryEntry {
                 session_id: i,
-                reason: SlowReason::Latency,
+                reason: SlowReason::Degraded,
                 profile: QueryProfile::default(),
             });
         }
@@ -251,7 +248,7 @@ mod tests {
         let line = entries[1].to_json_line();
         let v = aims_telemetry::json::parse(&line).unwrap();
         assert_eq!(v.num("session"), Some(4.0));
-        assert_eq!(v.str("reason"), Some("latency"));
+        assert_eq!(v.str("reason"), Some("degraded"));
         assert!(v.get("profile").unwrap().get("trajectory").is_some());
     }
 }

@@ -27,6 +27,12 @@
 
 use std::collections::BTreeSet;
 
+/// At [`Tier::Coarse`] and harder, a progress update is delivered every
+/// this many rounds.
+pub const COARSE_CADENCE: u32 = 4;
+/// Utility multiplier for interactive sessions (batch weight is 1).
+pub const INTERACTIVE_BOOST: f64 = 2.0;
+
 /// Graduated degradation level of a session (and of the service as a
 /// whole). Ordered: higher tiers degrade harder.
 #[derive(Clone, Copy, Debug, Eq, Ord, PartialEq, PartialOrd)]
@@ -35,7 +41,7 @@ pub enum Tier {
     /// their exact answer.
     Normal,
     /// Coarser refinement cadence: progress updates are delivered every
-    /// `coarse_cadence` rounds (terminals always delivered).
+    /// [`COARSE_CADENCE`] rounds (terminals always delivered).
     Coarse,
     /// Widened target bound: the session completes (`Done`, with a
     /// guaranteed non-zero bound) once its error bound falls below
@@ -132,14 +138,9 @@ pub struct QosConfig {
     /// Consecutive observations at/below an exit threshold before the
     /// tier recovers one step.
     pub recover_rounds: u32,
-    /// At [`Tier::Coarse`] and harder, deliver a progress update every
-    /// this many rounds.
-    pub coarse_cadence: u32,
     /// At [`Tier::Widened`], a session completes once its bound falls
     /// below this fraction of its initial bound.
     pub widen_rel: f64,
-    /// Utility multiplier for interactive sessions (batch weight is 1).
-    pub interactive_boost: f64,
 }
 
 impl Default for QosConfig {
@@ -151,9 +152,7 @@ impl Default for QosConfig {
             exit_pressure: [0.25, 0.45, 0.70],
             escalate_rounds: 2,
             recover_rounds: 6,
-            coarse_cadence: 4,
             widen_rel: 0.10,
-            interactive_boost: 2.0,
         }
     }
 }

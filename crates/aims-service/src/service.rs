@@ -47,9 +47,10 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use aims_dsp::filters::FilterKind;
 use aims_exec::{configured_threads, ThreadPool};
 use aims_propolyne::engine::PreparedQuery;
-use aims_propolyne::{BlockedCoefficients, Propolyne, RangeSumQuery, WaveletCube};
+use aims_propolyne::{BlockedCoefficients, DataCube, Propolyne, RangeSumQuery, WaveletCube};
 use aims_storage::device::{BlockDevice, MemDevice, RetryPolicy};
 use aims_storage::SharedBlockCache;
 use aims_telemetry::{global, AttrValue, Counter, Gauge, TraceContext};
@@ -59,6 +60,28 @@ use crate::error::ServiceError;
 use crate::profile::{QueryProfile, SlowQueryEntry, SlowQueryLog, SlowReason, TrajectoryPoint};
 use crate::qos::{self, DegradeController, QosConfig, SchedulerPolicy, Tier, TierChange};
 use crate::session::{QuerySpec, Refinement, SessionHandle, Update};
+
+/// The deterministic demo cube every harness in this workspace serves
+/// (`aims-serve`, `aims-cli serve|trace`, the service test suites): a
+/// `side`×`side` grid of small pseudo-random counts from one xorshift
+/// seed, wavelet-transformed with Db4.
+pub fn demo_cube(side: usize, seed: u64) -> WaveletCube {
+    let mut cube = DataCube::zeros(&[side, side]);
+    let mut state = seed;
+    for v in cube.values_mut() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        *v = (state % 9) as f64;
+    }
+    cube.transform(&FilterKind::Db4.filter())
+}
+
+/// Degraded (permanently failed) blocks at which a completed query lands
+/// in the slow-query log.
+const SLOW_DEGRADED_BLOCKS: usize = 1;
+/// Slow-query log entries retained (newest kept).
+const SLOW_LOG_CAPACITY: usize = 128;
 
 /// Tuning knobs for a [`QueryService`].
 #[derive(Clone, Debug)]
@@ -89,14 +112,6 @@ pub struct ServiceConfig {
     /// Benchmarks comparing scheduler policies rely on it for
     /// run-to-run determinism. Zero (no gather) by default.
     pub admission_warmup: Duration,
-    /// Latency threshold for the slow-query log; `None` disables the
-    /// latency trigger.
-    pub slow_latency: Option<Duration>,
-    /// Degraded-block count at which a completed query is logged as
-    /// slow; `None` disables the degradation trigger.
-    pub slow_degraded_blocks: Option<u64>,
-    /// Maximum retained slow-query log entries.
-    pub slow_log_capacity: usize,
     /// Adaptive QoS knobs: scheduler policy, shedding thresholds,
     /// hysteresis.
     pub qos: QosConfig,
@@ -119,9 +134,6 @@ impl Default for ServiceConfig {
             idle_wait: Duration::from_millis(20),
             round_pause: Duration::ZERO,
             admission_warmup: Duration::ZERO,
-            slow_latency: None,
-            slow_degraded_blocks: Some(1),
-            slow_log_capacity: 128,
             qos: QosConfig::default(),
             progress_outbox: 256,
         }
@@ -475,7 +487,7 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
         assert_eq!(blocked.len(), cube.coeffs().len(), "blocked store / cube size mismatch");
         let engine = Propolyne::new(cube);
         let threads = config.threads.unwrap_or_else(configured_threads);
-        let slow_log = SlowQueryLog::new(config.slow_log_capacity);
+        let slow_log = SlowQueryLog::new(SLOW_LOG_CAPACITY);
         let inner = Arc::new(Inner {
             engine,
             blocked,
@@ -528,7 +540,7 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
     }
 
     /// Profiles of queries that tripped a slow-query threshold (oldest
-    /// first, bounded by `slow_log_capacity`).
+    /// first, bounded at 128 entries).
     pub fn slow_queries(&self) -> Vec<SlowQueryEntry> {
         self.inner.slow_log.entries()
     }
@@ -724,16 +736,9 @@ impl<D: BlockDevice + Send + Sync + 'static> Drop for QueryService<D> {
     }
 }
 
-/// Classifies a finished query against the slow-query thresholds.
-fn slow_reason(config: &ServiceConfig, q: &ActiveQuery) -> Option<SlowReason> {
-    if config.slow_latency.is_some_and(|lim| q.ticket.submitted_at.elapsed() >= lim) {
-        return Some(SlowReason::Latency);
-    }
-    let degraded = q.lost_blocks.len() as u64;
-    if config.slow_degraded_blocks.is_some_and(|lim| lim > 0 && degraded >= lim) {
-        return Some(SlowReason::Degraded);
-    }
-    None
+/// Classifies a finished query against the slow-query threshold.
+fn slow_reason(q: &ActiveQuery) -> Option<SlowReason> {
+    (q.lost_blocks.len() >= SLOW_DEGRADED_BLOCKS).then_some(SlowReason::Degraded)
 }
 
 /// How a session's terminal update is classified.
@@ -759,7 +764,7 @@ fn finish_query<D: BlockDevice + Send + Sync + 'static>(
     terminal: Terminal,
 ) {
     let traced = q.ticket.trace.is_enabled();
-    let slow = slow_reason(&inner.config, q);
+    let slow = slow_reason(q);
     if traced || slow.is_some() {
         let profile = q.profile();
         if let Some(reason) = slow {
@@ -945,7 +950,7 @@ fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: Arc<Inner<D>>) 
                         gain: &q.ticket.plan_gain[q.plan_cursor..],
                         weight: {
                             let boost = match q.ticket.priority {
-                                Priority::Interactive => inner.config.qos.interactive_boost,
+                                Priority::Interactive => qos::INTERACTIVE_BOOST,
                                 Priority::Batch => 1.0,
                             };
                             // Deadline slack sharpens urgency toward 2×
@@ -1173,8 +1178,7 @@ fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: Arc<Inner<D>>) 
             } else {
                 // Coarse tiers and harder thin the delivery cadence;
                 // the outbox cap drops updates for stalled consumers.
-                let due =
-                    q.tier < Tier::Coarse || q.rounds % inner.config.qos.coarse_cadence.max(1) == 0;
+                let due = q.tier < Tier::Coarse || q.rounds % qos::COARSE_CADENCE == 0;
                 if due && !q.emit_progress(refinement, inner.config.progress_outbox) {
                     inner.qos_dropped_progress.fetch_add(1, Ordering::SeqCst);
                     t.dropped_progress.inc();
@@ -1199,21 +1203,7 @@ fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: Arc<Inner<D>>) 
 mod tests {
     use super::*;
     use crate::session::Outcome;
-    use aims_dsp::filters::FilterKind;
-    use aims_propolyne::DataCube;
     use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
-
-    fn demo_cube(side: usize, seed: u64) -> WaveletCube {
-        let mut cube = DataCube::zeros(&[side, side]);
-        let mut state = seed;
-        for v in cube.values_mut() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            *v = (state % 9) as f64;
-        }
-        cube.transform(&FilterKind::Db4.filter())
-    }
 
     fn service(config: ServiceConfig) -> QueryService {
         QueryService::new(demo_cube(32, 41), 16, config)
@@ -1276,6 +1266,9 @@ mod tests {
             max_batch: 1,
             round_blocks: 1,
             idle_wait: Duration::from_millis(1),
+            // Without a pause a serial scheduler can shed sessions as fast
+            // as this thread prepares them, and nothing is ever rejected.
+            round_pause: Duration::from_millis(1),
             ..ServiceConfig::default()
         });
         // Flood far past capacity; every failure must be QueueFull.

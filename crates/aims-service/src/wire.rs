@@ -6,11 +6,11 @@
 //!
 //! | opcode | direction | frame |
 //! |--------|-----------|-------|
-//! | `0x01` | c → s | SUBMIT  `req_id:u64, priority:u8, deadline_ms:u64, ndims:u16, (lo:u64, hi:u64)×ndims[, flags:u8]` |
+//! | `0x01` | c → s | SUBMIT  `req_id:u64, priority:u8, deadline_ms:u64, ndims:u16, (lo:u64, hi:u64)×ndims, flags:u8` |
 //! | `0x02` | c → s | CANCEL  `req_id:u64` |
 //! | `0x03` | c → s | METRICS_REQ |
 //! | `0x04` | c → s | SHUTDOWN |
-//! | `0x81` | s → c | PROGRESS `req_id:u64, kind:u8, round:u32, used:u64, total:u64, estimate:f64, bound:f64[, tier:u8]` |
+//! | `0x81` | s → c | PROGRESS `req_id:u64, kind:u8, round:u32, used:u64, total:u64, estimate:f64, bound:f64, tier:u8` |
 //! | `0x82` | s → c | REJECT  `req_id:u64, code:u8, detail:u32, message:utf8` |
 //! | `0x83` | s → c | METRICS_REPLY `utf8 JSON lines` |
 //! | `0x84` | s → c | GOODBYE |
@@ -20,19 +20,11 @@
 //! 3 = cancelled, 4 = shed (terminal best-so-far answer under
 //! overload). REJECT `code` is [`ServiceError::code`].
 //!
-//! Version 2 adds the optional trailing SUBMIT `flags` byte (bit 0 =
-//! request tracing; other bits must be zero) and the PROFILE frame a
-//! traced query receives just before its terminal PROGRESS. Both sides
-//! stay compatible with v1 peers: an untraced SUBMIT encodes
-//! byte-identically to v1 (no flags byte), and a v1 SUBMIT without the
-//! byte decodes with tracing off.
-//!
-//! Version 3 (adaptive QoS) adds the `shed` PROGRESS kind and the
-//! optional trailing PROGRESS `tier` byte carrying the session's
-//! degradation tier ([`Tier::to_wire`]). The same compatibility trick
-//! as the SUBMIT flags byte applies: an undegraded update (tier 0)
-//! encodes byte-identically to v2, and a v2 PROGRESS without the byte
-//! decodes as tier 0.
+//! SUBMIT `flags`: bit 0 requests tracing (the query then receives a
+//! PROFILE frame just before its terminal PROGRESS); other bits must be
+//! zero. PROGRESS `tier` is the session's degradation tier
+//! ([`Tier::to_wire`]). Both bytes are always present: there is one
+//! protocol version, spoken by every in-tree peer.
 
 use std::io::{Read, Write};
 
@@ -40,11 +32,6 @@ use crate::admission::Priority;
 use crate::error::ServiceError;
 use crate::profile::{QueryProfile, TrajectoryPoint};
 use crate::qos::Tier;
-
-/// Protocol generation implemented by this module. Version 3 added the
-/// shed PROGRESS kind and the PROGRESS degradation-tier byte, both
-/// backward-compatible with version 2 peers.
-pub const PROTOCOL_VERSION: u32 = 3;
 
 /// SUBMIT flags bit: request end-to-end tracing for this query.
 const SUBMIT_FLAG_TRACE: u8 = 0x01;
@@ -64,7 +51,7 @@ pub enum ProgressKind {
     DeadlineExpired,
     /// Cancelled mid-flight.
     Cancelled,
-    /// Shed under overload; best-so-far answer (v3).
+    /// Shed under overload; best-so-far answer.
     Shed,
 }
 
@@ -111,8 +98,7 @@ pub enum Frame {
         deadline_ms: u64,
         /// Inclusive per-dimension bounds.
         ranges: Vec<(u64, u64)>,
-        /// Request end-to-end tracing (v2 flags bit 0). `false` encodes
-        /// byte-identically to a v1 SUBMIT.
+        /// Request end-to-end tracing (flags bit 0).
         trace: bool,
     },
     /// Client cancels an in-flight query.
@@ -140,8 +126,7 @@ pub enum Frame {
         estimate: f64,
         /// Guaranteed error bound.
         bound: f64,
-        /// Degradation tier of the session (v3 optional trailing byte).
-        /// [`Tier::Normal`] encodes byte-identically to a v2 PROGRESS.
+        /// Degradation tier of the session.
         tier: Tier,
     },
     /// Server refuses a SUBMIT.
@@ -226,10 +211,6 @@ impl<'a> Body<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
     fn rest_utf8(&mut self) -> Result<String, ServiceError> {
         let rest = &self.data[self.pos..];
         self.pos = self.data.len();
@@ -262,11 +243,7 @@ impl Frame {
                     put_u64(&mut b, lo);
                     put_u64(&mut b, hi);
                 }
-                // Trailing flags byte only when a flag is set, so an
-                // untraced SUBMIT stays byte-identical to protocol v1.
-                if *trace {
-                    b.push(SUBMIT_FLAG_TRACE);
-                }
+                b.push(if *trace { SUBMIT_FLAG_TRACE } else { 0 });
             }
             Frame::Cancel { req_id } => {
                 b.push(0x02);
@@ -283,11 +260,7 @@ impl Frame {
                 put_u64(&mut b, *total);
                 put_f64(&mut b, *estimate);
                 put_f64(&mut b, *bound);
-                // Trailing tier byte only when degraded, so an
-                // undegraded PROGRESS stays byte-identical to v2.
-                if *tier != Tier::Normal {
-                    b.push(tier.to_wire());
-                }
+                b.push(tier.to_wire());
             }
             Frame::Reject { req_id, code, detail, message } => {
                 b.push(0x82);
@@ -340,18 +313,13 @@ impl Frame {
                 for _ in 0..ndims {
                     ranges.push((b.u64()?, b.u64()?));
                 }
-                // v2 optional trailing flags byte; absent on v1 SUBMITs.
-                let trace = if b.remaining() > 0 {
-                    let flags = b.u8()?;
-                    if flags & !SUBMIT_FLAG_TRACE != 0 {
-                        return Err(ServiceError::Protocol(format!(
-                            "unknown SUBMIT flags 0x{flags:02x}"
-                        )));
-                    }
-                    flags & SUBMIT_FLAG_TRACE != 0
-                } else {
-                    false
-                };
+                let flags = b.u8()?;
+                if flags & !SUBMIT_FLAG_TRACE != 0 {
+                    return Err(ServiceError::Protocol(format!(
+                        "unknown SUBMIT flags 0x{flags:02x}"
+                    )));
+                }
+                let trace = flags & SUBMIT_FLAG_TRACE != 0;
                 Frame::Submit { req_id, priority, deadline_ms, ranges, trace }
             }
             0x02 => Frame::Cancel { req_id: b.u64()? },
@@ -366,13 +334,8 @@ impl Frame {
                 let total = b.u64()?;
                 let estimate = b.f64()?;
                 let bound = b.f64()?;
-                // v3 optional trailing tier byte; absent on v2 frames.
-                let tier = if b.remaining() > 0 {
-                    Tier::from_wire(b.u8()?)
-                        .ok_or_else(|| ServiceError::Protocol("bad progress tier".into()))?
-                } else {
-                    Tier::Normal
-                };
+                let tier = Tier::from_wire(b.u8()?)
+                    .ok_or_else(|| ServiceError::Protocol("bad progress tier".into()))?;
                 Frame::Progress { req_id, kind, round, used, total, estimate, bound, tier }
             }
             0x82 => {
@@ -509,42 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn untraced_submit_is_byte_identical_to_v1() {
-        // An untraced v2 SUBMIT must not grow the body: v1 servers
-        // (which reject trailing bytes) keep accepting it.
-        let body = Frame::Submit {
-            req_id: 3,
-            priority: Priority::Batch,
-            deadline_ms: 0,
-            ranges: vec![(1, 2)],
-            trace: false,
-        }
-        .encode_body();
-        let v1_len = 1 + 8 + 1 + 8 + 2 + 16;
-        assert_eq!(body.len(), v1_len);
-        // And a v1 SUBMIT (no flags byte) decodes with tracing off.
-        match Frame::decode_body(&body).unwrap() {
-            Frame::Submit { trace, .. } => assert!(!trace),
-            other => panic!("wrong frame {other:?}"),
-        }
-        // The traced variant appends exactly one flags byte.
-        let traced = Frame::Submit {
-            req_id: 3,
-            priority: Priority::Batch,
-            deadline_ms: 0,
-            ranges: vec![(1, 2)],
-            trace: true,
-        }
-        .encode_body();
-        assert_eq!(traced.len(), v1_len + 1);
-        assert_eq!(&traced[..v1_len], &body[..]);
-        // Unknown flag bits are protocol errors, not silent drops.
-        let mut bad = body;
-        bad.push(0x82);
-        assert!(matches!(Frame::decode_body(&bad), Err(ServiceError::Protocol(_))));
-    }
-
-    #[test]
     fn estimates_cross_the_wire_bit_exactly() {
         for v in [0.1 + 0.2, f64::MIN_POSITIVE, -0.0, 1e300, f64::NAN] {
             let f = Frame::Progress {
@@ -596,52 +523,24 @@ mod tests {
         .encode_body();
         body[9] = 99;
         assert!(matches!(Frame::decode_body(&body), Err(ServiceError::Protocol(_))));
-        // Bad trailing tier byte.
+        // Bad tier byte (the last one).
         body[9] = 0;
-        body.push(200);
+        *body.last_mut().unwrap() = 200;
         assert!(matches!(Frame::decode_body(&body), Err(ServiceError::Protocol(_))));
-    }
-
-    #[test]
-    fn undegraded_progress_is_byte_identical_to_v2() {
-        // A tier-0 PROGRESS must not grow the body: v2 clients (which
-        // reject trailing bytes) keep accepting it.
-        let normal = Frame::Progress {
-            req_id: 5,
-            kind: ProgressKind::Progress,
-            round: 2,
-            used: 10,
-            total: 40,
-            estimate: 1.25,
-            bound: 0.5,
-            tier: Tier::Normal,
+        // Unknown SUBMIT flag bits are protocol errors, not silent drops.
+        let mut body = Frame::Submit {
+            req_id: 3,
+            priority: Priority::Batch,
+            deadline_ms: 0,
+            ranges: vec![(1, 2)],
+            trace: false,
         }
         .encode_body();
-        let v2_len = 1 + 8 + 1 + 4 + 8 + 8 + 8 + 8;
-        assert_eq!(normal.len(), v2_len);
-        // And a v2 PROGRESS (no tier byte) decodes as tier 0.
-        match Frame::decode_body(&normal).unwrap() {
-            Frame::Progress { tier, .. } => assert_eq!(tier, Tier::Normal),
-            other => panic!("wrong frame {other:?}"),
-        }
-        // A degraded PROGRESS appends exactly one tier byte.
-        let degraded = Frame::Progress {
-            req_id: 5,
-            kind: ProgressKind::Progress,
-            round: 2,
-            used: 10,
-            total: 40,
-            estimate: 1.25,
-            bound: 0.5,
-            tier: Tier::Widened,
-        }
-        .encode_body();
-        assert_eq!(degraded.len(), v2_len + 1);
-        assert_eq!(&degraded[..v2_len], &normal[..]);
-        match Frame::decode_body(&degraded).unwrap() {
-            Frame::Progress { tier, .. } => assert_eq!(tier, Tier::Widened),
-            other => panic!("wrong frame {other:?}"),
-        }
+        *body.last_mut().unwrap() = 0x82;
+        assert!(matches!(Frame::decode_body(&body), Err(ServiceError::Protocol(_))));
+        // A SUBMIT without its flags byte is truncated, not "untraced".
+        body.pop();
+        assert!(matches!(Frame::decode_body(&body), Err(ServiceError::Protocol(_))));
     }
 
     #[test]

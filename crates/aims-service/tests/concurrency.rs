@@ -17,25 +17,13 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use aims_dsp::filters::FilterKind;
-use aims_propolyne::{DataCube, RangeSumQuery, WaveletCube};
+use aims_propolyne::RangeSumQuery;
 use aims_service::{
-    Outcome, ProgressKind, QueryService, QuerySpec, Server, ServiceConfig, ServiceError, TcpClient,
+    demo_cube, Outcome, ProgressKind, QueryService, QuerySpec, Server, ServiceConfig, ServiceError,
+    TcpClient,
 };
 
 const SIDE: usize = 32;
-
-fn demo_cube(seed: u64) -> WaveletCube {
-    let mut cube = DataCube::zeros(&[SIDE, SIDE]);
-    let mut state = seed;
-    for v in cube.values_mut() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        *v = (state % 9) as f64;
-    }
-    cube.transform(&FilterKind::Db4.filter())
-}
 
 /// Runs `f` on a helper thread and fails the test if it neither finishes
 /// nor panics within `timeout` — the deadlock detector for every test in
@@ -74,7 +62,7 @@ proptest! {
         specs in prop::collection::vec(spec_strategy(), 1..=10),
         seed in 1u64..1_000,
     ) {
-        let cube = demo_cube(seed);
+        let cube = demo_cube(SIDE, seed);
         // Serial ground truth from a standalone engine.
         let engine = aims_propolyne::Propolyne::new(cube.clone());
         let expected: Vec<u64> = specs
@@ -136,7 +124,7 @@ proptest! {
         cancel_mask in prop::collection::vec(any::<bool>(), 2..=8),
         seed in 1u64..1_000,
     ) {
-        let cube = demo_cube(seed);
+        let cube = demo_cube(SIDE, seed);
         let engine = aims_propolyne::Propolyne::new(cube.clone());
         let expected: Vec<u64> = specs
             .iter()
@@ -189,7 +177,7 @@ proptest! {
 fn overload_floods_get_typed_rejections_never_hangs() {
     with_watchdog(Duration::from_secs(60), || {
         let svc = Arc::new(QueryService::new(
-            demo_cube(7),
+            demo_cube(SIDE, 7),
             16,
             ServiceConfig {
                 queue_capacity: 4,
@@ -245,7 +233,7 @@ fn overload_floods_get_typed_rejections_never_hangs() {
 #[test]
 fn tcp_loopback_round_trip_is_bit_identical_and_shuts_down_cleanly() {
     with_watchdog(Duration::from_secs(60), || {
-        let cube = demo_cube(41);
+        let cube = demo_cube(SIDE, 41);
         let engine = aims_propolyne::Propolyne::new(cube.clone());
         let svc = Arc::new(QueryService::new(cube, 16, ServiceConfig::default()));
         let server = Server::spawn(Arc::clone(&svc), "127.0.0.1:0").expect("bind loopback");
@@ -295,7 +283,7 @@ fn tcp_loopback_round_trip_is_bit_identical_and_shuts_down_cleanly() {
 #[test]
 fn traced_tcp_query_returns_a_profile_and_json_metrics() {
     with_watchdog(Duration::from_secs(60), || {
-        let cube = demo_cube(63);
+        let cube = demo_cube(SIDE, 63);
         let svc = Arc::new(QueryService::new(cube, 16, ServiceConfig::default()));
         let server = Server::spawn(Arc::clone(&svc), "127.0.0.1:0").expect("bind loopback");
         let mut client = TcpClient::connect(("127.0.0.1", server.port())).expect("connect");
@@ -342,7 +330,7 @@ fn traced_tcp_query_returns_a_profile_and_json_metrics() {
 #[test]
 fn wire_rejections_are_typed_end_to_end() {
     with_watchdog(Duration::from_secs(60), || {
-        let svc = Arc::new(QueryService::new(demo_cube(11), 16, ServiceConfig::default()));
+        let svc = Arc::new(QueryService::new(demo_cube(SIDE, 11), 16, ServiceConfig::default()));
         let server = Server::spawn(Arc::clone(&svc), "127.0.0.1:0").expect("bind loopback");
         let mut client = TcpClient::connect(("127.0.0.1", server.port())).expect("connect");
         // Wrong dimensionality → InvalidQuery over the wire.

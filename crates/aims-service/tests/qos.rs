@@ -20,25 +20,12 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use aims_dsp::filters::FilterKind;
-use aims_propolyne::{DataCube, RangeSumQuery, WaveletCube};
+use aims_propolyne::RangeSumQuery;
 use aims_service::{
-    Outcome, QosConfig, QueryService, QuerySpec, ServiceConfig, ServiceError, Tier,
+    demo_cube, Outcome, QosConfig, QueryService, QuerySpec, ServiceConfig, ServiceError, Tier,
 };
 
 const SIDE: usize = 32;
-
-fn demo_cube(seed: u64) -> WaveletCube {
-    let mut cube = DataCube::zeros(&[SIDE, SIDE]);
-    let mut state = seed;
-    for v in cube.values_mut() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        *v = (state % 9) as f64;
-    }
-    cube.transform(&FilterKind::Db4.filter())
-}
 
 /// Runs `f` on a helper thread and fails the test if it neither
 /// finishes nor panics within `timeout` — the deadlock detector.
@@ -82,7 +69,7 @@ proptest! {
         ranges in prop::collection::vec(range_strategy(), 2..=2),
         seed in 1u64..1_000,
     ) {
-        let cube = demo_cube(seed);
+        let cube = demo_cube(SIDE, seed);
         with_watchdog(Duration::from_secs(60), move || {
             let svc = Arc::new(QueryService::new(
                 cube,
@@ -175,7 +162,7 @@ proptest! {
         specs in prop::collection::vec(prop::collection::vec(range_strategy(), 2..=2), 1..=6),
         seed in 1u64..1_000,
     ) {
-        let cube = demo_cube(seed);
+        let cube = demo_cube(SIDE, seed);
         let engine = aims_propolyne::Propolyne::new(cube.clone());
         let expected: Vec<u64> = specs
             .iter()

@@ -8,19 +8,19 @@
 //! attribute I/O savings to the allocation strategy rather than to cache
 //! size.
 //!
-//! The pool is also where the fault-tolerant read path lives:
-//! [`BufferPool::get_with_retry`] retries transient device failures under
-//! a [`RetryPolicy`] with exponential backoff, recording
-//! `storage.retries` and `storage.corrupt` in the telemetry registry.
-//! Only verified (checksum-clean) payloads ever enter the cache.
+//! The pool is also a fault-tolerant read path:
+//! [`BufferPool::get_with_retry`] goes to the device through
+//! [`read_with_retry`] (transient failures retried under a
+//! [`RetryPolicy`] with exponential backoff, `storage.retries` and
+//! `storage.corrupt` recorded). Only verified (checksum-clean) payloads
+//! ever enter the cache.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use aims_telemetry::{global, AttrValue, Counter, Gauge, TraceContext};
+use aims_telemetry::{global, Counter, Gauge};
 
-use crate::cache::SharedBlockCache;
-use crate::device::{BlockDevice, ReadError, ReadErrorKind, RetryPolicy};
+use crate::device::{read_with_retry, BlockDevice, ReadError, RetryPolicy};
 
 /// Cached handles to the global `storage.pool.*` metrics. Every pool in
 /// the process records into the same counters; the gauge tracks the
@@ -30,8 +30,6 @@ struct PoolTelemetry {
     misses: Arc<Counter>,
     evictions: Arc<Counter>,
     hit_ratio: Arc<Gauge>,
-    retries: Arc<Counter>,
-    corrupt: Arc<Counter>,
 }
 
 fn pool_telemetry() -> &'static PoolTelemetry {
@@ -43,8 +41,6 @@ fn pool_telemetry() -> &'static PoolTelemetry {
             misses: r.counter("storage.pool.misses"),
             evictions: r.counter("storage.pool.evictions"),
             hit_ratio: r.gauge("storage.pool.hit_ratio"),
-            retries: r.counter("storage.retries"),
-            corrupt: r.counter("storage.corrupt"),
         }
     })
 }
@@ -86,8 +82,6 @@ pub struct BufferPool {
     capacity: usize,
     /// block id → (data, last-use tick)
     cache: HashMap<usize, (Vec<f64>, u64)>,
-    /// Optional process-shared second-level cache consulted on local miss.
-    shared: Option<Arc<SharedBlockCache>>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -101,34 +95,7 @@ impl BufferPool {
     /// If `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "buffer pool capacity must be positive");
-        BufferPool {
-            capacity,
-            cache: HashMap::new(),
-            shared: None,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Creates a pool layered over a process-shared [`SharedBlockCache`]:
-    /// local misses consult the shared cache before touching the device,
-    /// and verified device reads are published back into it, so sibling
-    /// pools (concurrent sessions) fetch each hot block from the device
-    /// once.
-    ///
-    /// # Panics
-    /// If `capacity == 0`.
-    pub fn with_shared_cache(capacity: usize, shared: Arc<SharedBlockCache>) -> Self {
-        let mut pool = BufferPool::new(capacity);
-        pool.shared = Some(shared);
-        pool
-    }
-
-    /// The shared second-level cache this pool is layered over, if any.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedBlockCache>> {
-        self.shared.as_ref()
+        BufferPool { capacity, cache: HashMap::new(), tick: 0, hits: 0, misses: 0, evictions: 0 }
     }
 
     /// Fetches a block through the cache with no retries (a single device
@@ -152,22 +119,6 @@ impl BufferPool {
         id: usize,
         policy: &RetryPolicy,
     ) -> Result<&'p [f64], ReadError> {
-        self.get_traced(device, id, policy, &TraceContext::disabled())
-    }
-
-    /// [`BufferPool::get_with_retry`] with per-request attribution: when
-    /// `trace` is enabled, every fetch emits a `storage.fetch` event
-    /// recording the block id, how it was satisfied (`hit` locally,
-    /// `shared` from the process cache, `read` from the device, or
-    /// `failed`) and how many transient failures were retried. A
-    /// disabled context records nothing and costs one branch.
-    pub fn get_traced<'p, D: BlockDevice + ?Sized>(
-        &'p mut self,
-        device: &D,
-        id: usize,
-        policy: &RetryPolicy,
-        trace: &TraceContext,
-    ) -> Result<&'p [f64], ReadError> {
         let telemetry = pool_telemetry();
         self.tick += 1;
         let tick = self.tick;
@@ -176,75 +127,14 @@ impl BufferPool {
             self.hits += 1;
             telemetry.hits.inc();
             publish_hit_ratio(telemetry);
-            trace.event(
-                "storage.fetch",
-                &[
-                    ("block", AttrValue::U64(id as u64)),
-                    ("outcome", AttrValue::Str("hit")),
-                    ("retries", AttrValue::U64(0)),
-                ],
-            );
             return Ok(&self.cache[&id].0);
         }
         self.misses += 1;
         telemetry.misses.inc();
         publish_hit_ratio(telemetry);
 
-        // Second level: the process-shared cache, filled by sibling pools.
-        if let Some(data) = self.shared.as_ref().and_then(|shared| shared.lookup(id)) {
-            self.admit(id, data.as_ref().clone(), tick, telemetry);
-            trace.event(
-                "storage.fetch",
-                &[
-                    ("block", AttrValue::U64(id as u64)),
-                    ("outcome", AttrValue::Str("shared")),
-                    ("retries", AttrValue::U64(0)),
-                ],
-            );
-            return Ok(&self.cache[&id].0);
-        }
-
-        let mut attempt = 0usize;
-        let data = loop {
-            match device.read_block(id) {
-                Ok(data) => break data,
-                Err(e) => {
-                    if e.kind == ReadErrorKind::Corrupt {
-                        telemetry.corrupt.inc();
-                    }
-                    // Dead blocks are permanent; exhausted budgets give up.
-                    if e.kind == ReadErrorKind::Dead || attempt >= policy.retries {
-                        trace.event(
-                            "storage.fetch",
-                            &[
-                                ("block", AttrValue::U64(id as u64)),
-                                ("outcome", AttrValue::Str("failed")),
-                                ("retries", AttrValue::U64(attempt as u64)),
-                            ],
-                        );
-                        return Err(e);
-                    }
-                    telemetry.retries.inc();
-                    let pause = policy.backoff_for(attempt);
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                    attempt += 1;
-                }
-            }
-        };
-        if let Some(shared) = &self.shared {
-            shared.insert(id, Arc::new(data.clone()));
-        }
+        let (data, _) = read_with_retry(device, id, policy)?;
         self.admit(id, data, tick, telemetry);
-        trace.event(
-            "storage.fetch",
-            &[
-                ("block", AttrValue::U64(id as u64)),
-                ("outcome", AttrValue::Str("read")),
-                ("retries", AttrValue::U64(attempt as u64)),
-            ],
-        );
         Ok(&self.cache[&id].0)
     }
 
@@ -295,7 +185,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::MemDevice;
+    use crate::device::{MemDevice, ReadErrorKind};
     use crate::faults::{FaultKind, FaultPlan, FaultyDevice};
 
     fn device() -> MemDevice {
@@ -317,38 +207,6 @@ mod tests {
         assert_eq!(pool.stats().misses, 1);
         assert_eq!(d.stats().reads, 1);
         assert_eq!(pool.hit_ratio(), 0.5);
-    }
-
-    #[test]
-    fn traced_fetches_attribute_every_outcome() {
-        use aims_telemetry::{FlightRecorder, TraceContext};
-
-        let d = device();
-        let shared = Arc::new(SharedBlockCache::new(8));
-        let mut warm = BufferPool::with_shared_cache(2, Arc::clone(&shared));
-        warm.get(&d, 1).unwrap(); // seed the shared cache
-
-        let rec = Arc::new(FlightRecorder::with_capacity(64));
-        let ctx = TraceContext::start(&rec);
-        let mut pool = BufferPool::with_shared_cache(2, Arc::clone(&shared));
-        let policy = RetryPolicy::none();
-        pool.get_traced(&d, 0, &policy, &ctx).unwrap(); // device read
-        pool.get_traced(&d, 0, &policy, &ctx).unwrap(); // local hit
-        pool.get_traced(&d, 1, &policy, &ctx).unwrap(); // shared-cache hit
-
-        let events = rec.events_for(ctx.id().unwrap());
-        let outcomes: Vec<&str> = events
-            .iter()
-            .map(|e| match e.attrs().iter().find(|(k, _)| *k == "outcome").unwrap().1 {
-                aims_telemetry::AttrValue::Str(s) => s,
-                _ => panic!("outcome must be a string"),
-            })
-            .collect();
-        assert_eq!(outcomes, ["read", "hit", "shared"]);
-
-        // The untraced entry point records nothing.
-        pool.get_with_retry(&d, 2, &policy).unwrap();
-        assert_eq!(rec.written(), 3);
     }
 
     #[test]
@@ -424,43 +282,6 @@ mod tests {
         assert_eq!(err.kind, ReadErrorKind::Corrupt);
         assert_eq!(err.block, 0);
         assert_eq!(pool.resident(), 0, "corrupt payloads must never enter the cache");
-    }
-
-    #[test]
-    fn sibling_pools_share_device_reads_through_the_shared_cache() {
-        let d = device();
-        let shared = Arc::new(SharedBlockCache::new(8));
-        let mut a = BufferPool::new(2); // no shared cache: reads the device
-        let mut b = BufferPool::with_shared_cache(2, Arc::clone(&shared));
-        let mut c = BufferPool::with_shared_cache(2, Arc::clone(&shared));
-
-        assert_eq!(a.get(&d, 0).unwrap(), &[0.0, 0.5]);
-        assert_eq!(b.get(&d, 0).unwrap(), &[0.0, 0.5]);
-        assert_eq!(d.stats().reads, 2, "a and b each read block 0 once");
-
-        // c misses locally but finds b's read in the shared cache.
-        assert_eq!(c.get(&d, 0).unwrap(), &[0.0, 0.5]);
-        assert_eq!(d.stats().reads, 2, "shared cache absorbed c's miss");
-        assert_eq!(c.stats().misses, 1, "still a local miss for c");
-        assert_eq!(shared.stats().hits, 1);
-
-        // And c now holds it locally: a further touch is a pure local hit.
-        assert_eq!(c.get(&d, 0).unwrap(), &[0.0, 0.5]);
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(shared.stats().hits, 1, "local hit never reaches the shared cache");
-    }
-
-    #[test]
-    fn shared_cache_never_holds_failed_reads_from_pools() {
-        let mut faulty =
-            FaultyDevice::with_plan(2, 2, FaultPlan::uniform(5, FaultKind::BitFlip, 1.0));
-        faulty.write_block(0, &[1.0, 2.0]);
-        let shared = Arc::new(SharedBlockCache::new(4));
-        let mut pool = BufferPool::with_shared_cache(2, Arc::clone(&shared));
-        let err = pool.get_with_retry(&faulty, 0, &RetryPolicy::with_retries(1)).unwrap_err();
-        assert_eq!(err.kind, ReadErrorKind::Corrupt);
-        assert_eq!(shared.resident(), 0);
-        assert_eq!(pool.resident(), 0);
     }
 
     #[test]

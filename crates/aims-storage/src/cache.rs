@@ -3,8 +3,8 @@
 //! The per-query [`crate::buffer::BufferPool`] captures locality *within*
 //! one query plan; it cannot help when many concurrent sessions touch the
 //! same hot blocks, because each session owns its own pool. The
-//! [`SharedBlockCache`] is the layer under those pools: one
-//! capacity-bounded cache per store, shared by every session, holding
+//! [`SharedBlockCache`] is what the serving layer and the historical tier
+//! read through instead: one capacity-bounded cache per store, shared by every session, holding
 //! `Arc<[f64]>` payloads so a cached block is handed out without copying
 //! and stays alive for exactly as long as some reader still uses it.
 //!
@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use aims_telemetry::{global, Counter};
 
-use crate::device::{BlockDevice, ReadError, ReadErrorKind, RetryPolicy};
+use crate::device::{read_with_retry, BlockDevice, ReadError, RetryPolicy};
 
 /// Cached handles to the global `storage.cache.*` counters.
 fn cache_telemetry() -> &'static (Arc<Counter>, Arc<Counter>, Arc<Counter>) {
@@ -184,26 +184,14 @@ impl SharedBlockCache {
         device: &D,
         id: usize,
     ) -> Result<Arc<Vec<f64>>, ReadError> {
-        self.get_or_read_with_retry(device, id, &RetryPolicy::none())
+        self.get_or_read_outcome(device, id, &RetryPolicy::none()).map(|(data, _)| data)
     }
 
     /// Fetches a block through the cache, retrying transient device
-    /// failures under `policy` on miss. Retries and corruption are
-    /// recorded under the same `storage.retries` / `storage.corrupt`
-    /// counters as the buffer-pool read path; dead blocks fail fast.
-    pub fn get_or_read_with_retry<D: BlockDevice + ?Sized>(
-        &self,
-        device: &D,
-        id: usize,
-        policy: &RetryPolicy,
-    ) -> Result<Arc<Vec<f64>>, ReadError> {
-        self.get_or_read_outcome(device, id, policy).map(|(data, _)| data)
-    }
-
-    /// Like [`SharedBlockCache::get_or_read_with_retry`], but also
-    /// reports *how* the fetch was satisfied (hit vs device read, and
-    /// how many transient failures were retried) so callers can
-    /// attribute I/O cost to the requesting session.
+    /// failures under `policy` on miss ([`read_with_retry`]), and reports
+    /// *how* the fetch was satisfied (hit vs device read, and how many
+    /// transient failures were retried) so callers can attribute I/O cost
+    /// to the requesting session.
     pub fn get_or_read_outcome<D: BlockDevice + ?Sized>(
         &self,
         device: &D,
@@ -227,29 +215,10 @@ impl SharedBlockCache {
         id: usize,
         policy: &RetryPolicy,
     ) -> Result<(Arc<Vec<f64>>, BlockFetch), ReadError> {
-        let telemetry = global();
-        let mut attempt = 0usize;
-        let data = loop {
-            match device.read_block(id) {
-                Ok(data) => break Arc::new(data),
-                Err(e) => {
-                    if e.kind == ReadErrorKind::Corrupt {
-                        telemetry.counter("storage.corrupt").inc();
-                    }
-                    if e.kind == ReadErrorKind::Dead || attempt >= policy.retries {
-                        return Err(e);
-                    }
-                    telemetry.counter("storage.retries").inc();
-                    let pause = policy.backoff_for(attempt);
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                    attempt += 1;
-                }
-            }
-        };
+        let (data, retries) = read_with_retry(device, id, policy)?;
+        let data = Arc::new(data);
         self.insert(id, Arc::clone(&data));
-        Ok((data, BlockFetch { cache_hit: false, retries: attempt }))
+        Ok((data, BlockFetch { cache_hit: false, retries }))
     }
 
     /// Drops every cached block (keeps statistics).
@@ -285,7 +254,7 @@ impl SharedBlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::MemDevice;
+    use crate::device::{MemDevice, ReadErrorKind};
     use crate::faults::{FaultKind, FaultPlan, FaultyDevice};
 
     fn device(blocks: usize) -> MemDevice {
@@ -355,7 +324,7 @@ mod tests {
         for id in 0..4 {
             let planned = faulty.planned_read_failures(id);
             let policy = RetryPolicy { retries: planned, ..RetryPolicy::none() };
-            let got = cache.get_or_read_with_retry(&faulty, id, &policy).unwrap();
+            let (got, _) = cache.get_or_read_outcome(&faulty, id, &policy).unwrap();
             assert_eq!(*got, vec![id as f64, id as f64 + 0.5]);
         }
         // All four now resident: a second pass costs no device reads.

@@ -133,6 +133,41 @@ impl Default for RetryPolicy {
     }
 }
 
+/// The one verified-read loop: reads block `id`, retrying transient
+/// failures under `policy` with exponential backoff. Each retry increments
+/// `storage.retries`; each checksum mismatch increments `storage.corrupt`.
+/// Dead blocks fail immediately (no retry can help them). Returns the
+/// verified payload and how many failed attempts were retried.
+pub fn read_with_retry<D: BlockDevice + ?Sized>(
+    device: &D,
+    id: usize,
+    policy: &RetryPolicy,
+) -> Result<(Vec<f64>, usize), ReadError> {
+    static C: OnceLock<(Arc<Counter>, Arc<Counter>)> = OnceLock::new();
+    let (retries, corrupt) = C
+        .get_or_init(|| (global().counter("storage.retries"), global().counter("storage.corrupt")));
+    let mut attempt = 0usize;
+    loop {
+        match device.read_block(id) {
+            Ok(data) => return Ok((data, attempt)),
+            Err(e) => {
+                if e.kind == ReadErrorKind::Corrupt {
+                    corrupt.inc();
+                }
+                if e.kind == ReadErrorKind::Dead || attempt >= policy.retries {
+                    return Err(e);
+                }
+                retries.inc();
+                let pause = policy.backoff_for(attempt);
+                if !pause.is_zero() {
+                    std::thread::sleep(pause);
+                }
+                attempt += 1;
+            }
+        }
+    }
+}
+
 /// Running I/O counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeviceStats {

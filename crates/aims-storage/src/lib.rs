@@ -21,9 +21,9 @@
 //! - [`buffer`]: an LRU buffer pool with hit/miss accounting and the
 //!   bounded retry-with-backoff read path.
 //! - [`cache`]: a process-shared, sharded LRU block cache
-//!   ([`SharedBlockCache`]) that sits *under* the per-query buffer pools,
-//!   so concurrent sessions touching the same hot blocks read the device
-//!   once.
+//!   ([`SharedBlockCache`]) the serving layer and the historical tier
+//!   read through, so concurrent sessions touching the same hot blocks
+//!   read the device once.
 //! - [`error_tree`]: the dependency structure of the flat DWT layout and
 //!   the ancestor-closed access sets of point and range queries.
 //! - [`alloc`]: block-allocation strategies — sequential, random,
@@ -57,8 +57,8 @@ pub use alloc::{Allocation, RandomAlloc, SequentialAlloc, TreeTilingAlloc};
 pub use buffer::BufferPool;
 pub use cache::{BlockFetch, CacheStats, SharedBlockCache};
 pub use device::{
-    fnv1a_bytes, fnv1a_f64, BlockDevice, DeviceStats, MemDevice, RawMedia, ReadError,
-    ReadErrorKind, RetryPolicy,
+    fnv1a_bytes, fnv1a_f64, read_with_retry, BlockDevice, DeviceStats, MemDevice, RawMedia,
+    ReadError, ReadErrorKind, RetryPolicy,
 };
 pub use error_tree::{point_query_set, range_query_set, ErrorTree};
 pub use faults::{FaultKind, FaultPlan, FaultyDevice};

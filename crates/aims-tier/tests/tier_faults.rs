@@ -1,7 +1,7 @@
 //! Media faults under the tiered read path.
 //!
 //! Historical blocks are read through the same substrate as the rest of
-//! the system — `SharedBlockCache::get_or_read_with_retry` over a
+//! the system — `SharedBlockCache::get_or_read_outcome` over a
 //! checksummed [`BlockDevice`] — so a seeded [`FaultyDevice`] under the
 //! historical tier must behave the way it does under a `WaveletStore`:
 //!

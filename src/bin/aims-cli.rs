@@ -142,6 +142,27 @@ fn flag<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, defau
     }
 }
 
+/// The `--format` flag, which must be one of `allowed` (first = default).
+fn format_flag(flags: &HashMap<String, String>, allowed: &[&str]) -> String {
+    let format: String = flag(flags, "format", allowed[0].into());
+    if !allowed.contains(&format.as_str()) {
+        eprintln!("unknown format '{format}' ({})", allowed.join("|"));
+        usage();
+    }
+    format
+}
+
+/// Prints a drill's invariant violations and exits 1 if there are any.
+fn exit_on_violations(drill: &str, violations: &[String]) {
+    if !violations.is_empty() {
+        eprintln!("{drill} drill FAILED: {} invariant violation(s):", violations.len());
+        for v in violations {
+            eprintln!("  {v}");
+        }
+        exit(1);
+    }
+}
+
 fn required(flags: &HashMap<String, String>, name: &str) -> String {
     flags.get(name).cloned().unwrap_or_else(|| {
         eprintln!("missing required flag --{name}");
@@ -218,23 +239,6 @@ fn cmd_ingest(flags: &HashMap<String, String>) {
     println!("  reconstruction : {:.2}% relative RMSE", report.sampling_rmse * 100.0);
 }
 
-/// The seeded square demo cube `serve` and `trace` drill against:
-/// xorshift-filled small integers, wavelet-transformed with Db4.
-fn demo_cube(side: usize, seed: u64) -> aims::propolyne::WaveletCube {
-    use aims::dsp::filters::FilterKind;
-    use aims::propolyne::DataCube;
-
-    let mut cube = DataCube::zeros(&[side, side]);
-    let mut state = seed.max(1);
-    for v in cube.values_mut() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        *v = (state % 9) as f64;
-    }
-    cube.transform(&FilterKind::Db4.filter())
-}
-
 /// Parses a `--ranges lo:hi,lo:hi` flag value.
 fn parse_ranges(ranges_text: &str) -> Vec<(usize, usize)> {
     ranges_text
@@ -258,7 +262,7 @@ fn parse_ranges(ranges_text: &str) -> Vec<(usize, usize)> {
 /// Spins up the concurrent query service over the workspace's demo cube
 /// and serves the `aims-serve` wire protocol until a client SHUTDOWN.
 fn cmd_serve(flags: &HashMap<String, String>) {
-    use aims::service::{QueryService, Server, ServiceConfig};
+    use aims::service::{demo_cube, QueryService, Server, ServiceConfig};
     use std::io::Write as _;
     use std::sync::Arc;
 
@@ -285,10 +289,31 @@ fn cmd_serve(flags: &HashMap<String, String>) {
     println!("aims-serve: clean shutdown");
 }
 
+/// Prints a remote query's terminal answer as `<how>: <subject> <value>`,
+/// or exits 1 if it ended without one.
+fn print_answer(cmd: &str, subject: &str, out: &aims::service::RemoteOutcome) {
+    use aims::service::ProgressKind;
+
+    match (out.kind, &out.last) {
+        (ProgressKind::Done, Some(r)) => println!("done: {subject} {:.4} (exact)", r.estimate),
+        (ProgressKind::DeadlineExpired, Some(r)) => {
+            println!("deadline expired: {subject} {:.4} +/- {:.4}", r.estimate, r.error_bound);
+        }
+        (ProgressKind::Shed, Some(r)) => println!(
+            "shed under load: {subject} {:.4} +/- {:.4} (best-so-far)",
+            r.estimate, r.error_bound
+        ),
+        (kind, _) => {
+            eprintln!("{cmd}: query ended without an answer: {kind:?}");
+            exit(1);
+        }
+    }
+}
+
 /// Drives one progressive range sum against a running server and prints
 /// the refinement trace.
 fn cmd_query_remote(flags: &HashMap<String, String>, connect: &str) {
-    use aims::service::{ProgressKind, QuerySpec, TcpClient, Tier};
+    use aims::service::{QuerySpec, TcpClient, Tier};
 
     let ranges_text = required(flags, "ranges");
     let ranges = parse_ranges(&ranges_text);
@@ -322,27 +347,7 @@ fn cmd_query_remote(flags: &HashMap<String, String>, connect: &str) {
             r.round, r.coefficients_used, r.total_coefficients, r.estimate, r.error_bound
         );
     }
-    match (out.kind, out.last) {
-        (ProgressKind::Done, Some(r)) => {
-            println!("done: {} = {:.4} (exact)", ranges_text, r.estimate);
-        }
-        (ProgressKind::DeadlineExpired, Some(r)) => {
-            println!(
-                "deadline expired: {} = {:.4} +/- {:.4}",
-                ranges_text, r.estimate, r.error_bound
-            );
-        }
-        (ProgressKind::Shed, Some(r)) => {
-            println!(
-                "shed under load: {} = {:.4} +/- {:.4} (best-so-far)",
-                ranges_text, r.estimate, r.error_bound
-            );
-        }
-        (kind, _) => {
-            eprintln!("query ended without an answer: {kind:?}");
-            exit(1);
-        }
-    }
+    print_answer("query", &format!("{ranges_text} ="), &out);
 }
 
 fn cmd_query(flags: &HashMap<String, String>) {
@@ -428,11 +433,7 @@ fn cmd_metrics(flags: &HashMap<String, String>) {
 
     let seconds: f64 = flag(flags, "seconds", 2.0);
     let seed: u64 = flag(flags, "seed", 7);
-    let format: String = flag(flags, "format", "table".into());
-    if format != "table" && format != "json" {
-        eprintln!("unknown format '{format}' (table|json)");
-        usage();
-    }
+    let format = format_flag(flags, &["table", "json"]);
     if seconds <= 0.0 || seconds.is_nan() {
         eprintln!("--seconds must be positive, got {seconds}");
         exit(2);
@@ -471,24 +472,19 @@ fn cmd_metrics(flags: &HashMap<String, String>) {
     }
 }
 
-/// Runs a reproducible fault drill: a blocked wavelet store on a seeded
-/// `FaultyDevice`, queried with a bounded retry budget; reports per-query
-/// recovery/degradation and the storage fault telemetry.
+/// Runs the storage-fault drill ([`aims::drill::faults`]) on its CLI
+/// workload: reports per-query recovery/degradation and the storage fault
+/// telemetry, and exits non-zero if a recovered query was not
+/// bit-identical or a degraded one broke its bound.
 fn cmd_faults(flags: &HashMap<String, String>) {
-    use aims::storage::buffer::BufferPool;
-    use aims::storage::device::{BlockDevice, RetryPolicy};
-    use aims::storage::faults::{FaultKind, FaultPlan, FaultyDevice};
-    use aims::storage::store::{AllocKind, WaveletStore};
+    use aims::drill::faults::{run, Config};
+    use aims::storage::faults::FaultKind;
 
     let seed: u64 = flag(flags, "seed", 41378);
     let rate: f64 = flag(flags, "rate", 0.3);
     let budget: usize = flag(flags, "budget", 3);
     let kind_name: String = flag(flags, "kind", "read".into());
-    let format: String = flag(flags, "format", "table".into());
-    if format != "table" && format != "json" {
-        eprintln!("unknown format '{format}' (table|json)");
-        usage();
-    }
+    let format = format_flag(flags, &["table", "json"]);
     if !(0.0..=1.0).contains(&rate) {
         eprintln!("--rate must be in [0, 1], got {rate}");
         exit(2);
@@ -504,71 +500,47 @@ fn cmd_faults(flags: &HashMap<String, String>) {
         }
     };
 
-    let n = 1024usize;
-    let block = 16usize;
-    let signal: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 23) as f64 - 11.0).collect();
-    let exact = WaveletStore::from_signal(&signal, block, AllocKind::TreeTiling);
-    let store = WaveletStore::from_signal_on(&signal, block, AllocKind::TreeTiling, |bs, nb| {
-        FaultyDevice::with_plan(bs, nb, FaultPlan::uniform(seed, kind, rate))
-    });
-    let policy = RetryPolicy::with_retries(budget);
-
-    let queries: Vec<(usize, usize)> =
-        (0..32).map(|k| ((k * 97) % 512, 512 + (k * 31) % 512)).collect();
-    let mut pool = BufferPool::new(128);
-    let mut exact_pool = BufferPool::new(128);
-    let mut recovered = 0usize;
-    let mut degraded = 0usize;
-    let mut worst_bound = 0.0f64;
-    let mut rows = Vec::new();
-    for &(a, b) in &queries {
-        let truth = exact.range_sum(a, b, &mut exact_pool);
-        let got = store.range_sum_outcome(a, b, &mut pool, &policy);
-        if got.degraded() {
-            degraded += 1;
-            worst_bound = worst_bound.max(got.error_bound);
-        } else {
-            recovered += 1;
-            assert_eq!(got.value.to_bits(), truth.to_bits(), "recovered query diverged");
-        }
-        rows.push((a, b, got));
-    }
-
-    let device = store.device();
-    let dead = (0..device.num_blocks()).filter(|&b| device.is_dead(b)).count();
-    let torn = device.torn_blocks().len();
-    let snap = aims::telemetry::global().snapshot();
+    let cfg = Config::cli(seed, kind, rate, budget);
+    let report = run(&cfg);
+    let (queries, degraded) = (report.rows.len(), report.degraded().count());
+    let (dead, torn) = (report.dead_blocks, report.torn_blocks);
     if format == "json" {
-        let body: Vec<String> = rows
+        let body: Vec<String> = report
+            .rows
             .iter()
-            .map(|(a, b, o)| {
+            .map(|r| {
                 format!(
-                    "{{\"range\":[{a},{b}],\"value\":{},\"error_bound\":{},\
-                     \"lost_blocks\":{}}}",
-                    o.value,
-                    o.error_bound,
-                    o.lost_blocks.len()
+                    "{{\"range\":[{},{}],\"value\":{},\"error_bound\":{},\"lost_blocks\":{}}}",
+                    r.range.0,
+                    r.range.1,
+                    r.got.value,
+                    r.got.error_bound,
+                    r.got.lost_blocks.len()
                 )
             })
             .collect();
         println!(
             "{{\"seed\":{seed},\"kind\":\"{kind_name}\",\"rate\":{rate},\"budget\":{budget},\
-             \"recovered\":{recovered},\"degraded\":{degraded},\"dead_blocks\":{dead},\
+             \"recovered\":{},\"degraded\":{degraded},\"dead_blocks\":{dead},\
              \"torn_blocks\":{torn},\"queries\":[{}]}}",
+            queries - degraded,
             body.join(",")
         );
     } else {
         println!(
             "fault drill: kind={kind_name} rate={rate} budget={budget} seed={seed} \
-             (n={n}, B={block})"
+             (n={}, B={})",
+            cfg.signal.len(),
+            cfg.block
         );
-        println!("  recovered exactly : {recovered}/{}", queries.len());
+        println!("  recovered exactly : {}/{queries}", queries - degraded);
         println!(
-            "  degraded w/ bound : {degraded}/{} (worst bound {worst_bound:.3})",
-            queries.len()
+            "  degraded w/ bound : {degraded}/{queries} (worst bound {:.3})",
+            report.worst_bound()
         );
         println!("  dead blocks       : {dead}, torn blocks: {torn}");
         println!("\n-- storage telemetry --");
+        let snap = aims::telemetry::global().snapshot();
         for name in [
             "storage.retries",
             "storage.corrupt",
@@ -581,18 +553,18 @@ fn cmd_faults(flags: &HashMap<String, String>) {
             println!("  {name:<28} {}", snap.counter(name));
         }
     }
+    exit_on_violations("fault", &report.violations());
 }
 
-/// Runs a reproducible *sensor* fault drill: a clean glove session is
-/// replayed through a seeded faulty wire into the supervised ingest stage,
-/// which reorders, deduplicates, repairs and health-tracks it; reports the
-/// supervisor's counters, health transitions and the `ingest.*` telemetry.
-/// With every rate at zero the repaired stream is asserted bit-identical
-/// to the clean session (the supervised path costs nothing on good input).
+/// Runs the sensor-fault ingest drill ([`aims::drill::ingest`]): reports
+/// the supervisor's counters, health transitions and the `ingest.*`
+/// telemetry, and exits non-zero if the stored stream is empty or
+/// non-finite, or a zero-fault replay is not bit-identical to the clean
+/// session (the supervised path costs nothing on good input).
 fn cmd_ingest_faults(flags: &HashMap<String, String>) {
-    use aims::acquisition::ingest::{IngestConfig, RepairPolicy, SupervisedIngest};
-    use aims::acquisition::recorder::RecorderConfig;
-    use aims::sensors::faulty::{FaultySensorRig, SensorFaultPlan};
+    use aims::acquisition::ingest::RepairPolicy;
+    use aims::drill::ingest::{run, Config};
+    use aims::sensors::faulty::SensorFaultPlan;
     use aims::sensors::types::SampleQuality;
 
     let seed: u64 = flag(flags, "seed", 2003);
@@ -604,11 +576,7 @@ fn cmd_ingest_faults(flags: &HashMap<String, String>) {
     let reorder: f64 = flag(flags, "reorder", 0.0);
     let dead: f64 = flag(flags, "dead", 0.0);
     let policy_name: String = flag(flags, "policy", "interpolate".into());
-    let format: String = flag(flags, "format", "table".into());
-    if format != "table" && format != "json" {
-        eprintln!("unknown format '{format}' (table|json)");
-        usage();
-    }
+    let format = format_flag(flags, &["table", "json"]);
     for (name, rate) in [
         ("dropout", dropout),
         ("stuck", stuck),
@@ -635,10 +603,6 @@ fn cmd_ingest_faults(flags: &HashMap<String, String>) {
         }
     };
 
-    let rig = CyberGloveRig::default();
-    let mut noise = NoiseSource::seeded(seed);
-    let clean = rig.record_session(seconds, 0.6, &mut noise);
-
     let plan = SensorFaultPlan {
         dropout_rate: dropout,
         stuck_rate: stuck,
@@ -648,44 +612,8 @@ fn cmd_ingest_faults(flags: &HashMap<String, String>) {
         dead_channel_fraction: dead,
         ..SensorFaultPlan::none(seed)
     };
-    let faulty = FaultySensorRig::new(plan.clone());
-    let wire = faulty.transmit(&clean);
-
-    // A buffer the recorder cannot overrun, so the drill's numbers reflect
-    // the injected wire faults alone, not scheduling luck.
-    let config = IngestConfig {
-        repair: policy,
-        recorder: RecorderConfig { buffer_frames: 1 << 16, batch_size: 64, store_latency_us: 0 },
-        ..IngestConfig::default()
-    };
-    let out = SupervisedIngest::new(config).ingest(clean.spec(), &wire);
-
-    if plan.is_none() {
-        assert_eq!(out.stream.len(), clean.len(), "zero-fault ingest changed the frame count");
-        for t in 0..clean.len() {
-            for c in 0..clean.channels() {
-                assert_eq!(
-                    out.stream.value(t, c).to_bits(),
-                    clean.value(t, c).to_bits(),
-                    "zero-fault ingest must be bit-identical (frame {t} ch {c})"
-                );
-            }
-        }
-    }
-
-    // Repair fidelity over frames both streams share (degrade may decimate).
-    let mut err = 0.0f64;
-    let mut norm = 0.0f64;
-    if out.degrade_factor == 1 && out.stream.len() == clean.len() {
-        for t in 0..clean.len() {
-            for c in 0..clean.channels() {
-                let d = out.stream.value(t, c) - clean.value(t, c);
-                err += d * d;
-                norm += clean.value(t, c) * clean.value(t, c);
-            }
-        }
-    }
-    let rmse = if norm > 0.0 { (err / norm).sqrt() } else { 0.0 };
+    let report = run(&Config { seed, seconds, plan: plan.clone(), repair: policy });
+    let (out, rmse) = (&report.outcome, report.relative_rmse);
 
     let total = out.quality.len() * out.quality.channels();
     let counts: Vec<(SampleQuality, usize)> = [
@@ -741,7 +669,7 @@ fn cmd_ingest_faults(flags: &HashMap<String, String>) {
         );
         println!(
             "  wire → stored     : {} wire frames → {} frames x {} channels (degrade x{})",
-            wire.len(),
+            report.wire_frames,
             out.stream.len(),
             out.stream.channels(),
             out.degrade_factor
@@ -792,6 +720,7 @@ fn cmd_ingest_faults(flags: &HashMap<String, String>) {
             println!("  {name:<28} {}", snap.counter(name));
         }
     }
+    exit_on_violations("ingest", &report.violations());
 }
 
 /// Prints one query's cost attribution as an aligned table.
@@ -829,7 +758,7 @@ fn print_profile(profile: &aims::service::QueryProfile) {
 /// live server instead and its wire-returned profile is printed (the
 /// recorder lives server-side).
 fn cmd_trace(flags: &HashMap<String, String>) {
-    use aims::service::{Outcome, ProgressKind, QueryService, QuerySpec, ServiceConfig, TcpClient};
+    use aims::service::{demo_cube, Outcome, QueryService, QuerySpec, ServiceConfig, TcpClient};
     use aims::telemetry::global_recorder;
 
     if let Some(connect) = flags.get("connect") {
@@ -843,22 +772,7 @@ fn cmd_trace(flags: &HashMap<String, String>) {
                 eprintln!("trace: {e}");
                 exit(1);
             });
-        match (out.kind, out.last) {
-            (ProgressKind::Done, Some(r)) => println!("done: estimate {:.4} (exact)", r.estimate),
-            (ProgressKind::DeadlineExpired, Some(r)) => {
-                println!("deadline expired: estimate {:.4} +/- {:.4}", r.estimate, r.error_bound);
-            }
-            (ProgressKind::Shed, Some(r)) => {
-                println!(
-                    "shed under load: estimate {:.4} +/- {:.4} (best-so-far)",
-                    r.estimate, r.error_bound
-                );
-            }
-            (kind, _) => {
-                eprintln!("trace: query ended without an answer: {kind:?}");
-                exit(1);
-            }
-        }
+        print_answer("trace", "estimate", &out);
         match out.profile {
             Some(p) => print_profile(&p),
             None => eprintln!("trace: server returned no profile (pre-tracing server?)"),
@@ -870,12 +784,8 @@ fn cmd_trace(flags: &HashMap<String, String>) {
     let block: usize = flag(flags, "block", 32);
     let seed: u64 = flag(flags, "seed", 41);
     let queries: usize = flag(flags, "queries", 4);
-    let format: String = flag(flags, "format", "table".into());
+    let format = format_flag(flags, &["table", "chrome"]);
     let out_path = flags.get("out").cloned();
-    if format != "table" && format != "chrome" {
-        eprintln!("unknown format '{format}' (table|chrome)");
-        usage();
-    }
 
     let service = QueryService::new(demo_cube(side, seed), block, ServiceConfig::default());
     for k in 0..queries {
@@ -1036,11 +946,7 @@ fn cmd_top(flags: &HashMap<String, String>) {
     let connect = required(flags, "connect");
     let interval_ms: u64 = flag(flags, "interval-ms", 1000);
     let iterations: usize = flag(flags, "iterations", 0);
-    let format: String = flag(flags, "format", "table".into());
-    if format != "table" && format != "json" {
-        eprintln!("unknown format '{format}' (table|json)");
-        usage();
-    }
+    let format = format_flag(flags, &["table", "json"]);
 
     let mut client = TcpClient::connect(connect.as_str()).unwrap_or_else(|e| {
         eprintln!("top: cannot connect to {connect}: {e}");
@@ -1127,182 +1033,68 @@ fn cmd_kernels(flags: &HashMap<String, String>) {
 /// lost admitted queries, shed sessions get best-so-far answers, and
 /// the drain returns the service to zero degradation.
 fn cmd_chaos(flags: &HashMap<String, String>) {
-    use aims::chaos::{run_drill, ChaosConfig};
+    use aims::drill::chaos::{run, Config};
 
-    let env_seed =
-        std::env::var("AIMS_CHAOS_SEED").ok().and_then(|s| s.trim().parse().ok()).unwrap_or(4242);
-    let seed: u64 = flag(flags, "seed", env_seed);
-    let format: String = flag(flags, "format", "table".into());
-    if format != "table" && format != "json" {
-        eprintln!("unknown format '{format}' (table|json)");
-        usage();
-    }
+    let seed: u64 = flag(flags, "seed", aims::drill::env_seed("AIMS_CHAOS_SEED", 4242));
+    let format = format_flag(flags, &["table", "json"]);
 
-    let report = run_drill(&ChaosConfig { seed, ..ChaosConfig::default() });
+    let report = run(&Config { seed, ..Config::default() });
     if format == "json" {
         println!("{}", report.to_json());
     } else {
-        println!("composed chaos drill (seed {}):", report.seed);
-        println!(
-            "{:>16} {:>7} {:>7} {:>7} {:>6} {:>6} {:>7} {:>6} {:>9} {:>9}",
-            "phase",
-            "submit",
-            "accept",
-            "reject",
-            "done",
-            "shed",
-            "expire",
-            "degr",
-            "p99 ms",
-            "wall ms"
-        );
-        for p in &report.phases {
-            println!(
-                "{:>16} {:>7} {:>7} {:>7} {:>6} {:>6} {:>7} {:>6} {:>9.2} {:>9.0}",
-                p.name,
-                p.submitted,
-                p.accepted,
-                p.rejected,
-                p.done,
-                p.shed,
-                p.expired,
-                p.degraded,
-                p.p99_ms,
-                p.elapsed_ms
-            );
-        }
-        println!(
-            "recovery {:.1} ms | shed fraction {:.3} | p99 overload {:.2} ms",
-            report.recovery_ms, report.shed_fraction, report.p99_overload_ms
-        );
+        println!("{}", report.render_table());
     }
-    let violations = report.violations();
-    if violations.is_empty() {
-        if format == "table" {
-            println!("all drill invariants held");
-        }
-    } else {
-        eprintln!("chaos: {} invariant violation(s):", violations.len());
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        exit(1);
+    exit_on_violations("chaos", &report.violations());
+    if format == "table" {
+        println!("all drill invariants held");
     }
 }
 
-/// Runs a local crash drill against a temp-dir (or `--dir`) durable
-/// store: a seeded write workload is killed at a seeded crash point, the
-/// store is reopened, and recovery must be bit-identical to a committed
-/// prefix of the write log. Prints the recovery report plus the
-/// `storage.wal.*` telemetry deltas.
+/// Runs the crash-recovery drill ([`aims::drill::crash`]) against a
+/// temp-dir (or `--dir`) durable store: a seeded write workload is killed
+/// at a seeded crash point, the store is reopened, and recovery must be
+/// bit-identical to a committed prefix of the write log. Prints the
+/// recovery report plus the `storage.wal.*` telemetry deltas.
 fn cmd_durability(flags: &HashMap<String, String>) {
-    use aims::storage::device::{BlockDevice, MemDevice, RawMedia};
-    use aims::storage::file::{CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions};
+    use aims::drill::crash::{run, Config};
+    use aims::storage::file::DurabilityMode;
 
     let seed: u64 = flag(flags, "seed", 52417);
     let blocks: usize = flag(flags, "blocks", 32);
     let block_size: usize = flag(flags, "block-size", 16);
     let writes: usize = flag(flags, "writes", 96);
     let mode_name: String = flag(flags, "mode", "always".into());
-    let format: String = flag(flags, "format", "table".into());
-    if format != "table" && format != "json" {
-        eprintln!("unknown format '{format}' (table|json)");
-        usage();
-    }
+    let format = format_flag(flags, &["table", "json"]);
     let Some(mode) = DurabilityMode::parse(&mode_name) else {
         eprintln!("unknown durability mode '{mode_name}' (always|periodic[:K]|none)");
         usage();
     };
-    let (dir, keep) = match flags.get("dir") {
-        Some(d) => (std::path::PathBuf::from(d), true),
-        None => {
-            (std::env::temp_dir().join(format!("aims-durability-{}", std::process::id())), false)
-        }
+
+    let cfg = Config {
+        dir: flags.get("dir").map(std::path::PathBuf::from),
+        ..Config::seeded(seed, mode, blocks, block_size, writes)
     };
-    std::fs::remove_dir_all(&dir).ok();
-
-    // Seeded write log: a load pass then pseudo-random updates.
-    let mut state = seed | 1;
-    let mut rng = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let log: Vec<(usize, Vec<f64>)> = (0..writes)
-        .map(|k| {
-            let b = if k < blocks { k } else { rng() as usize % blocks };
-            let payload: Vec<f64> =
-                (0..block_size).map(|i| (rng() % 2001) as f64 / 10.0 - 100.0 + i as f64).collect();
-            (b, payload)
-        })
-        .collect();
-
-    // Crash somewhere past the load pass, seeded.
-    let crash_step = blocks as u64 + rng() % (writes as u64);
-    let opts = |crash| FileDeviceOptions { mode, crash, ..Default::default() };
-    let mut device =
-        FileDevice::create(&dir, block_size, blocks, opts(CrashPlan::at(seed, crash_step)))
-            .unwrap_or_else(|e| {
-                eprintln!("create {}: {e}", dir.display());
-                exit(1);
-            });
-    let mut completed = 0usize;
-    for (b, p) in &log {
-        device.write_block(*b, p);
-        if device.is_crashed() {
-            break;
-        }
-        completed += 1;
-    }
-    let crashed = device.is_crashed();
-    let durable_at_crash = device.durable_lsn();
-    let stats = device.wal_stats();
-    drop(device);
-
+    let crash_step = cfg.crash_step.expect("the seeded workload always arms a crash");
     let before = aims::telemetry::global().snapshot();
-    let t = std::time::Instant::now();
-    let device = FileDevice::open(&dir, opts(CrashPlan::none())).unwrap_or_else(|e| {
-        eprintln!("open {}: {e}", dir.display());
-        exit(1);
-    });
-    let recovery_ms = t.elapsed().as_secs_f64() * 1e3;
-    let r = device.recovery();
+    let r = run(&cfg);
     let delta = aims::telemetry::global().snapshot().delta_since(&before);
-
-    // Exactness gate: the recovered image equals some committed prefix
-    // covering every acknowledged write.
-    let got: Vec<Vec<u64>> =
-        (0..blocks).map(|b| device.raw_payload(b).iter().map(|v| v.to_bits()).collect()).collect();
-    let floor =
-        if r.recovered_lsn > 0 { r.recovered_lsn as usize } else { durable_at_crash as usize };
-    let exact = (floor..=(completed + 1).min(log.len())).any(|k| {
-        let mut mem = MemDevice::new(block_size, blocks);
-        for (b, p) in &log[..k] {
-            mem.write_block(*b, p);
-        }
-        (0..blocks)
-            .map(|b| mem.raw_payload(b).iter().map(|v| v.to_bits()).collect::<Vec<_>>())
-            .collect::<Vec<_>>()
-            == got
-    });
-    drop(device);
-    if !keep {
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    let (exact, recovery_ms) = (r.matched_prefix.is_some(), r.recovery_ms);
 
     if format == "json" {
         println!(
-            "{{\"seed\":{seed},\"mode\":\"{}\",\"crash_step\":{crash_step},\"crashed\":{crashed},\
-             \"completed_writes\":{completed},\"durable_lsn\":{durable_at_crash},\
+            "{{\"seed\":{seed},\"mode\":\"{}\",\"crash_step\":{crash_step},\"crashed\":{},\
+             \"completed_writes\":{},\"durable_lsn\":{},\
              \"fsyncs\":{},\"checkpoints\":{},\"recovered_lsn\":{},\"replayed_records\":{},\
              \"truncated_bytes\":{},\"recovery_ms\":{recovery_ms:.3},\"exact\":{exact}}}",
             mode.label(),
-            stats.fsyncs,
-            stats.checkpoints,
-            r.recovered_lsn,
-            r.replayed_records,
-            r.truncated_bytes,
+            r.crashed,
+            r.completed,
+            r.durable_lsn,
+            r.wal.fsyncs,
+            r.wal.checkpoints,
+            r.recovery.recovered_lsn,
+            r.recovery.replayed_records,
+            r.recovery.truncated_bytes,
         );
     } else {
         println!(
@@ -1310,13 +1102,13 @@ fn cmd_durability(flags: &HashMap<String, String>) {
              {writes} writes, crash step {crash_step})",
             mode.label()
         );
-        println!("  crashed            : {crashed} after {completed} completed writes");
-        println!("  acked frontier     : lsn {durable_at_crash}");
-        println!("  fsyncs/checkpoints : {}/{}", stats.fsyncs, stats.checkpoints);
+        println!("  crashed            : {} after {} completed writes", r.crashed, r.completed);
+        println!("  acked frontier     : lsn {}", r.durable_lsn);
+        println!("  fsyncs/checkpoints : {}/{}", r.wal.fsyncs, r.wal.checkpoints);
         println!(
             "  recovery           : lsn {} ({} records replayed, {} torn bytes dropped) \
              in {recovery_ms:.3} ms",
-            r.recovered_lsn, r.replayed_records, r.truncated_bytes
+            r.recovery.recovered_lsn, r.recovery.replayed_records, r.recovery.truncated_bytes
         );
         println!("  bit-identical      : {exact} (vs committed write prefix)");
         println!("\n-- storage.wal telemetry (this drill) --");
@@ -1330,222 +1122,79 @@ fn cmd_durability(flags: &HashMap<String, String>) {
             println!("  {name:<28} {}", delta.counter(name));
         }
     }
-    if !exact {
-        eprintln!("durability drill FAILED: recovered state matches no committed prefix");
-        exit(1);
-    }
+    exit_on_violations("durability", &r.violations());
 }
 
-/// Runs the tiered-ingest drill locally: a file-backed [`TieredStore`]
-/// in a temp dir (or `--dir`) absorbs a seeded signal on one thread
-/// while the background compactor swaps sealed segments into wavelet
-/// form and a planner runs progressive range sums against live
-/// snapshots. Prints ingest rate, compaction lag, query latency and the
-/// `tier.*` telemetry, then exits non-zero unless every live trajectory
-/// kept monotone bounds, the drained store answered bit-identically to a
-/// serial single-store oracle, and what it keeps resident fits the cache
-/// budget plus its energy catalogs.
+/// Runs the tiered-ingest drill ([`aims::drill::tiers`]) in a temp dir
+/// (or `--dir`). Prints ingest rate, compaction lag, query latency and
+/// the `tier.*` telemetry, then exits non-zero unless every live
+/// trajectory kept monotone bounds, the drained store answered
+/// bit-identically to a serial single-store oracle, and what it keeps
+/// resident fits the cache budget plus its energy catalogs.
 fn cmd_tiers(flags: &HashMap<String, String>) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    use aims::service::{TieredPlanner, TieredPlannerConfig};
-    use aims::storage::file::{CrashPlan, DurabilityMode, FileDeviceOptions};
-    use aims::tier::{compact, range_sum_on, Compactor, CompactorConfig, TierConfig, TieredStore};
+    use aims::drill::tiers::{run, Config};
 
     let seed: u64 = flag(flags, "seed", 7153);
     let samples: usize = flag(flags, "samples", 200_000);
     let segment: usize = flag(flags, "segment", 4096);
     let block: usize = flag(flags, "block", 256);
-    let format: String = flag(flags, "format", "table".into());
-    if format != "table" && format != "json" {
-        eprintln!("unknown format '{format}' (table|json)");
-        usage();
-    }
+    let format = format_flag(flags, &["table", "json"]);
     if samples == 0 || !segment.is_power_of_two() || !block.is_power_of_two() || block > segment {
         eprintln!("need --samples > 0 and power-of-two --block <= --segment");
         exit(2);
     }
-    let (dir, keep) = match flags.get("dir") {
-        Some(d) => (std::path::PathBuf::from(d), true),
-        None => (std::env::temp_dir().join(format!("aims-tiers-{}", std::process::id())), false),
-    };
-    std::fs::remove_dir_all(&dir).ok();
-
-    let cfg = TierConfig {
-        segment_len: segment,
-        block_size: block,
-        max_segments: samples.div_ceil(segment) + 4,
-        filter: aims::dsp::filters::FilterKind::Haar,
-    };
-    let mut state = seed | 1;
-    let data: Vec<f64> = (0..samples)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 3203) as f64 / 9.0 - 170.0
-        })
-        .collect();
 
     let before = aims::telemetry::global().snapshot();
-    let opts = FileDeviceOptions {
-        mode: DurabilityMode::Periodic(64),
-        crash: CrashPlan::none(),
-        ..Default::default()
-    };
-    let store = TieredStore::create_durable(&dir, cfg, opts).unwrap_or_else(|e| {
-        eprintln!("create {}: {e}", dir.display());
-        exit(1);
+    let r = run(&Config {
+        seed,
+        samples,
+        segment,
+        block,
+        planner: Default::default(),
+        dir: flags.get("dir").map(std::path::PathBuf::from),
     });
-    let compactor = Compactor::spawn(store.clone(), CompactorConfig::default());
-    let ingesting = Arc::new(AtomicBool::new(true));
-    let mut violations = 0usize;
-
-    let (ingest_wall, latencies_ms, bound_violations) = std::thread::scope(|scope| {
-        let ingest = {
-            let store = store.clone();
-            let ingesting = Arc::clone(&ingesting);
-            let data = &data;
-            scope.spawn(move || {
-                let t = Instant::now();
-                for chunk in data.chunks(segment) {
-                    store.push_slice(chunk);
-                }
-                store.seal_open();
-                let wall = t.elapsed();
-                ingesting.store(false, Ordering::Release);
-                wall
-            })
-        };
-        let queries = {
-            let store = store.clone();
-            let ingesting = Arc::clone(&ingesting);
-            scope.spawn(move || {
-                let planner = TieredPlanner::new(store, TieredPlannerConfig::default());
-                let mut lat = Vec::new();
-                let mut bad = 0usize;
-                let mut k = 0usize;
-                while ingesting.load(Ordering::Acquire) {
-                    let n = planner.store().len();
-                    if n == 0 {
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    let (a, b) = if k.is_multiple_of(2) {
-                        (0, n - 1)
-                    } else {
-                        (n.saturating_sub(segment), n - 1)
-                    };
-                    let t = Instant::now();
-                    let ans = planner.range_sum(a, b);
-                    lat.push(t.elapsed().as_secs_f64() * 1e3);
-                    let mut prev = f64::INFINITY;
-                    for s in &ans.steps {
-                        if s.bound > prev {
-                            bad += 1;
-                        }
-                        prev = s.bound;
-                    }
-                    k += 1;
-                }
-                (lat, bad)
-            })
-        };
-        let wall = ingest.join().expect("ingest thread");
-        let (lat, bad) = queries.join().expect("query thread");
-        (wall, lat, bad)
-    });
-    violations += bound_violations;
-
-    // Compaction lag: drain time once ingest stops.
-    let t = Instant::now();
-    let deadline = t + Duration::from_secs(60);
-    while store.stats().sealed_raw > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let drained = store.stats().sealed_raw == 0;
-    if !drained {
-        violations += 1;
-    }
-    let lag_ms = t.elapsed().as_secs_f64() * 1e3;
-    let compacted = compactor.stop();
-
-    // Oracle gate: bit-identical to a serial single-pass store.
-    let serial = aims::exec::ThreadPool::new(1);
-    let oracle = TieredStore::new_mem(cfg);
-    oracle.push_slice(&data);
-    oracle.seal_open();
-    compact::drain(&oracle, &serial);
-    let (snap, osnap) = (store.snapshot(), oracle.snapshot());
-    if snap.len() != samples {
-        violations += 1;
-    }
-    let mut oracle_ok = true;
-    let last = samples - 1;
-    for (a, b) in [(0, last), (0, 0), (last / 2, last), (last / 3, 2 * last / 3)] {
-        let got = range_sum_on(&snap, a, b, &serial);
-        let want = range_sum_on(&osnap, a, b, &serial);
-        if got.to_bits() != want.to_bits() {
-            oracle_ok = false;
-            violations += 1;
-        }
-    }
-    // Fully drained, the store holds its cache and its catalogs: memory
-    // is bounded by the budget, not by what was ingested.
-    let resident_bytes = store.resident_bytes();
-    let catalogs = 8 * (segment / block) * snap.segments().len();
-    if resident_bytes > aims::tier::HIST_CACHE_BYTES + catalogs {
-        violations += 1;
-    }
-    store.checkpoint();
-    drop((snap, store));
-    if !keep {
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    let rate = samples as f64 / ingest_wall.as_secs_f64();
-    let mut sorted = latencies_ms.clone();
-    sorted.sort_by(f64::total_cmp);
-    let pct = |p: f64| -> f64 {
-        if sorted.is_empty() {
-            0.0
-        } else {
-            sorted[((sorted.len() - 1) as f64 * p).round() as usize]
-        }
-    };
     let delta = aims::telemetry::global().snapshot().delta_since(&before);
+    let violations = r.violations();
+    let threads = aims::exec::configured_threads();
 
     if format == "json" {
         println!(
             "{{\"seed\":{seed},\"samples\":{samples},\"segment\":{segment},\"block\":{block},\
-             \"threads\":{},\"ingest_samples_per_sec\":{rate:.1},\
-             \"compaction_lag_ms\":{lag_ms:.3},\"segments_compacted\":{compacted},\
+             \"threads\":{threads},\"ingest_samples_per_sec\":{:.1},\
+             \"compaction_lag_ms\":{:.3},\"segments_compacted\":{},\
              \"queries\":{},\"query_p50_ms\":{:.4},\"query_p99_ms\":{:.4},\
-             \"resident_bytes\":{resident_bytes},\
-             \"drained\":{drained},\"oracle_identical\":{oracle_ok},\"violations\":{violations}}}",
-            aims::exec::configured_threads(),
-            latencies_ms.len(),
-            pct(0.50),
-            pct(0.99),
+             \"resident_bytes\":{},\
+             \"drained\":{},\"oracle_identical\":{},\"violations\":{}}}",
+            r.ingest_samples_per_sec,
+            r.compaction_lag_ms,
+            r.segments_compacted,
+            r.queries,
+            r.query_p50_ms,
+            r.query_p99_ms,
+            r.resident_bytes,
+            r.drained,
+            r.oracle_identical,
+            violations.len(),
         );
     } else {
         println!(
             "tier drill: seed={seed} samples={samples} segment={segment} block={block} \
-             threads={}",
-            aims::exec::configured_threads()
+             threads={threads}"
         );
-        println!("  ingest             : {rate:.0} samples/s ({:.1?} wall)", ingest_wall);
-        println!("  compaction         : {compacted} segments, {lag_ms:.1} ms lag after ingest");
+        println!(
+            "  ingest             : {:.0} samples/s ({:.1?} wall)",
+            r.ingest_samples_per_sec, r.ingest_wall
+        );
+        println!(
+            "  compaction         : {} segments, {:.1} ms lag after ingest",
+            r.segments_compacted, r.compaction_lag_ms
+        );
         println!(
             "  queries (live)     : {} runs, p50 {:.3} ms, p99 {:.3} ms",
-            latencies_ms.len(),
-            pct(0.50),
-            pct(0.99),
+            r.queries, r.query_p50_ms, r.query_p99_ms
         );
-        println!("  backlog drained    : {drained}");
-        println!("  oracle bit-identity: {oracle_ok}");
+        println!("  backlog drained    : {}", r.drained);
+        println!("  oracle bit-identity: {}", r.oracle_identical);
         println!("\n-- tier telemetry (this drill) --");
         for name in [
             "tier.segments.open",
@@ -1562,12 +1211,9 @@ fn cmd_tiers(flags: &HashMap<String, String>) {
         ] {
             println!("  {name:<26} {}", delta.counter(name));
         }
-        println!("  {:<26} {resident_bytes}", "tier.resident_bytes");
+        println!("  {:<26} {}", "tier.resident_bytes", r.resident_bytes);
     }
-    if violations > 0 {
-        eprintln!("tier drill FAILED: {violations} invariant violation(s)");
-        exit(1);
-    }
+    exit_on_violations("tier", &violations);
 }
 
 fn main() {

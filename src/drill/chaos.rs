@@ -29,47 +29,34 @@
 //!   to [`Tier::Normal`] with an empty session registry, and a fresh
 //!   query completes undegraded.
 //!
-//! The same harness backs `tests/chaos_drill.rs` (CI, under pinned
-//! `AIMS_CHAOS_SEED`s), `aims-cli chaos` (the operator's drill button),
-//! and `aims-bench e31` (which adds the FIFO-vs-utility scheduling
-//! comparison and the perf-trajectory gate).
+//! Shells: `tests/chaos_drill.rs` (CI, under pinned `AIMS_CHAOS_SEED`s),
+//! `aims-cli chaos` (the operator's drill button), and `aims-bench e31`
+//! (which adds the FIFO-vs-utility scheduling comparison).
 
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aims_acquisition::ingest::{IngestConfig, SupervisedIngest};
-use aims_acquisition::recorder::RecorderConfig;
+use aims_acquisition::ingest::IngestConfig;
 use aims_propolyne::cube::DataCube;
 use aims_propolyne::cube::WaveletCube;
-use aims_sensors::faulty::{FaultySensorRig, SensorFaultPlan};
-use aims_sensors::glove::CyberGloveRig;
-use aims_sensors::noise::NoiseSource;
+use aims_sensors::faulty::SensorFaultPlan;
 use aims_service::{
     Outcome, QosConfig, QueryService, QuerySpec, Refinement, ServiceConfig, ServiceError, Tier,
 };
 use aims_storage::device::{BlockDevice, RetryPolicy};
 use aims_storage::faults::{FaultPlan, FaultyDevice};
 
+use super::{ingest, percentile, sub_seed, Metric, Rng};
+
 /// Coefficients per storage block in every drill service.
 const BLOCK: usize = 16;
 /// Cube dims: 28 glove channels padded to 32 × 200 frames padded to 256.
 const DIMS: [usize; 2] = [32, 256];
 
-/// splitmix64 — the sub-seed derivation. Every injector gets an
-/// independent stream from (master seed, salt), so changing the master
-/// seed reshuffles every fault schedule at once while two injectors
-/// never share a stream.
-pub fn sub_seed(master: u64, salt: u64) -> u64 {
-    let mut z = master.wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Tuning for one composed drill run.
 #[derive(Clone, Debug)]
-pub struct ChaosConfig {
+pub struct Config {
     /// Master seed; every fault schedule and workload derives from it.
     pub seed: u64,
     /// Concurrent flood clients in the overload phases.
@@ -82,9 +69,9 @@ pub struct ChaosConfig {
     pub drain_timeout: Duration,
 }
 
-impl Default for ChaosConfig {
+impl Default for Config {
     fn default() -> Self {
-        ChaosConfig {
+        Config {
             seed: 4242,
             flood_threads: 12,
             flood_queries: 4,
@@ -123,7 +110,7 @@ pub struct PhaseReport {
 
 /// Everything one composed drill produces.
 #[derive(Clone, Debug)]
-pub struct DrillReport {
+pub struct Report {
     /// The master seed the run derived everything from.
     pub seed: u64,
     /// Per-phase tallies, in execution order.
@@ -137,7 +124,7 @@ pub struct DrillReport {
     pub p99_overload_ms: f64,
 }
 
-impl DrillReport {
+impl Report {
     /// Every invariant violation across every phase.
     pub fn violations(&self) -> Vec<String> {
         self.phases.iter().flat_map(|p| p.violations.iter().cloned()).collect()
@@ -146,6 +133,57 @@ impl DrillReport {
     /// True when no phase violated an invariant.
     pub fn passed(&self) -> bool {
         self.phases.iter().all(|p| p.violations.is_empty())
+    }
+
+    /// Shedding, recovery and overload tail. The shed fraction is a seeded
+    /// workload property with a little admission-timing slack; recovery
+    /// time and overload p99 are wall-clock numbers on a flooded service,
+    /// so they get absolute bands wide enough for a loaded CI host.
+    pub fn metrics(&self) -> Vec<Metric> {
+        vec![
+            Metric::lower("shed_fraction", self.shed_fraction, 0.25, 0.05),
+            Metric::lower("recovery_ms", self.recovery_ms, 0.0, 500.0),
+            Metric::lower("p99_overload_ms", self.p99_overload_ms, 2.0, 10.0),
+        ]
+    }
+
+    /// The per-phase table and summary line every shell prints.
+    pub fn render_table(&self) -> String {
+        let mut out = format!(
+            "composed chaos drill (seed {}):\n{:>16} {:>7} {:>7} {:>7} {:>6} {:>6} {:>7} {:>6} \
+             {:>9} {:>9}\n",
+            self.seed,
+            "phase",
+            "submit",
+            "accept",
+            "reject",
+            "done",
+            "shed",
+            "expire",
+            "degr",
+            "p99 ms",
+            "wall ms"
+        );
+        for p in &self.phases {
+            out.push_str(&format!(
+                "{:>16} {:>7} {:>7} {:>7} {:>6} {:>6} {:>7} {:>6} {:>9.2} {:>9.0}\n",
+                p.name,
+                p.submitted,
+                p.accepted,
+                p.rejected,
+                p.done,
+                p.shed,
+                p.expired,
+                p.degraded,
+                p.p99_ms,
+                p.elapsed_ms
+            ));
+        }
+        out.push_str(&format!(
+            "recovery {:.1} ms | shed fraction {:.3} | p99 overload {:.2} ms",
+            self.recovery_ms, self.shed_fraction, self.p99_overload_ms
+        ));
+        out
     }
 
     /// Machine-readable record (one JSON object) for CI gates.
@@ -236,26 +274,6 @@ fn audit_session(
     (QueryRecord { latency_ms: 0.0, outcome: kind, bound, violations }, kind)
 }
 
-fn p99(mut v: Vec<f64>) -> f64 {
-    if v.is_empty() {
-        return 0.0;
-    }
-    v.sort_by(f64::total_cmp);
-    v[((v.len() - 1) as f64 * 0.99) as usize]
-}
-
-/// Seeded xorshift stream for workload generation.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-}
-
 /// `n` seeded 2-D range-sum specs over the drill cube: channel band ×
 /// time window, spans wide enough that plans overlap heavily (the
 /// shared-scan / utility-scheduler regime).
@@ -280,35 +298,18 @@ fn drill_queries(seed: u64, n: usize) -> Vec<Vec<(usize, usize)>> {
 /// acquisition-side invariant violations (non-finite repaired samples,
 /// an empty stream).
 pub fn sensor_cube(seed: u64, plan: &SensorFaultPlan) -> (WaveletCube, Vec<String>) {
-    let rig = CyberGloveRig::default();
-    let mut noise = NoiseSource::seeded(sub_seed(seed, 11));
-    let clean = rig.record_session(2.0, 0.6, &mut noise);
-    let wire = FaultySensorRig::new(plan.clone()).transmit(&clean);
-    let ingest = SupervisedIngest::new(IngestConfig {
-        // A buffer the recorder can never overrun: drill determinism
-        // must not depend on recorder thread timing.
-        recorder: RecorderConfig { buffer_frames: 1 << 16, batch_size: 64, store_latency_us: 0 },
-        ..IngestConfig::default()
-    });
-    let out = ingest.ingest(clean.spec(), &wire);
-
-    let mut violations = Vec::new();
-    if out.stream.is_empty() {
-        violations.push("acquisition: supervised ingest produced an empty stream".into());
-    }
+    let clean = ingest::session(sub_seed(seed, 11), 2.0);
+    let replayed = ingest::replay(&clean, plan, IngestConfig::default().repair);
+    let violations: Vec<String> =
+        replayed.violations().iter().map(|v| format!("acquisition: {v}")).collect();
+    let out = replayed.outcome;
     let mut cube = DataCube::zeros(&DIMS);
     let (channels, frames) = (out.stream.channels().min(DIMS[0]), out.stream.len().min(DIMS[1]));
     {
         let values = cube.values_mut();
         for c in 0..channels {
             let signal = out.stream.channel(c);
-            for (t, &v) in signal.iter().take(frames).enumerate() {
-                if !v.is_finite() {
-                    violations
-                        .push(format!("acquisition: non-finite repaired sample ch{c} t{t} = {v}"));
-                }
-                values[c * DIMS[1] + t] = v;
-            }
+            values[c * DIMS[1]..c * DIMS[1] + frames].copy_from_slice(&signal[..frames]);
             // Pad by repeating the final value, matching the system
             // facade's ingest (zeros would pollute coarse coefficients).
             let last = signal.get(frames.saturating_sub(1)).copied().unwrap_or(0.0);
@@ -437,7 +438,7 @@ fn calm_phase<D: BlockDevice + Send + Sync + 'static>(
         latencies.push(rec.latency_ms);
         report.violations.extend(rec.violations);
     }
-    report.p99_ms = p99(latencies);
+    report.p99_ms = percentile(&mut latencies, 0.99);
     report.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
     report
 }
@@ -555,7 +556,7 @@ fn flood_phase<D: BlockDevice + Send + Sync + 'static>(
         // engaged — that is a drill failure, not good luck.
         report.violations.push(format!("{name}: sustained flood engaged no load shedding"));
     }
-    report.p99_ms = p99(latencies);
+    report.p99_ms = percentile(&mut latencies, 0.99);
     report.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
     report
 }
@@ -572,7 +573,7 @@ fn flood_phase<D: BlockDevice + Send + Sync + 'static>(
 /// 6. `drain` — the phase-5 service with the flood stopped: measures
 ///    recovery to zero degradation, then proves a fresh query runs
 ///    undegraded to `Done`.
-pub fn run_drill(cfg: &ChaosConfig) -> DrillReport {
+pub fn run(cfg: &Config) -> Report {
     let mut phases = Vec::new();
 
     // Phase 1 — baseline: every layer clean, answers bit-exact.
@@ -686,7 +687,7 @@ pub fn run_drill(cfg: &ChaosConfig) -> DrillReport {
             accepted += p.accepted;
         }
     }
-    DrillReport {
+    Report {
         seed: cfg.seed,
         phases,
         recovery_ms,
@@ -698,17 +699,6 @@ pub fn run_drill(cfg: &ChaosConfig) -> DrillReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sub_seeds_are_decorrelated() {
-        let a = sub_seed(4242, 1);
-        let b = sub_seed(4242, 2);
-        let c = sub_seed(4243, 1);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        // Deterministic: same inputs, same stream.
-        assert_eq!(a, sub_seed(4242, 1));
-    }
 
     #[test]
     fn drill_queries_are_seeded_and_in_bounds() {
@@ -740,7 +730,7 @@ mod tests {
 
     #[test]
     fn report_json_is_parseable_shape() {
-        let report = DrillReport {
+        let report = Report {
             seed: 1,
             phases: vec![PhaseReport { name: "baseline".into(), ..PhaseReport::default() }],
             recovery_ms: 1.5,

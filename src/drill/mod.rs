@@ -1,0 +1,197 @@
+//! The drill library: every seeded robustness drill in the system, one
+//! implementation each.
+//!
+//! A drill is `run(&Config) -> Report`: a pure function of its seed (wall
+//! times aside) whose report answers `violations()` — the invariants that
+//! did not hold, empty on a pass — and `metrics()` — the headline numbers
+//! worth tracking run over run. Five drills share this shape:
+//!
+//! - [`faults`] — a `WaveletStore` on a seeded `FaultyDevice` against the
+//!   plain store: bit-identical when recovered, |error| ≤ bound when
+//!   degraded.
+//! - [`ingest`] — a clean glove session through a seeded faulty wire into
+//!   the supervised ingest behind an overrun-proof recorder; a zero-fault
+//!   plan must be bit-identical.
+//! - [`crash`] — a write log against a `FileDevice` under a seeded
+//!   `CrashPlan`, reopened: bit-identical to a committed prefix at or past
+//!   the acknowledged frontier.
+//! - [`tiers`] — a durable `TieredStore` ingesting under a live compactor
+//!   and planner, then checked against a serial in-memory oracle and its
+//!   resident-bytes budget.
+//! - [`chaos`] — storage faults × sensor faults × query floods composed
+//!   under one master seed.
+//!
+//! `aims-cli`, the `aims-bench` E-experiments and the matrix tests under
+//! `tests/` are shells over these: they choose workloads, sweep, print and
+//! gate, and own no RNG, percentile, replica or ingest config themselves.
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+pub mod chaos;
+pub mod crash;
+pub mod faults;
+pub mod ingest;
+pub mod tiers;
+
+/// Which way a [`Metric`] improves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Direction {
+    /// Bigger is better; regresses below `baseline·(1 − rel) − abs`.
+    Higher,
+    /// Smaller is better; regresses above `baseline·(1 + rel) + abs`.
+    Lower,
+}
+
+impl Direction {
+    /// The JSON spelling.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Direction::Higher => "higher",
+            Direction::Lower => "lower",
+        }
+    }
+
+    /// Parses the JSON spelling.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "higher" => Some(Direction::Higher),
+            "lower" => Some(Direction::Lower),
+            _ => None,
+        }
+    }
+}
+
+/// One tracked number, with the slack it gets before a change counts as
+/// a regression. The tolerance lives beside the code that produces the
+/// number: seeded values get tight bands, wall-clock values wide ones.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Metric {
+    /// Stable name (experiments prefix it with their id: `e32.query_p99_ms`).
+    pub name: String,
+    /// This run's value.
+    pub value: f64,
+    /// Which way is better.
+    pub direction: Direction,
+    /// Relative slack, as a fraction of the baseline.
+    pub rel_tolerance: f64,
+    /// Absolute slack, in the metric's own unit.
+    pub abs_tolerance: f64,
+}
+
+impl Metric {
+    /// A bigger-is-better metric.
+    pub fn higher(name: impl Into<String>, value: f64, rel: f64, abs: f64) -> Metric {
+        let direction = Direction::Higher;
+        Metric { name: name.into(), value, direction, rel_tolerance: rel, abs_tolerance: abs }
+    }
+
+    /// A smaller-is-better metric.
+    pub fn lower(name: impl Into<String>, value: f64, rel: f64, abs: f64) -> Metric {
+        Metric { direction: Direction::Lower, ..Metric::higher(name, value, rel, abs) }
+    }
+
+    /// One element of the uniform `"metrics":[…]` array.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"name\":\"{}\",\"value\":{},\"direction\":\"{}\",\"rel_tolerance\":{},\
+             \"abs_tolerance\":{}}}",
+            self.name,
+            self.value,
+            self.direction.as_str(),
+            self.rel_tolerance,
+            self.abs_tolerance
+        )
+    }
+}
+
+/// splitmix64 — the sub-seed derivation. Every injector gets an
+/// independent stream from (master seed, salt), so changing the master
+/// seed reshuffles every fault schedule at once while two injectors
+/// never share a stream.
+pub fn sub_seed(master: u64, salt: u64) -> u64 {
+    let mut z = master.wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Seeded xorshift64 stream for workload generation. The state must be
+/// non-zero (callers seed it `seed | 1`).
+pub struct Rng(pub u64);
+
+impl Rng {
+    /// The next value of the stream.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+}
+
+/// The `p`-quantile (`0..=1`, lower nearest rank) of `values`, which it
+/// sorts; `0.0` when empty.
+pub fn percentile(values: &mut [f64], p: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.sort_by(f64::total_cmp);
+    values[((values.len() - 1) as f64 * p) as usize]
+}
+
+/// The drill seed pinned in environment variable `var` (`ci.sh` pins two
+/// per drill), or `default`.
+pub fn env_seed(var: &str, default: u64) -> u64 {
+    std::env::var(var).ok().and_then(|s| s.trim().parse().ok()).unwrap_or(default)
+}
+
+/// The directory a durable drill runs in and whether to keep it: the
+/// caller's `dir` (kept), or a fresh temp dir unique within the process
+/// (removed after the run). Either way it starts empty.
+fn scratch_dir(tag: &str, dir: &Option<PathBuf>) -> (PathBuf, bool) {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let (path, keep) = match dir {
+        Some(d) => (d.clone(), true),
+        None => {
+            let n = SEQ.fetch_add(1, Ordering::Relaxed);
+            let name = format!("aims-{tag}-{}-{n}", std::process::id());
+            (std::env::temp_dir().join(name), false)
+        }
+    };
+    std::fs::remove_dir_all(&path).ok();
+    (path, keep)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sub_seeds_are_decorrelated() {
+        let a = sub_seed(4242, 1);
+        assert_ne!(a, sub_seed(4242, 2));
+        assert_ne!(a, sub_seed(4243, 1));
+        assert_eq!(a, sub_seed(4242, 1));
+    }
+
+    #[test]
+    fn percentile_is_lower_nearest_rank() {
+        assert_eq!(percentile(&mut [], 0.99), 0.0);
+        let mut v: Vec<f64> = (1..=100).rev().map(f64::from).collect();
+        assert_eq!(percentile(&mut v, 0.5), 50.0);
+        assert_eq!(percentile(&mut v, 0.99), 99.0);
+        assert_eq!(percentile(&mut v, 1.0), 100.0);
+    }
+
+    #[test]
+    fn metric_json_carries_the_whole_gate() {
+        let m = Metric::lower("e31.recovery_ms", 0.25, 0.0, 500.0);
+        let v = aims_telemetry::json::parse(&m.to_json()).unwrap();
+        assert_eq!(v.str("name"), Some("e31.recovery_ms"));
+        assert_eq!(v.num("value"), Some(0.25));
+        assert_eq!(v.str("direction").and_then(Direction::parse), Some(Direction::Lower));
+        assert_eq!(v.num("abs_tolerance"), Some(500.0));
+    }
+}

@@ -9,40 +9,15 @@
 //! seed should pass — if one doesn't, that seed is a reproducer worth
 //! keeping.
 
-use aims::chaos::{run_drill, ChaosConfig};
-
-fn drill_seed() -> u64 {
-    std::env::var("AIMS_CHAOS_SEED").ok().and_then(|s| s.trim().parse().ok()).unwrap_or(4242)
-}
+use aims::drill::chaos::{run, Config};
+use aims::drill::env_seed;
 
 #[test]
 fn composed_chaos_drill_holds_every_invariant() {
-    let cfg = ChaosConfig { seed: drill_seed(), ..ChaosConfig::default() };
-    let report = run_drill(&cfg);
+    let report = run(&Config { seed: env_seed("AIMS_CHAOS_SEED", 4242), ..Config::default() });
 
     // Print the phase table up front: on failure this is the post-mortem.
-    eprintln!(
-        "{:>14} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>9}",
-        "phase", "submit", "accept", "reject", "done", "shed", "expire", "degr", "p99 ms"
-    );
-    for p in &report.phases {
-        eprintln!(
-            "{:>14} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>9.2}",
-            p.name,
-            p.submitted,
-            p.accepted,
-            p.rejected,
-            p.done,
-            p.shed,
-            p.expired,
-            p.degraded,
-            p.p99_ms
-        );
-    }
-    eprintln!(
-        "seed {} | recovery {:.1} ms | shed fraction {:.3} | p99 overload {:.2} ms",
-        report.seed, report.recovery_ms, report.shed_fraction, report.p99_overload_ms
-    );
+    eprintln!("{}", report.render_table());
 
     let violations = report.violations();
     assert!(

@@ -18,44 +18,28 @@
 //! seed (pinned here via `AIMS_CRASH_SEED`, default 52417; ci.sh also
 //! runs seeds 17 and 2029), so the whole matrix reproduces bit-for-bit.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use aims::drill::crash::{committed_prefix, replica, run, Config, Report, WriteLog};
+use aims::drill::sub_seed;
 use aims::storage::buffer::BufferPool;
-use aims::storage::device::{BlockDevice, MemDevice, RawMedia};
+use aims::storage::device::{BlockDevice, RawMedia};
 use aims::storage::file::{CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions};
 use aims::storage::store::{AllocKind, WaveletStore};
 
 const BLOCK: usize = 8;
 const NB: usize = 12;
+/// A small checkpoint threshold so checkpoints (and their crash points)
+/// happen mid-workload, not only at close.
+const CHECKPOINT_BYTES: u64 = 400;
 
 fn seed() -> u64 {
-    std::env::var("AIMS_CRASH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(52417)
+    aims::drill::env_seed("AIMS_CRASH_SEED", 52417)
 }
 
-/// SplitMix64 — the step-picking stream, independent of the device's
-/// torn-length stream.
+/// The step- and payload-picking stream: the library's splitmix64,
+/// independent of the device's torn-length stream.
 fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    sub_seed(x, 1)
 }
-
-fn test_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::SeqCst);
-    std::env::temp_dir().join(format!("aims-crash-{}-{tag}-{n}", std::process::id()))
-}
-
-fn opts(mode: DurabilityMode, crash: CrashPlan) -> FileDeviceOptions {
-    // A small checkpoint threshold so checkpoints (and their crash
-    // points) happen mid-workload, not only at close.
-    FileDeviceOptions { mode, checkpoint_bytes: 400, crash, ..Default::default() }
-}
-
-/// One write in the canonical history: `(block, payload)`, LSN = index+1.
-type WriteLog = Vec<(usize, Vec<f64>)>;
 
 /// The workloads under test, as explicit write histories.
 fn workloads(seed: u64) -> Vec<(&'static str, WriteLog)> {
@@ -79,65 +63,23 @@ fn workloads(seed: u64) -> Vec<(&'static str, WriteLog)> {
     vec![("sequential", sequential), ("random", random)]
 }
 
-/// Applies the first `k` writes of `log` to fresh in-memory media.
-fn replica(log: &WriteLog, k: usize) -> MemDevice {
-    let mut m = MemDevice::new(BLOCK, NB);
-    for (b, p) in &log[..k] {
-        m.write_block(*b, p);
-    }
-    m
-}
-
-/// Whether `dev`'s payloads and checksums are bit-identical to `mem`'s.
-fn states_identical(dev: &FileDevice, mem: &MemDevice) -> bool {
-    (0..NB).all(|b| {
-        let d = dev.raw_payload(b);
-        let m = mem.raw_payload(b);
-        d.iter().zip(&m).all(|(x, y)| x.to_bits() == y.to_bits())
-            && dev.stored_checksum(b) == mem.stored_checksum(b)
-    })
-}
-
-/// Runs `log` against a fresh device in `dir`, stopping at a crash.
-/// Returns `(completed_writes, durable_lsn_at_crash, steps_taken)`.
-fn run_workload(dir: &PathBuf, o: FileDeviceOptions, log: &WriteLog) -> (usize, u64, u64) {
-    let mut dev = FileDevice::create(dir, BLOCK, NB, o).unwrap();
-    let mut completed = 0usize;
-    for (b, p) in log {
-        dev.write_block(*b, p);
-        if dev.is_crashed() {
-            break;
-        }
-        completed += 1;
-    }
-    (completed, dev.durable_lsn(), dev.steps_taken())
-}
-
-/// The core contract: the reopened device equals the committed prefix.
-/// Returns the matched prefix length.
-fn assert_recovers_prefix(
-    dir: &PathBuf,
-    log: &WriteLog,
-    durable_at_crash: u64,
-    label: &str,
-) -> usize {
-    let dev = FileDevice::open(dir, FileDeviceOptions::default()).unwrap();
-    let r = dev.recovery();
-    assert!(
-        r.recovered_lsn >= durable_at_crash || r.recovered_lsn == 0,
-        "{label}: recovered lsn {} < durable {durable_at_crash} with a non-empty WAL",
-        r.recovered_lsn
-    );
-    let matched =
-        (durable_at_crash as usize..=log.len()).find(|&k| states_identical(&dev, &replica(log, k)));
-    let k = matched.unwrap_or_else(|| {
-        panic!("{label}: recovered state matches no committed prefix ≥ {durable_at_crash}")
+/// Runs the library drill on `log`: write until `crash` fires (`None` is a
+/// crash-free probe), reopen, and match the committed prefix. The core
+/// contract — the reopened device equals a committed prefix at or past
+/// the acked frontier — is the drill's own; a violation fails the test.
+fn drill(mode: DurabilityMode, log: &WriteLog, crash: Option<(u64, u64)>, label: &str) -> Report {
+    let report = run(&Config {
+        seed: crash.map_or(0, |(seed, _)| seed),
+        mode,
+        block_size: BLOCK,
+        blocks: NB,
+        checkpoint_bytes: CHECKPOINT_BYTES,
+        log: log.clone(),
+        crash_step: crash.map(|(_, step)| step),
+        dir: None,
     });
-    assert!(
-        k as u64 >= durable_at_crash,
-        "{label}: matched prefix {k} below acked frontier {durable_at_crash}"
-    );
-    k
+    assert!(report.violations().is_empty(), "{label}: {:?}", report.violations());
+    report
 }
 
 #[test]
@@ -147,34 +89,22 @@ fn crash_matrix_recovers_committed_prefix() {
     for (wname, log) in workloads(seed) {
         for mode in modes {
             // Learn the step budget from a crash-free run.
-            let dir = test_dir("probe");
-            let (done, durable, steps) = run_workload(&dir, opts(mode, CrashPlan::none()), &log);
-            assert_eq!(done, log.len());
+            let probe = drill(mode, &log, None, "probe");
+            assert_eq!(probe.completed, log.len());
             if mode == DurabilityMode::Always {
-                assert_eq!(durable, log.len() as u64, "always mode acks every write");
+                assert_eq!(probe.durable_lsn, log.len() as u64, "always mode acks every write");
             }
-            std::fs::remove_dir_all(&dir).unwrap();
+            let steps = probe.steps_taken;
             assert!(steps > 0);
 
             for i in 0..8u64 {
                 let step = splitmix(seed ^ (i << 8) ^ steps) % steps;
                 let label = format!("{wname}/{}/step {step}", mode.label());
-                let dir = test_dir("matrix");
-                let plan = CrashPlan::at(seed ^ i, step);
-                let (completed, durable_at_crash, _) = run_workload(&dir, opts(mode, plan), &log);
-                if mode == DurabilityMode::Always {
-                    // Every completed write was individually synced. A
-                    // crash inside the post-sync auto-checkpoint can
-                    // leave one extra write durable but uncounted.
-                    assert!(
-                        durable_at_crash >= completed as u64
-                            && durable_at_crash <= completed as u64 + 1,
-                        "{label}: always mode acked {durable_at_crash} of {completed} completed"
-                    );
-                }
-                let k = assert_recovers_prefix(&dir, &log, durable_at_crash, &label);
-                assert!(k <= log.len());
-                std::fs::remove_dir_all(&dir).unwrap();
+                // The drill also holds always mode to its promise: every
+                // completed write acked (at most one more, from a crash
+                // inside the post-sync auto-checkpoint).
+                let report = drill(mode, &log, Some((seed ^ i, step)), &label);
+                assert!(report.matched_prefix.unwrap() as u64 >= report.durable_lsn, "{label}");
             }
         }
     }
@@ -184,22 +114,18 @@ fn crash_matrix_recovers_committed_prefix() {
 fn fsync_always_never_loses_an_acked_write_at_any_step() {
     let seed = seed();
     let log: WriteLog = workloads(seed).remove(0).1.into_iter().take(8).collect();
-    let dir = test_dir("probe-all");
-    let (_, _, steps) = run_workload(&dir, opts(DurabilityMode::Always, CrashPlan::none()), &log);
-    std::fs::remove_dir_all(&dir).unwrap();
+    let steps = drill(DurabilityMode::Always, &log, None, "probe").steps_taken;
     // Exhaustive: every crash-eligible step, not a sample.
     for step in 0..steps {
-        let dir = test_dir("sweep");
-        let plan = CrashPlan::at(seed.wrapping_add(step), step);
-        let (completed, durable_at_crash, _) =
-            run_workload(&dir, opts(DurabilityMode::Always, plan), &log);
-        assert!(
-            durable_at_crash >= completed as u64,
-            "step {step}: completed write not acked ({durable_at_crash} < {completed})"
-        );
         let label = format!("sweep step {step}");
-        assert_recovers_prefix(&dir, &log, durable_at_crash, &label);
-        std::fs::remove_dir_all(&dir).unwrap();
+        let crash = Some((seed.wrapping_add(step), step));
+        let report = drill(DurabilityMode::Always, &log, crash, &label);
+        assert!(
+            report.durable_lsn >= report.completed as u64,
+            "step {step}: completed write not acked ({} < {})",
+            report.durable_lsn,
+            report.completed
+        );
     }
 }
 
@@ -216,40 +142,26 @@ fn reopened_store_answers_range_sums_like_the_committed_prefix() {
     let nb = plain.device().num_blocks();
     let log: WriteLog = (0..nb).map(|b| (b, plain.device().raw_payload(b))).collect();
 
-    // Learn the step budget of a full durable load.
-    let dir = test_dir("store-probe");
-    let steps = {
-        let mut probe = WaveletStore::from_signal_on(&signal, BLOCK, AllocKind::TreeTiling, {
-            let dir = dir.clone();
-            move |bs, nb| {
-                FileDevice::create(
-                    dir,
-                    bs,
-                    nb,
-                    opts(DurabilityMode::Periodic(4), CrashPlan::none()),
-                )
-                .unwrap()
-            }
-        });
-        probe.device_mut().steps_taken()
+    // A durable load of the signal in a scratch dir, dying at `crash`.
+    let dir = std::env::temp_dir().join(format!("aims-crash-store-{}", std::process::id()));
+    let load = |crash: CrashPlan| {
+        std::fs::remove_dir_all(&dir).ok();
+        let opts = FileDeviceOptions {
+            mode: DurabilityMode::Periodic(4),
+            checkpoint_bytes: CHECKPOINT_BYTES,
+            crash,
+            ..Default::default()
+        };
+        WaveletStore::from_signal_on(&signal, BLOCK, AllocKind::TreeTiling, |bs, nb| {
+            FileDevice::create(&dir, bs, nb, opts).unwrap()
+        })
     };
-    std::fs::remove_dir_all(&dir).unwrap();
+    // Learn the step budget of a full load.
+    let steps = load(CrashPlan::none()).device().steps_taken();
 
     for i in 0..6u64 {
         let step = splitmix(seed ^ (0x5170 + i)) % steps;
-        let dir = test_dir("store-crash");
-        let store = WaveletStore::from_signal_on(&signal, BLOCK, AllocKind::TreeTiling, {
-            let dir = dir.clone();
-            move |bs, nb| {
-                FileDevice::create(
-                    dir,
-                    bs,
-                    nb,
-                    opts(DurabilityMode::Periodic(4), CrashPlan::at(seed ^ i, step)),
-                )
-                .unwrap()
-            }
-        });
+        let store = load(CrashPlan::at(seed ^ i, step));
         let durable_at_crash = store.device().durable_lsn();
         assert!(store.device().is_crashed(), "step {step} must be within the load");
         drop(store);
@@ -257,36 +169,12 @@ fn reopened_store_answers_range_sums_like_the_committed_prefix() {
         // Reopen the recovered device and find the committed prefix it
         // equals; then the two reopened stores must agree bit-for-bit.
         let label = format!("store load, step {step}");
-        let k = {
-            // assert_recovers_prefix opens its own handle; reuse it for
-            // the prefix length, then reopen for the query store.
-            let nb_log: WriteLog = log.iter().map(|(b, p)| (*b, p.clone())).collect();
-            let dev = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap();
-            let matched = (durable_at_crash as usize..=nb_log.len()).find(|&kk| {
-                let mut m = MemDevice::new(BLOCK, nb);
-                for (b, p) in &nb_log[..kk] {
-                    m.write_block(*b, p);
-                }
-                (0..nb).all(|b| {
-                    let d = dev.raw_payload(b);
-                    let mm = m.raw_payload(b);
-                    d.iter().zip(&mm).all(|(x, y)| x.to_bits() == y.to_bits())
-                        && dev.stored_checksum(b) == m.stored_checksum(b)
-                })
-            });
-            matched.unwrap_or_else(|| panic!("{label}: no committed prefix matches"))
-        };
-
-        let recovered = WaveletStore::reopen(
-            FileDevice::open(&dir, FileDeviceOptions::default()).unwrap(),
-            AllocKind::TreeTiling,
-            N,
-        );
-        let mut mem = MemDevice::new(BLOCK, nb);
-        for (b, p) in &log[..k] {
-            mem.write_block(*b, p);
-        }
-        let reference = WaveletStore::reopen(mem, AllocKind::TreeTiling, N);
+        let recovered = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap();
+        let k = committed_prefix(&recovered, &log, durable_at_crash as usize, log.len())
+            .unwrap_or_else(|| panic!("{label}: no committed prefix matches"));
+        let recovered = WaveletStore::reopen(recovered, AllocKind::TreeTiling, N);
+        let reference =
+            WaveletStore::reopen(replica(&log[..k], BLOCK, nb), AllocKind::TreeTiling, N);
 
         let mut p1 = BufferPool::new(16);
         let mut p2 = BufferPool::new(16);
@@ -300,30 +188,6 @@ fn reopened_store_answers_range_sums_like_the_committed_prefix() {
             let y = reference.point_value(t, &mut p2);
             assert_eq!(x.to_bits(), y.to_bits(), "{label}: point {t}");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
-}
-
-#[test]
-fn crash_matrix_is_reproducible_per_seed() {
-    let seed = seed();
-    let log = workloads(seed).remove(1).1;
-    let dir = test_dir("probe-rep");
-    let (_, _, steps) =
-        run_workload(&dir, opts(DurabilityMode::Periodic(3), CrashPlan::none()), &log);
     std::fs::remove_dir_all(&dir).unwrap();
-    let step = splitmix(seed ^ 0x9999) % steps;
-
-    let run = |tag: &str| -> (u64, Vec<Vec<u64>>, u64, u64) {
-        let dir = test_dir(tag);
-        let plan = CrashPlan::at(seed, step);
-        let (_, durable, _) = run_workload(&dir, opts(DurabilityMode::Periodic(3), plan), &log);
-        let dev = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap();
-        let image: Vec<Vec<u64>> =
-            (0..NB).map(|b| dev.raw_payload(b).iter().map(|v| v.to_bits()).collect()).collect();
-        let r = dev.recovery();
-        std::fs::remove_dir_all(&dir).unwrap();
-        (durable, image, r.replayed_records, r.truncated_bytes)
-    };
-    assert_eq!(run("rep-a"), run("rep-b"), "same seed, same crash, same recovery");
 }

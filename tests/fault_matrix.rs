@@ -15,31 +15,23 @@
 //! `AIMS_FAULT_SEED`, default 41378; ci.sh also runs seeds 13 and 1013),
 //! so the whole matrix is reproducible bit-for-bit.
 
+use aims::drill::faults::{run, stores, Config, Row};
 use aims::storage::buffer::BufferPool;
 use aims::storage::device::{BlockDevice, RetryPolicy};
 use aims::storage::error_tree::range_query_set;
 use aims::storage::faults::{FaultKind, FaultPlan, FaultyDevice};
-use aims::storage::store::{AllocKind, WaveletStore};
 
 const N: usize = 256;
-const BLOCK: usize = 8;
 
 fn seed() -> u64 {
-    std::env::var("AIMS_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(41378)
+    aims::drill::env_seed("AIMS_FAULT_SEED", 41378)
 }
 
-fn signal() -> Vec<f64> {
-    (0..N).map(|i| ((i * 11 + 3) % 17) as f64 - 8.0 + (i as f64 * 0.01)).collect()
-}
-
-fn plain_store() -> WaveletStore {
-    WaveletStore::from_signal(&signal(), BLOCK, AllocKind::TreeTiling)
-}
-
-fn faulty_store(plan: FaultPlan) -> WaveletStore<FaultyDevice> {
-    WaveletStore::from_signal_on(&signal(), BLOCK, AllocKind::TreeTiling, |bs, nb| {
-        FaultyDevice::with_plan(bs, nb, plan)
-    })
+/// One matrix cell's drill: the test signal in 8-coefficient blocks under
+/// `plan`, with `queries` answered in order on freshly loaded stores.
+fn config(plan: FaultPlan, retry: RetryPolicy, queries: Vec<(usize, usize)>) -> Config {
+    let signal = (0..N).map(|i| ((i * 11 + 3) % 17) as f64 - 8.0 + (i as f64 * 0.01)).collect();
+    Config { plan, retry, signal, block: 8, queries }
 }
 
 /// The query workload: a mix of short, long and single-point ranges.
@@ -47,25 +39,23 @@ fn ranges() -> Vec<(usize, usize)> {
     vec![(0, 255), (3, 77), (100, 199), (42, 42), (128, 255), (17, 230)]
 }
 
+/// Runs the library drill, which checks both contracts on every query —
+/// recovered ⇒ bit-identical to the fault-free store, degraded ⇒ within
+/// its guaranteed bound — and returns the per-query rows.
+fn checked_rows(cfg: &Config, label: &str) -> Vec<Row> {
+    let report = run(cfg);
+    assert!(report.violations().is_empty(), "{label}: {:?}", report.violations());
+    report.rows
+}
+
 #[test]
 fn zero_rate_is_bit_identical_for_every_fault_kind() {
-    let s = seed();
-    let plain = plain_store();
     for kind in FaultKind::ALL {
-        let faulty = faulty_store(FaultPlan::uniform(s, kind, 0.0));
-        for (a, b) in ranges() {
-            let mut p1 = BufferPool::new(64);
-            let mut p2 = BufferPool::new(64);
-            let expect = plain.range_sum(a, b, &mut p1);
-            let got = faulty.range_sum_outcome(a, b, &mut p2, &RetryPolicy::none());
-            assert_eq!(
-                expect.to_bits(),
-                got.value.to_bits(),
-                "{kind:?} zero-rate [{a},{b}] diverged"
-            );
-            assert!(!got.degraded());
-            assert_eq!(got.error_bound, 0.0);
+        let cfg = config(FaultPlan::uniform(seed(), kind, 0.0), RetryPolicy::none(), ranges());
+        for row in checked_rows(&cfg, &format!("{kind:?} zero-rate")) {
+            assert!(!row.got.degraded(), "{kind:?} zero-rate {:?} degraded", row.range);
         }
+        let (plain, faulty) = stores(&cfg);
         for t in [0usize, 31, 130, 255] {
             let mut p1 = BufferPool::new(64);
             let mut p2 = BufferPool::new(64);
@@ -83,117 +73,52 @@ fn zero_rate_is_bit_identical_for_every_fault_kind() {
 /// budget suffices — recovery and degradation are asserted, not sampled.
 #[test]
 fn transient_fault_matrix_recovers_or_degrades_predictably() {
-    let s = seed();
-    let plain = plain_store();
     for kind in [FaultKind::ReadError, FaultKind::BitFlip] {
         for rate in [0.2, 0.5, 0.85] {
             for budget in [0usize, 2, 6] {
                 for (a, b) in ranges() {
-                    let faulty = faulty_store(FaultPlan::uniform(s, kind, rate));
-                    let set = range_query_set(a, b, N);
+                    let label = format!("{kind:?} rate={rate} budget={budget} [{a},{b}]");
+                    let retry = RetryPolicy { retries: budget, ..RetryPolicy::none() };
+                    let cfg = config(FaultPlan::uniform(seed(), kind, rate), retry, vec![(a, b)]);
+                    let (_, faulty) = stores(&cfg);
                     let worst = faulty
-                        .blocks_for(&set)
+                        .blocks_for(&range_query_set(a, b, N))
                         .iter()
                         .map(|&blk| faulty.device().planned_read_failures(blk))
                         .max()
                         .unwrap();
-                    let policy = RetryPolicy { retries: budget, ..RetryPolicy::none() };
-                    // Pool holds every touched block: each is fetched once.
-                    let mut pool = BufferPool::new(64);
-                    let got = faulty.range_sum_outcome(a, b, &mut pool, &policy);
-                    let should_degrade = worst > budget;
-                    assert_eq!(
-                        got.degraded(),
-                        should_degrade,
-                        "{kind:?} rate={rate} budget={budget} [{a},{b}]: worst streak {worst}"
-                    );
-                    let mut p1 = BufferPool::new(64);
-                    let expect = plain.range_sum(a, b, &mut p1);
-                    if should_degrade {
-                        assert!(
-                            (got.value - expect).abs() <= got.error_bound + 1e-9,
-                            "{kind:?} rate={rate} budget={budget} [{a},{b}]: \
-                             |{} − {expect}| > {}",
-                            got.value,
-                            got.error_bound
-                        );
-                    } else {
-                        assert_eq!(
-                            expect.to_bits(),
-                            got.value.to_bits(),
-                            "{kind:?} rate={rate} budget={budget} [{a},{b}]: \
-                             recovered answer must be bit-identical"
-                        );
-                    }
+                    let row = &checked_rows(&cfg, &label)[0];
+                    assert_eq!(row.got.degraded(), worst > budget, "{label}: worst streak {worst}");
                 }
             }
         }
     }
 }
 
+/// Permanent faults: a query degrades exactly when it touches a block the
+/// schedule killed (or tore at load time), whatever the retry budget.
+fn assert_degrades_iff_touching(kind: FaultKind, rate: f64, bad: fn(&FaultyDevice) -> Vec<usize>) {
+    let plan = FaultPlan::uniform(seed(), kind, rate);
+    // One fresh drill per query: the pool is cold, every block is read.
+    for (a, b) in ranges() {
+        let cfg = config(plan.clone(), RetryPolicy::with_retries(100), vec![(a, b)]);
+        let (_, faulty) = stores(&cfg);
+        let bad = bad(faulty.device());
+        assert!(!bad.is_empty(), "seed {}: no {kind:?} blocks at rate {rate}", seed());
+        let touches = faulty.blocks_for(&range_query_set(a, b, N)).iter().any(|b| bad.contains(b));
+        let row = &checked_rows(&cfg, &format!("{kind:?} [{a},{b}]"))[0];
+        assert_eq!(row.got.degraded(), touches, "{kind:?} [{a},{b}] vs bad blocks {bad:?}");
+    }
+}
+
 #[test]
 fn dead_blocks_degrade_regardless_of_retry_budget() {
-    let s = seed();
-    let plain = plain_store();
-    let faulty = faulty_store(FaultPlan::uniform(s, FaultKind::DeadBlock, 0.25));
-    let device = faulty.device();
-    let dead: Vec<usize> = (0..device.num_blocks()).filter(|&blk| device.is_dead(blk)).collect();
-    assert!(!dead.is_empty(), "seed {s}: no dead blocks at 25% of {}", device.num_blocks());
-
-    let generous = RetryPolicy::with_retries(100);
-    for (a, b) in ranges() {
-        let set = range_query_set(a, b, N);
-        let touches_dead = faulty.blocks_for(&set).iter().any(|blk| dead.contains(blk));
-        let mut pool = BufferPool::new(64);
-        let got = faulty.range_sum_outcome(a, b, &mut pool, &generous);
-        assert_eq!(got.degraded(), touches_dead, "[{a},{b}] vs dead {dead:?}");
-        let mut p1 = BufferPool::new(64);
-        let expect = plain.range_sum(a, b, &mut p1);
-        if touches_dead {
-            assert!((got.value - expect).abs() <= got.error_bound + 1e-9);
-        } else {
-            assert_eq!(expect.to_bits(), got.value.to_bits(), "untouched query must stay exact");
-        }
-    }
+    assert_degrades_iff_touching(FaultKind::DeadBlock, 0.25, |device| {
+        (0..device.num_blocks()).filter(|&blk| device.is_dead(blk)).collect()
+    });
 }
 
 #[test]
 fn torn_writes_corrupt_permanently_until_rewrite() {
-    let s = seed();
-    let plain = plain_store();
-    let faulty = faulty_store(FaultPlan::uniform(s, FaultKind::TornWrite, 0.35));
-    let torn = faulty.device().torn_blocks();
-    assert!(!torn.is_empty(), "seed {s}: no torn writes at 35%");
-
-    let generous = RetryPolicy::with_retries(50);
-    for (a, b) in ranges() {
-        let set = range_query_set(a, b, N);
-        let touches_torn = faulty.blocks_for(&set).iter().any(|blk| torn.contains(blk));
-        let mut pool = BufferPool::new(64);
-        let got = faulty.range_sum_outcome(a, b, &mut pool, &generous);
-        assert_eq!(got.degraded(), touches_torn, "[{a},{b}] vs torn {torn:?}");
-        if !touches_torn {
-            let mut p1 = BufferPool::new(64);
-            let expect = plain.range_sum(a, b, &mut p1);
-            assert_eq!(expect.to_bits(), got.value.to_bits());
-        }
-    }
-}
-
-#[test]
-fn matrix_outcomes_are_reproducible_per_seed() {
-    let s = seed();
-    let run = || -> Vec<(u64, f64, usize)> {
-        let mut out = Vec::new();
-        for kind in [FaultKind::ReadError, FaultKind::BitFlip, FaultKind::DeadBlock] {
-            let faulty = faulty_store(FaultPlan::uniform(s, kind, 0.5));
-            for (a, b) in ranges() {
-                let mut pool = BufferPool::new(64);
-                let got = faulty.range_sum_outcome(a, b, &mut pool, &RetryPolicy::with_retries(2));
-                out.push((got.value.to_bits(), got.error_bound, got.lost_blocks.len()));
-            }
-        }
-        out
-    };
-    assert_eq!(run(), run(), "same seed must reproduce the whole matrix bit-for-bit");
+    assert_degrades_iff_touching(FaultKind::TornWrite, 0.35, FaultyDevice::torn_blocks);
 }
