@@ -22,6 +22,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 if [[ $fast -eq 0 ]]; then
     echo "== cargo build --release =="
     cargo build --release
+    # The benchmark harness is frozen outside the workspace and builds
+    # --locked against these crates: an API or dependency-edge break
+    # must fail here, not at the benchmark gate.
+    echo "== bench harness compile check =="
+    cargo build --release --locked --quiet --manifest-path bench/Cargo.toml
 fi
 
 # Every suite in the workspace, under the serial and the pooled execution

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use aims_storage::buffer::BufferPool;
+use aims_storage::cache::SharedBlockCache;
 use aims_storage::store::{AllocKind, WaveletStore};
 
 fn signal(n: usize) -> Vec<f64> {
@@ -23,10 +23,10 @@ fn bench_point_queries(c: &mut Criterion) {
         let store = WaveletStore::from_signal(&x, 64, kind);
         g.bench_with_input(BenchmarkId::from_parameter(name), &store, |b, store| {
             b.iter(|| {
-                let mut pool = BufferPool::new(8);
+                let pool = SharedBlockCache::new(8);
                 let mut acc = 0.0;
                 for t in (0..n).step_by(701) {
-                    acc += store.point_value(t, &mut pool);
+                    acc += store.point_value(t, &pool);
                 }
                 acc
             });
@@ -43,11 +43,11 @@ fn bench_range_sums(c: &mut Criterion) {
         let store = WaveletStore::from_signal(&x, 64, kind);
         g.bench_with_input(BenchmarkId::from_parameter(name), &store, |b, store| {
             b.iter(|| {
-                let mut pool = BufferPool::new(8);
+                let pool = SharedBlockCache::new(8);
                 let mut acc = 0.0;
                 for k in 0..50 {
                     let a = (k * 997) % (n / 2);
-                    acc += store.range_sum(a, a + n / 3, &mut pool);
+                    acc += store.range_sum(a, a + n / 3, &pool);
                 }
                 acc
             });

@@ -49,34 +49,6 @@ fn is_batch(k: usize) -> bool {
     k.is_multiple_of(3)
 }
 
-/// Each session's starting error bound `Σ_b sqrt(w²_b · E_b)` — the
-/// same per-block Cauchy–Schwarz number the service computes at submit,
-/// rebuilt here from the public blockstore so the experiment can
-/// normalize bound trajectories (relative progress) without private API.
-fn initial_bounds(
-    engine: &Propolyne,
-    blocked: &BlockedCoefficients,
-    queries: &[Vec<(usize, usize)>],
-) -> Vec<f64> {
-    let bs = blocked.block_size();
-    queries
-        .iter()
-        .map(|ranges| {
-            let p = engine.prepare(&RangeSumQuery::count(ranges.clone()));
-            let plan = blocked.plan_blocks(&p);
-            let mut w2 = vec![0.0; plan.len()];
-            let mut k = 0usize;
-            for (&i, &w) in p.indices.iter().zip(p.weights.iter()) {
-                while plan[k] != i / bs {
-                    k += 1;
-                }
-                w2[k] += w * w;
-            }
-            plan.iter().zip(&w2).map(|(&b, &s)| (s * blocked.block_energy(b)).sqrt()).sum()
-        })
-        .collect()
-}
-
 /// Runs the mixed-class workload under one scheduler policy with
 /// shedding disabled (identical answers by construction) and returns
 /// each session's relative bound-trajectory area — Σ over its per-round
@@ -167,7 +139,15 @@ pub fn e31_chaos_qos() {
     let engine = Propolyne::new(cube.clone());
     let blocked = BlockedCoefficients::new(engine.cube().coeffs(), BLOCK);
     let queries = mixed_queries();
-    let initial = initial_bounds(&engine, &blocked, &queries);
+    // Each session's starting error bound — the number the service
+    // starts it at — to normalize bound trajectories (relative progress).
+    let initial: Vec<f64> = queries
+        .iter()
+        .map(|ranges| {
+            let p = engine.prepare(&RangeSumQuery::count(ranges.clone()));
+            blocked.plan(&p).initial_bound()
+        })
+        .collect();
     let expected: Vec<u64> = queries
         .iter()
         .map(|ranges| {

@@ -10,7 +10,7 @@ use aims_propolyne::blockstore::BlockedCoefficients;
 use aims_propolyne::engine::Propolyne;
 use aims_propolyne::query::RangeSumQuery;
 use aims_service::{Outcome, QueryService, QuerySpec, ServiceConfig, ServiceError};
-use aims_storage::buffer::BufferPool;
+use aims_storage::cache::SharedBlockCache;
 use aims_storage::device::{BlockDevice, RetryPolicy};
 
 use crate::workloads::gaussian_mixture_cube;
@@ -63,8 +63,8 @@ pub fn e27_service_sharing() {
     for (k, ranges) in queries.iter().enumerate() {
         let prepared = engine.prepare(&RangeSumQuery::count(ranges.clone()));
         baseline_solo_blocks += store.plan_blocks(&prepared).len();
-        let mut pool = BufferPool::new(1);
-        let answer = store.evaluate_degraded(&prepared, &mut pool, &RetryPolicy::none());
+        let pool = SharedBlockCache::new(1);
+        let answer = store.evaluate_degraded(&prepared, &pool, &RetryPolicy::none());
         assert_eq!(
             answer.estimate.to_bits(),
             expected[k],

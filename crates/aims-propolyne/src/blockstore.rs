@@ -4,19 +4,25 @@
 //! queries against a dense coefficient slice. This module is the fetch
 //! path the AIMS storage design implies: cube coefficients live on a
 //! [`BlockDevice`] in checksummed blocks, queries pull only the blocks
-//! their sparse entries touch through a [`BufferPool`], and storage
+//! their sparse entries touch through a [`SharedBlockCache`], and storage
 //! faults degrade the answer instead of failing it — missing
 //! coefficients contribute zero and the answer carries a guaranteed
 //! error bound (Cauchy–Schwarz against the lost blocks' load-time
 //! energy).
 //!
-//! With a healthy device, [`BlockedCoefficients::evaluate_degraded`]
-//! accumulates the same entries in the same order as
-//! [`crate::engine::Propolyne::evaluate_prepared`], so the result is
-//! bit-identical to the in-memory path.
+//! The layout rule (`coefficient i → block i / B, offset i % B`) lives in
+//! [`BlockedCoefficients::plan`] and [`BlockedCoefficients::accumulate`]
+//! and nowhere else: the first says which blocks a query needs and what
+//! each is worth, the second folds one fetched block into the running
+//! sum. Both walk the prepared entries in ascending offset order, exactly
+//! like [`crate::engine::Propolyne::evaluate_prepared`], so with a healthy
+//! device the result is bit-identical to the in-memory path.
 
-use aims_storage::buffer::BufferPool;
-use aims_storage::device::{BlockDevice, MemDevice, RetryPolicy};
+use std::sync::Arc;
+
+use aims_storage::device::{BlockDevice, MemDevice, ReadError, RetryPolicy};
+use aims_storage::store::block_energies;
+use aims_storage::{BlockPlan, BoundLedger, SharedBlockCache};
 use aims_telemetry::global;
 
 use crate::engine::PreparedQuery;
@@ -52,17 +58,6 @@ impl DegradedAnswer {
     pub fn degraded(&self) -> bool {
         !self.lost_blocks.is_empty()
     }
-}
-
-/// One step of a progressive evaluation over blocked storage.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DegradedStep {
-    /// Query coefficients consumed so far (including missing ones).
-    pub coefficients_used: usize,
-    /// Running estimate.
-    pub estimate: f64,
-    /// Guaranteed bound: unseen-suffix term plus lost-block term.
-    pub guaranteed_bound: f64,
 }
 
 impl BlockedCoefficients<MemDevice> {
@@ -106,25 +101,21 @@ impl<D: BlockDevice> BlockedCoefficients<D> {
     /// recovered durable device. The sequential layout
     /// (`coefficient i → block i / B, offset i % B`) is implicit, so only
     /// the unpadded coefficient count `len` is needed; the per-block
-    /// energy catalog is re-read from the device (raw reads — an
-    /// unreadable block contributes zero energy).
+    /// energy catalog is re-read from the device with verified, retried
+    /// reads. A block that stays unreadable fails the reopen: priced at
+    /// zero it would let every later query that touches it report a zero
+    /// bound over missing coefficients.
     ///
     /// # Panics
     /// If the device is too small for `len` coefficients.
-    pub fn from_device(device: D, len: usize) -> Self {
+    pub fn from_device(device: D, len: usize) -> Result<Self, ReadError> {
         assert!(len > 0, "cannot reopen an empty coefficient vector");
         let block_size = device.block_size();
         let num_blocks = len.div_ceil(block_size);
         assert!(device.num_blocks() >= num_blocks, "device too small");
-        let mut buf = vec![0.0; block_size];
-        let block_energy: Vec<f64> = (0..num_blocks)
-            .map(|b| match device.read_raw_into(b, &mut buf) {
-                Ok(()) => buf.iter().map(|c| c * c).sum(),
-                Err(_) => 0.0,
-            })
-            .collect();
+        let block_energy = block_energies(&device, num_blocks)?;
         device.reset_stats();
-        BlockedCoefficients { device, block_size, n: len, block_energy }
+        Ok(BlockedCoefficients { device, block_size, n: len, block_energy })
     }
 
     /// Mutable access to the backing device (checkpoint / close hooks on
@@ -175,6 +166,25 @@ impl<D: BlockDevice> BlockedCoefficients<D> {
         &self.block_energy
     }
 
+    /// The blocks a prepared query needs, ascending (the fold order of
+    /// every evaluation over this store), each priced at
+    /// `sqrt(Σw² · Σc²)` from the query's weights and the energy catalog.
+    /// No device I/O.
+    pub fn plan(&self, prepared: &PreparedQuery) -> BlockPlan {
+        let mut pairs: Vec<(usize, f64)> = Vec::new();
+        for (i, w) in prepared.entries() {
+            assert!(i < self.n, "query offset {i} out of range");
+            let b = i / self.block_size;
+            match pairs.last_mut() {
+                Some((last, wsq)) if *last == b => *wsq += w * w,
+                _ => pairs.push((b, w * w)),
+            }
+        }
+        let mut plan = BlockPlan::default();
+        plan.extend(pairs, |b| self.block_energy[b]);
+        plan
+    }
+
     /// The distinct device blocks a prepared query will touch, ascending.
     ///
     /// This is the plan-observation hook the serving layer's shared-scan
@@ -183,112 +193,73 @@ impl<D: BlockDevice> BlockedCoefficients<D> {
     /// standalone too — `plan_blocks(q).len()` is the exact device read
     /// cost of a cold-cache evaluation.
     pub fn plan_blocks(&self, prepared: &PreparedQuery) -> Vec<usize> {
-        let mut blocks: Vec<usize> = prepared
-            .indices
-            .iter()
-            .map(|&i| {
-                assert!(i < self.n, "query offset {i} out of range");
-                i / self.block_size
-            })
-            .collect();
-        blocks.sort_unstable();
-        blocks.dedup();
-        blocks
+        self.plan(prepared).blocks
+    }
+
+    /// Folds plan block `block` into a running evaluation: every prepared
+    /// entry from `*cursor` on that lives in the block is consumed —
+    /// added to `*sum` as `w · data[offset]`, or skipped (contributing
+    /// zero) when the block was lost and `data` is `None`. Returns the
+    /// number of entries consumed. Called once per plan block in plan
+    /// order, this is one flat accumulator over the entries ascending.
+    pub fn accumulate(
+        &self,
+        prepared: &PreparedQuery,
+        block: usize,
+        data: Option<&[f64]>,
+        cursor: &mut usize,
+        sum: &mut f64,
+    ) -> usize {
+        let base = block * self.block_size;
+        let start = *cursor;
+        while let Some(&i) = prepared.indices.get(*cursor) {
+            if i >= base + self.block_size {
+                break;
+            }
+            if let Some(data) = data {
+                *sum += prepared.weights[*cursor] * data[i - base];
+            }
+            *cursor += 1;
+        }
+        *cursor - start
     }
 
     /// Evaluates a prepared query against the device, retrying transient
-    /// faults under `policy` and degrading when blocks stay unreadable.
+    /// faults under `policy` and degrading when blocks stay unreadable:
+    /// plan, fetch each plan block once, [`accumulate`] it or charge it to
+    /// the [`BoundLedger`]. A fault-free run is bit-identical to the
+    /// in-memory engine; a degraded one reports the lost blocks' summed
+    /// gains, the bound a query service session ends on.
     ///
-    /// Entries are accumulated in the prepared order (ascending offset),
-    /// exactly like `Propolyne::evaluate_prepared`, so a fault-free run
-    /// is bit-identical to the in-memory engine.
+    /// [`accumulate`]: BlockedCoefficients::accumulate
     pub fn evaluate_degraded(
         &self,
         prepared: &PreparedQuery,
-        pool: &mut BufferPool,
+        pool: &SharedBlockCache,
         policy: &RetryPolicy,
     ) -> DegradedAnswer {
-        let mut lost_blocks: Vec<usize> = Vec::new();
-        let mut missing = 0usize;
-        let mut lost_w2 = 0.0;
-        let mut estimate = 0.0;
-        for (i, w) in prepared.entries() {
-            assert!(i < self.n, "query offset {i} out of range");
-            let b = i / self.block_size;
-            if lost_blocks.contains(&b) {
-                missing += 1;
-                lost_w2 += w * w;
-                continue;
-            }
-            match pool.get_with_retry(&self.device, b, policy) {
-                Ok(data) => estimate += w * data[i % self.block_size],
+        let mut ledger = BoundLedger::in_fold_order(Arc::new(self.plan(prepared)));
+        let (mut cursor, mut estimate, mut missing) = (0usize, 0.0, 0usize);
+        while let Some(k) = ledger.peek() {
+            let b = ledger.plan().blocks[k];
+            match pool.get_or_read_outcome(&self.device, b, policy) {
+                Ok((data, _)) => {
+                    self.accumulate(prepared, b, Some(&data), &mut cursor, &mut estimate);
+                    ledger.deliver();
+                }
                 Err(_) => {
                     global().counter("storage.degraded").inc();
-                    lost_blocks.push(b);
-                    missing += 1;
-                    lost_w2 += w * w;
+                    missing += self.accumulate(prepared, b, None, &mut cursor, &mut estimate);
+                    ledger.lose();
                 }
             }
         }
-        let lost_e2: f64 = lost_blocks.iter().map(|&b| self.block_energy[b]).sum();
-        lost_blocks.sort_unstable();
         DegradedAnswer {
             estimate,
-            error_bound: (lost_w2 * lost_e2).sqrt(),
-            lost_blocks,
+            error_bound: ledger.bound(),
+            lost_blocks: ledger.lost_blocks().to_vec(),
             missing_coefficients: missing,
         }
-    }
-
-    /// Progressive evaluation over blocked storage: query coefficients
-    /// are consumed most-important-first; each step's guaranteed bound is
-    /// the unseen-suffix Cauchy–Schwarz term plus the lost-block term.
-    pub fn progressive_degraded(
-        &self,
-        prepared: &PreparedQuery,
-        pool: &mut BufferPool,
-        policy: &RetryPolicy,
-    ) -> Vec<DegradedStep> {
-        let mut order: Vec<(usize, f64)> = prepared.entries().collect();
-        order.sort_by(|a, b| b.1.abs().partial_cmp(&a.1.abs()).unwrap());
-
-        let mut suffix_energy = vec![0.0; order.len() + 1];
-        for (i, &(_, w)) in order.iter().enumerate().rev() {
-            suffix_energy[i] = suffix_energy[i + 1] + w * w;
-        }
-        let data_energy = self.data_energy();
-
-        let mut lost_blocks: Vec<usize> = Vec::new();
-        let mut lost_w2 = 0.0;
-        let mut lost_e2 = 0.0;
-        let mut estimate = 0.0;
-        let mut steps = Vec::with_capacity(order.len());
-        for (k, &(i, w)) in order.iter().enumerate() {
-            assert!(i < self.n, "query offset {i} out of range");
-            let b = i / self.block_size;
-            let mut lost = lost_blocks.contains(&b);
-            if !lost {
-                match pool.get_with_retry(&self.device, b, policy) {
-                    Ok(data) => estimate += w * data[i % self.block_size],
-                    Err(_) => {
-                        global().counter("storage.degraded").inc();
-                        lost_blocks.push(b);
-                        lost_e2 += self.block_energy[b];
-                        lost = true;
-                    }
-                }
-            }
-            if lost {
-                lost_w2 += w * w;
-            }
-            steps.push(DegradedStep {
-                coefficients_used: k + 1,
-                estimate,
-                guaranteed_bound: (suffix_energy[k + 1] * data_energy).sqrt()
-                    + (lost_w2 * lost_e2).sqrt(),
-            });
-        }
-        steps
     }
 }
 
@@ -299,6 +270,7 @@ mod tests {
     use crate::engine::Propolyne;
     use crate::query::RangeSumQuery;
     use aims_dsp::filters::FilterKind;
+    use aims_storage::device::ReadErrorKind;
     use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
 
     fn engine_and_store() -> (Propolyne, BlockedCoefficients) {
@@ -318,7 +290,7 @@ mod tests {
     #[test]
     fn clean_device_is_bit_identical_to_in_memory_engine() {
         let (engine, blocked) = engine_and_store();
-        let mut pool = BufferPool::new(64);
+        let pool = SharedBlockCache::new(64);
         for q in [
             RangeSumQuery::count(vec![(0, 31), (0, 31)]),
             RangeSumQuery::count(vec![(3, 25), (7, 19)]),
@@ -326,7 +298,7 @@ mod tests {
         ] {
             let prepared = engine.prepare(&q);
             let expect = engine.evaluate_prepared(&prepared);
-            let got = blocked.evaluate_degraded(&prepared, &mut pool, &RetryPolicy::none());
+            let got = blocked.evaluate_degraded(&prepared, &pool, &RetryPolicy::none());
             assert_eq!(got.estimate.to_bits(), expect.to_bits());
             assert_eq!(got.error_bound, 0.0);
             assert!(!got.degraded());
@@ -337,9 +309,9 @@ mod tests {
     fn lost_blocks_degrade_with_honored_bound() {
         let (engine, reference) = engine_and_store();
         let coeffs: Vec<f64> = {
-            let mut pool = BufferPool::new(256);
+            let pool = SharedBlockCache::new(256);
             (0..reference.len())
-                .map(|i| pool.get(reference.device(), i / 16).unwrap()[i % 16])
+                .map(|i| pool.get_or_read(reference.device(), i / 16).unwrap()[i % 16])
                 .collect()
         };
         let blocked = BlockedCoefficients::on_device(&coeffs, 16, |bs, nb| {
@@ -354,8 +326,8 @@ mod tests {
         ] {
             let prepared = engine.prepare(&q);
             let exact = engine.evaluate_prepared(&prepared);
-            let mut pool = BufferPool::new(256);
-            let got = blocked.evaluate_degraded(&prepared, &mut pool, &RetryPolicy::none());
+            let pool = SharedBlockCache::new(256);
+            let got = blocked.evaluate_degraded(&prepared, &pool, &RetryPolicy::none());
             assert!(
                 (got.estimate - exact).abs() <= got.error_bound + 1e-9,
                 "|{} − {exact}| > {}",
@@ -368,30 +340,6 @@ mod tests {
             }
         }
         assert!(degraded_seen > 0, "20% dead blocks should degrade something");
-    }
-
-    #[test]
-    fn progressive_bound_holds_at_every_step() {
-        let (engine, _) = engine_and_store();
-        let coeffs: Vec<f64> = engine.cube().coeffs().to_vec();
-        let blocked = BlockedCoefficients::on_device(&coeffs, 16, |bs, nb| {
-            FaultyDevice::with_plan(bs, nb, FaultPlan::uniform(23, FaultKind::DeadBlock, 0.15))
-        });
-        let q = RangeSumQuery::count(vec![(2, 29), (4, 27)]);
-        let prepared = engine.prepare(&q);
-        let exact = engine.evaluate_prepared(&prepared);
-        let mut pool = BufferPool::new(256);
-        let steps = blocked.progressive_degraded(&prepared, &mut pool, &RetryPolicy::none());
-        assert_eq!(steps.len(), prepared.nnz());
-        for s in &steps {
-            assert!(
-                (s.estimate - exact).abs() <= s.guaranteed_bound + 1e-6 * exact.abs().max(1.0),
-                "step {}: |{} − {exact}| > {}",
-                s.coefficients_used,
-                s.estimate,
-                s.guaranteed_bound
-            );
-        }
     }
 
     #[test]
@@ -409,8 +357,8 @@ mod tests {
             assert!(plan.iter().all(|&b| b < blocked.num_blocks()));
             // The plan IS the cold-cache device read cost.
             blocked.device().reset_stats();
-            let mut pool = BufferPool::new(blocked.num_blocks());
-            blocked.evaluate_degraded(&prepared, &mut pool, &RetryPolicy::none());
+            let pool = SharedBlockCache::new(blocked.num_blocks());
+            blocked.evaluate_degraded(&prepared, &pool, &RetryPolicy::none());
             assert_eq!(blocked.device().stats().reads as usize, plan.len());
         }
         assert_eq!(blocked.block_size(), 16);
@@ -420,15 +368,28 @@ mod tests {
     }
 
     #[test]
-    fn progressive_clean_final_step_matches_exact() {
-        let (engine, blocked) = engine_and_store();
-        let q = RangeSumQuery::count(vec![(0, 31), (5, 20)]);
-        let prepared = engine.prepare(&q);
-        let exact = engine.evaluate_prepared(&prepared);
-        let mut pool = BufferPool::new(256);
-        let steps = blocked.progressive_degraded(&prepared, &mut pool, &RetryPolicy::none());
-        let last = steps.last().unwrap();
-        assert!((last.estimate - exact).abs() < 1e-9);
-        assert!(last.guaranteed_bound < 1e-9);
+    fn reopen_never_prices_an_unreadable_block_at_zero() {
+        let (engine, reference) = engine_and_store();
+        let mut device = FaultyDevice::with_plan(
+            16,
+            reference.num_blocks(),
+            FaultPlan::uniform(19, FaultKind::DeadBlock, 0.2),
+        );
+        for b in 0..reference.num_blocks() {
+            device.write_block(b, &reference.device().read_block(b).unwrap());
+        }
+        assert!((0..reference.num_blocks()).any(|b| device.is_dead(b)));
+        // Refusing to open is the contract; a store that does open must
+        // still bound what its dead blocks hide.
+        match BlockedCoefficients::from_device(device, reference.len()) {
+            Err(e) => assert_eq!(e.kind, ReadErrorKind::Dead),
+            Ok(reopened) => {
+                let prepared = engine.prepare(&RangeSumQuery::count(vec![(0, 31), (0, 31)]));
+                let exact = engine.evaluate_prepared(&prepared);
+                let pool = SharedBlockCache::new(64);
+                let got = reopened.evaluate_degraded(&prepared, &pool, &RetryPolicy::none());
+                assert!((got.estimate - exact).abs() <= got.error_bound + 1e-9);
+            }
+        }
     }
 }

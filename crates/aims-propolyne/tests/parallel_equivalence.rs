@@ -13,7 +13,7 @@ use aims_propolyne::blockstore::BlockedCoefficients;
 use aims_propolyne::cube::DataCube;
 use aims_propolyne::engine::Propolyne;
 use aims_propolyne::query::RangeSumQuery;
-use aims_storage::buffer::BufferPool;
+use aims_storage::cache::SharedBlockCache;
 use aims_storage::device::{BlockDevice, RetryPolicy};
 use aims_storage::faults::{FaultPlan, FaultyDevice};
 
@@ -108,10 +108,10 @@ proptest! {
         let wrapped = BlockedCoefficients::on_device(coeffs, 16, |bs, nb| {
             FaultyDevice::with_plan(bs, nb, FaultPlan::none(seed))
         });
-        let mut p1 = BufferPool::new(32);
-        let mut p2 = BufferPool::new(32);
-        let a = plain.evaluate_degraded(&prepared, &mut p1, &RetryPolicy::none());
-        let b = wrapped.evaluate_degraded(&prepared, &mut p2, &RetryPolicy::default());
+        let p1 = SharedBlockCache::new(32);
+        let p2 = SharedBlockCache::new(32);
+        let a = plain.evaluate_degraded(&prepared, &p1, &RetryPolicy::none());
+        let b = wrapped.evaluate_degraded(&prepared, &p2, &RetryPolicy::default());
         prop_assert_eq!(a.estimate.to_bits(), expect.to_bits(), "plain device diverged");
         prop_assert_eq!(b.estimate.to_bits(), expect.to_bits(), "zero-fault wrapper diverged");
         prop_assert!(!a.degraded() && !b.degraded());

@@ -129,7 +129,9 @@ fn durable_store(opts: &Opts) -> Result<(WaveletCube, BlockedCoefficients<FileDe
         }
         coeffs.truncate(len);
         let cube = WaveletCube::from_coeffs(&dims, coeffs, filter);
-        Ok((cube, BlockedCoefficients::from_device(device, len)))
+        let blocked =
+            BlockedCoefficients::from_device(device, len).map_err(|e| format!("catalog: {e}"))?;
+        Ok((cube, blocked))
     } else {
         let cube = demo_cube(opts.side, opts.seed);
         let meta = encode_meta(cube.dims(), cube.filter());

@@ -30,15 +30,15 @@
 //!
 //! # Determinism
 //!
-//! A query's entries are consumed strictly in ascending flat-offset
-//! order (the blocked layout stores coefficient `i` at block `i / B`,
-//! offset `i % B`, so ascending blocks ⇒ ascending offsets), and each
-//! query's floating-point accumulation happens inside exactly one task
-//! with one running sum. Both block-selection policies grant each query
-//! a contiguous prefix of its remaining plan per round, so the final
-//! estimate is **bit-identical** to [`Propolyne::evaluate_prepared`] for
-//! every thread count, cache size, batch composition, round budget, and
-//! scheduler policy — only I/O order and counts change.
+//! A query's plan blocks are consumed strictly in plan (ascending)
+//! order, each through [`BlockedCoefficients::accumulate`] — ascending
+//! blocks ⇒ ascending flat offsets — and each query's floating-point
+//! accumulation happens inside exactly one task with one running sum.
+//! Both block-selection policies grant each query a contiguous prefix of
+//! its remaining plan per round, so the final estimate is
+//! **bit-identical** to [`Propolyne::evaluate_prepared`] for every thread
+//! count, cache size, batch composition, round budget, and scheduler
+//! policy — only I/O order and counts change.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -52,7 +52,7 @@ use aims_exec::{configured_threads, ThreadPool};
 use aims_propolyne::engine::PreparedQuery;
 use aims_propolyne::{BlockedCoefficients, DataCube, Propolyne, RangeSumQuery, WaveletCube};
 use aims_storage::device::{BlockDevice, MemDevice, RetryPolicy};
-use aims_storage::SharedBlockCache;
+use aims_storage::{BoundLedger, SharedBlockCache};
 use aims_telemetry::{global, AttrValue, Counter, Gauge, TraceContext};
 
 use crate::admission::{AdmissionController, Priority};
@@ -201,21 +201,14 @@ fn priority_label(p: Priority) -> &'static str {
 struct Ticket {
     /// Service-assigned session id (the [`SessionHandle::id`]).
     id: u64,
-    prepared: Arc<PreparedQuery>,
-    /// Distinct blocks the plan touches, ascending.
-    plan: Arc<Vec<usize>>,
-    /// `plan_gain[k]` = `sqrt(Σw² in plan[k] · E_{plan[k]})` — the
-    /// utility scheduler's per-block bound gain, from the block-energy
-    /// catalog at submit time.
-    plan_gain: Arc<Vec<f64>>,
-    /// `gain_suffix[k]` = Σ of `plan_gain[k..]` — the per-block
-    /// Cauchy–Schwarz error bound over the unconsumed plan suffix.
-    /// Tighter than the aggregate `sqrt(Σw² · E_total)` (per-block C-S
-    /// plus the triangle inequality), and exactly monotone under
-    /// degraded reads: losing block `k` moves `plan_gain[k]` from this
-    /// suffix into the lost term unchanged, so the reported bound never
-    /// widens mid-session.
-    gain_suffix: Arc<Vec<f64>>,
+    prepared: PreparedQuery,
+    /// The session's block plan (distinct blocks ascending, with the
+    /// per-block bound gains the utility scheduler ranks by, priced from
+    /// the block-energy catalog at submit time) and its error bound,
+    /// consumed in plan order. Tighter than the aggregate
+    /// `sqrt(Σw² · E_total)`: per-block Cauchy–Schwarz plus the triangle
+    /// inequality.
+    ledger: BoundLedger,
     /// Scheduling class (utility weight and tier softening).
     priority: Priority,
     tx: Sender<Update>,
@@ -237,15 +230,11 @@ struct Ticket {
 struct ActiveQuery {
     ticket: Ticket,
     /// Next entry index to consume (entries are ascending by offset).
+    /// Always rests on a plan-block boundary: the compute loop consumes
+    /// whole blocks, in step with `ticket.ledger`.
     cursor: usize,
-    /// Next plan block index to consume.
-    plan_cursor: usize,
     /// The single running accumulator — the whole bit-identity story.
     sum: f64,
-    /// Σ `plan_gain[k]` over permanently lost (dead) plan blocks — the
-    /// degraded component of the error bound.
-    lost_bound: f64,
-    lost_blocks: Vec<usize>,
     /// Time spent queued before admission.
     queue_wait_ns: u64,
     /// Rounds this query participated in.
@@ -276,14 +265,11 @@ struct ActiveQuery {
 impl ActiveQuery {
     fn new(ticket: Ticket) -> Self {
         let queue_wait_ns = ticket.submitted_at.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let initial_bound = ticket.gain_suffix[0];
+        let initial_bound = ticket.ledger.bound();
         ActiveQuery {
             ticket,
             cursor: 0,
-            plan_cursor: 0,
             sum: 0.0,
-            lost_bound: 0.0,
-            lost_blocks: Vec::new(),
             queue_wait_ns,
             rounds: 0,
             blocks_read: 0,
@@ -310,7 +296,7 @@ impl ActiveQuery {
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
             retries: self.retries,
-            degraded_blocks: self.lost_blocks.len() as u64,
+            degraded_blocks: self.ticket.ledger.lost_blocks().len() as u64,
             trajectory: self.trajectory.clone(),
         }
     }
@@ -319,11 +305,16 @@ impl ActiveQuery {
         self.ticket.cancel.load(Ordering::SeqCst)
     }
 
-    /// Whether `block` lies in this round's granted prefix
-    /// `plan[plan_cursor..granted]` — exactly the blocks the compute
+    /// The plan blocks not yet consumed, ascending.
+    fn remaining_plan(&self) -> &[usize] {
+        &self.ticket.ledger.plan().blocks[self.ticket.ledger.consumed()..]
+    }
+
+    /// Whether `block` lies in this round's granted prefix — the first
+    /// `granted` remaining plan blocks, exactly the ones the compute
     /// phase will consume, so charging against it is exact.
     fn consumes(&self, block: usize, granted: usize) -> bool {
-        self.ticket.plan[self.plan_cursor..granted].binary_search(&block).is_ok()
+        self.remaining_plan()[..granted].binary_search(&block).is_ok()
     }
 
     fn complete(&self) -> bool {
@@ -331,17 +322,12 @@ impl ActiveQuery {
     }
 
     fn refinement(&self, round: u32) -> Refinement {
-        // Per-block bound: the unconsumed plan suffix plus the lost
-        // term. `cursor` always rests on a plan-block boundary (the
-        // compute loop stops at the first unfetched block), so
-        // `plan_cursor` indexes the suffix exactly.
-        let clean = self.ticket.gain_suffix[self.plan_cursor];
         Refinement {
             round,
             coefficients_used: self.cursor,
             total_coefficients: self.ticket.prepared.nnz(),
             estimate: self.sum,
-            error_bound: clean + self.lost_bound,
+            error_bound: self.ticket.ledger.bound(),
             tier: self.tier,
         }
     }
@@ -367,25 +353,11 @@ impl ActiveQuery {
     }
 }
 
-/// Immutable per-round compute input (everything a worker task needs,
-/// detached from the `Sender` so the batch can cross the pool).
-struct ComputeInput {
-    prepared: Arc<PreparedQuery>,
-    plan: Arc<Vec<usize>>,
-    plan_gain: Arc<Vec<f64>>,
-    cursor: usize,
-    plan_cursor: usize,
-    sum: f64,
-    lost_bound: f64,
-    lost_blocks: Vec<usize>,
-}
-
+/// What one round's compute task hands back for its query.
 struct ComputeResult {
+    ledger: BoundLedger,
     cursor: usize,
-    plan_cursor: usize,
     sum: f64,
-    lost_bound: f64,
-    lost_blocks: Vec<usize>,
 }
 
 /// Live state of one session, as shown by METRICS_REPLY session rows
@@ -604,30 +576,7 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
             return Err(e);
         }
         let prepared = self.inner.engine.prepare(&RangeSumQuery::count(spec.ranges));
-        let plan = self.inner.blocked.plan_blocks(&prepared);
-        // Per-plan-block bound gains for the utility scheduler and the
-        // per-block error bound: Σw² per block (entries and plan are
-        // both ascending, so one pass pairs them) times the block's
-        // catalog energy, rooted.
-        let block_size = self.inner.blocked.block_size();
-        let mut plan_gain = vec![0.0; plan.len()];
-        let mut k = 0usize;
-        for (&i, &w) in prepared.indices.iter().zip(prepared.weights.iter()) {
-            let b = i / block_size;
-            while plan[k] != b {
-                k += 1;
-            }
-            plan_gain[k] += w * w;
-        }
-        for (k, g) in plan_gain.iter_mut().enumerate() {
-            *g = (*g * self.inner.blocked.block_energy(plan[k])).sqrt();
-        }
-        // Suffix sums of the per-block gains: the session's error bound
-        // at any block boundary (see `ActiveQuery::refinement`).
-        let mut gain_suffix = vec![0.0; plan.len() + 1];
-        for (k, &g) in plan_gain.iter().enumerate().rev() {
-            gain_suffix[k] = gain_suffix[k + 1] + g;
-        }
+        let plan = Arc::new(self.inner.blocked.plan(&prepared));
         let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst) + 1;
         let trace = if spec.trace {
             t.traced.inc();
@@ -639,7 +588,7 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
             "service.submit",
             &[
                 ("priority", AttrValue::Str(priority_label(spec.priority))),
-                ("plan_blocks", AttrValue::U64(plan.len() as u64)),
+                ("plan_blocks", AttrValue::U64(plan.blocks.len() as u64)),
                 ("coefficients", AttrValue::U64(prepared.nnz() as u64)),
             ],
         );
@@ -650,10 +599,8 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
         let total_coefficients = prepared.nnz() as u64;
         let ticket = Ticket {
             id,
-            prepared: Arc::new(prepared),
-            plan: Arc::new(plan),
-            plan_gain: Arc::new(plan_gain),
-            gain_suffix: Arc::new(gain_suffix),
+            prepared,
+            ledger: BoundLedger::in_fold_order(plan),
             priority: spec.priority,
             tx,
             cancel: Arc::clone(&cancel),
@@ -738,7 +685,7 @@ impl<D: BlockDevice + Send + Sync + 'static> Drop for QueryService<D> {
 
 /// Classifies a finished query against the slow-query threshold.
 fn slow_reason(q: &ActiveQuery) -> Option<SlowReason> {
-    (q.lost_blocks.len() >= SLOW_DEGRADED_BLOCKS).then_some(SlowReason::Degraded)
+    (q.ticket.ledger.lost_blocks().len() >= SLOW_DEGRADED_BLOCKS).then_some(SlowReason::Degraded)
 }
 
 /// How a session's terminal update is classified.
@@ -924,7 +871,7 @@ fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: Arc<Inner<D>>) 
             SchedulerPolicy::Fifo => {
                 let mut wanted: BTreeSet<usize> = BTreeSet::new();
                 for q in &active {
-                    wanted.extend(q.ticket.plan[q.plan_cursor..].iter().copied());
+                    wanted.extend(q.remaining_plan().iter().copied());
                 }
                 let mut picked: BTreeSet<usize> = BTreeSet::new();
                 let mut charged = 0usize;
@@ -946,8 +893,8 @@ fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: Arc<Inner<D>>) 
                 let lenses: Vec<qos::SessionLens> = active
                     .iter()
                     .map(|q| qos::SessionLens {
-                        plan: &q.ticket.plan[q.plan_cursor..],
-                        gain: &q.ticket.plan_gain[q.plan_cursor..],
+                        plan: q.remaining_plan(),
+                        gain: &q.ticket.ledger.plan().gains[q.ticket.ledger.consumed()..],
                         weight: {
                             let boost = match q.ticket.priority {
                                 Priority::Interactive => qos::INTERACTIVE_BOOST,
@@ -970,17 +917,11 @@ fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: Arc<Inner<D>>) 
                 qos::select_round_blocks(&lenses, inner.config.round_blocks, is_cached)
             }
         };
-        // Each query's granted prefix: its leading remaining plan blocks
-        // that made this round's selection.
+        // Each query's granted prefix: how many of its leading remaining
+        // plan blocks made this round's selection.
         let granted: Vec<usize> = active
             .iter()
-            .map(|q| {
-                let mut g = q.plan_cursor;
-                while g < q.ticket.plan.len() && selected.contains(&q.ticket.plan[g]) {
-                    g += 1;
-                }
-                g
-            })
+            .map(|q| q.remaining_plan().iter().take_while(|b| selected.contains(b)).count())
             .collect();
         let mut fetched: BTreeMap<usize, Option<Arc<Vec<f64>>>> = BTreeMap::new();
         for b in selected {
@@ -1003,9 +944,9 @@ fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: Arc<Inner<D>>) 
                 // will retry and account the degradation itself. Blocks
                 // wanted only by since-cancelled queries are not
                 // fetched: cancellation halts I/O, not just delivery.
-                let wanted = active.iter().any(|q| {
-                    !q.cancelled() && q.ticket.plan[q.plan_cursor..].binary_search(&b).is_ok()
-                });
+                let wanted = active
+                    .iter()
+                    .any(|q| !q.cancelled() && q.remaining_plan().binary_search(&b).is_ok());
                 if wanted {
                     t.block_requests.inc();
                     let _ = inner.cache.get_or_read_outcome(
@@ -1085,51 +1026,21 @@ fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: Arc<Inner<D>>) 
 
         // Phase 2 — fan out: one task per query, input-order results,
         // each query's sum accumulated sequentially inside its task.
-        let inputs: Vec<ComputeInput> = active
-            .iter()
-            .map(|q| ComputeInput {
-                prepared: Arc::clone(&q.ticket.prepared),
-                plan: Arc::clone(&q.ticket.plan),
-                plan_gain: Arc::clone(&q.ticket.plan_gain),
-                cursor: q.cursor,
-                plan_cursor: q.plan_cursor,
-                sum: q.sum,
-                lost_bound: q.lost_bound,
-                lost_blocks: q.lost_blocks.clone(),
-            })
-            .collect();
-        let block_size = inner.blocked.block_size();
-        let results: Vec<ComputeResult> = inner.pool.par_map(&inputs, |inp| {
-            let prepared = &inp.prepared;
-            let mut r = ComputeResult {
-                cursor: inp.cursor,
-                plan_cursor: inp.plan_cursor,
-                sum: inp.sum,
-                lost_bound: inp.lost_bound,
-                lost_blocks: inp.lost_blocks.clone(),
-            };
-            while r.cursor < prepared.nnz() {
-                let (i, w) = (prepared.indices[r.cursor], prepared.weights[r.cursor]);
-                match fetched.get(&(i / block_size)) {
-                    Some(Some(data)) => r.sum += w * data[i % block_size],
-                    Some(None) => {
-                        let b = i / block_size;
-                        if !r.lost_blocks.contains(&b) {
-                            r.lost_blocks.push(b);
-                            // The lost term grows by exactly the gain
-                            // the suffix loses — the bound is unchanged
-                            // at the loss and monotone thereafter.
-                            if let Ok(j) = inp.plan.binary_search(&b) {
-                                r.lost_bound += inp.plan_gain[j];
-                            }
-                        }
-                    }
-                    None => break,
+        let results: Vec<ComputeResult> = inner.pool.par_map(&active, |q| {
+            let mut r =
+                ComputeResult { ledger: q.ticket.ledger.clone(), cursor: q.cursor, sum: q.sum };
+            // Consume the leading plan blocks that arrived this round; a
+            // block the device could not deliver contributes nothing and
+            // keeps its gain in the bound.
+            while let Some(k) = r.ledger.peek() {
+                let b = r.ledger.plan().blocks[k];
+                let Some(payload) = fetched.get(&b) else { break };
+                let data = payload.as_ref().map(|d| d.as_slice());
+                inner.blocked.accumulate(&q.ticket.prepared, b, data, &mut r.cursor, &mut r.sum);
+                match payload {
+                    Some(_) => r.ledger.deliver(),
+                    None => r.ledger.lose(),
                 }
-                r.cursor += 1;
-            }
-            while r.plan_cursor < inp.plan.len() && fetched.contains_key(&inp.plan[r.plan_cursor]) {
-                r.plan_cursor += 1;
             }
             r
         });
@@ -1143,10 +1054,8 @@ fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: Arc<Inner<D>>) 
         // refinement — a shed session gets an answer, never an error).
         for (q, r) in active.iter_mut().zip(results) {
             q.cursor = r.cursor;
-            q.plan_cursor = r.plan_cursor;
             q.sum = r.sum;
-            q.lost_bound = r.lost_bound;
-            q.lost_blocks = r.lost_blocks;
+            q.ticket.ledger = r.ledger;
             q.rounds += 1;
             let refinement = q.refinement(round);
             if q.ticket.trace.is_enabled() {

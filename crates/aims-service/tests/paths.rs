@@ -1,0 +1,111 @@
+//! One contract, three paths. The same cube on the same seeded faulty
+//! device (dead blocks plus transient read errors) answers the same
+//! queries through the library (`BlockedCoefficients::evaluate_degraded`),
+//! the in-process [`QueryService`] and a [`TcpClient`] — and all three
+//! must end on the bit-identical estimate, the bit-identical error bound
+//! and the same set of lost blocks, with the truth inside the bound.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use aims_propolyne::{BlockedCoefficients, RangeSumQuery};
+use aims_service::{
+    demo_cube, Outcome, ProgressKind, QueryService, QuerySpec, Server, ServiceConfig, TcpClient,
+};
+use aims_storage::device::RetryPolicy;
+use aims_storage::faults::{FaultPlan, FaultyDevice};
+use aims_storage::SharedBlockCache;
+use aims_telemetry::{global_recorder, AttrValue, TraceId};
+
+const BLOCK: usize = 16;
+
+fn fault_plan() -> FaultPlan {
+    FaultPlan {
+        seed: 4242,
+        read_error_rate: 0.25,
+        bit_flip_rate: 0.0,
+        torn_write_rate: 0.0,
+        dead_fraction: 0.12,
+        latency: Duration::ZERO,
+        latency_rate: 0.0,
+    }
+}
+
+fn retry() -> RetryPolicy {
+    RetryPolicy::with_retries(8)
+}
+
+/// A fresh service per query, like the fresh library store: per-block
+/// attempt counters start at zero on every path, so the seeded schedule
+/// plays out identically.
+fn service() -> Arc<QueryService<FaultyDevice>> {
+    Arc::new(QueryService::on_device(
+        demo_cube(32, 99),
+        BLOCK,
+        ServiceConfig { retry: retry(), round_blocks: 4, ..ServiceConfig::default() },
+        |bs, nb| FaultyDevice::with_plan(bs, nb, fault_plan()),
+    ))
+}
+
+/// Blocks a traced session reported as degraded, ascending.
+fn degraded_blocks(trace_id: u64) -> Vec<usize> {
+    let mut blocks: Vec<usize> = global_recorder()
+        .events_for(TraceId(trace_id))
+        .iter()
+        .filter(|e| e.name == "storage.fetch")
+        .filter(|e| e.attrs().contains(&("outcome", AttrValue::Str("degraded"))))
+        .filter_map(|e| match e.attrs().iter().find(|(k, _)| *k == "block") {
+            Some((_, AttrValue::U64(b))) => Some(*b as usize),
+            _ => None,
+        })
+        .collect();
+    blocks.sort_unstable();
+    blocks
+}
+
+#[test]
+fn library_service_and_wire_agree_bit_for_bit_under_faults() {
+    let cube = demo_cube(32, 99);
+    let mut degraded_queries = 0;
+    for ranges in [vec![(0, 31), (0, 31)], vec![(2, 29), (0, 31)], vec![(5, 28), (3, 17)]] {
+        // Library path.
+        let store = BlockedCoefficients::on_device(cube.coeffs(), BLOCK, |bs, nb| {
+            FaultyDevice::with_plan(bs, nb, fault_plan())
+        });
+        let svc = service();
+        let prepared = svc.engine().prepare(&RangeSumQuery::count(ranges.clone()));
+        let truth = svc.engine().evaluate_prepared(&prepared);
+        let (dead, live): (Vec<usize>, Vec<usize>) =
+            store.plan_blocks(&prepared).iter().partition(|&&b| store.device().is_dead(b));
+        let worst = live.iter().map(|&b| store.device().planned_read_failures(b)).max().unwrap();
+        assert!((1..=retry().retries).contains(&worst), "seed must retry within the budget");
+        let cache = SharedBlockCache::new(store.num_blocks());
+        let lib = store.evaluate_degraded(&prepared, &cache, &retry());
+        assert_eq!(lib.lost_blocks, dead, "{ranges:?}");
+        assert!((lib.estimate - truth).abs() <= lib.error_bound + 1e-9, "{ranges:?}");
+        assert_eq!(dead.is_empty(), lib.error_bound == 0.0, "{ranges:?}");
+        degraded_queries += usize::from(!dead.is_empty());
+
+        // In-process service.
+        let spec = QuerySpec::interactive(ranges.clone()).traced();
+        let (_, outcome, profile) = svc.submit(spec.clone()).unwrap().collect_profiled();
+        let Outcome::Done(got) = outcome else { panic!("expected Done, got {outcome:?}") };
+        assert_eq!(got.estimate.to_bits(), lib.estimate.to_bits(), "service {ranges:?}");
+        assert_eq!(got.error_bound.to_bits(), lib.error_bound.to_bits(), "service {ranges:?}");
+        assert_eq!(degraded_blocks(profile.unwrap().trace_id), dead, "service {ranges:?}");
+
+        // Over the wire, against its own fresh service.
+        let svc = service();
+        let server = Server::spawn(Arc::clone(&svc), "127.0.0.1:0").unwrap();
+        let mut client = TcpClient::connect(("127.0.0.1", server.port())).unwrap();
+        let remote = client.run_query(1, &spec).unwrap();
+        assert_eq!(remote.kind, ProgressKind::Done);
+        let got = remote.last.unwrap();
+        assert_eq!(got.estimate.to_bits(), lib.estimate.to_bits(), "wire {ranges:?}");
+        assert_eq!(got.error_bound.to_bits(), lib.error_bound.to_bits(), "wire {ranges:?}");
+        assert_eq!(degraded_blocks(remote.profile.unwrap().trace_id), dead, "wire {ranges:?}");
+        client.shutdown_server().unwrap();
+        server.join();
+    }
+    assert!(degraded_queries > 0, "the fault plan must kill at least one planned block");
+}

@@ -1,23 +1,36 @@
-//! A process-shared, sharded LRU cache of verified device blocks.
+//! The block cache: a sharded LRU of verified device blocks.
 //!
-//! The per-query [`crate::buffer::BufferPool`] captures locality *within*
-//! one query plan; it cannot help when many concurrent sessions touch the
-//! same hot blocks, because each session owns its own pool. The
-//! [`SharedBlockCache`] is what the serving layer and the historical tier
-//! read through instead: one capacity-bounded cache per store, shared by every session, holding
-//! `Arc<[f64]>` payloads so a cached block is handed out without copying
-//! and stays alive for exactly as long as some reader still uses it.
+//! "Thanks to the principle of locality of reference, we often find that
+//! when an application needs to access one datum on a disk block, it is
+//! likely to need to access other data on the same block" (§3.2.1). The
+//! cache is where that locality pays off: repeated touches of a cached
+//! block cost no device read, and the hit/miss counters let experiments
+//! attribute I/O savings to the allocation strategy rather than to cache
+//! size. Every read path goes through one [`SharedBlockCache`] — one per
+//! store on the serving layer and the historical tier (shared by every
+//! session), one per caller on the library path — holding `Arc` payloads
+//! so a cached block is handed out without copying and stays alive for
+//! exactly as long as some reader still uses it.
 //!
-//! Concurrency model: the key space is split across `S` shards, each a
-//! small LRU map behind its own mutex, so concurrent sessions touching
-//! different blocks rarely contend on the same lock. Only verified
+//! Concurrency model: the key space is split across `S` shards (block
+//! `id` lives in shard `id % S`), each a small LRU map behind its own
+//! mutex, so concurrent sessions touching different blocks rarely contend
+//! on the same lock; the statistics are atomics. Only verified
 //! (checksum-clean) payloads ever enter the cache — a failed read caches
 //! nothing.
+//!
+//! Eviction is LRU *per shard*. [`SharedBlockCache::new`] uses up to 8
+//! shards, so a capacity below 8 means one-block shards: direct-mapped,
+//! two blocks `S` apart evict each other however recently the rest were
+//! used. A single owner that reasons about exact read counts or hit
+//! ratios wants [`SharedBlockCache::with_shards`]`(capacity, 1)`, the
+//! exact global LRU.
 //!
 //! Telemetry: `storage.cache.hits`, `storage.cache.misses` and
 //! `storage.cache.evictions` count process-wide across all shared caches.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use aims_telemetry::{global, Counter};
@@ -98,12 +111,16 @@ pub struct CacheStats {
 pub struct SharedBlockCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
-    stats: Mutex<CacheStats>,
+    // Statistics only: nothing is published through them.
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl SharedBlockCache {
     /// A cache holding at most `capacity` blocks total, split over a
-    /// default shard count (8, or fewer when the capacity is tiny).
+    /// default shard count (8, or `capacity` one-block shards below that —
+    /// see the module docs).
     ///
     /// # Panics
     /// If `capacity == 0`.
@@ -125,7 +142,9 @@ impl SharedBlockCache {
         SharedBlockCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard_capacity: capacity.div_ceil(shards),
-            stats: Mutex::new(CacheStats::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 
@@ -147,12 +166,11 @@ impl SharedBlockCache {
     pub fn lookup(&self, id: usize) -> Option<Arc<Vec<f64>>> {
         let hit = self.shard_of(id).lock().unwrap().lookup(id);
         let telemetry = cache_telemetry();
-        let mut stats = self.stats.lock().unwrap();
         if hit.is_some() {
-            stats.hits += 1;
+            self.hits.fetch_add(1, Ordering::Relaxed);
             telemetry.0.inc();
         } else {
-            stats.misses += 1;
+            self.misses.fetch_add(1, Ordering::Relaxed);
             telemetry.1.inc();
         }
         hit
@@ -168,11 +186,10 @@ impl SharedBlockCache {
         self.shard_of(id).lock().unwrap().entries.contains_key(&id)
     }
 
-    /// Inserts an already-verified payload (e.g. one a buffer pool just
-    /// read). Cheap no-op path for payloads already cached.
+    /// Inserts an already-verified payload.
     pub fn insert(&self, id: usize, data: Arc<Vec<f64>>) {
         if self.shard_of(id).lock().unwrap().insert(id, data, self.per_shard_capacity) {
-            self.stats.lock().unwrap().evictions += 1;
+            self.evictions.fetch_add(1, Ordering::Relaxed);
             cache_telemetry().2.inc();
         }
     }
@@ -236,7 +253,11 @@ impl SharedBlockCache {
     /// Snapshot of this cache's counters (the global `storage.cache.*`
     /// counters keep the process-wide aggregate).
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock().unwrap()
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
     }
 
     /// Lifetime hit ratio in `[0, 1]`; `1.0` when nothing was requested.
@@ -299,8 +320,39 @@ mod tests {
         cache.get_or_read(&d, 1).unwrap();
         cache.get_or_read(&d, 0).unwrap(); // 0 most recent
         cache.get_or_read(&d, 2).unwrap(); // evicts 1
+        assert_eq!(cache.stats().evictions, 1);
         assert!(cache.lookup(0).is_some());
         assert!(cache.lookup(1).is_none());
+    }
+
+    #[test]
+    fn small_default_caches_are_direct_mapped() {
+        let d = device(8);
+        // new(2) is two one-block shards: 0 and 2 share shard 0, so 2
+        // evicts 0 although 1 is the least recently used.
+        let cache = SharedBlockCache::new(2);
+        assert_eq!((cache.shards(), cache.capacity()), (2, 2));
+        cache.get_or_read(&d, 1).unwrap();
+        cache.get_or_read(&d, 0).unwrap();
+        cache.get_or_read(&d, 2).unwrap();
+        assert!(cache.contains(1) && cache.contains(2) && !cache.contains(0));
+    }
+
+    #[test]
+    fn clear_keeps_stats() {
+        let d = device(4);
+        let cache = SharedBlockCache::new(4);
+        cache.get_or_read(&d, 0).unwrap();
+        cache.clear();
+        assert_eq!(cache.resident(), 0);
+        assert_eq!(cache.stats().misses, 1);
+        cache.get_or_read(&d, 0).unwrap();
+        assert_eq!(cache.stats().misses, 2);
+    }
+
+    #[test]
+    fn empty_cache_hit_ratio_is_one() {
+        assert_eq!(SharedBlockCache::new(1).hit_ratio(), 1.0);
     }
 
     #[test]

@@ -368,6 +368,7 @@ impl BlockDevice for MemDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultKind, FaultPlan, FaultyDevice};
 
     #[test]
     fn read_write_roundtrip_and_counting() {
@@ -436,6 +437,28 @@ mod tests {
         assert_eq!(p.backoff_for(1), Duration::from_micros(20));
         assert!(p.backoff_for(12) <= Duration::from_millis(1));
         assert_eq!(RetryPolicy::none().backoff_for(5), Duration::ZERO);
+    }
+
+    #[test]
+    fn exhausted_retry_budget_surfaces_the_error() {
+        let mut faulty =
+            FaultyDevice::with_plan(2, 2, FaultPlan::uniform(5, FaultKind::BitFlip, 1.0));
+        faulty.write_block(0, &[1.0, 2.0]);
+        let err = read_with_retry(&faulty, 0, &RetryPolicy::with_retries(2)).unwrap_err();
+        assert_eq!(err, ReadError { block: 0, kind: ReadErrorKind::Corrupt });
+    }
+
+    #[test]
+    fn dead_blocks_fail_fast_without_retries() {
+        let faulty =
+            FaultyDevice::with_plan(2, 4, FaultPlan::uniform(5, FaultKind::DeadBlock, 1.0));
+        // A retry would sleep its backoff first; failing fast never does.
+        let slow = Duration::from_secs(2);
+        let policy = RetryPolicy { retries: 3, backoff: slow, backoff_cap: slow };
+        let started = std::time::Instant::now();
+        let err = read_with_retry(&faulty, 1, &policy).unwrap_err();
+        assert_eq!(err.kind, ReadErrorKind::Dead);
+        assert!(started.elapsed() < slow, "dead blocks must not burn the retry budget");
     }
 
     #[test]

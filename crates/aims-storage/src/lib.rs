@@ -18,12 +18,10 @@
 //! - [`faults`]: a deterministic, seeded fault-injection wrapper
 //!   ([`FaultyDevice`]) — read errors, bit flips, torn writes, dead
 //!   blocks, latency — reproducible from a single u64 seed.
-//! - [`buffer`]: an LRU buffer pool with hit/miss accounting and the
-//!   bounded retry-with-backoff read path.
-//! - [`cache`]: a process-shared, sharded LRU block cache
-//!   ([`SharedBlockCache`]) the serving layer and the historical tier
-//!   read through, so concurrent sessions touching the same hot blocks
-//!   read the device once.
+//! - [`cache`]: the one block cache ([`SharedBlockCache`], a sharded LRU
+//!   of verified blocks with hit/miss accounting) every read path goes
+//!   through, so concurrent sessions touching the same hot blocks read
+//!   the device once.
 //! - [`error_tree`]: the dependency structure of the flat DWT layout and
 //!   the ancestor-closed access sets of point and range queries.
 //! - [`alloc`]: block-allocation strategies — sequential, random,
@@ -31,7 +29,8 @@
 //!   tensor-product extension to multidimensional coefficient grids.
 //! - [`progressive`]: importance-ordered block retrieval ("perform the
 //!   most valuable I/O's first and deliver approximate results
-//!   progressively").
+//!   progressively") — the [`BlockPlan`] that prices a query's blocks and
+//!   the [`BoundLedger`] that carries its guaranteed error bound.
 //! - [`store`]: the integrated wavelet block store used by the rest of
 //!   AIMS.
 //! - [`snapshot`]: versioned binary persistence of a store (the paper's
@@ -43,7 +42,6 @@
 //!   recovery.
 
 pub mod alloc;
-pub mod buffer;
 pub mod cache;
 pub mod device;
 pub mod error_tree;
@@ -54,7 +52,6 @@ pub mod snapshot;
 pub mod store;
 
 pub use alloc::{Allocation, RandomAlloc, SequentialAlloc, TreeTilingAlloc};
-pub use buffer::BufferPool;
 pub use cache::{BlockFetch, CacheStats, SharedBlockCache};
 pub use device::{
     fnv1a_bytes, fnv1a_f64, read_with_retry, BlockDevice, DeviceStats, MemDevice, RawMedia,
@@ -65,4 +62,9 @@ pub use faults::{FaultKind, FaultPlan, FaultyDevice};
 pub use file::{
     CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions, RecoveryReport, WalStats,
 };
+pub use progressive::{BlockPlan, BoundLedger};
 pub use store::{FetchOutcome, QueryOutcome, WaveletStore};
+
+/// The frozen benchmark harness (`bench/src/ladder.rs`) still names the
+/// old single-owner pool; nothing else may.
+pub type BufferPool = SharedBlockCache;

@@ -9,19 +9,19 @@
 //! per-block partial sums; retrieving blocks in descending order of their
 //! absolute contribution makes the running estimate converge fastest.
 //!
-//! [`progressive_curve_degraded`] extends the idea to fallible media: the
-//! planned blocks are read from a real [`BlockDevice`] through the buffer
-//! pool with retries, and any block that stays unreadable is *skipped* —
-//! the progressive answer is computed from the retrieved prefix and the
-//! guaranteed error bound is widened by the lost blocks' contribution
-//! (bounded via Cauchy–Schwarz from the load-time per-block energy
-//! catalog) instead of failing the query.
+//! [`BlockPlan`] and [`BoundLedger`] are that idea as the served paths
+//! use it, on fallible media: a plan prices each needed block from the
+//! query's weights and the load-time energy catalog (no device I/O), and a
+//! ledger carries the guaranteed bound while blocks arrive — or stay
+//! unreadable, in which case the answer is computed from what was
+//! retrieved and the lost blocks' share stays in the bound instead of the
+//! query failing. The cube store, the query service and the tiered store
+//! all bound their answers through these two types; each keeps only its
+//! own estimate fold.
 
-use aims_telemetry::global;
+use std::sync::Arc;
 
 use crate::alloc::Allocation;
-use crate::buffer::BufferPool;
-use crate::device::{BlockDevice, RetryPolicy};
 
 /// Block retrieval orders to compare.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,125 +118,141 @@ pub fn error_auc(curve: &[ProgressPoint]) -> f64 {
     curve.iter().map(|p| p.abs_error).sum()
 }
 
-/// Writes a coefficient vector onto a device under `alloc`, using the
-/// same stable slot assignment as `WaveletStore` (ascending coefficient
-/// index within each block). Returns the per-block `(slots, energy)`
-/// catalog: for each block, the `(coefficient, offset)` pairs it holds
-/// and its `Σ c²`.
-pub fn load_coefficients<A: Allocation, D: BlockDevice>(
-    coeffs: &[f64],
-    alloc: &A,
-    device: &mut D,
-) -> Vec<(Vec<(usize, usize)>, f64)> {
-    assert!(device.num_blocks() >= alloc.num_blocks(), "device too small for allocation");
-    assert!(device.block_size() == alloc.block_size(), "block size mismatch");
-    let mut staged = vec![vec![0.0; alloc.block_size()]; alloc.num_blocks()];
-    let mut catalog: Vec<(Vec<(usize, usize)>, f64)> = vec![(Vec::new(), 0.0); alloc.num_blocks()];
-    let mut fill = vec![0usize; alloc.num_blocks()];
-    for (i, &c) in coeffs.iter().enumerate() {
-        let b = alloc.block_of(i);
-        let off = fill[b];
-        fill[b] += 1;
-        staged[b][off] = c;
-        catalog[b].0.push((i, off));
-        catalog[b].1 += c * c;
-    }
-    for (b, data) in staged.iter().enumerate() {
-        device.write_block(b, data);
-    }
-    device.reset_stats();
-    catalog
-}
-
-/// A progressive evaluation that survived storage faults.
-#[derive(Clone, Debug)]
-pub struct DegradedCurve {
-    /// One point per *successfully read* block, in plan order. The
-    /// `abs_error` of each point is measured against the exact answer
-    /// computed from the catalog (available in this simulation; real
-    /// deployments only see `widened_bound`).
-    pub curve: Vec<ProgressPoint>,
-    /// Planned blocks that stayed unreadable after retries.
-    pub lost_blocks: Vec<usize>,
-    /// Guaranteed bound on the final estimate's error from the lost
-    /// blocks: `sqrt(Σ w²) · sqrt(Σ energy)` over the lost part.
-    pub widened_bound: f64,
-    /// Final estimate (sum over the retrieved blocks only).
-    pub estimate: f64,
-}
-
-/// Runs a weighted-coefficient query progressively against a real device:
-/// blocks are read in the planned order through `pool` with `policy`
-/// retries; permanently unreadable blocks are skipped and widen the
-/// guaranteed bound instead of failing the query.
+/// The blocks one linear query needs, each priced by how much of the
+/// error bound reading it removes.
 ///
-/// `catalog` is the full stored coefficient vector (load-time metadata,
-/// used for planning and for the exact-error annotation of the curve).
-#[allow(clippy::too_many_arguments)]
-pub fn progressive_curve_degraded<A: Allocation, D: BlockDevice>(
-    query: &[(usize, f64)],
-    catalog: &[f64],
-    alloc: &A,
-    order: RetrievalOrder,
-    device: &D,
-    pool: &mut BufferPool,
-    policy: &RetryPolicy,
-) -> DegradedCurve {
-    let exact: f64 = query.iter().map(|&(i, w)| w * catalog[i]).sum();
-    let plan = plan_blocks(query, catalog, alloc, order);
+/// Entries are in the caller's canonical *fold order* — the order its
+/// estimate accumulates block contributions in (ascending block for the
+/// cube store, segment-then-block for the tiered store). A block holding
+/// query weights `w` over stored coefficients `c` can move the answer by
+/// at most `sqrt(Σw² · Σc²)` (Cauchy–Schwarz); that is its gain, and the
+/// sum of the gains not yet delivered bounds the error of the running
+/// estimate (triangle inequality).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct BlockPlan {
+    /// Device block ids, in fold order.
+    pub blocks: Vec<usize>,
+    /// `gains[k]` = `sqrt(Σw² in blocks[k] · Σc² of blocks[k])`.
+    pub gains: Vec<f64>,
+}
 
-    // Per-block query terms: block → [(offset-in-block, weight, w²)].
-    let mut slot_of = vec![usize::MAX; catalog.len()];
-    let mut fill = vec![0usize; alloc.num_blocks()];
-    for (i, slot) in slot_of.iter_mut().enumerate() {
-        let b = alloc.block_of(i);
-        *slot = fill[b];
-        fill[b] += 1;
-    }
-    let mut per_block: std::collections::HashMap<usize, Vec<(usize, f64)>> =
-        std::collections::HashMap::new();
-    for &(i, w) in query {
-        per_block.entry(alloc.block_of(i)).or_default().push((slot_of[i], w));
-    }
-
-    let mut estimate = 0.0;
-    let mut curve = Vec::with_capacity(plan.len());
-    let mut lost_blocks = Vec::new();
-    let mut lost_w2 = 0.0;
-    for &b in &plan {
-        match pool.get_with_retry(device, b, policy) {
-            Ok(data) => {
-                let mut part = 0.0;
-                for &(off, w) in &per_block[&b] {
-                    part += w * data[off];
-                }
-                estimate += part;
-                curve.push(ProgressPoint {
-                    blocks_read: curve.len() + 1,
-                    estimate,
-                    abs_error: (estimate - exact).abs(),
-                });
-            }
-            Err(_) => {
-                global().counter("storage.degraded").inc();
-                lost_blocks.push(b);
-                for &(_, w) in &per_block[&b] {
-                    lost_w2 += w * w;
-                }
-            }
+impl BlockPlan {
+    /// Appends blocks from `(block, Σw²)` pairs, pricing each against its
+    /// catalog energy `energy(block)` = `Σc²`.
+    pub fn extend(
+        &mut self,
+        pairs: impl IntoIterator<Item = (usize, f64)>,
+        energy: impl Fn(usize) -> f64,
+    ) {
+        for (block, wsq) in pairs {
+            self.blocks.push(block);
+            self.gains.push((wsq * energy(block)).sqrt());
         }
     }
-    // Energy of lost blocks from the catalog (Σ c² over each lost block —
-    // metadata, since the payload itself is gone).
-    let mut lost_e2 = 0.0;
-    if !lost_blocks.is_empty() {
-        let mut energy = vec![0.0; alloc.num_blocks()];
-        for (i, &c) in catalog.iter().enumerate() {
-            energy[alloc.block_of(i)] += c * c;
-        }
-        lost_e2 = lost_blocks.iter().map(|&b| energy[b]).sum();
+
+    /// Plan positions most-important-first: gain-descending, ties in fold
+    /// order (stable), so the sequence is deterministic.
+    pub fn by_gain(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.blocks.len()).collect();
+        order.sort_by(|&x, &y| {
+            self.gains[y].partial_cmp(&self.gains[x]).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        order
     }
-    DegradedCurve { curve, lost_blocks, widened_bound: (lost_w2 * lost_e2).sqrt(), estimate }
+
+    /// The bound before any block is read: the gains summed last-to-first
+    /// (the value a fold-order [`BoundLedger`] starts at, bit for bit).
+    pub fn initial_bound(&self) -> f64 {
+        self.gains.iter().rev().fold(0.0, |acc, g| acc + g)
+    }
+}
+
+/// The progressive error bound of one evaluation of a [`BlockPlan`].
+///
+/// The ledger fixes a *consumption order* over the plan and tracks how far
+/// the evaluation got: `bound = Σ gains not yet consumed + Σ gains lost`.
+/// The first term is a precomputed suffix sum, so delivering a block can
+/// only lower the bound and nothing drifts; a block the device cannot
+/// deliver moves its gain from the suffix into the lost term, leaving the
+/// bound where it was (to within the rounding of that one addition).
+/// Drained, the bound is exactly the lost term — `0.0` when nothing was
+/// lost. Cloning shares the tables.
+#[derive(Clone, Debug)]
+pub struct BoundLedger {
+    plan: Arc<BlockPlan>,
+    /// `(plan position, Σ gains from here on)` per consumption step.
+    steps: Arc<[(usize, f64)]>,
+    consumed: usize,
+    lost: f64,
+    lost_blocks: Vec<usize>,
+}
+
+impl BoundLedger {
+    /// Consumes the plan in its own fold order.
+    pub fn in_fold_order(plan: Arc<BlockPlan>) -> Self {
+        let order = 0..plan.blocks.len();
+        BoundLedger::new(plan, order)
+    }
+
+    /// Consumes the plan most-important-first ([`BlockPlan::by_gain`]).
+    pub fn by_gain(plan: Arc<BlockPlan>) -> Self {
+        let order = plan.by_gain();
+        BoundLedger::new(plan, order)
+    }
+
+    fn new(plan: Arc<BlockPlan>, order: impl IntoIterator<Item = usize>) -> Self {
+        let mut steps: Vec<(usize, f64)> = order.into_iter().map(|k| (k, 0.0)).collect();
+        let mut suffix = 0.0;
+        for step in steps.iter_mut().rev() {
+            suffix += plan.gains[step.0];
+            step.1 = suffix;
+        }
+        BoundLedger { plan, steps: steps.into(), consumed: 0, lost: 0.0, lost_blocks: Vec::new() }
+    }
+
+    /// The plan being consumed.
+    pub fn plan(&self) -> &BlockPlan {
+        &self.plan
+    }
+
+    /// Plan position of the next block to consume; `None` once drained.
+    pub fn peek(&self) -> Option<usize> {
+        self.steps.get(self.consumed).map(|&(k, _)| k)
+    }
+
+    /// The next block arrived and was folded into the estimate.
+    pub fn deliver(&mut self) {
+        assert!(self.consumed < self.steps.len(), "ledger already drained");
+        self.consumed += 1;
+    }
+
+    /// The next block stayed unreadable: its gain stays in the bound.
+    pub fn lose(&mut self) {
+        let k = self.peek().expect("ledger already drained");
+        self.lost += self.plan.gains[k];
+        self.lost_blocks.push(self.plan.blocks[k]);
+        self.consumed += 1;
+    }
+
+    /// Guaranteed bound on `|estimate − exact|` right now.
+    pub fn bound(&self) -> f64 {
+        self.steps.get(self.consumed).map_or(0.0, |&(_, suffix)| suffix) + self.lost
+    }
+
+    /// Blocks consumed so far, delivered or lost.
+    pub fn consumed(&self) -> usize {
+        self.consumed
+    }
+
+    /// Whether every planned block has been consumed.
+    pub fn done(&self) -> bool {
+        self.consumed == self.steps.len()
+    }
+
+    /// Blocks that stayed unreadable, in the order they were lost.
+    pub fn lost_blocks(&self) -> &[usize] {
+        &self.lost_blocks
+    }
 }
 
 #[cfg(test)]
@@ -310,73 +326,6 @@ mod tests {
         for p in curve {
             assert_eq!(p.estimate, 0.0);
             assert_eq!(p.abs_error, 0.0);
-        }
-    }
-
-    mod degraded {
-        use super::super::*;
-        use crate::alloc::SequentialAlloc;
-        use crate::device::MemDevice;
-        use crate::faults::{FaultKind, FaultPlan, FaultyDevice};
-
-        fn setup() -> (Vec<(usize, f64)>, Vec<f64>, SequentialAlloc) {
-            let coeffs: Vec<f64> = (0..16).map(|i| if i == 9 { 100.0 } else { 1.0 }).collect();
-            let query: Vec<(usize, f64)> = (0..16).map(|i| (i, 1.0)).collect();
-            (query, coeffs, SequentialAlloc::new(16, 4))
-        }
-
-        #[test]
-        fn device_backed_curve_matches_in_memory_curve_when_clean() {
-            let (query, coeffs, alloc) = setup();
-            let mut device = MemDevice::new(4, 4);
-            load_coefficients(&coeffs, &alloc, &mut device);
-            let mut pool = BufferPool::new(4);
-            let reference = progressive_curve(&query, &coeffs, &alloc, RetrievalOrder::Importance);
-            let got = progressive_curve_degraded(
-                &query,
-                &coeffs,
-                &alloc,
-                RetrievalOrder::Importance,
-                &device,
-                &mut pool,
-                &RetryPolicy::none(),
-            );
-            assert!(got.lost_blocks.is_empty());
-            assert_eq!(got.widened_bound, 0.0);
-            assert_eq!(got.curve.len(), reference.len());
-            for (a, b) in got.curve.iter().zip(&reference) {
-                assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
-            }
-        }
-
-        #[test]
-        fn lost_blocks_widen_the_bound_instead_of_failing() {
-            let (query, coeffs, alloc) = setup();
-            let mut device =
-                FaultyDevice::with_plan(4, 4, FaultPlan::uniform(17, FaultKind::DeadBlock, 0.5));
-            load_coefficients(&coeffs, &alloc, &mut device);
-            let dead: Vec<usize> = (0..4).filter(|&b| device.is_dead(b)).collect();
-            assert!(!dead.is_empty(), "seed 17 should kill something at 50%");
-            let mut pool = BufferPool::new(4);
-            let got = progressive_curve_degraded(
-                &query,
-                &coeffs,
-                &alloc,
-                RetrievalOrder::Importance,
-                &device,
-                &mut pool,
-                &RetryPolicy::with_retries(2),
-            );
-            assert_eq!(got.lost_blocks.len(), dead.len());
-            assert!(got.widened_bound > 0.0);
-            let exact: f64 = coeffs.iter().sum();
-            assert!(
-                (got.estimate - exact).abs() <= got.widened_bound + 1e-9,
-                "|{} − {exact}| > {}",
-                got.estimate,
-                got.widened_bound
-            );
-            assert_eq!(got.curve.len(), 4 - dead.len());
         }
     }
 }

@@ -6,7 +6,7 @@
 //! binary image of a [`WaveletStore`] — allocation descriptor plus raw
 //! block payloads — that round-trips through any byte sink.
 
-use crate::buffer::BufferPool;
+use crate::cache::SharedBlockCache;
 use crate::device::BlockDevice;
 use crate::store::{AllocKind, WaveletStore};
 
@@ -127,8 +127,8 @@ pub fn snapshot<D: BlockDevice>(store: &WaveletStore<D>, kind: AllocKind) -> Vec
     encode_alloc(kind, &mut out);
     out.extend_from_slice(&(store.block_size() as u32).to_be_bytes());
     out.extend_from_slice(&(store.len() as u64).to_be_bytes());
-    let mut pool = BufferPool::new(16);
-    for v in store.reconstruct_all(&mut pool) {
+    let pool = SharedBlockCache::new(16);
+    for v in store.reconstruct_all(&pool) {
         out.extend_from_slice(&v.to_be_bytes());
     }
     out
@@ -177,18 +177,15 @@ mod tests {
         assert_eq!(kind, AllocKind::TreeTiling);
         assert_eq!(restored.len(), original.len());
         assert_eq!(restored.block_size(), original.block_size());
-        let mut p1 = BufferPool::new(8);
-        let mut p2 = BufferPool::new(8);
+        let p1 = SharedBlockCache::new(8);
+        let p2 = SharedBlockCache::new(8);
         for t in (0..256).step_by(17) {
             assert!(
-                (original.point_value(t, &mut p1) - restored.point_value(t, &mut p2)).abs() < 1e-12,
+                (original.point_value(t, &p1) - restored.point_value(t, &p2)).abs() < 1e-12,
                 "t={t}"
             );
         }
-        assert!(
-            (original.range_sum(10, 200, &mut p1) - restored.range_sum(10, 200, &mut p2)).abs()
-                < 1e-9
-        );
+        assert!((original.range_sum(10, 200, &p1) - restored.range_sum(10, 200, &p2)).abs() < 1e-9);
     }
 
     #[test]

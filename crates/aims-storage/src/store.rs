@@ -3,7 +3,7 @@
 //! Ties the pieces of §3.2 together: a signal is transformed (Haar full
 //! DWT), its coefficients are placed on a block device under a chosen
 //! allocation, and point/range queries are answered by fetching only the
-//! ancestor-closed access sets through the buffer pool — with every block
+//! ancestor-closed access sets through a block cache — with every block
 //! I/O accounted.
 //!
 //! The store is generic over the [`BlockDevice`] implementation, so the
@@ -20,8 +20,8 @@ use aims_dsp::filters::WaveletFilter;
 use aims_telemetry::{global, span};
 
 use crate::alloc::{Allocation, RandomAlloc, SequentialAlloc, TreeTilingAlloc};
-use crate::buffer::BufferPool;
-use crate::device::{BlockDevice, DeviceStats, MemDevice, ReadErrorKind, RetryPolicy};
+use crate::cache::SharedBlockCache;
+use crate::device::{read_with_retry, BlockDevice, DeviceStats, MemDevice, ReadError, RetryPolicy};
 use crate::error_tree::{point_query_set, range_query_set};
 
 /// Which allocation strategy a store uses.
@@ -43,6 +43,27 @@ enum AnyAlloc {
 }
 
 impl AnyAlloc {
+    /// The allocation of `n` coefficients and its coefficient → (block,
+    /// offset) map — pure functions of `(n, block_size, kind)`. Stable
+    /// slot assignment: ascending coefficient index within each block.
+    fn layout(n: usize, block_size: usize, kind: AllocKind) -> (AnyAlloc, Vec<(usize, usize)>) {
+        assert!(n.is_power_of_two() && n >= 2, "signal length must be a power of two ≥ 2");
+        let alloc = match kind {
+            AllocKind::Sequential => AnyAlloc::Sequential(SequentialAlloc::new(n, block_size)),
+            AllocKind::Random(seed) => AnyAlloc::Random(RandomAlloc::new(n, block_size, seed)),
+            AllocKind::TreeTiling => AnyAlloc::Tiling(TreeTilingAlloc::new(n, block_size)),
+        };
+        let mut fill = vec![0usize; alloc.as_dyn().num_blocks()];
+        let locations = (0..n)
+            .map(|i| {
+                let b = alloc.as_dyn().block_of(i);
+                fill[b] += 1;
+                (b, fill[b] - 1)
+            })
+            .collect();
+        (alloc, locations)
+    }
+
     fn as_dyn(&self) -> &dyn Allocation {
         match self {
             AnyAlloc::Sequential(a) => a,
@@ -127,25 +148,9 @@ impl<D: BlockDevice> WaveletStore<D> {
         make: impl FnOnce(usize, usize) -> D,
     ) -> Self {
         let n = signal.len();
-        assert!(n.is_power_of_two() && n >= 2, "signal length must be a power of two ≥ 2");
+        let (alloc, locations) = AnyAlloc::layout(n, block_size, kind);
         let coeffs = dwt_full(signal, &WaveletFilter::haar());
-
-        let alloc = match kind {
-            AllocKind::Sequential => AnyAlloc::Sequential(SequentialAlloc::new(n, block_size)),
-            AllocKind::Random(seed) => AnyAlloc::Random(RandomAlloc::new(n, block_size, seed)),
-            AllocKind::TreeTiling => AnyAlloc::Tiling(TreeTilingAlloc::new(n, block_size)),
-        };
         let adyn = alloc.as_dyn();
-
-        // Stable slot assignment: ascending coefficient index within each
-        // block.
-        let mut locations = Vec::with_capacity(n);
-        let mut fill = vec![0usize; adyn.num_blocks()];
-        for i in 0..n {
-            let b = adyn.block_of(i);
-            locations.push((b, fill[b]));
-            fill[b] += 1;
-        }
 
         let mut device = make(block_size, adyn.num_blocks());
         assert!(device.block_size() == block_size, "device block size mismatch");
@@ -169,42 +174,21 @@ impl<D: BlockDevice> WaveletStore<D> {
     /// path for a recovered [`crate::file::FileDevice`]. The allocation
     /// and coefficient→slot map are pure functions of
     /// `(n, block_size, kind)`, so they reconstruct exactly; the
-    /// per-block energy catalog is re-read from the device (raw reads —
-    /// an unreadable block contributes zero energy, the conservative
-    /// degraded-path default).
+    /// per-block energy catalog is re-read from the device with verified,
+    /// retried reads. A block that stays unreadable fails the reopen: its
+    /// energy is unknown, and pricing it at zero would let later queries
+    /// report a zero bound over missing coefficients.
     ///
     /// # Panics
     /// If `n` is not a power of two ≥ 2 or the device is too small for
     /// the allocation.
-    pub fn reopen(device: D, kind: AllocKind, n: usize) -> Self {
-        assert!(n.is_power_of_two() && n >= 2, "signal length must be a power of two ≥ 2");
-        let block_size = device.block_size();
-        let alloc = match kind {
-            AllocKind::Sequential => AnyAlloc::Sequential(SequentialAlloc::new(n, block_size)),
-            AllocKind::Random(seed) => AnyAlloc::Random(RandomAlloc::new(n, block_size, seed)),
-            AllocKind::TreeTiling => AnyAlloc::Tiling(TreeTilingAlloc::new(n, block_size)),
-        };
-        let adyn = alloc.as_dyn();
-        assert!(device.num_blocks() >= adyn.num_blocks(), "device too small for allocation");
-
-        let mut locations = Vec::with_capacity(n);
-        let mut fill = vec![0usize; adyn.num_blocks()];
-        for i in 0..n {
-            let b = adyn.block_of(i);
-            locations.push((b, fill[b]));
-            fill[b] += 1;
-        }
-
-        let mut buf = vec![0.0; block_size];
-        let block_energy: Vec<f64> = (0..adyn.num_blocks())
-            .map(|b| match device.read_raw_into(b, &mut buf) {
-                Ok(()) => buf.iter().map(|c| c * c).sum(),
-                Err(_) => 0.0,
-            })
-            .collect();
+    pub fn reopen(device: D, kind: AllocKind, n: usize) -> Result<Self, ReadError> {
+        let (alloc, locations) = AnyAlloc::layout(n, device.block_size(), kind);
+        let num_blocks = alloc.as_dyn().num_blocks();
+        assert!(device.num_blocks() >= num_blocks, "device too small for allocation");
+        let block_energy = block_energies(&device, num_blocks)?;
         device.reset_stats();
-
-        WaveletStore { device, alloc, locations, block_energy, n }
+        Ok(WaveletStore { device, alloc, locations, block_energy, n })
     }
 
     /// Signal length / coefficient count.
@@ -275,27 +259,16 @@ impl<D: BlockDevice> WaveletStore<D> {
         blocks
     }
 
-    /// Fetches the listed coefficients through the pool, returning values
+    /// Fetches the listed coefficients through the cache, returning values
     /// aligned with `set`.
     ///
     /// # Panics
     /// If any block read fails — use [`WaveletStore::fetch_degraded`] on
     /// devices that can fault.
-    pub fn fetch(&self, set: &[usize], pool: &mut BufferPool) -> Vec<f64> {
-        let mut blocks: Vec<usize> = Vec::with_capacity(set.len());
-        let values = set
-            .iter()
-            .map(|&i| {
-                assert!(i < self.n, "coefficient {i} out of range");
-                let (b, off) = self.locations[i];
-                blocks.push(b);
-                pool.get(&self.device, b).expect("block read failed (use fetch_degraded)")[off]
-            })
-            .collect();
-        blocks.sort_unstable();
-        blocks.dedup();
-        record_fetch(set.len(), blocks.len());
-        values
+    pub fn fetch(&self, set: &[usize], pool: &SharedBlockCache) -> Vec<f64> {
+        let outcome = self.fetch_degraded(set, pool, &RetryPolicy::none());
+        assert!(outcome.is_complete(), "block read failed (use fetch_degraded)");
+        outcome.values
     }
 
     /// Fetches the listed coefficients, retrying transient failures under
@@ -306,7 +279,7 @@ impl<D: BlockDevice> WaveletStore<D> {
     pub fn fetch_degraded(
         &self,
         set: &[usize],
-        pool: &mut BufferPool,
+        pool: &SharedBlockCache,
         policy: &RetryPolicy,
     ) -> FetchOutcome {
         let mut lost_blocks: Vec<usize> = Vec::new();
@@ -323,13 +296,9 @@ impl<D: BlockDevice> WaveletStore<D> {
                 values.push(0.0);
                 continue;
             }
-            match pool.get_with_retry(&self.device, b, policy) {
-                Ok(data) => values.push(data[off]),
-                Err(e) => {
-                    debug_assert!(matches!(
-                        e.kind,
-                        ReadErrorKind::Io | ReadErrorKind::Corrupt | ReadErrorKind::Dead
-                    ));
+            match pool.get_or_read_outcome(&self.device, b, policy) {
+                Ok((data, _)) => values.push(data[off]),
+                Err(_) => {
                     global().counter("storage.degraded").inc();
                     lost_blocks.push(b);
                     missing.push(pos);
@@ -350,16 +319,10 @@ impl<D: BlockDevice> WaveletStore<D> {
     /// # Panics
     /// If a block read fails — use [`WaveletStore::point_value_outcome`]
     /// on devices that can fault.
-    pub fn point_value(&self, t: usize, pool: &mut BufferPool) -> f64 {
-        let _span = span!("storage.store.point_value");
-        global().counter("storage.store.point_queries").inc();
-        let set = point_query_set(t, self.n);
-        let values = self.fetch(&set, pool);
-        let mut x = 0.0;
-        for (&i, &c) in set.iter().zip(&values) {
-            x += c * haar_basis_value(i, t, self.n);
-        }
-        x
+    pub fn point_value(&self, t: usize, pool: &SharedBlockCache) -> f64 {
+        let outcome = self.point_value_outcome(t, pool, &RetryPolicy::none());
+        assert!(!outcome.degraded(), "block read failed (use point_value_outcome)");
+        outcome.value
     }
 
     /// Range sum `Σ_{t=a}^{b} x[t]`, reading only the two boundary paths.
@@ -367,40 +330,24 @@ impl<D: BlockDevice> WaveletStore<D> {
     /// # Panics
     /// If a block read fails — use [`WaveletStore::range_sum_outcome`] on
     /// devices that can fault.
-    pub fn range_sum(&self, a: usize, b: usize, pool: &mut BufferPool) -> f64 {
-        let _span = span!("storage.store.range_sum");
-        global().counter("storage.store.range_queries").inc();
-        let set = range_query_set(a, b, self.n);
-        let values = self.fetch(&set, pool);
-        let mut sum = 0.0;
-        for (&i, &c) in set.iter().zip(&values) {
-            sum += c * haar_basis_range_sum(i, a, b, self.n);
-        }
-        sum
+    pub fn range_sum(&self, a: usize, b: usize, pool: &SharedBlockCache) -> f64 {
+        let outcome = self.range_sum_outcome(a, b, pool, &RetryPolicy::none());
+        assert!(!outcome.degraded(), "block read failed (use range_sum_outcome)");
+        outcome.value
     }
 
     /// Fault-tolerant point query: retries under `policy`, degrades to a
     /// partial answer with a guaranteed error bound when blocks are lost.
-    ///
-    /// With zero faults the returned value is bit-identical to
-    /// [`WaveletStore::point_value`] (same access set, same summation
-    /// order).
     pub fn point_value_outcome(
         &self,
         t: usize,
-        pool: &mut BufferPool,
+        pool: &SharedBlockCache,
         policy: &RetryPolicy,
     ) -> QueryOutcome {
         let _span = span!("storage.store.point_value");
         global().counter("storage.store.point_queries").inc();
         let set = point_query_set(t, self.n);
-        let outcome = self.fetch_degraded(&set, pool, policy);
-        let mut x = 0.0;
-        for (&i, &c) in set.iter().zip(&outcome.values) {
-            x += c * haar_basis_value(i, t, self.n);
-        }
-        let bound = self.lost_bound(&set, &outcome, |i| haar_basis_value(i, t, self.n));
-        QueryOutcome { value: x, error_bound: bound, lost_blocks: outcome.lost_blocks }
+        self.answer(&set, pool, policy, |i| haar_basis_value(i, t, self.n))
     }
 
     /// Fault-tolerant range sum: retries under `policy`, degrades to a
@@ -409,19 +356,31 @@ impl<D: BlockDevice> WaveletStore<D> {
         &self,
         a: usize,
         b: usize,
-        pool: &mut BufferPool,
+        pool: &SharedBlockCache,
         policy: &RetryPolicy,
     ) -> QueryOutcome {
         let _span = span!("storage.store.range_sum");
         global().counter("storage.store.range_queries").inc();
         let set = range_query_set(a, b, self.n);
-        let outcome = self.fetch_degraded(&set, pool, policy);
-        let mut sum = 0.0;
+        self.answer(&set, pool, policy, |i| haar_basis_range_sum(i, a, b, self.n))
+    }
+
+    /// `Σ_{i ∈ set} c_i · weight(i)`, accumulated in `set` order, from
+    /// whatever the device delivers.
+    fn answer(
+        &self,
+        set: &[usize],
+        pool: &SharedBlockCache,
+        policy: &RetryPolicy,
+        weight: impl Fn(usize) -> f64,
+    ) -> QueryOutcome {
+        let outcome = self.fetch_degraded(set, pool, policy);
+        let mut value = 0.0;
         for (&i, &c) in set.iter().zip(&outcome.values) {
-            sum += c * haar_basis_range_sum(i, a, b, self.n);
+            value += c * weight(i);
         }
-        let bound = self.lost_bound(&set, &outcome, |i| haar_basis_range_sum(i, a, b, self.n));
-        QueryOutcome { value: sum, error_bound: bound, lost_blocks: outcome.lost_blocks }
+        let error_bound = self.lost_bound(set, &outcome, weight);
+        QueryOutcome { value, error_bound, lost_blocks: outcome.lost_blocks }
     }
 
     /// Cauchy–Schwarz bound on the contribution of the lost coefficients:
@@ -453,15 +412,29 @@ impl<D: BlockDevice> WaveletStore<D> {
     }
 
     /// Full reconstruction (reads every block).
-    pub fn reconstruct_all(&self, pool: &mut BufferPool) -> Vec<f64> {
+    pub fn reconstruct_all(&self, pool: &SharedBlockCache) -> Vec<f64> {
         let set: Vec<usize> = (0..self.n).collect();
         let coeffs = self.fetch(&set, pool);
         idwt_full(&coeffs, &WaveletFilter::haar())
     }
 }
 
-/// Records the fetch-shape telemetry shared by the strict and degraded
-/// paths.
+/// Rebuilds a per-block `Σ c²` catalog from an already-populated device:
+/// verified reads under the default retry policy, and a typed error — not
+/// a zero — for a block that stays unreadable.
+pub fn block_energies<D: BlockDevice + ?Sized>(
+    device: &D,
+    num_blocks: usize,
+) -> Result<Vec<f64>, ReadError> {
+    (0..num_blocks)
+        .map(|b| {
+            let (data, _) = read_with_retry(device, b, &RetryPolicy::default())?;
+            Ok(data.iter().map(|c| c * c).sum())
+        })
+        .collect()
+}
+
+/// Records the fetch-shape telemetry.
 fn record_fetch(set_len: usize, distinct_blocks: usize) {
     if distinct_blocks == 0 {
         return;
@@ -518,6 +491,7 @@ pub(crate) fn haar_basis_range_sum(i: usize, a: usize, b: usize, n: usize) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::ReadErrorKind;
     use crate::faults::{FaultKind, FaultPlan, FaultyDevice};
 
     fn signal(n: usize) -> Vec<f64> {
@@ -529,9 +503,9 @@ mod tests {
         let x = signal(64);
         for kind in [AllocKind::Sequential, AllocKind::Random(1), AllocKind::TreeTiling] {
             let store = WaveletStore::from_signal(&x, 8, kind);
-            let mut pool = BufferPool::new(4);
+            let pool = SharedBlockCache::new(4);
             for t in [0usize, 13, 31, 63] {
-                let v = store.point_value(t, &mut pool);
+                let v = store.point_value(t, &pool);
                 assert!((v - x[t]).abs() < 1e-9, "{kind:?} t={t}: {v} vs {}", x[t]);
             }
         }
@@ -541,9 +515,9 @@ mod tests {
     fn range_sums_match_scan() {
         let x = signal(128);
         let store = WaveletStore::from_signal(&x, 16, AllocKind::TreeTiling);
-        let mut pool = BufferPool::new(8);
+        let pool = SharedBlockCache::new(8);
         for (a, b) in [(0usize, 127usize), (5, 9), (30, 100), (64, 64)] {
-            let got = store.range_sum(a, b, &mut pool);
+            let got = store.range_sum(a, b, &pool);
             let expect: f64 = x[a..=b].iter().sum();
             assert!((got - expect).abs() < 1e-8, "[{a},{b}]: {got} vs {expect}");
         }
@@ -558,8 +532,8 @@ mod tests {
         let count_reads = |store: &WaveletStore| -> u64 {
             store.reset_stats();
             for t in (0..4096).step_by(97) {
-                let mut pool = BufferPool::new(1);
-                store.point_value(t, &mut pool);
+                let pool = SharedBlockCache::new(1);
+                store.point_value(t, &pool);
             }
             store.device_stats().reads
         };
@@ -572,8 +546,8 @@ mod tests {
     fn reconstruct_all_roundtrips() {
         let x = signal(256);
         let store = WaveletStore::from_signal(&x, 32, AllocKind::Random(7));
-        let mut pool = BufferPool::new(16);
-        let y = store.reconstruct_all(&mut pool);
+        let pool = SharedBlockCache::new(16);
+        let y = store.reconstruct_all(&pool);
         for (a, b) in x.iter().zip(&y) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -586,12 +560,12 @@ mod tests {
     }
 
     #[test]
-    fn buffer_pool_saves_repeat_reads() {
+    fn cache_saves_repeat_reads() {
         let store = WaveletStore::from_signal(&signal(256), 16, AllocKind::TreeTiling);
-        let mut pool = BufferPool::new(32);
-        store.point_value(100, &mut pool);
+        let pool = SharedBlockCache::with_shards(32, 1);
+        store.point_value(100, &pool);
         let after_first = store.device_stats().reads;
-        store.point_value(101, &mut pool); // same neighborhood — mostly cached
+        store.point_value(101, &pool); // same neighborhood — mostly cached
         let after_second = store.device_stats().reads;
         assert!(after_second - after_first <= 1, "second query re-read too much");
     }
@@ -629,19 +603,19 @@ mod tests {
         });
         let policy = RetryPolicy::default();
         for t in [0usize, 17, 77, 127] {
-            let mut p1 = BufferPool::new(8);
-            let mut p2 = BufferPool::new(8);
-            let a = plain.point_value(t, &mut p1);
-            let b = faulty.point_value_outcome(t, &mut p2, &policy);
+            let p1 = SharedBlockCache::new(8);
+            let p2 = SharedBlockCache::new(8);
+            let a = plain.point_value(t, &p1);
+            let b = faulty.point_value_outcome(t, &p2, &policy);
             assert_eq!(a.to_bits(), b.value.to_bits(), "t={t}");
             assert_eq!(b.error_bound, 0.0);
             assert!(!b.degraded());
         }
         for (a0, b0) in [(0usize, 127usize), (5, 9), (30, 100)] {
-            let mut p1 = BufferPool::new(8);
-            let mut p2 = BufferPool::new(8);
-            let a = plain.range_sum(a0, b0, &mut p1);
-            let b = faulty.range_sum_outcome(a0, b0, &mut p2, &policy);
+            let p1 = SharedBlockCache::new(8);
+            let p2 = SharedBlockCache::new(8);
+            let a = plain.range_sum(a0, b0, &p1);
+            let b = faulty.range_sum_outcome(a0, b0, &p2, &policy);
             assert_eq!(a.to_bits(), b.value.to_bits(), "[{a0},{b0}]");
         }
     }
@@ -655,10 +629,10 @@ mod tests {
         });
         let mut degraded_seen = 0usize;
         for (a, b) in [(0usize, 255usize), (10, 200), (32, 95), (100, 101)] {
-            let mut p1 = BufferPool::new(32);
-            let mut p2 = BufferPool::new(32);
-            let truth = exact.range_sum(a, b, &mut p1);
-            let got = faulty.range_sum_outcome(a, b, &mut p2, &RetryPolicy::none());
+            let p1 = SharedBlockCache::new(32);
+            let p2 = SharedBlockCache::new(32);
+            let truth = exact.range_sum(a, b, &p1);
+            let got = faulty.range_sum_outcome(a, b, &p2, &RetryPolicy::none());
             assert!(
                 (got.value - truth).abs() <= got.error_bound + 1e-9,
                 "[{a},{b}]: |{} − {truth}| > {}",
@@ -683,9 +657,33 @@ mod tests {
         let blocks = store.blocks_for(&set);
         assert!(!blocks.is_empty());
         assert!(blocks.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-        let mut pool = BufferPool::new(64);
+        let pool = SharedBlockCache::with_shards(64, 1);
         store.reset_stats();
-        store.point_value(13, &mut pool);
+        store.point_value(13, &pool);
         assert_eq!(store.device_stats().reads as usize, blocks.len());
+    }
+
+    #[test]
+    fn reopen_never_prices_an_unreadable_block_at_zero() {
+        let x = signal(256);
+        let plain = WaveletStore::from_signal(&x, 16, AllocKind::TreeTiling);
+        let blocks = plain.allocation().num_blocks();
+        let mut device =
+            FaultyDevice::with_plan(16, blocks, FaultPlan::uniform(11, FaultKind::DeadBlock, 0.3));
+        for b in 0..blocks {
+            device.write_block(b, &plain.device().read_block(b).unwrap());
+        }
+        assert!((0..blocks).any(|b| device.is_dead(b)));
+        // Refusing to open is the contract; a store that does open must
+        // still bound what its dead blocks hide.
+        match WaveletStore::reopen(device, AllocKind::TreeTiling, 256) {
+            Err(e) => assert_eq!(e.kind, ReadErrorKind::Dead),
+            Ok(reopened) => {
+                let truth = plain.range_sum(0, 255, &SharedBlockCache::new(32));
+                let pool = SharedBlockCache::new(32);
+                let got = reopened.range_sum_outcome(0, 255, &pool, &RetryPolicy::none());
+                assert!((got.value - truth).abs() <= got.error_bound + 1e-9);
+            }
+        }
     }
 }

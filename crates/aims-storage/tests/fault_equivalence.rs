@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use aims_storage::buffer::BufferPool;
+use aims_storage::cache::SharedBlockCache;
 use aims_storage::device::RetryPolicy;
 use aims_storage::faults::{FaultPlan, FaultyDevice};
 use aims_storage::store::{AllocKind, WaveletStore};
@@ -56,21 +56,21 @@ proptest! {
         let x = signal(n, salt);
         for kind in [AllocKind::Sequential, AllocKind::Random(salt), AllocKind::TreeTiling] {
             let (plain, faulty) = stores(&x, block, kind, seed);
-            let mut p1 = BufferPool::new(8);
-            let mut p2 = BufferPool::new(8);
+            let p1 = SharedBlockCache::new(8);
+            let p2 = SharedBlockCache::new(8);
             for t in [0, n / 3, n / 2, n - 1] {
-                let a = plain.point_value(t, &mut p1);
-                let b = faulty.point_value_outcome(t, &mut p2, &RetryPolicy::default());
+                let a = plain.point_value(t, &p1);
+                let b = faulty.point_value_outcome(t, &p2, &RetryPolicy::default());
                 prop_assert_eq!(a.to_bits(), b.value.to_bits(), "{:?} t={}", kind, t);
                 prop_assert!(!b.degraded());
             }
             let (lo, hi) = (n / 5, n - 1 - n / 7);
-            let a = plain.range_sum(lo, hi, &mut p1);
-            let b = faulty.range_sum_outcome(lo, hi, &mut p2, &RetryPolicy::default());
+            let a = plain.range_sum(lo, hi, &p1);
+            let b = faulty.range_sum_outcome(lo, hi, &p2, &RetryPolicy::default());
             prop_assert_eq!(a.to_bits(), b.value.to_bits(), "{:?} [{},{}]", kind, lo, hi);
 
-            let ra = plain.reconstruct_all(&mut p1);
-            let rb = faulty.reconstruct_all(&mut p2);
+            let ra = plain.reconstruct_all(&p1);
+            let rb = faulty.reconstruct_all(&p2);
             for (va, vb) in ra.iter().zip(&rb) {
                 prop_assert_eq!(va.to_bits(), vb.to_bits());
             }
@@ -86,13 +86,13 @@ proptest! {
     ) {
         let x = signal(n, salt);
         let (plain, faulty) = stores(&x, 8.min(n), AllocKind::TreeTiling, salt);
-        let mut p1 = BufferPool::new(4);
-        let mut p2 = BufferPool::new(4);
+        let p1 = SharedBlockCache::new(4);
+        let p2 = SharedBlockCache::new(4);
         plain.reset_stats();
         faulty.reset_stats();
         for t in (0..n).step_by(7) {
-            plain.point_value(t, &mut p1);
-            faulty.point_value_outcome(t, &mut p2, &RetryPolicy::default());
+            plain.point_value(t, &p1);
+            faulty.point_value_outcome(t, &p2, &RetryPolicy::default());
         }
         prop_assert_eq!(plain.device_stats().reads, faulty.device_stats().reads);
         prop_assert_eq!(p1.stats(), p2.stats());

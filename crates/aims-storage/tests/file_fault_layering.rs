@@ -4,7 +4,7 @@
 //! faults injected after WAL recovery must surface the same errors, heal
 //! under the same retries, and flag the same corruption.
 
-use aims_storage::buffer::BufferPool;
+use aims_storage::cache::SharedBlockCache;
 use aims_storage::device::RetryPolicy;
 use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
 use aims_storage::{
@@ -73,10 +73,10 @@ fn post_recovery_bit_flips_are_caught_by_read_checksums() {
 
     // Persistent corruption: retries cannot heal it on either medium.
     let policy = RetryPolicy::with_retries(3);
-    let mut p1 = BufferPool::new(4);
-    let mut p2 = BufferPool::new(4);
-    let rf = p1.get_with_retry(&faulty_file, 0, &policy).unwrap_err();
-    let rm = p2.get_with_retry(&faulty_mem, 0, &policy).unwrap_err();
+    let p1 = SharedBlockCache::new(4);
+    let p2 = SharedBlockCache::new(4);
+    let rf = p1.get_or_read_outcome(&faulty_file, 0, &policy).unwrap_err();
+    let rm = p2.get_or_read_outcome(&faulty_mem, 0, &policy).unwrap_err();
     assert_eq!(rf, rm);
     assert_eq!(p1.stats(), p2.stats());
 
@@ -121,11 +121,11 @@ fn transient_faults_match_mem_device_attempt_for_attempt() {
 
     // A generous retry budget heals every transient fault on both media.
     let policy = RetryPolicy::with_retries(64);
-    let mut p1 = BufferPool::new(NUM_BLOCKS);
-    let mut p2 = BufferPool::new(NUM_BLOCKS);
+    let p1 = SharedBlockCache::new(NUM_BLOCKS);
+    let p2 = SharedBlockCache::new(NUM_BLOCKS);
     for b in 0..NUM_BLOCKS {
-        let a = p1.get_with_retry(&faulty_file, b, &policy).unwrap().to_vec();
-        let c = p2.get_with_retry(&faulty_mem, b, &policy).unwrap().to_vec();
+        let (a, _) = p1.get_or_read_outcome(&faulty_file, b, &policy).unwrap();
+        let (c, _) = p2.get_or_read_outcome(&faulty_mem, b, &policy).unwrap();
         assert_eq!(
             a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

@@ -5,8 +5,9 @@ use proptest::prelude::*;
 use aims_storage::alloc::{
     validate_allocation, Allocation, RandomAlloc, SequentialAlloc, TensorAlloc, TreeTilingAlloc,
 };
-use aims_storage::buffer::BufferPool;
+use aims_storage::cache::SharedBlockCache;
 use aims_storage::error_tree::{point_query_set, range_query_set, ErrorTree};
+use aims_storage::progressive::{BlockPlan, BoundLedger};
 use aims_storage::store::{AllocKind, WaveletStore};
 
 fn pow2(lo: u32, hi: u32) -> impl Strategy<Value = usize> {
@@ -98,11 +99,11 @@ proptest! {
     ) {
         let kind = [AllocKind::Sequential, AllocKind::Random(9), AllocKind::TreeTiling][kind_pick];
         let store = WaveletStore::from_signal(&raw, 1 << b_exp, kind);
-        let mut pool = BufferPool::new(pool_size);
-        prop_assert!((store.point_value(t, &mut pool) - raw[t]).abs() < 1e-8);
+        let pool = SharedBlockCache::new(pool_size);
+        prop_assert!((store.point_value(t, &pool) - raw[t]).abs() < 1e-8);
         let (a, b) = (lo.min(hi), lo.max(hi));
         let expect: f64 = raw[a..=b].iter().sum();
-        prop_assert!((store.range_sum(a, b, &mut pool) - expect).abs() < 1e-7);
+        prop_assert!((store.range_sum(a, b, &pool) - expect).abs() < 1e-7);
     }
 
     /// Tensor allocation equals the product of its per-dimension
@@ -133,13 +134,54 @@ proptest! {
         cap in 1usize..6,
     ) {
         let store = WaveletStore::from_signal(&raw, 8, AllocKind::TreeTiling);
-        let mut pool = BufferPool::new(cap);
+        let pool = SharedBlockCache::new(cap);
         for &t in &accesses {
-            prop_assert!((store.point_value(t, &mut pool) - raw[t]).abs() < 1e-8);
+            prop_assert!((store.point_value(t, &pool) - raw[t]).abs() < 1e-8);
             prop_assert!(pool.resident() <= cap);
         }
         // Hits + misses = total fetches issued through the pool.
         let stats = pool.stats();
         prop_assert!(stats.hits + stats.misses >= accesses.len() as u64);
+    }
+
+    /// The bound contract, on the ledger alone: whatever is delivered or
+    /// lost, in fold order or gain order, the bound never rises on a
+    /// delivery, moves by at most the rounding of one addition on a loss,
+    /// always covers the lost gains, and drains to exactly their sum —
+    /// `0.0` when nothing was lost.
+    #[test]
+    fn ledger_bound_is_monotone_and_keeps_lost_gains(
+        terms in prop::collection::vec((0.0_f64..1e6, 0.0_f64..1e6, any::<bool>()), 0..40),
+        gain_first in any::<bool>(),
+    ) {
+        let mut plan = BlockPlan::default();
+        plan.extend(terms.iter().enumerate().map(|(b, t)| (b, t.0)), |b| terms[b].1);
+        let plan = std::sync::Arc::new(plan);
+        let mut ledger = if gain_first {
+            BoundLedger::by_gain(plan.clone())
+        } else {
+            BoundLedger::in_fold_order(plan.clone())
+        };
+        if !gain_first {
+            prop_assert_eq!(ledger.bound().to_bits(), plan.initial_bound().to_bits());
+        }
+        let (mut lost, mut lost_blocks) = (0.0, Vec::new());
+        while let Some(k) = ledger.peek() {
+            let before = ledger.bound();
+            if terms[k].2 {
+                lost += plan.gains[k];
+                lost_blocks.push(plan.blocks[k]);
+                ledger.lose();
+                prop_assert!(ledger.bound() <= before * (1.0 + 2.0 * f64::EPSILON));
+            } else {
+                ledger.deliver();
+                prop_assert!(ledger.bound() <= before);
+            }
+            prop_assert!(ledger.bound() >= lost);
+        }
+        prop_assert!(ledger.done());
+        prop_assert_eq!(ledger.consumed(), terms.len());
+        prop_assert_eq!(ledger.bound().to_bits(), lost.to_bits());
+        prop_assert_eq!(ledger.lost_blocks(), &lost_blocks[..]);
     }
 }

@@ -11,10 +11,10 @@
 //! The coefficients live on the historical device, so evaluation plans
 //! from the *weights* alone: a block is fetched only if its weights are
 //! not all zero (a fully covered Haar segment needs exactly its first
-//! block), its Cauchy–Schwarz gain comes from the snapshot's energy
-//! catalog, and blocks are fetched most-important-first as the
-//! evaluation consumes them. Every fully covered segment shares one
-//! weight vector, computed once per query.
+//! block), the needed blocks are priced into one [`BlockPlan`] from the
+//! snapshot's energy catalog, and a [`BoundLedger`] consumes that plan
+//! most-important-first, carrying the bound. Every fully covered segment
+//! shares one weight vector, computed once per query.
 //!
 //! Determinism contract (the oracle bit-identity tests lean on this):
 //! every block contributes one partial — `w·c` products accumulated in
@@ -33,6 +33,7 @@ use std::sync::Arc;
 use aims_dsp::dwt::dwt_full_inplace;
 use aims_dsp::kernel::DwtScratch;
 use aims_exec::ThreadPool;
+use aims_storage::{BlockPlan, BoundLedger};
 use aims_telemetry::global;
 
 use crate::store::{SnapKind, SnapSeg, TierSnapshot};
@@ -73,16 +74,14 @@ enum Part {
     Hist(Range<usize>),
 }
 
-/// One historical block's stake in an evaluation.
+/// One historical block's stake in an evaluation (its price is the plan
+/// entry at the same position).
 struct BlockTerm {
     /// Segment slot on the historical device, and block within it.
     slot: usize,
     blk: usize,
     /// Which of the query's weight vectors applies.
     weights: usize,
-    /// Cauchy–Schwarz gain `sqrt(Σw²_block · Σc²_block)` — how much of
-    /// the bound consuming this block removes.
-    gain: f64,
     /// The block's exact contribution `Σ w·c` (ascending index order)
     /// once fetched; stays `None` for a block the device could not
     /// deliver.
@@ -105,8 +104,8 @@ pub fn range_sum(snap: &TierSnapshot, a: usize, b: usize) -> f64 {
 
 /// Progressive two-tier evaluation: the hot tier answers exactly up
 /// front; historical blocks are fetched and consumed most-important-
-/// first, each step tightening one monotone Cauchy–Schwarz bound over
-/// everything not yet consumed. Once every block is consumed the running
+/// first, each step tightening one Cauchy–Schwarz bound over everything
+/// not yet consumed. Once every block is consumed the running
 /// estimate is replaced by the canonical fold of the same partials (see
 /// the module docs), so a drained progressive query *is* the exact
 /// evaluation, bit for bit.
@@ -118,20 +117,13 @@ pub struct TieredProgressive<'a> {
     pub hot_rows: usize,
     /// Overlapping segments, ascending.
     parts: Vec<Part>,
-    /// Needed historical blocks, segment- then block-ascending.
+    /// Needed historical blocks, segment- then block-ascending: the fold
+    /// order, and the order of the ledger's plan.
     items: Vec<BlockTerm>,
-    /// `items` indices in consumption order: gain-descending, ties in
-    /// planning order.
-    order: Vec<usize>,
+    /// The bound, and how far the gain-first consumption got.
+    ledger: BoundLedger,
     weights: Vec<Vec<f64>>,
-    consumed: usize,
-    lost: usize,
     hist_estimate: f64,
-    /// Σ gain of blocks not yet delivered (unconsumed or lost).
-    remaining: f64,
-    /// Σ gain of lost blocks: what the final bound cannot shed.
-    lost_bound: f64,
-    bound: f64,
 }
 
 /// One delivered refinement step.
@@ -139,7 +131,7 @@ pub struct TieredProgressive<'a> {
 pub struct TierStep {
     /// Estimate after this step (hot exact + consumed historical blocks).
     pub estimate: f64,
-    /// Monotone Cauchy–Schwarz bound on `|estimate − exact|`.
+    /// Cauchy–Schwarz bound on `|estimate − exact|`; never increases.
     pub bound: f64,
     /// Historical blocks consumed so far (delivered or lost).
     pub blocks_consumed: usize,
@@ -160,14 +152,9 @@ impl<'a> TieredProgressive<'a> {
             hot_rows: 0,
             parts: Vec::new(),
             items: Vec::new(),
-            order: Vec::new(),
+            ledger: BoundLedger::by_gain(Arc::default()),
             weights: Vec::new(),
-            consumed: 0,
-            lost: 0,
             hist_estimate: 0.0,
-            remaining: 0.0,
-            lost_bound: 0.0,
-            bound: 0.0,
         };
         if snap.is_empty() || a > b || a >= snap.len() {
             return prog;
@@ -203,6 +190,7 @@ impl<'a> TieredProgressive<'a> {
             full_needed = needed;
         }
         let (mut hot_segs, mut hist_segs) = (0usize, 0usize);
+        let mut block_plan = BlockPlan::default();
         for plan in plans {
             match plan {
                 SegPlan::Hot { sum, rows } => {
@@ -217,28 +205,23 @@ impl<'a> TieredProgressive<'a> {
                         None => (0, &full_needed),
                     };
                     let start = prog.items.len();
-                    prog.items.extend(needed.iter().map(|&(blk, wsq)| BlockTerm {
+                    prog.items.extend(needed.iter().map(|&(blk, _)| BlockTerm {
                         slot,
                         blk,
                         weights,
-                        gain: (wsq * energy[blk]).sqrt(),
                         partial: None,
                     }));
+                    let base = cfg.hist_block(slot);
+                    block_plan.extend(needed.iter().map(|&(blk, wsq)| (base + blk, wsq)), |id| {
+                        energy[id - base]
+                    });
                     prog.parts.push(Part::Hist(start..prog.items.len()));
                     prog.weights.extend(own.map(|(w, _)| w));
                     hist_segs += 1;
                 }
             }
         }
-        // Most-important-first; ties keep planning order (stable sort) so
-        // the consumption sequence is deterministic.
-        let items = &prog.items;
-        prog.order = (0..items.len()).collect();
-        prog.order.sort_by(|&x, &y| {
-            items[y].gain.partial_cmp(&items[x].gain).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        prog.remaining = prog.order.iter().fold(0.0, |acc, &i| acc + items[i].gain);
-        prog.bound = prog.remaining;
+        prog.ledger = BoundLedger::by_gain(Arc::new(block_plan));
 
         let t = global();
         t.counter("tier.query.hot_rows").add(prog.hot_rows as u64);
@@ -255,7 +238,7 @@ impl<'a> TieredProgressive<'a> {
 
     /// True when every historical block has been consumed.
     pub fn done(&self) -> bool {
-        self.consumed >= self.items.len()
+        self.ledger.done()
     }
 
     /// The canonical fold of everything delivered so far.
@@ -281,9 +264,9 @@ impl<'a> TieredProgressive<'a> {
         let estimate = if self.done() { self.folded() } else { self.hot_part + self.hist_estimate };
         TierStep {
             estimate,
-            bound: self.bound,
-            blocks_consumed: self.consumed,
-            blocks_lost: self.lost,
+            bound: self.ledger.bound(),
+            blocks_consumed: self.ledger.consumed(),
+            blocks_lost: self.ledger.lost_blocks().len(),
         }
     }
 
@@ -303,31 +286,21 @@ impl<'a> TieredProgressive<'a> {
     }
 
     /// Fetches and consumes up to `k` more historical blocks,
-    /// most-important-first, and returns the refined step. The bound
-    /// never increases; a lost block leaves its gain in it.
+    /// most-important-first, and returns the refined step. A lost block
+    /// leaves its gain in the bound.
     pub fn step(&mut self, k: usize) -> TierStep {
-        let upto = (self.consumed + k.max(1)).min(self.order.len());
-        for &i in &self.order[self.consumed..upto] {
+        for _ in 0..k.max(1) {
+            let Some(i) = self.ledger.peek() else { break };
             let partial = self.fetch(&self.items[i]);
-            let item = &mut self.items[i];
-            item.partial = partial;
+            self.items[i].partial = partial;
             match partial {
                 Some(p) => {
                     self.hist_estimate += p;
-                    self.remaining -= item.gain;
+                    self.ledger.deliver();
                 }
-                None => {
-                    self.lost += 1;
-                    self.lost_bound += item.gain;
-                }
+                None => self.ledger.lose(),
             }
         }
-        self.consumed = upto;
-        // `remaining` only ever sheds non-negative gains and `lost_bound`
-        // is part of it, so the running minimum changes nothing in exact
-        // arithmetic; it keeps the bound monotone under rounding too.
-        let bound = if self.done() { self.lost_bound } else { self.remaining.max(self.lost_bound) };
-        self.bound = self.bound.min(bound);
         self.current()
     }
 

@@ -11,7 +11,7 @@
 
 use aims::sensors::glove::CyberGloveRig;
 use aims::sensors::noise::NoiseSource;
-use aims::storage::buffer::BufferPool;
+use aims::storage::cache::SharedBlockCache;
 use aims::storage::device::{BlockDevice, RetryPolicy};
 use aims::storage::faults::{FaultKind, FaultPlan, FaultyDevice};
 use aims::storage::store::{AllocKind, WaveletStore};
@@ -43,10 +43,10 @@ fn main() {
     let mut exact = 0;
     for k in 0..32 {
         let (a, b) = (k * 37 % 1024, 1024 + k * 29 % 1024);
-        let mut p1 = BufferPool::new(4);
-        let mut p2 = BufferPool::new(4);
-        let got = store.range_sum_outcome(a, b, &mut p1, &policy);
-        let want = truth.range_sum(a, b, &mut p2);
+        let p1 = SharedBlockCache::new(4);
+        let p2 = SharedBlockCache::new(4);
+        let got = store.range_sum_outcome(a, b, &p1, &policy);
+        let want = truth.range_sum(a, b, &p2);
         assert_eq!(got.value.to_bits(), want.to_bits(), "transient faults changed an answer");
         assert!(!got.degraded());
         exact += 1;
@@ -62,10 +62,10 @@ fn main() {
     let store = WaveletStore::from_signal_on(&signal, block, AllocKind::TreeTiling, |bs, nb| {
         FaultyDevice::with_plan(bs, nb, FaultPlan::uniform(seed, FaultKind::BitFlip, 0.3))
     });
-    let mut p = BufferPool::new(4);
+    let p = SharedBlockCache::new(4);
     for t in (0..2048).step_by(128) {
-        let got = store.point_value_outcome(t, &mut p, &policy);
-        let want = truth.point_value(t, &mut BufferPool::new(4));
+        let got = store.point_value_outcome(t, &p, &policy);
+        let want = truth.point_value(t, &SharedBlockCache::new(4));
         assert_eq!(got.value.to_bits(), want.to_bits());
     }
     let snap = global().snapshot();
@@ -86,10 +86,10 @@ fn main() {
     println!("{:>18} {:>14} {:>12} {:>10} {:>6}", "range", "estimate", "true", "bound", "lost");
     for k in 0..6 {
         let (a, b) = (k * 300, 1024 + k * 150);
-        let mut p1 = BufferPool::new(4);
-        let mut p2 = BufferPool::new(4);
-        let got = store.range_sum_outcome(a, b, &mut p1, &policy);
-        let want = truth.range_sum(a, b, &mut p2);
+        let p1 = SharedBlockCache::new(4);
+        let p2 = SharedBlockCache::new(4);
+        let got = store.range_sum_outcome(a, b, &p1, &policy);
+        let want = truth.range_sum(a, b, &p2);
         assert!((got.value - want).abs() <= got.error_bound + 1e-9, "bound violated");
         println!(
             "{:>18} {:>14.4} {:>12.4} {:>10.3} {:>6}",

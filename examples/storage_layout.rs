@@ -7,7 +7,7 @@
 use aims::sensors::glove::CyberGloveRig;
 use aims::sensors::noise::NoiseSource;
 use aims::storage::alloc::needed_items_upper_bound;
-use aims::storage::buffer::BufferPool;
+use aims::storage::cache::SharedBlockCache;
 use aims::storage::device::RetryPolicy;
 use aims::storage::faults::{FaultKind, FaultPlan, FaultyDevice};
 use aims::storage::snapshot::{restore, snapshot};
@@ -37,22 +37,22 @@ fn main() {
     ] {
         let store = WaveletStore::from_signal(&signal, block, kind);
         for t in (0..4096).step_by(64) {
-            let mut pool = BufferPool::new(1); // cold cache per query
-            store.point_value(t, &mut pool);
+            let pool = SharedBlockCache::new(1); // cold cache per query
+            store.point_value(t, &pool);
         }
         for k in 0..16 {
             let a = k * 150;
-            let mut pool = BufferPool::new(1);
-            store.range_sum(a, a + 1500, &mut pool);
+            let pool = SharedBlockCache::new(1);
+            store.range_sum(a, a + 1500, &pool);
         }
         println!("  {name:>18}: {:>5} reads", store.device_stats().reads);
     }
 
     // Warm cache: the locality the tiling creates pays off in the pool too.
     let store = WaveletStore::from_signal(&signal, block, AllocKind::TreeTiling);
-    let mut pool = BufferPool::new(16);
+    let pool = SharedBlockCache::with_shards(16, 1); // one shard: exact LRU
     for t in 0..512 {
-        store.point_value(t, &mut pool);
+        store.point_value(t, &pool);
     }
     println!(
         "\nwarm sequential scan of 512 points: {:.1}% buffer hit ratio ({} device reads)",
@@ -63,10 +63,10 @@ fn main() {
     // Snapshot persistence (§4's BLOB plan).
     let image = snapshot(&store, AllocKind::TreeTiling);
     let (restored, _) = restore(&image).expect("snapshot round-trips");
-    let mut p1 = BufferPool::new(4);
-    let mut p2 = BufferPool::new(4);
+    let p1 = SharedBlockCache::new(4);
+    let p2 = SharedBlockCache::new(4);
     // (Snapshots re-run the transform on load, so agreement is to rounding.)
-    let delta = (store.point_value(777, &mut p1) - restored.point_value(777, &mut p2)).abs();
+    let delta = (store.point_value(777, &p1) - restored.point_value(777, &p2)).abs();
     assert!(delta < 1e-9, "restore drifted by {delta}");
     println!(
         "\nsnapshot: {} bytes, restored store answers identically (checked point 777)",
@@ -81,11 +81,11 @@ fn main() {
         FaultyDevice::with_plan(bs, nb, FaultPlan::uniform(97, FaultKind::ReadError, 0.3))
     });
     let policy = RetryPolicy::default();
-    let mut p1 = BufferPool::new(8);
-    let mut p2 = BufferPool::new(8);
+    let p1 = SharedBlockCache::with_shards(8, 1);
+    let p2 = SharedBlockCache::new(8);
     for t in (0..4096).step_by(256) {
-        let got = flaky.point_value_outcome(t, &mut p1, &policy);
-        assert_eq!(got.value.to_bits(), store.point_value(t, &mut p2).to_bits());
+        let got = flaky.point_value_outcome(t, &p1, &policy);
+        assert_eq!(got.value.to_bits(), store.point_value(t, &p2).to_bits());
         assert!(!got.degraded());
     }
     println!(

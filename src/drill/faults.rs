@@ -8,7 +8,7 @@
 //! that lost blocks (*degraded*) still answers, within its guaranteed
 //! error bound.
 
-use aims_storage::buffer::BufferPool;
+use aims_storage::cache::SharedBlockCache;
 use aims_storage::device::{BlockDevice, RetryPolicy};
 use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
 use aims_storage::store::{AllocKind, QueryOutcome, WaveletStore};
@@ -137,14 +137,14 @@ pub fn run(cfg: &Config) -> Report {
     let (plain, faulty) = stores(cfg);
     let device = faulty.device();
     let blocks = device.num_blocks();
-    let (mut pool, mut plain_pool) = (BufferPool::new(blocks), BufferPool::new(blocks));
+    let (pool, plain_pool) = (SharedBlockCache::new(blocks), SharedBlockCache::new(blocks));
     let rows = cfg
         .queries
         .iter()
         .map(|&(a, b)| Row {
             range: (a, b),
-            truth: plain.range_sum(a, b, &mut plain_pool),
-            got: faulty.range_sum_outcome(a, b, &mut pool, &cfg.retry),
+            truth: plain.range_sum(a, b, &plain_pool),
+            got: faulty.range_sum_outcome(a, b, &pool, &cfg.retry),
         })
         .collect();
     Report {

@@ -20,7 +20,7 @@
 
 use aims::drill::crash::{committed_prefix, replica, run, Config, Report, WriteLog};
 use aims::drill::sub_seed;
-use aims::storage::buffer::BufferPool;
+use aims::storage::cache::SharedBlockCache;
 use aims::storage::device::{BlockDevice, RawMedia};
 use aims::storage::file::{CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions};
 use aims::storage::store::{AllocKind, WaveletStore};
@@ -172,20 +172,20 @@ fn reopened_store_answers_range_sums_like_the_committed_prefix() {
         let recovered = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap();
         let k = committed_prefix(&recovered, &log, durable_at_crash as usize, log.len())
             .unwrap_or_else(|| panic!("{label}: no committed prefix matches"));
-        let recovered = WaveletStore::reopen(recovered, AllocKind::TreeTiling, N);
+        let recovered = WaveletStore::reopen(recovered, AllocKind::TreeTiling, N).unwrap();
         let reference =
-            WaveletStore::reopen(replica(&log[..k], BLOCK, nb), AllocKind::TreeTiling, N);
+            WaveletStore::reopen(replica(&log[..k], BLOCK, nb), AllocKind::TreeTiling, N).unwrap();
 
-        let mut p1 = BufferPool::new(16);
-        let mut p2 = BufferPool::new(16);
+        let p1 = SharedBlockCache::new(16);
+        let p2 = SharedBlockCache::new(16);
         for (a, b) in [(0usize, N - 1), (7, 200), (64, 130), (31, 32)] {
-            let x = recovered.range_sum(a, b, &mut p1);
-            let y = reference.range_sum(a, b, &mut p2);
+            let x = recovered.range_sum(a, b, &p1);
+            let y = reference.range_sum(a, b, &p2);
             assert_eq!(x.to_bits(), y.to_bits(), "{label}: range [{a},{b}]");
         }
         for t in [0usize, 100, N - 1] {
-            let x = recovered.point_value(t, &mut p1);
-            let y = reference.point_value(t, &mut p2);
+            let x = recovered.point_value(t, &p1);
+            let y = reference.point_value(t, &p2);
             assert_eq!(x.to_bits(), y.to_bits(), "{label}: point {t}");
         }
     }

@@ -16,7 +16,7 @@
 //! so the whole matrix is reproducible bit-for-bit.
 
 use aims::drill::faults::{run, stores, Config, Row};
-use aims::storage::buffer::BufferPool;
+use aims::storage::cache::SharedBlockCache;
 use aims::storage::device::{BlockDevice, RetryPolicy};
 use aims::storage::error_tree::range_query_set;
 use aims::storage::faults::{FaultKind, FaultPlan, FaultyDevice};
@@ -57,10 +57,10 @@ fn zero_rate_is_bit_identical_for_every_fault_kind() {
         }
         let (plain, faulty) = stores(&cfg);
         for t in [0usize, 31, 130, 255] {
-            let mut p1 = BufferPool::new(64);
-            let mut p2 = BufferPool::new(64);
-            let expect = plain.point_value(t, &mut p1);
-            let got = faulty.point_value_outcome(t, &mut p2, &RetryPolicy::none());
+            let p1 = SharedBlockCache::new(64);
+            let p2 = SharedBlockCache::new(64);
+            let expect = plain.point_value(t, &p1);
+            let got = faulty.point_value_outcome(t, &p2, &RetryPolicy::none());
             assert_eq!(expect.to_bits(), got.value.to_bits(), "{kind:?} zero-rate t={t}");
         }
     }

@@ -4,7 +4,7 @@
 use aims::acquisition::sampling::{sample_stream, SamplingParams, Strategy};
 use aims::sensors::glove::CyberGloveRig;
 use aims::sensors::noise::NoiseSource;
-use aims::storage::buffer::BufferPool;
+use aims::storage::cache::SharedBlockCache;
 use aims::storage::store::{AllocKind, WaveletStore};
 use aims::{AimsConfig, AimsSystem};
 
@@ -45,9 +45,9 @@ fn sampling_then_storage_is_cheaper_than_raw_and_still_accurate() {
     let mut signal = sampled.reconstructed.channel(3);
     signal.resize(1024, *signal.last().unwrap());
     let store = WaveletStore::from_signal(&signal, 16, AllocKind::TreeTiling);
-    let mut pool = BufferPool::new(8);
+    let pool = SharedBlockCache::new(8);
     for t in (0..600).step_by(97) {
-        let v = store.point_value(t, &mut pool);
+        let v = store.point_value(t, &pool);
         assert!((v - signal[t]).abs() < 1e-8, "t={t}");
     }
 }
@@ -65,8 +65,8 @@ fn tiling_storage_beats_sequential_through_whole_stack() {
         signal.resize(2048, *signal.last().unwrap());
         let store = WaveletStore::from_signal(&signal, 16, alloc);
         for t in (0..1024).step_by(13) {
-            let mut pool = BufferPool::new(1); // cold cache per query
-            store.point_value(t, &mut pool);
+            let pool = SharedBlockCache::new(1); // cold cache per query
+            store.point_value(t, &pool);
         }
         store.device_stats().reads
     };

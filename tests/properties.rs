@@ -9,7 +9,7 @@ use aims::propolyne::cube::DataCube;
 use aims::propolyne::engine::Propolyne;
 use aims::propolyne::lazy::lazy_transform;
 use aims::propolyne::query::RangeSumQuery;
-use aims::storage::buffer::BufferPool;
+use aims::storage::cache::SharedBlockCache;
 use aims::storage::store::{AllocKind, WaveletStore};
 
 fn filter_strategy() -> impl Strategy<Value = FilterKind> {
@@ -118,11 +118,11 @@ proptest! {
         ],
     ) {
         let store = WaveletStore::from_signal(&raw, 8, alloc);
-        let mut pool = BufferPool::new(4);
-        prop_assert!((store.point_value(t, &mut pool) - raw[t]).abs() < 1e-8);
+        let pool = SharedBlockCache::new(4);
+        prop_assert!((store.point_value(t, &pool) - raw[t]).abs() < 1e-8);
         let (a, b) = (range.0.min(range.1), range.0.max(range.1));
         let expect: f64 = raw[a..=b].iter().sum();
-        prop_assert!((store.range_sum(a, b, &mut pool) - expect).abs() < 1e-7);
+        prop_assert!((store.range_sum(a, b, &pool) - expect).abs() < 1e-7);
     }
 
     /// Huffman coding round-trips arbitrary symbol streams.
