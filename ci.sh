@@ -82,30 +82,49 @@ EOF
     echo "== perf trajectory gate (trend vs BENCH_TRAJECTORY.json) =="
     cargo run --release -q -p aims-bench --bin trend -- check
 
-    echo "== aims-serve TCP smoke (loopback, clean shutdown) =="
+    echo "== aims-serve TCP smoke (loopback, clean shutdown; in memory, created, reopened) =="
     cargo build --release -q -p aims-service --bin aims-serve
     cargo build --release -q -p aims-service --example tcp_smoke
-    : > target/aims-serve.log
-    target/release/aims-serve --side 32 --block 16 > target/aims-serve.log 2>&1 &
-    serve_pid=$!
-    port=""
-    for _ in $(seq 1 100); do
-        port=$(sed -n 's/^aims-serve listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-            target/aims-serve.log)
-        [[ -n "$port" ]] && break
-        sleep 0.1
-    done
-    if [[ -z "$port" ]]; then
-        echo "aims-serve did not report a listening port" >&2
-        kill "$serve_pid" 2>/dev/null || true
-        exit 1
-    fi
-    target/release/examples/tcp_smoke "$port"
-    wait "$serve_pid"   # tcp_smoke sends SHUTDOWN; the server must exit 0
-    grep -q "clean shutdown" target/aims-serve.log || {
-        echo "aims-serve did not shut down cleanly" >&2
-        exit 1
+    # One smoke run: serve the demo cube with the given extra flags, query
+    # it over TCP, require the startup line $1 (a grep pattern, may be
+    # empty) and a clean exit; leaves tcp_smoke's answer line in $answer.
+    serve_smoke() {
+        local startup=$1 log=target/aims-serve.log port=""
+        shift
+        target/release/aims-serve --side 32 --block 16 "$@" > "$log" 2>&1 &
+        local serve_pid=$!
+        for _ in $(seq 1 100); do
+            port=$(sed -n 's/^aims-serve listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$log")
+            [[ -n "$port" ]] && break
+            sleep 0.1
+        done
+        if [[ -z "$port" ]]; then
+            echo "aims-serve $* did not report a listening port" >&2
+            kill "$serve_pid" 2>/dev/null || true
+            exit 1
+        fi
+        local out
+        out=$(target/release/examples/tcp_smoke "$port")
+        echo "$out"
+        answer=$(grep '^answer = ' <<<"$out")
+        wait "$serve_pid"   # tcp_smoke sends SHUTDOWN; the server must exit 0
+        grep -q "$startup" "$log" && grep -q "clean shutdown" "$log" || {
+            echo "aims-serve $* did not start with '$startup' and shut down cleanly" >&2
+            exit 1
+        }
     }
+    serve_smoke ""
+    in_memory=$answer
+    # The durable store, created and then reopened from its blocks alone:
+    # the same cube must give byte-identical answers all three ways.
+    rm -rf target/ci-serve-data
+    for startup in created reopened; do
+        serve_smoke "^aims-serve: $startup target/ci-serve-data" --data target/ci-serve-data
+        [[ "$answer" == "$in_memory" ]] || {
+            echo "$startup store answered '$answer', in-memory '$in_memory'" >&2
+            exit 1
+        }
+    done
 fi
 
 echo "CI OK"

@@ -199,7 +199,7 @@ pub fn e28_tracing_overhead() {
         |bs, nb| FaultyDevice::with_plan(bs, nb, fault_plan),
     );
     let ranges = vec![(4, 99), (16, 111)];
-    let prepared = svc.engine().prepare(&RangeSumQuery::count(ranges.clone()));
+    let prepared = engine.prepare(&RangeSumQuery::count(ranges.clone()));
     // Same coefficients + same block size ⇒ same plan as the service's
     // own device-backed store.
     let plan_store =

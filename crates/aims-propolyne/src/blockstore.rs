@@ -10,53 +10,37 @@
 //! error bound (Cauchy–Schwarz against the lost blocks' load-time
 //! energy).
 //!
-//! The layout rule (`coefficient i → block i / B, offset i % B`) lives in
-//! [`BlockedCoefficients::plan`] and [`BlockedCoefficients::accumulate`]
-//! and nowhere else: the first says which blocks a query needs and what
-//! each is worth, the second folds one fetched block into the running
-//! sum. Both walk the prepared entries in ascending offset order, exactly
-//! like [`crate::engine::Propolyne::evaluate_prepared`], so with a healthy
-//! device the result is bit-identical to the in-memory path.
+//! All of that is [`CoefficientStore`]; [`BlockedCoefficients`] only hands
+//! it a [`PreparedQuery`]'s entries. The store is sequential, so its
+//! block-major fold is the prepared entries in ascending offset order —
+//! exactly [`crate::engine::Propolyne::evaluate_prepared`] — and with a
+//! healthy device the result is bit-identical to the in-memory path.
 
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
 
 use aims_storage::device::{BlockDevice, MemDevice, ReadError, RetryPolicy};
-use aims_storage::store::block_energies;
-use aims_storage::{BlockPlan, BoundLedger, SharedBlockCache};
-use aims_telemetry::global;
+use aims_storage::store::AllocKind;
+use aims_storage::{BlockPlan, CoefficientStore, DegradedAnswer, SharedBlockCache};
 
 use crate::engine::PreparedQuery;
 
-/// Cube coefficients stored sequentially on a block device
-/// (`coefficient i → block i / B, offset i % B`), with a load-time
-/// per-block energy catalog for degraded error bounds.
+/// Cube coefficients in a sequential [`CoefficientStore`] (which this
+/// dereferences to), queried with [`PreparedQuery`]s.
 #[derive(Debug)]
 pub struct BlockedCoefficients<D: BlockDevice = MemDevice> {
-    device: D,
-    block_size: usize,
-    n: usize,
-    /// `Σ c²` per block, captured at load time.
-    block_energy: Vec<f64>,
+    store: CoefficientStore<D>,
 }
 
-/// A query answer served from (possibly faulty) blocked storage.
-#[derive(Clone, Debug)]
-pub struct DegradedAnswer {
-    /// The (possibly partial) inner product.
-    pub estimate: f64,
-    /// Guaranteed bound on `|estimate − exact|`; `0.0` when nothing was
-    /// lost.
-    pub error_bound: f64,
-    /// Distinct blocks that stayed unreadable after retries.
-    pub lost_blocks: Vec<usize>,
-    /// Query entries whose coefficient could not be retrieved.
-    pub missing_coefficients: usize,
+impl<D: BlockDevice> Deref for BlockedCoefficients<D> {
+    type Target = CoefficientStore<D>;
+    fn deref(&self) -> &CoefficientStore<D> {
+        &self.store
+    }
 }
 
-impl DegradedAnswer {
-    /// Whether any block was lost.
-    pub fn degraded(&self) -> bool {
-        !self.lost_blocks.is_empty()
+impl<D: BlockDevice> DerefMut for BlockedCoefficients<D> {
+    fn deref_mut(&mut self) -> &mut CoefficientStore<D> {
+        &mut self.store
     }
 }
 
@@ -69,120 +53,34 @@ impl BlockedCoefficients<MemDevice> {
 
 impl<D: BlockDevice> BlockedCoefficients<D> {
     /// Loads a coefficient vector onto a device built by
-    /// `make(block_size, num_blocks)` — the hook for fault-injected
-    /// devices. The vector is padded with zeros to a whole number of
-    /// blocks.
+    /// `make(block_size, num_blocks)` — the hook for fault-injected and
+    /// durable devices ([`CoefficientStore::load`]).
     pub fn on_device(
         coeffs: &[f64],
         block_size: usize,
         make: impl FnOnce(usize, usize) -> D,
     ) -> Self {
-        assert!(block_size > 0, "block size must be positive");
-        assert!(!coeffs.is_empty(), "cannot store an empty coefficient vector");
-        let num_blocks = coeffs.len().div_ceil(block_size);
-        let mut device = make(block_size, num_blocks);
-        assert!(device.block_size() == block_size, "device block size mismatch");
-        assert!(device.num_blocks() >= num_blocks, "device too small");
-        let mut block_energy = Vec::with_capacity(num_blocks);
-        let mut staged = vec![0.0; block_size];
-        for b in 0..num_blocks {
-            staged.iter_mut().for_each(|v| *v = 0.0);
-            let start = b * block_size;
-            let end = (start + block_size).min(coeffs.len());
-            staged[..end - start].copy_from_slice(&coeffs[start..end]);
-            block_energy.push(staged.iter().map(|c| c * c).sum());
-            device.write_block(b, &staged);
-        }
-        device.reset_stats();
-        BlockedCoefficients { device, block_size, n: coeffs.len(), block_energy }
+        let store = CoefficientStore::load(coeffs, block_size, AllocKind::Sequential, make);
+        BlockedCoefficients { store }
     }
 
-    /// Rebuilds over an already-populated device — the reopen path for a
-    /// recovered durable device. The sequential layout
-    /// (`coefficient i → block i / B, offset i % B`) is implicit, so only
-    /// the unpadded coefficient count `len` is needed; the per-block
-    /// energy catalog is re-read from the device with verified, retried
-    /// reads. A block that stays unreadable fails the reopen: priced at
-    /// zero it would let every later query that touches it report a zero
-    /// bound over missing coefficients.
+    /// Rebuilds over an already-populated device holding `len`
+    /// coefficients — the reopen path for a recovered durable device
+    /// ([`CoefficientStore::reopen`]: one verified, retried pass; a block
+    /// that stays unreadable fails the reopen).
     ///
     /// # Panics
     /// If the device is too small for `len` coefficients.
     pub fn from_device(device: D, len: usize) -> Result<Self, ReadError> {
-        assert!(len > 0, "cannot reopen an empty coefficient vector");
-        let block_size = device.block_size();
-        let num_blocks = len.div_ceil(block_size);
-        assert!(device.num_blocks() >= num_blocks, "device too small");
-        let block_energy = block_energies(&device, num_blocks)?;
-        device.reset_stats();
-        Ok(BlockedCoefficients { device, block_size, n: len, block_energy })
+        Ok(BlockedCoefficients {
+            store: CoefficientStore::reopen(device, AllocKind::Sequential, len)?,
+        })
     }
 
-    /// Mutable access to the backing device (checkpoint / close hooks on
-    /// durable devices).
-    pub fn device_mut(&mut self) -> &mut D {
-        &mut self.device
-    }
-
-    /// Coefficient count (unpadded).
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Blocked stores are never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The backing device.
-    pub fn device(&self) -> &D {
-        &self.device
-    }
-
-    /// Total stored energy `Σ c²` (from the load-time catalog).
-    pub fn data_energy(&self) -> f64 {
-        self.block_energy.iter().sum()
-    }
-
-    /// Coefficients per block.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    /// Number of blocks the coefficient vector occupies.
-    pub fn num_blocks(&self) -> usize {
-        self.block_energy.len()
-    }
-
-    /// Load-time energy `Σ c²` of block `b`.
-    pub fn block_energy(&self, b: usize) -> f64 {
-        self.block_energy[b]
-    }
-
-    /// The whole block-energy catalog, indexed by block id. The adaptive
-    /// QoS scheduler reads this to price each plan block's expected
-    /// error-bound reduction without touching the device.
-    pub fn block_energies(&self) -> &[f64] {
-        &self.block_energy
-    }
-
-    /// The blocks a prepared query needs, ascending (the fold order of
-    /// every evaluation over this store), each priced at
-    /// `sqrt(Σw² · Σc²)` from the query's weights and the energy catalog.
-    /// No device I/O.
+    /// The blocks a prepared query needs, ascending, each priced at
+    /// `sqrt(Σw² · Σc²)` ([`CoefficientStore::plan`]). No device I/O.
     pub fn plan(&self, prepared: &PreparedQuery) -> BlockPlan {
-        let mut pairs: Vec<(usize, f64)> = Vec::new();
-        for (i, w) in prepared.entries() {
-            assert!(i < self.n, "query offset {i} out of range");
-            let b = i / self.block_size;
-            match pairs.last_mut() {
-                Some((last, wsq)) if *last == b => *wsq += w * w,
-                _ => pairs.push((b, w * w)),
-            }
-        }
-        let mut plan = BlockPlan::default();
-        plan.extend(pairs, |b| self.block_energy[b]);
-        plan
+        self.store.plan(&prepared.indices, &prepared.weights)
     }
 
     /// The distinct device blocks a prepared query will touch, ascending.
@@ -196,12 +94,9 @@ impl<D: BlockDevice> BlockedCoefficients<D> {
         self.plan(prepared).blocks
     }
 
-    /// Folds plan block `block` into a running evaluation: every prepared
-    /// entry from `*cursor` on that lives in the block is consumed —
-    /// added to `*sum` as `w · data[offset]`, or skipped (contributing
-    /// zero) when the block was lost and `data` is `None`. Returns the
-    /// number of entries consumed. Called once per plan block in plan
-    /// order, this is one flat accumulator over the entries ascending.
+    /// Folds plan block `block` into a running evaluation of `prepared`
+    /// ([`CoefficientStore::accumulate`]): called once per plan block in
+    /// plan order, one flat accumulator over the entries ascending.
     pub fn accumulate(
         &self,
         prepared: &PreparedQuery,
@@ -210,56 +105,20 @@ impl<D: BlockDevice> BlockedCoefficients<D> {
         cursor: &mut usize,
         sum: &mut f64,
     ) -> usize {
-        let base = block * self.block_size;
-        let start = *cursor;
-        while let Some(&i) = prepared.indices.get(*cursor) {
-            if i >= base + self.block_size {
-                break;
-            }
-            if let Some(data) = data {
-                *sum += prepared.weights[*cursor] * data[i - base];
-            }
-            *cursor += 1;
-        }
-        *cursor - start
+        self.store.accumulate(&prepared.indices, &prepared.weights, block, data, cursor, sum)
     }
 
-    /// Evaluates a prepared query against the device, retrying transient
-    /// faults under `policy` and degrading when blocks stay unreadable:
-    /// plan, fetch each plan block once, [`accumulate`] it or charge it to
-    /// the [`BoundLedger`]. A fault-free run is bit-identical to the
-    /// in-memory engine; a degraded one reports the lost blocks' summed
-    /// gains, the bound a query service session ends on.
-    ///
-    /// [`accumulate`]: BlockedCoefficients::accumulate
+    /// Evaluates a prepared query against the device
+    /// ([`CoefficientStore::evaluate`]). A fault-free run is bit-identical
+    /// to the in-memory engine; a degraded one reports the lost blocks'
+    /// summed gains, the bound a query service session ends on.
     pub fn evaluate_degraded(
         &self,
         prepared: &PreparedQuery,
         pool: &SharedBlockCache,
         policy: &RetryPolicy,
     ) -> DegradedAnswer {
-        let mut ledger = BoundLedger::in_fold_order(Arc::new(self.plan(prepared)));
-        let (mut cursor, mut estimate, mut missing) = (0usize, 0.0, 0usize);
-        while let Some(k) = ledger.peek() {
-            let b = ledger.plan().blocks[k];
-            match pool.get_or_read_outcome(&self.device, b, policy) {
-                Ok((data, _)) => {
-                    self.accumulate(prepared, b, Some(&data), &mut cursor, &mut estimate);
-                    ledger.deliver();
-                }
-                Err(_) => {
-                    global().counter("storage.degraded").inc();
-                    missing += self.accumulate(prepared, b, None, &mut cursor, &mut estimate);
-                    ledger.lose();
-                }
-            }
-        }
-        DegradedAnswer {
-            estimate,
-            error_bound: ledger.bound(),
-            lost_blocks: ledger.lost_blocks().to_vec(),
-            missing_coefficients: missing,
-        }
+        self.store.evaluate(&prepared.indices, &prepared.weights, pool, policy)
     }
 }
 
@@ -362,9 +221,7 @@ mod tests {
             assert_eq!(blocked.device().stats().reads as usize, plan.len());
         }
         assert_eq!(blocked.block_size(), 16);
-        assert_eq!(blocked.num_blocks(), blocked.len().div_ceil(16));
-        let total: f64 = (0..blocked.num_blocks()).map(|b| blocked.block_energy(b)).sum();
-        assert!((total - blocked.data_energy()).abs() < 1e-9);
+        assert_eq!((blocked.len(), blocked.num_blocks()), (1024, 64));
     }
 
     #[test]

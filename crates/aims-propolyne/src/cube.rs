@@ -188,29 +188,6 @@ pub struct WaveletCube {
 }
 
 impl WaveletCube {
-    /// Rebuilds a cube from its flat coefficient array — the reopen path
-    /// for coefficients read back from durable storage. The strides are
-    /// recomputed from `dims` (row-major, as [`DataCube::zeros`] lays
-    /// them out), so a cube round-tripped through a device is
-    /// indistinguishable from the original transform.
-    ///
-    /// # Panics
-    /// If `dims` is empty, any dimension is not a power of two, or the
-    /// coefficient count does not match the cube volume.
-    pub fn from_coeffs(dims: &[usize], coeffs: Vec<f64>, filter: WaveletFilter) -> Self {
-        assert!(!dims.is_empty(), "cube needs at least one dimension");
-        for &d in dims {
-            assert!(is_power_of_two(d), "dimension {d} not a power of two");
-        }
-        let total: usize = dims.iter().product();
-        assert_eq!(coeffs.len(), total, "coefficient count does not match cube volume");
-        let mut strides = vec![1usize; dims.len()];
-        for a in (0..dims.len() - 1).rev() {
-            strides[a] = strides[a + 1] * dims[a + 1];
-        }
-        WaveletCube { dims: dims.to_vec(), coeffs, strides, filter }
-    }
-
     /// Dimensions.
     pub fn dims(&self) -> &[usize] {
         &self.dims

@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 
+use aims_dsp::filters::WaveletFilter;
 use aims_telemetry::{global, span};
 
 use crate::cube::WaveletCube;
@@ -127,78 +128,13 @@ impl Propolyne {
         &self.cube
     }
 
-    /// Transforms a query into its sparse wavelet-domain form via the lazy
-    /// wavelet transform (per dimension, per term).
+    /// Transforms a query into its sparse wavelet-domain form
+    /// ([`prepare`]).
     ///
     /// # Panics
     /// If the query does not validate against the cube.
     pub fn prepare(&self, query: &RangeSumQuery) -> PreparedQuery {
-        let _span = span!("propolyne.query.prepare");
-        query.validate(self.cube.dims());
-        let dims = self.cube.dims();
-        let filter = self.cube.filter();
-        let mut combined: HashMap<usize, f64> = HashMap::new();
-        let mut work = 0usize;
-
-        for term in &query.terms {
-            // Lazy-transform each dimension's factor restricted to its
-            // range.
-            let per_dim: Vec<Vec<(usize, f64)>> = (0..dims.len())
-                .map(|k| {
-                    let (a, b) = query.ranges[k];
-                    let lt = lazy_transform(dims[k], a, b, &term.factors[k], filter);
-                    work += lt.work;
-                    lt.nonzeros(0.0)
-                })
-                .collect();
-
-            // Tensor-product expansion (odometer over per-dim nonzeros).
-            if per_dim.iter().any(|v| v.is_empty()) {
-                continue;
-            }
-            let mut pos = vec![0usize; dims.len()];
-            loop {
-                let mut offset = 0usize;
-                let mut weight = term.coef;
-                for (k, &p) in pos.iter().enumerate() {
-                    let (i, w) = per_dim[k][p];
-                    offset += i * stride(dims, k);
-                    weight *= w;
-                }
-                if weight != 0.0 {
-                    *combined.entry(offset).or_insert(0.0) += weight;
-                }
-                // Increment.
-                let mut k = dims.len();
-                loop {
-                    if k == 0 {
-                        pos.clear();
-                        break;
-                    }
-                    k -= 1;
-                    if pos[k] + 1 < per_dim[k].len() {
-                        pos[k] += 1;
-                        for p in pos.iter_mut().skip(k + 1) {
-                            *p = 0;
-                        }
-                        break;
-                    }
-                }
-                if pos.is_empty() {
-                    break;
-                }
-            }
-        }
-
-        let mut entries: Vec<(usize, f64)> =
-            combined.into_iter().filter(|(_, w)| *w != 0.0).collect();
-        entries.sort_by_key(|&(i, _)| i);
-        let telemetry = global();
-        telemetry.counter("propolyne.query.prepared").inc();
-        telemetry.counter("propolyne.query.transform_work").add(work as u64);
-        telemetry.histogram("propolyne.query.nnz").record(entries.len() as u64);
-        let (indices, weights) = entries.into_iter().unzip();
-        PreparedQuery { indices, weights, transform_work: work }
+        prepare(self.cube.dims(), self.cube.filter(), query)
     }
 
     /// Exact evaluation.
@@ -253,6 +189,79 @@ impl Propolyne {
         global().counter("propolyne.progressive.steps").add(steps.len() as u64);
         ProgressiveEvaluation { exact, steps }
     }
+}
+
+/// Transforms a query over a cube of shape `dims`, transformed with
+/// `filter`, into its sparse wavelet-domain form via the lazy wavelet
+/// transform (per dimension, per term). Needs the cube's geometry only,
+/// not its coefficients.
+///
+/// # Panics
+/// If the query does not validate against `dims`.
+pub fn prepare(dims: &[usize], filter: &WaveletFilter, query: &RangeSumQuery) -> PreparedQuery {
+    let _span = span!("propolyne.query.prepare");
+    query.validate(dims);
+    let mut combined: HashMap<usize, f64> = HashMap::new();
+    let mut work = 0usize;
+
+    for term in &query.terms {
+        // Lazy-transform each dimension's factor restricted to its
+        // range.
+        let per_dim: Vec<Vec<(usize, f64)>> = (0..dims.len())
+            .map(|k| {
+                let (a, b) = query.ranges[k];
+                let lt = lazy_transform(dims[k], a, b, &term.factors[k], filter);
+                work += lt.work;
+                lt.nonzeros(0.0)
+            })
+            .collect();
+
+        // Tensor-product expansion (odometer over per-dim nonzeros).
+        if per_dim.iter().any(|v| v.is_empty()) {
+            continue;
+        }
+        let mut pos = vec![0usize; dims.len()];
+        loop {
+            let mut offset = 0usize;
+            let mut weight = term.coef;
+            for (k, &p) in pos.iter().enumerate() {
+                let (i, w) = per_dim[k][p];
+                offset += i * stride(dims, k);
+                weight *= w;
+            }
+            if weight != 0.0 {
+                *combined.entry(offset).or_insert(0.0) += weight;
+            }
+            // Increment.
+            let mut k = dims.len();
+            loop {
+                if k == 0 {
+                    pos.clear();
+                    break;
+                }
+                k -= 1;
+                if pos[k] + 1 < per_dim[k].len() {
+                    pos[k] += 1;
+                    for p in pos.iter_mut().skip(k + 1) {
+                        *p = 0;
+                    }
+                    break;
+                }
+            }
+            if pos.is_empty() {
+                break;
+            }
+        }
+    }
+
+    let mut entries: Vec<(usize, f64)> = combined.into_iter().filter(|(_, w)| *w != 0.0).collect();
+    entries.sort_by_key(|&(i, _)| i);
+    let telemetry = global();
+    telemetry.counter("propolyne.query.prepared").inc();
+    telemetry.counter("propolyne.query.transform_work").add(work as u64);
+    telemetry.histogram("propolyne.query.nnz").record(entries.len() as u64);
+    let (indices, weights) = entries.into_iter().unzip();
+    PreparedQuery { indices, weights, transform_work: work }
 }
 
 fn stride(dims: &[usize], k: usize) -> usize {

@@ -41,7 +41,7 @@ pub mod query;
 pub mod stats;
 pub mod synopsis;
 
-pub use blockstore::{BlockedCoefficients, DegradedAnswer};
+pub use blockstore::BlockedCoefficients;
 pub use cube::{DataCube, WaveletCube};
 pub use engine::{ProgressiveEvaluation, Propolyne};
 pub use lazy::{lazy_transform, HybridSignal, SparseVector};

@@ -1,7 +1,7 @@
 //! Minimal TCP smoke driver: run one query against a live `aims-serve`,
 //! fetch metrics, then ask the server to shut down cleanly.
 //!
-//! Used by `ci.sh`:
+//! Used by `ci.sh` (in memory, then `--data DIR` created and reopened):
 //!   aims-serve --side 32 --block 16 &          # prints the bound port
 //!   cargo run -p aims-service --example tcp_smoke -- <port>
 
@@ -21,6 +21,10 @@ fn main() {
     println!("answer = {} (bound {})", last.estimate, last.error_bound);
     let metrics = client.metrics().expect("metrics");
     assert!(metrics.contains("service.submitted"), "snapshot must carry service counters");
+    assert!(
+        metrics.contains("storage.alloc.needed_items_per_block"),
+        "snapshot must carry the served plan's needed items per block"
+    );
     client.shutdown_server().expect("shutdown");
     println!("smoke ok");
 }

@@ -11,15 +11,16 @@
 //! With `--data DIR` the coefficient store lives on a durable
 //! [`FileDevice`] instead of memory: an existing directory is reopened
 //! (WAL recovery runs, the cube geometry comes from the device's header
-//! meta), a missing one is created, loaded from the demo cube, and
-//! checkpointed. Either way the service then serves every query from the
-//! on-disk store.
+//! meta, one verified pass rebuilds the energy catalog — the coefficients
+//! themselves are never loaded into memory), a missing one is created,
+//! loaded from the demo cube, and checkpointed. Either way the service
+//! then serves every query from the on-disk store.
 
 use std::io::Write;
 use std::sync::Arc;
 
 use aims_dsp::filters::{FilterKind, WaveletFilter};
-use aims_propolyne::{BlockedCoefficients, WaveletCube};
+use aims_propolyne::BlockedCoefficients;
 use aims_service::{demo_cube, QueryService, Server, ServiceConfig};
 use aims_storage::{BlockDevice, DurabilityMode, FileDevice, FileDeviceOptions};
 
@@ -109,29 +110,28 @@ fn decode_meta(meta: &[u8]) -> Result<(Vec<usize>, WaveletFilter), String> {
 }
 
 /// Opens (recovering) or creates-and-loads the durable store, returning
-/// the cube rebuilt from the device plus the blocked store over it.
-fn durable_store(opts: &Opts) -> Result<(WaveletCube, BlockedCoefficients<FileDevice>), String> {
+/// the cube geometry plus the blocked store.
+fn durable_store(
+    opts: &Opts,
+) -> Result<(Vec<usize>, WaveletFilter, BlockedCoefficients<FileDevice>), String> {
     let dir = opts.data.as_deref().expect("durable_store needs --data");
     let dev_opts = FileDeviceOptions { mode: opts.durability, ..Default::default() };
     if FileDevice::exists(dir) {
         let device = FileDevice::open(dir, dev_opts).map_err(|e| format!("open {dir}: {e}"))?;
         let r = device.recovery();
         let (dims, filter) = decode_meta(device.meta())?;
-        let len: usize = dims.iter().product();
+        let len = dims
+            .iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            .filter(|&len| len > 0 && len <= device.capacity_items())
+            .ok_or_else(|| format!("device meta dims {dims:?} do not fit the device"))?;
         println!(
             "aims-serve: reopened {dir} (replayed {} records, truncated {} bytes, lsn {})",
             r.replayed_records, r.truncated_bytes, r.recovered_lsn
         );
-        let mut coeffs = Vec::with_capacity(len);
-        for b in 0..len.div_ceil(device.block_size()) {
-            let data = device.read_block(b).map_err(|e| format!("block {b}: {e}"))?;
-            coeffs.extend_from_slice(&data);
-        }
-        coeffs.truncate(len);
-        let cube = WaveletCube::from_coeffs(&dims, coeffs, filter);
         let blocked =
             BlockedCoefficients::from_device(device, len).map_err(|e| format!("catalog: {e}"))?;
-        Ok((cube, blocked))
+        Ok((dims, filter, blocked))
     } else {
         let cube = demo_cube(opts.side, opts.seed);
         let meta = encode_meta(cube.dims(), cube.filter());
@@ -145,7 +145,7 @@ fn durable_store(opts: &Opts) -> Result<(WaveletCube, BlockedCoefficients<FileDe
             blocked.num_blocks(),
             opts.durability.label()
         );
-        Ok((cube, blocked))
+        Ok((cube.dims().to_vec(), cube.filter().clone(), blocked))
     }
 }
 
@@ -178,14 +178,14 @@ fn main() {
         ..ServiceConfig::default()
     };
     if opts.data.is_some() {
-        let (cube, blocked) = match durable_store(&opts) {
+        let (dims, filter, blocked) = match durable_store(&opts) {
             Ok(v) => v,
             Err(e) => {
                 eprintln!("aims-serve: {e}");
                 std::process::exit(1);
             }
         };
-        serve(Arc::new(QueryService::with_blocked(cube, blocked, config)), opts.port);
+        serve(Arc::new(QueryService::open(dims, filter, blocked, config)), opts.port);
     } else {
         let service = QueryService::new(demo_cube(opts.side, opts.seed), opts.block, config);
         serve(Arc::new(service), opts.port);

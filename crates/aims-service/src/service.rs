@@ -47,10 +47,10 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use aims_dsp::filters::FilterKind;
+use aims_dsp::filters::{FilterKind, WaveletFilter};
 use aims_exec::{configured_threads, ThreadPool};
-use aims_propolyne::engine::PreparedQuery;
-use aims_propolyne::{BlockedCoefficients, DataCube, Propolyne, RangeSumQuery, WaveletCube};
+use aims_propolyne::engine::{prepare, PreparedQuery};
+use aims_propolyne::{BlockedCoefficients, DataCube, RangeSumQuery, WaveletCube};
 use aims_storage::device::{BlockDevice, MemDevice, RetryPolicy};
 use aims_storage::{BoundLedger, SharedBlockCache};
 use aims_telemetry::{global, AttrValue, Counter, Gauge, TraceContext};
@@ -394,7 +394,11 @@ pub struct QosStats {
 }
 
 struct Inner<D: BlockDevice + Send + Sync + 'static> {
-    engine: Propolyne,
+    /// The served cube's geometry — all that preparing a query needs. The
+    /// coefficients live on the device only; what stays resident is this,
+    /// the store's energy catalog and the cache.
+    dims: Vec<usize>,
+    filter: WaveletFilter,
     blocked: BlockedCoefficients<D>,
     cache: SharedBlockCache,
     admission: AdmissionController<Ticket>,
@@ -443,25 +447,37 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
         QueryService::with_blocked(cube, blocked, config)
     }
 
-    /// Builds a service over an already-populated blocked store — the
-    /// reopen path: the coefficients were recovered from a durable
-    /// device, not loaded from `cube`, so nothing is written. The cube
-    /// (typically rebuilt from the same device via
-    /// `WaveletCube::from_coeffs`) must match the store's coefficient
-    /// count.
+    /// Builds a service over a blocked store that was loaded from `cube`
+    /// by the caller. Only the cube's geometry is kept.
     pub fn with_blocked(
         cube: WaveletCube,
         blocked: BlockedCoefficients<D>,
         config: ServiceConfig,
     ) -> Self {
+        QueryService::open(cube.dims().to_vec(), cube.filter().clone(), blocked, config)
+    }
+
+    /// Serves an already-populated blocked store holding a cube of shape
+    /// `dims` transformed with `filter` — the reopen path: the
+    /// coefficients were recovered from a durable device and are never
+    /// materialised in memory.
+    ///
+    /// # Panics
+    /// If the store's coefficient count is not the cube volume.
+    pub fn open(
+        dims: Vec<usize>,
+        filter: WaveletFilter,
+        blocked: BlockedCoefficients<D>,
+        config: ServiceConfig,
+    ) -> Self {
         assert!(config.round_blocks > 0, "round budget must be positive");
         assert!(config.max_batch > 0, "batch size must be positive");
-        assert_eq!(blocked.len(), cube.coeffs().len(), "blocked store / cube size mismatch");
-        let engine = Propolyne::new(cube);
+        assert_eq!(blocked.len(), dims.iter().product(), "blocked store / cube size mismatch");
         let threads = config.threads.unwrap_or_else(configured_threads);
         let slow_log = SlowQueryLog::new(SLOW_LOG_CAPACITY);
         let inner = Arc::new(Inner {
-            engine,
+            dims,
+            filter,
             blocked,
             cache: SharedBlockCache::new(config.cache_blocks),
             admission: AdmissionController::new(config.queue_capacity),
@@ -487,13 +503,7 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
 
     /// Dimensions of the served cube.
     pub fn dims(&self) -> &[usize] {
-        self.inner.engine.cube().dims()
-    }
-
-    /// The in-memory engine (serial reference evaluation for tests and
-    /// benchmarks).
-    pub fn engine(&self) -> &Propolyne {
-        &self.inner.engine
+        &self.inner.dims
     }
 
     /// The backing device (I/O accounting).
@@ -575,7 +585,8 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
             t.rejected.inc();
             return Err(e);
         }
-        let prepared = self.inner.engine.prepare(&RangeSumQuery::count(spec.ranges));
+        let prepared =
+            prepare(&self.inner.dims, &self.inner.filter, &RangeSumQuery::count(spec.ranges));
         let plan = Arc::new(self.inner.blocked.plan(&prepared));
         let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst) + 1;
         let trace = if spec.trace {
@@ -1112,18 +1123,25 @@ fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: Arc<Inner<D>>) 
 mod tests {
     use super::*;
     use crate::session::Outcome;
+    use aims_propolyne::Propolyne;
     use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
 
     fn service(config: ServiceConfig) -> QueryService {
         QueryService::new(demo_cube(32, 41), 16, config)
     }
 
+    /// The in-memory reference for [`service`]'s cube.
+    fn reference() -> Propolyne {
+        Propolyne::new(demo_cube(32, 41))
+    }
+
     #[test]
     fn single_query_is_bit_identical_to_serial() {
         let svc = service(ServiceConfig::default());
+        let engine = reference();
         for ranges in [vec![(0, 31), (0, 31)], vec![(3, 25), (7, 19)], vec![(16, 16), (0, 30)]] {
-            let prepared = svc.engine().prepare(&RangeSumQuery::count(ranges.clone()));
-            let expect = svc.engine().evaluate_prepared(&prepared);
+            let prepared = engine.prepare(&RangeSumQuery::count(ranges.clone()));
+            let expect = engine.evaluate_prepared(&prepared);
             let (trace, outcome) = svc.submit(QuerySpec::interactive(ranges)).unwrap().collect();
             match outcome {
                 Outcome::Done(r) => {
@@ -1146,12 +1164,13 @@ mod tests {
     #[test]
     fn overlapping_queries_share_device_reads() {
         let svc = service(ServiceConfig { round_blocks: 16, ..ServiceConfig::default() });
+        let engine = reference();
         // 16 queries over nearly the same region: plans overlap heavily.
         let specs: Vec<QuerySpec> =
             (0..16).map(|k| QuerySpec::interactive(vec![(k % 4, 28 + (k % 3)), (0, 30)])).collect();
         let mut solo_blocks = 0usize;
         for s in &specs {
-            let p = svc.engine().prepare(&RangeSumQuery::count(s.ranges.clone()));
+            let p = engine.prepare(&RangeSumQuery::count(s.ranges.clone()));
             solo_blocks += svc.inner.blocked.plan_blocks(&p).len();
         }
         let handles: Vec<_> = specs.iter().map(|s| svc.submit(s.clone()).unwrap()).collect();
@@ -1229,6 +1248,7 @@ mod tests {
             round_pause: Duration::from_millis(5),
             ..ServiceConfig::default()
         });
+        let engine = reference();
         let full = vec![(0, 31), (0, 31)];
         let h = svc.submit(QuerySpec::interactive(full.clone())).unwrap();
         match h.next() {
@@ -1240,7 +1260,7 @@ mod tests {
         assert!(matches!(outcome, Outcome::Cancelled), "got {outcome:?}");
         // The plan is ~dozens of blocks at one per round; cancellation
         // must have stopped the scan far from the end.
-        let prepared = svc.engine().prepare(&RangeSumQuery::count(full));
+        let prepared = engine.prepare(&RangeSumQuery::count(full));
         let plan_len = svc.inner.blocked.plan_blocks(&prepared).len();
         std::thread::sleep(Duration::from_millis(25));
         let reads = svc.device().stats().reads as usize;
@@ -1275,6 +1295,7 @@ mod tests {
     #[test]
     fn degraded_storage_widens_the_bound_but_still_answers() {
         let cube = demo_cube(32, 77);
+        let engine = Propolyne::new(cube.clone());
         let svc = QueryService::on_device(
             cube,
             16,
@@ -1284,8 +1305,8 @@ mod tests {
             },
         );
         let exact = {
-            let p = svc.engine().prepare(&RangeSumQuery::count(vec![(0, 31), (0, 31)]));
-            svc.engine().evaluate_prepared(&p)
+            let p = engine.prepare(&RangeSumQuery::count(vec![(0, 31), (0, 31)]));
+            engine.evaluate_prepared(&p)
         };
         match svc.submit(QuerySpec::interactive(vec![(0, 31), (0, 31)])).unwrap().wait() {
             Outcome::Done(r) => {
@@ -1298,6 +1319,7 @@ mod tests {
     #[test]
     fn traced_profile_matches_device_ground_truth() {
         let cube = demo_cube(32, 99);
+        let engine = Propolyne::new(cube.clone());
         let fault_plan = FaultPlan {
             seed: 4242,
             read_error_rate: 0.25,
@@ -1318,7 +1340,7 @@ mod tests {
             |bs, nb| FaultyDevice::with_plan(bs, nb, fault_plan),
         );
         let ranges = vec![(2, 29), (0, 31)];
-        let prepared = svc.engine().prepare(&RangeSumQuery::count(ranges.clone()));
+        let prepared = engine.prepare(&RangeSumQuery::count(ranges.clone()));
         let plan_blocks = svc.inner.blocked.plan_blocks(&prepared);
         // Predict per-block costs on the fresh device, before any read
         // consumes the fault schedule.
@@ -1393,6 +1415,7 @@ mod tests {
     #[test]
     fn degraded_untraced_queries_land_in_the_slow_log() {
         let cube = demo_cube(32, 77);
+        let engine = Propolyne::new(cube.clone());
         let svc = QueryService::on_device(
             cube,
             16,
@@ -1402,7 +1425,7 @@ mod tests {
             },
         );
         let ranges = vec![(0, 31), (0, 31)];
-        let prepared = svc.engine().prepare(&RangeSumQuery::count(ranges.clone()));
+        let prepared = engine.prepare(&RangeSumQuery::count(ranges.clone()));
         let dead = svc
             .inner
             .blocked
@@ -1432,6 +1455,7 @@ mod tests {
         // both policies (and match serial evaluation).
         let specs: Vec<QuerySpec> =
             (0..8).map(|k| QuerySpec::interactive(vec![(k % 4, 27 + (k % 4)), (1, 30)])).collect();
+        let engine = reference();
         let mut baseline: Vec<u64> = Vec::new();
         for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::Utility] {
             let svc = service(ServiceConfig {
@@ -1454,8 +1478,8 @@ mod tests {
                 baseline = bits;
                 // Sanity: the baseline itself matches serial evaluation.
                 for (s, &b) in specs.iter().zip(&baseline) {
-                    let p = svc.engine().prepare(&RangeSumQuery::count(s.ranges.clone()));
-                    assert_eq!(svc.engine().evaluate_prepared(&p).to_bits(), b);
+                    let p = engine.prepare(&RangeSumQuery::count(s.ranges.clone()));
+                    assert_eq!(engine.evaluate_prepared(&p).to_bits(), b);
                 }
             } else {
                 assert_eq!(bits, baseline, "policy {policy:?} perturbed results");
@@ -1546,8 +1570,9 @@ mod tests {
         }
         assert!(svc.qos_stats().resumed > 0);
         // Steady state restored: a fresh query runs undegraded.
-        let p = svc.engine().prepare(&RangeSumQuery::count(vec![(2, 29), (3, 28)]));
-        let expect = svc.engine().evaluate_prepared(&p);
+        let engine = reference();
+        let p = engine.prepare(&RangeSumQuery::count(vec![(2, 29), (3, 28)]));
+        let expect = engine.evaluate_prepared(&p);
         match svc.submit(QuerySpec::interactive(vec![(2, 29), (3, 28)])).unwrap().wait() {
             Outcome::Done(r) => {
                 assert_eq!(r.estimate.to_bits(), expect.to_bits());
@@ -1564,9 +1589,10 @@ mod tests {
             progress_outbox: 2,
             ..ServiceConfig::default()
         });
+        let engine = reference();
         let ranges = vec![(0, 31), (0, 31)];
-        let p = svc.engine().prepare(&RangeSumQuery::count(ranges.clone()));
-        let expect = svc.engine().evaluate_prepared(&p);
+        let p = engine.prepare(&RangeSumQuery::count(ranges.clone()));
+        let expect = engine.evaluate_prepared(&p);
         // Don't consume anything until the query has finished: the
         // one-block rounds want to emit dozens of updates into a
         // capacity-2 outbox.

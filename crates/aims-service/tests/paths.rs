@@ -4,20 +4,30 @@
 //! the in-process [`QueryService`] and a [`TcpClient`] — and all three
 //! must end on the bit-identical estimate, the bit-identical error bound
 //! and the same set of lost blocks, with the truth inside the bound.
+//!
+//! And one more way in: a store reopened from an already-populated device
+//! (`from_device` + `QueryService::open`) must ride through the transient
+//! read errors queries ride through, and serve without ever holding the
+//! coefficients in memory.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use aims_propolyne::{BlockedCoefficients, RangeSumQuery};
+use aims_propolyne::{BlockedCoefficients, Propolyne, RangeSumQuery};
 use aims_service::{
     demo_cube, Outcome, ProgressKind, QueryService, QuerySpec, Server, ServiceConfig, TcpClient,
 };
-use aims_storage::device::RetryPolicy;
+use aims_storage::device::{BlockDevice, RetryPolicy};
 use aims_storage::faults::{FaultPlan, FaultyDevice};
 use aims_storage::SharedBlockCache;
 use aims_telemetry::{global_recorder, AttrValue, TraceId};
 
 const BLOCK: usize = 16;
+
+/// The queries every path answers.
+fn queries() -> [Vec<(usize, usize)>; 3] {
+    [vec![(0, 31), (0, 31)], vec![(2, 29), (0, 31)], vec![(5, 28), (3, 17)]]
+}
 
 fn fault_plan() -> FaultPlan {
     FaultPlan {
@@ -66,15 +76,16 @@ fn degraded_blocks(trace_id: u64) -> Vec<usize> {
 #[test]
 fn library_service_and_wire_agree_bit_for_bit_under_faults() {
     let cube = demo_cube(32, 99);
+    let engine = Propolyne::new(cube.clone());
     let mut degraded_queries = 0;
-    for ranges in [vec![(0, 31), (0, 31)], vec![(2, 29), (0, 31)], vec![(5, 28), (3, 17)]] {
+    for ranges in queries() {
         // Library path.
         let store = BlockedCoefficients::on_device(cube.coeffs(), BLOCK, |bs, nb| {
             FaultyDevice::with_plan(bs, nb, fault_plan())
         });
         let svc = service();
-        let prepared = svc.engine().prepare(&RangeSumQuery::count(ranges.clone()));
-        let truth = svc.engine().evaluate_prepared(&prepared);
+        let prepared = engine.prepare(&RangeSumQuery::count(ranges.clone()));
+        let truth = engine.evaluate_prepared(&prepared);
         let (dead, live): (Vec<usize>, Vec<usize>) =
             store.plan_blocks(&prepared).iter().partition(|&&b| store.device().is_dead(b));
         let worst = live.iter().map(|&b| store.device().planned_read_failures(b)).max().unwrap();
@@ -108,4 +119,42 @@ fn library_service_and_wire_agree_bit_for_bit_under_faults() {
         server.join();
     }
     assert!(degraded_queries > 0, "the fault plan must kill at least one planned block");
+}
+
+#[test]
+fn reopen_rides_through_transient_read_errors_and_never_loads_the_cube() {
+    let cube = demo_cube(32, 99);
+    let engine = Propolyne::new(cube.clone());
+    let blocks = cube.coeffs().len() / BLOCK;
+    // Transient read errors only: nothing is dead, every block comes back
+    // within the default budget — on the reopen pass as on later reads.
+    let plan = FaultPlan { dead_fraction: 0.0, ..fault_plan() };
+    let mut device = FaultyDevice::with_plan(BLOCK, blocks, plan);
+    for (b, data) in cube.coeffs().chunks(BLOCK).enumerate() {
+        device.write_block(b, data);
+    }
+    let budget = RetryPolicy::default();
+    let streaks: Vec<usize> = (0..blocks).map(|b| device.planned_read_failures(b)).collect();
+    assert!(streaks.iter().any(|&s| s > 0), "seed must fail some first reads");
+    assert!(streaks.iter().all(|&s| s <= budget.retries), "seed must stay within the budget");
+
+    let blocked = BlockedCoefficients::from_device(device, cube.coeffs().len())
+        .expect("reopen retries what queries retry");
+    let cache_blocks = blocks / 4;
+    let svc = QueryService::open(
+        cube.dims().to_vec(),
+        cube.filter().clone(),
+        blocked,
+        ServiceConfig { retry: budget, cache_blocks, ..ServiceConfig::default() },
+    );
+    for ranges in queries() {
+        let prepared = engine.prepare(&RangeSumQuery::count(ranges.clone()));
+        let truth = engine.evaluate_prepared(&prepared);
+        let outcome = svc.submit(QuerySpec::interactive(ranges.clone())).unwrap().wait();
+        let Outcome::Done(got) = outcome else { panic!("expected Done, got {outcome:?}") };
+        assert_eq!(got.estimate.to_bits(), truth.to_bits(), "{ranges:?}");
+        assert_eq!(got.error_bound, 0.0, "{ranges:?}");
+        // All the service holds of the store is a quarter of its blocks.
+        assert!(svc.cache().resident() <= cache_blocks);
+    }
 }

@@ -31,15 +31,16 @@
 //!   most valuable I/O's first and deliver approximate results
 //!   progressively") — the [`BlockPlan`] that prices a query's blocks and
 //!   the [`BoundLedger`] that carries its guaranteed error bound.
-//! - [`store`]: the integrated wavelet block store used by the rest of
-//!   AIMS.
-//! - [`snapshot`]: versioned binary persistence of a store (the paper's
-//!   BLOB/raw-disk plan, §4).
+//! - [`store`]: the one blocked coefficient store
+//!   ([`CoefficientStore`]: layout, energy catalog, load, reopen, and the
+//!   plan → fetch → accumulate → bound evaluation) and its 1-D Haar front
+//!   [`WaveletStore`].
 //! - [`file`]: the durable file-backed device ([`FileDevice`]) — per-block
 //!   checksums, a length-prefixed checksummed WAL with monotone LSNs,
 //!   periodic checkpointing, torn-tail-truncating recovery, three
 //!   durability modes, and seeded crash points for provably exact
-//!   recovery.
+//!   recovery. A store reopened over it is the paper's persistence plan
+//!   (§4: BLOBs first, raw disk blocks next).
 
 pub mod alloc;
 pub mod cache;
@@ -48,7 +49,6 @@ pub mod error_tree;
 pub mod faults;
 pub mod file;
 pub mod progressive;
-pub mod snapshot;
 pub mod store;
 
 pub use alloc::{Allocation, RandomAlloc, SequentialAlloc, TreeTilingAlloc};
@@ -63,7 +63,7 @@ pub use file::{
     CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions, RecoveryReport, WalStats,
 };
 pub use progressive::{BlockPlan, BoundLedger};
-pub use store::{FetchOutcome, QueryOutcome, WaveletStore};
+pub use store::{CoefficientStore, DegradedAnswer, WaveletStore};
 
 /// The frozen benchmark harness (`bench/src/ladder.rs`) still names the
 /// old single-owner pool; nothing else may.

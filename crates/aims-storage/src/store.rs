@@ -1,28 +1,45 @@
-//! The integrated wavelet block store.
+//! The blocked coefficient store.
 //!
-//! Ties the pieces of §3.2 together: a signal is transformed (Haar full
-//! DWT), its coefficients are placed on a block device under a chosen
-//! allocation, and point/range queries are answered by fetching only the
-//! ancestor-closed access sets through a block cache — with every block
-//! I/O accounted.
+//! §3.2 in one module: a coefficient vector is placed on a block device
+//! under a chosen allocation, and a linear query `Σ wᵢ·cᵢ` over it is
+//! answered by fetching only the blocks its entries touch through a block
+//! cache — with every block I/O accounted. [`CoefficientStore`] is the one
+//! implementation of that: the coefficient → (block, offset) rule, the
+//! per-block `Σ c²` energy catalog, load, reopen, and the evaluation
+//! `plan → fetch → accumulate → bound`. [`WaveletStore`] is its 1-D Haar
+//! front (signal in, point values and range sums out);
+//! `aims_propolyne::BlockedCoefficients` is its ProPolyne front.
 //!
 //! The store is generic over the [`BlockDevice`] implementation, so the
-//! same query code runs over the infallible [`MemDevice`] and the
-//! fault-injected `FaultyDevice`. On a faulty device, the `*_outcome`
-//! query paths retry transient failures under a [`RetryPolicy`] and
-//! degrade gracefully when blocks are permanently lost: missing
-//! coefficients are treated as zero, and the answer carries a widened
-//! error bound derived from the per-block coefficient energy
-//! (Cauchy–Schwarz: `|Σ_{i lost} c_i φ_i| ≤ sqrt(Σ φ_i²)·sqrt(Σ c_i²)`).
+//! same query code runs over the infallible [`MemDevice`], the
+//! fault-injected `FaultyDevice` and the durable `FileDevice`. Transient
+//! read failures are retried under a [`RetryPolicy`]; a block that stays
+//! unreadable degrades the answer instead of failing it: its coefficients
+//! count as zero and the [`BoundLedger`] keeps the block's gain
+//! `sqrt(Σw² · Σc²)` (Cauchy–Schwarz against the load-time catalog) in the
+//! answer's guaranteed error bound.
+//!
+//! # Fold order
+//!
+//! Entries are evaluated with one flat accumulator in *block-major* order:
+//! ascending block id, ascending coefficient index inside a block. Under
+//! [`AllocKind::Sequential`] that is plain ascending index order, so an
+//! evaluation is bit-identical to a dense in-memory dot product over the
+//! same ascending entries. Under any other allocation it is deterministic
+//! (independent of cache state and fetch history) and exact to rounding.
 
-use aims_dsp::dwt::{dwt_full, idwt_full};
+use std::borrow::Cow;
+use std::sync::Arc;
+
+use aims_dsp::dwt::dwt_full;
 use aims_dsp::filters::WaveletFilter;
 use aims_telemetry::{global, span};
 
-use crate::alloc::{Allocation, RandomAlloc, SequentialAlloc, TreeTilingAlloc};
+use crate::alloc::{Allocation, RandomAlloc, TreeTilingAlloc};
 use crate::cache::SharedBlockCache;
 use crate::device::{read_with_retry, BlockDevice, DeviceStats, MemDevice, ReadError, RetryPolicy};
 use crate::error_tree::{point_query_set, range_query_set};
+use crate::progressive::{BlockPlan, BoundLedger};
 
 /// Which allocation strategy a store uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,93 +52,339 @@ pub enum AllocKind {
     TreeTiling,
 }
 
+/// The coefficient → (block, offset) rule of one store.
 #[derive(Debug)]
-enum AnyAlloc {
-    Sequential(SequentialAlloc),
-    Random(RandomAlloc),
-    Tiling(TreeTilingAlloc),
+enum Layout {
+    /// `i → (i / B, i % B)`: arithmetic, nothing resident.
+    Sequential { block_size: usize },
+    /// Any other allocation, materialised per coefficient.
+    Table(Vec<(usize, usize)>),
 }
 
-impl AnyAlloc {
-    /// The allocation of `n` coefficients and its coefficient → (block,
-    /// offset) map — pure functions of `(n, block_size, kind)`. Stable
-    /// slot assignment: ascending coefficient index within each block.
-    fn layout(n: usize, block_size: usize, kind: AllocKind) -> (AnyAlloc, Vec<(usize, usize)>) {
-        assert!(n.is_power_of_two() && n >= 2, "signal length must be a power of two ≥ 2");
-        let alloc = match kind {
-            AllocKind::Sequential => AnyAlloc::Sequential(SequentialAlloc::new(n, block_size)),
-            AllocKind::Random(seed) => AnyAlloc::Random(RandomAlloc::new(n, block_size, seed)),
-            AllocKind::TreeTiling => AnyAlloc::Tiling(TreeTilingAlloc::new(n, block_size)),
+impl Layout {
+    /// The layout of `n` coefficients and the number of blocks it fills —
+    /// pure functions of `(n, block_size, kind)`. Slots are assigned in
+    /// ascending coefficient index within each block.
+    fn new(n: usize, block_size: usize, kind: AllocKind) -> (Layout, usize) {
+        let alloc: Box<dyn Allocation> = match kind {
+            AllocKind::Sequential => {
+                return (Layout::Sequential { block_size }, n.div_ceil(block_size))
+            }
+            AllocKind::Random(seed) => Box::new(RandomAlloc::new(n, block_size, seed)),
+            AllocKind::TreeTiling => Box::new(TreeTilingAlloc::new(n, block_size)),
         };
-        let mut fill = vec![0usize; alloc.as_dyn().num_blocks()];
-        let locations = (0..n)
+        let mut fill = vec![0usize; alloc.num_blocks()];
+        let table = (0..n)
             .map(|i| {
-                let b = alloc.as_dyn().block_of(i);
+                let b = alloc.block_of(i);
                 fill[b] += 1;
                 (b, fill[b] - 1)
             })
             .collect();
-        (alloc, locations)
+        (Layout::Table(table), alloc.num_blocks())
     }
 
-    fn as_dyn(&self) -> &dyn Allocation {
+    /// Where coefficient `i` lives.
+    fn locate(&self, i: usize) -> (usize, usize) {
         match self {
-            AnyAlloc::Sequential(a) => a,
-            AnyAlloc::Random(a) => a,
-            AnyAlloc::Tiling(a) => a,
+            Layout::Sequential { block_size } => (i / block_size, i % block_size),
+            Layout::Table(table) => table[i],
+        }
+    }
+
+    /// Offset of coefficient `i` inside `block`; `None` when it lives in
+    /// another block. Division-free: this is the fold's inner loop.
+    #[inline]
+    fn offset_in(&self, i: usize, block: usize) -> Option<usize> {
+        match self {
+            Layout::Sequential { block_size } => {
+                i.checked_sub(block * block_size).filter(|off| off < block_size)
+            }
+            Layout::Table(table) => {
+                let (b, off) = table[i];
+                (b == block).then_some(off)
+            }
+        }
+    }
+
+    /// The coefficients in device order: block `b` is
+    /// `image[b·B .. (b+1)·B]`, the last block possibly short.
+    fn image<'a>(&self, coeffs: &'a [f64], block_size: usize, blocks: usize) -> Cow<'a, [f64]> {
+        match self {
+            Layout::Sequential { .. } => Cow::Borrowed(coeffs),
+            Layout::Table(table) => {
+                let mut image = vec![0.0; blocks * block_size];
+                for (&c, &(b, off)) in coeffs.iter().zip(table) {
+                    image[b * block_size + off] = c;
+                }
+                Cow::Owned(image)
+            }
         }
     }
 }
 
-/// Result of a degraded-capable coefficient fetch.
+/// A query answer served from (possibly faulty) blocked storage.
 #[derive(Clone, Debug)]
-pub struct FetchOutcome {
-    /// Values aligned with the requested set; lost coefficients are `0.0`.
-    pub values: Vec<f64>,
-    /// Positions (indices into the requested set) whose block was lost.
-    pub missing: Vec<usize>,
-    /// Distinct block ids that stayed unreadable after retries.
-    pub lost_blocks: Vec<usize>,
-}
-
-impl FetchOutcome {
-    /// Whether every requested coefficient was retrieved.
-    pub fn is_complete(&self) -> bool {
-        self.missing.is_empty()
-    }
-}
-
-/// A query answer that survived storage faults, possibly degraded.
-#[derive(Clone, Debug)]
-pub struct QueryOutcome {
-    /// The (possibly partial) answer.
-    pub value: f64,
-    /// Guaranteed bound on `|value − exact|` from the lost blocks'
-    /// coefficient energy; `0.0` when nothing was lost.
+pub struct DegradedAnswer {
+    /// The (possibly partial) inner product.
+    pub estimate: f64,
+    /// Guaranteed bound on `|estimate − exact|`: the summed gains of the
+    /// lost blocks; `0.0` when nothing was lost.
     pub error_bound: f64,
-    /// Blocks that stayed unreadable after retries.
+    /// Blocks that stayed unreadable after retries, ascending.
     pub lost_blocks: Vec<usize>,
+    /// Query entries whose coefficient could not be retrieved.
+    pub missing_coefficients: usize,
 }
 
-impl QueryOutcome {
+impl DegradedAnswer {
     /// Whether any block was lost.
     pub fn degraded(&self) -> bool {
         !self.lost_blocks.is_empty()
     }
 }
 
-/// A Haar-wavelet signal store over a block device.
+/// A coefficient vector on a block device under one allocation, with a
+/// load-time per-block energy catalog for degraded error bounds.
 #[derive(Debug)]
-pub struct WaveletStore<D: BlockDevice = MemDevice> {
+pub struct CoefficientStore<D: BlockDevice = MemDevice> {
     device: D,
-    alloc: AnyAlloc,
-    /// coefficient → (block, offset) location.
-    locations: Vec<(usize, usize)>,
+    layout: Layout,
     /// Per-block `Σ c²` over the coefficients stored in the block,
     /// captured at load time (catalog metadata, available even when the
     /// block itself is unreadable).
     block_energy: Vec<f64>,
     n: usize,
+}
+
+impl<D: BlockDevice> CoefficientStore<D> {
+    /// Writes `coeffs` under allocation `kind` to a device built by
+    /// `make(block_size, num_blocks)` — the hook for fault-injected and
+    /// durable devices — one `write_block` per block, the last one
+    /// zero-padded.
+    ///
+    /// # Panics
+    /// If `coeffs` is empty, `block_size` is zero or invalid for `kind`,
+    /// or the device `make` returns has the wrong geometry.
+    pub fn load(
+        coeffs: &[f64],
+        block_size: usize,
+        kind: AllocKind,
+        make: impl FnOnce(usize, usize) -> D,
+    ) -> Self {
+        assert!(block_size > 0, "block size must be positive");
+        assert!(!coeffs.is_empty(), "cannot store an empty coefficient vector");
+        let (layout, num_blocks) = Layout::new(coeffs.len(), block_size, kind);
+        let mut device = make(block_size, num_blocks);
+        assert!(device.block_size() == block_size, "device block size mismatch");
+        assert!(device.num_blocks() >= num_blocks, "device too small for allocation");
+        let image = layout.image(coeffs, block_size, num_blocks);
+        let mut block_energy = Vec::with_capacity(num_blocks);
+        let mut staged = vec![0.0; block_size];
+        for (b, data) in image.chunks(block_size).enumerate() {
+            staged[..data.len()].copy_from_slice(data);
+            staged[data.len()..].fill(0.0);
+            block_energy.push(staged.iter().map(|c| c * c).sum());
+            device.write_block(b, &staged);
+        }
+        device.reset_stats();
+        CoefficientStore { device, layout, block_energy, n: coeffs.len() }
+    }
+
+    /// Rebuilds a store over an already-populated device — the reopen
+    /// path for a recovered [`crate::file::FileDevice`]. The layout is a
+    /// pure function of `(n, block_size, kind)`, so it reconstructs
+    /// exactly; the per-block energy catalog is re-read from the device in
+    /// one pass of verified reads, retried under `RetryPolicy::default()`.
+    /// A block that stays unreadable fails the reopen: its energy is
+    /// unknown, and pricing it at zero would let later queries report a
+    /// zero bound over missing coefficients.
+    ///
+    /// # Panics
+    /// If `n` is zero or the device is too small for the allocation.
+    pub fn reopen(device: D, kind: AllocKind, n: usize) -> Result<Self, ReadError> {
+        assert!(n > 0, "cannot reopen an empty coefficient vector");
+        let (layout, num_blocks) = Layout::new(n, device.block_size(), kind);
+        assert!(device.num_blocks() >= num_blocks, "device too small for allocation");
+        let block_energy = (0..num_blocks)
+            .map(|b| {
+                let (data, _) = read_with_retry(&device, b, &RetryPolicy::default())?;
+                Ok(data.iter().map(|c| c * c).sum())
+            })
+            .collect::<Result<_, ReadError>>()?;
+        device.reset_stats();
+        Ok(CoefficientStore { device, layout, block_energy, n })
+    }
+
+    /// Coefficient count (unpadded).
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Stores are never empty.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Coefficients per block.
+    pub fn block_size(&self) -> usize {
+        self.device.block_size()
+    }
+
+    /// Number of blocks the coefficients occupy.
+    pub fn num_blocks(&self) -> usize {
+        self.block_energy.len()
+    }
+
+    /// The backing device.
+    pub fn device(&self) -> &D {
+        &self.device
+    }
+
+    /// Mutable access to the backing device (checkpoint / close hooks on
+    /// durable devices).
+    pub fn device_mut(&mut self) -> &mut D {
+        &mut self.device
+    }
+
+    /// Device I/O counters.
+    pub fn device_stats(&self) -> DeviceStats {
+        self.device.stats()
+    }
+
+    /// Resets device I/O counters.
+    pub fn reset_stats(&self) {
+        self.device.reset_stats();
+    }
+
+    /// Sorts coefficient indices into this store's fold order:
+    /// block-major (plain ascending under [`AllocKind::Sequential`]).
+    pub fn sort_block_major(&self, indices: &mut [usize]) {
+        indices.sort_unstable_by_key(|&i| (self.layout.locate(i).0, i));
+    }
+
+    /// The blocks a query with block-major entries `(indices[k],
+    /// weights[k])` needs, ascending — the fold order of every evaluation
+    /// over this store, and exactly the device reads a cold-cache
+    /// evaluation costs — each priced at `sqrt(Σw² · Σc²)` from the
+    /// entries it holds and the energy catalog. Every entry is planned,
+    /// zero weights included. No device I/O.
+    ///
+    /// # Panics
+    /// If an index is out of range or the entries are not block-major.
+    pub fn plan(&self, indices: &[usize], weights: &[f64]) -> BlockPlan {
+        let mut pairs: Vec<(usize, f64)> = Vec::new();
+        for (&i, &w) in indices.iter().zip(weights) {
+            assert!(i < self.n, "coefficient {i} out of range");
+            match pairs.last_mut() {
+                Some((b, wsq)) if self.layout.offset_in(i, *b).is_some() => *wsq += w * w,
+                _ => {
+                    let (b, _) = self.layout.locate(i);
+                    assert!(pairs.last().is_none_or(|l| l.0 < b), "entries are not block-major");
+                    pairs.push((b, w * w));
+                }
+            }
+        }
+        if !pairs.is_empty() {
+            // The paper's success metric (§3.2.1): needed items per
+            // retrieved block, which tiling pushes toward 1 + lg B.
+            global()
+                .histogram_f64("storage.alloc.needed_items_per_block")
+                .record_f64(indices.len() as f64 / pairs.len() as f64);
+        }
+        let mut plan = BlockPlan::default();
+        plan.extend(pairs, |b| self.block_energy[b]);
+        plan
+    }
+
+    /// Folds plan block `block` into a running evaluation: every entry
+    /// from `*cursor` on that lives in the block is consumed — added to
+    /// `*sum` as `w · data[offset]`, or skipped (contributing zero) when
+    /// the block was lost and `data` is `None`. Returns the number of
+    /// entries consumed. Called once per plan block in plan order, this is
+    /// one flat accumulator over the entries in the order given.
+    pub fn accumulate(
+        &self,
+        indices: &[usize],
+        weights: &[f64],
+        block: usize,
+        data: Option<&[f64]>,
+        cursor: &mut usize,
+        sum: &mut f64,
+    ) -> usize {
+        let start = *cursor;
+        while let Some(&i) = indices.get(*cursor) {
+            let Some(off) = self.layout.offset_in(i, block) else { break };
+            if let Some(data) = data {
+                *sum += weights[*cursor] * data[off];
+            }
+            *cursor += 1;
+        }
+        *cursor - start
+    }
+
+    /// Evaluates `Σ weights[k] · c[indices[k]]` over block-major entries
+    /// against the device: [`plan`], fetch each plan block once through
+    /// `pool` (retrying transient faults under `policy`), [`accumulate`]
+    /// it or charge it to the [`BoundLedger`]. Each block that stays
+    /// unreadable increments `storage.degraded` and leaves its gain in
+    /// the answer's bound.
+    ///
+    /// [`plan`]: CoefficientStore::plan
+    /// [`accumulate`]: CoefficientStore::accumulate
+    pub fn evaluate(
+        &self,
+        indices: &[usize],
+        weights: &[f64],
+        pool: &SharedBlockCache,
+        policy: &RetryPolicy,
+    ) -> DegradedAnswer {
+        global().counter("storage.store.coefficients_fetched").add(indices.len() as u64);
+        let mut ledger = BoundLedger::in_fold_order(Arc::new(self.plan(indices, weights)));
+        let (mut cursor, mut estimate, mut missing) = (0usize, 0.0, 0usize);
+        while let Some(k) = ledger.peek() {
+            let b = ledger.plan().blocks[k];
+            match pool.get_or_read_outcome(&self.device, b, policy) {
+                Ok((data, _)) => {
+                    self.accumulate(indices, weights, b, Some(&data), &mut cursor, &mut estimate);
+                    ledger.deliver();
+                }
+                Err(_) => {
+                    global().counter("storage.degraded").inc();
+                    missing +=
+                        self.accumulate(indices, weights, b, None, &mut cursor, &mut estimate);
+                    ledger.lose();
+                }
+            }
+        }
+        DegradedAnswer {
+            estimate,
+            error_bound: ledger.bound(),
+            lost_blocks: ledger.lost_blocks().to_vec(),
+            missing_coefficients: missing,
+        }
+    }
+}
+
+/// A Haar-wavelet signal store: the 1-D front of [`CoefficientStore`]
+/// (which it dereferences to). A query is an ancestor-closed error-tree
+/// access set weighted by the Haar basis.
+#[derive(Debug)]
+pub struct WaveletStore<D: BlockDevice = MemDevice> {
+    store: CoefficientStore<D>,
+}
+
+impl<D: BlockDevice> std::ops::Deref for WaveletStore<D> {
+    type Target = CoefficientStore<D>;
+    fn deref(&self) -> &CoefficientStore<D> {
+        &self.store
+    }
+}
+
+impl<D: BlockDevice> std::ops::DerefMut for WaveletStore<D> {
+    fn deref_mut(&mut self) -> &mut CoefficientStore<D> {
+        &mut self.store
+    }
 }
 
 impl WaveletStore<MemDevice> {
@@ -148,169 +411,45 @@ impl<D: BlockDevice> WaveletStore<D> {
         make: impl FnOnce(usize, usize) -> D,
     ) -> Self {
         let n = signal.len();
-        let (alloc, locations) = AnyAlloc::layout(n, block_size, kind);
+        assert!(n.is_power_of_two() && n >= 2, "signal length must be a power of two ≥ 2");
         let coeffs = dwt_full(signal, &WaveletFilter::haar());
-        let adyn = alloc.as_dyn();
-
-        let mut device = make(block_size, adyn.num_blocks());
-        assert!(device.block_size() == block_size, "device block size mismatch");
-        assert!(device.num_blocks() >= adyn.num_blocks(), "device too small for allocation");
-        let mut staged = vec![vec![0.0; block_size]; adyn.num_blocks()];
-        for (i, &c) in coeffs.iter().enumerate() {
-            let (b, off) = locations[i];
-            staged[b][off] = c;
-        }
-        let block_energy: Vec<f64> =
-            staged.iter().map(|data| data.iter().map(|c| c * c).sum()).collect();
-        for (b, data) in staged.iter().enumerate() {
-            device.write_block(b, data);
-        }
-        device.reset_stats();
-
-        WaveletStore { device, alloc, locations, block_energy, n }
+        WaveletStore { store: CoefficientStore::load(&coeffs, block_size, kind, make) }
     }
 
-    /// Rebuilds a store over an already-populated device — the reopen
-    /// path for a recovered [`crate::file::FileDevice`]. The allocation
-    /// and coefficient→slot map are pure functions of
-    /// `(n, block_size, kind)`, so they reconstruct exactly; the
-    /// per-block energy catalog is re-read from the device with verified,
-    /// retried reads. A block that stays unreadable fails the reopen: its
-    /// energy is unknown, and pricing it at zero would let later queries
-    /// report a zero bound over missing coefficients.
+    /// Rebuilds a store of `n` samples over an already-populated device
+    /// ([`CoefficientStore::reopen`]).
     ///
     /// # Panics
     /// If `n` is not a power of two ≥ 2 or the device is too small for
     /// the allocation.
     pub fn reopen(device: D, kind: AllocKind, n: usize) -> Result<Self, ReadError> {
-        let (alloc, locations) = AnyAlloc::layout(n, device.block_size(), kind);
-        let num_blocks = alloc.as_dyn().num_blocks();
-        assert!(device.num_blocks() >= num_blocks, "device too small for allocation");
-        let block_energy = block_energies(&device, num_blocks)?;
-        device.reset_stats();
-        Ok(WaveletStore { device, alloc, locations, block_energy, n })
+        assert!(n.is_power_of_two() && n >= 2, "signal length must be a power of two ≥ 2");
+        Ok(WaveletStore { store: CoefficientStore::reopen(device, kind, n)? })
     }
 
-    /// Signal length / coefficient count.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Stores are never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Block size of the underlying device.
-    pub fn block_size(&self) -> usize {
-        self.device.block_size()
-    }
-
-    /// The allocation in use.
-    pub fn allocation(&self) -> &dyn Allocation {
-        self.alloc.as_dyn()
-    }
-
-    /// The backing device.
-    pub fn device(&self) -> &D {
-        &self.device
-    }
-
-    /// Mutable access to the backing device (checkpoint / close hooks on
-    /// durable devices).
-    pub fn device_mut(&mut self) -> &mut D {
-        &mut self.device
-    }
-
-    /// `Σ c²` of the coefficients stored in `block` (load-time catalog
-    /// metadata; available even when the block is unreadable).
-    pub fn block_energy(&self, block: usize) -> f64 {
-        self.block_energy[block]
-    }
-
-    /// The whole block-energy catalog, indexed by block id — the
-    /// per-block `Σ c²` table the adaptive QoS scheduler ranks round
-    /// budgets with (no device I/O: catalog metadata only).
-    pub fn block_energies(&self) -> &[f64] {
-        &self.block_energy
-    }
-
-    /// Device I/O counters.
-    pub fn device_stats(&self) -> DeviceStats {
-        self.device.stats()
-    }
-
-    /// Resets device I/O counters.
-    pub fn reset_stats(&self) {
-        self.device.reset_stats();
-    }
-
-    /// Distinct blocks (sorted) holding the listed coefficients.
-    pub fn blocks_for(&self, set: &[usize]) -> Vec<usize> {
-        let mut blocks: Vec<usize> = set
-            .iter()
-            .map(|&i| {
-                assert!(i < self.n, "coefficient {i} out of range");
-                self.locations[i].0
-            })
-            .collect();
-        blocks.sort_unstable();
-        blocks.dedup();
-        blocks
-    }
-
-    /// Fetches the listed coefficients through the cache, returning values
-    /// aligned with `set`.
-    ///
-    /// # Panics
-    /// If any block read fails — use [`WaveletStore::fetch_degraded`] on
-    /// devices that can fault.
-    pub fn fetch(&self, set: &[usize], pool: &SharedBlockCache) -> Vec<f64> {
-        let outcome = self.fetch_degraded(set, pool, &RetryPolicy::none());
-        assert!(outcome.is_complete(), "block read failed (use fetch_degraded)");
-        outcome.values
-    }
-
-    /// Fetches the listed coefficients, retrying transient failures under
-    /// `policy` and degrading when a block stays unreadable: its
-    /// coefficients come back as `0.0` and are listed in `missing`.
-    ///
-    /// Each permanently lost block increments `storage.degraded`.
-    pub fn fetch_degraded(
+    /// A query's access set as block-major `(indices, weights)` entries.
+    fn entries(
         &self,
-        set: &[usize],
-        pool: &SharedBlockCache,
-        policy: &RetryPolicy,
-    ) -> FetchOutcome {
-        let mut lost_blocks: Vec<usize> = Vec::new();
-        let mut missing: Vec<usize> = Vec::new();
-        let mut blocks: Vec<usize> = Vec::with_capacity(set.len());
-        let mut values = Vec::with_capacity(set.len());
-        for (pos, &i) in set.iter().enumerate() {
-            assert!(i < self.n, "coefficient {i} out of range");
-            let (b, off) = self.locations[i];
-            blocks.push(b);
-            if lost_blocks.contains(&b) {
-                // Already failed this fetch — don't burn the budget again.
-                missing.push(pos);
-                values.push(0.0);
-                continue;
-            }
-            match pool.get_or_read_outcome(&self.device, b, policy) {
-                Ok((data, _)) => values.push(data[off]),
-                Err(_) => {
-                    global().counter("storage.degraded").inc();
-                    lost_blocks.push(b);
-                    missing.push(pos);
-                    values.push(0.0);
-                }
-            }
-        }
-        blocks.sort_unstable();
-        blocks.dedup();
-        record_fetch(set.len(), blocks.len());
-        lost_blocks.sort_unstable();
-        FetchOutcome { values, missing, lost_blocks }
+        mut set: Vec<usize>,
+        weight: impl Fn(usize) -> f64,
+    ) -> (Vec<usize>, Vec<f64>) {
+        self.store.sort_block_major(&mut set);
+        let weights = set.iter().map(|&i| weight(i)).collect();
+        (set, weights)
+    }
+
+    /// The entries of the point query at `t`: its error-tree path, each
+    /// node weighted by its Haar basis value at `t`.
+    pub fn point_entries(&self, t: usize) -> (Vec<usize>, Vec<f64>) {
+        let n = self.len();
+        self.entries(point_query_set(t, n), |i| haar_basis_value(i, t, n))
+    }
+
+    /// The entries of the range sum over `[a, b]`: the two boundary
+    /// paths, each node weighted by its Haar basis summed over the range.
+    pub fn range_entries(&self, a: usize, b: usize) -> (Vec<usize>, Vec<f64>) {
+        let n = self.len();
+        self.entries(range_query_set(a, b, n), |i| haar_basis_range_sum(i, a, b, n))
     }
 
     /// Reconstructs the data value at position `t`, reading only its
@@ -322,7 +461,7 @@ impl<D: BlockDevice> WaveletStore<D> {
     pub fn point_value(&self, t: usize, pool: &SharedBlockCache) -> f64 {
         let outcome = self.point_value_outcome(t, pool, &RetryPolicy::none());
         assert!(!outcome.degraded(), "block read failed (use point_value_outcome)");
-        outcome.value
+        outcome.estimate
     }
 
     /// Range sum `Σ_{t=a}^{b} x[t]`, reading only the two boundary paths.
@@ -333,7 +472,7 @@ impl<D: BlockDevice> WaveletStore<D> {
     pub fn range_sum(&self, a: usize, b: usize, pool: &SharedBlockCache) -> f64 {
         let outcome = self.range_sum_outcome(a, b, pool, &RetryPolicy::none());
         assert!(!outcome.degraded(), "block read failed (use range_sum_outcome)");
-        outcome.value
+        outcome.estimate
     }
 
     /// Fault-tolerant point query: retries under `policy`, degrades to a
@@ -343,11 +482,11 @@ impl<D: BlockDevice> WaveletStore<D> {
         t: usize,
         pool: &SharedBlockCache,
         policy: &RetryPolicy,
-    ) -> QueryOutcome {
+    ) -> DegradedAnswer {
         let _span = span!("storage.store.point_value");
         global().counter("storage.store.point_queries").inc();
-        let set = point_query_set(t, self.n);
-        self.answer(&set, pool, policy, |i| haar_basis_value(i, t, self.n))
+        let (indices, weights) = self.point_entries(t);
+        self.store.evaluate(&indices, &weights, pool, policy)
     }
 
     /// Fault-tolerant range sum: retries under `policy`, degrades to a
@@ -358,94 +497,17 @@ impl<D: BlockDevice> WaveletStore<D> {
         b: usize,
         pool: &SharedBlockCache,
         policy: &RetryPolicy,
-    ) -> QueryOutcome {
+    ) -> DegradedAnswer {
         let _span = span!("storage.store.range_sum");
         global().counter("storage.store.range_queries").inc();
-        let set = range_query_set(a, b, self.n);
-        self.answer(&set, pool, policy, |i| haar_basis_range_sum(i, a, b, self.n))
+        let (indices, weights) = self.range_entries(a, b);
+        self.store.evaluate(&indices, &weights, pool, policy)
     }
 
-    /// `Σ_{i ∈ set} c_i · weight(i)`, accumulated in `set` order, from
-    /// whatever the device delivers.
-    fn answer(
-        &self,
-        set: &[usize],
-        pool: &SharedBlockCache,
-        policy: &RetryPolicy,
-        weight: impl Fn(usize) -> f64,
-    ) -> QueryOutcome {
-        let outcome = self.fetch_degraded(set, pool, policy);
-        let mut value = 0.0;
-        for (&i, &c) in set.iter().zip(&outcome.values) {
-            value += c * weight(i);
-        }
-        let error_bound = self.lost_bound(set, &outcome, weight);
-        QueryOutcome { value, error_bound, lost_blocks: outcome.lost_blocks }
-    }
-
-    /// Cauchy–Schwarz bound on the contribution of the lost coefficients:
-    /// `sqrt(Σ_{i missing} φ_i²) · sqrt(Σ_{b lost} block_energy[b])`.
-    ///
-    /// The basis weights of the missing set are known exactly; the lost
-    /// coefficients are bounded by the load-time per-block energy catalog
-    /// (an over-estimate, since a lost block may also hold coefficients
-    /// outside the access set).
-    fn lost_bound(
-        &self,
-        set: &[usize],
-        outcome: &FetchOutcome,
-        weight: impl Fn(usize) -> f64,
-    ) -> f64 {
-        if outcome.missing.is_empty() {
-            return 0.0;
-        }
-        let w2: f64 = outcome
-            .missing
-            .iter()
-            .map(|&pos| {
-                let w = weight(set[pos]);
-                w * w
-            })
-            .sum();
-        let e2: f64 = outcome.lost_blocks.iter().map(|&b| self.block_energy[b]).sum();
-        (w2 * e2).sqrt()
-    }
-
-    /// Full reconstruction (reads every block).
+    /// Full reconstruction: every point value in turn.
     pub fn reconstruct_all(&self, pool: &SharedBlockCache) -> Vec<f64> {
-        let set: Vec<usize> = (0..self.n).collect();
-        let coeffs = self.fetch(&set, pool);
-        idwt_full(&coeffs, &WaveletFilter::haar())
+        (0..self.len()).map(|t| self.point_value(t, pool)).collect()
     }
-}
-
-/// Rebuilds a per-block `Σ c²` catalog from an already-populated device:
-/// verified reads under the default retry policy, and a typed error — not
-/// a zero — for a block that stays unreadable.
-pub fn block_energies<D: BlockDevice + ?Sized>(
-    device: &D,
-    num_blocks: usize,
-) -> Result<Vec<f64>, ReadError> {
-    (0..num_blocks)
-        .map(|b| {
-            let (data, _) = read_with_retry(device, b, &RetryPolicy::default())?;
-            Ok(data.iter().map(|c| c * c).sum())
-        })
-        .collect()
-}
-
-/// Records the fetch-shape telemetry.
-fn record_fetch(set_len: usize, distinct_blocks: usize) {
-    if distinct_blocks == 0 {
-        return;
-    }
-    let telemetry = global();
-    telemetry.counter("storage.store.coefficients_fetched").add(set_len as u64);
-    // The paper's success metric (§3.2.1): needed items per retrieved
-    // block, which tiling pushes toward 1 + lg B.
-    telemetry
-        .histogram_f64("storage.alloc.needed_items_per_block")
-        .record_f64(set_len as f64 / distinct_blocks as f64);
 }
 
 /// Value of the `i`-th Haar basis function (flat layout) at position `t`.
@@ -607,7 +669,7 @@ mod tests {
             let p2 = SharedBlockCache::new(8);
             let a = plain.point_value(t, &p1);
             let b = faulty.point_value_outcome(t, &p2, &policy);
-            assert_eq!(a.to_bits(), b.value.to_bits(), "t={t}");
+            assert_eq!(a.to_bits(), b.estimate.to_bits(), "t={t}");
             assert_eq!(b.error_bound, 0.0);
             assert!(!b.degraded());
         }
@@ -616,7 +678,7 @@ mod tests {
             let p2 = SharedBlockCache::new(8);
             let a = plain.range_sum(a0, b0, &p1);
             let b = faulty.range_sum_outcome(a0, b0, &p2, &policy);
-            assert_eq!(a.to_bits(), b.value.to_bits(), "[{a0},{b0}]");
+            assert_eq!(a.to_bits(), b.estimate.to_bits(), "[{a0},{b0}]");
         }
     }
 
@@ -634,9 +696,9 @@ mod tests {
             let truth = exact.range_sum(a, b, &p1);
             let got = faulty.range_sum_outcome(a, b, &p2, &RetryPolicy::none());
             assert!(
-                (got.value - truth).abs() <= got.error_bound + 1e-9,
+                (got.estimate - truth).abs() <= got.error_bound + 1e-9,
                 "[{a},{b}]: |{} − {truth}| > {}",
-                got.value,
+                got.estimate,
                 got.error_bound
             );
             if got.degraded() {
@@ -650,24 +712,10 @@ mod tests {
     }
 
     #[test]
-    fn blocks_for_matches_fetch_shape() {
-        let x = signal(64);
-        let store = WaveletStore::from_signal(&x, 8, AllocKind::TreeTiling);
-        let set = point_query_set(13, 64);
-        let blocks = store.blocks_for(&set);
-        assert!(!blocks.is_empty());
-        assert!(blocks.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-        let pool = SharedBlockCache::with_shards(64, 1);
-        store.reset_stats();
-        store.point_value(13, &pool);
-        assert_eq!(store.device_stats().reads as usize, blocks.len());
-    }
-
-    #[test]
     fn reopen_never_prices_an_unreadable_block_at_zero() {
         let x = signal(256);
         let plain = WaveletStore::from_signal(&x, 16, AllocKind::TreeTiling);
-        let blocks = plain.allocation().num_blocks();
+        let blocks = plain.num_blocks();
         let mut device =
             FaultyDevice::with_plan(16, blocks, FaultPlan::uniform(11, FaultKind::DeadBlock, 0.3));
         for b in 0..blocks {
@@ -682,7 +730,7 @@ mod tests {
                 let truth = plain.range_sum(0, 255, &SharedBlockCache::new(32));
                 let pool = SharedBlockCache::new(32);
                 let got = reopened.range_sum_outcome(0, 255, &pool, &RetryPolicy::none());
-                assert!((got.value - truth).abs() <= got.error_bound + 1e-9);
+                assert!((got.estimate - truth).abs() <= got.error_bound + 1e-9);
             }
         }
     }

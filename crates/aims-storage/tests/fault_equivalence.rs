@@ -61,13 +61,13 @@ proptest! {
             for t in [0, n / 3, n / 2, n - 1] {
                 let a = plain.point_value(t, &p1);
                 let b = faulty.point_value_outcome(t, &p2, &RetryPolicy::default());
-                prop_assert_eq!(a.to_bits(), b.value.to_bits(), "{:?} t={}", kind, t);
+                prop_assert_eq!(a.to_bits(), b.estimate.to_bits(), "{:?} t={}", kind, t);
                 prop_assert!(!b.degraded());
             }
             let (lo, hi) = (n / 5, n - 1 - n / 7);
             let a = plain.range_sum(lo, hi, &p1);
             let b = faulty.range_sum_outcome(lo, hi, &p2, &RetryPolicy::default());
-            prop_assert_eq!(a.to_bits(), b.value.to_bits(), "{:?} [{},{}]", kind, lo, hi);
+            prop_assert_eq!(a.to_bits(), b.estimate.to_bits(), "{:?} [{},{}]", kind, lo, hi);
 
             let ra = plain.reconstruct_all(&p1);
             let rb = faulty.reconstruct_all(&p2);

@@ -6,9 +6,11 @@ use aims_storage::alloc::{
     validate_allocation, Allocation, RandomAlloc, SequentialAlloc, TensorAlloc, TreeTilingAlloc,
 };
 use aims_storage::cache::SharedBlockCache;
+use aims_storage::device::{MemDevice, RetryPolicy};
 use aims_storage::error_tree::{point_query_set, range_query_set, ErrorTree};
+use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
 use aims_storage::progressive::{BlockPlan, BoundLedger};
-use aims_storage::store::{AllocKind, WaveletStore};
+use aims_storage::store::{AllocKind, CoefficientStore, WaveletStore};
 
 fn pow2(lo: u32, hi: u32) -> impl Strategy<Value = usize> {
     (lo..=hi).prop_map(|e| 1usize << e)
@@ -104,6 +106,68 @@ proptest! {
         let (a, b) = (lo.min(hi), lo.max(hi));
         let expect: f64 = raw[a..=b].iter().sum();
         prop_assert!((store.range_sum(a, b, &pool) - expect).abs() < 1e-7);
+    }
+
+    /// One store, every layout: the same plan → fetch → accumulate → bound
+    /// under each allocation. Clean, it is exact, bit-stable across cache
+    /// sizes and repeats, and costs exactly its plan in cold reads; with
+    /// dead blocks it loses exactly the dead part of its plan and reports
+    /// their summed gains, which cover the true error.
+    #[test]
+    fn one_evaluation_for_every_layout(
+        n in pow2(4, 9),
+        b_exp in 1u32..=5,
+        kind_pick in 0usize..3,
+        seed in 0u64..1000,
+        picks in prop::collection::vec((0usize..1_000_000, -10.0_f64..10.0), 1..40),
+    ) {
+        let block = (1usize << b_exp).min(n);
+        let kind = [AllocKind::Sequential, AllocKind::Random(seed), AllocKind::TreeTiling][kind_pick];
+        let coeffs: Vec<f64> =
+            (0..n as u64).map(|i| ((i * 2654435761 + seed) % 201) as f64 / 10.0 - 10.0).collect();
+        let clean = CoefficientStore::load(&coeffs, block, kind, MemDevice::new);
+
+        // Sparse entries over distinct coefficients, in the store's order.
+        let weight_of: std::collections::BTreeMap<usize, f64> =
+            picks.into_iter().map(|(i, w)| (i % n, w)).collect();
+        let mut indices: Vec<usize> = weight_of.keys().copied().collect();
+        clean.sort_block_major(&mut indices);
+        let weights: Vec<f64> = indices.iter().map(|i| weight_of[i]).collect();
+        let exact: f64 = indices.iter().zip(&weights).map(|(&i, w)| w * coeffs[i]).sum();
+        let plan = clean.plan(&indices, &weights);
+        prop_assert!(plan.blocks.windows(2).all(|w| w[0] < w[1]));
+
+        let mut bits = None;
+        for cache in [1, 8, clean.num_blocks()] {
+            let pool = SharedBlockCache::new(cache);
+            clean.reset_stats();
+            for pass in 0..2 {
+                let got = clean.evaluate(&indices, &weights, &pool, &RetryPolicy::none());
+                prop_assert!((got.estimate - exact).abs() < 1e-9, "{:?}", kind);
+                prop_assert!(!got.degraded() && got.error_bound == 0.0);
+                prop_assert_eq!(*bits.get_or_insert(got.estimate.to_bits()), got.estimate.to_bits());
+                if pass == 0 {
+                    prop_assert_eq!(clean.device_stats().reads as usize, plan.blocks.len());
+                }
+            }
+        }
+
+        let faulty = CoefficientStore::load(&coeffs, block, kind, |bs, nb| {
+            FaultyDevice::with_plan(bs, nb, FaultPlan::uniform(seed, FaultKind::DeadBlock, 0.3))
+        });
+        let pool = SharedBlockCache::new(8);
+        let got = faulty.evaluate(&indices, &weights, &pool, &RetryPolicy::default());
+        let dead = |b: &usize| faulty.device().is_dead(*b);
+        let lost: Vec<usize> = plan.blocks.iter().copied().filter(dead).collect();
+        let lost_gain = plan
+            .blocks
+            .iter()
+            .zip(&plan.gains)
+            .filter(|(b, _)| dead(b))
+            .fold(0.0, |acc, (_, g)| acc + g);
+        prop_assert_eq!(&got.lost_blocks, &lost);
+        prop_assert_eq!(got.error_bound.to_bits(), lost_gain.to_bits());
+        prop_assert!((got.estimate - exact).abs() <= got.error_bound + 1e-9);
     }
 
     /// Tensor allocation equals the product of its per-dimension

@@ -47,7 +47,7 @@ fn main() {
         let p2 = SharedBlockCache::new(4);
         let got = store.range_sum_outcome(a, b, &p1, &policy);
         let want = truth.range_sum(a, b, &p2);
-        assert_eq!(got.value.to_bits(), want.to_bits(), "transient faults changed an answer");
+        assert_eq!(got.estimate.to_bits(), want.to_bits(), "transient faults changed an answer");
         assert!(!got.degraded());
         exact += 1;
     }
@@ -66,7 +66,7 @@ fn main() {
     for t in (0..2048).step_by(128) {
         let got = store.point_value_outcome(t, &p, &policy);
         let want = truth.point_value(t, &SharedBlockCache::new(4));
-        assert_eq!(got.value.to_bits(), want.to_bits());
+        assert_eq!(got.estimate.to_bits(), want.to_bits());
     }
     let snap = global().snapshot();
     println!(
@@ -90,11 +90,11 @@ fn main() {
         let p2 = SharedBlockCache::new(4);
         let got = store.range_sum_outcome(a, b, &p1, &policy);
         let want = truth.range_sum(a, b, &p2);
-        assert!((got.value - want).abs() <= got.error_bound + 1e-9, "bound violated");
+        assert!((got.estimate - want).abs() <= got.error_bound + 1e-9, "bound violated");
         println!(
             "{:>18} {:>14.4} {:>12.4} {:>10.3} {:>6}",
             format!("[{a}, {b}]"),
-            got.value,
+            got.estimate,
             want,
             got.error_bound,
             got.lost_blocks.len()

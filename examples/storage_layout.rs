@@ -1,6 +1,6 @@
 //! Storage subsystem demo (paper §3.2): how the error-tree tiling
-//! allocation changes query I/O, progressive importance-ordered retrieval,
-//! and snapshot persistence.
+//! allocation changes query I/O, how the cache sees the locality it
+//! creates, and persistence on a durable block device.
 //!
 //! Run with: `cargo run --release --example storage_layout`
 
@@ -10,8 +10,8 @@ use aims::storage::alloc::needed_items_upper_bound;
 use aims::storage::cache::SharedBlockCache;
 use aims::storage::device::RetryPolicy;
 use aims::storage::faults::{FaultKind, FaultPlan, FaultyDevice};
-use aims::storage::snapshot::{restore, snapshot};
 use aims::storage::store::{AllocKind, WaveletStore};
+use aims::storage::{FileDevice, FileDeviceOptions};
 
 fn main() {
     // A real signal: one glove channel, padded to a power of two.
@@ -60,18 +60,30 @@ fn main() {
         store.device_stats().reads
     );
 
-    // Snapshot persistence (§4's BLOB plan).
-    let image = snapshot(&store, AllocKind::TreeTiling);
-    let (restored, _) = restore(&image).expect("snapshot round-trips");
+    // Persistence (§4's plan: BLOBs first, raw disk blocks next): the
+    // same store on a durable file device, checkpointed, dropped, and
+    // reopened from its blocks alone.
+    let dir = std::env::temp_dir().join(format!("aims-storage-layout-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut durable =
+        WaveletStore::from_signal_on(&signal, block, AllocKind::TreeTiling, |bs, nb| {
+            FileDevice::create(&dir, bs, nb, FileDeviceOptions::default()).expect("create device")
+        });
+    durable.device_mut().checkpoint();
+    drop(durable);
+    let device = FileDevice::open(&dir, FileDeviceOptions::default()).expect("reopen device");
+    let reopened =
+        WaveletStore::reopen(device, AllocKind::TreeTiling, signal.len()).expect("catalog");
     let p1 = SharedBlockCache::new(4);
     let p2 = SharedBlockCache::new(4);
-    // (Snapshots re-run the transform on load, so agreement is to rounding.)
-    let delta = (store.point_value(777, &p1) - restored.point_value(777, &p2)).abs();
-    assert!(delta < 1e-9, "restore drifted by {delta}");
+    assert_eq!(store.point_value(777, &p1).to_bits(), reopened.point_value(777, &p2).to_bits());
     println!(
-        "\nsnapshot: {} bytes, restored store answers identically (checked point 777)",
-        image.len()
+        "\npersistence: {} blocks on a FileDevice, reopened store answers bit-identically \
+         (checked point 777)",
+        reopened.num_blocks()
     );
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).ok();
 
     // Fault drill: the same store on a flaky device (30% transient read
     // errors, deterministic seed). The retry path rides through every
@@ -85,7 +97,7 @@ fn main() {
     let p2 = SharedBlockCache::new(8);
     for t in (0..4096).step_by(256) {
         let got = flaky.point_value_outcome(t, &p1, &policy);
-        assert_eq!(got.value.to_bits(), store.point_value(t, &p2).to_bits());
+        assert_eq!(got.estimate.to_bits(), store.point_value(t, &p2).to_bits());
         assert!(!got.degraded());
     }
     println!(

@@ -513,7 +513,7 @@ fn cmd_faults(flags: &HashMap<String, String>) {
                     "{{\"range\":[{},{}],\"value\":{},\"error_bound\":{},\"lost_blocks\":{}}}",
                     r.range.0,
                     r.range.1,
-                    r.got.value,
+                    r.got.estimate,
                     r.got.error_bound,
                     r.got.lost_blocks.len()
                 )

@@ -38,8 +38,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aims_acquisition::ingest::IngestConfig;
-use aims_propolyne::cube::DataCube;
-use aims_propolyne::cube::WaveletCube;
+use aims_propolyne::cube::{DataCube, WaveletCube};
+use aims_propolyne::{Propolyne, RangeSumQuery};
 use aims_sensors::faulty::SensorFaultPlan;
 use aims_service::{
     Outcome, QosConfig, QueryService, QuerySpec, Refinement, ServiceConfig, ServiceError, Tier,
@@ -561,6 +561,19 @@ fn flood_phase<D: BlockDevice + Send + Sync + 'static>(
     report
 }
 
+/// The serial in-memory answers a clean service must reproduce bit for
+/// bit.
+fn reference_bits(cube: &WaveletCube, queries: &[Vec<(usize, usize)>]) -> Vec<u64> {
+    let engine = Propolyne::new(cube.clone());
+    queries
+        .iter()
+        .map(|ranges| {
+            let p = engine.prepare(&RangeSumQuery::count(ranges.clone()));
+            engine.evaluate_prepared(&p).to_bits()
+        })
+        .collect()
+}
+
 /// Runs the full six-phase composed drill. Phases:
 ///
 /// 1. `baseline` — clean sensors, clean storage, calm load. Bit-exact.
@@ -581,14 +594,7 @@ pub fn run(cfg: &Config) -> Report {
         sensor_cube(cfg.seed, &SensorFaultPlan::none(sub_seed(cfg.seed, 1)));
     let queries = drill_queries(sub_seed(cfg.seed, 2), cfg.load_queries);
     let svc = QueryService::new(clean_cube.clone(), BLOCK, calm_config(cfg.load_queries));
-    let expected: Vec<u64> = queries
-        .iter()
-        .map(|ranges| {
-            let p =
-                svc.engine().prepare(&aims_propolyne::query::RangeSumQuery::count(ranges.clone()));
-            svc.engine().evaluate_prepared(&p).to_bits()
-        })
-        .collect();
+    let expected = reference_bits(&clean_cube, &queries);
     let mut baseline = calm_phase("baseline", &svc, &queries, Some(&expected));
     baseline.violations.splice(0..0, acq_violations);
     svc.shutdown();
@@ -615,14 +621,7 @@ pub fn run(cfg: &Config) -> Report {
     // supervised ingest repairs it, clean storage serves it exactly.
     let (faulted_cube, acq_violations) = sensor_cube(cfg.seed, &drill_sensor_plan(cfg.seed));
     let svc = QueryService::new(faulted_cube.clone(), BLOCK, calm_config(cfg.load_queries));
-    let expected: Vec<u64> = queries
-        .iter()
-        .map(|ranges| {
-            let p =
-                svc.engine().prepare(&aims_propolyne::query::RangeSumQuery::count(ranges.clone()));
-            svc.engine().evaluate_prepared(&p).to_bits()
-        })
-        .collect();
+    let expected = reference_bits(&faulted_cube, &queries);
     let mut sensor = calm_phase("sensor-faults", &svc, &queries, Some(&expected));
     sensor.violations.splice(0..0, acq_violations);
     svc.shutdown();

@@ -11,7 +11,7 @@
 use aims_storage::cache::SharedBlockCache;
 use aims_storage::device::{BlockDevice, RetryPolicy};
 use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
-use aims_storage::store::{AllocKind, QueryOutcome, WaveletStore};
+use aims_storage::store::{AllocKind, DegradedAnswer, WaveletStore};
 
 use super::Metric;
 
@@ -54,13 +54,13 @@ pub struct Row {
     /// The fault-free store's answer.
     pub truth: f64,
     /// The faulty store's answer, bound and lost blocks.
-    pub got: QueryOutcome,
+    pub got: DegradedAnswer,
 }
 
 impl Row {
     /// `|answer − truth|`.
     pub fn abs_error(&self) -> f64 {
-        (self.got.value - self.truth).abs()
+        (self.got.estimate - self.truth).abs()
     }
 
     /// The contract this query broke, if any.
@@ -75,7 +75,7 @@ impl Row {
                 )
             })
         } else {
-            (self.got.value.to_bits() != self.truth.to_bits() || self.got.error_bound != 0.0)
+            (self.got.estimate.to_bits() != self.truth.to_bits() || self.got.error_bound != 0.0)
                 .then(|| format!("[{a},{b}]: recovered answer is not bit-identical"))
         }
     }
@@ -161,7 +161,9 @@ mod tests {
     fn digest(r: &Report) -> Vec<(u64, u64, usize)> {
         r.rows
             .iter()
-            .map(|r| (r.got.value.to_bits(), r.got.error_bound.to_bits(), r.got.lost_blocks.len()))
+            .map(|r| {
+                (r.got.estimate.to_bits(), r.got.error_bound.to_bits(), r.got.lost_blocks.len())
+            })
             .collect()
     }
 
@@ -179,10 +181,20 @@ mod tests {
 
     #[test]
     fn an_unmet_bound_is_reported() {
-        let got = QueryOutcome { value: 5.0, error_bound: 1.0, lost_blocks: vec![3] };
+        let got = DegradedAnswer {
+            estimate: 5.0,
+            error_bound: 1.0,
+            lost_blocks: vec![3],
+            missing_coefficients: 1,
+        };
         let row = Row { range: (0, 7), truth: 2.0, got };
         assert!(row.violation().unwrap().contains("exceeds its bound"));
-        let got = QueryOutcome { value: 2.5, error_bound: 0.0, lost_blocks: vec![] };
+        let got = DegradedAnswer {
+            estimate: 2.5,
+            error_bound: 0.0,
+            lost_blocks: vec![],
+            missing_coefficients: 0,
+        };
         assert!(Row { range: (0, 7), truth: 2.0, got }.violation().is_some());
     }
 }

@@ -18,8 +18,8 @@
 use aims::drill::faults::{run, stores, Config, Row};
 use aims::storage::cache::SharedBlockCache;
 use aims::storage::device::{BlockDevice, RetryPolicy};
-use aims::storage::error_tree::range_query_set;
 use aims::storage::faults::{FaultKind, FaultPlan, FaultyDevice};
+use aims::storage::store::WaveletStore;
 
 const N: usize = 256;
 
@@ -37,6 +37,12 @@ fn config(plan: FaultPlan, retry: RetryPolicy, queries: Vec<(usize, usize)>) -> 
 /// The query workload: a mix of short, long and single-point ranges.
 fn ranges() -> Vec<(usize, usize)> {
     vec![(0, 255), (3, 77), (100, 199), (42, 42), (128, 255), (17, 230)]
+}
+
+/// The blocks the range sum over `[a, b]` plans to read.
+fn planned_blocks(store: &WaveletStore<FaultyDevice>, a: usize, b: usize) -> Vec<usize> {
+    let (indices, weights) = store.range_entries(a, b);
+    store.plan(&indices, &weights).blocks
 }
 
 /// Runs the library drill, which checks both contracts on every query —
@@ -61,7 +67,7 @@ fn zero_rate_is_bit_identical_for_every_fault_kind() {
             let p2 = SharedBlockCache::new(64);
             let expect = plain.point_value(t, &p1);
             let got = faulty.point_value_outcome(t, &p2, &RetryPolicy::none());
-            assert_eq!(expect.to_bits(), got.value.to_bits(), "{kind:?} zero-rate t={t}");
+            assert_eq!(expect.to_bits(), got.estimate.to_bits(), "{kind:?} zero-rate t={t}");
         }
     }
 }
@@ -81,8 +87,7 @@ fn transient_fault_matrix_recovers_or_degrades_predictably() {
                     let retry = RetryPolicy { retries: budget, ..RetryPolicy::none() };
                     let cfg = config(FaultPlan::uniform(seed(), kind, rate), retry, vec![(a, b)]);
                     let (_, faulty) = stores(&cfg);
-                    let worst = faulty
-                        .blocks_for(&range_query_set(a, b, N))
+                    let worst = planned_blocks(&faulty, a, b)
                         .iter()
                         .map(|&blk| faulty.device().planned_read_failures(blk))
                         .max()
@@ -105,7 +110,7 @@ fn assert_degrades_iff_touching(kind: FaultKind, rate: f64, bad: fn(&FaultyDevic
         let (_, faulty) = stores(&cfg);
         let bad = bad(faulty.device());
         assert!(!bad.is_empty(), "seed {}: no {kind:?} blocks at rate {rate}", seed());
-        let touches = faulty.blocks_for(&range_query_set(a, b, N)).iter().any(|b| bad.contains(b));
+        let touches = planned_blocks(&faulty, a, b).iter().any(|b| bad.contains(b));
         let row = &checked_rows(&cfg, &format!("{kind:?} [{a},{b}]"))[0];
         assert_eq!(row.got.degraded(), touches, "{kind:?} [{a},{b}] vs bad blocks {bad:?}");
     }

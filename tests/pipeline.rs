@@ -2,9 +2,13 @@
 //! offline queries, across crates (the Fig. 1 data path).
 
 use aims::acquisition::sampling::{sample_stream, SamplingParams, Strategy};
+use aims::dsp::filters::FilterKind;
+use aims::propolyne::{BlockedCoefficients, DataCube, Propolyne, RangeSumQuery};
 use aims::sensors::glove::CyberGloveRig;
 use aims::sensors::noise::NoiseSource;
 use aims::storage::cache::SharedBlockCache;
+use aims::storage::device::RetryPolicy;
+use aims::storage::faults::{FaultKind, FaultPlan, FaultyDevice};
 use aims::storage::store::{AllocKind, WaveletStore};
 use aims::{AimsConfig, AimsSystem};
 
@@ -73,4 +77,56 @@ fn tiling_storage_beats_sequential_through_whole_stack() {
     let tiling = reads_with(AllocKind::TreeTiling);
     let sequential = reads_with(AllocKind::Sequential);
     assert!(tiling < sequential, "tiling {tiling} !< sequential {sequential}");
+}
+
+#[test]
+fn the_two_fronts_are_one_store() {
+    // The same 1-D signal behind both fronts of the blocked coefficient
+    // store: `WaveletStore` (error-tree access sets) and a 1-D Haar cube
+    // in `BlockedCoefficients` (ProPolyne's lazy transform). Under Haar
+    // the two transforms produce the same flat layout, so the same range
+    // must plan the same blocks — minus the ones ProPolyne skips because
+    // every weight in them is zero — and lose the same blocks to the same
+    // dead-block schedule.
+    const N: usize = 1 << 12;
+    let signal: Vec<f64> =
+        (0..N).map(|i| ((i * 37 + 11) % 101) as f64 - 50.0 + (i as f64 * 0.003).sin()).collect();
+    let mut cube = DataCube::zeros(&[N]);
+    cube.values_mut().copy_from_slice(&signal);
+    let engine = Propolyne::new(cube.transform(&FilterKind::Haar.filter()));
+    let coeffs = engine.cube().coeffs();
+    let dead = |bs, nb| {
+        FaultyDevice::with_plan(bs, nb, FaultPlan::uniform(29, FaultKind::DeadBlock, 0.15))
+    };
+
+    let line = WaveletStore::from_signal(&signal, 16, AllocKind::Sequential);
+    let line_faulty = WaveletStore::from_signal_on(&signal, 16, AllocKind::Sequential, dead);
+    let blocked = BlockedCoefficients::new(coeffs, 16);
+    let blocked_faulty = BlockedCoefficients::on_device(coeffs, 16, dead);
+
+    let policy = RetryPolicy::none();
+    let mut lost = 0usize;
+    for (a, b) in [(0, N - 1), (5, 9), (100, 3000), (1234, 1234), (2047, 2048), (17, 4000)] {
+        let truth: f64 = signal[a..=b].iter().sum();
+        let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * y.abs().max(1.0);
+        let prepared = engine.prepare(&RangeSumQuery::count(vec![(a, b)]));
+        let pool = || SharedBlockCache::new(64);
+
+        let one = line.range_sum(a, b, &pool());
+        let two = blocked.evaluate_degraded(&prepared, &pool(), &policy).estimate;
+        assert!(close(one, truth) && close(two, truth), "[{a},{b}]: {one} / {two} vs {truth}");
+
+        let (indices, weights) = line.range_entries(a, b);
+        let line_plan = line.plan(&indices, &weights).blocks;
+        let cube_plan = blocked.plan_blocks(&prepared);
+        assert!(cube_plan.iter().all(|blk| line_plan.contains(blk)), "[{a},{b}]");
+
+        let one = line_faulty.range_sum_outcome(a, b, &pool(), &policy);
+        let two = blocked_faulty.evaluate_degraded(&prepared, &pool(), &policy);
+        assert!(two.lost_blocks.iter().all(|blk| one.lost_blocks.contains(blk)), "[{a},{b}]");
+        assert!((one.estimate - truth).abs() <= one.error_bound + 1e-9, "[{a},{b}] 1-D bound");
+        assert!((two.estimate - truth).abs() <= two.error_bound + 1e-9, "[{a},{b}] cube bound");
+        lost += two.lost_blocks.len();
+    }
+    assert!(lost > 0, "seed 29 at 15% dead should cost the cube path a block");
 }
