@@ -26,7 +26,17 @@ if [[ $fast -eq 0 ]]; then
     # --locked against these crates: an API or dependency-edge break
     # must fail here, not at the benchmark gate.
     echo "== bench harness compile check =="
-    cargo build --release --locked --quiet --manifest-path bench/Cargo.toml
+    CARGO_TARGET_DIR=target cargo build --release --locked --quiet --manifest-path bench/Cargo.toml
+    # One short run of the workload that creates a durable store, ingests,
+    # stops, reopens and verifies: an on-disk format slip must break here.
+    # (run.sh builds into the same target dir, so nothing compiles twice.)
+    echo "== bench harness smoke (ingest_burst, 2 s) =="
+    result=$(bash bench/run.sh --workload ingest_burst --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    echo "$result"
+    grep -q '"correct": true' <<<"$result" && grep -q '"failed": 0' <<<"$result" || {
+        echo "bench harness smoke did not come back correct with 0 failed" >&2
+        exit 1
+    }
 fi
 
 # Every suite in the workspace, under the serial and the pooled execution

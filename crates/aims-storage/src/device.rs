@@ -5,7 +5,7 @@
 //! block reads and writes each query costs under each allocation strategy
 //! — and, since this PR, the *failure model*: real sensor-data stores run
 //! on flaky media, so every read is integrity-checked against a per-block
-//! FNV-1a checksum over the f64 bit patterns and may fail with a
+//! four-lane digest over the f64 bit patterns and may fail with a
 //! [`ReadError`] instead of silently returning garbage.
 //!
 //! Two layers live here:
@@ -30,31 +30,90 @@ pub(crate) fn io_counters() -> &'static (Arc<Counter>, Arc<Counter>) {
     })
 }
 
-/// FNV-1a over the little-endian bit patterns of the items. Bit-exact:
-/// `0.0` and `-0.0` hash differently, NaN payloads are significant, and a
-/// single flipped bit always changes the digest (every FNV step is an
-/// injective map of the running state).
-pub fn fnv1a_f64(data: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in data {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+/// Lane seeds and the two lane multipliers (odd, so multiplying by either
+/// is a bijection of `u64`) of the block digest.
+const LANE_SEEDS: [u64; 4] =
+    [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344, 0xa409_3822_299f_31d0, 0x082e_fa98_ec4e_6c89];
+const WORD_MUL: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const LANE_MUL: u64 = 0x9e37_79b1_85eb_ca87;
+
+/// One lane step: add the multiplied word, rotate, multiply. For a fixed
+/// `word` it is a bijection of `state`, and for a fixed `state` a bijection
+/// of `word`. The word's own multiply keeps a flipped high bit from meeting
+/// the state as a single bit that one flip in a later word could cancel.
+#[inline(always)]
+fn lane_step(state: u64, word: u64) -> u64 {
+    state.wrapping_add(word.wrapping_mul(WORD_MUL)).rotate_left(31).wrapping_mul(LANE_MUL)
 }
 
-/// FNV-1a over raw bytes — same constants as [`fnv1a_f64`], used for the
-/// WAL record and file-header checksums where the payload is already a
-/// byte stream.
-pub fn fnv1a_bytes(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Folds the byte length and the four lanes into one digest. With the
+/// length and three lanes fixed it is a bijection of the fourth: the lane
+/// enters by one `lane_step` and everything after it is a bijection of the
+/// running state.
+fn merge_lanes(lanes: [u64; 4], byte_len: u64) -> u64 {
+    let mut h = lanes.into_iter().fold(byte_len.wrapping_mul(LANE_MUL), lane_step);
+    h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// The digest kernel, defined over a sequence of `n` 64-bit words and the
+/// byte length they stand for: word `i` steps lane `i % 4`, four words —
+/// four independent multiply chains — per iteration, then the lanes and
+/// the length merge. Changing any single word changes its lane's state at
+/// that step, every later step and the merge are bijections of that
+/// lane, so the digest always changes.
+#[inline(always)]
+fn digest_words(n: usize, byte_len: u64, word: impl Fn(usize) -> u64) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut i = 0;
+    while i + 4 <= n {
+        lanes[0] = lane_step(lanes[0], word(i));
+        lanes[1] = lane_step(lanes[1], word(i + 1));
+        lanes[2] = lane_step(lanes[2], word(i + 2));
+        lanes[3] = lane_step(lanes[3], word(i + 3));
+        i += 4;
     }
-    h
+    for (lane, j) in lanes.iter_mut().zip(i..n) {
+        *lane = lane_step(*lane, word(j));
+    }
+    merge_lanes(lanes, byte_len)
+}
+
+/// Digest of a block payload: the words are the items' bit patterns.
+/// Bit-exact — `0.0` and `-0.0` differ, NaN payloads are significant — and
+/// a single flipped bit always changes it (see [`digest_words`]).
+pub fn block_digest(data: &[f64]) -> u64 {
+    digest_words(data.len(), data.len() as u64 * 8, |i| data[i].to_bits())
+}
+
+/// Digest of a WAL record body `[lsn][block][payload]`, equal to
+/// [`bytes_digest`] of the body's image but taken from the words
+/// themselves: the write path then swaps no bytes for it, which on a
+/// little-endian host is half the cost of digesting the image.
+pub(crate) fn record_digest(lsn: u64, block: u64, payload: &[f64]) -> u64 {
+    digest_words(payload.len() + 2, payload.len() as u64 * 8 + 16, |i| match i {
+        0 => lsn,
+        1 => block,
+        _ => payload[i - 2].to_bits(),
+    })
+}
+
+/// Digest of a byte image — WAL record bodies and the file header: the
+/// words are the big-endian `u64`s of the bytes, a short tail zero-padded
+/// (the byte length tells padded tails apart). Host-endianness-independent,
+/// and `bytes_digest` of a payload's big-endian on-disk image equals
+/// [`block_digest`] of the payload.
+pub(crate) fn bytes_digest(bytes: &[u8]) -> u64 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    digest_words(bytes.len().div_ceil(8), bytes.len() as u64, |i| match words.get(i) {
+        Some(word) => u64::from_be_bytes(*word),
+        None => {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            u64::from_be_bytes(word)
+        }
+    })
 }
 
 /// Why a block read failed.
@@ -180,7 +239,7 @@ pub struct DeviceStats {
 /// Fixed-block-size storage of `f64` items with per-block checksums.
 ///
 /// `read_into` / `read_block` are the *verified* read path: the payload is
-/// copied out and its FNV-1a digest compared against the checksum recorded
+/// copied out and its [`block_digest`] compared against the checksum recorded
 /// by the last `write_block`. `read_raw_into` skips verification — it is
 /// the substrate fault wrappers and recovery tools build on.
 pub trait BlockDevice {
@@ -217,7 +276,7 @@ pub trait BlockDevice {
     /// surfaced as [`ReadErrorKind::Corrupt`], never silently returned.
     fn read_into(&self, id: usize, buf: &mut [f64]) -> Result<(), ReadError> {
         self.read_raw_into(id, buf)?;
-        if fnv1a_f64(buf) != self.stored_checksum(id) {
+        if block_digest(buf) != self.stored_checksum(id) {
             return Err(ReadError { block: id, kind: ReadErrorKind::Corrupt });
         }
         Ok(())
@@ -270,7 +329,7 @@ impl MemDevice {
     /// If `block_size == 0`.
     pub fn new(block_size: usize, num_blocks: usize) -> Self {
         assert!(block_size > 0, "block size must be positive");
-        let zero_sum = fnv1a_f64(&vec![0.0; block_size]);
+        let zero_sum = block_digest(&vec![0.0; block_size]);
         MemDevice {
             block_size,
             blocks: vec![vec![0.0; block_size]; num_blocks],
@@ -282,7 +341,7 @@ impl MemDevice {
     /// Appends a new zeroed block, returning its id.
     pub fn grow(&mut self) -> usize {
         self.blocks.push(vec![0.0; self.block_size]);
-        self.checksums.push(fnv1a_f64(&vec![0.0; self.block_size]));
+        self.checksums.push(block_digest(&vec![0.0; self.block_size]));
         self.blocks.len() - 1
     }
 
@@ -353,7 +412,7 @@ impl BlockDevice for MemDevice {
         self.stats.lock().unwrap().writes += 1;
         io_counters().1.inc();
         self.blocks[id].copy_from_slice(data);
-        self.checksums[id] = fnv1a_f64(data);
+        self.checksums[id] = block_digest(data);
     }
 
     fn stats(&self) -> DeviceStats {
@@ -423,11 +482,89 @@ mod tests {
     #[test]
     fn checksum_is_bit_exact() {
         // -0.0 vs 0.0 and NaN payload bits are all significant.
-        assert_ne!(fnv1a_f64(&[0.0]), fnv1a_f64(&[-0.0]));
+        assert_ne!(block_digest(&[0.0]), block_digest(&[-0.0]));
         let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
         let nan_b = f64::from_bits(0x7ff8_0000_0000_0002);
-        assert_ne!(fnv1a_f64(&[nan_a]), fnv1a_f64(&[nan_b]));
-        assert_eq!(fnv1a_f64(&[nan_a]), fnv1a_f64(&[nan_a]));
+        assert_ne!(block_digest(&[nan_a]), block_digest(&[nan_b]));
+        assert_eq!(block_digest(&[nan_a]), block_digest(&[nan_a]));
+    }
+
+    /// Deterministic, well-spread test words (SplitMix64 of the index).
+    fn test_words(n: usize) -> Vec<u64> {
+        (0..n as u64).map(|i| crate::faults::mix(0xd16e57, i, 0, 0)).collect()
+    }
+
+    /// The definition, one word at a time: word `i` steps lane `i % 4`.
+    fn reference_digest(words: &[u64], byte_len: u64) -> u64 {
+        let mut lanes = LANE_SEEDS;
+        for (i, &w) in words.iter().enumerate() {
+            lanes[i % 4] = lane_step(lanes[i % 4], w);
+        }
+        merge_lanes(lanes, byte_len)
+    }
+
+    #[test]
+    fn unrolled_kernel_equals_the_word_at_a_time_reference() {
+        // Every remainder-lane count and every byte-tail length.
+        for n in 0..=67usize {
+            let words = test_words(n);
+            let items: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
+            assert_eq!(block_digest(&items), reference_digest(&words, n as u64 * 8), "{n} words");
+
+            let bytes: Vec<u8> = test_words(n).iter().map(|&w| (w >> 56) as u8).collect();
+            let padded: Vec<u64> = bytes
+                .chunks(8)
+                .map(|c| {
+                    let mut word = [0u8; 8];
+                    word[..c.len()].copy_from_slice(c);
+                    u64::from_be_bytes(word)
+                })
+                .collect();
+            assert_eq!(bytes_digest(&bytes), reference_digest(&padded, n as u64), "{n} bytes");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_256_item_block_changes_the_digest() {
+        let mut block: Vec<f64> = test_words(256).into_iter().map(f64::from_bits).collect();
+        let clean = block_digest(&block);
+        for item in 0..256 {
+            for bit in 0..64 {
+                let original = block[item];
+                block[item] = f64::from_bits(original.to_bits() ^ (1u64 << bit));
+                assert_ne!(block_digest(&block), clean, "item {item} bit {bit} went undetected");
+                block[item] = original;
+            }
+        }
+        assert_eq!(block_digest(&block), clean);
+    }
+
+    #[test]
+    fn length_is_part_of_the_digest() {
+        for n in [0usize, 1, 3, 4, 7, 256] {
+            let mut items: Vec<f64> = test_words(n).into_iter().map(f64::from_bits).collect();
+            let short = block_digest(&items);
+            items.push(0.0);
+            assert_ne!(block_digest(&items), short, "trailing zero word after {n} items");
+        }
+        // A zero byte past the end lands in the same padded word: only the
+        // length tells the two images apart.
+        assert_ne!(bytes_digest(b"ab"), bytes_digest(b"ab\0"));
+        assert_ne!(bytes_digest(b""), bytes_digest(&[0u8; 8]));
+    }
+
+    #[test]
+    fn payload_and_record_digests_equal_the_digest_of_their_big_endian_image() {
+        for n in [0usize, 1, 5, 64, 256] {
+            let items: Vec<f64> = test_words(n).into_iter().map(f64::from_bits).collect();
+            let image: Vec<u8> = items.iter().flat_map(|v| v.to_bits().to_be_bytes()).collect();
+            assert_eq!(block_digest(&items), bytes_digest(&image), "{n} items");
+
+            let (lsn, block) = (0x0102_0304_0506_0708u64, 0xf1f2_f3f4_f5f6_f7f8u64);
+            let mut body = [lsn.to_be_bytes(), block.to_be_bytes()].concat();
+            body.extend_from_slice(&image);
+            assert_eq!(record_digest(lsn, block, &items), bytes_digest(&body), "{n} items");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! - **Main file** (`blocks.aims`): a write-once header (magic, version,
 //!   geometry, user meta blob, header checksum) followed by fixed-size
 //!   block records, each `block_size` big-endian f64 payloads plus the
-//!   FNV-1a checksum recorded at write time. The header is never mutated
+//!   [`block_digest`] recorded at write time. The header is never mutated
 //!   after creation, so no write can tear it.
 //! - **WAL** (`wal.aims`): length-prefixed physical redo records
 //!   `[len u32][lsn u64][block u64][payload][crc u64]` with a strictly
@@ -40,7 +40,7 @@
 //! store is bit-identical to a committed prefix of the write history,
 //! and fsync-always never loses an acknowledged write.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read};
 use std::os::unix::fs::FileExt;
@@ -49,17 +49,19 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use aims_telemetry::{global, Counter};
 
-use crate::device::{fnv1a_bytes, fnv1a_f64, io_counters};
+use crate::device::{block_digest, bytes_digest, io_counters, record_digest};
 use crate::device::{BlockDevice, DeviceStats, RawMedia, ReadError, ReadErrorKind};
 use crate::faults::mix;
 
 /// `"AIMSFDEV"` — the main-file magic.
 const MAGIC: u64 = 0x4149_4D53_4644_4556;
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 const MAIN_FILE: &str = "blocks.aims";
 const WAL_FILE: &str = "wal.aims";
 /// Salt separating torn-length draws from the fault-schedule streams.
 const SALT_CRASH_TORN: u64 = 0x6006;
+/// A reader panicked while holding the state lock.
+const POISONED: &str = "file state lock poisoned";
 
 /// When the WAL is forced to disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -203,7 +205,36 @@ struct FileState {
     /// Blocks whose latest payload is not yet folded into the main file
     /// (every entry is backed by a WAL record, except raw patches).
     dirty: HashMap<usize, Vec<f64>>,
+    /// Payload buffers the last checkpoint folded, kept for the next
+    /// dirty blocks — never more than one checkpoint's dirty set.
+    spare: Vec<Vec<f64>>,
     stats: DeviceStats,
+}
+
+impl FileState {
+    fn new(checksums: Vec<u64>) -> Self {
+        FileState {
+            checksums,
+            dirty: HashMap::new(),
+            spare: Vec::new(),
+            stats: DeviceStats::default(),
+        }
+    }
+
+    /// Makes `data` the dirty payload of block `id`, copied into the
+    /// block's current dirty buffer or one recycled from the last
+    /// checkpoint; allocates only when neither exists.
+    fn stage(&mut self, id: usize, data: &[f64]) {
+        match self.dirty.entry(id) {
+            Entry::Occupied(e) => e.into_mut().copy_from_slice(data),
+            Entry::Vacant(e) => {
+                let mut buf = self.spare.pop().unwrap_or_default();
+                buf.clear();
+                buf.extend_from_slice(data);
+                e.insert(buf);
+            }
+        }
+    }
 }
 
 /// A durable, WAL-protected, checksummed block device on the local
@@ -224,6 +255,10 @@ pub struct FileDevice {
     state: Mutex<FileState>,
     /// WAL bytes buffered in userspace — lost wholesale by a crash.
     wal_pending: Vec<u8>,
+    /// Checkpoint scratch, reused across checkpoints: the dirty block ids
+    /// in fold order and the one record being written.
+    fold_order: Vec<usize>,
+    fold_record: Vec<u8>,
     /// Durable WAL length (bytes already written to the OS file).
     wal_len: u64,
     next_lsn: u64,
@@ -244,48 +279,56 @@ fn block_record_len(block_size: usize) -> usize {
     block_size * 8 + 8
 }
 
-/// Encodes payload + checksum as one main-file block record.
-fn encode_block_record(payload: &[f64], checksum: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(block_record_len(payload.len()));
-    for v in payload {
-        out.extend_from_slice(&v.to_bits().to_be_bytes());
+/// Writes `payload`'s big-endian image over `out` (`payload.len() * 8`
+/// bytes) in one pass.
+fn encode_payload(out: &mut [u8], payload: &[f64]) {
+    assert_eq!(out.len(), payload.len() * 8, "record image size mismatch");
+    for (dst, v) in out.as_chunks_mut::<8>().0.iter_mut().zip(payload) {
+        *dst = v.to_bits().to_be_bytes();
     }
-    out.extend_from_slice(&checksum.to_be_bytes());
-    out
+}
+
+/// Makes `out` the main-file block record of payload + checksum.
+fn encode_block_record(out: &mut Vec<u8>, payload: &[f64], checksum: u64) {
+    let payload_len = payload.len() * 8;
+    out.resize(payload_len + 8, 0);
+    encode_payload(&mut out[..payload_len], payload);
+    out[payload_len..].copy_from_slice(&checksum.to_be_bytes());
 }
 
 /// Appends one WAL record (`[len][lsn][block][payload][crc]`) to `buf`.
 fn append_wal_record(buf: &mut Vec<u8>, lsn: u64, block: u64, payload: &[f64]) {
     let body_len = 24 + payload.len() * 8;
-    buf.extend_from_slice(&(body_len as u32).to_be_bytes());
-    let body_start = buf.len();
-    buf.extend_from_slice(&lsn.to_be_bytes());
-    buf.extend_from_slice(&block.to_be_bytes());
-    for v in payload {
-        buf.extend_from_slice(&v.to_bits().to_be_bytes());
-    }
-    let crc = fnv1a_bytes(&buf[body_start..]);
-    buf.extend_from_slice(&crc.to_be_bytes());
+    let start = buf.len();
+    buf.resize(start + 4 + body_len, 0);
+    let (len, body) = buf[start..].split_at_mut(4);
+    len.copy_from_slice(&(body_len as u32).to_be_bytes());
+    let (covered, crc) = body.split_at_mut(body_len - 8);
+    covered[..8].copy_from_slice(&lsn.to_be_bytes());
+    covered[8..16].copy_from_slice(&block.to_be_bytes());
+    encode_payload(&mut covered[16..], payload);
+    crc.copy_from_slice(&record_digest(lsn, block, payload).to_be_bytes());
 }
 
-/// One decoded WAL record.
-struct WalRecord {
+/// One committed WAL record; `payload` is the big-endian image of the
+/// block, exactly as a main-file block record stores it.
+struct WalRecord<'a> {
     lsn: u64,
     block: usize,
-    payload: Vec<f64>,
+    payload: &'a [u8],
 }
 
 /// Result of scanning a WAL image: the committed records and where the
 /// valid prefix ends (everything past it is a torn tail).
-struct WalScan {
-    records: Vec<WalRecord>,
+struct WalScan<'a> {
+    records: Vec<WalRecord<'a>>,
     valid_bytes: u64,
 }
 
 /// Scans a WAL byte image, stopping at the first invalid record: short
 /// length field, wrong body length, truncated body, CRC mismatch,
 /// non-monotone LSN, or out-of-range block id.
-fn scan_wal(bytes: &[u8], block_size: usize, num_blocks: usize) -> WalScan {
+fn scan_wal(bytes: &[u8], block_size: usize, num_blocks: usize) -> WalScan<'_> {
     let body_len = 24 + block_size * 8;
     let mut records = Vec::new();
     let mut off = 0usize;
@@ -300,7 +343,7 @@ fn scan_wal(bytes: &[u8], block_size: usize, num_blocks: usize) -> WalScan {
         }
         let body = &bytes[off + 4..off + 4 + len];
         let crc = u64::from_be_bytes(body[len - 8..].try_into().unwrap());
-        if fnv1a_bytes(&body[..len - 8]) != crc {
+        if bytes_digest(&body[..len - 8]) != crc {
             break;
         }
         let lsn = u64::from_be_bytes(body[..8].try_into().unwrap());
@@ -308,11 +351,7 @@ fn scan_wal(bytes: &[u8], block_size: usize, num_blocks: usize) -> WalScan {
         if lsn <= last_lsn || block >= num_blocks as u64 {
             break;
         }
-        let payload: Vec<f64> = body[16..len - 8]
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_be_bytes(c.try_into().unwrap())))
-            .collect();
-        records.push(WalRecord { lsn, block: block as usize, payload });
+        records.push(WalRecord { lsn, block: block as usize, payload: &body[16..len - 8] });
         last_lsn = lsn;
         off += 4 + len;
     }
@@ -328,7 +367,7 @@ fn encode_header(block_size: usize, num_blocks: usize, meta: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&(num_blocks as u64).to_be_bytes());
     out.extend_from_slice(&(meta.len() as u32).to_be_bytes());
     out.extend_from_slice(meta);
-    let crc = fnv1a_bytes(&out);
+    let crc = bytes_digest(&out);
     out.extend_from_slice(&crc.to_be_bytes());
     out
 }
@@ -356,7 +395,7 @@ fn decode_header(main: &mut File) -> io::Result<(usize, usize, Vec<u8>, u64)> {
     main.read_exact(&mut crc).map_err(|_| bad_data("truncated header checksum"))?;
     let mut whole = fixed.to_vec();
     whole.extend_from_slice(&meta);
-    if fnv1a_bytes(&whole) != u64::from_be_bytes(crc) {
+    if bytes_digest(&whole) != u64::from_be_bytes(crc) {
         return Err(bad_data("main block file header checksum mismatch"));
     }
     if block_size == 0 {
@@ -389,8 +428,9 @@ impl FileDevice {
             .open(dir.join(MAIN_FILE))?;
         main.write_all_at(&header, 0)?;
         let zero = vec![0.0; block_size];
-        let zero_sum = fnv1a_f64(&zero);
-        let zero_rec = encode_block_record(&zero, zero_sum);
+        let zero_sum = block_digest(&zero);
+        let mut zero_rec = Vec::new();
+        encode_block_record(&mut zero_rec, &zero, zero_sum);
         for b in 0..num_blocks {
             main.write_all_at(&zero_rec, header.len() as u64 + (b * zero_rec.len()) as u64)?;
         }
@@ -413,12 +453,10 @@ impl FileDevice {
             mode: opts.mode,
             crash: opts.crash,
             checkpoint_bytes: opts.checkpoint_bytes.max(1),
-            state: Mutex::new(FileState {
-                checksums: vec![zero_sum; num_blocks],
-                dirty: HashMap::new(),
-                stats: DeviceStats::default(),
-            }),
+            state: Mutex::new(FileState::new(vec![zero_sum; num_blocks])),
             wal_pending: Vec::new(),
+            fold_order: Vec::new(),
+            fold_record: Vec::new(),
             wal_len: 0,
             next_lsn: 1,
             appended_lsn: 0,
@@ -451,13 +489,15 @@ impl FileDevice {
         wal.read_exact_at(&mut wal_bytes, 0)?;
         let scan = scan_wal(&wal_bytes, block_size, num_blocks);
 
+        // A WAL payload is already the block record's big-endian image,
+        // and the digest of that image is the digest of the payload.
         let rec_len = block_record_len(block_size) as u64;
+        let mut image = Vec::with_capacity(rec_len as usize);
         for rec in &scan.records {
-            let sum = fnv1a_f64(&rec.payload);
-            main.write_all_at(
-                &encode_block_record(&rec.payload, sum),
-                data_start + rec.block as u64 * rec_len,
-            )?;
+            image.clear();
+            image.extend_from_slice(rec.payload);
+            image.extend_from_slice(&bytes_digest(rec.payload).to_be_bytes());
+            main.write_all_at(&image, data_start + rec.block as u64 * rec_len)?;
         }
         main.sync_data()?;
         wal.set_len(0)?;
@@ -493,12 +533,10 @@ impl FileDevice {
             mode: opts.mode,
             crash: opts.crash,
             checkpoint_bytes: opts.checkpoint_bytes.max(1),
-            state: Mutex::new(FileState {
-                checksums,
-                dirty: HashMap::new(),
-                stats: DeviceStats::default(),
-            }),
+            state: Mutex::new(FileState::new(checksums)),
             wal_pending: Vec::new(),
+            fold_order: Vec::new(),
+            fold_record: Vec::new(),
             wal_len: 0,
             next_lsn: recovered_lsn + 1,
             appended_lsn: recovered_lsn,
@@ -621,26 +659,24 @@ impl FileDevice {
         if self.crashed || self.crash_here().is_some() {
             return;
         }
-        let dirty: Vec<(usize, Vec<f64>, u64)> = {
-            let st = self.state.lock().unwrap();
-            let mut d: Vec<_> =
-                st.dirty.iter().map(|(&b, p)| (b, p.clone(), st.checksums[b])).collect();
-            d.sort_by_key(|e| e.0);
-            d
-        };
+        self.fold_order.clear();
+        self.fold_order.extend(self.state.get_mut().expect(POISONED).dirty.keys());
+        self.fold_order.sort_unstable();
         let rec_len = block_record_len(self.block_size) as u64;
-        for (b, payload, sum) in &dirty {
-            let rec = encode_block_record(payload, *sum);
-            let off = self.data_start + *b as u64 * rec_len;
+        for i in 0..self.fold_order.len() {
+            let b = self.fold_order[i];
+            let st = self.state.get_mut().expect(POISONED);
+            encode_block_record(&mut self.fold_record, &st.dirty[&b], st.checksums[b]);
+            let off = self.data_start + b as u64 * rec_len;
             if let Some(step) = self.crash_here() {
                 // Torn main-file write: the WAL still holds this record,
                 // so replay repairs the block on reopen.
-                let torn = self.torn_len(step, rec.len());
-                self.main.write_all_at(&rec[..torn], off).expect("main write failed");
+                let torn = self.torn_len(step, self.fold_record.len());
+                self.main.write_all_at(&self.fold_record[..torn], off).expect("main write failed");
                 self.main.sync_data().ok();
                 return;
             }
-            self.main.write_all_at(&rec, off).expect("main write failed");
+            self.main.write_all_at(&self.fold_record, off).expect("main write failed");
         }
         if self.crash_here().is_some() {
             // Died before the main fsync — WAL intact, replay repairs.
@@ -654,7 +690,8 @@ impl FileDevice {
         self.wal.set_len(0).expect("WAL truncate failed");
         self.wal.sync_data().expect("WAL fsync failed");
         self.wal_len = 0;
-        self.state.lock().unwrap().dirty.clear();
+        let FileState { dirty, spare, .. } = self.state.get_mut().expect(POISONED);
+        spare.extend(dirty.drain().map(|(_, buf)| buf));
         self.wal_stats.checkpoints += 1;
         wal_counters().checkpoints.inc();
     }
@@ -664,13 +701,25 @@ impl FileDevice {
         self.checkpoint();
     }
 
-    /// Reads block `id`'s payload straight from the main file.
+    /// Payload buffers held for reuse by the next dirty blocks — at most
+    /// as many as one checkpoint found dirty.
+    pub fn recycled_buffers(&self) -> usize {
+        self.state.lock().unwrap().spare.len()
+    }
+
+    /// Reads block `id`'s payload straight from the main file into `buf`,
+    /// decoding through a stack buffer one page of items at a time.
     fn read_main_payload(&self, id: usize, buf: &mut [f64]) -> io::Result<()> {
-        let rec_len = block_record_len(self.block_size) as u64;
-        let mut bytes = vec![0u8; self.block_size * 8];
-        self.main.read_exact_at(&mut bytes, self.data_start + id as u64 * rec_len)?;
-        for (v, c) in buf.iter_mut().zip(bytes.chunks_exact(8)) {
-            *v = f64::from_bits(u64::from_be_bytes(c.try_into().unwrap()));
+        const PAGE_ITEMS: usize = 512;
+        let mut page = [0u8; PAGE_ITEMS * 8];
+        let mut off = self.data_start + id as u64 * block_record_len(self.block_size) as u64;
+        for items in buf.chunks_mut(PAGE_ITEMS) {
+            let bytes = &mut page[..items.len() * 8];
+            self.main.read_exact_at(bytes, off)?;
+            for (v, word) in items.iter_mut().zip(bytes.as_chunks::<8>().0) {
+                *v = f64::from_bits(u64::from_be_bytes(*word));
+            }
+            off += bytes.len() as u64;
         }
         Ok(())
     }
@@ -717,7 +766,6 @@ impl BlockDevice for FileDevice {
         if self.crashed {
             return;
         }
-        self.state.lock().unwrap().stats.writes += 1;
         io_counters().1.inc();
 
         let lsn = self.next_lsn;
@@ -726,17 +774,16 @@ impl BlockDevice for FileDevice {
         append_wal_record(&mut self.wal_pending, lsn, id as u64, data);
         self.wal_stats.appends += 1;
         wal_counters().appends.inc();
-        if self.crash_here().is_some() {
+        let died = self.crash_here().is_some();
+        let st = self.state.get_mut().expect(POISONED);
+        st.stats.writes += 1;
+        if died {
             // Crash at append: the record only ever lived in the
             // userspace buffer, so it is lost wholesale.
             return;
         }
-
-        {
-            let mut st = self.state.lock().unwrap();
-            st.checksums[id] = fnv1a_f64(data);
-            st.dirty.insert(id, data.to_vec());
-        }
+        st.checksums[id] = block_digest(data);
+        st.stage(id, data);
 
         match self.mode {
             DurabilityMode::Always => self.sync(),
@@ -771,7 +818,7 @@ impl RawMedia for FileDevice {
         }
         // Media corruption bypasses the WAL: the payload changes, the
         // recorded checksum does not, and no redo record is written.
-        self.state.lock().unwrap().dirty.insert(id, data.to_vec());
+        self.state.get_mut().expect(POISONED).stage(id, data);
     }
 
     fn raw_payload(&self, id: usize) -> Vec<f64> {
@@ -995,6 +1042,20 @@ mod tests {
             d.write_block(i % 4, &[i as f64, -(i as f64)]);
         }
         assert!(d.wal_stats().checkpoints > 0, "200-byte threshold must have tripped");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_1_directory_is_refused_with_the_typed_error() {
+        let dir = test_dir("v1-header");
+        FileDevice::create(&dir, 2, 2, FileDeviceOptions::default()).unwrap();
+        let f = OpenOptions::new().write(true).open(dir.join(MAIN_FILE)).unwrap();
+        f.write_all_at(&1u16.to_be_bytes(), 8).unwrap();
+        let before = std::fs::read(dir.join(MAIN_FILE)).unwrap();
+        let err = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "unsupported main block file version");
+        assert_eq!(std::fs::read(dir.join(MAIN_FILE)).unwrap(), before, "refused, not rewritten");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -54,8 +54,8 @@ pub mod store;
 pub use alloc::{Allocation, RandomAlloc, SequentialAlloc, TreeTilingAlloc};
 pub use cache::{BlockFetch, CacheStats, SharedBlockCache};
 pub use device::{
-    fnv1a_bytes, fnv1a_f64, read_with_retry, BlockDevice, DeviceStats, MemDevice, RawMedia,
-    ReadError, ReadErrorKind, RetryPolicy,
+    block_digest, read_with_retry, BlockDevice, DeviceStats, MemDevice, RawMedia, ReadError,
+    ReadErrorKind, RetryPolicy,
 };
 pub use error_tree::{point_query_set, range_query_set, ErrorTree};
 pub use faults::{FaultKind, FaultPlan, FaultyDevice};

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use aims_storage::device::{fnv1a_f64, BlockDevice, MemDevice, ReadErrorKind};
+use aims_storage::device::{block_digest, BlockDevice, MemDevice, ReadErrorKind};
 use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
 
 /// Arbitrary f64s by bit pattern: covers NaNs (all payloads), ±0.0,
@@ -133,6 +133,6 @@ proptest! {
     ) {
         let mut other = data.clone();
         other[item] = f64::from_bits(other[item].to_bits() ^ (1u64 << bit));
-        prop_assert_ne!(fnv1a_f64(&data), fnv1a_f64(&other));
+        prop_assert_ne!(block_digest(&data), block_digest(&other));
     }
 }

@@ -1,45 +1,16 @@
 //! Proves the "zero-cost when disabled" tracing contract at the
-//! allocator level: a counting global allocator wraps the system one,
-//! and the disabled-context hot path must perform exactly zero
-//! allocations. This is the same property the E28 bit-identity gate
+//! allocator level: a counting global allocator wraps the system one
+//! (counting per thread — the libtest harness thread allocates beside
+//! the test), and the disabled-context hot path must perform exactly
+//! zero allocations. This is the same property the E28 bit-identity gate
 //! checks end-to-end; here it is pinned down to the API itself.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use aims_telemetry::{AttrValue, TraceContext};
 
-struct CountingAlloc;
+#[path = "support/thread_alloc.rs"]
+mod thread_alloc;
+use thread_alloc::allocations_during;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
-
-// One test function (not two) so nothing else in this binary allocates
-// concurrently and pollutes the global counter.
 #[test]
 fn disabled_trace_context_allocates_nothing() {
     let ctx = TraceContext::disabled();

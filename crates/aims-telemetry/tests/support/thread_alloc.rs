@@ -1,0 +1,54 @@
+//! The counting allocator behind the allocation-guard tests: wraps the
+//! system allocator and counts `alloc`/`realloc` calls *per thread*, so a
+//! test measures the thread it runs on and not the libtest harness thread
+//! beside it. A guard test includes this file by `#[path]`, which also
+//! installs the allocator for that test binary.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct ThreadCountingAlloc;
+
+thread_local! {
+    // `const`-initialised and without a destructor, so touching it inside
+    // the allocator neither allocates nor registers anything lazily.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // A thread that is tearing its TLS down is not the measuring thread.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for ThreadCountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` is passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: ThreadCountingAlloc = ThreadCountingAlloc;
+
+/// Heap allocations (`alloc` + `realloc` calls) the calling thread makes
+/// while `f` runs.
+pub fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}

@@ -3,7 +3,7 @@
 //!
 //! The store is loaded onto a `FaultyDevice` — a wrapper that injects a
 //! deterministic, seeded fault schedule (transient read errors, bit
-//! flips caught by the per-block FNV-1a checksum, dead blocks). The same
+//! flips caught by the per-block four-lane digest, dead blocks). The same
 //! seed always produces the same schedule, so every run of this example
 //! prints the same numbers.
 //!
