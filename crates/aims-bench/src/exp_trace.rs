@@ -1,17 +1,23 @@
 //! Experiment E28: the observability tax — end-to-end tracing and
-//! per-query profiling must be effectively free when disabled and cheap
-//! when enabled.
+//! per-query profiling must be free when disabled and exact when enabled.
 //!
-//! Three claims, each asserted:
+//! Three claims, each deterministic and each asserted:
 //! 1. Untraced and traced runs of the same 128-query workload return
 //!    bit-identical answers (tracing never perturbs evaluation).
-//! 2. The traced run's wall time stays within a small factor of the
-//!    untraced run (overhead < 5% on a quiet host; the number is
-//!    recorded for the `trend` gate either way).
+//! 2. An untraced run writes nothing to the flight recorder, and a
+//!    traced run writes exactly the events its own profiles predict:
+//!    submit, admit and terminal per query, one per round, one per
+//!    device read it paid for or block it lost.
 //! 3. A traced query on a seeded faulty device yields a `QueryProfile`
 //!    whose block/retry/degraded attribution exactly matches the
 //!    device's own fault schedule, and the flight recorder exports
 //!    Chrome trace JSON that parses.
+//!
+//! The wall-clock cost of tracing is printed as a paired ratio and not
+//! asserted: on a shared two-core host its own spread (13 points over six
+//! runs of one commit) is wider than any threshold worth setting. The
+//! end-to-end benchmark's `telemetry.trace_overhead_frac` owns that
+//! number.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -89,25 +95,33 @@ fn run_workload(cube: &aims_propolyne::WaveletCube, expected: &[u64], traced: bo
 }
 
 /// Runs the workload one query at a time through a fresh service,
-/// returning wall time. Serial execution makes the run fully
-/// deterministic — each query sees the same plan, rounds, cache state,
-/// and (when traced) event count on every repeat, unlike the concurrent
-/// batch where admission timing reshuffles the shared scan. This is the
-/// measurement the overhead gate uses.
-fn run_serial(cube: &aims_propolyne::WaveletCube, expected: &[u64], traced: bool) -> Duration {
+/// returning wall time, the events the run wrote to the flight recorder,
+/// and the events its profiles say it should have. Serial execution makes
+/// the run fully deterministic — each query sees the same plan, rounds,
+/// cache state, and (when traced) event count on every repeat, unlike the
+/// concurrent batch where admission timing reshuffles the shared scan.
+fn run_serial(
+    cube: &aims_propolyne::WaveletCube,
+    expected: &[u64],
+    traced: bool,
+) -> (Duration, u64, u64) {
     let svc = QueryService::new(
         cube.clone(),
         BLOCK,
         ServiceConfig { round_blocks: 16, cache_blocks: 512, ..ServiceConfig::default() },
     );
     let queries = overlapping_queries();
+    let written_before = global_recorder().written();
+    let mut predicted = 0u64;
     let start = Instant::now();
     for (k, ranges) in queries.into_iter().enumerate() {
         let mut spec = QuerySpec::interactive(ranges);
         if traced {
             spec = spec.traced();
         }
-        match svc.submit(spec).expect("serial submits never fill the queue").wait() {
+        let session = svc.submit(spec).expect("serial submits never fill the queue");
+        let (_, outcome, profile) = session.collect_profiled();
+        match outcome {
             Outcome::Done(r) => assert_eq!(
                 r.estimate.to_bits(),
                 expected[k],
@@ -115,20 +129,28 @@ fn run_serial(cube: &aims_propolyne::WaveletCube, expected: &[u64], traced: bool
             ),
             other => panic!("serial query {k} did not complete: {other:?}"),
         }
+        assert_eq!(profile.is_some(), traced, "a profile comes with tracing and only with it");
+        if let Some(p) = profile {
+            // submit + admit + done, a round event per round, a fetch
+            // event per device read this (lone) query paid for or lost.
+            predicted += 3 + u64::from(p.rounds) + p.blocks_read + p.degraded_blocks;
+        }
     }
     let elapsed = start.elapsed();
     svc.shutdown();
-    elapsed
+    (elapsed, global_recorder().written() - written_before, predicted)
 }
 
-/// E28 — tracing overhead and profile fidelity: the 128-query serving
-/// workload untraced vs fully traced (median of 9 each, interleaved),
-/// bit-identity asserted on every answer; then one traced query on a
-/// seeded `FaultyDevice` whose profile is checked field-by-field against
-/// the device's own fault schedule. Exports `target/trace_e28.json`
-/// (Chrome trace-event format) and records `target/bench_trace.json`.
+/// E28 — tracing exactness and profile fidelity: the 128-query serving
+/// workload untraced vs fully traced (9 pairs, alternating which variant
+/// runs first), bit-identity asserted on every answer and the flight
+/// recorder's event count asserted on every run; then one traced query on
+/// a seeded `FaultyDevice` whose profile is checked field-by-field
+/// against the device's own fault schedule. Exports
+/// `target/trace_e28.json` (Chrome trace-event format) and records
+/// `target/bench_trace.json`.
 pub fn e28_tracing_overhead() {
-    crate::header("E28", "end-to-end tracing: zero-cost disabled, <5% overhead enabled");
+    crate::header("E28", "end-to-end tracing: silent when off, exactly accounted when on");
 
     let cube = gaussian_mixture_cube(SIDE).transform(&FilterKind::Db4.filter());
     let engine = Propolyne::new(cube.clone());
@@ -142,41 +164,31 @@ pub fn e28_tracing_overhead() {
 
     // Claim 1 — the concurrent batch, traced and untraced: every answer
     // is asserted bit-identical inside run_workload. The wall times are
-    // reported but not gated: admission timing reshuffles the shared
-    // scan between runs, so the concurrent comparison is noisy by
-    // construction. These runs also warm the allocator and thread pool.
+    // reported only: admission timing reshuffles the shared scan between
+    // runs, so the concurrent comparison is noisy by construction. These
+    // runs also warm the allocator and thread pool.
     let concurrent_untraced = run_workload(&cube, &expected, false);
     let concurrent_traced = run_workload(&cube, &expected, true);
 
-    // Claim 2 — the overhead gate, on the *serial* workload: identical
-    // deterministic work per run, so the only difference between the
-    // variants is the tracing itself. Interleave the variants so
-    // slow-clock drift hits both alike, and use the median of each
-    // side: one descheduled run (common in shared containers) shifts a
-    // min- or mean-based estimate but leaves the median untouched.
-    run_serial(&cube, &expected, false);
-    run_serial(&cube, &expected, true);
-    let mut untraced_runs = Vec::with_capacity(REPEATS);
-    let mut traced_runs = Vec::with_capacity(REPEATS);
+    // Claim 2 — on the *serial* workload: identical deterministic work
+    // per run, so the only difference between the variants is the
+    // tracing itself, and the event count is a fixed number. Pairs run
+    // back to back and alternate which variant goes first, so host drift
+    // and warm-up fall on both sides of the reported ratio alike.
     let mut pair_ratios = Vec::with_capacity(REPEATS);
-    let written_before = global_recorder().written();
-    for _ in 0..REPEATS {
-        let u = run_serial(&cube, &expected, false);
-        let t = run_serial(&cube, &expected, true);
-        untraced_runs.push(u);
-        traced_runs.push(t);
-        // Back-to-back pairs see the same host conditions, so the
-        // per-pair ratio cancels drift that medians taken over the
-        // whole session would not.
-        pair_ratios.push(t.as_secs_f64() / u.as_secs_f64().max(1e-9));
+    let mut events_per_run = 0;
+    for pair in 0..REPEATS {
+        let order = if pair % 2 == 0 { [false, true] } else { [true, false] };
+        let mut wall = [Duration::ZERO; 2];
+        for traced in order {
+            let (elapsed, written, predicted) = run_serial(&cube, &expected, traced);
+            assert_eq!(written, predicted, "flight recorder events (traced={traced})");
+            assert_eq!(written == 0, !traced, "an untraced run must write no event");
+            wall[usize::from(traced)] = elapsed;
+            events_per_run = events_per_run.max(written);
+        }
+        pair_ratios.push(wall[1].as_secs_f64() / wall[0].as_secs_f64().max(1e-9));
     }
-    let events_per_run = (global_recorder().written() - written_before) / REPEATS as u64;
-    let median = |runs: &mut Vec<Duration>| {
-        runs.sort();
-        runs[runs.len() / 2]
-    };
-    let med_untraced = median(&mut untraced_runs);
-    let med_traced = median(&mut traced_runs);
     pair_ratios.sort_by(f64::total_cmp);
     let overhead = pair_ratios[pair_ratios.len() / 2] - 1.0;
 
@@ -260,15 +272,14 @@ pub fn e28_tracing_overhead() {
     );
     println!(
         "{:>28} {:>14}",
-        "serial untraced (median/9)",
-        format!("{:.1} ms", med_untraced.as_secs_f64() * 1e3)
+        "traced/untraced (9 pairs)",
+        format!(
+            "{:+.1}% [{:+.1}, {:+.1}]",
+            overhead * 100.0,
+            (pair_ratios[0] - 1.0) * 100.0,
+            (pair_ratios[REPEATS - 1] - 1.0) * 100.0
+        )
     );
-    println!(
-        "{:>28} {:>14}",
-        "serial traced (median/9)",
-        format!("{:.1} ms", med_traced.as_secs_f64() * 1e3)
-    );
-    println!("{:>28} {:>14}", "tracing overhead", format!("{:+.1}%", overhead * 100.0));
     println!("{:>28} {:>14}", "events per traced run", events_per_run);
     println!("{:>28} {:>14}", "profile blocks read", p.blocks_read);
     println!("{:>28} {:>14}", "profile retries", p.retries);
@@ -276,30 +287,25 @@ pub fn e28_tracing_overhead() {
     println!("{:>28} {:>14}", "fetch events recorded", fetch_events);
     println!("{:>28} {:>14}", "chrome trace events", n_events);
 
-    assert!(overhead < 0.05, "tracing overhead must stay under 5%: got {:+.1}%", overhead * 100.0);
-
     println!("\nshape check: traced and untraced answers are bit-identical (asserted");
-    println!("per query above); the traced profile matches the seeded fault schedule");
-    println!("field-by-field; the exported chrome trace parses and is non-empty.");
+    println!("per query above); an untraced run wrote no event and every traced run");
+    println!("exactly the events its profiles predict; the traced profile matches the");
+    println!("seeded fault schedule field-by-field; the exported chrome trace parses");
+    println!("and is non-empty. The wall-clock ratio is reported, not gated.");
 
-    // Machine-readable record for the driver / CI trend tracking.
+    // Machine-readable record. Nothing here is a trend metric: every
+    // gated claim above is exact, and the ratio is host noise.
     let json = format!(
         concat!(
             "{{\"experiment\":\"e28_trace\",\"queries\":{},",
-            "\"untraced_s\":{:.6},\"traced_s\":{:.6},\"overhead\":{:.4},",
+            "\"events_per_traced_run\":{},\"wall_ratio_median\":{:.4},",
             "\"profile_ground_truth\":true,\"chrome_events\":{},",
             "\"bit_identical\":true}}\n"
         ),
         QUERIES,
-        med_untraced.as_secs_f64(),
-        med_traced.as_secs_f64(),
-        overhead,
+        events_per_run,
+        1.0 + overhead,
         n_events,
     );
-    // A wall-time delta on a ~20 ms run: the absolute band is what matters.
-    crate::record(
-        "bench_trace.json",
-        &json,
-        &[crate::Metric::lower("e28.overhead", overhead, 0.0, 0.04)],
-    );
+    crate::record("bench_trace.json", &json, &[]);
 }

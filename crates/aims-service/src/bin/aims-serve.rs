@@ -90,17 +90,20 @@ fn encode_meta(dims: &[usize], filter: &WaveletFilter) -> Vec<u8> {
 }
 
 fn decode_meta(meta: &[u8]) -> Result<(Vec<usize>, WaveletFilter), String> {
-    let take = |buf: &[u8], at: usize, n: usize| -> Result<Vec<u8>, String> {
-        buf.get(at..at + n).map(|s| s.to_vec()).ok_or_else(|| "truncated meta".to_string())
-    };
-    let ndims = u32::from_be_bytes(take(meta, 0, 4)?.try_into().unwrap()) as usize;
-    let mut dims = Vec::with_capacity(ndims);
-    for k in 0..ndims {
-        dims.push(u64::from_be_bytes(take(meta, 4 + 8 * k, 8)?.try_into().unwrap()) as usize);
+    /// Splits `n` bytes off the front of `rest`. Both lengths below come
+    /// out of the file: each is checked against what is left of the blob
+    /// before anything is allocated or indexed with it.
+    fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
+        let (head, tail) = rest.split_at_checked(n).ok_or("truncated meta")?;
+        *rest = tail;
+        Ok(head)
     }
-    let off = 4 + 8 * ndims;
-    let name_len = u32::from_be_bytes(take(meta, off, 4)?.try_into().unwrap()) as usize;
-    let name = String::from_utf8(take(meta, off + 4, name_len)?).map_err(|e| format!("{e}"))?;
+    let big_endian = |bytes: &[u8]| bytes.iter().fold(0u64, |v, &b| v << 8 | b as u64) as usize;
+    let mut rest = meta;
+    let ndims = big_endian(take(&mut rest, 4)?);
+    let dims = take(&mut rest, ndims.saturating_mul(8))?.chunks_exact(8).map(big_endian).collect();
+    let name_len = big_endian(take(&mut rest, 4)?);
+    let name = std::str::from_utf8(take(&mut rest, name_len)?).map_err(|e| format!("{e}"))?;
     let filter = FilterKind::ALL
         .into_iter()
         .map(|k| k.filter())

@@ -10,9 +10,9 @@
 //! - [`admission`]: a bounded two-class queue — interactive before
 //!   batch, overload rejected with typed errors
 //!   ([`ServiceError::QueueFull`]) instead of collapsing.
-//! - [`service`]: the shared-scan scheduler. Each round takes the
-//!   ascending union of the blocks all active plans still need, pulls
-//!   each hot block **once** through a sharded LRU
+//! - [`service`]: the shared-scan scheduler. Each round grants every
+//!   active plan a prefix of the blocks it still needs, pulls the union
+//!   — each hot block **once** — through a sharded LRU
 //!   [`aims_storage::SharedBlockCache`], and fans per-query accumulation
 //!   out on an [`aims_exec::ThreadPool`] — final answers bit-identical
 //!   to serial evaluation for every thread count.
@@ -31,8 +31,8 @@
 //!   trajectory; threshold-tripping queries land in a bounded
 //!   [`SlowQueryLog`].
 //! - [`wire`] / [`server`] / [`client`]: a length-prefixed binary
-//!   protocol over std TCP (`aims-serve` binary), one worker pool shared
-//!   across connections.
+//!   protocol over std TCP (`aims-serve` binary), two threads per
+//!   connection and one worker pool shared across all of them.
 //!
 //! ```
 //! use aims_service::{QueryService, QuerySpec, ServiceConfig, Outcome};

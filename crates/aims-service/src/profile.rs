@@ -2,11 +2,11 @@
 //! yields, and the bounded [`SlowQueryLog`] that retains profiles of
 //! queries that blew a latency or degradation threshold.
 //!
-//! The scheduler keeps the underlying counters as plain integer fields
-//! on its per-query state (no allocation on the untraced path); a
-//! `QueryProfile` is only materialized at session end — always for
-//! traced queries (it rides back over the wire as a PROFILE frame), and
-//! for any query that trips the slow-query thresholds.
+//! The scheduler keeps one on its per-query state and bumps its integer
+//! fields in place (no allocation on the untraced path); a copy is handed
+//! out only at session end — always for traced queries (it rides back
+//! over the wire as a PROFILE frame), and for any query that trips the
+//! slow-query thresholds.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

@@ -11,19 +11,18 @@
 //! - [`DegradeController`]: maps admission-queue pressure to a service
 //!   [`Tier`] with enter/exit hysteresis, so a pressure spike escalates
 //!   quickly but recovery is smooth (no tier flapping at a threshold).
-//! - [`select_round_blocks`]: allocates each shared-scan round's block
-//!   budget across sessions to maximize aggregate expected error-bound
+//! - [`grant_round`]: allocates each shared-scan round's block budget
+//!   across sessions to maximize aggregate expected error-bound
 //!   reduction. The marginal utility of a session's next plan block is
 //!   the block-local Cauchy–Schwarz term `sqrt(w²_in_block · E_block)`
 //!   from the store's block-energy catalog, normalized by the session's
 //!   initial bound (relative progress), its class, and its deadline
 //!   slack; the budget charges device reads only, so cache-resident
-//!   grants are free and blocks selected ahead of a session's prefix
-//!   act as prefetches. The scheduler still *grants* each session only
-//!   a contiguous prefix of its remaining plan, which preserves the
-//!   bit-identity invariant: entries are consumed in ascending
-//!   flat-offset order with one accumulator per query, so final answers
-//!   never depend on the policy.
+//!   grants are free. What a policy hands back is each session's
+//!   *grant* — a contiguous prefix of its remaining plan — which
+//!   preserves the bit-identity invariant: entries are consumed in
+//!   ascending flat-offset order with one accumulator per query, so
+//!   final answers never depend on the policy.
 
 use std::collections::BTreeSet;
 
@@ -32,23 +31,27 @@ use std::collections::BTreeSet;
 pub const COARSE_CADENCE: u32 = 4;
 /// Utility multiplier for interactive sessions (batch weight is 1).
 pub const INTERACTIVE_BOOST: f64 = 2.0;
+/// At [`Tier::Widened`], a session completes once its bound falls below
+/// this fraction of its initial bound.
+pub const WIDEN_REL: f64 = 0.10;
 
 /// Graduated degradation level of a session (and of the service as a
 /// whole). Ordered: higher tiers degrade harder.
-#[derive(Clone, Copy, Debug, Eq, Ord, PartialEq, PartialOrd)]
+#[derive(Clone, Copy, Debug, Default, Eq, Ord, PartialEq, PartialOrd)]
 pub enum Tier {
     /// Full service: every round delivers a refinement, queries run to
     /// their exact answer.
+    #[default]
     Normal,
     /// Coarser refinement cadence: progress updates are delivered every
     /// [`COARSE_CADENCE`] rounds (terminals always delivered).
     Coarse,
     /// Widened target bound: the session completes (`Done`, with a
     /// guaranteed non-zero bound) once its error bound falls below
-    /// `widen_rel` of its initial bound.
+    /// [`WIDEN_REL`] of its initial bound.
     Widened,
     /// Early termination: the session is retired with its best answer so
-    /// far (`Update::Shed`), never an error.
+    /// far (a `Shed` terminal), never an error.
     Shed,
 }
 
@@ -138,9 +141,6 @@ pub struct QosConfig {
     /// Consecutive observations at/below an exit threshold before the
     /// tier recovers one step.
     pub recover_rounds: u32,
-    /// At [`Tier::Widened`], a session completes once its bound falls
-    /// below this fraction of its initial bound.
-    pub widen_rel: f64,
 }
 
 impl Default for QosConfig {
@@ -152,7 +152,6 @@ impl Default for QosConfig {
             exit_pressure: [0.25, 0.45, 0.70],
             escalate_rounds: 2,
             recover_rounds: 6,
-            widen_rel: 0.10,
         }
     }
 }
@@ -175,23 +174,17 @@ pub enum TierChange {
 /// the exit thresholds sit strictly below the enter thresholds, so the
 /// tier neither flaps at a boundary nor collapses the moment one round
 /// of headroom appears.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DegradeController {
     tier: Tier,
     above: u32,
     below: u32,
 }
 
-impl Default for DegradeController {
-    fn default() -> Self {
-        DegradeController::new()
-    }
-}
-
 impl DegradeController {
     /// A controller starting at [`Tier::Normal`].
     pub fn new() -> Self {
-        DegradeController { tier: Tier::Normal, above: 0, below: 0 }
+        DegradeController::default()
     }
 
     /// The current service tier.
@@ -239,7 +232,7 @@ impl DegradeController {
     }
 }
 
-/// The per-session view the utility scheduler ranks: the session's
+/// The per-session view a round's block selection ranks: the session's
 /// remaining plan (ascending block ids), the matching per-block bound
 /// gains, and a scalar priority weight (class boost × deadline urgency ÷
 /// initial bound).
@@ -252,6 +245,47 @@ pub(crate) struct SessionLens<'a> {
     pub gain: &'a [f64],
     /// Utility multiplier for this session.
     pub weight: f64,
+}
+
+/// Spends one round's budget of `budget` *device reads* (`is_cached`
+/// blocks ride free) under `policy` and returns each session's **grant**:
+/// how many leading blocks of its remaining plan it consumes this round.
+///
+/// A grant is a contiguous prefix — a block refines a session's bound
+/// only once every plan block before it has been folded — and whatever a
+/// policy charges the budget for lies in the prefix of the session it
+/// picked it for. So the grants *are* the selection: the blocks to fetch
+/// are their union.
+pub(crate) fn grant_round(
+    policy: SchedulerPolicy,
+    sessions: &[SessionLens],
+    budget: usize,
+    is_cached: impl Fn(usize) -> bool,
+) -> Vec<usize> {
+    match policy {
+        SchedulerPolicy::Fifo => grant_fifo(sessions, budget, is_cached),
+        SchedulerPolicy::Utility => grant_utility(sessions, budget, is_cached),
+    }
+}
+
+/// The class- and progress-blind baseline: the round takes the ascending
+/// union of every remaining plan up to the first uncached block past the
+/// budget, and each session is granted what it has below that block.
+fn grant_fifo(
+    sessions: &[SessionLens],
+    budget: usize,
+    is_cached: impl Fn(usize) -> bool,
+) -> Vec<usize> {
+    let wanted: BTreeSet<usize> = sessions.iter().flat_map(|s| s.plan.iter().copied()).collect();
+    let mut charged = 0usize;
+    let stop = wanted.into_iter().find(|&b| {
+        charged += usize::from(!is_cached(b));
+        charged > budget
+    });
+    sessions
+        .iter()
+        .map(|s| stop.map_or(s.plan.len(), |stop| s.plan.partition_point(|&b| b < stop)))
+        .collect()
 }
 
 /// Allocates a round's block budget across sessions by weighted fair
@@ -279,59 +313,53 @@ pub(crate) struct SessionLens<'a> {
 /// untouched while heavy sessions' quotients shrink with every grant,
 /// so it is reached within a bounded number of rounds.
 ///
-/// Each slot advances its session's remaining prefix to the next
-/// uncached unselected block and selects it. Blocks that are cache-
-/// resident or already selected for another session are granted free
-/// along the way — catch-up through a shared or previously-fetched
-/// region never competes with fresh refinement for I/O. That free
-/// riding is how the shared scan's amortization survives the
-/// weighting: when a heavy session's slot selects a coarse block, every
-/// other session whose frontier is that block advances without
-/// spending a slot. With uniform weights the result degenerates to the
-/// fair shared sweep (everyone's frontier advances, most-behind
-/// sessions first); with differentiated classes the interactive
-/// sessions' bounds provably tighten in proportion to their boost.
+/// Each slot advances its session's grant to the next uncached
+/// unselected block and selects it. Blocks that are cache-resident or
+/// already selected for another session are granted free along the way
+/// — catch-up through a shared or previously-fetched region never
+/// competes with fresh refinement for I/O. That free riding is how the
+/// shared scan's amortization survives the weighting: when a heavy
+/// session's slot selects a coarse block, every other session whose
+/// grant ends at that block advances without spending a slot. With
+/// uniform weights the result degenerates to the fair shared sweep
+/// (everyone's grant advances, most-behind sessions first); with
+/// differentiated classes the interactive sessions' bounds provably
+/// tighten in proportion to their boost.
 ///
 /// Ties break toward earlier submission order, so selection is
 /// deterministic. The round stays bounded: at most `budget` device
 /// reads plus one cache's worth of free grants.
-pub(crate) fn select_round_blocks(
+fn grant_utility(
     sessions: &[SessionLens],
     budget: usize,
     is_cached: impl Fn(usize) -> bool,
-) -> BTreeSet<usize> {
+) -> Vec<usize> {
     // Marginal utility share: weight × remaining bound mass. The +ε
     // keeps zero-energy tails schedulable (they still advance cursors
     // toward completion).
     let shares: Vec<f64> =
         sessions.iter().map(|s| s.weight * (s.gain.iter().sum::<f64>() + 1e-12)).collect();
+    // The blocks this round's slots have paid for.
     let mut selected: BTreeSet<usize> = BTreeSet::new();
-    let mut frontier: Vec<usize> = vec![0; sessions.len()];
+    let mut grants: Vec<usize> = vec![0; sessions.len()];
     let mut slots: Vec<usize> = vec![0; sessions.len()];
-    let mut charged = 0usize;
-    while charged < budget {
-        // Sweep every frontier through blocks that are free this round
-        // — already selected, or cache-resident (granted without
-        // charge).
-        for (j, s) in sessions.iter().enumerate() {
-            while frontier[j] < s.plan.len() {
-                let b = s.plan[frontier[j]];
-                if selected.contains(&b) {
-                    frontier[j] += 1;
-                } else if is_cached(b) {
-                    selected.insert(b);
-                    frontier[j] += 1;
-                } else {
-                    break;
-                }
+    // Sweeps every grant through the blocks that are free this round:
+    // already paid for, or cache-resident.
+    let sweep = |grants: &mut [usize], selected: &BTreeSet<usize>| {
+        for (grant, s) in grants.iter_mut().zip(sessions) {
+            while s.plan.get(*grant).is_some_and(|b| selected.contains(b) || is_cached(*b)) {
+                *grant += 1;
             }
         }
+    };
+    for _ in 0..budget {
+        sweep(&mut grants, &selected);
         // D'Hondt: one read slot to the session with the highest
         // quotient among those still wanting blocks; ties go to
         // submission order.
         let mut best: Option<(f64, usize)> = None;
         for (j, s) in sessions.iter().enumerate() {
-            if frontier[j] >= s.plan.len() {
+            if grants[j] >= s.plan.len() {
                 continue;
             }
             let quotient = shares[j] / (1 + slots[j]) as f64;
@@ -340,34 +368,129 @@ pub(crate) fn select_round_blocks(
             }
         }
         let Some((_, w)) = best else { break };
-        selected.insert(sessions[w].plan[frontier[w]]);
-        frontier[w] += 1;
+        selected.insert(sessions[w].plan[grants[w]]);
+        grants[w] += 1;
         slots[w] += 1;
-        charged += 1;
     }
-    // One final free sweep: slots spent late in the loop may have
-    // unlocked shared or cached runs for other sessions.
-    let mut grew = true;
-    while grew {
-        grew = false;
-        for (j, s) in sessions.iter().enumerate() {
-            while frontier[j] < s.plan.len() {
-                let b = s.plan[frontier[j]];
-                if selected.contains(&b) || is_cached(b) {
-                    grew |= selected.insert(b);
-                    frontier[j] += 1;
-                } else {
+    // Slots spent late in the loop may have unlocked shared runs for
+    // other sessions.
+    sweep(&mut grants, &selected);
+    grants
+}
+
+/// The parent design, kept as the oracle the grant functions are tested
+/// against: each policy returned the round's *selected block set*, and the
+/// scheduler re-derived every session's grant from it.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{SchedulerPolicy, SessionLens};
+    use std::collections::BTreeSet;
+
+    /// The selected set, as `service.rs` (FIFO) and `select_round_blocks`
+    /// (utility) computed it before grants were returned directly.
+    pub(crate) fn selected(
+        policy: SchedulerPolicy,
+        sessions: &[SessionLens],
+        budget: usize,
+        is_cached: impl Fn(usize) -> bool,
+    ) -> BTreeSet<usize> {
+        let mut selected: BTreeSet<usize> = BTreeSet::new();
+        let mut charged = 0usize;
+        if policy == SchedulerPolicy::Fifo {
+            let wanted: BTreeSet<usize> =
+                sessions.iter().flat_map(|s| s.plan.iter().copied()).collect();
+            for b in wanted {
+                let free = is_cached(b);
+                if !free && charged >= budget {
                     break;
+                }
+                charged += usize::from(!free);
+                selected.insert(b);
+            }
+            return selected;
+        }
+        let shares: Vec<f64> =
+            sessions.iter().map(|s| s.weight * (s.gain.iter().sum::<f64>() + 1e-12)).collect();
+        let mut frontier: Vec<usize> = vec![0; sessions.len()];
+        let mut slots: Vec<usize> = vec![0; sessions.len()];
+        while charged < budget {
+            for (j, s) in sessions.iter().enumerate() {
+                while frontier[j] < s.plan.len() {
+                    let b = s.plan[frontier[j]];
+                    if selected.contains(&b) {
+                        frontier[j] += 1;
+                    } else if is_cached(b) {
+                        selected.insert(b);
+                        frontier[j] += 1;
+                    } else {
+                        break;
+                    }
+                }
+            }
+            let mut best: Option<(f64, usize)> = None;
+            for (j, s) in sessions.iter().enumerate() {
+                if frontier[j] >= s.plan.len() {
+                    continue;
+                }
+                let quotient = shares[j] / (1 + slots[j]) as f64;
+                if best.is_none_or(|(q, _)| quotient > q) {
+                    best = Some((quotient, j));
+                }
+            }
+            let Some((_, w)) = best else { break };
+            selected.insert(sessions[w].plan[frontier[w]]);
+            frontier[w] += 1;
+            slots[w] += 1;
+            charged += 1;
+        }
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for (j, s) in sessions.iter().enumerate() {
+                while frontier[j] < s.plan.len() {
+                    let b = s.plan[frontier[j]];
+                    if selected.contains(&b) || is_cached(b) {
+                        grew |= selected.insert(b);
+                        frontier[j] += 1;
+                    } else {
+                        break;
+                    }
                 }
             }
         }
+        selected
     }
-    selected
+
+    /// The blocks a round fetches under `grants`: the union of the granted
+    /// prefixes.
+    pub(crate) fn union(sessions: &[SessionLens], grants: &[usize]) -> BTreeSet<usize> {
+        sessions.iter().zip(grants).flat_map(|(s, &g)| s.plan[..g].iter().copied()).collect()
+    }
+
+    /// The grants the parent scheduler re-derived from the selected set.
+    pub(crate) fn grants(sessions: &[SessionLens], selected: &BTreeSet<usize>) -> Vec<usize> {
+        sessions
+            .iter()
+            .map(|s| s.plan.iter().take_while(|b| selected.contains(b)).count())
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The blocks a utility round fetches: the union of its grants.
+    fn select_round_blocks(
+        sessions: &[SessionLens],
+        budget: usize,
+        is_cached: impl Fn(usize) -> bool,
+    ) -> BTreeSet<usize> {
+        reference::union(
+            sessions,
+            &grant_round(SchedulerPolicy::Utility, sessions, budget, is_cached),
+        )
+    }
 
     #[test]
     fn tier_wire_roundtrip_and_order() {
@@ -511,5 +634,56 @@ mod tests {
         // With nothing cached the same budget stops after two blocks.
         let got = select_round_blocks(&sessions, 2, |_| false);
         assert_eq!(got.into_iter().collect::<Vec<_>>(), vec![1, 2]);
+    }
+
+    /// Seeded mixes — overlapping ascending plans with shared prefixes, a
+    /// random resident set, class weights — under both policies: the
+    /// grants returned equal the parent's `take_while(selected.contains)`
+    /// recomputation, nothing is selected ahead of every grant (the round
+    /// has no prefetch set), and the budget charges device reads only.
+    #[test]
+    fn grants_equal_the_parents_recomputation_from_the_selected_set() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let (mut free_rides, mut shared) = (0usize, 0usize);
+        for case in 0..400 {
+            let plans: Vec<Vec<usize>> = (0..1 + next(6))
+                .map(|_| {
+                    // A common coarse prefix, then a private sparse tail.
+                    let mut plan: Vec<usize> = (0..next(5)).collect();
+                    plan.extend((5..48).filter(|_| next(4) == 0));
+                    plan
+                })
+                .collect();
+            let gains: Vec<Vec<f64>> = plans
+                .iter()
+                .map(|p| p.iter().map(|_| next(1000) as f64 / 100.0).collect())
+                .collect();
+            let sessions: Vec<SessionLens> = plans
+                .iter()
+                .zip(&gains)
+                .map(|(plan, gain)| SessionLens { plan, gain, weight: 1.0 + next(3) as f64 })
+                .collect();
+            let resident: BTreeSet<usize> = (0..48).filter(|_| next(5) == 0).collect();
+            let is_cached = |b: usize| resident.contains(&b);
+            let budget = 1 + next(12);
+            for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::Utility] {
+                let selected = reference::selected(policy, &sessions, budget, is_cached);
+                let grants = grant_round(policy, &sessions, budget, is_cached);
+                assert_eq!(grants, reference::grants(&sessions, &selected), "{policy:?} #{case}");
+                let granted = reference::union(&sessions, &grants);
+                assert_eq!(granted, selected, "{policy:?} #{case}: a block ahead of every grant");
+                let reads = granted.iter().filter(|b| !is_cached(**b)).count();
+                assert!(reads <= budget, "{policy:?} #{case}: {reads} reads on budget {budget}");
+                free_rides += granted.len() - reads;
+                shared += grants.iter().sum::<usize>() - granted.len();
+            }
+        }
+        assert!(free_rides > 0 && shared > 0, "the mixes must exercise residence and sharing");
     }
 }

@@ -9,6 +9,7 @@ use std::time::Duration;
 use crate::admission::Priority;
 use crate::profile::QueryProfile;
 use crate::qos::Tier;
+use crate::wire::ProgressKind;
 
 /// A range-sum (COUNT-weighted) query plus its scheduling class and
 /// optional deadline.
@@ -71,6 +72,17 @@ pub struct Refinement {
 }
 
 impl Refinement {
+    /// What a `Cancelled` terminal carries: no answer (the field values a
+    /// cancelled session's PROGRESS frame has always had on the wire).
+    pub const NONE: Refinement = Refinement {
+        round: 0,
+        coefficients_used: 0,
+        total_coefficients: 0,
+        estimate: 0.0,
+        error_bound: f64::INFINITY,
+        tier: Tier::Normal,
+    };
+
     /// Fraction of query coefficients consumed, in `[0, 1]`.
     pub fn progress(&self) -> f64 {
         if self.total_coefficients == 0 {
@@ -81,24 +93,32 @@ impl Refinement {
     }
 }
 
-/// An event delivered to a session.
+/// An event delivered to a session — the same two shapes from the
+/// scheduler to an in-process consumer and to the wire (PROGRESS and
+/// PROFILE frames).
 #[derive(Clone, Debug)]
 pub enum Update {
-    /// A refinement; more will follow.
-    Progress(Refinement),
-    /// The final answer; the channel closes after this.
-    Done(Refinement),
-    /// The deadline passed; this is the best estimate at expiry.
-    DeadlineExpired(Refinement),
-    /// Overload shed the session: this is its best-so-far answer (finite
-    /// estimate and bound), not an error. Terminal.
-    Shed(Refinement),
-    /// The session was cancelled before completion.
-    Cancelled,
+    /// A refinement, classified as the wire classifies it.
+    Progress {
+        /// `Progress` while more will follow; any other kind ends the
+        /// session, and the channel closes after it.
+        kind: ProgressKind,
+        /// The answer for `Done`; the best so far (finite estimate and
+        /// bound, not an error) for `DeadlineExpired` and `Shed`;
+        /// [`Refinement::NONE`] for `Cancelled`.
+        refinement: Refinement,
+    },
     /// Cost attribution for a traced query; arrives immediately before
     /// the terminal update (boxed: the common untraced stream never
     /// carries this weight).
     Profile(Box<QueryProfile>),
+}
+
+impl Update {
+    /// Whether this update ends its session.
+    pub fn is_terminal(&self) -> bool {
+        matches!(self, Update::Progress { kind, .. } if kind.is_terminal())
+    }
 }
 
 /// How a session ended.
@@ -112,8 +132,8 @@ pub enum Outcome {
     Shed(Refinement),
     /// Cancelled mid-flight.
     Cancelled,
-    /// The service dropped the session without a terminal update
-    /// (shutdown drained the queue).
+    /// The service dropped the session without a terminal update (its
+    /// scheduler is gone).
     Disconnected,
 }
 
@@ -128,23 +148,43 @@ pub enum Polled {
     TimedOut,
 }
 
+/// The two words a session's consumer shares with the scheduler.
+#[derive(Debug, Default)]
+pub(crate) struct SessionShared {
+    /// Cancellation requested — by the consumer, or by the scheduler on
+    /// finding the consumer's channel gone.
+    pub(crate) cancel: AtomicBool,
+    /// Progress updates sent but not yet taken off the channel; the
+    /// scheduler stops sending at the outbox cap.
+    pub(crate) pending: AtomicUsize,
+}
+
+impl SessionShared {
+    /// Gives back the outbox slot `update` held, if it held one
+    /// (terminal updates and profiles never occupy slots).
+    pub(crate) fn release(&self, update: &Update) {
+        if matches!(update, Update::Progress { kind: ProgressKind::Progress, .. }) {
+            self.pending.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
 /// The caller's side of a submitted query.
 ///
 /// Updates arrive on an unbounded channel so a slow consumer never stalls
 /// the scheduler — but the scheduler caps the number of *undelivered*
-/// progress updates per session (`ServiceConfig::progress_outbox`),
-/// dropping intermediate refinements for consumers that fall behind
-/// (terminal updates and profiles are never dropped). Dropping the handle
-/// implicitly cancels the query: the scheduler notices the closed
-/// channel-or-cancel flag and stops fetching blocks on its behalf.
+/// progress updates per session (256), dropping intermediate refinements
+/// for consumers that fall behind (terminal updates and profiles are
+/// never dropped). Dropping the handle implicitly cancels the query: the
+/// scheduler notices the closed channel-or-cancel flag and stops fetching
+/// blocks on its behalf.
 #[derive(Debug)]
 pub struct SessionHandle {
     pub(crate) id: u64,
-    pub(crate) rx: Receiver<Update>,
-    pub(crate) cancel: Arc<AtomicBool>,
-    /// Progress updates sent but not yet received; shared with the
-    /// scheduler's emit path, which stops sending at the outbox cap.
-    pub(crate) pending: Arc<AtomicUsize>,
+    /// Updates arrive tagged: a TCP connection funnels all of its sessions
+    /// into one such channel; a handle owns its own and ignores the tag.
+    pub(crate) rx: Receiver<(u64, Update)>,
+    pub(crate) shared: Arc<SessionShared>,
 }
 
 impl SessionHandle {
@@ -154,42 +194,33 @@ impl SessionHandle {
     }
 
     /// Requests cancellation. Idempotent; the scheduler stops fetching
-    /// blocks this query needed and emits [`Update::Cancelled`].
+    /// blocks this query needed and ends it `Cancelled`.
     pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::SeqCst);
+        self.shared.cancel.store(true, Ordering::SeqCst);
     }
 
     /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
-        self.cancel.load(Ordering::SeqCst)
+        self.shared.cancel.load(Ordering::SeqCst)
     }
 
     /// Blocks for the next update; `None` once the service closed the
     /// channel (after a terminal update, or on shutdown).
     pub fn next(&self) -> Option<Update> {
-        let u = self.rx.recv().ok();
-        if let Some(u) = &u {
-            self.consumed(u);
-        }
-        u
+        let (_, update) = self.rx.recv().ok()?;
+        self.shared.release(&update);
+        Some(update)
     }
 
     /// Like [`SessionHandle::next`] with a timeout.
     pub fn next_timeout(&self, timeout: Duration) -> Polled {
         match self.rx.recv_timeout(timeout) {
-            Ok(u) => {
-                self.consumed(&u);
-                Polled::Update(u)
+            Ok((_, update)) => {
+                self.shared.release(&update);
+                Polled::Update(update)
             }
             Err(RecvTimeoutError::Disconnected) => Polled::Closed,
             Err(RecvTimeoutError::Timeout) => Polled::TimedOut,
-        }
-    }
-
-    /// Releases one outbox slot back to the scheduler's emit path.
-    fn consumed(&self, u: &Update) {
-        if matches!(u, Update::Progress(_)) {
-            self.pending.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -207,23 +238,25 @@ impl SessionHandle {
         let mut trace = Vec::new();
         let mut profile = None;
         loop {
-            match self.rx.recv() {
-                Ok(Update::Progress(r)) => {
-                    self.pending.fetch_sub(1, Ordering::SeqCst);
-                    trace.push(r);
+            let (kind, r) = match self.next() {
+                Some(Update::Progress { kind, refinement }) => (kind, refinement),
+                Some(Update::Profile(p)) => {
+                    profile = Some(*p);
+                    continue;
                 }
-                Ok(Update::Profile(p)) => profile = Some(*p),
-                Ok(Update::Done(r)) => {
-                    trace.push(r);
-                    return (trace, Outcome::Done(r), profile);
-                }
-                Ok(Update::DeadlineExpired(r)) => {
-                    return (trace, Outcome::DeadlineExpired(r), profile);
-                }
-                Ok(Update::Shed(r)) => return (trace, Outcome::Shed(r), profile),
-                Ok(Update::Cancelled) => return (trace, Outcome::Cancelled, profile),
-                Err(_) => return (trace, Outcome::Disconnected, profile),
+                None => return (trace, Outcome::Disconnected, profile),
+            };
+            if matches!(kind, ProgressKind::Progress | ProgressKind::Done) {
+                trace.push(r);
             }
+            let outcome = match kind {
+                ProgressKind::Progress => continue,
+                ProgressKind::Done => Outcome::Done(r),
+                ProgressKind::DeadlineExpired => Outcome::DeadlineExpired(r),
+                ProgressKind::Shed => Outcome::Shed(r),
+                ProgressKind::Cancelled => Outcome::Cancelled,
+            };
+            return (trace, outcome, profile);
         }
     }
 
@@ -236,7 +269,7 @@ impl SessionHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
+    use std::sync::mpsc::{self, Sender};
 
     fn refinement(used: usize, total: usize) -> Refinement {
         Refinement {
@@ -249,22 +282,24 @@ mod tests {
         }
     }
 
-    fn handle(id: u64, rx: Receiver<Update>) -> SessionHandle {
-        SessionHandle {
-            id,
-            rx,
-            cancel: Arc::new(AtomicBool::new(false)),
-            pending: Arc::new(AtomicUsize::new(usize::MAX / 2)),
-        }
+    /// A handle with `pending` progress updates already counted against
+    /// its outbox, plus the sending end of its channel.
+    fn session(id: u64, pending: usize) -> (Sender<(u64, Update)>, SessionHandle) {
+        let (tx, rx) = mpsc::channel();
+        let shared = SessionShared { cancel: AtomicBool::new(false), pending: pending.into() };
+        (tx, SessionHandle { id, rx, shared: Arc::new(shared) })
+    }
+
+    fn update(kind: ProgressKind, used: usize, total: usize) -> (u64, Update) {
+        (0, Update::Progress { kind, refinement: refinement(used, total) })
     }
 
     #[test]
     fn collect_gathers_trace_and_outcome() {
-        let (tx, rx) = mpsc::channel();
-        let handle = handle(7, rx);
-        tx.send(Update::Progress(refinement(1, 3))).unwrap();
-        tx.send(Update::Progress(refinement(2, 3))).unwrap();
-        tx.send(Update::Done(refinement(3, 3))).unwrap();
+        let (tx, handle) = session(7, 2);
+        tx.send(update(ProgressKind::Progress, 1, 3)).unwrap();
+        tx.send(update(ProgressKind::Progress, 2, 3)).unwrap();
+        tx.send(update(ProgressKind::Done, 3, 3)).unwrap();
         drop(tx);
         let (trace, outcome) = handle.collect();
         assert_eq!(trace.len(), 3);
@@ -273,8 +308,7 @@ mod tests {
 
     #[test]
     fn dropped_sender_is_disconnected() {
-        let (tx, rx) = mpsc::channel::<Update>();
-        let handle = handle(1, rx);
+        let (tx, handle) = session(1, 0);
         drop(tx);
         assert!(matches!(handle.wait(), Outcome::Disconnected));
     }
@@ -287,13 +321,20 @@ mod tests {
 
     #[test]
     fn next_timeout_distinguishes_update_timeout_and_close() {
-        let (tx, rx) = mpsc::channel();
-        let handle = handle(3, rx);
+        let (tx, handle) = session(3, 1);
         assert!(matches!(handle.next_timeout(Duration::from_millis(1)), Polled::TimedOut));
-        tx.send(Update::Cancelled).unwrap();
+        tx.send(update(ProgressKind::Progress, 1, 3)).unwrap();
+        let cancelled = ProgressKind::Cancelled;
+        tx.send((0, Update::Progress { kind: cancelled, refinement: Refinement::NONE })).unwrap();
         assert!(matches!(
             handle.next_timeout(Duration::from_millis(50)),
-            Polled::Update(Update::Cancelled)
+            Polled::Update(u) if !u.is_terminal()
+        ));
+        // A bounded wait gives the outbox slot back exactly as `next` does.
+        assert_eq!(handle.shared.pending.load(Ordering::SeqCst), 0);
+        assert!(matches!(
+            handle.next_timeout(Duration::from_millis(50)),
+            Polled::Update(Update::Progress { kind: ProgressKind::Cancelled, .. })
         ));
         drop(tx);
         assert!(matches!(handle.next_timeout(Duration::from_millis(50)), Polled::Closed));
@@ -301,29 +342,21 @@ mod tests {
 
     #[test]
     fn progress_consumption_releases_outbox_slots() {
-        let (tx, rx) = mpsc::channel();
-        let pending = Arc::new(AtomicUsize::new(2));
-        let handle = SessionHandle {
-            id: 4,
-            rx,
-            cancel: Arc::new(AtomicBool::new(false)),
-            pending: Arc::clone(&pending),
-        };
-        tx.send(Update::Progress(refinement(1, 3))).unwrap();
-        tx.send(Update::Shed(refinement(2, 3))).unwrap();
-        assert!(matches!(handle.next(), Some(Update::Progress(_))));
-        assert_eq!(pending.load(Ordering::SeqCst), 1);
+        let (tx, handle) = session(4, 2);
+        tx.send(update(ProgressKind::Progress, 1, 3)).unwrap();
+        tx.send(update(ProgressKind::Shed, 2, 3)).unwrap();
+        assert!(matches!(handle.next(), Some(u) if !u.is_terminal()));
+        assert_eq!(handle.shared.pending.load(Ordering::SeqCst), 1);
         // Terminal updates never occupy outbox slots.
-        assert!(matches!(handle.next(), Some(Update::Shed(_))));
-        assert_eq!(pending.load(Ordering::SeqCst), 1);
+        assert!(matches!(handle.next(), Some(u) if u.is_terminal()));
+        assert_eq!(handle.shared.pending.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn shed_collects_as_best_so_far_outcome() {
-        let (tx, rx) = mpsc::channel();
-        let handle = handle(9, rx);
-        tx.send(Update::Progress(refinement(1, 4))).unwrap();
-        tx.send(Update::Shed(refinement(2, 4))).unwrap();
+        let (tx, handle) = session(9, 1);
+        tx.send(update(ProgressKind::Progress, 1, 4)).unwrap();
+        tx.send(update(ProgressKind::Shed, 2, 4)).unwrap();
         drop(tx);
         let (trace, outcome) = handle.collect();
         assert_eq!(trace.len(), 1);
@@ -339,16 +372,11 @@ mod tests {
 
     #[test]
     fn cancel_flag_is_shared() {
-        let (_tx, rx) = mpsc::channel::<Update>();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let handle = SessionHandle {
-            id: 2,
-            rx,
-            cancel: Arc::clone(&cancel),
-            pending: Arc::new(AtomicUsize::new(0)),
-        };
+        let (_tx, handle) = session(2, 0);
+        let shared = Arc::clone(&handle.shared);
         assert!(!handle.is_cancelled());
         handle.cancel();
-        assert!(cancel.load(Ordering::SeqCst));
+        assert!(handle.is_cancelled());
+        assert!(shared.cancel.load(Ordering::SeqCst));
     }
 }

@@ -87,7 +87,6 @@ proptest! {
                         exit_pressure: [0.05, 0.15, 0.3],
                         escalate_rounds: 1,
                         recover_rounds: 2,
-                        widen_rel: 0.5,
                         ..QosConfig::default()
                     },
                     ..ServiceConfig::default()

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use aims::dsp::filters::FilterKind;
 use aims::propolyne::cube::DataCube;
-use aims::service::{QueryService, QuerySpec, ServiceConfig, Update};
+use aims::service::{ProgressKind, QueryService, QuerySpec, Refinement, ServiceConfig, Update};
 use aims::storage::device::BlockDevice;
 
 fn gaussian_mixture_cube(n: usize) -> DataCube {
@@ -72,38 +72,8 @@ fn main() {
     for (label, handle) in handles {
         println!("\n== {label} ==");
         loop {
-            match handle.next() {
-                Some(Update::Progress(r)) => {
-                    println!(
-                        "  round {:>3}: {:>5.1}% of coefficients, estimate {:>10.2} +/- {:.2}",
-                        r.round,
-                        100.0 * r.progress(),
-                        r.estimate,
-                        r.error_bound
-                    );
-                }
-                Some(Update::Done(r)) => {
-                    println!("  done: {:.2} (exact — bound {:.2})", r.estimate, r.error_bound);
-                    break;
-                }
-                Some(Update::DeadlineExpired(r)) => {
-                    println!(
-                        "  deadline expired at {:.1}%: best answer {:.2} +/- {:.2}",
-                        100.0 * r.progress(),
-                        r.estimate,
-                        r.error_bound
-                    );
-                    break;
-                }
-                Some(Update::Shed(r)) => {
-                    println!(
-                        "  shed under overload at {:.1}%: best answer {:.2} +/- {:.2}",
-                        100.0 * r.progress(),
-                        r.estimate,
-                        r.error_bound
-                    );
-                    break;
-                }
+            let (kind, r) = match handle.next() {
+                Some(Update::Progress { kind, refinement }) => (kind, refinement),
                 Some(Update::Profile(p)) => {
                     println!(
                         "  profile: {} blocks read, {} shared, hit ratio {:.2}",
@@ -111,11 +81,37 @@ fn main() {
                         p.blocks_shared,
                         p.cache_hit_ratio()
                     );
+                    continue;
                 }
-                Some(Update::Cancelled) | None => {
-                    println!("  session ended without an answer");
-                    break;
+                None => (ProgressKind::Cancelled, Refinement::NONE),
+            };
+            match kind {
+                ProgressKind::Progress => println!(
+                    "  round {:>3}: {:>5.1}% of coefficients, estimate {:>10.2} +/- {:.2}",
+                    r.round,
+                    100.0 * r.progress(),
+                    r.estimate,
+                    r.error_bound
+                ),
+                ProgressKind::Done => {
+                    println!("  done: {:.2} (exact — bound {:.2})", r.estimate, r.error_bound)
                 }
+                ProgressKind::DeadlineExpired => println!(
+                    "  deadline expired at {:.1}%: best answer {:.2} +/- {:.2}",
+                    100.0 * r.progress(),
+                    r.estimate,
+                    r.error_bound
+                ),
+                ProgressKind::Shed => println!(
+                    "  shed under overload at {:.1}%: best answer {:.2} +/- {:.2}",
+                    100.0 * r.progress(),
+                    r.estimate,
+                    r.error_bound
+                ),
+                ProgressKind::Cancelled => println!("  session ended without an answer"),
+            }
+            if kind.is_terminal() {
+                break;
             }
         }
     }

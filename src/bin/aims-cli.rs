@@ -6,7 +6,6 @@
 //! aims-cli generate  --seconds 10 --activity 0.6 --seed 7 --out session.csv
 //! aims-cli ingest    --input session.csv [--strategy adaptive|fixed|modified-fixed|grouped]
 //! aims-cli query     --input session.csv --channel 0 --from 1.0 --to 4.0 [--op avg|sum|point]
-//! aims-cli serve     [--port 0] [--side 64] [--block 32] [--cache 256] [--queue 64] [--seed 41]
 //! aims-cli query     --connect 127.0.0.1:PORT --ranges 0:31,0:31 \
 //!                    [--priority interactive|batch] [--deadline-ms N]
 //! aims-cli recognize --signs 8 --sentence 12 --seed 3
@@ -42,9 +41,9 @@
 //! `ingest-faults` is the acquisition-side twin — it replays a glove
 //! session through a seeded faulty sensor link into the supervised ingest
 //! stage and reports repairs, reordering, health transitions and the
-//! `ingest.*` telemetry; `serve` runs the concurrent query service over a
-//! demo cube behind the `aims-serve` TCP protocol, and `query --connect`
-//! drives a progressive range sum against a running server, printing the
+//! `ingest.*` telemetry; `query --connect` drives a progressive range sum
+//! against a running server (the `aims-serve` binary, which serves a demo
+//! cube in memory or from a durable `--data` directory), printing the
 //! refinement trace; `trace` runs a traced drill — locally against a demo
 //! service (printing each query's `QueryProfile` and dumping the flight
 //! recorder, or exporting Chrome trace-event JSON for `about:tracing`),
@@ -82,7 +81,7 @@ use aims::{AimsConfig, AimsSystem};
 fn usage() -> ! {
     eprintln!(
         "usage: aims-cli \
-<generate|ingest|query|serve|recognize|metrics|faults|ingest-faults|trace|top|chaos\
+<generate|ingest|query|recognize|metrics|faults|ingest-faults|trace|top|chaos\
 |kernels|durability|tiers> [--key value]...\n\
          \n\
          generate  --seconds <f> --activity <0..1> --seed <n> --out <file>\n\
@@ -90,8 +89,6 @@ fn usage() -> ! {
          query     --input <file> --channel <n> --from <s> --to <s> [--op avg|sum|point]\n\
          query     --connect <host:port> --ranges <lo:hi,lo:hi> \
 [--priority interactive|batch] [--deadline-ms <n>]\n\
-         serve     [--port <n>] [--side <n>] [--block <n>] [--cache <n>] [--queue <n>] \
-[--seed <n>]\n\
          recognize --signs <n> --sentence <n> --seed <n>\n\
          metrics   --seconds <f> --seed <n> [--format table|json]\n\
          faults    --seed <n> --rate <0..1> --kind read|flip|torn|dead \
@@ -109,7 +106,10 @@ fn usage() -> ! {
          durability [--mode always|periodic:K|none] [--seed <n>] [--blocks <n>]\n\
                    [--block-size <n>] [--writes <n>] [--dir <path>] [--format table|json]\n\
          tiers     [--seed <n>] [--samples <n>] [--segment <n>] [--block <n>]\n\
-                   [--dir <path>] [--format table|json]"
+                   [--dir <path>] [--format table|json]\n\
+         \n\
+         the server is its own binary: aims-serve [--port <n>] [--side <n>] [--block <n>]\n\
+                   [--cache <n>] [--queue <n>] [--seed <n>] [--data <dir>] [--durability <mode>]"
     );
     exit(2);
 }
@@ -257,36 +257,6 @@ fn parse_ranges(ranges_text: &str) -> Vec<(usize, usize)> {
             }
         })
         .collect()
-}
-
-/// Spins up the concurrent query service over the workspace's demo cube
-/// and serves the `aims-serve` wire protocol until a client SHUTDOWN.
-fn cmd_serve(flags: &HashMap<String, String>) {
-    use aims::service::{demo_cube, QueryService, Server, ServiceConfig};
-    use std::io::Write as _;
-    use std::sync::Arc;
-
-    let port: u16 = flag(flags, "port", 0);
-    let side: usize = flag(flags, "side", 64);
-    let block: usize = flag(flags, "block", 32);
-    let cache: usize = flag(flags, "cache", 256);
-    let queue: usize = flag(flags, "queue", 64);
-    let seed: u64 = flag(flags, "seed", 41);
-
-    let cube = demo_cube(side, seed);
-    let config =
-        ServiceConfig { queue_capacity: queue, cache_blocks: cache, ..ServiceConfig::default() };
-    let service = Arc::new(QueryService::new(cube, block, config));
-    let server =
-        Server::spawn(Arc::clone(&service), &format!("127.0.0.1:{port}")).unwrap_or_else(|e| {
-            eprintln!("serve: bind failed: {e}");
-            exit(1);
-        });
-    println!("aims-serve listening on 127.0.0.1:{}", server.port());
-    std::io::stdout().flush().ok();
-    server.join();
-    service.shutdown();
-    println!("aims-serve: clean shutdown");
 }
 
 /// Prints a remote query's terminal answer as `<how>: <subject> <value>`,
@@ -1226,7 +1196,6 @@ fn main() {
         "generate" => cmd_generate(&flags),
         "ingest" => cmd_ingest(&flags),
         "query" => cmd_query(&flags),
-        "serve" => cmd_serve(&flags),
         "recognize" => cmd_recognize(&flags),
         "metrics" => cmd_metrics(&flags),
         "faults" => cmd_faults(&flags),
