@@ -57,18 +57,12 @@ for pin in "AIMS_FAULT_SEED fault_matrix 13 1013" "AIMS_INGEST_FAULT_SEED ingest
 done
 
 if [[ $fast -eq 0 ]]; then
-    # Each experiment gates itself (bit-identity, bounds, floors) and
-    # records target/bench_<name>.json for the trend gate below.
-    for exp in "e24 parallel" "e25 faults" "e26 ingest_faults" "e27 service" "e28 trace" \
-        "e29 kernels" "e30 durability" "e31 chaos" "e32 tier"; do
-        read -r id name <<<"$exp"
-        echo "== $id (bench_$name) =="
-        rm -f "target/bench_$name.json"
-        AIMS_CHAOS_SEED=4242 cargo run --release -q -p aims-bench --bin experiments -- "$id"
-        test -f "target/bench_$name.json" || {
-            echo "$id did not record target/bench_$name.json" >&2
-            exit 1
-        }
+    # Each experiment asserts what it claims (bit-identity, drill
+    # invariants, the floors it states) and exits non-zero otherwise; its
+    # timings are printed, not gated — the benchmark under bench/ owns those.
+    for exp in e25 e26 e27 e28 e30 e31 e32; do
+        echo "== $exp =="
+        AIMS_CHAOS_SEED=4242 cargo run --release -q -p aims-bench --bin experiments -- "$exp"
     done
     # The flight-recorder trace E28 exported must be valid Chrome
     # trace-event JSON (loadable in about:tracing / Perfetto).
@@ -88,9 +82,6 @@ EOF
         echo "== tier drill (AIMS_THREADS=$threads) =="
         AIMS_THREADS=$threads target/release/aims-cli tiers --samples 200000
     done
-
-    echo "== perf trajectory gate (trend vs BENCH_TRAJECTORY.json) =="
-    cargo run --release -q -p aims-bench --bin trend -- check
 
     echo "== aims-serve TCP smoke (loopback, clean shutdown; in memory, created, reopened) =="
     cargo build --release -q -p aims-service --bin aims-serve

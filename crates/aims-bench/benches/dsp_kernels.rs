@@ -1,13 +1,17 @@
 //! Microbenchmarks of the DSP substrate: FFT, DWT, DWPT best-basis,
-//! ADPCM and Huffman — the kernels every AIMS subsystem sits on.
+//! ADPCM and Huffman — the kernels every AIMS subsystem sits on — plus
+//! the two big single-core kernels (1024² Db4 forward+inverse, 512²
+//! matmul) in absolute time. Printed, not gated.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use aims_dsp::dwpt::{CostFunction, WaveletPacketTree};
-use aims_dsp::dwt::{dwt_full, idwt_full};
+use aims_dsp::dwt::{dwt_full, dwt_standard_md_with, idwt_full, idwt_standard_md_with};
 use aims_dsp::fft::fft_real;
 use aims_dsp::filters::FilterKind;
 use aims_dsp::{adpcm, huffman, quantize};
+use aims_exec::ThreadPool;
+use aims_linalg::Matrix;
 
 fn signal(n: usize) -> Vec<f64> {
     (0..n)
@@ -49,6 +53,26 @@ fn bench_dwt(c: &mut Criterion) {
     g.finish();
 }
 
+/// One core, whatever `AIMS_THREADS` says: these rows read kernel speed,
+/// not scaling.
+fn bench_single_core_kernels(c: &mut Criterion) {
+    let serial = ThreadPool::new(1);
+    let n = 1024usize;
+    let f = FilterKind::Db4.filter();
+    let data: Vec<f64> =
+        (0..n * n).map(|i| ((i % 613) as f64 * 0.25).sin() + (i / n) as f64 * 1e-3).collect();
+    c.bench_function("dwt2d_db4_1024x1024_fwd_inv", |b| {
+        b.iter(|| {
+            let fwd = dwt_standard_md_with(&serial, &data, &[n, n], &f);
+            idwt_standard_md_with(&serial, &fwd, &[n, n], &f)
+        });
+    });
+    let n = 512usize;
+    let lhs = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 7) % 101) as f64 * 0.01 - 0.5);
+    let rhs = Matrix::from_fn(n, n, |i, j| ((i * 13 + j * 17) % 89) as f64 * 0.01 - 0.4);
+    c.bench_function("matmul_512x512", |b| b.iter(|| lhs.matmul_with(&serial, &rhs)));
+}
+
 fn bench_dwpt_best_basis(c: &mut Criterion) {
     let x = signal(1 << 10);
     c.bench_function("dwpt_best_basis_1024x6", |b| {
@@ -74,5 +98,12 @@ fn bench_codecs(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_fft, bench_dwt, bench_dwpt_best_basis, bench_codecs);
+criterion_group!(
+    benches,
+    bench_fft,
+    bench_dwt,
+    bench_single_core_kernels,
+    bench_dwpt_best_basis,
+    bench_codecs
+);
 criterion_main!(benches);

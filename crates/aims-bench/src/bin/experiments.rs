@@ -8,8 +8,8 @@
 
 use aims_bench::{
     exp_acquisition, exp_adhd, exp_chaos, exp_durability, exp_extensions, exp_faults,
-    exp_ingest_faults, exp_kernels, exp_online, exp_parallel, exp_propolyne, exp_service,
-    exp_storage, exp_system, exp_tier, exp_trace,
+    exp_ingest_faults, exp_online, exp_propolyne, exp_service, exp_storage, exp_system, exp_tier,
+    exp_trace,
 };
 
 type Experiment = (&'static str, fn());
@@ -38,12 +38,10 @@ const EXPERIMENTS: &[Experiment] = &[
     ("e21", exp_extensions::e21_incremental_recognizer),
     ("e22", exp_extensions::e22_random_projection),
     ("e23", exp_extensions::e23_packet_basis),
-    ("e24", exp_parallel::e24_parallel_speedup),
     ("e25", exp_faults::e25_fault_degradation),
     ("e26", exp_ingest_faults::e26_ingest_faults),
     ("e27", exp_service::e27_service_sharing),
     ("e28", exp_trace::e28_tracing_overhead),
-    ("e29", exp_kernels::e29_kernel_speed),
     ("e30", exp_durability::e30_durability),
     ("e31", exp_chaos::e31_chaos_qos),
     ("e32", exp_tier::e32_tier),

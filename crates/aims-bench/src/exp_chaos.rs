@@ -114,7 +114,7 @@ fn bound_auc(
 /// round scheduling against FIFO on a mixed batch/interactive workload
 /// with shedding off: answers must be bit-identical, and the utility
 /// policy must reduce the class-weighted error bound faster (smaller
-/// boost-weighted trajectory area). Records `target/bench_chaos.json`.
+/// boost-weighted trajectory area).
 pub fn e31_chaos_qos() {
     crate::header("E31", "adaptive QoS: composed chaos drill + utility-vs-FIFO scheduling");
 
@@ -200,23 +200,4 @@ pub fn e31_chaos_qos() {
          (ratio {auc_ratio:.3})"
     );
     println!("\nanswers bit-identical across policies; drill invariants all held");
-
-    // Machine-readable record: the drill report with the scheduling
-    // comparison folded in at top level for the trend gate.
-    let drill_json = report.to_json();
-    let json = format!(
-        "{},\"fifo_auc\":{:.3},\"utility_auc\":{:.3},\"auc_ratio\":{:.4},\
-         \"fifo_interactive_auc\":{:.3},\"utility_interactive_auc\":{:.3}}}\n",
-        &drill_json[..drill_json.len() - 1],
-        fifo_auc,
-        utility_auc,
-        auc_ratio,
-        fifo_int,
-        utility_int,
-    );
-    // The scheduling comparison is deterministic once the cohort is
-    // gathered, so it gets a modest band; the drill brings its own.
-    let mut metrics = vec![crate::Metric::higher("e31.auc_ratio", auc_ratio, 0.15, 0.0)];
-    metrics.extend(crate::prefixed("e31", report.metrics()));
-    crate::record("bench_chaos.json", &json, &metrics);
 }

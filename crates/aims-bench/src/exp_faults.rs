@@ -20,8 +20,7 @@ struct Row {
 /// E25 — fault-injected storage: mean degraded-query error and guaranteed
 /// bound as the fraction of dead blocks grows. Gates: at every fraction
 /// the true error never exceeds the bound, and at fraction 0 every answer
-/// is bit-identical to the plain in-memory device. Results land in
-/// `target/bench_faults.json` for CI trend tracking.
+/// is bit-identical to the plain in-memory device.
 pub fn e25_fault_degradation() {
     crate::header("E25", "fault-injected storage: degraded-query error vs fraction of lost blocks");
 
@@ -43,7 +42,6 @@ pub fn e25_fault_degradation() {
     println!("store: n={n}, B={block}, tree tiling, {} range queries, seed {seed:#x}\n", 64);
 
     let mut rows: Vec<Row> = Vec::new();
-    let mut worst = Vec::new();
     let ((), wall) = crate::timed("bench.e25.faults", || {
         for dead_fraction in [0.0, 0.05, 0.1, 0.2, 0.4] {
             let report = run(&Config {
@@ -71,7 +69,6 @@ pub fn e25_fault_degradation() {
                 mean_bound: report.degraded().map(|r| r.got.error_bound).sum::<f64>() / denom,
                 worst_rel_error: report.worst_rel_error(),
             });
-            worst.extend(report.metrics());
         }
     });
 
@@ -93,25 +90,4 @@ pub fn e25_fault_degradation() {
     println!("\nshape check: zero faults → 0 degraded queries and bit-identical answers");
     println!("(asserted above); the guaranteed bound dominates the true error at every");
     println!("fraction, and both grow with the share of lost blocks. ({wall:.1?})");
-
-    // Machine-readable record for the driver / CI trend tracking.
-    let json = format!(
-        "{{\"experiment\":\"e25_faults\",\"seed\":{seed},\"queries\":64,\"rows\":[{}]}}\n",
-        rows.iter()
-            .map(|r| format!(
-                "{{\"dead_fraction\":{:.2},\"lost_blocks\":{},\"degraded_queries\":{},\
-                 \"mean_abs_error\":{:.6},\"mean_bound\":{:.6},\"worst_rel_error\":{:.6}}}",
-                r.dead_fraction,
-                r.lost_blocks,
-                r.degraded_queries,
-                r.mean_abs_error,
-                r.mean_bound,
-                r.worst_rel_error
-            ))
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    // Gated: the sweep's worst case of the drill's own metric.
-    let worst = worst.into_iter().max_by(|a, b| a.value.total_cmp(&b.value));
-    crate::record("bench_faults.json", &json, &crate::prefixed("e25", worst));
 }

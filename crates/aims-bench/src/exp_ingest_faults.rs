@@ -33,8 +33,7 @@ struct Row {
 /// bit-identical to the clean stream (and scores identically), and at
 /// every dropout rate ≤ 20% the F1 stays within [`MAX_F1_DROP`] of the
 /// clean baseline. The fault schedule derives entirely from one seed,
-/// overridable via `AIMS_INGEST_FAULT_SEED`. Results land in
-/// `target/bench_ingest_faults.json` for CI trend tracking.
+/// overridable via `AIMS_INGEST_FAULT_SEED`.
 pub fn e26_ingest_faults() {
     crate::header("E26", "fault-tolerant ingest: recognition F1 vs dropout rate x repair policy");
 
@@ -135,32 +134,4 @@ pub fn e26_ingest_faults() {
     println!("\nshape check: zero dropout → zero repairs, bit-identical samples and an");
     println!("identical score; repairs grow with the dropout rate, confidence discounts");
     println!("deepen, and F1 stays within {MAX_F1_DROP} of the clean baseline. ({wall:.1?})");
-
-    // Machine-readable record for the driver / CI trend tracking.
-    let json = format!(
-        "{{\"experiment\":\"e26_ingest_faults\",\"seed\":{seed},\"clean_f1\":{:.6},\
-         \"max_f1_drop\":{MAX_F1_DROP},\"rows\":[{}]}}\n",
-        clean_report.f1,
-        rows.iter()
-            .map(|r| format!(
-                "{{\"dropout\":{:.2},\"policy\":\"{}\",\"repaired_samples\":{},\"f1\":{:.6},\
-                 \"recall\":{:.6},\"label_accuracy\":{:.6},\"min_confidence\":{:.6}}}",
-                r.dropout,
-                r.policy.name(),
-                r.repaired_samples,
-                r.f1,
-                r.recall,
-                r.label_accuracy,
-                r.min_confidence
-            ))
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    // Seeded and deterministic: tight band.
-    let min_f1 = rows.iter().map(|r| r.f1).fold(f64::INFINITY, f64::min);
-    crate::record(
-        "bench_ingest_faults.json",
-        &json,
-        &[crate::Metric::higher("e26.min_f1", min_f1, 0.05, 0.0)],
-    );
 }

@@ -38,7 +38,6 @@ fn overlapping_queries() -> Vec<Vec<(usize, usize)>> {
 /// isolation through a one-block buffer pool. Asserts every concurrent
 /// answer bit-identical to serial, asserts the shared path reads at least
 /// 2x fewer device blocks, and demonstrates typed overload rejections.
-/// Records `target/bench_service.json`.
 pub fn e27_service_sharing() {
     crate::header(
         "E27",
@@ -174,30 +173,4 @@ pub fn e27_service_sharing() {
     println!("evaluation (asserted above); overlapping plans share block fetches, so");
     println!("total device reads drop >=2x vs per-query isolation; overload surfaces");
     println!("as typed QueueFull rejections while every accepted query still finishes.");
-
-    // Machine-readable record for the driver / CI trend tracking.
-    let json = format!(
-        concat!(
-            "{{\"experiment\":\"e27_service\",\"queries\":{},",
-            "\"baseline_reads\":{},\"service_reads\":{},\"reduction\":{:.3},",
-            "\"cache_hits\":{},\"cache_misses\":{},",
-            "\"overload_accepted\":{},\"overload_rejected\":{},",
-            "\"bit_identical\":true}}\n"
-        ),
-        QUERIES,
-        baseline_reads,
-        service_reads,
-        reduction,
-        cache.hits,
-        cache.misses,
-        accepted,
-        rejected,
-    );
-    // Deterministic plan math, but admission timing can shift which
-    // queries share a scan: medium band.
-    crate::record(
-        "bench_service.json",
-        &json,
-        &[crate::Metric::higher("e27.reduction", reduction, 0.20, 0.0)],
-    );
 }

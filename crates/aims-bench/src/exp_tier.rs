@@ -17,7 +17,7 @@ const SEED: u64 = 0xE32;
 
 /// E32 — tiered ingest: hot-tier absorption rate, compaction lag, and
 /// query latency under concurrency, with a final oracle bit-identity
-/// gate. Results land in `target/bench_tier.json` for CI trend tracking.
+/// gate.
 pub fn e32_tier() {
     crate::header(
         "E32",
@@ -63,23 +63,4 @@ pub fn e32_tier() {
     println!("\ngates: ingest >= 1M samples/s, monotone bounds on every live trajectory, the");
     println!("fully-compacted store answered bit-identically to the serial single-store oracle,");
     println!("and its resident bytes fit the cache budget plus the energy catalogs.");
-
-    let json = format!(
-        "{{\"experiment\":\"e32_tier\",\"seed\":{SEED},\"samples\":{TOTAL},\
-         \"ingest_samples_per_sec\":{ingest_rate:.1},\
-         \"ingest_wall_ms\":{ingest_wall_ms:.3},\"compaction_lag_ms\":{:.3},\
-         \"segments_compacted\":{},\"queries\":{},\
-         \"query_p50_ms\":{:.4},\"query_p99_ms\":{:.4},\"hot_rows_served\":{},\
-         \"resident_bytes\":{}}}\n",
-        r.compaction_lag_ms,
-        r.segments_compacted,
-        r.queries,
-        r.query_p50_ms,
-        r.query_p99_ms,
-        r.hot_rows_served,
-        r.resident_bytes
-    );
-    // The 1M/s acceptance floor is asserted above; the trend gate tracks
-    // the drill's own rate, lag and tail-latency metrics.
-    crate::record("bench_tier.json", &json, &crate::prefixed("e32", r.metrics()));
 }

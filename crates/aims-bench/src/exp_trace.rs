@@ -147,8 +147,7 @@ fn run_serial(
 /// recorder's event count asserted on every run; then one traced query on
 /// a seeded `FaultyDevice` whose profile is checked field-by-field
 /// against the device's own fault schedule. Exports
-/// `target/trace_e28.json` (Chrome trace-event format) and records
-/// `target/bench_trace.json`.
+/// `target/trace_e28.json` (Chrome trace-event format).
 pub fn e28_tracing_overhead() {
     crate::header("E28", "end-to-end tracing: silent when off, exactly accounted when on");
 
@@ -292,20 +291,4 @@ pub fn e28_tracing_overhead() {
     println!("exactly the events its profiles predict; the traced profile matches the");
     println!("seeded fault schedule field-by-field; the exported chrome trace parses");
     println!("and is non-empty. The wall-clock ratio is reported, not gated.");
-
-    // Machine-readable record. Nothing here is a trend metric: every
-    // gated claim above is exact, and the ratio is host noise.
-    let json = format!(
-        concat!(
-            "{{\"experiment\":\"e28_trace\",\"queries\":{},",
-            "\"events_per_traced_run\":{},\"wall_ratio_median\":{:.4},",
-            "\"profile_ground_truth\":true,\"chrome_events\":{},",
-            "\"bit_identical\":true}}\n"
-        ),
-        QUERIES,
-        events_per_run,
-        1.0 + overhead,
-        n_events,
-    );
-    crate::record("bench_trace.json", &json, &[]);
 }

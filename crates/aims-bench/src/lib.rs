@@ -3,11 +3,16 @@
 //! The CIDR 2003 paper is a system-design paper: its "evaluation" is a set
 //! of quantitative claims rather than numbered result tables. Every claim
 //! is reproduced by one experiment here (E1–E19, plus extension
-//! experiments E20–E32; see `DESIGN.md` for the
+//! experiments E20–E23, E25–E28 and E30–E32; see `DESIGN.md` for the
 //! claim → experiment index). `cargo run --release -p aims-bench --bin
 //! experiments` prints the full table set that `EXPERIMENTS.md` records;
 //! the Criterion benches under `benches/` cover the performance-shaped
 //! claims.
+//!
+//! An experiment asserts what its header claims — exact equalities, drill
+//! invariants, the floors it states — and prints its timings; it compares
+//! nothing against a recorded past run. Timings that gate anything belong
+//! to the end-to-end benchmark (`bench/`, `BENCHMARK.json`).
 
 pub mod exp_acquisition;
 pub mod exp_adhd;
@@ -16,9 +21,7 @@ pub mod exp_durability;
 pub mod exp_extensions;
 pub mod exp_faults;
 pub mod exp_ingest_faults;
-pub mod exp_kernels;
 pub mod exp_online;
-pub mod exp_parallel;
 pub mod exp_propolyne;
 pub mod exp_service;
 pub mod exp_storage;
@@ -29,7 +32,6 @@ pub mod workloads;
 
 use std::time::{Duration, Instant};
 
-pub use aims::drill::Metric;
 use aims_telemetry::{global, Snapshot};
 
 /// Prints a section header for one experiment.
@@ -42,35 +44,6 @@ pub fn header(id: &str, claim: &str) {
 /// Formats a ratio as `x.xx×`.
 pub fn times(x: f64) -> String {
     format!("{x:.2}x")
-}
-
-/// `"2-D DWT 1024^2 fwd+inv"` -> `"2_d_dwt_1024_2_fwd_inv"` — a stable
-/// metric-name fragment from a human workload label.
-pub fn slug(name: &str) -> String {
-    let words = name.split(|c: char| !c.is_ascii_alphanumeric()).filter(|w| !w.is_empty());
-    words.collect::<Vec<_>>().join("_").to_ascii_lowercase()
-}
-
-/// A drill's metrics under an experiment's id: `query_p99_ms` ->
-/// `e32.query_p99_ms`.
-pub fn prefixed(id: &str, metrics: impl IntoIterator<Item = Metric>) -> Vec<Metric> {
-    metrics.into_iter().map(|m| Metric { name: format!("{id}.{}", m.name), ..m }).collect()
-}
-
-/// Records an experiment's machine-readable result for the driver and the
-/// `trend` gate: `body` (one JSON object) lands in `target/<file>` with
-/// the uniform `"metrics":[{name,value,direction,rel_tolerance,
-/// abs_tolerance}]` array appended as its last key. The experiment passes
-/// the numbers it wants gated while its rows are still in memory, each
-/// with the tolerance its noise warrants; `trend` reads nothing else.
-pub fn record(file: &str, body: &str, metrics: &[Metric]) {
-    let open = body.trim_end().strip_suffix('}').expect("record: body must be a JSON object");
-    let metrics: Vec<String> = metrics.iter().map(Metric::to_json).collect();
-    let path = std::path::Path::new("target").join(file);
-    match std::fs::write(&path, format!("{open},\"metrics\":[{}]}}\n", metrics.join(","))) {
-        Ok(()) => println!("\nrecorded {}", path.display()),
-        Err(e) => println!("\n(could not write {}: {e})", path.display()),
-    }
 }
 
 /// Times `f` under a telemetry span, so the elapsed time lands in the

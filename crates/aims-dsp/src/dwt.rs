@@ -44,62 +44,9 @@ pub fn pad_to_pow2(signal: &[f64]) -> Vec<f64> {
 pub fn analysis_step(signal: &[f64], filter: &WaveletFilter) -> (Vec<f64>, Vec<f64>) {
     let n = signal.len();
     assert!(n >= 2 && n.is_multiple_of(2), "analysis step needs even length ≥ 2, got {n}");
-    let half = n / 2;
-    let h = filter.lowpass();
-    let g = filter.highpass();
-    let taps = h.len();
-    let mut approx = vec![0.0; half];
-    let mut detail = vec![0.0; half];
-    // Wrap-free fast path: while 2k + taps − 1 < n every tap lands in
-    // bounds, so the periodic `% n` is the identity and the window is one
-    // contiguous slice. Only the last few output slots (taps/2 − 1 of
-    // them) ever wrap.
-    let fast = if n >= taps { (n - taps) / 2 + 1 } else { 0 }.min(half);
-    for k in 0..fast {
-        let window = &signal[2 * k..2 * k + taps];
-        let mut a = 0.0;
-        let mut d = 0.0;
-        for ((&hm, &gm), &x) in h.iter().zip(g).zip(window) {
-            a += hm * x;
-            d += gm * x;
-        }
-        approx[k] = a;
-        detail[k] = d;
-    }
-    if taps <= n {
-        // Branchless wrapped tail: the window wraps at most once, so an
-        // increment-and-reset (compiled to a conditional move) replaces
-        // the `% n` per tap. Indices are identical, so output bits are.
-        for k in fast..half {
-            let mut idx = 2 * k;
-            let mut a = 0.0;
-            let mut d = 0.0;
-            for (&hm, &gm) in h.iter().zip(g) {
-                let x = signal[idx];
-                a += hm * x;
-                d += gm * x;
-                idx += 1;
-                if idx == n {
-                    idx = 0;
-                }
-            }
-            approx[k] = a;
-            detail[k] = d;
-        }
-    } else {
-        // Degenerate taps > n case: the window can wrap repeatedly.
-        for k in fast..half {
-            let mut a = 0.0;
-            let mut d = 0.0;
-            for (m, (&hm, &gm)) in h.iter().zip(g).enumerate() {
-                let x = signal[(2 * k + m) % n];
-                a += hm * x;
-                d += gm * x;
-            }
-            approx[k] = a;
-            detail[k] = d;
-        }
-    }
+    let mut approx = vec![0.0; n / 2];
+    let mut detail = vec![0.0; n / 2];
+    kernel::conv_analysis(signal, filter, &mut approx, &mut detail);
     (approx, detail)
 }
 
@@ -111,47 +58,8 @@ pub fn analysis_step(signal: &[f64], filter: &WaveletFilter) -> (Vec<f64>, Vec<f
 pub fn synthesis_step(approx: &[f64], detail: &[f64], filter: &WaveletFilter) -> Vec<f64> {
     assert_eq!(approx.len(), detail.len(), "approx/detail length mismatch");
     assert!(!approx.is_empty(), "cannot synthesize from empty halves");
-    let half = approx.len();
-    let n = 2 * half;
-    let h = filter.lowpass();
-    let g = filter.highpass();
-    let taps = h.len();
-    let mut out = vec![0.0; n];
-    // Same wrap-free split as `analysis_step`: contiguous scatter while
-    // 2k + taps − 1 < n, periodic wrap only for the tail slots.
-    let fast = if n >= taps { (n - taps) / 2 + 1 } else { 0 }.min(half);
-    for k in 0..fast {
-        let a = approx[k];
-        let d = detail[k];
-        let window = &mut out[2 * k..2 * k + taps];
-        for ((&hm, &gm), slot) in h.iter().zip(g).zip(window.iter_mut()) {
-            *slot += hm * a + gm * d;
-        }
-    }
-    if taps <= n {
-        // Branchless wrapped tail, mirroring the analysis path: one
-        // conditional reset instead of a `% n` per tap.
-        for k in fast..half {
-            let a = approx[k];
-            let d = detail[k];
-            let mut idx = 2 * k;
-            for (&hm, &gm) in h.iter().zip(g) {
-                out[idx] += hm * a + gm * d;
-                idx += 1;
-                if idx == n {
-                    idx = 0;
-                }
-            }
-        }
-    } else {
-        for k in fast..half {
-            let a = approx[k];
-            let d = detail[k];
-            for (m, (&hm, &gm)) in h.iter().zip(g).enumerate() {
-                out[(2 * k + m) % n] += hm * a + gm * d;
-            }
-        }
-    }
+    let mut out = vec![0.0; 2 * approx.len()];
+    kernel::conv_synthesis(approx, detail, filter, &mut out);
     out
 }
 
@@ -546,6 +454,31 @@ mod tests {
             let y = synthesis_step(&a, &d, &f);
             for (xi, yi) in x.iter().zip(&y) {
                 assert!((xi - yi).abs() < 1e-10, "{}: {xi} vs {yi}", f.name());
+            }
+        }
+    }
+
+    /// The synthesis step scatters exactly what a `% n` on every tap
+    /// would, bit for bit — including the short levels where the filter
+    /// is longer than the signal and the window wraps more than once.
+    #[test]
+    fn synthesis_step_bit_matches_the_fully_wrapped_scatter() {
+        for kind in FilterKind::ALL {
+            let f = kind.filter();
+            for n in [2usize, 4, 8, 16, 64] {
+                let a: Vec<f64> =
+                    (0..n / 2).map(|i| ((i * 7 + 3) % 13) as f64 / 3.0 - 2.0).collect();
+                let d: Vec<f64> =
+                    (0..n / 2).map(|i| ((i * 5 + 1) % 11) as f64 / 7.0 - 0.5).collect();
+                let mut want = vec![0.0; n];
+                for k in 0..n / 2 {
+                    for (m, (&hm, &gm)) in f.lowpass().iter().zip(f.highpass()).enumerate() {
+                        want[(2 * k + m) % n] += hm * a[k] + gm * d[k];
+                    }
+                }
+                let got = synthesis_step(&a, &d, &f);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{} at n = {n}", f.name());
             }
         }
     }

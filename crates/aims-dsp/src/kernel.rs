@@ -338,103 +338,114 @@ fn synthesis_db4(buf: &mut [f64], scratch: &mut [f64]) {
 }
 
 // ---------------------------------------------------------------------------
-// General filters: in-place blocked convolution, bit-identical to
-// `analysis_step`/`synthesis_step` (same window order, same accumulation
-// order, branchless wrapped tail).
+// General filters: one periodic convolution step, written into halves the
+// caller provides. `dwt::{analysis_step, synthesis_step}` allocate them;
+// the in-place engine below lends its scratch.
 // ---------------------------------------------------------------------------
 
-fn analysis_conv(buf: &mut [f64], filter: &WaveletFilter, scratch: &mut [f64]) {
-    let n = buf.len();
+/// One analysis step with periodic extension: `signal` (even length ≥ 2)
+/// into its `approx` and `detail` halves.
+pub(crate) fn conv_analysis(
+    signal: &[f64],
+    filter: &WaveletFilter,
+    approx: &mut [f64],
+    detail: &mut [f64],
+) {
+    let n = signal.len();
     let half = n / 2;
     let h = filter.lowpass();
     let g = filter.highpass();
     let taps = h.len();
-    let (sa, sd) = scratch[..n].split_at_mut(half);
+    // Wrap-free fast path: while 2k + taps − 1 < n every tap lands in
+    // bounds, so the periodic `% n` is the identity and the window is one
+    // contiguous slice. Only the last few output slots (taps/2 − 1 of
+    // them) ever wrap.
     let fast = if n >= taps { (n - taps) / 2 + 1 } else { 0 }.min(half);
     for k in 0..fast {
-        let window = &buf[2 * k..2 * k + taps];
+        let window = &signal[2 * k..2 * k + taps];
         let mut a = 0.0;
         let mut d = 0.0;
         for ((&hm, &gm), &x) in h.iter().zip(g).zip(window) {
             a += hm * x;
             d += gm * x;
         }
-        sa[k] = a;
-        sd[k] = d;
+        approx[k] = a;
+        detail[k] = d;
     }
-    if taps <= n {
-        for k in fast..half {
-            let mut idx = 2 * k;
-            let mut a = 0.0;
-            let mut d = 0.0;
-            for (&hm, &gm) in h.iter().zip(g) {
-                let x = buf[idx];
-                a += hm * x;
-                d += gm * x;
-                idx += 1;
-                if idx == n {
-                    idx = 0;
-                }
+    // Wrapped tail: an increment-and-reset (compiled to a conditional
+    // move) replaces the `% n` per tap, however often the window wraps
+    // (more than once only when taps > n). Indices are identical, so
+    // output bits are.
+    for k in fast..half {
+        let mut idx = 2 * k;
+        let mut a = 0.0;
+        let mut d = 0.0;
+        for (&hm, &gm) in h.iter().zip(g) {
+            let x = signal[idx];
+            a += hm * x;
+            d += gm * x;
+            idx += 1;
+            if idx == n {
+                idx = 0;
             }
-            sa[k] = a;
-            sd[k] = d;
         }
-    } else {
-        for k in fast..half {
-            let mut a = 0.0;
-            let mut d = 0.0;
-            for (m, (&hm, &gm)) in h.iter().zip(g).enumerate() {
-                let x = buf[(2 * k + m) % n];
-                a += hm * x;
-                d += gm * x;
-            }
-            sa[k] = a;
-            sd[k] = d;
-        }
+        approx[k] = a;
+        detail[k] = d;
     }
-    buf[..half].copy_from_slice(sa);
-    buf[half..].copy_from_slice(sd);
 }
 
-fn synthesis_conv(buf: &mut [f64], filter: &WaveletFilter, scratch: &mut [f64]) {
-    let n = buf.len();
-    let half = n / 2;
+/// One synthesis step (adjoint of [`conv_analysis`]): overwrites `out`
+/// (length `2 · approx.len()`) with the signal its halves came from.
+pub(crate) fn conv_synthesis(
+    approx: &[f64],
+    detail: &[f64],
+    filter: &WaveletFilter,
+    out: &mut [f64],
+) {
+    let half = approx.len();
+    let n = out.len();
     let h = filter.lowpass();
     let g = filter.highpass();
     let taps = h.len();
-    let out = &mut scratch[..n];
     out.fill(0.0);
+    // Same wrap-free split as `conv_analysis`: contiguous scatter while
+    // 2k + taps − 1 < n, periodic wrap only for the tail slots.
     let fast = if n >= taps { (n - taps) / 2 + 1 } else { 0 }.min(half);
     for k in 0..fast {
-        let a = buf[k];
-        let d = buf[half + k];
+        let a = approx[k];
+        let d = detail[k];
         let window = &mut out[2 * k..2 * k + taps];
         for ((&hm, &gm), slot) in h.iter().zip(g).zip(window.iter_mut()) {
             *slot += hm * a + gm * d;
         }
     }
-    if taps <= n {
-        for k in fast..half {
-            let a = buf[k];
-            let d = buf[half + k];
-            let mut idx = 2 * k;
-            for (&hm, &gm) in h.iter().zip(g) {
-                out[idx] += hm * a + gm * d;
-                idx += 1;
-                if idx == n {
-                    idx = 0;
-                }
-            }
-        }
-    } else {
-        for k in fast..half {
-            let a = buf[k];
-            let d = buf[half + k];
-            for (m, (&hm, &gm)) in h.iter().zip(g).enumerate() {
-                out[(2 * k + m) % n] += hm * a + gm * d;
+    // One conditional reset instead of a `% n` per tap, as above.
+    for k in fast..half {
+        let a = approx[k];
+        let d = detail[k];
+        let mut idx = 2 * k;
+        for (&hm, &gm) in h.iter().zip(g) {
+            out[idx] += hm * a + gm * d;
+            idx += 1;
+            if idx == n {
+                idx = 0;
             }
         }
     }
+}
+
+fn analysis_conv(buf: &mut [f64], filter: &WaveletFilter, scratch: &mut [f64]) {
+    let half = buf.len() / 2;
+    let (sa, sd) = scratch[..buf.len()].split_at_mut(half);
+    conv_analysis(buf, filter, sa, sd);
+    buf[..half].copy_from_slice(sa);
+    buf[half..].copy_from_slice(sd);
+}
+
+fn synthesis_conv(buf: &mut [f64], filter: &WaveletFilter, scratch: &mut [f64]) {
+    let out = &mut scratch[..buf.len()];
+    let (approx, detail) = buf.split_at(buf.len() / 2);
+    conv_synthesis(approx, detail, filter, out);
     buf.copy_from_slice(out);
 }
 

@@ -518,6 +518,33 @@ mod tests {
         assert_eq!(c, m22(19.0, 22.0, 43.0, 50.0));
     }
 
+    /// The k-panelled, two-rows-per-pass kernel adds each `a[i][k]·b[k][j]`
+    /// to its output element separately and in ascending `k`, so it is the
+    /// naive i→k→j triple loop bit for bit — also where the inner dimension
+    /// is odd or not a multiple of the 64-wide panel.
+    #[test]
+    fn matmul_bit_matches_the_naive_triple_loop() {
+        let serial = aims_exec::ThreadPool::new(1);
+        for (m, inner, n) in [(3, 1, 2), (5, 63, 7), (4, 64, 4), (9, 65, 3), (33, 130, 17)] {
+            let a = Matrix::from_fn(m, inner, |i, j| ((i * 31 + j * 7) % 101) as f64 * 0.01 - 0.5);
+            let b = Matrix::from_fn(inner, n, |i, j| ((i * 13 + j * 17) % 89) as f64 * 0.01 - 0.4);
+            let mut naive = Matrix::zeros(m, n);
+            for i in 0..m {
+                for k in 0..inner {
+                    for j in 0..n {
+                        naive[(i, j)] += a[(i, k)] * b[(k, j)];
+                    }
+                }
+            }
+            let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&a.matmul_with(&serial, &b)),
+                bits(&naive),
+                "{m}x{inner} * {inner}x{n}"
+            );
+        }
+    }
+
     #[test]
     fn matmul_rectangular_shapes() {
         let a = Matrix::from_fn(2, 3, |i, j| (i + j) as f64);

@@ -307,6 +307,21 @@ mod tests {
         }
     }
 
+    /// The shared SoA fetch plan changes where a coefficient is read
+    /// from, not the order it is folded in: every batch answer is the
+    /// solo evaluation of its query, bit for bit.
+    #[test]
+    fn batch_answers_bit_match_solo_evaluation() {
+        let (_, engine) = engine();
+        let base = RangeSumQuery::count(vec![(0, 63), (8, 55)]);
+        let queries = drill_down_queries(&base, 0, 64);
+        let batch = evaluate_batch_with(&aims_exec::ThreadPool::new(1), &engine, &queries);
+        for (k, (q, &a)) in queries.iter().zip(&batch.answers).enumerate() {
+            let solo = engine.evaluate_prepared(&engine.prepare(q));
+            assert_eq!(a.to_bits(), solo.to_bits(), "query {k}: {a} vs {solo}");
+        }
+    }
+
     #[test]
     fn drill_down_buckets_partition_the_base() {
         let (cube, engine) = engine();

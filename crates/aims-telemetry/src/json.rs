@@ -1,9 +1,9 @@
 //! A minimal JSON value model and recursive-descent parser.
 //!
 //! The workspace is fully offline (no serde), yet several tools need to
-//! *read* JSON they or their siblings wrote: the `trend` perf-trajectory
-//! gate parses `target/bench_*.json` and `BENCH_TRAJECTORY.json`, the
-//! `top` CLI parses structured METRICS_REPLY payloads, and the E28
+//! *read* JSON they or their siblings wrote: the benchmark harness
+//! (`bench/`) and the `top` CLI parse structured METRICS_REPLY payloads,
+//! the query-profile tests parse their own JSON lines, and the E28
 //! experiment validates that the exported Chrome trace actually parses.
 //! This module is that shared reader: a strict little parser over the
 //! JSON the workspace emits (objects, arrays, strings with `\uXXXX`

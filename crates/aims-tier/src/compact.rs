@@ -4,9 +4,10 @@
 //! wavelet-transforms them on an [`aims_exec::ThreadPool`] — the PR 7
 //! lifting kernels, one segment per pool task — and installs the results
 //! through the store's crash-ordered swap protocol. The loop is
-//! rate-limited two ways: at most `max_per_cycle` segments per cycle, and
-//! when foreground queries are in flight ([`TieredStore::queries_inflight`])
-//! the cycle degrades to one segment, so compaction I/O never starves
+//! rate-limited two ways: at most `IDLE_CYCLE_SEGMENTS` segments per
+//! cycle, and when foreground queries are in flight
+//! ([`TieredStore::queries_inflight`]) the cycle degrades to
+//! `BUSY_CYCLE_SEGMENTS`, so compaction I/O never starves
 //! interactive reads — the same degradation-over-starvation stance as the
 //! QoS tier ladder.
 
@@ -23,29 +24,21 @@ use aims_telemetry::global;
 use crate::layout::TierConfig;
 use crate::store::{SegCoeffs, TierMedia, TieredStore};
 
-/// Compactor tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct CompactorConfig {
-    /// Segments compacted per cycle when the foreground is idle.
-    pub max_per_cycle: usize,
-    /// Sleep between cycles that found nothing to do.
-    pub idle_sleep: Duration,
-    /// Degrade to one segment per cycle while queries are in flight.
-    pub yield_to_queries: bool,
-    /// Transform pool width (0 = `aims_exec::configured_threads()`).
-    pub threads: usize,
-}
+/// Segments compacted per cycle when no query is in flight.
+const IDLE_CYCLE_SEGMENTS: usize = 4;
+/// Segments compacted per cycle while queries are in flight.
+const BUSY_CYCLE_SEGMENTS: usize = 1;
+/// Sleep between cycles that found nothing to do.
+const IDLE_SLEEP: Duration = Duration::from_millis(1);
 
-impl Default for CompactorConfig {
-    fn default() -> Self {
-        CompactorConfig {
-            max_per_cycle: 4,
-            idle_sleep: Duration::from_millis(1),
-            yield_to_queries: true,
-            threads: 0,
-        }
-    }
-}
+/// The argument of [`Compactor::spawn`]. It carries nothing: no caller
+/// ever needed a cycle size, idle sleep or pool width other than the
+/// constants above and [`aims_exec::configured_threads`]. The type stays
+/// because the frozen benchmark harness (`bench/src/tier.rs`) passes
+/// `CompactorConfig::default()`; it goes when ROADMAP item 1c re-bases the
+/// harness, like `aims_storage::BufferPool`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CompactorConfig {}
 
 /// Wavelet-transforms one sealed segment: zero-pad to `segment_len`,
 /// full-depth DWT in place, per-block energy catalog.
@@ -118,26 +111,25 @@ impl Compactor {
     /// Spawns the compaction loop over a clone of `store`.
     pub fn spawn<D: TierMedia + Send + 'static>(
         store: TieredStore<D>,
-        cfg: CompactorConfig,
+        _cfg: CompactorConfig,
     ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
-        let threads = if cfg.threads == 0 { aims_exec::configured_threads() } else { cfg.threads };
         let handle = std::thread::Builder::new()
             .name("aims-tier-compactor".into())
             .spawn(move || {
-                let pool = ThreadPool::new(threads);
+                let pool = ThreadPool::new(aims_exec::configured_threads());
                 let mut compacted = 0u64;
                 while !flag.load(Ordering::Acquire) {
-                    let max = if cfg.yield_to_queries && store.queries_inflight() > 0 {
-                        1
+                    let max = if store.queries_inflight() > 0 {
+                        BUSY_CYCLE_SEGMENTS
                     } else {
-                        cfg.max_per_cycle.max(1)
+                        IDLE_CYCLE_SEGMENTS
                     };
                     let n = run_once(&store, &pool, max);
                     compacted += n as u64;
                     if n == 0 {
-                        std::thread::sleep(cfg.idle_sleep);
+                        std::thread::sleep(IDLE_SLEEP);
                     }
                 }
                 compacted

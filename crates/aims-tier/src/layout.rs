@@ -37,6 +37,10 @@
 //! that flag is durable — so a cached historical block can never go stale
 //! and the read cache needs no invalidation.
 
+use std::io;
+
+use aims_storage::BlockDevice;
+
 /// All values an f64 carries exactly: the manifest is stored through the
 /// same checksummed f64-block pipeline as the payload data.
 pub(crate) const HOT_MAGIC: u64 = 0x4149_4D53_484F_5431; // "AIMSHOT1"
@@ -172,35 +176,70 @@ impl Manifest {
         m
     }
 
-    pub(crate) fn load_hot<D: aims_storage::BlockDevice>(device: &D, cfg: &TierConfig) -> Self {
+    pub(crate) fn load_hot<D: BlockDevice>(device: &D, cfg: &TierConfig) -> io::Result<Self> {
         Self::load(device, HOT_MAGIC, cfg, TierConfig::HOT_STRIDE, "hot")
     }
 
-    pub(crate) fn load_hist<D: aims_storage::BlockDevice>(device: &D, cfg: &TierConfig) -> Self {
+    pub(crate) fn load_hist<D: BlockDevice>(device: &D, cfg: &TierConfig) -> io::Result<Self> {
         Self::load(device, HIST_MAGIC, cfg, cfg.hist_stride(), "hist")
     }
 
-    /// Rebuilds the staged image from device blocks 0..M, validating the
-    /// magic and geometry.
-    fn load<D: aims_storage::BlockDevice>(
+    /// Rebuilds the staged image from device blocks 0..M. The device comes
+    /// from a directory, so anything about it that disagrees with `cfg` —
+    /// magic, `segment_len`, `block_size`, or a size other than the
+    /// manifest plus `cfg.max_segments` slots — is
+    /// `InvalidData`, not a panic: every slot offset is computed from
+    /// `cfg`, and under the wrong one checksum-valid blocks of the wrong
+    /// segment would be read.
+    fn load<D: BlockDevice>(
         device: &D,
         magic: u64,
         cfg: &TierConfig,
         stride: usize,
         what: &str,
-    ) -> Self {
-        let blocks = cfg.manifest_blocks(stride);
-        let mut image = Vec::with_capacity(blocks * cfg.block_size);
-        for b in 0..blocks {
-            let blk = device
-                .read_block(b)
-                .unwrap_or_else(|e| panic!("{what} manifest block {b} unreadable: {e:?}"));
-            image.extend_from_slice(&blk);
+    ) -> io::Result<Self> {
+        let invalid = |why: String| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("{what} device: {why}"))
+        };
+        let differs = |field: &str, found: usize, want: usize| {
+            invalid(format!("{field} is {found} on disk, {want} in the config"))
+        };
+        if device.block_size() != cfg.block_size {
+            return Err(differs("block_size", device.block_size(), cfg.block_size));
         }
-        assert_eq!(image[0].to_bits(), f64::from_bits(magic).to_bits(), "{what} manifest magic");
-        assert_eq!(image[1] as usize, cfg.segment_len, "{what} manifest segment_len");
-        assert_eq!(image[2] as usize, cfg.block_size, "{what} manifest block_size");
-        Manifest { image, block_size: cfg.block_size, stride, dirty: vec![false; blocks] }
+        let read = |b: usize| {
+            device
+                .read_block(b)
+                .map_err(|e| invalid(format!("manifest block {b} unreadable: {e:?}")))
+        };
+        // The header sits in block 0, which every device has.
+        let mut image = read(0)?;
+        if image[0].to_bits() != magic {
+            return Err(invalid(format!(
+                "not a {what} manifest (magic {:#x})",
+                image[0].to_bits()
+            )));
+        }
+        if image[1] as usize != cfg.segment_len {
+            return Err(differs("segment_len", image[1] as usize, cfg.segment_len));
+        }
+        if image[2] as usize != cfg.block_size {
+            return Err(differs("block_size", image[2] as usize, cfg.block_size));
+        }
+        let blocks = cfg.manifest_blocks(stride);
+        let device_blocks = blocks + cfg.max_segments * cfg.blocks_per_segment();
+        if device.num_blocks() != device_blocks {
+            return Err(invalid(format!(
+                "{} blocks on disk, max_segments {} needs {device_blocks}: the store was created \
+                 with a different max_segments",
+                device.num_blocks(),
+                cfg.max_segments
+            )));
+        }
+        for b in 1..blocks {
+            image.extend_from_slice(&read(b)?);
+        }
+        Ok(Manifest { image, block_size: cfg.block_size, stride, dirty: vec![false; blocks] })
     }
 
     fn set(&mut self, idx: usize, v: f64) {
@@ -260,7 +299,7 @@ impl Manifest {
     }
 
     /// Writes the dirty manifest blocks through the device (and its WAL).
-    pub(crate) fn flush<D: aims_storage::BlockDevice>(&mut self, device: &mut D) {
+    pub(crate) fn flush<D: BlockDevice>(&mut self, device: &mut D) {
         for b in 0..self.dirty.len() {
             if self.dirty[b] {
                 device.write_block(b, &self.image[b * self.block_size..(b + 1) * self.block_size]);

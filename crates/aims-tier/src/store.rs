@@ -365,7 +365,9 @@ impl TieredStore<FileDevice> {
     /// half-finished compaction swap (installed-but-not-retired segments
     /// finish retirement; uninstalled ones stay raw — acked ingest wins).
     /// Reads the two manifests, the raw backlog and the open tail; no
-    /// historical coefficient block.
+    /// historical coefficient block. A directory created under a different
+    /// `segment_len`, `block_size` or `max_segments` than `cfg` is refused
+    /// with [`std::io::ErrorKind::InvalidData`].
     pub fn open_durable(
         dir: &std::path::Path,
         cfg: TierConfig,
@@ -384,7 +386,7 @@ impl TieredStore<FileDevice> {
         cfg.validate();
         let hot = FileDevice::open(dir.join("hot"), hot_opts)?;
         let hist = FileDevice::open(dir.join("hist"), hist_opts)?;
-        Ok(Self::recover(cfg, hot, hist))
+        Self::recover(cfg, hot, hist)
     }
 
     /// Checkpoints both devices (folds the WALs into the main files).
@@ -440,10 +442,10 @@ impl<D: TierMedia> TieredStore<D> {
     /// Rebuilds in-memory state from the two manifests. The historical
     /// manifest is authoritative for any segment it has installed, and
     /// carries that segment's energy catalog — recovery reads hot blocks
-    /// only.
-    fn recover(cfg: TierConfig, hot: D, hist: D) -> Self {
-        let hot_man = Manifest::load_hot(&hot, &cfg);
-        let hist_man = Manifest::load_hist(&hist, &cfg);
+    /// only. Fails when either device was not laid out by `cfg`.
+    fn recover(cfg: TierConfig, hot: D, hist: D) -> std::io::Result<Self> {
+        let hot_man = Manifest::load_hot(&hot, &cfg)?;
+        let hist_man = Manifest::load_hist(&hist, &cfg)?;
         let bs = cfg.block_size;
         let mut inner = Inner::empty(&cfg, hot, hot_man);
         let read_samples = |device: &D, first_block: usize, len: usize, what: &str| -> Vec<f64> {
@@ -489,7 +491,7 @@ impl<D: TierMedia> TieredStore<D> {
         let Inner { hot, hot_man, .. } = &mut inner;
         hot_man.flush(hot);
         let hist = HistTier::new(cfg, hist, hist_man, cache_budget_blocks(&cfg));
-        Self::assemble(cfg, inner, hist)
+        Ok(Self::assemble(cfg, inner, hist))
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner<D>> {
@@ -816,6 +818,8 @@ impl<D: TierMedia + RawMedia> TierMedia for FaultyDevice<D> {
 mod tests {
     use aims_exec::ThreadPool;
 
+    use aims_dsp::filters::FilterKind;
+
     use super::*;
     use crate::compact;
     use crate::query::{range_sum_on, TieredProgressive};
@@ -823,19 +827,10 @@ mod tests {
     const SEG: usize = 64;
     const BLOCK: usize = 16;
 
-    fn cfg() -> TierConfig {
-        TierConfig {
-            segment_len: SEG,
-            block_size: BLOCK,
-            max_segments: 16,
-            filter: aims_dsp::filters::FilterKind::Haar,
-        }
-    }
-
     /// A fully compacted store whose cache holds `cache_blocks` blocks and
     /// is still empty (installs do not populate it).
-    fn compacted(cache_blocks: usize) -> TieredStore<MemDevice> {
-        let cfg = cfg();
+    fn compacted(filter: FilterKind, cache_blocks: usize) -> TieredStore<MemDevice> {
+        let cfg = TierConfig { segment_len: SEG, block_size: BLOCK, max_segments: 16, filter };
         let device = |blocks| MemDevice::new(BLOCK, blocks);
         let store = TieredStore::with_devices_and_cache(
             cfg,
@@ -869,20 +864,23 @@ mod tests {
 
     #[test]
     fn answers_ignore_cache_state_cache_size_and_pool_width() {
-        let want = transcript(&compacted(1024), &ThreadPool::new(1));
-        for cache_blocks in [1024, 1] {
-            for threads in [1, 2, 8] {
-                let (store, pool) = (compacted(cache_blocks), ThreadPool::new(threads));
-                assert_eq!(store.hist.cache.resident(), 0, "installs must not fill the cache");
-                let cold = transcript(&store, &pool);
-                let warm = transcript(&store, &pool);
-                assert_eq!(cold, want, "cold, {cache_blocks}-block cache, {threads} threads");
-                assert_eq!(warm, want, "warm, {cache_blocks}-block cache, {threads} threads");
-                let stats = store.hist.cache.stats();
-                if cache_blocks == 1 {
-                    assert!(stats.evictions > 0, "a one-block cache must have thrashed");
-                } else {
-                    assert!(stats.hits > 0 && stats.evictions == 0, "the warm pass must have hit");
+        for filter in [FilterKind::Haar, FilterKind::Db4] {
+            let want = transcript(&compacted(filter, 1024), &ThreadPool::new(1));
+            for cache_blocks in [1024, 1] {
+                for threads in [1, 2, 8] {
+                    let (store, pool) = (compacted(filter, cache_blocks), ThreadPool::new(threads));
+                    let case = format!("{filter:?}, {cache_blocks}-block cache, {threads} threads");
+                    assert_eq!(store.hist.cache.resident(), 0, "installs must not fill the cache");
+                    let cold = transcript(&store, &pool);
+                    let warm = transcript(&store, &pool);
+                    assert_eq!(cold, want, "cold, {case}");
+                    assert_eq!(warm, want, "warm, {case}");
+                    let stats = store.hist.cache.stats();
+                    if cache_blocks == 1 {
+                        assert!(stats.evictions > 0, "a one-block cache must have thrashed");
+                    } else {
+                        assert!(stats.hits > 0 && stats.evictions == 0, "the warm pass must hit");
+                    }
                 }
             }
         }

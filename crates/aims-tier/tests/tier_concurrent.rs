@@ -48,14 +48,7 @@ fn signal() -> Vec<f64> {
 fn concurrent_ingest_compact_query_drill() {
     let data = signal();
     let store = TieredStore::new_mem(cfg());
-    let compactor = Compactor::spawn(
-        store.clone(),
-        CompactorConfig {
-            max_per_cycle: 2,
-            idle_sleep: Duration::from_micros(200),
-            ..Default::default()
-        },
-    );
+    let compactor = Compactor::spawn(store.clone(), CompactorConfig::default());
     let ingesting = Arc::new(AtomicBool::new(true));
 
     std::thread::scope(|scope| {

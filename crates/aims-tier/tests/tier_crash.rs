@@ -45,8 +45,12 @@ fn opts(crash: CrashPlan) -> FileDeviceOptions {
 }
 
 fn signal() -> Vec<f64> {
+    signal_of(TOTAL)
+}
+
+fn signal_of(len: usize) -> Vec<f64> {
     let mut state = SEED;
-    (0..TOTAL)
+    (0..len)
         .map(|_| {
             state ^= state << 13;
             state ^= state >> 7;
@@ -243,6 +247,54 @@ fn reopen_reads_manifests_and_backlog_only() {
         let want = range_sum_on(&osnap, a, b, &serial);
         assert_eq!(got.to_bits(), want.to_bits(), "range [{a}, {b}]");
     }
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every slot offset is computed from the caller's config, so a store
+/// reopened under another `max_segments` would fold checksum-valid
+/// blocks of the wrong segments: the reopen must refuse, and the creating
+/// config must still answer exactly as before the close.
+#[test]
+fn reopen_refuses_a_config_the_store_was_not_created_with() {
+    let created = TierConfig {
+        segment_len: 4096,
+        block_size: 256,
+        max_segments: 8,
+        filter: FilterKind::Haar,
+    };
+    let data = signal_of(5 * 4096 + 100);
+    let serial = ThreadPool::new(1);
+    let ranges = [(0, data.len() - 1), (4096 + 17, 3 * 4096 + 5), (5 * 4096, 5 * 4096 + 99)];
+    let answers = |store: &TieredStore<_>| -> Vec<u64> {
+        let snap = store.snapshot();
+        ranges.iter().map(|&(a, b)| range_sum_on(&snap, a, b, &serial).to_bits()).collect()
+    };
+    let dir = fresh_dir("geometry");
+    let before = {
+        let store = TieredStore::create_durable(&dir, created, opts(CrashPlan::none())).unwrap();
+        store.push_slice(&data);
+        assert_eq!(compact::run_once(&store, &serial, 8), 5);
+        store.sync();
+        store.checkpoint();
+        answers(&store)
+    };
+
+    for (other, field) in [
+        (TierConfig { max_segments: 64, ..created }, "max_segments"),
+        (TierConfig { segment_len: 2048, ..created }, "segment_len"),
+        (TierConfig { block_size: 128, ..created }, "block_size"),
+    ] {
+        let Err(e) = TieredStore::open_durable(&dir, other, opts(CrashPlan::none())) else {
+            panic!("a store created with {created:?} reopened under {other:?}");
+        };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{field}: {e}");
+        assert!(e.to_string().contains(field), "the error must name {field}: {e}");
+    }
+
+    let store = TieredStore::open_durable(&dir, created, opts(CrashPlan::none())).unwrap();
+    assert_eq!(store.len(), data.len());
+    assert_eq!(answers(&store), before, "the creating config answers as before the close");
     drop(store);
     std::fs::remove_dir_all(&dir).ok();
 }

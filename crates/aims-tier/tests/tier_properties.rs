@@ -14,6 +14,10 @@
 //!   the segments a snapshot lists, at every point of a build.
 //! - A snapshot taken before an install answers the same bits after it:
 //!   the raw samples it holds keep that segment hot for that query.
+//!
+//! The compaction and progressive properties run under both filters a
+//! `TierConfig` can name — the Haar butterfly and the Db4 lifting kernel
+//! — and additionally hold every answer to the direct raw sum.
 
 use proptest::prelude::*;
 
@@ -25,17 +29,24 @@ use aims_tier::{compact, range_sum_on, TierConfig, TieredProgressive, TieredStor
 const SEG: usize = 64;
 const BLOCK: usize = 16;
 
-fn cfg() -> TierConfig {
-    TierConfig { segment_len: SEG, block_size: BLOCK, max_segments: 32, filter: FilterKind::Haar }
+const FILTERS: [FilterKind; 2] = [FilterKind::Haar, FilterKind::Db4];
+
+fn cfg(filter: FilterKind) -> TierConfig {
+    TierConfig { segment_len: SEG, block_size: BLOCK, max_segments: 32, filter }
 }
 
 /// The oracle: the whole signal in one pass, sealed, compacted serially.
-fn oracle(signal: &[f64]) -> TieredStore<MemDevice> {
-    let store = TieredStore::new_mem(cfg());
+fn oracle(signal: &[f64], filter: FilterKind) -> TieredStore<MemDevice> {
+    let store = TieredStore::new_mem(cfg(filter));
     store.push_slice(signal);
     store.seal_open();
     compact::drain(&store, &ThreadPool::new(1));
     store
+}
+
+/// Whether a wavelet-domain answer is the direct raw sum up to rounding.
+fn close_to_raw(answer: f64, raw: f64) -> bool {
+    (answer - raw).abs() <= 1e-9 * (1.0 + raw.abs())
 }
 
 /// `len()` and `stats()` come from running counters; a snapshot lists the
@@ -64,41 +75,49 @@ proptest! {
         chunks in prop::collection::vec(1usize..=96, 1..=24),
         compact_every in 1usize..=4,
     ) {
-        let oracle = oracle(&signal);
-        let oracle_snap = oracle.snapshot();
         let serial = ThreadPool::new(1);
-        for threads in [1usize, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            let store = TieredStore::new_mem(cfg());
-            let mut fed = 0usize;
-            for (i, chunk) in chunks.iter().cycle().enumerate() {
-                if fed >= signal.len() {
-                    break;
+        for filter in FILTERS {
+            let oracle = oracle(&signal, filter);
+            let oracle_snap = oracle.snapshot();
+            for threads in [1usize, 2, 8] {
+                let pool = ThreadPool::new(threads);
+                let store = TieredStore::new_mem(cfg(filter));
+                let mut fed = 0usize;
+                for (i, chunk) in chunks.iter().cycle().enumerate() {
+                    if fed >= signal.len() {
+                        break;
+                    }
+                    let take = (*chunk).min(signal.len() - fed);
+                    store.push_slice(&signal[fed..fed + take]);
+                    fed += take;
+                    if i % compact_every == 0 {
+                        compact::run_once(&store, &pool, 2);
+                    }
+                    assert_counters_match_recount(&store);
                 }
-                let take = (*chunk).min(signal.len() - fed);
-                store.push_slice(&signal[fed..fed + take]);
-                fed += take;
-                if i % compact_every == 0 {
-                    compact::run_once(&store, &pool, 2);
-                }
+                store.seal_open();
                 assert_counters_match_recount(&store);
-            }
-            store.seal_open();
-            assert_counters_match_recount(&store);
-            compact::drain(&store, &pool);
-            assert_counters_match_recount(&store);
-            let snap = store.snapshot();
-            prop_assert_eq!(snap.len(), signal.len());
-            // Every segment ended historical, and both stores agree on
-            // every queried range to the last bit.
-            prop_assert!(snap.segments().iter().all(|s| s.historical));
-            for (a, b) in ranges(signal.len()) {
-                let got = range_sum_on(&snap, a, b, &serial);
-                let want = range_sum_on(&oracle_snap, a, b, &serial);
-                prop_assert_eq!(
-                    got.to_bits(), want.to_bits(),
-                    "range [{}, {}]: {} vs {}", a, b, got, want
-                );
+                compact::drain(&store, &pool);
+                assert_counters_match_recount(&store);
+                let snap = store.snapshot();
+                prop_assert_eq!(snap.len(), signal.len());
+                // Every segment ended historical, and both stores agree on
+                // every queried range to the last bit — which is the raw
+                // sum up to rounding.
+                prop_assert!(snap.segments().iter().all(|s| s.historical));
+                for (a, b) in ranges(signal.len()) {
+                    let got = range_sum_on(&snap, a, b, &serial);
+                    let want = range_sum_on(&oracle_snap, a, b, &serial);
+                    prop_assert_eq!(
+                        got.to_bits(), want.to_bits(),
+                        "{:?} range [{}, {}]: {} vs {}", filter, a, b, got, want
+                    );
+                    let raw = grouped_sum(&signal, a, b);
+                    prop_assert!(
+                        close_to_raw(got, raw),
+                        "{:?} range [{}, {}]: {} vs raw sum {}", filter, a, b, got, raw
+                    );
+                }
             }
         }
     }
@@ -108,7 +127,7 @@ proptest! {
     /// store's documented one-partial-per-segment fold order.)
     #[test]
     fn hot_tier_is_exact(signal in signal_strategy()) {
-        let store = TieredStore::new_mem(cfg());
+        let store = TieredStore::new_mem(cfg(FilterKind::Haar));
         store.push_slice(&signal);
         let snap = store.snapshot();
         let serial = ThreadPool::new(1);
@@ -126,34 +145,43 @@ proptest! {
         signal in signal_strategy(),
         compacted in 0usize..=6,
     ) {
-        let store = TieredStore::new_mem(cfg());
-        store.push_slice(&signal);
-        store.seal_open();
         let serial = ThreadPool::new(1);
-        compact::run_once(&store, &serial, compacted);
-        let snap = store.snapshot();
-        for (a, b) in ranges(signal.len()) {
-            let exact = range_sum_on(&snap, a, b, &serial);
-            let mut prog = TieredProgressive::new(&snap, a, b, &serial);
-            let mut prev = f64::INFINITY;
-            let mut step = prog.current();
-            loop {
-                prop_assert!(step.bound <= prev, "bound grew: {} -> {}", prev, step.bound);
-                let scale = 1.0f64.max(exact.abs());
-                prop_assert!(
-                    (step.estimate - exact).abs() <= step.bound + 1e-9 * scale,
-                    "estimate {} vs exact {} outside bound {}",
-                    step.estimate, exact, step.bound
-                );
-                prev = step.bound;
-                if prog.done() {
-                    break;
+        for filter in FILTERS {
+            let store = TieredStore::new_mem(cfg(filter));
+            store.push_slice(&signal);
+            store.seal_open();
+            compact::run_once(&store, &serial, compacted);
+            let snap = store.snapshot();
+            for (a, b) in ranges(signal.len()) {
+                let exact = range_sum_on(&snap, a, b, &serial);
+                let raw = grouped_sum(&signal, a, b);
+                prop_assert!(close_to_raw(exact, raw), "{:?}: {} vs raw sum {}", filter, exact, raw);
+                let mut prog = TieredProgressive::new(&snap, a, b, &serial);
+                let mut prev = f64::INFINITY;
+                let mut step = prog.current();
+                loop {
+                    prop_assert!(step.bound <= prev, "bound grew: {} -> {}", prev, step.bound);
+                    let scale = 1.0f64.max(exact.abs());
+                    prop_assert!(
+                        (step.estimate - exact).abs() <= step.bound + 1e-9 * scale,
+                        "{:?}: estimate {} vs exact {} outside bound {}",
+                        filter, step.estimate, exact, step.bound
+                    );
+                    prop_assert!(
+                        (step.estimate - raw).abs() <= step.bound + 1e-9 * (1.0 + raw.abs()),
+                        "{:?}: estimate {} vs raw sum {} outside bound {}",
+                        filter, step.estimate, raw, step.bound
+                    );
+                    prev = step.bound;
+                    if prog.done() {
+                        break;
+                    }
+                    step = prog.step(3);
                 }
-                step = prog.step(3);
+                let last = prog.drain();
+                prop_assert_eq!(last.estimate.to_bits(), exact.to_bits());
+                prop_assert_eq!(last.bound.to_bits(), 0.0f64.to_bits());
             }
-            let last = prog.drain();
-            prop_assert_eq!(last.estimate.to_bits(), exact.to_bits());
-            prop_assert_eq!(last.bound.to_bits(), 0.0f64.to_bits());
         }
     }
 }
@@ -163,7 +191,7 @@ proptest! {
 #[test]
 fn snapshot_taken_before_install_answers_identically_after() {
     let signal: Vec<f64> = (0..SEG * 5 + 9).map(|i| ((i * 37) % 101) as f64 / 3.0 - 15.0).collect();
-    let store = TieredStore::new_mem(cfg());
+    let store = TieredStore::new_mem(cfg(FilterKind::Haar));
     store.push_slice(&signal);
     let serial = ThreadPool::new(1);
     compact::run_once(&store, &serial, 2);

@@ -951,7 +951,7 @@ fn cmd_top(flags: &HashMap<String, String>) {
 /// `aims-cli kernels` — report the kernel dispatch table and the
 /// autotuner's resolved tile/threshold, then time one serial 2-D
 /// transform per filter so a host's actual kernel speed is one command
-/// away (the numbers are the single-core side of experiment E29).
+/// away.
 fn cmd_kernels(flags: &HashMap<String, String>) {
     use aims::dsp::dwt::{dwt_standard_md_with, idwt_standard_md_with};
     use aims::dsp::filters::FilterKind;

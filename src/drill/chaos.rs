@@ -47,7 +47,7 @@ use aims_service::{
 use aims_storage::device::{BlockDevice, RetryPolicy};
 use aims_storage::faults::{FaultPlan, FaultyDevice};
 
-use super::{ingest, percentile, sub_seed, Metric, Rng};
+use super::{ingest, percentile, sub_seed, Rng};
 
 /// Coefficients per storage block in every drill service.
 const BLOCK: usize = 16;
@@ -133,18 +133,6 @@ impl Report {
     /// True when no phase violated an invariant.
     pub fn passed(&self) -> bool {
         self.phases.iter().all(|p| p.violations.is_empty())
-    }
-
-    /// Shedding, recovery and overload tail. The shed fraction is a seeded
-    /// workload property with a little admission-timing slack; recovery
-    /// time and overload p99 are wall-clock numbers on a flooded service,
-    /// so they get absolute bands wide enough for a loaded CI host.
-    pub fn metrics(&self) -> Vec<Metric> {
-        vec![
-            Metric::lower("shed_fraction", self.shed_fraction, 0.25, 0.05),
-            Metric::lower("recovery_ms", self.recovery_ms, 0.0, 500.0),
-            Metric::lower("p99_overload_ms", self.p99_overload_ms, 2.0, 10.0),
-        ]
     }
 
     /// The per-phase table and summary line every shell prints.

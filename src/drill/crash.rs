@@ -15,7 +15,7 @@ use aims_storage::file::{
     CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions, RecoveryReport, WalStats,
 };
 
-use super::{Metric, Rng};
+use super::Rng;
 
 /// An ordered write history: `(block, payload)`, LSN = index + 1.
 pub type WriteLog = Vec<(usize, Vec<f64>)>;
@@ -142,11 +142,6 @@ impl Report {
     /// Contracts that did not hold (empty = the drill passed).
     pub fn violations(&self) -> Vec<String> {
         self.violations.clone()
-    }
-
-    /// Reopen cost: a wall-clock number on a tiny store, so an absolute band.
-    pub fn metrics(&self) -> Vec<Metric> {
-        vec![Metric::lower("recovery_ms", self.recovery_ms, 0.0, 100.0)]
     }
 }
 

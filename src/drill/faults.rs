@@ -13,8 +13,6 @@ use aims_storage::device::{BlockDevice, RetryPolicy};
 use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
 use aims_storage::store::{AllocKind, DegradedAnswer, WaveletStore};
 
-use super::Metric;
-
 /// One fault drill: the fault schedule, the retry budget and the workload.
 #[derive(Clone, Debug)]
 pub struct Config {
@@ -112,11 +110,6 @@ impl Report {
     pub fn violations(&self) -> Vec<String> {
         self.rows.iter().filter_map(Row::violation).collect()
     }
-
-    /// Degradation severity: seeded, so it gets a tight band.
-    pub fn metrics(&self) -> Vec<Metric> {
-        vec![Metric::lower("worst_rel_error", self.worst_rel_error(), 0.05, 0.0)]
-    }
 }
 
 /// The fault-free and the faulty store of a drill, freshly loaded (every
@@ -174,7 +167,7 @@ mod tests {
             assert!(a.violations().is_empty(), "{:?}", a.violations());
             assert_eq!(digest(&a), digest(&b), "{kind:?}");
             assert_eq!((a.dead_blocks, a.torn_blocks), (b.dead_blocks, b.torn_blocks));
-            assert_eq!(a.metrics(), b.metrics());
+            assert_eq!(a.worst_rel_error(), b.worst_rel_error());
             assert_ne!(digest(&a), digest(&run(&Config::cli(14, kind, 0.5, 2))), "{kind:?}");
         }
     }

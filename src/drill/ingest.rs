@@ -15,8 +15,6 @@ use aims_sensors::glove::CyberGloveRig;
 use aims_sensors::noise::NoiseSource;
 use aims_sensors::types::MultiStream;
 
-use super::Metric;
-
 /// One ingest drill: which session, which wire faults, which repair.
 #[derive(Clone, Debug)]
 pub struct Config {
@@ -47,11 +45,6 @@ impl Report {
     /// Invariants that did not hold (empty = the drill passed).
     pub fn violations(&self) -> Vec<String> {
         self.violations.clone()
-    }
-
-    /// Repair fidelity: seeded, so it gets a tight band.
-    pub fn metrics(&self) -> Vec<Metric> {
-        vec![Metric::lower("relative_rmse", self.relative_rmse, 0.05, 0.0)]
     }
 }
 
@@ -145,7 +138,7 @@ mod tests {
         assert_eq!(a.outcome.quality, b.outcome.quality);
         assert_eq!(a.outcome.health_events, b.outcome.health_events);
         assert_eq!(a.outcome.stats.repaired_samples, b.outcome.stats.repaired_samples);
-        assert_eq!(a.metrics(), b.metrics());
+        assert_eq!(a.relative_rmse, b.relative_rmse);
         assert_ne!(a.outcome.stream, other.outcome.stream);
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! A drill is `run(&Config) -> Report`: a pure function of its seed (wall
 //! times aside) whose report answers `violations()` — the invariants that
-//! did not hold, empty on a pass — and `metrics()` — the headline numbers
-//! worth tracking run over run. Five drills share this shape:
+//! did not hold, empty on a pass — beside the numbers it observed, as
+//! plain fields. Five drills share this shape:
 //!
 //! - [`faults`] — a `WaveletStore` on a seeded `FaultyDevice` against the
 //!   plain store: bit-identical when recovered, |error| ≤ bound when
@@ -33,77 +33,6 @@ pub mod crash;
 pub mod faults;
 pub mod ingest;
 pub mod tiers;
-
-/// Which way a [`Metric`] improves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Bigger is better; regresses below `baseline·(1 − rel) − abs`.
-    Higher,
-    /// Smaller is better; regresses above `baseline·(1 + rel) + abs`.
-    Lower,
-}
-
-impl Direction {
-    /// The JSON spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Direction::Higher => "higher",
-            Direction::Lower => "lower",
-        }
-    }
-
-    /// Parses the JSON spelling.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "higher" => Some(Direction::Higher),
-            "lower" => Some(Direction::Lower),
-            _ => None,
-        }
-    }
-}
-
-/// One tracked number, with the slack it gets before a change counts as
-/// a regression. The tolerance lives beside the code that produces the
-/// number: seeded values get tight bands, wall-clock values wide ones.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Metric {
-    /// Stable name (experiments prefix it with their id: `e32.query_p99_ms`).
-    pub name: String,
-    /// This run's value.
-    pub value: f64,
-    /// Which way is better.
-    pub direction: Direction,
-    /// Relative slack, as a fraction of the baseline.
-    pub rel_tolerance: f64,
-    /// Absolute slack, in the metric's own unit.
-    pub abs_tolerance: f64,
-}
-
-impl Metric {
-    /// A bigger-is-better metric.
-    pub fn higher(name: impl Into<String>, value: f64, rel: f64, abs: f64) -> Metric {
-        let direction = Direction::Higher;
-        Metric { name: name.into(), value, direction, rel_tolerance: rel, abs_tolerance: abs }
-    }
-
-    /// A smaller-is-better metric.
-    pub fn lower(name: impl Into<String>, value: f64, rel: f64, abs: f64) -> Metric {
-        Metric { direction: Direction::Lower, ..Metric::higher(name, value, rel, abs) }
-    }
-
-    /// One element of the uniform `"metrics":[…]` array.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"value\":{},\"direction\":\"{}\",\"rel_tolerance\":{},\
-             \"abs_tolerance\":{}}}",
-            self.name,
-            self.value,
-            self.direction.as_str(),
-            self.rel_tolerance,
-            self.abs_tolerance
-        )
-    }
-}
 
 /// splitmix64 — the sub-seed derivation. Every injector gets an
 /// independent stream from (master seed, salt), so changing the master
@@ -183,15 +112,5 @@ mod tests {
         assert_eq!(percentile(&mut v, 0.5), 50.0);
         assert_eq!(percentile(&mut v, 0.99), 99.0);
         assert_eq!(percentile(&mut v, 1.0), 100.0);
-    }
-
-    #[test]
-    fn metric_json_carries_the_whole_gate() {
-        let m = Metric::lower("e31.recovery_ms", 0.25, 0.0, 500.0);
-        let v = aims_telemetry::json::parse(&m.to_json()).unwrap();
-        assert_eq!(v.str("name"), Some("e31.recovery_ms"));
-        assert_eq!(v.num("value"), Some(0.25));
-        assert_eq!(v.str("direction").and_then(Direction::parse), Some(Direction::Lower));
-        assert_eq!(v.num("abs_tolerance"), Some(500.0));
     }
 }
