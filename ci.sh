@@ -3,7 +3,7 @@
 # path-based (workspace crates + vendor/ stand-ins), so no network or
 # registry access is needed. Run from the repo root:
 #
-#   ./ci.sh          # fmt check, clippy -D warnings, build, tests
+#   ./ci.sh          # fmt check, clippy and rustdoc -D warnings, build, tests
 #   ./ci.sh --fast   # skip the release build (debug tests only)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -18,6 +18,10 @@ cargo fmt --all --check
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Broken or private intra-doc links (e.g. to an item a change deleted).
+echo "== cargo doc (deny warnings) =="
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --quiet
 
 if [[ $fast -eq 0 ]]; then
     echo "== cargo build --release =="

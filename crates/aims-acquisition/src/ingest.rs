@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use aims_sensors::faulty::WireFrame;
 use aims_sensors::types::{MultiStream, QualityMask, SampleQuality, StreamSpec};
-use aims_telemetry::{global, span};
+use aims_telemetry::{counter, gauge, span};
 
 use crate::recorder::{DoubleBufferRecorder, QueuePolicy, RecorderConfig, RecordingStats};
 use crate::sampling::decimate_stream;
@@ -435,13 +435,12 @@ impl SupervisedIngest {
         stats.dropped_frames += counters.late;
 
         let deaths = health_events.iter().filter(|e| e.to == HealthState::Dead).count();
-        let telemetry = global();
-        telemetry.counter("ingest.repaired").add(repaired_samples as u64);
-        telemetry.counter("ingest.reordered").add(counters.reordered as u64);
-        telemetry.counter("ingest.duplicates").add(counters.duplicates as u64);
-        telemetry.counter("ingest.dropped").add(stats.dropped_frames as u64);
-        telemetry.counter("ingest.sensor.dead").add(deaths as u64);
-        telemetry.gauge("ingest.degrade_factor").set(degrade_factor as f64);
+        counter!("ingest.repaired").add(repaired_samples as u64);
+        counter!("ingest.reordered").add(counters.reordered as u64);
+        counter!("ingest.duplicates").add(counters.duplicates as u64);
+        counter!("ingest.dropped").add(stats.dropped_frames as u64);
+        counter!("ingest.sensor.dead").add(deaths as u64);
+        gauge!("ingest.degrade_factor").set(degrade_factor as f64);
 
         IngestOutcome {
             stream: stored,

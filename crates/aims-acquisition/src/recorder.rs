@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 use aims_sensors::types::MultiStream;
-use aims_telemetry::{global, span};
+use aims_telemetry::{counter, span};
 
 /// The interrupt-to-storage handoff buffer: (source index, frame) pairs.
 type SharedQueue = Arc<Mutex<VecDeque<(usize, Vec<f64>)>>>;
@@ -220,10 +220,9 @@ impl DoubleBufferRecorder {
             batches,
             ..RecordingStats::default()
         };
-        let telemetry = global();
-        telemetry.counter("acquisition.recorder.stored_frames").add(stats.stored_frames as u64);
-        telemetry.counter("acquisition.recorder.dropped_frames").add(dropped as u64);
-        telemetry.counter("acquisition.recorder.batches").add(batches as u64);
+        counter!("acquisition.recorder.stored_frames").add(stats.stored_frames as u64);
+        counter!("acquisition.recorder.dropped_frames").add(dropped as u64);
+        counter!("acquisition.recorder.batches").add(batches as u64);
         debug_assert_eq!(stats.stored_frames, stored.len());
         (stored, indices, stats)
     }

@@ -22,7 +22,7 @@
 
 use aims_dsp::spectrum::{estimate_nyquist_rate, FmaxEstimator};
 use aims_sensors::types::{MultiStream, DEVICE_SAMPLE_BYTES};
-use aims_telemetry::{global, span};
+use aims_telemetry::{counter, gauge, global, span};
 
 /// Which of the paper's four techniques to apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -194,7 +194,7 @@ pub fn decimate_stream(stream: &MultiStream, factor: usize) -> MultiStream {
     let channels: Vec<Vec<f64>> = (0..stream.channels())
         .map(|c| stream.channel(c).into_iter().step_by(factor).collect())
         .collect();
-    global().counter("acquisition.sampling.decimations").inc();
+    counter!("acquisition.sampling.decimations").inc();
     MultiStream::from_channels(spec, &channels)
 }
 
@@ -347,15 +347,12 @@ pub fn sample_stream(
     // full-rate acquisition would have shipped (the paper's bandwidth
     // claim), plus which strategy made the decision.
     let offered = len * channels;
-    let telemetry = global();
-    telemetry.counter("acquisition.sampling.runs").inc();
-    telemetry.counter(&format!("acquisition.sampling.strategy.{}", strategy.name())).inc();
-    telemetry.counter("acquisition.sampling.frames_offered").add(offered as u64);
-    telemetry.counter("acquisition.sampling.samples_kept").add(kept_samples as u64);
-    telemetry
-        .counter("acquisition.sampling.samples_saved")
-        .add(offered.saturating_sub(kept_samples) as u64);
-    telemetry.gauge("acquisition.sampling.keep_ratio").set(kept_samples as f64 / offered as f64);
+    counter!("acquisition.sampling.runs").inc();
+    global().counter(&format!("acquisition.sampling.strategy.{}", strategy.name())).inc();
+    counter!("acquisition.sampling.frames_offered").add(offered as u64);
+    counter!("acquisition.sampling.samples_kept").add(kept_samples as u64);
+    counter!("acquisition.sampling.samples_saved").add(offered.saturating_sub(kept_samples) as u64);
+    gauge!("acquisition.sampling.keep_ratio").set(kept_samples as f64 / offered as f64);
 
     SamplingResult {
         strategy,

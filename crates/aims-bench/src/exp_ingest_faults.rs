@@ -31,7 +31,7 @@ struct Row {
 /// E26 — fault-tolerant ingest: recognition quality as the wire dropout
 /// rate grows, under both repair policies. Gates: zero faults is
 /// bit-identical to the clean stream (and scores identically), and at
-/// every dropout rate ≤ 20% the F1 stays within [`MAX_F1_DROP`] of the
+/// every dropout rate ≤ 20% the F1 stays within `MAX_F1_DROP` of the
 /// clean baseline. The fault schedule derives entirely from one seed,
 /// overridable via `AIMS_INGEST_FAULT_SEED`.
 pub fn e26_ingest_faults() {

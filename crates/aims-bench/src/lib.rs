@@ -46,18 +46,14 @@ pub fn times(x: f64) -> String {
     format!("{x:.2}x")
 }
 
-/// Times `f` under a telemetry span, so the elapsed time lands in the
-/// `<name>.ns` histogram of the global registry (with parent/child
-/// nesting) *and* is returned for inline experiment output. This replaces
-/// the hand-rolled `Instant::now()` pairs the experiment modules used to
-/// carry.
-pub fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, Duration) {
+/// Times `f`: the elapsed time lands in the `<name>.ns` histogram of the
+/// global registry *and* is returned for inline experiment output.
+pub fn timed<T>(name: &str, f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
-    let result = {
-        let _span = aims_telemetry::span!(name);
-        f()
-    };
-    (result, start.elapsed())
+    let result = f();
+    let elapsed = start.elapsed();
+    global().histogram(&format!("{name}.ns")).record_duration(elapsed);
+    (result, elapsed)
 }
 
 /// Scoped view of what an experiment recorded into the global telemetry

@@ -1,6 +1,6 @@
 //! Adaptive differential PCM (ADPCM) codec.
 //!
-//! The AIMS acquisition studies (paper §3.1, ref [29]) compared sampling
+//! The AIMS acquisition studies (paper §3.1, ref \[29\]) compared sampling
 //! strategies against "quantization techniques (e.g., Adaptive DPCM)" and
 //! combinations of the two. This is an IMA-style ADPCM adapted to `f64`
 //! sensor samples: each sample is predicted by the previous reconstruction,

@@ -33,47 +33,36 @@
 //! worker and reused for every line and level, with the
 //! `dsp.kernel.scratch_reuse` counter recording each avoided allocation.
 
-use std::sync::Arc;
-
-use aims_telemetry::metrics::Counter;
+use aims_telemetry::counter;
 
 use crate::dwt::is_power_of_two;
 use crate::filters::WaveletFilter;
 
 /// Reusable scratch arena for the in-place kernels.
 ///
-/// One instance per worker: [`DwtScratch::ensure`] hands out the backing
+/// One instance per worker: `DwtScratch::ensure` hands out the backing
 /// buffer, growing it only when a larger transform arrives. Every call
 /// that *reuses* the existing allocation bumps `dsp.kernel.scratch_reuse`.
+#[derive(Default)]
 pub struct DwtScratch {
     buf: Vec<f64>,
-    reuse: Arc<Counter>,
 }
 
 impl DwtScratch {
     /// Creates an empty arena (no allocation until first use).
     pub fn new() -> Self {
-        DwtScratch {
-            buf: Vec::new(),
-            reuse: aims_telemetry::global().counter("dsp.kernel.scratch_reuse"),
-        }
+        DwtScratch { buf: Vec::new() }
     }
 
     /// Returns a scratch slice of at least `n` elements, reusing the
     /// existing allocation when it is already large enough.
     fn ensure(&mut self, n: usize) -> &mut [f64] {
         if self.buf.len() >= n {
-            self.reuse.add(1);
+            counter!("dsp.kernel.scratch_reuse").inc();
         } else {
             self.buf.resize(n, 0.0);
         }
         &mut self.buf[..n]
-    }
-}
-
-impl Default for DwtScratch {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

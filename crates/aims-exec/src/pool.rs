@@ -90,10 +90,9 @@ impl Shared {
 
 fn worker_loop(shared: Arc<Shared>, id: usize) {
     WORKER.with(|w| w.set(Some((Arc::as_ptr(&shared) as usize, id))));
-    let telemetry = aims_telemetry::global();
-    let tasks = telemetry.counter("exec.pool.tasks");
-    let steals = telemetry.counter("exec.pool.steals");
-    let idle = telemetry.histogram("exec.pool.idle.ns");
+    let tasks = aims_telemetry::counter!("exec.pool.tasks");
+    let steals = aims_telemetry::counter!("exec.pool.steals");
+    let idle = aims_telemetry::histogram!("exec.pool.idle.ns");
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -240,7 +239,7 @@ impl ThreadPool {
     /// while waiting.
     fn wait_scope(&self, state: &ScopeState) {
         let me = self.shared.current_worker();
-        let tasks = aims_telemetry::global().counter("exec.pool.tasks");
+        let tasks = aims_telemetry::counter!("exec.pool.tasks");
         while state.pending.load(Ordering::SeqCst) > 0 {
             if let Some((task, _)) = self.shared.find_task(me) {
                 tasks.inc();
@@ -295,7 +294,7 @@ pub fn global_pool() -> &'static ThreadPool {
     static POOL: OnceLock<ThreadPool> = OnceLock::new();
     POOL.get_or_init(|| {
         let threads = configured_threads();
-        aims_telemetry::global().gauge("exec.pool.threads").set(threads as f64);
+        aims_telemetry::gauge!("exec.pool.threads").set(threads as f64);
         ThreadPool::new(threads)
     })
 }

@@ -68,9 +68,8 @@ pub fn tuning() -> Tuning {
     static TUNING: OnceLock<Tuning> = OnceLock::new();
     *TUNING.get_or_init(|| {
         let t = from_env().unwrap_or_else(calibrate);
-        let telemetry = aims_telemetry::global();
-        telemetry.gauge("exec.tune.tile").set(t.tile as f64);
-        telemetry.gauge("exec.tune.par_threshold").set(t.par_threshold as f64);
+        aims_telemetry::gauge!("exec.tune.tile").set(t.tile as f64);
+        aims_telemetry::gauge!("exec.tune.par_threshold").set(t.par_threshold as f64);
         t
     })
 }

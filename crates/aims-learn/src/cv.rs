@@ -34,7 +34,7 @@ impl CvReport {
 /// If `k` is invalid for the dataset size.
 pub fn cross_validate<C: Classifier>(dataset: &Dataset, k: usize, seed: u64) -> CvReport {
     let _span = aims_telemetry::span!("learn.cv.cross_validate");
-    aims_telemetry::global().counter("learn.cv.folds").add(k as u64);
+    aims_telemetry::counter!("learn.cv.folds").add(k as u64);
     let folds = dataset.folds(k, seed);
     let mut fold_accuracies = Vec::with_capacity(k);
     let mut pooled = ConfusionMatrix::default();

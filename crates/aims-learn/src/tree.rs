@@ -1,6 +1,6 @@
 //! CART-style binary decision tree (Gini impurity) — another of the
 //! "conventional learning techniques" (Decision Trees) from the group's
-//! earlier sign-language work [28].
+//! earlier sign-language work \[28\].
 
 use crate::dataset::{Dataset, Label};
 use crate::Classifier;

@@ -12,7 +12,7 @@
 use std::collections::{HashMap, HashSet};
 
 use aims_exec::{global_pool, ThreadPool};
-use aims_telemetry::global as telemetry;
+use aims_telemetry::counter;
 
 use crate::engine::{PreparedQuery, Propolyne};
 use crate::query::RangeSumQuery;
@@ -90,8 +90,8 @@ pub fn evaluate_batch_with(
 
     let answers: Vec<f64> =
         pool.par_map(&prepared, |p| dot_sorted(&p.indices, &p.weights, &plan_idx, &plan_vals));
-    telemetry().counter("propolyne.batch.queries").add(queries.len() as u64);
-    telemetry().counter("propolyne.batch.shared_fetches").add(plan_idx.len() as u64);
+    counter!("propolyne.batch.queries").add(queries.len() as u64);
+    counter!("propolyne.batch.shared_fetches").add(plan_idx.len() as u64);
     BatchResult { answers, shared_fetches: plan_idx.len(), independent_fetches: independent }
 }
 

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use aims_dsp::filters::WaveletFilter;
-use aims_telemetry::{global, span};
+use aims_telemetry::{counter, histogram, histogram_f64, span};
 
 use crate::cube::WaveletCube;
 use crate::lazy::lazy_transform;
@@ -146,7 +146,7 @@ impl Propolyne {
 
     /// Exact evaluation of a prepared query.
     pub fn evaluate_prepared(&self, prepared: &PreparedQuery) -> f64 {
-        global().counter("propolyne.query.coefficients_retrieved").add(prepared.nnz() as u64);
+        counter!("propolyne.query.coefficients_retrieved").add(prepared.nnz() as u64);
         let coeffs = self.cube.coeffs();
         // Single accumulator, ascending offset order — the bit-for-bit
         // reference every other evaluation path reproduces.
@@ -174,7 +174,7 @@ impl Propolyne {
         let mut estimate = 0.0;
         let mut steps = Vec::with_capacity(order.len());
         let scale = exact.abs().max(1e-12);
-        let step_error = global().histogram_f64("propolyne.progressive.step_rel_error");
+        let step_error = histogram_f64!("propolyne.progressive.step_rel_error");
         for (i, &(idx, w)) in order.iter().enumerate() {
             estimate += w * coeffs[idx];
             let abs_error = (estimate - exact).abs();
@@ -186,7 +186,7 @@ impl Propolyne {
                 guaranteed_bound: (suffix_energy[i + 1] * self.data_energy).sqrt(),
             });
         }
-        global().counter("propolyne.progressive.steps").add(steps.len() as u64);
+        counter!("propolyne.progressive.steps").add(steps.len() as u64);
         ProgressiveEvaluation { exact, steps }
     }
 }
@@ -256,10 +256,9 @@ pub fn prepare(dims: &[usize], filter: &WaveletFilter, query: &RangeSumQuery) ->
 
     let mut entries: Vec<(usize, f64)> = combined.into_iter().filter(|(_, w)| *w != 0.0).collect();
     entries.sort_by_key(|&(i, _)| i);
-    let telemetry = global();
-    telemetry.counter("propolyne.query.prepared").inc();
-    telemetry.counter("propolyne.query.transform_work").add(work as u64);
-    telemetry.histogram("propolyne.query.nnz").record(entries.len() as u64);
+    counter!("propolyne.query.prepared").inc();
+    counter!("propolyne.query.transform_work").add(work as u64);
+    histogram!("propolyne.query.nnz").record(entries.len() as u64);
     let (indices, weights) = entries.into_iter().unzip();
     PreparedQuery { indices, weights, transform_work: work }
 }

@@ -231,7 +231,7 @@ impl CyberGloveRig {
             }
             stream.push(&values);
         }
-        aims_telemetry::global().counter("sensors.glove.frames_generated").add(stream.len() as u64);
+        aims_telemetry::counter!("sensors.glove.frames_generated").add(stream.len() as u64);
         stream
     }
 

@@ -1,8 +1,11 @@
 //! `aims-serve` — the TCP front-end over a synthetic demo cube.
 //!
 //! Usage:
-//!   aims-serve [--port P] [--side N] [--block B] [--cache C] [--queue Q] [--seed S]
-//!             [--data DIR] [--durability always|periodic[:K]|none]
+//!
+//! ```text
+//! aims-serve [--port P] [--side N] [--block B] [--cache C] [--queue Q] [--seed S]
+//!            [--data DIR] [--durability always|periodic[:K]|none]
+//! ```
 //!
 //! Binds 127.0.0.1 (port 0 picks a free port), prints
 //! `aims-serve listening on 127.0.0.1:{port}` once ready, and runs until

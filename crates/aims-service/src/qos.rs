@@ -11,7 +11,7 @@
 //! - [`DegradeController`]: maps admission-queue pressure to a service
 //!   [`Tier`] with enter/exit hysteresis, so a pressure spike escalates
 //!   quickly but recovery is smooth (no tier flapping at a threshold).
-//! - [`grant_round`]: allocates each shared-scan round's block budget
+//! - `grant_round`: allocates each shared-scan round's block budget
 //!   across sessions to maximize aggregate expected error-bound
 //!   reduction. The marginal utility of a session's next plan block is
 //!   the block-local Cauchy–Schwarz term `sqrt(w²_in_block · E_block)`

@@ -21,7 +21,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aims_storage::device::BlockDevice;
-use aims_telemetry::global;
+use aims_telemetry::{counter, global};
 
 use crate::error::ServiceError;
 use crate::service::QueryService;
@@ -101,7 +101,7 @@ fn accept_loop<D: BlockDevice + Send + Sync + 'static>(
     service: Arc<QueryService<D>>,
     stop: Arc<AtomicBool>,
 ) {
-    let connections_counter = global().counter("service.net.connections");
+    let connections_counter = counter!("service.net.connections");
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     let reap = |h: JoinHandle<()>| {
         if h.join().is_err() {
@@ -119,7 +119,7 @@ fn accept_loop<D: BlockDevice + Send + Sync + 'static>(
                 let handle =
                     std::thread::Builder::new().name("aims-serve-conn".into()).spawn(move || {
                         if let Err(e) = serve_connection(stream, &service, &stop) {
-                            global().counter("service.net.conn_errors").inc();
+                            counter!("service.net.conn_errors").inc();
                             // Disconnects are routine; log only real faults.
                             use ErrorKind::{BrokenPipe, ConnectionReset, UnexpectedEof};
                             if !matches!(e.kind(), UnexpectedEof | BrokenPipe | ConnectionReset) {
@@ -309,7 +309,7 @@ impl Connection {
                         refused
                     }
                     None => {
-                        global().counter("service.rejected").inc();
+                        counter!("service.rejected").inc();
                         let why = format!("request id {req_id} is still in flight");
                         Some(ServiceError::Protocol(why))
                     }

@@ -1,25 +1,25 @@
 //! The query service: one scheduler multiplexing many sessions over one
 //! blocked coefficient store.
 //!
-//! Execution model: the scheduler thread ([`scheduler_loop`]) admits
+//! Execution model: the scheduler thread (`scheduler_loop`) admits
 //! queued tickets (interactive first, up to `max_batch` active), feeds
 //! the overload controller, and runs one round as four stages — plain
-//! functions over one [`Rounds`] state, each callable from a test with no
+//! functions over one `Rounds` state, each callable from a test with no
 //! thread:
 //!
-//! 1. **[`plan`]** — cull cancelled and deadline-expired sessions *before*
+//! 1. **`plan`** — cull cancelled and deadline-expired sessions *before*
 //!    any I/O, set each session's tier, and spend the round's
-//!    `round_blocks` budget of device reads ([`qos::grant_round`]). The
+//!    `round_blocks` budget of device reads (`qos::grant_round`). The
 //!    output is one **grant** per session: how many leading blocks of its
 //!    remaining plan it consumes this round.
-//! 2. **[`fetch`]** — pull the union of the grants, each block once,
+//! 2. **`fetch`** — pull the union of the grants, each block once,
 //!    through the [`SharedBlockCache`]; the first consumer pays for the
 //!    device read, and a block wanted only by since-cancelled sessions is
 //!    not read — cancellation halts fetches.
-//! 3. **[`accumulate`]** — one task per query on the shared
+//! 3. **`accumulate`** — one task per query on the shared
 //!    [`ThreadPool`], folding what arrived into its own cursor, running
 //!    sum and bound ledger, in place.
-//! 4. **[`deliver`]** — one refinement per query (progress, or its
+//! 4. **`deliver`** — one refinement per query (progress, or its
 //!    terminal), with a Cauchy–Schwarz bound over the unseen suffix plus
 //!    a lost-block term when storage degraded.
 //!
@@ -37,14 +37,21 @@
 //! accumulation happens inside exactly one task with one running sum.
 //! A grant is a contiguous prefix of the remaining plan under either
 //! policy, so the final estimate is **bit-identical** to
-//! [`Propolyne::evaluate_prepared`] for every thread count, cache size,
+//! [`aims_propolyne::Propolyne::evaluate_prepared`] for every thread count, cache size,
 //! batch composition, round budget, and scheduler policy — only I/O
 //! order and counts change.
+//!
+//! # Telemetry
+//!
+//! Each stage records into the global `service.*` metrics through
+//! call-site handles (`counter!`, `gauge!`). A handle used only on a rare
+//! branch is bound at the top of its function, so every `service.*`
+//! metric is in the snapshot, at zero, from the first query on.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,7 +61,7 @@ use aims_propolyne::engine::{prepare, PreparedQuery};
 use aims_propolyne::{BlockedCoefficients, DataCube, RangeSumQuery, WaveletCube};
 use aims_storage::device::{BlockDevice, MemDevice, RetryPolicy};
 use aims_storage::{BoundLedger, SharedBlockCache};
-use aims_telemetry::{global, AttrValue, Counter, Gauge, TraceContext};
+use aims_telemetry::{counter, gauge, AttrValue, TraceContext};
 
 use crate::admission::{AdmissionController, Priority};
 use crate::error::ServiceError;
@@ -138,55 +145,6 @@ impl Default for ServiceConfig {
             qos: QosConfig::default(),
         }
     }
-}
-
-/// Cached handles to the global `service.*` metrics.
-struct ServiceTelemetry {
-    submitted: Arc<Counter>,
-    rejected: Arc<Counter>,
-    completed: Arc<Counter>,
-    cancelled: Arc<Counter>,
-    expired: Arc<Counter>,
-    rounds: Arc<Counter>,
-    block_requests: Arc<Counter>,
-    block_fanout: Arc<Counter>,
-    active: Arc<Gauge>,
-    queue_interactive: Arc<Gauge>,
-    queue_batch: Arc<Gauge>,
-    traced: Arc<Counter>,
-    slow: Arc<Counter>,
-    qos_tier: Arc<Gauge>,
-    qos_shed: Arc<Counter>,
-    qos_resumed: Arc<Counter>,
-    qos_utility_rounds: Arc<Counter>,
-    dropped_progress: Arc<Counter>,
-}
-
-fn service_telemetry() -> &'static ServiceTelemetry {
-    static T: OnceLock<ServiceTelemetry> = OnceLock::new();
-    T.get_or_init(|| {
-        let r = global();
-        ServiceTelemetry {
-            submitted: r.counter("service.submitted"),
-            rejected: r.counter("service.rejected"),
-            completed: r.counter("service.completed"),
-            cancelled: r.counter("service.cancelled"),
-            expired: r.counter("service.deadline_expired"),
-            rounds: r.counter("service.rounds"),
-            block_requests: r.counter("service.blocks.requested"),
-            block_fanout: r.counter("service.blocks.fanout"),
-            active: r.gauge("service.active"),
-            queue_interactive: r.gauge("service.queue.interactive"),
-            queue_batch: r.gauge("service.queue.batch"),
-            traced: r.counter("service.traced"),
-            slow: r.counter("service.slow_queries"),
-            qos_tier: r.gauge("service.qos.tier"),
-            qos_shed: r.counter("service.qos.shed"),
-            qos_resumed: r.counter("service.qos.resumed"),
-            qos_utility_rounds: r.counter("service.qos.utility_rounds"),
-            dropped_progress: r.counter("service.backpressure.dropped_progress"),
-        }
-    })
 }
 
 fn priority_label(p: Priority) -> &'static str {
@@ -559,13 +517,17 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
         tx: Sender<(u64, Update)>,
         shared: Arc<SessionShared>,
     ) -> Result<u64, ServiceError> {
-        let t = service_telemetry();
+        let (submitted, rejected, traced) = (
+            counter!("service.submitted"),
+            counter!("service.rejected"),
+            counter!("service.traced"),
+        );
         if self.inner.shutdown.load(Ordering::SeqCst) {
-            t.rejected.inc();
+            rejected.inc();
             return Err(ServiceError::ShuttingDown);
         }
         if let Err(e) = self.validate(&spec.ranges) {
-            t.rejected.inc();
+            rejected.inc();
             return Err(e);
         }
         let prepared =
@@ -573,7 +535,7 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
         let plan = Arc::new(self.inner.blocked.plan(&prepared));
         let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst) + 1;
         let trace = if spec.trace {
-            t.traced.inc();
+            traced.inc();
             TraceContext::start_global()
         } else {
             TraceContext::disabled()
@@ -613,12 +575,12 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
         self.inner.sessions.lock().unwrap().insert(id, row);
         match self.inner.admission.submit(ticket, spec.priority) {
             Ok(()) => {
-                t.submitted.inc();
+                submitted.inc();
                 Ok(id)
             }
             Err(e) => {
                 self.inner.sessions.lock().unwrap().remove(&id);
-                t.rejected.inc();
+                rejected.inc();
                 Err(e)
             }
         }
@@ -650,7 +612,7 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         for ticket in self.inner.admission.close() {
             self.inner.sessions.lock().unwrap().remove(&ticket.id);
-            service_telemetry().cancelled.inc();
+            counter!("service.cancelled").inc();
             ticket.emit(Update::Progress {
                 kind: ProgressKind::Cancelled,
                 refinement: Refinement::NONE,
@@ -679,12 +641,18 @@ fn finish<D: BlockDevice + Send + Sync + 'static>(
     kind: ProgressKind,
     refinement: Refinement,
 ) {
-    let t = service_telemetry();
+    let (completed, expired, shed, cancelled, slow_queries) = (
+        counter!("service.completed"),
+        counter!("service.deadline_expired"),
+        counter!("service.qos.shed"),
+        counter!("service.cancelled"),
+        counter!("service.slow_queries"),
+    );
     let (event, counter) = match kind {
-        ProgressKind::Done => ("service.done", &t.completed),
-        ProgressKind::DeadlineExpired => ("service.expired", &t.expired),
-        ProgressKind::Shed => ("service.shed", &t.qos_shed),
-        ProgressKind::Cancelled => ("service.cancelled", &t.cancelled),
+        ProgressKind::Done => ("service.done", completed),
+        ProgressKind::DeadlineExpired => ("service.expired", expired),
+        ProgressKind::Shed => ("service.shed", shed),
+        ProgressKind::Cancelled => ("service.cancelled", cancelled),
         ProgressKind::Progress => unreachable!("finish takes a terminal kind"),
     };
     let traced = q.ticket.trace.is_enabled();
@@ -695,7 +663,7 @@ fn finish<D: BlockDevice + Send + Sync + 'static>(
     } else if traced || slow.is_some() {
         let profile = q.profile();
         if let Some(reason) = slow {
-            t.slow.inc();
+            slow_queries.inc();
             inner.slow_log.push(SlowQueryEntry {
                 session_id: q.ticket.id,
                 reason,
@@ -747,7 +715,7 @@ struct Rounds {
 /// every iteration, idle ones included, so the tier decays back to Normal
 /// after a drain even when no sessions are left to refine.
 fn admit<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Rounds, wait: Duration) {
-    let t = service_telemetry();
+    let resumed = counter!("service.qos.resumed");
     let room = inner.config.max_batch.saturating_sub(s.active.len());
     for ticket in inner.admission.drain(room, wait) {
         let q = ActiveQuery::new(ticket);
@@ -760,17 +728,17 @@ fn admit<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Round
         s.active.push(q);
     }
     let (qi, qb) = inner.admission.depth();
-    t.queue_interactive.set(qi as f64);
-    t.queue_batch.set(qb as f64);
-    t.active.set(s.active.len() as f64);
+    gauge!("service.queue.interactive").set(qi as f64);
+    gauge!("service.queue.batch").set(qb as f64);
+    gauge!("service.active").set(s.active.len() as f64);
     let pressure = inner.admission.pressure();
     if let TierChange::Recovered(_) = s.controller.observe(pressure, &inner.config.qos) {
         inner.qos.lock().unwrap().resumed += 1;
-        t.qos_resumed.inc();
+        resumed.inc();
     }
     let tier = s.controller.tier().to_wire();
     inner.qos_tier.store(tier, Ordering::SeqCst);
-    t.qos_tier.set(tier as f64);
+    gauge!("service.qos.tier").set(tier as f64);
 }
 
 /// The selection's view of the active set at `now`.
@@ -812,9 +780,9 @@ fn lenses(active: &[ActiveQuery], now: Instant) -> Vec<qos::SessionLens<'_>> {
 /// touch), so planning around residence doesn't distort the cache
 /// statistics the fetch stage records.
 fn plan<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Rounds, now: Instant) {
-    let t = service_telemetry();
+    let utility_rounds = counter!("service.qos.utility_rounds");
     s.round += 1;
-    t.rounds.inc();
+    counter!("service.rounds").inc();
     let round = s.round;
     s.active.retain(|q| {
         if q.cancelled() {
@@ -839,7 +807,7 @@ fn plan<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Rounds
     let policy = inner.config.qos.policy;
     if policy == SchedulerPolicy::Utility {
         inner.qos.lock().unwrap().utility_rounds += 1;
-        t.qos_utility_rounds.inc();
+        utility_rounds.inc();
     }
     s.grants = qos::grant_round(policy, &lenses(&s.active, now), inner.config.round_blocks, |b| {
         inner.cache.contains(b)
@@ -861,7 +829,7 @@ fn plan<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Rounds
 /// and the per-round event already anchors each query's progress on the
 /// timeline. One clock reading covers the whole fan-out.
 fn fetch<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Rounds) {
-    let t = service_telemetry();
+    let requested = counter!("service.blocks.requested");
     let active = &mut s.active;
     // Every granted `(block, session)` pair; sorted, a block's grantees
     // are adjacent and in admission order.
@@ -889,13 +857,13 @@ fn fetch<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Round
             // is not read at all.
             let ahead = |q: &ActiveQuery| q.remaining_plan().binary_search(&b).is_ok();
             if active.iter().any(|q| !q.cancelled() && ahead(q)) {
-                t.block_requests.inc();
+                requested.inc();
                 let _ = read(b);
             }
             continue;
         }
-        t.block_requests.inc();
-        t.block_fanout.add(consumers.len() as u64 - 1);
+        requested.inc();
+        counter!("service.blocks.fanout").add(consumers.len() as u64 - 1);
         let reporter = consumers.iter().copied().find(|&ci| active[ci].ticket.trace.is_enabled());
         let fetch_ts = reporter.map_or(0, |ri| active[ri].ticket.trace.now_ns());
         match read(b) {
@@ -932,7 +900,7 @@ fn fetch<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Round
                 }
             }
             Err(_) => {
-                global().counter("storage.degraded").inc();
+                counter!("storage.degraded").inc();
                 for &ci in consumers.iter() {
                     let q = &mut active[ci];
                     q.cost.cache_misses += 1;
@@ -969,6 +937,7 @@ fn accumulate<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut 
 /// least this one round of refinement — a shed session gets an answer,
 /// never an error).
 fn deliver<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Rounds) {
+    let dropped_progress = counter!("service.backpressure.dropped_progress");
     let round = s.round;
     s.active.retain_mut(|q| {
         q.cost.rounds += 1;
@@ -1010,7 +979,7 @@ fn deliver<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Rou
                 q.ticket.emit(Update::Progress { kind: ProgressKind::Progress, refinement });
             } else {
                 inner.qos.lock().unwrap().dropped_progress += 1;
-                service_telemetry().dropped_progress.inc();
+                dropped_progress.inc();
             }
         }
         if let Some(row) = inner.sessions.lock().unwrap().get_mut(&q.ticket.id) {
@@ -1047,7 +1016,7 @@ fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>) {
             std::thread::sleep(inner.config.round_pause);
         }
     }
-    service_telemetry().active.set(0.0);
+    gauge!("service.active").set(0.0);
 }
 
 #[cfg(test)]
@@ -1839,7 +1808,7 @@ mod tests {
         let h = svc.submit(QuerySpec::interactive(LONG.to_vec()).traced()).unwrap();
         // A consumer that stopped draining with its outbox full.
         h.shared.pending.store(PROGRESS_OUTBOX, Ordering::SeqCst);
-        let registry = global().counter("service.backpressure.dropped_progress");
+        let registry = aims_telemetry::global().counter("service.backpressure.dropped_progress");
         let before = registry.get();
         run_dry(&svc, &mut s, None);
         // Every round but the last wanted to send a refinement; each was

@@ -31,24 +31,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use aims_telemetry::{global, Counter};
+use aims_telemetry::counter;
 
 use crate::device::{read_with_retry, BlockDevice, ReadError, RetryPolicy};
-
-/// Cached handles to the global `storage.cache.*` counters.
-fn cache_telemetry() -> &'static (Arc<Counter>, Arc<Counter>, Arc<Counter>) {
-    static T: OnceLock<(Arc<Counter>, Arc<Counter>, Arc<Counter>)> = OnceLock::new();
-    T.get_or_init(|| {
-        let r = global();
-        (
-            r.counter("storage.cache.hits"),
-            r.counter("storage.cache.misses"),
-            r.counter("storage.cache.evictions"),
-        )
-    })
-}
 
 /// One shard: an LRU map `block id → (payload, last-use tick)`.
 #[derive(Debug, Default)]
@@ -165,13 +152,15 @@ impl SharedBlockCache {
     /// Looks a block up without touching the device.
     pub fn lookup(&self, id: usize) -> Option<Arc<Vec<f64>>> {
         let hit = self.shard_of(id).lock().unwrap().lookup(id);
-        let telemetry = cache_telemetry();
+        // Both bound before the branch, so a snapshot shows each (at zero)
+        // from the first lookup on; `insert` does the same for evictions.
+        let (hits, misses) = (counter!("storage.cache.hits"), counter!("storage.cache.misses"));
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            telemetry.0.inc();
+            hits.inc();
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            telemetry.1.inc();
+            misses.inc();
         }
         hit
     }
@@ -188,9 +177,10 @@ impl SharedBlockCache {
 
     /// Inserts an already-verified payload.
     pub fn insert(&self, id: usize, data: Arc<Vec<f64>>) {
+        let evictions = counter!("storage.cache.evictions");
         if self.shard_of(id).lock().unwrap().insert(id, data, self.per_shard_capacity) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            cache_telemetry().2.inc();
+            evictions.inc();
         }
     }
 
@@ -431,12 +421,12 @@ mod tests {
 
     #[test]
     fn counts_flow_into_global_registry() {
-        let before = global().snapshot();
+        let before = aims_telemetry::global().snapshot();
         let d = device(2);
         let cache = SharedBlockCache::new(2);
         cache.get_or_read(&d, 0).unwrap();
         cache.get_or_read(&d, 0).unwrap();
-        let after = global().snapshot();
+        let after = aims_telemetry::global().snapshot();
         assert!(after.counter("storage.cache.hits") > before.counter("storage.cache.hits"));
         assert!(after.counter("storage.cache.misses") > before.counter("storage.cache.misses"));
     }

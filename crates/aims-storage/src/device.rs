@@ -16,19 +16,10 @@
 //!   its own but exposing raw-patch hooks so the fault-injection wrapper
 //!   ([`crate::faults::FaultyDevice`]) can simulate corrupt media.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Duration;
 
-use aims_telemetry::{global, Counter};
-
-/// Cached handles to the global `storage.device.{reads,writes}` counters,
-/// so the per-access cost is one atomic add rather than a registry probe.
-pub(crate) fn io_counters() -> &'static (Arc<Counter>, Arc<Counter>) {
-    static C: OnceLock<(Arc<Counter>, Arc<Counter>)> = OnceLock::new();
-    C.get_or_init(|| {
-        (global().counter("storage.device.reads"), global().counter("storage.device.writes"))
-    })
-}
+use aims_telemetry::counter;
 
 /// Lane seeds and the two lane multipliers (odd, so multiplying by either
 /// is a bijection of `u64`) of the block digest.
@@ -82,7 +73,7 @@ fn digest_words(n: usize, byte_len: u64, word: impl Fn(usize) -> u64) -> u64 {
 
 /// Digest of a block payload: the words are the items' bit patterns.
 /// Bit-exact — `0.0` and `-0.0` differ, NaN payloads are significant — and
-/// a single flipped bit always changes it (see [`digest_words`]).
+/// a single flipped bit always changes it (see `digest_words`).
 pub fn block_digest(data: &[f64]) -> u64 {
     digest_words(data.len(), data.len() as u64 * 8, |i| data[i].to_bits())
 }
@@ -202,9 +193,7 @@ pub fn read_with_retry<D: BlockDevice + ?Sized>(
     id: usize,
     policy: &RetryPolicy,
 ) -> Result<(Vec<f64>, usize), ReadError> {
-    static C: OnceLock<(Arc<Counter>, Arc<Counter>)> = OnceLock::new();
-    let (retries, corrupt) = C
-        .get_or_init(|| (global().counter("storage.retries"), global().counter("storage.corrupt")));
+    let (retries, corrupt) = (counter!("storage.retries"), counter!("storage.corrupt"));
     let mut attempt = 0usize;
     loop {
         match device.read_block(id) {
@@ -396,7 +385,7 @@ impl BlockDevice for MemDevice {
         assert!(id < self.blocks.len(), "block {id} out of range");
         assert_eq!(buf.len(), self.block_size, "read buffer size mismatch");
         self.stats.lock().unwrap().reads += 1;
-        io_counters().0.inc();
+        counter!("storage.device.reads").inc();
         buf.copy_from_slice(&self.blocks[id]);
         Ok(())
     }
@@ -410,7 +399,7 @@ impl BlockDevice for MemDevice {
         assert!(id < self.blocks.len(), "block {id} out of range");
         assert_eq!(data.len(), self.block_size, "block data size mismatch");
         self.stats.lock().unwrap().writes += 1;
-        io_counters().1.inc();
+        counter!("storage.device.writes").inc();
         self.blocks[id].copy_from_slice(data);
         self.checksums[id] = block_digest(data);
     }

@@ -28,7 +28,7 @@ use std::collections::BTreeSet;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use aims_telemetry::global;
+use aims_telemetry::{counter, histogram};
 
 use crate::device::{BlockDevice, DeviceStats, MemDevice, RawMedia, ReadError, ReadErrorKind};
 
@@ -249,16 +249,14 @@ impl<D: RawMedia> BlockDevice for FaultyDevice<D> {
             && !self.plan.latency.is_zero()
         {
             std::thread::sleep(self.plan.latency);
-            global()
-                .histogram("storage.fault.latency.ns")
-                .record(self.plan.latency.as_nanos() as u64);
+            histogram!("storage.fault.latency.ns").record(self.plan.latency.as_nanos() as u64);
         }
         if self.is_dead(id) {
-            global().counter("storage.fault.dead_reads").inc();
+            counter!("storage.fault.dead_reads").inc();
             return Err(ReadError { block: id, kind: ReadErrorKind::Dead });
         }
         if chance(mix(self.plan.seed, id as u64, attempt, SALT_IO)) < self.plan.read_error_rate {
-            global().counter("storage.fault.read_errors").inc();
+            counter!("storage.fault.read_errors").inc();
             return Err(ReadError { block: id, kind: ReadErrorKind::Io });
         }
         self.inner.read_raw_into(id, buf)?;
@@ -267,7 +265,7 @@ impl<D: RawMedia> BlockDevice for FaultyDevice<D> {
             let item = (h % buf.len() as u64) as usize;
             let bit = (h >> 32) % 64;
             buf[item] = f64::from_bits(buf[item].to_bits() ^ (1u64 << bit));
-            global().counter("storage.fault.bit_flips").inc();
+            counter!("storage.fault.bit_flips").inc();
         }
         Ok(())
     }
@@ -294,7 +292,7 @@ impl<D: RawMedia> BlockDevice for FaultyDevice<D> {
             if durable != data {
                 self.inner.patch_raw(id, &durable);
                 self.state.get_mut().unwrap().torn.insert(id);
-                global().counter("storage.fault.torn_writes").inc();
+                counter!("storage.fault.torn_writes").inc();
             }
         } else {
             // A rewrite heals any earlier tear.

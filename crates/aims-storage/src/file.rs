@@ -45,11 +45,11 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
-use aims_telemetry::{global, Counter};
+use aims_telemetry::counter;
 
-use crate::device::{block_digest, bytes_digest, io_counters, record_digest};
+use crate::device::{block_digest, bytes_digest, record_digest};
 use crate::device::{BlockDevice, DeviceStats, RawMedia, ReadError, ReadErrorKind};
 use crate::faults::mix;
 
@@ -172,29 +172,6 @@ pub struct WalStats {
     pub fsyncs: u64,
     /// Checkpoints completed.
     pub checkpoints: u64,
-}
-
-/// Cached handles to the global `storage.wal.*` counters.
-struct WalCounters {
-    appends: Arc<Counter>,
-    fsyncs: Arc<Counter>,
-    checkpoints: Arc<Counter>,
-    replayed: Arc<Counter>,
-    truncated_bytes: Arc<Counter>,
-}
-
-fn wal_counters() -> &'static WalCounters {
-    static C: OnceLock<WalCounters> = OnceLock::new();
-    C.get_or_init(|| {
-        let r = global();
-        WalCounters {
-            appends: r.counter("storage.wal.appends"),
-            fsyncs: r.counter("storage.wal.fsyncs"),
-            checkpoints: r.counter("storage.wal.checkpoints"),
-            replayed: r.counter("storage.wal.replayed"),
-            truncated_bytes: r.counter("storage.wal.truncated_bytes"),
-        }
-    })
 }
 
 /// Interior-mutable state shared by the `&self` read path.
@@ -442,31 +419,9 @@ impl FileDevice {
             .truncate(true)
             .open(dir.join(WAL_FILE))?;
         wal.sync_all()?;
-        Ok(FileDevice {
-            dir,
-            main,
-            wal,
-            block_size,
-            num_blocks,
-            data_start: header.len() as u64,
-            meta: opts.meta,
-            mode: opts.mode,
-            crash: opts.crash,
-            checkpoint_bytes: opts.checkpoint_bytes.max(1),
-            state: Mutex::new(FileState::new(vec![zero_sum; num_blocks])),
-            wal_pending: Vec::new(),
-            fold_order: Vec::new(),
-            fold_record: Vec::new(),
-            wal_len: 0,
-            next_lsn: 1,
-            appended_lsn: 0,
-            durable_lsn: 0,
-            appends_since_sync: 0,
-            step: 0,
-            crashed: false,
-            wal_stats: WalStats::default(),
-            recovery: RecoveryReport::default(),
-        })
+        let layout = (block_size, num_blocks, opts.meta.clone(), header.len() as u64);
+        let checksums = vec![zero_sum; num_blocks];
+        Ok(Self::assemble(dir, (main, wal), layout, &opts, checksums, RecoveryReport::default()))
     }
 
     /// Opens an existing device directory and runs recovery: replays the
@@ -511,18 +466,42 @@ impl FileDevice {
             checksums.push(u64::from_be_bytes(sum_buf));
         }
 
-        let recovered_lsn = scan.records.last().map_or(0, |r| r.lsn);
         let recovery = RecoveryReport {
             replayed_records: scan.records.len() as u64,
             truncated_bytes: wal_size - scan.valid_bytes,
-            recovered_lsn,
+            recovered_lsn: scan.records.last().map_or(0, |r| r.lsn),
             wal_bytes: wal_size,
         };
-        let c = wal_counters();
-        c.replayed.add(recovery.replayed_records);
-        c.truncated_bytes.add(recovery.truncated_bytes);
+        let layout = (block_size, num_blocks, meta, data_start);
+        Ok(Self::assemble(dir, (main, wal), layout, &opts, checksums, recovery))
+    }
 
-        Ok(FileDevice {
+    /// The device over its open files: the tail [`FileDevice::create`] and
+    /// [`FileDevice::open`] share. `layout` is `(block_size, num_blocks,
+    /// meta, data_start)`, as the header records them.
+    fn assemble(
+        dir: PathBuf,
+        (main, wal): (File, File),
+        (block_size, num_blocks, meta, data_start): (usize, usize, Vec<u8>, u64),
+        opts: &FileDeviceOptions,
+        checksums: Vec<u64>,
+        recovery: RecoveryReport,
+    ) -> Self {
+        counter!("storage.wal.replayed").add(recovery.replayed_records);
+        counter!("storage.wal.truncated_bytes").add(recovery.truncated_bytes);
+        // Every other counter a device records into exists once a device
+        // does, so a snapshot shows it (at zero) before the first event.
+        for zero in [
+            counter!("storage.device.reads"),
+            counter!("storage.device.writes"),
+            counter!("storage.wal.appends"),
+            counter!("storage.wal.fsyncs"),
+            counter!("storage.wal.checkpoints"),
+        ] {
+            zero.add(0);
+        }
+        let lsn = recovery.recovered_lsn;
+        FileDevice {
             dir,
             main,
             wal,
@@ -538,15 +517,15 @@ impl FileDevice {
             fold_order: Vec::new(),
             fold_record: Vec::new(),
             wal_len: 0,
-            next_lsn: recovered_lsn + 1,
-            appended_lsn: recovered_lsn,
-            durable_lsn: recovered_lsn,
+            next_lsn: lsn + 1,
+            appended_lsn: lsn,
+            durable_lsn: lsn,
             appends_since_sync: 0,
             step: 0,
             crashed: false,
             wal_stats: WalStats::default(),
             recovery,
-        })
+        }
     }
 
     /// Whether `dir` holds a device (its main block file exists).
@@ -644,7 +623,7 @@ impl FileDevice {
         self.durable_lsn = self.appended_lsn;
         self.appends_since_sync = 0;
         self.wal_stats.fsyncs += 1;
-        wal_counters().fsyncs.inc();
+        counter!("storage.wal.fsyncs").inc();
     }
 
     /// Folds every dirty block into the main file and truncates the WAL:
@@ -693,7 +672,7 @@ impl FileDevice {
         let FileState { dirty, spare, .. } = self.state.get_mut().expect(POISONED);
         spare.extend(dirty.drain().map(|(_, buf)| buf));
         self.wal_stats.checkpoints += 1;
-        wal_counters().checkpoints.inc();
+        counter!("storage.wal.checkpoints").inc();
     }
 
     /// Clean shutdown: checkpoint (which syncs) and drop.
@@ -745,11 +724,11 @@ impl BlockDevice for FileDevice {
             st.stats.reads += 1;
             if let Some(p) = st.dirty.get(&id) {
                 buf.copy_from_slice(p);
-                io_counters().0.inc();
+                counter!("storage.device.reads").inc();
                 return Ok(());
             }
         }
-        io_counters().0.inc();
+        counter!("storage.device.reads").inc();
         self.read_main_payload(id, buf)
             .map_err(|_| ReadError { block: id, kind: ReadErrorKind::Io })
     }
@@ -766,14 +745,14 @@ impl BlockDevice for FileDevice {
         if self.crashed {
             return;
         }
-        io_counters().1.inc();
+        counter!("storage.device.writes").inc();
 
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         self.appended_lsn = lsn;
         append_wal_record(&mut self.wal_pending, lsn, id as u64, data);
         self.wal_stats.appends += 1;
-        wal_counters().appends.inc();
+        counter!("storage.wal.appends").inc();
         let died = self.crash_here().is_some();
         let st = self.state.get_mut().expect(POISONED);
         st.stats.writes += 1;

@@ -35,7 +35,7 @@
 //!   ([`CoefficientStore`]: layout, energy catalog, load, reopen, and the
 //!   plan → fetch → accumulate → bound evaluation) and its 1-D Haar front
 //!   [`WaveletStore`].
-//! - [`file`]: the durable file-backed device ([`FileDevice`]) — per-block
+//! - [`file`](mod@file): the durable file-backed device ([`FileDevice`]) — per-block
 //!   checksums, a length-prefixed checksummed WAL with monotone LSNs,
 //!   periodic checkpointing, torn-tail-truncating recovery, three
 //!   durability modes, and seeded crash points for provably exact

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use aims_dsp::dwt::dwt_full;
 use aims_dsp::filters::WaveletFilter;
-use aims_telemetry::{global, span};
+use aims_telemetry::{counter, histogram_f64, span};
 
 use crate::alloc::{Allocation, RandomAlloc, TreeTilingAlloc};
 use crate::cache::SharedBlockCache;
@@ -288,8 +288,7 @@ impl<D: BlockDevice> CoefficientStore<D> {
         if !pairs.is_empty() {
             // The paper's success metric (§3.2.1): needed items per
             // retrieved block, which tiling pushes toward 1 + lg B.
-            global()
-                .histogram_f64("storage.alloc.needed_items_per_block")
+            histogram_f64!("storage.alloc.needed_items_per_block")
                 .record_f64(indices.len() as f64 / pairs.len() as f64);
         }
         let mut plan = BlockPlan::default();
@@ -339,7 +338,7 @@ impl<D: BlockDevice> CoefficientStore<D> {
         pool: &SharedBlockCache,
         policy: &RetryPolicy,
     ) -> DegradedAnswer {
-        global().counter("storage.store.coefficients_fetched").add(indices.len() as u64);
+        counter!("storage.store.coefficients_fetched").add(indices.len() as u64);
         let mut ledger = BoundLedger::in_fold_order(Arc::new(self.plan(indices, weights)));
         let (mut cursor, mut estimate, mut missing) = (0usize, 0.0, 0usize);
         while let Some(k) = ledger.peek() {
@@ -350,7 +349,7 @@ impl<D: BlockDevice> CoefficientStore<D> {
                     ledger.deliver();
                 }
                 Err(_) => {
-                    global().counter("storage.degraded").inc();
+                    counter!("storage.degraded").inc();
                     missing +=
                         self.accumulate(indices, weights, b, None, &mut cursor, &mut estimate);
                     ledger.lose();
@@ -484,7 +483,7 @@ impl<D: BlockDevice> WaveletStore<D> {
         policy: &RetryPolicy,
     ) -> DegradedAnswer {
         let _span = span!("storage.store.point_value");
-        global().counter("storage.store.point_queries").inc();
+        counter!("storage.store.point_queries").inc();
         let (indices, weights) = self.point_entries(t);
         self.store.evaluate(&indices, &weights, pool, policy)
     }
@@ -499,7 +498,7 @@ impl<D: BlockDevice> WaveletStore<D> {
         policy: &RetryPolicy,
     ) -> DegradedAnswer {
         let _span = span!("storage.store.range_sum");
-        global().counter("storage.store.range_queries").inc();
+        counter!("storage.store.range_queries").inc();
         let (indices, weights) = self.range_entries(a, b);
         self.store.evaluate(&indices, &weights, pool, policy)
     }

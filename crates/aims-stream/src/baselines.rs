@@ -3,7 +3,7 @@
 //! The paper argues the alternatives fall short on 28-dimensional
 //! aggregated streams: "Euclidean distance metric is not suitable for our
 //! problem due to the effect of 'dimensionality curse' and the requirement
-//! of identical length"; DFT [1] and DWT [21] similarity rotate each
+//! of identical length"; DFT \[1\] and DWT \[21\] similarity rotate each
 //! sequence independently and "since our datasets are not correlated on
 //! the sensor dimension at any given time, we do not expect DFT or DWT to
 //! perform well". We implement all three honestly (with the standard

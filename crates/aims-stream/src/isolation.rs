@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 
 use aims_linalg::IncrementalSvd;
 use aims_sensors::types::{MultiStream, QualityMask, SampleQuality};
-use aims_telemetry::{global, span};
+use aims_telemetry::{counter, span};
 
 use crate::engine::SlidingWindow;
 use crate::signature::SvdSignature;
@@ -293,7 +293,7 @@ impl StreamRecognizer {
 
     fn evaluate(&mut self) -> Option<DetectedPattern> {
         let _span = span!("stream.isolation.evaluate");
-        global().counter("stream.isolation.evaluations").inc();
+        counter!("stream.isolation.evaluations").inc();
         let sig = match &self.tracker {
             Some(tracker) => SvdSignature::from_incremental(tracker, self.config.rank),
             None => SvdSignature::from_matrix(&self.window.to_matrix(), self.config.rank),
@@ -304,7 +304,7 @@ impl StreamRecognizer {
         let live: Vec<bool> = self.dead_counts.iter().map(|&d| 2 * d < wlen).collect();
         let masked = live.iter().filter(|&&l| !l).count();
         if masked > 0 {
-            global().counter("stream.masked_channels").add(masked as u64);
+            counter!("stream.masked_channels").add(masked as u64);
         }
         let live_count = live.len() - masked;
         let impaired: usize =
@@ -351,7 +351,7 @@ impl StreamRecognizer {
                     .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
                     .expect("non-empty evidence");
                 if best_e >= self.config.trigger {
-                    global().counter("stream.isolation.accumulation.triggers").inc();
+                    counter!("stream.isolation.accumulation.triggers").inc();
                     self.state = State::Active {
                         label: best,
                         start: self.rise_start[best].max(self.last_emit_end),
@@ -400,10 +400,9 @@ impl StreamRecognizer {
                         peak_evidence: *peak,
                         confidence: *min_conf,
                     };
-                    let telemetry = global();
-                    telemetry.counter("stream.isolation.patterns_detected").inc();
+                    counter!("stream.isolation.patterns_detected").inc();
                     if overtaken {
-                        telemetry.counter("stream.isolation.accumulation.takeovers").inc();
+                        counter!("stream.isolation.accumulation.takeovers").inc();
                     }
                     self.last_emit_end = end;
                     self.state = State::Idle;

@@ -106,7 +106,7 @@ impl SvdSignature {
     /// # Panics
     /// If sensor dimensions differ.
     pub fn similarity(&self, other: &SvdSignature) -> f64 {
-        aims_telemetry::global().counter("stream.signature.comparisons").inc();
+        aims_telemetry::counter!("stream.signature.comparisons").inc();
         assert_eq!(self.sensors(), other.sensors(), "sensor dimensionality mismatch");
         let k = self.rank().min(other.rank());
         let mut sim = 0.0;
@@ -142,7 +142,7 @@ impl SvdSignature {
         if live.iter().all(|&l| l) {
             return self.similarity(other);
         }
-        aims_telemetry::global().counter("stream.signature.masked_comparisons").inc();
+        aims_telemetry::counter!("stream.signature.masked_comparisons").inc();
         let k = self.rank().min(other.rank());
         let mut sim = 0.0;
         let mut weight_sum = 0.0;

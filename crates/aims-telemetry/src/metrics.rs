@@ -1,10 +1,12 @@
-//! The three metric primitives: counter, gauge, log-bucketed histogram.
+//! The three metric primitives: counter, gauge, log-bucketed histogram,
+//! plus the histogram's RAII timer behind `span!`.
 //!
 //! All three are lock-free (plain atomics) so they can sit on hot paths —
 //! a counter increment is one `fetch_add`, a histogram record is two
 //! `fetch_add`s plus a `fetch_max`/`fetch_min` pair.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -172,6 +174,12 @@ impl Histogram {
         self.record(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
+    /// Starts a timer that records its elapsed nanoseconds here when it
+    /// drops: one `Instant`, no allocation, no lock.
+    pub fn time(&self) -> SpanGuard<'_> {
+        SpanGuard { hist: self, start: Instant::now() }
+    }
+
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -242,9 +250,34 @@ impl Histogram {
     }
 }
 
+/// An active timed region (see [`Histogram::time`]).
+#[derive(Debug)]
+#[must_use = "the region ends, and is recorded, when the guard drops"]
+pub struct SpanGuard<'a> {
+    hist: &'a Histogram,
+    start: Instant,
+}
+
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
+        self.hist.record_duration(self.start.elapsed());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spans_record_into_their_call_site_histogram() {
+        for _ in 0..3 {
+            let _outer = crate::span!("test.span.outer");
+            let _inner = crate::span!("test.span.inner");
+        }
+        let snap = crate::global().snapshot();
+        assert_eq!(snap.histogram("test.span.outer.ns").unwrap().count, 3);
+        assert_eq!(snap.histogram("test.span.inner.ns").unwrap().count, 3);
+    }
 
     #[test]
     fn bucket_bounds_cover_bucket_index() {

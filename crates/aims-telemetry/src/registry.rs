@@ -8,10 +8,11 @@ use crate::snapshot::{HistogramSummary, Snapshot};
 
 /// A named collection of metrics.
 ///
-/// Handles are `Arc`s: look one up once (or on every call — it's a read
-/// lock plus a `BTreeMap` probe) and increment through it. Names follow
-/// the `component.subsystem.metric` convention; duration histograms end
-/// in `.ns`.
+/// Handles are `Arc`s; a lookup is a read lock plus a `BTreeMap` probe.
+/// Code recording into [`global`] under a literal name goes through the
+/// call-site-cached `counter!`/`gauge!`/`histogram!`/`histogram_f64!`
+/// macros instead. Names follow the `component.subsystem.metric`
+/// convention; duration histograms end in `.ns`.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
@@ -92,7 +93,7 @@ impl MetricsRegistry {
     }
 }
 
-/// The process-wide registry that the `span!` macro and all AIMS
+/// The process-wide registry that the metric macros and all AIMS
 /// components record into.
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();

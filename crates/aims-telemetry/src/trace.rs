@@ -1,7 +1,7 @@
 //! Request-scoped tracing: trace contexts, a lock-sharded flight
 //! recorder, and Chrome trace-event export.
 //!
-//! The existing [`crate::span`] machinery times *code regions* and feeds
+//! The [`span!`](crate::span!) timer times *code regions* into
 //! process-global histograms; it cannot say which of 32 concurrent
 //! sessions paid for a block fetch. This module adds the other axis:
 //! a [`TraceContext`] is minted per request, passed explicitly down the

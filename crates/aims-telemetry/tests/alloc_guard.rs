@@ -1,11 +1,13 @@
-//! Proves the "zero-cost when disabled" tracing contract at the
-//! allocator level: a counting global allocator wraps the system one
-//! (counting per thread — the libtest harness thread allocates beside
-//! the test), and the disabled-context hot path must perform exactly
-//! zero allocations. This is the same property the E28 bit-identity gate
-//! checks end-to-end; here it is pinned down to the API itself.
+//! Proves the "zero-cost when disabled" tracing contract, and that the
+//! metric macros are free to leave on hot paths, at the allocator level:
+//! a counting global allocator wraps the system one (counting per thread —
+//! the libtest harness thread allocates beside the test), and the
+//! disabled-context hot path and steady-state `span!`/`counter!`/
+//! `histogram!` records must perform exactly zero allocations. This is
+//! the same property the E28 bit-identity gate checks end-to-end; here it
+//! is pinned down to the API itself.
 
-use aims_telemetry::{AttrValue, TraceContext};
+use aims_telemetry::{counter, histogram, span, AttrValue, TraceContext};
 
 #[path = "support/thread_alloc.rs"]
 mod thread_alloc;
@@ -62,4 +64,17 @@ fn disabled_trace_context_allocates_nothing() {
     });
     assert_eq!(count, 0, "enabled steady-state recording must not allocate");
     assert_eq!(recorder.written(), 10_000);
+}
+
+#[test]
+fn steady_state_metric_macros_allocate_nothing() {
+    // One pass first: registering a call site's handle allocates once.
+    let record = |i: u64| {
+        let _g = span!("test.alloc.span");
+        counter!("test.alloc.count").inc();
+        histogram!("test.alloc.hist").record(i);
+    };
+    record(0);
+    let count = allocations_during(|| (0..10_000).for_each(record));
+    assert_eq!(count, 0, "steady-state spans and metric records must not allocate");
 }

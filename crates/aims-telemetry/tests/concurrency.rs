@@ -1,12 +1,12 @@
 //! Multi-threaded correctness of the telemetry primitives: counters and
 //! histograms must not lose updates under contention, quantiles must stay
-//! within the log-bucketing resolution, and span nesting must stay
-//! per-thread.
+//! within the log-bucketing resolution, and a call site's cached handle
+//! must be one metric even when threads race to initialise it.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
-use aims_telemetry::{global, recent_spans, MetricsRegistry, SpanGuard};
+use aims_telemetry::{counter, global, span, MetricsRegistry};
 
 const THREADS: usize = 8;
 const INCREMENTS: usize = 10_000;
@@ -97,16 +97,19 @@ fn quantiles_track_known_distributions() {
 }
 
 #[test]
-fn span_nesting_is_per_thread_under_concurrency() {
+fn call_site_handles_initialise_once_under_contention() {
+    const HITS: usize = 2_000;
+    let start = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {
+            let start = Arc::clone(&start);
             thread::spawn(move || {
-                for _ in 0..200 {
-                    let _outer = SpanGuard::enter("test.nest.outer");
-                    let inner = SpanGuard::enter("test.nest.inner");
-                    // Other threads' spans must never leak into this
-                    // thread's path.
-                    assert_eq!(inner.path(), "test.nest.outer/test.nest.inner");
+                // Every thread reaches both call sites for the first time
+                // at once, so their caches initialise under contention.
+                start.wait();
+                for _ in 0..HITS {
+                    let _g = span!("test.callsite.span");
+                    counter!("test.callsite.count").inc();
                 }
             })
         })
@@ -115,9 +118,7 @@ fn span_nesting_is_per_thread_under_concurrency() {
         h.join().unwrap();
     }
     let snap = global().snapshot();
-    assert!(snap.histogram("test.nest.outer.ns").unwrap().count >= (THREADS * 200) as u64);
-    assert!(snap.histogram("test.nest.inner.ns").unwrap().count >= (THREADS * 200) as u64);
-    // Trace records carry depth-1 paths for the inner span.
-    let spans = recent_spans(usize::MAX);
-    assert!(spans.iter().any(|s| s.path == "test.nest.outer/test.nest.inner" && s.depth == 1));
+    let expected = (THREADS * HITS) as u64;
+    assert_eq!(snap.counter("test.callsite.count"), expected);
+    assert_eq!(snap.histogram("test.callsite.span.ns").unwrap().count, expected);
 }

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use aims_dsp::dwt::dwt_full_inplace;
 use aims_dsp::kernel::DwtScratch;
 use aims_exec::ThreadPool;
-use aims_telemetry::global;
+use aims_telemetry::counter;
 
 use crate::layout::TierConfig;
 use crate::store::{SegCoeffs, TierMedia, TieredStore};
@@ -61,7 +61,6 @@ pub fn run_once<D: TierMedia>(store: &TieredStore<D>, pool: &ThreadPool, max: us
     if claimed.is_empty() {
         return 0;
     }
-    let t = global();
     let start = Instant::now();
     let cfg = store.config();
     let transformed: Vec<SegCoeffs> =
@@ -71,7 +70,7 @@ pub fn run_once<D: TierMedia>(store: &TieredStore<D>, pool: &ThreadPool, max: us
     let mut it = claimed.iter().zip(transformed);
     for ((seg, data), coeffs) in it.by_ref() {
         if !store.install(*seg, coeffs) {
-            t.counter("tier.compaction.refused").inc();
+            counter!("tier.compaction.refused").inc();
             break;
         }
         bytes += (data.len() * 8) as u64;
@@ -81,9 +80,9 @@ pub fn run_once<D: TierMedia>(store: &TieredStore<D>, pool: &ThreadPool, max: us
     for ((seg, _), _) in it {
         store.release_claim(*seg);
     }
-    t.counter("tier.compaction.runs").inc();
-    t.counter("tier.compaction.ns").add(start.elapsed().as_nanos() as u64);
-    t.counter("tier.compaction.bytes").add(bytes);
+    counter!("tier.compaction.runs").inc();
+    counter!("tier.compaction.ns").add(start.elapsed().as_nanos() as u64);
+    counter!("tier.compaction.bytes").add(bytes);
     installed
 }
 

@@ -11,7 +11,7 @@
 use aims_acquisition::ingest::IngestOutcome;
 use aims_acquisition::recorder::{DoubleBufferRecorder, QueuePolicy, RecordingStats};
 use aims_sensors::types::MultiStream;
-use aims_telemetry::global;
+use aims_telemetry::counter;
 
 use crate::store::{TierMedia, TieredStore};
 
@@ -43,7 +43,7 @@ pub fn feed_recording<D: TierMedia>(
         holes -= 1;
     }
     store.push_slice(&values);
-    global().counter("tier.feed.holes").add(holes as u64);
+    counter!("tier.feed.holes").add(holes as u64);
     FeedReport { samples: source_len, holes }
 }
 
@@ -76,7 +76,7 @@ pub fn record_into_store<D: TierMedia + Send>(
         holes += source.len() - next;
         store.push_slice(&vec![0.0; source.len() - next]);
     }
-    global().counter("tier.feed.holes").add(holes as u64);
+    counter!("tier.feed.holes").add(holes as u64);
     (stats, FeedReport { samples: source.len(), holes })
 }
 

@@ -10,11 +10,20 @@
 //!
 //! The coefficients live on the historical device, so evaluation plans
 //! from the *weights* alone: a block is fetched only if its weights are
-//! not all zero (a fully covered Haar segment needs exactly its first
-//! block), the needed blocks are priced into one [`BlockPlan`] from the
+//! not all zero (a fully covered segment needs exactly its first block),
+//! the needed blocks are priced into one [`BlockPlan`] from the
 //! snapshot's energy catalog, and a [`BoundLedger`] consumes that plan
 //! most-important-first, carrying the bound. Every fully covered segment
 //! shares one weight vector, computed once per query.
+//!
+//! Before planning, every weight at or below `ZERO_TOL` (1e-10) × the
+//! vector's largest magnitude is set to zero — the lazy transform's rule for
+//! values that should be exact zeros. Under Db4 the detail weights of an
+//! indicator carry ≈ 1e-14 of rounding noise that would otherwise plan
+//! every block of the segment. Haar weights are exact and never smaller
+//! than 2⁻¹² of the largest, so Haar plans and answers are untouched. By
+//! Cauchy–Schwarz, the dropped weights move a segment's answer by at most
+//! their l2 norm × √(segment energy).
 //!
 //! Determinism contract (the oracle bit-identity tests lean on this):
 //! every block contributes one partial — `w·c` products accumulated in
@@ -34,7 +43,7 @@ use aims_dsp::dwt::dwt_full_inplace;
 use aims_dsp::kernel::DwtScratch;
 use aims_exec::ThreadPool;
 use aims_storage::{BlockPlan, BoundLedger};
-use aims_telemetry::global;
+use aims_telemetry::counter;
 
 use crate::store::{SnapKind, SnapSeg, TierSnapshot};
 
@@ -43,10 +52,18 @@ use crate::store::{SnapKind, SnapSeg, TierSnapshot};
 /// `(block, Σw²)` — the blocks a query must fetch.
 type Weights = (Vec<f64>, Vec<(usize, f64)>);
 
+/// Relative magnitude at or below which a transformed indicator weight is
+/// rounding noise, dropped before planning (see the module docs).
+const ZERO_TOL: f64 = 1e-10;
+
 fn weights_for(cfg: &crate::layout::TierConfig, la: usize, lb: usize) -> Weights {
     let mut w = vec![0.0; cfg.segment_len];
     w[la..=lb].fill(1.0);
     dwt_full_inplace(&mut w, &cfg.filter.filter(), &mut DwtScratch::new());
+    let tol = ZERO_TOL * w.iter().fold(0.0, |m: f64, x| m.max(x.abs()));
+    for x in w.iter_mut().filter(|x| x.abs() <= tol) {
+        *x = 0.0;
+    }
     let needed = w
         .chunks(cfg.block_size)
         .enumerate()
@@ -223,10 +240,9 @@ impl<'a> TieredProgressive<'a> {
         }
         prog.ledger = BoundLedger::by_gain(Arc::new(block_plan));
 
-        let t = global();
-        t.counter("tier.query.hot_rows").add(prog.hot_rows as u64);
+        counter!("tier.query.hot_rows").add(prog.hot_rows as u64);
         if hot_segs > 0 && hist_segs > 0 {
-            t.counter("tier.query.merged").inc();
+            counter!("tier.query.merged").inc();
         }
         prog
     }
@@ -310,5 +326,35 @@ impl<'a> TieredProgressive<'a> {
             self.step(usize::MAX / 2);
         }
         self.current()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{compact, TierConfig, TieredStore};
+    use aims_dsp::filters::FilterKind;
+
+    /// Db4 indicator weights carry rounding noise in every detail band;
+    /// only the blocks holding real weight may be planned.
+    #[test]
+    fn db4_plans_only_blocks_with_real_weight() {
+        let pool = ThreadPool::new(1);
+        for (filter, full, partial) in [(FilterKind::Db4, 1, 8), (FilterKind::Haar, 1, 6)] {
+            let cfg = TierConfig { filter, ..TierConfig::default() };
+            let store = TieredStore::new_mem(cfg);
+            let signal: Vec<f64> = (0..cfg.segment_len).map(|i| ((i * 31) % 17) as f64).collect();
+            store.push_slice(&signal);
+            store.seal_open();
+            compact::drain(&store, &pool);
+            let snap = store.snapshot();
+            for ((a, b), blocks) in [((0, cfg.segment_len - 1), full), ((100, 3000), partial)] {
+                let mut prog = TieredProgressive::new(&snap, a, b, &pool);
+                assert_eq!(prog.total_blocks(), blocks, "{filter:?} [{a}, {b}]");
+                let raw: f64 = signal[a..=b].iter().sum();
+                let got = prog.drain().estimate;
+                assert!((got - raw).abs() <= 1e-9 * raw, "{filter:?} [{a}, {b}]: {got} vs {raw}");
+            }
+        }
     }
 }

@@ -39,7 +39,7 @@ use aims_storage::{
     BlockDevice, DeviceStats, FaultyDevice, FileDevice, FileDeviceOptions, MemDevice, RawMedia,
     ReadError, ReadErrorKind, RetryPolicy, SharedBlockCache,
 };
-use aims_telemetry::{global, Counter};
+use aims_telemetry::{counter, gauge};
 
 use crate::layout::{Manifest, TierConfig, SLOT_EMPTY, SLOT_OPEN, SLOT_RAW, SLOT_RETIRED};
 
@@ -141,23 +141,16 @@ struct HistTier<D> {
     cache: SharedBlockCache,
     cfg: TierConfig,
     retry: RetryPolicy,
-    block_reads: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
 }
 
 impl<D: TierMedia> HistTier<D> {
     fn new(cfg: TierConfig, device: D, man: Manifest, cache_blocks: usize) -> Self {
         let shards = CACHE_SHARDS.min(cache_blocks);
-        let t = global();
         HistTier {
             state: RwLock::new(HistState { device, man }),
             cache: SharedBlockCache::with_shards(cache_blocks / shards * shards, shards),
             cfg,
             retry: RetryPolicy::default(),
-            block_reads: t.counter("tier.hist.block_reads"),
-            cache_hits: t.counter("tier.hist.cache_hits"),
-            cache_misses: t.counter("tier.hist.cache_misses"),
         }
     }
 
@@ -180,10 +173,10 @@ impl<D: TierMedia> BlockSource for HistTier<D> {
         // A hit never touches the device lock, so it never waits behind an
         // install's commit.
         if let Some(data) = self.cache.lookup(id) {
-            self.cache_hits.inc();
+            counter!("tier.hist.cache_hits").inc();
             return Ok(data);
         }
-        self.cache_misses.inc();
+        counter!("tier.hist.cache_misses").inc();
         let fetched = self.cache.read_and_insert(&self.read().device, id, &self.retry);
         // Dead blocks fail fast; any other failure used the whole budget.
         let retries = match &fetched {
@@ -191,7 +184,7 @@ impl<D: TierMedia> BlockSource for HistTier<D> {
             Err(e) if e.kind == ReadErrorKind::Dead => 0,
             Err(_) => self.retry.retries,
         };
-        self.block_reads.add(1 + retries as u64);
+        counter!("tier.hist.block_reads").add(1 + retries as u64);
         fetched.map(|(data, _)| data)
     }
 }
@@ -425,7 +418,7 @@ impl<D: TierMedia> TieredStore<D> {
         let mut hist_man = Manifest::fresh_hist(&cfg);
         hot_man.flush(&mut hot);
         hist_man.flush(&mut hist);
-        global().counter("tier.segments.open").inc();
+        counter!("tier.segments.open").inc();
         let inner = Inner::empty(&cfg, hot, hot_man);
         Self::assemble(cfg, inner, HistTier::new(cfg, hist, hist_man, cache_blocks))
     }
@@ -539,7 +532,7 @@ impl<D: TierMedia> TieredStore<D> {
         let hot = 8 * (inner.sealed_raw * self.cfg.segment_len + inner.open_buf.len());
         let catalogs = 8 * self.cfg.blocks_per_segment() * (inner.segs.len() - inner.sealed_raw);
         let bytes = hot + catalogs + self.hist.cache_bytes();
-        global().gauge("tier.resident_bytes").set(bytes as f64);
+        gauge!("tier.resident_bytes").set(bytes as f64);
         bytes
     }
 
@@ -636,10 +629,9 @@ impl<D: TierMedia> TieredStore<D> {
         inner.open_written = 0;
         inner.segs.push(Seg::Raw { data: Arc::new(data), compacting: false });
         inner.sealed_raw += 1;
-        let t = global();
-        t.counter("tier.segments.sealed").inc();
-        t.counter("tier.segments.open").inc();
-        t.gauge("tier.segments.raw_pending").set(inner.sealed_raw as f64);
+        counter!("tier.segments.sealed").inc();
+        counter!("tier.segments.open").inc();
+        gauge!("tier.segments.raw_pending").set(inner.sealed_raw as f64);
         self.publish_resident(inner);
     }
 
@@ -774,9 +766,8 @@ impl<D: TierMedia> TieredStore<D> {
         }
         inner.segs[seg] = Seg::Hist { len, energy: coeffs.block_energy.into() };
         inner.sealed_raw -= 1;
-        let t = global();
-        t.counter("tier.segments.compacted").inc();
-        t.gauge("tier.segments.raw_pending").set(inner.sealed_raw as f64);
+        counter!("tier.segments.compacted").inc();
+        gauge!("tier.segments.raw_pending").set(inner.sealed_raw as f64);
         self.publish_resident(&inner);
         true
     }

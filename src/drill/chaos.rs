@@ -6,7 +6,7 @@
 //! 1. **Storage** — [`FaultyDevice`] (read errors, bit flips, torn
 //!    writes, dead blocks, latency) under the serving layer's retry and
 //!    degraded-evaluation path.
-//! 2. **Acquisition** — [`FaultySensorRig`] (dropouts, spikes, stuck-at,
+//! 2. **Acquisition** — [`aims_sensors::FaultySensorRig`] (dropouts, spikes, stuck-at,
 //!    clock faults, duplicates, reordering, sensor death) under the
 //!    supervised ingest pipeline.
 //! 3. **Overload** — query floods against a bounded admission queue,

@@ -33,7 +33,7 @@
 //!
 //! Robustness: [`drill`] is the one drill library — seeded storage-fault,
 //! ingest-fault, crash-recovery, tiered-ingest and composed chaos drills,
-//! each `run(&Config) -> Report` with `violations()` and `metrics()` —
+//! each `run(&Config) -> Report` with `violations()` and plain fields —
 //! that `aims-cli`, the E-experiments and the matrix tests are shells over.
 //!
 //! ## Quickstart
@@ -156,7 +156,7 @@ impl AimsSystem {
     pub fn ingest(&mut self, stream: &MultiStream) -> IngestReport {
         let _span = aims_telemetry::span!("system.ingest");
         assert!(!stream.is_empty(), "cannot ingest an empty stream");
-        aims_telemetry::global().counter("system.ingest.frames").add(stream.len() as u64);
+        aims_telemetry::counter!("system.ingest.frames").add(stream.len() as u64);
         let sampled = sample_stream(stream, self.config.sampling, &self.config.sampling_params);
         let rmse = sampled.relative_rmse(stream);
 
