@@ -141,10 +141,11 @@ fn durable_store(
     } else {
         let cube = demo_cube(opts.side, opts.seed);
         let meta = encode_meta(cube.dims(), cube.filter());
-        let mut blocked = BlockedCoefficients::on_device(cube.coeffs(), opts.block, |bs, nb| {
-            FileDevice::create(dir, bs, nb, FileDeviceOptions { meta, ..dev_opts })
-                .unwrap_or_else(|e| panic!("create {dir}: {e}"))
-        });
+        let num_blocks = cube.coeffs().len().div_ceil(opts.block);
+        let device =
+            FileDevice::create(dir, opts.block, num_blocks, FileDeviceOptions { meta, ..dev_opts })
+                .map_err(|e| format!("create {dir}: {e}"))?;
+        let mut blocked = BlockedCoefficients::on_device(cube.coeffs(), opts.block, |_, _| device);
         blocked.device_mut().checkpoint();
         println!(
             "aims-serve: created {dir} ({} blocks, {})",

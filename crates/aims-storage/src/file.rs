@@ -8,11 +8,12 @@
 //! is the durable twin: a directory holding a main block file plus a
 //! write-ahead log, with the classic redo protocol:
 //!
-//! - **Main file** (`blocks.aims`): a write-once header (magic, version,
-//!   geometry, user meta blob, header checksum) followed by fixed-size
-//!   block records, each `block_size` big-endian f64 payloads plus the
-//!   [`block_digest`] recorded at write time. The header is never mutated
-//!   after creation, so no write can tear it.
+//! - **Main file** (`blocks.aims`, version 3): a write-once header (magic,
+//!   version, geometry, user meta blob, header checksum), a table of one
+//!   big-endian [`block_digest`] per block, then each block's `block_size`
+//!   big-endian f64s — a hole until a checkpoint folds the block, and never
+//!   trusted for its zeros, since every digest is explicit in the table.
+//!   The header is never mutated after creation, so no write can tear it.
 //! - **WAL** (`wal.aims`): length-prefixed physical redo records
 //!   `[len u32][lsn u64][block u64][payload][crc u64]` with a strictly
 //!   monotone LSN. Records are full-block images, so replay is naturally
@@ -55,8 +56,9 @@ use crate::faults::mix;
 
 /// `"AIMSFDEV"` — the main-file magic.
 const MAGIC: u64 = 0x4149_4D53_4644_4556;
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 const MAIN_FILE: &str = "blocks.aims";
+const PAGE_ITEMS: usize = 512;
 const WAL_FILE: &str = "wal.aims";
 /// Salt separating torn-length draws from the fault-schedule streams.
 const SALT_CRASH_TORN: u64 = 0x6006;
@@ -224,7 +226,7 @@ pub struct FileDevice {
     wal: File,
     block_size: usize,
     num_blocks: usize,
-    data_start: u64,
+    layout: MainLayout,
     meta: Vec<u8>,
     mode: DurabilityMode,
     crash: CrashPlan,
@@ -233,9 +235,9 @@ pub struct FileDevice {
     /// WAL bytes buffered in userspace — lost wholesale by a crash.
     wal_pending: Vec<u8>,
     /// Checkpoint scratch, reused across checkpoints: the dirty block ids
-    /// in fold order and the one record being written.
+    /// in fold order and the one payload image being written.
     fold_order: Vec<usize>,
-    fold_record: Vec<u8>,
+    fold_payload: Vec<u8>,
     /// Durable WAL length (bytes already written to the OS file).
     wal_len: u64,
     next_lsn: u64,
@@ -251,9 +253,31 @@ pub struct FileDevice {
     recovery: RecoveryReport,
 }
 
-/// Byte length of one main-file block record.
-fn block_record_len(block_size: usize) -> usize {
-    block_size * 8 + 8
+/// Main-file offsets: header, then checksum table, then payloads to `file_len`.
+#[derive(Clone, Copy, Debug)]
+struct MainLayout {
+    table_start: u64,
+    payload_start: u64,
+    payload_len: u64,
+    file_len: u64,
+}
+
+impl MainLayout {
+    /// `None` when the geometry overflows a file offset.
+    fn new(header_len: u64, block_size: usize, num_blocks: usize) -> Option<Self> {
+        let payload_len = (block_size as u64).checked_mul(8)?;
+        let payload_start = header_len.checked_add((num_blocks as u64).checked_mul(8)?)?;
+        let file_len = payload_start.checked_add(payload_len.checked_mul(num_blocks as u64)?)?;
+        Some(MainLayout { table_start: header_len, payload_start, payload_len, file_len })
+    }
+
+    fn table_entry(&self, id: usize) -> u64 {
+        self.table_start + id as u64 * 8
+    }
+
+    fn payload(&self, id: usize) -> u64 {
+        self.payload_start + id as u64 * self.payload_len
+    }
 }
 
 /// Writes `payload`'s big-endian image over `out` (`payload.len() * 8`
@@ -263,14 +287,6 @@ fn encode_payload(out: &mut [u8], payload: &[f64]) {
     for (dst, v) in out.as_chunks_mut::<8>().0.iter_mut().zip(payload) {
         *dst = v.to_bits().to_be_bytes();
     }
-}
-
-/// Makes `out` the main-file block record of payload + checksum.
-fn encode_block_record(out: &mut Vec<u8>, payload: &[f64], checksum: u64) {
-    let payload_len = payload.len() * 8;
-    out.resize(payload_len + 8, 0);
-    encode_payload(&mut out[..payload_len], payload);
-    out[payload_len..].copy_from_slice(&checksum.to_be_bytes());
 }
 
 /// Appends one WAL record (`[len][lsn][block][payload][crc]`) to `buf`.
@@ -288,7 +304,7 @@ fn append_wal_record(buf: &mut Vec<u8>, lsn: u64, block: u64, payload: &[f64]) {
 }
 
 /// One committed WAL record; `payload` is the big-endian image of the
-/// block, exactly as a main-file block record stores it.
+/// block, exactly as the main file's payload region stores it.
 struct WalRecord<'a> {
     lsn: u64,
     block: usize,
@@ -353,7 +369,7 @@ fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Decoded header: `(block_size, num_blocks, meta, data_start)`.
+/// Decoded header: `(block_size, num_blocks, meta, header_len)`.
 fn decode_header(main: &mut File) -> io::Result<(usize, usize, Vec<u8>, u64)> {
     let mut fixed = [0u8; 30];
     main.read_exact(&mut fixed).map_err(|_| bad_data("main file shorter than its header"))?;
@@ -382,11 +398,13 @@ fn decode_header(main: &mut File) -> io::Result<(usize, usize, Vec<u8>, u64)> {
 }
 
 impl FileDevice {
-    /// Creates a fresh device directory: writes the header, `num_blocks`
-    /// zeroed checksummed block records, and an empty WAL, all fsynced.
+    /// Creates a fresh device directory: writes the header, a checksum table
+    /// of zero-block digests and an empty WAL, all fsynced. The payload
+    /// region is a hole that reads back as zeros, so creation costs 8 bytes
+    /// a block; the filesystem allocates a payload when it is first folded.
     ///
     /// # Panics
-    /// If `block_size == 0`.
+    /// If `block_size == 0` or the geometry overflows a file offset.
     pub fn create<P: AsRef<Path>>(
         dir: P,
         block_size: usize,
@@ -397,19 +415,22 @@ impl FileDevice {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let header = encode_header(block_size, num_blocks, &opts.meta);
+        let layout = MainLayout::new(header.len() as u64, block_size, num_blocks)
+            .expect("device geometry overflows a file offset");
         let main = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(dir.join(MAIN_FILE))?;
+        // Only sized: the payload region stays a hole that reads as zeros.
+        main.set_len(layout.file_len)?;
         main.write_all_at(&header, 0)?;
-        let zero = vec![0.0; block_size];
-        let zero_sum = block_digest(&zero);
-        let mut zero_rec = Vec::new();
-        encode_block_record(&mut zero_rec, &zero, zero_sum);
-        for b in 0..num_blocks {
-            main.write_all_at(&zero_rec, header.len() as u64 + (b * zero_rec.len()) as u64)?;
+        let zero_sum = block_digest(&vec![0.0; block_size]);
+        let page = zero_sum.to_be_bytes().repeat(PAGE_ITEMS.min(num_blocks));
+        for first in (0..num_blocks).step_by(PAGE_ITEMS) {
+            let entries = (num_blocks - first).min(PAGE_ITEMS);
+            main.write_all_at(&page[..entries * 8], layout.table_entry(first))?;
         }
         main.sync_all()?;
         let wal = OpenOptions::new()
@@ -419,9 +440,9 @@ impl FileDevice {
             .truncate(true)
             .open(dir.join(WAL_FILE))?;
         wal.sync_all()?;
-        let layout = (block_size, num_blocks, opts.meta.clone(), header.len() as u64);
+        let shape = (block_size, num_blocks, opts.meta.clone(), layout);
         let checksums = vec![zero_sum; num_blocks];
-        Ok(Self::assemble(dir, (main, wal), layout, &opts, checksums, RecoveryReport::default()))
+        Ok(Self::assemble(dir, (main, wal), shape, &opts, checksums, RecoveryReport::default()))
     }
 
     /// Opens an existing device directory and runs recovery: replays the
@@ -431,7 +452,11 @@ impl FileDevice {
     pub fn open<P: AsRef<Path>>(dir: P, opts: FileDeviceOptions) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         let mut main = OpenOptions::new().read(true).write(true).open(dir.join(MAIN_FILE))?;
-        let (block_size, num_blocks, meta, data_start) = decode_header(&mut main)?;
+        let (block_size, num_blocks, meta, header_len) = decode_header(&mut main)?;
+        let main_len = main.metadata()?.len();
+        let layout = MainLayout::new(header_len, block_size, num_blocks)
+            .filter(|layout| layout.file_len <= main_len)
+            .ok_or_else(|| bad_data("main file shorter than its checksum table and payloads"))?;
         // The surviving WAL is the recovery input — never truncate here.
         let wal = OpenOptions::new()
             .read(true)
@@ -444,26 +469,23 @@ impl FileDevice {
         wal.read_exact_at(&mut wal_bytes, 0)?;
         let scan = scan_wal(&wal_bytes, block_size, num_blocks);
 
-        // A WAL payload is already the block record's big-endian image,
+        // A WAL payload is already the payload region's big-endian image,
         // and the digest of that image is the digest of the payload.
-        let rec_len = block_record_len(block_size) as u64;
-        let mut image = Vec::with_capacity(rec_len as usize);
         for rec in &scan.records {
-            image.clear();
-            image.extend_from_slice(rec.payload);
-            image.extend_from_slice(&bytes_digest(rec.payload).to_be_bytes());
-            main.write_all_at(&image, data_start + rec.block as u64 * rec_len)?;
+            main.write_all_at(rec.payload, layout.payload(rec.block))?;
+            let digest = bytes_digest(rec.payload).to_be_bytes();
+            main.write_all_at(&digest, layout.table_entry(rec.block))?;
         }
         main.sync_data()?;
         wal.set_len(0)?;
         wal.sync_data()?;
 
         let mut checksums = Vec::with_capacity(num_blocks);
-        let mut sum_buf = [0u8; 8];
-        for b in 0..num_blocks {
-            main.read_exact_at(&mut sum_buf, data_start + b as u64 * rec_len + rec_len - 8)
-                .map_err(|_| bad_data(format!("main file truncated at block {b}")))?;
-            checksums.push(u64::from_be_bytes(sum_buf));
+        let mut page = [0u8; PAGE_ITEMS * 8];
+        for first in (0..num_blocks).step_by(PAGE_ITEMS) {
+            let bytes = &mut page[..(num_blocks - first).min(PAGE_ITEMS) * 8];
+            main.read_exact_at(bytes, layout.table_entry(first))?;
+            checksums.extend(bytes.as_chunks::<8>().0.iter().map(|w| u64::from_be_bytes(*w)));
         }
 
         let recovery = RecoveryReport {
@@ -472,17 +494,17 @@ impl FileDevice {
             recovered_lsn: scan.records.last().map_or(0, |r| r.lsn),
             wal_bytes: wal_size,
         };
-        let layout = (block_size, num_blocks, meta, data_start);
-        Ok(Self::assemble(dir, (main, wal), layout, &opts, checksums, recovery))
+        let shape = (block_size, num_blocks, meta, layout);
+        Ok(Self::assemble(dir, (main, wal), shape, &opts, checksums, recovery))
     }
 
     /// The device over its open files: the tail [`FileDevice::create`] and
-    /// [`FileDevice::open`] share. `layout` is `(block_size, num_blocks,
-    /// meta, data_start)`, as the header records them.
+    /// [`FileDevice::open`] share. `shape` is `(block_size, num_blocks,
+    /// meta, layout)`, as the header records them.
     fn assemble(
         dir: PathBuf,
         (main, wal): (File, File),
-        (block_size, num_blocks, meta, data_start): (usize, usize, Vec<u8>, u64),
+        (block_size, num_blocks, meta, layout): (usize, usize, Vec<u8>, MainLayout),
         opts: &FileDeviceOptions,
         checksums: Vec<u64>,
         recovery: RecoveryReport,
@@ -507,7 +529,7 @@ impl FileDevice {
             wal,
             block_size,
             num_blocks,
-            data_start,
+            layout,
             meta,
             mode: opts.mode,
             crash: opts.crash,
@@ -515,7 +537,7 @@ impl FileDevice {
             state: Mutex::new(FileState::new(checksums)),
             wal_pending: Vec::new(),
             fold_order: Vec::new(),
-            fold_record: Vec::new(),
+            fold_payload: vec![0; block_size * 8],
             wal_len: 0,
             next_lsn: lsn + 1,
             appended_lsn: lsn,
@@ -627,9 +649,9 @@ impl FileDevice {
     }
 
     /// Folds every dirty block into the main file and truncates the WAL:
-    /// (1) fsync the WAL, (2) write dirty block records, (3) fsync the
-    /// main file, (4) truncate the WAL. Steps (2)–(4) are each
-    /// crash-eligible; dying anywhere leaves a WAL that replay repairs.
+    /// (1) fsync the WAL, (2) write each dirty block's payload and table
+    /// entry, (3) fsync the main file, (4) truncate the WAL. Steps (2)–(4)
+    /// are each crash-eligible; dying anywhere leaves a WAL replay repairs.
     pub fn checkpoint(&mut self) {
         if self.crashed {
             return;
@@ -641,21 +663,24 @@ impl FileDevice {
         self.fold_order.clear();
         self.fold_order.extend(self.state.get_mut().expect(POISONED).dirty.keys());
         self.fold_order.sort_unstable();
-        let rec_len = block_record_len(self.block_size) as u64;
+        let payload_len = self.fold_payload.len();
         for i in 0..self.fold_order.len() {
             let b = self.fold_order[i];
             let st = self.state.get_mut().expect(POISONED);
-            encode_block_record(&mut self.fold_record, &st.dirty[&b], st.checksums[b]);
-            let off = self.data_start + b as u64 * rec_len;
-            if let Some(step) = self.crash_here() {
-                // Torn main-file write: the WAL still holds this record,
-                // so replay repairs the block on reopen.
-                let torn = self.torn_len(step, self.fold_record.len());
-                self.main.write_all_at(&self.fold_record[..torn], off).expect("main write failed");
+            encode_payload(&mut self.fold_payload, &st.dirty[&b]);
+            let digest = st.checksums[b].to_be_bytes();
+            // A torn fold writes a prefix of payload ‖ digest; the WAL still
+            // holds this record, so replay repairs the block on reopen.
+            let crash = self.crash_here();
+            let len = crash.map_or(payload_len + 8, |step| self.torn_len(step, payload_len + 8));
+            let payload = &self.fold_payload[..len.min(payload_len)];
+            self.main.write_all_at(payload, self.layout.payload(b)).expect("main write failed");
+            let digest = &digest[..len.saturating_sub(payload_len)];
+            self.main.write_all_at(digest, self.layout.table_entry(b)).expect("main write failed");
+            if crash.is_some() {
                 self.main.sync_data().ok();
                 return;
             }
-            self.main.write_all_at(&self.fold_record, off).expect("main write failed");
         }
         if self.crash_here().is_some() {
             // Died before the main fsync — WAL intact, replay repairs.
@@ -689,9 +714,8 @@ impl FileDevice {
     /// Reads block `id`'s payload straight from the main file into `buf`,
     /// decoding through a stack buffer one page of items at a time.
     fn read_main_payload(&self, id: usize, buf: &mut [f64]) -> io::Result<()> {
-        const PAGE_ITEMS: usize = 512;
         let mut page = [0u8; PAGE_ITEMS * 8];
-        let mut off = self.data_start + id as u64 * block_record_len(self.block_size) as u64;
+        let mut off = self.layout.payload(id);
         for items in buf.chunks_mut(PAGE_ITEMS) {
             let bytes = &mut page[..items.len() * 8];
             self.main.read_exact_at(bytes, off)?;
@@ -967,13 +991,23 @@ mod tests {
         let before = d.steps_taken();
         d.checkpoint();
         let after = d.steps_taken();
-        drop(d);
         assert!(after > before);
-        for step in before..after {
-            let opts = FileDeviceOptions {
-                crash: CrashPlan::at(step.wrapping_mul(977), step),
-                ..Default::default()
-            };
+        // Plus block 0's fold (the step after the checkpoint's begin step)
+        // under a seed whose torn prefix ends inside the digest: a payload
+        // in full beside a part-written table entry.
+        let (fold, rec_len) = (before + 1, 2 * 8 + 8);
+        let inside_digest = (0..)
+            .find(|&seed| {
+                d.crash.seed = seed;
+                (2 * 8 + 1..rec_len).contains(&d.torn_len(fold, rec_len))
+            })
+            .unwrap();
+        let table_entry = d.layout.table_entry(0);
+        drop(d);
+        let plans = (before..after).map(|step| CrashPlan::at(step.wrapping_mul(977), step));
+        for plan in plans.chain([CrashPlan::at(inside_digest, fold)]) {
+            let step = plan.crash_step.unwrap();
+            let opts = FileDeviceOptions { crash: plan, ..Default::default() };
             let mut d = FileDevice::create(&dir, 2, 4, opts).unwrap();
             for b in 0..4 {
                 d.write_block(b, &payload(2, b as u64));
@@ -981,6 +1015,14 @@ mod tests {
             d.checkpoint();
             assert!(d.is_crashed(), "step {step}");
             drop(d);
+            if plan.seed == inside_digest && step == fold {
+                let mut entry = [0u8; 8];
+                let main = File::open(dir.join(MAIN_FILE)).unwrap();
+                main.read_exact_at(&mut entry, table_entry).unwrap();
+                let (zero, new) = (block_digest(&[0.0; 2]), block_digest(&payload(2, 0)));
+                let torn = u64::from_be_bytes(entry);
+                assert!(torn != zero && torn != new, "the digest is torn before replay");
+            }
             let d = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap();
             for b in 0..4 {
                 let got = d.read_block(b).unwrap();
@@ -1026,16 +1068,64 @@ mod tests {
 
     #[test]
     fn version_1_directory_is_refused_with_the_typed_error() {
-        let dir = test_dir("v1-header");
-        FileDevice::create(&dir, 2, 2, FileDeviceOptions::default()).unwrap();
-        let f = OpenOptions::new().write(true).open(dir.join(MAIN_FILE)).unwrap();
-        f.write_all_at(&1u16.to_be_bytes(), 8).unwrap();
-        let before = std::fs::read(dir.join(MAIN_FILE)).unwrap();
-        let err = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(err.to_string(), "unsupported main block file version");
-        assert_eq!(std::fs::read(dir.join(MAIN_FILE)).unwrap(), before, "refused, not rewritten");
+        for version in [1u16, 2] {
+            let dir = test_dir("old-header");
+            FileDevice::create(&dir, 2, 2, FileDeviceOptions::default()).unwrap();
+            let f = OpenOptions::new().write(true).open(dir.join(MAIN_FILE)).unwrap();
+            f.write_all_at(&version.to_be_bytes(), 8).unwrap();
+            let before = std::fs::read(dir.join(MAIN_FILE)).unwrap();
+            let err = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(err.to_string(), "unsupported main block file version");
+            let after = std::fs::read(dir.join(MAIN_FILE)).unwrap();
+            assert_eq!(after, before, "version {version}: refused, not rewritten");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_fresh_device_stores_its_table_not_its_capacity_and_reads_as_verified_zeros() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = test_dir("sparse");
+        let blocks = 64 * 1024;
+        let d = FileDevice::create(&dir, 16, blocks, FileDeviceOptions::default()).unwrap();
+        let main = std::fs::metadata(dir.join(MAIN_FILE)).unwrap();
+        assert_eq!(main.len(), d.layout.file_len);
+        let header_and_table = d.layout.payload_start;
+        assert!(main.blocks() * 512 <= header_and_table + 4096, "{} bytes", main.blocks() * 512);
+        let all_zero = |d: &FileDevice, when: &str| {
+            for b in 0..blocks {
+                assert_eq!(d.read_block(b).unwrap(), [0.0; 16], "block {b} {when}");
+            }
+        };
+        all_zero(&d, "fresh");
+        drop(d);
+        all_zero(&FileDevice::open(&dir, FileDeviceOptions::default()).unwrap(), "reopened");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_written_block_whose_bytes_read_as_zeros_is_corrupt() {
+        // A hole's zeros are never trusted for a block the table says was
+        // written: not with its payload zeroed, nor with its entry too.
+        for zero_entry in [false, true] {
+            let dir = test_dir("zeroed");
+            let mut d = FileDevice::create(&dir, 4, 4, FileDeviceOptions::default()).unwrap();
+            d.write_block(1, &payload(4, 1));
+            d.checkpoint();
+            let layout = d.layout;
+            drop(d);
+            let f = OpenOptions::new().write(true).open(dir.join(MAIN_FILE)).unwrap();
+            f.write_all_at(&[0; 4 * 8], layout.payload(1)).unwrap();
+            if zero_entry {
+                f.write_all_at(&[0; 8], layout.table_entry(1)).unwrap();
+            }
+            let d = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap();
+            let err = d.read_block(1).unwrap_err();
+            assert_eq!(err.kind, ReadErrorKind::Corrupt, "zeroed entry too: {zero_entry}");
+            assert_eq!(d.read_block(0).unwrap(), [0.0; 4], "an unwritten block still verifies");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -1045,6 +1135,17 @@ mod tests {
         let f = OpenOptions::new().write(true).open(dir.join(MAIN_FILE)).unwrap();
         f.write_all_at(&[0xFF], 3).unwrap();
         assert!(FileDevice::open(&dir, FileDeviceOptions::default()).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_main_file_short_of_its_payload_region_is_refused() {
+        let dir = test_dir("short-main");
+        let d = FileDevice::create(&dir, 2, 2, FileDeviceOptions::default()).unwrap();
+        let f = OpenOptions::new().write(true).open(dir.join(MAIN_FILE)).unwrap();
+        f.set_len(d.layout.file_len - 1).unwrap();
+        let err = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
