@@ -30,7 +30,12 @@ if [[ $fast -eq 0 ]]; then
     # --locked against these crates: an API or dependency-edge break
     # must fail here, not at the benchmark gate.
     echo "== bench harness compile check =="
-    CARGO_TARGET_DIR=target cargo build --release --locked --quiet --manifest-path bench/Cargo.toml
+    CARGO_TARGET_DIR=target cargo build --release --locked --quiet --manifest-path bench/Cargo.toml || {
+        echo "the bench harness does not build --locked. bench/Cargo.lock is frozen until the" >&2
+        echo "[benchmark] re-base (ROADMAP item 1); the usual cause is a new dependency edge" >&2
+        echo "between workspace crates, which the frozen lock cannot record." >&2
+        exit 1
+    }
     # One short run of the workload that creates a durable store, ingests,
     # stops, reopens and verifies: an on-disk format slip must break here.
     # (run.sh builds into the same target dir, so nothing compiles twice.)

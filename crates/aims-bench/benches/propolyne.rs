@@ -5,10 +5,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use aims_dsp::dwt::dwt_full;
 use aims_dsp::filters::FilterKind;
+use aims_dsp::lazy::lazy_transform;
 use aims_dsp::poly::Polynomial;
 use aims_propolyne::cube::DataCube;
 use aims_propolyne::engine::Propolyne;
-use aims_propolyne::lazy::lazy_transform;
 use aims_propolyne::query::RangeSumQuery;
 
 fn bench_lazy_vs_dense(c: &mut Criterion) {

@@ -3,12 +3,12 @@
 
 use aims_dsp::dwt::dwt_full;
 use aims_dsp::filters::FilterKind;
+use aims_dsp::lazy::lazy_transform;
 use aims_dsp::poly::Polynomial;
 use aims_propolyne::batch::{drill_down_queries, evaluate_batch};
 use aims_propolyne::cube::{AttributeSpace, DataCube};
 use aims_propolyne::engine::Propolyne;
 use aims_propolyne::hybrid::{choose_standard_dims, HybridEngine};
-use aims_propolyne::lazy::lazy_transform;
 use aims_propolyne::query::RangeSumQuery;
 use aims_propolyne::synopsis::compare_at_budget;
 

@@ -9,8 +9,9 @@
 //!   estimation (§3.1) and by the DFT-based similarity baseline (§3.4.2).
 //! - [`spectrum`]: periodograms, autocorrelation and Nyquist-rate
 //!   estimation (`r_nyquist = 2·f_max`, §3.1).
-//! - [`poly`]: dense univariate polynomials — the symbolic backbone of the
-//!   lazy wavelet transform (§3.3).
+//! - [`poly`] and [`lazy`]: dense univariate polynomials and the lazy
+//!   wavelet transform built on them (§3.3), shared by ProPolyne and the
+//!   tiered store.
 //! - [`filters`]: orthonormal Daubechies wavelet filter bank (Haar, D4, D6,
 //!   D8) with quadrature-mirror highpass and discrete moments.
 //! - [`dwt`]: periodic orthogonal DWT, multi-level decomposition, the flat
@@ -30,6 +31,7 @@ pub mod fft;
 pub mod filters;
 pub mod huffman;
 pub mod kernel;
+pub mod lazy;
 pub mod poly;
 pub mod quantize;
 pub mod spectrum;

@@ -14,10 +14,10 @@
 use std::collections::HashMap;
 
 use aims_dsp::filters::WaveletFilter;
+use aims_dsp::lazy::lazy_transform;
 use aims_telemetry::{counter, histogram, histogram_f64, span};
 
 use crate::cube::WaveletCube;
-use crate::lazy::lazy_transform;
 use crate::query::RangeSumQuery;
 
 /// A prepared (transformed) query: sparse coefficients in the cube's flat

@@ -9,10 +9,10 @@
 //! to satisfy an appropriate moment condition, most of the query wavelet
 //! coefficients vanish", leaving only O(filter·log N) nonzeros per
 //! dimension, computed by the **lazy wavelet transform** in polylogarithmic
-//! time.
+//! time. The transform itself lives in [`aims_dsp::lazy`], beside the
+//! polynomials and filters it is built from; [`engine::prepare`] runs it
+//! per dimension and product term.
 //!
-//! - [`lazy`]: the lazy wavelet transform of piecewise-polynomial query
-//!   vectors (the paper's central algorithm).
 //! - [`cube`]: multidimensional frequency/data cubes and their
 //!   tensor-product wavelet transform.
 //! - [`query`]: polynomial range-sum queries (ranges × monomials).
@@ -35,7 +35,6 @@ pub mod blockstore;
 pub mod cube;
 pub mod engine;
 pub mod hybrid;
-pub mod lazy;
 pub mod packet;
 pub mod query;
 pub mod stats;
@@ -44,5 +43,4 @@ pub mod synopsis;
 pub use blockstore::BlockedCoefficients;
 pub use cube::{DataCube, WaveletCube};
 pub use engine::{ProgressiveEvaluation, Propolyne};
-pub use lazy::{lazy_transform, HybridSignal, SparseVector};
 pub use query::{Monomial, RangeSumQuery};

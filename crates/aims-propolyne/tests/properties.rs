@@ -4,11 +4,11 @@ use proptest::prelude::*;
 
 use aims_dsp::dwt::dwt_full;
 use aims_dsp::filters::FilterKind;
+use aims_dsp::lazy::lazy_transform;
 use aims_dsp::poly::Polynomial;
 use aims_propolyne::batch::{drill_down_queries, evaluate_batch};
 use aims_propolyne::cube::DataCube;
 use aims_propolyne::engine::Propolyne;
-use aims_propolyne::lazy::lazy_transform;
 use aims_propolyne::query::{Monomial, RangeSumQuery};
 
 fn filter_strategy() -> impl Strategy<Value = FilterKind> {

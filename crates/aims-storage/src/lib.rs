@@ -63,7 +63,7 @@ pub use file::{
     CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions, RecoveryReport, WalStats,
 };
 pub use progressive::{BlockPlan, BoundLedger};
-pub use store::{CoefficientStore, DegradedAnswer, WaveletStore};
+pub use store::{block_energy, CoefficientStore, DegradedAnswer, WaveletStore};
 
 /// The frozen benchmark harness (`bench/src/ladder.rs`) still names the
 /// old single-owner pool; nothing else may.

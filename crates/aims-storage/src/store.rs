@@ -144,6 +144,12 @@ impl DegradedAnswer {
     }
 }
 
+/// The one energy-catalog rule (every store's, the tiered store's too):
+/// `Σ c²` of a coefficient block, ascending index order.
+pub fn block_energy(block: &[f64]) -> f64 {
+    block.iter().map(|c| c * c).sum()
+}
+
 /// A coefficient vector on a block device under one allocation, with a
 /// load-time per-block energy catalog for degraded error bounds.
 #[derive(Debug)]
@@ -184,7 +190,7 @@ impl<D: BlockDevice> CoefficientStore<D> {
         for (b, data) in image.chunks(block_size).enumerate() {
             staged[..data.len()].copy_from_slice(data);
             staged[data.len()..].fill(0.0);
-            block_energy.push(staged.iter().map(|c| c * c).sum());
+            block_energy.push(self::block_energy(&staged));
             device.write_block(b, &staged);
         }
         device.reset_stats();
@@ -209,7 +215,7 @@ impl<D: BlockDevice> CoefficientStore<D> {
         let block_energy = (0..num_blocks)
             .map(|b| {
                 let (data, _) = read_with_retry(&device, b, &RetryPolicy::default())?;
-                Ok(data.iter().map(|c| c * c).sum())
+                Ok(self::block_energy(&data))
             })
             .collect::<Result<_, ReadError>>()?;
         device.reset_stats();

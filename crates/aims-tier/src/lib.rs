@@ -1,5 +1,5 @@
 //! Tiered ingest engine: the missing middle between acquisition and the
-//! queryable wavelet store (ROADMAP item 3).
+//! queryable wavelet store.
 //!
 //! AIMS acquires immersidata continuously, but the paper's query side
 //! (ProPolyne, §3.3) wants wavelet-transformed data. This crate closes
@@ -22,6 +22,7 @@
 //!   holds the hot tier and one bounded block cache, not the data.
 //! - **Unified queries** ([`query`]): one range sum fans out across both
 //!   tiers — recent-exact plus historical-progressive, historical blocks
+//!   planned by the lazy wavelet transform ([`aims_dsp::lazy`]) and
 //!   fetched on demand, most important first — and merges under a single
 //!   monotone Cauchy–Schwarz bound. Queries run against
 //!   [`store::TierSnapshot`]s, so a concurrent segment swap can never
@@ -47,6 +48,6 @@ pub use feed::{feed_outcome, feed_recording, record_into_store, FeedReport};
 pub use layout::TierConfig;
 pub use query::{range_sum, range_sum_on, TierStep, TieredProgressive};
 pub use store::{
-    block_energy, QueryGuard, SegCoeffs, SegmentView, TierMedia, TierSnapshot, TierStats,
-    TieredStore, HIST_CACHE_BYTES,
+    QueryGuard, SegCoeffs, SegmentView, TierMedia, TierSnapshot, TierStats, TieredStore,
+    HIST_CACHE_BYTES,
 };

@@ -4,84 +4,54 @@
 //! segments. Hot segments answer **exactly** by summing raw samples.
 //! Historical segments answer in the wavelet domain: orthonormal DWTs
 //! preserve inner products, so the segment's contribution is
-//! `⟨coeffs, W·1_[la,lb]⟩` where the weight vector is the DWT of the
-//! local range indicator — computed in O(S) by the same lifting kernels
-//! that built the coefficients.
+//! `⟨coeffs, W·1_[la,lb]⟩`, and `W·1_[la,lb]` is the [`lazy_transform`] of
+//! the local range's COUNT query: the O(filter · log S) entries ProPolyne's
+//! `prepare` yields for a 1-D COUNT.
 //!
 //! The coefficients live on the historical device, so evaluation plans
-//! from the *weights* alone: a block is fetched only if its weights are
-//! not all zero (a fully covered segment needs exactly its first block),
-//! the needed blocks are priced into one [`BlockPlan`] from the
-//! snapshot's energy catalog, and a [`BoundLedger`] consumes that plan
-//! most-important-first, carrying the bound. Every fully covered segment
-//! shares one weight vector, computed once per query.
-//!
-//! Before planning, every weight at or below `ZERO_TOL` (1e-10) × the
-//! vector's largest magnitude is set to zero — the lazy transform's rule for
-//! values that should be exact zeros. Under Db4 the detail weights of an
-//! indicator carry ≈ 1e-14 of rounding noise that would otherwise plan
-//! every block of the segment. Haar weights are exact and never smaller
-//! than 2⁻¹² of the largest, so Haar plans and answers are untouched. By
-//! Cauchy–Schwarz, the dropped weights move a segment's answer by at most
-//! their l2 norm × √(segment energy).
+//! from the entries alone: grouped by device block, they name the blocks
+//! to fetch (a fully covered segment needs exactly its first block), each
+//! priced into one [`BlockPlan`] from the snapshot's energy catalog, and a
+//! [`BoundLedger`] consumes that plan most-important-first, carrying the
+//! bound. The full-cover entries depend only on the store's geometry, so
+//! the store computes them once and every snapshot shares them.
 //!
 //! Determinism contract (the oracle bit-identity tests lean on this):
-//! every block contributes one partial — `w·c` products accumulated in
-//! ascending index order — and the answer is one fixed fold of them: a
-//! historical segment's block partials in ascending block order into a
-//! segment partial, a hot segment's samples in ascending order into a
-//! segment partial, and the segment partials in ascending segment order
+//! every block contributes one partial — `w·c` over the block's entries,
+//! accumulated in ascending index order — and the answer is one fixed fold
+//! of them: a historical segment's block partials in ascending block order
+//! into a segment partial, a hot segment's samples in ascending order into
+//! a segment partial, and the segment partials in ascending segment order
 //! into a single accumulator. The fold does not depend on the order the
-//! blocks were fetched in, on what the cache held, or on the pool's
-//! width, so two stores whose payloads are bit-identical return
-//! bit-identical sums.
+//! blocks were fetched in, on what the cache held, or on the pool's width,
+//! so two stores whose payloads are bit-identical return bit-identical
+//! sums.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use aims_dsp::dwt::dwt_full_inplace;
-use aims_dsp::kernel::DwtScratch;
+use aims_dsp::lazy::lazy_transform;
+use aims_dsp::poly::Polynomial;
 use aims_exec::ThreadPool;
 use aims_storage::{BlockPlan, BoundLedger};
 use aims_telemetry::counter;
 
+use crate::layout::TierConfig;
 use crate::store::{SnapKind, SnapSeg, TierSnapshot};
 
-/// The DWT of the indicator vector of local range `[la, lb]` within a
-/// segment and, per device block whose weights are not all zero,
-/// `(block, Σw²)` — the blocks a query must fetch.
-type Weights = (Vec<f64>, Vec<(usize, f64)>);
-
-/// Relative magnitude at or below which a transformed indicator weight is
-/// rounding noise, dropped before planning (see the module docs).
-const ZERO_TOL: f64 = 1e-10;
-
-fn weights_for(cfg: &crate::layout::TierConfig, la: usize, lb: usize) -> Weights {
-    let mut w = vec![0.0; cfg.segment_len];
-    w[la..=lb].fill(1.0);
-    dwt_full_inplace(&mut w, &cfg.filter.filter(), &mut DwtScratch::new());
-    let tol = ZERO_TOL * w.iter().fold(0.0, |m: f64, x| m.max(x.abs()));
-    for x in w.iter_mut().filter(|x| x.abs() <= tol) {
-        *x = 0.0;
-    }
-    let needed = w
-        .chunks(cfg.block_size)
-        .enumerate()
-        .filter_map(|(blk, wblk)| {
-            let wsq: f64 = wblk.iter().map(|x| x * x).sum();
-            (wsq != 0.0).then_some((blk, wsq))
-        })
-        .collect();
-    (w, needed)
+/// The nonzero `(coefficient index, w)` entries, ascending, of the COUNT
+/// query over local range `[la, lb]` of a segment of `cfg`.
+pub(crate) fn count_weights(cfg: &TierConfig, la: usize, lb: usize) -> Arc<[(usize, f64)]> {
+    let count = Polynomial::constant(1.0);
+    lazy_transform(cfg.segment_len, la, lb, &count, &cfg.filter.filter()).nonzeros(0.0).into()
 }
 
 /// What one overlapping segment contributes to the plan.
 enum SegPlan {
     /// Resident samples: summed exactly, up front.
     Hot { sum: f64, rows: usize },
-    /// Device-resident coefficients under the segment's own weights, or
-    /// under the query's shared full-cover weights (`None`).
-    Hist { slot: usize, energy: Arc<[f64]>, own: Option<Weights> },
+    /// Device-resident coefficients under the segment's entries.
+    Hist { slot: usize, energy: Arc<[f64]>, weights: Arc<[(usize, f64)]> },
 }
 
 /// The exact answer's fold unit: one partial per overlapping segment.
@@ -97,8 +67,10 @@ struct BlockTerm {
     /// Segment slot on the historical device, and block within it.
     slot: usize,
     blk: usize,
-    /// Which of the query's weight vectors applies.
+    /// Which of the query's weight sets applies, and the block's entries
+    /// in it.
     weights: usize,
+    entries: Range<usize>,
     /// The block's exact contribution `Σ w·c` (ascending index order)
     /// once fetched; stays `None` for a block the device could not
     /// deliver.
@@ -139,7 +111,8 @@ pub struct TieredProgressive<'a> {
     items: Vec<BlockTerm>,
     /// The bound, and how far the gain-first consumption got.
     ledger: BoundLedger,
-    weights: Vec<Vec<f64>>,
+    /// One entry set per historical segment, ascending.
+    weights: Vec<Arc<[(usize, f64)]>>,
     hist_estimate: f64,
 }
 
@@ -160,8 +133,8 @@ pub struct TierStep {
 impl<'a> TieredProgressive<'a> {
     /// Plans a progressive evaluation of `Σ f(t), t ∈ [a, b]` against the
     /// snapshot: sums the hot segments and transforms the edge segments'
-    /// indicators on `pool`, and lists — without reading any — the
-    /// historical blocks the range needs.
+    /// ranges on `pool`, and lists — without reading any — the historical
+    /// blocks the range needs.
     pub fn new(snap: &'a TierSnapshot, a: usize, b: usize, pool: &ThreadPool) -> Self {
         let mut prog = TieredProgressive {
             snap,
@@ -182,7 +155,6 @@ impl<'a> TieredProgressive<'a> {
         let last = snap.segs.partition_point(|s| s.start <= b);
         let segs = &snap.segs[first..last];
         let local = |s: &SnapSeg| (a.max(s.start) - s.start, b.min(s.start + s.len - 1) - s.start);
-        let whole = (0, cfg.segment_len - 1);
 
         let plans = pool.par_map(segs, |seg| match &seg.kind {
             SnapKind::Hot(data) => {
@@ -194,18 +166,14 @@ impl<'a> TieredProgressive<'a> {
                 SegPlan::Hot { sum, rows: lb - la + 1 }
             }
             SnapKind::Hist { slot, energy } => {
-                let (la, lb) = local(seg);
-                let own = ((la, lb) != whole).then(|| weights_for(&cfg, la, lb));
-                SegPlan::Hist { slot: *slot, energy: Arc::clone(energy), own }
+                let weights = match local(seg) {
+                    (0, lb) if lb == cfg.segment_len - 1 => Arc::clone(&snap.full_cover),
+                    (la, lb) => count_weights(&cfg, la, lb),
+                };
+                SegPlan::Hist { slot: *slot, energy: Arc::clone(energy), weights }
             }
         });
 
-        let mut full_needed = Vec::new();
-        if plans.iter().any(|p| matches!(p, SegPlan::Hist { own: None, .. })) {
-            let (w, needed) = weights_for(&cfg, whole.0, whole.1);
-            prog.weights.push(w);
-            full_needed = needed;
-        }
         let (mut hot_segs, mut hist_segs) = (0usize, 0usize);
         let mut block_plan = BlockPlan::default();
         for plan in plans {
@@ -216,24 +184,31 @@ impl<'a> TieredProgressive<'a> {
                     prog.hot_rows += rows;
                     hot_segs += 1;
                 }
-                SegPlan::Hist { slot, energy, own } => {
-                    let (weights, needed) = match &own {
-                        Some((_, needed)) => (prog.weights.len(), needed),
-                        None => (0, &full_needed),
-                    };
-                    let start = prog.items.len();
-                    prog.items.extend(needed.iter().map(|&(blk, _)| BlockTerm {
+                SegPlan::Hist { slot, energy, weights } => {
+                    // Group the entries by device block: `(block, Σw², entries)`.
+                    let mut blocks: Vec<(usize, f64, Range<usize>)> = Vec::new();
+                    for (k, &(i, w)) in weights.iter().enumerate() {
+                        match blocks.last_mut() {
+                            Some((blk, wsq, entries)) if *blk == i / cfg.block_size => {
+                                *wsq += w * w;
+                                entries.end = k + 1;
+                            }
+                            _ => blocks.push((i / cfg.block_size, w * w, k..k + 1)),
+                        }
+                    }
+                    let base = cfg.hist_block(slot);
+                    let priced = blocks.iter().map(|&(blk, wsq, _)| (base + blk, wsq));
+                    block_plan.extend(priced, |id| energy[id - base]);
+                    let (start, set) = (prog.items.len(), prog.weights.len());
+                    prog.items.extend(blocks.into_iter().map(|(blk, _, entries)| BlockTerm {
                         slot,
                         blk,
-                        weights,
+                        weights: set,
+                        entries,
                         partial: None,
                     }));
-                    let base = cfg.hist_block(slot);
-                    block_plan.extend(needed.iter().map(|&(blk, wsq)| (base + blk, wsq)), |id| {
-                        energy[id - base]
-                    });
                     prog.parts.push(Part::Hist(start..prog.items.len()));
-                    prog.weights.extend(own.map(|(w, _)| w));
+                    prog.weights.push(weights);
                     hist_segs += 1;
                 }
             }
@@ -287,16 +262,13 @@ impl<'a> TieredProgressive<'a> {
     }
 
     /// Reads one block through the store's cache and reduces it against
-    /// its weights; `None` when the device cannot deliver it.
+    /// its entries; `None` when the device cannot deliver it.
     fn fetch(&self, item: &BlockTerm) -> Option<f64> {
         let coeffs = self.snap.hist.block(item.slot, item.blk).ok()?;
-        let bs = self.snap.cfg.block_size;
-        let w = &self.weights[item.weights][item.blk * bs..(item.blk + 1) * bs];
+        let base = item.blk * self.snap.cfg.block_size;
         let mut partial = 0.0;
-        for (wi, ci) in w.iter().zip(coeffs.iter()) {
-            if *wi != 0.0 {
-                partial += wi * ci;
-            }
+        for &(i, w) in &self.weights[item.weights][item.entries.clone()] {
+            partial += w * coeffs[i - base];
         }
         Some(partial)
     }
@@ -332,28 +304,98 @@ impl<'a> TieredProgressive<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compact, TierConfig, TieredStore};
+    use crate::{compact, transform_segment, TieredStore};
+    use aims_dsp::dwt::dwt_full;
     use aims_dsp::filters::FilterKind;
 
-    /// Db4 indicator weights carry rounding noise in every detail band;
-    /// only the blocks holding real weight may be planned.
+    /// The planner the lazy transform replaced: the dense DWT of the range
+    /// indicator with every weight at or below 1e-10 × the largest
+    /// magnitude cut to zero. Returns the blocks holding a weight, and the
+    /// one-segment fold of their partials `Σ w·c` (nonzero weights,
+    /// ascending index).
+    fn dense_reference(
+        cfg: &TierConfig,
+        coeffs: &[f64],
+        la: usize,
+        lb: usize,
+    ) -> (Vec<usize>, f64) {
+        let mut indicator = vec![0.0; cfg.segment_len];
+        indicator[la..=lb].fill(1.0);
+        let w = dwt_full(&indicator, &cfg.filter.filter());
+        let tol = 1e-10 * w.iter().fold(0.0, |m: f64, x| m.max(x.abs()));
+        let (mut blocks, mut seg) = (Vec::new(), 0.0);
+        let chunks = w.chunks(cfg.block_size).zip(coeffs.chunks(cfg.block_size));
+        for (blk, (wb, cb)) in chunks.enumerate() {
+            if wb.iter().all(|x| x.abs() <= tol) {
+                continue;
+            }
+            let mut partial = 0.0;
+            for (wi, ci) in wb.iter().zip(cb).filter(|(wi, _)| wi.abs() > tol) {
+                partial += wi * ci;
+            }
+            blocks.push(blk);
+            seg += partial;
+        }
+        let mut acc = 0.0;
+        acc += seg;
+        (blocks, acc)
+    }
+
+    /// Plans `[a, b]` on a one-segment snapshot, checks it against the
+    /// dense reference and returns the planned block count. Block sets
+    /// match exactly — Db4's ≈ 1e-14 detail-band rounding noise plans
+    /// nothing on either side — Haar answers match bit for bit, Db4
+    /// answers to 1e-12 of the range's Σ|f| (at least 1).
+    fn check(snap: &TierSnapshot, coeffs: &[f64], signal: &[f64], a: usize, b: usize) -> usize {
+        let cfg = snap.cfg;
+        let case =
+            format!("{:?} S={} B={} [{a}, {b}]", cfg.filter, cfg.segment_len, cfg.block_size);
+        let mut prog = TieredProgressive::new(snap, a, b, &ThreadPool::new(1));
+        let planned: Vec<usize> = prog.items.iter().map(|t| t.blk).collect();
+        let (want_blocks, want) = dense_reference(&cfg, coeffs, a, b);
+        assert_eq!(planned, want_blocks, "{case}: planned blocks");
+        let got = prog.drain().estimate;
+        if cfg.filter == FilterKind::Haar {
+            assert_eq!(got.to_bits(), want.to_bits(), "{case}: {got} vs {want}");
+        } else {
+            let scale = signal[a..=b].iter().map(|x| x.abs()).sum::<f64>().max(1.0);
+            assert!((got - want).abs() <= 1e-12 * scale, "{case}: {got} vs {want}");
+        }
+        let raw: f64 = signal[a..=b].iter().sum();
+        assert!((got - raw).abs() <= 1e-9 * raw.abs().max(1.0), "{case}: {got} vs raw {raw}");
+        planned.len()
+    }
+
     #[test]
-    fn db4_plans_only_blocks_with_real_weight() {
+    fn lazy_weights_plan_and_answer_like_the_dense_indicator_dwt() {
         let pool = ThreadPool::new(1);
-        for (filter, full, partial) in [(FilterKind::Db4, 1, 8), (FilterKind::Haar, 1, 6)] {
-            let cfg = TierConfig { filter, ..TierConfig::default() };
-            let store = TieredStore::new_mem(cfg);
-            let signal: Vec<f64> = (0..cfg.segment_len).map(|i| ((i * 31) % 17) as f64).collect();
-            store.push_slice(&signal);
-            store.seal_open();
-            compact::drain(&store, &pool);
-            let snap = store.snapshot();
-            for ((a, b), blocks) in [((0, cfg.segment_len - 1), full), ((100, 3000), partial)] {
-                let mut prog = TieredProgressive::new(&snap, a, b, &pool);
-                assert_eq!(prog.total_blocks(), blocks, "{filter:?} [{a}, {b}]");
-                let raw: f64 = signal[a..=b].iter().sum();
-                let got = prog.drain().estimate;
-                assert!((got - raw).abs() <= 1e-9 * raw, "{filter:?} [{a}, {b}]: {got} vs {raw}");
+        for (segment_len, block_size) in [(64, 16), (4096, 256)] {
+            for filter in [FilterKind::Db4, FilterKind::Haar] {
+                let cfg = TierConfig { segment_len, block_size, max_segments: 1, filter };
+                let store = TieredStore::new_mem(cfg);
+                let signal: Vec<f64> = (0..segment_len).map(|i| ((i * 31) % 17) as f64).collect();
+                store.push_slice(&signal);
+                compact::drain(&store, &pool);
+                let (snap, coeffs) = (store.snapshot(), transform_segment(&signal, &cfg).coeffs);
+                if segment_len == 4096 {
+                    // The full cover plans one block; the pinned partial
+                    // range plans Db4 8 blocks, Haar 6.
+                    let partial = if filter == FilterKind::Db4 { 8 } else { 6 };
+                    assert_eq!(check(&snap, &coeffs, &signal, 0, segment_len - 1), 1);
+                    assert_eq!(check(&snap, &coeffs, &signal, 100, 3000), partial);
+                }
+                let mut state = 0x9E37_79B9_7F4A_7C15_u64 ^ segment_len as u64;
+                let mut next = |n: usize| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as usize % n
+                };
+                for _ in 0..300 {
+                    let a = next(segment_len);
+                    let b = a + next(segment_len - a);
+                    check(&snap, &coeffs, &signal, a, b);
+                }
             }
         }
     }

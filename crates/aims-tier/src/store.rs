@@ -42,6 +42,7 @@ use aims_storage::{
 use aims_telemetry::{counter, gauge};
 
 use crate::layout::{Manifest, TierConfig, SLOT_EMPTY, SLOT_OPEN, SLOT_RAW, SLOT_RETIRED};
+use crate::query::count_weights;
 
 /// Byte budget of a store's historical block cache.
 pub const HIST_CACHE_BYTES: usize = 8 << 20;
@@ -73,14 +74,9 @@ pub struct SegCoeffs {
 impl SegCoeffs {
     /// Builds the per-block energy catalog from a flat coefficient vector.
     pub fn from_coeffs(coeffs: Vec<f64>, len: usize, block_size: usize) -> Self {
-        let block_energy = coeffs.chunks(block_size).map(block_energy).collect();
+        let block_energy = coeffs.chunks(block_size).map(aims_storage::block_energy).collect();
         SegCoeffs { coeffs, len, block_energy }
     }
-}
-
-/// Σ c² of one coefficient block, ascending index order.
-pub fn block_energy(block: &[f64]) -> f64 {
-    block.iter().map(|c| c * c).sum()
 }
 
 /// A sealed segment's in-memory residency.
@@ -134,13 +130,14 @@ pub(crate) trait BlockSource: Send + Sync {
     fn block(&self, seg: usize, blk: usize) -> Result<Arc<Vec<f64>>, ReadError>;
 }
 
-/// The historical tier: the device, and the one cache every read of it
-/// goes through.
+/// The historical tier: the device, the one cache every read of it goes
+/// through, and the query weights every fully covered segment shares.
 struct HistTier<D> {
     state: RwLock<HistState<D>>,
     cache: SharedBlockCache,
     cfg: TierConfig,
     retry: RetryPolicy,
+    full_cover: Arc<[(usize, f64)]>,
 }
 
 impl<D: TierMedia> HistTier<D> {
@@ -151,6 +148,7 @@ impl<D: TierMedia> HistTier<D> {
             cache: SharedBlockCache::with_shards(cache_blocks / shards * shards, shards),
             cfg,
             retry: RetryPolicy::default(),
+            full_cover: count_weights(&cfg, 0, cfg.segment_len - 1),
         }
     }
 
@@ -234,6 +232,7 @@ pub struct TierSnapshot {
     pub(crate) cfg: TierConfig,
     pub(crate) segs: Vec<SnapSeg>,
     pub(crate) hist: Arc<dyn BlockSource>,
+    pub(crate) full_cover: Arc<[(usize, f64)]>,
     total_len: usize,
 }
 
@@ -359,8 +358,9 @@ impl TieredStore<FileDevice> {
     /// finish retirement; uninstalled ones stay raw — acked ingest wins).
     /// Reads the two manifests, the raw backlog and the open tail; no
     /// historical coefficient block. A directory created under a different
-    /// `segment_len`, `block_size` or `max_segments` than `cfg` is refused
-    /// with [`std::io::ErrorKind::InvalidData`].
+    /// `segment_len`, `block_size` or `max_segments` than `cfg`, or one
+    /// whose backlog or open tail fails its checksums, is refused with
+    /// [`std::io::ErrorKind::InvalidData`].
     pub fn open_durable(
         dir: &std::path::Path,
         cfg: TierConfig,
@@ -435,22 +435,26 @@ impl<D: TierMedia> TieredStore<D> {
     /// Rebuilds in-memory state from the two manifests. The historical
     /// manifest is authoritative for any segment it has installed, and
     /// carries that segment's energy catalog — recovery reads hot blocks
-    /// only. Fails when either device was not laid out by `cfg`.
+    /// only. Fails with [`std::io::ErrorKind::InvalidData`] when either
+    /// device was not laid out by `cfg`, when a hot block it needs fails
+    /// its checksum, or when the two manifests disagree.
     fn recover(cfg: TierConfig, hot: D, hist: D) -> std::io::Result<Self> {
         let hot_man = Manifest::load_hot(&hot, &cfg)?;
         let hist_man = Manifest::load_hist(&hist, &cfg)?;
         let bs = cfg.block_size;
         let mut inner = Inner::empty(&cfg, hot, hot_man);
-        let read_samples = |device: &D, first_block: usize, len: usize, what: &str| -> Vec<f64> {
+        let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+        let read_samples = |device: &D, seg: usize, len: usize| -> std::io::Result<Vec<f64>> {
+            let first = cfg.hot_block(seg);
             let mut out = Vec::with_capacity(len.div_ceil(bs) * bs);
-            for b in 0..len.div_ceil(bs) {
-                let blk = device
-                    .read_block(first_block + b)
-                    .unwrap_or_else(|e| panic!("{what} block {b} unreadable on recovery: {e:?}"));
+            for id in first..first + len.div_ceil(bs) {
+                let blk = device.read_block(id).map_err(|e| {
+                    invalid(format!("hot device: slot {seg} block {id} unreadable: {:?}", e.kind))
+                })?;
                 out.extend_from_slice(&blk);
             }
             out.truncate(len);
-            out
+            Ok(out)
         };
 
         for seg in 0..cfg.max_segments {
@@ -460,7 +464,7 @@ impl<D: TierMedia> TieredStore<D> {
             }
             let len = inner.hot_man.slot_len(seg);
             if state == SLOT_OPEN {
-                inner.open_buf = read_samples(&inner.hot, cfg.hot_block(seg), len, "hot(open)");
+                inner.open_buf = read_samples(&inner.hot, seg, len)?;
                 // A synced partial tail block gets rewritten when it fills.
                 inner.open_written = len / bs;
                 break;
@@ -470,12 +474,13 @@ impl<D: TierMedia> TieredStore<D> {
                 // Crashed between hist commit and raw retirement: finish
                 // it (a no-op for a slot already retired).
                 inner.hot_man.set_slot(seg, SLOT_RETIRED, len);
+            } else if state != SLOT_RAW {
+                return Err(invalid(format!(
+                    "hot device: slot {seg} is in state {state}, not raw, but the hist device \
+                     never installed it"
+                )));
             } else {
-                assert!(
-                    state == SLOT_RAW,
-                    "segment {seg} retired on the hot device but never installed"
-                );
-                let data = read_samples(&inner.hot, cfg.hot_block(seg), len, "hot");
+                let data = read_samples(&inner.hot, seg, len)?;
                 inner.segs.push(Seg::Raw { data: Arc::new(data), compacting: false });
                 inner.sealed_raw += 1;
             }
@@ -686,8 +691,8 @@ impl<D: TierMedia> TieredStore<D> {
             });
             start += inner.open_buf.len();
         }
-        let hist: Arc<dyn BlockSource> = self.hist.clone();
-        TierSnapshot { cfg: self.cfg, segs, hist, total_len: start }
+        let full_cover = Arc::clone(&self.hist.full_cover);
+        TierSnapshot { cfg: self.cfg, segs, hist: self.hist.clone(), full_cover, total_len: start }
     }
 
     /// Claims up to `max` sealed raw segments for compaction (oldest

@@ -19,12 +19,13 @@
 //! energy catalog it plans from comes out of the historical manifest,
 //! and the sweep checks it bit for bit against the blocks themselves.
 
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 
 use aims_dsp::filters::FilterKind;
 use aims_exec::ThreadPool;
-use aims_storage::{CrashPlan, DurabilityMode, FileDeviceOptions};
-use aims_tier::{block_energy, compact, range_sum_on, TierConfig, TierSnapshot, TieredStore};
+use aims_storage::{block_energy, CrashPlan, DurabilityMode, FileDeviceOptions};
+use aims_tier::{compact, range_sum_on, TierConfig, TierSnapshot, TieredStore};
 
 const SEG: usize = 64;
 const BLOCK: usize = 16;
@@ -248,6 +249,43 @@ fn reopen_reads_manifests_and_backlog_only() {
         assert_eq!(got.to_bits(), want.to_bits(), "range [{a}, {b}]");
     }
     drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hot block that fails its checksum on reopen is disk damage: the reopen
+/// returns `InvalidData` naming the device, the slot and the device block,
+/// instead of panicking.
+#[test]
+fn reopen_reports_a_damaged_hot_block() {
+    let dir = fresh_dir("damaged");
+    {
+        let store = TieredStore::create_durable(&dir, cfg(), opts(CrashPlan::none())).unwrap();
+        store.push_slice(&signal_of(100));
+        store.sync();
+        store.checkpoint();
+    }
+    // Flip one payload byte of the open tail's first block. The main file
+    // ends with the payload region: one `BLOCK × 8`-byte image per block.
+    let main = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(dir.join("hot").join("blocks.aims"))
+        .unwrap();
+    let payloads = main.metadata().unwrap().len() - (cfg().hot_device_blocks() * BLOCK * 8) as u64;
+    let victim = cfg().hot_block(1);
+    let at = payloads + (victim * BLOCK * 8) as u64 + 3;
+    let mut byte = [0u8];
+    main.read_exact_at(&mut byte, at).unwrap();
+    main.write_all_at(&[byte[0] ^ 0x10], at).unwrap();
+    drop(main);
+
+    let Err(e) = TieredStore::open_durable(&dir, cfg(), opts(CrashPlan::none())) else {
+        panic!("a store with a corrupt hot block reopened");
+    };
+    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+    for part in ["hot device", "slot 1", &format!("block {victim}")] {
+        assert!(e.to_string().contains(part), "the error must name {part:?}: {e}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -4,10 +4,10 @@ use proptest::prelude::*;
 
 use aims::dsp::dwt::{dwt_full, idwt_full};
 use aims::dsp::filters::FilterKind;
+use aims::dsp::lazy::lazy_transform;
 use aims::dsp::poly::Polynomial;
 use aims::propolyne::cube::DataCube;
 use aims::propolyne::engine::Propolyne;
-use aims::propolyne::lazy::lazy_transform;
 use aims::propolyne::query::RangeSumQuery;
 use aims::storage::cache::SharedBlockCache;
 use aims::storage::store::{AllocKind, WaveletStore};
