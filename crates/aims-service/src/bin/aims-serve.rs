@@ -12,12 +12,14 @@
 //! a client sends a SHUTDOWN frame.
 //!
 //! With `--data DIR` the coefficient store lives on a durable
-//! [`FileDevice`] instead of memory: an existing directory is reopened
-//! (WAL recovery runs, the cube geometry comes from the device's header
-//! meta, one verified pass rebuilds the energy catalog — the coefficients
-//! themselves are never loaded into memory), a missing one is created,
-//! loaded from the demo cube, and checkpointed. Either way the service
-//! then serves every query from the on-disk store.
+//! [`FileDevice`] instead of memory. An existing directory is reopened
+//! (WAL recovery runs); a missing one is created from the demo cube's
+//! coefficients in one sequential image write
+//! ([`FileDevice::create_from`]), so a server killed mid-create leaves no
+//! store, never a part of one. Either way the cube geometry then comes
+//! from the device's header meta, one verified pass over the blocks
+//! rebuilds the energy catalog (the coefficients themselves stay on disk),
+//! and the service serves every query from the on-disk store.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -115,45 +117,41 @@ fn decode_meta(meta: &[u8]) -> Result<(Vec<usize>, WaveletFilter), String> {
     Ok((dims, filter))
 }
 
-/// Opens (recovering) or creates-and-loads the durable store, returning
-/// the cube geometry plus the blocked store.
+/// Opens (recovering) or creates the durable store, returning the cube
+/// geometry plus the blocked store. Either way the geometry comes from the
+/// device's header meta and the energy catalog from one verified read pass.
 fn durable_store(
     opts: &Opts,
 ) -> Result<(Vec<usize>, WaveletFilter, BlockedCoefficients<FileDevice>), String> {
     let dir = opts.data.as_deref().expect("durable_store needs --data");
     let dev_opts = FileDeviceOptions { mode: opts.durability, ..Default::default() };
-    if FileDevice::exists(dir) {
+    let device = if FileDevice::exists(dir) {
         let device = FileDevice::open(dir, dev_opts).map_err(|e| format!("open {dir}: {e}"))?;
         let r = device.recovery();
-        let (dims, filter) = decode_meta(device.meta())?;
-        let len = dims
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .filter(|&len| len > 0 && len <= device.capacity_items())
-            .ok_or_else(|| format!("device meta dims {dims:?} do not fit the device"))?;
         println!(
             "aims-serve: reopened {dir} (replayed {} records, truncated {} bytes, lsn {})",
             r.replayed_records, r.truncated_bytes, r.recovered_lsn
         );
-        let blocked =
-            BlockedCoefficients::from_device(device, len).map_err(|e| format!("catalog: {e}"))?;
-        Ok((dims, filter, blocked))
+        device
     } else {
         let cube = demo_cube(opts.side, opts.seed);
         let meta = encode_meta(cube.dims(), cube.filter());
         let num_blocks = cube.coeffs().len().div_ceil(opts.block);
-        let device =
-            FileDevice::create(dir, opts.block, num_blocks, FileDeviceOptions { meta, ..dev_opts })
-                .map_err(|e| format!("create {dir}: {e}"))?;
-        let mut blocked = BlockedCoefficients::on_device(cube.coeffs(), opts.block, |_, _| device);
-        blocked.device_mut().checkpoint();
-        println!(
-            "aims-serve: created {dir} ({} blocks, {})",
-            blocked.num_blocks(),
-            opts.durability.label()
-        );
-        Ok((cube.dims().to_vec(), cube.filter().clone(), blocked))
-    }
+        let dev_opts = FileDeviceOptions { meta, ..dev_opts };
+        let device = FileDevice::create_from(dir, opts.block, num_blocks, cube.coeffs(), dev_opts)
+            .map_err(|e| format!("create {dir}: {e}"))?;
+        println!("aims-serve: created {dir} ({num_blocks} blocks, {})", opts.durability.label());
+        device
+    };
+    let (dims, filter) = decode_meta(device.meta())?;
+    let len = dims
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .filter(|&len| len > 0 && len <= device.capacity_items())
+        .ok_or_else(|| format!("device meta dims {dims:?} do not fit the device"))?;
+    let blocked =
+        BlockedCoefficients::from_device(device, len).map_err(|e| format!("catalog: {e}"))?;
+    Ok((dims, filter, blocked))
 }
 
 fn serve<D: BlockDevice + Send + Sync + 'static>(service: Arc<QueryService<D>>, port: u16) {

@@ -11,9 +11,15 @@
 //! - **Main file** (`blocks.aims`, version 3): a write-once header (magic,
 //!   version, geometry, user meta blob, header checksum), a table of one
 //!   big-endian [`block_digest`] per block, then each block's `block_size`
-//!   big-endian f64s — a hole until a checkpoint folds the block, and never
-//!   trusted for its zeros, since every digest is explicit in the table.
-//!   The header is never mutated after creation, so no write can tear it.
+//!   big-endian f64s — a hole until creation or a checkpoint writes the
+//!   block, and never trusted for its zeros, since every digest is explicit
+//!   in the table. The header is never mutated after creation, so no write
+//!   can tear it.
+//! - **Creation** ([`FileDevice::create_from`]): the initial image is written
+//!   once, sequentially, straight into a staging main file beside its
+//!   digest table — no WAL record, no checkpoint — and published by a
+//!   rename plus a directory fsync. A crash during creation leaves no
+//!   device or the whole image.
 //! - **WAL** (`wal.aims`): length-prefixed physical redo records
 //!   `[len u32][lsn u64][block u64][payload][crc u64]` with a strictly
 //!   monotone LSN. Records are full-block images, so replay is naturally
@@ -58,7 +64,11 @@ use crate::faults::mix;
 const MAGIC: u64 = 0x4149_4D53_4644_4556;
 const VERSION: u16 = 3;
 const MAIN_FILE: &str = "blocks.aims";
+/// Where creation builds the main file before publishing it by rename.
+const STAGING_FILE: &str = "blocks.aims.new";
 const PAGE_ITEMS: usize = 512;
+/// Items creation encodes per `pwrite`: a 256 KiB staging buffer.
+const STAGE_ITEMS: usize = 32 * 1024;
 const WAL_FILE: &str = "wal.aims";
 /// Salt separating torn-length draws from the fault-schedule streams.
 const SALT_CRASH_TORN: u64 = 0x6006;
@@ -398,10 +408,8 @@ fn decode_header(main: &mut File) -> io::Result<(usize, usize, Vec<u8>, u64)> {
 }
 
 impl FileDevice {
-    /// Creates a fresh device directory: writes the header, a checksum table
-    /// of zero-block digests and an empty WAL, all fsynced. The payload
-    /// region is a hole that reads back as zeros, so creation costs 8 bytes
-    /// a block; the filesystem allocates a payload when it is first folded.
+    /// Creates a fresh, all-zero device directory:
+    /// [`FileDevice::create_from`] with an empty image.
     ///
     /// # Panics
     /// If `block_size == 0` or the geometry overflows a file offset.
@@ -411,7 +419,34 @@ impl FileDevice {
         num_blocks: usize,
         opts: FileDeviceOptions,
     ) -> io::Result<Self> {
+        Self::create_from(dir, block_size, num_blocks, &[], opts)
+    }
+
+    /// Creates a device directory whose blocks hold `image` — item `i` in
+    /// block `i / block_size`, the last image block zero-padded — and zeros
+    /// past it, replacing any device already there. The main file is built
+    /// as `blocks.aims.new`: the header, the image's payloads in sequential
+    /// writes through one 256 KiB buffer, then the table of their digests,
+    /// fsynced. An empty WAL is fsynced next, and only then is the file
+    /// renamed to `blocks.aims` and the directory fsynced. A crash at any
+    /// point leaves no device or the whole image, never a part of it:
+    /// [`FileDevice::exists`] ignores the staging file, and the next create
+    /// overwrites it. Payloads past the image stay a hole that reads back as
+    /// zeros, so they cost 8 bytes a block until a checkpoint first folds
+    /// them. Creation writes no WAL record and has no crash steps.
+    ///
+    /// # Panics
+    /// If `block_size == 0`, the geometry overflows a file offset, or
+    /// `image` is longer than the device.
+    pub fn create_from<P: AsRef<Path>>(
+        dir: P,
+        block_size: usize,
+        num_blocks: usize,
+        image: &[f64],
+        opts: FileDeviceOptions,
+    ) -> io::Result<Self> {
         assert!(block_size > 0, "block size must be positive");
+        assert!(image.len().div_ceil(block_size) <= num_blocks, "image larger than the device");
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let header = encode_header(block_size, num_blocks, &opts.meta);
@@ -422,17 +457,51 @@ impl FileDevice {
             .write(true)
             .create(true)
             .truncate(true)
-            .open(dir.join(MAIN_FILE))?;
-        // Only sized: the payload region stays a hole that reads as zeros.
+            .open(dir.join(STAGING_FILE))?;
+        // Only sized: payloads past the image stay a hole that reads as zeros.
         main.set_len(layout.file_len)?;
         main.write_all_at(&header, 0)?;
+
         let zero_sum = block_digest(&vec![0.0; block_size]);
-        let page = zero_sum.to_be_bytes().repeat(PAGE_ITEMS.min(num_blocks));
-        for first in (0..num_blocks).step_by(PAGE_ITEMS) {
-            let entries = (num_blocks - first).min(PAGE_ITEMS);
-            main.write_all_at(&page[..entries * 8], layout.table_entry(first))?;
+        let mut checksums = vec![zero_sum; num_blocks];
+        let mut stage = vec![0u8; STAGE_ITEMS.min(image.len().max(num_blocks)) * 8];
+        // Whole blocks per pass, so each digest reads items still in cache.
+        let run_items = block_size * (STAGE_ITEMS / block_size).max(1);
+        for (run, items) in image.chunks(run_items).enumerate() {
+            let mut off = layout.payload_start + (run * run_items * 8) as u64;
+            for part in items.chunks(STAGE_ITEMS) {
+                let bytes = &mut stage[..part.len() * 8];
+                encode_payload(bytes, part);
+                main.write_all_at(bytes, off)?;
+                off += bytes.len() as u64;
+            }
+            let first = run * run_items / block_size;
+            for (sum, data) in checksums[first..].iter_mut().zip(items.chunks(block_size)) {
+                *sum = if data.len() == block_size {
+                    block_digest(data)
+                } else {
+                    let mut padded = data.to_vec();
+                    padded.resize(block_size, 0.0);
+                    block_digest(&padded)
+                };
+            }
+        }
+        for (page, sums) in checksums.chunks(STAGE_ITEMS).enumerate() {
+            let bytes = &mut stage[..sums.len() * 8];
+            for (dst, sum) in bytes.as_chunks_mut::<8>().0.iter_mut().zip(sums) {
+                *dst = sum.to_be_bytes();
+            }
+            main.write_all_at(bytes, layout.table_entry(page * STAGE_ITEMS))?;
         }
         main.sync_all()?;
+
+        // An old device goes before its WAL does: a crash from here on
+        // leaves no device, never the old main file beside an emptied WAL.
+        let published = dir.join(MAIN_FILE);
+        if published.exists() {
+            std::fs::remove_file(&published)?;
+            File::open(&dir)?.sync_all()?;
+        }
         let wal = OpenOptions::new()
             .read(true)
             .write(true)
@@ -440,8 +509,9 @@ impl FileDevice {
             .truncate(true)
             .open(dir.join(WAL_FILE))?;
         wal.sync_all()?;
+        std::fs::rename(dir.join(STAGING_FILE), &published)?;
+        File::open(&dir)?.sync_all()?;
         let shape = (block_size, num_blocks, opts.meta.clone(), layout);
-        let checksums = vec![zero_sum; num_blocks];
         Ok(Self::assemble(dir, (main, wal), shape, &opts, checksums, RecoveryReport::default()))
     }
 
@@ -498,7 +568,7 @@ impl FileDevice {
         Ok(Self::assemble(dir, (main, wal), shape, &opts, checksums, recovery))
     }
 
-    /// The device over its open files: the tail [`FileDevice::create`] and
+    /// The device over its open files: the tail [`FileDevice::create_from`] and
     /// [`FileDevice::open`] share. `shape` is `(block_size, num_blocks,
     /// meta, layout)`, as the header records them.
     fn assemble(
@@ -550,7 +620,8 @@ impl FileDevice {
         }
     }
 
-    /// Whether `dir` holds a device (its main block file exists).
+    /// Whether `dir` holds a device (its main block file exists; the
+    /// staging file of a create that never finished does not count).
     pub fn exists<P: AsRef<Path>>(dir: P) -> bool {
         dir.as_ref().join(MAIN_FILE).is_file()
     }
@@ -1101,6 +1172,89 @@ mod tests {
         all_zero(&d, "fresh");
         drop(d);
         all_zero(&FileDevice::open(&dir, FileDeviceOptions::default()).unwrap(), "reopened");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn create_from_writes_the_image_once_and_leaves_the_rest_a_hole() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = test_dir("create-from");
+        let (bs, blocks) = (16, 64 * 1024);
+        // 100½ blocks: the last image block is zero-padded on the device.
+        let mut image: Vec<f64> = (0..100 * bs + bs / 2).map(|i| (i as f64).sin() * 1e3).collect();
+        image[3] = -0.0;
+        let want = |b: usize| {
+            let mut block = vec![0.0; bs];
+            let items = image.get(b * bs..).unwrap_or_default();
+            let items = &items[..items.len().min(bs)];
+            block[..items.len()].copy_from_slice(items);
+            block
+        };
+        let d = FileDevice::create_from(&dir, bs, blocks, &image, FileDeviceOptions::default())
+            .unwrap();
+        assert_eq!(d.wal_stats(), WalStats::default(), "creation appends and syncs no WAL");
+        assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
+        assert!(!dir.join(STAGING_FILE).exists(), "published by rename");
+        let main = std::fs::metadata(dir.join(MAIN_FILE)).unwrap();
+        assert_eq!(main.len(), d.layout.file_len);
+        let header_table_and_image = d.layout.payload(image.len().div_ceil(bs));
+        assert!(
+            main.blocks() * 512 <= header_table_and_image + 4096,
+            "{} bytes allocated",
+            main.blocks() * 512
+        );
+        let layout = d.layout;
+        let check = |d: &FileDevice, when: &str| {
+            let mut table = vec![0u8; blocks * 8];
+            File::open(dir.join(MAIN_FILE))
+                .unwrap()
+                .read_exact_at(&mut table, layout.table_entry(0))
+                .unwrap();
+            for (b, entry) in table.as_chunks::<8>().0.iter().enumerate() {
+                let (got, want) = (d.read_block(b).unwrap(), want(b));
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "block {b} {when}");
+                assert_eq!(u64::from_be_bytes(*entry), block_digest(&want), "block {b} {when}");
+            }
+        };
+        check(&d, "created");
+        drop(d);
+        let d = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap();
+        assert_eq!(d.recovery(), RecoveryReport::default());
+        check(&d, "reopened");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_stale_staging_file_is_no_device_and_the_next_create_replaces_it() {
+        let dir = test_dir("stale-staging");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(STAGING_FILE), vec![0xA5; 64 * 1024]).unwrap();
+        assert!(!FileDevice::exists(&dir));
+        assert!(FileDevice::open(&dir, FileDeviceOptions::default()).is_err());
+
+        let image = [payload(4, 7), payload(4, 8)].concat();
+        let d = FileDevice::create_from(&dir, 4, 8, &image, FileDeviceOptions::default()).unwrap();
+        assert!(FileDevice::exists(&dir) && !dir.join(STAGING_FILE).exists());
+        drop(d);
+        let d = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap();
+        assert_eq!(d.read_block(0).unwrap(), payload(4, 7));
+        assert_eq!(d.read_block(1).unwrap(), payload(4, 8));
+        for b in 2..8 {
+            assert_eq!(d.read_block(b).unwrap(), [0.0; 4], "block {b}");
+        }
+
+        // Over a live device with unfolded WAL records, creation replaces
+        // the device and its WAL both: nothing of the old one replays.
+        let mut old = FileDevice::create(&dir, 4, 8, FileDeviceOptions::default()).unwrap();
+        old.write_block(5, &payload(4, 5));
+        drop(old);
+        assert!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len() > 0);
+        FileDevice::create_from(&dir, 4, 8, &image, FileDeviceOptions::default()).unwrap();
+        let d = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap();
+        assert_eq!(d.recovery().replayed_records, 0);
+        assert_eq!(d.read_block(1).unwrap(), payload(4, 8));
+        assert_eq!(d.read_block(5).unwrap(), [0.0; 4]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
