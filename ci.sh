@@ -69,7 +69,7 @@ if [[ $fast -eq 0 ]]; then
     # Each experiment asserts what it claims (bit-identity, drill
     # invariants, the floors it states) and exits non-zero otherwise; its
     # timings are printed, not gated — the benchmark under bench/ owns those.
-    for exp in e25 e26 e27 e28 e30 e31 e32; do
+    for exp in e6 e9 e10 e12 e20 e25 e26 e27 e28 e30 e31 e32; do
         echo "== $exp =="
         AIMS_CHAOS_SEED=4242 cargo run --release -q -p aims-bench --bin experiments -- "$exp"
     done

@@ -54,7 +54,6 @@ fn bench_query_evaluation(c: &mut Criterion) {
     let mut g = c.benchmark_group("propolyne_eval_256x256");
     g.bench_function("count_exact", |b| b.iter(|| engine.evaluate(&count)));
     g.bench_function("sum_exact", |b| b.iter(|| engine.evaluate(&sum)));
-    g.bench_function("count_progressive", |b| b.iter(|| engine.progressive(&count)));
     g.bench_function("count_scan_baseline", |b| b.iter(|| count.eval_scan(&cube)));
     g.finish();
 }

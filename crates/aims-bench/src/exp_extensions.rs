@@ -1,14 +1,19 @@
 //! Experiments E20–E22: the paper's proposed refinements ("future work"
 //! it sketches in §3.3.1 and §3.4.1), implemented and measured.
 
+use std::time::Duration;
+
+use aims_dsp::filters::FilterKind;
 use aims_linalg::RandomProjection;
-use aims_propolyne::batch::{drill_down_queries, progressive_batch, BatchErrorNorm};
 use aims_propolyne::engine::Propolyne;
 use aims_propolyne::query::RangeSumQuery;
 use aims_sensors::asl::AslVocabulary;
 use aims_sensors::glove::CyberGloveRig;
 use aims_sensors::noise::NoiseSource;
 use aims_sensors::types::MultiStream;
+use aims_service::{
+    Outcome, QosConfig, QueryService, QuerySpec, Refinement, SchedulerPolicy, ServiceConfig,
+};
 use aims_stream::isolation::{evaluate_isolation, IsolationConfig, StreamRecognizer};
 use aims_stream::signature::SvdSignature;
 
@@ -17,35 +22,89 @@ use crate::workloads::gaussian_mixture_cube;
 /// E20 — §3.3.1: "for some applications it is important to minimize the
 /// standard L² norm of the errors. For other applications it may be more
 /// important to ensure that any large differences between results for
-/// related ranges are captured early" — progressive batch evaluation under
-/// the two error measures.
+/// related ranges are captured early" — a 16-bucket drill-down as
+/// co-admitted sessions of one query service, under each scheduler policy,
+/// with the batch's L² and worst-query true errors taken per round from
+/// the sessions' refinements.
 pub fn e20_batch_error_norms() {
-    crate::header("E20", "progressive batch evaluation under L2 vs worst-query norms (§3.3.1)");
-    let cube = gaussian_mixture_cube(128);
-    let engine = Propolyne::new(cube.transform(&aims_dsp::filters::FilterKind::Db4.filter()));
-    let base = RangeSumQuery::count(vec![(0, 127), (8, 119)]);
-    let queries = drill_down_queries(&base, 0, 16);
-
-    println!("16-bucket drill-down, errors after 25% of shared fetches:");
-    println!(
-        "{:>16} {:>14} {:>14} {:>12} {:>12}",
-        "fetch order", "L2 err @25%", "max err @25%", "L2 AUC", "max AUC"
+    crate::header(
+        "E20",
+        "progressive drill-down batch: L2 and worst-query error per round (§3.3.1)",
     );
-    for norm in [BatchErrorNorm::L2Total, BatchErrorNorm::MaxQuery] {
-        let run = progressive_batch(&engine, &queries, norm);
-        let quarter = &run.steps[run.steps.len() / 4];
-        println!(
-            "{:>16} {:>14.1} {:>14.1} {:>12.0} {:>12.0}",
-            format!("{norm:?}"),
-            quarter.l2_error,
-            quarter.max_error,
-            run.auc(BatchErrorNorm::L2Total),
-            run.auc(BatchErrorNorm::MaxQuery)
+    let cube = gaussian_mixture_cube(128).transform(&FilterKind::Db4.filter());
+    let engine = Propolyne::new(cube.clone());
+    let base = RangeSumQuery::count(vec![(0, 127), (8, 119)]);
+    let queries = base.drill_down(0, 16);
+    let exact: Vec<f64> = queries.iter().map(|q| engine.evaluate(q)).collect();
+
+    println!("16-bucket drill-down on a store of one coefficient per block; true errors:");
+    println!(
+        "{:>10} {:>8} {:>14} {:>14} {:>12} {:>12}",
+        "policy", "rounds", "L2 err @25%", "max err @25%", "L2 AUC", "max AUC"
+    );
+    for policy in [SchedulerPolicy::Utility, SchedulerPolicy::Fifo] {
+        let svc = QueryService::new(
+            cube.clone(),
+            1,
+            ServiceConfig {
+                cache_blocks: cube.coeffs().len(),
+                round_blocks: 32,
+                admission_warmup: Duration::from_millis(25),
+                qos: QosConfig { policy, shedding: false, ..QosConfig::default() },
+                ..ServiceConfig::default()
+            },
         );
-        assert!(run.steps.last().unwrap().l2_error < 1e-6);
+        let handles: Vec<_> = queries
+            .iter()
+            .map(|q| svc.submit(QuerySpec::interactive(q.ranges.clone())).expect("queue fits"))
+            .collect();
+        let traces: Vec<Vec<Refinement>> = handles
+            .into_iter()
+            .zip(&exact)
+            .enumerate()
+            .map(|(k, (h, x))| match h.collect() {
+                (trace, Outcome::Done(r)) => {
+                    assert_eq!(r.estimate.to_bits(), x.to_bits(), "{policy:?}: bucket {k}");
+                    trace
+                }
+                (_, other) => panic!("{policy:?}: bucket {k} did not complete: {other:?}"),
+            })
+            .collect();
+        assert_eq!(svc.qos_stats().dropped_progress, 0, "{policy:?} dropped refinements");
+        svc.shutdown();
+
+        // Per scheduler round: each session's latest estimate (0 before
+        // its first refinement) against its exact answer.
+        let rounds = traces.iter().filter_map(|t| t.last()).map(|r| r.round).max().unwrap_or(0);
+        let mut seen = vec![0usize; traces.len()];
+        let per_round: Vec<(f64, f64)> = (1..=rounds)
+            .map(|round| {
+                let (mut l2, mut max) = (0.0f64, 0.0f64);
+                for ((trace, at), x) in traces.iter().zip(&mut seen).zip(&exact) {
+                    while trace.get(*at).is_some_and(|r| r.round <= round) {
+                        *at += 1;
+                    }
+                    let estimate = at.checked_sub(1).map_or(0.0, |i| trace[i].estimate);
+                    let error = (estimate - x).abs();
+                    (l2, max) = (l2 + error * error, max.max(error));
+                }
+                (l2.sqrt(), max)
+            })
+            .collect();
+        let quarter = per_round[per_round.len() / 4];
+        println!(
+            "{:>10} {:>8} {:>14.1} {:>14.1} {:>12.0} {:>12.0}",
+            format!("{policy:?}"),
+            rounds,
+            quarter.0,
+            quarter.1,
+            per_round.iter().map(|e| e.0).sum::<f64>(),
+            per_round.iter().map(|e| e.1).sum::<f64>()
+        );
     }
-    println!("\nshape check: each ordering wins (or ties) the metric it optimizes,");
-    println!("and both end exact — the error-measure choice the paper formalizes.");
+    println!("\nshape check: both policies end bit-identical to serial evaluation with");
+    println!("no refinement dropped; the table shows which order tightens the batch's");
+    println!("L2 and its worst bucket sooner, as the service can run it (no oracle).");
 }
 
 /// E21 — §3.4.1: incremental SVD inside the recognizer — quality and cost

@@ -1,16 +1,20 @@
 //! Experiments E7–E12: ProPolyne, the off-line query engine (paper §3.3,
 //! §3.3.1).
 
+use std::time::Duration;
+
 use aims_dsp::dwt::dwt_full;
 use aims_dsp::filters::FilterKind;
 use aims_dsp::lazy::lazy_transform;
 use aims_dsp::poly::Polynomial;
-use aims_propolyne::batch::{drill_down_queries, evaluate_batch};
+use aims_propolyne::blockstore::BlockedCoefficients;
 use aims_propolyne::cube::{AttributeSpace, DataCube};
 use aims_propolyne::engine::Propolyne;
 use aims_propolyne::hybrid::{choose_standard_dims, HybridEngine};
 use aims_propolyne::query::RangeSumQuery;
 use aims_propolyne::synopsis::compare_at_budget;
+use aims_service::{Outcome, QosConfig, QueryService, QuerySpec, ServiceConfig};
+use aims_storage::{BlockDevice, RetryPolicy, SharedBlockCache};
 
 use crate::workloads::{gaussian_mixture_cube, sensor_trace_cube, uniform_cube, zipf_cube};
 
@@ -122,21 +126,39 @@ pub fn e9_progressive_accuracy() {
     let cube = gaussian_mixture_cube(256);
 
     println!("-- error vs fraction of query coefficients (db4, COUNT query) --");
+    println!("(a store of one coefficient per block, so a block is a query coefficient:");
+    println!(" order = catalog gain |w|·|c|, bound = the ledger's suffix Σ|w|·|c|)");
     let engine = Propolyne::new(cube.transform(&FilterKind::Db4.filter()));
     let q = RangeSumQuery::count(vec![(31, 215), (40, 180)]);
-    let run = engine.progressive(&q);
-    let total = run.steps.len();
+    let prepared = engine.prepare(&q);
+    let exact = engine.evaluate_prepared(&prepared);
+    let store = BlockedCoefficients::new(engine.cube().coeffs(), 1);
+    let pool = SharedBlockCache::new(64);
+    let run = store.progressive(&prepared.indices, &prepared.weights, &pool, &RetryPolicy::none());
+    let total = run.len();
+    let rel_error = |k: usize| (run[k].estimate - exact).abs() / exact.abs();
     println!("{:>10} {:>12} {:>12}", "coeffs", "rel error", "bound/exact");
     for frac in [0.02, 0.05, 0.1, 0.2, 0.5, 1.0] {
         let k = ((total as f64 * frac) as usize).clamp(1, total);
-        let s = &run.steps[k - 1];
-        println!(
-            "{:>9}% {:>12.2e} {:>12.2e}",
-            (frac * 100.0) as usize,
-            s.abs_error / run.exact.abs(),
-            s.guaranteed_bound / run.exact.abs()
+        let bound = run[k - 1].bound / exact.abs();
+        println!("{:>9}% {:>12.2e} {:>12.2e}", (frac * 100.0) as usize, rel_error(k - 1), bound);
+    }
+    for (k, p) in run.iter().enumerate() {
+        let error = (p.estimate - exact).abs();
+        assert!(
+            error <= p.bound + 1e-9 * exact.abs(),
+            "step {k}: error {error} > bound {}",
+            p.bound
         );
     }
+    // The first step from which the relative error stays under 1%.
+    let within = (0..total).rev().take_while(|&k| rel_error(k) <= 0.01).last().unwrap_or(total);
+    println!(
+        "1% relative error from {} of {total} coefficients ({:.1}%)",
+        within + 1,
+        100.0 * (within + 1) as f64 / total as f64
+    );
+    assert!(20 * (within + 1) <= total, "1% error needs more than 5% of the coefficients");
 
     println!("\n-- filter ablation: 1-D query nnz at N=65536 (moment condition) --");
     println!("{:>8} {:>10} {:>18} {:>18}", "filter", "moments", "nnz, degree 1", "nnz, degree 2");
@@ -202,10 +224,12 @@ pub fn e10_data_vs_query_approximation() {
         worst(&data_errs),
         worst(&query_errs)
     );
-    println!("shape check: data approximation is only competitive on the one highly");
-    println!("compressible dataset and degrades by an order of magnitude on the");
-    println!("others; query approximation wins on most datasets and its worst case");
-    println!("is several-fold better — 'consistent, and consistently better'.");
+    let wins = data_errs.iter().zip(&query_errs).filter(|(d, q)| q <= d).count();
+    assert!(wins >= 3, "query approximation won {wins} of 4 datasets");
+    assert!(worst(&query_errs) < worst(&data_errs), "query approximation's worst case is worse");
+    println!("shape check: data approximation swings by an order of magnitude across");
+    println!("datasets; query approximation wins on at least 3 of the 4 and its worst");
+    println!("case is several-fold better — 'consistent, and consistently better'.");
 }
 
 /// E11 — the hybrid standard/wavelet engine "can perform dramatically
@@ -262,27 +286,58 @@ pub fn e11_hybrid() {
 }
 
 /// E12 — batch/group-by evaluation "shares I/O maximally" across related
-/// ranges (§3.3.1).
+/// ranges (§3.3.1): the drill-down buckets as co-admitted sessions of one
+/// query service over a store of one coefficient per block, whose cache
+/// holds the whole cube.
 pub fn e12_batch_sharing() {
     crate::header("E12", "shared retrieval for drill-down query batches (§3.3.1)");
-    let cube = gaussian_mixture_cube(128);
-    let engine = Propolyne::new(cube.transform(&FilterKind::Db4.filter()));
+    let cube = gaussian_mixture_cube(128).transform(&FilterKind::Db4.filter());
+    let engine = Propolyne::new(cube.clone());
+    let store = BlockedCoefficients::new(cube.coeffs(), 1);
     let base = RangeSumQuery::count(vec![(0, 127), (16, 111)]);
+    let whole = engine.evaluate(&base);
 
     println!("{:>10} {:>16} {:>16} {:>12}", "buckets", "independent", "shared", "sharing");
     for buckets in [2usize, 4, 8, 16, 32] {
-        let queries = drill_down_queries(&base, 0, buckets);
-        let batch = evaluate_batch(&engine, &queries);
+        let queries = base.drill_down(0, buckets);
+        let svc = QueryService::new(
+            cube.clone(),
+            1,
+            ServiceConfig {
+                cache_blocks: store.num_blocks(),
+                round_blocks: 256,
+                admission_warmup: Duration::from_millis(10),
+                qos: QosConfig { shedding: false, ..QosConfig::default() },
+                ..ServiceConfig::default()
+            },
+        );
+        let handles: Vec<_> = queries
+            .iter()
+            .map(|q| svc.submit(QuerySpec::interactive(q.ranges.clone())).expect("queue fits"))
+            .collect();
+        let (mut independent, mut total) = (0usize, 0.0);
+        for (k, (q, h)) in queries.iter().zip(handles).enumerate() {
+            let prepared = engine.prepare(q);
+            independent += store.plan_blocks(&prepared).len();
+            let expect = engine.evaluate_prepared(&prepared);
+            match h.wait() {
+                Outcome::Done(r) => {
+                    assert_eq!(r.estimate.to_bits(), expect.to_bits(), "bucket {k} of {buckets}");
+                    total += r.estimate;
+                }
+                other => panic!("bucket {k} of {buckets} did not complete: {other:?}"),
+            }
+        }
+        let shared = svc.device().stats().reads as usize;
+        svc.shutdown();
         println!(
             "{:>10} {:>16} {:>16} {:>12}",
             buckets,
-            batch.independent_fetches,
-            batch.shared_fetches,
-            crate::times(batch.sharing_factor())
+            independent,
+            shared,
+            crate::times(independent as f64 / shared as f64)
         );
-        // Sanity: buckets partition the base.
-        let total: f64 = batch.answers.iter().sum();
-        let whole = engine.evaluate(&base);
+        // The buckets partition the base.
         assert!((total - whole).abs() < 1e-6 * whole.abs().max(1.0));
     }
     println!("\nshape check: the sharing factor grows with the number of related");

@@ -1,21 +1,22 @@
-//! The ProPolyne evaluator: exact, approximate and progressive polynomial
-//! range-sums entirely in the wavelet domain.
+//! The ProPolyne evaluator: exact polynomial range-sums entirely in the
+//! wavelet domain.
 //!
 //! For each product term the per-dimension query vectors go through the
 //! lazy wavelet transform; the multidimensional query coefficient at a
 //! tensor index is the product of the per-dimension coefficients. The
-//! answer is the inner product with the stored cube coefficients. For
-//! progressive evaluation, terms are consumed in decreasing |query
-//! coefficient| order — "using the most important query wavelet
+//! answer is the inner product with the stored cube coefficients.
+//! Progressive evaluation — "using the most important query wavelet
 //! coefficients first provides excellent approximate results and
-//! guaranteed error bounds with very little I/O" (§3.3); the error bound
-//! is Cauchy–Schwarz against the cube's (precomputable) energy.
+//! guaranteed error bounds with very little I/O" (§3.3) — is the block
+//! store's: [`aims_storage::CoefficientStore::progressive`] consumes a
+//! prepared query's blocks most-valuable-first under the per-block
+//! Cauchy–Schwarz bound every served path reports.
 
 use std::collections::HashMap;
 
 use aims_dsp::filters::WaveletFilter;
 use aims_dsp::lazy::lazy_transform;
-use aims_telemetry::{counter, histogram, histogram_f64, span};
+use aims_telemetry::{counter, histogram, span};
 
 use crate::cube::WaveletCube;
 use crate::query::RangeSumQuery;
@@ -52,47 +53,6 @@ impl PreparedQuery {
     }
 }
 
-/// One step of a progressive evaluation.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ProgressStep {
-    /// Query coefficients consumed so far.
-    pub coefficients_used: usize,
-    /// Running estimate.
-    pub estimate: f64,
-    /// Absolute error against the exact answer (available in experiments;
-    /// a deployed system would expose only the bound).
-    pub abs_error: f64,
-    /// Cauchy–Schwarz guaranteed bound on the remaining error.
-    pub guaranteed_bound: f64,
-}
-
-/// A full progressive run.
-#[derive(Clone, Debug)]
-pub struct ProgressiveEvaluation {
-    /// The exact answer (the final estimate).
-    pub exact: f64,
-    /// One step per consumed coefficient (ordered most-important-first).
-    pub steps: Vec<ProgressStep>,
-}
-
-impl ProgressiveEvaluation {
-    /// Smallest number of coefficients after which the *relative* error
-    /// stays below `rel`; `None` if never.
-    pub fn coefficients_for_relative_error(&self, rel: f64) -> Option<usize> {
-        let scale = self.exact.abs().max(1e-12);
-        // Find the last step that violates the target; the answer is the
-        // step after it (error is not monotone in general).
-        let mut satisfied_from = None;
-        for (i, s) in self.steps.iter().enumerate().rev() {
-            if s.abs_error / scale > rel {
-                break;
-            }
-            satisfied_from = Some(i);
-        }
-        satisfied_from.map(|i| self.steps[i].coefficients_used)
-    }
-}
-
 /// The evaluator bound to one wavelet cube.
 ///
 /// ```
@@ -112,15 +72,12 @@ impl ProgressiveEvaluation {
 #[derive(Clone, Debug)]
 pub struct Propolyne {
     cube: WaveletCube,
-    data_energy: f64,
 }
 
 impl Propolyne {
-    /// Wraps a transformed cube (precomputing its energy for the error
-    /// bounds).
+    /// Wraps a transformed cube.
     pub fn new(cube: WaveletCube) -> Self {
-        let data_energy = cube.energy();
-        Propolyne { cube, data_energy }
+        Propolyne { cube }
     }
 
     /// The underlying cube.
@@ -151,43 +108,6 @@ impl Propolyne {
         // Single accumulator, ascending offset order — the bit-for-bit
         // reference every other evaluation path reproduces.
         prepared.indices.iter().zip(&prepared.weights).map(|(&i, &w)| w * coeffs[i]).sum()
-    }
-
-    /// Progressive evaluation: consume query coefficients in decreasing
-    /// magnitude, recording the estimate, true error and guaranteed bound
-    /// after each.
-    pub fn progressive(&self, query: &RangeSumQuery) -> ProgressiveEvaluation {
-        let _span = span!("propolyne.query.progressive");
-        let prepared = self.prepare(query);
-        let coeffs = self.cube.coeffs();
-        let exact = self.evaluate_prepared(&prepared);
-
-        let mut order: Vec<(usize, f64)> = prepared.entries().collect();
-        order.sort_by(|a, b| b.1.abs().partial_cmp(&a.1.abs()).unwrap());
-
-        // Suffix query energy for the Cauchy–Schwarz bound.
-        let mut suffix_energy = vec![0.0; order.len() + 1];
-        for (i, &(_, w)) in order.iter().enumerate().rev() {
-            suffix_energy[i] = suffix_energy[i + 1] + w * w;
-        }
-
-        let mut estimate = 0.0;
-        let mut steps = Vec::with_capacity(order.len());
-        let scale = exact.abs().max(1e-12);
-        let step_error = histogram_f64!("propolyne.progressive.step_rel_error");
-        for (i, &(idx, w)) in order.iter().enumerate() {
-            estimate += w * coeffs[idx];
-            let abs_error = (estimate - exact).abs();
-            step_error.record_f64(abs_error / scale);
-            steps.push(ProgressStep {
-                coefficients_used: i + 1,
-                estimate,
-                abs_error,
-                guaranteed_bound: (suffix_energy[i + 1] * self.data_energy).sqrt(),
-            });
-        }
-        counter!("propolyne.progressive.steps").add(steps.len() as u64);
-        ProgressiveEvaluation { exact, steps }
     }
 }
 
@@ -344,48 +264,6 @@ mod tests {
         // Per dim O(filter · log n) → product ~ (4·9)² ≈ 1300 max; the
         // dense vector would be 65 536.
         assert!(prepared.nnz() < 4000, "nnz {}", prepared.nnz());
-    }
-
-    #[test]
-    fn progressive_converges_and_bound_holds() {
-        let cube = cube_2d(64, 64, 7);
-        let engine = Propolyne::new(cube.transform(&FilterKind::Db4.filter()));
-        let q = RangeSumQuery::count(vec![(5, 50), (10, 60)]);
-        let run = engine.progressive(&q);
-        let exact = q.eval_scan(&cube);
-        assert!((run.exact - exact).abs() < 1e-6 * exact.max(1.0));
-        // Final step is exact; bound dominates the true error everywhere.
-        let last = run.steps.last().unwrap();
-        assert!(last.abs_error < 1e-6 * exact.max(1.0));
-        for s in &run.steps {
-            assert!(
-                s.abs_error <= s.guaranteed_bound + 1e-6 * exact.max(1.0),
-                "bound violated at {}: err {} bound {}",
-                s.coefficients_used,
-                s.abs_error,
-                s.guaranteed_bound
-            );
-        }
-    }
-
-    #[test]
-    fn progressive_front_loads_accuracy() {
-        let cube = cube_2d(128, 64, 13);
-        let engine = Propolyne::new(cube.transform(&FilterKind::Db4.filter()));
-        let q = RangeSumQuery::count(vec![(9, 100), (5, 55)]);
-        let run = engine.progressive(&q);
-        let n = run.steps.len();
-        // Error after 25% of coefficients should be well under the initial
-        // magnitude (the "accurate long before complete" claim).
-        let early = &run.steps[n / 4];
-        assert!(
-            early.abs_error < 0.1 * run.exact.abs().max(1.0),
-            "early error {} vs exact {}",
-            early.abs_error,
-            run.exact
-        );
-        let k = run.coefficients_for_relative_error(0.01);
-        assert!(k.is_some() && k.unwrap() < n, "k={k:?} of {n}");
     }
 
     #[test]

@@ -15,22 +15,21 @@
 //!
 //! - [`cube`]: multidimensional frequency/data cubes and their
 //!   tensor-product wavelet transform.
-//! - [`query`]: polynomial range-sum queries (ranges × monomials).
-//! - [`engine`]: exact, approximate and progressive evaluation.
+//! - [`query`]: polynomial range-sum queries (ranges × monomials) and
+//!   their drill-downs (§3.3.1's group-by in range form).
+//! - [`engine`]: query preparation and exact evaluation (progressive
+//!   evaluation is the block store's, through [`blockstore`]).
 //! - [`stats`]: COUNT/SUM/AVERAGE/VARIANCE/COVARIANCE via the Shao
 //!   reduction to second-order polynomial range-sums (§3.4.1).
 //! - [`synopsis`]: the wavelet *data approximation* baseline ProPolyne is
 //!   compared against.
 //! - [`hybrid`]: the standard-basis/wavelet-basis hybrid of §3.3.1.
-//! - [`batch`]: multi-query (group-by / drill-down) evaluation with shared
-//!   coefficient retrieval (§3.3.1).
 //! - [`blockstore`]: device-backed coefficient retrieval — cube
 //!   coefficients on a checksummed block device with retry and graceful
 //!   degradation under storage faults.
 //! - [`packet`]: the wavelet-packet generalization — per-dimension best
 //!   bases from the DWPT library (§3.3.1).
 
-pub mod batch;
 pub mod blockstore;
 pub mod cube;
 pub mod engine;
@@ -42,5 +41,5 @@ pub mod synopsis;
 
 pub use blockstore::BlockedCoefficients;
 pub use cube::{DataCube, WaveletCube};
-pub use engine::{ProgressiveEvaluation, Propolyne};
+pub use engine::Propolyne;
 pub use query::{Monomial, RangeSumQuery};

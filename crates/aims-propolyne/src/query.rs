@@ -115,6 +115,26 @@ impl RangeSumQuery {
         }
     }
 
+    /// The drill-down over dimension `dim`: this rectangle split into
+    /// `buckets` equal bins along `dim` (a SQL GROUP BY in range form).
+    ///
+    /// # Panics
+    /// If `dim` is out of range or `buckets` does not divide its range.
+    pub fn drill_down(&self, dim: usize, buckets: usize) -> Vec<RangeSumQuery> {
+        assert!(dim < self.arity(), "dimension out of range");
+        let (a, b) = self.ranges[dim];
+        let len = b - a + 1;
+        assert!(buckets > 0 && len % buckets == 0, "{buckets} buckets must divide range {len}");
+        let w = len / buckets;
+        (0..buckets)
+            .map(|k| {
+                let mut q = self.clone();
+                q.ranges[dim] = (a + k * w, a + (k + 1) * w - 1);
+                q
+            })
+            .collect()
+    }
+
     /// Reference evaluation by scanning the data cube (exact, O(|R|)).
     pub fn eval_scan(&self, cube: &DataCube) -> f64 {
         self.validate(cube.dims());
@@ -212,6 +232,24 @@ mod tests {
         );
         assert_eq!(q.max_degree(), 2);
         assert_eq!(RangeSumQuery::count(vec![(0, 1)]).max_degree(), 0);
+    }
+
+    #[test]
+    fn drill_down_buckets_partition_the_base() {
+        let cube = small_cube();
+        let base = RangeSumQuery::count(vec![(0, 3), (0, 3)]);
+        for (dim, buckets) in [(0, 2), (1, 4), (1, 1)] {
+            let parts = base.drill_down(dim, buckets);
+            assert_eq!(parts.len(), buckets);
+            let total: f64 = parts.iter().map(|q| q.eval_scan(&cube)).sum();
+            assert_eq!(total, base.eval_scan(&cube), "dim {dim}, {buckets} buckets");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must divide")]
+    fn uneven_buckets_panic() {
+        RangeSumQuery::count(vec![(0, 2), (0, 3)]).drill_down(0, 2);
     }
 
     #[test]

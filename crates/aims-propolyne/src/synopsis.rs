@@ -8,6 +8,9 @@
 //! baseline: keep the top-K data coefficients and answer queries exactly
 //! against the truncated cube.
 
+use aims_storage::{RetryPolicy, SharedBlockCache};
+
+use crate::blockstore::BlockedCoefficients;
 use crate::cube::WaveletCube;
 use crate::engine::Propolyne;
 use crate::query::RangeSumQuery;
@@ -38,24 +41,28 @@ impl DataSynopsis {
 
 /// Relative-error comparison of the two approximation philosophies at
 /// equal budget: `budget` data coefficients for the synopsis vs `budget`
-/// *query* coefficients for progressive ProPolyne. Returns
-/// `(data_approx_rel_error, query_approx_rel_error)` averaged over the
-/// workload.
+/// *query* coefficients, most valuable first — the first `budget` blocks
+/// of a progressive evaluation over a store of one coefficient per block.
+/// Returns `(data_approx_rel_error, query_approx_rel_error)` averaged over
+/// the workload.
 pub fn compare_at_budget(full: &Propolyne, queries: &[RangeSumQuery], budget: usize) -> (f64, f64) {
     assert!(!queries.is_empty(), "need a workload");
     let synopsis = DataSynopsis::new(full.cube(), budget);
+    let store = BlockedCoefficients::new(full.cube().coeffs(), 1);
+    let pool = SharedBlockCache::new(budget.max(1));
     let mut data_err = 0.0;
     let mut query_err = 0.0;
     for q in queries {
-        let exact = full.evaluate(q);
+        let prepared = full.prepare(q);
+        let exact = full.evaluate_prepared(&prepared);
         let scale = exact.abs().max(1e-9);
 
         let approx_data = synopsis.evaluate(q);
         data_err += (approx_data - exact).abs() / scale;
 
-        let run = full.progressive(q);
-        let step = run.steps.iter().take_while(|s| s.coefficients_used <= budget).last();
-        let approx_query = step.map_or(0.0, |s| s.estimate);
+        let run =
+            store.progressive(&prepared.indices, &prepared.weights, &pool, &RetryPolicy::none());
+        let approx_query = run[..budget.min(run.len())].last().map_or(0.0, |p| p.estimate);
         query_err += (approx_query - exact).abs() / scale;
     }
     (data_err / queries.len() as f64, query_err / queries.len() as f64)

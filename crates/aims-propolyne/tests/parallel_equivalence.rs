@@ -1,14 +1,12 @@
-//! Batch evaluation must be bit-identical across pool sizes, and the
-//! sorted-merge shared-fetch path must agree with independent evaluation.
 //! The blocked-storage fetch path (plain and zero-fault-wrapped) must be
 //! bit-identical to the in-memory engine; ci.sh runs this file under
-//! `AIMS_THREADS=1` and `=4`.
+//! `AIMS_THREADS=1` and `=4`. Shared batches across pool sizes are the
+//! query service's contract
+//! (`service::tests::any_partition_into_grant_prefixes_folds_to_the_serial_bits`).
 
 use proptest::prelude::*;
 
 use aims_dsp::filters::FilterKind;
-use aims_exec::ThreadPool;
-use aims_propolyne::batch::{drill_down_queries, evaluate_batch_with};
 use aims_propolyne::blockstore::BlockedCoefficients;
 use aims_propolyne::cube::DataCube;
 use aims_propolyne::engine::Propolyne;
@@ -26,61 +24,8 @@ fn filter_strategy() -> impl Strategy<Value = FilterKind> {
     ]
 }
 
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// A drill-down batch evaluated on pools of 1, 2, and 8 threads gives
-    /// bit-identical answers and identical fetch statistics.
-    #[test]
-    fn batch_bit_identical_across_pools(
-        cells in prop::collection::vec(0.0_f64..9.0, 256),
-        (l0, h0) in (0usize..16, 0usize..16),
-        buckets in prop_oneof![Just(2usize), Just(4), Just(8), Just(16)],
-        kind in filter_strategy(),
-    ) {
-        let mut cube = DataCube::zeros(&[16, 16]);
-        cube.values_mut().copy_from_slice(&cells);
-        let engine = Propolyne::new(cube.transform(&kind.filter()));
-        let base = RangeSumQuery::count(vec![(l0.min(h0), l0.max(h0)), (0, 15)]);
-        let queries = drill_down_queries(&base, 1, buckets);
-
-        let serial = ThreadPool::new(1);
-        let reference = evaluate_batch_with(&serial, &engine, &queries);
-        for threads in [2, 8] {
-            let pool = ThreadPool::new(threads);
-            let got = evaluate_batch_with(&pool, &engine, &queries);
-            prop_assert_eq!(bits(&got.answers), bits(&reference.answers), "threads={}", threads);
-            prop_assert_eq!(got.shared_fetches, reference.shared_fetches);
-            prop_assert_eq!(got.independent_fetches, reference.independent_fetches);
-        }
-    }
-
-    /// The shared-plan sorted merge agrees with one-at-a-time evaluation.
-    #[test]
-    fn batch_matches_independent_evaluation(
-        cells in prop::collection::vec(-5.0_f64..5.0, 256),
-        (l0, h0) in (0usize..16, 0usize..16),
-        buckets in prop_oneof![Just(2usize), Just(4), Just(8)],
-    ) {
-        let mut cube = DataCube::zeros(&[16, 16]);
-        cube.values_mut().copy_from_slice(&cells);
-        let engine = Propolyne::new(cube.transform(&FilterKind::Db4.filter()));
-        let base = RangeSumQuery::count(vec![(l0.min(h0), l0.max(h0)), (0, 15)]);
-        let queries = drill_down_queries(&base, 1, buckets);
-
-        let batch = evaluate_batch_with(&ThreadPool::new(1), &engine, &queries);
-        for (q, &got) in queries.iter().zip(&batch.answers) {
-            let solo = engine.evaluate(q);
-            prop_assert!(
-                (got - solo).abs() <= 1e-9 * solo.abs().max(1.0),
-                "batch {} vs solo {}", got, solo
-            );
-        }
-    }
 
     /// The blocked-storage fetch path — on a plain device and on a
     /// zero-fault `FaultyDevice` — is bit-identical to the in-memory

@@ -6,7 +6,6 @@ use aims_dsp::dwt::dwt_full;
 use aims_dsp::filters::FilterKind;
 use aims_dsp::lazy::lazy_transform;
 use aims_dsp::poly::Polynomial;
-use aims_propolyne::batch::{drill_down_queries, evaluate_batch};
 use aims_propolyne::cube::DataCube;
 use aims_propolyne::engine::Propolyne;
 use aims_propolyne::query::{Monomial, RangeSumQuery};
@@ -88,51 +87,6 @@ proptest! {
         let left = engine.evaluate(&RangeSumQuery::count(vec![(a, m), (0, 15)]));
         let right = engine.evaluate(&RangeSumQuery::count(vec![(m + 1, b), (0, 15)]));
         prop_assert!((whole - left - right).abs() < 1e-6 * whole.abs().max(1.0));
-    }
-
-    /// Progressive evaluation: the final estimate is exact, the bound
-    /// dominates the error at every step, and the bound is non-increasing.
-    #[test]
-    fn progressive_invariants(
-        cells in prop::collection::vec(0.0_f64..9.0, 256),
-        (l0, h0) in (0usize..16, 0usize..16),
-    ) {
-        let mut cube = DataCube::zeros(&[16, 16]);
-        cube.values_mut().copy_from_slice(&cells);
-        let engine = Propolyne::new(cube.transform(&FilterKind::Db4.filter()));
-        let q = RangeSumQuery::count(vec![(l0.min(h0), l0.max(h0)), (2, 13)]);
-        let run = engine.progressive(&q);
-        prop_assume!(!run.steps.is_empty());
-        let scale = run.exact.abs().max(1.0);
-        prop_assert!(run.steps.last().unwrap().abs_error < 1e-7 * scale);
-        let mut prev_bound = f64::INFINITY;
-        for s in &run.steps {
-            prop_assert!(s.abs_error <= s.guaranteed_bound + 1e-7 * scale);
-            prop_assert!(s.guaranteed_bound <= prev_bound + 1e-12);
-            prev_bound = s.guaranteed_bound;
-        }
-    }
-
-    /// Batch drill-down answers match per-query answers and partition the
-    /// base aggregate.
-    #[test]
-    fn batch_partitions(
-        cells in prop::collection::vec(0.0_f64..5.0, 256),
-        buckets_exp in 1u32..=4,
-    ) {
-        let mut cube = DataCube::zeros(&[16, 16]);
-        cube.values_mut().copy_from_slice(&cells);
-        let engine = Propolyne::new(cube.transform(&FilterKind::Haar.filter()));
-        let base = RangeSumQuery::count(vec![(0, 15), (0, 15)]);
-        let queries = drill_down_queries(&base, 0, 1 << buckets_exp);
-        let batch = evaluate_batch(&engine, &queries);
-        for (q, &ans) in queries.iter().zip(&batch.answers) {
-            let solo = engine.evaluate(q);
-            prop_assert!((ans - solo).abs() < 1e-8 * solo.abs().max(1.0));
-        }
-        let total: f64 = batch.answers.iter().sum();
-        prop_assert!((total - cube.total()).abs() < 1e-6 * cube.total().max(1.0));
-        prop_assert!(batch.shared_fetches <= batch.independent_fetches);
     }
 
     /// Synopsis evaluation converges monotonically-ish to exact: with the

@@ -33,8 +33,8 @@
 //!   the [`BoundLedger`] that carries its guaranteed error bound.
 //! - [`store`]: the one blocked coefficient store
 //!   ([`CoefficientStore`]: layout, energy catalog, load, reopen, and the
-//!   plan → fetch → accumulate → bound evaluation) and its 1-D Haar front
-//!   [`WaveletStore`].
+//!   plan → fetch → accumulate → bound evaluation, in fold order or
+//!   most-valuable-block-first) and its 1-D Haar front [`WaveletStore`].
 //! - [`file`](mod@file): the durable file-backed device ([`FileDevice`]) — per-block
 //!   checksums, a length-prefixed checksummed WAL with monotone LSNs,
 //!   periodic checkpointing, torn-tail-truncating recovery, three
@@ -62,7 +62,7 @@ pub use faults::{FaultKind, FaultPlan, FaultyDevice};
 pub use file::{
     CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions, RecoveryReport, WalStats,
 };
-pub use progressive::{BlockPlan, BoundLedger};
+pub use progressive::{BlockPlan, BoundLedger, ProgressPoint};
 pub use store::{block_energy, CoefficientStore, DegradedAnswer, WaveletStore};
 
 /// The frozen benchmark harness (`bench/src/ladder.rs`) still names the

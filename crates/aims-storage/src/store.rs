@@ -6,8 +6,9 @@
 //! cache — with every block I/O accounted. [`CoefficientStore`] is the one
 //! implementation of that: the coefficient → (block, offset) rule, the
 //! per-block `Σ c²` energy catalog, load, reopen, and the evaluation
-//! `plan → fetch → accumulate → bound`. [`WaveletStore`] is its 1-D Haar
-//! front (signal in, point values and range sums out);
+//! `plan → fetch → accumulate → bound`, in fold order (`evaluate`) or
+//! most-valuable-block-first (`progressive`). [`WaveletStore`] is its 1-D
+//! Haar front (signal in, point values and range sums out);
 //! `aims_propolyne::BlockedCoefficients` is its ProPolyne front.
 //!
 //! The store is generic over the [`BlockDevice`] implementation, so the
@@ -39,7 +40,7 @@ use crate::alloc::{Allocation, RandomAlloc, TreeTilingAlloc};
 use crate::cache::SharedBlockCache;
 use crate::device::{read_with_retry, BlockDevice, DeviceStats, MemDevice, ReadError, RetryPolicy};
 use crate::error_tree::{point_query_set, range_query_set};
-use crate::progressive::{BlockPlan, BoundLedger};
+use crate::progressive::{BlockPlan, BoundLedger, ProgressPoint};
 
 /// Which allocation strategy a store uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -369,6 +370,48 @@ impl<D: BlockDevice> CoefficientStore<D> {
             missing_coefficients: missing,
         }
     }
+
+    /// [`evaluate`] most-valuable-block-first: the same plan, consumed by
+    /// [`BoundLedger::by_gain`], each block fetched once through `pool`
+    /// and folded into its own partial sum, which the running estimate
+    /// then adds. One [`ProgressPoint`] per consumed block; a block that
+    /// stays unreadable adds nothing and keeps its gain in the bound.
+    ///
+    /// [`evaluate`]: CoefficientStore::evaluate
+    pub fn progressive(
+        &self,
+        indices: &[usize],
+        weights: &[f64],
+        pool: &SharedBlockCache,
+        policy: &RetryPolicy,
+    ) -> Vec<ProgressPoint> {
+        let mut ledger = BoundLedger::by_gain(Arc::new(self.plan(indices, weights)));
+        // Each plan block's first entry: one fold-order pass, no I/O.
+        let (mut starts, mut next) = (Vec::new(), 0usize);
+        for &b in &ledger.plan().blocks {
+            starts.push(next);
+            self.accumulate(indices, weights, b, None, &mut next, &mut 0.0);
+        }
+        let (mut estimate, mut points) = (0.0, Vec::with_capacity(starts.len()));
+        while let Some(k) = ledger.peek() {
+            let b = ledger.plan().blocks[k];
+            match pool.get_or_read_outcome(&self.device, b, policy) {
+                Ok((data, _)) => {
+                    let (mut cursor, mut partial) = (starts[k], 0.0);
+                    self.accumulate(indices, weights, b, Some(&data), &mut cursor, &mut partial);
+                    estimate += partial;
+                    ledger.deliver();
+                }
+                Err(_) => {
+                    counter!("storage.degraded").inc();
+                    ledger.lose();
+                }
+            }
+            let blocks_consumed = ledger.consumed();
+            points.push(ProgressPoint { blocks_consumed, estimate, bound: ledger.bound() });
+        }
+        points
+    }
 }
 
 /// A Haar-wavelet signal store: the 1-D front of [`CoefficientStore`]
@@ -618,6 +661,21 @@ mod tests {
         for (a, b) in x.iter().zip(&y) {
             assert!((a - b).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn progressive_reads_the_most_valuable_block_first() {
+        // Blocks of 4 over 16 coefficients; coefficient 9 dominates.
+        let coeffs: Vec<f64> = (0..16).map(|i| if i == 9 { 100.0 } else { 1.0 }).collect();
+        let store = CoefficientStore::load(&coeffs, 4, AllocKind::Sequential, MemDevice::new);
+        let (indices, weights): (Vec<usize>, Vec<f64>) = (0..16).map(|i| (i, 1.0)).unzip();
+        let pool = SharedBlockCache::new(4);
+        let run = store.progressive(&indices, &weights, &pool, &RetryPolicy::none());
+        let estimates: Vec<f64> = run.iter().map(|p| p.estimate).collect();
+        assert_eq!(estimates, [103.0, 107.0, 111.0, 115.0]);
+        assert_eq!(run.iter().map(|p| p.blocks_consumed).collect::<Vec<_>>(), [1, 2, 3, 4]);
+        assert_eq!(run[3].bound, 0.0);
+        assert_eq!(store.device_stats().reads, 4);
     }
 
     #[test]

@@ -170,6 +170,60 @@ proptest! {
         prop_assert!((got.estimate - exact).abs() <= got.error_bound + 1e-9);
     }
 
+    /// The gain-ordered evaluation, under every layout and B ∈ {1, 4, 16}:
+    /// it consumes each plan block exactly once, its bound never rises and
+    /// always contains the truth, and drained it is exactly the lost
+    /// gains — `0.0` on a clean device.
+    #[test]
+    fn progressive_bound_falls_contains_the_truth_and_drains_to_the_lost_gains(
+        n in pow2(4, 9),
+        b_pick in 0usize..3,
+        kind_pick in 0usize..3,
+        seed in 0u64..1000,
+        picks in prop::collection::vec((0usize..1_000_000, -10.0_f64..10.0), 1..40),
+    ) {
+        let block = [1usize, 4, 16][b_pick].min(n);
+        let kind = [AllocKind::Sequential, AllocKind::Random(seed), AllocKind::TreeTiling][kind_pick];
+        prop_assume!(block > 1 || kind != AllocKind::TreeTiling);
+        let coeffs: Vec<f64> =
+            (0..n as u64).map(|i| ((i * 2654435761 + seed) % 201) as f64 / 10.0 - 10.0).collect();
+        let clean = CoefficientStore::load(&coeffs, block, kind, MemDevice::new);
+        let weight_of: std::collections::BTreeMap<usize, f64> =
+            picks.into_iter().map(|(i, w)| (i % n, w)).collect();
+        let mut indices: Vec<usize> = weight_of.keys().copied().collect();
+        clean.sort_block_major(&mut indices);
+        let weights: Vec<f64> = indices.iter().map(|i| weight_of[i]).collect();
+        let exact: f64 = indices.iter().zip(&weights).map(|(&i, w)| w * coeffs[i]).sum();
+        let plan = clean.plan(&indices, &weights);
+
+        let faulty = CoefficientStore::load(&coeffs, block, kind, |bs, nb| {
+            FaultyDevice::with_plan(bs, nb, FaultPlan::uniform(seed, FaultKind::DeadBlock, 0.3))
+        });
+        let dead = |k: &&usize| faulty.device().is_dead(plan.blocks[**k]);
+        let lost_gain = plan.by_gain().iter().filter(dead).fold(0.0, |acc, &k| acc + plan.gains[k]);
+        clean.reset_stats();
+        let pool = SharedBlockCache::new(4);
+        let clean_run = clean.progressive(&indices, &weights, &pool, &RetryPolicy::none());
+        prop_assert_eq!(clean.device_stats().reads as usize, plan.blocks.len());
+        let pool = SharedBlockCache::new(4);
+        let faulty_run = faulty.progressive(&indices, &weights, &pool, &RetryPolicy::default());
+        // A loss moves a gain between the ledger's two terms, which may
+        // round up by one addition (the ledger's own contract); a clean
+        // run only ever drops a suffix.
+        let lossy = 1.0 + 2.0 * f64::EPSILON;
+        for (run, drained, rise) in [(clean_run, 0.0, 1.0), (faulty_run, lost_gain, lossy)] {
+            prop_assert_eq!(run.len(), plan.blocks.len());
+            let mut prev = f64::INFINITY;
+            for (k, p) in run.iter().enumerate() {
+                prop_assert_eq!(p.blocks_consumed, k + 1);
+                prop_assert!(p.bound <= prev * rise);
+                prop_assert!((p.estimate - exact).abs() <= p.bound + 1e-9);
+                prev = p.bound;
+            }
+            prop_assert_eq!(run.last().unwrap().bound.to_bits(), drained.to_bits());
+        }
+    }
+
     /// Tensor allocation equals the product of its per-dimension
     /// allocations.
     #[test]

@@ -7,10 +7,12 @@
 //! Run with: `cargo run --release --example progressive_olap`
 
 use aims::dsp::filters::FilterKind;
+use aims::propolyne::blockstore::BlockedCoefficients;
 use aims::propolyne::cube::DataCube;
 use aims::propolyne::engine::Propolyne;
 use aims::propolyne::query::RangeSumQuery;
 use aims::propolyne::synopsis::compare_at_budget;
+use aims::storage::{RetryPolicy, SharedBlockCache};
 
 fn gaussian_mixture_cube(n: usize) -> DataCube {
     let mut cube = DataCube::zeros(&[n, n]);
@@ -48,30 +50,37 @@ fn main() {
     let engine = Propolyne::new(cube.transform(&FilterKind::Db4.filter()));
     println!("cube: {n}x{n}, total mass {:.0}", cube.total());
 
-    // A COUNT range-sum over a large rectangle, evaluated progressively.
+    // A COUNT range-sum over a large rectangle, evaluated progressively on
+    // a store of one coefficient per block: each step retrieves one query
+    // coefficient, the most valuable (largest |w|·|c|) first.
     let query = RangeSumQuery::count(vec![(30, 220), (45, 200)]);
-    let run = engine.progressive(&query);
-    let total_coeffs = run.steps.len();
+    let prepared = engine.prepare(&query);
+    let exact = engine.evaluate_prepared(&prepared);
+    let store = BlockedCoefficients::new(engine.cube().coeffs(), 1);
+    let pool = SharedBlockCache::new(64);
+    let run = store.progressive(&prepared.indices, &prepared.weights, &pool, &RetryPolicy::none());
+    let total_coeffs = run.len();
     println!(
-        "\nprogressive COUNT over [30,220]x[45,200]: exact = {:.0}, {} query coefficients",
-        run.exact, total_coeffs
+        "\nprogressive COUNT over [30,220]x[45,200]: exact = {exact:.0}, {total_coeffs} query coefficients"
     );
     println!("{:>10} {:>14} {:>12} {:>12}", "coeffs", "estimate", "rel error", "bound");
+    let rel_error = |k: usize| (run[k].estimate - exact).abs() / exact.abs();
     for frac in [0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0] {
         let k = ((total_coeffs as f64 * frac) as usize).clamp(1, total_coeffs);
-        let s = &run.steps[k - 1];
+        let s = &run[k - 1];
         println!(
             "{:>9}% {:>14.1} {:>12.2e} {:>12.2e}",
             (frac * 100.0) as usize,
             s.estimate,
-            s.abs_error / run.exact.abs(),
-            s.guaranteed_bound / run.exact.abs()
+            rel_error(k - 1),
+            s.bound / exact.abs()
         );
     }
-    if let Some(k) = run.coefficients_for_relative_error(0.01) {
+    if let Some(k) = (0..total_coeffs).rev().take_while(|&k| rel_error(k) <= 0.01).last() {
         println!(
-            "\n1% relative error reached after {k}/{total_coeffs} coefficients ({:.1}%)",
-            100.0 * k as f64 / total_coeffs as f64
+            "\n1% relative error reached after {}/{total_coeffs} coefficients ({:.1}%)",
+            k + 1,
+            100.0 * (k + 1) as f64 / total_coeffs as f64
         );
     }
 

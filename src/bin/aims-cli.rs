@@ -422,17 +422,13 @@ fn cmd_metrics(flags: &HashMap<String, String>) {
     }
 
     // Offline analysis: a small ProPolyne cube over two channels, one
-    // exact COUNT and one progressive SUM.
+    // exact COUNT and one exact SUM.
     let space = AttributeSpace::new(vec![(-120.0, 120.0); 2], vec![32; 2]);
     let tuples: Vec<Vec<f64>> =
         (0..session.len()).map(|t| vec![session.value(t, 0), session.value(t, 1)]).collect();
     let engine = AimsSystem::offline_engine(&space, tuples, &FilterKind::Db4.filter());
     engine.evaluate(&RangeSumQuery::count(vec![(0, 31), (0, 31)]));
-    engine.progressive(&RangeSumQuery::sum_poly(
-        vec![(0, 31), (0, 31)],
-        0,
-        Polynomial::monomial(1),
-    ));
+    engine.evaluate(&RangeSumQuery::sum_poly(vec![(0, 31), (0, 31)], 0, Polynomial::monomial(1)));
 
     let snap = aims::telemetry::global().snapshot();
     if format == "json" {
