@@ -92,6 +92,11 @@ EOF
         AIMS_THREADS=$threads target/release/aims-cli tiers --samples 200000
     done
 
+    # The kernel report: dispatch table, the fixed tile/threshold, and a
+    # serial round trip per filter; exits non-zero if one misses by > 1e-9.
+    echo "== aims-cli kernels =="
+    target/release/aims-cli kernels --side 64
+
     echo "== aims-serve TCP smoke (loopback, clean shutdown; in memory, created, reopened) =="
     cargo build --release -q -p aims-service --bin aims-serve
     cargo build --release -q -p aims-service --example tcp_smoke

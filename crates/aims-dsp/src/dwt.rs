@@ -259,13 +259,25 @@ pub fn flat_index_level(i: usize, n: usize) -> usize {
     }
 }
 
+/// Lines a tiled strided axis pass gathers into one contiguous scratch
+/// tile (see [`dwt_standard_md`]). The tile never changes which arithmetic
+/// runs on a line, only the memory walk; 8, 16 and 32 time the same within
+/// noise on 256² and 1024² Db4 cubes (DESIGN.md, "Kernels").
+pub const TILE: usize = 8;
+
+/// Cube size (elements) below which a multidimensional transform runs
+/// inline on the caller instead of fanning out: a 64×64 transform measures
+/// slower pooled than serial, 128×128 is roughly break-even on 4 cores.
+pub const PAR_THRESHOLD: usize = 1 << 14;
+
 /// Standard (tensor-product) multidimensional wavelet transform: applies the
 /// full 1-D transform along every axis of a row-major array with the given
 /// power-of-two dimensions. This is the transform ProPolyne assumes for its
 /// multivariate range sums.
 ///
 /// Runs on the process-wide [`aims_exec`] pool; see
-/// [`dwt_standard_md_with`] to supply an explicit pool.
+/// [`dwt_standard_md_with`] to supply an explicit pool and
+/// [`dwt_standard_md_inplace`] to transform a buffer without copying it.
 ///
 /// # Panics
 /// If `data.len() != dims.iter().product()` or any dimension is not a power
@@ -288,8 +300,9 @@ pub fn dwt_standard_md_with(
     dims: &[usize],
     filter: &WaveletFilter,
 ) -> Vec<f64> {
-    let _span = aims_telemetry::span!("dsp.dwt.md.forward");
-    transform_md(pool, data, dims, filter, true)
+    let mut buf = data.to_vec();
+    dwt_standard_md_inplace_with(pool, &mut buf, dims, filter);
+    buf
 }
 
 /// [`idwt_standard_md`] on an explicit thread pool.
@@ -300,12 +313,34 @@ pub fn idwt_standard_md_with(
     filter: &WaveletFilter,
 ) -> Vec<f64> {
     let _span = aims_telemetry::span!("dsp.dwt.md.inverse");
-    transform_md(pool, coeffs, dims, filter, false)
+    let mut buf = coeffs.to_vec();
+    transform_md(pool, &mut buf, dims, filter, false);
+    buf
+}
+
+/// [`dwt_standard_md`] in place: rewrites `buf` into its coefficients, so
+/// the cube and its transform never occupy memory at the same time.
+///
+/// # Panics
+/// As [`dwt_standard_md`].
+pub fn dwt_standard_md_inplace(buf: &mut [f64], dims: &[usize], filter: &WaveletFilter) {
+    dwt_standard_md_inplace_with(global_pool(), buf, dims, filter);
+}
+
+/// [`dwt_standard_md_inplace`] on an explicit thread pool.
+pub fn dwt_standard_md_inplace_with(
+    pool: &ThreadPool,
+    buf: &mut [f64],
+    dims: &[usize],
+    filter: &WaveletFilter,
+) {
+    let _span = aims_telemetry::span!("dsp.dwt.md.forward");
+    transform_md(pool, buf, dims, filter, true);
 }
 
 /// Axis-by-axis driver: each axis pass transforms `total / len` independent
-/// 1-D lines in place (a barrier between axes is implied by the scoped
-/// pool API).
+/// 1-D lines of `buf` in place (a barrier between axes is implied by the
+/// scoped pool API).
 ///
 /// Two regimes per axis, both allocation-free on the per-line path:
 ///
@@ -313,35 +348,28 @@ pub fn idwt_standard_md_with(
 ///   slices of the buffer, so each task transforms them directly through
 ///   [`SharedSlice::slice_mut`] — no gather at all.
 /// - **`stride > 1`**: the classic strided gather touches one cache line
-///   per element. Instead, a *tile* of `T` adjacent lines (autotuned via
-///   [`aims_exec::tuning`], override `AIMS_TILE`) is transposed into a
-///   contiguous scratch block — adjacent lines have bases differing by 1,
-///   so every gather/scatter step moves a contiguous `T`-run — the `T`
-///   now-contiguous lines are transformed, and the tile is scattered back.
+///   per element. Instead, a *tile* of [`TILE`] adjacent lines is
+///   transposed into a contiguous scratch block — adjacent lines have
+///   bases differing by 1, so every gather/scatter step moves a contiguous
+///   `TILE`-run — the now-contiguous lines are transformed, and the tile
+///   is scattered back.
 ///
-/// Transforms below the tuned element threshold run inline on the caller,
+/// Transforms below [`PAR_THRESHOLD`] elements run inline on the caller,
 /// so small cubes never pay fan-out (the old "0.67× speedup" failure).
 /// Tile size, threshold, and pool size never affect which arithmetic runs
 /// on a line, so results are bit-identical across all of them.
 fn transform_md(
     pool: &ThreadPool,
-    data: &[f64],
+    buf: &mut [f64],
     dims: &[usize],
     filter: &WaveletFilter,
     forward: bool,
-) -> Vec<f64> {
+) {
     let total: usize = dims.iter().product();
-    assert_eq!(data.len(), total, "data length does not match dims");
+    assert_eq!(buf.len(), total, "data length does not match dims");
     for &d in dims {
         assert!(is_power_of_two(d), "dimension {d} is not a power of two");
     }
-    let mut buf = data.to_vec();
-    // Row-major strides.
-    let mut strides = vec![1usize; dims.len()];
-    for axis in (0..dims.len().saturating_sub(1)).rev() {
-        strides[axis] = strides[axis + 1] * dims[axis + 1];
-    }
-    let tune = aims_exec::tuning();
     let line = |slice: &mut [f64], scratch: &mut DwtScratch| {
         if forward {
             kernel::dwt_line(slice, filter, scratch);
@@ -349,17 +377,18 @@ fn transform_md(
             kernel::idwt_line(slice, filter, scratch);
         }
     };
-    for axis in 0..dims.len() {
-        let len = dims[axis];
+    let serial = pool.is_serial() || total < PAR_THRESHOLD;
+    // Row-major: axis `a`'s stride is the product of the dims after it.
+    let mut stride = total;
+    for &len in dims {
+        stride /= len;
         if len < 2 {
             continue; // length-1 lines transform to themselves
         }
-        let stride = strides[axis];
         let lines = total / len;
-        let serial = pool.is_serial() || tune.serial_below(total);
         // Distinct lines (and distinct tiles) cover disjoint index sets,
         // so concurrent access through the shared view is race-free.
-        let view = SharedSlice::new(&mut buf);
+        let view = SharedSlice::new(buf);
         let view = &view;
         let line = &line;
         if stride == 1 {
@@ -377,7 +406,7 @@ fn transform_md(
                 pool.par_chunks(lines, (4096 / len).max(1), run);
             }
         } else {
-            let tile = tune.tile.min(stride);
+            let tile = TILE.min(stride);
             let blocks_per_outer = stride.div_ceil(tile);
             let n_outer = total / (stride * len);
             let n_tiles = n_outer * blocks_per_outer;
@@ -417,7 +446,6 @@ fn transform_md(
             }
         }
     }
-    buf
 }
 
 #[cfg(test)]

@@ -10,12 +10,17 @@
 //!   one ulp of the signal scale per decomposition level.
 //!
 //! The tiled multidimensional driver must additionally survive degenerate
-//! shapes (1×N, N×1, single-level, taps > line length) and stay
-//! bit-identical across pool sizes 1/2/8 and any tile size.
+//! shapes (1×N, N×1, single-level, taps > line length), stay bit-identical
+//! across pool sizes 1/2/8 and on either side of its tile width, and give
+//! the same bits in place as through the copying entry points.
 
 use proptest::prelude::*;
 
-use aims_dsp::dwt::{analysis_step, dwt_full, dwt_standard_md_with, idwt_full, synthesis_step};
+use aims_dsp::dwt::{
+    analysis_step, dwt_full, dwt_standard_md, dwt_standard_md_inplace,
+    dwt_standard_md_inplace_with, dwt_standard_md_with, idwt_full, idwt_standard_md,
+    idwt_standard_md_with, synthesis_step, TILE,
+};
 use aims_dsp::filters::{FilterKind, WaveletFilter};
 use aims_exec::ThreadPool;
 
@@ -129,23 +134,24 @@ proptest! {
 }
 
 /// Degenerate shapes for the tiled MD driver: trivial axes, lines shorter
-/// than the filter, single-level shapes. All must round-trip and match
-/// across pool sizes.
+/// than the filter, single-level shapes.
+const DEGENERATE_SHAPES: &[&[usize]] = &[
+    &[1, 64],   // 1×N: first axis is identity
+    &[64, 1],   // N×1: second axis is identity
+    &[2, 2],    // single-level lines shorter than db8's 8 taps
+    &[2, 2, 2], // 3-D, every line wraps multiple times for db6/db8
+    &[1, 1],    // all-identity
+    &[4, 2, 8], // mixed tiny axes
+    &[256, 2],  // long stride-1 axis, minimal strided axis
+    &[2, 256],  // minimal stride-1 axis, long strided axis
+];
+
+/// Every degenerate shape must round-trip and match across pool sizes.
 #[test]
 fn tiled_md_degenerate_shapes() {
-    let shapes: &[&[usize]] = &[
-        &[1, 64],   // 1×N: first axis is identity
-        &[64, 1],   // N×1: second axis is identity
-        &[2, 2],    // single-level lines shorter than db8's 8 taps
-        &[2, 2, 2], // 3-D, every line wraps multiple times for db6/db8
-        &[1, 1],    // all-identity
-        &[4, 2, 8], // mixed tiny axes
-        &[256, 2],  // long stride-1 axis, minimal strided axis
-        &[2, 256],  // minimal stride-1 axis, long strided axis
-    ];
     for kind in FilterKind::ALL {
         let f = kind.filter();
-        for &dims in shapes {
+        for &dims in DEGENERATE_SHAPES {
             let total: usize = dims.iter().product();
             let data: Vec<f64> = (0..total).map(|i| ((i * 37 + 11) % 29) as f64 - 14.0).collect();
             let serial = ThreadPool::new(1);
@@ -169,11 +175,15 @@ fn tiled_md_degenerate_shapes() {
 #[test]
 fn tiled_pass_bit_matches_per_line_reference() {
     let serial = ThreadPool::new(1);
+    // cols is the stride of the first axis: exercise clamped tiles (below
+    // TILE), exactly one tile (equal), and several full tiles (above).
+    let widths = [2usize, 4, 8, 16, 32, 64, 128];
+    assert!(widths.iter().any(|&c| c < TILE), "no width below TILE = {TILE}");
+    assert!(widths.contains(&TILE), "no width equal to TILE = {TILE}");
+    assert!(widths.iter().any(|&c| c > TILE), "no width above TILE = {TILE}");
     for kind in FilterKind::ALL {
         let f = kind.filter();
-        // cols is the stride of the first axis: exercise partial and
-        // clamped tiles around every candidate tile size.
-        for &cols in &[2usize, 4, 8, 16, 32, 64, 128] {
+        for &cols in &widths {
             let rows = 16usize;
             let data: Vec<f64> =
                 (0..rows * cols).map(|i| ((i * 53 + 7) % 41) as f64 * 0.5 - 10.0).collect();
@@ -191,6 +201,36 @@ fn tiled_pass_bit_matches_per_line_reference() {
                 reference[r * cols..(r + 1) * cols].copy_from_slice(&row);
             }
             assert_eq!(bits(&fwd), bits(&reference), "{} rows={rows} cols={cols}", f.name());
+        }
+    }
+}
+
+/// The in-place forward transform is the copying one, bit for bit, on
+/// every pool size and every degenerate shape; and the copying inverse of
+/// either gives back the same bits.
+#[test]
+fn in_place_md_transform_bit_matches_the_copying_one() {
+    // 128×128 is above PAR_THRESHOLD, so the pooled runs fan out.
+    let shapes = DEGENERATE_SHAPES.iter().copied().chain([&[128usize, 128][..]]);
+    for kind in FilterKind::ALL {
+        let f = kind.filter();
+        for dims in shapes.clone() {
+            let total: usize = dims.iter().product();
+            let data: Vec<f64> = (0..total).map(|i| ((i * 37 + 11) % 29) as f64 - 14.0).collect();
+            let copied = dwt_standard_md(&data, dims, &f);
+            let mut global = data.clone();
+            dwt_standard_md_inplace(&mut global, dims, &f);
+            assert_eq!(bits(&global), bits(&copied), "{} {dims:?} global pool", f.name());
+            let inverse = idwt_standard_md(&copied, dims, &f);
+            for threads in [1usize, 2, 8] {
+                let pool = ThreadPool::new(threads);
+                let mut buf = data.clone();
+                dwt_standard_md_inplace_with(&pool, &mut buf, dims, &f);
+                let ctx = format!("{} {dims:?} threads={threads}", f.name());
+                assert_eq!(bits(&buf), bits(&copied), "{ctx} forward");
+                let back = idwt_standard_md_with(&pool, &buf, dims, &f);
+                assert_eq!(bits(&back), bits(&inverse), "{ctx} inverse");
+            }
         }
     }
 }

@@ -34,7 +34,10 @@
 //! available parallelism. With one thread the pool spawns no workers and
 //! every spawned task runs inline on the caller — the serial fallback that
 //! keeps single-thread behavior exactly the code you would have written
-//! without the pool.
+//! without the pool. The thread count is the layer's only knob: a
+//! kernel's own parameters (the tiled DWT's tile width and its
+//! serial-below threshold, `aims_dsp::dwt::{TILE, PAR_THRESHOLD}`) are
+//! constants beside the kernel, not measured at run time.
 //!
 //! # Observability
 //!
@@ -53,8 +56,6 @@
 
 pub mod par;
 pub mod pool;
-pub mod tune;
 
 pub use par::SharedSlice;
 pub use pool::{configured_threads, global_pool, Scope, ThreadPool};
-pub use tune::{tuning, Tuning};

@@ -8,7 +8,7 @@
 //! dimension, with an orthonormal wavelet filter (the tensor-product
 //! "standard decomposition"), and queries are answered in that domain.
 
-use aims_dsp::dwt::{dwt_standard_md, idwt_standard_md, is_power_of_two};
+use aims_dsp::dwt::{dwt_standard_md_inplace, idwt_standard_md, is_power_of_two};
 use aims_dsp::filters::WaveletFilter;
 use aims_dsp::poly::Polynomial;
 
@@ -169,12 +169,16 @@ impl DataCube {
 
     /// Tensor-product (standard-decomposition) wavelet transform.
     pub fn transform(&self, filter: &WaveletFilter) -> WaveletCube {
-        WaveletCube {
-            dims: self.dims.clone(),
-            coeffs: dwt_standard_md(&self.values, &self.dims, filter),
-            strides: self.strides.clone(),
-            filter: filter.clone(),
-        }
+        self.clone().into_transform(filter)
+    }
+
+    /// [`DataCube::transform`] that consumes the cube: its cells are
+    /// transformed in place and become the coefficients, so the cube and
+    /// its transform are never held at the same time.
+    pub fn into_transform(self, filter: &WaveletFilter) -> WaveletCube {
+        let DataCube { dims, mut values, strides } = self;
+        dwt_standard_md_inplace(&mut values, &dims, filter);
+        WaveletCube { dims, coeffs: values, strides, filter: filter.clone() }
     }
 }
 
@@ -315,6 +319,29 @@ mod tests {
             let back = wc.inverse();
             for (a, b) in cube.values().iter().zip(back.values()) {
                 assert!((a - b).abs() < 1e-9, "{kind:?}");
+            }
+        }
+    }
+
+    /// The consuming, in-place `into_transform` and the borrowing
+    /// `transform` both give the copying `dwt_standard_md`'s bits.
+    #[test]
+    fn into_transform_bit_matches_transform() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for kind in FilterKind::ALL {
+            let f = kind.filter();
+            for dims in [&[64usize, 64][..], &[8, 4, 16]] {
+                let mut cube = DataCube::zeros(dims);
+                for (i, v) in cube.values_mut().iter_mut().enumerate() {
+                    *v = ((i * 53 + 7) % 41) as f64 * 0.5 - 10.0;
+                }
+                let copied = aims_dsp::dwt::dwt_standard_md(cube.values(), dims, &f);
+                let borrowed = cube.transform(&f);
+                let consumed = cube.clone().into_transform(&f);
+                assert_eq!(bits(consumed.coeffs()), bits(&copied), "{} {dims:?}", f.name());
+                assert_eq!(bits(borrowed.coeffs()), bits(&copied), "{} {dims:?}", f.name());
+                assert_eq!(consumed.dims(), dims);
+                assert_eq!(consumed.filter().name(), f.name());
             }
         }
     }

@@ -13,13 +13,21 @@
 //!
 //! With `--data DIR` the coefficient store lives on a durable
 //! [`FileDevice`] instead of memory. An existing directory is reopened
-//! (WAL recovery runs); a missing one is created from the demo cube's
-//! coefficients in one sequential image write
-//! ([`FileDevice::create_from`]), so a server killed mid-create leaves no
-//! store, never a part of one. Either way the cube geometry then comes
-//! from the device's header meta, one verified pass over the blocks
-//! rebuilds the energy catalog (the coefficients themselves stay on disk),
-//! and the service serves every query from the on-disk store.
+//! (WAL recovery runs). A missing one is built in four steps:
+//!
+//! 1. **cube build**: the demo cube's cells, one `side`² buffer;
+//! 2. **in-place transform**: that buffer becomes the Db4 coefficients
+//!    ([`DataCube::into_transform`](aims_propolyne::DataCube::into_transform)),
+//!    so no second copy of the cube is ever held;
+//! 3. **image write**: the coefficients go to disk in one sequential pass
+//!    published by rename ([`FileDevice::create_from`]), so a server
+//!    killed mid-create leaves no store, never a part of one;
+//! 4. **verified catalog pass**: shared with the reopen path below.
+//!
+//! Either way the cube geometry then comes from the device's header meta,
+//! one verified pass over the blocks rebuilds the energy catalog (the
+//! coefficients themselves stay on disk), and the service serves every
+//! query from the on-disk store.
 
 use std::io::Write;
 use std::sync::Arc;

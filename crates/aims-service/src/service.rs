@@ -83,7 +83,7 @@ pub fn demo_cube(side: usize, seed: u64) -> WaveletCube {
         state ^= state << 17;
         *v = (state % 9) as f64;
     }
-    cube.transform(&FilterKind::Db4.filter())
+    cube.into_transform(&FilterKind::Db4.filter())
 }
 
 /// Degraded (permanently failed) blocks at which a completed query lands
@@ -1034,6 +1034,35 @@ mod tests {
     /// The in-memory reference for [`service`]'s cube.
     fn reference() -> Propolyne {
         Propolyne::new(demo_cube(32, 41))
+    }
+
+    /// The served cube is the transform of the row-major xorshift cells
+    /// the benchmark oracle mirrors, bit for bit, whether taken through
+    /// the borrowing `DataCube::transform` or the copying
+    /// `dwt_standard_md`: the in-place build path must not drift from them.
+    #[test]
+    fn demo_cube_is_the_transform_of_the_xorshift_cells() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let filter = FilterKind::Db4.filter();
+        for (side, seed) in [(64usize, 41u64), (256, 7), (256, 0x9E37_79B9_7F4A_7C15)] {
+            let mut state = seed;
+            let cells: Vec<f64> = (0..side * side)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state % 9) as f64
+                })
+                .collect();
+            let mut cube = DataCube::zeros(&[side, side]);
+            cube.values_mut().copy_from_slice(&cells);
+            let got = demo_cube(side, seed);
+            assert_eq!(got.dims(), [side, side]);
+            let ctx = format!("side {side} seed {seed}");
+            assert_eq!(bits(got.coeffs()), bits(cube.transform(&filter).coeffs()), "{ctx}");
+            let copied = aims_dsp::dwt::dwt_standard_md(&cells, &[side, side], &filter);
+            assert_eq!(bits(got.coeffs()), bits(&copied), "{ctx}");
+        }
     }
 
     /// Unaligned ranges: a 26-block plan, where the full-cube sum needs 4.

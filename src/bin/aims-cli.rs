@@ -55,7 +55,7 @@
 //! sensor faults × query-flood overload) locally and exits non-zero if
 //! any drill invariant is violated; `kernels` prints the wavelet kernel
 //! dispatch table and
-//! the execution layer's autotuned tile/threshold, then times one serial
+//! the tiled transform's fixed tile/threshold, then times one serial
 //! 2-D transform per filter on this host; `durability` runs a local crash
 //! drill — a seeded write workload against a temp-dir (or `--dir`)
 //! file-backed store is killed at a seeded crash point, reopened, and the
@@ -944,10 +944,10 @@ fn cmd_top(flags: &HashMap<String, String>) {
     }
 }
 
-/// `aims-cli kernels` — report the kernel dispatch table and the
-/// autotuner's resolved tile/threshold, then time one serial 2-D
+/// `aims-cli kernels` — report the kernel dispatch table and the tiled
+/// transform's fixed tile/threshold, then time one serial 2-D
 /// transform per filter so a host's actual kernel speed is one command
-/// away.
+/// away. Exits 1 if a filter's round trip misses by more than 1e-9.
 fn cmd_kernels(flags: &HashMap<String, String>) {
     use aims::dsp::dwt::{dwt_standard_md_with, idwt_standard_md_with};
     use aims::dsp::filters::FilterKind;
@@ -958,10 +958,9 @@ fn cmd_kernels(flags: &HashMap<String, String>) {
         exit(2);
     }
 
-    let tune = aims::exec::tuning();
-    println!("autotuner ({}):", if tune.from_env { "AIMS_TILE override" } else { "calibrated" });
-    println!("  strided tile width:     {}", tune.tile);
-    println!("  serial-below threshold: {} elements", tune.par_threshold);
+    println!("tiled transform constants:");
+    println!("  strided tile width:     {}", aims::dsp::dwt::TILE);
+    println!("  serial-below threshold: {} elements", aims::dsp::dwt::PAR_THRESHOLD);
 
     println!("\nkernel dispatch:");
     for kind in FilterKind::ALL {
@@ -983,6 +982,10 @@ fn cmd_kernels(flags: &HashMap<String, String>) {
         let elapsed = start.elapsed();
         let worst = inv.iter().zip(&data).map(|(a, b)| (a - b).abs()).fold(0.0_f64, f64::max);
         println!("  {:6} {:>9.1?}  roundtrip max err {worst:.2e}", f.name(), elapsed);
+        if worst > 1e-9 {
+            eprintln!("{} does not invert: max error {worst:.2e} on unit-scale data", f.name());
+            exit(1);
+        }
     }
     let delta = aims::telemetry::global().snapshot().delta_since(&before);
     println!(
