@@ -66,10 +66,23 @@ for pin in "AIMS_FAULT_SEED fault_matrix 13 1013" "AIMS_INGEST_FAULT_SEED ingest
 done
 
 if [[ $fast -eq 0 ]]; then
-    # Each experiment asserts what it claims (bit-identity, drill
-    # invariants, the floors it states) and exits non-zero otherwise; its
-    # timings are printed, not gated — the benchmark under bench/ owns those.
-    for exp in e6 e9 e10 e12 e20 e25 e26 e27 e28 e30 e31 e32; do
+    # The experiments to run are read from the claims index: every row of
+    # EXPERIMENTS.md whose owner is an experiment fn that the experiments
+    # binary dispatches under the row's id (tests/claims_index.rs, run
+    # above, fails on a row whose owner is neither that nor a test). Each
+    # asserts its row's shape and exits non-zero otherwise; its timings are
+    # printed, not gated — the benchmark under bench/ owns those.
+    experiments=()
+    while read -r id owner; do
+        if grep -qF "(\"$id\", $owner)" crates/aims-bench/src/bin/experiments.rs; then
+            experiments+=("$id")
+        fi
+    done < <(awk -F'|' '/^\| E[0-9]+ \|/ {
+        id = tolower($2); owner = $(NF - 1); gsub(/[ `]/, "", id); gsub(/[ `]/, "", owner)
+        if (sub(/^crates\/aims-bench\/src\//, "", owner) && sub(/\.rs::/, "::", owner)) print id, owner
+    }' EXPERIMENTS.md)
+    echo "== experiment owners: ${experiments[*]} =="
+    for exp in "${experiments[@]}"; do
         echo "== $exp =="
         AIMS_CHAOS_SEED=4242 cargo run --release -q -p aims-bench --bin experiments -- "$exp"
     done

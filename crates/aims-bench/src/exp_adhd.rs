@@ -124,7 +124,10 @@ pub fn e14_adhd_queries() {
     let corr =
         cov / (stats.variance(1, &all).unwrap().sqrt() * stats.variance(2, &all).unwrap().sqrt());
     println!("\ncovariance(reaction time, distraction attention) = {cov:.1} (corr {corr:+.2})");
+    assert!(max_dev < 0.02, "per-subject averages deviate {max_dev:.3} from the scan");
+    assert!(cov > 0.0, "reaction time and distraction attention covary {cov:.1}");
     println!("\nshape check: ProPolyne reproduces the scan averages to binning");
     println!("resolution, and the correlation is positive (distractible subjects are");
-    println!("slower), answering the paper's example queries in the wavelet domain.");
+    println!("slower), answering the paper's example queries in the wavelet domain");
+    println!("(both asserted above).");
 }

@@ -64,13 +64,12 @@ fn motion_instance(rig: &CyberGloveRig, sign: &MotionSign, noise: &mut NoiseSour
     rig.record_motion(&shape, &shape, &motion, frames.max(16), noise)
 }
 
-/// E15 — "our choice of weighted SVD for similarity measure is justified"
-/// (§3.4.2): rank-1 recognition across measures on motion-defined signs
-/// whose identity lives in cross-sensor correlation.
-pub fn e15_similarity_measures() {
-    crate::header("E15", "weighted-SVD vs Euclidean/DFT/DWT similarity (§3.4, §3.4.2)");
+/// Rank-1 accuracy of every similarity measure, in
+/// [`SimilarityMeasure::ALL`] order, on `pairs` in/anti-phase motion-sign
+/// pairs: one template and `per_sign` test performances per sign.
+fn accuracy_by_measure(pairs: usize, per_sign: usize) -> Vec<(SimilarityMeasure, f64)> {
     let rig = CyberGloveRig { noise_sigma: 0.8, tremor_amplitude: 0.8, ..Default::default() };
-    let signs = motion_vocabulary(10, 42);
+    let signs = motion_vocabulary(pairs, 42);
     let mut train_noise = NoiseSource::seeded(1);
     let mut test_noise = NoiseSource::seeded(2);
 
@@ -82,24 +81,37 @@ pub fn e15_similarity_measures() {
     let test: Vec<(usize, MultiStream)> = signs
         .iter()
         .enumerate()
-        .flat_map(|(l, s)| (0..25).map(move |_| (l, s)))
+        .flat_map(|(l, s)| (0..per_sign).map(move |_| (l, s)))
         .map(|(l, s)| (l, motion_instance(&rig, s, &mut test_noise)))
         .collect();
+    SimilarityMeasure::ALL
+        .into_iter()
+        .map(|measure| {
+            let mut matcher = VocabularyMatcher::new(measure);
+            for (l, t) in &templates {
+                matcher.add_template(*l, t.clone());
+            }
+            (measure, matcher.accuracy(&test))
+        })
+        .collect()
+}
 
+/// E15 — "our choice of weighted SVD for similarity measure is justified"
+/// (§3.4.2): rank-1 recognition across measures on motion-defined signs
+/// whose identity lives in cross-sensor correlation.
+pub fn e15_similarity_measures() {
+    crate::header("E15", "weighted-SVD vs Euclidean/DFT/DWT similarity (§3.4, §3.4.2)");
+    let (pairs, per_sign) = (10, 25);
     println!(
         "vocabulary: {} motion-defined signs ({} in/anti-phase pairs), {} test instances",
-        signs.len(),
-        signs.len() / 2,
-        test.len()
+        2 * pairs,
+        pairs,
+        2 * pairs * per_sign
     );
     println!("each instance: random onset phase, ±40% duration, sensor noise");
     println!("\n{:>14} {:>12}", "measure", "accuracy");
-    for measure in SimilarityMeasure::ALL {
-        let mut matcher = VocabularyMatcher::new(measure);
-        for (l, t) in &templates {
-            matcher.add_template(*l, t.clone());
-        }
-        println!("{:>14} {:>11.1}%", measure.name(), matcher.accuracy(&test) * 100.0);
+    for (measure, accuracy) in accuracy_by_measure(pairs, per_sign) {
+        println!("{:>14} {:>11.1}%", measure.name(), accuracy * 100.0);
     }
     println!("\nshape check: weighted-SVD dominates — the in/anti-phase distinction is");
     println!("a cross-sensor covariance sign, invisible to per-channel DFT magnitudes");
@@ -271,11 +283,30 @@ pub fn e18_incremental_svd() {
         "incremental update : {inc_time:.2?} total ({:.2?}/update)",
         inc_time / windows as u32
     );
+    let agreement = agreement / windows as f64;
     println!(
-        "speedup {:.1}x, mean signature agreement {:.4}",
+        "speedup {:.1}x, mean signature agreement {agreement:.4}",
         batch_time.as_secs_f64() / inc_time.as_secs_f64(),
-        agreement / windows as f64
     );
-    println!("\nshape check: the incremental path is much cheaper per update and its");
-    println!("signature stays interchangeable with the batch one.");
+    assert!(agreement >= 0.85, "incremental signatures drifted from batch: {agreement:.4}");
+    println!("\nshape check: the incremental path is much cheaper per update (printed) and");
+    println!("its signature stays interchangeable with the batch one (asserted above).");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// E15's claim on a vocabulary small enough for the test suite (the
+    /// experiment's 10 pairs × 25 performances are too slow for it):
+    /// weighted SVD out-recognizes every baseline.
+    #[test]
+    fn weighted_svd_beats_every_baseline_on_motion_defined_signs() {
+        let accuracies = accuracy_by_measure(2, 4);
+        let (svd, baselines) = accuracies.split_first().expect("four measures");
+        assert_eq!(svd.0.name(), "weighted-svd");
+        for (measure, accuracy) in baselines {
+            assert!(svd.1 > *accuracy, "weighted-svd {} !> {} {accuracy}", svd.1, measure.name());
+        }
+    }
 }

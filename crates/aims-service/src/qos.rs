@@ -1,5 +1,6 @@
 //! Adaptive QoS: degradation tiers, a hysteresis overload controller,
-//! and the utility-based round scheduler (ROADMAP item 5).
+//! and the utility-based round scheduler (§4's many-user posture under
+//! overload).
 //!
 //! The design follows the coordination framing of "Towards Coordinated
 //! Bandwidth Adaptations for Hundred-Scale 3D Tele-Immersive Systems"

@@ -8,8 +8,6 @@ use aims::sensors::glove::CyberGloveRig;
 use aims::sensors::noise::NoiseSource;
 use aims::storage::alloc::needed_items_upper_bound;
 use aims::storage::cache::SharedBlockCache;
-use aims::storage::device::RetryPolicy;
-use aims::storage::faults::{FaultKind, FaultPlan, FaultyDevice};
 use aims::storage::store::{AllocKind, WaveletStore};
 use aims::storage::{FileDevice, FileDeviceOptions};
 
@@ -84,25 +82,4 @@ fn main() {
     );
     drop(reopened);
     std::fs::remove_dir_all(&dir).ok();
-
-    // Fault drill: the same store on a flaky device (30% transient read
-    // errors, deterministic seed). The retry path rides through every
-    // fault and stays bit-identical to the clean store — see
-    // `examples/fault_tolerance.rs` for the full failure model.
-    let flaky = WaveletStore::from_signal_on(&signal, block, AllocKind::TreeTiling, |bs, nb| {
-        FaultyDevice::with_plan(bs, nb, FaultPlan::uniform(97, FaultKind::ReadError, 0.3))
-    });
-    let policy = RetryPolicy::default();
-    let p1 = SharedBlockCache::with_shards(8, 1);
-    let p2 = SharedBlockCache::new(8);
-    for t in (0..4096).step_by(256) {
-        let got = flaky.point_value_outcome(t, &p1, &policy);
-        assert_eq!(got.estimate.to_bits(), store.point_value(t, &p2).to_bits());
-        assert!(!got.degraded());
-    }
-    println!(
-        "\nfault drill: 16 point queries on a 30%-flaky device, all bit-identical \
-         ({} device reads incl. retries)",
-        flaky.device_stats().reads
-    );
 }

@@ -114,8 +114,9 @@ fn usage() -> ! {
     exit(2);
 }
 
-/// Parses `--key value` pairs after the subcommand.
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Parses `--key value` pairs after the subcommand; a flag not in
+/// `accepted` is a usage error, so a misspelt flag never runs a default.
+fn parse_flags(args: &[String], accepted: &[&str]) -> HashMap<String, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
@@ -123,6 +124,10 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             eprintln!("unexpected argument '{key}'");
             usage();
         };
+        if !accepted.contains(&name) {
+            eprintln!("unknown flag --{name} (this verb takes --{})", accepted.join(", --"));
+            usage();
+        }
         let Some(value) = it.next() else {
             eprintln!("flag --{name} needs a value");
             usage();
@@ -1185,26 +1190,52 @@ fn cmd_tiers(flags: &HashMap<String, String>) {
     exit_on_violations("tier", &violations);
 }
 
+/// A verb's entry point.
+type Verb = fn(&HashMap<String, String>);
+
+/// Every verb, its entry point and the flags it accepts.
+const VERBS: &[(&str, Verb, &[&str])] = &[
+    ("generate", cmd_generate, &["seconds", "activity", "seed", "out"]),
+    ("ingest", cmd_ingest, &["input", "strategy"]),
+    (
+        "query",
+        cmd_query,
+        &["input", "channel", "from", "to", "op", "connect", "ranges", "priority", "deadline-ms"],
+    ),
+    ("recognize", cmd_recognize, &["signs", "sentence", "seed"]),
+    ("metrics", cmd_metrics, &["seconds", "seed", "format"]),
+    ("faults", cmd_faults, &["seed", "rate", "budget", "kind", "format"]),
+    (
+        "ingest-faults",
+        cmd_ingest_faults,
+        &[
+            "seed", "seconds", "dropout", "stuck", "spike", "dup", "reorder", "dead", "policy",
+            "format",
+        ],
+    ),
+    (
+        "trace",
+        cmd_trace,
+        &["connect", "ranges", "side", "block", "seed", "queries", "format", "out"],
+    ),
+    ("top", cmd_top, &["connect", "interval-ms", "iterations", "format"]),
+    ("chaos", cmd_chaos, &["seed", "format"]),
+    ("kernels", cmd_kernels, &["side"]),
+    (
+        "durability",
+        cmd_durability,
+        &["mode", "seed", "blocks", "block-size", "writes", "dir", "format"],
+    ),
+    ("tiers", cmd_tiers, &["seed", "samples", "segment", "block", "dir", "format"]),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         usage();
     };
-    let flags = parse_flags(rest);
-    match cmd.as_str() {
-        "generate" => cmd_generate(&flags),
-        "ingest" => cmd_ingest(&flags),
-        "query" => cmd_query(&flags),
-        "recognize" => cmd_recognize(&flags),
-        "metrics" => cmd_metrics(&flags),
-        "faults" => cmd_faults(&flags),
-        "ingest-faults" => cmd_ingest_faults(&flags),
-        "trace" => cmd_trace(&flags),
-        "top" => cmd_top(&flags),
-        "chaos" => cmd_chaos(&flags),
-        "kernels" => cmd_kernels(&flags),
-        "durability" => cmd_durability(&flags),
-        "tiers" => cmd_tiers(&flags),
-        _ => usage(),
-    }
+    let Some(&(_, run, accepted)) = VERBS.iter().find(|(name, ..)| name == cmd) else {
+        usage();
+    };
+    run(&parse_flags(rest, accepted));
 }

@@ -21,9 +21,14 @@
 //! - [`chaos`] — storage faults × sensor faults × query floods composed
 //!   under one master seed.
 //!
-//! `aims-cli`, the `aims-bench` E-experiments and the matrix tests under
-//! `tests/` are shells over these: they choose workloads, sweep, print and
-//! gate, and own no RNG, percentile, replica or ingest config themselves.
+//! Each drill's claim has one owner in the claims index (EXPERIMENTS.md):
+//! experiments E25 (`faults`), E26 (`ingest`), E30 (`crash`), E31
+//! (`chaos`) and E32 (`tiers`), and the crash-matrix test for the
+//! acked-prefix contract (C3). The `aims-cli` drill verbs run a drill
+//! under any seed for an operator, and the matrix tests under `tests/`
+//! sweep the grids and the seeds ci.sh pins. All of them choose a
+//! workload, print and gate; none owns an RNG, percentile, replica or
+//! ingest config.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -34,7 +34,8 @@
 //! Robustness: [`drill`] is the one drill library — seeded storage-fault,
 //! ingest-fault, crash-recovery, tiered-ingest and composed chaos drills,
 //! each `run(&Config) -> Report` with `violations()` and plain fields —
-//! that `aims-cli`, the E-experiments and the matrix tests are shells over.
+//! behind the `aims-cli` drill verbs, the experiments that own each
+//! drill's claim and the matrix tests.
 //!
 //! ## Quickstart
 //!
