@@ -82,9 +82,32 @@ if [[ $fast -eq 0 ]]; then
         if (sub(/^crates\/aims-bench\/src\//, "", owner) && sub(/\.rs::/, "::", owner)) print id, owner
     }' EXPERIMENTS.md)
     echo "== experiment owners: ${experiments[*]} =="
+    # E12's sharing table, E20's AUC table and E31's bound area must not
+    # depend on timing or pool width: those three run at AIMS_THREADS=1
+    # here and again at 4 below, and each table (from the header line
+    # matching the pattern to the next blank line) must print byte for byte.
+    tables=("e12 independent" "e20 L2.AUC" "e31 bound.area")
+    table() { awk -v start="$header" '$0 ~ start {on = 1} on && /^$/ {exit} on' "$1"; }
     for exp in "${experiments[@]}"; do
         echo "== $exp =="
-        AIMS_CHAOS_SEED=4242 cargo run --release -q -p aims-bench --bin experiments -- "$exp"
+        pin=()
+        [[ " ${tables[*]} " == *" $exp "* ]] && pin=(AIMS_THREADS=1)
+        env "${pin[@]}" AIMS_CHAOS_SEED=4242 cargo run --release -q -p aims-bench --bin experiments -- "$exp" |
+            tee "target/experiment-$exp.out"
+    done
+    for pin in "${tables[@]}"; do
+        read -r exp header <<<"$pin"
+        echo "== $exp table (AIMS_THREADS=1 vs 4) =="
+        AIMS_THREADS=4 AIMS_CHAOS_SEED=4242 cargo run --release -q -p aims-bench --bin experiments -- "$exp" \
+            > "target/experiment-$exp-t4.out"
+        [[ -n "$(table "target/experiment-$exp.out")" ]] || {
+            echo "$exp printed no table matching '$header'" >&2
+            exit 1
+        }
+        diff <(table "target/experiment-$exp.out") <(table "target/experiment-$exp-t4.out") || {
+            echo "$exp: the table moved between AIMS_THREADS=1 and 4" >&2
+            exit 1
+        }
     done
     # The flight-recorder trace E28 exported must be valid Chrome
     # trace-event JSON (loadable in about:tracing / Perfetto).

@@ -10,7 +10,7 @@ use aims_propolyne::blockstore::BlockedCoefficients;
 use aims_propolyne::cube::WaveletCube;
 use aims_propolyne::engine::Propolyne;
 use aims_propolyne::query::RangeSumQuery;
-use aims_service::{Outcome, QosConfig, QueryService, QuerySpec, SchedulerPolicy, ServiceConfig};
+use aims_service::{Outcome, QueryService, QuerySpec, SchedulerPolicy, ServiceConfig};
 
 use crate::workloads::gaussian_mixture_cube;
 
@@ -49,8 +49,9 @@ fn is_batch(k: usize) -> bool {
     k.is_multiple_of(3)
 }
 
-/// Runs the mixed-class workload under one scheduler policy with
-/// shedding disabled (identical answers by construction) and returns
+/// Runs the mixed-class workload under one scheduler policy, submitted as
+/// one cohort that fits the batch (so queue pressure is zero at every
+/// observation and nothing degrades), and returns
 /// each session's relative bound-trajectory area — Σ over its per-round
 /// progress frames of `bound / initial_bound`, the "remaining
 /// uncertainty" the utility scheduler allocates against. Lower = faster
@@ -69,27 +70,26 @@ fn bound_auc(
             max_batch: QUERIES,
             round_blocks: 8,
             round_pause: Duration::from_micros(300),
-            // Gather the whole cohort before the first round — without
-            // the warmup, early rounds race the submission loop, late
-            // admits catch up free from a warm cache, and the measured
-            // areas flip between discrete modes run to run.
-            admission_warmup: Duration::from_millis(25),
-            qos: QosConfig { policy, shedding: false, ..QosConfig::default() },
+            policy,
             ..ServiceConfig::default()
         },
     );
-    let handles: Vec<_> = queries
+    // One admission for the whole cohort: submitted one by one, early
+    // rounds would race the submission loop, late admits would catch up
+    // free from a warm cache, and the measured areas would flip between
+    // discrete modes run to run.
+    let specs = queries
         .iter()
         .enumerate()
         .map(|(k, r)| {
-            let spec = if is_batch(k) {
+            if is_batch(k) {
                 QuerySpec::batch(r.clone())
             } else {
                 QuerySpec::interactive(r.clone())
-            };
-            svc.submit(spec).expect("queue sized for workload")
+            }
         })
         .collect();
+    let handles = svc.submit_all(specs).expect("queue sized for workload");
     let mut saucs = Vec::new();
     let mut bits = Vec::new();
     for (h, &initial) in handles.into_iter().zip(initial) {
@@ -112,7 +112,7 @@ fn bound_auc(
 /// seeded drill (no panics, no lost queries, monotone bounds, shed ⇒
 /// best-so-far, full drain recovery). Part 2 compares utility-driven
 /// round scheduling against FIFO on a mixed batch/interactive workload
-/// with shedding off: answers must be bit-identical, and the utility
+/// submitted as one cohort: answers must be bit-identical, and the utility
 /// policy must reduce the class-weighted error bound faster (smaller
 /// boost-weighted trajectory area).
 pub fn e31_chaos_qos() {
@@ -134,7 +134,7 @@ pub fn e31_chaos_qos() {
     );
     assert!(report.shed_fraction > 0.0, "flood phases never engaged shedding");
 
-    // Part 2 — utility vs FIFO round scheduling, shedding off.
+    // Part 2 — utility vs FIFO round scheduling, one cohort.
     let cube = gaussian_mixture_cube(SIDE).transform(&FilterKind::Db4.filter());
     let engine = Propolyne::new(cube.clone());
     let blocked = BlockedCoefficients::new(engine.cube().coeffs(), BLOCK);

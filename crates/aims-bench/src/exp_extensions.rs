@@ -1,8 +1,6 @@
 //! Experiments E20–E22: the paper's proposed refinements ("future work"
 //! it sketches in §3.3.1 and §3.4.1), implemented and measured.
 
-use std::time::Duration;
-
 use aims_dsp::filters::FilterKind;
 use aims_linalg::RandomProjection;
 use aims_propolyne::engine::Propolyne;
@@ -11,9 +9,7 @@ use aims_sensors::asl::AslVocabulary;
 use aims_sensors::glove::CyberGloveRig;
 use aims_sensors::noise::NoiseSource;
 use aims_sensors::types::MultiStream;
-use aims_service::{
-    Outcome, QosConfig, QueryService, QuerySpec, Refinement, SchedulerPolicy, ServiceConfig,
-};
+use aims_service::{Outcome, QueryService, QuerySpec, Refinement, SchedulerPolicy, ServiceConfig};
 use aims_stream::isolation::{evaluate_isolation, IsolationConfig, StreamRecognizer};
 use aims_stream::signature::SvdSignature;
 
@@ -49,15 +45,13 @@ pub fn e20_batch_error_norms() {
             ServiceConfig {
                 cache_blocks: cube.coeffs().len(),
                 round_blocks: 32,
-                admission_warmup: Duration::from_millis(25),
-                qos: QosConfig { policy, shedding: false, ..QosConfig::default() },
+                policy,
                 ..ServiceConfig::default()
             },
         );
-        let handles: Vec<_> = queries
-            .iter()
-            .map(|q| svc.submit(QuerySpec::interactive(q.ranges.clone())).expect("queue fits"))
-            .collect();
+        // One admission: every bucket refines from the first round.
+        let specs = queries.iter().map(|q| QuerySpec::interactive(q.ranges.clone())).collect();
+        let handles = svc.submit_all(specs).expect("queue fits");
         let traces: Vec<Vec<Refinement>> = handles
             .into_iter()
             .zip(&exact)

@@ -1,8 +1,6 @@
 //! Experiments E7–E12: ProPolyne, the off-line query engine (paper §3.3,
 //! §3.3.1).
 
-use std::time::Duration;
-
 use aims_dsp::dwt::dwt_full;
 use aims_dsp::filters::FilterKind;
 use aims_dsp::lazy::lazy_transform;
@@ -13,7 +11,7 @@ use aims_propolyne::engine::Propolyne;
 use aims_propolyne::hybrid::{choose_standard_dims, HybridEngine};
 use aims_propolyne::query::RangeSumQuery;
 use aims_propolyne::synopsis::compare_at_budget;
-use aims_service::{Outcome, QosConfig, QueryService, QuerySpec, ServiceConfig};
+use aims_service::{Outcome, QueryService, QuerySpec, ServiceConfig};
 use aims_storage::{BlockDevice, RetryPolicy, SharedBlockCache};
 
 use crate::workloads::{gaussian_mixture_cube, sensor_trace_cube, uniform_cube, zipf_cube};
@@ -306,15 +304,12 @@ pub fn e12_batch_sharing() {
             ServiceConfig {
                 cache_blocks: store.num_blocks(),
                 round_blocks: 256,
-                admission_warmup: Duration::from_millis(10),
-                qos: QosConfig { shedding: false, ..QosConfig::default() },
                 ..ServiceConfig::default()
             },
         );
-        let handles: Vec<_> = queries
-            .iter()
-            .map(|q| svc.submit(QuerySpec::interactive(q.ranges.clone())).expect("queue fits"))
-            .collect();
+        // One admission: the buckets share every round from the first.
+        let specs = queries.iter().map(|q| QuerySpec::interactive(q.ranges.clone())).collect();
+        let handles = svc.submit_all(specs).expect("queue fits");
         let (mut independent, mut total) = (0usize, 0.0);
         for (k, (q, h)) in queries.iter().zip(handles).enumerate() {
             let prepared = engine.prepare(q);

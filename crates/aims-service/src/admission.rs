@@ -56,7 +56,7 @@ impl<T> Queues<T> {
 
 /// A capacity-bounded two-class request queue.
 ///
-/// `submit` never blocks: at capacity it returns
+/// `submit_all` never blocks: at capacity it returns
 /// [`ServiceError::QueueFull`] immediately. `drain` pops interactive
 /// tickets before batch tickets and can wait (bounded) for work.
 #[derive(Debug)]
@@ -84,25 +84,29 @@ impl<T> AdmissionController<T> {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Enqueues a ticket, or rejects it with a typed error: queue full ⇒
-    /// [`ServiceError::QueueFull`], draining ⇒
-    /// [`ServiceError::ShuttingDown`]. Never blocks.
-    pub fn submit(&self, ticket: T, priority: Priority) -> Result<(), ServiceError> {
+    /// Enqueues a cohort of tickets under one lock, all or nothing, or
+    /// rejects it with a typed error: a cohort that does not fit in the
+    /// free capacity ⇒ [`ServiceError::QueueFull`], draining ⇒
+    /// [`ServiceError::ShuttingDown`]. A `drain` sees every ticket of a
+    /// cohort or none. Never blocks.
+    pub fn submit_all<I>(&self, tickets: I) -> Result<(), ServiceError>
+    where
+        I: IntoIterator<Item = (Priority, T)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let tickets = tickets.into_iter();
         let mut q = self.queues.lock().unwrap();
         if q.closed {
             return Err(ServiceError::ShuttingDown);
         }
-        if q.len() >= self.capacity {
+        if q.len() + tickets.len() > self.capacity {
             return Err(ServiceError::QueueFull { capacity: self.capacity });
         }
-        match priority {
-            Priority::Interactive => q.interactive.push_back(ticket),
-            Priority::Batch => q.batch.push_back(ticket),
+        for (priority, ticket) in tickets {
+            match priority {
+                Priority::Interactive => q.interactive.push_back(ticket),
+                Priority::Batch => q.batch.push_back(ticket),
+            }
         }
         self.available.notify_one();
         Ok(())
@@ -137,13 +141,13 @@ impl<T> AdmissionController<T> {
 
     /// Queue fullness in `[0, 1]` — the overload signal the adaptive QoS
     /// controller maps to a degradation tier, so graduated shedding
-    /// engages well before `submit` starts returning
+    /// engages well before `submit_all` starts returning
     /// [`ServiceError::QueueFull`].
     pub fn pressure(&self) -> f64 {
         self.queues.lock().unwrap().len() as f64 / self.capacity as f64
     }
 
-    /// Closes the door (subsequent `submit`s get `ShuttingDown`) and
+    /// Closes the door (subsequent `submit_all`s get `ShuttingDown`) and
     /// returns every still-queued ticket so the caller can notify owners.
     pub fn close(&self) -> Vec<T> {
         let mut q = self.queues.lock().unwrap();
@@ -152,11 +156,6 @@ impl<T> AdmissionController<T> {
         drained.extend(q.batch.drain(..));
         self.available.notify_all();
         drained
-    }
-
-    /// Whether `close` has been called.
-    pub fn is_closed(&self) -> bool {
-        self.queues.lock().unwrap().closed
     }
 }
 
@@ -167,10 +166,13 @@ mod tests {
     #[test]
     fn interactive_drains_before_batch() {
         let a = AdmissionController::new(8);
-        a.submit("b1", Priority::Batch).unwrap();
-        a.submit("i1", Priority::Interactive).unwrap();
-        a.submit("b2", Priority::Batch).unwrap();
-        a.submit("i2", Priority::Interactive).unwrap();
+        let cohort = [
+            (Priority::Batch, "b1"),
+            (Priority::Interactive, "i1"),
+            (Priority::Batch, "b2"),
+            (Priority::Interactive, "i2"),
+        ];
+        a.submit_all(cohort).unwrap();
         assert_eq!(a.drain(3, Duration::ZERO), vec!["i1", "i2", "b1"]);
         assert_eq!(a.drain(3, Duration::ZERO), vec!["b2"]);
     }
@@ -178,25 +180,24 @@ mod tests {
     #[test]
     fn overload_is_a_typed_rejection() {
         let a = AdmissionController::new(2);
-        a.submit(1, Priority::Interactive).unwrap();
-        a.submit(2, Priority::Batch).unwrap();
-        match a.submit(3, Priority::Interactive) {
+        a.submit_all([(Priority::Interactive, 1)]).unwrap();
+        a.submit_all([(Priority::Batch, 2)]).unwrap();
+        match a.submit_all([(Priority::Interactive, 3)]) {
             Err(ServiceError::QueueFull { capacity: 2 }) => {}
             other => panic!("expected QueueFull, got {other:?}"),
         }
         // Draining frees capacity again.
         assert_eq!(a.drain(1, Duration::ZERO), vec![1]);
-        a.submit(3, Priority::Interactive).unwrap();
+        a.submit_all([(Priority::Interactive, 3)]).unwrap();
     }
 
     #[test]
     fn close_rejects_and_returns_stragglers() {
         let a = AdmissionController::new(4);
-        a.submit(10, Priority::Batch).unwrap();
+        a.submit_all([(Priority::Batch, 10)]).unwrap();
         let stragglers = a.close();
         assert_eq!(stragglers, vec![10]);
-        assert!(matches!(a.submit(11, Priority::Batch), Err(ServiceError::ShuttingDown)));
-        assert!(a.is_closed());
+        assert!(matches!(a.submit_all([(Priority::Batch, 11)]), Err(ServiceError::ShuttingDown)));
         assert!(a.drain(4, Duration::from_millis(50)).is_empty());
     }
 
@@ -206,7 +207,7 @@ mod tests {
         let b = std::sync::Arc::clone(&a);
         let waiter = std::thread::spawn(move || b.drain(1, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(20));
-        a.submit(7, Priority::Interactive).unwrap();
+        a.submit_all([(Priority::Interactive, 7)]).unwrap();
         assert_eq!(waiter.join().unwrap(), vec![7]);
     }
 
@@ -214,8 +215,8 @@ mod tests {
     fn pressure_tracks_fullness() {
         let a = AdmissionController::new(4);
         assert_eq!(a.pressure(), 0.0);
-        a.submit(1, Priority::Interactive).unwrap();
-        a.submit(2, Priority::Batch).unwrap();
+        a.submit_all([(Priority::Interactive, 1)]).unwrap();
+        a.submit_all([(Priority::Batch, 2)]).unwrap();
         assert_eq!(a.pressure(), 0.5);
         a.drain(2, Duration::ZERO);
         assert_eq!(a.pressure(), 0.0);

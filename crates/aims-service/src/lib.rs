@@ -15,7 +15,9 @@
 //!   — each hot block **once** — through a sharded LRU
 //!   [`aims_storage::SharedBlockCache`], and fans per-query accumulation
 //!   out on an [`aims_exec::ThreadPool`] — final answers bit-identical
-//!   to serial evaluation for every thread count.
+//!   to serial evaluation for every thread count. A cohort that must
+//!   share rounds from the first one is submitted with
+//!   [`QueryService::submit_all`]: one admission, all or nothing.
 //! - [`session`]: progressive delivery — monotonically refining
 //!   estimates with Cauchy–Schwarz error bounds, cancellation that
 //!   actually halts block fetches, per-query deadlines.
@@ -24,7 +26,9 @@
 //!   error bounds fastest, and graduated load shedding that walks
 //!   overloaded sessions through [`Tier`]s (coarser cadence → widened
 //!   bounds → best-so-far early termination) with hysteresis, before
-//!   any typed rejection.
+//!   any typed rejection. The ladder's thresholds are constants, the
+//!   same in every deployment; [`ServiceConfig`] holds only what an
+//!   operator or a test sets.
 //! - [`profile`]: per-query cost attribution — every traced (or slow)
 //!   query yields a [`QueryProfile`] with queue wait, block/cache/retry
 //!   accounting, degraded-block count, and the per-round error-bound
@@ -63,7 +67,7 @@ pub use admission::{AdmissionController, Priority};
 pub use client::{ClientEvent, RemoteOutcome, TcpClient};
 pub use error::ServiceError;
 pub use profile::{QueryProfile, SlowQueryEntry, SlowQueryLog, SlowReason, TrajectoryPoint};
-pub use qos::{QosConfig, SchedulerPolicy, Tier};
+pub use qos::{SchedulerPolicy, Tier};
 pub use server::Server;
 pub use service::{demo_cube, QosStats, QueryService, ServiceConfig};
 pub use session::{Outcome, Polled, QuerySpec, Refinement, SessionHandle, Update};

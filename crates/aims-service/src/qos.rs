@@ -121,41 +121,27 @@ pub enum SchedulerPolicy {
     Utility,
 }
 
-/// Tuning knobs for the adaptive QoS layer.
-#[derive(Clone, Debug)]
-pub struct QosConfig {
-    /// Block-selection policy for the shared scan.
-    pub policy: SchedulerPolicy,
-    /// Graduated load shedding on/off. Off keeps every session at
-    /// [`Tier::Normal`] regardless of pressure (the non-degraded path).
-    pub shedding: bool,
-    /// Queue pressure (queued / capacity) at which the service escalates
-    /// into tiers 1..=3, checked in order.
-    pub enter_pressure: [f64; 3],
-    /// Queue pressure below which the service recovers out of tiers
-    /// 1..=3. Each must sit below the matching `enter_pressure` — the
-    /// gap is the hysteresis band.
-    pub exit_pressure: [f64; 3],
-    /// Consecutive observations at/above an enter threshold before the
-    /// tier escalates.
-    pub escalate_rounds: u32,
-    /// Consecutive observations at/below an exit threshold before the
-    /// tier recovers one step.
-    pub recover_rounds: u32,
-}
+/// Queue pressure (queued / capacity) at which the service escalates into
+/// tiers 1..=3, checked in order.
+pub const ENTER_PRESSURE: [f64; 3] = [0.50, 0.75, 0.95];
+/// Queue pressure at or below which the service recovers out of tiers
+/// 1..=3. Each sits below the matching [`ENTER_PRESSURE`]: the gap is the
+/// hysteresis band.
+pub const EXIT_PRESSURE: [f64; 3] = [0.25, 0.45, 0.70];
+/// Consecutive observations at or above an enter threshold before the tier
+/// escalates.
+pub const ESCALATE_ROUNDS: u32 = 2;
+/// Consecutive observations at or below an exit threshold before the tier
+/// recovers one step.
+pub const RECOVER_ROUNDS: u32 = 6;
 
-impl Default for QosConfig {
-    fn default() -> Self {
-        QosConfig {
-            policy: SchedulerPolicy::Utility,
-            shedding: true,
-            enter_pressure: [0.50, 0.75, 0.95],
-            exit_pressure: [0.25, 0.45, 0.70],
-            escalate_rounds: 2,
-            recover_rounds: 6,
-        }
+const _: () = {
+    let mut i = 0;
+    while i < 3 {
+        assert!(EXIT_PRESSURE[i] < ENTER_PRESSURE[i], "each exit must sit below its enter");
+        i += 1;
     }
-}
+};
 
 /// What one pressure observation did to the service tier.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
@@ -171,7 +157,7 @@ pub enum TierChange {
 /// Hysteresis state machine mapping queue pressure to a service tier.
 ///
 /// Escalation and recovery both require a *sustained* signal
-/// (`escalate_rounds` / `recover_rounds` consecutive observations), and
+/// ([`ESCALATE_ROUNDS`] / [`RECOVER_ROUNDS`] consecutive observations), and
 /// the exit thresholds sit strictly below the enter thresholds, so the
 /// tier neither flaps at a boundary nor collapses the moment one round
 /// of headroom appears.
@@ -194,19 +180,15 @@ impl DegradeController {
     }
 
     /// Feeds one pressure observation (queued / capacity, in `[0, 1]`).
-    pub fn observe(&mut self, pressure: f64, cfg: &QosConfig) -> TierChange {
-        if !cfg.shedding {
-            self.tier = Tier::Normal;
-            return TierChange::None;
-        }
+    pub fn observe(&mut self, pressure: f64) -> TierChange {
         // Escalation: pressure sustained at/above the *next* tier's
         // enter threshold.
         if self.tier != Tier::Shed {
             let next = self.tier.escalated();
-            if pressure >= cfg.enter_pressure[next.to_wire() as usize - 1] {
+            if pressure >= ENTER_PRESSURE[next.to_wire() as usize - 1] {
                 self.above += 1;
                 self.below = 0;
-                if self.above >= cfg.escalate_rounds {
+                if self.above >= ESCALATE_ROUNDS {
                     self.tier = next;
                     self.above = 0;
                     return TierChange::Escalated(self.tier);
@@ -217,11 +199,10 @@ impl DegradeController {
         self.above = 0;
         // Recovery: pressure sustained at/below the *current* tier's
         // exit threshold.
-        if self.tier != Tier::Normal
-            && pressure <= cfg.exit_pressure[self.tier.to_wire() as usize - 1]
+        if self.tier != Tier::Normal && pressure <= EXIT_PRESSURE[self.tier.to_wire() as usize - 1]
         {
             self.below += 1;
-            if self.below >= cfg.recover_rounds {
+            if self.below >= RECOVER_ROUNDS {
                 self.tier = self.tier.relaxed();
                 self.below = 0;
                 return TierChange::Recovered(self.tier);
@@ -507,45 +488,43 @@ mod tests {
 
     #[test]
     fn controller_escalates_only_under_sustained_pressure() {
-        let cfg = QosConfig::default();
         let mut c = DegradeController::new();
         // One spike is absorbed.
-        assert_eq!(c.observe(1.0, &cfg), TierChange::None);
-        assert_eq!(c.observe(0.0, &cfg), TierChange::None);
+        assert_eq!(c.observe(1.0), TierChange::None);
+        assert_eq!(c.observe(0.0), TierChange::None);
         assert_eq!(c.tier(), Tier::Normal);
-        // Sustained pressure walks up one tier per escalate_rounds.
-        assert_eq!(c.observe(1.0, &cfg), TierChange::None);
-        assert_eq!(c.observe(1.0, &cfg), TierChange::Escalated(Tier::Coarse));
-        assert_eq!(c.observe(1.0, &cfg), TierChange::None);
-        assert_eq!(c.observe(1.0, &cfg), TierChange::Escalated(Tier::Widened));
-        assert_eq!(c.observe(1.0, &cfg), TierChange::None);
-        assert_eq!(c.observe(1.0, &cfg), TierChange::Escalated(Tier::Shed));
+        // Sustained pressure walks up one tier per ESCALATE_ROUNDS.
+        assert_eq!(c.observe(1.0), TierChange::None);
+        assert_eq!(c.observe(1.0), TierChange::Escalated(Tier::Coarse));
+        assert_eq!(c.observe(1.0), TierChange::None);
+        assert_eq!(c.observe(1.0), TierChange::Escalated(Tier::Widened));
+        assert_eq!(c.observe(1.0), TierChange::None);
+        assert_eq!(c.observe(1.0), TierChange::Escalated(Tier::Shed));
         // Saturates.
         for _ in 0..8 {
-            assert_eq!(c.observe(1.0, &cfg), TierChange::None);
+            assert_eq!(c.observe(1.0), TierChange::None);
         }
         assert_eq!(c.tier(), Tier::Shed);
     }
 
     #[test]
     fn controller_recovers_with_hysteresis() {
-        let cfg = QosConfig::default();
         let mut c = DegradeController::new();
         for _ in 0..6 {
-            c.observe(1.0, &cfg);
+            c.observe(1.0);
         }
         assert_eq!(c.tier(), Tier::Shed);
         // Pressure in the hysteresis band (above exit, below enter):
         // neither escalates nor recovers.
         for _ in 0..20 {
-            assert_eq!(c.observe(0.8, &cfg), TierChange::None);
+            assert_eq!(c.observe(0.8), TierChange::None);
         }
         assert_eq!(c.tier(), Tier::Shed);
         // Sustained low pressure walks back down one tier per
-        // recover_rounds — smooth, not a cliff.
+        // RECOVER_ROUNDS — smooth, not a cliff.
         let mut recoveries = Vec::new();
         for _ in 0..20 {
-            if let TierChange::Recovered(t) = c.observe(0.0, &cfg) {
+            if let TierChange::Recovered(t) = c.observe(0.0) {
                 recoveries.push(t);
             }
         }
@@ -554,11 +533,12 @@ mod tests {
     }
 
     #[test]
-    fn shedding_disabled_pins_tier_normal() {
-        let cfg = QosConfig { shedding: false, ..QosConfig::default() };
+    fn pressure_held_below_the_first_enter_threshold_keeps_normal_forever() {
         let mut c = DegradeController::new();
-        for _ in 0..10 {
-            assert_eq!(c.observe(1.0, &cfg), TierChange::None);
+        let below = ENTER_PRESSURE[0] - f64::EPSILON;
+        for k in 0..1000 {
+            let pressure = [0.0, EXIT_PRESSURE[0], below][k % 3];
+            assert_eq!(c.observe(pressure), TierChange::None);
         }
         assert_eq!(c.tier(), Tier::Normal);
     }

@@ -301,8 +301,8 @@ impl Connection {
                 };
                 let refused = match entered {
                     Some(session) => {
-                        let refused =
-                            service.submit_tagged(spec, req_id, updates.clone(), session).err();
+                        let cohort = vec![(spec, req_id, updates.clone(), session)];
+                        let refused = service.submit_tagged(cohort).err();
                         if refused.is_some() {
                             self.sessions().remove(&req_id);
                         }

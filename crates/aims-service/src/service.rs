@@ -66,7 +66,7 @@ use aims_telemetry::{counter, gauge, AttrValue, TraceContext};
 use crate::admission::{AdmissionController, Priority};
 use crate::error::ServiceError;
 use crate::profile::{QueryProfile, SlowQueryEntry, SlowQueryLog, SlowReason, TrajectoryPoint};
-use crate::qos::{self, DegradeController, QosConfig, SchedulerPolicy, Tier, TierChange};
+use crate::qos::{self, DegradeController, SchedulerPolicy, Tier, TierChange};
 use crate::session::{QuerySpec, Refinement, SessionHandle, SessionShared, Update};
 use crate::wire::ProgressKind;
 
@@ -99,36 +99,37 @@ const IDLE_WAIT: Duration = Duration::from_millis(20);
 /// profiles are never dropped.
 const PROGRESS_OUTBOX: usize = 256;
 
-/// Tuning knobs for a [`QueryService`].
+/// What an operator (or a test) sets on a [`QueryService`]. The overload
+/// ladder is not here: its thresholds are the [`qos`] constants, the same
+/// in every deployment.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Bounded admission queue size; submits beyond it get
     /// [`ServiceError::QueueFull`].
     pub queue_capacity: usize,
-    /// Maximum sessions refined concurrently per round.
+    /// Maximum sessions refined concurrently per round. With
+    /// [`ServiceConfig::round_blocks`] it is the shared scan's budget,
+    /// which the experiments and the chaos drill set to different values.
     pub max_batch: usize,
     /// Shared block cache capacity, in blocks.
     pub cache_blocks: usize,
-    /// Device blocks fetched per shared-scan round.
+    /// Device blocks fetched per shared-scan round: the other half of the
+    /// shared scan's budget beside [`ServiceConfig::max_batch`].
     pub round_blocks: usize,
-    /// Retry budget for transient device faults.
+    /// Retry budget for transient device faults: three retries by default,
+    /// like every other reader of a block device.
     pub retry: RetryPolicy,
     /// Worker threads for compute fan-out; `None` follows `AIMS_THREADS`.
+    /// Set by the bit-identity suites that run several pool widths in one
+    /// process.
     pub threads: Option<usize>,
-    /// Pause inserted after every round — throttles background refinement
-    /// I/O (and gives tests a deterministic mid-flight window). Zero by
-    /// default.
+    /// Pause inserted after every round, zero by default. It simulates
+    /// slow rounds for the experiments and the chaos drill, which no
+    /// other input can do without the cache cancelling it out, and gives
+    /// tests a deterministic mid-flight window.
     pub round_pause: Duration,
-    /// Cold-start gather window: the scheduler sleeps this long once,
-    /// before its first admission drain, so a cohort of queries
-    /// submitted together is admitted as one concurrent mix instead of
-    /// trickling into whichever early rounds the submission loop races.
-    /// Benchmarks comparing scheduler policies rely on it for
-    /// run-to-run determinism. Zero (no gather) by default.
-    pub admission_warmup: Duration,
-    /// Adaptive QoS knobs: scheduler policy, shedding thresholds,
-    /// hysteresis.
-    pub qos: QosConfig,
+    /// Block-selection policy for the shared scan.
+    pub policy: SchedulerPolicy,
 }
 
 impl Default for ServiceConfig {
@@ -138,11 +139,10 @@ impl Default for ServiceConfig {
             max_batch: 32,
             cache_blocks: 256,
             round_blocks: 32,
-            retry: RetryPolicy::none(),
+            retry: RetryPolicy::default(),
             threads: None,
             round_pause: Duration::ZERO,
-            admission_warmup: Duration::ZERO,
-            qos: QosConfig::default(),
+            policy: SchedulerPolicy::Utility,
         }
     }
 }
@@ -153,6 +153,10 @@ fn priority_label(p: Priority) -> &'static str {
         Priority::Batch => "batch",
     }
 }
+
+/// A session on its way into the queue: its spec, the tag and channel its
+/// updates go out on, and the state it shares with its consumer.
+type Entrant = (QuerySpec, u64, Sender<(u64, Update)>, Arc<SessionShared>);
 
 /// A queued query, built at submit time so the scheduler never touches
 /// the engine.
@@ -496,94 +500,117 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
         out
     }
 
-    /// Validates and enqueues a query. Typed failures: queue full,
-    /// shutting down, malformed ranges. Never blocks, never panics on
-    /// overload.
+    /// Validates and enqueues a query: [`QueryService::submit_all`] of one
+    /// spec. Never blocks, never panics on overload.
     pub fn submit(&self, spec: QuerySpec) -> Result<SessionHandle, ServiceError> {
-        let (tx, rx) = mpsc::channel();
-        let shared = Arc::new(SessionShared::default());
-        let id = self.submit_tagged(spec, 0, tx, Arc::clone(&shared))?;
-        Ok(SessionHandle { id, rx, shared })
+        Ok(self.submit_all(vec![spec])?.pop().expect("one handle per spec"))
     }
 
-    /// [`QueryService::submit`] for a consumer that multiplexes sessions:
-    /// the session's updates arrive on `tx` as `(tag, update)`, and
-    /// `shared` is the cancel flag and outbox fill the consumer keeps.
-    /// Returns the session id.
-    pub(crate) fn submit_tagged(
-        &self,
-        spec: QuerySpec,
-        tag: u64,
-        tx: Sender<(u64, Update)>,
-        shared: Arc<SessionShared>,
-    ) -> Result<u64, ServiceError> {
+    /// Validates and prepares every spec, then enqueues the whole cohort
+    /// under one admission lock, all or nothing. Typed failures: the cohort
+    /// does not fit in the queue's free capacity, shutting down, a
+    /// malformed range in any spec. A cohort of at most `max_batch` specs
+    /// is admitted by one scheduler drain, so its sessions share every
+    /// round from the first. Handles come back in spec order.
+    pub fn submit_all(&self, specs: Vec<QuerySpec>) -> Result<Vec<SessionHandle>, ServiceError> {
+        let (mut ends, mut cohort) = (Vec::new(), Vec::new());
+        for spec in specs {
+            let (tx, rx) = mpsc::channel();
+            let shared = Arc::new(SessionShared::default());
+            ends.push((rx, Arc::clone(&shared)));
+            cohort.push((spec, 0, tx, shared));
+        }
+        let ids = self.submit_tagged(cohort)?.into_iter();
+        Ok(ids.zip(ends).map(|(id, (rx, shared))| SessionHandle { id, rx, shared }).collect())
+    }
+
+    /// The one enqueue path, for consumers that multiplex sessions too:
+    /// each session's updates arrive on its `tx` as `(tag, update)`, and
+    /// `shared` is the cancel flag and outbox fill the consumer keeps. The
+    /// cohort is admitted together or refused together. Returns the
+    /// session ids.
+    pub(crate) fn submit_tagged(&self, cohort: Vec<Entrant>) -> Result<Vec<u64>, ServiceError> {
         let (submitted, rejected, traced) = (
             counter!("service.submitted"),
             counter!("service.rejected"),
             counter!("service.traced"),
         );
+        let n = cohort.len() as u64;
         if self.inner.shutdown.load(Ordering::SeqCst) {
-            rejected.inc();
+            rejected.add(n);
             return Err(ServiceError::ShuttingDown);
         }
-        if let Err(e) = self.validate(&spec.ranges) {
-            rejected.inc();
+        if let Some(e) = cohort.iter().find_map(|(spec, ..)| self.validate(&spec.ranges).err()) {
+            rejected.add(n);
             return Err(e);
         }
-        let prepared =
-            prepare(&self.inner.dims, &self.inner.filter, &RangeSumQuery::count(spec.ranges));
-        let plan = Arc::new(self.inner.blocked.plan(&prepared));
-        let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst) + 1;
-        let trace = if spec.trace {
-            traced.inc();
-            TraceContext::start_global()
-        } else {
-            TraceContext::disabled()
-        };
-        trace.event(
-            "service.submit",
-            &[
-                ("priority", AttrValue::Str(priority_label(spec.priority))),
-                ("plan_blocks", AttrValue::U64(plan.blocks.len() as u64)),
-                ("coefficients", AttrValue::U64(prepared.nnz() as u64)),
-            ],
-        );
-        let submitted_at = Instant::now();
-        let row = SessionRow {
-            priority: spec.priority,
-            traced: spec.trace,
-            active: false,
-            rounds: 0,
-            last: Refinement { total_coefficients: prepared.nnz(), ..Refinement::NONE },
-            queue_wait_ns: 0,
-            submitted_at,
-        };
-        let ticket = Ticket {
-            id,
-            prepared,
-            ledger: BoundLedger::in_fold_order(plan),
-            priority: spec.priority,
-            tx,
-            tag,
-            shared,
-            deadline: spec.deadline.map(|d| submitted_at + d),
-            trace,
-            submitted_at,
-        };
+        let tickets: Vec<Ticket> = cohort
+            .into_iter()
+            .map(|(spec, tag, tx, shared)| {
+                let prepared = prepare(
+                    &self.inner.dims,
+                    &self.inner.filter,
+                    &RangeSumQuery::count(spec.ranges),
+                );
+                let plan = Arc::new(self.inner.blocked.plan(&prepared));
+                let trace = if spec.trace {
+                    traced.inc();
+                    TraceContext::start_global()
+                } else {
+                    TraceContext::disabled()
+                };
+                trace.event(
+                    "service.submit",
+                    &[
+                        ("priority", AttrValue::Str(priority_label(spec.priority))),
+                        ("plan_blocks", AttrValue::U64(plan.blocks.len() as u64)),
+                        ("coefficients", AttrValue::U64(prepared.nnz() as u64)),
+                    ],
+                );
+                let submitted_at = Instant::now();
+                Ticket {
+                    id: self.inner.next_id.fetch_add(1, Ordering::SeqCst) + 1,
+                    prepared,
+                    ledger: BoundLedger::in_fold_order(plan),
+                    priority: spec.priority,
+                    tx,
+                    tag,
+                    shared,
+                    deadline: spec.deadline.map(|d| submitted_at + d),
+                    trace,
+                    submitted_at,
+                }
+            })
+            .collect();
+        let ids: Vec<u64> = tickets.iter().map(|t| t.id).collect();
         // Registered before admission so the scheduler's admit-time
         // update always finds the row.
-        self.inner.sessions.lock().unwrap().insert(id, row);
-        match self.inner.admission.submit(ticket, spec.priority) {
-            Ok(()) => {
-                submitted.inc();
-                Ok(id)
-            }
-            Err(e) => {
-                self.inner.sessions.lock().unwrap().remove(&id);
-                rejected.inc();
-                Err(e)
-            }
+        let mut sessions = self.inner.sessions.lock().unwrap();
+        for t in &tickets {
+            let row = SessionRow {
+                priority: t.priority,
+                traced: t.trace.is_enabled(),
+                active: false,
+                rounds: 0,
+                last: Refinement { total_coefficients: t.prepared.nnz(), ..Refinement::NONE },
+                queue_wait_ns: 0,
+                submitted_at: t.submitted_at,
+            };
+            sessions.insert(t.id, row);
         }
+        drop(sessions);
+        if let Err(e) =
+            self.inner.admission.submit_all(tickets.into_iter().map(|t| (t.priority, t)))
+        {
+            let mut sessions = self.inner.sessions.lock().unwrap();
+            for id in &ids {
+                sessions.remove(id);
+            }
+            rejected.add(n);
+            return Err(e);
+        }
+        submitted.add(n);
+        Ok(ids)
     }
 
     fn validate(&self, ranges: &[(usize, usize)]) -> Result<(), ServiceError> {
@@ -732,7 +759,7 @@ fn admit<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Round
     gauge!("service.queue.batch").set(qb as f64);
     gauge!("service.active").set(s.active.len() as f64);
     let pressure = inner.admission.pressure();
-    if let TierChange::Recovered(_) = s.controller.observe(pressure, &inner.config.qos) {
+    if let TierChange::Recovered(_) = s.controller.observe(pressure) {
         inner.qos.lock().unwrap().resumed += 1;
         resumed.inc();
     }
@@ -804,7 +831,7 @@ fn plan<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Rounds
     for q in s.active.iter_mut() {
         q.tier = if q.ticket.priority == Priority::Interactive { tier.relaxed() } else { tier };
     }
-    let policy = inner.config.qos.policy;
+    let policy = inner.config.policy;
     if policy == SchedulerPolicy::Utility {
         inner.qos.lock().unwrap().utility_rounds += 1;
         utility_rounds.inc();
@@ -992,9 +1019,6 @@ fn deliver<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Rou
 /// The scheduler thread: admit, then one round of the four stages, until
 /// shutdown finds nothing left in flight.
 fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>) {
-    if !inner.config.admission_warmup.is_zero() {
-        std::thread::sleep(inner.config.admission_warmup);
-    }
     let mut s = Rounds::default();
     loop {
         let wait = if s.active.is_empty() { IDLE_WAIT } else { Duration::ZERO };
@@ -1435,11 +1459,8 @@ mod tests {
         let engine = reference();
         let mut baseline: Vec<u64> = Vec::new();
         for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::Utility] {
-            let svc = service(ServiceConfig {
-                round_blocks: 4,
-                qos: QosConfig { policy, ..QosConfig::default() },
-                ..ServiceConfig::default()
-            });
+            let svc =
+                service(ServiceConfig { round_blocks: 4, policy, ..ServiceConfig::default() });
             let handles: Vec<_> = specs.iter().map(|s| svc.submit(s.clone()).unwrap()).collect();
             let bits: Vec<u64> = handles
                 .into_iter()
@@ -1466,19 +1487,13 @@ mod tests {
 
     #[test]
     fn overload_walks_the_ladder_sheds_best_so_far_then_recovers() {
-        // A flood against a tiny queue, driven round by round: pressure
-        // is whatever the test leaves queued when `admit` looks.
+        // A flood driven round by round against the shipped ladder: one
+        // admission slot a round keeps a 20-ticket queue at least 95% full
+        // when `admit` looks, at or above every enter threshold.
         let svc = staged(ServiceConfig {
-            queue_capacity: 8,
-            max_batch: 4,
+            queue_capacity: 20,
+            max_batch: 1,
             round_blocks: 2,
-            qos: QosConfig {
-                enter_pressure: [0.2, 0.4, 0.5],
-                exit_pressure: [0.05, 0.1, 0.15],
-                escalate_rounds: 1,
-                recover_rounds: 2,
-                ..QosConfig::default()
-            },
             ..ServiceConfig::default()
         });
         let mut s = Rounds::default();
@@ -1492,7 +1507,7 @@ mod tests {
             loop {
                 match flood() {
                     Ok(h) => accepted.push(h),
-                    Err(ServiceError::QueueFull { capacity: 8 }) => break,
+                    Err(ServiceError::QueueFull { capacity: 20 }) => break,
                     Err(e) => panic!("unexpected rejection: {e:?}"),
                 }
             }
@@ -1500,12 +1515,22 @@ mod tests {
             round(&svc, &mut s, Instant::now(), None);
             tiers.push(svc.qos_tier());
         }
-        assert_eq!(tiers[..3], [Tier::Coarse, Tier::Widened, Tier::Shed], "one step per round");
-        assert!(tiers[3..].iter().all(|&t| t == Tier::Shed), "sustained pressure holds the tier");
+        // One step per ESCALATE_ROUNDS observations, saturating at Shed.
+        let climb: Vec<Tier> =
+            (1..=12u32).map(|k| Tier::ALL[(k / qos::ESCALATE_ROUNDS).min(3) as usize]).collect();
+        assert_eq!(tiers, climb, "sustained pressure climbs the ladder and holds the top");
         assert!(rejected >= 12);
         // Drain: with the door shut behind the flood the queue empties,
-        // and the controller recovers tier by tier, two observations each.
-        run_dry(&svc, &mut s, None);
+        // and the controller recovers one tier at a time.
+        let mut recovery = vec![svc.qos_tier()];
+        while !s.active.is_empty()
+            || svc.inner.admission.depth() != (0, 0)
+            || svc.qos_tier() != Tier::Normal
+        {
+            round(&svc, &mut s, Instant::now(), None);
+            recovery.push(svc.qos_tier());
+            assert!(recovery.len() <= 1000, "tier stuck at {:?}", svc.qos_tier());
+        }
         let mut shed = 0u64;
         for h in accepted {
             match h.wait() {
@@ -1523,18 +1548,13 @@ mod tests {
         }
         assert!(shed > 0, "a sustained flood at the Shed tier must shed something");
         assert_eq!(svc.qos_stats().shed, shed);
-        let mut recovery = Vec::new();
-        while svc.qos_tier() != Tier::Normal {
-            admit(&svc.inner, &mut s, Duration::ZERO);
-            recovery.push(svc.qos_tier());
-            assert!(recovery.len() <= 16, "tier stuck at {:?}", svc.qos_tier());
-        }
         recovery.dedup();
-        assert!(
-            recovery.ends_with(&[Tier::Coarse, Tier::Normal]),
-            "smooth, not a cliff: {recovery:?}"
+        assert_eq!(
+            recovery,
+            [Tier::Shed, Tier::Widened, Tier::Coarse, Tier::Normal],
+            "smooth, not a cliff"
         );
-        assert!(svc.qos_stats().resumed >= 2);
+        assert_eq!(svc.qos_stats().resumed, 3);
         // Steady state restored: a fresh query runs undegraded.
         let h = svc.submit(QuerySpec::interactive(vec![(2, 29), (3, 28)])).unwrap();
         run_dry(&svc, &mut s, None);
@@ -1551,6 +1571,79 @@ mod tests {
         }
     }
 
+    /// A cohort of at most `max_batch` specs is admitted by one drain:
+    /// every session takes part in the first round.
+    #[test]
+    fn a_submitted_cohort_shares_the_first_round() {
+        let svc =
+            service(ServiceConfig { round_blocks: 1, max_batch: 8, ..ServiceConfig::default() });
+        let specs: Vec<QuerySpec> =
+            (0..8).map(|k| QuerySpec::interactive(vec![(k, 30), (1, 30 - k)])).collect();
+        let engine = reference();
+        for (spec, h) in specs.iter().zip(svc.submit_all(specs.clone()).unwrap()) {
+            let (trace, outcome) = h.collect();
+            assert_eq!(trace.first().map(|r| r.round), Some(1), "{:?}", spec.ranges);
+            match outcome {
+                Outcome::Done(r) => {
+                    assert_eq!(r.estimate.to_bits(), exact(&engine, &spec.ranges).to_bits())
+                }
+                other => panic!("expected Done, got {other:?}"),
+            }
+        }
+    }
+
+    /// A cohort larger than the free capacity is refused whole: nothing is
+    /// queued and no session row is left behind.
+    #[test]
+    fn a_cohort_that_does_not_fit_is_refused_whole() {
+        let svc = staged(ServiceConfig { queue_capacity: 4, ..ServiceConfig::default() });
+        let cohort = |n| vec![QuerySpec::batch(LONG.to_vec()); n];
+        assert!(matches!(svc.submit_all(cohort(5)), Err(ServiceError::QueueFull { capacity: 4 })));
+        assert_eq!(svc.queue_depth(), (0, 0));
+        assert_eq!(svc.sessions_json_lines(), "");
+        let queued = svc.submit(QuerySpec::interactive(LONG.to_vec())).unwrap();
+        assert!(matches!(svc.submit_all(cohort(4)), Err(ServiceError::QueueFull { capacity: 4 })));
+        assert_eq!(svc.queue_depth(), (1, 0));
+        assert_eq!(svc.sessions_json_lines().lines().count(), 1);
+        // A malformed spec refuses its whole cohort too.
+        let mut bad = cohort(2);
+        bad[1].ranges = vec![(0, 32), (0, 31)];
+        assert!(matches!(svc.submit_all(bad), Err(ServiceError::InvalidQuery(_))));
+        assert_eq!(svc.queue_depth(), (1, 0));
+        let admitted = svc.submit_all(cohort(3)).unwrap();
+        assert_eq!(svc.queue_depth(), (1, 3));
+        let mut s = Rounds::default();
+        run_dry(&svc, &mut s, None);
+        for h in admitted.into_iter().chain([queued]) {
+            assert!(matches!(h.wait(), Outcome::Done(r) if r.error_bound == 0.0));
+        }
+    }
+
+    /// The service retries a transient read error like every other reader
+    /// of a block device: streaks within the default budget cost nothing.
+    #[test]
+    fn the_default_retry_budget_recovers_short_read_error_streaks() {
+        let cube = demo_cube(32, 41);
+        let plan = FaultPlan { read_error_rate: 0.3, ..FaultPlan::none(3) };
+        let svc = QueryService::on_device(cube, 16, ServiceConfig::default(), |bs, nb| {
+            FaultyDevice::with_plan(bs, nb, plan)
+        });
+        let streaks: Vec<usize> = (0..svc.inner.blocked.num_blocks())
+            .map(|b| svc.device().planned_read_failures(b))
+            .collect();
+        let worst = streaks.iter().copied().max().unwrap();
+        assert!((1..=RetryPolicy::default().retries).contains(&worst), "seed must fit: {worst}");
+        for ranges in [LONG.to_vec(), vec![(0, 31), (0, 31)], vec![(3, 25), (7, 19)]] {
+            match svc.submit(QuerySpec::interactive(ranges.clone())).unwrap().wait() {
+                Outcome::Done(r) => {
+                    assert_eq!(r.estimate.to_bits(), exact(&reference(), &ranges).to_bits());
+                    assert_eq!(r.error_bound, 0.0, "undegraded");
+                }
+                other => panic!("expected Done, got {other:?}"),
+            }
+        }
+    }
+
     /// Plan stage: on a mix with resident blocks and shared prefixes the
     /// grants equal the parent's recomputation from the selected set, no
     /// block is selected ahead of every grant, and the budget charges
@@ -1558,11 +1651,7 @@ mod tests {
     #[test]
     fn plan_grants_are_the_parents_recomputation_and_charge_reads_only() {
         for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::Utility] {
-            let svc = staged(ServiceConfig {
-                round_blocks: 3,
-                qos: QosConfig { policy, ..QosConfig::default() },
-                ..ServiceConfig::default()
-            });
+            let svc = staged(ServiceConfig { round_blocks: 3, policy, ..ServiceConfig::default() });
             // Warm every fifth block: free grants scattered through the plans.
             for b in (0..svc.inner.blocked.num_blocks()).step_by(5) {
                 svc.cache().get_or_read(svc.device(), b).unwrap();
@@ -1867,6 +1956,10 @@ mod tests {
         svc.shutdown();
         assert!(matches!(
             svc.submit(QuerySpec::interactive(vec![(0, 31), (0, 31)])),
+            Err(ServiceError::ShuttingDown)
+        ));
+        assert!(matches!(
+            svc.submit_all(vec![QuerySpec::batch(vec![(0, 31), (0, 31)]); 2]),
             Err(ServiceError::ShuttingDown)
         ));
         svc.shutdown(); // idempotent

@@ -8,11 +8,12 @@
 //!   ends in `Done` or a best-so-far `Shed` with a finite estimate, a
 //!   finite bound, and a monotone bound trajectory. Rejections are
 //!   typed (`QueueFull`), never panics.
-//! - Below the shed threshold the QoS layer is invisible: with
-//!   shedding enabled but pressure under the first enter threshold,
-//!   every session stays at `Tier::Normal` and the answers are
-//!   bit-identical to the shedding-disabled path (and to serial
-//!   evaluation) for worker pools of 1, 2 and 8 threads.
+//! - Below the shed threshold the QoS layer is invisible: with pressure
+//!   under the first enter threshold, every session stays at
+//!   `Tier::Normal` and the answers are bit-identical to serial
+//!   evaluation for worker pools of 1, 2 and 8 threads.
+//!
+//! Both run the shipped ladder (`aims_service::qos` constants).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -22,7 +23,7 @@ use proptest::prelude::*;
 
 use aims_propolyne::RangeSumQuery;
 use aims_service::{
-    demo_cube, Outcome, QosConfig, QueryService, QuerySpec, ServiceConfig, ServiceError, Tier,
+    demo_cube, Outcome, QueryService, QuerySpec, ServiceConfig, ServiceError, Tier,
 };
 
 const SIDE: usize = 32;
@@ -80,15 +81,6 @@ proptest! {
                     round_blocks: 2,
                     round_pause: Duration::from_micros(200),
                     threads: Some(2),
-                    // Hair-trigger shedding so short schedules still
-                    // exercise every tier.
-                    qos: QosConfig {
-                        enter_pressure: [0.2, 0.4, 0.6],
-                        exit_pressure: [0.05, 0.15, 0.3],
-                        escalate_rounds: 1,
-                        recover_rounds: 2,
-                        ..QosConfig::default()
-                    },
                     ..ServiceConfig::default()
                 },
             ));
@@ -154,8 +146,8 @@ proptest! {
     }
 
     /// Below the first shed threshold the QoS layer must be invisible:
-    /// identical bits to the shedding-disabled service and to serial
-    /// evaluation, every session at `Tier::Normal`, across pool widths.
+    /// identical bits to serial evaluation, every session at
+    /// `Tier::Normal`, across pool widths.
     #[test]
     fn below_threshold_is_bit_identical_to_non_degraded_path(
         specs in prop::collection::vec(prop::collection::vec(range_strategy(), 2..=2), 1..=6),
@@ -173,58 +165,47 @@ proptest! {
 
         for threads in [1usize, 2, 8] {
             // A queue far larger than the workload keeps pressure well
-            // under the default enter threshold for the whole run.
-            let config = |shedding| ServiceConfig {
-                queue_capacity: 64,
-                max_batch: 4,
-                round_blocks: 4,
-                threads: Some(threads),
-                qos: QosConfig { shedding, ..QosConfig::default() },
-                ..ServiceConfig::default()
-            };
-            let mut per_mode = Vec::new();
-            for shedding in [true, false] {
-                let svc = QueryService::new(cube.clone(), 8, config(shedding));
-                let handles: Vec<_> = specs
-                    .iter()
-                    .map(|r| svc.submit(QuerySpec::interactive(r.clone())).unwrap())
-                    .collect();
-                let mut bits = Vec::new();
-                for (k, h) in handles.into_iter().enumerate() {
-                    let (trace, outcome) = h.collect();
-                    for r in &trace {
+            // under the first enter threshold for the whole run.
+            let svc = QueryService::new(
+                cube.clone(),
+                8,
+                ServiceConfig {
+                    queue_capacity: 64,
+                    max_batch: 4,
+                    round_blocks: 4,
+                    threads: Some(threads),
+                    ..ServiceConfig::default()
+                },
+            );
+            let handles: Vec<_> = specs
+                .iter()
+                .map(|r| svc.submit(QuerySpec::interactive(r.clone())).unwrap())
+                .collect();
+            for (k, h) in handles.into_iter().enumerate() {
+                let (trace, outcome) = h.collect();
+                for r in &trace {
+                    prop_assert_eq!(
+                        r.tier,
+                        Tier::Normal,
+                        "unloaded session degraded (threads={})",
+                        threads
+                    );
+                }
+                match outcome {
+                    Outcome::Done(r) => {
+                        prop_assert_eq!(r.error_bound, 0.0);
                         prop_assert_eq!(
-                            r.tier,
-                            Tier::Normal,
-                            "unloaded session degraded (threads={}, shedding={})",
-                            threads,
-                            shedding
+                            r.estimate.to_bits(),
+                            expected[k],
+                            "threads={} diverged from serial",
+                            threads
                         );
                     }
-                    match outcome {
-                        Outcome::Done(r) => {
-                            prop_assert_eq!(r.error_bound, 0.0);
-                            prop_assert_eq!(
-                                r.estimate.to_bits(),
-                                expected[k],
-                                "threads={} shedding={} diverged from serial",
-                                threads,
-                                shedding
-                            );
-                            bits.push(r.estimate.to_bits());
-                        }
-                        other => prop_assert!(false, "query {} did not complete: {:?}", k, other),
-                    }
+                    other => prop_assert!(false, "query {} did not complete: {:?}", k, other),
                 }
-                prop_assert_eq!(svc.qos_stats().shed, 0, "nothing may shed below threshold");
-                svc.shutdown();
-                per_mode.push(bits);
             }
-            prop_assert_eq!(
-                &per_mode[0],
-                &per_mode[1],
-                "shedding-enabled answers must be bit-identical to the non-degraded path"
-            );
+            prop_assert_eq!(svc.qos_stats().shed, 0, "nothing may shed below threshold");
+            svc.shutdown();
         }
     }
 }

@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 use aims_propolyne::{Propolyne, RangeSumQuery};
 use aims_service::wire::write_frame;
 use aims_service::{
-    demo_cube, Frame, Priority, ProgressKind, QosConfig, QueryService, QuerySpec, Server,
-    ServiceConfig, TcpClient,
+    demo_cube, Frame, Priority, ProgressKind, QueryService, QuerySpec, Server, ServiceConfig,
+    TcpClient,
 };
 use aims_telemetry::global;
 
@@ -96,14 +96,15 @@ fn an_unread_query_stream_ends_its_sessions_cancelled() {
     let engine = Propolyne::new(cube.clone());
     // One block a millisecond and no cache to speak of: the flood
     // below is seconds of work, so most of it is still in flight when
-    // the peer's socket fills. (No shedding: a queue this full would
-    // otherwise end every session after one round, and one frame.)
+    // the peer's socket fills. (The queue is more than twice the flood,
+    // so pressure stays under the first shedding threshold: a queue
+    // fuller than that would end sessions after one round, and one
+    // frame.)
     let config = ServiceConfig {
-        queue_capacity: 8_192,
+        queue_capacity: 16_384,
         cache_blocks: 1,
         round_blocks: 1,
         round_pause: Duration::from_millis(1),
-        qos: QosConfig { shedding: false, ..QosConfig::default() },
         ..ServiceConfig::default()
     };
     let svc = Arc::new(QueryService::new(cube, 16, config));

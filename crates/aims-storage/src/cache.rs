@@ -365,7 +365,7 @@ mod tests {
         let cache = SharedBlockCache::new(4);
         for id in 0..4 {
             let planned = faulty.planned_read_failures(id);
-            let policy = RetryPolicy { retries: planned, ..RetryPolicy::none() };
+            let policy = RetryPolicy::with_retries(planned);
             let (got, _) = cache.get_or_read_outcome(&faulty, id, &policy).unwrap();
             assert_eq!(*got, vec![id as f64, id as f64 + 0.5]);
         }
@@ -387,7 +387,7 @@ mod tests {
         let cache = SharedBlockCache::new(4);
         for id in 0..4 {
             let planned = faulty.planned_read_failures(id);
-            let policy = RetryPolicy { retries: planned, ..RetryPolicy::none() };
+            let policy = RetryPolicy::with_retries(planned);
             let (_, outcome) = cache.get_or_read_outcome(&faulty, id, &policy).unwrap();
             assert!(!outcome.cache_hit);
             assert_eq!(outcome.retries, planned, "block {id}");

@@ -140,44 +140,40 @@ impl std::fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
-/// Bounded retry-with-backoff policy for the read path.
+/// Backoff slept after the first failed read attempt; doubles per retry.
+pub const RETRY_BACKOFF: Duration = Duration::from_micros(10);
+/// Upper bound on a single backoff sleep.
+pub const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(1);
+
+/// Bounded retry-with-backoff policy for the read path: the retry count.
+/// The backoff is [`RETRY_BACKOFF`], doubling per retry up to
+/// [`RETRY_BACKOFF_CAP`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Extra attempts after the first failed read (0 = fail fast).
     pub retries: usize,
-    /// Base backoff slept after the first failure; doubles per retry.
-    pub backoff: Duration,
-    /// Upper bound on a single backoff sleep.
-    pub backoff_cap: Duration,
 }
 
 impl RetryPolicy {
-    /// No retries, no backoff — the pre-fault-tolerance behavior.
+    /// No retries — the pre-fault-tolerance behavior.
     pub fn none() -> Self {
-        RetryPolicy { retries: 0, backoff: Duration::ZERO, backoff_cap: Duration::ZERO }
+        RetryPolicy::with_retries(0)
     }
 
-    /// `retries` attempts with a 10 µs exponential backoff capped at 1 ms.
+    /// `retries` extra attempts after the first failed read.
     pub fn with_retries(retries: usize) -> Self {
-        RetryPolicy {
-            retries,
-            backoff: Duration::from_micros(10),
-            backoff_cap: Duration::from_millis(1),
-        }
-    }
-
-    /// Backoff to sleep after failed attempt number `attempt` (0-based).
-    pub fn backoff_for(&self, attempt: usize) -> Duration {
-        if self.backoff.is_zero() {
-            return Duration::ZERO;
-        }
-        let factor = 1u32 << attempt.min(16) as u32;
-        self.backoff.saturating_mul(factor).min(self.backoff_cap)
+        RetryPolicy { retries }
     }
 }
 
+/// Backoff to sleep after failed attempt number `attempt` (0-based).
+fn backoff_for(attempt: usize) -> Duration {
+    let factor = 1u32 << attempt.min(16) as u32;
+    RETRY_BACKOFF.saturating_mul(factor).min(RETRY_BACKOFF_CAP)
+}
+
 impl Default for RetryPolicy {
-    /// Three retries with exponential backoff.
+    /// Three retries.
     fn default() -> Self {
         RetryPolicy::with_retries(3)
     }
@@ -206,10 +202,7 @@ pub fn read_with_retry<D: BlockDevice + ?Sized>(
                     return Err(e);
                 }
                 retries.inc();
-                let pause = policy.backoff_for(attempt);
-                if !pause.is_zero() {
-                    std::thread::sleep(pause);
-                }
+                std::thread::sleep(backoff_for(attempt));
                 attempt += 1;
             }
         }
@@ -558,11 +551,10 @@ mod tests {
 
     #[test]
     fn retry_policy_backoff_doubles_and_caps() {
-        let p = RetryPolicy::with_retries(8);
-        assert_eq!(p.backoff_for(0), Duration::from_micros(10));
-        assert_eq!(p.backoff_for(1), Duration::from_micros(20));
-        assert!(p.backoff_for(12) <= Duration::from_millis(1));
-        assert_eq!(RetryPolicy::none().backoff_for(5), Duration::ZERO);
+        assert_eq!(backoff_for(0), Duration::from_micros(10));
+        assert_eq!(backoff_for(1), Duration::from_micros(20));
+        assert_eq!(backoff_for(12), Duration::from_millis(1));
+        assert_eq!(RetryPolicy::default(), RetryPolicy::with_retries(3));
     }
 
     #[test]
@@ -578,13 +570,13 @@ mod tests {
     fn dead_blocks_fail_fast_without_retries() {
         let faulty =
             FaultyDevice::with_plan(2, 4, FaultPlan::uniform(5, FaultKind::DeadBlock, 1.0));
-        // A retry would sleep its backoff first; failing fast never does.
-        let slow = Duration::from_secs(2);
-        let policy = RetryPolicy { retries: 3, backoff: slow, backoff_cap: slow };
+        // A thousand retries would sleep about a second of capped backoff;
+        // failing fast sleeps none of it.
         let started = std::time::Instant::now();
-        let err = read_with_retry(&faulty, 1, &policy).unwrap_err();
+        let err = read_with_retry(&faulty, 1, &RetryPolicy::with_retries(1000)).unwrap_err();
         assert_eq!(err.kind, ReadErrorKind::Dead);
-        assert!(started.elapsed() < slow, "dead blocks must not burn the retry budget");
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_millis(500), "dead blocks must not burn the retry budget");
     }
 
     #[test]

@@ -42,7 +42,7 @@ use aims_propolyne::cube::{DataCube, WaveletCube};
 use aims_propolyne::{Propolyne, RangeSumQuery};
 use aims_sensors::faulty::SensorFaultPlan;
 use aims_service::{
-    Outcome, QosConfig, QueryService, QuerySpec, Refinement, ServiceConfig, ServiceError, Tier,
+    Outcome, QueryService, QuerySpec, Refinement, ServiceConfig, ServiceError, Tier,
 };
 use aims_storage::device::{BlockDevice, RetryPolicy};
 use aims_storage::faults::{FaultPlan, FaultyDevice};
@@ -344,9 +344,9 @@ fn calm_config(load: usize) -> ServiceConfig {
     }
 }
 
-/// Service tuning for the flood phases: a small queue, deliberately slow
-/// rounds (so pressure genuinely sustains), and an aggressive degradation
-/// ladder — the regime graduated shedding exists for.
+/// Service tuning for the flood phases: a small queue and deliberately
+/// slow rounds, so pressure genuinely sustains and the shipped degradation
+/// ladder climbs — the regime graduated shedding exists for.
 fn flood_config() -> ServiceConfig {
     ServiceConfig {
         queue_capacity: 8,
@@ -354,19 +354,12 @@ fn flood_config() -> ServiceConfig {
         round_blocks: 4,
         round_pause: Duration::from_micros(300),
         retry: RetryPolicy::with_retries(4),
-        qos: QosConfig {
-            enter_pressure: [0.20, 0.35, 0.50],
-            exit_pressure: [0.05, 0.10, 0.15],
-            escalate_rounds: 1,
-            recover_rounds: 4,
-            ..QosConfig::default()
-        },
         ..ServiceConfig::default()
     }
 }
 
-/// Runs a calm phase: `queries` submitted together (the queue is sized
-/// for them), every session collected and audited. `expected` carries
+/// Runs a calm phase: `queries` submitted as one cohort (the queue is
+/// sized for them), every session collected and audited. `expected` carries
 /// serial ground-truth bits for clean-storage phases (bit-identity is
 /// asserted); `None` for degraded storage.
 fn calm_phase<D: BlockDevice + Send + Sync + 'static>(
@@ -377,21 +370,16 @@ fn calm_phase<D: BlockDevice + Send + Sync + 'static>(
 ) -> PhaseReport {
     let started = Instant::now();
     let mut report = PhaseReport { name: name.into(), ..PhaseReport::default() };
-    let mut sessions = Vec::new();
-    for (k, ranges) in queries.iter().cloned().enumerate() {
-        report.submitted += 1;
-        match svc.submit(QuerySpec::interactive(ranges)) {
-            Ok(h) => {
-                report.accepted += 1;
-                sessions.push((k, Instant::now(), h));
-            }
-            Err(e) => {
-                report.violations.push(format!("{name}: calm-phase submit {k} rejected: {e}"));
-            }
-        }
-    }
+    report.submitted = queries.len();
+    let specs = queries.iter().map(|r| QuerySpec::interactive(r.clone())).collect();
+    let handles = svc.submit_all(specs).unwrap_or_else(|e| {
+        report.violations.push(format!("{name}: calm-phase cohort rejected: {e}"));
+        Vec::new()
+    });
+    report.accepted = handles.len();
+    let accepted_at = Instant::now();
     let mut latencies = Vec::new();
-    for (k, accepted_at, h) in sessions {
+    for (k, h) in handles.into_iter().enumerate() {
         let (trace, outcome) = h.collect();
         let label = format!("{name} q{k}");
         let (mut rec, kind) = audit_session(&label, &trace, &outcome);
@@ -539,9 +527,9 @@ fn flood_phase<D: BlockDevice + Send + Sync + 'static>(
         report.violations.extend(rec.violations);
     }
     if report.shed == 0 {
-        // The flood is sized ~6x over capacity with slowed rounds and an
-        // aggressive ladder; if nothing shed, the QoS layer never
-        // engaged — that is a drill failure, not good luck.
+        // The flood is sized ~6x over capacity with slowed rounds; if
+        // nothing shed, the QoS layer never engaged — that is a drill
+        // failure, not good luck.
         report.violations.push(format!("{name}: sustained flood engaged no load shedding"));
     }
     report.p99_ms = percentile(&mut latencies, 0.99);

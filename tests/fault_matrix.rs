@@ -84,7 +84,7 @@ fn transient_fault_matrix_recovers_or_degrades_predictably() {
             for budget in [0usize, 2, 6] {
                 for (a, b) in ranges() {
                     let label = format!("{kind:?} rate={rate} budget={budget} [{a},{b}]");
-                    let retry = RetryPolicy { retries: budget, ..RetryPolicy::none() };
+                    let retry = RetryPolicy::with_retries(budget);
                     let cfg = config(FaultPlan::uniform(seed(), kind, rate), retry, vec![(a, b)]);
                     let (_, faulty) = stores(&cfg);
                     let worst = planned_blocks(&faulty, a, b)
