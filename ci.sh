@@ -142,7 +142,7 @@ EOF
     serve_smoke() {
         local startup=$1 log=target/aims-serve.log port=""
         shift
-        target/release/aims-serve --side 32 --block 16 "$@" > "$log" 2>&1 &
+        target/release/aims-serve --side 32 "$@" > "$log" 2>&1 &
         local serve_pid=$!
         for _ in $(seq 1 100); do
             port=$(sed -n 's/^aims-serve listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$log")
@@ -164,26 +164,40 @@ EOF
             exit 1
         }
     }
-    serve_smoke ""
-    in_memory=$answer
-    # The durable store, created and then reopened from its blocks alone:
-    # the same cube must give byte-identical answers all three ways. The
-    # create runs over the garbage staging file a killed create leaves
-    # behind, which is no store and must be replaced, not trusted.
-    rm -rf target/ci-serve-data
-    mkdir -p target/ci-serve-data
-    printf 'not a store %.0s' $(seq 1 4096) > target/ci-serve-data/blocks.aims.new
-    for startup in created reopened; do
-        serve_smoke "^aims-serve: $startup target/ci-serve-data" --data target/ci-serve-data
-        [[ "$answer" == "$in_memory" ]] || {
-            echo "$startup store answered '$answer', in-memory '$in_memory'" >&2
-            exit 1
-        }
-        [[ ! -e target/ci-serve-data/blocks.aims.new ]] || {
-            echo "the $startup store left its staging file behind" >&2
-            exit 1
-        }
+    # The durable store, created and then reopened from its header's energy
+    # catalog: the same cube must give byte-identical answers all three
+    # ways, at a block size that divides the cube and at one (48) whose
+    # last block is short. The create runs over the garbage staging file a
+    # killed create leaves behind, which is no store and must be replaced,
+    # not trusted.
+    for block in 16 48; do
+        serve_smoke "" --block "$block"
+        in_memory=$answer
+        rm -rf target/ci-serve-data
+        mkdir -p target/ci-serve-data
+        printf 'not a store %.0s' $(seq 1 4096) > target/ci-serve-data/blocks.aims.new
+        for startup in created reopened; do
+            serve_smoke "^aims-serve: $startup target/ci-serve-data" --block "$block" \
+                --data target/ci-serve-data
+            [[ "$answer" == "$in_memory" ]] || {
+                echo "--block $block: $startup store answered '$answer', in-memory '$in_memory'" >&2
+                exit 1
+            }
+            [[ ! -e target/ci-serve-data/blocks.aims.new ]] || {
+                echo "the $startup store left its staging file behind" >&2
+                exit 1
+            }
+        done
     done
+    # A restart whose --seed differs from the store's is refused: exit 1,
+    # never listening.
+    status=0
+    timeout 20 target/release/aims-serve --seed 9 --data target/ci-serve-data \
+        > target/aims-serve.log 2>&1 || status=$?
+    if [[ $status -ne 1 ]] || grep -q listening target/aims-serve.log; then
+        echo "aims-serve with a mismatched --seed exited $status instead of refusing" >&2
+        exit 1
+    fi
 fi
 
 echo "CI OK"

@@ -16,9 +16,10 @@
 //! exactly [`crate::engine::Propolyne::evaluate_prepared`] — and with a
 //! healthy device the result is bit-identical to the in-memory path.
 
+use std::io;
 use std::ops::{Deref, DerefMut};
 
-use aims_storage::device::{BlockDevice, MemDevice, ReadError, RetryPolicy};
+use aims_storage::device::{BlockDevice, MemDevice, RetryPolicy};
 use aims_storage::store::AllocKind;
 use aims_storage::{BlockPlan, CoefficientStore, DegradedAnswer, SharedBlockCache};
 
@@ -65,15 +66,16 @@ impl<D: BlockDevice> BlockedCoefficients<D> {
     }
 
     /// Rebuilds over an already-populated device holding `len`
-    /// coefficients — the reopen path for a recovered durable device
-    /// ([`CoefficientStore::reopen`]: one verified, retried pass; a block
-    /// that stays unreadable fails the reopen).
+    /// coefficients and the energy catalog persisted when they were
+    /// written — the reopen path for a recovered durable device
+    /// ([`CoefficientStore::reopen`]: no block is read; a catalog that is
+    /// not one finite `Σc² ≥ 0` per block is `InvalidData`).
     ///
     /// # Panics
     /// If the device is too small for `len` coefficients.
-    pub fn from_device(device: D, len: usize) -> Result<Self, ReadError> {
+    pub fn from_device(device: D, len: usize, catalog: Vec<f64>) -> io::Result<Self> {
         Ok(BlockedCoefficients {
-            store: CoefficientStore::reopen(device, AllocKind::Sequential, len)?,
+            store: CoefficientStore::reopen(device, AllocKind::Sequential, len, catalog)?,
         })
     }
 
@@ -129,7 +131,6 @@ mod tests {
     use crate::engine::Propolyne;
     use crate::query::RangeSumQuery;
     use aims_dsp::filters::FilterKind;
-    use aims_storage::device::ReadErrorKind;
     use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
 
     fn engine_and_store() -> (Propolyne, BlockedCoefficients) {
@@ -236,17 +237,16 @@ mod tests {
             device.write_block(b, &reference.device().read_block(b).unwrap());
         }
         assert!((0..reference.num_blocks()).any(|b| device.is_dead(b)));
-        // Refusing to open is the contract; a store that does open must
-        // still bound what its dead blocks hide.
-        match BlockedCoefficients::from_device(device, reference.len()) {
-            Err(e) => assert_eq!(e.kind, ReadErrorKind::Dead),
-            Ok(reopened) => {
-                let prepared = engine.prepare(&RangeSumQuery::count(vec![(0, 31), (0, 31)]));
-                let exact = engine.evaluate_prepared(&prepared);
-                let pool = SharedBlockCache::new(64);
-                let got = reopened.evaluate_degraded(&prepared, &pool, &RetryPolicy::none());
-                assert!((got.estimate - exact).abs() <= got.error_bound + 1e-9);
-            }
-        }
+        // The catalog is the image's as written: the reopen succeeds over
+        // dead blocks, and the whole-cube query prices what they hide.
+        let catalog = reference.block_energies().to_vec();
+        let reopened = BlockedCoefficients::from_device(device, reference.len(), catalog).unwrap();
+        assert_eq!(reopened.device().stats().reads, 0);
+        let prepared = engine.prepare(&RangeSumQuery::count(vec![(0, 31), (0, 31)]));
+        let exact = engine.evaluate_prepared(&prepared);
+        let pool = SharedBlockCache::new(64);
+        let got = reopened.evaluate_degraded(&prepared, &pool, &RetryPolicy::none());
+        assert!(got.degraded() && got.error_bound > 0.0);
+        assert!((got.estimate - exact).abs() <= got.error_bound + 1e-9);
     }
 }

@@ -12,8 +12,8 @@
 //! a client sends a SHUTDOWN frame.
 //!
 //! With `--data DIR` the coefficient store lives on a durable
-//! [`FileDevice`] instead of memory. An existing directory is reopened
-//! (WAL recovery runs). A missing one is built in four steps:
+//! [`FileDevice`] instead of memory. A missing directory is built in
+//! three steps:
 //!
 //! 1. **cube build**: the demo cube's cells, one `side`² buffer;
 //! 2. **in-place transform**: that buffer becomes the Db4 coefficients
@@ -21,13 +21,19 @@
 //!    so no second copy of the cube is ever held;
 //! 3. **image write**: the coefficients go to disk in one sequential pass
 //!    published by rename ([`FileDevice::create_from`]), so a server
-//!    killed mid-create leaves no store, never a part of one;
-//! 4. **verified catalog pass**: shared with the reopen path below.
+//!    killed mid-create leaves no store, never a part of one. The header's
+//!    meta blob, covered by the header checksum, records the geometry, the
+//!    seed and the energy catalog (one `Σc²` per block, computed from the
+//!    coefficients being written).
 //!
-//! Either way the cube geometry then comes from the device's header meta,
-//! one verified pass over the blocks rebuilds the energy catalog (the
-//! coefficients themselves stay on disk), and the service serves every
-//! query from the on-disk store.
+//! An existing directory is reopened (WAL recovery runs; `aims-serve`
+//! never writes a block after create, so a store whose recovery replayed
+//! a record is refused). `--side`, `--block` and `--seed` may be omitted
+//! there; one that is given must match the store. Either way the cube
+//! geometry and the energy catalog then come from the header meta, no
+//! block is read before the first query (a damaged block is found by the
+//! query that reads it and bounded from the catalog), and the service
+//! serves every query from the on-disk store.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -35,15 +41,22 @@ use std::sync::Arc;
 use aims_dsp::filters::{FilterKind, WaveletFilter};
 use aims_propolyne::BlockedCoefficients;
 use aims_service::{demo_cube, QueryService, Server, ServiceConfig};
-use aims_storage::{BlockDevice, DurabilityMode, FileDevice, FileDeviceOptions};
+use aims_storage::{block_energy, BlockDevice, DurabilityMode, FileDevice, FileDeviceOptions};
+
+/// The in-memory cube, and a `--data` store being created, when a
+/// geometry flag is omitted.
+const DEFAULT_SIDE: usize = 64;
+const DEFAULT_BLOCK: usize = 32;
+const DEFAULT_SEED: u64 = 41;
 
 struct Opts {
     port: u16,
-    side: usize,
-    block: usize,
+    /// `None` when the flag is omitted: a reopen takes the store's value.
+    side: Option<usize>,
+    block: Option<usize>,
+    seed: Option<u64>,
     cache: usize,
     queue: usize,
-    seed: u64,
     data: Option<String>,
     durability: DurabilityMode,
 }
@@ -51,11 +64,11 @@ struct Opts {
 fn parse_opts() -> Result<Opts, String> {
     let mut opts = Opts {
         port: 0,
-        side: 64,
-        block: 32,
+        side: None,
+        block: None,
+        seed: None,
         cache: 256,
         queue: 64,
-        seed: 41,
         data: None,
         durability: DurabilityMode::Always,
     };
@@ -64,11 +77,11 @@ fn parse_opts() -> Result<Opts, String> {
         let mut value = |name: &str| args.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
             "--port" => opts.port = value("--port")?.parse().map_err(|e| format!("{e}"))?,
-            "--side" => opts.side = value("--side")?.parse().map_err(|e| format!("{e}"))?,
-            "--block" => opts.block = value("--block")?.parse().map_err(|e| format!("{e}"))?,
+            "--side" => opts.side = Some(value("--side")?.parse().map_err(|e| format!("{e}"))?),
+            "--block" => opts.block = Some(value("--block")?.parse().map_err(|e| format!("{e}"))?),
             "--cache" => opts.cache = value("--cache")?.parse().map_err(|e| format!("{e}"))?,
             "--queue" => opts.queue = value("--queue")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => opts.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
+            "--seed" => opts.seed = Some(value("--seed")?.parse().map_err(|e| format!("{e}"))?),
             "--data" => opts.data = Some(value("--data")?),
             "--durability" => {
                 let raw = value("--durability")?;
@@ -88,77 +101,159 @@ fn parse_opts() -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// Header meta blob for `--data` stores: dims + the filter name, enough
-/// to rebuild the cube geometry on reopen.
-fn encode_meta(dims: &[usize], filter: &WaveletFilter) -> Vec<u8> {
-    let mut out = Vec::new();
+/// The first bytes of every `--data` header meta blob: a tag, then the
+/// blob's format version.
+const META_TAG: [u8; 4] = *b"AIMC";
+const META_VERSION: u16 = 1;
+
+/// What a `--data` store's header meta records: enough to rebuild the
+/// cube geometry and the store's energy catalog without reading a block.
+struct StoreMeta {
+    seed: u64,
+    dims: Vec<usize>,
+    filter: WaveletFilter,
+    /// `Σc²` of each block as written.
+    catalog: Vec<f64>,
+}
+
+/// The header meta blob of a store holding `coeffs` in `block`-item
+/// blocks: tag, version, seed, dims, filter name, then the energy catalog
+/// (a count and one big-endian `f64` per block), encoded straight from the
+/// coefficients. A short last block's zero padding would add only `+0.0`
+/// terms to its sum, so its energy is that of its items.
+fn encode_meta(
+    seed: u64,
+    dims: &[usize],
+    filter: &WaveletFilter,
+    coeffs: &[f64],
+    block: usize,
+) -> Vec<u8> {
+    let name = filter.name().as_bytes();
+    let blocks = coeffs.len().div_ceil(block);
+    let mut out = Vec::with_capacity(30 + 8 * dims.len() + name.len() + 8 * blocks);
+    out.extend_from_slice(&META_TAG);
+    out.extend_from_slice(&META_VERSION.to_be_bytes());
+    out.extend_from_slice(&seed.to_be_bytes());
     out.extend_from_slice(&(dims.len() as u32).to_be_bytes());
     for &d in dims {
         out.extend_from_slice(&(d as u64).to_be_bytes());
     }
-    let name = filter.name().as_bytes();
     out.extend_from_slice(&(name.len() as u32).to_be_bytes());
     out.extend_from_slice(name);
+    out.extend_from_slice(&(blocks as u64).to_be_bytes());
+    for items in coeffs.chunks(block) {
+        out.extend_from_slice(&block_energy(items).to_bits().to_be_bytes());
+    }
     out
 }
 
-fn decode_meta(meta: &[u8]) -> Result<(Vec<usize>, WaveletFilter), String> {
-    /// Splits `n` bytes off the front of `rest`. Both lengths below come
-    /// out of the file: each is checked against what is left of the blob
-    /// before anything is allocated or indexed with it.
+/// Decodes [`encode_meta`]'s blob. Every length in it comes out of the
+/// file: each is checked against what is left of the blob before anything
+/// is allocated or indexed with it.
+fn decode_meta(meta: &[u8]) -> Result<StoreMeta, String> {
+    /// Splits `n` bytes off the front of `rest`.
     fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
         let (head, tail) = rest.split_at_checked(n).ok_or("truncated meta")?;
         *rest = tail;
         Ok(head)
     }
-    let big_endian = |bytes: &[u8]| bytes.iter().fold(0u64, |v, &b| v << 8 | b as u64) as usize;
-    let mut rest = meta;
-    let ndims = big_endian(take(&mut rest, 4)?);
-    let dims = take(&mut rest, ndims.saturating_mul(8))?.chunks_exact(8).map(big_endian).collect();
-    let name_len = big_endian(take(&mut rest, 4)?);
+    let big_endian = |bytes: &[u8]| bytes.iter().fold(0u64, |v, &b| v << 8 | b as u64);
+    let Some(mut rest) = meta.strip_prefix(&META_TAG) else {
+        return Err(
+            "its meta has no format tag, so it predates the persisted energy catalog".into()
+        );
+    };
+    let version = big_endian(take(&mut rest, 2)?);
+    if version != u64::from(META_VERSION) {
+        return Err(format!("unsupported meta format version {version}"));
+    }
+    let seed = big_endian(take(&mut rest, 8)?);
+    let ndims = big_endian(take(&mut rest, 4)?) as usize;
+    let dims = take(&mut rest, ndims.saturating_mul(8))?
+        .chunks_exact(8)
+        .map(|d| big_endian(d) as usize)
+        .collect();
+    let name_len = big_endian(take(&mut rest, 4)?) as usize;
     let name = std::str::from_utf8(take(&mut rest, name_len)?).map_err(|e| format!("{e}"))?;
     let filter = FilterKind::ALL
         .into_iter()
         .map(|k| k.filter())
         .find(|f| f.name() == name)
         .ok_or_else(|| format!("unknown filter {name} in device meta"))?;
-    Ok((dims, filter))
+    let count = usize::try_from(big_endian(take(&mut rest, 8)?)).unwrap_or(usize::MAX);
+    let catalog = take(&mut rest, count.saturating_mul(8))?
+        .as_chunks::<8>()
+        .0
+        .iter()
+        .map(|e| f64::from_be_bytes(*e))
+        .collect();
+    if !rest.is_empty() {
+        return Err(format!("{} trailing bytes in meta", rest.len()));
+    }
+    Ok(StoreMeta { seed, dims, filter, catalog })
 }
 
 /// Opens (recovering) or creates the durable store, returning the cube
-/// geometry plus the blocked store. Either way the geometry comes from the
-/// device's header meta and the energy catalog from one verified read pass.
+/// geometry plus the blocked store. Either way the geometry and the energy
+/// catalog come from the device's header meta, and no block is read.
 fn durable_store(
     opts: &Opts,
 ) -> Result<(Vec<usize>, WaveletFilter, BlockedCoefficients<FileDevice>), String> {
     let dir = opts.data.as_deref().expect("durable_store needs --data");
     let dev_opts = FileDeviceOptions { mode: opts.durability, ..Default::default() };
-    let device = if FileDevice::exists(dir) {
+    let (device, started) = if FileDevice::exists(dir) {
         let device = FileDevice::open(dir, dev_opts).map_err(|e| format!("open {dir}: {e}"))?;
         let r = device.recovery();
-        println!(
-            "aims-serve: reopened {dir} (replayed {} records, truncated {} bytes, lsn {})",
-            r.replayed_records, r.truncated_bytes, r.recovered_lsn
-        );
-        device
+        if r.replayed_records > 0 {
+            return Err(format!(
+                "{dir}: WAL recovery replayed {} records, but aims-serve never writes a block \
+                 after create, so the blocks no longer match the store's energy catalog",
+                r.replayed_records
+            ));
+        }
+        (device, format!("reopened {dir} (truncated {} torn WAL bytes)", r.truncated_bytes))
     } else {
-        let cube = demo_cube(opts.side, opts.seed);
-        let meta = encode_meta(cube.dims(), cube.filter());
-        let num_blocks = cube.coeffs().len().div_ceil(opts.block);
+        let (side, block) =
+            (opts.side.unwrap_or(DEFAULT_SIDE), opts.block.unwrap_or(DEFAULT_BLOCK));
+        let seed = opts.seed.unwrap_or(DEFAULT_SEED);
+        let cube = demo_cube(side, seed);
+        let meta = encode_meta(seed, cube.dims(), cube.filter(), cube.coeffs(), block);
+        let num_blocks = cube.coeffs().len().div_ceil(block);
         let dev_opts = FileDeviceOptions { meta, ..dev_opts };
-        let device = FileDevice::create_from(dir, opts.block, num_blocks, cube.coeffs(), dev_opts)
+        let device = FileDevice::create_from(dir, block, num_blocks, cube.coeffs(), dev_opts)
             .map_err(|e| format!("create {dir}: {e}"))?;
-        println!("aims-serve: created {dir} ({num_blocks} blocks, {})", opts.durability.label());
-        device
+        (device, format!("created {dir} ({num_blocks} blocks, {})", opts.durability.label()))
     };
-    let (dims, filter) = decode_meta(device.meta())?;
+    let StoreMeta { seed, dims, filter, catalog } = decode_meta(device.meta()).map_err(|e| {
+        format!("{dir}: {e}; delete the directory and restart to re-create the store")
+    })?;
+    let block = device.block_size();
+    let mismatched = [
+        (
+            "--side",
+            opts.side.filter(|&s| dims != [s, s]).map(|s| s.to_string()),
+            format!("dims {dims:?}"),
+        ),
+        (
+            "--block",
+            opts.block.filter(|&b| b != block).map(|b| b.to_string()),
+            format!("block {block}"),
+        ),
+        ("--seed", opts.seed.filter(|&s| s != seed).map(|s| s.to_string()), format!("seed {seed}")),
+    ];
+    if let Some((flag, Some(value), stored)) = mismatched.into_iter().find(|m| m.1.is_some()) {
+        return Err(format!(
+            "{flag} {value} does not match the store in {dir}, which holds {stored}"
+        ));
+    }
     let len = dims
         .iter()
         .try_fold(1usize, |acc, &d| acc.checked_mul(d))
         .filter(|&len| len > 0 && len <= device.capacity_items())
         .ok_or_else(|| format!("device meta dims {dims:?} do not fit the device"))?;
-    let blocked =
-        BlockedCoefficients::from_device(device, len).map_err(|e| format!("catalog: {e}"))?;
+    let blocked = BlockedCoefficients::from_device(device, len, catalog)
+        .map_err(|e| format!("{dir}: {e}"))?;
+    println!("aims-serve: {started}");
     Ok((dims, filter, blocked))
 }
 
@@ -200,7 +295,8 @@ fn main() {
         };
         serve(Arc::new(QueryService::open(dims, filter, blocked, config)), opts.port);
     } else {
-        let service = QueryService::new(demo_cube(opts.side, opts.seed), opts.block, config);
+        let cube = demo_cube(opts.side.unwrap_or(DEFAULT_SIDE), opts.seed.unwrap_or(DEFAULT_SEED));
+        let service = QueryService::new(cube, opts.block.unwrap_or(DEFAULT_BLOCK), config);
         serve(Arc::new(service), opts.port);
     }
 }

@@ -1,38 +1,99 @@
-//! `aims-serve --data` against a directory it must not serve.
+//! `aims-serve --data`: what a start builds, what a restart reads, and the
+//! directories it must not serve.
 
 use std::io::{BufRead, BufReader};
 use std::os::unix::fs::FileExt;
-use std::path::Path;
-use std::process::{Command, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use aims_service::demo_cube;
-use aims_storage::{BlockDevice, FileDevice, FileDeviceOptions};
+use aims_propolyne::{Propolyne, RangeSumQuery};
+use aims_service::{demo_cube, ProgressKind, QuerySpec, TcpClient};
+use aims_storage::{block_energy, BlockDevice, FileDevice, FileDeviceOptions};
+use aims_telemetry::Snapshot;
 
-/// Spawns `aims-serve --data dir` over a side-512 cube in 64-item blocks.
-fn serve_on(dir: &Path, stdout: Stdio) -> std::process::Child {
+/// The flags of the side-512 store the kill sweep creates.
+const SIDE_512: [&str; 6] = ["--side", "512", "--block", "64", "--seed", "7"];
+
+/// A fresh scratch directory name for this test process.
+fn scratch(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("aims-serve-{tag}-{}", std::process::id()))
+}
+
+/// Spawns `aims-serve --port 0 --data dir` with `args`.
+fn serve_on(dir: &Path, args: &[&str], stdout: Stdio) -> Child {
     Command::new(env!("CARGO_BIN_EXE_aims-serve"))
-        .args(["--port", "0", "--side", "512", "--block", "64", "--seed", "7"])
-        .args(["--durability", "periodic:64", "--data", dir.to_str().unwrap()])
+        .args(["--port", "0", "--durability", "periodic:64", "--data", dir.to_str().unwrap()])
+        .args(args)
         .stdout(stdout)
         .spawn()
         .unwrap()
 }
 
+/// Starts a server on `dir` and waits for its `listening` line. Returns
+/// the running server, its port and how long it took to start.
+fn listen(dir: &Path, args: &[&str]) -> (Child, u16, Duration) {
+    let t0 = Instant::now();
+    let mut child = serve_on(dir, args, Stdio::piped());
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let port = (&mut stdout).lines().map_while(Result::ok).find_map(|line| {
+        line.strip_prefix("aims-serve listening on 127.0.0.1:").map(|p| p.parse().unwrap())
+    });
+    let started = t0.elapsed();
+    // The pipe stays open with the child, so the server's later lines
+    // (a clean shutdown's) never meet a closed pipe.
+    child.stdout = Some(stdout.into_inner());
+    let Some(port) = port else {
+        child.wait().unwrap();
+        panic!("aims-serve {args:?} on {} never listened", dir.display());
+    };
+    (child, port, started)
+}
+
 /// Starts a server on `dir`, waits for its `listening` line and kills it.
 /// Returns how long it took to start.
-fn start_listening(dir: &Path) -> Duration {
-    let t0 = Instant::now();
-    let mut child = serve_on(dir, Stdio::piped());
-    let listening = BufReader::new(child.stdout.take().unwrap())
+fn start_listening(dir: &Path, args: &[&str]) -> Duration {
+    let (mut child, _, started) = listen(dir, args);
+    child.kill().unwrap();
+    child.wait().unwrap();
+    started
+}
+
+/// Runs `aims-serve --data dir` with `args`, requires exit 1 without
+/// listening, and returns its stderr. A server that does listen is killed,
+/// so a refusal that regresses fails instead of hanging.
+fn refused(dir: &Path, args: &[&str]) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_aims-serve"))
+        .args(["--port", "0", "--data", dir.to_str().unwrap()])
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let listened = BufReader::new(child.stdout.take().unwrap())
         .lines()
         .map_while(Result::ok)
         .any(|line| line.starts_with("aims-serve listening on "));
-    let started = t0.elapsed();
-    child.kill().unwrap();
-    child.wait().unwrap();
-    assert!(listening, "aims-serve on {} never listened", dir.display());
-    started
+    if listened {
+        child.kill().unwrap();
+    }
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!listened, "{args:?}: the server listened");
+    assert_eq!(out.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+    stderr
+}
+
+/// The energy catalog at the end of a `--data` store's header meta: a
+/// block count, then one big-endian `f64` per block.
+fn persisted_catalog(device: &FileDevice) -> Vec<f64> {
+    let (meta, blocks) = (device.meta(), device.num_blocks());
+    let (head, catalog) = meta.split_at(meta.len() - 8 * blocks);
+    assert_eq!(head[head.len() - 8..], (blocks as u64).to_be_bytes());
+    catalog
+        .chunks_exact(8)
+        .map(|e| f64::from_bits(u64::from_be_bytes(e.try_into().unwrap())))
+        .collect()
 }
 
 /// A server killed at any moment of its first start leaves no store or the
@@ -43,15 +104,15 @@ fn start_listening(dir: &Path) -> Duration {
 #[test]
 fn a_server_killed_while_creating_its_store_leaves_none_or_all_of_it() {
     let cube = demo_cube(512, 7);
-    let dir = std::env::temp_dir().join(format!("aims-serve-kill-{}", std::process::id()));
+    let dir = scratch("kill");
     // One uninterrupted start sizes the sweep, so the kills span cube
-    // build, store creation and catalog pass on a debug or release build.
-    let full = start_listening(&dir);
+    // build, transform and store creation on a debug or release build.
+    let full = start_listening(&dir, &SIDE_512);
     std::fs::remove_dir_all(&dir).unwrap();
     const KILLS: u32 = 16;
     for k in 0..=KILLS {
         let delay = full * k / KILLS;
-        let mut child = serve_on(&dir, Stdio::null());
+        let mut child = serve_on(&dir, &SIDE_512, Stdio::null());
         std::thread::sleep(delay);
         child.kill().unwrap();
         child.wait().unwrap();
@@ -70,9 +131,145 @@ fn a_server_killed_while_creating_its_store_leaves_none_or_all_of_it() {
                 );
             }
         }
-        start_listening(&dir);
+        start_listening(&dir, &SIDE_512);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// The energy catalog is written once, with the blocks, and is exactly
+/// what reading every block back would rebuild — also for a short last
+/// block, which the device zero-pads.
+#[test]
+fn the_persisted_catalog_is_the_energy_of_every_block_read_back() {
+    for (side, block) in [("256", "64"), ("64", "48")] {
+        let dir = scratch(&format!("catalog-{block}"));
+        start_listening(&dir, &["--side", side, "--block", block, "--seed", "3"]);
+        let device = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap();
+        let catalog = persisted_catalog(&device);
+        assert_eq!(catalog.len(), device.num_blocks());
+        for (b, &energy) in catalog.iter().enumerate() {
+            let read_back = block_energy(&device.read_block(b).unwrap());
+            assert_eq!(energy.to_bits(), read_back.to_bits(), "--block {block}: block {b}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A restart takes the catalog from the header: the reopened server has
+/// read no block by the time it answers its first METRICS frame.
+#[test]
+fn a_reopened_server_reads_no_block_before_its_first_query() {
+    let dir = scratch("no-reads");
+    let args = ["--side", "256", "--block", "64", "--seed", "3"];
+    start_listening(&dir, &args);
+    let (mut child, port, _) = listen(&dir, &args);
+    let mut client = TcpClient::connect(("127.0.0.1", port)).unwrap();
+    let metrics = Snapshot::from_json_lines(&client.metrics().unwrap()).unwrap();
+    client.shutdown_server().unwrap();
+    assert!(child.wait().unwrap().success());
+    assert_eq!(metrics.counter("storage.device.reads"), 0);
+    assert_eq!(metrics.counter("storage.wal.replayed"), 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Corruption is found by the query that reads it, not at startup: a store
+/// with one damaged payload byte still serves. A query whose plan holds the
+/// damaged block ends with a bound that covers the exact sum, priced from
+/// the catalog written at create; a query that misses it is exact.
+#[test]
+fn a_damaged_block_degrades_the_queries_that_read_it_and_no_others() {
+    const BLOCK: usize = 16;
+    let (side, seed) = (64usize, 7u64);
+    let dir = scratch("damaged");
+    let args = ["--side", "64", "--block", "16", "--seed", "7"];
+    start_listening(&dir, &args);
+
+    let engine = Propolyne::new(demo_cube(side, seed));
+    let plan = |ranges: &[(usize, usize)]| -> Vec<usize> {
+        let prepared = engine.prepare(&RangeSumQuery::count(ranges.to_vec()));
+        let mut blocks: Vec<usize> = prepared.indices.iter().map(|&i| i / BLOCK).collect();
+        blocks.dedup();
+        blocks
+    };
+    let (hit, miss) = (vec![(5, 40), (3, 17)], vec![(0, 63), (0, 63)]);
+    let damaged = *plan(&hit).last().unwrap();
+    assert!(!plan(&miss).contains(&damaged), "the missing query must not plan block {damaged}");
+
+    // Flip one byte of the block's payload: past the header (30 fixed bytes,
+    // the meta blob, an 8-byte checksum) and the table of one digest a block.
+    let main = std::fs::OpenOptions::new().read(true).write(true).open(dir.join("blocks.aims"));
+    let main = main.unwrap();
+    let mut word = [0u8; 4];
+    main.read_exact_at(&mut word, 26).unwrap();
+    let header = 38 + u64::from(u32::from_be_bytes(word));
+    let blocks = (side * side).div_ceil(BLOCK) as u64;
+    let at = header + 8 * blocks + (damaged * BLOCK * 8) as u64 + 3;
+    let mut byte = [0u8];
+    main.read_exact_at(&mut byte, at).unwrap();
+    main.write_all_at(&[byte[0] ^ 0x10], at).unwrap();
+    drop(main);
+
+    // The demo cube's cells (`demo_cube`): one xorshift stream, row-major.
+    let mut state = seed;
+    let cells: Vec<f64> = (0..side * side)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 9) as f64
+        })
+        .collect();
+    let truth = |r: &[(usize, usize)]| -> f64 {
+        (r[0].0..=r[0].1)
+            .flat_map(|i| (r[1].0..=r[1].1).map(move |j| (i, j)))
+            .map(|(i, j)| cells[i * side + j])
+            .sum()
+    };
+
+    let (mut child, port, _) = listen(&dir, &args);
+    let mut client = TcpClient::connect(("127.0.0.1", port)).unwrap();
+    let run = |client: &mut TcpClient, id, ranges: &Vec<(usize, usize)>| {
+        let out = client.run_query(id, &QuerySpec::interactive(ranges.clone())).unwrap();
+        assert_eq!(out.kind, ProgressKind::Done, "{ranges:?}");
+        out.last.unwrap()
+    };
+    let exact = truth(&hit);
+    let clean = engine.evaluate_prepared(&engine.prepare(&RangeSumQuery::count(hit.clone())));
+    assert_eq!(clean.round(), exact, "the cells must be the served cube's");
+    let got = run(&mut client, 1, &hit);
+    assert!(got.error_bound > 0.0, "a query over block {damaged} must end degraded");
+    assert!(
+        (got.estimate - exact).abs() <= got.error_bound,
+        "|{} − {exact}| > {}",
+        got.estimate,
+        got.error_bound
+    );
+    let got = run(&mut client, 2, &miss);
+    let clean = engine.evaluate_prepared(&engine.prepare(&RangeSumQuery::count(miss.clone())));
+    assert_eq!(got.estimate.to_bits(), clean.to_bits());
+    assert_eq!(got.error_bound, 0.0);
+    client.shutdown_server().unwrap();
+    assert!(child.wait().unwrap().success());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `--side`, `--block` and `--seed` may be omitted on a restart, which then
+/// serves whatever store is there; one that is given and differs from the
+/// store is refused, naming both values, instead of being dropped.
+#[test]
+fn a_restart_with_a_mismatched_geometry_flag_is_refused() {
+    let dir = scratch("mismatch");
+    let args = ["--side", "16", "--block", "8", "--seed", "5"];
+    start_listening(&dir, &args);
+    for (flag, wrong, names) in
+        [("--seed", "9", "seed 5"), ("--side", "32", "dims [16, 16]"), ("--block", "16", "block 8")]
+    {
+        let stderr = refused(&dir, &[flag, wrong]);
+        assert!(stderr.contains(&format!("{flag} {wrong}")) && stderr.contains(names), "{stderr}");
+    }
+    start_listening(&dir, &[]);
+    start_listening(&dir, &args);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A store written by an older block format — version 1 (another digest)
@@ -81,21 +278,14 @@ fn a_server_killed_while_creating_its_store_leaves_none_or_all_of_it() {
 #[test]
 fn a_version_1_data_directory_is_refused() {
     for version in [1u16, 2] {
-        let dir =
-            std::env::temp_dir().join(format!("aims-serve-v{version}-{}", std::process::id()));
+        let dir = scratch(&format!("v{version}"));
         FileDevice::create(&dir, 4, 2, FileDeviceOptions::default()).unwrap();
         let main = std::fs::OpenOptions::new().write(true).open(dir.join("blocks.aims")).unwrap();
         main.write_all_at(&version.to_be_bytes(), 8).unwrap(); // the header's version field
         drop(main);
 
-        let out = Command::new(env!("CARGO_BIN_EXE_aims-serve"))
-            .args(["--data", dir.to_str().unwrap()])
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(1), "version {version}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stderr = refused(&dir, &[]);
         assert!(stderr.contains("unsupported main block file version"), "stderr: {stderr}");
-        assert!(!String::from_utf8_lossy(&out.stdout).contains("listening"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -105,36 +295,78 @@ fn a_version_1_data_directory_is_refused() {
 /// listens.
 #[test]
 fn an_uncreatable_data_directory_is_a_startup_error() {
-    let file = std::env::temp_dir().join(format!("aims-serve-file-{}", std::process::id()));
+    let file = scratch("file");
     std::fs::write(&file, b"a regular file").unwrap();
-
-    let out = Command::new(env!("CARGO_BIN_EXE_aims-serve"))
-        .args(["--side", "8", "--block", "4", "--data", file.join("sub").to_str().unwrap()])
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    let stderr = refused(&file.join("sub"), &["--side", "8", "--block", "4"]);
     assert!(stderr.contains("aims-serve: create"), "stderr: {stderr}");
-    assert!(!String::from_utf8_lossy(&out.stdout).contains("listening"));
     std::fs::remove_file(&file).unwrap();
 }
 
-/// A header meta blob is outside input even under a well-formed digest: one
-/// that claims `u32::MAX` dimensions is refused as truncated — not trusted
-/// with an allocation — and the server never listens.
+/// A `--data` header meta blob: the format tag and version, seed 5, dims
+/// 8 × 8, Db4, then a catalog `count` and `energies`. With 16 zero energies
+/// it describes the all-zero 16-block store of 4-item blocks.
+fn meta_blob(count: u64, energies: &[f64]) -> Vec<u8> {
+    let mut out = [b"AIMC".as_slice(), &1u16.to_be_bytes(), &5u64.to_be_bytes()].concat();
+    out.extend_from_slice(&2u32.to_be_bytes());
+    out.extend_from_slice(&[8u64.to_be_bytes(), 8u64.to_be_bytes()].concat());
+    out.extend_from_slice(&[3u32.to_be_bytes().as_slice(), b"db4"].concat());
+    out.extend_from_slice(&count.to_be_bytes());
+    energies.iter().for_each(|e| out.extend_from_slice(&e.to_bits().to_be_bytes()));
+    out
+}
+
+/// A header meta blob is outside input even under a well-formed digest, and
+/// the catalog in it is believed in place of the blocks: each blob below is
+/// refused before anything is allocated with, or priced from, what it
+/// claims, and the server never listens. The well-formed blob itself
+/// serves.
 #[test]
 fn a_hostile_meta_blob_is_refused_before_it_is_believed() {
-    let dir = std::env::temp_dir().join(format!("aims-serve-meta-{}", std::process::id()));
-    let meta = [u32::MAX.to_be_bytes().as_slice(), &[0; 12]].concat();
-    FileDevice::create(&dir, 4, 2, FileDeviceOptions { meta, ..Default::default() }).unwrap();
+    let dir = scratch("meta");
+    let zeros = [0.0; 16];
+    let with = |b: usize, e: f64| {
+        let mut energies = zeros;
+        energies[b] = e;
+        meta_blob(16, &energies)
+    };
+    let prefix = [b"AIMC".as_slice(), &1u16.to_be_bytes(), &5u64.to_be_bytes()].concat();
+    let parent_era = [&2u32.to_be_bytes()[..], &8u64.to_be_bytes(), &8u64.to_be_bytes()].concat();
+    let cases = [
+        ([prefix, u32::MAX.to_be_bytes().to_vec(), vec![0; 12]].concat(), "truncated meta"),
+        (
+            [parent_era, 3u32.to_be_bytes().to_vec(), b"db4".to_vec()].concat(),
+            "predates the persisted energy catalog; delete the directory",
+        ),
+        (meta_blob(u64::MAX, &zeros), "truncated meta"),
+        (meta_blob(15, &zeros[1..]), "15 entries for 16 blocks"),
+        (with(3, f64::NAN), "entry 3 is NaN"),
+        (with(5, -1.0), "entry 5 is -1"),
+    ];
+    let create = |meta: Vec<u8>| {
+        std::fs::remove_dir_all(&dir).ok();
+        FileDevice::create(&dir, 4, 16, FileDeviceOptions { meta, ..Default::default() }).unwrap()
+    };
+    for (meta, reason) in cases {
+        drop(create(meta));
+        let stderr = refused(&dir, &[]);
+        assert!(stderr.contains(reason), "want {reason:?}, stderr: {stderr}");
+    }
+    // A flipped catalog byte breaks the header checksum.
+    drop(create(meta_blob(16, &zeros)));
+    let main = std::fs::OpenOptions::new().write(true).open(dir.join("blocks.aims")).unwrap();
+    main.write_all_at(&[0x01], 30 + meta_blob(16, &zeros).len() as u64 - 1).unwrap();
+    drop(main);
+    assert!(refused(&dir, &[]).contains("header checksum mismatch"));
 
-    let out = Command::new(env!("CARGO_BIN_EXE_aims-serve"))
-        .args(["--data", dir.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("truncated meta"), "stderr: {stderr}");
-    assert!(!String::from_utf8_lossy(&out.stdout).contains("listening"));
+    // A block written after create makes the catalog stale: a store whose
+    // recovery replays it is refused.
+    let mut device = create(meta_blob(16, &zeros));
+    device.write_block(0, &[1.0; 4]);
+    drop(device);
+    assert!(refused(&dir, &[]).contains("replayed 1 records"));
+
+    // The well-formed blob over its all-zero blocks serves.
+    drop(create(meta_blob(16, &zeros)));
+    start_listening(&dir, &[]);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -6,9 +6,10 @@
 //! and the same set of lost blocks, with the truth inside the bound.
 //!
 //! And one more way in: a store reopened from an already-populated device
-//! (`from_device` + `QueryService::open`) must ride through the transient
-//! read errors queries ride through, and serve without ever holding the
-//! coefficients in memory.
+//! and its energy catalog (`from_device` + `QueryService::open`) reads no
+//! block to open, must ride through the transient read errors queries
+//! ride through, and serves without ever holding the coefficients in
+//! memory.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,7 +20,7 @@ use aims_service::{
 };
 use aims_storage::device::{BlockDevice, RetryPolicy};
 use aims_storage::faults::{FaultPlan, FaultyDevice};
-use aims_storage::SharedBlockCache;
+use aims_storage::{block_energy, SharedBlockCache};
 use aims_telemetry::{global_recorder, AttrValue, TraceId};
 
 const BLOCK: usize = 16;
@@ -127,7 +128,7 @@ fn reopen_rides_through_transient_read_errors_and_never_loads_the_cube() {
     let engine = Propolyne::new(cube.clone());
     let blocks = cube.coeffs().len() / BLOCK;
     // Transient read errors only: nothing is dead, every block comes back
-    // within the default budget — on the reopen pass as on later reads.
+    // within the default budget when a query reads it.
     let plan = FaultPlan { dead_fraction: 0.0, ..fault_plan() };
     let mut device = FaultyDevice::with_plan(BLOCK, blocks, plan);
     for (b, data) in cube.coeffs().chunks(BLOCK).enumerate() {
@@ -138,8 +139,11 @@ fn reopen_rides_through_transient_read_errors_and_never_loads_the_cube() {
     assert!(streaks.iter().any(|&s| s > 0), "seed must fail some first reads");
     assert!(streaks.iter().all(|&s| s <= budget.retries), "seed must stay within the budget");
 
-    let blocked = BlockedCoefficients::from_device(device, cube.coeffs().len())
-        .expect("reopen retries what queries retry");
+    // The energy catalog is the one written with the blocks: the reopen
+    // takes it and reads nothing.
+    let catalog = cube.coeffs().chunks(BLOCK).map(block_energy).collect();
+    let blocked = BlockedCoefficients::from_device(device, cube.coeffs().len(), catalog).unwrap();
+    assert_eq!(blocked.device_stats().reads, 0, "reopen reads no block");
     let cache_blocks = blocks / 4;
     let svc = QueryService::open(
         cube.dims().to_vec(),

@@ -392,15 +392,16 @@ fn decode_header(main: &mut File) -> io::Result<(usize, usize, Vec<u8>, u64)> {
     let block_size = u64::from_be_bytes(fixed[10..18].try_into().unwrap()) as usize;
     let num_blocks = u64::from_be_bytes(fixed[18..26].try_into().unwrap()) as usize;
     let meta_len = u32::from_be_bytes(fixed[26..30].try_into().unwrap()) as usize;
-    let mut meta = vec![0u8; meta_len];
-    main.read_exact(&mut meta).map_err(|_| bad_data("truncated header meta"))?;
+    // One buffer: the checksummed bytes, which then become the meta blob.
+    let mut meta = vec![0u8; fixed.len() + meta_len];
+    meta[..fixed.len()].copy_from_slice(&fixed);
+    main.read_exact(&mut meta[fixed.len()..]).map_err(|_| bad_data("truncated header meta"))?;
     let mut crc = [0u8; 8];
     main.read_exact(&mut crc).map_err(|_| bad_data("truncated header checksum"))?;
-    let mut whole = fixed.to_vec();
-    whole.extend_from_slice(&meta);
-    if bytes_digest(&whole) != u64::from_be_bytes(crc) {
+    if bytes_digest(&meta) != u64::from_be_bytes(crc) {
         return Err(bad_data("main block file header checksum mismatch"));
     }
+    meta.drain(..fixed.len());
     if block_size == 0 {
         return Err(bad_data("zero block size in header"));
     }
@@ -443,13 +444,15 @@ impl FileDevice {
         block_size: usize,
         num_blocks: usize,
         image: &[f64],
-        opts: FileDeviceOptions,
+        mut opts: FileDeviceOptions,
     ) -> io::Result<Self> {
         assert!(block_size > 0, "block size must be positive");
         assert!(image.len().div_ceil(block_size) <= num_blocks, "image larger than the device");
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let header = encode_header(block_size, num_blocks, &opts.meta);
+        // The device keeps the caller's meta blob itself, not a copy.
+        let meta = std::mem::take(&mut opts.meta);
+        let header = encode_header(block_size, num_blocks, &meta);
         let layout = MainLayout::new(header.len() as u64, block_size, num_blocks)
             .expect("device geometry overflows a file offset");
         let main = OpenOptions::new()
@@ -461,6 +464,7 @@ impl FileDevice {
         // Only sized: payloads past the image stay a hole that reads as zeros.
         main.set_len(layout.file_len)?;
         main.write_all_at(&header, 0)?;
+        drop(header); // its copy of the meta blob is not held beside the image
 
         let zero_sum = block_digest(&vec![0.0; block_size]);
         let mut checksums = vec![zero_sum; num_blocks];
@@ -511,7 +515,7 @@ impl FileDevice {
         wal.sync_all()?;
         std::fs::rename(dir.join(STAGING_FILE), &published)?;
         File::open(&dir)?.sync_all()?;
-        let shape = (block_size, num_blocks, opts.meta.clone(), layout);
+        let shape = (block_size, num_blocks, meta, layout);
         Ok(Self::assemble(dir, (main, wal), shape, &opts, checksums, RecoveryReport::default()))
     }
 

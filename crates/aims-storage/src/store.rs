@@ -30,6 +30,7 @@
 //! (independent of cache state and fetch history) and exact to rounding.
 
 use std::borrow::Cow;
+use std::io;
 use std::sync::Arc;
 
 use aims_dsp::dwt::dwt_full;
@@ -38,7 +39,7 @@ use aims_telemetry::{counter, histogram_f64, span};
 
 use crate::alloc::{Allocation, RandomAlloc, TreeTilingAlloc};
 use crate::cache::SharedBlockCache;
-use crate::device::{read_with_retry, BlockDevice, DeviceStats, MemDevice, ReadError, RetryPolicy};
+use crate::device::{BlockDevice, DeviceStats, MemDevice, RetryPolicy};
 use crate::error_tree::{point_query_set, range_query_set};
 use crate::progressive::{BlockPlan, BoundLedger, ProgressPoint};
 
@@ -158,8 +159,9 @@ pub struct CoefficientStore<D: BlockDevice = MemDevice> {
     device: D,
     layout: Layout,
     /// Per-block `Σ c²` over the coefficients stored in the block,
-    /// captured at load time (catalog metadata, available even when the
-    /// block itself is unreadable).
+    /// captured at load time or persisted then and handed to `reopen`
+    /// (catalog metadata, available even when the block itself is
+    /// unreadable).
     block_energy: Vec<f64>,
     n: usize,
 }
@@ -201,26 +203,38 @@ impl<D: BlockDevice> CoefficientStore<D> {
     /// Rebuilds a store over an already-populated device — the reopen
     /// path for a recovered [`crate::file::FileDevice`]. The layout is a
     /// pure function of `(n, block_size, kind)`, so it reconstructs
-    /// exactly; the per-block energy catalog is re-read from the device in
-    /// one pass of verified reads, retried under `RetryPolicy::default()`.
-    /// A block that stays unreadable fails the reopen: its energy is
-    /// unknown, and pricing it at zero would let later queries report a
-    /// zero bound over missing coefficients.
+    /// exactly; `catalog` is the per-block energy catalog the caller
+    /// persisted when it wrote the blocks ([`CoefficientStore::block_energies`]).
+    /// No block is read: a damaged block is found when a query reads it,
+    /// and is priced in that answer's bound from this catalog, which holds
+    /// the energies of the image as written.
+    ///
+    /// Refuses (`InvalidData`) a catalog that is not one finite,
+    /// non-negative `Σ c²` per block of the allocation.
     ///
     /// # Panics
     /// If `n` is zero or the device is too small for the allocation.
-    pub fn reopen(device: D, kind: AllocKind, n: usize) -> Result<Self, ReadError> {
+    pub fn reopen(device: D, kind: AllocKind, n: usize, catalog: Vec<f64>) -> io::Result<Self> {
         assert!(n > 0, "cannot reopen an empty coefficient vector");
         let (layout, num_blocks) = Layout::new(n, device.block_size(), kind);
         assert!(device.num_blocks() >= num_blocks, "device too small for allocation");
-        let block_energy = (0..num_blocks)
-            .map(|b| {
-                let (data, _) = read_with_retry(&device, b, &RetryPolicy::default())?;
-                Ok(self::block_energy(&data))
-            })
-            .collect::<Result<_, ReadError>>()?;
-        device.reset_stats();
-        Ok(CoefficientStore { device, layout, block_energy, n })
+        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        if catalog.len() != num_blocks {
+            let len = catalog.len();
+            return Err(bad(format!("energy catalog has {len} entries for {num_blocks} blocks")));
+        }
+        if let Some((b, e)) =
+            catalog.iter().enumerate().find(|(_, e)| !(e.is_finite() && **e >= 0.0))
+        {
+            return Err(bad(format!("energy catalog entry {b} is {e}, not a finite Σc² ≥ 0")));
+        }
+        Ok(CoefficientStore { device, layout, block_energy: catalog, n })
+    }
+
+    /// The per-block `Σ c²` catalog, block by block: what a caller persists
+    /// beside the device to [`reopen`](CoefficientStore::reopen) it.
+    pub fn block_energies(&self) -> &[f64] {
+        &self.block_energy
     }
 
     /// Coefficient count (unpadded).
@@ -465,14 +479,14 @@ impl<D: BlockDevice> WaveletStore<D> {
     }
 
     /// Rebuilds a store of `n` samples over an already-populated device
-    /// ([`CoefficientStore::reopen`]).
+    /// and its persisted energy catalog ([`CoefficientStore::reopen`]).
     ///
     /// # Panics
     /// If `n` is not a power of two ≥ 2 or the device is too small for
     /// the allocation.
-    pub fn reopen(device: D, kind: AllocKind, n: usize) -> Result<Self, ReadError> {
+    pub fn reopen(device: D, kind: AllocKind, n: usize, catalog: Vec<f64>) -> io::Result<Self> {
         assert!(n.is_power_of_two() && n >= 2, "signal length must be a power of two ≥ 2");
-        Ok(WaveletStore { store: CoefficientStore::reopen(device, kind, n)? })
+        Ok(WaveletStore { store: CoefficientStore::reopen(device, kind, n, catalog)? })
     }
 
     /// A query's access set as block-major `(indices, weights)` entries.
@@ -601,7 +615,6 @@ pub(crate) fn haar_basis_range_sum(i: usize, a: usize, b: usize, n: usize) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::ReadErrorKind;
     use crate::faults::{FaultKind, FaultPlan, FaultyDevice};
 
     fn signal(n: usize) -> Vec<f64> {
@@ -785,16 +798,48 @@ mod tests {
             device.write_block(b, &plain.device().read_block(b).unwrap());
         }
         assert!((0..blocks).any(|b| device.is_dead(b)));
-        // Refusing to open is the contract; a store that does open must
-        // still bound what its dead blocks hide.
-        match WaveletStore::reopen(device, AllocKind::TreeTiling, 256) {
-            Err(e) => assert_eq!(e.kind, ReadErrorKind::Dead),
-            Ok(reopened) => {
-                let truth = plain.range_sum(0, 255, &SharedBlockCache::new(32));
-                let pool = SharedBlockCache::new(32);
-                let got = reopened.range_sum_outcome(0, 255, &pool, &RetryPolicy::none());
-                assert!((got.estimate - truth).abs() <= got.error_bound + 1e-9);
+        // The catalog comes from the image as written, so dead blocks
+        // cannot stop the reopen, and every one of them keeps its energy
+        // in the bound of a query that needs it.
+        let catalog = plain.block_energies().to_vec();
+        let reopened = WaveletStore::reopen(device, AllocKind::TreeTiling, 256, catalog).unwrap();
+        let mut priced = 0;
+        for (a, b) in [(0usize, 255usize), (10, 200), (32, 95), (100, 101)] {
+            let truth = plain.range_sum(a, b, &SharedBlockCache::new(32));
+            let pool = SharedBlockCache::new(32);
+            let got = reopened.range_sum_outcome(a, b, &pool, &RetryPolicy::none());
+            assert!((got.estimate - truth).abs() <= got.error_bound + 1e-9, "[{a},{b}]");
+            priced += usize::from(got.degraded() && got.error_bound > 0.0);
+        }
+        assert!(priced > 0, "seed 11 at 30% dead should bound some loss");
+    }
+
+    #[test]
+    fn reopen_reads_no_block_and_refuses_a_bad_catalog() {
+        let x = signal(256);
+        let plain = WaveletStore::from_signal(&x, 16, AllocKind::TreeTiling);
+        let device = || {
+            let mut d = MemDevice::new(16, plain.num_blocks());
+            for b in 0..plain.num_blocks() {
+                d.write_block(b, &plain.device().read_block(b).unwrap());
             }
+            d.reset_stats();
+            d
+        };
+        let catalog = plain.block_energies().to_vec();
+        let store = CoefficientStore::reopen(device(), AllocKind::TreeTiling, 256, catalog.clone())
+            .unwrap();
+        assert_eq!(store.device_stats().reads, 0);
+        assert_eq!(store.block_energies(), plain.block_energies());
+
+        let short = catalog[1..].to_vec();
+        let (mut nan, mut negative) = (catalog.clone(), catalog);
+        nan[3] = f64::NAN;
+        negative[5] = -1.0;
+        for bad in [short, nan, negative] {
+            let e =
+                CoefficientStore::reopen(device(), AllocKind::TreeTiling, 256, bad).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
         }
     }
 }

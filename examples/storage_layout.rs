@@ -60,7 +60,8 @@ fn main() {
 
     // Persistence (§4's plan: BLOBs first, raw disk blocks next): the
     // same store on a durable file device, checkpointed, dropped, and
-    // reopened from its blocks alone.
+    // reopened from its blocks and the energy catalog kept when they were
+    // written (no block is read to reopen).
     let dir = std::env::temp_dir().join(format!("aims-storage-layout-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut durable =
@@ -68,10 +69,11 @@ fn main() {
             FileDevice::create(&dir, bs, nb, FileDeviceOptions::default()).expect("create device")
         });
     durable.device_mut().checkpoint();
+    let catalog = durable.block_energies().to_vec();
     drop(durable);
     let device = FileDevice::open(&dir, FileDeviceOptions::default()).expect("reopen device");
-    let reopened =
-        WaveletStore::reopen(device, AllocKind::TreeTiling, signal.len()).expect("catalog");
+    let reopened = WaveletStore::reopen(device, AllocKind::TreeTiling, signal.len(), catalog)
+        .expect("catalog");
     let p1 = SharedBlockCache::new(4);
     let p2 = SharedBlockCache::new(4);
     assert_eq!(store.point_value(777, &p1).to_bits(), reopened.point_value(777, &p2).to_bits());

@@ -23,7 +23,7 @@ use aims::drill::sub_seed;
 use aims::storage::cache::SharedBlockCache;
 use aims::storage::device::{BlockDevice, RawMedia};
 use aims::storage::file::{CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions};
-use aims::storage::store::{AllocKind, WaveletStore};
+use aims::storage::store::{block_energy, AllocKind, WaveletStore};
 
 const BLOCK: usize = 8;
 const NB: usize = 12;
@@ -172,9 +172,18 @@ fn reopened_store_answers_range_sums_like_the_committed_prefix() {
         let recovered = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap();
         let k = committed_prefix(&recovered, &log, durable_at_crash as usize, log.len())
             .unwrap_or_else(|| panic!("{label}: no committed prefix matches"));
-        let recovered = WaveletStore::reopen(recovered, AllocKind::TreeTiling, N).unwrap();
+        // Both stores reopen with the catalog of that prefix, built here
+        // from its payloads: the last write of a block wins, and a block
+        // never written holds zeros.
+        let mut catalog = vec![0.0; nb];
+        for (b, payload) in &log[..k] {
+            catalog[*b] = block_energy(payload);
+        }
+        let recovered =
+            WaveletStore::reopen(recovered, AllocKind::TreeTiling, N, catalog.clone()).unwrap();
         let reference =
-            WaveletStore::reopen(replica(&log[..k], BLOCK, nb), AllocKind::TreeTiling, N).unwrap();
+            WaveletStore::reopen(replica(&log[..k], BLOCK, nb), AllocKind::TreeTiling, N, catalog)
+                .unwrap();
 
         let p1 = SharedBlockCache::new(16);
         let p2 = SharedBlockCache::new(16);
