@@ -123,10 +123,23 @@ for e in events:
 print(f"chrome trace OK: {len(events)} events")
 EOF
 
+    # Each drill run checks itself against its own in-process oracle; the
+    # drained store's answers (hex f64 bits) must also agree across the two
+    # execution layers.
     for threads in 1 4; do
         echo "== tier drill (AIMS_THREADS=$threads) =="
-        AIMS_THREADS=$threads target/release/aims-cli tiers --samples 200000
+        AIMS_THREADS=$threads target/release/aims-cli tiers --samples 200000 --format json |
+            tee "target/tiers-t$threads.json"
     done
+    tier_answers() { grep -o '"answers":\[[^]]*\]' "$1"; }
+    [[ -n "$(tier_answers target/tiers-t1.json)" ]] || {
+        echo "the tier drill printed no answers" >&2
+        exit 1
+    }
+    diff <(tier_answers target/tiers-t1.json) <(tier_answers target/tiers-t4.json) || {
+        echo "the tier drill's answers moved between AIMS_THREADS=1 and 4" >&2
+        exit 1
+    }
 
     # The kernel report: dispatch table, the fixed tile/threshold, and a
     # serial round trip per filter; exits non-zero if one misses by > 1e-9.

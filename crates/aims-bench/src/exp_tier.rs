@@ -5,7 +5,8 @@
 //! whole time. Gates: sustained ingest ≥ 1M samples/sec, every
 //! progressive trajectory monotone, and — once compaction drains — the
 //! store answers bit-identically to a serial single-store oracle while
-//! keeping no more in memory than its cache budget and energy catalogs.
+//! keeping no more in memory than its cache budget and its per-segment
+//! energy catalogs and full-cover partials.
 
 use aims::drill::tiers::{run, Config};
 use aims_service::TieredPlannerConfig;
@@ -62,5 +63,5 @@ pub fn e32_tier() {
     assert!(ingest_rate >= 1.0e6, "ingest rate {ingest_rate:.0} samples/s below the 1M/s floor");
     println!("\ngates: ingest >= 1M samples/s, monotone bounds on every live trajectory, the");
     println!("fully-compacted store answered bit-identically to the serial single-store oracle,");
-    println!("and its resident bytes fit the cache budget plus the energy catalogs.");
+    println!("and its resident bytes fit the cache budget plus the catalogs and partials.");
 }

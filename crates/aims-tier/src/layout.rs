@@ -15,14 +15,17 @@
 //!
 //! The hot manifest records, per slot, a state (`empty` / `sealed raw` /
 //! `retired` / `open`) and the slot's logical sample count; the historical
-//! manifest records, per slot, the slot's per-block coefficient energies
-//! followed by an *installed* flag — the catalog the progressive bound
-//! plans from, so a reopened store never reads a coefficient block to
-//! rebuild it. The compaction swap protocol orders its writes so that, at
-//! every crash point, exactly one manifest claims each segment:
+//! manifest records, per slot, `[energy…, partial, installed]`: the slot's
+//! per-block coefficient energies (the catalog the progressive bound plans
+//! from), its full-cover partial (the COUNT of the whole segment, folded
+//! from its coefficients, which answers a query that covers the segment)
+//! and an *installed* flag — so a reopened store never reads a coefficient
+//! block to rebuild either. The compaction swap protocol orders its writes
+//! so that, at every crash point, exactly one manifest claims each segment:
 //!
 //! 1. coefficient blocks → hist WAL,
-//! 2. hist manifest `installed = 1` and the energy catalog (one flush),
+//! 2. hist manifest `installed = 1`, the energy catalog and the full-cover
+//!    partial (one flush),
 //! 3. hist checkpoint (the commit point),
 //! 4. hot manifest `retired` (raw slot released).
 //!
@@ -44,7 +47,10 @@ use aims_storage::BlockDevice;
 /// All values an f64 carries exactly: the manifest is stored through the
 /// same checksummed f64-block pipeline as the payload data.
 pub(crate) const HOT_MAGIC: u64 = 0x4149_4D53_484F_5431; // "AIMSHOT1"
-pub(crate) const HIST_MAGIC: u64 = 0x4149_4D53_4853_5431; // "AIMSHST1"
+pub(crate) const HIST_MAGIC: u64 = 0x4149_4D53_4853_5432; // "AIMSHST2"
+/// The historical layout before the full-cover partial joined each slot
+/// (`[energy…, installed]`). Recognised only to refuse it by name.
+const HIST_MAGIC_V1: u64 = 0x4149_4D53_4853_5431; // "AIMSHST1"
 
 /// Per-slot states in the hot manifest.
 pub(crate) const SLOT_EMPTY: f64 = 0.0;
@@ -105,9 +111,9 @@ impl TierConfig {
     const HOT_STRIDE: usize = 2;
 
     /// Manifest values per slot on the historical device: one energy per
-    /// coefficient block plus the installed flag.
+    /// coefficient block, the full-cover partial and the installed flag.
     fn hist_stride(&self) -> usize {
-        self.blocks_per_segment() + 1
+        self.blocks_per_segment() + 2
     }
 
     fn manifest_blocks(&self, stride: usize) -> usize {
@@ -214,6 +220,14 @@ impl Manifest {
         };
         // The header sits in block 0, which every device has.
         let mut image = read(0)?;
+        if magic == HIST_MAGIC && image[0].to_bits() == HIST_MAGIC_V1 {
+            return Err(invalid(
+                "manifest layout AIMSHST1 ([energy…, installed] per slot) is not this build's \
+                 AIMSHST2 ([energy…, partial, installed]); there is no migration, delete the \
+                 directory"
+                    .to_string(),
+            ));
+        }
         if image[0].to_bits() != magic {
             return Err(invalid(format!(
                 "not a {what} manifest (magic {:#x})",
@@ -272,11 +286,14 @@ impl Manifest {
         self.set(at + 1, len as f64);
     }
 
-    /// Hist encoding: the per-block energies, then the installed flag.
-    /// The flag comes last because a flush writes blocks in ascending
-    /// order and the WAL replays a prefix: when a slot straddles two
-    /// manifest blocks, the block carrying the flag is the later one, so
-    /// a recovered flag always finds its whole catalog beside it.
+    /// Hist encoding: the per-block energies, the full-cover partial,
+    /// then the installed flag. The flag comes last because a flush writes
+    /// blocks in ascending order and the WAL replays a prefix: when a slot
+    /// straddles two manifest blocks, the block carrying the flag is the
+    /// later one, so a recovered flag always finds its whole catalog and
+    /// its partial beside it. The partial sits before the flag for the
+    /// same reason the catalog does — a flag recovered without it would
+    /// answer a covered segment with whatever the slot held before.
     pub(crate) fn installed(&self, seg: usize) -> bool {
         self.image[self.slot(seg) + self.stride - 1] == 1.0
     }
@@ -284,17 +301,23 @@ impl Manifest {
     /// The energy catalog of an installed slot, ascending block order.
     pub(crate) fn energies(&self, seg: usize) -> &[f64] {
         let at = self.slot(seg);
-        &self.image[at..at + self.stride - 1]
+        &self.image[at..at + self.stride - 2]
     }
 
-    /// Claims the slot for the historical tier: catalog and flag are
-    /// staged together so one flush carries both.
-    pub(crate) fn set_installed(&mut self, seg: usize, energies: &[f64]) {
-        assert_eq!(energies.len(), self.stride - 1, "one energy per coefficient block");
+    /// The full-cover partial of an installed slot.
+    pub(crate) fn partial(&self, seg: usize) -> f64 {
+        self.image[self.slot(seg) + self.stride - 2]
+    }
+
+    /// Claims the slot for the historical tier: catalog, partial and flag
+    /// are staged together so one flush carries all three.
+    pub(crate) fn set_installed(&mut self, seg: usize, energies: &[f64], partial: f64) {
+        assert_eq!(energies.len(), self.stride - 2, "one energy per coefficient block");
         let at = self.slot(seg);
         for (i, &e) in energies.iter().enumerate() {
             self.set(at + i, e);
         }
+        self.set(at + self.stride - 2, partial);
         self.set(at + self.stride - 1, 1.0);
     }
 

@@ -10,11 +10,13 @@
 //!
 //! The coefficients live on the historical device, so evaluation plans
 //! from the entries alone: grouped by device block, they name the blocks
-//! to fetch (a fully covered segment needs exactly its first block), each
-//! priced into one [`BlockPlan`] from the snapshot's energy catalog, and a
-//! [`BoundLedger`] consumes that plan most-important-first, carrying the
-//! bound. The full-cover entries depend only on the store's geometry, so
-//! the store computes them once and every snapshot shares them.
+//! to fetch, each priced into one [`BlockPlan`] from the snapshot's energy
+//! catalog, and a [`BoundLedger`] consumes that plan most-important-first,
+//! carrying the bound. A segment the range covers whole plans no block:
+//! its entries depend only on the store's geometry and all sit in block 0,
+//! so the install folded that block's partial once and pinned it beside
+//! the energy catalog. Such a segment joins the answer as an exact part,
+//! like a hot one.
 //!
 //! Determinism contract (the oracle bit-identity tests lean on this):
 //! every block contributes one partial — `w·c` over the block's entries,
@@ -22,10 +24,13 @@
 //! of them: a historical segment's block partials in ascending block order
 //! into a segment partial, a hot segment's samples in ascending order into
 //! a segment partial, and the segment partials in ascending segment order
-//! into a single accumulator. The fold does not depend on the order the
-//! blocks were fetched in, on what the cache held, or on the pool's width,
-//! so two stores whose payloads are bit-identical return bit-identical
-//! sums.
+//! into a single accumulator. A pinned full-cover partial is that same
+//! segment partial (a one-block fold from `0.0`, which a partial never
+//! changes: `Σ w·c` from `0.0` is never `-0.0`), computed at install from
+//! the coefficients block 0 holds. The fold does not depend on the order
+//! the blocks were fetched in, on what the cache held, or on the pool's
+//! width, so two stores whose payloads are bit-identical return
+//! bit-identical sums.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -46,17 +51,33 @@ pub(crate) fn count_weights(cfg: &TierConfig, la: usize, lb: usize) -> Arc<[(usi
     lazy_transform(cfg.segment_len, la, lb, &count, &cfg.filter.filter()).nonzeros(0.0).into()
 }
 
+/// One block's partial: `Σ w·c` over its entries, in ascending index
+/// order. `coeffs` starts at the block, whose first coefficient has index
+/// `base`. [`crate::TieredStore::install`] pins a whole segment's block-0
+/// partial with it.
+pub(crate) fn block_partial(coeffs: &[f64], base: usize, entries: &[(usize, f64)]) -> f64 {
+    let mut partial = 0.0;
+    for &(i, w) in entries {
+        partial += w * coeffs[i - base];
+    }
+    partial
+}
+
 /// What one overlapping segment contributes to the plan.
 enum SegPlan {
     /// Resident samples: summed exactly, up front.
     Hot { sum: f64, rows: usize },
+    /// A historical segment the range covers whole: its pinned partial.
+    Covered(f64),
     /// Device-resident coefficients under the segment's entries.
     Hist { slot: usize, energy: Arc<[f64]>, weights: Arc<[(usize, f64)]> },
 }
 
 /// The exact answer's fold unit: one partial per overlapping segment.
 enum Part {
-    Hot(f64),
+    /// Known up front: a hot segment's sum or a covered segment's pinned
+    /// partial.
+    Exact(f64),
     /// The segment's blocks, as a range of `items` in ascending block order.
     Hist(Range<usize>),
 }
@@ -100,8 +121,9 @@ pub fn range_sum(snap: &TierSnapshot, a: usize, b: usize) -> f64 {
 /// evaluation, bit for bit.
 pub struct TieredProgressive<'a> {
     snap: &'a TierSnapshot,
-    /// Exact hot-tier contribution (zero-error from step 0).
-    hot_part: f64,
+    /// Exact contribution of the hot and the covered segments
+    /// (zero-error from step 0).
+    exact_part: f64,
     /// Raw samples the hot tier summed.
     pub hot_rows: usize,
     /// Overlapping segments, ascending.
@@ -133,12 +155,13 @@ pub struct TierStep {
 impl<'a> TieredProgressive<'a> {
     /// Plans a progressive evaluation of `Σ f(t), t ∈ [a, b]` against the
     /// snapshot: sums the hot segments and transforms the edge segments'
-    /// ranges on `pool`, and lists — without reading any — the historical
-    /// blocks the range needs.
+    /// ranges on `pool`, takes each covered historical segment's pinned
+    /// partial, and lists — without reading any — the historical blocks
+    /// under the range's edges.
     pub fn new(snap: &'a TierSnapshot, a: usize, b: usize, pool: &ThreadPool) -> Self {
         let mut prog = TieredProgressive {
             snap,
-            hot_part: 0.0,
+            exact_part: 0.0,
             hot_rows: 0,
             parts: Vec::new(),
             items: Vec::new(),
@@ -151,12 +174,13 @@ impl<'a> TieredProgressive<'a> {
         }
         let b = b.min(snap.len() - 1);
         let cfg = snap.cfg;
-        let first = snap.segs.partition_point(|s| s.start + s.len <= a);
-        let last = snap.segs.partition_point(|s| s.start <= b);
-        let segs = &snap.segs[first..last];
+        let first = snap.sealed.partition_point(|s| s.start + s.len <= a);
+        let last = snap.sealed.partition_point(|s| s.start <= b);
+        let tail = snap.tail.iter().filter(|s| s.start <= b);
+        let segs: Vec<&SnapSeg> = snap.sealed[first..last].iter().chain(tail).collect();
         let local = |s: &SnapSeg| (a.max(s.start) - s.start, b.min(s.start + s.len - 1) - s.start);
 
-        let plans = pool.par_map(segs, |seg| match &seg.kind {
+        let plans = pool.par_map(&segs, |seg| match &seg.kind {
             SnapKind::Hot(data) => {
                 let (la, lb) = local(seg);
                 let mut sum = 0.0;
@@ -165,13 +189,15 @@ impl<'a> TieredProgressive<'a> {
                 }
                 SegPlan::Hot { sum, rows: lb - la + 1 }
             }
-            SnapKind::Hist { slot, energy } => {
-                let weights = match local(seg) {
-                    (0, lb) if lb == cfg.segment_len - 1 => Arc::clone(&snap.full_cover),
-                    (la, lb) => count_weights(&cfg, la, lb),
-                };
-                SegPlan::Hist { slot: *slot, energy: Arc::clone(energy), weights }
-            }
+            SnapKind::Hist { slot, energy, partial } => match local(seg) {
+                // A force-sealed short segment never ends at `segment_len - 1`.
+                (0, lb) if lb == cfg.segment_len - 1 => SegPlan::Covered(*partial),
+                (la, lb) => SegPlan::Hist {
+                    slot: *slot,
+                    energy: Arc::clone(energy),
+                    weights: count_weights(&cfg, la, lb),
+                },
+            },
         });
 
         let (mut hot_segs, mut hist_segs) = (0usize, 0usize);
@@ -179,10 +205,15 @@ impl<'a> TieredProgressive<'a> {
         for plan in plans {
             match plan {
                 SegPlan::Hot { sum, rows } => {
-                    prog.parts.push(Part::Hot(sum));
-                    prog.hot_part += sum;
+                    prog.parts.push(Part::Exact(sum));
+                    prog.exact_part += sum;
                     prog.hot_rows += rows;
                     hot_segs += 1;
+                }
+                SegPlan::Covered(partial) => {
+                    prog.parts.push(Part::Exact(partial));
+                    prog.exact_part += partial;
+                    hist_segs += 1;
                 }
                 SegPlan::Hist { slot, energy, weights } => {
                     // Group the entries by device block: `(block, Σw², entries)`.
@@ -237,7 +268,7 @@ impl<'a> TieredProgressive<'a> {
         let mut acc = 0.0;
         for part in &self.parts {
             acc += match part {
-                Part::Hot(sum) => *sum,
+                Part::Exact(sum) => *sum,
                 Part::Hist(blocks) => {
                     let mut seg = 0.0;
                     for partial in self.items[blocks.clone()].iter().filter_map(|i| i.partial) {
@@ -252,7 +283,8 @@ impl<'a> TieredProgressive<'a> {
 
     /// The current refinement.
     pub fn current(&self) -> TierStep {
-        let estimate = if self.done() { self.folded() } else { self.hot_part + self.hist_estimate };
+        let estimate =
+            if self.done() { self.folded() } else { self.exact_part + self.hist_estimate };
         TierStep {
             estimate,
             bound: self.ledger.bound(),
@@ -266,11 +298,7 @@ impl<'a> TieredProgressive<'a> {
     fn fetch(&self, item: &BlockTerm) -> Option<f64> {
         let coeffs = self.snap.hist.block(item.slot, item.blk).ok()?;
         let base = item.blk * self.snap.cfg.block_size;
-        let mut partial = 0.0;
-        for &(i, w) in &self.weights[item.weights][item.entries.clone()] {
-            partial += w * coeffs[i - base];
-        }
-        Some(partial)
+        Some(block_partial(&coeffs, base, &self.weights[item.weights][item.entries.clone()]))
     }
 
     /// Fetches and consumes up to `k` more historical blocks,
@@ -344,15 +372,19 @@ mod tests {
     /// Plans `[a, b]` on a one-segment snapshot, checks it against the
     /// dense reference and returns the planned block count. Block sets
     /// match exactly — Db4's ≈ 1e-14 detail-band rounding noise plans
-    /// nothing on either side — Haar answers match bit for bit, Db4
-    /// answers to 1e-12 of the range's Σ|f| (at least 1).
+    /// nothing on either side — except that a full cover plans none (its
+    /// partial is pinned); Haar answers match bit for bit, Db4 answers to
+    /// 1e-12 of the range's Σ|f| (at least 1).
     fn check(snap: &TierSnapshot, coeffs: &[f64], signal: &[f64], a: usize, b: usize) -> usize {
         let cfg = snap.cfg;
         let case =
             format!("{:?} S={} B={} [{a}, {b}]", cfg.filter, cfg.segment_len, cfg.block_size);
         let mut prog = TieredProgressive::new(snap, a, b, &ThreadPool::new(1));
         let planned: Vec<usize> = prog.items.iter().map(|t| t.blk).collect();
-        let (want_blocks, want) = dense_reference(&cfg, coeffs, a, b);
+        let (mut want_blocks, want) = dense_reference(&cfg, coeffs, a, b);
+        if (a, b) == (0, cfg.segment_len - 1) {
+            want_blocks.clear();
+        }
         assert_eq!(planned, want_blocks, "{case}: planned blocks");
         let got = prog.drain().estimate;
         if cfg.filter == FilterKind::Haar {
@@ -378,10 +410,11 @@ mod tests {
                 compact::drain(&store, &pool);
                 let (snap, coeffs) = (store.snapshot(), transform_segment(&signal, &cfg).coeffs);
                 if segment_len == 4096 {
-                    // The full cover plans one block; the pinned partial
-                    // range plans Db4 8 blocks, Haar 6.
+                    // The full cover plans no block (its partial is
+                    // pinned); the pinned partial range plans Db4 8
+                    // blocks, Haar 6.
                     let partial = if filter == FilterKind::Db4 { 8 } else { 6 };
-                    assert_eq!(check(&snap, &coeffs, &signal, 0, segment_len - 1), 1);
+                    assert_eq!(check(&snap, &coeffs, &signal, 0, segment_len - 1), 0);
                     assert_eq!(check(&snap, &coeffs, &signal, 100, 3000), partial);
                 }
                 let mut state = 0x9E37_79B9_7F4A_7C15_u64 ^ segment_len as u64;
@@ -397,6 +430,75 @@ mod tests {
                     check(&snap, &coeffs, &signal, a, b);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn pinned_partial_is_the_block_partial_the_read_path_folds() {
+        let pool = ThreadPool::new(1);
+        for (segment_len, block_size) in [(64, 16), (4096, 256), (16, 8)] {
+            for filter in FilterKind::ALL {
+                let cfg = TierConfig { segment_len, block_size, max_segments: 3, filter };
+                let case = format!("{filter:?} S={segment_len} B={block_size}");
+                let full_cover = count_weights(&cfg, 0, segment_len - 1);
+                // Every filter's full cover sits in block 0; at 16/8 the
+                // longest filters' entries fill it exactly.
+                assert!(full_cover.iter().all(|&(i, _)| i < block_size), "{case}");
+                if block_size == 8 && matches!(filter, FilterKind::Db6 | FilterKind::Db8) {
+                    assert_eq!(full_cover.len(), 8, "{case}");
+                }
+                let store = TieredStore::new_mem(cfg);
+                let signal: Vec<f64> =
+                    (0..3 * segment_len).map(|i| ((i * 7919) % 211) as f64 / 7.0 - 13.0).collect();
+                store.push_slice(&signal);
+                compact::drain(&store, &pool);
+                let snap = store.snapshot();
+                for i in 0..3 {
+                    // The block read path: block 0 off the device, reduced
+                    // against its entries, folded into a segment partial.
+                    let block = snap.hist_block(i, 0).unwrap().unwrap();
+                    let mut partial = 0.0;
+                    for &(k, w) in full_cover.iter() {
+                        partial += w * block[k];
+                    }
+                    let mut seg = 0.0;
+                    seg += partial;
+                    let pinned = snap.full_cover_partial(i).unwrap();
+                    assert_eq!(pinned.to_bits(), seg.to_bits(), "{case} segment {i}");
+                    let (a, b) = (i * segment_len, (i + 1) * segment_len - 1);
+                    let raw: f64 = signal[a..=b].iter().sum();
+                    assert!((pinned - raw).abs() <= 1e-9 * raw.abs().max(1.0), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_force_sealed_short_segment_never_takes_the_pinned_path() {
+        let pool = ThreadPool::new(1);
+        let cfg = TierConfig {
+            segment_len: 64,
+            block_size: 16,
+            max_segments: 3,
+            filter: FilterKind::Db4,
+        };
+        let store = TieredStore::new_mem(cfg);
+        let signal: Vec<f64> = (0..64 + 40).map(|i| ((i * 31) % 17) as f64 - 3.0).collect();
+        store.push_slice(&signal);
+        store.seal_open();
+        compact::drain(&store, &pool);
+        let snap = store.snapshot();
+        assert!(snap.segments().iter().all(|s| s.historical));
+        assert_eq!(snap.segments()[1].len, 40);
+        for (a, b, planned) in [(0, 63, false), (64, 103, true), (0, 103, true), (10, 103, true)] {
+            let mut prog = TieredProgressive::new(&snap, a, b, &pool);
+            // Only the short segment (and an edge inside segment 0) plans
+            // blocks: covering all 40 of its samples is not a full cover.
+            assert_eq!(prog.total_blocks() > 0, planned, "[{a}, {b}]");
+            let short_blocks = prog.items.iter().filter(|t| t.slot == 1).count();
+            assert_eq!(short_blocks > 0, b == 103, "[{a}, {b}]");
+            let (got, raw) = (prog.drain().estimate, signal[a..=b].iter().sum::<f64>());
+            assert!((got - raw).abs() <= 1e-9 * raw.abs().max(1.0), "[{a}, {b}]: {got} vs {raw}");
         }
     }
 }

@@ -8,11 +8,12 @@
 //! **What is resident.** The hot tier — the open tail and the sealed
 //! segments the compactor has not installed yet — lives in memory as raw
 //! samples (and durably on the hot device). An installed segment lives
-//! *only* on the historical device: the store keeps its logical length
-//! and its per-block energy catalog, and queries read its coefficient
-//! blocks on demand through one bounded [`SharedBlockCache`]
-//! (checksum-verified, retried). Memory is O(hot tier + cache), not
-//! O(data).
+//! *only* on the historical device: the store keeps its logical length,
+//! its per-block energy catalog and its full-cover partial (the whole
+//! segment's COUNT, which answers any query that covers the segment), and
+//! queries read the coefficient blocks under a range's edges on demand
+//! through one bounded [`SharedBlockCache`] (checksum-verified, retried).
+//! Memory is O(hot tier + cache), not O(data).
 //!
 //! **Locks.** The hot device and the segment table sit behind the ingest
 //! mutex; the historical device sits behind its own lock, so an install's
@@ -30,7 +31,11 @@
 //! (an `Arc` of every hot segment's samples, a descriptor of every
 //! historical one, a copy of the open tail), so a compaction swap that
 //! completes mid-query cannot move a sample between tiers underneath it —
-//! a segment the snapshot saw hot stays hot for that query.
+//! a segment the snapshot saw hot stays hot for that query. The sealed
+//! segments' part of that view changes only at a seal or an install, so
+//! the store keeps it as one shared slice, rebuilt by the first snapshot
+//! after either: every other snapshot costs the ingest lock one `Arc`
+//! clone and the open-tail copy, not a walk over every segment.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -42,19 +47,27 @@ use aims_storage::{
 use aims_telemetry::{counter, gauge};
 
 use crate::layout::{Manifest, TierConfig, SLOT_EMPTY, SLOT_OPEN, SLOT_RAW, SLOT_RETIRED};
-use crate::query::count_weights;
+use crate::query::{block_partial, count_weights};
 
-/// Byte budget of a store's historical block cache.
-pub const HIST_CACHE_BYTES: usize = 8 << 20;
+/// Byte budget of a store's historical block cache. A segment a query
+/// covers whole is answered by its pinned full-cover partial, so the
+/// cache serves only the blocks under a range's edges: on the benchmark's
+/// `mixed_ingest_query` workload (4096-sample segments, 256-item blocks)
+/// that is ≈ 6.5 blocks per query. 1 MiB (512 blocks) hits ≈ 58 % of
+/// them and 8 MiB ≈ 73 %, but tiered query p50/p99 are no better at
+/// 8 MiB (the extra misses are page-cache reads), while the process
+/// peaks ≈ 15 MiB higher.
+pub const HIST_CACHE_BYTES: usize = 1 << 20;
 
 /// [`HIST_CACHE_BYTES`] in blocks of this geometry.
 fn cache_budget_blocks(cfg: &TierConfig) -> usize {
     (HIST_CACHE_BYTES / (cfg.block_size * 8)).max(1)
 }
 
-/// Segment slots are a power-of-two number of blocks apart, so an odd
-/// shard count spreads the block every fully covered segment needs (its
-/// first) evenly over the cache's shards.
+/// Segment slots are a power-of-two number of blocks apart, and every
+/// edge a query puts inside a segment reads that segment's first block
+/// (the top of each error-tree path): an odd shard count spreads those
+/// first blocks, the cache's most reused, evenly over its shards.
 const CACHE_SHARDS: usize = 7;
 
 /// A sealed segment's wavelet form as the compactor hands it to
@@ -85,8 +98,9 @@ enum Seg {
     /// segment claimed by the compactor (still served raw until installed).
     Raw { data: Arc<Vec<f64>>, compacting: bool },
     /// Installed on the historical device, raw slot retired: only the
-    /// logical length and the energy catalog stay in memory.
-    Hist { len: usize, energy: Arc<[f64]> },
+    /// logical length, the energy catalog and the full-cover partial stay
+    /// in memory.
+    Hist { len: usize, energy: Arc<[f64]>, partial: f64 },
 }
 
 struct Inner<D: BlockDevice> {
@@ -102,6 +116,9 @@ struct Inner<D: BlockDevice> {
     durable_sealed: usize,
     /// Sealed segments still raw (the compaction backlog).
     sealed_raw: usize,
+    /// The snapshot view of `segs`, shared by every snapshot until the
+    /// next seal or install drops it; `None` until a snapshot rebuilds it.
+    view: Option<Arc<[SnapSeg]>>,
 }
 
 impl<D: BlockDevice> Inner<D> {
@@ -114,7 +131,32 @@ impl<D: BlockDevice> Inner<D> {
             open_written: 0,
             durable_sealed: 0,
             sealed_raw: 0,
+            view: None,
         }
+    }
+
+    /// The sealed segments as a snapshot sees them, rebuilt only when a
+    /// seal or install has dropped the shared copy.
+    fn sealed_view(&mut self) -> Arc<[SnapSeg]> {
+        let segs = &self.segs;
+        let view = self.view.get_or_insert_with(|| {
+            let mut start = 0usize;
+            segs.iter()
+                .enumerate()
+                .map(|(slot, seg)| {
+                    let (len, kind) = match seg {
+                        Seg::Raw { data, .. } => (data.len(), SnapKind::Hot(Arc::clone(data))),
+                        Seg::Hist { len, energy, partial } => (
+                            *len,
+                            SnapKind::Hist { slot, energy: Arc::clone(energy), partial: *partial },
+                        ),
+                    };
+                    start += len;
+                    SnapSeg { start: start - len, len, kind }
+                })
+                .collect()
+        });
+        Arc::clone(view)
     }
 }
 
@@ -131,7 +173,8 @@ pub(crate) trait BlockSource: Send + Sync {
 }
 
 /// The historical tier: the device, the one cache every read of it goes
-/// through, and the query weights every fully covered segment shares.
+/// through, and the COUNT entries of a whole segment, which every install
+/// folds into the segment's pinned partial.
 struct HistTier<D> {
     state: RwLock<HistState<D>>,
     cache: SharedBlockCache,
@@ -143,12 +186,16 @@ struct HistTier<D> {
 impl<D: TierMedia> HistTier<D> {
     fn new(cfg: TierConfig, device: D, man: Manifest, cache_blocks: usize) -> Self {
         let shards = CACHE_SHARDS.min(cache_blocks);
+        let full_cover = count_weights(&cfg, 0, cfg.segment_len - 1);
+        // At most 8 entries (Db8), all at the top of the error tree, and a
+        // block holds at least 8 coefficients.
+        assert!(full_cover.iter().all(|&(i, _)| i < cfg.block_size), "full cover leaves block 0");
         HistTier {
             state: RwLock::new(HistState { device, man }),
             cache: SharedBlockCache::with_shards(cache_blocks / shards * shards, shards),
             cfg,
             retry: RetryPolicy::default(),
-            full_cover: count_weights(&cfg, 0, cfg.segment_len - 1),
+            full_cover,
         }
     }
 
@@ -215,8 +262,9 @@ pub struct SegmentView {
 pub(crate) enum SnapKind {
     /// Resident raw samples (a sealed backlog segment or the open tail).
     Hot(Arc<Vec<f64>>),
-    /// Device-resident coefficients: the segment's slot and its catalog.
-    Hist { slot: usize, energy: Arc<[f64]> },
+    /// Device-resident coefficients: the segment's slot, its catalog and
+    /// its full-cover partial.
+    Hist { slot: usize, energy: Arc<[f64]>, partial: f64 },
 }
 
 pub(crate) struct SnapSeg {
@@ -230,9 +278,12 @@ pub(crate) struct SnapSeg {
 /// seals/compactions can't double- or zero-count a sample mid-query.
 pub struct TierSnapshot {
     pub(crate) cfg: TierConfig,
-    pub(crate) segs: Vec<SnapSeg>,
+    /// Every sealed segment, ascending — shared with the store (and every
+    /// other snapshot) until the next seal or install.
+    pub(crate) sealed: Arc<[SnapSeg]>,
+    /// The open tail, copied; `None` when it is empty.
+    pub(crate) tail: Option<SnapSeg>,
     pub(crate) hist: Arc<dyn BlockSource>,
-    pub(crate) full_cover: Arc<[(usize, f64)]>,
     total_len: usize,
 }
 
@@ -247,10 +298,16 @@ impl TierSnapshot {
         self.total_len == 0
     }
 
+    /// Segment `i`, sealed ones first, then the open tail.
+    fn seg(&self, i: usize) -> Option<&SnapSeg> {
+        self.sealed.get(i).or_else(|| self.tail.as_ref().filter(|_| i == self.sealed.len()))
+    }
+
     /// The per-segment tier residency this snapshot captured.
     pub fn segments(&self) -> Vec<SegmentView> {
-        self.segs
+        self.sealed
             .iter()
+            .chain(&self.tail)
             .map(|s| SegmentView {
                 start: s.start,
                 len: s.len,
@@ -262,8 +319,18 @@ impl TierSnapshot {
     /// The per-block energy catalog of segment `i`, when the snapshot
     /// serves it from the historical tier.
     pub fn block_energies(&self, i: usize) -> Option<&[f64]> {
-        match &self.segs.get(i)?.kind {
+        match &self.seg(i)?.kind {
             SnapKind::Hist { energy, .. } => Some(energy),
+            SnapKind::Hot(_) => None,
+        }
+    }
+
+    /// The full-cover partial of segment `i` — what a query covering the
+    /// whole segment folds in instead of reading its blocks — when the
+    /// snapshot serves it from the historical tier.
+    pub fn full_cover_partial(&self, i: usize) -> Option<f64> {
+        match self.seg(i)?.kind {
+            SnapKind::Hist { partial, .. } => Some(partial),
             SnapKind::Hot(_) => None,
         }
     }
@@ -272,7 +339,7 @@ impl TierSnapshot {
     /// queries read it: through the store's cache, verified and retried.
     /// `None` when the snapshot serves the segment hot.
     pub fn hist_block(&self, i: usize, blk: usize) -> Option<Result<Arc<Vec<f64>>, ReadError>> {
-        match &self.segs.get(i)?.kind {
+        match &self.seg(i)?.kind {
             SnapKind::Hist { slot, .. } => Some(self.hist.block(*slot, blk)),
             SnapKind::Hot(_) => None,
         }
@@ -470,7 +537,8 @@ impl<D: TierMedia> TieredStore<D> {
                 break;
             }
             if hist_man.installed(seg) {
-                inner.segs.push(Seg::Hist { len, energy: hist_man.energies(seg).into() });
+                let (energy, partial) = (hist_man.energies(seg).into(), hist_man.partial(seg));
+                inner.segs.push(Seg::Hist { len, energy, partial });
                 // Crashed between hist commit and raw retirement: finish
                 // it (a no-op for a slot already retired).
                 inner.hot_man.set_slot(seg, SLOT_RETIRED, len);
@@ -525,17 +593,19 @@ impl<D: TierMedia> TieredStore<D> {
 
     /// Bytes the store keeps in memory: the hot tier's raw samples (a
     /// segment buffer per backlog segment + the open tail), the energy
-    /// catalogs of installed segments, and whatever the historical block
-    /// cache holds right now. Also published as the `tier.resident_bytes`
-    /// gauge, which is otherwise refreshed at every seal and install (not
-    /// per query: the query path stays off the ingest lock).
+    /// catalog and full-cover partial of each installed segment, and
+    /// whatever the historical block cache holds right now. Also published
+    /// as the `tier.resident_bytes` gauge, which is otherwise refreshed at
+    /// every seal and install (not per query: the query path stays off the
+    /// ingest lock).
     pub fn resident_bytes(&self) -> usize {
         self.publish_resident(&self.lock())
     }
 
     fn publish_resident(&self, inner: &Inner<D>) -> usize {
         let hot = 8 * (inner.sealed_raw * self.cfg.segment_len + inner.open_buf.len());
-        let catalogs = 8 * self.cfg.blocks_per_segment() * (inner.segs.len() - inner.sealed_raw);
+        let catalogs =
+            8 * (self.cfg.blocks_per_segment() + 1) * (inner.segs.len() - inner.sealed_raw);
         let bytes = hot + catalogs + self.hist.cache_bytes();
         gauge!("tier.resident_bytes").set(bytes as f64);
         bytes
@@ -634,6 +704,7 @@ impl<D: TierMedia> TieredStore<D> {
         inner.open_written = 0;
         inner.segs.push(Seg::Raw { data: Arc::new(data), compacting: false });
         inner.sealed_raw += 1;
+        inner.view = None;
         counter!("tier.segments.sealed").inc();
         counter!("tier.segments.open").inc();
         gauge!("tier.segments.raw_pending").set(inner.sealed_raw as f64);
@@ -668,31 +739,20 @@ impl<D: TierMedia> TieredStore<D> {
 
     /// A consistent view for query evaluation. The open tail is copied,
     /// hot payloads are shared by `Arc`, historical segments are named by
-    /// slot and catalog — their blocks are read when a query wants them.
+    /// slot, catalog and full-cover partial — their blocks are read when a
+    /// query wants them. The sealed segments' view is the store's shared
+    /// one (see the module docs).
     pub fn snapshot(&self) -> TierSnapshot {
-        let inner = self.lock();
-        let mut segs = Vec::with_capacity(inner.segs.len() + 1);
-        let mut start = 0usize;
-        for (slot, seg) in inner.segs.iter().enumerate() {
-            let (len, kind) = match seg {
-                Seg::Raw { data, .. } => (data.len(), SnapKind::Hot(Arc::clone(data))),
-                Seg::Hist { len, energy } => {
-                    (*len, SnapKind::Hist { slot, energy: Arc::clone(energy) })
-                }
-            };
-            segs.push(SnapSeg { start, len, kind });
-            start += len;
-        }
-        if !inner.open_buf.is_empty() {
-            segs.push(SnapSeg {
-                start,
-                len: inner.open_buf.len(),
-                kind: SnapKind::Hot(Arc::new(inner.open_buf.clone())),
-            });
-            start += inner.open_buf.len();
-        }
-        let full_cover = Arc::clone(&self.hist.full_cover);
-        TierSnapshot { cfg: self.cfg, segs, hist: self.hist.clone(), full_cover, total_len: start }
+        let mut inner = self.lock();
+        let sealed = inner.sealed_view();
+        let (start, len) = (inner.durable_sealed, inner.open_buf.len());
+        let tail = (len > 0).then(|| SnapSeg {
+            start,
+            len,
+            kind: SnapKind::Hot(Arc::new(inner.open_buf.clone())),
+        });
+        let hist = self.hist.clone();
+        TierSnapshot { cfg: self.cfg, sealed, tail, hist, total_len: start + len }
     }
 
     /// Claims up to `max` sealed raw segments for compaction (oldest
@@ -725,8 +785,9 @@ impl<D: TierMedia> TieredStore<D> {
     }
 
     /// The compaction swap: writes `coeffs` to the historical device,
-    /// commits it (manifest with the energy catalog + checkpoint), then
-    /// retires the raw slot and drops the segment's samples from memory.
+    /// commits it (manifest with the energy catalog and the full-cover
+    /// partial folded from `coeffs`, then checkpoint), then retires the raw
+    /// slot and drops the segment's samples from memory.
     /// Ordered so a crash at any point leaves exactly one manifest
     /// claiming the segment, with the raw slot winning until the
     /// historical commit completes. The historical work runs under the
@@ -738,6 +799,7 @@ impl<D: TierMedia> TieredStore<D> {
     pub fn install(&self, seg: usize, coeffs: SegCoeffs) -> bool {
         let cfg = self.cfg;
         debug_assert_eq!(coeffs.coeffs.len(), cfg.segment_len);
+        let partial = block_partial(&coeffs.coeffs, 0, &self.hist.full_cover);
         let committed = {
             let mut guard = self.hist.write();
             let HistState { device, man } = &mut *guard;
@@ -746,8 +808,8 @@ impl<D: TierMedia> TieredStore<D> {
                 device.write_block(cfg.hist_block(seg) + b, blk);
             }
             // (2) historical manifest claims the segment and records its
-            // catalog; (3) commit.
-            man.set_installed(seg, &coeffs.block_energy);
+            // catalog and partial; (3) commit.
+            man.set_installed(seg, &coeffs.block_energy, partial);
             man.flush(device);
             device.commit()
         };
@@ -769,8 +831,10 @@ impl<D: TierMedia> TieredStore<D> {
             let Inner { hot, hot_man, .. } = &mut *inner;
             hot_man.flush(hot);
         }
-        inner.segs[seg] = Seg::Hist { len, energy: coeffs.block_energy.into() };
+        inner.segs[seg] = Seg::Hist { len, energy: coeffs.block_energy.into(), partial };
         inner.sealed_raw -= 1;
+        // Drops the view's hold on the raw samples too.
+        inner.view = None;
         counter!("tier.segments.compacted").inc();
         gauge!("tier.segments.raw_pending").set(inner.sealed_raw as f64);
         self.publish_resident(&inner);
@@ -880,5 +944,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn snapshots_share_the_sealed_view_until_a_seal_or_install() {
+        let cfg = TierConfig {
+            segment_len: SEG,
+            block_size: BLOCK,
+            max_segments: 8,
+            filter: FilterKind::Haar,
+        };
+        let store = TieredStore::new_mem(cfg);
+        let shared = |a: &TierSnapshot, b: &TierSnapshot| Arc::ptr_eq(&a.sealed, &b.sealed);
+        store.push_slice(&[1.5; 2 * SEG + 5]);
+        let first = store.snapshot();
+        // Samples that only grow the open tail keep the view.
+        store.push_slice(&[2.5; 7]);
+        let second = store.snapshot();
+        assert!(shared(&first, &second), "no seal or install between them");
+        assert_eq!((first.len(), second.len()), (2 * SEG + 5, 2 * SEG + 12));
+        // A seal drops it.
+        store.push_slice(&[3.5; SEG]);
+        let sealed = store.snapshot();
+        assert!(!shared(&second, &sealed), "a seal must rebuild the view");
+        assert_eq!(sealed.sealed.len(), 3);
+        // So does an install, which also releases the view's raw samples.
+        let (seg, data) = store.claim_sealed(1).pop().unwrap();
+        let holders = "the store, its view, the earlier snapshots' view and the claim";
+        assert_eq!(Arc::strong_count(&data), 4, "{holders}");
+        drop(sealed);
+        store.install(seg, compact::transform_segment(&data, &cfg));
+        let installed = store.snapshot();
+        assert!(!shared(&second, &installed), "an install must rebuild the view");
+        assert!(installed.segments()[0].historical && !installed.segments()[1].historical);
+        assert_eq!(Arc::strong_count(&data), 2, "the claim and the earlier snapshots' view");
+        drop((first, second));
+        assert_eq!(Arc::strong_count(&data), 1, "nothing else holds the installed samples");
+        assert!(shared(&installed, &store.snapshot()));
     }
 }

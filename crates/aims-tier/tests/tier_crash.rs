@@ -16,15 +16,19 @@
 //!
 //! Reopening is lazy: recovery reads the two manifests, the raw backlog
 //! and the open tail, and not one historical coefficient block — the
-//! energy catalog it plans from comes out of the historical manifest,
-//! and the sweep checks it bit for bit against the blocks themselves.
+//! energy catalog it plans from and the full-cover partial a covering
+//! query folds come out of the historical manifest, and the sweep checks
+//! both bit for bit against the blocks themselves.
 
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 
 use aims_dsp::filters::FilterKind;
+use aims_dsp::lazy::lazy_transform;
+use aims_dsp::poly::Polynomial;
 use aims_exec::ThreadPool;
-use aims_storage::{block_energy, CrashPlan, DurabilityMode, FileDeviceOptions};
+use aims_storage::FileDeviceOptions;
+use aims_storage::{block_energy, BlockDevice, CrashPlan, DurabilityMode, FileDevice};
 use aims_tier::{compact, range_sum_on, TierConfig, TierSnapshot, TieredStore};
 
 const SEG: usize = 64;
@@ -84,6 +88,27 @@ fn assert_catalog_matches_blocks(snap: &TierSnapshot, what: &str) {
     }
 }
 
+/// The full-cover partial a reopened store recovered from its historical
+/// manifest must be the one its block 0 folds to: `Σ w·c` over the whole
+/// segment's COUNT entries, in ascending index order, into a segment
+/// partial.
+fn assert_partials_match_block_0(snap: &TierSnapshot, what: &str) {
+    let count = Polynomial::constant(1.0);
+    let full_cover = lazy_transform(SEG, 0, SEG - 1, &count, &cfg().filter.filter()).nonzeros(0.0);
+    assert!(full_cover.iter().all(|&(i, _)| i < BLOCK), "the full cover sits in block 0");
+    for i in 0..snap.segments().len() {
+        let Some(recovered) = snap.full_cover_partial(i) else { continue };
+        let block = snap.hist_block(i, 0).expect("historical segment").expect("readable block");
+        let mut partial = 0.0;
+        for &(k, w) in &full_cover {
+            partial += w * block[k];
+        }
+        let mut seg = 0.0;
+        seg += partial;
+        assert_eq!(recovered.to_bits(), seg.to_bits(), "{what}: segment {i} full-cover partial");
+    }
+}
+
 /// The serial single-pass oracle every recovered store must converge to.
 fn oracle_snapshot() -> TierSnapshot {
     let oracle = TieredStore::new_mem(cfg());
@@ -101,9 +126,10 @@ fn crash_mid_compaction_keeps_raw_segments() {
     let mut kept_raw_cases = 0usize;
     let mut committed_cases = 0usize;
 
-    // Step 46 falls between the two manifest blocks that segment 2's
-    // catalog straddles: the flag must not be recovered without it.
-    for step in (0..60u64).step_by(3).chain([46]) {
+    // Step 82 falls between the two manifest blocks that segment 4's slot
+    // straddles (its catalog in block 1, its partial and flag in block 2):
+    // the flag must not be recovered without them.
+    for step in (0..60u64).step_by(3).chain([82]) {
         let dir = fresh_dir(&format!("hist-{step}"));
         // Phase 1: ingest cleanly (no crash armed), seal everything.
         {
@@ -138,6 +164,7 @@ fn crash_mid_compaction_keeps_raw_segments() {
             committed_cases += 1;
         }
         assert_catalog_matches_blocks(&snap, &format!("step {step}"));
+        assert_partials_match_block_0(&snap, &format!("step {step}"));
         // Every recovered sample is still queryable and correct: raw
         // segments answer exactly, so spot-check points bit-identically.
         for &t in &[0usize, SEG - 1, SEG, TOTAL - 1] {
@@ -334,5 +361,35 @@ fn reopen_refuses_a_config_the_store_was_not_created_with() {
     assert_eq!(store.len(), data.len());
     assert_eq!(answers(&store), before, "the creating config answers as before the close");
     drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The historical manifest's layout before each slot carried its full-cover
+/// partial (`[energy…, installed]`, magic `AIMSHST1`) has no migration: a
+/// store written under it is refused by name, not read under the wrong
+/// stride.
+#[test]
+fn reopen_refuses_the_previous_hist_manifest_layout() {
+    let dir = fresh_dir("layout");
+    {
+        let store = TieredStore::create_durable(&dir, cfg(), opts(CrashPlan::none())).unwrap();
+        store.push_slice(&signal());
+        compact::run_once(&store, &ThreadPool::new(1), 2);
+        store.checkpoint();
+    }
+    {
+        let mut hist = FileDevice::open(dir.join("hist"), opts(CrashPlan::none())).unwrap();
+        let mut header = hist.read_block(0).unwrap();
+        header[0] = f64::from_bits(u64::from_be_bytes(*b"AIMSHST1"));
+        hist.write_block(0, &header);
+        hist.checkpoint();
+    }
+    let Err(e) = TieredStore::open_durable(&dir, cfg(), opts(CrashPlan::none())) else {
+        panic!("a store under the previous hist manifest layout reopened");
+    };
+    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+    for part in ["hist device", "AIMSHST1", "AIMSHST2", "delete the directory"] {
+        assert!(e.to_string().contains(part), "the error must name {part:?}: {e}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

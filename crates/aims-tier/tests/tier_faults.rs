@@ -9,13 +9,21 @@
 //!   answer is bit-identical to a clean store's;
 //! - a dead block is never an answer-shaped lie: the evaluation reports
 //!   it lost, keeps its Cauchy–Schwarz gain in the bound, and the truth
-//!   stays inside that bound; nothing panics.
+//!   stays inside that bound; nothing panics;
+//! - a segment a query covers whole is answered by the full-cover partial
+//!   its install pinned in the historical manifest — the segment as
+//!   installed — so a dead or corrupt block under it costs that query
+//!   nothing; only a query whose edge falls inside the segment reads (and
+//!   loses) the block.
 
 use aims_dsp::filters::FilterKind;
 use aims_exec::ThreadPool;
-use aims_storage::{FaultKind, FaultPlan, FaultyDevice, MemDevice, RetryPolicy};
+use std::os::unix::fs::FileExt;
+
+use aims_storage::{DurabilityMode, FaultKind, FaultPlan, FaultyDevice, FileDeviceOptions};
+use aims_storage::{MemDevice, RetryPolicy};
 use aims_telemetry::global;
-use aims_tier::{compact, range_sum_on, TierConfig, TieredProgressive, TieredStore};
+use aims_tier::{compact, range_sum_on, TierConfig, TierSnapshot, TieredProgressive, TieredStore};
 
 const SEG: usize = 128;
 const BLOCK: usize = 16;
@@ -124,4 +132,91 @@ fn dead_blocks_are_reported_and_bounded() {
         lost_somewhere |= prev.blocks_lost > 0;
     }
     assert!(lost_somewhere, "no query touched a dead block");
+}
+
+/// Segment `s` of `fsnap` has an unreadable block 0. Covering the segment
+/// whole reads nothing and answers exactly what the clean store answers;
+/// an edge inside it needs that block, reports it lost, and keeps the
+/// truth inside the bound.
+fn assert_covered_exact_and_edge_bounded(csnap: &TierSnapshot, fsnap: &TierSnapshot, s: usize) {
+    let pool = ThreadPool::new(2);
+    let (a, b) = (s * SEG, (s + 1) * SEG - 1);
+    let mut prog = TieredProgressive::new(fsnap, a, b, &pool);
+    assert_eq!(prog.total_blocks(), 0, "segment {s}: a covered segment plans no block");
+    let last = prog.drain();
+    assert_eq!((last.blocks_lost, last.bound.to_bits()), (0, 0.0f64.to_bits()), "segment {s}");
+    let want = range_sum_on(csnap, a, b, &pool);
+    assert_eq!(last.estimate.to_bits(), want.to_bits(), "segment {s}: covered");
+    // A wider range that covers the segment and ends in its neighbours'
+    // middles reads only the neighbours' blocks.
+    let (a, b) = (a.saturating_sub(SEG / 2 - 3), b + SEG / 2);
+    let want = range_sum_on(csnap, a, b, &pool);
+    let last = TieredProgressive::new(fsnap, a, b, &pool).drain();
+    assert_eq!(last.blocks_lost, 0, "segment {s}: [{a}, {b}]");
+    assert_eq!(last.estimate.to_bits(), want.to_bits(), "segment {s}: [{a}, {b}]");
+
+    let (a, b) = (s * SEG + 5, (s + 1) * SEG - 1);
+    let truth = range_sum_on(csnap, a, b, &pool);
+    let last = TieredProgressive::new(fsnap, a, b, &pool).drain();
+    assert!(last.blocks_lost >= 1, "segment {s}: an edge inside it must read block 0");
+    let scale = 1.0f64.max(truth.abs());
+    assert!(
+        (last.estimate - truth).abs() <= last.bound + 1e-9 * scale,
+        "segment {s}: truth {truth} outside {} ± {}",
+        last.estimate,
+        last.bound
+    );
+}
+
+#[test]
+fn a_dead_first_block_under_a_covered_segment_costs_nothing() {
+    let plan = FaultPlan::uniform(0xDEC1, FaultKind::DeadBlock, 0.05);
+    let dead = twin(&plan);
+    // Interior segments whose first block is dead and whose neighbours'
+    // blocks all read (the wider range reads their edges).
+    let slot = |s: usize| cfg().hist_block(s)..cfg().hist_block(s + 1);
+    let cases: Vec<usize> = (1..TOTAL / SEG - 1)
+        .filter(|&s| dead.is_dead(cfg().hist_block(s)))
+        .filter(|&s| !slot(s - 1).chain(slot(s + 1)).any(|blk| dead.is_dead(blk)))
+        .collect();
+    assert!(!cases.is_empty(), "seed must kill an interior segment's first block");
+    let (clean, faulty) = (compacted(FaultPlan::none(0)), compacted(plan));
+    let (csnap, fsnap) = (clean.snapshot(), faulty.snapshot());
+    for s in cases {
+        assert_covered_exact_and_edge_bounded(&csnap, &fsnap, s);
+    }
+}
+
+#[test]
+fn a_corrupt_first_block_under_a_covered_segment_costs_nothing() {
+    let dir = std::env::temp_dir().join(format!("aims-tier-faults-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let opts = FileDeviceOptions { mode: DurabilityMode::Always, ..Default::default() };
+    {
+        let store = TieredStore::create_durable(&dir, cfg(), opts.clone()).unwrap();
+        store.push_slice(&signal());
+        store.seal_open();
+        compact::drain(&store, &ThreadPool::new(1));
+        store.checkpoint();
+    }
+    // Flip one payload byte of segment 3's block 0. The main file ends
+    // with the payload region: one `BLOCK × 8`-byte image per block.
+    let main = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(dir.join("hist").join("blocks.aims"))
+        .unwrap();
+    let payloads = main.metadata().unwrap().len() - (cfg().hist_device_blocks() * BLOCK * 8) as u64;
+    let at = payloads + (cfg().hist_block(3) * BLOCK * 8) as u64 + 5;
+    let mut byte = [0u8];
+    main.read_exact_at(&mut byte, at).unwrap();
+    main.write_all_at(&[byte[0] ^ 0x20], at).unwrap();
+    drop(main);
+
+    let store = TieredStore::open_durable(&dir, cfg(), opts).unwrap();
+    let clean = compacted(FaultPlan::none(0));
+    assert!(store.snapshot().hist_block(3, 0).unwrap().is_err(), "the flip must be caught");
+    assert_covered_exact_and_edge_bounded(&clean.snapshot(), &store.snapshot(), 3);
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
 }

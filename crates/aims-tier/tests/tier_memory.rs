@@ -44,7 +44,8 @@ fn resident_memory_is_hot_tier_plus_cache_not_data() {
     let opts = FileDeviceOptions { mode: DurabilityMode::Periodic(64), ..Default::default() };
     let store = TieredStore::create_durable(&dir, cfg, opts).unwrap();
     let compactor = Compactor::spawn(store.clone(), CompactorConfig::default());
-    let catalog_bytes = |segments: usize| segments * (SEG / BLOCK) * 8;
+    // One energy per block and the full-cover partial, per segment.
+    let catalog_bytes = |segments: usize| segments * (SEG / BLOCK + 1) * 8;
     let rss_before = vm_rss_bytes();
 
     let mut state = 0x3E3Du64;

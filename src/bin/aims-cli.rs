@@ -1138,7 +1138,7 @@ fn cmd_tiers(flags: &HashMap<String, String>) {
              \"compaction_lag_ms\":{:.3},\"segments_compacted\":{},\
              \"queries\":{},\"query_p50_ms\":{:.4},\"query_p99_ms\":{:.4},\
              \"resident_bytes\":{},\
-             \"drained\":{},\"oracle_identical\":{},\"violations\":{}}}",
+             \"drained\":{},\"oracle_identical\":{},\"answers\":[{}],\"violations\":{}}}",
             r.ingest_samples_per_sec,
             r.compaction_lag_ms,
             r.segments_compacted,
@@ -1148,6 +1148,7 @@ fn cmd_tiers(flags: &HashMap<String, String>) {
             r.resident_bytes,
             r.drained,
             r.oracle_identical,
+            r.answers.iter().map(|a| format!("\"{a:016x}\"")).collect::<Vec<_>>().join(","),
             violations.len(),
         );
     } else {

@@ -7,8 +7,8 @@
 //! the compaction backlog drains once ingest stops; no sample is lost;
 //! the drained store answers bit-identically to a serial single-pass
 //! in-memory oracle; and what it keeps resident fits the block-cache
-//! budget plus its energy catalogs — bounded by the budget, not by what
-//! was ingested.
+//! budget plus its per-segment catalogs (one energy per block and the
+//! full-cover partial) — bounded by the budget, not by what was ingested.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -197,9 +197,9 @@ pub fn run(cfg: &Config) -> Report {
         answers.push(got);
     }
     // Every segment is historical now, so what is resident is the block
-    // cache (bounded) and one energy per block of catalog.
+    // cache (bounded), one energy per block and the full-cover partial.
     let resident_bytes = store.resident_bytes();
-    let catalogs = 8 * (segment / cfg.block) * snap.segments().len();
+    let catalogs = 8 * (segment / cfg.block + 1) * snap.segments().len();
     if resident_bytes > HIST_CACHE_BYTES + catalogs {
         violations.push(format!("resident {resident_bytes} B exceeds cache budget + catalogs"));
     }
