@@ -151,7 +151,9 @@ EOF
     cargo build --release -q -p aims-service --example tcp_smoke
     # One smoke run: serve the demo cube with the given extra flags, query
     # it over TCP, require the startup line $1 (a grep pattern, may be
-    # empty) and a clean exit; leaves tcp_smoke's answer line in $answer.
+    # empty) and a clean exit; leaves tcp_smoke's answer line in $answer
+    # and the server's peak resident set before the query (VmHWM, kB) in
+    # $hwm.
     serve_smoke() {
         local startup=$1 log=target/aims-serve.log port=""
         shift
@@ -167,6 +169,7 @@ EOF
             kill "$serve_pid" 2>/dev/null || true
             exit 1
         fi
+        hwm=$(awk '/^VmHWM:/ {print $2}' "/proc/$serve_pid/status")
         local out
         out=$(target/release/examples/tcp_smoke "$port")
         echo "$out"
@@ -180,15 +183,16 @@ EOF
     # The durable store, created and then reopened from its header's energy
     # catalog: the same cube must give byte-identical answers all three
     # ways, at a block size that divides the cube and at one (48) whose
-    # last block is short. The create runs over the garbage staging file a
-    # killed create leaves behind, which is no store and must be replaced,
-    # not trusted.
+    # last block is short. The create runs over the garbage staging file
+    # and spill a killed create leaves behind, which are no store and must
+    # be replaced, not trusted, and gone once the store is published.
     for block in 16 48; do
         serve_smoke "" --block "$block"
         in_memory=$answer
         rm -rf target/ci-serve-data
         mkdir -p target/ci-serve-data
         printf 'not a store %.0s' $(seq 1 4096) > target/ci-serve-data/blocks.aims.new
+        printf 'not a spill %.0s' $(seq 1 4096) > target/ci-serve-data/blocks.aims.spill
         for startup in created reopened; do
             serve_smoke "^aims-serve: $startup target/ci-serve-data" --block "$block" \
                 --data target/ci-serve-data
@@ -196,12 +200,24 @@ EOF
                 echo "--block $block: $startup store answered '$answer', in-memory '$in_memory'" >&2
                 exit 1
             }
-            [[ ! -e target/ci-serve-data/blocks.aims.new ]] || {
-                echo "the $startup store left its staging file behind" >&2
-                exit 1
-            }
+            for leftover in blocks.aims.new blocks.aims.spill; do
+                [[ ! -e target/ci-serve-data/$leftover ]] || {
+                    echo "the $startup store left $leftover behind" >&2
+                    exit 1
+                }
+            done
         done
     done
+    # The create streams its cube through a fixed working set: a side-1024
+    # store (the cube alone is 8 MiB) is built below 8 MiB resident.
+    rm -rf target/ci-serve-1024
+    serve_smoke "^aims-serve: created target/ci-serve-1024" --side 1024 --block 64 \
+        --data target/ci-serve-1024
+    (( hwm < 8 * 1024 )) || {
+        echo "a side-1024 create peaked at VmHWM $hwm kB, not below 8 MiB" >&2
+        exit 1
+    }
+    rm -rf target/ci-serve-1024
     # A restart whose --seed differs from the store's is refused: exit 1,
     # never listening.
     status=0

@@ -338,11 +338,49 @@ pub fn dwt_standard_md_inplace_with(
     transform_md(pool, buf, dims, filter, true);
 }
 
-/// Axis-by-axis driver: each axis pass transforms `total / len` independent
-/// 1-D lines of `buf` in place (a barrier between axes is implied by the
-/// scoped pool API).
+/// The forward transform along one axis of a row-major array: every 1-D
+/// line of `buf` that runs along `axis` (`dims.iter().product() / dims[axis]`
+/// of them) gets the full [`dwt_full`] transform in place. The
+/// multidimensional transforms are this pass applied to axis 0, then axis
+/// 1, and so on; a caller that holds only part of an array at a time can
+/// apply the passes itself. A column tile of a `side`² cube is a
+/// `[side, w]` array given the axis-0 pass, and a row batch is an
+/// `[r, side]` array given the axis-1 pass. Each line runs the same kernel
+/// as it would in the whole-array transform, so the bits are the same.
 ///
-/// Two regimes per axis, both allocation-free on the per-line path:
+/// # Panics
+/// If `axis` is out of range, `buf.len() != dims.iter().product()` or any
+/// dimension is not a power of two.
+pub fn dwt_axis_inplace(
+    pool: &ThreadPool,
+    buf: &mut [f64],
+    dims: &[usize],
+    axis: usize,
+    filter: &WaveletFilter,
+) {
+    axis_pass(pool, buf, dims, axis, filter, true);
+}
+
+/// Axis-by-axis driver: one [`axis_pass`] per axis, in axis order, for
+/// the forward and the inverse transform alike (a barrier between axes
+/// is implied by the scoped pool API).
+fn transform_md(
+    pool: &ThreadPool,
+    buf: &mut [f64],
+    dims: &[usize],
+    filter: &WaveletFilter,
+    forward: bool,
+) {
+    assert_eq!(buf.len(), dims.iter().product::<usize>(), "data length does not match dims");
+    for axis in 0..dims.len() {
+        axis_pass(pool, buf, dims, axis, filter, forward);
+    }
+}
+
+/// One axis of [`transform_md`]: transforms the `total / len` independent
+/// 1-D lines of `buf` along `axis` in place.
+///
+/// Two regimes, both allocation-free on the per-line path:
 ///
 /// - **`stride == 1`** (the innermost axis): lines are already contiguous
 ///   slices of the buffer, so each task transforms them directly through
@@ -354,14 +392,15 @@ pub fn dwt_standard_md_inplace_with(
 ///   `TILE`-run — the now-contiguous lines are transformed, and the tile
 ///   is scattered back.
 ///
-/// Transforms below [`PAR_THRESHOLD`] elements run inline on the caller,
-/// so small cubes never pay fan-out (the old "0.67× speedup" failure).
-/// Tile size, threshold, and pool size never affect which arithmetic runs
-/// on a line, so results are bit-identical across all of them.
-fn transform_md(
+/// Arrays below [`PAR_THRESHOLD`] elements run inline on the caller, so
+/// small cubes never pay fan-out (the old "0.67× speedup" failure). Tile
+/// size, threshold, and pool size never affect which arithmetic runs on a
+/// line, so results are bit-identical across all of them.
+fn axis_pass(
     pool: &ThreadPool,
     buf: &mut [f64],
     dims: &[usize],
+    axis: usize,
     filter: &WaveletFilter,
     forward: bool,
 ) {
@@ -370,6 +409,12 @@ fn transform_md(
     for &d in dims {
         assert!(is_power_of_two(d), "dimension {d} is not a power of two");
     }
+    let len = dims[axis];
+    if len < 2 {
+        return; // length-1 lines transform to themselves
+    }
+    // Row-major: the axis's stride is the product of the dims after it.
+    let stride: usize = dims[axis + 1..].iter().product();
     let line = |slice: &mut [f64], scratch: &mut DwtScratch| {
         if forward {
             kernel::dwt_line(slice, filter, scratch);
@@ -378,72 +423,64 @@ fn transform_md(
         }
     };
     let serial = pool.is_serial() || total < PAR_THRESHOLD;
-    // Row-major: axis `a`'s stride is the product of the dims after it.
-    let mut stride = total;
-    for &len in dims {
-        stride /= len;
-        if len < 2 {
-            continue; // length-1 lines transform to themselves
-        }
-        let lines = total / len;
-        // Distinct lines (and distinct tiles) cover disjoint index sets,
-        // so concurrent access through the shared view is race-free.
-        let view = SharedSlice::new(buf);
-        let view = &view;
-        let line = &line;
-        if stride == 1 {
-            let run = |range: std::ops::Range<usize>| {
-                let mut scratch = DwtScratch::new();
-                for l in range {
-                    // SAFETY: line l exclusively owns [l·len, (l+1)·len).
-                    let s = unsafe { view.slice_mut(l * len, len) };
-                    line(s, &mut scratch);
-                }
-            };
-            if serial {
-                run(0..lines);
-            } else {
-                pool.par_chunks(lines, (4096 / len).max(1), run);
+    let lines = total / len;
+    // Distinct lines (and distinct tiles) cover disjoint index sets, so
+    // concurrent access through the shared view is race-free.
+    let view = SharedSlice::new(buf);
+    let view = &view;
+    let line = &line;
+    if stride == 1 {
+        let run = |range: std::ops::Range<usize>| {
+            let mut scratch = DwtScratch::new();
+            for l in range {
+                // SAFETY: line l exclusively owns [l·len, (l+1)·len).
+                let s = unsafe { view.slice_mut(l * len, len) };
+                line(s, &mut scratch);
             }
+        };
+        if serial {
+            run(0..lines);
         } else {
-            let tile = TILE.min(stride);
-            let blocks_per_outer = stride.div_ceil(tile);
-            let n_outer = total / (stride * len);
-            let n_tiles = n_outer * blocks_per_outer;
-            let run = |range: std::ops::Range<usize>| {
-                let mut scratch = DwtScratch::new();
-                let mut tile_buf = vec![0.0f64; tile * len];
-                for t_id in range {
-                    let outer = t_id / blocks_per_outer;
-                    let i0 = (t_id % blocks_per_outer) * tile;
-                    let t = tile.min(stride - i0);
-                    let base = outer * stride * len + i0;
-                    for j in 0..len {
-                        let src = base + j * stride;
-                        for ti in 0..t {
-                            // SAFETY: tile (outer, i0..i0+t) owns indices
-                            // base + j·stride + ti exclusively.
-                            tile_buf[ti * len + j] = unsafe { view.read(src + ti) };
-                        }
-                    }
+            pool.par_chunks(lines, (4096 / len).max(1), run);
+        }
+    } else {
+        let tile = TILE.min(stride);
+        let blocks_per_outer = stride.div_ceil(tile);
+        let n_outer = total / (stride * len);
+        let n_tiles = n_outer * blocks_per_outer;
+        let run = |range: std::ops::Range<usize>| {
+            let mut scratch = DwtScratch::new();
+            let mut tile_buf = vec![0.0f64; tile * len];
+            for t_id in range {
+                let outer = t_id / blocks_per_outer;
+                let i0 = (t_id % blocks_per_outer) * tile;
+                let t = tile.min(stride - i0);
+                let base = outer * stride * len + i0;
+                for j in 0..len {
+                    let src = base + j * stride;
                     for ti in 0..t {
-                        line(&mut tile_buf[ti * len..(ti + 1) * len], &mut scratch);
-                    }
-                    for j in 0..len {
-                        let dst = base + j * stride;
-                        for ti in 0..t {
-                            // SAFETY: same disjoint index set as the gather.
-                            unsafe { view.write(dst + ti, tile_buf[ti * len + j]) };
-                        }
+                        // SAFETY: tile (outer, i0..i0+t) owns indices
+                        // base + j·stride + ti exclusively.
+                        tile_buf[ti * len + j] = unsafe { view.read(src + ti) };
                     }
                 }
-            };
-            if serial {
-                run(0..n_tiles);
-            } else {
-                let min_tiles = (4096 / (tile * len)).max(1);
-                pool.par_chunks(n_tiles, min_tiles, run);
+                for ti in 0..t {
+                    line(&mut tile_buf[ti * len..(ti + 1) * len], &mut scratch);
+                }
+                for j in 0..len {
+                    let dst = base + j * stride;
+                    for ti in 0..t {
+                        // SAFETY: same disjoint index set as the gather.
+                        unsafe { view.write(dst + ti, tile_buf[ti * len + j]) };
+                    }
+                }
             }
+        };
+        if serial {
+            run(0..n_tiles);
+        } else {
+            let min_tiles = (4096 / (tile * len)).max(1);
+            pool.par_chunks(n_tiles, min_tiles, run);
         }
     }
 }
@@ -604,6 +641,37 @@ mod tests {
                 assert!((a - b).abs() < 1e-9, "{}", f.name());
             }
             assert!((energy(&c) - energy(&data)).abs() < 1e-8);
+        }
+    }
+
+    /// The 2-D transform run a piece at a time: the axis-0 pass on column
+    /// tiles, then the axis-1 pass on row batches, gives the whole-array
+    /// transform's bits for every filter, also with tiles narrower than
+    /// `TILE` and on a pool.
+    #[test]
+    fn axis_passes_on_tiles_and_batches_are_the_md_transform() {
+        let (rows, cols) = (32usize, 16usize);
+        let data: Vec<f64> = (0..rows * cols).map(|i| ((i * 37) % 101) as f64 - 50.0).collect();
+        let pool = ThreadPool::new(2);
+        for kind in FilterKind::ALL {
+            let f = kind.filter();
+            let whole = dwt_standard_md(&data, &[rows, cols], &f);
+            for (w, r) in [(4usize, 8usize), (16, 32), (1, 1)] {
+                let mut pieces = data.clone();
+                for j0 in (0..cols).step_by(w) {
+                    let mut tile: Vec<f64> =
+                        (0..rows).flat_map(|i| data[i * cols + j0..][..w].to_vec()).collect();
+                    dwt_axis_inplace(&pool, &mut tile, &[rows, w], 0, &f);
+                    for (i, line) in tile.chunks_exact(w).enumerate() {
+                        pieces[i * cols + j0..][..w].copy_from_slice(line);
+                    }
+                }
+                for batch in pieces.chunks_exact_mut(r * cols) {
+                    dwt_axis_inplace(&pool, batch, &[r, cols], 1, &f);
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&pieces), bits(&whole), "{} w={w} r={r}", f.name());
+            }
         }
     }
 

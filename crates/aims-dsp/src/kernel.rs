@@ -243,41 +243,29 @@ fn analysis_db4(buf: &mut [f64], scratch: &mut [f64]) {
     let c2 = (s3 - 2.0) * 0.25;
     let ks = (s3 - 1.0) / std::f64::consts::SQRT_2;
     let kd = -(s3 + 1.0) / std::f64::consts::SQRT_2;
-    // Deinterleave: evens compact to buf[..half], odds to scratch. Reads
-    // stay ahead of writes (2k ≥ k).
-    for k in 0..half {
-        let odd = buf[2 * k + 1];
-        buf[k] = buf[2 * k];
-        scratch[k] = odd;
-    }
-    let (e, dband) = buf.split_at_mut(half);
-    let o = &mut scratch[..half];
-    // Predict: s1 = e + √3·o.
-    for k in 0..half {
-        e[k] += s3 * o[k];
-    }
-    // Dual lift: d1[n] = o[n] − c1·s1[n] − c2·s1[n−1] (periodic).
-    let mut prev = e[half - 1];
-    for k in 0..half {
-        let cur = e[k];
-        o[k] = o[k] - c1 * cur - c2 * prev;
-        prev = cur;
-    }
-    // Update: s2[n] = s1[n] − d1[n+1] (periodic).
-    let first = o[0];
+    // One forward sweep. Step k reads the pair k + 1, which yields s1 and
+    // d1 at k + 1, and that completes approx[k] = ks·(s1[k] − d1[k+1]) and
+    // detail[k] = kd·d1[k+1]. The periodic ends are s1[half−1], needed by
+    // d1[0], and d1[0] itself, needed by the last slot: both are taken
+    // before the sweep overwrites anything. Approx lands at buf[k], below
+    // the pair 2k + 2 still to be read; detail is staged in scratch.
+    // Every value is the same expression, in the same order, as the
+    // textbook six-pass form (deinterleave, predict, dual lift, update,
+    // scale, scatter), so the output bits are too.
+    let s1_last = buf[2 * half - 2] + s3 * buf[2 * half - 1];
+    let mut s1 = buf[0] + s3 * buf[1];
+    let d1_first = buf[1] - c1 * s1 - c2 * s1_last;
     for k in 0..half - 1 {
-        e[k] -= o[k + 1];
+        let odd = buf[2 * k + 3];
+        let s1_next = buf[2 * k + 2] + s3 * odd;
+        let d1_next = odd - c1 * s1_next - c2 * s1;
+        buf[k] = (s1 - d1_next) * ks;
+        scratch[k] = kd * d1_next;
+        s1 = s1_next;
     }
-    e[half - 1] -= first;
-    // Normalize and scatter: approx in place, detail shifted one slot down
-    // to line up with the convolution phase.
-    for x in e.iter_mut() {
-        *x *= ks;
-    }
-    for (j, slot) in dband.iter_mut().enumerate() {
-        let src = if j + 1 == half { 0 } else { j + 1 };
-        *slot = kd * o[src];
-    }
+    buf[half - 1] = (s1 - d1_first) * ks;
+    scratch[half - 1] = kd * d1_first;
+    buf[half..].copy_from_slice(&scratch[..half]);
 }
 
 fn synthesis_db4(buf: &mut [f64], scratch: &mut [f64]) {
@@ -493,6 +481,71 @@ mod tests {
                 for (a, b) in buf.iter().zip(&back) {
                     assert_eq!(a.to_bits(), b.to_bits(), "inverse {} n={n}", f.name());
                 }
+            }
+        }
+    }
+
+    /// The Db4 lifting level as six separate passes: deinterleave,
+    /// predict, dual lift, update, scale, scatter. `analysis_db4` fuses
+    /// them into one sweep and must produce the same bits.
+    fn analysis_db4_six_pass(buf: &mut [f64], scratch: &mut [f64]) {
+        let half = buf.len() / 2;
+        let s3 = 3.0_f64.sqrt();
+        let c1 = s3 * 0.25;
+        let c2 = (s3 - 2.0) * 0.25;
+        let ks = (s3 - 1.0) / std::f64::consts::SQRT_2;
+        let kd = -(s3 + 1.0) / std::f64::consts::SQRT_2;
+        for k in 0..half {
+            let odd = buf[2 * k + 1];
+            buf[k] = buf[2 * k];
+            scratch[k] = odd;
+        }
+        let (e, dband) = buf.split_at_mut(half);
+        let o = &mut scratch[..half];
+        for k in 0..half {
+            e[k] += s3 * o[k];
+        }
+        let mut prev = e[half - 1];
+        for k in 0..half {
+            let cur = e[k];
+            o[k] = o[k] - c1 * cur - c2 * prev;
+            prev = cur;
+        }
+        let first = o[0];
+        for k in 0..half - 1 {
+            e[k] -= o[k + 1];
+        }
+        e[half - 1] -= first;
+        for x in e.iter_mut() {
+            *x *= ks;
+        }
+        for (j, slot) in dband.iter_mut().enumerate() {
+            let src = if j + 1 == half { 0 } else { j + 1 };
+            *slot = kd * o[src];
+        }
+    }
+
+    #[test]
+    fn fused_db4_level_bit_matches_the_six_pass_form() {
+        for seed in [1u64, 0x9E37_79B9_7F4A_7C15, 42] {
+            let mut state = seed;
+            let mut n = 2;
+            while n <= 4096 {
+                let x: Vec<f64> = (0..n)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state >> 11) as f64 / (1u64 << 40) as f64 - 2048.0
+                    })
+                    .collect();
+                let (mut fused, mut six) = (x.clone(), x);
+                let mut scratch = vec![0.0; n];
+                analysis_db4(&mut fused, &mut scratch);
+                analysis_db4_six_pass(&mut six, &mut scratch);
+                let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fused), bits(&six), "seed {seed} n={n}");
+                n *= 2;
             }
         }
     }

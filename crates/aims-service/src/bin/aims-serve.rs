@@ -12,19 +12,26 @@
 //! a client sends a SHUTDOWN frame.
 //!
 //! With `--data DIR` the coefficient store lives on a durable
-//! [`FileDevice`] instead of memory. A missing directory is built in
-//! three steps:
+//! [`FileDevice`] instead of memory. A missing directory is built in one
+//! streamed pass whose working set is fixed whatever `--side` is (under
+//! 1 MiB of buffers plus 8 bytes a row), so the cube is never held whole:
 //!
-//! 1. **cube build**: the demo cube's cells, one `side`² buffer;
-//! 2. **in-place transform**: that buffer becomes the Db4 coefficients
-//!    ([`DataCube::into_transform`](aims_propolyne::DataCube::into_transform)),
-//!    so no second copy of the cube is ever held;
-//! 3. **image write**: the coefficients go to disk in one sequential pass
-//!    published by rename ([`FileDevice::create_from`]), so a server
-//!    killed mid-create leaves no store, never a part of one. The header's
-//!    meta blob, covered by the header checksum, records the geometry, the
-//!    seed and the energy catalog (one `Σc²` per block, computed from the
-//!    coefficients being written).
+//! 1. **column pass**: the demo cube's cells are generated a tile of
+//!    columns at a time, and each tile gets the axis-0 transform and goes
+//!    to a spill file, `blocks.aims.spill`, beside the staging file;
+//! 2. **row pass**: batches of rows come back from the spill and get the
+//!    axis-1 transform ([`stream_demo_coeffs`]: the same coefficients as
+//!    the in-memory [`demo_cube`], bit for bit), then go to the store's
+//!    [`ImageWriter`](aims_storage::ImageWriter), which digests, prices
+//!    (`Σc²`) and encodes each block in the pass that writes it;
+//! 3. **publish**: [`finish`](aims_storage::ImageWriter::finish) writes
+//!    the digest table and the header, whose meta blob, covered by the
+//!    header checksum, records the geometry, the seed and the energy
+//!    catalog (the writer's one `Σc²` per block); the spill is unlinked
+//!    and a rename publishes the store. The spill is never fsynced. A
+//!    server killed mid-create leaves no store, never a part of one, and
+//!    at most the staging file and the spill, which the next start
+//!    overwrites.
 //!
 //! An existing directory is reopened (WAL recovery runs; `aims-serve`
 //! never writes a block after create, so a store whose recovery replayed
@@ -38,10 +45,11 @@
 use std::io::Write;
 use std::sync::Arc;
 
+use aims_dsp::dwt::is_power_of_two;
 use aims_dsp::filters::{FilterKind, WaveletFilter};
 use aims_propolyne::BlockedCoefficients;
-use aims_service::{demo_cube, QueryService, Server, ServiceConfig};
-use aims_storage::{block_energy, BlockDevice, DurabilityMode, FileDevice, FileDeviceOptions};
+use aims_service::{demo_cube, stream_demo_coeffs, QueryService, Server, ServiceConfig};
+use aims_storage::{BlockDevice, DurabilityMode, FileDevice, FileDeviceOptions};
 
 /// The in-memory cube, and a `--data` store being created, when a
 /// geometry flag is omitted.
@@ -98,6 +106,14 @@ fn parse_opts() -> Result<Opts, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    if let Some(side) = opts.side.filter(|&s| !is_power_of_two(s)) {
+        return Err(format!("--side {side} is not a power of two"));
+    }
+    let sizes =
+        [("--block", opts.block), ("--cache", Some(opts.cache)), ("--queue", Some(opts.queue))];
+    if let Some((flag, _)) = sizes.into_iter().find(|&(_, value)| value == Some(0)) {
+        return Err(format!("{flag} must be at least 1"));
+    }
     Ok(opts)
 }
 
@@ -116,21 +132,17 @@ struct StoreMeta {
     catalog: Vec<f64>,
 }
 
-/// The header meta blob of a store holding `coeffs` in `block`-item
-/// blocks: tag, version, seed, dims, filter name, then the energy catalog
-/// (a count and one big-endian `f64` per block), encoded straight from the
-/// coefficients. A short last block's zero padding would add only `+0.0`
-/// terms to its sum, so its energy is that of its items.
-fn encode_meta(
-    seed: u64,
-    dims: &[usize],
-    filter: &WaveletFilter,
-    coeffs: &[f64],
-    block: usize,
-) -> Vec<u8> {
+/// Length of [`encode_meta`]'s blob for a store of `blocks` blocks.
+fn meta_len(dims: &[usize], filter: &WaveletFilter, blocks: usize) -> usize {
+    30 + 8 * dims.len() + filter.name().len() + 8 * blocks
+}
+
+/// The header meta blob of a store whose blocks have `energies`: tag,
+/// version, seed, dims, filter name, then the energy catalog (a count and
+/// one big-endian `f64` per block), as the image writer priced each block.
+fn encode_meta(seed: u64, dims: &[usize], filter: &WaveletFilter, energies: &[f64]) -> Vec<u8> {
     let name = filter.name().as_bytes();
-    let blocks = coeffs.len().div_ceil(block);
-    let mut out = Vec::with_capacity(30 + 8 * dims.len() + name.len() + 8 * blocks);
+    let mut out = Vec::with_capacity(meta_len(dims, filter, energies.len()));
     out.extend_from_slice(&META_TAG);
     out.extend_from_slice(&META_VERSION.to_be_bytes());
     out.extend_from_slice(&seed.to_be_bytes());
@@ -140,11 +152,28 @@ fn encode_meta(
     }
     out.extend_from_slice(&(name.len() as u32).to_be_bytes());
     out.extend_from_slice(name);
-    out.extend_from_slice(&(blocks as u64).to_be_bytes());
-    for items in coeffs.chunks(block) {
-        out.extend_from_slice(&block_energy(items).to_bits().to_be_bytes());
+    out.extend_from_slice(&(energies.len() as u64).to_be_bytes());
+    for e in energies {
+        out.extend_from_slice(&e.to_bits().to_be_bytes());
     }
     out
+}
+
+/// Creates the demo cube's store in `dir` through the streamed build (see
+/// the module docs), returning the published device.
+fn create_store(
+    dir: &str,
+    (side, block, seed): (usize, usize, u64),
+    opts: FileDeviceOptions,
+) -> std::io::Result<FileDevice> {
+    let (dims, filter) = ([side, side], FilterKind::Db4.filter());
+    let num_blocks = (side * side).div_ceil(block);
+    let len = meta_len(&dims, &filter, num_blocks);
+    let mut writer = FileDevice::image_writer(dir, block, num_blocks, len, opts)?;
+    let spill = writer.spill()?;
+    stream_demo_coeffs(side, seed, &spill, |batch| writer.append(batch))?;
+    drop(spill);
+    writer.finish(|energies| encode_meta(seed, &dims, &filter, energies))
 }
 
 /// Decodes [`encode_meta`]'s blob. Every length in it comes out of the
@@ -216,12 +245,9 @@ fn durable_store(
         let (side, block) =
             (opts.side.unwrap_or(DEFAULT_SIDE), opts.block.unwrap_or(DEFAULT_BLOCK));
         let seed = opts.seed.unwrap_or(DEFAULT_SEED);
-        let cube = demo_cube(side, seed);
-        let meta = encode_meta(seed, cube.dims(), cube.filter(), cube.coeffs(), block);
-        let num_blocks = cube.coeffs().len().div_ceil(block);
-        let dev_opts = FileDeviceOptions { meta, ..dev_opts };
-        let device = FileDevice::create_from(dir, block, num_blocks, cube.coeffs(), dev_opts)
+        let device = create_store(dir, (side, block, seed), dev_opts)
             .map_err(|e| format!("create {dir}: {e}"))?;
+        let num_blocks = device.num_blocks();
         (device, format!("created {dir} ({num_blocks} blocks, {})", opts.durability.label()))
     };
     let StoreMeta { seed, dims, filter, catalog } = decode_meta(device.meta()).map_err(|e| {

@@ -34,6 +34,8 @@
 //!   accounting, degraded-block count, and the per-round error-bound
 //!   trajectory; threshold-tripping queries land in a bounded
 //!   [`SlowQueryLog`].
+//! - [`demo`]: the demo cube every harness serves, built whole in memory
+//!   or streamed in a fixed working set (`aims-serve --data`'s create).
 //! - [`wire`] / [`server`] / [`client`]: a length-prefixed binary
 //!   protocol over std TCP (`aims-serve` binary), two threads per
 //!   connection and one worker pool shared across all of them.
@@ -54,6 +56,7 @@
 
 pub mod admission;
 pub mod client;
+pub mod demo;
 pub mod error;
 pub mod profile;
 pub mod qos;
@@ -65,11 +68,12 @@ pub mod wire;
 
 pub use admission::{AdmissionController, Priority};
 pub use client::{ClientEvent, RemoteOutcome, TcpClient};
+pub use demo::{demo_cube, stream_demo_coeffs};
 pub use error::ServiceError;
 pub use profile::{QueryProfile, SlowQueryEntry, SlowQueryLog, SlowReason, TrajectoryPoint};
 pub use qos::{SchedulerPolicy, Tier};
 pub use server::Server;
-pub use service::{demo_cube, QosStats, QueryService, ServiceConfig};
+pub use service::{QosStats, QueryService, ServiceConfig};
 pub use session::{Outcome, Polled, QuerySpec, Refinement, SessionHandle, Update};
 pub use tiered::{TieredAnswer, TieredPlanner, TieredPlannerConfig};
 pub use wire::{Frame, ProgressKind};

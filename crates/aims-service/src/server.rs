@@ -402,7 +402,8 @@ fn serve_connection<D: BlockDevice + Send + Sync + 'static>(
 mod tests {
     use super::*;
     use crate::admission::Priority;
-    use crate::service::{demo_cube, ServiceConfig};
+    use crate::demo::demo_cube;
+    use crate::service::ServiceConfig;
     use crate::wire::ProgressKind;
 
     /// A connection over a loopback socket pair, and the peer's end of it.

@@ -55,10 +55,10 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use aims_dsp::filters::{FilterKind, WaveletFilter};
+use aims_dsp::filters::WaveletFilter;
 use aims_exec::{configured_threads, ThreadPool};
 use aims_propolyne::engine::{prepare, PreparedQuery};
-use aims_propolyne::{BlockedCoefficients, DataCube, RangeSumQuery, WaveletCube};
+use aims_propolyne::{BlockedCoefficients, RangeSumQuery, WaveletCube};
 use aims_storage::device::{BlockDevice, MemDevice, RetryPolicy};
 use aims_storage::{BoundLedger, SharedBlockCache};
 use aims_telemetry::{counter, gauge, AttrValue, TraceContext};
@@ -69,22 +69,6 @@ use crate::profile::{QueryProfile, SlowQueryEntry, SlowQueryLog, SlowReason, Tra
 use crate::qos::{self, DegradeController, SchedulerPolicy, Tier, TierChange};
 use crate::session::{QuerySpec, Refinement, SessionHandle, SessionShared, Update};
 use crate::wire::ProgressKind;
-
-/// The deterministic demo cube every harness in this workspace serves
-/// (`aims-serve`, `aims-cli trace`, the service test suites): a
-/// `side`×`side` grid of small pseudo-random counts from one xorshift
-/// seed, wavelet-transformed with Db4.
-pub fn demo_cube(side: usize, seed: u64) -> WaveletCube {
-    let mut cube = DataCube::zeros(&[side, side]);
-    let mut state = seed;
-    for v in cube.values_mut() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        *v = (state % 9) as f64;
-    }
-    cube.into_transform(&FilterKind::Db4.filter())
-}
 
 /// Degraded (permanently failed) blocks at which a completed query lands
 /// in the slow-query log.
@@ -1046,8 +1030,10 @@ fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::demo::demo_cube;
     use crate::session::Outcome;
-    use aims_propolyne::Propolyne;
+    use aims_dsp::filters::FilterKind;
+    use aims_propolyne::{DataCube, Propolyne};
     use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
     use proptest::prelude::*;
 

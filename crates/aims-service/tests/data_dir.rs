@@ -50,13 +50,39 @@ fn listen(dir: &Path, args: &[&str]) -> (Child, u16, Duration) {
     (child, port, started)
 }
 
+/// The scratch file a create stages its column pass in, beside the
+/// staging main file `blocks.aims.new`.
+const SPILL: &str = "blocks.aims.spill";
+
 /// Starts a server on `dir`, waits for its `listening` line and kills it.
-/// Returns how long it took to start.
+/// Returns how long it took to start. A listening server has published
+/// its store, so neither the staging file nor the spill is left.
 fn start_listening(dir: &Path, args: &[&str]) -> Duration {
     let (mut child, _, started) = listen(dir, args);
     child.kill().unwrap();
     child.wait().unwrap();
+    for leftover in ["blocks.aims.new", SPILL] {
+        assert!(!dir.join(leftover).exists(), "{args:?}: {leftover} survived a start");
+    }
     started
+}
+
+/// Requires the store in `dir` to hold `cube` block for block, each block
+/// verifying against its digest.
+fn assert_whole_cube(dir: &Path, cube: &[f64], block: usize, when: &str) {
+    let device = FileDevice::open(dir, FileDeviceOptions::default())
+        .unwrap_or_else(|e| panic!("{when}: the store does not open: {e}"));
+    let blocks = cube.chunks(block);
+    assert_eq!(device.num_blocks(), blocks.len(), "{when}");
+    for (b, want) in blocks.enumerate() {
+        let got = device
+            .read_block(b)
+            .unwrap_or_else(|e| panic!("{when}: block {b} does not verify: {e:?}"));
+        assert!(
+            got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits()),
+            "{when}: block {b} is not the cube's"
+        );
+    }
 }
 
 /// Runs `aims-serve --data dir` with `args`, requires exit 1 without
@@ -100,13 +126,15 @@ fn persisted_catalog(device: &FileDevice) -> Vec<f64> {
 /// whole cube, never a part of one: a half-loaded store would reopen with
 /// its unwritten blocks' zero digests verifying and serve them as exact.
 /// Every block is compared, since a whole-cube query reads only block 0.
-/// After each kill the next start on the directory must come up.
+/// After each kill the next start on the directory must come up, over
+/// whatever staging file and spill the kill left, and leave neither.
 #[test]
 fn a_server_killed_while_creating_its_store_leaves_none_or_all_of_it() {
     let cube = demo_cube(512, 7);
     let dir = scratch("kill");
-    // One uninterrupted start sizes the sweep, so the kills span cube
-    // build, transform and store creation on a debug or release build.
+    // One uninterrupted start sizes the sweep, so the kills span the
+    // column pass, the row pass with the image write, and the publish, on
+    // a debug or release build.
     let full = start_listening(&dir, &SIDE_512);
     std::fs::remove_dir_all(&dir).unwrap();
     const KILLS: u32 = 16;
@@ -117,22 +145,88 @@ fn a_server_killed_while_creating_its_store_leaves_none_or_all_of_it() {
         child.kill().unwrap();
         child.wait().unwrap();
         if FileDevice::exists(&dir) {
-            let device = FileDevice::open(&dir, FileDeviceOptions::default())
-                .unwrap_or_else(|e| panic!("killed after {delay:?}: the store does not open: {e}"));
-            let blocks = cube.coeffs().chunks(64);
-            assert_eq!(device.num_blocks(), blocks.len(), "killed after {delay:?}");
-            for (b, want) in blocks.enumerate() {
-                let got = device.read_block(b).unwrap_or_else(|e| {
-                    panic!("killed after {delay:?}: block {b} does not verify: {e:?}")
-                });
-                assert!(
-                    got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits()),
-                    "killed after {delay:?}: block {b} is not the cube's"
-                );
-            }
+            assert_whole_cube(&dir, cube.coeffs(), 64, &format!("killed after {delay:?}"));
         }
         start_listening(&dir, &SIDE_512);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // A directory holding only a stale staging file and a stale spill is
+    // no store: the next start re-creates the cube over both.
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("blocks.aims.new"), vec![0xA5; 64 * 1024]).unwrap();
+    std::fs::write(dir.join(SPILL), vec![0x5A; 3 * 1024 * 1024]).unwrap();
+    assert!(!FileDevice::exists(&dir));
+    start_listening(&dir, &SIDE_512);
+    assert_whole_cube(&dir, cube.coeffs(), 64, "re-created over a stale staging file and spill");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A streamed create writes the file the whole-cube path writes, byte for
+/// byte, header meta included: `create_from` of `demo_cube`'s coefficients
+/// under the meta blob built here from their energies. Block 48 straddles
+/// rows and row batches.
+#[test]
+fn a_streamed_store_is_the_whole_cube_store_byte_for_byte() {
+    for side in [16usize, 256, 1024] {
+        let seed = side as u64 + 3;
+        let cube = demo_cube(side, seed);
+        for block in [16usize, 48, 64] {
+            let (streamed, whole) =
+                (scratch(&format!("streamed-{side}-{block}")), scratch("whole-cube"));
+            let args = [side.to_string(), block.to_string(), seed.to_string()];
+            let args = ["--side", &args[0], "--block", &args[1], "--seed", &args[2]];
+            start_listening(&streamed, &args);
+            let energies: Vec<f64> = cube.coeffs().chunks(block).map(block_energy).collect();
+            let meta = meta_blob_for(seed, side, energies.len() as u64, &energies);
+            let opts = FileDeviceOptions { meta, ..Default::default() };
+            let device =
+                FileDevice::create_from(&whole, block, energies.len(), cube.coeffs(), opts);
+            drop(device.unwrap());
+            let read = |dir: &Path| std::fs::read(dir.join("blocks.aims")).unwrap();
+            assert!(read(&streamed) == read(&whole), "--side {side} --block {block}");
+            std::fs::remove_dir_all(&streamed).unwrap();
+            std::fs::remove_dir_all(&whole).unwrap();
+        }
+    }
+}
+
+/// The create path streams: a side-1024 server, whose cube alone is
+/// 8 MiB, has never been resident past 6 MiB once it listens.
+#[test]
+fn a_side_1024_create_peaks_below_the_size_of_its_cube() {
+    let dir = scratch("peak");
+    let (mut child, _, _) = listen(&dir, &["--side", "1024", "--block", "64", "--seed", "3"]);
+    let status = std::fs::read_to_string(format!("/proc/{}/status", child.id())).unwrap();
+    child.kill().unwrap();
+    child.wait().unwrap();
+    let kib: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .map(|v| v.trim().parse().unwrap())
+        .expect("VmHWM in /proc/<pid>/status");
+    assert!(kib <= 6 * 1024, "VmHWM {kib} kB once listening");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A geometry or sizing flag no server can run with is a usage error at
+/// parse time: exit 2 and one line on stderr, no panic, and no data
+/// directory created.
+#[test]
+fn a_bad_geometry_flag_is_refused_before_anything_is_created() {
+    for (flag, value) in [("--side", "100"), ("--block", "0"), ("--cache", "0"), ("--queue", "0")] {
+        let dir = scratch(&format!("bad{flag}"));
+        let out = Command::new(env!("CARGO_BIN_EXE_aims-serve"))
+            .args(["--port", "0", "--data", dir.to_str().unwrap(), flag, value])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: stderr: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag} {value}: stderr: {stderr}");
+        assert!(stderr.starts_with("aims-serve: ") && stderr.contains(flag), "{stderr}");
+        assert!(out.stdout.is_empty(), "{flag} {value}: the server started");
+        assert!(!dir.exists(), "{flag} {value}: {} was created", dir.display());
     }
 }
 
@@ -306,9 +400,14 @@ fn an_uncreatable_data_directory_is_a_startup_error() {
 /// 8 × 8, Db4, then a catalog `count` and `energies`. With 16 zero energies
 /// it describes the all-zero 16-block store of 4-item blocks.
 fn meta_blob(count: u64, energies: &[f64]) -> Vec<u8> {
-    let mut out = [b"AIMC".as_slice(), &1u16.to_be_bytes(), &5u64.to_be_bytes()].concat();
+    meta_blob_for(5, 8, count, energies)
+}
+
+/// [`meta_blob`] of a `side` × `side` demo cube from `seed`.
+fn meta_blob_for(seed: u64, side: usize, count: u64, energies: &[f64]) -> Vec<u8> {
+    let mut out = [b"AIMC".as_slice(), &1u16.to_be_bytes(), &seed.to_be_bytes()].concat();
     out.extend_from_slice(&2u32.to_be_bytes());
-    out.extend_from_slice(&[8u64.to_be_bytes(), 8u64.to_be_bytes()].concat());
+    out.extend_from_slice(&[(side as u64).to_be_bytes(), (side as u64).to_be_bytes()].concat());
     out.extend_from_slice(&[3u32.to_be_bytes().as_slice(), b"db4"].concat());
     out.extend_from_slice(&count.to_be_bytes());
     energies.iter().for_each(|e| out.extend_from_slice(&e.to_bits().to_be_bytes()));

@@ -15,11 +15,17 @@
 //!   block, and never trusted for its zeros, since every digest is explicit
 //!   in the table. The header is never mutated after creation, so no write
 //!   can tear it.
-//! - **Creation** ([`FileDevice::create_from`]): the initial image is written
-//!   once, sequentially, straight into a staging main file beside its
-//!   digest table — no WAL record, no checkpoint — and published by a
-//!   rename plus a directory fsync. A crash during creation leaves no
-//!   device or the whole image.
+//! - **Creation** ([`ImageWriter`], which [`FileDevice::create_from`]
+//!   drives with a whole image): the initial image arrives in order, a
+//!   slice at a time, and is written once, sequentially, into a staging
+//!   main file — each block digested, priced (`Σc²`) and encoded in the
+//!   pass that writes it, no WAL record, no checkpoint. The digest table
+//!   and the header go in last, and a rename plus a directory fsync
+//!   publishes the file. A caller computing its image out of core may
+//!   stage data in a spill file beside it, never fsynced and unlinked
+//!   before the rename. A crash during creation leaves no device or the
+//!   whole image, plus at most the staging file and the spill, which are
+//!   no device and which the next create truncates.
 //! - **WAL** (`wal.aims`): length-prefixed physical redo records
 //!   `[len u32][lsn u64][block u64][payload][crc u64]` with a strictly
 //!   monotone LSN. Records are full-block images, so replay is naturally
@@ -59,6 +65,7 @@ use aims_telemetry::counter;
 use crate::device::{block_digest, bytes_digest, record_digest};
 use crate::device::{BlockDevice, DeviceStats, RawMedia, ReadError, ReadErrorKind};
 use crate::faults::mix;
+use crate::store::block_energy;
 
 /// `"AIMSFDEV"` — the main-file magic.
 const MAGIC: u64 = 0x4149_4D53_4644_4556;
@@ -66,6 +73,8 @@ const VERSION: u16 = 3;
 const MAIN_FILE: &str = "blocks.aims";
 /// Where creation builds the main file before publishing it by rename.
 const STAGING_FILE: &str = "blocks.aims.new";
+/// A create's scratch file beside the staging file ([`ImageWriter::spill`]).
+const SPILL_FILE: &str = "blocks.aims.spill";
 const PAGE_ITEMS: usize = 512;
 /// Items creation encodes per `pwrite`: a 256 KiB staging buffer.
 const STAGE_ITEMS: usize = 32 * 1024;
@@ -145,8 +154,10 @@ pub struct FileDeviceOptions {
     pub checkpoint_bytes: u64,
     /// Seeded crash point, if any.
     pub crash: CrashPlan,
-    /// Opaque user metadata stored in the main-file header at creation
-    /// (ignored by [`FileDevice::open`]; the stored blob wins).
+    /// Opaque user metadata stored in the main-file header by
+    /// [`FileDevice::create_from`] (ignored by [`FileDevice::open`], where
+    /// the stored blob wins, and by [`FileDevice::image_writer`], whose
+    /// blob is given to [`ImageWriter::finish`]).
     pub meta: Vec<u8>,
 }
 
@@ -425,16 +436,12 @@ impl FileDevice {
 
     /// Creates a device directory whose blocks hold `image` — item `i` in
     /// block `i / block_size`, the last image block zero-padded — and zeros
-    /// past it, replacing any device already there. The main file is built
-    /// as `blocks.aims.new`: the header, the image's payloads in sequential
-    /// writes through one 256 KiB buffer, then the table of their digests,
-    /// fsynced. An empty WAL is fsynced next, and only then is the file
-    /// renamed to `blocks.aims` and the directory fsynced. A crash at any
-    /// point leaves no device or the whole image, never a part of it:
-    /// [`FileDevice::exists`] ignores the staging file, and the next create
-    /// overwrites it. Payloads past the image stay a hole that reads back as
-    /// zeros, so they cost 8 bytes a block until a checkpoint first folds
-    /// them. Creation writes no WAL record and has no crash steps.
+    /// past it, replacing any device already there: an [`ImageWriter`]
+    /// given the whole image in one [`ImageWriter::append`], then
+    /// [`ImageWriter::finish`]ed with `opts.meta`. Payloads past the image
+    /// stay a hole that reads back as zeros, so they cost 8 bytes a block
+    /// until a checkpoint first folds them. Creation writes no WAL record
+    /// and has no crash steps.
     ///
     /// # Panics
     /// If `block_size == 0`, the geometry overflows a file offset, or
@@ -446,14 +453,34 @@ impl FileDevice {
         image: &[f64],
         mut opts: FileDeviceOptions,
     ) -> io::Result<Self> {
-        assert!(block_size > 0, "block size must be positive");
-        assert!(image.len().div_ceil(block_size) <= num_blocks, "image larger than the device");
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
         // The device keeps the caller's meta blob itself, not a copy.
         let meta = std::mem::take(&mut opts.meta);
-        let header = encode_header(block_size, num_blocks, &meta);
-        let layout = MainLayout::new(header.len() as u64, block_size, num_blocks)
+        let mut writer = Self::image_writer(dir, block_size, num_blocks, meta.len(), opts)?;
+        writer.append(image)?;
+        writer.finish(|_| meta)
+    }
+
+    /// Starts a device directory whose image arrives in order, a slice at a
+    /// time, so no caller need hold all of it (see [`ImageWriter`]). The
+    /// header's meta blob is given to [`ImageWriter::finish`], once the
+    /// image's block energies are known; `meta_len` is its length, which
+    /// fixes where the digest table and the payloads start. `opts.meta` is
+    /// ignored.
+    ///
+    /// # Panics
+    /// If `block_size == 0` or the geometry overflows a file offset.
+    pub fn image_writer<P: AsRef<Path>>(
+        dir: P,
+        block_size: usize,
+        num_blocks: usize,
+        meta_len: usize,
+        opts: FileDeviceOptions,
+    ) -> io::Result<ImageWriter> {
+        assert!(block_size > 0, "block size must be positive");
+        let dir = dir.as_ref().to_path_buf();
+        std::fs::create_dir_all(&dir)?;
+        // The header is 38 fixed bytes around the meta blob (`encode_header`).
+        let layout = MainLayout::new(38 + meta_len as u64, block_size, num_blocks)
             .expect("device geometry overflows a file offset");
         let main = OpenOptions::new()
             .read(true)
@@ -463,60 +490,22 @@ impl FileDevice {
             .open(dir.join(STAGING_FILE))?;
         // Only sized: payloads past the image stay a hole that reads as zeros.
         main.set_len(layout.file_len)?;
-        main.write_all_at(&header, 0)?;
-        drop(header); // its copy of the meta blob is not held beside the image
-
-        let zero_sum = block_digest(&vec![0.0; block_size]);
-        let mut checksums = vec![zero_sum; num_blocks];
-        let mut stage = vec![0u8; STAGE_ITEMS.min(image.len().max(num_blocks)) * 8];
-        // Whole blocks per pass, so each digest reads items still in cache.
-        let run_items = block_size * (STAGE_ITEMS / block_size).max(1);
-        for (run, items) in image.chunks(run_items).enumerate() {
-            let mut off = layout.payload_start + (run * run_items * 8) as u64;
-            for part in items.chunks(STAGE_ITEMS) {
-                let bytes = &mut stage[..part.len() * 8];
-                encode_payload(bytes, part);
-                main.write_all_at(bytes, off)?;
-                off += bytes.len() as u64;
-            }
-            let first = run * run_items / block_size;
-            for (sum, data) in checksums[first..].iter_mut().zip(items.chunks(block_size)) {
-                *sum = if data.len() == block_size {
-                    block_digest(data)
-                } else {
-                    let mut padded = data.to_vec();
-                    padded.resize(block_size, 0.0);
-                    block_digest(&padded)
-                };
-            }
-        }
-        for (page, sums) in checksums.chunks(STAGE_ITEMS).enumerate() {
-            let bytes = &mut stage[..sums.len() * 8];
-            for (dst, sum) in bytes.as_chunks_mut::<8>().0.iter_mut().zip(sums) {
-                *dst = sum.to_be_bytes();
-            }
-            main.write_all_at(bytes, layout.table_entry(page * STAGE_ITEMS))?;
-        }
-        main.sync_all()?;
-
-        // An old device goes before its WAL does: a crash from here on
-        // leaves no device, never the old main file beside an emptied WAL.
-        let published = dir.join(MAIN_FILE);
-        if published.exists() {
-            std::fs::remove_file(&published)?;
-            File::open(&dir)?.sync_all()?;
-        }
-        let wal = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(dir.join(WAL_FILE))?;
-        wal.sync_all()?;
-        std::fs::rename(dir.join(STAGING_FILE), &published)?;
-        File::open(&dir)?.sync_all()?;
-        let shape = (block_size, num_blocks, meta, layout);
-        Ok(Self::assemble(dir, (main, wal), shape, &opts, checksums, RecoveryReport::default()))
+        let stage_items = STAGE_ITEMS.min(block_size.saturating_mul(num_blocks));
+        Ok(ImageWriter {
+            dir,
+            main,
+            block_size,
+            num_blocks,
+            layout,
+            meta_len,
+            opts,
+            checksums: Vec::with_capacity(num_blocks),
+            energies: Vec::with_capacity(num_blocks),
+            carry: Vec::new(),
+            stage: vec![0; stage_items * 8],
+            staged: 0,
+            written: layout.payload_start,
+        })
     }
 
     /// Opens an existing device directory and runs recovery: replays the
@@ -799,6 +788,193 @@ impl FileDevice {
             }
             off += bytes.len() as u64;
         }
+        Ok(())
+    }
+}
+
+/// A [`FileDevice`] image being written in order (from
+/// [`FileDevice::image_writer`]): the one create path, which
+/// [`FileDevice::create_from`] drives with a whole image.
+///
+/// Each [`ImageWriter::append`] takes the next items. Per block, in the
+/// pass that writes it, the writer takes the block's digest and its energy
+/// (`Σc²`, [`block_energy`]) and big-endian-encodes its
+/// items into one 256 KiB staging buffer, which goes to the staging main
+/// file `blocks.aims.new` in sequential writes as it fills. A block that
+/// straddles two appends is carried between them. [`ImageWriter::finish`]
+/// writes the digest table and the header last, which is safe because the
+/// staging file is private until the rename that publishes it.
+///
+/// A caller that must stage data of its own while it computes the image
+/// (an out-of-core transform) asks for [`ImageWriter::spill`], a scratch
+/// file beside the staging file. Neither file is ever a device
+/// ([`FileDevice::exists`] ignores both); the next create truncates both,
+/// and `finish` unlinks the spill before the rename, so a published store
+/// never has one beside it.
+#[derive(Debug)]
+pub struct ImageWriter {
+    dir: PathBuf,
+    main: File,
+    block_size: usize,
+    num_blocks: usize,
+    layout: MainLayout,
+    meta_len: usize,
+    opts: FileDeviceOptions,
+    /// Digest and energy of each image block sealed so far.
+    checksums: Vec<u64>,
+    energies: Vec<f64>,
+    /// The items so far of a block that straddles two appends.
+    carry: Vec<f64>,
+    /// Encoded items not yet written, `staged` of them, which go to file
+    /// offset `written`.
+    stage: Vec<u8>,
+    staged: usize,
+    written: u64,
+}
+
+impl ImageWriter {
+    /// Appends the next `items` of the image.
+    ///
+    /// # Panics
+    /// If the image grows past the device.
+    pub fn append(&mut self, mut items: &[f64]) -> io::Result<()> {
+        let appended = self.checksums.len() * self.block_size + self.carry.len();
+        assert!(
+            items.len() <= self.block_size * self.num_blocks - appended,
+            "image larger than the device"
+        );
+        while !items.is_empty() {
+            let (part, rest) =
+                items.split_at((self.block_size - self.carry.len()).min(items.len()));
+            if self.carry.is_empty() && part.len() == self.block_size {
+                self.seal(part);
+            } else {
+                self.carry.extend_from_slice(part);
+                if self.carry.len() == self.block_size {
+                    let carry = std::mem::take(&mut self.carry);
+                    self.seal(&carry);
+                    self.carry = carry;
+                    self.carry.clear();
+                }
+            }
+            self.encode(part)?;
+            items = rest;
+        }
+        Ok(())
+    }
+
+    /// Opens the spill: a scratch file beside the staging file, empty, for
+    /// the caller's own use while it computes the image. Never fsynced;
+    /// [`ImageWriter::finish`] unlinks it.
+    pub fn spill(&self) -> io::Result<File> {
+        OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(self.dir.join(SPILL_FILE))
+    }
+
+    /// Publishes the image: seals a short last block (zero-padded for its
+    /// digest; its energy is that of its items, since the padding would add
+    /// only `+0.0` terms), asks `meta` for the header's meta blob given one
+    /// energy per image block, writes the digest table (zeros' digest past
+    /// the image) and the header, and fsyncs the file. An old device goes
+    /// next, then the spill; an empty WAL is fsynced, and only then is the
+    /// staging file renamed to `blocks.aims` and the directory fsynced. A
+    /// crash at any point leaves no device or the whole image, never a
+    /// part of it.
+    ///
+    /// # Panics
+    /// If the blob `meta` returns is not the `meta_len` bytes the writer
+    /// was started with.
+    pub fn finish(mut self, meta: impl FnOnce(&[f64]) -> Vec<u8>) -> io::Result<FileDevice> {
+        if !self.carry.is_empty() {
+            let energy = block_energy(&self.carry);
+            self.carry.resize(self.block_size, 0.0);
+            self.checksums.push(block_digest(&self.carry));
+            self.energies.push(energy);
+        }
+        self.flush()?;
+        let meta = meta(&self.energies);
+        assert_eq!(meta.len(), self.meta_len, "meta blob is not the length the writer was given");
+        let ImageWriter {
+            dir,
+            main,
+            block_size,
+            num_blocks,
+            layout,
+            opts,
+            mut checksums,
+            mut stage,
+            ..
+        } = self;
+        checksums.resize(num_blocks, block_digest(&vec![0.0; block_size]));
+        let page = (stage.len() / 8).max(1);
+        stage.resize(page * 8, 0);
+        for (first, sums) in (0..).step_by(page).zip(checksums.chunks(page)) {
+            let bytes = &mut stage[..sums.len() * 8];
+            for (dst, sum) in bytes.as_chunks_mut::<8>().0.iter_mut().zip(sums) {
+                *dst = sum.to_be_bytes();
+            }
+            main.write_all_at(bytes, layout.table_entry(first))?;
+        }
+        drop(stage);
+        main.write_all_at(&encode_header(block_size, num_blocks, &meta), 0)?;
+        main.sync_all()?;
+
+        // An old device goes before its WAL does: a crash from here on
+        // leaves no device, never the old main file beside an emptied WAL.
+        let published = dir.join(MAIN_FILE);
+        if published.exists() {
+            std::fs::remove_file(&published)?;
+            File::open(&dir)?.sync_all()?;
+        }
+        match std::fs::remove_file(dir.join(SPILL_FILE)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
+        let wal = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(dir.join(WAL_FILE))?;
+        wal.sync_all()?;
+        std::fs::rename(dir.join(STAGING_FILE), &published)?;
+        File::open(&dir)?.sync_all()?;
+        let shape = (block_size, num_blocks, meta, layout);
+        let recovery = RecoveryReport::default();
+        Ok(FileDevice::assemble(dir, (main, wal), shape, &opts, checksums, recovery))
+    }
+
+    /// Records a whole block's digest and energy.
+    fn seal(&mut self, block: &[f64]) {
+        self.checksums.push(block_digest(block));
+        self.energies.push(block_energy(block));
+    }
+
+    /// Encodes `items` into the staging buffer, writing it out as it fills.
+    fn encode(&mut self, mut items: &[f64]) -> io::Result<()> {
+        while !items.is_empty() {
+            let n = (self.stage.len() / 8 - self.staged).min(items.len());
+            let at = self.staged * 8;
+            encode_payload(&mut self.stage[at..at + n * 8], &items[..n]);
+            self.staged += n;
+            items = &items[n..];
+            if self.staged * 8 == self.stage.len() {
+                self.flush()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes the staged items at the end of the payloads written so far.
+    fn flush(&mut self) -> io::Result<()> {
+        let bytes = &self.stage[..self.staged * 8];
+        self.main.write_all_at(bytes, self.written)?;
+        self.written += bytes.len() as u64;
+        self.staged = 0;
         Ok(())
     }
 }
@@ -1227,6 +1403,53 @@ mod tests {
         assert_eq!(d.recovery(), RecoveryReport::default());
         check(&d, "reopened");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_image_appended_in_pieces_is_the_whole_image_byte_for_byte() {
+        let (whole, pieces) = (test_dir("whole-image"), test_dir("image-pieces"));
+        let bs = 48;
+        // Past one staging buffer, with a short last block.
+        let image: Vec<f64> = (0..STAGE_ITEMS + 5 * bs + 7).map(|i| (i as f64).cos()).collect();
+        let blocks = image.len().div_ceil(bs) + 3;
+        let meta = |energies: &[f64]| energies.iter().flat_map(|e| e.to_be_bytes()).collect();
+        let want: Vec<f64> = image.chunks(bs).map(crate::block_energy).collect();
+        let opts = FileDeviceOptions { meta: meta(&want), ..Default::default() };
+        drop(FileDevice::create_from(&whole, bs, blocks, &image, opts).unwrap());
+
+        std::fs::create_dir_all(&pieces).unwrap();
+        std::fs::write(pieces.join(SPILL_FILE), b"a stale spill").unwrap();
+        let opts = FileDeviceOptions::default();
+        let writer = FileDevice::image_writer(&pieces, bs, blocks, 8 * want.len(), opts);
+        let mut writer = writer.unwrap();
+        let mut spill = writer.spill().unwrap();
+        assert_eq!(spill.metadata().unwrap().len(), 0, "the spill starts empty");
+        std::io::Write::write_all(&mut spill, b"scratch").unwrap();
+        let mut rest = image.as_slice();
+        for n in (1..).map(|k| (k * 37) % 1000 + 1).chain([STAGE_ITEMS]) {
+            let (piece, tail) = rest.split_at(n.min(rest.len()));
+            writer.append(piece).unwrap();
+            rest = tail;
+            if rest.is_empty() {
+                break;
+            }
+        }
+        let mut seen = Vec::new();
+        let d = writer
+            .finish(|energies| {
+                seen = energies.to_vec();
+                meta(energies)
+            })
+            .unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&seen), bits(&want), "one energy per image block");
+        assert!(!pieces.join(SPILL_FILE).exists(), "the spill is gone once published");
+        assert!(!pieces.join(STAGING_FILE).exists());
+        drop(d);
+        let read = |dir: &Path| std::fs::read(dir.join(MAIN_FILE)).unwrap();
+        assert!(read(&whole) == read(&pieces), "the main files differ");
+        std::fs::remove_dir_all(&whole).unwrap();
+        std::fs::remove_dir_all(&pieces).unwrap();
     }
 
     #[test]

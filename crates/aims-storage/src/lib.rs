@@ -60,7 +60,7 @@ pub use device::{
 pub use error_tree::{point_query_set, range_query_set, ErrorTree};
 pub use faults::{FaultKind, FaultPlan, FaultyDevice};
 pub use file::{
-    CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions, RecoveryReport, WalStats,
+    CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions, ImageWriter, RecoveryReport, WalStats,
 };
 pub use progressive::{BlockPlan, BoundLedger, ProgressPoint};
 pub use store::{block_energy, CoefficientStore, DegradedAnswer, WaveletStore};
