@@ -23,8 +23,9 @@ const QUERIES: usize = 12;
 /// probes. The class split is where round scheduling has real freedom:
 /// a class-blind FIFO sweep over the ascending block union serves the
 /// batch reports' huge low-id mass first and makes the interactive
-/// probes wait, while the utility scheduler's boost-weighted fair
-/// shares tighten interactive bounds first at a bounded cost to batch.
+/// probes wait, while the utility scheduler reads the blocks whose
+/// boost-weighted gains lower the bounds most, whichever session holds
+/// them.
 fn mixed_queries() -> Vec<Vec<(usize, usize)>> {
     (0..QUERIES)
         .map(|k| {

@@ -125,7 +125,7 @@ pub fn e9_progressive_accuracy() {
 
     println!("-- error vs fraction of query coefficients (db4, COUNT query) --");
     println!("(a store of one coefficient per block, so a block is a query coefficient:");
-    println!(" order = catalog gain |w|·|c|, bound = the ledger's suffix Σ|w|·|c|)");
+    println!(" order = catalog gain |w|·|c|, bound = the ledger's undelivered Σ|w|·|c|)");
     let engine = Propolyne::new(cube.transform(&FilterKind::Db4.filter()));
     let q = RangeSumQuery::count(vec![(31, 215), (40, 180)]);
     let prepared = engine.prepare(&q);

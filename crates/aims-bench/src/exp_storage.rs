@@ -8,7 +8,7 @@ use aims_storage::alloc::{
 };
 use aims_storage::error_tree::{point_query_set, range_query_set};
 use aims_storage::store::{AllocKind, CoefficientStore};
-use aims_storage::{BoundLedger, MemDevice, RetryPolicy, SharedBlockCache};
+use aims_storage::{Evaluation, MemDevice, RetryPolicy, SharedBlockCache};
 
 /// E4 — "for all disk blocks of size B, if a block must be retrieved to
 /// answer a query, the expected number of needed items on the block is
@@ -127,7 +127,7 @@ fn evaluate_dyn(alloc: &dyn Allocation, queries: &[Vec<usize>]) -> (f64, f64) {
 
 /// E6 — "perform the most valuable I/O's first and deliver approximate
 /// results progressively" (§3.2.1): error-vs-blocks-read curves for the
-/// store's gain-ordered evaluation and for the same plan in fold order.
+/// store's gain-ordered evaluation and for the same plan in plan order.
 pub fn e6_progressive_retrieval() {
     crate::header("E6", "importance-ordered progressive block retrieval (§3.2.1)");
     let n = 1 << 14;
@@ -156,17 +156,16 @@ pub fn e6_progressive_retrieval() {
     let exact = store.evaluate(&indices, &weights, &pool, &RetryPolicy::none()).estimate;
 
     // Importance: the plan consumed gain-first. Sequential: the same plan
-    // in fold order, the loop `evaluate` runs.
+    // in plan order, the order `evaluate` fetches in.
     let run = store.progressive(&indices, &weights, &pool, &RetryPolicy::none());
     let importance: Vec<(f64, f64)> = run.iter().map(|p| (p.estimate, p.bound)).collect();
-    let mut ledger = BoundLedger::in_fold_order(Arc::new(store.plan(&indices, &weights)));
-    let (mut cursor, mut estimate, mut sequential) = (0, 0.0, Vec::new());
-    while let Some(k) = ledger.peek() {
-        let b = ledger.plan().blocks[k];
+    let mut eval = Evaluation::new(Arc::new(store.plan(&indices, &weights)));
+    let mut sequential = Vec::new();
+    for k in 0..eval.plan().blocks.len() {
+        let b = eval.plan().blocks[k];
         let data = pool.get_or_read(store.device(), b).expect("an in-memory device never fails");
-        store.accumulate(&indices, &weights, b, Some(&data), &mut cursor, &mut estimate);
-        ledger.deliver();
-        sequential.push((estimate, ledger.bound()));
+        store.fold(&mut eval, &indices, &weights, k, Some(&data));
+        sequential.push((eval.estimate(), eval.ledger().bound()));
     }
 
     println!(

@@ -96,20 +96,6 @@ impl<D: BlockDevice> BlockedCoefficients<D> {
         self.plan(prepared).blocks
     }
 
-    /// Folds plan block `block` into a running evaluation of `prepared`
-    /// ([`CoefficientStore::accumulate`]): called once per plan block in
-    /// plan order, one flat accumulator over the entries ascending.
-    pub fn accumulate(
-        &self,
-        prepared: &PreparedQuery,
-        block: usize,
-        data: Option<&[f64]>,
-        cursor: &mut usize,
-        sum: &mut f64,
-    ) -> usize {
-        self.store.accumulate(&prepared.indices, &prepared.weights, block, data, cursor, sum)
-    }
-
     /// Evaluates a prepared query against the device
     /// ([`CoefficientStore::evaluate`]). A fault-free run is bit-identical
     /// to the in-memory engine; a degraded one reports the lost blocks'

@@ -2,7 +2,7 @@
 //! bit-identical to the in-memory engine; ci.sh runs this file under
 //! `AIMS_THREADS=1` and `=4`. Shared batches across pool sizes are the
 //! query service's contract
-//! (`service::tests::any_partition_into_grant_prefixes_folds_to_the_serial_bits`).
+//! (`service::tests::any_partition_of_plan_blocks_into_rounds_folds_to_the_serial_bits`).
 
 use proptest::prelude::*;
 

@@ -10,12 +10,12 @@
 //! - [`admission`]: a bounded two-class queue — interactive before
 //!   batch, overload rejected with typed errors
 //!   ([`ServiceError::QueueFull`]) instead of collapsing.
-//! - [`service`]: the shared-scan scheduler. Each round grants every
-//!   active plan a prefix of the blocks it still needs, pulls the union
-//!   — each hot block **once** — through a sharded LRU
-//!   [`aims_storage::SharedBlockCache`], and fans per-query accumulation
-//!   out on an [`aims_exec::ThreadPool`] — final answers bit-identical
-//!   to serial evaluation for every thread count. A cohort that must
+//! - [`service`]: the shared-scan scheduler. Each round selects a set of
+//!   blocks the active plans still need, pulls each **once** through a
+//!   sharded LRU [`aims_storage::SharedBlockCache`], hands it to every
+//!   session still missing it, and fans the per-query folds out on an
+//!   [`aims_exec::ThreadPool`] — final answers bit-identical to serial
+//!   evaluation for every thread count and block arrival order. A cohort that must
 //!   share rounds from the first one is submitted with
 //!   [`QueryService::submit_all`]: one admission, all or nothing.
 //! - [`session`]: progressive delivery — monotonically refining

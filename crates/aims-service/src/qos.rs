@@ -12,20 +12,18 @@
 //! - [`DegradeController`]: maps admission-queue pressure to a service
 //!   [`Tier`] with enter/exit hysteresis, so a pressure spike escalates
 //!   quickly but recovery is smooth (no tier flapping at a threshold).
-//! - `grant_round`: allocates each shared-scan round's block budget
-//!   across sessions to maximize aggregate expected error-bound
-//!   reduction. The marginal utility of a session's next plan block is
-//!   the block-local Cauchy–Schwarz term `sqrt(w²_in_block · E_block)`
-//!   from the store's block-energy catalog, normalized by the session's
-//!   initial bound (relative progress), its class, and its deadline
-//!   slack; the budget charges device reads only, so cache-resident
-//!   grants are free. What a policy hands back is each session's
-//!   *grant* — a contiguous prefix of its remaining plan — which
-//!   preserves the bit-identity invariant: entries are consumed in
-//!   ascending flat-offset order with one accumulator per query, so
-//!   final answers never depend on the policy.
+//! - `select_round`: spends each shared-scan round's block budget on the
+//!   blocks with the highest aggregate expected error-bound reduction. A
+//!   block's utility for one session is the block-local Cauchy–Schwarz
+//!   term `sqrt(w²_in_block · E_block)` from the store's block-energy
+//!   catalog, scaled by the session's weight: its class, its deadline
+//!   slack, and the inverse of its initial bound (relative progress). The
+//!   budget charges device reads only, so cache-resident blocks are free.
+//!   A session folds whichever of its plan blocks arrive, in any order,
+//!   and its estimate is one fold over its delivered entries in ascending
+//!   order, so final answers never depend on the policy.
 
-use std::collections::BTreeSet;
+use aims_storage::BoundLedger;
 
 /// At [`Tier::Coarse`] and harder, a progress update is delivered every
 /// this many rounds.
@@ -113,8 +111,8 @@ impl Tier {
 /// Which block-selection policy the shared scan uses.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
 pub enum SchedulerPolicy {
-    /// The pre-QoS behavior: ascending union of every active plan's
-    /// remaining blocks, capped at the round budget.
+    /// The pre-QoS behavior: the ascending union of every session's
+    /// wanted blocks, capped at the round budget.
     Fifo,
     /// Utility-ranked selection: the budget goes to the blocks with the
     /// highest aggregate expected error-bound reduction.
@@ -215,263 +213,113 @@ impl DegradeController {
 }
 
 /// The per-session view a round's block selection ranks: the session's
-/// remaining plan (ascending block ids), the matching per-block bound
-/// gains, and a scalar priority weight (class boost × deadline urgency ÷
-/// initial bound).
+/// bound ledger (its plan's blocks, ascending, with their gains, and which
+/// of them are still pending), a scalar priority weight (class boost ×
+/// deadline urgency ÷ initial bound), and whether this is its first round.
 pub(crate) struct SessionLens<'a> {
-    /// Remaining plan blocks, ascending (from the session's plan cursor).
-    pub plan: &'a [usize],
-    /// `gain[k]` = `sqrt(Σw² in plan[k] · E_{plan[k]})` — the block-local
-    /// Cauchy–Schwarz term, i.e. the most consuming `plan[k]` can shrink
-    /// this session's error bound.
-    pub gain: &'a [f64],
+    /// The session's plan and what it still misses.
+    pub ledger: &'a BoundLedger,
     /// Utility multiplier for this session.
     pub weight: f64,
+    /// The session has not taken part in a round yet. Only such a session
+    /// can want a cache-resident block: every block a round reads is handed
+    /// to every live session still missing it, so a block a session wants
+    /// after its first round was not resident then and has not been read
+    /// since.
+    pub fresh: bool,
 }
 
-/// Spends one round's budget of `budget` *device reads* (`is_cached`
-/// blocks ride free) under `policy` and returns each session's **grant**:
-/// how many leading blocks of its remaining plan it consumes this round.
+impl SessionLens<'_> {
+    /// `(block, gain)` of every plan block not yet delivered or lost,
+    /// ascending. `gain` = `sqrt(Σw² in block · E_block)`, the block-local
+    /// Cauchy–Schwarz term: how far delivering the block lowers this
+    /// session's bound.
+    fn wanted(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let plan = self.ledger.plan();
+        let pending = (0..plan.blocks.len()).filter(|&k| self.ledger.pending(k));
+        pending.map(move |k| (plan.blocks[k], plan.gains[k]))
+    }
+}
+
+/// Spends one round's budget of `budget` *device reads* under `policy` and
+/// returns the blocks to fetch, ascending. Every returned block is still
+/// wanted by some session, and every wanted block that `is_cached` rides
+/// free: it costs no read, so it is always returned (residence is probed
+/// only for the blocks of [`SessionLens::fresh`] sessions). A session
+/// folds any of its plan blocks the moment it arrives, so the budget may
+/// go to any of them:
 ///
-/// A grant is a contiguous prefix — a block refines a session's bound
-/// only once every plan block before it has been folded — and whatever a
-/// policy charges the budget for lies in the prefix of the session it
-/// picked it for. So the grants *are* the selection: the blocks to fetch
-/// are their union.
-pub(crate) fn grant_round(
+/// - [`SchedulerPolicy::Fifo`] reads the lowest wanted block ids;
+/// - [`SchedulerPolicy::Utility`] reads the blocks with the highest
+///   utility, `Σ` over the sessions still wanting a block of `weight ×
+///   gain`: the aggregate expected error-bound reduction its one read
+///   buys. A block several sessions want sums their stakes, so sharing is
+///   preferred by construction (§3.3.1's "shares I/O maximally") without a
+///   separate sharing rule.
+///
+/// Utility ties break toward the lower block id. For a lone session that
+/// is the order of [`aims_storage::BlockPlan::by_gain`] (gain-descending,
+/// ties in plan order), so a one-block budget walks its plan exactly as
+/// `CoefficientStore::progressive` does. A block's stakes are summed in
+/// admission order, so the selection is deterministic.
+pub(crate) fn select_round(
     policy: SchedulerPolicy,
     sessions: &[SessionLens],
     budget: usize,
     is_cached: impl Fn(usize) -> bool,
 ) -> Vec<usize> {
-    match policy {
-        SchedulerPolicy::Fifo => grant_fifo(sessions, budget, is_cached),
-        SchedulerPolicy::Utility => grant_utility(sessions, budget, is_cached),
-    }
-}
-
-/// The class- and progress-blind baseline: the round takes the ascending
-/// union of every remaining plan up to the first uncached block past the
-/// budget, and each session is granted what it has below that block.
-fn grant_fifo(
-    sessions: &[SessionLens],
-    budget: usize,
-    is_cached: impl Fn(usize) -> bool,
-) -> Vec<usize> {
-    let wanted: BTreeSet<usize> = sessions.iter().flat_map(|s| s.plan.iter().copied()).collect();
-    let mut charged = 0usize;
-    let stop = wanted.into_iter().find(|&b| {
-        charged += usize::from(!is_cached(b));
-        charged > budget
-    });
-    sessions
+    let mut stakes: Vec<(usize, f64, bool)> = sessions
         .iter()
-        .map(|s| stop.map_or(s.plan.len(), |stop| s.plan.partition_point(|&b| b < stop)))
-        .collect()
-}
-
-/// Allocates a round's block budget across sessions by weighted fair
-/// sharing, with the budget charging *device reads only* (`is_cached`
-/// blocks ride free).
-///
-/// Each plan is a precedence chain: a block refines a session's bound
-/// only once every plan block before it has been consumed, so the only
-/// real scheduling freedom is *how much of each session's next prefix*
-/// a round serves — fetching a deep high-energy block early just parks
-/// it until its predecessors arrive. (Two measured dead ends confirm
-/// this: a demand-density prefix auction that fetched mass out of
-/// consumption order plateaued sessions ~2–3× longer than the shared
-/// ascending sweep, and a whole-session weighted-shortest-remaining
-/// rule batched one session to its tail while everyone else idled at
-/// their initial bound, ~4× worse.)
-///
-/// So the budget's read slots are apportioned across sessions in
-/// proportion to each one's *marginal utility share*: `weight × Σ
-/// remaining gain`, i.e. class boost × deadline urgency × the fraction
-/// of its initial bound still outstanding. Apportionment uses the
-/// D'Hondt divisor rule — repeatedly grant one slot to the session
-/// maximizing `share / (1 + slots_granted)` — which is deterministic,
-/// proportional, and starvation-free: a light session's quotient is
-/// untouched while heavy sessions' quotients shrink with every grant,
-/// so it is reached within a bounded number of rounds.
-///
-/// Each slot advances its session's grant to the next uncached
-/// unselected block and selects it. Blocks that are cache-resident or
-/// already selected for another session are granted free along the way
-/// — catch-up through a shared or previously-fetched region never
-/// competes with fresh refinement for I/O. That free riding is how the
-/// shared scan's amortization survives the weighting: when a heavy
-/// session's slot selects a coarse block, every other session whose
-/// grant ends at that block advances without spending a slot. With
-/// uniform weights the result degenerates to the fair shared sweep
-/// (everyone's grant advances, most-behind sessions first); with
-/// differentiated classes the interactive sessions' bounds provably
-/// tighten in proportion to their boost.
-///
-/// Ties break toward earlier submission order, so selection is
-/// deterministic. The round stays bounded: at most `budget` device
-/// reads plus one cache's worth of free grants.
-fn grant_utility(
-    sessions: &[SessionLens],
-    budget: usize,
-    is_cached: impl Fn(usize) -> bool,
-) -> Vec<usize> {
-    // Marginal utility share: weight × remaining bound mass. The +ε
-    // keeps zero-energy tails schedulable (they still advance cursors
-    // toward completion).
-    let shares: Vec<f64> =
-        sessions.iter().map(|s| s.weight * (s.gain.iter().sum::<f64>() + 1e-12)).collect();
-    // The blocks this round's slots have paid for.
-    let mut selected: BTreeSet<usize> = BTreeSet::new();
-    let mut grants: Vec<usize> = vec![0; sessions.len()];
-    let mut slots: Vec<usize> = vec![0; sessions.len()];
-    // Sweeps every grant through the blocks that are free this round:
-    // already paid for, or cache-resident.
-    let sweep = |grants: &mut [usize], selected: &BTreeSet<usize>| {
-        for (grant, s) in grants.iter_mut().zip(sessions) {
-            while s.plan.get(*grant).is_some_and(|b| selected.contains(b) || is_cached(*b)) {
-                *grant += 1;
-            }
+        .flat_map(|s| s.wanted().map(move |(b, g)| (b, s.weight * g, s.fresh)))
+        .collect();
+    // Stable: a block's stakes stay in admission order.
+    stakes.sort_by_key(|&(b, ..)| b);
+    let (mut selected, mut reads) = (Vec::new(), Vec::new());
+    for group in stakes.chunk_by(|x, y| x.0 == y.0) {
+        let b = group[0].0;
+        if group.iter().any(|&(.., fresh)| fresh) && is_cached(b) {
+            selected.push(b);
+        } else {
+            reads.push((b, group.iter().fold(0.0, |acc, &(_, u, _)| acc + u)));
         }
-    };
-    for _ in 0..budget {
-        sweep(&mut grants, &selected);
-        // D'Hondt: one read slot to the session with the highest
-        // quotient among those still wanting blocks; ties go to
-        // submission order.
-        let mut best: Option<(f64, usize)> = None;
-        for (j, s) in sessions.iter().enumerate() {
-            if grants[j] >= s.plan.len() {
-                continue;
-            }
-            let quotient = shares[j] / (1 + slots[j]) as f64;
-            if best.is_none_or(|(q, _)| quotient > q) {
-                best = Some((quotient, j));
-            }
-        }
-        let Some((_, w)) = best else { break };
-        selected.insert(sessions[w].plan[grants[w]]);
-        grants[w] += 1;
-        slots[w] += 1;
     }
-    // Slots spent late in the loop may have unlocked shared runs for
-    // other sessions.
-    sweep(&mut grants, &selected);
-    grants
-}
-
-/// The parent design, kept as the oracle the grant functions are tested
-/// against: each policy returned the round's *selected block set*, and the
-/// scheduler re-derived every session's grant from it.
-#[cfg(test)]
-pub(crate) mod reference {
-    use super::{SchedulerPolicy, SessionLens};
-    use std::collections::BTreeSet;
-
-    /// The selected set, as `service.rs` (FIFO) and `select_round_blocks`
-    /// (utility) computed it before grants were returned directly.
-    pub(crate) fn selected(
-        policy: SchedulerPolicy,
-        sessions: &[SessionLens],
-        budget: usize,
-        is_cached: impl Fn(usize) -> bool,
-    ) -> BTreeSet<usize> {
-        let mut selected: BTreeSet<usize> = BTreeSet::new();
-        let mut charged = 0usize;
-        if policy == SchedulerPolicy::Fifo {
-            let wanted: BTreeSet<usize> =
-                sessions.iter().flat_map(|s| s.plan.iter().copied()).collect();
-            for b in wanted {
-                let free = is_cached(b);
-                if !free && charged >= budget {
-                    break;
-                }
-                charged += usize::from(!free);
-                selected.insert(b);
-            }
-            return selected;
-        }
-        let shares: Vec<f64> =
-            sessions.iter().map(|s| s.weight * (s.gain.iter().sum::<f64>() + 1e-12)).collect();
-        let mut frontier: Vec<usize> = vec![0; sessions.len()];
-        let mut slots: Vec<usize> = vec![0; sessions.len()];
-        while charged < budget {
-            for (j, s) in sessions.iter().enumerate() {
-                while frontier[j] < s.plan.len() {
-                    let b = s.plan[frontier[j]];
-                    if selected.contains(&b) {
-                        frontier[j] += 1;
-                    } else if is_cached(b) {
-                        selected.insert(b);
-                        frontier[j] += 1;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            let mut best: Option<(f64, usize)> = None;
-            for (j, s) in sessions.iter().enumerate() {
-                if frontier[j] >= s.plan.len() {
-                    continue;
-                }
-                let quotient = shares[j] / (1 + slots[j]) as f64;
-                if best.is_none_or(|(q, _)| quotient > q) {
-                    best = Some((quotient, j));
-                }
-            }
-            let Some((_, w)) = best else { break };
-            selected.insert(sessions[w].plan[frontier[w]]);
-            frontier[w] += 1;
-            slots[w] += 1;
-            charged += 1;
-        }
-        let mut grew = true;
-        while grew {
-            grew = false;
-            for (j, s) in sessions.iter().enumerate() {
-                while frontier[j] < s.plan.len() {
-                    let b = s.plan[frontier[j]];
-                    if selected.contains(&b) || is_cached(b) {
-                        grew |= selected.insert(b);
-                        frontier[j] += 1;
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-        selected
+    if policy == SchedulerPolicy::Utility && reads.len() > budget {
+        // Utility descending, then id ascending: a total order, so the
+        // first `budget` after the partition are one well-defined set.
+        reads.select_nth_unstable_by(budget, |x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
     }
-
-    /// The blocks a round fetches under `grants`: the union of the granted
-    /// prefixes.
-    pub(crate) fn union(sessions: &[SessionLens], grants: &[usize]) -> BTreeSet<usize> {
-        sessions.iter().zip(grants).flat_map(|(s, &g)| s.plan[..g].iter().copied()).collect()
-    }
-
-    /// The grants the parent scheduler re-derived from the selected set.
-    pub(crate) fn grants(sessions: &[SessionLens], selected: &BTreeSet<usize>) -> Vec<usize> {
-        sessions
-            .iter()
-            .map(|s| s.plan.iter().take_while(|b| selected.contains(b)).count())
-            .collect()
-    }
+    selected.extend(reads.into_iter().take(budget).map(|(b, _)| b));
+    selected.sort_unstable();
+    selected
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aims_storage::BlockPlan;
+    use std::sync::Arc;
 
-    /// The blocks a utility round fetches: the union of its grants.
+    /// The blocks a utility round fetches for sessions given as
+    /// `(plan blocks ascending, gains, weight)`, nothing yet delivered.
     fn select_round_blocks(
-        sessions: &[SessionLens],
+        sessions: &[(&[usize], &[f64], f64)],
         budget: usize,
         is_cached: impl Fn(usize) -> bool,
-    ) -> BTreeSet<usize> {
-        reference::union(
-            sessions,
-            &grant_round(SchedulerPolicy::Utility, sessions, budget, is_cached),
-        )
+    ) -> Vec<usize> {
+        let ledgers: Vec<BoundLedger> = sessions
+            .iter()
+            .map(|&(blocks, gains, _)| {
+                let spans = (0..blocks.len()).map(|k| k..k + 1).collect();
+                let plan = BlockPlan { blocks: blocks.to_vec(), gains: gains.to_vec(), spans };
+                BoundLedger::new(Arc::new(plan))
+            })
+            .collect();
+        let lenses: Vec<SessionLens> = ledgers
+            .iter()
+            .zip(sessions)
+            .map(|(ledger, &(.., weight))| SessionLens { ledger, weight, fresh: true })
+            .collect();
+        select_round(SchedulerPolicy::Utility, &lenses, budget, is_cached)
     }
 
     #[test]
@@ -546,62 +394,46 @@ mod tests {
     #[test]
     fn utility_selection_favors_weighted_sessions() {
         // Session A wants blocks [0,1,2,3], B wants [10,11]; B carries
-        // far more weight, so both of B's blocks win the budget and A
-        // gets the remainder in block order.
-        let a_gain = [1.0, 1.0, 1.0, 1.0];
-        let b_gain = [1.0, 1.0];
-        let sessions = [
-            SessionLens { plan: &[0, 1, 2, 3], gain: &a_gain, weight: 1.0 },
-            SessionLens { plan: &[10, 11], gain: &b_gain, weight: 100.0 },
-        ];
-        let got = select_round_blocks(&sessions, 3, |_| false);
-        assert_eq!(got.into_iter().collect::<Vec<_>>(), vec![0, 10, 11]);
+        // far more weight, so both of B's blocks win the budget and A's
+        // equal stakes go lowest id first.
+        let g = [1.0; 4];
+        let sessions: [(&[usize], &[f64], f64); 2] =
+            [(&[0, 1, 2, 3], &g, 1.0), (&[10, 11], &g[..2], 100.0)];
+        assert_eq!(select_round_blocks(&sessions, 3, |_| false), [0, 10, 11]);
     }
 
     #[test]
-    fn shared_blocks_advance_every_sharer_for_one_read() {
-        // Sessions 0 and 1 share frontier block 5. When session 0's
-        // slot selects it, session 1's frontier rides through for free,
-        // so session 1's own slot buys its *next* block (7) — four
-        // slots serve five frontier advances. Session 0's second block
-        // (6, unshared) is what the round leaves behind.
+    fn a_shared_block_outranks_each_sharers_private_blocks() {
+        // Sessions 0 and 1 both want block 5: its utility is the sum of
+        // their stakes (2.0), above session 2's heavier private blocks
+        // (1.5 each), which in turn beat the sharers' private ones.
         let g = [1.0, 1.0];
-        let sessions = [
-            SessionLens { plan: &[5, 6], gain: &g, weight: 1.0 },
-            SessionLens { plan: &[5, 7], gain: &g, weight: 1.0 },
-            SessionLens { plan: &[2, 3], gain: &g, weight: 1.5 },
-        ];
-        let got = select_round_blocks(&sessions, 4, |_| false);
-        assert_eq!(got.into_iter().collect::<Vec<_>>(), vec![2, 3, 5, 7]);
+        let sessions: [(&[usize], &[f64], f64); 3] =
+            [(&[5, 6], &g, 1.0), (&[5, 7], &g, 1.0), (&[2, 3], &g, 1.5)];
+        assert_eq!(select_round_blocks(&sessions, 1, |_| false), [5]);
+        assert_eq!(select_round_blocks(&sessions, 3, |_| false), [2, 3, 5]);
     }
 
     #[test]
-    fn utility_selection_looks_ahead_past_cheap_frontiers() {
-        // Session A's bound mass sits behind two cheap blocks. Its
-        // share counts *all* remaining mass (9.2), not just the
-        // frontier gain (0.1), so A wins every slot over B's 2.0 — a
-        // frontier-only auction would score A at 0.1 and starve it.
-        let a = [0.1, 0.1, 9.0];
-        let b = [2.0];
-        let sessions = [
-            SessionLens { plan: &[0, 1, 9], gain: &a, weight: 1.0 },
-            SessionLens { plan: &[4], gain: &b, weight: 1.0 },
-        ];
-        let got = select_round_blocks(&sessions, 3, |_| false);
-        assert_eq!(got.into_iter().collect::<Vec<_>>(), vec![0, 1, 9]);
+    fn utility_selection_reaches_past_cheap_blocks() {
+        // Session A's bound mass sits behind two cheap blocks. A block
+        // refines the moment it arrives, so the one read goes straight to
+        // the 9.0 block, past A's cheap ones and B's 2.0.
+        let (a, b) = ([0.1, 0.1, 9.0], [2.0]);
+        let sessions: [(&[usize], &[f64], f64); 2] = [(&[0, 1, 9], &a, 1.0), (&[4], &b, 1.0)];
+        assert_eq!(select_round_blocks(&sessions, 1, |_| false), [9]);
+        assert_eq!(select_round_blocks(&sessions, 2, |_| false), [4, 9]);
     }
 
     #[test]
     fn utility_selection_is_budget_capped_and_complete_below_budget() {
         let g = [1.0; 4];
-        let sessions = [
-            SessionLens { plan: &[1, 2, 3, 4], gain: &g, weight: 1.0 },
-            SessionLens { plan: &[3, 4, 5, 6], gain: &g, weight: 1.0 },
-        ];
-        assert_eq!(select_round_blocks(&sessions, 2, |_| false).len(), 2);
+        let sessions: [(&[usize], &[f64], f64); 2] =
+            [(&[1, 2, 3, 4], &g, 1.0), (&[3, 4, 5, 6], &g, 1.0)];
+        // The two shared blocks are worth twice any private one.
+        assert_eq!(select_round_blocks(&sessions, 2, |_| false), [3, 4]);
         // Budget beyond the union: everything is selected.
-        let all = select_round_blocks(&sessions, 64, |_| false);
-        assert_eq!(all.into_iter().collect::<Vec<_>>(), vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(select_round_blocks(&sessions, 64, |_| false), [1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
@@ -609,62 +441,9 @@ mod tests {
         // Blocks 1 and 2 are resident in the shared cache, so a budget
         // of 2 device reads still covers the whole 4-block plan.
         let g = [1.0; 4];
-        let sessions = [SessionLens { plan: &[1, 2, 3, 4], gain: &g, weight: 1.0 }];
-        let got = select_round_blocks(&sessions, 2, |b| b <= 2);
-        assert_eq!(got.into_iter().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
-        // With nothing cached the same budget stops after two blocks.
-        let got = select_round_blocks(&sessions, 2, |_| false);
-        assert_eq!(got.into_iter().collect::<Vec<_>>(), vec![1, 2]);
-    }
-
-    /// Seeded mixes — overlapping ascending plans with shared prefixes, a
-    /// random resident set, class weights — under both policies: the
-    /// grants returned equal the parent's `take_while(selected.contains)`
-    /// recomputation, nothing is selected ahead of every grant (the round
-    /// has no prefetch set), and the budget charges device reads only.
-    #[test]
-    fn grants_equal_the_parents_recomputation_from_the_selected_set() {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move |n: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % n as u64) as usize
-        };
-        let (mut free_rides, mut shared) = (0usize, 0usize);
-        for case in 0..400 {
-            let plans: Vec<Vec<usize>> = (0..1 + next(6))
-                .map(|_| {
-                    // A common coarse prefix, then a private sparse tail.
-                    let mut plan: Vec<usize> = (0..next(5)).collect();
-                    plan.extend((5..48).filter(|_| next(4) == 0));
-                    plan
-                })
-                .collect();
-            let gains: Vec<Vec<f64>> = plans
-                .iter()
-                .map(|p| p.iter().map(|_| next(1000) as f64 / 100.0).collect())
-                .collect();
-            let sessions: Vec<SessionLens> = plans
-                .iter()
-                .zip(&gains)
-                .map(|(plan, gain)| SessionLens { plan, gain, weight: 1.0 + next(3) as f64 })
-                .collect();
-            let resident: BTreeSet<usize> = (0..48).filter(|_| next(5) == 0).collect();
-            let is_cached = |b: usize| resident.contains(&b);
-            let budget = 1 + next(12);
-            for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::Utility] {
-                let selected = reference::selected(policy, &sessions, budget, is_cached);
-                let grants = grant_round(policy, &sessions, budget, is_cached);
-                assert_eq!(grants, reference::grants(&sessions, &selected), "{policy:?} #{case}");
-                let granted = reference::union(&sessions, &grants);
-                assert_eq!(granted, selected, "{policy:?} #{case}: a block ahead of every grant");
-                let reads = granted.iter().filter(|b| !is_cached(**b)).count();
-                assert!(reads <= budget, "{policy:?} #{case}: {reads} reads on budget {budget}");
-                free_rides += granted.len() - reads;
-                shared += grants.iter().sum::<usize>() - granted.len();
-            }
-        }
-        assert!(free_rides > 0 && shared > 0, "the mixes must exercise residence and sharing");
+        let sessions: [(&[usize], &[f64], f64); 1] = [(&[1, 2, 3, 4], &g, 1.0)];
+        assert_eq!(select_round_blocks(&sessions, 2, |b| b <= 2), [1, 2, 3, 4]);
+        // With nothing cached the same budget buys two blocks.
+        assert_eq!(select_round_blocks(&sessions, 2, |_| false), [1, 2]);
     }
 }

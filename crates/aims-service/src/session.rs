@@ -57,14 +57,15 @@ impl QuerySpec {
 pub struct Refinement {
     /// Scheduler round that produced this update.
     pub round: u32,
-    /// Query coefficients consumed so far.
+    /// Query coefficients whose blocks were consumed (delivered or lost)
+    /// so far.
     pub coefficients_used: usize,
     /// Total query coefficients.
     pub total_coefficients: usize,
     /// Running estimate (bit-identical to serial evaluation at `Done`).
     pub estimate: f64,
     /// Guaranteed bound on `|estimate − exact|` (Cauchy–Schwarz over the
-    /// unseen suffix, plus a lost-block term if storage degraded).
+    /// plan blocks not delivered, lost ones included if storage degraded).
     pub error_bound: f64,
     /// Degradation tier the session ran at when this update was produced
     /// ([`Tier::Normal`] whenever the service is unloaded).

@@ -256,7 +256,7 @@ fn tcp_loopback_round_trip_is_bit_identical_and_shuts_down_cleanly() {
                     assert_eq!(out.kind, ProgressKind::Done);
                     // Monotone refinement across the wire.
                     for w in out.trace.windows(2) {
-                        assert!(w[1].error_bound <= w[0].error_bound + 1e-12);
+                        assert!(w[1].error_bound <= w[0].error_bound);
                     }
                     got.push((ranges, out.last.unwrap().estimate));
                 }

@@ -118,7 +118,7 @@ proptest! {
                 let (trace, outcome) = w.join().unwrap();
                 for pair in trace.windows(2) {
                     assert!(
-                        pair[1].error_bound <= pair[0].error_bound + 1e-12,
+                        pair[1].error_bound <= pair[0].error_bound,
                         "bound widened mid-session"
                     );
                 }

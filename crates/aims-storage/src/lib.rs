@@ -29,11 +29,12 @@
 //!   tensor-product extension to multidimensional coefficient grids.
 //! - [`progressive`]: importance-ordered block retrieval ("perform the
 //!   most valuable I/O's first and deliver approximate results
-//!   progressively") — the [`BlockPlan`] that prices a query's blocks and
-//!   the [`BoundLedger`] that carries its guaranteed error bound.
+//!   progressively") — the [`BlockPlan`] that prices a query's blocks,
+//!   the [`BoundLedger`] that carries its guaranteed error bound and the
+//!   [`Evaluation`] that folds whichever of its blocks have arrived.
 //! - [`store`]: the one blocked coefficient store
 //!   ([`CoefficientStore`]: layout, energy catalog, load, reopen, and the
-//!   plan → fetch → accumulate → bound evaluation, in fold order or
+//!   plan → fetch → fold → bound evaluation, in plan order or
 //!   most-valuable-block-first) and its 1-D Haar front [`WaveletStore`].
 //! - [`file`](mod@file): the durable file-backed device ([`FileDevice`]) — per-block
 //!   checksums, a length-prefixed checksummed WAL with monotone LSNs,
@@ -62,7 +63,7 @@ pub use faults::{FaultKind, FaultPlan, FaultyDevice};
 pub use file::{
     CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions, ImageWriter, RecoveryReport, WalStats,
 };
-pub use progressive::{BlockPlan, BoundLedger, ProgressPoint};
+pub use progressive::{BlockPlan, BoundLedger, Evaluation, ProgressPoint};
 pub use store::{block_energy, CoefficientStore, DegradedAnswer, WaveletStore};
 
 /// The frozen benchmark harness (`bench/src/ladder.rs`) still names the

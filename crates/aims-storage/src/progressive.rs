@@ -5,17 +5,19 @@
 //! us to perform the most valuable I/O's first and deliver approximate
 //! results progressively during query evaluation."
 //!
-//! [`BlockPlan`] and [`BoundLedger`] are that idea as every path uses it,
-//! on fallible media: a plan prices each needed block from the query's
-//! weights and the load-time energy catalog (no device I/O), and a ledger
-//! carries the guaranteed bound while blocks arrive — or stay unreadable,
-//! in which case the answer is computed from what was retrieved and the
-//! lost blocks' share stays in the bound instead of the query failing. The
-//! cube store, the query service and the tiered store all bound their
-//! answers through these two types; each keeps only its own estimate fold.
+//! [`BlockPlan`], [`BoundLedger`] and [`Evaluation`] are that idea as every
+//! path uses it, on fallible media: a plan prices each needed block from
+//! the query's weights and the load-time energy catalog (no device I/O), a
+//! ledger carries the guaranteed bound while blocks arrive — in any order,
+//! or never, in which case the answer is computed from what was retrieved
+//! and the lost blocks' share stays in the bound instead of the query
+//! failing — and an evaluation folds the delivered entries. The cube store
+//! and the query service fold through [`Evaluation`]; the tiered store
+//! keeps its own segment fold and bounds it with the same ledger.
 //! [`crate::CoefficientStore::progressive`] consumes a plan gain-first and
 //! reports one [`ProgressPoint`] per block.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One step of a gain-ordered evaluation
@@ -24,7 +26,7 @@ use std::sync::Arc;
 pub struct ProgressPoint {
     /// Plan blocks consumed so far, delivered or lost.
     pub blocks_consumed: usize,
-    /// Running estimate: the delivered blocks' partial sums.
+    /// Running estimate: [`Evaluation::estimate`] after this block.
     pub estimate: f64,
     /// The ledger's guaranteed bound on `|estimate − exact|`.
     pub bound: f64,
@@ -33,32 +35,36 @@ pub struct ProgressPoint {
 /// The blocks one linear query needs, each priced by how much of the
 /// error bound reading it removes.
 ///
-/// Entries are in the caller's canonical *fold order* — the order its
-/// estimate accumulates block contributions in (ascending block for the
-/// cube store, segment-then-block for the tiered store). A block holding
-/// query weights `w` over stored coefficients `c` can move the answer by
-/// at most `sqrt(Σw² · Σc²)` (Cauchy–Schwarz); that is its gain, and the
-/// sum of the gains not yet delivered bounds the error of the running
-/// estimate (triangle inequality).
+/// Entries are in the caller's canonical *fold order* (ascending block for
+/// the cube store, segment-then-block for the tiered store), and each
+/// block's entries are one contiguous span of the caller's entry list. A
+/// block holding query weights `w` over stored coefficients `c` can move
+/// the answer by at most `sqrt(Σw² · Σc²)` (Cauchy–Schwarz); that is its
+/// gain, and the sum of the gains not yet delivered bounds the error of
+/// the running estimate (triangle inequality).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BlockPlan {
     /// Device block ids, in fold order.
     pub blocks: Vec<usize>,
     /// `gains[k]` = `sqrt(Σw² in blocks[k] · Σc² of blocks[k])`.
     pub gains: Vec<f64>,
+    /// `spans[k]`: the entries `blocks[k]` holds, as a range of the
+    /// caller's entry list.
+    pub spans: Vec<Range<usize>>,
 }
 
 impl BlockPlan {
-    /// Appends blocks from `(block, Σw²)` pairs, pricing each against its
-    /// catalog energy `energy(block)` = `Σc²`.
+    /// Appends blocks from `(block, Σw², entries)` triples, pricing each
+    /// against its catalog energy `energy(block)` = `Σc²`.
     pub fn extend(
         &mut self,
-        pairs: impl IntoIterator<Item = (usize, f64)>,
+        blocks: impl IntoIterator<Item = (usize, f64, Range<usize>)>,
         energy: impl Fn(usize) -> f64,
     ) {
-        for (block, wsq) in pairs {
+        for (block, wsq, span) in blocks {
             self.blocks.push(block);
             self.gains.push((wsq * energy(block)).sqrt());
+            self.spans.push(span);
         }
     }
 
@@ -72,54 +78,42 @@ impl BlockPlan {
         order
     }
 
-    /// The bound before any block is read: the gains summed last-to-first
-    /// (the value a fold-order [`BoundLedger`] starts at, bit for bit).
+    /// The bound before any block is read: the gains summed in fold order
+    /// (a fresh [`BoundLedger`]'s bound, bit for bit).
     pub fn initial_bound(&self) -> f64 {
-        self.gains.iter().rev().fold(0.0, |acc, g| acc + g)
+        self.gains.iter().fold(0.0, |acc, g| acc + g)
     }
+}
+
+/// What became of one plan block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Slot {
+    Pending,
+    Delivered,
+    Lost,
 }
 
 /// The progressive error bound of one evaluation of a [`BlockPlan`].
 ///
-/// The ledger fixes a *consumption order* over the plan and tracks how far
-/// the evaluation got: `bound = Σ gains not yet consumed + Σ gains lost`.
-/// The first term is a precomputed suffix sum, so delivering a block can
-/// only lower the bound and nothing drifts; a block the device cannot
-/// deliver moves its gain from the suffix into the lost term, leaving the
-/// bound where it was (to within the rounding of that one addition).
-/// Drained, the bound is exactly the lost term — `0.0` when nothing was
-/// lost. Cloning shares the tables.
+/// Blocks are delivered or lost in any order, each once. The bound is the
+/// gains of the blocks not delivered — pending or lost — summed in fold
+/// order. Rounding is monotone in each non-negative term, so a delivery can
+/// only lower the bound and a loss leaves it bit for bit where it was.
+/// Drained, the bound is the lost gains summed in fold order — `0.0` when
+/// nothing was lost.
 #[derive(Clone, Debug)]
 pub struct BoundLedger {
     plan: Arc<BlockPlan>,
-    /// `(plan position, Σ gains from here on)` per consumption step.
-    steps: Arc<[(usize, f64)]>,
+    slots: Vec<Slot>,
     consumed: usize,
-    lost: f64,
     lost_blocks: Vec<usize>,
 }
 
 impl BoundLedger {
-    /// Consumes the plan in its own fold order.
-    pub fn in_fold_order(plan: Arc<BlockPlan>) -> Self {
-        let order = 0..plan.blocks.len();
-        BoundLedger::new(plan, order)
-    }
-
-    /// Consumes the plan most-important-first ([`BlockPlan::by_gain`]).
-    pub fn by_gain(plan: Arc<BlockPlan>) -> Self {
-        let order = plan.by_gain();
-        BoundLedger::new(plan, order)
-    }
-
-    fn new(plan: Arc<BlockPlan>, order: impl IntoIterator<Item = usize>) -> Self {
-        let mut steps: Vec<(usize, f64)> = order.into_iter().map(|k| (k, 0.0)).collect();
-        let mut suffix = 0.0;
-        for step in steps.iter_mut().rev() {
-            suffix += plan.gains[step.0];
-            step.1 = suffix;
-        }
-        BoundLedger { plan, steps: steps.into(), consumed: 0, lost: 0.0, lost_blocks: Vec::new() }
+    /// A ledger over `plan` with nothing consumed.
+    pub fn new(plan: Arc<BlockPlan>) -> Self {
+        let slots = vec![Slot::Pending; plan.blocks.len()];
+        BoundLedger { plan, slots, consumed: 0, lost_blocks: Vec::new() }
     }
 
     /// The plan being consumed.
@@ -127,28 +121,32 @@ impl BoundLedger {
         &self.plan
     }
 
-    /// Plan position of the next block to consume; `None` once drained.
-    pub fn peek(&self) -> Option<usize> {
-        self.steps.get(self.consumed).map(|&(k, _)| k)
+    /// Whether plan position `k` is neither delivered nor lost yet.
+    pub fn pending(&self, k: usize) -> bool {
+        self.slots[k] == Slot::Pending
     }
 
-    /// The next block arrived and was folded into the estimate.
-    pub fn deliver(&mut self) {
-        assert!(self.consumed < self.steps.len(), "ledger already drained");
+    fn consume(&mut self, k: usize, slot: Slot) {
+        assert!(self.pending(k), "plan position {k} already consumed");
+        self.slots[k] = slot;
         self.consumed += 1;
     }
 
-    /// The next block stayed unreadable: its gain stays in the bound.
-    pub fn lose(&mut self) {
-        let k = self.peek().expect("ledger already drained");
-        self.lost += self.plan.gains[k];
+    /// Plan position `k` arrived and was folded into the estimate.
+    pub fn deliver(&mut self, k: usize) {
+        self.consume(k, Slot::Delivered);
+    }
+
+    /// Plan position `k` stayed unreadable: its gain stays in the bound.
+    pub fn lose(&mut self, k: usize) {
+        self.consume(k, Slot::Lost);
         self.lost_blocks.push(self.plan.blocks[k]);
-        self.consumed += 1;
     }
 
     /// Guaranteed bound on `|estimate − exact|` right now.
     pub fn bound(&self) -> f64 {
-        self.steps.get(self.consumed).map_or(0.0, |&(_, suffix)| suffix) + self.lost
+        let undelivered = self.plan.gains.iter().zip(&self.slots);
+        undelivered.filter(|(_, s)| **s != Slot::Delivered).fold(0.0, |acc, (g, _)| acc + g)
     }
 
     /// Blocks consumed so far, delivered or lost.
@@ -158,11 +156,73 @@ impl BoundLedger {
 
     /// Whether every planned block has been consumed.
     pub fn done(&self) -> bool {
-        self.consumed == self.steps.len()
+        self.consumed == self.slots.len()
     }
 
     /// Blocks that stayed unreadable, in the order they were lost.
     pub fn lost_blocks(&self) -> &[usize] {
         &self.lost_blocks
+    }
+}
+
+/// One evaluation of a linear query `Σ w·c` over its [`BlockPlan`], fed
+/// the plan's blocks in any order.
+///
+/// It keeps one product `w·c` per entry and the [`BoundLedger`]. A
+/// delivered block writes its entries' products; a pending or lost block's
+/// stay `0.0`. The estimate is the products folded in entry order from
+/// `0.0`, which is the flat fold over the delivered entries alone: the
+/// accumulator is never `-0.0`, so adding `0.0` leaves it unchanged. It
+/// therefore ends on the same bits whatever order the blocks arrived in.
+#[derive(Clone, Debug)]
+pub struct Evaluation {
+    products: Vec<f64>,
+    ledger: BoundLedger,
+    /// Entries of consumed blocks, delivered or lost.
+    used: usize,
+}
+
+impl Evaluation {
+    /// An evaluation of `plan` with nothing delivered.
+    pub fn new(plan: Arc<BlockPlan>) -> Self {
+        let entries = plan.spans.last().map_or(0, |s| s.end);
+        Evaluation { products: vec![0.0; entries], ledger: BoundLedger::new(plan), used: 0 }
+    }
+
+    /// The bound ledger.
+    pub fn ledger(&self) -> &BoundLedger {
+        &self.ledger
+    }
+
+    /// The plan being evaluated.
+    pub fn plan(&self) -> &BlockPlan {
+        self.ledger.plan()
+    }
+
+    /// Plan position `k` arrived: `products` are `w·c` for its span's
+    /// entries, in entry order.
+    pub fn deliver(&mut self, k: usize, products: impl IntoIterator<Item = f64>) {
+        self.ledger.deliver(k);
+        let span = self.ledger.plan().spans[k].clone();
+        self.used += span.len();
+        for (slot, p) in self.products[span].iter_mut().zip(products) {
+            *slot = p;
+        }
+    }
+
+    /// Plan position `k` stayed unreadable: its entries contribute nothing.
+    pub fn lose(&mut self, k: usize) {
+        self.ledger.lose(k);
+        self.used += self.ledger.plan().spans[k].len();
+    }
+
+    /// Entries of the blocks consumed so far, delivered or lost.
+    pub fn entries_used(&self) -> usize {
+        self.used
+    }
+
+    /// The running estimate: delivered products folded in entry order.
+    pub fn estimate(&self) -> f64 {
+        self.products.iter().fold(0.0, |acc, p| acc + p)
     }
 }

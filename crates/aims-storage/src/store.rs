@@ -6,31 +6,36 @@
 //! cache — with every block I/O accounted. [`CoefficientStore`] is the one
 //! implementation of that: the coefficient → (block, offset) rule, the
 //! per-block `Σ c²` energy catalog, load, reopen, and the evaluation
-//! `plan → fetch → accumulate → bound`, in fold order (`evaluate`) or
-//! most-valuable-block-first (`progressive`). [`WaveletStore`] is its 1-D
-//! Haar front (signal in, point values and range sums out);
-//! `aims_propolyne::BlockedCoefficients` is its ProPolyne front.
+//! `plan → fetch → fold → bound`, in plan order (`evaluate`) or
+//! most-valuable-block-first (`progressive`), both through one
+//! [`Evaluation`]. [`WaveletStore`] is its 1-D Haar front (signal in,
+//! point values and range sums out); `aims_propolyne::BlockedCoefficients`
+//! is its ProPolyne front.
 //!
 //! The store is generic over the [`BlockDevice`] implementation, so the
 //! same query code runs over the infallible [`MemDevice`], the
 //! fault-injected `FaultyDevice` and the durable `FileDevice`. Transient
 //! read failures are retried under a [`RetryPolicy`]; a block that stays
 //! unreadable degrades the answer instead of failing it: its coefficients
-//! count as zero and the [`BoundLedger`] keeps the block's gain
-//! `sqrt(Σw² · Σc²)` (Cauchy–Schwarz against the load-time catalog) in the
-//! answer's guaranteed error bound.
+//! count as zero and the [`BoundLedger`](crate::BoundLedger) keeps the
+//! block's gain `sqrt(Σw² · Σc²)` (Cauchy–Schwarz against the load-time
+//! catalog) in the answer's guaranteed error bound.
 //!
 //! # Fold order
 //!
-//! Entries are evaluated with one flat accumulator in *block-major* order:
-//! ascending block id, ascending coefficient index inside a block. Under
-//! [`AllocKind::Sequential`] that is plain ascending index order, so an
-//! evaluation is bit-identical to a dense in-memory dot product over the
-//! same ascending entries. Under any other allocation it is deterministic
-//! (independent of cache state and fetch history) and exact to rounding.
+//! An estimate is one flat fold of the products `w·c` over the delivered
+//! entries in *block-major* order: ascending block id, ascending
+//! coefficient index inside a block. The order blocks arrive in does not
+//! enter it, so `evaluate` and a drained `progressive` give the same bits.
+//! Under [`AllocKind::Sequential`] block-major is plain ascending index
+//! order, so an evaluation is bit-identical to a dense in-memory dot
+//! product over the same ascending entries. Under any other allocation it
+//! is deterministic (independent of cache state and fetch history) and
+//! exact to rounding.
 
 use std::borrow::Cow;
 use std::io;
+use std::ops::Range;
 use std::sync::Arc;
 
 use aims_dsp::dwt::dwt_full;
@@ -41,7 +46,7 @@ use crate::alloc::{Allocation, RandomAlloc, TreeTilingAlloc};
 use crate::cache::SharedBlockCache;
 use crate::device::{BlockDevice, DeviceStats, MemDevice, RetryPolicy};
 use crate::error_tree::{point_query_set, range_query_set};
-use crate::progressive::{BlockPlan, BoundLedger, ProgressPoint};
+use crate::progressive::{BlockPlan, Evaluation, ProgressPoint};
 
 /// Which allocation strategy a store uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -288,70 +293,88 @@ impl<D: BlockDevice> CoefficientStore<D> {
     /// weights[k])` needs, ascending — the fold order of every evaluation
     /// over this store, and exactly the device reads a cold-cache
     /// evaluation costs — each priced at `sqrt(Σw² · Σc²)` from the
-    /// entries it holds and the energy catalog. Every entry is planned,
+    /// entries it holds and the energy catalog, with the span of those
+    /// entries. Every entry is planned,
     /// zero weights included. No device I/O.
     ///
     /// # Panics
     /// If an index is out of range or the entries are not block-major.
     pub fn plan(&self, indices: &[usize], weights: &[f64]) -> BlockPlan {
-        let mut pairs: Vec<(usize, f64)> = Vec::new();
-        for (&i, &w) in indices.iter().zip(weights) {
+        let mut blocks: Vec<(usize, f64, Range<usize>)> = Vec::new();
+        for (k, (&i, &w)) in indices.iter().zip(weights).enumerate() {
             assert!(i < self.n, "coefficient {i} out of range");
-            match pairs.last_mut() {
-                Some((b, wsq)) if self.layout.offset_in(i, *b).is_some() => *wsq += w * w,
+            match blocks.last_mut() {
+                Some((b, wsq, span)) if self.layout.offset_in(i, *b).is_some() => {
+                    *wsq += w * w;
+                    span.end = k + 1;
+                }
                 _ => {
                     let (b, _) = self.layout.locate(i);
-                    assert!(pairs.last().is_none_or(|l| l.0 < b), "entries are not block-major");
-                    pairs.push((b, w * w));
+                    assert!(blocks.last().is_none_or(|l| l.0 < b), "entries are not block-major");
+                    blocks.push((b, w * w, k..k + 1));
                 }
             }
         }
-        if !pairs.is_empty() {
+        if !blocks.is_empty() {
             // The paper's success metric (§3.2.1): needed items per
             // retrieved block, which tiling pushes toward 1 + lg B.
             histogram_f64!("storage.alloc.needed_items_per_block")
-                .record_f64(indices.len() as f64 / pairs.len() as f64);
+                .record_f64(indices.len() as f64 / blocks.len() as f64);
         }
         let mut plan = BlockPlan::default();
-        plan.extend(pairs, |b| self.block_energy[b]);
+        plan.extend(blocks, |b| self.block_energy[b]);
         plan
     }
 
-    /// Folds plan block `block` into a running evaluation: every entry
-    /// from `*cursor` on that lives in the block is consumed — added to
-    /// `*sum` as `w · data[offset]`, or skipped (contributing zero) when
-    /// the block was lost and `data` is `None`. Returns the number of
-    /// entries consumed. Called once per plan block in plan order, this is
-    /// one flat accumulator over the entries in the order given.
-    pub fn accumulate(
+    /// Folds plan position `k` of `eval` — a plan of these block-major
+    /// entries — given the block's payload: the products `w·c` of its span,
+    /// or, when `data` is `None` (the device could not deliver it), a loss
+    /// that leaves its gain in the bound.
+    pub fn fold(
         &self,
+        eval: &mut Evaluation,
         indices: &[usize],
         weights: &[f64],
-        block: usize,
+        k: usize,
         data: Option<&[f64]>,
-        cursor: &mut usize,
-        sum: &mut f64,
-    ) -> usize {
-        let start = *cursor;
-        while let Some(&i) = indices.get(*cursor) {
-            let Some(off) = self.layout.offset_in(i, block) else { break };
-            if let Some(data) = data {
-                *sum += weights[*cursor] * data[off];
-            }
-            *cursor += 1;
+    ) {
+        let Some(data) = data else { return eval.lose(k) };
+        let (block, span) = (eval.plan().blocks[k], eval.plan().spans[k].clone());
+        let products = indices[span.clone()].iter().zip(&weights[span]).map(|(&i, w)| {
+            w * data[self.layout.offset_in(i, block).expect("a plan span lies in its block")]
+        });
+        eval.deliver(k, products);
+    }
+
+    /// Fetches plan position `k` of `eval` once through `pool`, retrying
+    /// transient faults under `policy`, and [`fold`](CoefficientStore::fold)s
+    /// it; a block that stays unreadable increments `storage.degraded`.
+    /// Returns whether the block was delivered.
+    fn fetch_fold(
+        &self,
+        eval: &mut Evaluation,
+        indices: &[usize],
+        weights: &[f64],
+        k: usize,
+        pool: &SharedBlockCache,
+        policy: &RetryPolicy,
+    ) -> bool {
+        let read = pool.get_or_read_outcome(&self.device, eval.plan().blocks[k], policy);
+        let data = read.map(|(data, _)| data).ok();
+        if data.is_none() {
+            counter!("storage.degraded").inc();
         }
-        *cursor - start
+        self.fold(eval, indices, weights, k, data.as_ref().map(|d| d.as_slice()));
+        data.is_some()
     }
 
     /// Evaluates `Σ weights[k] · c[indices[k]]` over block-major entries
-    /// against the device: [`plan`], fetch each plan block once through
-    /// `pool` (retrying transient faults under `policy`), [`accumulate`]
-    /// it or charge it to the [`BoundLedger`]. Each block that stays
-    /// unreadable increments `storage.degraded` and leaves its gain in
-    /// the answer's bound.
+    /// against the device: [`plan`], then fetch and fold each plan block
+    /// once, in plan order, into one [`Evaluation`]. Each block that stays
+    /// unreadable increments `storage.degraded` and leaves its gain in the
+    /// answer's bound.
     ///
     /// [`plan`]: CoefficientStore::plan
-    /// [`accumulate`]: CoefficientStore::accumulate
     pub fn evaluate(
         &self,
         indices: &[usize],
@@ -360,36 +383,26 @@ impl<D: BlockDevice> CoefficientStore<D> {
         policy: &RetryPolicy,
     ) -> DegradedAnswer {
         counter!("storage.store.coefficients_fetched").add(indices.len() as u64);
-        let mut ledger = BoundLedger::in_fold_order(Arc::new(self.plan(indices, weights)));
-        let (mut cursor, mut estimate, mut missing) = (0usize, 0.0, 0usize);
-        while let Some(k) = ledger.peek() {
-            let b = ledger.plan().blocks[k];
-            match pool.get_or_read_outcome(&self.device, b, policy) {
-                Ok((data, _)) => {
-                    self.accumulate(indices, weights, b, Some(&data), &mut cursor, &mut estimate);
-                    ledger.deliver();
-                }
-                Err(_) => {
-                    counter!("storage.degraded").inc();
-                    missing +=
-                        self.accumulate(indices, weights, b, None, &mut cursor, &mut estimate);
-                    ledger.lose();
-                }
+        let mut eval = Evaluation::new(Arc::new(self.plan(indices, weights)));
+        let mut missing = 0usize;
+        for k in 0..eval.plan().blocks.len() {
+            if !self.fetch_fold(&mut eval, indices, weights, k, pool, policy) {
+                missing += eval.plan().spans[k].len();
             }
         }
         DegradedAnswer {
-            estimate,
-            error_bound: ledger.bound(),
-            lost_blocks: ledger.lost_blocks().to_vec(),
+            estimate: eval.estimate(),
+            error_bound: eval.ledger().bound(),
+            lost_blocks: eval.ledger().lost_blocks().to_vec(),
             missing_coefficients: missing,
         }
     }
 
-    /// [`evaluate`] most-valuable-block-first: the same plan, consumed by
-    /// [`BoundLedger::by_gain`], each block fetched once through `pool`
-    /// and folded into its own partial sum, which the running estimate
-    /// then adds. One [`ProgressPoint`] per consumed block; a block that
-    /// stays unreadable adds nothing and keeps its gain in the bound.
+    /// [`evaluate`] most-valuable-block-first: the same plan and the same
+    /// [`Evaluation`], its blocks fetched in [`BlockPlan::by_gain`] order.
+    /// One [`ProgressPoint`] per consumed block; a block that stays
+    /// unreadable adds nothing and keeps its gain in the bound. The last
+    /// point's estimate and bound are `evaluate`'s, bit for bit.
     ///
     /// [`evaluate`]: CoefficientStore::evaluate
     pub fn progressive(
@@ -399,32 +412,14 @@ impl<D: BlockDevice> CoefficientStore<D> {
         pool: &SharedBlockCache,
         policy: &RetryPolicy,
     ) -> Vec<ProgressPoint> {
-        let mut ledger = BoundLedger::by_gain(Arc::new(self.plan(indices, weights)));
-        // Each plan block's first entry: one fold-order pass, no I/O.
-        let (mut starts, mut next) = (Vec::new(), 0usize);
-        for &b in &ledger.plan().blocks {
-            starts.push(next);
-            self.accumulate(indices, weights, b, None, &mut next, &mut 0.0);
-        }
-        let (mut estimate, mut points) = (0.0, Vec::with_capacity(starts.len()));
-        while let Some(k) = ledger.peek() {
-            let b = ledger.plan().blocks[k];
-            match pool.get_or_read_outcome(&self.device, b, policy) {
-                Ok((data, _)) => {
-                    let (mut cursor, mut partial) = (starts[k], 0.0);
-                    self.accumulate(indices, weights, b, Some(&data), &mut cursor, &mut partial);
-                    estimate += partial;
-                    ledger.deliver();
-                }
-                Err(_) => {
-                    counter!("storage.degraded").inc();
-                    ledger.lose();
-                }
-            }
-            let blocks_consumed = ledger.consumed();
-            points.push(ProgressPoint { blocks_consumed, estimate, bound: ledger.bound() });
-        }
-        points
+        let plan = Arc::new(self.plan(indices, weights));
+        let mut eval = Evaluation::new(Arc::clone(&plan));
+        let step = |k| {
+            self.fetch_fold(&mut eval, indices, weights, k, pool, policy);
+            let (estimate, bound) = (eval.estimate(), eval.ledger().bound());
+            ProgressPoint { blocks_consumed: eval.ledger().consumed(), estimate, bound }
+        };
+        plan.by_gain().into_iter().map(step).collect()
     }
 }
 

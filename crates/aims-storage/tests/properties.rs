@@ -172,8 +172,9 @@ proptest! {
 
     /// The gain-ordered evaluation, under every layout and B ∈ {1, 4, 16}:
     /// it consumes each plan block exactly once, its bound never rises and
-    /// always contains the truth, and drained it is exactly the lost
-    /// gains — `0.0` on a clean device.
+    /// always contains the truth, and drained it is exactly `evaluate`'s
+    /// answer — the estimate bits, and the lost gains summed in plan order
+    /// (`0.0` on a clean device).
     #[test]
     fn progressive_bound_falls_contains_the_truth_and_drains_to_the_lost_gains(
         n in pow2(4, 9),
@@ -199,28 +200,31 @@ proptest! {
         let faulty = CoefficientStore::load(&coeffs, block, kind, |bs, nb| {
             FaultyDevice::with_plan(bs, nb, FaultPlan::uniform(seed, FaultKind::DeadBlock, 0.3))
         });
-        let dead = |k: &&usize| faulty.device().is_dead(plan.blocks[**k]);
-        let lost_gain = plan.by_gain().iter().filter(dead).fold(0.0, |acc, &k| acc + plan.gains[k]);
+        let dead = |(b, _): &(&usize, &f64)| faulty.device().is_dead(**b);
+        let lost_gain = plan.blocks.iter().zip(&plan.gains).filter(dead).fold(0.0, |acc, (_, g)| acc + g);
         clean.reset_stats();
         let pool = SharedBlockCache::new(4);
         let clean_run = clean.progressive(&indices, &weights, &pool, &RetryPolicy::none());
         prop_assert_eq!(clean.device_stats().reads as usize, plan.blocks.len());
         let pool = SharedBlockCache::new(4);
         let faulty_run = faulty.progressive(&indices, &weights, &pool, &RetryPolicy::default());
-        // A loss moves a gain between the ledger's two terms, which may
-        // round up by one addition (the ledger's own contract); a clean
-        // run only ever drops a suffix.
-        let lossy = 1.0 + 2.0 * f64::EPSILON;
-        for (run, drained, rise) in [(clean_run, 0.0, 1.0), (faulty_run, lost_gain, lossy)] {
+        let policy = RetryPolicy::default();
+        let clean_answer = clean.evaluate(&indices, &weights, &SharedBlockCache::new(4), &policy);
+        let faulty_answer = faulty.evaluate(&indices, &weights, &SharedBlockCache::new(4), &policy);
+        let runs = [(clean_run, 0.0, clean_answer), (faulty_run, lost_gain, faulty_answer)];
+        for (run, drained, answer) in runs {
             prop_assert_eq!(run.len(), plan.blocks.len());
             let mut prev = f64::INFINITY;
             for (k, p) in run.iter().enumerate() {
                 prop_assert_eq!(p.blocks_consumed, k + 1);
-                prop_assert!(p.bound <= prev * rise);
+                prop_assert!(p.bound <= prev);
                 prop_assert!((p.estimate - exact).abs() <= p.bound + 1e-9);
                 prev = p.bound;
             }
-            prop_assert_eq!(run.last().unwrap().bound.to_bits(), drained.to_bits());
+            let last = run.last().unwrap();
+            prop_assert_eq!(last.bound.to_bits(), drained.to_bits());
+            prop_assert_eq!(last.estimate.to_bits(), answer.estimate.to_bits());
+            prop_assert_eq!(last.bound.to_bits(), answer.error_bound.to_bits());
         }
     }
 
@@ -263,43 +267,46 @@ proptest! {
     }
 
     /// The bound contract, on the ledger alone: whatever is delivered or
-    /// lost, in fold order or gain order, the bound never rises on a
-    /// delivery, moves by at most the rounding of one addition on a loss,
-    /// always covers the lost gains, and drains to exactly their sum —
-    /// `0.0` when nothing was lost.
+    /// lost, in whatever order, the bound starts at the plan's initial
+    /// bound, never rises on a delivery, stays bit for bit where it was on
+    /// a loss, always covers the lost gains, and drains to exactly their
+    /// sum in plan order — `0.0` when nothing was lost.
     #[test]
     fn ledger_bound_is_monotone_and_keeps_lost_gains(
         terms in prop::collection::vec((0.0_f64..1e6, 0.0_f64..1e6, any::<bool>()), 0..40),
-        gain_first in any::<bool>(),
+        keys in prop::collection::vec(any::<u64>(), 40),
     ) {
         let mut plan = BlockPlan::default();
-        plan.extend(terms.iter().enumerate().map(|(b, t)| (b, t.0)), |b| terms[b].1);
+        plan.extend(terms.iter().enumerate().map(|(b, t)| (b, t.0, b..b + 1)), |b| terms[b].1);
         let plan = std::sync::Arc::new(plan);
-        let mut ledger = if gain_first {
-            BoundLedger::by_gain(plan.clone())
-        } else {
-            BoundLedger::in_fold_order(plan.clone())
+        let mut ledger = BoundLedger::new(plan.clone());
+        prop_assert_eq!(ledger.bound().to_bits(), plan.initial_bound().to_bits());
+        // Any consumption order: positions sorted by a random key each.
+        let mut order: Vec<usize> = (0..terms.len()).collect();
+        order.sort_by_key(|&k| keys[k]);
+        let mut lost = vec![false; terms.len()];
+        let lost_gain = |lost: &[bool]| {
+            plan.gains.iter().zip(lost).filter(|(_, l)| **l).fold(0.0, |acc: f64, (g, _)| acc + g)
         };
-        if !gain_first {
-            prop_assert_eq!(ledger.bound().to_bits(), plan.initial_bound().to_bits());
-        }
-        let (mut lost, mut lost_blocks) = (0.0, Vec::new());
-        while let Some(k) = ledger.peek() {
+        let mut lost_blocks = Vec::new();
+        for k in order {
+            prop_assert!(ledger.pending(k));
             let before = ledger.bound();
             if terms[k].2 {
-                lost += plan.gains[k];
+                lost[k] = true;
                 lost_blocks.push(plan.blocks[k]);
-                ledger.lose();
-                prop_assert!(ledger.bound() <= before * (1.0 + 2.0 * f64::EPSILON));
+                ledger.lose(k);
+                prop_assert_eq!(ledger.bound().to_bits(), before.to_bits());
             } else {
-                ledger.deliver();
+                ledger.deliver(k);
                 prop_assert!(ledger.bound() <= before);
             }
-            prop_assert!(ledger.bound() >= lost);
+            prop_assert!(!ledger.pending(k));
+            prop_assert!(ledger.bound() >= lost_gain(&lost));
         }
         prop_assert!(ledger.done());
         prop_assert_eq!(ledger.consumed(), terms.len());
-        prop_assert_eq!(ledger.bound().to_bits(), lost.to_bits());
+        prop_assert_eq!(ledger.bound().to_bits(), lost_gain(&lost).to_bits());
         prop_assert_eq!(ledger.lost_blocks(), &lost_blocks[..]);
     }
 }

@@ -11,12 +11,12 @@
 //! The coefficients live on the historical device, so evaluation plans
 //! from the entries alone: grouped by device block, they name the blocks
 //! to fetch, each priced into one [`BlockPlan`] from the snapshot's energy
-//! catalog, and a [`BoundLedger`] consumes that plan most-important-first,
-//! carrying the bound. A segment the range covers whole plans no block:
-//! its entries depend only on the store's geometry and all sit in block 0,
-//! so the install folded that block's partial once and pinned it beside
-//! the energy catalog. Such a segment joins the answer as an exact part,
-//! like a hot one.
+//! catalog, and the evaluation consumes that plan most-important-first
+//! ([`BlockPlan::by_gain`]) while a [`BoundLedger`] carries the bound. A
+//! segment the range covers whole plans no block: its entries depend only
+//! on the store's geometry and all sit in block 0, so the install folded
+//! that block's partial once and pinned it beside the energy catalog. Such
+//! a segment joins the answer as an exact part, like a hot one.
 //!
 //! Determinism contract (the oracle bit-identity tests lean on this):
 //! every block contributes one partial — `w·c` over the block's entries,
@@ -27,10 +27,11 @@
 //! into a single accumulator. A pinned full-cover partial is that same
 //! segment partial (a one-block fold from `0.0`, which a partial never
 //! changes: `Σ w·c` from `0.0` is never `-0.0`), computed at install from
-//! the coefficients block 0 holds. The fold does not depend on the order
-//! the blocks were fetched in, on what the cache held, or on the pool's
-//! width, so two stores whose payloads are bit-identical return
-//! bit-identical sums.
+//! the coefficients block 0 holds. Every step reports this fold over the
+//! blocks delivered so far (a block not delivered adds nothing), so the
+//! fold does not depend on the order the blocks were fetched in, on what
+//! the cache held, or on the pool's width, and two stores whose payloads
+//! are bit-identical return bit-identical sums.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -88,10 +89,9 @@ struct BlockTerm {
     /// Segment slot on the historical device, and block within it.
     slot: usize,
     blk: usize,
-    /// Which of the query's weight sets applies, and the block's entries
-    /// in it.
+    /// Which of the query's weight sets applies; the block's entries in
+    /// it are its plan span.
     weights: usize,
-    entries: Range<usize>,
     /// The block's exact contribution `Σ w·c` (ascending index order)
     /// once fetched; stays `None` for a block the device could not
     /// deliver.
@@ -115,15 +115,11 @@ pub fn range_sum(snap: &TierSnapshot, a: usize, b: usize) -> f64 {
 /// Progressive two-tier evaluation: the hot tier answers exactly up
 /// front; historical blocks are fetched and consumed most-important-
 /// first, each step tightening one Cauchy–Schwarz bound over everything
-/// not yet consumed. Once every block is consumed the running
-/// estimate is replaced by the canonical fold of the same partials (see
-/// the module docs), so a drained progressive query *is* the exact
-/// evaluation, bit for bit.
+/// not yet delivered. Every step's estimate is the canonical fold of the
+/// partials delivered so far (see the module docs), so a drained
+/// progressive query *is* the exact evaluation, bit for bit.
 pub struct TieredProgressive<'a> {
     snap: &'a TierSnapshot,
-    /// Exact contribution of the hot and the covered segments
-    /// (zero-error from step 0).
-    exact_part: f64,
     /// Raw samples the hot tier summed.
     pub hot_rows: usize,
     /// Overlapping segments, ascending.
@@ -131,11 +127,13 @@ pub struct TieredProgressive<'a> {
     /// Needed historical blocks, segment- then block-ascending: the fold
     /// order, and the order of the ledger's plan.
     items: Vec<BlockTerm>,
-    /// The bound, and how far the gain-first consumption got.
+    /// The bound, and which blocks were delivered or lost.
     ledger: BoundLedger,
+    /// Plan positions most-important-first; the next to consume is
+    /// `order[ledger.consumed()]`.
+    order: Vec<usize>,
     /// One entry set per historical segment, ascending.
     weights: Vec<Arc<[(usize, f64)]>>,
-    hist_estimate: f64,
 }
 
 /// One delivered refinement step.
@@ -161,13 +159,12 @@ impl<'a> TieredProgressive<'a> {
     pub fn new(snap: &'a TierSnapshot, a: usize, b: usize, pool: &ThreadPool) -> Self {
         let mut prog = TieredProgressive {
             snap,
-            exact_part: 0.0,
             hot_rows: 0,
             parts: Vec::new(),
             items: Vec::new(),
-            ledger: BoundLedger::by_gain(Arc::default()),
+            ledger: BoundLedger::new(Arc::default()),
+            order: Vec::new(),
             weights: Vec::new(),
-            hist_estimate: 0.0,
         };
         if snap.is_empty() || a > b || a >= snap.len() {
             return prog;
@@ -206,13 +203,11 @@ impl<'a> TieredProgressive<'a> {
             match plan {
                 SegPlan::Hot { sum, rows } => {
                     prog.parts.push(Part::Exact(sum));
-                    prog.exact_part += sum;
                     prog.hot_rows += rows;
                     hot_segs += 1;
                 }
                 SegPlan::Covered(partial) => {
                     prog.parts.push(Part::Exact(partial));
-                    prog.exact_part += partial;
                     hist_segs += 1;
                 }
                 SegPlan::Hist { slot, energy, weights } => {
@@ -228,23 +223,23 @@ impl<'a> TieredProgressive<'a> {
                         }
                     }
                     let base = cfg.hist_block(slot);
-                    let priced = blocks.iter().map(|&(blk, wsq, _)| (base + blk, wsq));
-                    block_plan.extend(priced, |id| energy[id - base]);
                     let (start, set) = (prog.items.len(), prog.weights.len());
-                    prog.items.extend(blocks.into_iter().map(|(blk, _, entries)| BlockTerm {
+                    prog.items.extend(blocks.iter().map(|&(blk, ..)| BlockTerm {
                         slot,
                         blk,
                         weights: set,
-                        entries,
                         partial: None,
                     }));
+                    let priced = blocks.into_iter().map(|(blk, wsq, e)| (base + blk, wsq, e));
+                    block_plan.extend(priced, |id| energy[id - base]);
                     prog.parts.push(Part::Hist(start..prog.items.len()));
                     prog.weights.push(weights);
                     hist_segs += 1;
                 }
             }
         }
-        prog.ledger = BoundLedger::by_gain(Arc::new(block_plan));
+        prog.order = block_plan.by_gain();
+        prog.ledger = BoundLedger::new(Arc::new(block_plan));
 
         counter!("tier.query.hot_rows").add(prog.hot_rows as u64);
         if hot_segs > 0 && hist_segs > 0 {
@@ -283,10 +278,8 @@ impl<'a> TieredProgressive<'a> {
 
     /// The current refinement.
     pub fn current(&self) -> TierStep {
-        let estimate =
-            if self.done() { self.folded() } else { self.exact_part + self.hist_estimate };
         TierStep {
-            estimate,
+            estimate: self.folded(),
             bound: self.ledger.bound(),
             blocks_consumed: self.ledger.consumed(),
             blocks_lost: self.ledger.lost_blocks().len(),
@@ -295,10 +288,12 @@ impl<'a> TieredProgressive<'a> {
 
     /// Reads one block through the store's cache and reduces it against
     /// its entries; `None` when the device cannot deliver it.
-    fn fetch(&self, item: &BlockTerm) -> Option<f64> {
+    fn fetch(&self, i: usize) -> Option<f64> {
+        let item = &self.items[i];
         let coeffs = self.snap.hist.block(item.slot, item.blk).ok()?;
         let base = item.blk * self.snap.cfg.block_size;
-        Some(block_partial(&coeffs, base, &self.weights[item.weights][item.entries.clone()]))
+        let entries = self.ledger.plan().spans[i].clone();
+        Some(block_partial(&coeffs, base, &self.weights[item.weights][entries]))
     }
 
     /// Fetches and consumes up to `k` more historical blocks,
@@ -306,15 +301,11 @@ impl<'a> TieredProgressive<'a> {
     /// leaves its gain in the bound.
     pub fn step(&mut self, k: usize) -> TierStep {
         for _ in 0..k.max(1) {
-            let Some(i) = self.ledger.peek() else { break };
-            let partial = self.fetch(&self.items[i]);
-            self.items[i].partial = partial;
-            match partial {
-                Some(p) => {
-                    self.hist_estimate += p;
-                    self.ledger.deliver();
-                }
-                None => self.ledger.lose(),
+            let Some(&i) = self.order.get(self.ledger.consumed()) else { break };
+            self.items[i].partial = self.fetch(i);
+            match self.items[i].partial {
+                Some(_) => self.ledger.deliver(i),
+                None => self.ledger.lose(i),
             }
         }
         self.current()

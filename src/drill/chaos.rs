@@ -73,7 +73,7 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             seed: 4242,
-            flood_threads: 12,
+            flood_threads: 24,
             flood_queries: 4,
             load_queries: 12,
             drain_timeout: Duration::from_secs(20),
@@ -241,7 +241,7 @@ fn audit_session(
         if !r.error_bound.is_finite() {
             violations.push(format!("{label}: non-finite bound {}", r.error_bound));
         }
-        if r.error_bound > prev + 1e-9 {
+        if r.error_bound > prev {
             violations.push(format!("{label}: bound widened {prev} -> {}", r.error_bound));
         }
         prev = r.error_bound;
@@ -346,12 +346,16 @@ fn calm_config(load: usize) -> ServiceConfig {
 
 /// Service tuning for the flood phases: a small queue and deliberately
 /// slow rounds, so pressure genuinely sustains and the shipped degradation
-/// ladder climbs — the regime graduated shedding exists for.
+/// ladder climbs — the regime graduated shedding exists for. A session
+/// refines its most valuable blocks first, so at the widened tier a few
+/// blocks meet its target: rounds of one block shared by up to eight
+/// sessions, against more flood clients than queue and batch slots, keep
+/// the queue full through that tier too.
 fn flood_config() -> ServiceConfig {
     ServiceConfig {
         queue_capacity: 8,
-        max_batch: 4,
-        round_blocks: 4,
+        max_batch: 8,
+        round_blocks: 1,
         round_pause: Duration::from_micros(300),
         retry: RetryPolicy::with_retries(4),
         ..ServiceConfig::default()
@@ -527,9 +531,9 @@ fn flood_phase<D: BlockDevice + Send + Sync + 'static>(
         report.violations.extend(rec.violations);
     }
     if report.shed == 0 {
-        // The flood is sized ~6x over capacity with slowed rounds; if
-        // nothing shed, the QoS layer never engaged — that is a drill
-        // failure, not good luck.
+        // The flood outnumbers the queue and batch slots and the rounds
+        // read one block; if nothing shed, the QoS layer never engaged —
+        // that is a drill failure, not good luck.
         report.violations.push(format!("{name}: sustained flood engaged no load shedding"));
     }
     report.p99_ms = percentile(&mut latencies, 0.99);
