@@ -13,6 +13,20 @@ export CARGO_NET_OFFLINE=true
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
+# Size, printed and never gated: per crate, the lines of each source file
+# before its first #[cfg(test)], summed over the crate's src tree.
+echo "== non-test lines per crate =="
+total=0
+for src in crates/*/src src; do
+    lines=$(find "$src" -name '*.rs' -exec awk 'FNR == 1 {t = 0} /#\[cfg\(test\)\]/ {t = 1}
+        !t {n++} END {print n + 0}' {} +)
+    name=${src%/src}
+    [[ $src == src ]] && name=aims
+    printf '%-22s %6d\n' "${name#crates/}" "$lines"
+    total=$((total + lines))
+done
+printf '%-22s %6d\n' total "$total"
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

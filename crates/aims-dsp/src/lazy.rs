@@ -350,14 +350,14 @@ impl LazyTransform {
             out.push((0usize, self.approx));
         }
         // details[0] is coarsest: flat offset of a band of length len is
-        // exactly len (bands: [1,2), [2,4), [4,8), …).
+        // exactly len (bands: [1,2), [2,4), [4,8), …), so the bands ascend.
         for band in &self.details {
             let offset = band.len();
             for (i, v) in band.nonzeros(tol) {
                 out.push((offset + i, v));
             }
         }
-        out.sort_by_key(|&(i, _)| i);
+        debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "nonzeros out of order");
         out
     }
 

@@ -145,21 +145,6 @@ pub fn range_query_set(a: usize, b: usize, n: usize) -> Vec<usize> {
     set
 }
 
-/// Coefficients needed to reconstruct *every* value in `[a, b]`: all nodes
-/// whose support overlaps the range (ancestor-closed by construction).
-pub fn range_reconstruct_set(a: usize, b: usize, n: usize) -> Vec<usize> {
-    assert!(a <= b && b < n, "bad range [{a},{b}] for n={n}");
-    let tree = ErrorTree::new(n);
-    let mut set: Vec<usize> = (0..n)
-        .filter(|&i| {
-            let (s, e) = tree.support(i);
-            s <= b && a < e
-        })
-        .collect();
-    set.sort_unstable();
-    set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,19 +225,6 @@ mod tests {
             p.sort_unstable();
             p
         });
-    }
-
-    #[test]
-    fn reconstruct_set_covers_range_and_is_closed() {
-        let n = 32;
-        let set = range_reconstruct_set(10, 20, n);
-        let tree = ErrorTree::new(n);
-        assert!(tree.is_ancestor_closed(&set));
-        // Full range needs every finest node over [10,20] → at least 6.
-        let finest: Vec<usize> = set.iter().copied().filter(|&i| tree.level(i) == 5).collect();
-        assert!(finest.len() >= 5, "{finest:?}");
-        // Full-signal reconstruction needs all coefficients.
-        assert_eq!(range_reconstruct_set(0, n - 1, n).len(), n);
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //! results progressively during query evaluation."
 //!
 //! [`BlockPlan`], [`BoundLedger`] and [`Evaluation`] are that idea as every
-//! path uses it, on fallible media: a plan prices each needed block from
-//! the query's weights and the load-time energy catalog (no device I/O), a
-//! ledger carries the guaranteed bound while blocks arrive — in any order,
-//! or never, in which case the answer is computed from what was retrieved
-//! and the lost blocks' share stays in the bound instead of the query
-//! failing — and an evaluation folds the delivered entries. The cube store
-//! and the query service fold through [`Evaluation`]; the tiered store
-//! keeps its own segment fold and bounds it with the same ledger.
+//! path uses it, on fallible media: [`BlockPlan::group`] groups a query's
+//! block-major entries by block and prices each block from the query's
+//! weights and the load-time energy catalog (no device I/O), a ledger
+//! carries the guaranteed bound while blocks arrive — in any order, or
+//! never, in which case the answer is computed from what was retrieved and
+//! the lost blocks' share stays in the bound instead of the query failing —
+//! and an evaluation folds the delivered entries. It is the one fold of
+//! stored coefficients: the cube store, the query service and the tiered
+//! store's historical blocks all go through [`Evaluation`].
 //! [`crate::CoefficientStore::progressive`] consumes a plan gain-first and
 //! reports one [`ProgressPoint`] per block.
 
@@ -35,9 +36,9 @@ pub struct ProgressPoint {
 /// The blocks one linear query needs, each priced by how much of the
 /// error bound reading it removes.
 ///
-/// Entries are in the caller's canonical *fold order* (ascending block for
-/// the cube store, segment-then-block for the tiered store), and each
-/// block's entries are one contiguous span of the caller's entry list. A
+/// Blocks are in the caller's *fold order* — ascending device block id,
+/// for the cube store and the tiered store alike — and each block's
+/// entries are one contiguous span of the caller's entry list. A
 /// block holding query weights `w` over stored coefficients `c` can move
 /// the answer by at most `sqrt(Σw² · Σc²)` (Cauchy–Schwarz); that is its
 /// gain, and the sum of the gains not yet delivered bounds the error of
@@ -54,18 +55,40 @@ pub struct BlockPlan {
 }
 
 impl BlockPlan {
-    /// Appends blocks from `(block, Σw², entries)` triples, pricing each
-    /// against its catalog energy `energy(block)` = `Σc²`.
-    pub fn extend(
-        &mut self,
-        blocks: impl IntoIterator<Item = (usize, f64, Range<usize>)>,
+    /// Groups a query's entries into the blocks they need. `entries`
+    /// yields each entry's `(block, w)` in fold order, block-major: a
+    /// block's entries are consecutive and blocks ascend. Each run of one
+    /// block id becomes a plan block whose span is the run's entry
+    /// positions and whose gain is `sqrt(Σw² · energy(block))`, with
+    /// `energy(block)` its catalog `Σc²`. Every entry is grouped, zero
+    /// weights included.
+    ///
+    /// # Panics
+    /// If the entries are not block-major.
+    pub fn group(
+        entries: impl IntoIterator<Item = (usize, f64)>,
         energy: impl Fn(usize) -> f64,
-    ) {
-        for (block, wsq, span) in blocks {
-            self.blocks.push(block);
-            self.gains.push((wsq * energy(block)).sqrt());
-            self.spans.push(span);
+    ) -> BlockPlan {
+        let mut plan = BlockPlan::default();
+        // `gains` holds each block's Σw² until the blocks are priced.
+        for (k, (block, w)) in entries.into_iter().enumerate() {
+            match plan.blocks.last() {
+                Some(&last) if last == block => {
+                    *plan.gains.last_mut().expect("one gain per block") += w * w;
+                    plan.spans.last_mut().expect("one span per block").end = k + 1;
+                }
+                last => {
+                    assert!(last.is_none_or(|&l| l < block), "entries are not block-major");
+                    plan.blocks.push(block);
+                    plan.gains.push(w * w);
+                    plan.spans.push(k..k + 1);
+                }
+            }
         }
+        for (gain, &block) in plan.gains.iter_mut().zip(&plan.blocks) {
+            *gain = (*gain * energy(block)).sqrt();
+        }
+        plan
     }
 
     /// Plan positions most-important-first: gain-descending, ties in fold

@@ -10,7 +10,9 @@
 //! most-valuable-block-first (`progressive`), both through one
 //! [`Evaluation`]. [`WaveletStore`] is its 1-D Haar front (signal in,
 //! point values and range sums out); `aims_propolyne::BlockedCoefficients`
-//! is its ProPolyne front.
+//! is its ProPolyne front. Both fronts, and the tiered store's segments,
+//! plan a range sum the same way: the [`lazy_transform`] of its COUNT
+//! vector gives the entries, [`BlockPlan::group`] the priced blocks.
 //!
 //! The store is generic over the [`BlockDevice`] implementation, so the
 //! same query code runs over the infallible [`MemDevice`], the
@@ -35,17 +37,17 @@
 
 use std::borrow::Cow;
 use std::io;
-use std::ops::Range;
 use std::sync::Arc;
 
 use aims_dsp::dwt::dwt_full;
 use aims_dsp::filters::WaveletFilter;
+use aims_dsp::lazy::lazy_transform;
+use aims_dsp::poly::Polynomial;
 use aims_telemetry::{counter, histogram_f64, span};
 
 use crate::alloc::{Allocation, RandomAlloc, TreeTilingAlloc};
 use crate::cache::SharedBlockCache;
 use crate::device::{BlockDevice, DeviceStats, MemDevice, RetryPolicy};
-use crate::error_tree::{point_query_set, range_query_set};
 use crate::progressive::{BlockPlan, Evaluation, ProgressPoint};
 
 /// Which allocation strategy a store uses.
@@ -91,11 +93,11 @@ impl Layout {
         (Layout::Table(table), alloc.num_blocks())
     }
 
-    /// Where coefficient `i` lives.
-    fn locate(&self, i: usize) -> (usize, usize) {
+    /// The block coefficient `i` lives in.
+    fn block_of(&self, i: usize) -> usize {
         match self {
-            Layout::Sequential { block_size } => (i / block_size, i % block_size),
-            Layout::Table(table) => table[i],
+            Layout::Sequential { block_size } => i / block_size,
+            Layout::Table(table) => table[i].0,
         }
     }
 
@@ -286,7 +288,7 @@ impl<D: BlockDevice> CoefficientStore<D> {
     /// Sorts coefficient indices into this store's fold order:
     /// block-major (plain ascending under [`AllocKind::Sequential`]).
     pub fn sort_block_major(&self, indices: &mut [usize]) {
-        indices.sort_unstable_by_key(|&i| (self.layout.locate(i).0, i));
+        indices.sort_unstable_by_key(|&i| (self.layout.block_of(i), i));
     }
 
     /// The blocks a query with block-major entries `(indices[k],
@@ -300,29 +302,17 @@ impl<D: BlockDevice> CoefficientStore<D> {
     /// # Panics
     /// If an index is out of range or the entries are not block-major.
     pub fn plan(&self, indices: &[usize], weights: &[f64]) -> BlockPlan {
-        let mut blocks: Vec<(usize, f64, Range<usize>)> = Vec::new();
-        for (k, (&i, &w)) in indices.iter().zip(weights).enumerate() {
+        let entries = indices.iter().zip(weights).map(|(&i, &w)| {
             assert!(i < self.n, "coefficient {i} out of range");
-            match blocks.last_mut() {
-                Some((b, wsq, span)) if self.layout.offset_in(i, *b).is_some() => {
-                    *wsq += w * w;
-                    span.end = k + 1;
-                }
-                _ => {
-                    let (b, _) = self.layout.locate(i);
-                    assert!(blocks.last().is_none_or(|l| l.0 < b), "entries are not block-major");
-                    blocks.push((b, w * w, k..k + 1));
-                }
-            }
-        }
-        if !blocks.is_empty() {
+            (self.layout.block_of(i), w)
+        });
+        let plan = BlockPlan::group(entries, |b| self.block_energy[b]);
+        if !plan.blocks.is_empty() {
             // The paper's success metric (§3.2.1): needed items per
             // retrieved block, which tiling pushes toward 1 + lg B.
             histogram_f64!("storage.alloc.needed_items_per_block")
-                .record_f64(indices.len() as f64 / blocks.len() as f64);
+                .record_f64(indices.len() as f64 / plan.blocks.len() as f64);
         }
-        let mut plan = BlockPlan::default();
-        plan.extend(blocks, |b| self.block_energy[b]);
         plan
     }
 
@@ -424,8 +414,10 @@ impl<D: BlockDevice> CoefficientStore<D> {
 }
 
 /// A Haar-wavelet signal store: the 1-D front of [`CoefficientStore`]
-/// (which it dereferences to). A query is an ancestor-closed error-tree
-/// access set weighted by the Haar basis.
+/// (which it dereferences to). A range sum's entries are the lazy Haar
+/// transform of its COUNT vector ([`WaveletStore::range_entries`]); a point
+/// value at `t` is the range sum over `[t, t]`, whose entries are exactly
+/// `t`'s error-tree path.
 #[derive(Debug)]
 pub struct WaveletStore<D: BlockDevice = MemDevice> {
     store: CoefficientStore<D>,
@@ -450,8 +442,9 @@ impl WaveletStore<MemDevice> {
     /// chosen allocation and block size.
     ///
     /// # Panics
-    /// If the signal length or block size is not a power of two, or the
-    /// block size exceeds the signal length.
+    /// If the signal length is not a power of two ≥ 2 or the block size is
+    /// zero. Under [`AllocKind::TreeTiling`], also if the block size is not
+    /// a power of two ≥ 2 or exceeds the signal length.
     pub fn from_signal(signal: &[f64], block_size: usize, kind: AllocKind) -> Self {
         WaveletStore::from_signal_on(signal, block_size, kind, MemDevice::new)
     }
@@ -484,29 +477,17 @@ impl<D: BlockDevice> WaveletStore<D> {
         Ok(WaveletStore { store: CoefficientStore::reopen(device, kind, n, catalog)? })
     }
 
-    /// A query's access set as block-major `(indices, weights)` entries.
-    fn entries(
-        &self,
-        mut set: Vec<usize>,
-        weight: impl Fn(usize) -> f64,
-    ) -> (Vec<usize>, Vec<f64>) {
-        self.store.sort_block_major(&mut set);
-        let weights = set.iter().map(|&i| weight(i)).collect();
-        (set, weights)
-    }
-
-    /// The entries of the point query at `t`: its error-tree path, each
-    /// node weighted by its Haar basis value at `t`.
-    pub fn point_entries(&self, t: usize) -> (Vec<usize>, Vec<f64>) {
-        let n = self.len();
-        self.entries(point_query_set(t, n), |i| haar_basis_value(i, t, n))
-    }
-
-    /// The entries of the range sum over `[a, b]`: the two boundary
-    /// paths, each node weighted by its Haar basis summed over the range.
+    /// The entries of the range sum over `[a, b]`, block-major: the
+    /// nonzero weights of the range's COUNT vector in the Haar domain,
+    /// from [`lazy_transform`] — the planner every other range sum uses.
+    /// They lie on the range's two boundary paths; a node whose Haar basis
+    /// sums to zero over the range is not an entry.
     pub fn range_entries(&self, a: usize, b: usize) -> (Vec<usize>, Vec<f64>) {
-        let n = self.len();
-        self.entries(range_query_set(a, b, n), |i| haar_basis_range_sum(i, a, b, n))
+        let count = Polynomial::constant(1.0);
+        let haar = WaveletFilter::haar();
+        let mut entries = lazy_transform(self.len(), a, b, &count, &haar).nonzeros(0.0);
+        entries.sort_unstable_by_key(|&(i, _)| (self.store.layout.block_of(i), i));
+        entries.into_iter().unzip()
     }
 
     /// Reconstructs the data value at position `t`, reading only its
@@ -542,7 +523,7 @@ impl<D: BlockDevice> WaveletStore<D> {
     ) -> DegradedAnswer {
         let _span = span!("storage.store.point_value");
         counter!("storage.store.point_queries").inc();
-        let (indices, weights) = self.point_entries(t);
+        let (indices, weights) = self.range_entries(t, t);
         self.store.evaluate(&indices, &weights, pool, policy)
     }
 
@@ -567,49 +548,10 @@ impl<D: BlockDevice> WaveletStore<D> {
     }
 }
 
-/// Value of the `i`-th Haar basis function (flat layout) at position `t`.
-pub(crate) fn haar_basis_value(i: usize, t: usize, n: usize) -> f64 {
-    if i == 0 {
-        return 1.0 / (n as f64).sqrt();
-    }
-    let level = (usize::BITS - 1 - i.leading_zeros()) as usize + 1;
-    let width = n >> (level - 1);
-    let k = i - (1 << (level - 1));
-    let start = k * width;
-    if t < start || t >= start + width {
-        return 0.0;
-    }
-    let sign = if t < start + width / 2 { 1.0 } else { -1.0 };
-    sign / (width as f64).sqrt()
-}
-
-/// `Σ_{t=a}^{b}` of the `i`-th Haar basis function.
-pub(crate) fn haar_basis_range_sum(i: usize, a: usize, b: usize, n: usize) -> f64 {
-    if i == 0 {
-        return (b - a + 1) as f64 / (n as f64).sqrt();
-    }
-    let level = (usize::BITS - 1 - i.leading_zeros()) as usize + 1;
-    let width = n >> (level - 1);
-    let k = i - (1 << (level - 1));
-    let start = k * width;
-    let mid = start + width / 2;
-    let end = start + width;
-    let overlap = |lo: usize, hi: usize| -> f64 {
-        // |[a,b] ∩ [lo,hi)|
-        let l = a.max(lo);
-        let r = (b + 1).min(hi);
-        if r > l {
-            (r - l) as f64
-        } else {
-            0.0
-        }
-    };
-    (overlap(start, mid) - overlap(mid, end)) / (width as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error_tree::{point_query_set, range_query_set};
     use crate::faults::{FaultKind, FaultPlan, FaultyDevice};
 
     fn signal(n: usize) -> Vec<f64> {
@@ -704,27 +646,55 @@ mod tests {
     }
 
     #[test]
-    fn haar_basis_value_orthonormality_spotcheck() {
-        let n = 16;
-        // Reconstructing from basis values must match idwt: x[t] = Σ c_i φ_i(t).
-        let x = signal(n);
-        let coeffs = dwt_full(&x, &WaveletFilter::haar());
-        for (t, &xt) in x.iter().enumerate() {
-            let v: f64 = (0..n).map(|i| coeffs[i] * haar_basis_value(i, t, n)).sum();
-            assert!((v - xt).abs() < 1e-9, "t={t}");
-        }
-    }
+    fn lazy_entries_are_the_error_tree_sets_less_their_zero_weights() {
+        // A point query's entries are its whole root-to-leaf path; a range
+        // sum's lie on its two boundary paths, less the ancestors whose
+        // Haar basis sums to zero over the range — and, with them, any
+        // block that held only such ancestors.
+        const N: usize = 4096;
+        let x = signal(N);
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize % n
+        };
+        let queries: Vec<(usize, usize, usize)> = (0..200)
+            .map(|_| {
+                let (t, a) = (next(N), next(N));
+                (t, a, a + next(N - a))
+            })
+            .collect();
+        let mut dropped_ancestors = Vec::new();
+        for kind in [AllocKind::Sequential, AllocKind::Random(3), AllocKind::TreeTiling] {
+            let store = WaveletStore::from_signal(&x, 16, kind);
+            let (mut ancestors, mut blocks, mut set_entries, mut set_reads) = (0, 0, 0, 0);
+            for &(t, a, b) in &queries {
+                let (mut point, _) = store.range_entries(t, t);
+                let mut path = point_query_set(t, N);
+                point.sort_unstable();
+                path.sort_unstable();
+                assert_eq!(point, path, "{kind:?} point {t}");
 
-    #[test]
-    fn haar_range_sum_consistent_with_values() {
-        let n = 32;
-        for i in [0usize, 1, 3, 9, 17] {
-            for (a, b) in [(0usize, 31usize), (4, 20), (7, 7)] {
-                let direct: f64 = (a..=b).map(|t| haar_basis_value(i, t, n)).sum();
-                let fast = haar_basis_range_sum(i, a, b, n);
-                assert!((direct - fast).abs() < 1e-10, "i={i} [{a},{b}]");
+                let (entries, weights) = store.range_entries(a, b);
+                let mut set = range_query_set(a, b, N);
+                assert!(entries.iter().all(|i| set.contains(i)), "{kind:?} [{a}, {b}]");
+                ancestors += set.len() - entries.len();
+                store.sort_block_major(&mut set);
+                let set_blocks = store.plan(&set, &vec![0.0; set.len()]).blocks.len();
+                blocks += set_blocks - store.plan(&entries, &weights).blocks.len();
+                (set_entries, set_reads) = (set_entries + set.len(), set_reads + set_blocks);
             }
+            eprintln!(
+                "{kind:?}: dropped {ancestors} of {set_entries} range-set entries \
+                 (zero-weight ancestors) and {blocks} of {set_reads} block reads"
+            );
+            assert!(ancestors > 0, "{kind:?}: no range query dropped an ancestor");
+            dropped_ancestors.push(ancestors);
         }
+        // Which entries drop is a property of the query, not the layout.
+        assert!(dropped_ancestors.windows(2).all(|w| w[0] == w[1]), "{dropped_ancestors:?}");
     }
 
     #[test]

@@ -276,9 +276,12 @@ proptest! {
         terms in prop::collection::vec((0.0_f64..1e6, 0.0_f64..1e6, any::<bool>()), 0..40),
         keys in prop::collection::vec(any::<u64>(), 40),
     ) {
-        let mut plan = BlockPlan::default();
-        plan.extend(terms.iter().enumerate().map(|(b, t)| (b, t.0, b..b + 1)), |b| terms[b].1);
-        let plan = std::sync::Arc::new(plan);
+        // One entry per block: Σw² = t.0 against catalog energy t.1.
+        let plan = std::sync::Arc::new(BlockPlan {
+            blocks: (0..terms.len()).collect(),
+            gains: terms.iter().map(|t| (t.0 * t.1).sqrt()).collect(),
+            spans: (0..terms.len()).map(|b| b..b + 1).collect(),
+        });
         let mut ledger = BoundLedger::new(plan.clone());
         prop_assert_eq!(ledger.bound().to_bits(), plan.initial_bound().to_bits());
         // Any consumption order: positions sorted by a random key each.

@@ -22,9 +22,10 @@
 //!   holds the hot tier and one bounded block cache, not the data.
 //! - **Unified queries** ([`query`]): one range sum fans out across both
 //!   tiers — recent-exact plus historical-progressive, historical blocks
-//!   planned by the lazy wavelet transform ([`aims_dsp::lazy`]) and
-//!   fetched on demand, most important first — and merges under a single
-//!   monotone Cauchy–Schwarz bound. Queries run against
+//!   planned by the lazy wavelet transform ([`aims_dsp::lazy`]), fetched
+//!   on demand, most important first, and folded by the cube store's one
+//!   [`aims_storage::Evaluation`] — and merges under a single monotone
+//!   Cauchy–Schwarz bound. Queries run against
 //!   [`store::TierSnapshot`]s, so a concurrent segment swap can never
 //!   double- or zero-count a sample.
 //! - **Acquisition wiring** ([`feed`]): the double-buffered recorder and

@@ -8,38 +8,36 @@
 //! the local range's COUNT query: the O(filter · log S) entries ProPolyne's
 //! `prepare` yields for a 1-D COUNT.
 //!
-//! The coefficients live on the historical device, so evaluation plans
-//! from the entries alone: grouped by device block, they name the blocks
-//! to fetch, each priced into one [`BlockPlan`] from the snapshot's energy
-//! catalog, and the evaluation consumes that plan most-important-first
-//! ([`BlockPlan::by_gain`]) while a [`BoundLedger`] carries the bound. A
-//! segment the range covers whole plans no block: its entries depend only
-//! on the store's geometry and all sit in block 0, so the install folded
-//! that block's partial once and pinned it beside the energy catalog. Such
-//! a segment joins the answer as an exact part, like a hot one.
+//! A segment the range covers whole reads no block: its entries depend
+//! only on the store's geometry and all sit in block 0, so the install
+//! folded them against that block once and pinned the partial beside the
+//! energy catalog. Such a segment joins the answer as an exact part, like
+//! a hot one. The coefficients under the range's edges live on the
+//! historical device: their entries, segment by segment, are one entry
+//! list, grouped by device block into one [`BlockPlan`] priced from the
+//! snapshot's energy catalog, and folded by one [`Evaluation`] — the fold
+//! every stored-coefficient query uses — consumed most-important-first
+//! ([`BlockPlan::by_gain`]).
 //!
-//! Determinism contract (the oracle bit-identity tests lean on this):
-//! every block contributes one partial — `w·c` over the block's entries,
-//! accumulated in ascending index order — and the answer is one fixed fold
-//! of them: a historical segment's block partials in ascending block order
-//! into a segment partial, a hot segment's samples in ascending order into
-//! a segment partial, and the segment partials in ascending segment order
-//! into a single accumulator. A pinned full-cover partial is that same
-//! segment partial (a one-block fold from `0.0`, which a partial never
-//! changes: `Σ w·c` from `0.0` is never `-0.0`), computed at install from
-//! the coefficients block 0 holds. Every step reports this fold over the
-//! blocks delivered so far (a block not delivered adds nothing), so the
-//! fold does not depend on the order the blocks were fetched in, on what
-//! the cache held, or on the pool's width, and two stores whose payloads
-//! are bit-identical return bit-identical sums.
+//! Determinism contract (the oracle bit-identity tests lean on this): the
+//! answer is the exact parts — hot sums (samples in ascending order) and
+//! pinned partials — folded from `0.0` in ascending segment order, plus
+//! the [`Evaluation`]'s estimate: the products `w·c` of the delivered edge
+//! entries folded from `0.0` in entry order (ascending segment, then
+//! ascending coefficient index, which is ascending device block). A pinned
+//! partial is that same flat fold over the full cover's entries, taken at
+//! install. Every step reports this fold over the blocks delivered so far
+//! (a block not delivered adds nothing), so the answer does not depend on
+//! the order the blocks were fetched in, on what the cache held, or on the
+//! pool's width, and two stores whose payloads are bit-identical return
+//! bit-identical sums.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use aims_dsp::lazy::lazy_transform;
 use aims_dsp::poly::Polynomial;
 use aims_exec::ThreadPool;
-use aims_storage::{BlockPlan, BoundLedger};
+use aims_storage::{BlockPlan, Evaluation};
 use aims_telemetry::counter;
 
 use crate::layout::TierConfig;
@@ -52,10 +50,10 @@ pub(crate) fn count_weights(cfg: &TierConfig, la: usize, lb: usize) -> Arc<[(usi
     lazy_transform(cfg.segment_len, la, lb, &count, &cfg.filter.filter()).nonzeros(0.0).into()
 }
 
-/// One block's partial: `Σ w·c` over its entries, in ascending index
-/// order. `coeffs` starts at the block, whose first coefficient has index
-/// `base`. [`crate::TieredStore::install`] pins a whole segment's block-0
-/// partial with it.
+/// `Σ w·c` over `entries`, folded from `0.0` in entry order — the flat
+/// fold an [`Evaluation`] makes of the same entries. `coeffs` starts at
+/// coefficient index `base`. [`crate::TieredStore::install`] pins a whole
+/// segment's full-cover partial with it.
 pub(crate) fn block_partial(coeffs: &[f64], base: usize, entries: &[(usize, f64)]) -> f64 {
     let mut partial = 0.0;
     for &(i, w) in entries {
@@ -72,30 +70,6 @@ enum SegPlan {
     Covered(f64),
     /// Device-resident coefficients under the segment's entries.
     Hist { slot: usize, energy: Arc<[f64]>, weights: Arc<[(usize, f64)]> },
-}
-
-/// The exact answer's fold unit: one partial per overlapping segment.
-enum Part {
-    /// Known up front: a hot segment's sum or a covered segment's pinned
-    /// partial.
-    Exact(f64),
-    /// The segment's blocks, as a range of `items` in ascending block order.
-    Hist(Range<usize>),
-}
-
-/// One historical block's stake in an evaluation (its price is the plan
-/// entry at the same position).
-struct BlockTerm {
-    /// Segment slot on the historical device, and block within it.
-    slot: usize,
-    blk: usize,
-    /// Which of the query's weight sets applies; the block's entries in
-    /// it are its plan span.
-    weights: usize,
-    /// The block's exact contribution `Σ w·c` (ascending index order)
-    /// once fetched; stays `None` for a block the device could not
-    /// deliver.
-    partial: Option<f64>,
 }
 
 /// Exact range sum over `[a, b]` (inclusive, clamped to the snapshot),
@@ -115,25 +89,23 @@ pub fn range_sum(snap: &TierSnapshot, a: usize, b: usize) -> f64 {
 /// Progressive two-tier evaluation: the hot tier answers exactly up
 /// front; historical blocks are fetched and consumed most-important-
 /// first, each step tightening one Cauchy–Schwarz bound over everything
-/// not yet delivered. Every step's estimate is the canonical fold of the
-/// partials delivered so far (see the module docs), so a drained
-/// progressive query *is* the exact evaluation, bit for bit.
+/// not yet delivered. Every step's estimate is the canonical fold of what
+/// was delivered so far (see the module docs), so a drained progressive
+/// query *is* the exact evaluation, bit for bit.
 pub struct TieredProgressive<'a> {
     snap: &'a TierSnapshot,
     /// Raw samples the hot tier summed.
     pub hot_rows: usize,
-    /// Overlapping segments, ascending.
-    parts: Vec<Part>,
-    /// Needed historical blocks, segment- then block-ascending: the fold
-    /// order, and the order of the ledger's plan.
-    items: Vec<BlockTerm>,
-    /// The bound, and which blocks were delivered or lost.
-    ledger: BoundLedger,
+    /// Hot sums and pinned partials, folded in ascending segment order.
+    exact: f64,
+    /// The edge entries `(coefficient index in its segment, w)`, segment
+    /// by segment: the entry list of `eval`'s plan.
+    entries: Vec<(usize, f64)>,
+    /// The historical blocks' plan, bound and delivered products.
+    eval: Evaluation,
     /// Plan positions most-important-first; the next to consume is
-    /// `order[ledger.consumed()]`.
+    /// `order[consumed]`.
     order: Vec<usize>,
-    /// One entry set per historical segment, ascending.
-    weights: Vec<Arc<[(usize, f64)]>>,
 }
 
 /// One delivered refinement step.
@@ -154,17 +126,16 @@ impl<'a> TieredProgressive<'a> {
     /// Plans a progressive evaluation of `Σ f(t), t ∈ [a, b]` against the
     /// snapshot: sums the hot segments and transforms the edge segments'
     /// ranges on `pool`, takes each covered historical segment's pinned
-    /// partial, and lists — without reading any — the historical blocks
+    /// partial, and plans — without reading any — the historical blocks
     /// under the range's edges.
     pub fn new(snap: &'a TierSnapshot, a: usize, b: usize, pool: &ThreadPool) -> Self {
         let mut prog = TieredProgressive {
             snap,
             hot_rows: 0,
-            parts: Vec::new(),
-            items: Vec::new(),
-            ledger: BoundLedger::new(Arc::default()),
+            exact: 0.0,
+            entries: Vec::new(),
+            eval: Evaluation::new(Arc::default()),
             order: Vec::new(),
-            weights: Vec::new(),
         };
         if snap.is_empty() || a > b || a >= snap.len() {
             return prog;
@@ -198,48 +169,38 @@ impl<'a> TieredProgressive<'a> {
         });
 
         let (mut hot_segs, mut hist_segs) = (0usize, 0usize);
-        let mut block_plan = BlockPlan::default();
+        // Each edge segment's first device block and energy catalog, and
+        // each edge entry's device block. Slots ascend with the segments,
+        // so the blocks ascend across the whole entry list.
+        let mut edges: Vec<(usize, Arc<[f64]>)> = Vec::new();
+        let mut blocks: Vec<usize> = Vec::new();
         for plan in plans {
             match plan {
                 SegPlan::Hot { sum, rows } => {
-                    prog.parts.push(Part::Exact(sum));
+                    prog.exact += sum;
                     prog.hot_rows += rows;
                     hot_segs += 1;
                 }
                 SegPlan::Covered(partial) => {
-                    prog.parts.push(Part::Exact(partial));
+                    prog.exact += partial;
                     hist_segs += 1;
                 }
                 SegPlan::Hist { slot, energy, weights } => {
-                    // Group the entries by device block: `(block, Σw², entries)`.
-                    let mut blocks: Vec<(usize, f64, Range<usize>)> = Vec::new();
-                    for (k, &(i, w)) in weights.iter().enumerate() {
-                        match blocks.last_mut() {
-                            Some((blk, wsq, entries)) if *blk == i / cfg.block_size => {
-                                *wsq += w * w;
-                                entries.end = k + 1;
-                            }
-                            _ => blocks.push((i / cfg.block_size, w * w, k..k + 1)),
-                        }
-                    }
                     let base = cfg.hist_block(slot);
-                    let (start, set) = (prog.items.len(), prog.weights.len());
-                    prog.items.extend(blocks.iter().map(|&(blk, ..)| BlockTerm {
-                        slot,
-                        blk,
-                        weights: set,
-                        partial: None,
-                    }));
-                    let priced = blocks.into_iter().map(|(blk, wsq, e)| (base + blk, wsq, e));
-                    block_plan.extend(priced, |id| energy[id - base]);
-                    prog.parts.push(Part::Hist(start..prog.items.len()));
-                    prog.weights.push(weights);
+                    blocks.extend(weights.iter().map(|&(i, _)| base + i / cfg.block_size));
+                    prog.entries.extend_from_slice(&weights);
+                    edges.push((base, energy));
                     hist_segs += 1;
                 }
             }
         }
-        prog.order = block_plan.by_gain();
-        prog.ledger = BoundLedger::new(Arc::new(block_plan));
+        let entries = blocks.into_iter().zip(prog.entries.iter().map(|&(_, w)| w));
+        let plan = BlockPlan::group(entries, |id| {
+            let (base, energy) = &edges[edges.partition_point(|(base, _)| *base <= id) - 1];
+            energy[id - base]
+        });
+        prog.order = plan.by_gain();
+        prog.eval = Evaluation::new(Arc::new(plan));
 
         counter!("tier.query.hot_rows").add(prog.hot_rows as u64);
         if hot_segs > 0 && hist_segs > 0 {
@@ -250,50 +211,43 @@ impl<'a> TieredProgressive<'a> {
 
     /// Historical blocks this evaluation will consume in total.
     pub fn total_blocks(&self) -> usize {
-        self.items.len()
+        self.eval.plan().blocks.len()
     }
 
     /// True when every historical block has been consumed.
     pub fn done(&self) -> bool {
-        self.ledger.done()
-    }
-
-    /// The canonical fold of everything delivered so far.
-    fn folded(&self) -> f64 {
-        let mut acc = 0.0;
-        for part in &self.parts {
-            acc += match part {
-                Part::Exact(sum) => *sum,
-                Part::Hist(blocks) => {
-                    let mut seg = 0.0;
-                    for partial in self.items[blocks.clone()].iter().filter_map(|i| i.partial) {
-                        seg += partial;
-                    }
-                    seg
-                }
-            };
-        }
-        acc
+        self.eval.ledger().done()
     }
 
     /// The current refinement.
     pub fn current(&self) -> TierStep {
+        let ledger = self.eval.ledger();
         TierStep {
-            estimate: self.folded(),
-            bound: self.ledger.bound(),
-            blocks_consumed: self.ledger.consumed(),
-            blocks_lost: self.ledger.lost_blocks().len(),
+            estimate: self.exact + self.eval.estimate(),
+            bound: ledger.bound(),
+            blocks_consumed: ledger.consumed(),
+            blocks_lost: ledger.lost_blocks().len(),
         }
     }
 
-    /// Reads one block through the store's cache and reduces it against
-    /// its entries; `None` when the device cannot deliver it.
-    fn fetch(&self, i: usize) -> Option<f64> {
-        let item = &self.items[i];
-        let coeffs = self.snap.hist.block(item.slot, item.blk).ok()?;
-        let base = item.blk * self.snap.cfg.block_size;
-        let entries = self.ledger.plan().spans[i].clone();
-        Some(block_partial(&coeffs, base, &self.weights[item.weights][entries]))
+    /// The segment slot of plan position `k`'s block, and the block's
+    /// index within the slot.
+    fn slot_block(&self, k: usize) -> (usize, usize) {
+        let cfg = &self.snap.cfg;
+        let offset = self.eval.plan().blocks[k] - cfg.hist_block(0);
+        (offset / cfg.blocks_per_segment(), offset % cfg.blocks_per_segment())
+    }
+
+    /// Reads plan position `k`'s block through the store's cache and folds
+    /// its products into the evaluation, or records its loss when the
+    /// device cannot deliver it.
+    fn fetch_fold(&mut self, k: usize) {
+        let (slot, blk) = self.slot_block(k);
+        let Ok(coeffs) = self.snap.hist.block(slot, blk) else { return self.eval.lose(k) };
+        let base = blk * self.snap.cfg.block_size;
+        let span = self.eval.plan().spans[k].clone();
+        let products = self.entries[span].iter().map(|&(i, w)| w * coeffs[i - base]);
+        self.eval.deliver(k, products);
     }
 
     /// Fetches and consumes up to `k` more historical blocks,
@@ -301,12 +255,8 @@ impl<'a> TieredProgressive<'a> {
     /// leaves its gain in the bound.
     pub fn step(&mut self, k: usize) -> TierStep {
         for _ in 0..k.max(1) {
-            let Some(&i) = self.order.get(self.ledger.consumed()) else { break };
-            self.items[i].partial = self.fetch(i);
-            match self.items[i].partial {
-                Some(_) => self.ledger.deliver(i),
-                None => self.ledger.lose(i),
-            }
+            let Some(&next) = self.order.get(self.eval.ledger().consumed()) else { break };
+            self.fetch_fold(next);
         }
         self.current()
     }
@@ -330,8 +280,7 @@ mod tests {
     /// The planner the lazy transform replaced: the dense DWT of the range
     /// indicator with every weight at or below 1e-10 × the largest
     /// magnitude cut to zero. Returns the blocks holding a weight, and the
-    /// one-segment fold of their partials `Σ w·c` (nonzero weights,
-    /// ascending index).
+    /// flat fold of `Σ w·c` over the nonzero weights, ascending index.
     fn dense_reference(
         cfg: &TierConfig,
         coeffs: &[f64],
@@ -342,22 +291,23 @@ mod tests {
         indicator[la..=lb].fill(1.0);
         let w = dwt_full(&indicator, &cfg.filter.filter());
         let tol = 1e-10 * w.iter().fold(0.0, |m: f64, x| m.max(x.abs()));
-        let (mut blocks, mut seg) = (Vec::new(), 0.0);
+        let (mut blocks, mut acc) = (Vec::new(), 0.0);
         let chunks = w.chunks(cfg.block_size).zip(coeffs.chunks(cfg.block_size));
         for (blk, (wb, cb)) in chunks.enumerate() {
             if wb.iter().all(|x| x.abs() <= tol) {
                 continue;
             }
-            let mut partial = 0.0;
             for (wi, ci) in wb.iter().zip(cb).filter(|(wi, _)| wi.abs() > tol) {
-                partial += wi * ci;
+                acc += wi * ci;
             }
             blocks.push(blk);
-            seg += partial;
         }
-        let mut acc = 0.0;
-        acc += seg;
         (blocks, acc)
+    }
+
+    /// The `(slot, block within the slot)` of each planned block.
+    fn planned_blocks(prog: &TieredProgressive) -> Vec<(usize, usize)> {
+        (0..prog.total_blocks()).map(|k| prog.slot_block(k)).collect()
     }
 
     /// Plans `[a, b]` on a one-segment snapshot, checks it against the
@@ -371,7 +321,7 @@ mod tests {
         let case =
             format!("{:?} S={} B={} [{a}, {b}]", cfg.filter, cfg.segment_len, cfg.block_size);
         let mut prog = TieredProgressive::new(snap, a, b, &ThreadPool::new(1));
-        let planned: Vec<usize> = prog.items.iter().map(|t| t.blk).collect();
+        let planned: Vec<usize> = planned_blocks(&prog).into_iter().map(|(_, blk)| blk).collect();
         let (mut want_blocks, want) = dense_reference(&cfg, coeffs, a, b);
         if (a, b) == (0, cfg.segment_len - 1) {
             want_blocks.clear();
@@ -486,7 +436,7 @@ mod tests {
             // Only the short segment (and an edge inside segment 0) plans
             // blocks: covering all 40 of its samples is not a full cover.
             assert_eq!(prog.total_blocks() > 0, planned, "[{a}, {b}]");
-            let short_blocks = prog.items.iter().filter(|t| t.slot == 1).count();
+            let short_blocks = planned_blocks(&prog).iter().filter(|&&(slot, _)| slot == 1).count();
             assert_eq!(short_blocks > 0, b == 103, "[{a}, {b}]");
             let (got, raw) = (prog.drain().estimate, signal[a..=b].iter().sum::<f64>());
             assert!((got - raw).abs() <= 1e-9 * raw.abs().max(1.0), "[{a}, {b}]: {got} vs {raw}");

@@ -2,6 +2,7 @@
 //! offline queries, across crates (the Fig. 1 data path).
 
 use aims::acquisition::sampling::{sample_stream, SamplingParams, Strategy};
+use aims::dsp::dwt::dwt_full;
 use aims::dsp::filters::FilterKind;
 use aims::propolyne::{BlockedCoefficients, DataCube, Propolyne, RangeSumQuery};
 use aims::sensors::glove::CyberGloveRig;
@@ -82,12 +83,12 @@ fn tiling_storage_beats_sequential_through_whole_stack() {
 #[test]
 fn the_two_fronts_are_one_store() {
     // The same 1-D signal behind both fronts of the blocked coefficient
-    // store: `WaveletStore` (error-tree access sets) and a 1-D Haar cube
-    // in `BlockedCoefficients` (ProPolyne's lazy transform). Under Haar
-    // the two transforms produce the same flat layout, so the same range
-    // must plan the same blocks — minus the ones ProPolyne skips because
-    // every weight in them is zero — and lose the same blocks to the same
-    // dead-block schedule.
+    // store: `WaveletStore` and a 1-D Haar cube in `BlockedCoefficients`.
+    // Under Haar the two transforms give the same coefficients in the same
+    // flat layout, and both fronts plan a range sum with the lazy
+    // transform's COUNT entries, so the same range must plan the same
+    // blocks at the same prices, lose the same blocks to the same
+    // dead-block schedule and answer with the same bits.
     const N: usize = 1 << 12;
     let signal: Vec<f64> =
         (0..N).map(|i| ((i * 37 + 11) % 101) as f64 - 50.0 + (i as f64 * 0.003).sin()).collect();
@@ -95,6 +96,8 @@ fn the_two_fronts_are_one_store() {
     cube.values_mut().copy_from_slice(&signal);
     let engine = Propolyne::new(cube.transform(&FilterKind::Haar.filter()));
     let coeffs = engine.cube().coeffs();
+    let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(coeffs), bits(&dwt_full(&signal, &FilterKind::Haar.filter())));
     let dead = |bs, nb| {
         FaultyDevice::with_plan(bs, nb, FaultPlan::uniform(29, FaultKind::DeadBlock, 0.15))
     };
@@ -108,24 +111,23 @@ fn the_two_fronts_are_one_store() {
     let mut lost = 0usize;
     for (a, b) in [(0, N - 1), (5, 9), (100, 3000), (1234, 1234), (2047, 2048), (17, 4000)] {
         let truth: f64 = signal[a..=b].iter().sum();
-        let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * y.abs().max(1.0);
         let prepared = engine.prepare(&RangeSumQuery::count(vec![(a, b)]));
         let pool = || SharedBlockCache::new(64);
 
         let one = line.range_sum(a, b, &pool());
         let two = blocked.evaluate_degraded(&prepared, &pool(), &policy).estimate;
-        assert!(close(one, truth) && close(two, truth), "[{a},{b}]: {one} / {two} vs {truth}");
+        assert!((one - truth).abs() <= 1e-9 * truth.abs().max(1.0), "[{a},{b}]: {one} vs {truth}");
+        assert_eq!(one.to_bits(), two.to_bits(), "[{a},{b}]: {one} / {two}");
 
         let (indices, weights) = line.range_entries(a, b);
-        let line_plan = line.plan(&indices, &weights).blocks;
-        let cube_plan = blocked.plan_blocks(&prepared);
-        assert!(cube_plan.iter().all(|blk| line_plan.contains(blk)), "[{a},{b}]");
+        assert_eq!(line.plan(&indices, &weights), blocked.plan(&prepared), "[{a},{b}]");
 
         let one = line_faulty.range_sum_outcome(a, b, &pool(), &policy);
         let two = blocked_faulty.evaluate_degraded(&prepared, &pool(), &policy);
-        assert!(two.lost_blocks.iter().all(|blk| one.lost_blocks.contains(blk)), "[{a},{b}]");
-        assert!((one.estimate - truth).abs() <= one.error_bound + 1e-9, "[{a},{b}] 1-D bound");
-        assert!((two.estimate - truth).abs() <= two.error_bound + 1e-9, "[{a},{b}] cube bound");
+        assert_eq!(one.lost_blocks, two.lost_blocks, "[{a},{b}]");
+        assert_eq!(one.estimate.to_bits(), two.estimate.to_bits(), "[{a},{b}] estimate");
+        assert_eq!(one.error_bound.to_bits(), two.error_bound.to_bits(), "[{a},{b}] bound");
+        assert!((one.estimate - truth).abs() <= one.error_bound + 1e-9, "[{a},{b}] bound");
         lost += two.lost_blocks.len();
     }
     assert!(lost > 0, "seed 29 at 15% dead should cost the cube path a block");
