@@ -40,6 +40,12 @@ RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --quiet
 if [[ $fast -eq 0 ]]; then
     echo "== cargo build --release =="
     cargo build --release
+    # The root examples, end to end: each must exit 0 (storage_layout
+    # asserts that its reopened durable store answers bit-identically).
+    for example in quickstart storage_layout query_service; do
+        echo "== example $example =="
+        cargo run --release -q --example "$example"
+    done
     # The benchmark harness is frozen outside the workspace and builds
     # --locked against these crates: an API or dependency-edge break
     # must fail here, not at the benchmark gate.

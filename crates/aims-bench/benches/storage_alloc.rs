@@ -4,11 +4,21 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use aims::range_sum;
+use aims_dsp::dwt::dwt_full;
+use aims_dsp::filters::WaveletFilter;
 use aims_storage::cache::SharedBlockCache;
-use aims_storage::store::{AllocKind, WaveletStore};
+use aims_storage::device::{MemDevice, RetryPolicy};
+use aims_storage::store::{AllocKind, CoefficientStore};
 
 fn signal(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i * 37 + 11) % 101) as f64 - 50.0).collect()
+}
+
+/// `x`'s Haar coefficients in a fresh in-memory store of 64-coefficient
+/// blocks.
+fn haar_store(x: &[f64], kind: AllocKind) -> CoefficientStore {
+    CoefficientStore::load(&dwt_full(x, &WaveletFilter::haar()), 64, kind, MemDevice::new)
 }
 
 fn bench_point_queries(c: &mut Criterion) {
@@ -20,13 +30,13 @@ fn bench_point_queries(c: &mut Criterion) {
         ("sequential", AllocKind::Sequential),
         ("random", AllocKind::Random(7)),
     ] {
-        let store = WaveletStore::from_signal(&x, 64, kind);
+        let store = haar_store(&x, kind);
         g.bench_with_input(BenchmarkId::from_parameter(name), &store, |b, store| {
             b.iter(|| {
                 let pool = SharedBlockCache::new(8);
                 let mut acc = 0.0;
                 for t in (0..n).step_by(701) {
-                    acc += store.point_value(t, &pool);
+                    acc += range_sum(store, t, t, &pool, &RetryPolicy::none()).estimate;
                 }
                 acc
             });
@@ -40,14 +50,14 @@ fn bench_range_sums(c: &mut Criterion) {
     let x = signal(n);
     let mut g = c.benchmark_group("store_range_sums");
     for (name, kind) in [("tiling", AllocKind::TreeTiling), ("sequential", AllocKind::Sequential)] {
-        let store = WaveletStore::from_signal(&x, 64, kind);
+        let store = haar_store(&x, kind);
         g.bench_with_input(BenchmarkId::from_parameter(name), &store, |b, store| {
             b.iter(|| {
                 let pool = SharedBlockCache::new(8);
                 let mut acc = 0.0;
                 for k in 0..50 {
                     let a = (k * 997) % (n / 2);
-                    acc += store.range_sum(a, a + n / 3, &pool);
+                    acc += range_sum(store, a, a + n / 3, &pool, &RetryPolicy::none()).estimate;
                 }
                 acc
             });
@@ -59,7 +69,7 @@ fn bench_range_sums(c: &mut Criterion) {
 fn bench_load(c: &mut Criterion) {
     let x = signal(1 << 14);
     c.bench_function("store_load_16k_tiling", |b| {
-        b.iter(|| WaveletStore::from_signal(&x, 64, AllocKind::TreeTiling));
+        b.iter(|| haar_store(&x, AllocKind::TreeTiling));
     });
 }
 

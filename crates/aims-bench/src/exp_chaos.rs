@@ -6,11 +6,12 @@ use std::time::Duration;
 
 use aims::drill::chaos::{run, Config};
 use aims_dsp::filters::FilterKind;
-use aims_propolyne::blockstore::BlockedCoefficients;
 use aims_propolyne::cube::WaveletCube;
 use aims_propolyne::engine::Propolyne;
 use aims_propolyne::query::RangeSumQuery;
 use aims_service::{Outcome, QueryService, QuerySpec, SchedulerPolicy, ServiceConfig};
+use aims_storage::store::AllocKind;
+use aims_storage::{CoefficientStore, MemDevice};
 
 use crate::workloads::gaussian_mixture_cube;
 
@@ -138,7 +139,12 @@ pub fn e31_chaos_qos() {
     // Part 2 — utility vs FIFO round scheduling, one cohort.
     let cube = gaussian_mixture_cube(SIDE).transform(&FilterKind::Db4.filter());
     let engine = Propolyne::new(cube.clone());
-    let blocked = BlockedCoefficients::new(engine.cube().coeffs(), BLOCK);
+    let store = CoefficientStore::load(
+        engine.cube().coeffs(),
+        BLOCK,
+        AllocKind::Sequential,
+        MemDevice::new,
+    );
     let queries = mixed_queries();
     // Each session's starting error bound — the number the service
     // starts it at — to normalize bound trajectories (relative progress).
@@ -146,7 +152,7 @@ pub fn e31_chaos_qos() {
         .iter()
         .map(|ranges| {
             let p = engine.prepare(&RangeSumQuery::count(ranges.clone()));
-            blocked.plan(&p).initial_bound()
+            store.plan(&p.indices, &p.weights).initial_bound()
         })
         .collect();
     let expected: Vec<u64> = queries

@@ -5,14 +5,14 @@ use aims_dsp::dwt::dwt_full;
 use aims_dsp::filters::FilterKind;
 use aims_dsp::lazy::lazy_transform;
 use aims_dsp::poly::Polynomial;
-use aims_propolyne::blockstore::BlockedCoefficients;
 use aims_propolyne::cube::{AttributeSpace, DataCube};
 use aims_propolyne::engine::Propolyne;
 use aims_propolyne::hybrid::{choose_standard_dims, HybridEngine};
 use aims_propolyne::query::RangeSumQuery;
 use aims_propolyne::synopsis::compare_at_budget;
 use aims_service::{Outcome, QueryService, QuerySpec, ServiceConfig};
-use aims_storage::{BlockDevice, RetryPolicy, SharedBlockCache};
+use aims_storage::store::AllocKind;
+use aims_storage::{BlockDevice, CoefficientStore, MemDevice, RetryPolicy, SharedBlockCache};
 
 use crate::workloads::{gaussian_mixture_cube, sensor_trace_cube, uniform_cube, zipf_cube};
 
@@ -130,7 +130,8 @@ pub fn e9_progressive_accuracy() {
     let q = RangeSumQuery::count(vec![(31, 215), (40, 180)]);
     let prepared = engine.prepare(&q);
     let exact = engine.evaluate_prepared(&prepared);
-    let store = BlockedCoefficients::new(engine.cube().coeffs(), 1);
+    let store =
+        CoefficientStore::load(engine.cube().coeffs(), 1, AllocKind::Sequential, MemDevice::new);
     let pool = SharedBlockCache::new(64);
     let run = store.progressive(&prepared.indices, &prepared.weights, &pool, &RetryPolicy::none());
     let total = run.len();
@@ -291,7 +292,7 @@ pub fn e12_batch_sharing() {
     crate::header("E12", "shared retrieval for drill-down query batches (§3.3.1)");
     let cube = gaussian_mixture_cube(128).transform(&FilterKind::Db4.filter());
     let engine = Propolyne::new(cube.clone());
-    let store = BlockedCoefficients::new(cube.coeffs(), 1);
+    let store = CoefficientStore::load(cube.coeffs(), 1, AllocKind::Sequential, MemDevice::new);
     let base = RangeSumQuery::count(vec![(0, 127), (16, 111)]);
     let whole = engine.evaluate(&base);
 
@@ -313,7 +314,7 @@ pub fn e12_batch_sharing() {
         let (mut independent, mut total) = (0usize, 0.0);
         for (k, (q, h)) in queries.iter().zip(handles).enumerate() {
             let prepared = engine.prepare(q);
-            independent += store.plan_blocks(&prepared).len();
+            independent += store.plan(&prepared.indices, &prepared.weights).blocks.len();
             let expect = engine.evaluate_prepared(&prepared);
             match h.wait() {
                 Outcome::Done(r) => {

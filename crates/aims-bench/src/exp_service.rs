@@ -6,12 +6,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aims_dsp::filters::FilterKind;
-use aims_propolyne::blockstore::BlockedCoefficients;
 use aims_propolyne::engine::Propolyne;
 use aims_propolyne::query::RangeSumQuery;
 use aims_service::{Outcome, QueryService, QuerySpec, ServiceConfig, ServiceError};
 use aims_storage::cache::SharedBlockCache;
-use aims_storage::device::{BlockDevice, RetryPolicy};
+use aims_storage::device::{BlockDevice, MemDevice, RetryPolicy};
+use aims_storage::store::{AllocKind, CoefficientStore};
 
 use crate::workloads::gaussian_mixture_cube;
 
@@ -57,13 +57,19 @@ pub fn e27_service_sharing() {
 
     // Baseline: each query on its own one-block buffer pool over a shared
     // blocked store — no reuse across queries, the pre-service shape.
-    let store = BlockedCoefficients::new(engine.cube().coeffs(), BLOCK);
+    let store = CoefficientStore::load(
+        engine.cube().coeffs(),
+        BLOCK,
+        AllocKind::Sequential,
+        MemDevice::new,
+    );
     let mut baseline_solo_blocks = 0usize;
     for (k, ranges) in queries.iter().enumerate() {
         let prepared = engine.prepare(&RangeSumQuery::count(ranges.clone()));
-        baseline_solo_blocks += store.plan_blocks(&prepared).len();
+        let (indices, weights) = (&prepared.indices, &prepared.weights);
+        baseline_solo_blocks += store.plan(indices, weights).blocks.len();
         let pool = SharedBlockCache::new(1);
-        let answer = store.evaluate_degraded(&prepared, &pool, &RetryPolicy::none());
+        let answer = store.evaluate(indices, weights, &pool, &RetryPolicy::none());
         assert_eq!(
             answer.estimate.to_bits(),
             expected[k],

@@ -149,9 +149,9 @@ pub fn e6_progressive_retrieval() {
     let store = CoefficientStore::load(&coeffs, 32, AllocKind::Random(11), MemDevice::new);
 
     // A range-sum query in the wavelet domain (boundary paths + root).
-    let mut indices = range_query_set(1000, 12000, n);
-    store.sort_block_major(&mut indices);
+    let indices = range_query_set(1000, 12000, n);
     let weights = vec![1.0; indices.len()];
+    let (indices, weights) = store.block_major(indices, weights);
     let pool = SharedBlockCache::new(store.num_blocks());
     let exact = store.evaluate(&indices, &weights, &pool, &RetryPolicy::none()).estimate;
 

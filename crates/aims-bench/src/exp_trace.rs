@@ -26,8 +26,9 @@ use aims_dsp::filters::FilterKind;
 use aims_propolyne::engine::Propolyne;
 use aims_propolyne::query::RangeSumQuery;
 use aims_service::{Outcome, QueryService, QuerySpec, ServiceConfig};
-use aims_storage::device::RetryPolicy;
+use aims_storage::device::{MemDevice, RetryPolicy};
 use aims_storage::faults::{FaultPlan, FaultyDevice};
+use aims_storage::store::{AllocKind, CoefficientStore};
 use aims_telemetry::{global_recorder, TraceId};
 
 use crate::workloads::gaussian_mixture_cube;
@@ -213,9 +214,9 @@ pub fn e28_tracing_overhead() {
     let prepared = engine.prepare(&RangeSumQuery::count(ranges.clone()));
     // Same coefficients + same block size ⇒ same plan as the service's
     // own device-backed store.
-    let plan_store =
-        aims_propolyne::blockstore::BlockedCoefficients::new(engine.cube().coeffs(), BLOCK);
-    let plan_blocks = plan_store.plan_blocks(&prepared);
+    let coeffs = engine.cube().coeffs();
+    let plan_store = CoefficientStore::load(coeffs, BLOCK, AllocKind::Sequential, MemDevice::new);
+    let plan_blocks = plan_store.plan(&prepared.indices, &prepared.weights).blocks;
     let (mut want_read, mut want_retries, mut want_degraded) = (0u64, 0u64, 0u64);
     for &b in &plan_blocks {
         if svc.device().is_dead(b) {

@@ -1,27 +1,23 @@
-//! Device-backed coefficient retrieval for ProPolyne queries.
+//! The benchmark harness's shim over [`CoefficientStore`].
 //!
-//! The in-memory engine ([`crate::engine::Propolyne`]) evaluates prepared
-//! queries against a dense coefficient slice. This module is the fetch
-//! path the AIMS storage design implies: cube coefficients live on a
-//! [`BlockDevice`] in checksummed blocks, queries pull only the blocks
-//! their sparse entries touch through a [`SharedBlockCache`], and storage
-//! faults degrade the answer instead of failing it — missing
-//! coefficients contribute zero and the answer carries a guaranteed
-//! error bound (Cauchy–Schwarz against the lost blocks' load-time
-//! energy).
-//!
-//! All of that is [`CoefficientStore`]; [`BlockedCoefficients`] only hands
-//! it a [`PreparedQuery`]'s entries. The store is sequential, so its
-//! block-major fold is the prepared entries in ascending offset order —
-//! exactly [`crate::engine::Propolyne::evaluate_prepared`] — and with a
-//! healthy device the result is bit-identical to the in-memory path.
+//! The frozen harness (`bench/src/ladder.rs`) loads a cube's coefficients
+//! with [`BlockedCoefficients::on_device`], plans and evaluates
+//! [`PreparedQuery`]s through it, and hands it to
+//! `aims_service::QueryService::with_blocked`. That is all this type is:
+//! a sequential [`CoefficientStore`] (which it dereferences to) taking a
+//! prepared query where the store takes its entries. Everything else
+//! loads, reopens and queries a `CoefficientStore` directly. Under
+//! [`AllocKind::Sequential`] a prepared query's ascending offsets are
+//! already the store's block-major fold order, so a fault-free evaluation
+//! is bit-identical to [`crate::engine::Propolyne::evaluate_prepared`].
+//! The shim is deleted when the harness is re-based onto
+//! `CoefficientStore` (ROADMAP item 1c).
 
-use std::io;
 use std::ops::{Deref, DerefMut};
 
 use aims_storage::device::{BlockDevice, MemDevice, RetryPolicy};
 use aims_storage::store::AllocKind;
-use aims_storage::{BlockPlan, CoefficientStore, DegradedAnswer, SharedBlockCache};
+use aims_storage::{CoefficientStore, DegradedAnswer, SharedBlockCache};
 
 use crate::engine::PreparedQuery;
 
@@ -45,17 +41,10 @@ impl<D: BlockDevice> DerefMut for BlockedCoefficients<D> {
     }
 }
 
-impl BlockedCoefficients<MemDevice> {
-    /// Loads a coefficient vector onto a fresh in-memory device.
-    pub fn new(coeffs: &[f64], block_size: usize) -> Self {
-        BlockedCoefficients::on_device(coeffs, block_size, MemDevice::new)
-    }
-}
-
 impl<D: BlockDevice> BlockedCoefficients<D> {
     /// Loads a coefficient vector onto a device built by
-    /// `make(block_size, num_blocks)` — the hook for fault-injected and
-    /// durable devices ([`CoefficientStore::load`]).
+    /// `make(block_size, num_blocks)` under [`AllocKind::Sequential`]
+    /// ([`CoefficientStore::load`]).
     pub fn on_device(
         coeffs: &[f64],
         block_size: usize,
@@ -65,41 +54,22 @@ impl<D: BlockDevice> BlockedCoefficients<D> {
         BlockedCoefficients { store }
     }
 
-    /// Rebuilds over an already-populated device holding `len`
-    /// coefficients and the energy catalog persisted when they were
-    /// written — the reopen path for a recovered durable device
-    /// ([`CoefficientStore::reopen`]: no block is read; a catalog that is
-    /// not one finite `Σc² ≥ 0` per block is `InvalidData`).
-    ///
-    /// # Panics
-    /// If the device is too small for `len` coefficients.
-    pub fn from_device(device: D, len: usize, catalog: Vec<f64>) -> io::Result<Self> {
-        Ok(BlockedCoefficients {
-            store: CoefficientStore::reopen(device, AllocKind::Sequential, len, catalog)?,
-        })
+    /// The store itself.
+    pub fn into_store(self) -> CoefficientStore<D> {
+        self.store
     }
 
-    /// The blocks a prepared query needs, ascending, each priced at
-    /// `sqrt(Σw² · Σc²)` ([`CoefficientStore::plan`]). No device I/O.
-    pub fn plan(&self, prepared: &PreparedQuery) -> BlockPlan {
-        self.store.plan(&prepared.indices, &prepared.weights)
-    }
-
-    /// The distinct device blocks a prepared query will touch, ascending.
-    ///
-    /// This is the plan-observation hook the serving layer's shared-scan
-    /// batcher needs: overlap between concurrent queries is detected by
-    /// intersecting these sets *before* any fetch happens. Useful
-    /// standalone too — `plan_blocks(q).len()` is the exact device read
-    /// cost of a cold-cache evaluation.
+    /// The distinct device blocks a prepared query will touch, ascending
+    /// ([`CoefficientStore::plan`]): a cold-cache evaluation reads exactly
+    /// these. No device I/O.
     pub fn plan_blocks(&self, prepared: &PreparedQuery) -> Vec<usize> {
-        self.plan(prepared).blocks
+        self.store.plan(&prepared.indices, &prepared.weights).blocks
     }
 
     /// Evaluates a prepared query against the device
     /// ([`CoefficientStore::evaluate`]). A fault-free run is bit-identical
     /// to the in-memory engine; a degraded one reports the lost blocks'
-    /// summed gains, the bound a query service session ends on.
+    /// summed gains.
     pub fn evaluate_degraded(
         &self,
         prepared: &PreparedQuery,
@@ -129,7 +99,7 @@ mod tests {
             *v = (state % 9) as f64;
         }
         let wc = cube.transform(&FilterKind::Db4.filter());
-        let blocked = BlockedCoefficients::new(wc.coeffs(), 16);
+        let blocked = BlockedCoefficients::on_device(wc.coeffs(), 16, MemDevice::new);
         (Propolyne::new(wc), blocked)
     }
 
@@ -209,30 +179,5 @@ mod tests {
         }
         assert_eq!(blocked.block_size(), 16);
         assert_eq!((blocked.len(), blocked.num_blocks()), (1024, 64));
-    }
-
-    #[test]
-    fn reopen_never_prices_an_unreadable_block_at_zero() {
-        let (engine, reference) = engine_and_store();
-        let mut device = FaultyDevice::with_plan(
-            16,
-            reference.num_blocks(),
-            FaultPlan::uniform(19, FaultKind::DeadBlock, 0.2),
-        );
-        for b in 0..reference.num_blocks() {
-            device.write_block(b, &reference.device().read_block(b).unwrap());
-        }
-        assert!((0..reference.num_blocks()).any(|b| device.is_dead(b)));
-        // The catalog is the image's as written: the reopen succeeds over
-        // dead blocks, and the whole-cube query prices what they hide.
-        let catalog = reference.block_energies().to_vec();
-        let reopened = BlockedCoefficients::from_device(device, reference.len(), catalog).unwrap();
-        assert_eq!(reopened.device().stats().reads, 0);
-        let prepared = engine.prepare(&RangeSumQuery::count(vec![(0, 31), (0, 31)]));
-        let exact = engine.evaluate_prepared(&prepared);
-        let pool = SharedBlockCache::new(64);
-        let got = reopened.evaluate_degraded(&prepared, &pool, &RetryPolicy::none());
-        assert!(got.degraded() && got.error_bound > 0.0);
-        assert!((got.estimate - exact).abs() <= got.error_bound + 1e-9);
     }
 }

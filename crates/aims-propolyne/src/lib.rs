@@ -18,15 +18,15 @@
 //! - [`query`]: polynomial range-sum queries (ranges × monomials) and
 //!   their drill-downs (§3.3.1's group-by in range form).
 //! - [`engine`]: query preparation and exact evaluation (progressive
-//!   evaluation is the block store's, through [`blockstore`]).
+//!   evaluation is the block store's: a prepared query's entries go to
+//!   `aims_storage::CoefficientStore`).
 //! - [`stats`]: COUNT/SUM/AVERAGE/VARIANCE/COVARIANCE via the Shao
 //!   reduction to second-order polynomial range-sums (§3.4.1).
 //! - [`synopsis`]: the wavelet *data approximation* baseline ProPolyne is
 //!   compared against.
 //! - [`hybrid`]: the standard-basis/wavelet-basis hybrid of §3.3.1.
-//! - [`blockstore`]: device-backed coefficient retrieval — cube
-//!   coefficients on a checksummed block device with retry and graceful
-//!   degradation under storage faults.
+//! - [`blockstore`]: the benchmark harness's shim over the block store,
+//!   deleted when the harness is re-based.
 //! - [`packet`]: the wavelet-packet generalization — per-dimension best
 //!   bases from the DWPT library (§3.3.1).
 

@@ -8,9 +8,9 @@
 //! baseline: keep the top-K data coefficients and answer queries exactly
 //! against the truncated cube.
 
-use aims_storage::{RetryPolicy, SharedBlockCache};
+use aims_storage::store::AllocKind;
+use aims_storage::{CoefficientStore, MemDevice, RetryPolicy, SharedBlockCache};
 
-use crate::blockstore::BlockedCoefficients;
 use crate::cube::WaveletCube;
 use crate::engine::Propolyne;
 use crate::query::RangeSumQuery;
@@ -48,7 +48,8 @@ impl DataSynopsis {
 pub fn compare_at_budget(full: &Propolyne, queries: &[RangeSumQuery], budget: usize) -> (f64, f64) {
     assert!(!queries.is_empty(), "need a workload");
     let synopsis = DataSynopsis::new(full.cube(), budget);
-    let store = BlockedCoefficients::new(full.cube().coeffs(), 1);
+    let store =
+        CoefficientStore::load(full.cube().coeffs(), 1, AllocKind::Sequential, MemDevice::new);
     let pool = SharedBlockCache::new(budget.max(1));
     let mut data_err = 0.0;
     let mut query_err = 0.0;

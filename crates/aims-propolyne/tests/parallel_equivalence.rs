@@ -7,13 +7,13 @@
 use proptest::prelude::*;
 
 use aims_dsp::filters::FilterKind;
-use aims_propolyne::blockstore::BlockedCoefficients;
 use aims_propolyne::cube::DataCube;
 use aims_propolyne::engine::Propolyne;
 use aims_propolyne::query::RangeSumQuery;
 use aims_storage::cache::SharedBlockCache;
-use aims_storage::device::{BlockDevice, RetryPolicy};
+use aims_storage::device::{BlockDevice, MemDevice, RetryPolicy};
 use aims_storage::faults::{FaultPlan, FaultyDevice};
+use aims_storage::store::{AllocKind, CoefficientStore};
 
 fn filter_strategy() -> impl Strategy<Value = FilterKind> {
     prop_oneof![
@@ -49,14 +49,17 @@ proptest! {
         let expect = engine.evaluate_prepared(&prepared);
 
         let coeffs = engine.cube().coeffs();
-        let plain = BlockedCoefficients::new(coeffs, 16);
-        let wrapped = BlockedCoefficients::on_device(coeffs, 16, |bs, nb| {
+        // Sequential: the prepared query's ascending offsets are the
+        // stores' block-major fold order.
+        let plain = CoefficientStore::load(coeffs, 16, AllocKind::Sequential, MemDevice::new);
+        let wrapped = CoefficientStore::load(coeffs, 16, AllocKind::Sequential, |bs, nb| {
             FaultyDevice::with_plan(bs, nb, FaultPlan::none(seed))
         });
         let p1 = SharedBlockCache::new(32);
         let p2 = SharedBlockCache::new(32);
-        let a = plain.evaluate_degraded(&prepared, &p1, &RetryPolicy::none());
-        let b = wrapped.evaluate_degraded(&prepared, &p2, &RetryPolicy::default());
+        let (indices, weights) = (&prepared.indices, &prepared.weights);
+        let a = plain.evaluate(indices, weights, &p1, &RetryPolicy::none());
+        let b = wrapped.evaluate(indices, weights, &p2, &RetryPolicy::default());
         prop_assert_eq!(a.estimate.to_bits(), expect.to_bits(), "plain device diverged");
         prop_assert_eq!(b.estimate.to_bits(), expect.to_bits(), "zero-fault wrapper diverged");
         prop_assert!(!a.degraded() && !b.degraded());

@@ -47,9 +47,9 @@ use std::sync::Arc;
 
 use aims_dsp::dwt::is_power_of_two;
 use aims_dsp::filters::{FilterKind, WaveletFilter};
-use aims_propolyne::BlockedCoefficients;
 use aims_service::{demo_cube, stream_demo_coeffs, QueryService, Server, ServiceConfig};
-use aims_storage::{BlockDevice, DurabilityMode, FileDevice, FileDeviceOptions};
+use aims_storage::store::AllocKind;
+use aims_storage::{BlockDevice, CoefficientStore, DurabilityMode, FileDevice, FileDeviceOptions};
 
 /// The in-memory cube, and a `--data` store being created, when a
 /// geometry flag is omitted.
@@ -223,11 +223,11 @@ fn decode_meta(meta: &[u8]) -> Result<StoreMeta, String> {
 }
 
 /// Opens (recovering) or creates the durable store, returning the cube
-/// geometry plus the blocked store. Either way the geometry and the energy
+/// geometry plus the sequential store over it. Either way the geometry and the energy
 /// catalog come from the device's header meta, and no block is read.
 fn durable_store(
     opts: &Opts,
-) -> Result<(Vec<usize>, WaveletFilter, BlockedCoefficients<FileDevice>), String> {
+) -> Result<(Vec<usize>, WaveletFilter, CoefficientStore<FileDevice>), String> {
     let dir = opts.data.as_deref().expect("durable_store needs --data");
     let dev_opts = FileDeviceOptions { mode: opts.durability, ..Default::default() };
     let (device, started) = if FileDevice::exists(dir) {
@@ -277,10 +277,10 @@ fn durable_store(
         .try_fold(1usize, |acc, &d| acc.checked_mul(d))
         .filter(|&len| len > 0 && len <= device.capacity_items())
         .ok_or_else(|| format!("device meta dims {dims:?} do not fit the device"))?;
-    let blocked = BlockedCoefficients::from_device(device, len, catalog)
+    let store = CoefficientStore::reopen(device, AllocKind::Sequential, len, catalog)
         .map_err(|e| format!("{dir}: {e}"))?;
     println!("aims-serve: {started}");
-    Ok((dims, filter, blocked))
+    Ok((dims, filter, store))
 }
 
 fn serve<D: BlockDevice + Send + Sync + 'static>(service: Arc<QueryService<D>>, port: u16) {
@@ -312,14 +312,14 @@ fn main() {
         ..ServiceConfig::default()
     };
     if opts.data.is_some() {
-        let (dims, filter, blocked) = match durable_store(&opts) {
+        let (dims, filter, store) = match durable_store(&opts) {
             Ok(v) => v,
             Err(e) => {
                 eprintln!("aims-serve: {e}");
                 std::process::exit(1);
             }
         };
-        serve(Arc::new(QueryService::open(dims, filter, blocked, config)), opts.port);
+        serve(Arc::new(QueryService::open(dims, filter, store, config)), opts.port);
     } else {
         let cube = demo_cube(opts.side.unwrap_or(DEFAULT_SIDE), opts.seed.unwrap_or(DEFAULT_SEED));
         let service = QueryService::new(cube, opts.block.unwrap_or(DEFAULT_BLOCK), config);

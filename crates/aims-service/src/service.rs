@@ -32,15 +32,18 @@
 //!
 //! # Determinism
 //!
-//! A query's plan blocks arrive in whatever order the rounds select them,
-//! and each is folded into the query's [`Evaluation`] inside exactly one
-//! task. The estimate is one fold of the delivered products `w·c` in
-//! ascending flat-offset order, whatever order they arrived in, so the
-//! final estimate is **bit-identical** to
-//! [`aims_propolyne::Propolyne::evaluate_prepared`] for every thread
-//! count, cache size, batch composition, round budget, and scheduler
-//! policy — only I/O order and counts, and so the in-flight estimates and
-//! bounds, change.
+//! A prepared query's entries are put into the store's block-major fold
+//! order once, at submit ([`CoefficientStore::block_major`]; under a
+//! sequential store they are already in it). Its plan blocks arrive in
+//! whatever order the rounds select them, and each is folded into the
+//! query's [`Evaluation`] inside exactly one task. The estimate is one
+//! fold of the delivered products `w·c` in that order, whatever order
+//! they arrived in, so the final estimate is **bit-identical** to
+//! [`CoefficientStore::evaluate`] on the same store — and, on a
+//! sequential store, to [`aims_propolyne::Propolyne::evaluate_prepared`]
+//! — for every thread count, cache size, batch composition, round
+//! budget, and scheduler policy — only I/O order and counts, and so the
+//! in-flight estimates and bounds, change.
 //!
 //! # Telemetry
 //!
@@ -61,7 +64,8 @@ use aims_exec::{configured_threads, ThreadPool};
 use aims_propolyne::engine::{prepare, PreparedQuery};
 use aims_propolyne::{BlockedCoefficients, RangeSumQuery, WaveletCube};
 use aims_storage::device::{BlockDevice, MemDevice, RetryPolicy};
-use aims_storage::{BlockPlan, Evaluation, SharedBlockCache};
+use aims_storage::store::AllocKind;
+use aims_storage::{BlockPlan, CoefficientStore, Evaluation, SharedBlockCache};
 use aims_telemetry::{counter, gauge, AttrValue, TraceContext};
 
 use crate::admission::{AdmissionController, Priority};
@@ -148,7 +152,9 @@ type Entrant = (QuerySpec, u64, Sender<(u64, Update)>, Arc<SessionShared>);
 struct Ticket {
     /// Service-assigned session id (the [`SessionHandle::id`]).
     id: u64,
-    prepared: PreparedQuery,
+    /// The prepared query's entries in the store's block-major fold order.
+    indices: Vec<usize>,
+    weights: Vec<f64>,
     /// The session's block plan: distinct blocks ascending, with the
     /// per-block bound gains the utility scheduler ranks by, priced from
     /// the block-energy catalog at submit time. Their sum bounds the error
@@ -244,7 +250,7 @@ impl ActiveQuery {
         Refinement {
             round,
             coefficients_used: self.eval.entries_used(),
-            total_coefficients: self.ticket.prepared.nnz(),
+            total_coefficients: self.ticket.indices.len(),
             estimate: self.eval.estimate(),
             error_bound: self.eval.ledger().bound(),
             tier: self.tier,
@@ -254,11 +260,11 @@ impl ActiveQuery {
     /// Folds the blocks that arrived this round into the evaluation; a
     /// block the device could not deliver contributes nothing and keeps
     /// its gain in the bound.
-    fn fold_arrived<D: BlockDevice>(&mut self, blocked: &BlockedCoefficients<D>) {
-        let (indices, weights) = (&self.ticket.prepared.indices, &self.ticket.prepared.weights);
+    fn fold_arrived<D: BlockDevice>(&mut self, store: &CoefficientStore<D>) {
+        let (indices, weights) = (&self.ticket.indices, &self.ticket.weights);
         for (k, payload) in self.arrived.drain(..) {
             let data = payload.as_deref().map(Vec::as_slice);
-            blocked.fold(&mut self.eval, indices, weights, k, data);
+            store.fold(&mut self.eval, indices, weights, k, data);
         }
     }
 }
@@ -301,7 +307,7 @@ struct Inner<D: BlockDevice + Send + Sync + 'static> {
     /// the store's energy catalog and the cache.
     dims: Vec<usize>,
     filter: WaveletFilter,
-    blocked: BlockedCoefficients<D>,
+    store: CoefficientStore<D>,
     cache: SharedBlockCache,
     admission: AdmissionController<Ticket>,
     pool: ThreadPool,
@@ -341,17 +347,17 @@ impl<D: BlockDevice + Send + Sync + 'static> Inner<D> {
     fn new(
         dims: Vec<usize>,
         filter: WaveletFilter,
-        blocked: BlockedCoefficients<D>,
+        store: CoefficientStore<D>,
         config: ServiceConfig,
     ) -> Self {
         assert!(config.round_blocks > 0, "round budget must be positive");
         assert!(config.max_batch > 0, "batch size must be positive");
-        assert_eq!(blocked.len(), dims.iter().product(), "blocked store / cube size mismatch");
+        assert_eq!(store.len(), dims.iter().product(), "store / cube size mismatch");
         let threads = config.threads.unwrap_or_else(configured_threads);
         Inner {
             dims,
             filter,
-            blocked,
+            store,
             cache: SharedBlockCache::new(config.cache_blocks),
             admission: AdmissionController::new(config.queue_capacity),
             pool: ThreadPool::new(threads),
@@ -368,42 +374,47 @@ impl<D: BlockDevice + Send + Sync + 'static> Inner<D> {
 
 impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
     /// Builds a service whose coefficients live on a device built by
-    /// `make(block_size, num_blocks)` — the hook for fault-injected
-    /// devices.
+    /// `make(block_size, num_blocks)`, in a sequential store — the hook
+    /// for fault-injected devices.
     pub fn on_device(
         cube: WaveletCube,
         block_size: usize,
         config: ServiceConfig,
         make: impl FnOnce(usize, usize) -> D,
     ) -> Self {
-        let blocked = BlockedCoefficients::on_device(cube.coeffs(), block_size, make);
-        QueryService::with_blocked(cube, blocked, config)
+        let store = CoefficientStore::load(cube.coeffs(), block_size, AllocKind::Sequential, make);
+        QueryService::open(cube.dims().to_vec(), cube.filter().clone(), store, config)
     }
 
-    /// Builds a service over a blocked store that was loaded from `cube`
-    /// by the caller. Only the cube's geometry is kept.
+    /// Builds a service over the benchmark harness's shim store, loaded
+    /// from `cube` by the caller. Only the cube's geometry is kept.
     pub fn with_blocked(
         cube: WaveletCube,
         blocked: BlockedCoefficients<D>,
         config: ServiceConfig,
     ) -> Self {
-        QueryService::open(cube.dims().to_vec(), cube.filter().clone(), blocked, config)
+        QueryService::open(
+            cube.dims().to_vec(),
+            cube.filter().clone(),
+            blocked.into_store(),
+            config,
+        )
     }
 
-    /// Serves an already-populated blocked store holding a cube of shape
-    /// `dims` transformed with `filter` — the reopen path: the
-    /// coefficients were recovered from a durable device and are never
-    /// materialised in memory.
+    /// Serves a populated store, under any allocation, holding a cube of
+    /// shape `dims` transformed with `filter`. It may have been reopened
+    /// from a durable device: the coefficients are never materialised in
+    /// memory.
     ///
     /// # Panics
     /// If the store's coefficient count is not the cube volume.
     pub fn open(
         dims: Vec<usize>,
         filter: WaveletFilter,
-        blocked: BlockedCoefficients<D>,
+        store: CoefficientStore<D>,
         config: ServiceConfig,
     ) -> Self {
-        let inner = Arc::new(Inner::new(dims, filter, blocked, config));
+        let inner = Arc::new(Inner::new(dims, filter, store, config));
         let worker = Arc::clone(&inner);
         let scheduler = std::thread::Builder::new()
             .name("aims-service-scheduler".into())
@@ -419,7 +430,7 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
 
     /// The backing device (I/O accounting).
     pub fn device(&self) -> &D {
-        self.inner.blocked.device()
+        self.inner.store.device()
     }
 
     /// The shared block cache (hit/miss accounting).
@@ -525,12 +536,13 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
         let tickets: Vec<Ticket> = cohort
             .into_iter()
             .map(|(spec, tag, tx, shared)| {
-                let prepared = prepare(
+                let PreparedQuery { indices, weights, .. } = prepare(
                     &self.inner.dims,
                     &self.inner.filter,
                     &RangeSumQuery::count(spec.ranges),
                 );
-                let plan = Arc::new(self.inner.blocked.plan(&prepared));
+                let (indices, weights) = self.inner.store.block_major(indices, weights);
+                let plan = Arc::new(self.inner.store.plan(&indices, &weights));
                 let trace = if spec.trace {
                     traced.inc();
                     TraceContext::start_global()
@@ -542,13 +554,14 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
                     &[
                         ("priority", AttrValue::Str(priority_label(spec.priority))),
                         ("plan_blocks", AttrValue::U64(plan.blocks.len() as u64)),
-                        ("coefficients", AttrValue::U64(prepared.nnz() as u64)),
+                        ("coefficients", AttrValue::U64(indices.len() as u64)),
                     ],
                 );
                 let submitted_at = Instant::now();
                 Ticket {
                     id: self.inner.next_id.fetch_add(1, Ordering::SeqCst) + 1,
-                    prepared,
+                    indices,
+                    weights,
                     plan,
                     priority: spec.priority,
                     tx,
@@ -570,7 +583,7 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
                 traced: t.trace.is_enabled(),
                 active: false,
                 rounds: 0,
-                last: Refinement { total_coefficients: t.prepared.nnz(), ..Refinement::NONE },
+                last: Refinement { total_coefficients: t.indices.len(), ..Refinement::NONE },
                 queue_wait_ns: 0,
                 submitted_at: t.submitted_at,
             };
@@ -851,7 +864,7 @@ fn fetch<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Round
         let reporter =
             consumers.iter().map(|&(i, _)| i).find(|&i| active[i].ticket.trace.is_enabled());
         let fetch_ts = reporter.map_or(0, |ri| active[ri].ticket.trace.now_ns());
-        match inner.cache.get_or_read_outcome(inner.blocked.device(), b, &inner.config.retry) {
+        match inner.cache.get_or_read_outcome(inner.store.device(), b, &inner.config.retry) {
             Ok((payload, outcome)) => {
                 if let (Some(ri), false) = (reporter, outcome.cache_hit) {
                     active[ri].ticket.trace.event_at(
@@ -911,7 +924,7 @@ fn accumulate<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut 
     // `par_map` hands out `&T`: each query sits behind a lock that only
     // its own task ever takes.
     let queries: Vec<Mutex<&mut ActiveQuery>> = s.active.iter_mut().map(Mutex::new).collect();
-    inner.pool.par_map(&queries, |q| q.lock().unwrap().fold_arrived(&inner.blocked));
+    inner.pool.par_map(&queries, |q| q.lock().unwrap().fold_arrived(&inner.store));
 }
 
 /// Stage 4: one refinement per query, and retirement of the finished.
@@ -1064,9 +1077,18 @@ mod tests {
         config: ServiceConfig,
         make: impl FnOnce(usize, usize) -> D,
     ) -> QueryService<D> {
-        let blocked = BlockedCoefficients::on_device(cube.coeffs(), 16, make);
-        let inner = Inner::new(cube.dims().to_vec(), cube.filter().clone(), blocked, config);
+        let store = CoefficientStore::load(cube.coeffs(), 16, AllocKind::Sequential, make);
+        let inner = Inner::new(cube.dims().to_vec(), cube.filter().clone(), store, config);
         QueryService { inner: Arc::new(inner), scheduler: Mutex::new(None) }
+    }
+
+    /// The blocks `prepared` plans on a sequential service's store, whose
+    /// fold order its ascending entries already are.
+    fn plan_blocks<D: BlockDevice + Send + Sync>(
+        svc: &QueryService<D>,
+        prepared: &PreparedQuery,
+    ) -> Vec<usize> {
+        svc.inner.store.plan(&prepared.indices, &prepared.weights).blocks
     }
 
     /// [`unscheduled`] over [`service`]'s cube, in memory.
@@ -1139,7 +1161,7 @@ mod tests {
         let mut solo_blocks = 0usize;
         for s in &specs {
             let p = engine.prepare(&RangeSumQuery::count(s.ranges.clone()));
-            solo_blocks += svc.inner.blocked.plan_blocks(&p).len();
+            solo_blocks += plan_blocks(&svc, &p).len();
         }
         let handles: Vec<_> = specs.iter().map(|s| svc.submit(s.clone()).unwrap()).collect();
         for h in handles {
@@ -1225,7 +1247,7 @@ mod tests {
         // The plan is ~dozens of blocks at one per round; cancellation
         // stopped the scan far from the end.
         let prepared = reference().prepare(&RangeSumQuery::count(full));
-        assert!((reads as usize) < svc.inner.blocked.plan_blocks(&prepared).len());
+        assert!((reads as usize) < plan_blocks(&svc, &prepared).len());
         assert_eq!(svc.sessions_json_lines(), "");
     }
 
@@ -1303,7 +1325,7 @@ mod tests {
         );
         let ranges = vec![(2, 29), (0, 31)];
         let prepared = engine.prepare(&RangeSumQuery::count(ranges.clone()));
-        let plan_blocks = svc.inner.blocked.plan_blocks(&prepared);
+        let plan_blocks = plan_blocks(&svc, &prepared);
         // Predict per-block costs on the fresh device, before any read
         // consumes the fault schedule.
         let mut want_read = 0u64;
@@ -1388,13 +1410,8 @@ mod tests {
         );
         let ranges = vec![(0, 31), (0, 31)];
         let prepared = engine.prepare(&RangeSumQuery::count(ranges.clone()));
-        let dead = svc
-            .inner
-            .blocked
-            .plan_blocks(&prepared)
-            .iter()
-            .filter(|&&b| svc.device().is_dead(b))
-            .count();
+        let dead =
+            plan_blocks(&svc, &prepared).iter().filter(|&&b| svc.device().is_dead(b)).count();
         assert!(dead > 0, "fault plan should kill at least one plan block");
         let outcome = svc.submit(QuerySpec::interactive(ranges)).unwrap().wait();
         assert!(matches!(outcome, Outcome::Done(_)), "got {outcome:?}");
@@ -1589,7 +1606,7 @@ mod tests {
         let svc = QueryService::on_device(cube, 16, ServiceConfig::default(), |bs, nb| {
             FaultyDevice::with_plan(bs, nb, plan)
         });
-        let streaks: Vec<usize> = (0..svc.inner.blocked.num_blocks())
+        let streaks: Vec<usize> = (0..svc.inner.store.num_blocks())
             .map(|b| svc.device().planned_read_failures(b))
             .collect();
         let worst = streaks.iter().copied().max().unwrap();
@@ -1625,7 +1642,7 @@ mod tests {
             let budget = 1 + next(4);
             let svc =
                 staged(ServiceConfig { round_blocks: budget, policy, ..ServiceConfig::default() });
-            for b in (0..svc.inner.blocked.num_blocks()).filter(|_| next(5) == 0) {
+            for b in (0..svc.inner.store.num_blocks()).filter(|_| next(5) == 0) {
                 svc.cache().get_or_read(svc.device(), b).unwrap();
             }
             let handles: Vec<_> = (0..1 + next(6))
@@ -1699,7 +1716,7 @@ mod tests {
                 });
                 let prepared = reference().prepare(&RangeSumQuery::count(ranges.clone()));
                 let pool = SharedBlockCache::new(64);
-                let run = svc.inner.blocked.progressive(
+                let run = svc.inner.store.progressive(
                     &prepared.indices,
                     &prepared.weights,
                     &pool,
@@ -1753,8 +1770,8 @@ mod tests {
         let (cube, svc) = faulty();
         let engine = Propolyne::new(cube);
         let ranges = vec![(2, 29), (0, 31)];
-        let plan_blocks =
-            svc.inner.blocked.plan_blocks(&engine.prepare(&RangeSumQuery::count(ranges.clone())));
+        let prepared = engine.prepare(&RangeSumQuery::count(ranges.clone()));
+        let plan_blocks = plan_blocks(&svc, &prepared);
         let (dead, live): (Vec<usize>, Vec<usize>) =
             plan_blocks.iter().partition(|&&b| svc.device().is_dead(b));
         let want_retries: u64 =
@@ -1883,16 +1900,16 @@ mod tests {
                 }
                 for (q, ranges) in s.active.iter().zip(&specs) {
                     let ctx = format!("threads={threads} {ranges:?}");
-                    let prepared = &q.ticket.prepared;
+                    let (indices, weights) = (&q.ticket.indices, &q.ticket.weights);
                     let pool = SharedBlockCache::new(64);
-                    let serial = svc.inner.blocked.evaluate_degraded(prepared, &pool, &RetryPolicy::none());
+                    let serial = svc.inner.store.evaluate(indices, weights, &pool, &RetryPolicy::none());
                     let served = q.refinement(0);
                     prop_assert_eq!(served.estimate.to_bits(), serial.estimate.to_bits(), "{}", ctx);
                     prop_assert_eq!(served.error_bound.to_bits(), serial.error_bound.to_bits(), "{}", ctx);
                     let mut lost = q.eval.ledger().lost_blocks().to_vec();
                     lost.sort_unstable();
                     prop_assert_eq!(&lost, &serial.lost_blocks, "{}", ctx);
-                    prop_assert_eq!(served.coefficients_used, prepared.nnz());
+                    prop_assert_eq!(served.coefficients_used, indices.len());
                 }
             }
         }

@@ -1,25 +1,28 @@
 //! One contract, three paths. The same cube on the same seeded faulty
 //! device (dead blocks plus transient read errors) answers the same
-//! queries through the library (`BlockedCoefficients::evaluate_degraded`),
-//! the in-process [`QueryService`] and a [`TcpClient`] — and all three
-//! must end on the bit-identical estimate, the bit-identical error bound
-//! and the same set of lost blocks, with the truth inside the bound.
+//! queries through the library (`CoefficientStore::evaluate`), the
+//! in-process [`QueryService`] and a [`TcpClient`] — and all three must
+//! end on the bit-identical estimate, the bit-identical error bound and
+//! the same set of lost blocks, with the truth inside the bound.
 //!
-//! And one more way in: a store reopened from an already-populated device
-//! and its energy catalog (`from_device` + `QueryService::open`) reads no
-//! block to open, must ride through the transient read errors queries
-//! ride through, and serves without ever holding the coefficients in
-//! memory.
+//! And two more ways in: a store reopened from an already-populated
+//! device and its energy catalog (`CoefficientStore::reopen` +
+//! `QueryService::open`) reads no block to open, must ride through the
+//! transient read errors queries ride through, and serves without ever
+//! holding the coefficients in memory; and a store under the error-tree
+//! tiling, whose fold order is not ascending offset, is served to the
+//! bits `CoefficientStore::evaluate` gives on it.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use aims_propolyne::{BlockedCoefficients, Propolyne, RangeSumQuery};
+use aims_propolyne::{Propolyne, RangeSumQuery};
 use aims_service::{
     demo_cube, Outcome, ProgressKind, QueryService, QuerySpec, Server, ServiceConfig, TcpClient,
 };
-use aims_storage::device::{BlockDevice, RetryPolicy};
+use aims_storage::device::{BlockDevice, MemDevice, RetryPolicy};
 use aims_storage::faults::{FaultPlan, FaultyDevice};
+use aims_storage::store::{AllocKind, CoefficientStore};
 use aims_storage::{block_energy, SharedBlockCache};
 use aims_telemetry::{global_recorder, AttrValue, TraceId};
 
@@ -81,18 +84,20 @@ fn library_service_and_wire_agree_bit_for_bit_under_faults() {
     let mut degraded_queries = 0;
     for ranges in queries() {
         // Library path.
-        let store = BlockedCoefficients::on_device(cube.coeffs(), BLOCK, |bs, nb| {
-            FaultyDevice::with_plan(bs, nb, fault_plan())
-        });
+        let store =
+            CoefficientStore::load(cube.coeffs(), BLOCK, AllocKind::Sequential, |bs, nb| {
+                FaultyDevice::with_plan(bs, nb, fault_plan())
+            });
         let svc = service();
         let prepared = engine.prepare(&RangeSumQuery::count(ranges.clone()));
         let truth = engine.evaluate_prepared(&prepared);
+        let (indices, weights) = (&prepared.indices, &prepared.weights);
         let (dead, live): (Vec<usize>, Vec<usize>) =
-            store.plan_blocks(&prepared).iter().partition(|&&b| store.device().is_dead(b));
+            (store.plan(indices, weights).blocks.iter()).partition(|&&b| store.device().is_dead(b));
         let worst = live.iter().map(|&b| store.device().planned_read_failures(b)).max().unwrap();
         assert!((1..=retry().retries).contains(&worst), "seed must retry within the budget");
         let cache = SharedBlockCache::new(store.num_blocks());
-        let lib = store.evaluate_degraded(&prepared, &cache, &retry());
+        let lib = store.evaluate(indices, weights, &cache, &retry());
         assert_eq!(lib.lost_blocks, dead, "{ranges:?}");
         assert!((lib.estimate - truth).abs() <= lib.error_bound + 1e-9, "{ranges:?}");
         assert_eq!(dead.is_empty(), lib.error_bound == 0.0, "{ranges:?}");
@@ -142,13 +147,15 @@ fn reopen_rides_through_transient_read_errors_and_never_loads_the_cube() {
     // The energy catalog is the one written with the blocks: the reopen
     // takes it and reads nothing.
     let catalog = cube.coeffs().chunks(BLOCK).map(block_energy).collect();
-    let blocked = BlockedCoefficients::from_device(device, cube.coeffs().len(), catalog).unwrap();
-    assert_eq!(blocked.device_stats().reads, 0, "reopen reads no block");
+    let store =
+        CoefficientStore::reopen(device, AllocKind::Sequential, cube.coeffs().len(), catalog)
+            .unwrap();
+    assert_eq!(store.device_stats().reads, 0, "reopen reads no block");
     let cache_blocks = blocks / 4;
     let svc = QueryService::open(
         cube.dims().to_vec(),
         cube.filter().clone(),
-        blocked,
+        store,
         ServiceConfig { retry: budget, cache_blocks, ..ServiceConfig::default() },
     );
     for ranges in queries() {
@@ -160,5 +167,38 @@ fn reopen_rides_through_transient_read_errors_and_never_loads_the_cube() {
         assert_eq!(got.error_bound, 0.0, "{ranges:?}");
         // All the service holds of the store is a quarter of its blocks.
         assert!(svc.cache().resident() <= cache_blocks);
+    }
+}
+
+#[test]
+fn a_tiled_store_is_served_to_its_own_evaluation_bits() {
+    let cube = demo_cube(32, 99);
+    let engine = Propolyne::new(cube.clone());
+    let store = CoefficientStore::load(cube.coeffs(), BLOCK, AllocKind::TreeTiling, MemDevice::new);
+    // The library's answers on this store, each query's entries put in
+    // its block-major fold order first.
+    let (mut expected, mut reordered) = (Vec::new(), 0);
+    for ranges in queries() {
+        let prepared = engine.prepare(&RangeSumQuery::count(ranges.clone()));
+        let ascending = prepared.indices.clone();
+        let (indices, weights) = store.block_major(prepared.indices, prepared.weights);
+        reordered += usize::from(indices != ascending);
+        let pool = SharedBlockCache::new(store.num_blocks());
+        expected.push(store.evaluate(&indices, &weights, &pool, &RetryPolicy::none()));
+    }
+    assert!(reordered > 0, "the tiling must reorder some query's entries");
+    let svc = QueryService::open(
+        cube.dims().to_vec(),
+        cube.filter().clone(),
+        store,
+        ServiceConfig { round_blocks: 4, ..ServiceConfig::default() },
+    );
+    for (ranges, want) in queries().into_iter().zip(expected) {
+        let outcome = svc.submit(QuerySpec::interactive(ranges.clone())).unwrap().wait();
+        let Outcome::Done(got) = outcome else { panic!("expected Done, got {outcome:?}") };
+        assert_eq!(got.estimate.to_bits(), want.estimate.to_bits(), "{ranges:?}");
+        assert_eq!(got.error_bound.to_bits(), want.error_bound.to_bits(), "{ranges:?}");
+        let truth = engine.evaluate(&RangeSumQuery::count(ranges.clone()));
+        assert!((got.estimate - truth).abs() < 1e-9 * truth.abs().max(1.0), "{ranges:?}");
     }
 }

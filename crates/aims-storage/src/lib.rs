@@ -33,9 +33,11 @@
 //!   the [`BoundLedger`] that carries its guaranteed error bound and the
 //!   [`Evaluation`] that folds whichever of its blocks have arrived.
 //! - [`store`]: the one blocked coefficient store
-//!   ([`CoefficientStore`]: layout, energy catalog, load, reopen, and the
-//!   plan → fetch → fold → bound evaluation, in plan order or
-//!   most-valuable-block-first) and its 1-D Haar front [`WaveletStore`].
+//!   ([`CoefficientStore`]: layout, energy catalog, load, reopen, the
+//!   block-major order of a query's entries, and the plan → fetch → fold
+//!   → bound evaluation, in plan order or most-valuable-block-first).
+//!   Every query, cube or 1-D, reaches it as entries planned by
+//!   `aims_propolyne::engine::prepare`.
 //! - [`file`](mod@file): the durable file-backed device ([`FileDevice`]) — per-block
 //!   checksums, a length-prefixed checksummed WAL with monotone LSNs,
 //!   periodic checkpointing, torn-tail-truncating recovery, three
@@ -64,7 +66,7 @@ pub use file::{
     CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions, ImageWriter, RecoveryReport, WalStats,
 };
 pub use progressive::{BlockPlan, BoundLedger, Evaluation, ProgressPoint};
-pub use store::{block_energy, CoefficientStore, DegradedAnswer, WaveletStore};
+pub use store::{block_energy, CoefficientStore, DegradedAnswer};
 
 /// The frozen benchmark harness (`bench/src/ladder.rs`) still names the
 /// old single-owner pool; nothing else may.

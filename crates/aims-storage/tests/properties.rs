@@ -10,7 +10,7 @@ use aims_storage::device::{MemDevice, RetryPolicy};
 use aims_storage::error_tree::{point_query_set, range_query_set, ErrorTree};
 use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
 use aims_storage::progressive::{BlockPlan, BoundLedger};
-use aims_storage::store::{AllocKind, CoefficientStore, WaveletStore};
+use aims_storage::store::{AllocKind, CoefficientStore};
 
 fn pow2(lo: u32, hi: u32) -> impl Strategy<Value = usize> {
     (lo..=hi).prop_map(|e| 1usize << e)
@@ -88,26 +88,6 @@ proptest! {
         prop_assert!(set.len() <= 2 * (tree.levels() + 1));
     }
 
-    /// The store answers point and range queries exactly, regardless of
-    /// allocation, block size or pool size.
-    #[test]
-    fn store_is_exact(
-        raw in prop::collection::vec(-100.0_f64..100.0, 32),
-        b_exp in 1u32..=5,
-        pool_size in 1usize..8,
-        kind_pick in 0usize..3,
-        t in 0usize..32,
-        (lo, hi) in (0usize..32, 0usize..32),
-    ) {
-        let kind = [AllocKind::Sequential, AllocKind::Random(9), AllocKind::TreeTiling][kind_pick];
-        let store = WaveletStore::from_signal(&raw, 1 << b_exp, kind);
-        let pool = SharedBlockCache::new(pool_size);
-        prop_assert!((store.point_value(t, &pool) - raw[t]).abs() < 1e-8);
-        let (a, b) = (lo.min(hi), lo.max(hi));
-        let expect: f64 = raw[a..=b].iter().sum();
-        prop_assert!((store.range_sum(a, b, &pool) - expect).abs() < 1e-7);
-    }
-
     /// One store, every layout: the same plan → fetch → accumulate → bound
     /// under each allocation. Clean, it is exact, bit-stable across cache
     /// sizes and repeats, and costs exactly its plan in cold reads; with
@@ -130,9 +110,8 @@ proptest! {
         // Sparse entries over distinct coefficients, in the store's order.
         let weight_of: std::collections::BTreeMap<usize, f64> =
             picks.into_iter().map(|(i, w)| (i % n, w)).collect();
-        let mut indices: Vec<usize> = weight_of.keys().copied().collect();
-        clean.sort_block_major(&mut indices);
-        let weights: Vec<f64> = indices.iter().map(|i| weight_of[i]).collect();
+        let (indices, weights) = weight_of.into_iter().unzip();
+        let (indices, weights) = clean.block_major(indices, weights);
         let exact: f64 = indices.iter().zip(&weights).map(|(&i, w)| w * coeffs[i]).sum();
         let plan = clean.plan(&indices, &weights);
         prop_assert!(plan.blocks.windows(2).all(|w| w[0] < w[1]));
@@ -191,9 +170,8 @@ proptest! {
         let clean = CoefficientStore::load(&coeffs, block, kind, MemDevice::new);
         let weight_of: std::collections::BTreeMap<usize, f64> =
             picks.into_iter().map(|(i, w)| (i % n, w)).collect();
-        let mut indices: Vec<usize> = weight_of.keys().copied().collect();
-        clean.sort_block_major(&mut indices);
-        let weights: Vec<f64> = indices.iter().map(|i| weight_of[i]).collect();
+        let (indices, weights) = weight_of.into_iter().unzip();
+        let (indices, weights) = clean.block_major(indices, weights);
         let exact: f64 = indices.iter().zip(&weights).map(|(&i, w)| w * coeffs[i]).sum();
         let plan = clean.plan(&indices, &weights);
 
@@ -251,14 +229,21 @@ proptest! {
     /// answers.
     #[test]
     fn pool_is_transparent(
-        raw in prop::collection::vec(-50.0_f64..50.0, 64),
-        accesses in prop::collection::vec(0usize..64, 1..40),
+        coeffs in prop::collection::vec(-50.0_f64..50.0, 64),
+        accesses in prop::collection::vec(prop::collection::vec(0usize..64, 1..6), 1..40),
         cap in 1usize..6,
     ) {
-        let store = WaveletStore::from_signal(&raw, 8, AllocKind::TreeTiling);
+        let store = CoefficientStore::load(&coeffs, 8, AllocKind::TreeTiling, MemDevice::new);
         let pool = SharedBlockCache::new(cap);
-        for &t in &accesses {
-            prop_assert!((store.point_value(t, &pool) - raw[t]).abs() < 1e-8);
+        for picks in &accesses {
+            let mut indices = picks.clone();
+            indices.sort_unstable();
+            indices.dedup();
+            let exact = indices.iter().fold(0.0, |acc, &i| acc + coeffs[i]);
+            let weights = vec![1.0; indices.len()];
+            let (indices, weights) = store.block_major(indices, weights);
+            let got = store.evaluate(&indices, &weights, &pool, &RetryPolicy::none());
+            prop_assert!((got.estimate - exact).abs() < 1e-9);
             prop_assert!(pool.resident() <= cap);
         }
         // Hits + misses = total fetches issued through the pool.

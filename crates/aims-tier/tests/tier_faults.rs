@@ -3,7 +3,7 @@
 //! Historical blocks are read through the same substrate as the rest of
 //! the system — `SharedBlockCache::get_or_read_outcome` over a
 //! checksummed [`BlockDevice`] — so a seeded [`FaultyDevice`] under the
-//! historical tier must behave the way it does under a `WaveletStore`:
+//! historical tier must behave the way it does under a `CoefficientStore`:
 //!
 //! - transient read errors within the retry budget are invisible: every
 //!   answer is bit-identical to a clean store's;

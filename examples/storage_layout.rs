@@ -4,12 +4,27 @@
 //!
 //! Run with: `cargo run --release --example storage_layout`
 
+use aims::dsp::dwt::dwt_full;
+use aims::dsp::filters::WaveletFilter;
+use aims::range_sum;
 use aims::sensors::glove::CyberGloveRig;
 use aims::sensors::noise::NoiseSource;
 use aims::storage::alloc::needed_items_upper_bound;
 use aims::storage::cache::SharedBlockCache;
-use aims::storage::store::{AllocKind, WaveletStore};
+use aims::storage::device::{BlockDevice, MemDevice, RetryPolicy};
+use aims::storage::store::{AllocKind, CoefficientStore};
 use aims::storage::{FileDevice, FileDeviceOptions};
+
+/// `Σ_{t=a}^{b} x[t]` from a store of `x`'s Haar coefficients; a point
+/// value is the range `[t, t]`.
+fn sum<D: BlockDevice>(
+    store: &CoefficientStore<D>,
+    a: usize,
+    b: usize,
+    pool: &SharedBlockCache,
+) -> f64 {
+    range_sum(store, a, b, pool, &RetryPolicy::none()).estimate
+}
 
 fn main() {
     // A real signal: one glove channel, padded to a power of two.
@@ -18,6 +33,7 @@ fn main() {
     let session = rig.record_session(41.0, 0.6, &mut noise);
     let mut signal = session.channel(4);
     signal.resize(4096, *signal.last().unwrap());
+    let coeffs = dwt_full(&signal, &WaveletFilter::haar());
     let block = 32;
     println!(
         "signal: {} samples, block size {} (needed-items bound: {:.1})",
@@ -33,24 +49,24 @@ fn main() {
         ("sequential", AllocKind::Sequential),
         ("random", AllocKind::Random(5)),
     ] {
-        let store = WaveletStore::from_signal(&signal, block, kind);
+        let store = CoefficientStore::load(&coeffs, block, kind, MemDevice::new);
         for t in (0..4096).step_by(64) {
             let pool = SharedBlockCache::new(1); // cold cache per query
-            store.point_value(t, &pool);
+            sum(&store, t, t, &pool);
         }
         for k in 0..16 {
             let a = k * 150;
             let pool = SharedBlockCache::new(1);
-            store.range_sum(a, a + 1500, &pool);
+            sum(&store, a, a + 1500, &pool);
         }
         println!("  {name:>18}: {:>5} reads", store.device_stats().reads);
     }
 
     // Warm cache: the locality the tiling creates pays off in the pool too.
-    let store = WaveletStore::from_signal(&signal, block, AllocKind::TreeTiling);
+    let store = CoefficientStore::load(&coeffs, block, AllocKind::TreeTiling, MemDevice::new);
     let pool = SharedBlockCache::with_shards(16, 1); // one shard: exact LRU
     for t in 0..512 {
-        store.point_value(t, &pool);
+        sum(&store, t, t, &pool);
     }
     println!(
         "\nwarm sequential scan of 512 points: {:.1}% buffer hit ratio ({} device reads)",
@@ -64,19 +80,18 @@ fn main() {
     // written (no block is read to reopen).
     let dir = std::env::temp_dir().join(format!("aims-storage-layout-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let mut durable =
-        WaveletStore::from_signal_on(&signal, block, AllocKind::TreeTiling, |bs, nb| {
-            FileDevice::create(&dir, bs, nb, FileDeviceOptions::default()).expect("create device")
-        });
+    let mut durable = CoefficientStore::load(&coeffs, block, AllocKind::TreeTiling, |bs, nb| {
+        FileDevice::create(&dir, bs, nb, FileDeviceOptions::default()).expect("create device")
+    });
     durable.device_mut().checkpoint();
     let catalog = durable.block_energies().to_vec();
     drop(durable);
     let device = FileDevice::open(&dir, FileDeviceOptions::default()).expect("reopen device");
-    let reopened = WaveletStore::reopen(device, AllocKind::TreeTiling, signal.len(), catalog)
+    let reopened = CoefficientStore::reopen(device, AllocKind::TreeTiling, signal.len(), catalog)
         .expect("catalog");
     let p1 = SharedBlockCache::new(4);
     let p2 = SharedBlockCache::new(4);
-    assert_eq!(store.point_value(777, &p1).to_bits(), reopened.point_value(777, &p2).to_bits());
+    assert_eq!(sum(&store, 777, 777, &p1).to_bits(), sum(&reopened, 777, 777, &p2).to_bits());
     println!(
         "\npersistence: {} blocks on a FileDevice, reopened store answers bit-identically \
          (checked point 777)",

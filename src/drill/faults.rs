@@ -1,6 +1,7 @@
-//! The storage-fault drill: a blocked wavelet store on a seeded
-//! [`FaultyDevice`], queried under a bounded retry budget, against the
-//! same store on plain memory.
+//! The storage-fault drill: a signal's Haar coefficients in a
+//! [`CoefficientStore`] on a seeded [`FaultyDevice`], range sums
+//! ([`crate::range_sum`]) queried under a bounded retry budget, against
+//! the same store on plain memory.
 //!
 //! The two contracts of the fault-tolerant read path are checked on every
 //! query: a query whose blocks all came back within the budget
@@ -8,10 +9,14 @@
 //! that lost blocks (*degraded*) still answers, within its guaranteed
 //! error bound.
 
+use aims_dsp::dwt::dwt_full;
+use aims_dsp::filters::WaveletFilter;
 use aims_storage::cache::SharedBlockCache;
-use aims_storage::device::{BlockDevice, RetryPolicy};
+use aims_storage::device::{BlockDevice, MemDevice, RetryPolicy};
 use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
-use aims_storage::store::{AllocKind, DegradedAnswer, WaveletStore};
+use aims_storage::store::{AllocKind, CoefficientStore, DegradedAnswer};
+
+use crate::range_sum;
 
 /// One fault drill: the fault schedule, the retry budget and the workload.
 #[derive(Clone, Debug)]
@@ -115,13 +120,13 @@ impl Report {
 /// The fault-free and the faulty store of a drill, freshly loaded (every
 /// per-block attempt counter at zero, so the device's planned failure
 /// streaks predict the outcome exactly).
-pub fn stores(cfg: &Config) -> (WaveletStore, WaveletStore<FaultyDevice>) {
-    let plain = WaveletStore::from_signal(&cfg.signal, cfg.block, AllocKind::TreeTiling);
+pub fn stores(cfg: &Config) -> (CoefficientStore, CoefficientStore<FaultyDevice>) {
+    let coeffs = dwt_full(&cfg.signal, &WaveletFilter::haar());
+    let plain = CoefficientStore::load(&coeffs, cfg.block, AllocKind::TreeTiling, MemDevice::new);
     let plan = cfg.plan.clone();
-    let faulty =
-        WaveletStore::from_signal_on(&cfg.signal, cfg.block, AllocKind::TreeTiling, |bs, nb| {
-            FaultyDevice::with_plan(bs, nb, plan)
-        });
+    let faulty = CoefficientStore::load(&coeffs, cfg.block, AllocKind::TreeTiling, |bs, nb| {
+        FaultyDevice::with_plan(bs, nb, plan)
+    });
     (plain, faulty)
 }
 
@@ -136,8 +141,8 @@ pub fn run(cfg: &Config) -> Report {
         .iter()
         .map(|&(a, b)| Row {
             range: (a, b),
-            truth: plain.range_sum(a, b, &plain_pool),
-            got: faulty.range_sum_outcome(a, b, &pool, &cfg.retry),
+            truth: range_sum(&plain, a, b, &plain_pool, &RetryPolicy::none()).estimate,
+            got: range_sum(&faulty, a, b, &pool, &cfg.retry),
         })
         .collect();
     Report {

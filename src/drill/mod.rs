@@ -6,9 +6,9 @@
 //! did not hold, empty on a pass — beside the numbers it observed, as
 //! plain fields. Five drills share this shape:
 //!
-//! - [`faults`] — a `WaveletStore` on a seeded `FaultyDevice` against the
-//!   plain store: bit-identical when recovered, |error| ≤ bound when
-//!   degraded.
+//! - [`faults`] — a signal's Haar coefficients in a `CoefficientStore` on
+//!   a seeded `FaultyDevice`, range-summed against the plain store:
+//!   bit-identical when recovered, |error| ≤ bound when degraded.
 //! - [`ingest`] — a clean glove session through a seeded faulty wire into
 //!   the supervised ingest behind an overrun-proof recorder; a zero-fault
 //!   plan must be bit-identical.

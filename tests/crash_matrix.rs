@@ -10,9 +10,9 @@
 //!    least every acknowledged (durably synced) write.
 //! 2. **fsync-always never loses an acknowledged write** — swept over
 //!    *every* crash-eligible step of a workload, not a sample.
-//! 3. **Query parity** — a `WaveletStore` reopened over the recovered
-//!    device answers range sums bit-identically to a store over the
-//!    committed-prefix replica.
+//! 3. **Query parity** — a signal's Haar `CoefficientStore` reopened over
+//!    the recovered device answers range and point sums bit-identically
+//!    to a store over the committed-prefix replica.
 //!
 //! Every crash point and torn-prefix length derives from a single u64
 //! seed (pinned here via `AIMS_CRASH_SEED`, default 52417; ci.sh also
@@ -20,10 +20,13 @@
 
 use aims::drill::crash::{committed_prefix, replica, run, Config, Report, WriteLog};
 use aims::drill::sub_seed;
+use aims::dsp::dwt::dwt_full;
+use aims::dsp::filters::WaveletFilter;
+use aims::range_sum;
 use aims::storage::cache::SharedBlockCache;
-use aims::storage::device::{BlockDevice, RawMedia};
+use aims::storage::device::{BlockDevice, MemDevice, RawMedia, RetryPolicy};
 use aims::storage::file::{CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions};
-use aims::storage::store::{block_energy, AllocKind, WaveletStore};
+use aims::storage::store::{block_energy, AllocKind, CoefficientStore};
 
 const BLOCK: usize = 8;
 const NB: usize = 12;
@@ -136,9 +139,10 @@ fn reopened_store_answers_range_sums_like_the_committed_prefix() {
     let signal: Vec<f64> =
         (0..N).map(|i| ((splitmix(seed ^ i as u64) % 1000) as f64) / 10.0 - 50.0).collect();
 
-    // The canonical load history: from_signal_on writes staged blocks in
+    // The canonical load history: a load writes staged blocks in
     // ascending order — read them back from a plain in-memory store.
-    let plain = WaveletStore::from_signal(&signal, BLOCK, AllocKind::TreeTiling);
+    let coeffs = dwt_full(&signal, &WaveletFilter::haar());
+    let plain = CoefficientStore::load(&coeffs, BLOCK, AllocKind::TreeTiling, MemDevice::new);
     let nb = plain.device().num_blocks();
     let log: WriteLog = (0..nb).map(|b| (b, plain.device().raw_payload(b))).collect();
 
@@ -152,7 +156,7 @@ fn reopened_store_answers_range_sums_like_the_committed_prefix() {
             crash,
             ..Default::default()
         };
-        WaveletStore::from_signal_on(&signal, BLOCK, AllocKind::TreeTiling, |bs, nb| {
+        CoefficientStore::load(&coeffs, BLOCK, AllocKind::TreeTiling, |bs, nb| {
             FileDevice::create(&dir, bs, nb, opts).unwrap()
         })
     };
@@ -180,22 +184,20 @@ fn reopened_store_answers_range_sums_like_the_committed_prefix() {
             catalog[*b] = block_energy(payload);
         }
         let recovered =
-            WaveletStore::reopen(recovered, AllocKind::TreeTiling, N, catalog.clone()).unwrap();
+            CoefficientStore::reopen(recovered, AllocKind::TreeTiling, N, catalog.clone()).unwrap();
+        let reference = replica(&log[..k], BLOCK, nb);
         let reference =
-            WaveletStore::reopen(replica(&log[..k], BLOCK, nb), AllocKind::TreeTiling, N, catalog)
-                .unwrap();
+            CoefficientStore::reopen(reference, AllocKind::TreeTiling, N, catalog).unwrap();
 
         let p1 = SharedBlockCache::new(16);
         let p2 = SharedBlockCache::new(16);
-        for (a, b) in [(0usize, N - 1), (7, 200), (64, 130), (31, 32)] {
-            let x = recovered.range_sum(a, b, &p1);
-            let y = reference.range_sum(a, b, &p2);
-            assert_eq!(x.to_bits(), y.to_bits(), "{label}: range [{a},{b}]");
-        }
-        for t in [0usize, 100, N - 1] {
-            let x = recovered.point_value(t, &p1);
-            let y = reference.point_value(t, &p2);
-            assert_eq!(x.to_bits(), y.to_bits(), "{label}: point {t}");
+        // A point value at `t` is the range sum over [t, t].
+        let points = [0usize, 100, N - 1].map(|t| (t, t));
+        for (a, b) in [(0usize, N - 1), (7, 200), (64, 130), (31, 32)].into_iter().chain(points) {
+            let x = range_sum(&recovered, a, b, &p1, &RetryPolicy::none());
+            let y = range_sum(&reference, a, b, &p2, &RetryPolicy::none());
+            assert!(!x.degraded() && !y.degraded(), "{label}: range [{a},{b}] lost a block");
+            assert_eq!(x.estimate.to_bits(), y.estimate.to_bits(), "{label}: range [{a},{b}]");
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();

@@ -19,7 +19,8 @@ use aims::drill::faults::{run, stores, Config, Row};
 use aims::storage::cache::SharedBlockCache;
 use aims::storage::device::{BlockDevice, RetryPolicy};
 use aims::storage::faults::{FaultKind, FaultPlan, FaultyDevice};
-use aims::storage::store::WaveletStore;
+use aims::storage::store::CoefficientStore;
+use aims::{range_entries, range_sum};
 
 const N: usize = 256;
 
@@ -40,8 +41,8 @@ fn ranges() -> Vec<(usize, usize)> {
 }
 
 /// The blocks the range sum over `[a, b]` plans to read.
-fn planned_blocks(store: &WaveletStore<FaultyDevice>, a: usize, b: usize) -> Vec<usize> {
-    let (indices, weights) = store.range_entries(a, b);
+fn planned_blocks(store: &CoefficientStore<FaultyDevice>, a: usize, b: usize) -> Vec<usize> {
+    let (indices, weights) = range_entries(store, a, b);
     store.plan(&indices, &weights).blocks
 }
 
@@ -65,8 +66,8 @@ fn zero_rate_is_bit_identical_for_every_fault_kind() {
         for t in [0usize, 31, 130, 255] {
             let p1 = SharedBlockCache::new(64);
             let p2 = SharedBlockCache::new(64);
-            let expect = plain.point_value(t, &p1);
-            let got = faulty.point_value_outcome(t, &p2, &RetryPolicy::none());
+            let expect = range_sum(&plain, t, t, &p1, &RetryPolicy::none()).estimate;
+            let got = range_sum(&faulty, t, t, &p2, &RetryPolicy::none());
             assert_eq!(expect.to_bits(), got.estimate.to_bits(), "{kind:?} zero-rate t={t}");
         }
     }

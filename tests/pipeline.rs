@@ -4,14 +4,20 @@
 use aims::acquisition::sampling::{sample_stream, SamplingParams, Strategy};
 use aims::dsp::dwt::dwt_full;
 use aims::dsp::filters::FilterKind;
-use aims::propolyne::{BlockedCoefficients, DataCube, Propolyne, RangeSumQuery};
+use aims::propolyne::{DataCube, Propolyne, RangeSumQuery};
 use aims::sensors::glove::CyberGloveRig;
 use aims::sensors::noise::NoiseSource;
 use aims::storage::cache::SharedBlockCache;
-use aims::storage::device::RetryPolicy;
+use aims::storage::device::{MemDevice, RetryPolicy};
 use aims::storage::faults::{FaultKind, FaultPlan, FaultyDevice};
-use aims::storage::store::{AllocKind, WaveletStore};
-use aims::{AimsConfig, AimsSystem};
+use aims::storage::store::{AllocKind, CoefficientStore};
+use aims::{range_entries, range_sum, AimsConfig, AimsSystem};
+
+/// `signal`'s Haar coefficients in a fresh in-memory store.
+fn haar_store(signal: &[f64], kind: AllocKind) -> CoefficientStore {
+    let coeffs = dwt_full(signal, &FilterKind::Haar.filter());
+    CoefficientStore::load(&coeffs, 16, kind, MemDevice::new)
+}
 
 #[test]
 fn full_pipeline_preserves_queryable_signal() {
@@ -49,10 +55,10 @@ fn sampling_then_storage_is_cheaper_than_raw_and_still_accurate() {
     // Store one sampled channel and verify point access end to end.
     let mut signal = sampled.reconstructed.channel(3);
     signal.resize(1024, *signal.last().unwrap());
-    let store = WaveletStore::from_signal(&signal, 16, AllocKind::TreeTiling);
+    let store = haar_store(&signal, AllocKind::TreeTiling);
     let pool = SharedBlockCache::new(8);
     for t in (0..600).step_by(97) {
-        let v = store.point_value(t, &pool);
+        let v = range_sum(&store, t, t, &pool, &RetryPolicy::none()).estimate;
         assert!((v - signal[t]).abs() < 1e-8, "t={t}");
     }
 }
@@ -68,10 +74,10 @@ fn tiling_storage_beats_sequential_through_whole_stack() {
     let reads_with = |alloc: AllocKind| -> u64 {
         let mut signal = session.channel(0);
         signal.resize(2048, *signal.last().unwrap());
-        let store = WaveletStore::from_signal(&signal, 16, alloc);
+        let store = haar_store(&signal, alloc);
         for t in (0..1024).step_by(13) {
             let pool = SharedBlockCache::new(1); // cold cache per query
-            store.point_value(t, &pool);
+            range_sum(&store, t, t, &pool, &RetryPolicy::none());
         }
         store.device_stats().reads
     };
@@ -81,54 +87,57 @@ fn tiling_storage_beats_sequential_through_whole_stack() {
 }
 
 #[test]
-fn the_two_fronts_are_one_store() {
-    // The same 1-D signal behind both fronts of the blocked coefficient
-    // store: `WaveletStore` and a 1-D Haar cube in `BlockedCoefficients`.
-    // Under Haar the two transforms give the same coefficients in the same
-    // flat layout, and both fronts plan a range sum with the lazy
-    // transform's COUNT entries, so the same range must plan the same
-    // blocks at the same prices, lose the same blocks to the same
-    // dead-block schedule and answer with the same bits.
+fn one_store_answers_1d_range_sums_exactly_or_within_the_bound() {
+    // A 1-D signal is a one-dimensional cube: under Haar, `dwt_full` and
+    // the cube transform give the same coefficients in the same flat
+    // layout, so a range sum is the cube's COUNT over the range, planned
+    // by `prepare`, on the signal's store under any layout. Clean, the
+    // answer is exact — on a sequential store it is the in-memory
+    // engine's, bit for bit. Under a dead-block schedule it loses exactly
+    // the dead blocks of its plan, prices them at their summed gains, and
+    // the truth stays inside that bound.
     const N: usize = 1 << 12;
     let signal: Vec<f64> =
         (0..N).map(|i| ((i * 37 + 11) % 101) as f64 - 50.0 + (i as f64 * 0.003).sin()).collect();
     let mut cube = DataCube::zeros(&[N]);
     cube.values_mut().copy_from_slice(&signal);
     let engine = Propolyne::new(cube.transform(&FilterKind::Haar.filter()));
-    let coeffs = engine.cube().coeffs();
     let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(coeffs), bits(&dwt_full(&signal, &FilterKind::Haar.filter())));
+    let coeffs = dwt_full(&signal, &FilterKind::Haar.filter());
+    assert_eq!(bits(engine.cube().coeffs()), bits(&coeffs));
     let dead = |bs, nb| {
         FaultyDevice::with_plan(bs, nb, FaultPlan::uniform(29, FaultKind::DeadBlock, 0.15))
     };
 
-    let line = WaveletStore::from_signal(&signal, 16, AllocKind::Sequential);
-    let line_faulty = WaveletStore::from_signal_on(&signal, 16, AllocKind::Sequential, dead);
-    let blocked = BlockedCoefficients::new(coeffs, 16);
-    let blocked_faulty = BlockedCoefficients::on_device(coeffs, 16, dead);
-
     let policy = RetryPolicy::none();
-    let mut lost = 0usize;
-    for (a, b) in [(0, N - 1), (5, 9), (100, 3000), (1234, 1234), (2047, 2048), (17, 4000)] {
-        let truth: f64 = signal[a..=b].iter().sum();
-        let prepared = engine.prepare(&RangeSumQuery::count(vec![(a, b)]));
-        let pool = || SharedBlockCache::new(64);
+    let pool = || SharedBlockCache::new(64);
+    for kind in [AllocKind::Sequential, AllocKind::TreeTiling] {
+        let clean = CoefficientStore::load(&coeffs, 16, kind, MemDevice::new);
+        let faulty = CoefficientStore::load(&coeffs, 16, kind, dead);
+        let mut lost = 0usize;
+        for (a, b) in [(0, N - 1), (5, 9), (100, 3000), (1234, 1234), (2047, 2048), (17, 4000)] {
+            let truth: f64 = signal[a..=b].iter().sum();
+            let one = range_sum(&clean, a, b, &pool(), &policy);
+            let close = (one.estimate - truth).abs() <= 1e-9 * truth.abs().max(1.0);
+            assert!(close && !one.degraded(), "{kind:?} [{a},{b}]: {} vs {truth}", one.estimate);
+            if kind == AllocKind::Sequential {
+                let expect = engine.evaluate(&RangeSumQuery::count(vec![(a, b)]));
+                assert_eq!(one.estimate.to_bits(), expect.to_bits(), "[{a},{b}]");
+            }
 
-        let one = line.range_sum(a, b, &pool());
-        let two = blocked.evaluate_degraded(&prepared, &pool(), &policy).estimate;
-        assert!((one - truth).abs() <= 1e-9 * truth.abs().max(1.0), "[{a},{b}]: {one} vs {truth}");
-        assert_eq!(one.to_bits(), two.to_bits(), "[{a},{b}]: {one} / {two}");
-
-        let (indices, weights) = line.range_entries(a, b);
-        assert_eq!(line.plan(&indices, &weights), blocked.plan(&prepared), "[{a},{b}]");
-
-        let one = line_faulty.range_sum_outcome(a, b, &pool(), &policy);
-        let two = blocked_faulty.evaluate_degraded(&prepared, &pool(), &policy);
-        assert_eq!(one.lost_blocks, two.lost_blocks, "[{a},{b}]");
-        assert_eq!(one.estimate.to_bits(), two.estimate.to_bits(), "[{a},{b}] estimate");
-        assert_eq!(one.error_bound.to_bits(), two.error_bound.to_bits(), "[{a},{b}] bound");
-        assert!((one.estimate - truth).abs() <= one.error_bound + 1e-9, "[{a},{b}] bound");
-        lost += two.lost_blocks.len();
+            let (indices, weights) = range_entries(&clean, a, b);
+            let plan = clean.plan(&indices, &weights);
+            let is_dead = |(b, _): &(&usize, &f64)| faulty.device().is_dead(**b);
+            let dead_part: Vec<(&usize, &f64)> =
+                plan.blocks.iter().zip(&plan.gains).filter(is_dead).collect();
+            let two = range_sum(&faulty, a, b, &pool(), &policy);
+            let want: Vec<usize> = dead_part.iter().map(|(b, _)| **b).collect();
+            assert_eq!(two.lost_blocks, want, "{kind:?} [{a},{b}]");
+            let lost_gain = dead_part.iter().fold(0.0, |acc, (_, g)| acc + *g);
+            assert_eq!(two.error_bound.to_bits(), lost_gain.to_bits(), "{kind:?} [{a},{b}]");
+            assert!((two.estimate - truth).abs() <= two.error_bound + 1e-9, "{kind:?} [{a},{b}]");
+            lost += two.lost_blocks.len();
+        }
+        assert!(lost > 0, "{kind:?}: seed 29 at 15% dead should cost a block");
     }
-    assert!(lost > 0, "seed 29 at 15% dead should cost the cube path a block");
 }

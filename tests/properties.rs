@@ -10,7 +10,10 @@ use aims::propolyne::cube::DataCube;
 use aims::propolyne::engine::Propolyne;
 use aims::propolyne::query::RangeSumQuery;
 use aims::storage::cache::SharedBlockCache;
-use aims::storage::store::{AllocKind, WaveletStore};
+use aims::storage::device::{MemDevice, RetryPolicy};
+use aims::storage::error_tree::{point_query_set, range_query_set};
+use aims::storage::store::{AllocKind, CoefficientStore};
+use aims::{range_entries, range_sum};
 
 fn filter_strategy() -> impl Strategy<Value = FilterKind> {
     prop_oneof![
@@ -104,10 +107,11 @@ proptest! {
         }
     }
 
-    /// Blocked wavelet storage answers point and range-sum queries exactly
-    /// under every allocation strategy.
+    /// A signal's Haar store answers point values and range sums — the
+    /// 1-D COUNT over the range, planned by `prepare` — exactly, whatever
+    /// its allocation, block size or cache size.
     #[test]
-    fn wavelet_store_queries_are_exact(
+    fn haar_store_queries_are_exact(
         raw in prop::collection::vec(-50.0_f64..50.0, 64),
         t in 0usize..64,
         range in (0usize..64, 0usize..64),
@@ -116,13 +120,17 @@ proptest! {
             Just(AllocKind::Random(3)),
             Just(AllocKind::TreeTiling),
         ],
+        b_exp in 1u32..=6,
+        pool_size in 1usize..8,
     ) {
-        let store = WaveletStore::from_signal(&raw, 8, alloc);
-        let pool = SharedBlockCache::new(4);
-        prop_assert!((store.point_value(t, &pool) - raw[t]).abs() < 1e-8);
+        let coeffs = dwt_full(&raw, &FilterKind::Haar.filter());
+        let store = CoefficientStore::load(&coeffs, 1 << b_exp, alloc, MemDevice::new);
+        let pool = SharedBlockCache::new(pool_size);
+        let sum = |a, b| range_sum(&store, a, b, &pool, &RetryPolicy::none()).estimate;
+        prop_assert!((sum(t, t) - raw[t]).abs() < 1e-8);
         let (a, b) = (range.0.min(range.1), range.0.max(range.1));
         let expect: f64 = raw[a..=b].iter().sum();
-        prop_assert!((store.range_sum(a, b, &pool) - expect).abs() < 1e-7);
+        prop_assert!((sum(a, b) - expect).abs() < 1e-7);
     }
 
     /// Huffman coding round-trips arbitrary symbol streams.
@@ -149,4 +157,58 @@ proptest! {
         let rmse = aims::dsp::quantize::rmse(&signal, &dec);
         prop_assert!(rmse < 1.0, "rmse {}", rmse);
     }
+}
+
+#[test]
+fn lazy_entries_are_the_error_tree_sets_less_their_zero_weights() {
+    // A point query's entries are its whole root-to-leaf path; a range
+    // sum's lie on its two boundary paths, less the ancestors whose Haar
+    // basis sums to zero over the range — and, with them, any block that
+    // held only such ancestors.
+    const N: usize = 4096;
+    let signal: Vec<f64> = (0..N).map(|i| ((i * 7 + 1) % 13) as f64 - 6.0).collect();
+    let coeffs = dwt_full(&signal, &FilterKind::Haar.filter());
+    let mut state = 0x2545_F491_4F6C_DD1D_u64;
+    let mut next = |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state as usize % n
+    };
+    let queries: Vec<(usize, usize, usize)> = (0..200)
+        .map(|_| {
+            let (t, a) = (next(N), next(N));
+            (t, a, a + next(N - a))
+        })
+        .collect();
+    let mut dropped_ancestors = Vec::new();
+    for kind in [AllocKind::Sequential, AllocKind::Random(3), AllocKind::TreeTiling] {
+        let store = CoefficientStore::load(&coeffs, 16, kind, MemDevice::new);
+        let (mut ancestors, mut blocks, mut set_entries, mut set_reads) = (0, 0, 0, 0);
+        for &(t, a, b) in &queries {
+            let (mut point, _) = range_entries(&store, t, t);
+            let mut path = point_query_set(t, N);
+            point.sort_unstable();
+            path.sort_unstable();
+            assert_eq!(point, path, "{kind:?} point {t}");
+
+            let (entries, weights) = range_entries(&store, a, b);
+            let set = range_query_set(a, b, N);
+            assert!(entries.iter().all(|i| set.contains(i)), "{kind:?} [{a}, {b}]");
+            ancestors += set.len() - entries.len();
+            let zeros = vec![0.0; set.len()];
+            let (set, zeros) = store.block_major(set, zeros);
+            let set_blocks = store.plan(&set, &zeros).blocks.len();
+            blocks += set_blocks - store.plan(&entries, &weights).blocks.len();
+            (set_entries, set_reads) = (set_entries + set.len(), set_reads + set_blocks);
+        }
+        eprintln!(
+            "{kind:?}: dropped {ancestors} of {set_entries} range-set entries \
+             (zero-weight ancestors) and {blocks} of {set_reads} block reads"
+        );
+        assert!(ancestors > 0, "{kind:?}: no range query dropped an ancestor");
+        dropped_ancestors.push(ancestors);
+    }
+    // Which entries drop is a property of the query, not the layout.
+    assert!(dropped_ancestors.windows(2).all(|w| w[0] == w[1]), "{dropped_ancestors:?}");
 }
