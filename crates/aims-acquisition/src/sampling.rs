@@ -263,7 +263,8 @@ pub fn sample_stream(
     let native = reference.spec().sample_rate;
     let len = reference.len();
     let channels = reference.channels();
-    let window = ((params.window_s * native) as usize).clamp(16, len);
+    // At least 16 frames a window, but never more than the stream holds.
+    let window = ((params.window_s * native) as usize).max(16).min(len);
 
     let channel_signals: Vec<Vec<f64>> = (0..channels).map(|c| reference.channel(c)).collect();
 

@@ -2,10 +2,7 @@
 
 use std::sync::Arc;
 
-use aims_storage::alloc::{
-    evaluate_allocation, needed_items_upper_bound, Allocation, RandomAlloc, SequentialAlloc,
-    TensorAlloc, TreeTilingAlloc,
-};
+use aims_storage::alloc::{evaluate_allocation, needed_items_upper_bound, Layout, TensorAlloc};
 use aims_storage::error_tree::{point_query_set, range_query_set};
 use aims_storage::store::{AllocKind, CoefficientStore};
 use aims_storage::{Evaluation, MemDevice, RetryPolicy, SharedBlockCache};
@@ -32,12 +29,10 @@ pub fn e4_needed_items_bound() {
         "B", "bound", "tiling", "sequential", "random", "tiling blocks/q"
     );
     for b in [4usize, 8, 16, 32, 64, 128, 256] {
-        let tiling = TreeTilingAlloc::new(n, b);
-        let sequential = SequentialAlloc::new(n, b);
-        let random = RandomAlloc::new(n, b, 5);
-        let (blocks_t, needed_t) = evaluate_allocation(&tiling, &point_queries);
-        let (_, needed_s) = evaluate_allocation(&sequential, &point_queries);
-        let (_, needed_r) = evaluate_allocation(&random, &point_queries);
+        let [tiling, sequential, random] = layouts(n, b);
+        let (blocks_t, needed_t) = evaluate_allocation(|i| tiling.block_of(i), &point_queries);
+        let (_, needed_s) = evaluate_allocation(|i| sequential.block_of(i), &point_queries);
+        let (_, needed_r) = evaluate_allocation(|i| random.block_of(i), &point_queries);
         println!(
             "{:>6} {:>10.2} {:>12.2} {:>12.2} {:>12.2} {:>14.1}",
             b,
@@ -53,17 +48,22 @@ pub fn e4_needed_items_bound() {
     println!("   so needed items per block can exceed the point-query bound) --");
     println!("{:>6} {:>14} {:>14} {:>14}", "B", "tiling blk/q", "seq blk/q", "random blk/q");
     for b in [16usize, 64, 256] {
-        let tiling = TreeTilingAlloc::new(n, b);
-        let sequential = SequentialAlloc::new(n, b);
-        let random = RandomAlloc::new(n, b, 5);
-        let (bt, _) = evaluate_allocation(&tiling, &range_queries);
-        let (bs, _) = evaluate_allocation(&sequential, &range_queries);
-        let (br, _) = evaluate_allocation(&random, &range_queries);
+        let [tiling, sequential, random] = layouts(n, b);
+        let (bt, _) = evaluate_allocation(|i| tiling.block_of(i), &range_queries);
+        let (bs, _) = evaluate_allocation(|i| sequential.block_of(i), &range_queries);
+        let (br, _) = evaluate_allocation(|i| random.block_of(i), &range_queries);
         println!("{b:>6} {bt:>14.1} {bs:>14.1} {br:>14.1}");
     }
     println!("\nshape check: on point queries the tiling column tracks the 1+lg B");
     println!("bound while naive layouts sit near 1-2; on range queries the tiling");
     println!("touches the fewest blocks.");
+}
+
+/// E4's three layouts of `n` coefficients in blocks of `b`: tiling,
+/// sequential, random.
+fn layouts(n: usize, b: usize) -> [Layout; 3] {
+    [AllocKind::TreeTiling, AllocKind::Sequential, AllocKind::Random(5)]
+        .map(|kind| Layout::new(n, b, kind))
 }
 
 /// E5 — "decompose each dimension into optimal virtual blocks, and take
@@ -74,8 +74,8 @@ pub fn e5_tensor_allocation() {
     let side = 256usize;
     let vb = 8usize; // virtual block per dimension → real block 64
     let tensor = TensorAlloc::new(&[side, side], &[vb, vb]);
-    let rowmajor = SequentialAlloc::new(side * side, vb * vb);
-    let random = RandomAlloc::new(side * side, vb * vb, 17);
+    let rowmajor = Layout::new(side * side, vb * vb, AllocKind::Sequential);
+    let random = Layout::new(side * side, vb * vb, AllocKind::Random(17));
 
     // 2-D point queries: tensor products of per-dimension paths.
     let mut queries = Vec::new();
@@ -93,36 +93,15 @@ pub fn e5_tensor_allocation() {
     }
 
     println!("{:>14} {:>14} {:>18}", "allocation", "blocks/query", "needed items/block");
-    for (name, alloc) in [
-        ("tensor tiling", &tensor as &dyn Allocation),
-        ("row-major", &rowmajor as &dyn Allocation),
-        ("random", &random as &dyn Allocation),
+    for (name, (blocks, needed)) in [
+        ("tensor tiling", evaluate_allocation(|i| tensor.block_of(i), &queries)),
+        ("row-major", evaluate_allocation(|i| rowmajor.block_of(i), &queries)),
+        ("random", evaluate_allocation(|i| random.block_of(i), &queries)),
     ] {
-        let (blocks, needed) = evaluate_dyn(alloc, &queries);
         println!("{name:>14} {blocks:>14.1} {needed:>18.2}");
     }
     println!("\nshape check: tensor tiling touches several-fold fewer blocks per 2-D");
     println!("point query, with correspondingly more needed items per block.");
-}
-
-fn evaluate_dyn(alloc: &dyn Allocation, queries: &[Vec<usize>]) -> (f64, f64) {
-    // evaluate_allocation is generic; adapt via a thin wrapper.
-    struct Dyn<'a>(&'a dyn Allocation);
-    impl Allocation for Dyn<'_> {
-        fn block_of(&self, i: usize) -> usize {
-            self.0.block_of(i)
-        }
-        fn num_blocks(&self) -> usize {
-            self.0.num_blocks()
-        }
-        fn block_size(&self) -> usize {
-            self.0.block_size()
-        }
-        fn num_coefficients(&self) -> usize {
-            self.0.num_coefficients()
-        }
-    }
-    evaluate_allocation(&Dyn(alloc), queries)
 }
 
 /// E6 — "perform the most valuable I/O's first and deliver approximate

@@ -1,4 +1,4 @@
-//! Coefficient-to-block allocation strategies.
+//! The coefficient → (block, offset) rule.
 //!
 //! The heart of §3.2.1: pack wavelet coefficients into size-`B` disk blocks
 //! so that the ancestor-closed access sets of point/range queries touch as
@@ -8,39 +8,274 @@
 //! proposed allocation is an *optimal tiling of the one-dimensional wavelet
 //! error tree*, extended to multivariate data by taking Cartesian products
 //! of the per-dimension virtual blocks.
+//!
+//! One [`Layout`] per `(n, B, AllocKind)` is that rule for every store:
+//! `Sequential` and `TreeTiling` are arithmetic over the coefficient index
+//! (nothing resident per coefficient), `Random` — a baseline only — keeps
+//! its permutation. [`TensorAlloc`] is the Cartesian product of
+//! per-dimension tiling layouts, and [`evaluate_allocation`] scores any
+//! `block_of` rule against a query workload.
 
-/// A total map from coefficient indices to block ids.
-pub trait Allocation {
-    /// Block holding coefficient `i`.
-    fn block_of(&self, i: usize) -> usize;
+use std::borrow::Cow;
 
-    /// Number of blocks used.
-    fn num_blocks(&self) -> usize;
+/// Which allocation strategy a store uses.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AllocKind {
+    /// Flat-layout order.
+    Sequential,
+    /// Seeded random placement.
+    Random(u64),
+    /// Error-tree tiling (the paper's allocation).
+    TreeTiling,
+}
 
-    /// Items per block.
-    fn block_size(&self) -> usize;
+/// Where each of `n` coefficients lives: its block and its offset in that
+/// block. Inside a block, coefficients sit in ascending index order.
+#[derive(Clone, Debug)]
+pub struct Layout {
+    n: usize,
+    block_size: usize,
+    blocks: usize,
+    rule: Rule,
+}
 
-    /// Number of coefficients mapped.
-    fn num_coefficients(&self) -> usize;
+#[derive(Clone, Debug)]
+enum Rule {
+    /// `i → (i / B, i % B)`. The flat layout is level-major, so an
+    /// error-tree path scatters across blocks.
+    Sequential,
+    /// Optimal tiling of the error tree into height-`tile` subtrees.
+    ///
+    /// Block 0 packs the approximation root together with the top
+    /// `top` levels of the detail tree (nodes `0..2^top`, at offset `i`).
+    /// Every other block is one complete subtree of height `tile = lg B`
+    /// rooted at detail depth `top + k·tile` (`B − 1` nodes, one slot
+    /// spare); full tiles are aligned to the leaves, so `top` is the
+    /// remainder `lg n mod lg B` (or `lg B`) and at most one block is
+    /// partial. A root-to-leaf path crosses one block per `lg B` levels, so
+    /// each retrieved block supplies ~`lg B` needed coefficients — right
+    /// at the `1 + lg B` bound. When `B > n` the whole tree is block 0.
+    TreeTiling { tile: u32, top: u32 },
+    /// A seeded pseudo-random permutation chopped into blocks — the "no
+    /// locality at all" floor — materialised as `(block, offset)` per
+    /// coefficient.
+    Random(Vec<(usize, usize)>),
+}
 
-    /// The coefficients stored in block `b` (default: scan).
-    fn block_contents(&self, b: usize) -> Vec<usize> {
-        (0..self.num_coefficients()).filter(|&i| self.block_of(i) == b).collect()
+impl Layout {
+    /// The layout of `n` coefficients in blocks of `block_size` under
+    /// `kind`.
+    ///
+    /// # Panics
+    /// If `n` or `block_size` is zero, or, for `TreeTiling`, if `n` is
+    /// not a power of two or `block_size` is not a power of two ≥ 2.
+    pub fn new(n: usize, block_size: usize, kind: AllocKind) -> Layout {
+        assert!(block_size > 0 && n > 0, "need positive n and block size");
+        let (blocks, rule) = match kind {
+            AllocKind::Sequential => (n.div_ceil(block_size), Rule::Sequential),
+            AllocKind::TreeTiling => {
+                assert!(n.is_power_of_two(), "n must be a power of two, got {n}");
+                assert!(
+                    block_size.is_power_of_two() && block_size >= 2,
+                    "block size must be a power of two ≥ 2, got {block_size}"
+                );
+                let (depths, tile) = (n.trailing_zeros(), block_size.trailing_zeros());
+                let top = match depths % tile {
+                    0 => tile,
+                    rem => rem,
+                };
+                let rule = Rule::TreeTiling { tile, top };
+                (tiling_layer_start(tile, top, depths.saturating_sub(top) / tile), rule)
+            }
+            AllocKind::Random(seed) => {
+                let mut perm: Vec<usize> = (0..n).collect();
+                // Fisher–Yates with an xorshift generator (deterministic, no deps).
+                let mut state = seed.wrapping_mul(6364136223846793005).max(1);
+                for i in (1..n).rev() {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let j = (state % (i as u64 + 1)) as usize;
+                    perm.swap(i, j);
+                }
+                // Each block takes a chunk of the permutation, in ascending
+                // index order.
+                let mut table = vec![(0, 0); n];
+                for (b, chunk) in perm.chunks_mut(block_size).enumerate() {
+                    chunk.sort_unstable();
+                    for (off, &coeff) in chunk.iter().enumerate() {
+                        table[coeff] = (b, off);
+                    }
+                }
+                (n.div_ceil(block_size), Rule::Random(table))
+            }
+        };
+        Layout { n, block_size, blocks, rule }
+    }
+
+    /// Coefficients mapped.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Layouts are never empty.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Number of blocks the coefficients occupy.
+    pub fn num_blocks(&self) -> usize {
+        self.blocks
+    }
+
+    /// Whether block-major order is plain ascending index order
+    /// (`Sequential`).
+    #[inline]
+    pub(crate) fn is_sequential(&self) -> bool {
+        matches!(self.rule, Rule::Sequential)
+    }
+
+    /// `(block, offset)` of coefficient `i` (`i < n`).
+    #[inline]
+    fn slot(&self, i: usize) -> (usize, usize) {
+        match &self.rule {
+            Rule::Sequential => (i / self.block_size, i % self.block_size),
+            Rule::Random(table) => table[i],
+            &Rule::TreeTiling { tile, top } => {
+                if i < 1 << top {
+                    return (0, i);
+                }
+                // Detail node i sits at depth ⌊lg i⌋ (node 1 is depth 0);
+                // its tile's root r is its ancestor `l` levels up.
+                let depth = i.ilog2();
+                let layer = (depth - top) / tile;
+                let root_depth = top + layer * tile;
+                let l = depth - root_depth;
+                let root = i >> l;
+                let block = tiling_layer_start(tile, top, layer) + root - (1 << root_depth);
+                (block, (1 << l) - 1 + i - (root << l))
+            }
+        }
+    }
+
+    /// The block coefficient `i` lives in.
+    #[inline]
+    pub fn block_of(&self, i: usize) -> usize {
+        debug_assert!(i < self.n, "coefficient {i} out of range");
+        self.slot(i).0
+    }
+
+    /// Offset of coefficient `i` inside `block`; `None` when it lives in
+    /// another block. Division-free under `Sequential`: this is the fold's
+    /// inner loop.
+    #[inline]
+    pub fn offset_in(&self, i: usize, block: usize) -> Option<usize> {
+        debug_assert!(i < self.n, "coefficient {i} out of range");
+        match self.rule {
+            Rule::Sequential => {
+                i.checked_sub(block * self.block_size).filter(|&off| off < self.block_size)
+            }
+            _ => {
+                let (b, off) = self.slot(i);
+                (b == block).then_some(off)
+            }
+        }
+    }
+
+    /// `coeffs` (one per coefficient) in device order: block `b` is
+    /// `image[b·B .. (b+1)·B]`, the last block possibly short; a slot no
+    /// coefficient fills is `0.0`.
+    ///
+    /// # Panics
+    /// If `coeffs` does not hold one value per coefficient.
+    pub fn image<'a>(&self, coeffs: &'a [f64]) -> Cow<'a, [f64]> {
+        assert_eq!(coeffs.len(), self.n, "one value per coefficient");
+        if self.is_sequential() {
+            return Cow::Borrowed(coeffs);
+        }
+        let mut image = vec![0.0; self.blocks * self.block_size];
+        for (i, &c) in coeffs.iter().enumerate() {
+            let (b, off) = self.slot(i);
+            image[b * self.block_size + off] = c;
+        }
+        Cow::Owned(image)
     }
 }
 
-/// Evaluates an allocation against a query workload: returns
+/// First block of tiling layer `k` (the tiles rooted at detail depth
+/// `top + k·tile`): block 0 is the top tile, and each layer holds one tile
+/// per node at its root depth, so layer `k` starts after
+/// `Σ_{j<k} 2^(top + j·tile) = 2^top · (2^(k·tile) − 1) / (2^tile − 1)`
+/// blocks. At `k` = the layer count this is the number of blocks.
+fn tiling_layer_start(tile: u32, top: u32, k: u32) -> usize {
+    1 + ((1usize << top) * ((1usize << (k * tile)) - 1)) / ((1usize << tile) - 1)
+}
+
+/// Tensor-product allocation for a row-major multidimensional coefficient
+/// grid: "decompose each dimension into optimal virtual blocks, and take
+/// the Cartesian products of these virtual blocks to be our actual
+/// blocks" (§3.2.1).
+#[derive(Clone, Debug)]
+pub struct TensorAlloc {
+    /// Per dimension, its tiling layout (its `len` is the extent).
+    per_dim: Vec<Layout>,
+    blocks: usize,
+}
+
+impl TensorAlloc {
+    /// Creates a tensor allocation over a grid with the given power-of-two
+    /// `dims`, tiling dimension `k` into virtual blocks of `b_k` (so the
+    /// real block size is `∏ b_k`).
+    ///
+    /// # Panics
+    /// If the lengths differ, `dims` is empty, or a `(dims[k], b_k)` pair
+    /// is invalid for a `TreeTiling` [`Layout`].
+    pub fn new(dims: &[usize], virtual_block: &[usize]) -> Self {
+        assert_eq!(dims.len(), virtual_block.len(), "dims/virtual_block length mismatch");
+        assert!(!dims.is_empty(), "need at least one dimension");
+        let per_dim: Vec<Layout> = dims
+            .iter()
+            .zip(virtual_block)
+            .map(|(&n, &b)| Layout::new(n, b, AllocKind::TreeTiling))
+            .collect();
+        let blocks = per_dim.iter().map(Layout::num_blocks).product();
+        TensorAlloc { per_dim, blocks }
+    }
+
+    /// Block of the coefficient at row-major flat index `i`: the per-
+    /// dimension blocks of its multi-index, themselves taken row-major.
+    pub fn block_of(&self, i: usize) -> usize {
+        let (mut rem, mut block, mut stride) = (i, 0, 1);
+        for layout in self.per_dim.iter().rev() {
+            block += layout.block_of(rem % layout.len()) * stride;
+            rem /= layout.len();
+            stride *= layout.num_blocks();
+        }
+        block
+    }
+
+    /// Number of blocks used.
+    pub fn num_blocks(&self) -> usize {
+        self.blocks
+    }
+}
+
+/// Evaluates the allocation `block_of` against a query workload: returns
 /// `(avg blocks touched per query, avg needed items per retrieved block)`.
 ///
 /// The second number is the paper's success metric; the tiling allocation
 /// should push it toward `1 + lg B` while naive layouts sit near 1.
-pub fn evaluate_allocation<A: Allocation>(alloc: &A, queries: &[Vec<usize>]) -> (f64, f64) {
+pub fn evaluate_allocation(
+    block_of: impl Fn(usize) -> usize,
+    queries: &[Vec<usize>],
+) -> (f64, f64) {
     assert!(!queries.is_empty(), "need at least one query");
     let mut total_blocks = 0usize;
     let mut total_needed_per_block = 0.0;
     for q in queries {
         assert!(!q.is_empty(), "empty query set");
-        let mut blocks: Vec<usize> = q.iter().map(|&i| alloc.block_of(i)).collect();
+        let mut blocks: Vec<usize> = q.iter().map(|&i| block_of(i)).collect();
         blocks.sort_unstable();
         blocks.dedup();
         total_blocks += blocks.len();
@@ -55,336 +290,80 @@ pub fn needed_items_upper_bound(block_size: usize) -> f64 {
     1.0 + (block_size as f64).log2()
 }
 
-/// Baseline: coefficients packed in flat-layout order (`i / B`). Because
-/// the flat layout is level-major, an error-tree path scatters across
-/// blocks.
-#[derive(Clone, Debug)]
-pub struct SequentialAlloc {
-    n: usize,
-    block_size: usize,
-}
-
-impl SequentialAlloc {
-    /// Creates the layout for `n` coefficients and block size `b`.
-    ///
-    /// # Panics
-    /// If `b == 0` or `n == 0`.
-    pub fn new(n: usize, b: usize) -> Self {
-        assert!(b > 0 && n > 0, "need positive n and block size");
-        SequentialAlloc { n, block_size: b }
-    }
-}
-
-impl Allocation for SequentialAlloc {
-    fn block_of(&self, i: usize) -> usize {
-        assert!(i < self.n, "coefficient {i} out of range");
-        i / self.block_size
-    }
-    fn num_blocks(&self) -> usize {
-        self.n.div_ceil(self.block_size)
-    }
-    fn block_size(&self) -> usize {
-        self.block_size
-    }
-    fn num_coefficients(&self) -> usize {
-        self.n
-    }
-}
-
-/// Baseline: a seeded pseudo-random permutation chopped into blocks — the
-/// "no locality at all" floor.
-#[derive(Clone, Debug)]
-pub struct RandomAlloc {
-    assignment: Vec<usize>,
-    block_size: usize,
-    blocks: usize,
-}
-
-impl RandomAlloc {
-    /// Creates a random assignment of `n` coefficients into blocks of `b`.
-    pub fn new(n: usize, b: usize, seed: u64) -> Self {
-        assert!(b > 0 && n > 0, "need positive n and block size");
-        let mut perm: Vec<usize> = (0..n).collect();
-        // Fisher–Yates with an xorshift generator (deterministic, no deps).
-        let mut state = seed.wrapping_mul(6364136223846793005).max(1);
-        for i in (1..n).rev() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let j = (state % (i as u64 + 1)) as usize;
-            perm.swap(i, j);
-        }
-        let mut assignment = vec![0usize; n];
-        for (pos, &coeff) in perm.iter().enumerate() {
-            assignment[coeff] = pos / b;
-        }
-        RandomAlloc { assignment, block_size: b, blocks: n.div_ceil(b) }
-    }
-}
-
-impl Allocation for RandomAlloc {
-    fn block_of(&self, i: usize) -> usize {
-        self.assignment[i]
-    }
-    fn num_blocks(&self) -> usize {
-        self.blocks
-    }
-    fn block_size(&self) -> usize {
-        self.block_size
-    }
-    fn num_coefficients(&self) -> usize {
-        self.assignment.len()
-    }
-}
-
-/// The paper's allocation: optimal tiling of the error tree into
-/// height-`lg B` subtrees.
-///
-/// Block 0 packs the approximation root together with the complete top
-/// subtree of the detail tree (nodes `0..B`). Every other block is a
-/// complete subtree of height `lg B` rooted at depth `k·lg B` of the
-/// detail tree (`B − 1` nodes, one slot spare). A root-to-leaf dependency
-/// path then crosses only one block per `lg B` levels, so each retrieved
-/// block supplies ~`lg B` needed coefficients — right at the
-/// `1 + lg B` bound.
-#[derive(Clone, Debug)]
-pub struct TreeTilingAlloc {
-    n: usize,
-    block_size: usize,
-    tile_height: usize,
-    /// Height of the top (root-packed) tile: `lg n mod lg B`, or `lg B`
-    /// when the depths divide evenly. Keeping the partial tile at the top
-    /// (instead of the leaves) wastes at most one block.
-    top_height: usize,
-    /// Starting block id of each full-height tile layer; entry `k` is the
-    /// layer whose tile roots sit at detail depth `top_height + k·h`.
-    layer_offsets: Vec<usize>,
-    blocks: usize,
-}
-
-impl TreeTilingAlloc {
-    /// Creates the tiling for `n` coefficients (power of two) and block
-    /// size `b` (power of two, `2 ≤ b ≤ n`).
-    ///
-    /// # Panics
-    /// On non-power-of-two arguments or `b > n` or `b < 2`.
-    pub fn new(n: usize, b: usize) -> Self {
-        assert!(n.is_power_of_two() && n >= 2, "n must be a power of two ≥ 2");
-        assert!(b.is_power_of_two() && b >= 2, "block size must be a power of two ≥ 2");
-        assert!(b <= n, "block size {b} exceeds coefficient count {n}");
-        let h = b.trailing_zeros() as usize;
-        let depths = n.trailing_zeros() as usize; // detail depths 0..depths
-
-        // Align full tiles to the leaves: the top tile absorbs the
-        // remainder (and the approximation root).
-        let rem = depths % h;
-        let top = if rem == 0 { h } else { rem };
-
-        let mut layer_offsets = Vec::new();
-        let mut next_block = 1usize; // block 0 = top tile
-        let mut depth = top;
-        while depth < depths {
-            layer_offsets.push(next_block);
-            next_block += 1 << depth; // one tile per node at this depth
-            depth += h;
-        }
-        TreeTilingAlloc {
-            n,
-            block_size: b,
-            tile_height: h,
-            top_height: top,
-            layer_offsets,
-            blocks: next_block,
-        }
-    }
-
-    /// Height (levels) of the full tiles.
-    pub fn tile_height(&self) -> usize {
-        self.tile_height
-    }
-}
-
-impl Allocation for TreeTilingAlloc {
-    fn block_of(&self, i: usize) -> usize {
-        assert!(i < self.n, "coefficient {i} out of range");
-        // Top tile: root 0 plus detail nodes of depth < top_height, i.e.
-        // flat indices below 2^top_height.
-        if i < (1 << self.top_height) {
-            return 0;
-        }
-        // Depth of detail node i (node 1 is depth 0) = ⌊log2 i⌋.
-        let depth = (usize::BITS - 1 - i.leading_zeros()) as usize;
-        let layer = (depth - self.top_height) / self.tile_height;
-        let tile_root_depth = self.top_height + layer * self.tile_height;
-        let ancestor = i >> (depth - tile_root_depth);
-        let first_at_depth = 1usize << tile_root_depth;
-        self.layer_offsets[layer] + (ancestor - first_at_depth)
-    }
-
-    fn num_blocks(&self) -> usize {
-        self.blocks
-    }
-    fn block_size(&self) -> usize {
-        self.block_size
-    }
-    fn num_coefficients(&self) -> usize {
-        self.n
-    }
-}
-
-/// Tensor-product allocation for a multidimensional coefficient grid:
-/// "decompose each dimension into optimal virtual blocks, and take the
-/// Cartesian products of these virtual blocks to be our actual blocks"
-/// (§3.2.1).
-#[derive(Clone, Debug)]
-pub struct TensorAlloc {
-    dims: Vec<usize>,
-    per_dim: Vec<TreeTilingAlloc>,
-    strides: Vec<usize>,
-    block_strides: Vec<usize>,
-    blocks: usize,
-}
-
-impl TensorAlloc {
-    /// Creates a tensor allocation over a grid with the given power-of-two
-    /// `dims`, using a per-dimension virtual block size `b_k` (so the real
-    /// block size is `∏ b_k`).
-    ///
-    /// # Panics
-    /// If dims/virtual sizes are invalid for [`TreeTilingAlloc`].
-    pub fn new(dims: &[usize], virtual_block: &[usize]) -> Self {
-        assert_eq!(dims.len(), virtual_block.len(), "dims/virtual_block length mismatch");
-        assert!(!dims.is_empty(), "need at least one dimension");
-        let per_dim: Vec<TreeTilingAlloc> =
-            dims.iter().zip(virtual_block).map(|(&n, &b)| TreeTilingAlloc::new(n, b)).collect();
-        let mut strides = vec![1usize; dims.len()];
-        for a in (0..dims.len() - 1).rev() {
-            strides[a] = strides[a + 1] * dims[a + 1];
-        }
-        let mut block_strides = vec![1usize; dims.len()];
-        for a in (0..dims.len() - 1).rev() {
-            block_strides[a] = block_strides[a + 1] * per_dim[a + 1].num_blocks();
-        }
-        let blocks = block_strides[0] * per_dim[0].num_blocks();
-        TensorAlloc { dims: dims.to_vec(), per_dim, strides, block_strides, blocks }
-    }
-
-    /// Block of the coefficient at the given multi-index.
-    pub fn block_of_index(&self, index: &[usize]) -> usize {
-        assert_eq!(index.len(), self.dims.len(), "index arity mismatch");
-        index
-            .iter()
-            .zip(&self.per_dim)
-            .zip(&self.block_strides)
-            .map(|((&i, alloc), &stride)| alloc.block_of(i) * stride)
-            .sum()
-    }
-
-    /// Grid dimensions.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    /// Real block size (product of the virtual per-dimension sizes).
-    pub fn real_block_size(&self) -> usize {
-        self.per_dim.iter().map(|a| a.block_size()).product()
-    }
-}
-
-impl Allocation for TensorAlloc {
-    fn block_of(&self, i: usize) -> usize {
-        // Unflatten the row-major index.
-        let mut rem = i;
-        let idx: Vec<usize> = self
-            .strides
-            .iter()
-            .map(|&s| {
-                let q = rem / s;
-                rem %= s;
-                q
-            })
-            .collect();
-        self.block_of_index(&idx)
-    }
-    fn num_blocks(&self) -> usize {
-        self.blocks
-    }
-    fn block_size(&self) -> usize {
-        self.real_block_size()
-    }
-    fn num_coefficients(&self) -> usize {
-        self.dims.iter().product()
-    }
-}
-
-/// Convenience: check an allocation assigns every coefficient to exactly
-/// one in-range block and never overfills a block (allowing the tiling's
-/// one-spare-slot slack).
-pub fn validate_allocation<A: Allocation>(alloc: &A) -> Result<(), String> {
-    let mut fill = vec![0usize; alloc.num_blocks()];
-    for i in 0..alloc.num_coefficients() {
-        let b = alloc.block_of(i);
-        if b >= alloc.num_blocks() {
-            return Err(format!("coefficient {i} mapped to out-of-range block {b}"));
-        }
-        fill[b] += 1;
-        if fill[b] > alloc.block_size() {
-            return Err(format!("block {b} overfilled beyond {}", alloc.block_size()));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error_tree::{point_query_set, range_query_set, ErrorTree};
 
-    #[test]
-    fn sequential_mapping() {
-        let a = SequentialAlloc::new(16, 4);
-        assert_eq!(a.block_of(0), 0);
-        assert_eq!(a.block_of(5), 1);
-        assert_eq!(a.block_of(15), 3);
-        assert_eq!(a.num_blocks(), 4);
-        validate_allocation(&a).unwrap();
-        assert_eq!(a.block_contents(1), vec![4, 5, 6, 7]);
+    fn tiling(n: usize, b: usize) -> Layout {
+        Layout::new(n, b, AllocKind::TreeTiling)
+    }
+
+    /// The coefficients of block `b`, ascending.
+    fn contents(layout: &Layout, b: usize) -> Vec<usize> {
+        (0..layout.len()).filter(|&i| layout.block_of(i) == b).collect()
     }
 
     #[test]
-    fn random_alloc_is_valid_and_deterministic() {
-        let a = RandomAlloc::new(64, 8, 5);
-        let b = RandomAlloc::new(64, 8, 5);
-        validate_allocation(&a).unwrap();
+    fn sequential_mapping() {
+        let a = Layout::new(16, 4, AllocKind::Sequential);
+        assert_eq!(a.block_of(0), 0);
+        assert_eq!(a.block_of(5), 1);
+        assert_eq!(a.block_of(15), 3);
+        assert_eq!(
+            (a.offset_in(5, 1), a.offset_in(5, 0), a.offset_in(5, 2)),
+            (Some(1), None, None)
+        );
+        assert_eq!(a.num_blocks(), 4);
+        assert_eq!(contents(&a, 1), vec![4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn random_layout_is_deterministic_per_seed() {
+        let (a, b) =
+            (Layout::new(64, 8, AllocKind::Random(5)), Layout::new(64, 8, AllocKind::Random(5)));
         for i in 0..64 {
             assert_eq!(a.block_of(i), b.block_of(i));
         }
-        let c = RandomAlloc::new(64, 8, 6);
+        assert!((0..8).all(|blk| contents(&a, blk).len() == 8));
+        let c = Layout::new(64, 8, AllocKind::Random(6));
         assert!((0..64).any(|i| a.block_of(i) != c.block_of(i)));
     }
 
     #[test]
     fn tiling_top_block_packs_root_subtree() {
-        let a = TreeTilingAlloc::new(64, 8);
-        for i in 0..8 {
-            assert_eq!(a.block_of(i), 0, "node {i}");
+        let a = tiling(64, 8);
+        assert_eq!(contents(&a, 0), (0..8).collect::<Vec<_>>());
+        assert!((0..8).all(|i| a.offset_in(i, 0) == Some(i)));
+        // Node 8 roots the first full tile: offset 0, its children 1 and 2.
+        let b = a.block_of(8);
+        assert_eq!(
+            [8, 16, 17, 32].map(|i| a.offset_in(i, b)),
+            [Some(0), Some(1), Some(2), Some(3)]
+        );
+        assert_eq!(a.num_blocks(), 9);
+    }
+
+    #[test]
+    fn tiling_takes_a_block_larger_than_the_signal_as_one_block() {
+        for n in [1usize, 2, 8] {
+            let a = tiling(n, 16);
+            assert_eq!(a.num_blocks(), 1, "n = {n}");
+            assert!((0..n).all(|i| a.offset_in(i, 0) == Some(i)), "n = {n}");
         }
-        assert_eq!(a.tile_height(), 3);
-        validate_allocation(&a).unwrap();
     }
 
     #[test]
     fn tiling_blocks_are_subtrees() {
-        let a = TreeTilingAlloc::new(256, 16); // h = 4, depths 0..=7
-        validate_allocation(&a).unwrap();
+        let a = tiling(256, 16); // h = 4, depths 0..=7
         let tree = ErrorTree::new(256);
         // Within any non-root block, the nodes form one subtree: they share
         // a unique minimum element whose descendants they all are.
         for b in 1..a.num_blocks() {
-            let contents = a.block_contents(b);
+            let contents = contents(&a, b);
             assert!(!contents.is_empty(), "block {b} empty");
             assert!(contents.len() <= 16);
-            let root = *contents.iter().min().unwrap();
+            let root = contents[0];
             for &i in &contents {
                 // Walk ancestors of i; must reach `root` within the tile.
                 let mut j = i;
@@ -408,14 +387,14 @@ mod tests {
     fn tiling_point_queries_approach_the_bound() {
         let n = 1 << 14;
         let b = 32; // h = 5
-        let tiling = TreeTilingAlloc::new(n, b);
-        let sequential = SequentialAlloc::new(n, b);
-        let random = RandomAlloc::new(n, b, 9);
+        let tiling = tiling(n, b);
+        let sequential = Layout::new(n, b, AllocKind::Sequential);
+        let random = Layout::new(n, b, AllocKind::Random(9));
         let queries: Vec<Vec<usize>> = (0..200).map(|k| point_query_set((k * 71) % n, n)).collect();
 
-        let (_, needed_tiling) = evaluate_allocation(&tiling, &queries);
-        let (_, needed_seq) = evaluate_allocation(&sequential, &queries);
-        let (_, needed_rand) = evaluate_allocation(&random, &queries);
+        let (_, needed_tiling) = evaluate_allocation(|i| tiling.block_of(i), &queries);
+        let (_, needed_seq) = evaluate_allocation(|i| sequential.block_of(i), &queries);
+        let (_, needed_rand) = evaluate_allocation(|i| random.block_of(i), &queries);
         let bound = needed_items_upper_bound(b);
 
         assert!(needed_tiling <= bound, "tiling {needed_tiling} exceeds bound {bound}");
@@ -428,16 +407,16 @@ mod tests {
     fn tiling_range_queries_beat_sequential() {
         let n = 1 << 12;
         let b = 16;
-        let tiling = TreeTilingAlloc::new(n, b);
-        let sequential = SequentialAlloc::new(n, b);
+        let tiling = tiling(n, b);
+        let sequential = Layout::new(n, b, AllocKind::Sequential);
         let queries: Vec<Vec<usize>> = (0..100)
             .map(|k| {
                 let a = (k * 37) % (n / 2);
                 range_query_set(a, a + n / 3, n)
             })
             .collect();
-        let (blocks_tiling, _) = evaluate_allocation(&tiling, &queries);
-        let (blocks_seq, _) = evaluate_allocation(&sequential, &queries);
+        let (blocks_tiling, _) = evaluate_allocation(|i| tiling.block_of(i), &queries);
+        let (blocks_seq, _) = evaluate_allocation(|i| sequential.block_of(i), &queries);
         assert!(
             blocks_tiling < blocks_seq,
             "tiling touches {blocks_tiling} blocks vs sequential {blocks_seq}"
@@ -448,7 +427,7 @@ mod tests {
     fn tiling_block_count_is_near_minimal() {
         let n = 1 << 10;
         let b = 8;
-        let a = TreeTilingAlloc::new(n, b);
+        let a = tiling(n, b);
         // Minimum possible blocks = n/b; tiling wastes ≤1 slot per block.
         let min_blocks = n / b;
         assert!(a.num_blocks() >= min_blocks);
@@ -462,14 +441,17 @@ mod tests {
     #[test]
     fn tensor_alloc_combines_dimensions() {
         let t = TensorAlloc::new(&[16, 16], &[4, 4]);
-        assert_eq!(t.real_block_size(), 16);
-        validate_allocation(&t).unwrap();
+        let a1 = tiling(16, 4);
+        assert_eq!(t.num_blocks(), a1.num_blocks() * a1.num_blocks());
+        let mut fill = vec![0usize; t.num_blocks()];
+        for i in 0..256 {
+            fill[t.block_of(i)] += 1;
+        }
+        assert!(fill.iter().all(|&f| f <= 16), "a real block holds at most 4 × 4");
         // Block of (i,j) = per-dim blocks combined.
-        let a1 = TreeTilingAlloc::new(16, 4);
         for i in [0usize, 3, 7, 15] {
             for j in [0usize, 5, 12] {
                 let expect = a1.block_of(i) * a1.num_blocks() + a1.block_of(j);
-                assert_eq!(t.block_of_index(&[i, j]), expect);
                 assert_eq!(t.block_of(i * 16 + j), expect);
             }
         }
@@ -480,7 +462,7 @@ mod tests {
         // 2-D grid 64×64, block 16 (4×4 virtual).
         let dims = [64usize, 64];
         let tensor = TensorAlloc::new(&dims, &[4, 4]);
-        let seq = SequentialAlloc::new(64 * 64, 16);
+        let seq = Layout::new(64 * 64, 16, AllocKind::Sequential);
         // Point query in 2-D standard decomposition: path(i) × path(j).
         let mut queries = Vec::new();
         for k in 0..50 {
@@ -495,8 +477,8 @@ mod tests {
             }
             queries.push(q);
         }
-        let (blocks_tensor, needed_tensor) = evaluate_allocation(&tensor, &queries);
-        let (blocks_seq, needed_seq) = evaluate_allocation(&seq, &queries);
+        let (blocks_tensor, needed_tensor) = evaluate_allocation(|i| tensor.block_of(i), &queries);
+        let (blocks_seq, needed_seq) = evaluate_allocation(|i| seq.block_of(i), &queries);
         assert!(blocks_tensor < blocks_seq, "{blocks_tensor} !< {blocks_seq}");
         assert!(needed_tensor > needed_seq, "{needed_tensor} !> {needed_seq}");
     }
@@ -510,6 +492,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn tiling_rejects_bad_block_size() {
-        TreeTilingAlloc::new(64, 6);
+        tiling(64, 6);
     }
 }

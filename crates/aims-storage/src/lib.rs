@@ -24,9 +24,11 @@
 //!   the device once.
 //! - [`error_tree`]: the dependency structure of the flat DWT layout and
 //!   the ancestor-closed access sets of point and range queries.
-//! - [`alloc`]: block-allocation strategies — sequential, random,
-//!   level-major baselines and the paper's error-tree tiling — plus the
-//!   tensor-product extension to multidimensional coefficient grids.
+//! - [`alloc`]: the one coefficient → (block, offset) rule, [`Layout`]:
+//!   the paper's error-tree tiling (computed from the node index, nothing
+//!   resident) and the sequential and random baselines — plus the
+//!   tensor-product extension to multidimensional coefficient grids
+//!   ([`TensorAlloc`]).
 //! - [`progressive`]: importance-ordered block retrieval ("perform the
 //!   most valuable I/O's first and deliver approximate results
 //!   progressively") — the [`BlockPlan`] that prices a query's blocks,
@@ -54,7 +56,7 @@ pub mod file;
 pub mod progressive;
 pub mod store;
 
-pub use alloc::{Allocation, RandomAlloc, SequentialAlloc, TreeTilingAlloc};
+pub use alloc::{Layout, TensorAlloc};
 pub use cache::{BlockFetch, CacheStats, SharedBlockCache};
 pub use device::{
     block_digest, read_with_retry, BlockDevice, DeviceStats, MemDevice, RawMedia, ReadError,

@@ -4,13 +4,14 @@
 //! under a chosen allocation, and a linear query `Σ wᵢ·cᵢ` over it is
 //! answered by fetching only the blocks its entries touch through a block
 //! cache — with every block I/O accounted. [`CoefficientStore`] is the one
-//! implementation of that: the coefficient → (block, offset) rule, the
-//! per-block `Σ c²` energy catalog, load, reopen, and the evaluation
-//! `plan → fetch → fold → bound`, in plan order (`evaluate`) or
-//! most-valuable-block-first (`progressive`), both through one
-//! [`Evaluation`]. A query arrives as its entries `(index, weight)`, put
-//! into the store's fold order by [`CoefficientStore::block_major`];
-//! [`BlockPlan::group`] prices the blocks they need. Cube range sums, and
+//! implementation of that: the allocation's [`Layout`] (its coefficient →
+//! (block, offset) rule), the per-block `Σ c²` energy catalog, load,
+//! reopen, and the evaluation `plan → fetch → fold → bound`, in plan
+//! order (`evaluate`) or most-valuable-block-first (`progressive`), both
+//! through one [`Evaluation`]. A query arrives as its entries `(index,
+//! weight)`, put into the store's fold order by
+//! [`CoefficientStore::block_major`]; [`BlockPlan::group`] prices the
+//! blocks they need. Cube range sums, and
 //! a 1-D signal's range and point queries (the 1-D COUNT over the range,
 //! the signal being a one-dimensional cube under Haar), are all planned
 //! by `aims_propolyne::engine::prepare`.
@@ -36,98 +37,16 @@
 //! is deterministic (independent of cache state and fetch history) and
 //! exact to rounding.
 
-use std::borrow::Cow;
 use std::io;
 use std::sync::Arc;
 
 use aims_telemetry::{counter, histogram_f64};
 
-use crate::alloc::{Allocation, RandomAlloc, TreeTilingAlloc};
+pub use crate::alloc::AllocKind;
+use crate::alloc::Layout;
 use crate::cache::SharedBlockCache;
 use crate::device::{BlockDevice, DeviceStats, MemDevice, RetryPolicy};
 use crate::progressive::{BlockPlan, Evaluation, ProgressPoint};
-
-/// Which allocation strategy a store uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AllocKind {
-    /// Flat-layout order.
-    Sequential,
-    /// Seeded random placement.
-    Random(u64),
-    /// Error-tree tiling (the paper's allocation).
-    TreeTiling,
-}
-
-/// The coefficient → (block, offset) rule of one store.
-#[derive(Debug)]
-enum Layout {
-    /// `i → (i / B, i % B)`: arithmetic, nothing resident.
-    Sequential { block_size: usize },
-    /// Any other allocation, materialised per coefficient.
-    Table(Vec<(usize, usize)>),
-}
-
-impl Layout {
-    /// The layout of `n` coefficients and the number of blocks it fills —
-    /// pure functions of `(n, block_size, kind)`. Slots are assigned in
-    /// ascending coefficient index within each block.
-    fn new(n: usize, block_size: usize, kind: AllocKind) -> (Layout, usize) {
-        let alloc: Box<dyn Allocation> = match kind {
-            AllocKind::Sequential => {
-                return (Layout::Sequential { block_size }, n.div_ceil(block_size))
-            }
-            AllocKind::Random(seed) => Box::new(RandomAlloc::new(n, block_size, seed)),
-            AllocKind::TreeTiling => Box::new(TreeTilingAlloc::new(n, block_size)),
-        };
-        let mut fill = vec![0usize; alloc.num_blocks()];
-        let table = (0..n)
-            .map(|i| {
-                let b = alloc.block_of(i);
-                fill[b] += 1;
-                (b, fill[b] - 1)
-            })
-            .collect();
-        (Layout::Table(table), alloc.num_blocks())
-    }
-
-    /// The block coefficient `i` lives in.
-    fn block_of(&self, i: usize) -> usize {
-        match self {
-            Layout::Sequential { block_size } => i / block_size,
-            Layout::Table(table) => table[i].0,
-        }
-    }
-
-    /// Offset of coefficient `i` inside `block`; `None` when it lives in
-    /// another block. Division-free: this is the fold's inner loop.
-    #[inline]
-    fn offset_in(&self, i: usize, block: usize) -> Option<usize> {
-        match self {
-            Layout::Sequential { block_size } => {
-                i.checked_sub(block * block_size).filter(|off| off < block_size)
-            }
-            Layout::Table(table) => {
-                let (b, off) = table[i];
-                (b == block).then_some(off)
-            }
-        }
-    }
-
-    /// The coefficients in device order: block `b` is
-    /// `image[b·B .. (b+1)·B]`, the last block possibly short.
-    fn image<'a>(&self, coeffs: &'a [f64], block_size: usize, blocks: usize) -> Cow<'a, [f64]> {
-        match self {
-            Layout::Sequential { .. } => Cow::Borrowed(coeffs),
-            Layout::Table(table) => {
-                let mut image = vec![0.0; blocks * block_size];
-                for (&c, &(b, off)) in coeffs.iter().zip(table) {
-                    image[b * block_size + off] = c;
-                }
-                Cow::Owned(image)
-            }
-        }
-    }
-}
 
 /// A query answer served from (possibly faulty) blocked storage.
 #[derive(Clone, Debug)]
@@ -167,7 +86,6 @@ pub struct CoefficientStore<D: BlockDevice = MemDevice> {
     /// (catalog metadata, available even when the block itself is
     /// unreadable).
     block_energy: Vec<f64>,
-    n: usize,
 }
 
 impl<D: BlockDevice> CoefficientStore<D> {
@@ -177,21 +95,22 @@ impl<D: BlockDevice> CoefficientStore<D> {
     /// zero-padded.
     ///
     /// # Panics
-    /// If `coeffs` is empty, `block_size` is zero or invalid for `kind`,
-    /// or the device `make` returns has the wrong geometry.
+    /// If `coeffs` is empty, `block_size` is invalid for `kind` (see
+    /// [`Layout::new`]), or the device `make` returns has the wrong
+    /// geometry.
     pub fn load(
         coeffs: &[f64],
         block_size: usize,
         kind: AllocKind,
         make: impl FnOnce(usize, usize) -> D,
     ) -> Self {
-        assert!(block_size > 0, "block size must be positive");
         assert!(!coeffs.is_empty(), "cannot store an empty coefficient vector");
-        let (layout, num_blocks) = Layout::new(coeffs.len(), block_size, kind);
+        let layout = Layout::new(coeffs.len(), block_size, kind);
+        let num_blocks = layout.num_blocks();
         let mut device = make(block_size, num_blocks);
         assert!(device.block_size() == block_size, "device block size mismatch");
         assert!(device.num_blocks() >= num_blocks, "device too small for allocation");
-        let image = layout.image(coeffs, block_size, num_blocks);
+        let image = layout.image(coeffs);
         let mut block_energy = Vec::with_capacity(num_blocks);
         let mut staged = vec![0.0; block_size];
         for (b, data) in image.chunks(block_size).enumerate() {
@@ -201,13 +120,14 @@ impl<D: BlockDevice> CoefficientStore<D> {
             device.write_block(b, &staged);
         }
         device.reset_stats();
-        CoefficientStore { device, layout, block_energy, n: coeffs.len() }
+        CoefficientStore { device, layout, block_energy }
     }
 
     /// Rebuilds a store over an already-populated device — the reopen
-    /// path for a recovered [`crate::file::FileDevice`]. The layout is a
-    /// pure function of `(n, block_size, kind)`, so it reconstructs
-    /// exactly; `catalog` is the per-block energy catalog the caller
+    /// path for a recovered [`crate::file::FileDevice`]. The [`Layout`] is
+    /// a pure function of `(n, block_size, kind)`, so it reconstructs
+    /// exactly, and (but for `Random`'s permutation) holds nothing per
+    /// coefficient; `catalog` is the per-block energy catalog the caller
     /// persisted when it wrote the blocks ([`CoefficientStore::block_energies`]).
     /// No block is read: a damaged block is found when a query reads it,
     /// and is priced in that answer's bound from this catalog, which holds
@@ -217,10 +137,14 @@ impl<D: BlockDevice> CoefficientStore<D> {
     /// non-negative `Σ c²` per block of the allocation.
     ///
     /// # Panics
-    /// If `n` is zero or the device is too small for the allocation.
+    /// If `n` is zero, the device's block size is invalid for `kind` (for
+    /// `TreeTiling`: `n` and the block size must be powers of two, the
+    /// block size at least 2; see [`Layout::new`]), or the device is too
+    /// small for the allocation.
     pub fn reopen(device: D, kind: AllocKind, n: usize, catalog: Vec<f64>) -> io::Result<Self> {
         assert!(n > 0, "cannot reopen an empty coefficient vector");
-        let (layout, num_blocks) = Layout::new(n, device.block_size(), kind);
+        let layout = Layout::new(n, device.block_size(), kind);
+        let num_blocks = layout.num_blocks();
         assert!(device.num_blocks() >= num_blocks, "device too small for allocation");
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         if catalog.len() != num_blocks {
@@ -232,7 +156,7 @@ impl<D: BlockDevice> CoefficientStore<D> {
         {
             return Err(bad(format!("energy catalog entry {b} is {e}, not a finite Σc² ≥ 0")));
         }
-        Ok(CoefficientStore { device, layout, block_energy: catalog, n })
+        Ok(CoefficientStore { device, layout, block_energy: catalog })
     }
 
     /// The per-block `Σ c²` catalog, block by block: what a caller persists
@@ -243,7 +167,7 @@ impl<D: BlockDevice> CoefficientStore<D> {
 
     /// Coefficient count (unpadded).
     pub fn len(&self) -> usize {
-        self.n
+        self.layout.len()
     }
 
     /// Stores are never empty.
@@ -291,12 +215,12 @@ impl<D: BlockDevice> CoefficientStore<D> {
     /// If there is not one weight per index.
     pub fn block_major(&self, indices: Vec<usize>, weights: Vec<f64>) -> (Vec<usize>, Vec<f64>) {
         assert_eq!(indices.len(), weights.len(), "one weight per index");
-        let Layout::Table(table) = &self.layout else {
+        if self.layout.is_sequential() {
             debug_assert!(indices.windows(2).all(|w| w[0] < w[1]), "entries must ascend");
             return (indices, weights);
-        };
+        }
         let mut entries: Vec<(usize, f64)> = indices.into_iter().zip(weights).collect();
-        entries.sort_unstable_by_key(|&(i, _)| (table[i].0, i));
+        entries.sort_unstable_by_key(|&(i, _)| (self.layout.block_of(i), i));
         entries.into_iter().unzip()
     }
 
@@ -312,7 +236,7 @@ impl<D: BlockDevice> CoefficientStore<D> {
     /// If an index is out of range or the entries are not block-major.
     pub fn plan(&self, indices: &[usize], weights: &[f64]) -> BlockPlan {
         let entries = indices.iter().zip(weights).map(|(&i, &w)| {
-            assert!(i < self.n, "coefficient {i} out of range");
+            assert!(i < self.len(), "coefficient {i} out of range");
             (self.layout.block_of(i), w)
         });
         let plan = BlockPlan::group(entries, |b| self.block_energy[b]);

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 
-use aims_storage::alloc::{
-    validate_allocation, Allocation, RandomAlloc, SequentialAlloc, TensorAlloc, TreeTilingAlloc,
-};
+use aims_storage::alloc::{Layout, TensorAlloc};
 use aims_storage::cache::SharedBlockCache;
 use aims_storage::device::{MemDevice, RetryPolicy};
 use aims_storage::error_tree::{point_query_set, range_query_set, ErrorTree};
@@ -19,29 +17,36 @@ fn pow2(lo: u32, hi: u32) -> impl Strategy<Value = usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every allocation maps every coefficient to exactly one in-range
-    /// block without overfilling.
+    /// Every layout gives every coefficient its own in-range slot: a
+    /// block below `num_blocks` and an offset below `B`, no two alike.
     #[test]
     fn allocations_are_valid(
-        n in pow2(3, 12),
+        n in pow2(0, 12),
         b_exp in 1u32..=6,
         seed in 0u64..100,
     ) {
-        let b = (1usize << b_exp).min(n);
-        validate_allocation(&SequentialAlloc::new(n, b)).unwrap();
-        validate_allocation(&RandomAlloc::new(n, b, seed)).unwrap();
-        validate_allocation(&TreeTilingAlloc::new(n, b)).unwrap();
+        let b = 1usize << b_exp;
+        for kind in [AllocKind::Sequential, AllocKind::Random(seed), AllocKind::TreeTiling] {
+            let layout = Layout::new(n, b, kind);
+            let mut taken = vec![false; layout.num_blocks() * b];
+            for i in 0..n {
+                let block = layout.block_of(i);
+                prop_assert!(block < layout.num_blocks(), "{:?}: {} in block {}", kind, i, block);
+                let off = layout.offset_in(i, block).unwrap();
+                prop_assert!(off < b && !taken[block * b + off], "{:?}: {} at {}", kind, i, off);
+                taken[block * b + off] = true;
+            }
+        }
     }
 
     /// Tiling blocks are connected subtrees: every non-root block's
     /// contents are descendants of its minimum element.
     #[test]
     fn tiling_blocks_are_subtrees(n in pow2(4, 10), b_exp in 1u32..=5) {
-        let b = (1usize << b_exp).min(n);
-        let alloc = TreeTilingAlloc::new(n, b);
+        let alloc = Layout::new(n, 1 << b_exp, AllocKind::TreeTiling);
         let tree = ErrorTree::new(n);
         for blk in 1..alloc.num_blocks() {
-            let contents = alloc.block_contents(blk);
+            let contents: Vec<usize> = (0..n).filter(|&i| alloc.block_of(i) == blk).collect();
             prop_assert!(!contents.is_empty());
             let root = *contents.iter().min().unwrap();
             for &i in &contents {
@@ -215,13 +220,12 @@ proptest! {
         i_seed in 0usize..1_000_000,
         j_seed in 0usize..1_000_000,
     ) {
-        let (v0, v1) = (4usize.min(d0), 4usize.min(d1));
-        let tensor = TensorAlloc::new(&[d0, d1], &[v0, v1]);
-        let a0 = TreeTilingAlloc::new(d0, v0);
-        let a1 = TreeTilingAlloc::new(d1, v1);
+        let tensor = TensorAlloc::new(&[d0, d1], &[4, 4]);
+        let a0 = Layout::new(d0, 4, AllocKind::TreeTiling);
+        let a1 = Layout::new(d1, 4, AllocKind::TreeTiling);
         let (i, j) = (i_seed % d0, j_seed % d1);
         let expect = a0.block_of(i) * a1.num_blocks() + a1.block_of(j);
-        prop_assert_eq!(tensor.block_of_index(&[i, j]), expect);
+        prop_assert_eq!(tensor.num_blocks(), a0.num_blocks() * a1.num_blocks());
         prop_assert_eq!(tensor.block_of(i * d1 + j), expect);
     }
 

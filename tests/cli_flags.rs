@@ -33,3 +33,16 @@ fn a_verbs_own_flags_still_run() {
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("wrote "));
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn a_recording_shorter_than_a_sampling_window_ingests() {
+    let path = std::env::temp_dir().join(format!("aims-cli-short-{}.csv", std::process::id()));
+    let csv = path.to_str().unwrap();
+    let out = aims_cli(&["generate", "--seconds", "0.1", "--out", csv]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("10 frames"));
+    let out = aims_cli(&["ingest", "--input", csv]);
+    std::fs::remove_file(&path).ok();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("ingested 10 frames"));
+}

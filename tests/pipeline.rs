@@ -42,6 +42,29 @@ fn full_pipeline_preserves_queryable_signal() {
 }
 
 #[test]
+fn short_recordings_ingest_and_answer_whole_range_sums() {
+    // Fewer frames than a sampling window (16) and fewer coefficients than
+    // a block (16, under the default tiling): every one still ingests, and
+    // the stored range sum over the whole stream is the sum of what the
+    // sampling stage reconstructed.
+    let rig = CyberGloveRig::default();
+    let mut noise = NoiseSource::seeded(21);
+    let session = rig.record_session(1.0, 0.5, &mut noise);
+    let rate = session.spec().sample_rate;
+    for frames in [1usize, 5, 10, 15] {
+        let stream = session.slice(0, frames);
+        let mut system = AimsSystem::new(AimsConfig::default());
+        assert_eq!(system.ingest(&stream).frames, frames);
+        let sampled = sample_stream(&stream, Strategy::Adaptive, &SamplingParams::default());
+        for c in [0usize, 13, 27] {
+            let expect: f64 = sampled.reconstructed.channel(c).iter().sum();
+            let got = system.channel_range_sum(c, 0.0, (frames + 1) as f64 / rate).unwrap();
+            assert!((got - expect).abs() <= 1e-9 * expect.abs().max(1.0), "{frames} frames, {c}");
+        }
+    }
+}
+
+#[test]
 fn sampling_then_storage_is_cheaper_than_raw_and_still_accurate() {
     let rig = CyberGloveRig::default();
     let mut noise = NoiseSource::seeded(5);
