@@ -56,20 +56,25 @@ if [[ $fast -eq 0 ]]; then
         echo "between workspace crates, which the frozen lock cannot record." >&2
         exit 1
     }
-    # One short run of the workload that creates a durable store, ingests,
-    # stops, reopens and verifies: an on-disk format slip must break here.
-    # (run.sh builds into the same target dir, so nothing compiles twice.)
-    echo "== bench harness smoke (ingest_burst, 2 s) =="
-    result=$(bash bench/run.sh --workload ingest_burst --seed 1 --seconds 2 --trace 0 | tail -n 1)
-    echo "$result"
-    grep -q '"correct": true' <<<"$result" && grep -q '"failed": 0' <<<"$result" || {
-        echo "bench harness smoke did not come back correct with 0 failed" >&2
-        exit 1
-    }
+    # Two short runs: the workload that creates a durable store, ingests,
+    # stops, reopens and verifies (an on-disk format slip must break here),
+    # and the one whose wide range sums run the served round end to end
+    # over a store larger than its cache. (run.sh builds into the same
+    # target dir, so nothing compiles twice.)
+    for workload in ingest_burst serve_range_cold; do
+        echo "== bench harness smoke ($workload, 2 s) =="
+        result=$(bash bench/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+        echo "$result"
+        grep -q '"correct": true' <<<"$result" && grep -q '"failed": 0' <<<"$result" || {
+            echo "bench harness smoke ($workload) did not come back correct with 0 failed" >&2
+            exit 1
+        }
+    done
 fi
 
 # Every suite in the workspace, under the serial and the pooled execution
-# layer (fan-out, transform and query pools all follow AIMS_THREADS).
+# layer (the transform and compaction pools follow AIMS_THREADS; a query
+# runs on one thread either way).
 for threads in 1 4; do
     echo "== cargo test --workspace (AIMS_THREADS=$threads) =="
     AIMS_THREADS=$threads cargo test --workspace -q

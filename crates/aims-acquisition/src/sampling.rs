@@ -133,8 +133,9 @@ impl SamplingResult {
 /// capped to the physical rate.
 fn required_rate(signal: &[f64], sample_rate: f64, params: &SamplingParams) -> f64 {
     let r = estimate_nyquist_rate(signal, sample_rate, params.estimator, params.confidence);
-    // Keep a 25% guard band above Nyquist, as real systems do.
-    (r * 1.25).clamp(params.min_rate, sample_rate)
+    // Keep a 25% guard band above Nyquist, as real systems do. A stream
+    // slower than the floor keeps its own rate.
+    (r * 1.25).max(params.min_rate).min(sample_rate)
 }
 
 /// Keeps every `k`-th sample of a window so the local rate is ≥ `rate`.
@@ -461,6 +462,22 @@ mod tests {
             modified.bytes,
             fixed.bytes
         );
+    }
+
+    #[test]
+    fn a_stream_slower_than_the_rate_floor_samples_under_every_strategy() {
+        let (rate, len) = (1.0, 40);
+        let params = SamplingParams::default();
+        assert!(rate < params.min_rate);
+        let spec = StreamSpec::anonymous(2, rate);
+        let ramp: Vec<f64> = (0..len).map(|i| i as f64 * 0.5).collect();
+        let wave: Vec<f64> = (0..len).map(|i| (i as f64 * 0.9).sin()).collect();
+        let s = MultiStream::from_channels(spec, &[ramp, wave]);
+        for strat in Strategy::ALL {
+            let r = sample_stream(&s, strat, &params);
+            assert_eq!(r.reconstructed.len(), len, "{}", strat.name());
+            assert!(r.kept_samples > 0 && r.kept_samples <= 2 * len, "{}", strat.name());
+        }
     }
 
     #[test]

@@ -33,6 +33,8 @@ struct Shared {
     injector: Mutex<VecDeque<Task>>,
     locals: Vec<Mutex<VecDeque<Task>>>,
     /// Count of queued-but-not-taken tasks (a cheap "is there work" hint).
+    /// Raised only under `sleep_mx`, so a worker that saw it at zero there
+    /// is already waiting when the raise's notification comes.
     queued: AtomicUsize,
     shutdown: AtomicBool,
     sleep_mx: Mutex<()>,
@@ -48,6 +50,7 @@ impl Shared {
             Some((a, id)) if a == addr => self.locals[id].lock().unwrap().push_back(task),
             _ => self.injector.lock().unwrap().push_back(task),
         }
+        let _guard = self.sleep_mx.lock().unwrap();
         self.queued.fetch_add(1, Ordering::SeqCst);
         self.work_cv.notify_one();
     }
@@ -105,14 +108,15 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
             task();
             continue;
         }
-        // No work anywhere: sleep briefly. The timeout bounds the cost of
-        // a notification racing past the queue check.
+        // No work anywhere: sleep until a push or shutdown. Both happen
+        // under `sleep_mx`, so neither can slip between the check and the
+        // wait.
         let wait_start = Instant::now();
         {
             let guard = shared.sleep_mx.lock().unwrap();
             if shared.queued.load(Ordering::SeqCst) == 0 && !shared.shutdown.load(Ordering::SeqCst)
             {
-                let _ = shared.work_cv.wait_timeout(guard, Duration::from_millis(1)).unwrap();
+                let _guard = shared.work_cv.wait(guard).unwrap();
             }
         }
         idle.record(wait_start.elapsed().as_nanos() as u64);

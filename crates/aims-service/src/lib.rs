@@ -12,10 +12,10 @@
 //!   ([`ServiceError::QueueFull`]) instead of collapsing.
 //! - [`service`]: the shared-scan scheduler. Each round selects a set of
 //!   blocks the active plans still need, pulls each **once** through a
-//!   sharded LRU [`aims_storage::SharedBlockCache`], hands it to every
-//!   session still missing it, and fans the per-query folds out on an
-//!   [`aims_exec::ThreadPool`] — final answers bit-identical to serial
-//!   evaluation for every thread count and block arrival order. A cohort that must
+//!   sharded LRU [`aims_storage::SharedBlockCache`] and folds it into
+//!   every session still missing it, on the scheduler thread — final
+//!   answers bit-identical to serial evaluation for every block arrival
+//!   order. A cohort that must
 //!   share rounds from the first one is submitted with
 //!   [`QueryService::submit_all`]: one admission, all or nothing.
 //! - [`session`]: progressive delivery — monotonically refining
@@ -38,7 +38,7 @@
 //!   or streamed in a fixed working set (`aims-serve --data`'s create).
 //! - [`wire`] / [`server`] / [`client`]: a length-prefixed binary
 //!   protocol over std TCP (`aims-serve` binary), two threads per
-//!   connection and one worker pool shared across all of them.
+//!   connection and one scheduler thread shared across all of them.
 //!
 //! ```
 //! use aims_service::{QueryService, QuerySpec, ServiceConfig, Outcome};

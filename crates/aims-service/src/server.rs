@@ -1,6 +1,7 @@
 //! TCP front-end: one listener, a reader and a writer thread per
-//! connection, one [`QueryService`] (and its worker pool) shared across
-//! all of them — `2 × connections + constant` threads at any query rate.
+//! connection, one [`QueryService`] (and its scheduler thread) shared
+//! across all of them — `2 × connections + constant` threads at any query
+//! rate.
 //!
 //! The reader demultiplexes client frames: SUBMIT goes through the
 //! service's admission path (a rejection comes back as a typed REJECT

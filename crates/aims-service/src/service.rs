@@ -3,9 +3,10 @@
 //!
 //! Execution model: the scheduler thread (`scheduler_loop`) admits
 //! queued tickets (interactive first, up to `max_batch` active), feeds
-//! the overload controller, and runs one round as four stages — plain
+//! the overload controller, and runs one round as three stages — plain
 //! functions over one `Rounds` state, each callable from a test with no
-//! thread:
+//! thread. A served query runs on that one thread from admission to its
+//! terminal update:
 //!
 //! 1. **`plan`** — cull cancelled and deadline-expired sessions *before*
 //!    any I/O, set each session's tier, and spend the round's
@@ -13,14 +14,12 @@
 //!    output is the round's **block set**: blocks some session still
 //!    wants, the cache-resident ones free.
 //! 2. **`fetch`** — pull each block of the set once through the
-//!    [`SharedBlockCache`] and hand it to every live session still missing
-//!    it; the first consumer pays for the device read, and a block wanted
-//!    only by since-cancelled sessions is not read — cancellation halts
-//!    fetches.
-//! 3. **`accumulate`** — one task per query on the shared
-//!    [`ThreadPool`], folding what arrived into its own [`Evaluation`], in
-//!    place.
-//! 4. **`deliver`** — one refinement per query (progress, or its
+//!    [`SharedBlockCache`] and fold it into the [`Evaluation`] of every
+//!    live session still missing it, in place (a block the device could
+//!    not deliver is that session's loss); the first consumer pays for
+//!    the device read, and a block wanted only by since-cancelled
+//!    sessions is not read — cancellation halts fetches.
+//! 3. **`deliver`** — one refinement per query (progress, or its
 //!    terminal), with a Cauchy–Schwarz bound over the blocks not yet
 //!    delivered, lost ones included when storage degraded.
 //!
@@ -36,14 +35,14 @@
 //! order once, at submit ([`CoefficientStore::block_major`]; under a
 //! sequential store they are already in it). Its plan blocks arrive in
 //! whatever order the rounds select them, and each is folded into the
-//! query's [`Evaluation`] inside exactly one task. The estimate is one
-//! fold of the delivered products `w·c` in that order, whatever order
-//! they arrived in, so the final estimate is **bit-identical** to
+//! query's [`Evaluation`] as it is fetched. The estimate is one fold of
+//! the delivered products `w·c` in that order, whatever order they were
+//! fetched in, so the final estimate is **bit-identical** to
 //! [`CoefficientStore::evaluate`] on the same store — and, on a
 //! sequential store, to [`aims_propolyne::Propolyne::evaluate_prepared`]
-//! — for every thread count, cache size, batch composition, round
-//! budget, and scheduler policy — only I/O order and counts, and so the
-//! in-flight estimates and bounds, change.
+//! — for every cache size, batch composition, round budget, and
+//! scheduler policy — only I/O order and counts, and so the in-flight
+//! estimates and bounds, change.
 //!
 //! # Telemetry
 //!
@@ -60,7 +59,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aims_dsp::filters::WaveletFilter;
-use aims_exec::{configured_threads, ThreadPool};
 use aims_propolyne::engine::{prepare, PreparedQuery};
 use aims_propolyne::{BlockedCoefficients, RangeSumQuery, WaveletCube};
 use aims_storage::device::{BlockDevice, MemDevice, RetryPolicy};
@@ -108,10 +106,6 @@ pub struct ServiceConfig {
     /// Retry budget for transient device faults: three retries by default,
     /// like every other reader of a block device.
     pub retry: RetryPolicy,
-    /// Worker threads for compute fan-out; `None` follows `AIMS_THREADS`.
-    /// Set by the bit-identity suites that run several pool widths in one
-    /// process.
-    pub threads: Option<usize>,
     /// Pause inserted after every round, zero by default. It simulates
     /// slow rounds for the experiments and the chaos drill, which no
     /// other input can do without the cache cancelling it out, and gives
@@ -129,7 +123,6 @@ impl Default for ServiceConfig {
             cache_blocks: 256,
             round_blocks: 32,
             retry: RetryPolicy::default(),
-            threads: None,
             round_pause: Duration::ZERO,
             policy: SchedulerPolicy::Utility,
         }
@@ -204,10 +197,6 @@ struct ActiveQuery {
     /// Effective degradation tier this round (service tier, softened one
     /// step for interactive sessions).
     tier: Tier,
-    /// fetch → accumulate: this round's outcome per plan position — the
-    /// payload, or `None` for a block the device could not deliver. Empty
-    /// between rounds.
-    arrived: Vec<(usize, Option<Arc<Vec<f64>>>)>,
 }
 
 impl ActiveQuery {
@@ -219,8 +208,7 @@ impl ActiveQuery {
         };
         let eval = Evaluation::new(Arc::clone(&ticket.plan));
         let initial_bound = eval.ledger().bound();
-        let (tier, arrived) = (Tier::Normal, Vec::new());
-        ActiveQuery { ticket, eval, cost, initial_bound, tier, arrived }
+        ActiveQuery { ticket, eval, cost, initial_bound, tier: Tier::Normal }
     }
 
     /// The finished profile (called at terminal delivery only).
@@ -254,17 +242,6 @@ impl ActiveQuery {
             estimate: self.eval.estimate(),
             error_bound: self.eval.ledger().bound(),
             tier: self.tier,
-        }
-    }
-
-    /// Folds the blocks that arrived this round into the evaluation; a
-    /// block the device could not deliver contributes nothing and keeps
-    /// its gain in the bound.
-    fn fold_arrived<D: BlockDevice>(&mut self, store: &CoefficientStore<D>) {
-        let (indices, weights) = (&self.ticket.indices, &self.ticket.weights);
-        for (k, payload) in self.arrived.drain(..) {
-            let data = payload.as_deref().map(Vec::as_slice);
-            store.fold(&mut self.eval, indices, weights, k, data);
         }
     }
 }
@@ -310,7 +287,6 @@ struct Inner<D: BlockDevice + Send + Sync + 'static> {
     store: CoefficientStore<D>,
     cache: SharedBlockCache,
     admission: AdmissionController<Ticket>,
-    pool: ThreadPool,
     config: ServiceConfig,
     shutdown: AtomicBool,
     next_id: AtomicU64,
@@ -353,14 +329,12 @@ impl<D: BlockDevice + Send + Sync + 'static> Inner<D> {
         assert!(config.round_blocks > 0, "round budget must be positive");
         assert!(config.max_batch > 0, "batch size must be positive");
         assert_eq!(store.len(), dims.iter().product(), "store / cube size mismatch");
-        let threads = config.threads.unwrap_or_else(configured_threads);
         Inner {
             dims,
             filter,
             store,
             cache: SharedBlockCache::new(config.cache_blocks),
             admission: AdmissionController::new(config.queue_capacity),
-            pool: ThreadPool::new(threads),
             config,
             shutdown: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
@@ -833,8 +807,10 @@ fn plan<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Rounds
 }
 
 /// Stage 2: pulls every selected block once through the shared cache and
-/// hands its outcome to each live session still missing it, charging the
-/// profile counters as it goes. Cancellation halts I/O, not just delivery:
+/// folds its outcome into each live session still missing it, in place,
+/// charging the profile counters as it goes: a payload's products join
+/// the session's [`Evaluation`], a block the device could not deliver
+/// keeps its gain in the bound. Cancellation halts I/O, not just delivery:
 /// a session cancelled since the plan stage is no consumer, and a block
 /// with no live consumer is not read.
 ///
@@ -894,7 +870,8 @@ fn fetch<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Round
                             q.cost.blocks_shared += 1;
                         }
                     }
-                    q.arrived.push((k, Some(Arc::clone(&payload))));
+                    let (indices, weights) = (&q.ticket.indices, &q.ticket.weights);
+                    inner.store.fold(&mut q.eval, indices, weights, k, Some(payload.as_slice()));
                 }
             }
             Err(_) => {
@@ -910,24 +887,14 @@ fn fetch<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Round
                             ("outcome", AttrValue::Str("degraded")),
                         ],
                     );
-                    q.arrived.push((k, None));
+                    inner.store.fold(&mut q.eval, &q.ticket.indices, &q.ticket.weights, k, None);
                 }
             }
         }
     }
 }
 
-/// Stage 3: every query folds what arrived for it, in place — one task
-/// per query on the pool, so each running sum has exactly one writer and
-/// the pool width cannot move a bit of any answer.
-fn accumulate<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Rounds) {
-    // `par_map` hands out `&T`: each query sits behind a lock that only
-    // its own task ever takes.
-    let queries: Vec<Mutex<&mut ActiveQuery>> = s.active.iter_mut().map(Mutex::new).collect();
-    inner.pool.par_map(&queries, |q| q.lock().unwrap().fold_arrived(&inner.store));
-}
-
-/// Stage 4: one refinement per query, and retirement of the finished.
+/// Stage 3: one refinement per query, and retirement of the finished.
 /// Graduated degradation acts here, in escalating order: coarse tiers
 /// thin the progress cadence, the widened tier completes early once the
 /// bound is "good enough" relative to where it started, and the shed tier
@@ -987,7 +954,7 @@ fn deliver<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>, s: &mut Rou
     });
 }
 
-/// The scheduler thread: admit, then one round of the four stages, until
+/// The scheduler thread: admit, then one round of the three stages, until
 /// shutdown finds nothing left in flight.
 fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>) {
     let mut s = Rounds::default();
@@ -1005,7 +972,6 @@ fn scheduler_loop<D: BlockDevice + Send + Sync + 'static>(inner: &Inner<D>) {
             continue;
         }
         fetch(inner, &mut s);
-        accumulate(inner, &mut s);
         deliver(inner, &mut s);
         if !inner.config.round_pause.is_zero() {
             std::thread::sleep(inner.config.round_pause);
@@ -1110,7 +1076,6 @@ mod tests {
             q.tier = tier.unwrap_or(q.tier);
         }
         fetch(&svc.inner, s);
-        accumulate(&svc.inner, s);
         deliver(&svc.inner, s);
     }
 
@@ -1369,29 +1334,23 @@ mod tests {
     }
 
     #[test]
-    fn tracing_never_perturbs_results_across_pool_sizes() {
+    fn tracing_never_perturbs_results() {
         let ranges = vec![(1, 30), (3, 28)];
         let mut baseline: Option<u64> = None;
-        for threads in [1usize, 2, 8] {
-            for traced in [false, true] {
-                let svc = QueryService::new(
-                    demo_cube(32, 55),
-                    16,
-                    ServiceConfig { threads: Some(threads), ..ServiceConfig::default() },
-                );
-                let mut spec = QuerySpec::interactive(ranges.clone());
-                if traced {
-                    spec = spec.traced();
-                }
-                let (_, outcome) = svc.submit(spec).unwrap().collect();
-                let bits = match outcome {
-                    Outcome::Done(r) => r.estimate.to_bits(),
-                    other => panic!("expected Done, got {other:?}"),
-                };
-                match baseline {
-                    None => baseline = Some(bits),
-                    Some(b) => assert_eq!(bits, b, "threads={threads} traced={traced}"),
-                }
+        for traced in [false, true] {
+            let svc = QueryService::new(demo_cube(32, 55), 16, ServiceConfig::default());
+            let mut spec = QuerySpec::interactive(ranges.clone());
+            if traced {
+                spec = spec.traced();
+            }
+            let (_, outcome) = svc.submit(spec).unwrap().collect();
+            let bits = match outcome {
+                Outcome::Done(r) => r.estimate.to_bits(),
+                other => panic!("expected Done, got {other:?}"),
+            };
+            match baseline {
+                None => baseline = Some(bits),
+                Some(b) => assert_eq!(bits, b, "traced={traced}"),
             }
         }
     }
@@ -1679,14 +1638,15 @@ mod tests {
                 let resident: Vec<usize> =
                     wanted.iter().copied().filter(|&b| svc.cache().contains(b)).collect();
                 assert!(resident.iter().all(|b| s.selected.contains(b)), "{ctx}: a resident left");
-                let reads = svc.device().stats().reads;
+                let consumed = |s: &Rounds| -> usize {
+                    s.active.iter().map(|q| q.eval.ledger().consumed()).sum()
+                };
+                let (reads, before) = (svc.device().stats().reads, consumed(&s));
                 fetch(&svc.inner, &mut s);
                 let reads = (svc.device().stats().reads - reads) as usize;
                 assert!(reads <= budget, "{ctx}: {reads} device reads on a budget of {budget}");
                 free += resident.len();
-                shared +=
-                    s.active.iter().map(|q| q.arrived.len()).sum::<usize>() - s.selected.len();
-                accumulate(&svc.inner, &mut s);
+                shared += consumed(&s) - before - s.selected.len();
                 deliver(&svc.inner, &mut s);
             }
             for h in handles {
@@ -1833,11 +1793,11 @@ mod tests {
             assert_eq!(svc.cache().contains(b), resident, "block {b}");
         }
         let q = &s.active[1];
-        let arrived: Vec<usize> = q.arrived.iter().map(|&(k, _)| q.ticket.plan.blocks[k]).collect();
-        assert_eq!(arrived, shared);
-        let lost = q.arrived.iter().filter(|(_, payload)| payload.is_none()).count();
+        let consumed: Vec<usize> =
+            q.ticket.plan.blocks.iter().copied().filter(|&b| q.wants(b).is_none()).collect();
+        assert_eq!(consumed, shared);
+        let lost = q.eval.ledger().lost_blocks().len();
         assert_eq!((lost, q.cost.cache_misses as usize), (dead_shared, shared.len()));
-        accumulate(&svc.inner, &mut s);
         deliver(&svc.inner, &mut s);
         run_dry(&svc, &mut s, None);
         assert!(matches!(gone.wait(), Outcome::Cancelled));
@@ -1850,10 +1810,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Accumulate stage: however the rounds cut the plans into block
-        /// sets, in whatever order, every session ends on the serial
+        /// Fetch stage: however the rounds cut the plans into block sets,
+        /// in whatever order, every session ends on the serial
         /// evaluation's estimate and bound bits and lost blocks — on a
-        /// device with dead blocks, for pools of 1, 2 and 8.
+        /// device with dead blocks.
         #[test]
         fn any_partition_of_plan_blocks_into_rounds_folds_to_the_serial_bits(
             specs in prop::collection::vec(((0usize..32, 0usize..32), (0usize..32, 0usize..32)), 1..=6),
@@ -1865,52 +1825,49 @@ mod tests {
                 .into_iter()
                 .map(|((a, b), (c, d))| vec![(a.min(b), a.max(b)), (c.min(d), c.max(d))])
                 .collect();
-            let dead = FaultPlan::uniform(seed, FaultKind::DeadBlock, 0.1);
-            for threads in [1usize, 2, 8] {
-                let config = ServiceConfig { threads: Some(threads), ..ServiceConfig::default() };
-                let plan = dead.clone();
-                let svc = unscheduled(&cube, config, |bs, nb| FaultyDevice::with_plan(bs, nb, plan));
-                let _handles: Vec<_> = specs
+            let plan = FaultPlan::uniform(seed, FaultKind::DeadBlock, 0.1);
+            let svc = unscheduled(&cube, ServiceConfig::default(), |bs, nb| {
+                FaultyDevice::with_plan(bs, nb, plan)
+            });
+            let _handles: Vec<_> = specs
+                .iter()
+                .map(|r| svc.submit(QuerySpec::interactive(r.clone())).unwrap())
+                .collect();
+            let mut s = Rounds::default();
+            admit(&svc.inner, &mut s, Duration::ZERO);
+            let mut round = 0usize;
+            while s.active.iter().any(|q| !q.complete()) {
+                round += 1;
+                // A round takes each wanted block with probability about
+                // 1/4, by the picks; every fourth round takes the highest
+                // one too, so the partition ends.
+                let mut wanted: Vec<usize> = s
+                    .active
                     .iter()
-                    .map(|r| svc.submit(QuerySpec::interactive(r.clone())).unwrap())
+                    .flat_map(|q| q.ticket.plan.blocks.iter().copied().filter(|&b| q.wants(b).is_some()))
                     .collect();
-                let mut s = Rounds::default();
-                admit(&svc.inner, &mut s, Duration::ZERO);
-                let mut round = 0usize;
-                while s.active.iter().any(|q| !q.complete()) {
-                    round += 1;
-                    // A round takes each wanted block with probability
-                    // about 1/4, by the picks; every fourth round takes
-                    // the highest one too, so the partition ends.
-                    let mut wanted: Vec<usize> = s
-                        .active
-                        .iter()
-                        .flat_map(|q| q.ticket.plan.blocks.iter().copied().filter(|&b| q.wants(b).is_some()))
-                        .collect();
-                    wanted.sort_unstable();
-                    wanted.dedup();
-                    let last = wanted.last().copied().filter(|_| round.is_multiple_of(4));
-                    s.selected = wanted
-                        .iter()
-                        .copied()
-                        .filter(|&b| picks[(round * 7 + b) % picks.len()] == 0 || Some(b) == last)
-                        .collect();
-                    fetch(&svc.inner, &mut s);
-                    accumulate(&svc.inner, &mut s);
-                }
-                for (q, ranges) in s.active.iter().zip(&specs) {
-                    let ctx = format!("threads={threads} {ranges:?}");
-                    let (indices, weights) = (&q.ticket.indices, &q.ticket.weights);
-                    let pool = SharedBlockCache::new(64);
-                    let serial = svc.inner.store.evaluate(indices, weights, &pool, &RetryPolicy::none());
-                    let served = q.refinement(0);
-                    prop_assert_eq!(served.estimate.to_bits(), serial.estimate.to_bits(), "{}", ctx);
-                    prop_assert_eq!(served.error_bound.to_bits(), serial.error_bound.to_bits(), "{}", ctx);
-                    let mut lost = q.eval.ledger().lost_blocks().to_vec();
-                    lost.sort_unstable();
-                    prop_assert_eq!(&lost, &serial.lost_blocks, "{}", ctx);
-                    prop_assert_eq!(served.coefficients_used, indices.len());
-                }
+                wanted.sort_unstable();
+                wanted.dedup();
+                let last = wanted.last().copied().filter(|_| round.is_multiple_of(4));
+                s.selected = wanted
+                    .iter()
+                    .copied()
+                    .filter(|&b| picks[(round * 7 + b) % picks.len()] == 0 || Some(b) == last)
+                    .collect();
+                fetch(&svc.inner, &mut s);
+            }
+            for (q, ranges) in s.active.iter().zip(&specs) {
+                let ctx = format!("{ranges:?}");
+                let (indices, weights) = (&q.ticket.indices, &q.ticket.weights);
+                let pool = SharedBlockCache::new(64);
+                let serial = svc.inner.store.evaluate(indices, weights, &pool, &RetryPolicy::none());
+                let served = q.refinement(0);
+                prop_assert_eq!(served.estimate.to_bits(), serial.estimate.to_bits(), "{}", ctx);
+                prop_assert_eq!(served.error_bound.to_bits(), serial.error_bound.to_bits(), "{}", ctx);
+                let mut lost = q.eval.ledger().lost_blocks().to_vec();
+                lost.sort_unstable();
+                prop_assert_eq!(&lost, &serial.lost_blocks, "{}", ctx);
+                prop_assert_eq!(served.coefficients_used, indices.len());
             }
         }
     }

@@ -15,8 +15,10 @@
 //! most important first. While the query runs it holds the store's
 //! in-flight guard, which the background compactor reads to throttle
 //! itself (degradation over starvation, as in the QoS tier ladder).
+//!
+//! A query runs on the caller's thread, planning and folding alike: the
+//! planner starts no threads.
 
-use aims_exec::ThreadPool;
 use aims_tier::{TierMedia, TierStep, TieredProgressive, TieredStore};
 
 /// Planner tuning.
@@ -24,7 +26,9 @@ use aims_tier::{TierMedia, TierStep, TieredProgressive, TieredStore};
 pub struct TieredPlannerConfig {
     /// Historical blocks consumed per progressive round.
     pub blocks_per_round: usize,
-    /// Worker threads for the fan-out (0 = `aims_exec::configured_threads()`).
+    /// Unused: a query plans and folds on the caller's thread. Kept so
+    /// configurations that name it still build until the benchmark
+    /// harness is re-based (ROADMAP item 1c).
     pub threads: usize,
 }
 
@@ -56,15 +60,13 @@ pub struct TieredAnswer {
 pub struct TieredPlanner<D: TierMedia> {
     store: TieredStore<D>,
     cfg: TieredPlannerConfig,
-    pool: ThreadPool,
 }
 
 impl<D: TierMedia> TieredPlanner<D> {
     /// Wraps a store handle. Clones of the store elsewhere (ingest,
     /// compactor) keep feeding it while the planner serves queries.
     pub fn new(store: TieredStore<D>, cfg: TieredPlannerConfig) -> Self {
-        let threads = if cfg.threads == 0 { aims_exec::configured_threads() } else { cfg.threads };
-        TieredPlanner { store, cfg, pool: ThreadPool::new(threads) }
+        TieredPlanner { store, cfg }
     }
 
     /// The underlying store handle.
@@ -80,7 +82,7 @@ impl<D: TierMedia> TieredPlanner<D> {
     pub fn range_sum(&self, a: usize, b: usize) -> TieredAnswer {
         let _guard = self.store.begin_query();
         let snap = self.store.snapshot();
-        let mut prog = TieredProgressive::new(&snap, a, b, &self.pool);
+        let mut prog = TieredProgressive::new(&snap, a, b);
         let hist_blocks = prog.total_blocks();
         let mut steps = vec![prog.current()];
         while !prog.done() {

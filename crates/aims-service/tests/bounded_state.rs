@@ -1,7 +1,9 @@
 //! The server's thread count is a function of its open connections, not of
-//! the queries they have run: `2 × connections + constant`, during a
-//! pipelined burst, after thousands of queries, and across connection
-//! churn — and nothing of it outlives `Server::join`.
+//! the queries they have run or of the configured pool width: the query
+//! service is one thread, its scheduler, and the TCP front-end adds an
+//! accept thread and `2 × connections` — during a pipelined burst, after
+//! thousands of queries, and across connection churn — and nothing of it
+//! outlives `Server::join`.
 //!
 //! A single test in its own binary, so libtest's own threads are constant
 //! and `/proc/self/status` counts only what this test started.
@@ -55,8 +57,12 @@ fn threads_follow_connections_not_queries() {
         round_pause: Duration::from_millis(1),
         ..ServiceConfig::default()
     };
-    let svc = Arc::new(QueryService::new(demo_cube(32, 41), 16, config));
+    // The cube first, so whatever building it starts is not counted.
+    let cube = demo_cube(32, 41);
+    let without_service = threads();
+    let svc = Arc::new(QueryService::new(cube, 16, config));
     let without_server = threads();
+    assert_eq!(without_server, without_service + 1, "the service is its scheduler thread");
     let server = Server::spawn(Arc::clone(&svc), "127.0.0.1:0").unwrap();
     let port = server.port();
 

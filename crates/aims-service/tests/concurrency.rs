@@ -2,8 +2,7 @@
 //!
 //! The claims under test:
 //! - N parallel sessions produce final answers **bit-identical** to
-//!   serial `evaluate_prepared`, for worker pools of 1, 2 and 8 threads
-//!   (and whatever `AIMS_THREADS` the suite runs under).
+//!   serial `evaluate_prepared`.
 //! - Cancellation never deadlocks — every handle resolves under a
 //!   watchdog timeout no matter when the cancel lands.
 //! - Overload degrades gracefully: admitted queries end in `Done` or a
@@ -56,9 +55,9 @@ fn spec_strategy() -> impl Strategy<Value = (Vec<(usize, usize)>, bool)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Parallel sessions, every pool width, bit-identical to serial.
+    /// Parallel sessions, bit-identical to serial.
     #[test]
-    fn parallel_sessions_bit_identical_across_thread_counts(
+    fn parallel_sessions_bit_identical_to_serial(
         specs in prop::collection::vec(spec_strategy(), 1..=10),
         seed in 1u64..1_000,
     ) {
@@ -73,45 +72,41 @@ proptest! {
             })
             .collect();
 
-        for threads in [1usize, 2, 8] {
-            let svc = Arc::new(QueryService::new(
-                cube.clone(),
-                16,
-                ServiceConfig {
-                    threads: Some(threads),
-                    max_batch: 4,
-                    round_blocks: 8,
-                    ..ServiceConfig::default()
-                },
-            ));
-            // Submit every query from its own client thread.
-            let mut clients = Vec::new();
-            for (k, (ranges, interactive)) in specs.iter().cloned().enumerate() {
-                let svc = Arc::clone(&svc);
-                clients.push(std::thread::spawn(move || {
-                    let spec = if interactive {
-                        QuerySpec::interactive(ranges)
-                    } else {
-                        QuerySpec::batch(ranges)
-                    };
-                    (k, svc.submit(spec).expect("queue is large enough").wait())
-                }));
-            }
-            for c in clients {
-                let (k, outcome) = c.join().unwrap();
-                match outcome {
-                    Outcome::Done(r) => {
-                        prop_assert_eq!(
-                            r.estimate.to_bits(),
-                            expected[k],
-                            "threads={} query={} diverged from serial",
-                            threads,
-                            k
-                        );
-                        prop_assert_eq!(r.error_bound, 0.0);
-                    }
-                    other => prop_assert!(false, "query {} did not complete: {:?}", k, other),
+        let svc = Arc::new(QueryService::new(
+            cube,
+            16,
+            ServiceConfig {
+                max_batch: 4,
+                round_blocks: 8,
+                ..ServiceConfig::default()
+            },
+        ));
+        // Submit every query from its own client thread.
+        let mut clients = Vec::new();
+        for (k, (ranges, interactive)) in specs.iter().cloned().enumerate() {
+            let svc = Arc::clone(&svc);
+            clients.push(std::thread::spawn(move || {
+                let spec = if interactive {
+                    QuerySpec::interactive(ranges)
+                } else {
+                    QuerySpec::batch(ranges)
+                };
+                (k, svc.submit(spec).expect("queue is large enough").wait())
+            }));
+        }
+        for c in clients {
+            let (k, outcome) = c.join().unwrap();
+            match outcome {
+                Outcome::Done(r) => {
+                    prop_assert_eq!(
+                        r.estimate.to_bits(),
+                        expected[k],
+                        "query {} diverged from serial",
+                        k
+                    );
+                    prop_assert_eq!(r.error_bound, 0.0);
                 }
+                other => prop_assert!(false, "query {} did not complete: {:?}", k, other),
             }
         }
     }
@@ -138,7 +133,6 @@ proptest! {
                 cube,
                 16,
                 ServiceConfig {
-                    threads: Some(2),
                     round_blocks: 2,
                     round_pause: Duration::from_micros(500),
                     ..ServiceConfig::default()
@@ -183,7 +177,6 @@ fn overload_floods_get_typed_rejections_never_hangs() {
                 queue_capacity: 4,
                 max_batch: 2,
                 round_blocks: 4,
-                threads: Some(2),
                 ..ServiceConfig::default()
             },
         ));

@@ -11,7 +11,7 @@
 //! - Below the shed threshold the QoS layer is invisible: with pressure
 //!   under the first enter threshold, every session stays at
 //!   `Tier::Normal` and the answers are bit-identical to serial
-//!   evaluation for worker pools of 1, 2 and 8 threads.
+//!   evaluation.
 //!
 //! Both run the shipped ladder (`aims_service::qos` constants).
 
@@ -80,7 +80,6 @@ proptest! {
                     max_batch: 2,
                     round_blocks: 2,
                     round_pause: Duration::from_micros(200),
-                    threads: Some(2),
                     ..ServiceConfig::default()
                 },
             ));
@@ -147,7 +146,7 @@ proptest! {
 
     /// Below the first shed threshold the QoS layer must be invisible:
     /// identical bits to serial evaluation, every session at
-    /// `Tier::Normal`, across pool widths.
+    /// `Tier::Normal`.
     #[test]
     fn below_threshold_is_bit_identical_to_non_degraded_path(
         specs in prop::collection::vec(prop::collection::vec(range_strategy(), 2..=2), 1..=6),
@@ -163,49 +162,41 @@ proptest! {
             })
             .collect();
 
-        for threads in [1usize, 2, 8] {
-            // A queue far larger than the workload keeps pressure well
-            // under the first enter threshold for the whole run.
-            let svc = QueryService::new(
-                cube.clone(),
-                8,
-                ServiceConfig {
-                    queue_capacity: 64,
-                    max_batch: 4,
-                    round_blocks: 4,
-                    threads: Some(threads),
-                    ..ServiceConfig::default()
-                },
-            );
-            let handles: Vec<_> = specs
-                .iter()
-                .map(|r| svc.submit(QuerySpec::interactive(r.clone())).unwrap())
-                .collect();
-            for (k, h) in handles.into_iter().enumerate() {
-                let (trace, outcome) = h.collect();
-                for r in &trace {
+        // A queue far larger than the workload keeps pressure well
+        // under the first enter threshold for the whole run.
+        let svc = QueryService::new(
+            cube,
+            8,
+            ServiceConfig {
+                queue_capacity: 64,
+                max_batch: 4,
+                round_blocks: 4,
+                ..ServiceConfig::default()
+            },
+        );
+        let handles: Vec<_> = specs
+            .iter()
+            .map(|r| svc.submit(QuerySpec::interactive(r.clone())).unwrap())
+            .collect();
+        for (k, h) in handles.into_iter().enumerate() {
+            let (trace, outcome) = h.collect();
+            for r in &trace {
+                prop_assert_eq!(r.tier, Tier::Normal, "unloaded session degraded");
+            }
+            match outcome {
+                Outcome::Done(r) => {
+                    prop_assert_eq!(r.error_bound, 0.0);
                     prop_assert_eq!(
-                        r.tier,
-                        Tier::Normal,
-                        "unloaded session degraded (threads={})",
-                        threads
+                        r.estimate.to_bits(),
+                        expected[k],
+                        "query {} diverged from serial",
+                        k
                     );
                 }
-                match outcome {
-                    Outcome::Done(r) => {
-                        prop_assert_eq!(r.error_bound, 0.0);
-                        prop_assert_eq!(
-                            r.estimate.to_bits(),
-                            expected[k],
-                            "threads={} diverged from serial",
-                            threads
-                        );
-                    }
-                    other => prop_assert!(false, "query {} did not complete: {:?}", k, other),
-                }
+                other => prop_assert!(false, "query {} did not complete: {:?}", k, other),
             }
-            prop_assert_eq!(svc.qos_stats().shed, 0, "nothing may shed below threshold");
-            svc.shutdown();
         }
+        prop_assert_eq!(svc.qos_stats().shed, 0, "nothing may shed below threshold");
+        svc.shutdown();
     }
 }

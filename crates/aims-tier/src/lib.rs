@@ -47,7 +47,7 @@ pub mod store;
 pub use compact::{drain, run_once, transform_segment, Compactor, CompactorConfig};
 pub use feed::{feed_outcome, feed_recording, record_into_store, FeedReport};
 pub use layout::TierConfig;
-pub use query::{range_sum, range_sum_on, TierStep, TieredProgressive};
+pub use query::{range_sum, TierStep, TieredProgressive};
 pub use store::{
     QueryGuard, SegCoeffs, SegmentView, TierMedia, TierSnapshot, TierStats, TieredStore,
     HIST_CACHE_BYTES,

@@ -28,20 +28,22 @@
 //! partial is that same flat fold over the full cover's entries, taken at
 //! install. Every step reports this fold over the blocks delivered so far
 //! (a block not delivered adds nothing), so the answer does not depend on
-//! the order the blocks were fetched in, on what the cache held, or on the
-//! pool's width, and two stores whose payloads are bit-identical return
-//! bit-identical sums.
+//! the order the blocks were fetched in or on what the cache held, and two
+//! stores whose payloads are bit-identical return bit-identical sums.
+//!
+//! A query runs on its caller's thread: the segments are planned in one
+//! loop, whose per-segment work (a hot slice's sum, a lazy transform of
+//! `O(filter · log S)` entries) is too small to pay for a fan-out.
 
 use std::sync::Arc;
 
 use aims_dsp::lazy::lazy_transform;
 use aims_dsp::poly::Polynomial;
-use aims_exec::ThreadPool;
 use aims_storage::{BlockPlan, Evaluation};
 use aims_telemetry::counter;
 
 use crate::layout::TierConfig;
-use crate::store::{SnapKind, SnapSeg, TierSnapshot};
+use crate::store::{SnapKind, TierSnapshot};
 
 /// The nonzero `(coefficient index, w)` entries, ascending, of the COUNT
 /// query over local range `[la, lb]` of a segment of `cfg`.
@@ -62,28 +64,11 @@ pub(crate) fn block_partial(coeffs: &[f64], base: usize, entries: &[(usize, f64)
     partial
 }
 
-/// What one overlapping segment contributes to the plan.
-enum SegPlan {
-    /// Resident samples: summed exactly, up front.
-    Hot { sum: f64, rows: usize },
-    /// A historical segment the range covers whole: its pinned partial.
-    Covered(f64),
-    /// Device-resident coefficients under the segment's entries.
-    Hist { slot: usize, energy: Arc<[f64]>, weights: Arc<[(usize, f64)]> },
-}
-
-/// Exact range sum over `[a, b]` (inclusive, clamped to the snapshot),
-/// fanning segment sums and weight transforms out on `pool`. Bit-identical
-/// for every pool width, including serial. A block the historical device
-/// cannot deliver contributes nothing; [`TieredProgressive`] reports such
-/// blocks and bounds what they hide.
-pub fn range_sum_on(snap: &TierSnapshot, a: usize, b: usize, pool: &ThreadPool) -> f64 {
-    TieredProgressive::new(snap, a, b, pool).drain().estimate
-}
-
-/// [`range_sum_on`] with a throwaway serial pool.
+/// Exact range sum over `[a, b]` (inclusive, clamped to the snapshot). A
+/// block the historical device cannot deliver contributes nothing;
+/// [`TieredProgressive`] reports such blocks and bounds what they hide.
 pub fn range_sum(snap: &TierSnapshot, a: usize, b: usize) -> f64 {
-    range_sum_on(snap, a, b, &ThreadPool::new(1))
+    TieredProgressive::new(snap, a, b).drain().estimate
 }
 
 /// Progressive two-tier evaluation: the hot tier answers exactly up
@@ -124,11 +109,11 @@ pub struct TierStep {
 
 impl<'a> TieredProgressive<'a> {
     /// Plans a progressive evaluation of `Σ f(t), t ∈ [a, b]` against the
-    /// snapshot: sums the hot segments and transforms the edge segments'
-    /// ranges on `pool`, takes each covered historical segment's pinned
-    /// partial, and plans — without reading any — the historical blocks
-    /// under the range's edges.
-    pub fn new(snap: &'a TierSnapshot, a: usize, b: usize, pool: &ThreadPool) -> Self {
+    /// snapshot: sums the hot segments, takes each covered historical
+    /// segment's pinned partial, transforms the edge segments' ranges, and
+    /// plans — without reading any — the historical blocks under the
+    /// range's edges.
+    pub fn new(snap: &'a TierSnapshot, a: usize, b: usize) -> Self {
         let mut prog = TieredProgressive {
             snap,
             hot_rows: 0,
@@ -145,51 +130,36 @@ impl<'a> TieredProgressive<'a> {
         let first = snap.sealed.partition_point(|s| s.start + s.len <= a);
         let last = snap.sealed.partition_point(|s| s.start <= b);
         let tail = snap.tail.iter().filter(|s| s.start <= b);
-        let segs: Vec<&SnapSeg> = snap.sealed[first..last].iter().chain(tail).collect();
-        let local = |s: &SnapSeg| (a.max(s.start) - s.start, b.min(s.start + s.len - 1) - s.start);
-
-        let plans = pool.par_map(&segs, |seg| match &seg.kind {
-            SnapKind::Hot(data) => {
-                let (la, lb) = local(seg);
-                let mut sum = 0.0;
-                for &v in &data[la..=lb] {
-                    sum += v;
-                }
-                SegPlan::Hot { sum, rows: lb - la + 1 }
-            }
-            SnapKind::Hist { slot, energy, partial } => match local(seg) {
-                // A force-sealed short segment never ends at `segment_len - 1`.
-                (0, lb) if lb == cfg.segment_len - 1 => SegPlan::Covered(*partial),
-                (la, lb) => SegPlan::Hist {
-                    slot: *slot,
-                    energy: Arc::clone(energy),
-                    weights: count_weights(&cfg, la, lb),
-                },
-            },
-        });
-
         let (mut hot_segs, mut hist_segs) = (0usize, 0usize);
         // Each edge segment's first device block and energy catalog, and
         // each edge entry's device block. Slots ascend with the segments,
         // so the blocks ascend across the whole entry list.
         let mut edges: Vec<(usize, Arc<[f64]>)> = Vec::new();
         let mut blocks: Vec<usize> = Vec::new();
-        for plan in plans {
-            match plan {
-                SegPlan::Hot { sum, rows } => {
+        for seg in snap.sealed[first..last].iter().chain(tail) {
+            let (la, lb) =
+                (a.max(seg.start) - seg.start, b.min(seg.start + seg.len - 1) - seg.start);
+            match &seg.kind {
+                SnapKind::Hot(data) => {
+                    let mut sum = 0.0;
+                    for &v in &data[la..=lb] {
+                        sum += v;
+                    }
                     prog.exact += sum;
-                    prog.hot_rows += rows;
+                    prog.hot_rows += lb - la + 1;
                     hot_segs += 1;
                 }
-                SegPlan::Covered(partial) => {
+                // A force-sealed short segment never ends at `segment_len - 1`.
+                SnapKind::Hist { partial, .. } if (la, lb) == (0, cfg.segment_len - 1) => {
                     prog.exact += partial;
                     hist_segs += 1;
                 }
-                SegPlan::Hist { slot, energy, weights } => {
-                    let base = cfg.hist_block(slot);
+                SnapKind::Hist { slot, energy, .. } => {
+                    let weights = count_weights(&cfg, la, lb);
+                    let base = cfg.hist_block(*slot);
                     blocks.extend(weights.iter().map(|&(i, _)| base + i / cfg.block_size));
                     prog.entries.extend_from_slice(&weights);
-                    edges.push((base, energy));
+                    edges.push((base, Arc::clone(energy)));
                     hist_segs += 1;
                 }
             }
@@ -276,6 +246,7 @@ mod tests {
     use crate::{compact, transform_segment, TieredStore};
     use aims_dsp::dwt::dwt_full;
     use aims_dsp::filters::FilterKind;
+    use aims_exec::ThreadPool;
 
     /// The planner the lazy transform replaced: the dense DWT of the range
     /// indicator with every weight at or below 1e-10 × the largest
@@ -320,7 +291,7 @@ mod tests {
         let cfg = snap.cfg;
         let case =
             format!("{:?} S={} B={} [{a}, {b}]", cfg.filter, cfg.segment_len, cfg.block_size);
-        let mut prog = TieredProgressive::new(snap, a, b, &ThreadPool::new(1));
+        let mut prog = TieredProgressive::new(snap, a, b);
         let planned: Vec<usize> = planned_blocks(&prog).into_iter().map(|(_, blk)| blk).collect();
         let (mut want_blocks, want) = dense_reference(&cfg, coeffs, a, b);
         if (a, b) == (0, cfg.segment_len - 1) {
@@ -432,7 +403,7 @@ mod tests {
         assert!(snap.segments().iter().all(|s| s.historical));
         assert_eq!(snap.segments()[1].len, 40);
         for (a, b, planned) in [(0, 63, false), (64, 103, true), (0, 103, true), (10, 103, true)] {
-            let mut prog = TieredProgressive::new(&snap, a, b, &pool);
+            let mut prog = TieredProgressive::new(&snap, a, b);
             // Only the short segment (and an edge inside segment 0) plans
             // blocks: covering all 40 of its samples is not a full cover.
             assert_eq!(prog.total_blocks() > 0, planned, "[{a}, {b}]");

@@ -882,7 +882,7 @@ mod tests {
 
     use super::*;
     use crate::compact;
-    use crate::query::{range_sum_on, TieredProgressive};
+    use crate::query::{range_sum, TieredProgressive};
 
     const SEG: usize = 64;
     const BLOCK: usize = 16;
@@ -907,13 +907,13 @@ mod tests {
     }
 
     /// Every answer and every progressive step, as bits.
-    fn transcript(store: &TieredStore<MemDevice>, pool: &ThreadPool) -> Vec<u64> {
+    fn transcript(store: &TieredStore<MemDevice>) -> Vec<u64> {
         let snap = store.snapshot();
         let last = snap.len() - 1;
         let mut out = Vec::new();
         for (a, b) in [(0, last), (SEG / 2, 5 * SEG + 3), (3 * SEG, 4 * SEG - 1), (last, last)] {
-            out.push(range_sum_on(&snap, a, b, pool).to_bits());
-            let mut prog = TieredProgressive::new(&snap, a, b, pool);
+            out.push(range_sum(&snap, a, b).to_bits());
+            let mut prog = TieredProgressive::new(&snap, a, b);
             while !prog.done() {
                 let step = prog.step(3);
                 out.extend([step.estimate.to_bits(), step.bound.to_bits()]);
@@ -923,24 +923,22 @@ mod tests {
     }
 
     #[test]
-    fn answers_ignore_cache_state_cache_size_and_pool_width() {
+    fn answers_ignore_cache_state_and_cache_size() {
         for filter in [FilterKind::Haar, FilterKind::Db4] {
-            let want = transcript(&compacted(filter, 1024), &ThreadPool::new(1));
+            let want = transcript(&compacted(filter, 1024));
             for cache_blocks in [1024, 1] {
-                for threads in [1, 2, 8] {
-                    let (store, pool) = (compacted(filter, cache_blocks), ThreadPool::new(threads));
-                    let case = format!("{filter:?}, {cache_blocks}-block cache, {threads} threads");
-                    assert_eq!(store.hist.cache.resident(), 0, "installs must not fill the cache");
-                    let cold = transcript(&store, &pool);
-                    let warm = transcript(&store, &pool);
-                    assert_eq!(cold, want, "cold, {case}");
-                    assert_eq!(warm, want, "warm, {case}");
-                    let stats = store.hist.cache.stats();
-                    if cache_blocks == 1 {
-                        assert!(stats.evictions > 0, "a one-block cache must have thrashed");
-                    } else {
-                        assert!(stats.hits > 0 && stats.evictions == 0, "the warm pass must hit");
-                    }
+                let store = compacted(filter, cache_blocks);
+                let case = format!("{filter:?}, {cache_blocks}-block cache");
+                assert_eq!(store.hist.cache.resident(), 0, "installs must not fill the cache");
+                let cold = transcript(&store);
+                let warm = transcript(&store);
+                assert_eq!(cold, want, "cold, {case}");
+                assert_eq!(warm, want, "warm, {case}");
+                let stats = store.hist.cache.stats();
+                if cache_blocks == 1 {
+                    assert!(stats.evictions > 0, "a one-block cache must have thrashed");
+                } else {
+                    assert!(stats.hits > 0 && stats.evictions == 0, "the warm pass must hit");
                 }
             }
         }

@@ -21,7 +21,7 @@ use aims_dsp::filters::FilterKind;
 use aims_exec::ThreadPool;
 use aims_storage::{BlockDevice, DeviceStats, MemDevice, ReadError};
 use aims_tier::{
-    compact, range_sum_on, transform_segment, Compactor, CompactorConfig, TierConfig, TierMedia,
+    compact, range_sum, transform_segment, Compactor, CompactorConfig, TierConfig, TierMedia,
     TieredProgressive, TieredStore,
 };
 
@@ -76,7 +76,6 @@ fn concurrent_ingest_compact_query_drill() {
             let store = store.clone();
             let ingesting = Arc::clone(&ingesting);
             scope.spawn(move || {
-                let pool = ThreadPool::new(1);
                 let mut rounds = 0usize;
                 while ingesting.load(Ordering::Acquire) || rounds < 5 {
                     let _guard = store.begin_query();
@@ -94,8 +93,8 @@ fn concurrent_ingest_compact_query_drill() {
                     }
                     let n = snap.len();
                     let (a, b) = if q == 0 { (0, n - 1) } else { (n / 3, 2 * n / 3 + 1) };
-                    let exact = range_sum_on(&snap, a, b, &pool);
-                    let mut prog = TieredProgressive::new(&snap, a, b, &pool);
+                    let exact = range_sum(&snap, a, b);
+                    let mut prog = TieredProgressive::new(&snap, a, b);
                     let mut prev = f64::INFINITY;
                     loop {
                         let step = prog.current();
@@ -136,8 +135,8 @@ fn concurrent_ingest_compact_query_drill() {
     let (snap, osnap) = (store.snapshot(), oracle.snapshot());
     assert!(snap.segments().iter().all(|s| s.historical));
     for (a, b) in [(0, TOTAL - 1), (0, 0), (TOTAL / 2, TOTAL - 1), (SEG - 1, 3 * SEG)] {
-        let got = range_sum_on(&snap, a, b, &serial);
-        let want = range_sum_on(&osnap, a, b, &serial);
+        let got = range_sum(&snap, a, b);
+        let want = range_sum(&osnap, a, b);
         assert_eq!(got.to_bits(), want.to_bits(), "range [{a}, {b}]");
     }
 }

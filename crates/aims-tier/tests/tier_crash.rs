@@ -29,7 +29,7 @@ use aims_dsp::poly::Polynomial;
 use aims_exec::ThreadPool;
 use aims_storage::FileDeviceOptions;
 use aims_storage::{block_energy, BlockDevice, CrashPlan, DurabilityMode, FileDevice};
-use aims_tier::{compact, range_sum_on, TierConfig, TierSnapshot, TieredStore};
+use aims_tier::{compact, range_sum, TierConfig, TierSnapshot, TieredStore};
 
 const SEG: usize = 64;
 const BLOCK: usize = 16;
@@ -168,12 +168,12 @@ fn crash_mid_compaction_keeps_raw_segments() {
         // Every recovered sample is still queryable and correct: raw
         // segments answer exactly, so spot-check points bit-identically.
         for &t in &[0usize, SEG - 1, SEG, TOTAL - 1] {
-            let got = range_sum_on(&snap, t, t, &serial);
+            let got = range_sum(&snap, t, t);
             if snap.segments().iter().any(|s| t >= s.start && t < s.start + s.len && !s.historical)
             {
                 assert_eq!(got.to_bits(), data[t].to_bits(), "step {step}: raw point {t}");
             } else {
-                let want = range_sum_on(&osnap, t, t, &serial);
+                let want = range_sum(&osnap, t, t);
                 assert_eq!(got.to_bits(), want.to_bits(), "step {step}: hist point {t}");
             }
         }
@@ -182,8 +182,8 @@ fn crash_mid_compaction_keeps_raw_segments() {
         let snap = store.snapshot();
         assert!(snap.segments().iter().all(|s| s.historical));
         for (a, b) in [(0, TOTAL - 1), (SEG / 2, 3 * SEG), (0, 0)] {
-            let got = range_sum_on(&snap, a, b, &serial);
-            let want = range_sum_on(&osnap, a, b, &serial);
+            let got = range_sum(&snap, a, b);
+            let want = range_sum(&osnap, a, b);
             assert_eq!(got.to_bits(), want.to_bits(), "step {step}: range [{a}, {b}]");
         }
         drop(store);
@@ -197,7 +197,6 @@ fn crash_mid_compaction_keeps_raw_segments() {
 #[test]
 fn crash_mid_ingest_preserves_acked_samples() {
     let data = signal();
-    let serial = ThreadPool::new(1);
 
     for step in [5u64, 11, 23, 41, 67, 101] {
         let dir = fresh_dir(&format!("hot-{step}"));
@@ -236,7 +235,7 @@ fn crash_mid_ingest_preserves_acked_samples() {
         assert!(recovered >= acked, "step {step}: recovered {recovered} samples < acked {acked}");
         let snap = store.snapshot();
         for t in (0..acked).step_by(29).chain(acked.checked_sub(1)) {
-            let got = range_sum_on(&snap, t, t, &serial);
+            let got = range_sum(&snap, t, t);
             assert_eq!(got.to_bits(), data[t].to_bits(), "step {step}: point {t}");
         }
         drop(store);
@@ -271,8 +270,8 @@ fn reopen_reads_manifests_and_backlog_only() {
     compact::run_once(&store, &serial, 1);
     let (snap, osnap) = (store.snapshot(), oracle_snapshot());
     for (a, b) in [(0, 4 * SEG - 1), (SEG / 2, 3 * SEG), (7, 7)] {
-        let got = range_sum_on(&snap, a, b, &serial);
-        let want = range_sum_on(&osnap, a, b, &serial);
+        let got = range_sum(&snap, a, b);
+        let want = range_sum(&osnap, a, b);
         assert_eq!(got.to_bits(), want.to_bits(), "range [{a}, {b}]");
     }
     drop(store);
@@ -333,7 +332,7 @@ fn reopen_refuses_a_config_the_store_was_not_created_with() {
     let ranges = [(0, data.len() - 1), (4096 + 17, 3 * 4096 + 5), (5 * 4096, 5 * 4096 + 99)];
     let answers = |store: &TieredStore<_>| -> Vec<u64> {
         let snap = store.snapshot();
-        ranges.iter().map(|&(a, b)| range_sum_on(&snap, a, b, &serial).to_bits()).collect()
+        ranges.iter().map(|&(a, b)| range_sum(&snap, a, b).to_bits()).collect()
     };
     let dir = fresh_dir("geometry");
     let before = {

@@ -23,7 +23,7 @@ use std::os::unix::fs::FileExt;
 use aims_storage::{DurabilityMode, FaultKind, FaultPlan, FaultyDevice, FileDeviceOptions};
 use aims_storage::{MemDevice, RetryPolicy};
 use aims_telemetry::global;
-use aims_tier::{compact, range_sum_on, TierConfig, TierSnapshot, TieredProgressive, TieredStore};
+use aims_tier::{compact, range_sum, TierConfig, TierSnapshot, TieredProgressive, TieredStore};
 
 const SEG: usize = 128;
 const BLOCK: usize = 16;
@@ -81,15 +81,12 @@ fn transient_read_errors_are_retried_to_bit_identical_answers() {
     let (csnap, fsnap) = (clean.snapshot(), faulty.snapshot());
     let retries = global().counter("storage.retries");
     let before = retries.get();
-    for threads in [1, 4] {
-        let pool = ThreadPool::new(threads);
-        for (a, b) in ranges() {
-            let want = range_sum_on(&csnap, a, b, &pool);
-            let mut prog = TieredProgressive::new(&fsnap, a, b, &pool);
-            let last = prog.drain();
-            assert_eq!(last.estimate.to_bits(), want.to_bits(), "range [{a}, {b}]");
-            assert_eq!((last.blocks_lost, last.bound.to_bits()), (0, 0.0f64.to_bits()));
-        }
+    for (a, b) in ranges() {
+        let want = range_sum(&csnap, a, b);
+        let mut prog = TieredProgressive::new(&fsnap, a, b);
+        let last = prog.drain();
+        assert_eq!(last.estimate.to_bits(), want.to_bits(), "range [{a}, {b}]");
+        assert_eq!((last.blocks_lost, last.bound.to_bits()), (0, 0.0f64.to_bits()));
     }
     assert!(retries.get() > before, "the faulty device was never retried");
 }
@@ -102,11 +99,10 @@ fn dead_blocks_are_reported_and_bounded() {
 
     let (clean, faulty) = (compacted(FaultPlan::none(0)), compacted(plan));
     let (csnap, fsnap) = (clean.snapshot(), faulty.snapshot());
-    let pool = ThreadPool::new(2);
     let mut lost_somewhere = false;
     for (a, b) in ranges() {
-        let truth = range_sum_on(&csnap, a, b, &pool);
-        let mut prog = TieredProgressive::new(&fsnap, a, b, &pool);
+        let truth = range_sum(&csnap, a, b);
+        let mut prog = TieredProgressive::new(&fsnap, a, b);
         let mut prev = prog.current();
         loop {
             let scale = 1.0f64.max(truth.abs());
@@ -128,7 +124,7 @@ fn dead_blocks_are_reported_and_bounded() {
         // Lost blocks are exactly what keeps the final bound off zero, and
         // a degraded answer is the same degraded answer every time.
         assert_eq!(prev.blocks_lost > 0, prev.bound > 0.0, "range [{a}, {b}]");
-        assert_eq!(range_sum_on(&fsnap, a, b, &pool).to_bits(), prev.estimate.to_bits());
+        assert_eq!(range_sum(&fsnap, a, b).to_bits(), prev.estimate.to_bits());
         lost_somewhere |= prev.blocks_lost > 0;
     }
     assert!(lost_somewhere, "no query touched a dead block");
@@ -139,25 +135,24 @@ fn dead_blocks_are_reported_and_bounded() {
 /// an edge inside it needs that block, reports it lost, and keeps the
 /// truth inside the bound.
 fn assert_covered_exact_and_edge_bounded(csnap: &TierSnapshot, fsnap: &TierSnapshot, s: usize) {
-    let pool = ThreadPool::new(2);
     let (a, b) = (s * SEG, (s + 1) * SEG - 1);
-    let mut prog = TieredProgressive::new(fsnap, a, b, &pool);
+    let mut prog = TieredProgressive::new(fsnap, a, b);
     assert_eq!(prog.total_blocks(), 0, "segment {s}: a covered segment plans no block");
     let last = prog.drain();
     assert_eq!((last.blocks_lost, last.bound.to_bits()), (0, 0.0f64.to_bits()), "segment {s}");
-    let want = range_sum_on(csnap, a, b, &pool);
+    let want = range_sum(csnap, a, b);
     assert_eq!(last.estimate.to_bits(), want.to_bits(), "segment {s}: covered");
     // A wider range that covers the segment and ends in its neighbours'
     // middles reads only the neighbours' blocks.
     let (a, b) = (a.saturating_sub(SEG / 2 - 3), b + SEG / 2);
-    let want = range_sum_on(csnap, a, b, &pool);
-    let last = TieredProgressive::new(fsnap, a, b, &pool).drain();
+    let want = range_sum(csnap, a, b);
+    let last = TieredProgressive::new(fsnap, a, b).drain();
     assert_eq!(last.blocks_lost, 0, "segment {s}: [{a}, {b}]");
     assert_eq!(last.estimate.to_bits(), want.to_bits(), "segment {s}: [{a}, {b}]");
 
     let (a, b) = (s * SEG + 5, (s + 1) * SEG - 1);
-    let truth = range_sum_on(csnap, a, b, &pool);
-    let last = TieredProgressive::new(fsnap, a, b, &pool).drain();
+    let truth = range_sum(csnap, a, b);
+    let last = TieredProgressive::new(fsnap, a, b).drain();
     assert!(last.blocks_lost >= 1, "segment {s}: an edge inside it must read block 0");
     let scale = 1.0f64.max(truth.abs());
     assert!(

@@ -14,7 +14,7 @@ use aims_exec::ThreadPool;
 use aims_sensors::types::{MultiStream, StreamSpec};
 use aims_sensors::{FaultySensorRig, SensorFaultPlan};
 use aims_tier::{
-    compact, feed_outcome, feed_recording, range_sum_on, record_into_store, TierConfig, TieredStore,
+    compact, feed_outcome, feed_recording, range_sum, record_into_store, TierConfig, TieredStore,
 };
 
 const SEG: usize = 64;
@@ -53,10 +53,9 @@ fn record_into_store_is_lossless_with_ample_buffer() {
     assert_eq!(report.samples, FRAMES);
     assert_eq!(report.holes, 0);
     assert_eq!(store.len(), FRAMES);
-    let serial = ThreadPool::new(1);
     let snap = store.snapshot();
     for t in (0..FRAMES).step_by(17).chain([FRAMES - 1]) {
-        let got = range_sum_on(&snap, t, t, &serial);
+        let got = range_sum(&snap, t, t);
         assert_eq!(got.to_bits(), src.frame(t)[0].to_bits(), "point {t}");
     }
 }
@@ -77,12 +76,11 @@ fn record_into_store_zero_fills_dropped_frames() {
     assert_eq!(report.samples, FRAMES);
     assert_eq!(report.holes, stats.dropped_frames);
     assert_eq!(store.len(), FRAMES, "every source position occupied exactly once");
-    let serial = ThreadPool::new(1);
     let snap = store.snapshot();
     let mut stored = 0usize;
     let mut holes = 0usize;
     for t in 0..FRAMES {
-        let got = range_sum_on(&snap, t, t, &serial);
+        let got = range_sum(&snap, t, t);
         if got == 0.0 {
             holes += 1;
         } else {
@@ -108,10 +106,9 @@ fn feed_recording_places_frames_at_source_indices() {
     assert_eq!(report.samples, FRAMES);
     assert_eq!(report.holes, FRAMES - indices.len());
     assert_eq!(store.len(), FRAMES);
-    let serial = ThreadPool::new(1);
     let snap = store.snapshot();
     for (k, &idx) in indices.iter().enumerate().step_by(7) {
-        let got = range_sum_on(&snap, idx, idx, &serial);
+        let got = range_sum(&snap, idx, idx);
         assert_eq!(got.to_bits(), stored.frame(k)[1].to_bits(), "stored frame {k} at {idx}");
     }
 }
@@ -144,8 +141,8 @@ fn supervised_rig_to_tiered_store_end_to_end() {
     assert!(snap.segments().iter().all(|s| s.historical));
     let n = store.len();
     for (a, b) in [(0, n - 1), (0, 0), (n / 3, 2 * n / 3), (SEG - 1, SEG)] {
-        let got = range_sum_on(&snap, a, b, &serial);
-        let want = range_sum_on(&dsnap, a, b, &serial);
+        let got = range_sum(&snap, a, b);
+        let want = range_sum(&dsnap, a, b);
         assert_eq!(got.to_bits(), want.to_bits(), "range [{a}, {b}]");
     }
 }

@@ -11,12 +11,9 @@
 use std::time::{Duration, Instant};
 
 use aims_dsp::filters::FilterKind;
-use aims_exec::ThreadPool;
 use aims_storage::{DurabilityMode, FileDeviceOptions};
 use aims_telemetry::global;
-use aims_tier::{
-    range_sum_on, Compactor, CompactorConfig, TierConfig, TieredStore, HIST_CACHE_BYTES,
-};
+use aims_tier::{range_sum, Compactor, CompactorConfig, TierConfig, TieredStore, HIST_CACHE_BYTES};
 
 const SEG: usize = 4096;
 const BLOCK: usize = 256;
@@ -81,11 +78,10 @@ fn resident_memory_is_hot_tier_plus_cache_not_data() {
     // store's queries can make it — and the bound still holds.
     let snap = store.snapshot();
     assert!(snap.segments().iter().all(|s| s.historical));
-    let pool = ThreadPool::new(1);
     for _ in 0..2 {
-        let total = range_sum_on(&snap, 0, SEGMENTS * SEG - 1, &pool);
+        let total = range_sum(&snap, 0, SEGMENTS * SEG - 1);
         assert!((total - truth).abs() <= 1e-9 * truth.abs().max(1.0), "{total} vs {truth}");
-        assert!(range_sum_on(&snap, SEG / 3, SEGMENTS * SEG - SEG / 3, &pool).is_finite());
+        assert!(range_sum(&snap, SEG / 3, SEGMENTS * SEG - SEG / 3).is_finite());
     }
     let resident = store.resident_bytes();
     assert!(resident > 0 && resident <= HIST_CACHE_BYTES + catalog_bytes(SEGMENTS));

@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use aims_dsp::filters::FilterKind;
 use aims_exec::ThreadPool;
 use aims_storage::MemDevice;
-use aims_tier::{compact, range_sum_on, TierConfig, TieredProgressive, TieredStore};
+use aims_tier::{compact, range_sum, TierConfig, TieredProgressive, TieredStore};
 
 const SEG: usize = 64;
 const BLOCK: usize = 16;
@@ -75,7 +75,6 @@ proptest! {
         chunks in prop::collection::vec(1usize..=96, 1..=24),
         compact_every in 1usize..=4,
     ) {
-        let serial = ThreadPool::new(1);
         for filter in FILTERS {
             let oracle = oracle(&signal, filter);
             let oracle_snap = oracle.snapshot();
@@ -106,8 +105,8 @@ proptest! {
                 // sum up to rounding.
                 prop_assert!(snap.segments().iter().all(|s| s.historical));
                 for (a, b) in ranges(signal.len()) {
-                    let got = range_sum_on(&snap, a, b, &serial);
-                    let want = range_sum_on(&oracle_snap, a, b, &serial);
+                    let got = range_sum(&snap, a, b);
+                    let want = range_sum(&oracle_snap, a, b);
                     prop_assert_eq!(
                         got.to_bits(), want.to_bits(),
                         "{:?} range [{}, {}]: {} vs {}", filter, a, b, got, want
@@ -130,10 +129,9 @@ proptest! {
         let store = TieredStore::new_mem(cfg(FilterKind::Haar));
         store.push_slice(&signal);
         let snap = store.snapshot();
-        let serial = ThreadPool::new(1);
         for (a, b) in ranges(signal.len()) {
             let naive = grouped_sum(&signal, a, b);
-            let got = range_sum_on(&snap, a, b, &serial);
+            let got = range_sum(&snap, a, b);
             prop_assert_eq!(got.to_bits(), naive.to_bits());
         }
     }
@@ -153,10 +151,10 @@ proptest! {
             compact::run_once(&store, &serial, compacted);
             let snap = store.snapshot();
             for (a, b) in ranges(signal.len()) {
-                let exact = range_sum_on(&snap, a, b, &serial);
+                let exact = range_sum(&snap, a, b);
                 let raw = grouped_sum(&signal, a, b);
                 prop_assert!(close_to_raw(exact, raw), "{:?}: {} vs raw sum {}", filter, exact, raw);
-                let mut prog = TieredProgressive::new(&snap, a, b, &serial);
+                let mut prog = TieredProgressive::new(&snap, a, b);
                 let mut prev = f64::INFINITY;
                 let mut step = prog.current();
                 loop {
@@ -196,15 +194,13 @@ fn snapshot_taken_before_install_answers_identically_after() {
     let serial = ThreadPool::new(1);
     compact::run_once(&store, &serial, 2);
     let before = store.snapshot();
-    let want: Vec<u64> = ranges(signal.len())
-        .iter()
-        .map(|&(a, b)| range_sum_on(&before, a, b, &serial).to_bits())
-        .collect();
+    let want: Vec<u64> =
+        ranges(signal.len()).iter().map(|&(a, b)| range_sum(&before, a, b).to_bits()).collect();
     compact::drain(&store, &serial);
     assert!(store.snapshot().segments().iter().filter(|s| s.historical).count() > 2);
     assert_eq!(before.segments().iter().filter(|s| s.historical).count(), 2);
     for (&(a, b), want) in ranges(signal.len()).iter().zip(want) {
-        assert_eq!(range_sum_on(&before, a, b, &serial).to_bits(), want, "range [{a}, {b}]");
+        assert_eq!(range_sum(&before, a, b).to_bits(), want, "range [{a}, {b}]");
     }
 }
 

@@ -19,7 +19,7 @@ use aims_exec::ThreadPool;
 use aims_service::{TieredPlanner, TieredPlannerConfig};
 use aims_storage::file::{CrashPlan, DurabilityMode, FileDeviceOptions};
 use aims_tier::{
-    compact, range_sum_on, Compactor, CompactorConfig, TierConfig, TieredStore, HIST_CACHE_BYTES,
+    compact, range_sum, Compactor, CompactorConfig, TierConfig, TieredStore, HIST_CACHE_BYTES,
 };
 
 use super::{percentile, Rng};
@@ -189,8 +189,8 @@ pub fn run(cfg: &Config) -> Report {
     let mut answers = Vec::new();
     let mut oracle_identical = true;
     for (a, b) in [(0, last), (0, 0), (last / 2, last), (last / 3, 2 * last / 3)] {
-        let got = range_sum_on(&snap, a, b, &serial).to_bits();
-        if got != range_sum_on(&osnap, a, b, &serial).to_bits() {
+        let got = range_sum(&snap, a, b).to_bits();
+        if got != range_sum(&osnap, a, b).to_bits() {
             oracle_identical = false;
             violations.push(format!("oracle drift on [{a}, {b}]"));
         }

@@ -46,3 +46,28 @@ fn a_recording_shorter_than_a_sampling_window_ingests() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("ingested 10 frames"));
 }
+
+#[test]
+fn a_recording_slower_than_the_sampling_rate_floor_ingests() {
+    let path = std::env::temp_dir().join(format!("aims-cli-slow-{}.csv", std::process::id()));
+    let csv = path.to_str().unwrap();
+    let out = aims_cli(&["generate", "--seconds", "0.5", "--out", csv]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&path).unwrap();
+    let (header, rows) = text.split_once('\n').unwrap();
+    assert_eq!(header, "# rate=100");
+    std::fs::write(&path, format!("# rate=1\n{rows}")).unwrap();
+    let mut outcomes = Vec::new();
+    for strategy in ["adaptive", "fixed", "modified-fixed", "grouped"] {
+        outcomes.push((strategy, aims_cli(&["ingest", "--input", csv, "--strategy", strategy])));
+    }
+    std::fs::remove_file(&path).ok();
+    for (strategy, out) in outcomes {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--strategy {strategy}: {stderr}");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).starts_with("ingested 50 frames"),
+            "{strategy}"
+        );
+    }
+}
