@@ -80,13 +80,15 @@ for threads in 1 4; do
     AIMS_THREADS=$threads cargo test --workspace -q
 done
 
-# The seeded drills again, under two pinned seeds each.
+# The seeded drills again, under two pinned seeds each (a fifth field names
+# the suite's package when it is not the root one).
 for pin in "AIMS_FAULT_SEED fault_matrix 13 1013" "AIMS_INGEST_FAULT_SEED ingest_drill 17 1017" \
-    "AIMS_CRASH_SEED crash_matrix 17 2029" "AIMS_CHAOS_SEED chaos_drill 4242 9001"; do
-    read -r var suite seed_a seed_b <<<"$pin"
+    "AIMS_CRASH_SEED crash_matrix 17 2029" "AIMS_CRASH_SEED tier_crash 17 2029 aims-tier" \
+    "AIMS_CHAOS_SEED chaos_drill 4242 9001"; do
+    read -r var suite seed_a seed_b package <<<"$pin"
     for seed in "$seed_a" "$seed_b"; do
         echo "== $suite (pinned seed $seed) =="
-        env "$var=$seed" cargo test -q --test "$suite"
+        env "$var=$seed" cargo test -q ${package:+-p "$package"} --test "$suite"
     done
 done
 

@@ -45,7 +45,15 @@
 //! Crash simulation extends the deterministic fault-injection story of
 //! [`crate::faults`] to *process death*: WAL appends buffer in userspace
 //! and reach the OS file only at an fsync, so a simulated crash loses the
-//! buffered bytes but keeps everything previously written. A
+//! buffered records but keeps everything previously written. What is
+//! buffered is raw: a `write_block` copies its payload into a record arena
+//! and into the block's dirty buffer, and nothing more. The next
+//! [`FileDevice::sync`] encodes and digests the whole batch just before its
+//! one write and fsync (under fsync-always, at once), and a block's
+//! checksum-table digest is taken when first needed — by the checkpoint
+//! fold that encodes its payload, a verified read, or a raw patch (which
+//! takes it before changing the payload). The bytes that reach the files
+//! are the same either way. A
 //! [`CrashPlan`] kills the device at the N-th crash-eligible step —
 //! WAL append, WAL sync (with a seed-chosen torn prefix), each
 //! checkpoint phase — as a pure function of one u64 seed, which is what
@@ -197,14 +205,24 @@ pub struct WalStats {
     pub checkpoints: u64,
 }
 
+/// A block's payload not yet folded into the main file.
+#[derive(Debug)]
+struct Dirty {
+    payload: Vec<f64>,
+    /// The block's `checksums` entry is stale: the last `write_block`'s
+    /// digest is taken from `payload` when it is first needed.
+    digest_pending: bool,
+}
+
 /// Interior-mutable state shared by the `&self` read path.
 #[derive(Debug)]
 struct FileState {
-    /// Checksum recorded by the last `write_block` of each block.
+    /// Checksum recorded by the last `write_block` of each block (for a
+    /// dirty block whose digest is pending, see [`FileState::settle`]).
     checksums: Vec<u64>,
     /// Blocks whose latest payload is not yet folded into the main file
     /// (every entry is backed by a WAL record, except raw patches).
-    dirty: HashMap<usize, Vec<f64>>,
+    dirty: HashMap<usize, Dirty>,
     /// Payload buffers the last checkpoint folded, kept for the next
     /// dirty blocks — never more than one checkpoint's dirty set.
     spare: Vec<Vec<f64>>,
@@ -224,15 +242,27 @@ impl FileState {
     /// Makes `data` the dirty payload of block `id`, copied into the
     /// block's current dirty buffer or one recycled from the last
     /// checkpoint; allocates only when neither exists.
-    fn stage(&mut self, id: usize, data: &[f64]) {
+    fn stage(&mut self, id: usize, data: &[f64]) -> &mut Dirty {
         match self.dirty.entry(id) {
-            Entry::Occupied(e) => e.into_mut().copy_from_slice(data),
-            Entry::Vacant(e) => {
-                let mut buf = self.spare.pop().unwrap_or_default();
-                buf.clear();
-                buf.extend_from_slice(data);
-                e.insert(buf);
+            Entry::Occupied(e) => {
+                let dirty = e.into_mut();
+                dirty.payload.copy_from_slice(data);
+                dirty
             }
+            Entry::Vacant(e) => {
+                let mut payload = self.spare.pop().unwrap_or_default();
+                payload.clear();
+                payload.extend_from_slice(data);
+                e.insert(Dirty { payload, digest_pending: false })
+            }
+        }
+    }
+
+    /// Takes block `id`'s pending digest, if any, from its dirty payload.
+    fn settle(&mut self, id: usize) {
+        if let Some(dirty) = self.dirty.get_mut(&id).filter(|d| d.digest_pending) {
+            self.checksums[id] = block_digest(&dirty.payload);
+            dirty.digest_pending = false;
         }
     }
 }
@@ -253,7 +283,13 @@ pub struct FileDevice {
     crash: CrashPlan,
     checkpoint_bytes: u64,
     state: Mutex<FileState>,
-    /// WAL bytes buffered in userspace — lost wholesale by a crash.
+    /// The record arena: every WAL record appended since the last sync,
+    /// raw — `(lsn, block)` per record, its payload items back to back in
+    /// `record_items`. Buffered in userspace, so lost wholesale by a crash;
+    /// [`FileDevice::sync`] encodes the batch. Both keep their capacity.
+    records: Vec<(u64, usize)>,
+    record_items: Vec<f64>,
+    /// The batch's encoded WAL bytes, built by `sync` just before its write.
     wal_pending: Vec<u8>,
     /// Checkpoint scratch, reused across checkpoints: the dirty block ids
     /// in fold order and the one payload image being written.
@@ -310,9 +346,14 @@ fn encode_payload(out: &mut [u8], payload: &[f64]) {
     }
 }
 
+/// Encoded bytes of one WAL record of `items` payload items.
+fn wal_record_len(items: usize) -> usize {
+    4 + 24 + items * 8
+}
+
 /// Appends one WAL record (`[len][lsn][block][payload][crc]`) to `buf`.
 fn append_wal_record(buf: &mut Vec<u8>, lsn: u64, block: u64, payload: &[f64]) {
-    let body_len = 24 + payload.len() * 8;
+    let body_len = wal_record_len(payload.len()) - 4;
     let start = buf.len();
     buf.resize(start + 4 + body_len, 0);
     let (len, body) = buf[start..].split_at_mut(4);
@@ -343,7 +384,7 @@ struct WalScan<'a> {
 /// length field, wrong body length, truncated body, CRC mismatch,
 /// non-monotone LSN, or out-of-range block id.
 fn scan_wal(bytes: &[u8], block_size: usize, num_blocks: usize) -> WalScan<'_> {
-    let body_len = 24 + block_size * 8;
+    let body_len = wal_record_len(block_size) - 4;
     let mut records = Vec::new();
     let mut off = 0usize;
     let mut last_lsn = 0u64;
@@ -598,6 +639,8 @@ impl FileDevice {
             crash: opts.crash,
             checkpoint_bytes: opts.checkpoint_bytes.max(1),
             state: Mutex::new(FileState::new(checksums)),
+            records: Vec::new(),
+            record_items: Vec::new(),
             wal_pending: Vec::new(),
             fold_order: Vec::new(),
             fold_payload: vec![0; block_size * 8],
@@ -686,13 +729,22 @@ impl FileDevice {
         (mix(self.crash.seed, step, 0, SALT_CRASH_TORN) % (len as u64 + 1)) as usize
     }
 
-    /// Flushes buffered WAL bytes to the OS file and fsyncs, advancing
-    /// the durable frontier. Crash-eligible: a crash here writes only a
-    /// seed-chosen prefix (a torn tail for recovery to truncate).
+    /// Encodes every record appended since the last sync — big-endian
+    /// image and record digest, the batch in one buffer — writes it to the
+    /// OS file in one `pwrite` and fsyncs, advancing the durable frontier.
+    /// A no-op when nothing was appended. Crash-eligible: a crash here
+    /// writes only a seed-chosen prefix of the encoded batch (a torn tail
+    /// for recovery to truncate).
     pub fn sync(&mut self) {
-        if self.crashed || self.wal_pending.is_empty() {
+        if self.crashed || self.records.is_empty() {
             return;
         }
+        let items = self.record_items.chunks_exact(self.block_size);
+        for (&(lsn, block), payload) in self.records.iter().zip(items) {
+            append_wal_record(&mut self.wal_pending, lsn, block as u64, payload);
+        }
+        self.records.clear();
+        self.record_items.clear();
         if let Some(step) = self.crash_here() {
             let torn = self.torn_len(step, self.wal_pending.len());
             self.wal
@@ -713,9 +765,10 @@ impl FileDevice {
     }
 
     /// Folds every dirty block into the main file and truncates the WAL:
-    /// (1) fsync the WAL, (2) write each dirty block's payload and table
-    /// entry, (3) fsync the main file, (4) truncate the WAL. Steps (2)–(4)
-    /// are each crash-eligible; dying anywhere leaves a WAL replay repairs.
+    /// (1) sync the WAL, (2) write each dirty block's payload and table
+    /// entry — taking a pending digest from the payload it encodes — (3)
+    /// fsync the main file, (4) truncate the WAL. Steps (2)–(4) are each
+    /// crash-eligible; dying anywhere leaves a WAL replay repairs.
     pub fn checkpoint(&mut self) {
         if self.crashed {
             return;
@@ -731,7 +784,8 @@ impl FileDevice {
         for i in 0..self.fold_order.len() {
             let b = self.fold_order[i];
             let st = self.state.get_mut().expect(POISONED);
-            encode_payload(&mut self.fold_payload, &st.dirty[&b]);
+            encode_payload(&mut self.fold_payload, &st.dirty[&b].payload);
+            st.settle(b);
             let digest = st.checksums[b].to_be_bytes();
             // A torn fold writes a prefix of payload ‖ digest; the WAL still
             // holds this record, so replay repairs the block on reopen.
@@ -759,7 +813,7 @@ impl FileDevice {
         self.wal.sync_data().expect("WAL fsync failed");
         self.wal_len = 0;
         let FileState { dirty, spare, .. } = self.state.get_mut().expect(POISONED);
-        spare.extend(dirty.drain().map(|(_, buf)| buf));
+        spare.extend(dirty.drain().map(|(_, d)| d.payload));
         self.wal_stats.checkpoints += 1;
         counter!("storage.wal.checkpoints").inc();
     }
@@ -997,8 +1051,8 @@ impl BlockDevice for FileDevice {
         {
             let mut st = self.state.lock().unwrap();
             st.stats.reads += 1;
-            if let Some(p) = st.dirty.get(&id) {
-                buf.copy_from_slice(p);
+            if let Some(dirty) = st.dirty.get(&id) {
+                buf.copy_from_slice(&dirty.payload);
                 counter!("storage.device.reads").inc();
                 return Ok(());
             }
@@ -1009,11 +1063,17 @@ impl BlockDevice for FileDevice {
     }
 
     fn stored_checksum(&self, id: usize) -> u64 {
-        let st = self.state.lock().unwrap();
+        let mut st = self.state.lock().unwrap();
         assert!(id < st.checksums.len(), "block {id} out of range");
+        st.settle(id);
         st.checksums[id]
     }
 
+    /// Appends the write's WAL record to the record arena and stages its
+    /// payload, all raw: the record is encoded and digested by the next
+    /// [`FileDevice::sync`] (at once under [`DurabilityMode::Always`]), and
+    /// the block's digest is taken when first needed — by the checkpoint
+    /// that folds it, a verified read or [`RawMedia::patch_raw`].
     fn write_block(&mut self, id: usize, data: &[f64]) {
         assert!(id < self.num_blocks, "block {id} out of range");
         assert_eq!(data.len(), self.block_size, "block data size mismatch");
@@ -1025,7 +1085,8 @@ impl BlockDevice for FileDevice {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         self.appended_lsn = lsn;
-        append_wal_record(&mut self.wal_pending, lsn, id as u64, data);
+        self.records.push((lsn, id));
+        self.record_items.extend_from_slice(data);
         self.wal_stats.appends += 1;
         counter!("storage.wal.appends").inc();
         let died = self.crash_here().is_some();
@@ -1036,8 +1097,7 @@ impl BlockDevice for FileDevice {
             // userspace buffer, so it is lost wholesale.
             return;
         }
-        st.checksums[id] = block_digest(data);
-        st.stage(id, data);
+        st.stage(id, data).digest_pending = true;
 
         match self.mode {
             DurabilityMode::Always => self.sync(),
@@ -1049,7 +1109,9 @@ impl BlockDevice for FileDevice {
             }
             DurabilityMode::None => {}
         }
-        if !self.crashed && self.wal_len + self.wal_pending.len() as u64 >= self.checkpoint_bytes {
+        // Buffered records count at their encoded length.
+        let buffered = (self.records.len() * wal_record_len(self.block_size)) as u64;
+        if !self.crashed && self.wal_len + buffered >= self.checkpoint_bytes {
             self.checkpoint();
         }
     }
@@ -1071,14 +1133,17 @@ impl RawMedia for FileDevice {
             return;
         }
         // Media corruption bypasses the WAL: the payload changes, the
-        // recorded checksum does not, and no redo record is written.
-        self.state.get_mut().expect(POISONED).stage(id, data);
+        // recorded checksum does not, and no redo record is written. So
+        // the last write's pending digest is taken first.
+        let st = self.state.get_mut().expect(POISONED);
+        st.settle(id);
+        st.stage(id, data);
     }
 
     fn raw_payload(&self, id: usize) -> Vec<f64> {
         assert!(id < self.num_blocks, "block {id} out of range");
-        if let Some(p) = self.state.lock().unwrap().dirty.get(&id) {
-            return p.clone();
+        if let Some(dirty) = self.state.lock().unwrap().dirty.get(&id) {
+            return dirty.payload.clone();
         }
         let mut buf = vec![0.0; self.block_size];
         self.read_main_payload(id, &mut buf).expect("raw read failed");
@@ -1283,6 +1348,53 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn a_patch_behind_a_pending_digest_is_still_caught() {
+        for mode in [DurabilityMode::Always, DurabilityMode::Periodic(3), DurabilityMode::None] {
+            let dir = test_dir("pending-patch");
+            let opts = FileDeviceOptions { mode, ..Default::default() };
+            let mut d = FileDevice::create(&dir, 4, 4, opts.clone()).unwrap();
+            d.write_block(2, &payload(4, 1));
+            d.write_block(2, &payload(4, 2));
+            d.patch_raw(2, &payload(4, 3));
+            let corrupt = |d: &FileDevice, when: &str| {
+                let err = d.read_block(2).unwrap_err();
+                assert_eq!(err.kind, ReadErrorKind::Corrupt, "{mode:?} {when}");
+            };
+            corrupt(&d, "staged");
+            d.sync();
+            corrupt(&d, "synced");
+            d.checkpoint();
+            corrupt(&d, "folded");
+            drop(d);
+            corrupt(&FileDevice::open(&dir, opts).unwrap(), "reopened");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_written_blocks_stored_checksum_is_its_payloads_digest_at_every_point() {
+        let dir = test_dir("pending-digest");
+        let opts = FileDeviceOptions { mode: DurabilityMode::None, ..Default::default() };
+        let mut d = FileDevice::create(&dir, 4, 4, opts.clone()).unwrap();
+        d.write_block(1, &payload(4, 1));
+        d.write_block(3, &payload(4, 2));
+        d.write_block(1, &payload(4, 3));
+        let check = |d: &FileDevice, when: &str| {
+            assert_eq!(d.stored_checksum(1), block_digest(&payload(4, 3)), "block 1 {when}");
+            assert_eq!(d.stored_checksum(3), block_digest(&payload(4, 2)), "block 3 {when}");
+            assert_eq!(d.stored_checksum(0), block_digest(&[0.0; 4]), "block 0 {when}");
+        };
+        check(&d, "staged");
+        d.sync();
+        check(&d, "synced");
+        d.checkpoint();
+        check(&d, "folded");
+        drop(d);
+        check(&FileDevice::open(&dir, opts).unwrap(), "reopened");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

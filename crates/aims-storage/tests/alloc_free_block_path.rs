@@ -1,9 +1,11 @@
 //! The durable block path at the allocator level: once one checkpoint
 //! cycle has warmed a [`FileDevice`], `write_block` between checkpoints
-//! and a verified read of a main-file block perform zero heap
+//! (a block rewritten inside one batch included), the `sync` that encodes
+//! the batch, and a verified read of a main-file block perform zero heap
 //! allocations — dirty payloads live in buffers recycled from the last
-//! checkpoint — and recycling never shows one block's payload in
-//! another's, before or after a checkpoint and a reopen.
+//! checkpoint, raw records in an arena that keeps its capacity — and
+//! recycling never shows one block's payload in another's, before or
+//! after a checkpoint and a reopen.
 
 use aims_storage::{BlockDevice, DurabilityMode, FileDevice, FileDeviceOptions};
 
@@ -50,16 +52,19 @@ fn warm_block_path_allocates_nothing_and_recycles_without_leaking_payloads() {
 
     // Between checkpoints: five blocks rewritten. Buffers come back in the
     // dirty table's hash order, so most land in another block's old one.
+    // The fourth write syncs (`periodic:4`); the last three are one batch.
     let rewritten = [7usize, 5, 4, 2, 1];
     let writes = allocations_during(|| {
         for &b in &rewritten {
             device.write_block(b, &generations[1][b]);
         }
-        // A second write of a dirty block reuses that block's buffer.
+        // A second write of a dirty block reuses that block's buffer, and
+        // its two records share the arena with block 1's.
         device.write_block(4, &generations[2][4]);
         device.write_block(4, &generations[1][4]);
+        device.sync();
     });
-    assert_eq!(writes, 0, "write_block between checkpoints must not allocate");
+    assert_eq!(writes, 0, "write_block and sync between checkpoints must not allocate");
     assert_eq!(device.recycled_buffers(), BLOCKS - rewritten.len());
 
     // Dirty blocks serve the new payload, the rest the main-file one.

@@ -321,6 +321,15 @@ impl Manifest {
         self.set(at + self.stride - 1, 1.0);
     }
 
+    /// A fresh manifest as its device's create image: the header block
+    /// (the rest of a fresh device is zeros already), which the caller
+    /// writes at creation, so no block is left dirty.
+    pub(crate) fn create_image(&mut self) -> &[f64] {
+        debug_assert!(self.dirty[1..].iter().all(|d| !d), "only a fresh manifest is an image");
+        self.dirty.fill(false);
+        &self.image[..self.block_size]
+    }
+
     /// Writes the dirty manifest blocks through the device (and its WAL).
     pub(crate) fn flush<D: BlockDevice>(&mut self, device: &mut D) {
         for b in 0..self.dirty.len() {

@@ -401,6 +401,10 @@ impl TieredStore<FileDevice> {
 
     /// [`Self::create_durable`] with separate options per device — crash
     /// drills arm a [`aims_storage::CrashPlan`] on one tier at a time.
+    /// Each fresh manifest is its device's create image
+    /// ([`FileDevice::create_from`]), so the store is durable, and reopens
+    /// empty, from the moment this returns: no WAL record, no fsync beyond
+    /// creation's own.
     pub fn create_durable_with(
         dir: &std::path::Path,
         cfg: TierConfig,
@@ -409,15 +413,20 @@ impl TieredStore<FileDevice> {
     ) -> std::io::Result<Self> {
         cfg.validate();
         std::fs::create_dir_all(dir)?;
-        let hot =
-            FileDevice::create(dir.join("hot"), cfg.block_size, cfg.hot_device_blocks(), hot_opts)?;
-        let hist = FileDevice::create(
-            dir.join("hist"),
-            cfg.block_size,
-            cfg.hist_device_blocks(),
-            hist_opts,
-        )?;
-        Ok(Self::with_devices(cfg, hot, hist))
+        let (mut hot_man, mut hist_man) = (Manifest::fresh_hot(&cfg), Manifest::fresh_hist(&cfg));
+        let create = |name, blocks, man: &mut Manifest, opts| {
+            FileDevice::create_from(
+                dir.join(name),
+                cfg.block_size,
+                blocks,
+                man.create_image(),
+                opts,
+            )
+        };
+        let hot = create("hot", cfg.hot_device_blocks(), &mut hot_man, hot_opts)?;
+        let hist = create("hist", cfg.hist_device_blocks(), &mut hist_man, hist_opts)?;
+        let cache_blocks = cache_budget_blocks(&cfg);
+        Ok(Self::fresh(cfg, (hot, hot_man), (hist, hist_man), cache_blocks))
     }
 
     /// Reopens a durable store, replaying both WALs and repairing any
@@ -485,6 +494,16 @@ impl<D: TierMedia> TieredStore<D> {
         let mut hist_man = Manifest::fresh_hist(&cfg);
         hot_man.flush(&mut hot);
         hist_man.flush(&mut hist);
+        Self::fresh(cfg, (hot, hot_man), (hist, hist_man), cache_blocks)
+    }
+
+    /// An empty store over devices that already hold their fresh manifests.
+    fn fresh(
+        cfg: TierConfig,
+        (hot, hot_man): (D, Manifest),
+        (hist, hist_man): (D, Manifest),
+        cache_blocks: usize,
+    ) -> Self {
         counter!("tier.segments.open").inc();
         let inner = Inner::empty(&cfg, hot, hot_man);
         Self::assemble(cfg, inner, HistTier::new(cfg, hist, hist_man, cache_blocks))
@@ -711,10 +730,12 @@ impl<D: TierMedia> TieredStore<D> {
         self.publish_resident(inner);
     }
 
-    /// Makes the open tail durable up to the last pushed sample: writes
-    /// the partial tail block (zero-padded), records the open length in
-    /// the manifest, and flushes. After this, a reopened store recovers
-    /// every pushed sample.
+    /// Makes every pushed sample durable: writes the partial tail block
+    /// (zero-padded), records the open length in the manifest, flushes it,
+    /// and syncs the hot device's WAL ([`TierMedia::sync_wal`]) — one
+    /// fsync, whatever the durability mode, when anything is unsynced;
+    /// no checkpoint. After this, a reopened store recovers every pushed
+    /// sample.
     pub fn sync(&self) {
         let cfg = self.cfg;
         let bs = cfg.block_size;
@@ -735,6 +756,7 @@ impl<D: TierMedia> TieredStore<D> {
         inner.hot_man.set_total_len(durable);
         let Inner { hot, hot_man, .. } = &mut *inner;
         hot_man.flush(hot);
+        hot.sync_wal();
     }
 
     /// A consistent view for query evaluation. The open tail is copied,
@@ -843,10 +865,11 @@ impl<D: TierMedia> TieredStore<D> {
 }
 
 /// The devices a tiered store can live on: a [`BlockDevice`] plus the
-/// install commit point. A WAL-backed device checkpoints (fold + fsync)
-/// to make the historical claim durable before the raw slot is retired;
-/// the in-memory device needs nothing beyond the writes. `Send + Sync`
-/// because snapshots read the historical device from query threads.
+/// install commit point and the ingest sync point. A WAL-backed device
+/// checkpoints (fold + fsync) to make the historical claim durable before
+/// the raw slot is retired, and fsyncs its WAL to make pushed samples
+/// durable; the in-memory device needs nothing beyond the writes. `Send +
+/// Sync` because snapshots read the historical device from query threads.
 pub trait TierMedia: BlockDevice + Send + Sync + 'static {
     /// Makes everything written so far durable (the historical install's
     /// commit point). Returns `false` when the device cannot honor the
@@ -855,6 +878,10 @@ pub trait TierMedia: BlockDevice + Send + Sync + 'static {
     fn commit(&mut self) -> bool {
         true
     }
+
+    /// Makes everything written so far durable without folding it
+    /// ([`TieredStore::sync`]'s last step).
+    fn sync_wal(&mut self) {}
 }
 
 impl TierMedia for MemDevice {}
@@ -864,13 +891,21 @@ impl TierMedia for FileDevice {
         self.checkpoint();
         !self.is_crashed()
     }
+
+    fn sync_wal(&mut self) {
+        self.sync();
+    }
 }
 
-/// Media faults layer over either tier; the commit point is the wrapped
-/// device's.
+/// Media faults layer over either tier; the commit and sync points are
+/// the wrapped device's.
 impl<D: TierMedia + RawMedia> TierMedia for FaultyDevice<D> {
     fn commit(&mut self) -> bool {
         self.inner_mut().commit()
+    }
+
+    fn sync_wal(&mut self) {
+        self.inner_mut().sync_wal();
     }
 }
 

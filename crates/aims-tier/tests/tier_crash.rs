@@ -1,7 +1,8 @@
 //! Crash-matrix extension for the tiered store (rides on PR 8's seeded
 //! [`CrashPlan`] machinery).
 //!
-//! Two sweeps under pinned seeds:
+//! Two sweeps under one seed (`AIMS_CRASH_SEED`, default `0x7153`; ci.sh
+//! also runs 17 and 2029), which draws the signal and every torn length:
 //!
 //! - **Crash mid-compaction** (historical device dies at step k, for a
 //!   sweep of k): on reopen, every segment whose install missed its
@@ -10,9 +11,14 @@
 //!   survive. Either way the reopened store holds every sample, and
 //!   after the backlog re-drains it answers bit-identically to a
 //!   single-pass oracle.
-//! - **Crash mid-ingest** (hot device dies at step k): on reopen the
-//!   store holds at least every sample acknowledged by a completed
-//!   `sync()`, and each recovered sample reads back bit-identical.
+//! - **Crash mid-ingest** (hot device dies at step k), under fsync-always
+//!   and under `periodic:4`: on reopen the store holds at least every
+//!   sample acknowledged by a completed `sync()`, and each recovered sample
+//!   reads back bit-identical.
+//!
+//! Under the buffered flush policies (`periodic:K`, `none`) a store is
+//! durable exactly where its docs say: from `create_durable` on (it
+//! reopens empty) and up to its last `sync()` (every pushed sample).
 //!
 //! Reopening is lazy: recovery reads the two manifests, the raw backlog
 //! and the open tail, and not one historical coefficient block — the
@@ -34,19 +40,22 @@ use aims_tier::{compact, range_sum, TierConfig, TierSnapshot, TieredStore};
 const SEG: usize = 64;
 const BLOCK: usize = 16;
 const TOTAL: usize = 4 * SEG + 21;
-const SEED: u64 = 0x7153;
+
+/// The sweep's seed: `AIMS_CRASH_SEED` when set, else `0x7153`.
+fn seed() -> u64 {
+    std::env::var("AIMS_CRASH_SEED").ok().and_then(|s| s.trim().parse().ok()).unwrap_or(0x7153)
+}
 
 fn cfg() -> TierConfig {
     TierConfig { segment_len: SEG, block_size: BLOCK, max_segments: 8, filter: FilterKind::Haar }
 }
 
 fn opts(crash: CrashPlan) -> FileDeviceOptions {
-    FileDeviceOptions {
-        mode: DurabilityMode::Always,
-        crash,
-        checkpoint_bytes: 1 << 20,
-        ..Default::default()
-    }
+    opts_in(DurabilityMode::Always, crash)
+}
+
+fn opts_in(mode: DurabilityMode, crash: CrashPlan) -> FileDeviceOptions {
+    FileDeviceOptions { mode, crash, checkpoint_bytes: 1 << 20, ..Default::default() }
 }
 
 fn signal() -> Vec<f64> {
@@ -54,7 +63,7 @@ fn signal() -> Vec<f64> {
 }
 
 fn signal_of(len: usize) -> Vec<f64> {
-    let mut state = SEED;
+    let mut state = seed() | 1;
     (0..len)
         .map(|_| {
             state ^= state << 13;
@@ -145,7 +154,7 @@ fn crash_mid_compaction_keeps_raw_segments() {
                 &dir,
                 cfg(),
                 opts(CrashPlan::none()),
-                opts(CrashPlan::at(SEED, step)),
+                opts(CrashPlan::at(seed(), step)),
             )
             .unwrap();
             compact::drain(&store, &serial);
@@ -198,45 +207,85 @@ fn crash_mid_compaction_keeps_raw_segments() {
 fn crash_mid_ingest_preserves_acked_samples() {
     let data = signal();
 
-    for step in [5u64, 11, 23, 41, 67, 101] {
-        let dir = fresh_dir(&format!("hot-{step}"));
-        {
-            let store = TieredStore::create_durable(&dir, cfg(), opts(CrashPlan::none())).unwrap();
-            store.sync();
-            drop(store);
-        }
-        // Reopen with the hot device armed; push with periodic syncs and
-        // track the acknowledged frontier (samples covered by the last
-        // sync that completed before the crash).
-        let mut acked = 0usize;
-        {
-            let store = TieredStore::open_durable_with(
-                &dir,
-                cfg(),
-                opts(CrashPlan::at(SEED ^ step, step)),
-                opts(CrashPlan::none()),
-            )
-            .unwrap();
-            let mut pushed = 0usize;
-            for chunk in data.chunks(17) {
-                store.push_slice(chunk);
-                pushed += chunk.len();
+    let sweeps = [
+        (DurabilityMode::Always, [5u64, 11, 23, 41, 67, 101]),
+        (DurabilityMode::Periodic(4), [3, 7, 17, 31, 47, 61]),
+    ];
+    for (mode, steps) in sweeps {
+        let mut fired = 0;
+        for step in steps {
+            let case = format!("{mode:?} step {step}");
+            let dir = fresh_dir(&format!("hot-{step}"));
+            let clean = || opts_in(mode, CrashPlan::none());
+            {
+                let store = TieredStore::create_durable(&dir, cfg(), clean()).unwrap();
                 store.sync();
-                if store.devices_crashed().0 {
-                    break;
+                drop(store);
+            }
+            // Reopen with the hot device armed; push with periodic syncs and
+            // track the acknowledged frontier (samples covered by the last
+            // sync that completed before the crash).
+            let mut acked = 0usize;
+            {
+                let armed = opts_in(mode, CrashPlan::at(seed() ^ step, step));
+                let store = TieredStore::open_durable_with(&dir, cfg(), armed, clean()).unwrap();
+                let mut pushed = 0usize;
+                for chunk in data.chunks(17) {
+                    store.push_slice(chunk);
+                    pushed += chunk.len();
+                    store.sync();
+                    if store.devices_crashed().0 {
+                        fired += 1;
+                        break;
+                    }
+                    acked = pushed;
                 }
-                acked = pushed;
+                drop(store);
+            }
+            // Recovery: everything acked survives, bit-identical.
+            let store = TieredStore::open_durable(&dir, cfg(), clean()).unwrap();
+            let recovered = store.len();
+            assert!(recovered >= acked, "{case}: recovered {recovered} samples < acked {acked}");
+            let snap = store.snapshot();
+            for t in (0..acked).step_by(29).chain(acked.checked_sub(1)) {
+                let got = range_sum(&snap, t, t);
+                assert_eq!(got.to_bits(), data[t].to_bits(), "{case}: point {t}");
             }
             drop(store);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        // Recovery: everything acked survives, bit-identical.
-        let store = TieredStore::open_durable(&dir, cfg(), opts(CrashPlan::none())).unwrap();
-        let recovered = store.len();
-        assert!(recovered >= acked, "step {step}: recovered {recovered} samples < acked {acked}");
+        assert_eq!(fired, steps.len(), "{mode:?}: a crash step past the workload's last step");
+    }
+}
+
+/// Under the buffered flush policies nothing reaches the OS before an
+/// fsync, so each durability promise needs its own: a created store
+/// reopens (empty) without one push or sync, and a pushed store reopens
+/// with every sample of its last `sync()`, bit for bit — here past two
+/// auto-checkpoints, with the tail's records only in the WAL.
+#[test]
+fn a_synced_store_is_durable_under_buffered_flush_policies() {
+    let geometry = TierConfig { segment_len: 4096, block_size: 256, max_segments: 8, ..cfg() };
+    let data = signal_of(20_100);
+    for mode in [DurabilityMode::Periodic(64), DurabilityMode::None] {
+        let opts = FileDeviceOptions { mode, ..Default::default() };
+        let dir = fresh_dir("buffered");
+        drop(TieredStore::create_durable(&dir, geometry, opts.clone()).unwrap());
+        let store = TieredStore::open_durable(&dir, geometry, opts.clone())
+            .unwrap_or_else(|e| panic!("{mode:?}: a created store must reopen: {e}"));
+        assert_eq!(store.len(), 0, "{mode:?}");
+
+        for chunk in data.chunks(1000) {
+            store.push_slice(chunk);
+        }
+        store.sync();
+        drop(store);
+        let store = TieredStore::open_durable(&dir, geometry, opts).unwrap();
+        assert_eq!(store.len(), data.len(), "{mode:?}: samples lost after a sync");
         let snap = store.snapshot();
-        for t in (0..acked).step_by(29).chain(acked.checked_sub(1)) {
+        for (t, want) in data.iter().enumerate() {
             let got = range_sum(&snap, t, t);
-            assert_eq!(got.to_bits(), data[t].to_bits(), "step {step}: point {t}");
+            assert_eq!(got.to_bits(), want.to_bits(), "{mode:?}: point {t}");
         }
         drop(store);
         std::fs::remove_dir_all(&dir).ok();
