@@ -56,12 +56,13 @@ if [[ $fast -eq 0 ]]; then
         echo "between workspace crates, which the frozen lock cannot record." >&2
         exit 1
     }
-    # Two short runs: the workload that creates a durable store, ingests,
+    # Three short runs: the workload that creates a durable store, ingests,
     # stops, reopens and verifies (an on-disk format slip must break here),
-    # and the one whose wide range sums run the served round end to end
-    # over a store larger than its cache. (run.sh builds into the same
-    # target dir, so nothing compiles twice.)
-    for workload in ingest_burst serve_range_cold; do
+    # the one whose wide range sums run the served round end to end over a
+    # store larger than its cache, and the only one whose planner thread
+    # reads the store while installs commit to the historical device.
+    # (run.sh builds into the same target dir, so nothing compiles twice.)
+    for workload in ingest_burst serve_range_cold mixed_ingest_query; do
         echo "== bench harness smoke ($workload, 2 s) =="
         result=$(bash bench/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
         echo "$result"

@@ -46,14 +46,16 @@
 //! [`crate::faults`] to *process death*: WAL appends buffer in userspace
 //! and reach the OS file only at an fsync, so a simulated crash loses the
 //! buffered records but keeps everything previously written. What is
-//! buffered is raw: a `write_block` copies its payload into a record arena
-//! and into the block's dirty buffer, and nothing more. The next
-//! [`FileDevice::sync`] encodes and digests the whole batch just before its
-//! one write and fsync (under fsync-always, at once), and a block's
-//! checksum-table digest is taken when first needed — by the checkpoint
-//! fold that encodes its payload, a verified read, or a raw patch (which
-//! takes it before changing the payload). The bytes that reach the files
-//! are the same either way. A
+//! buffered is raw, and staged once: a `write_block` copies its payload
+//! into a record arena, and nothing more. The arena keeps every record
+//! until the next checkpoint, so it is also the device's dirty image — a
+//! block not yet folded reads as its latest record. The next
+//! [`FileDevice::sync`] encodes and digests the records not yet encoded
+//! just before its one write and fsync (under fsync-always, at once), and a
+//! dirty block's checksum-table digest is its latest payload's, taken when
+//! needed — by the checkpoint fold that writes that record, a verified
+//! read, or a raw patch (which keeps it before changing the payload). The
+//! bytes that reach the files are the same either way. A
 //! [`CrashPlan`] kills the device at the N-th crash-eligible step —
 //! WAL append, WAL sync (with a seed-chosen torn prefix), each
 //! checkpoint phase — as a pure function of one u64 seed, which is what
@@ -61,7 +63,7 @@
 //! store is bit-identical to a committed prefix of the write history,
 //! and fsync-always never loses an acknowledged write.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::cmp::Reverse;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read};
 use std::os::unix::fs::FileExt;
@@ -89,8 +91,8 @@ const STAGE_ITEMS: usize = 32 * 1024;
 const WAL_FILE: &str = "wal.aims";
 /// Salt separating torn-length draws from the fault-schedule streams.
 const SALT_CRASH_TORN: u64 = 0x6006;
-/// A reader panicked while holding the state lock.
-const POISONED: &str = "file state lock poisoned";
+/// A reader panicked while holding the stats lock.
+const POISONED: &str = "device stats lock poisoned";
 
 /// When the WAL is forced to disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -205,66 +207,15 @@ pub struct WalStats {
     pub checkpoints: u64,
 }
 
-/// A block's payload not yet folded into the main file.
-#[derive(Debug)]
-struct Dirty {
-    payload: Vec<f64>,
-    /// The block's `checksums` entry is stale: the last `write_block`'s
-    /// digest is taken from `payload` when it is first needed.
-    digest_pending: bool,
-}
-
-/// Interior-mutable state shared by the `&self` read path.
-#[derive(Debug)]
-struct FileState {
-    /// Checksum recorded by the last `write_block` of each block (for a
-    /// dirty block whose digest is pending, see [`FileState::settle`]).
-    checksums: Vec<u64>,
-    /// Blocks whose latest payload is not yet folded into the main file
-    /// (every entry is backed by a WAL record, except raw patches).
-    dirty: HashMap<usize, Dirty>,
-    /// Payload buffers the last checkpoint folded, kept for the next
-    /// dirty blocks — never more than one checkpoint's dirty set.
-    spare: Vec<Vec<f64>>,
-    stats: DeviceStats,
-}
-
-impl FileState {
-    fn new(checksums: Vec<u64>) -> Self {
-        FileState {
-            checksums,
-            dirty: HashMap::new(),
-            spare: Vec::new(),
-            stats: DeviceStats::default(),
-        }
-    }
-
-    /// Makes `data` the dirty payload of block `id`, copied into the
-    /// block's current dirty buffer or one recycled from the last
-    /// checkpoint; allocates only when neither exists.
-    fn stage(&mut self, id: usize, data: &[f64]) -> &mut Dirty {
-        match self.dirty.entry(id) {
-            Entry::Occupied(e) => {
-                let dirty = e.into_mut();
-                dirty.payload.copy_from_slice(data);
-                dirty
-            }
-            Entry::Vacant(e) => {
-                let mut payload = self.spare.pop().unwrap_or_default();
-                payload.clear();
-                payload.extend_from_slice(data);
-                e.insert(Dirty { payload, digest_pending: false })
-            }
-        }
-    }
-
-    /// Takes block `id`'s pending digest, if any, from its dirty payload.
-    fn settle(&mut self, id: usize) {
-        if let Some(dirty) = self.dirty.get_mut(&id).filter(|d| d.digest_pending) {
-            self.checksums[id] = block_digest(&dirty.payload);
-            dirty.digest_pending = false;
-        }
-    }
+/// One WAL record in the arena, raw: the record at index `i` has its
+/// payload at `record_items[i * block_size..][..block_size]`.
+#[derive(Clone, Copy, Debug)]
+struct Record {
+    lsn: u64,
+    block: usize,
+    /// Set by [`RawMedia::patch_raw`]: the digest of the payload the write
+    /// logged, which the record's patched payload no longer has.
+    patched: Option<u64>,
 }
 
 /// A durable, WAL-protected, checksummed block device on the local
@@ -282,17 +233,23 @@ pub struct FileDevice {
     mode: DurabilityMode,
     crash: CrashPlan,
     checkpoint_bytes: u64,
-    state: Mutex<FileState>,
-    /// The record arena: every WAL record appended since the last sync,
-    /// raw — `(lsn, block)` per record, its payload items back to back in
-    /// `record_items`. Buffered in userspace, so lost wholesale by a crash;
-    /// [`FileDevice::sync`] encodes the batch. Both keep their capacity.
-    records: Vec<(u64, usize)>,
+    /// The main file's digest table, as the last fold left it.
+    checksums: Vec<u64>,
+    stats: Mutex<DeviceStats>,
+    /// The record arena, which is the device's dirty image: every WAL
+    /// record appended since the last checkpoint, raw, its payload items
+    /// back to back in `record_items`. A block's latest record is its
+    /// current payload. Records `..encoded` are encoded — in the WAL or in
+    /// `wal_pending` — and the rest are buffered in userspace only, so a
+    /// crash loses them. Both keep their capacity.
+    records: Vec<Record>,
     record_items: Vec<f64>,
-    /// The batch's encoded WAL bytes, built by `sync` just before its write.
+    encoded: usize,
+    /// Encoded WAL bytes not yet written, built just before `sync`'s write.
     wal_pending: Vec<u8>,
-    /// Checkpoint scratch, reused across checkpoints: the dirty block ids
-    /// in fold order and the one payload image being written.
+    /// Checkpoint scratch, reused across checkpoints: the arena index of
+    /// each dirty block's latest record in fold order, and the one payload
+    /// image being written.
     fold_order: Vec<usize>,
     fold_payload: Vec<u8>,
     /// Durable WAL length (bytes already written to the OS file).
@@ -638,9 +595,11 @@ impl FileDevice {
             mode: opts.mode,
             crash: opts.crash,
             checkpoint_bytes: opts.checkpoint_bytes.max(1),
-            state: Mutex::new(FileState::new(checksums)),
+            checksums,
+            stats: Mutex::new(DeviceStats::default()),
             records: Vec::new(),
             record_items: Vec::new(),
+            encoded: 0,
             wal_pending: Vec::new(),
             fold_order: Vec::new(),
             fold_payload: vec![0; block_size * 8],
@@ -729,22 +688,21 @@ impl FileDevice {
         (mix(self.crash.seed, step, 0, SALT_CRASH_TORN) % (len as u64 + 1)) as usize
     }
 
-    /// Encodes every record appended since the last sync — big-endian
-    /// image and record digest, the batch in one buffer — writes it to the
-    /// OS file in one `pwrite` and fsyncs, advancing the durable frontier.
-    /// A no-op when nothing was appended. Crash-eligible: a crash here
-    /// writes only a seed-chosen prefix of the encoded batch (a torn tail
-    /// for recovery to truncate).
+    /// Encodes every record not yet encoded — big-endian image and record
+    /// digest, the batch in one buffer — writes it to the OS file in one
+    /// `pwrite` and fsyncs, advancing the durable frontier. The records
+    /// stay in the arena, as the blocks' dirty image, until the next
+    /// checkpoint. A no-op when nothing was appended. Crash-eligible: a
+    /// crash here writes only a seed-chosen prefix of the encoded batch (a
+    /// torn tail for recovery to truncate).
     pub fn sync(&mut self) {
-        if self.crashed || self.records.is_empty() {
+        if self.crashed {
             return;
         }
-        let items = self.record_items.chunks_exact(self.block_size);
-        for (&(lsn, block), payload) in self.records.iter().zip(items) {
-            append_wal_record(&mut self.wal_pending, lsn, block as u64, payload);
+        self.encode_through(self.records.len());
+        if self.wal_pending.is_empty() {
+            return;
         }
-        self.records.clear();
-        self.record_items.clear();
         if let Some(step) = self.crash_here() {
             let torn = self.torn_len(step, self.wal_pending.len());
             self.wal
@@ -765,10 +723,11 @@ impl FileDevice {
     }
 
     /// Folds every dirty block into the main file and truncates the WAL:
-    /// (1) sync the WAL, (2) write each dirty block's payload and table
-    /// entry — taking a pending digest from the payload it encodes — (3)
-    /// fsync the main file, (4) truncate the WAL. Steps (2)–(4) are each
-    /// crash-eligible; dying anywhere leaves a WAL replay repairs.
+    /// (1) sync the WAL, (2) write each dirty block's latest arena record —
+    /// its payload and its digest, taken here — in ascending block order,
+    /// (3) fsync the main file, (4) truncate the WAL and empty the arena.
+    /// Steps (2)–(4) are each crash-eligible, one step per folded block;
+    /// dying anywhere leaves a WAL replay repairs.
     pub fn checkpoint(&mut self) {
         if self.crashed {
             return;
@@ -777,16 +736,19 @@ impl FileDevice {
         if self.crashed || self.crash_here().is_some() {
             return;
         }
+        let records = &self.records;
         self.fold_order.clear();
-        self.fold_order.extend(self.state.get_mut().expect(POISONED).dirty.keys());
-        self.fold_order.sort_unstable();
+        self.fold_order.extend(0..records.len());
+        self.fold_order.sort_unstable_by_key(|&i| (records[i].block, Reverse(i)));
+        self.fold_order.dedup_by_key(|i| records[*i].block);
         let payload_len = self.fold_payload.len();
-        for i in 0..self.fold_order.len() {
-            let b = self.fold_order[i];
-            let st = self.state.get_mut().expect(POISONED);
-            encode_payload(&mut self.fold_payload, &st.dirty[&b].payload);
-            st.settle(b);
-            let digest = st.checksums[b].to_be_bytes();
+        for k in 0..self.fold_order.len() {
+            let i = self.fold_order[k];
+            let Record { block: b, patched, .. } = self.records[i];
+            let items = &self.record_items[i * self.block_size..][..self.block_size];
+            encode_payload(&mut self.fold_payload, items);
+            self.checksums[b] = patched.unwrap_or_else(|| block_digest(items));
+            let digest = self.checksums[b].to_be_bytes();
             // A torn fold writes a prefix of payload ‖ digest; the WAL still
             // holds this record, so replay repairs the block on reopen.
             let crash = self.crash_here();
@@ -812,8 +774,9 @@ impl FileDevice {
         self.wal.set_len(0).expect("WAL truncate failed");
         self.wal.sync_data().expect("WAL fsync failed");
         self.wal_len = 0;
-        let FileState { dirty, spare, .. } = self.state.get_mut().expect(POISONED);
-        spare.extend(dirty.drain().map(|(_, d)| d.payload));
+        self.records.clear();
+        self.record_items.clear();
+        self.encoded = 0;
         self.wal_stats.checkpoints += 1;
         counter!("storage.wal.checkpoints").inc();
     }
@@ -823,10 +786,26 @@ impl FileDevice {
         self.checkpoint();
     }
 
-    /// Payload buffers held for reuse by the next dirty blocks — at most
-    /// as many as one checkpoint found dirty.
-    pub fn recycled_buffers(&self) -> usize {
-        self.state.lock().unwrap().spare.len()
+    /// Encodes the arena's records up to (not including) `end` onto
+    /// `wal_pending`, if not already encoded.
+    fn encode_through(&mut self, end: usize) {
+        for i in self.encoded..end {
+            let Record { lsn, block, .. } = self.records[i];
+            let payload = &self.record_items[i * self.block_size..][..self.block_size];
+            append_wal_record(&mut self.wal_pending, lsn, block as u64, payload);
+        }
+        self.encoded = self.encoded.max(end);
+    }
+
+    /// Arena index of block `id`'s latest record, if it has one — a scan
+    /// back over at most one checkpoint's records.
+    fn latest(&self, id: usize) -> Option<usize> {
+        self.records.iter().rposition(|r| r.block == id)
+    }
+
+    /// Arena record `i`'s payload.
+    fn record_payload(&self, i: usize) -> &[f64] {
+        &self.record_items[i * self.block_size..][..self.block_size]
     }
 
     /// Reads block `id`'s payload straight from the main file into `buf`,
@@ -1048,32 +1027,34 @@ impl BlockDevice for FileDevice {
         if self.crashed {
             return Err(ReadError { block: id, kind: ReadErrorKind::Io });
         }
-        {
-            let mut st = self.state.lock().unwrap();
-            st.stats.reads += 1;
-            if let Some(dirty) = st.dirty.get(&id) {
-                buf.copy_from_slice(&dirty.payload);
-                counter!("storage.device.reads").inc();
-                return Ok(());
-            }
-        }
+        self.stats.lock().expect(POISONED).reads += 1;
         counter!("storage.device.reads").inc();
+        if let Some(i) = self.latest(id) {
+            buf.copy_from_slice(self.record_payload(i));
+            return Ok(());
+        }
         self.read_main_payload(id, buf)
             .map_err(|_| ReadError { block: id, kind: ReadErrorKind::Io })
     }
 
+    /// A dirty block's digest is that of its latest record's payload (or
+    /// the one a raw patch kept), the rest are the main file's table.
     fn stored_checksum(&self, id: usize) -> u64 {
-        let mut st = self.state.lock().unwrap();
-        assert!(id < st.checksums.len(), "block {id} out of range");
-        st.settle(id);
-        st.checksums[id]
+        assert!(id < self.num_blocks, "block {id} out of range");
+        match self.latest(id) {
+            Some(i) => {
+                self.records[i].patched.unwrap_or_else(|| block_digest(self.record_payload(i)))
+            }
+            None => self.checksums[id],
+        }
     }
 
-    /// Appends the write's WAL record to the record arena and stages its
-    /// payload, all raw: the record is encoded and digested by the next
+    /// Appends the write's WAL record to the record arena, raw, and nothing
+    /// more: that one staged copy is the block's dirty payload until the
+    /// next checkpoint folds it. The record is encoded by the next
     /// [`FileDevice::sync`] (at once under [`DurabilityMode::Always`]), and
-    /// the block's digest is taken when first needed — by the checkpoint
-    /// that folds it, a verified read or [`RawMedia::patch_raw`].
+    /// the block's digest is taken from the payload when needed — by the
+    /// checkpoint that folds it, a verified read or [`RawMedia::patch_raw`].
     fn write_block(&mut self, id: usize, data: &[f64]) {
         assert!(id < self.num_blocks, "block {id} out of range");
         assert_eq!(data.len(), self.block_size, "block data size mismatch");
@@ -1081,23 +1062,20 @@ impl BlockDevice for FileDevice {
             return;
         }
         counter!("storage.device.writes").inc();
+        self.stats.get_mut().expect(POISONED).writes += 1;
 
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         self.appended_lsn = lsn;
-        self.records.push((lsn, id));
-        self.record_items.extend_from_slice(data);
         self.wal_stats.appends += 1;
         counter!("storage.wal.appends").inc();
-        let died = self.crash_here().is_some();
-        let st = self.state.get_mut().expect(POISONED);
-        st.stats.writes += 1;
-        if died {
-            // Crash at append: the record only ever lived in the
-            // userspace buffer, so it is lost wholesale.
+        if self.crash_here().is_some() {
+            // Crash at append: the record would only ever have lived in
+            // the userspace arena, so it is lost wholesale.
             return;
         }
-        st.stage(id, data).digest_pending = true;
+        self.records.push(Record { lsn, block: id, patched: None });
+        self.record_items.extend_from_slice(data);
 
         match self.mode {
             DurabilityMode::Always => self.sync(),
@@ -1109,41 +1087,52 @@ impl BlockDevice for FileDevice {
             }
             DurabilityMode::None => {}
         }
-        // Buffered records count at their encoded length.
-        let buffered = (self.records.len() * wal_record_len(self.block_size)) as u64;
+        // Unsynced records count at their encoded length.
+        let unencoded = (self.records.len() - self.encoded) * wal_record_len(self.block_size);
+        let buffered = (self.wal_pending.len() + unencoded) as u64;
         if !self.crashed && self.wal_len + buffered >= self.checkpoint_bytes {
             self.checkpoint();
         }
     }
 
     fn stats(&self) -> DeviceStats {
-        self.state.lock().unwrap().stats
+        *self.stats.lock().expect(POISONED)
     }
 
     fn reset_stats(&self) {
-        self.state.lock().unwrap().stats = DeviceStats::default();
+        *self.stats.lock().expect(POISONED) = DeviceStats::default();
     }
 }
 
 impl RawMedia for FileDevice {
+    /// Media corruption bypasses the WAL: the payload changes, the recorded
+    /// digest does not, and no redo record is written. A dirty block's
+    /// latest record is encoded first (with the batch before it), so the
+    /// WAL logs the clean payload; the record keeps that payload's digest
+    /// and its arena payload is overwritten in place. A clean block's
+    /// payload is overwritten in the main file.
     fn patch_raw(&mut self, id: usize, data: &[f64]) {
         assert!(id < self.num_blocks, "block {id} out of range");
         assert_eq!(data.len(), self.block_size, "block data size mismatch");
         if self.crashed {
             return;
         }
-        // Media corruption bypasses the WAL: the payload changes, the
-        // recorded checksum does not, and no redo record is written. So
-        // the last write's pending digest is taken first.
-        let st = self.state.get_mut().expect(POISONED);
-        st.settle(id);
-        st.stage(id, data);
+        let Some(i) = self.latest(id) else {
+            encode_payload(&mut self.fold_payload, data);
+            let at = self.layout.payload(id);
+            self.main.write_all_at(&self.fold_payload, at).expect("main write failed");
+            return;
+        };
+        self.encode_through(i + 1);
+        let payload = &mut self.record_items[i * self.block_size..][..self.block_size];
+        self.records[i].patched.get_or_insert_with(|| block_digest(payload));
+        payload.copy_from_slice(data);
     }
 
     fn raw_payload(&self, id: usize) -> Vec<f64> {
         assert!(id < self.num_blocks, "block {id} out of range");
-        if let Some(dirty) = self.state.lock().unwrap().dirty.get(&id) {
-            return dirty.payload.clone();
+        if let Some(i) = self.latest(id) {
+            return self.record_payload(i).to_vec();
         }
         let mut buf = vec![0.0; self.block_size];
         self.read_main_payload(id, &mut buf).expect("raw read failed");
@@ -1395,6 +1384,75 @@ mod tests {
         drop(d);
         check(&FileDevice::open(&dir, opts).unwrap(), "reopened");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    const MODES: [DurabilityMode; 3] =
+        [DurabilityMode::Always, DurabilityMode::Periodic(3), DurabilityMode::None];
+
+    #[test]
+    fn records_that_outlive_a_sync_serve_and_fold_each_blocks_last_payload() {
+        for mode in MODES {
+            let dir = test_dir("outlive-sync");
+            let opts = FileDeviceOptions { mode, ..Default::default() };
+            let mut d = FileDevice::create(&dir, 4, 8, opts.clone()).unwrap();
+            let (first, last, other) = (payload(4, 1), payload(4, 2), payload(4, 3));
+            let check = |d: &FileDevice, when: &str| {
+                for (b, want) in [(2, &last), (5, &other)] {
+                    assert_eq!(&d.read_block(b).unwrap(), want, "{mode:?} block {b} {when}");
+                    let digest = block_digest(want);
+                    assert_eq!(d.stored_checksum(b), digest, "{mode:?} block {b} {when}");
+                }
+            };
+            d.write_block(2, &first);
+            d.sync();
+            d.write_block(2, &last);
+            d.write_block(5, &other);
+            if mode != DurabilityMode::Always {
+                check(&d, "buffered");
+            }
+            d.sync();
+            check(&d, "synced");
+
+            // One fold step per dirty block: begin, blocks 2 and 5, the main
+            // fsync and the WAL truncate.
+            let before = d.steps_taken();
+            d.checkpoint();
+            assert_eq!(d.steps_taken() - before, 5, "{mode:?}");
+            let main = File::open(dir.join(MAIN_FILE)).unwrap();
+            let (mut image, mut entry) = (vec![0u8; 4 * 8], [0u8; 8]);
+            main.read_exact_at(&mut image, d.layout.payload(2)).unwrap();
+            main.read_exact_at(&mut entry, d.layout.table_entry(2)).unwrap();
+            let mut want = vec![0u8; 4 * 8];
+            encode_payload(&mut want, &last);
+            assert_eq!(image, want, "{mode:?}: the fold wrote block 2's last payload");
+            assert_eq!(u64::from_be_bytes(entry), block_digest(&last), "{mode:?}");
+            check(&d, "folded");
+            drop(d);
+            check(&FileDevice::open(&dir, opts).unwrap(), "reopened");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_patch_of_an_unsynced_record_never_reaches_the_wal() {
+        for mode in MODES {
+            let dir = test_dir("unsynced-patch");
+            let opts = FileDeviceOptions { mode, ..Default::default() };
+            let mut d = FileDevice::create(&dir, 4, 4, opts.clone()).unwrap();
+            d.write_block(1, &payload(4, 1));
+            d.write_block(3, &payload(4, 2));
+            d.patch_raw(3, &payload(4, 3));
+            assert_eq!(d.raw_payload(3), payload(4, 3), "{mode:?}");
+            assert_eq!(d.read_block(3).unwrap_err().kind, ReadErrorKind::Corrupt, "{mode:?}");
+            d.sync();
+            assert_eq!(d.read_block(3).unwrap_err().kind, ReadErrorKind::Corrupt, "{mode:?}");
+            drop(d); // no checkpoint: the reopen replays the WAL
+            let d = FileDevice::open(&dir, opts).unwrap();
+            assert_eq!(d.recovery().replayed_records, 2, "{mode:?}");
+            assert_eq!(d.read_block(1).unwrap(), payload(4, 1), "{mode:?}");
+            assert_eq!(d.read_block(3).unwrap(), payload(4, 2), "{mode:?}: the clean payload");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
