@@ -174,6 +174,21 @@ EOF
     echo "== aims-cli kernels =="
     target/release/aims-cli kernels --side 64
 
+    # The metric name set is the same on every run: a name that a thread
+    # or a rare path registers late would come and go between runs.
+    echo "== metric name set (three runs of aims-cli metrics) =="
+    metric_names() {
+        target/release/aims-cli metrics --seconds 1 --format json | grep -o '"name":"[^"]*"' | sort
+    }
+    names=$(metric_names)
+    for _ in 1 2; do
+        diff <(echo "$names") <(metric_names) || {
+            echo "aims-cli metrics listed a different metric name set on a rerun" >&2
+            exit 1
+        }
+    done
+    echo "$(wc -l <<<"$names") names, the same in three runs"
+
     echo "== aims-serve TCP smoke (loopback, clean shutdown; in memory, created, reopened) =="
     cargo build --release -q -p aims-service --bin aims-serve
     cargo build --release -q -p aims-service --example tcp_smoke

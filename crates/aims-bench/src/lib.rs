@@ -5,9 +5,7 @@
 //! is reproduced by one experiment here (E1–E19, plus extension
 //! experiments E20–E23, E25–E28 and E30–E32; see `DESIGN.md` for the
 //! claim → experiment index). `cargo run --release -p aims-bench --bin
-//! experiments` prints the full table set that `EXPERIMENTS.md` records;
-//! the Criterion benches under `benches/` cover the performance-shaped
-//! claims.
+//! experiments` prints the full table set that `EXPERIMENTS.md` records.
 //!
 //! An experiment asserts what its header claims — exact equalities, drill
 //! invariants, the floors it states — and prints its timings; it compares

@@ -44,7 +44,8 @@
 //! The pool reports through `aims-telemetry`: `exec.pool.tasks` (tasks
 //! executed), `exec.pool.steals` (tasks taken from another worker's
 //! deque), `exec.pool.idle.ns` (per-wait idle time histogram) and the
-//! `exec.pool.threads` gauge.
+//! `exec.pool.threads` gauge. [`ThreadPool::new`] registers the first
+//! three at every width, so a snapshot lists them before any task runs.
 //!
 //! ```
 //! use aims_exec::ThreadPool;

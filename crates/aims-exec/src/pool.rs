@@ -17,6 +17,8 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use aims_telemetry::{Counter, Histogram};
+
 /// A type-erased unit of work. Lifetimes are erased on spawn; soundness
 /// comes from [`ThreadPool::run`] not returning until every task spawned
 /// in its scope has finished.
@@ -39,6 +41,11 @@ struct Shared {
     shutdown: AtomicBool,
     sleep_mx: Mutex<()>,
     work_cv: Condvar,
+    /// The pool's metrics, taken once in [`ThreadPool::new`] so a snapshot
+    /// lists all three for every width, the serial one included.
+    tasks: &'static Counter,
+    steals: &'static Counter,
+    idle: &'static Histogram,
 }
 
 impl Shared {
@@ -93,18 +100,15 @@ impl Shared {
 
 fn worker_loop(shared: Arc<Shared>, id: usize) {
     WORKER.with(|w| w.set(Some((Arc::as_ptr(&shared) as usize, id))));
-    let tasks = aims_telemetry::counter!("exec.pool.tasks");
-    let steals = aims_telemetry::counter!("exec.pool.steals");
-    let idle = aims_telemetry::histogram!("exec.pool.idle.ns");
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
         if let Some((task, stolen)) = shared.find_task(Some(id)) {
             if stolen {
-                steals.inc();
+                shared.steals.inc();
             }
-            tasks.inc();
+            shared.tasks.inc();
             task();
             continue;
         }
@@ -119,7 +123,7 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
                 let _guard = shared.work_cv.wait(guard).unwrap();
             }
         }
-        idle.record(wait_start.elapsed().as_nanos() as u64);
+        shared.idle.record(wait_start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -192,6 +196,9 @@ impl ThreadPool {
             shutdown: AtomicBool::new(false),
             sleep_mx: Mutex::new(()),
             work_cv: Condvar::new(),
+            tasks: aims_telemetry::counter!("exec.pool.tasks"),
+            steals: aims_telemetry::counter!("exec.pool.steals"),
+            idle: aims_telemetry::histogram!("exec.pool.idle.ns"),
         });
         let handles = (0..workers)
             .map(|id| {
@@ -243,10 +250,9 @@ impl ThreadPool {
     /// while waiting.
     fn wait_scope(&self, state: &ScopeState) {
         let me = self.shared.current_worker();
-        let tasks = aims_telemetry::counter!("exec.pool.tasks");
         while state.pending.load(Ordering::SeqCst) > 0 {
             if let Some((task, _)) = self.shared.find_task(me) {
-                tasks.inc();
+                self.shared.tasks.inc();
                 task();
                 continue;
             }
