@@ -85,6 +85,7 @@ done
 # the suite's package when it is not the root one).
 for pin in "AIMS_FAULT_SEED fault_matrix 13 1013" "AIMS_INGEST_FAULT_SEED ingest_drill 17 1017" \
     "AIMS_CRASH_SEED crash_matrix 17 2029" "AIMS_CRASH_SEED tier_crash 17 2029 aims-tier" \
+    "AIMS_CRASH_SEED write_schedule 17 2029 aims-tier" \
     "AIMS_CHAOS_SEED chaos_drill 4242 9001"; do
     read -r var suite seed_a seed_b package <<<"$pin"
     for seed in "$seed_a" "$seed_b"; do

@@ -657,6 +657,36 @@ impl FileDevice {
         self.appended_lsn
     }
 
+    /// How many further [`BlockDevice::write_block`] calls would each only
+    /// stage their record, none of them running [`FileDevice::sync`] (the
+    /// mode's cadence) or the byte-triggered [`FileDevice::checkpoint`]: 0
+    /// under [`DurabilityMode::Always`] and once crashed. A caller may hold
+    /// back that many writes and issue them later, before any other call
+    /// on the device, and the device ends in the same state: none of them
+    /// reaches the OS before the write that syncs.
+    pub fn appends_before_sync(&self) -> usize {
+        if self.crashed {
+            return 0;
+        }
+        let by_count = match self.mode {
+            DurabilityMode::Always => return 0,
+            DurabilityMode::Periodic(k) => (k.max(1) - 1).saturating_sub(self.appends_since_sync),
+            DurabilityMode::None => usize::MAX,
+        };
+        // Each write adds one record to the bytes `write_block` checks.
+        let record = wal_record_len(self.block_size) as u64;
+        let by_bytes = (self.checkpoint_bytes - 1).saturating_sub(self.wal_bytes()) / record;
+        by_count.min(usize::try_from(by_bytes).unwrap_or(usize::MAX))
+    }
+
+    /// The WAL's length were every record appended so far written: the
+    /// durable bytes, the encoded ones not yet written, and the unencoded
+    /// records at their encoded length. The auto-checkpoint trigger.
+    fn wal_bytes(&self) -> u64 {
+        let unencoded = (self.records.len() - self.encoded) * wal_record_len(self.block_size);
+        self.wal_len + (self.wal_pending.len() + unencoded) as u64
+    }
+
     /// Crash-eligible steps consumed so far — run a workload once with
     /// [`CrashPlan::none`] to learn the step count, then pick crash steps
     /// below it.
@@ -1055,6 +1085,10 @@ impl BlockDevice for FileDevice {
     /// [`FileDevice::sync`] (at once under [`DurabilityMode::Always`]), and
     /// the block's digest is taken from the payload when needed — by the
     /// checkpoint that folds it, a verified read or [`RawMedia::patch_raw`].
+    /// Only a write that runs the mode's sync or the byte-triggered
+    /// checkpoint reaches the OS; [`FileDevice::appends_before_sync`] counts
+    /// the writes before the next one that does, which a caller holding the
+    /// payloads itself may defer to that write's call.
     fn write_block(&mut self, id: usize, data: &[f64]) {
         assert!(id < self.num_blocks, "block {id} out of range");
         assert_eq!(data.len(), self.block_size, "block data size mismatch");
@@ -1087,10 +1121,7 @@ impl BlockDevice for FileDevice {
             }
             DurabilityMode::None => {}
         }
-        // Unsynced records count at their encoded length.
-        let unencoded = (self.records.len() - self.encoded) * wal_record_len(self.block_size);
-        let buffered = (self.wal_pending.len() + unencoded) as u64;
-        if !self.crashed && self.wal_len + buffered >= self.checkpoint_bytes {
+        if !self.crashed && self.wal_bytes() >= self.checkpoint_bytes {
             self.checkpoint();
         }
     }
@@ -1484,6 +1515,67 @@ mod tests {
             d.write_block(i % 4, &[i as f64, -(i as f64)]);
         }
         assert!(d.wal_stats().checkpoints > 0, "200-byte threshold must have tripped");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Read before each write, `appends_before_sync` is the number of
+    /// writes before the next one that bumps `fsyncs` or `checkpoints`,
+    /// whatever the mode, the byte threshold (a 4-item record is 60 WAL
+    /// bytes) and the explicit syncs called now and then. Its promise ends
+    /// at the device's next other call, so when an explicit sync comes
+    /// first, the budget must only cover the writes before it.
+    #[test]
+    fn appends_before_sync_counts_the_writes_before_the_next_sync_exactly() {
+        const WRITES: usize = 80;
+        let modes = [
+            DurabilityMode::Always,
+            DurabilityMode::Periodic(1),
+            DurabilityMode::Periodic(3),
+            DurabilityMode::Periodic(7),
+            DurabilityMode::None,
+        ];
+        for mode in modes {
+            for checkpoint_bytes in [1, 59, 60, 61, 200, 1000, 4096] {
+                for sync_every in [None, Some(5)] {
+                    let case = format!("{mode:?}, {checkpoint_bytes} B, sync every {sync_every:?}");
+                    let dir = test_dir("budget");
+                    let opts = FileDeviceOptions { mode, checkpoint_bytes, ..Default::default() };
+                    let mut d = FileDevice::create(&dir, 4, 8, opts).unwrap();
+                    let explicit = |i: usize| sync_every.is_some_and(|k| i % k == k - 1);
+                    let (mut budgets, mut syncs) = (Vec::new(), Vec::new());
+                    for i in 0..WRITES {
+                        if explicit(i) {
+                            d.sync();
+                        }
+                        budgets.push(d.appends_before_sync());
+                        let before = d.wal_stats();
+                        d.write_block(i % 8, &payload(4, i as u64));
+                        let after = d.wal_stats();
+                        syncs.push(
+                            after.fsyncs > before.fsyncs || after.checkpoints > before.checkpoints,
+                        );
+                    }
+                    for (i, &budget) in budgets.iter().enumerate() {
+                        let horizon = (i + 1..WRITES).find(|&j| explicit(j)).unwrap_or(WRITES);
+                        match (i..horizon).find(|&j| syncs[j]) {
+                            Some(next) => assert_eq!(budget, next - i, "{case}: before write {i}"),
+                            None => assert!(budget >= horizon - i, "{case}: before write {i}"),
+                        }
+                    }
+                    std::fs::remove_dir_all(&dir).unwrap();
+                }
+            }
+        }
+        // A crashed device drops every write, so it promises none.
+        let dir = test_dir("budget-crashed");
+        let crash = CrashPlan::at(1, 2);
+        let opts = FileDeviceOptions { mode: DurabilityMode::None, crash, ..Default::default() };
+        let mut d = FileDevice::create(&dir, 4, 8, opts).unwrap();
+        for b in 0..3 {
+            d.write_block(b, &payload(4, b as u64));
+        }
+        assert!(d.is_crashed());
+        assert_eq!(d.appends_before_sync(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

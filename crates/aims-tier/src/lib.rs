@@ -7,11 +7,11 @@
 //! ingest systems (PAPERS.md):
 //!
 //! - **Hot tier** ([`store`]): time-partitioned, append-only raw
-//!   segments. Ingest appends samples; each completed device block is
-//!   written through a WAL-backed [`aims_storage::FileDevice`] so acked
-//!   ingest survives crashes; segments seal when full (or on demand for
-//!   age-based policies). Queries over hot segments are **exact** — raw
-//!   summation, zero error.
+//!   segments. Ingest appends samples; each completed device block goes
+//!   to a WAL-backed [`aims_storage::FileDevice`] by the ack that would
+//!   sync its WAL, so acked ingest survives crashes; segments seal when
+//!   full (or on demand for age-based policies). Queries over hot
+//!   segments are **exact** — raw summation, zero error.
 //! - **Background compactor** ([`compact`]): a dedicated thread claims
 //!   sealed segments, full-depth wavelet-transforms them with the
 //!   lifting kernels, and atomically swaps them into the historical

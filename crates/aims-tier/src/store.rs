@@ -27,6 +27,19 @@
 //! historical before that flag has committed — so a block that can be
 //! read at all has its final contents.
 //!
+//! **The ingest ack.** A pushed sample is copied once, into the open
+//! segment's buffer. A block it completes is written to the hot device
+//! only when the device would do more than buffer the write in userspace:
+//! while [`TierMedia::deferrable_writes`] covers the pending run of
+//! completed blocks, the run stays in the buffer alone, and the ack whose
+//! run holds a write that would sync or checkpoint the WAL hands the whole
+//! run over. Every other hot-device write (a seal, [`TieredStore::sync`],
+//! an install's retire, [`TieredStore::checkpoint`]) stages the run first.
+//! The device therefore sees the same writes in the same order, its WAL
+//! reaches the OS on the same acks, and a crash loses the same samples,
+//! as if each block were written on the ack that completed it; only the
+//! moment of the device's copy moves, onto the ack that pays the sync.
+//!
 //! Queries never evaluate under a lock: they take a [`TierSnapshot`]
 //! (an `Arc` of every hot segment's samples, a descriptor of every
 //! historical one, a copy of the open tail), so a compaction swap that
@@ -109,7 +122,9 @@ struct Inner<D: BlockDevice> {
     segs: Vec<Seg>,
     /// The open (still-filling) tail segment; its slot is `segs.len()`.
     open_buf: Vec<f64>,
-    /// Hot-device blocks of the open segment already written through.
+    /// Blocks of the open segment already handed to the hot device; the
+    /// completed ones past it are the pending run, held only here until
+    /// [`Inner::stage`] writes them.
     open_written: usize,
     /// Samples covered by sealed segments (the manifest's ack frontier,
     /// before adding any synced open tail).
@@ -132,6 +147,33 @@ impl<D: BlockDevice> Inner<D> {
             durable_sealed: 0,
             sealed_raw: 0,
             view: None,
+        }
+    }
+
+    /// Hands the open segment's pending run — its completed blocks not yet
+    /// written — to the hot device, in block order (when: see the module
+    /// docs).
+    fn stage(&mut self, cfg: &TierConfig) {
+        let bs = cfg.block_size;
+        let first = cfg.hot_block(self.segs.len());
+        let complete = self.open_buf.len() / bs;
+        for b in self.open_written..complete {
+            self.hot.write_block(first + b, &self.open_buf[b * bs..(b + 1) * bs]);
+        }
+        self.open_written = complete;
+    }
+
+    /// Writes the open tail's partial last block, zero-padded, if it has
+    /// one. Called after [`Inner::stage`], so the blocks before it are on
+    /// the device first.
+    fn write_padded_tail(&mut self, cfg: &TierConfig) {
+        let (bs, len) = (cfg.block_size, self.open_buf.len());
+        debug_assert_eq!(self.open_written, len / bs, "the pending run goes first");
+        if !len.is_multiple_of(bs) {
+            let b = len / bs;
+            let mut tail = self.open_buf[b * bs..].to_vec();
+            tail.resize(bs, 0.0);
+            self.hot.write_block(cfg.hot_block(self.segs.len()) + b, &tail);
         }
     }
 
@@ -458,12 +500,6 @@ impl TieredStore<FileDevice> {
         Self::recover(cfg, hot, hist)
     }
 
-    /// Checkpoints both devices (folds the WALs into the main files).
-    pub fn checkpoint(&self) {
-        self.lock().hot.checkpoint();
-        self.hist.write().device.checkpoint();
-    }
-
     /// Whether each device's seeded crash plan has fired: `(hot, hist)`.
     pub fn devices_crashed(&self) -> (bool, bool) {
         let hot = self.lock().hot.is_crashed();
@@ -630,7 +666,8 @@ impl<D: TierMedia> TieredStore<D> {
         bytes
     }
 
-    /// I/O counters of the two devices: `(hot, hist)`.
+    /// I/O counters of the two devices: `(hot, hist)`. The hot device has
+    /// not yet counted the open segment's held-back blocks.
     pub fn device_stats(&self) -> (DeviceStats, DeviceStats) {
         let hot = self.lock().hot.stats();
         (hot, self.hist.read().device.stats())
@@ -648,14 +685,26 @@ impl<D: TierMedia> TieredStore<D> {
         QueryGuard { inflight: Arc::clone(&self.inflight) }
     }
 
+    /// Commits both devices ([`TierMedia::commit`]: a WAL-backed device
+    /// checkpoints, folding its WAL into its main file), the open segment's
+    /// pending run first.
+    pub fn checkpoint(&self) {
+        let mut inner = self.lock();
+        inner.stage(&self.cfg);
+        inner.hot.commit();
+        drop(inner);
+        self.hist.write().device.commit();
+    }
+
     /// Appends one sample.
     pub fn push(&self, x: f64) {
         self.push_slice(&[x]);
     }
 
-    /// Appends a run of samples, writing each completed device block
-    /// through the hot device (and its WAL) and sealing segments as they
-    /// fill. Panics when both devices are out of segment slots.
+    /// Appends a run of samples, sealing segments as they fill. A completed
+    /// block reaches the hot device on this ack only when the device would
+    /// sync or checkpoint its WAL for one of the blocks pending (see the
+    /// module docs). Panics when both devices are out of segment slots.
     pub fn push_slice(&self, xs: &[f64]) {
         if xs.is_empty() {
             return;
@@ -675,14 +724,10 @@ impl<D: TierMedia> TieredStore<D> {
             let take = room.min(xs.len() - i);
             inner.open_buf.extend_from_slice(&xs[i..i + take]);
             i += take;
-            let complete = inner.open_buf.len() / bs;
-            while inner.open_written < complete {
-                let b = inner.open_written;
-                let blk_id = cfg.hot_block(seg) + b;
-                // Split borrows: the block payload lives in open_buf.
-                let Inner { hot, open_buf, .. } = &mut *inner;
-                hot.write_block(blk_id, &open_buf[b * bs..(b + 1) * bs]);
-                inner.open_written += 1;
+            // The device is asked only when this push completed a block.
+            let pending = inner.open_buf.len() / bs - inner.open_written;
+            if pending > 0 && pending > inner.hot.deferrable_writes() {
+                inner.stage(&cfg);
             }
             if inner.open_buf.len() == cfg.segment_len {
                 self.seal_locked(&mut inner);
@@ -702,17 +747,10 @@ impl<D: TierMedia> TieredStore<D> {
 
     fn seal_locked(&self, inner: &mut Inner<D>) {
         let cfg = &self.cfg;
-        let bs = cfg.block_size;
         let seg = inner.segs.len();
         let len = inner.open_buf.len();
-        // Flush the partial tail block, zero-padded, if any.
-        if !len.is_multiple_of(bs) {
-            let b = len / bs;
-            let mut tail = inner.open_buf[b * bs..].to_vec();
-            tail.resize(bs, 0.0);
-            let blk_id = cfg.hot_block(seg) + b;
-            inner.hot.write_block(blk_id, &tail);
-        }
+        inner.stage(cfg);
+        inner.write_padded_tail(cfg);
         inner.durable_sealed += len;
         inner.hot_man.set_slot(seg, SLOT_RAW, len);
         let durable = inner.durable_sealed;
@@ -737,18 +775,11 @@ impl<D: TierMedia> TieredStore<D> {
     /// no checkpoint. After this, a reopened store recovers every pushed
     /// sample.
     pub fn sync(&self) {
-        let cfg = self.cfg;
-        let bs = cfg.block_size;
         let mut inner = self.lock();
         let seg = inner.segs.len();
         let len = inner.open_buf.len();
-        if !len.is_multiple_of(bs) {
-            let b = len / bs;
-            let mut tail = inner.open_buf[b * bs..].to_vec();
-            tail.resize(bs, 0.0);
-            let blk_id = cfg.hot_block(seg) + b;
-            inner.hot.write_block(blk_id, &tail);
-        }
+        inner.stage(&self.cfg);
+        inner.write_padded_tail(&self.cfg);
         if len > 0 {
             inner.hot_man.set_slot(seg, SLOT_OPEN, len);
         }
@@ -849,10 +880,9 @@ impl<D: TierMedia> TieredStore<D> {
         let len = data.len();
         debug_assert_eq!(len, coeffs.len);
         inner.hot_man.set_slot(seg, SLOT_RETIRED, len);
-        {
-            let Inner { hot, hot_man, .. } = &mut *inner;
-            hot_man.flush(hot);
-        }
+        inner.stage(&cfg);
+        let Inner { hot, hot_man, .. } = &mut *inner;
+        hot_man.flush(hot);
         inner.segs[seg] = Seg::Hist { len, energy: coeffs.block_energy.into(), partial };
         inner.sealed_raw -= 1;
         // Drops the view's hold on the raw samples too.
@@ -865,7 +895,8 @@ impl<D: TierMedia> TieredStore<D> {
 }
 
 /// The devices a tiered store can live on: a [`BlockDevice`] plus the
-/// install commit point and the ingest sync point. A WAL-backed device
+/// install commit point, the ingest sync point and how many writes the
+/// hot tier may hold back. A WAL-backed device
 /// checkpoints (fold + fsync) to make the historical claim durable before
 /// the raw slot is retired, and fsyncs its WAL to make pushed samples
 /// durable; the in-memory device needs nothing beyond the writes. `Send +
@@ -882,6 +913,14 @@ pub trait TierMedia: BlockDevice + Send + Sync + 'static {
     /// Makes everything written so far durable without folding it
     /// ([`TieredStore::sync`]'s last step).
     fn sync_wal(&mut self) {}
+
+    /// How many further writes the device would only buffer in userspace,
+    /// none of them reaching the OS, so the hot tier may hold them back and
+    /// issue them before the device's next other call. 0 — write through —
+    /// by default.
+    fn deferrable_writes(&self) -> usize {
+        0
+    }
 }
 
 impl TierMedia for MemDevice {}
@@ -895,10 +934,15 @@ impl TierMedia for FileDevice {
     fn sync_wal(&mut self) {
         self.sync();
     }
+
+    fn deferrable_writes(&self) -> usize {
+        self.appends_before_sync()
+    }
 }
 
 /// Media faults layer over either tier; the commit and sync points are
-/// the wrapped device's.
+/// the wrapped device's. It keeps the write-through default of
+/// [`TierMedia::deferrable_writes`].
 impl<D: TierMedia + RawMedia> TierMedia for FaultyDevice<D> {
     fn commit(&mut self) -> bool {
         self.inner_mut().commit()

@@ -1,9 +1,11 @@
 //! The tiered store's ingest ack at the allocator level: once one
 //! checkpoint cycle has warmed the hot device, `push_slice` of whole blocks
 //! between two seals performs zero heap allocations — the open segment's
-//! buffer was sized at the last seal, and each block is staged once, in the
-//! hot device's record arena, which keeps its capacity across a WAL sync
-//! and a checkpoint.
+//! buffer was sized at the last seal, and each block is held there alone
+//! until the ack whose pending run holds the write that checkpoints (about
+//! every 32nd block here) stages the run into the hot device's record
+//! arena, which keeps its capacity across a WAL sync and a checkpoint. The
+//! counted window holds at least one such staging ack.
 
 use aims_dsp::filters::FilterKind;
 use aims_storage::{DurabilityMode, FileDeviceOptions};

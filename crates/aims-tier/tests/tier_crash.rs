@@ -12,7 +12,10 @@
 //!   after the backlog re-drains it answers bit-identically to a
 //!   single-pass oracle.
 //! - **Crash mid-ingest** (hot device dies at step k), under fsync-always
-//!   and under `periodic:4`: on reopen the store holds at least every
+//!   and `periodic:4` with a sync after every push, and under `periodic:4`
+//!   and `none` with a sync after every fifth push and a small checkpoint
+//!   threshold, so a crash can land while the hot tier holds completed
+//!   blocks back from the device: on reopen the store holds at least every
 //!   sample acknowledged by a completed `sync()`, and each recovered sample
 //!   reads back bit-identical.
 //!
@@ -207,16 +210,24 @@ fn crash_mid_compaction_keeps_raw_segments() {
 fn crash_mid_ingest_preserves_acked_samples() {
     let data = signal();
 
+    // (mode, checkpoint bytes, a sync after every how many pushes, steps).
+    // Syncing after each push leaves no completed block pending on a crash;
+    // syncing after every fifth, beside a 1 KiB checkpoint threshold (six
+    // 156-byte records), lets a crash land on a run the hot tier still
+    // holds back, or on the checkpoint whose ack stages it.
     let sweeps = [
-        (DurabilityMode::Always, [5u64, 11, 23, 41, 67, 101]),
-        (DurabilityMode::Periodic(4), [3, 7, 17, 31, 47, 61]),
+        (DurabilityMode::Always, 1 << 20, 1, [5u64, 11, 23, 41, 67, 101]),
+        (DurabilityMode::Periodic(4), 1 << 20, 1, [3, 7, 17, 31, 47, 61]),
+        (DurabilityMode::Periodic(4), 1 << 10, 5, [2, 9, 19, 33, 53, 71]),
+        (DurabilityMode::None, 1 << 10, 5, [2, 9, 19, 33, 53, 71]),
     ];
-    for (mode, steps) in sweeps {
+    for (mode, checkpoint_bytes, sync_every, steps) in sweeps {
         let mut fired = 0;
+        let opts = |crash| FileDeviceOptions { checkpoint_bytes, ..opts_in(mode, crash) };
         for step in steps {
-            let case = format!("{mode:?} step {step}");
+            let case = format!("{mode:?}, sync every {sync_every} pushes, step {step}");
             let dir = fresh_dir(&format!("hot-{step}"));
-            let clean = || opts_in(mode, CrashPlan::none());
+            let clean = || opts(CrashPlan::none());
             {
                 let store = TieredStore::create_durable(&dir, cfg(), clean()).unwrap();
                 store.sync();
@@ -227,18 +238,23 @@ fn crash_mid_ingest_preserves_acked_samples() {
             // sync that completed before the crash).
             let mut acked = 0usize;
             {
-                let armed = opts_in(mode, CrashPlan::at(seed() ^ step, step));
+                let armed = opts(CrashPlan::at(seed() ^ step, step));
                 let store = TieredStore::open_durable_with(&dir, cfg(), armed, clean()).unwrap();
                 let mut pushed = 0usize;
-                for chunk in data.chunks(17) {
+                for (n, chunk) in data.chunks(17).enumerate() {
                     store.push_slice(chunk);
                     pushed += chunk.len();
-                    store.sync();
+                    let synced = (n + 1) % sync_every == 0 || pushed == data.len();
+                    if synced {
+                        store.sync();
+                    }
                     if store.devices_crashed().0 {
                         fired += 1;
                         break;
                     }
-                    acked = pushed;
+                    if synced {
+                        acked = pushed;
+                    }
                 }
                 drop(store);
             }
