@@ -170,6 +170,20 @@ EOF
         exit 1
     }
 
+    # Every drill's JSON report must parse: the two tier reports above, and
+    # faults, ingest-faults and durability at their defaults.
+    echo "== drill JSON reports =="
+    for drill in faults ingest-faults durability; do
+        target/release/aims-cli "$drill" --format json > "target/$drill.json"
+    done
+    for report in target/{faults,ingest-faults,durability,tiers-t1,tiers-t4}.json; do
+        python3 -m json.tool "$report" > /dev/null || {
+            echo "$report is not valid JSON" >&2
+            exit 1
+        }
+        echo "$report OK"
+    done
+
     # The kernel report: dispatch table, the fixed tile/threshold, and a
     # serial round trip per filter; exits non-zero if one misses by > 1e-9.
     echo "== aims-cli kernels =="

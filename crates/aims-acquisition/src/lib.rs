@@ -19,8 +19,8 @@
 //!   wavelet packet basis elsewhere.
 //! - [`ingest`]: the supervised, fault-tolerant stage in front of the
 //!   recorder — reordering, duplicate suppression, gap repair with
-//!   per-sample quality flags, per-sensor health tracking, and explicit
-//!   overflow policies including rate degradation.
+//!   per-sample quality flags and per-sensor health tracking, recorded
+//!   through a buffer sized so no frame is dropped.
 
 pub mod ingest;
 pub mod multibasis;
@@ -28,9 +28,9 @@ pub mod recorder;
 pub mod sampling;
 
 pub use ingest::{
-    HealthEvent, HealthState, IngestConfig, IngestOutcome, OverflowPolicy, Reassembler,
-    RepairPolicy, SupervisedIngest,
+    HealthEvent, HealthState, IngestConfig, IngestOutcome, Reassembler, RepairPolicy,
+    SupervisedIngest,
 };
 pub use multibasis::{select_bases, BasisChoice, TransformPlan};
-pub use recorder::{DoubleBufferRecorder, QueuePolicy, RecorderConfig, RecordingStats};
-pub use sampling::{decimate_stream, sample_stream, SamplingParams, SamplingResult, Strategy};
+pub use recorder::{DoubleBufferRecorder, RecorderConfig, RecordingStats};
+pub use sampling::{sample_stream, SamplingResult, Strategy};

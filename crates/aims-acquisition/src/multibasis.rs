@@ -72,35 +72,19 @@ impl TransformPlan {
     }
 }
 
-/// Selection knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct SelectionParams {
-    /// A dimension whose distinct-value count is at most this fraction of
-    /// its length is kept in the standard basis.
-    pub cardinality_fraction: f64,
-    /// Candidate wavelet filters to score.
-    pub candidate_filters: [FilterKind; 3],
-    /// Fraction of coefficients whose captured energy decides between
-    /// filters (e.g. 0.1 → score = energy in the top 10%).
-    pub compaction_fraction: f64,
-    /// If the best packet basis beats the plain DWT basis by more than this
-    /// relative entropy margin, pick the packet basis.
-    pub packet_margin: f64,
-    /// Packet-tree depth for the best-basis search.
-    pub packet_depth: usize,
-}
-
-impl Default for SelectionParams {
-    fn default() -> Self {
-        SelectionParams {
-            cardinality_fraction: 0.01,
-            candidate_filters: [FilterKind::Haar, FilterKind::Db4, FilterKind::Db6],
-            compaction_fraction: 0.1,
-            packet_margin: 0.05,
-            packet_depth: 4,
-        }
-    }
-}
+/// A dimension whose distinct-value count is at most this fraction of its
+/// length is kept in the standard basis.
+pub const CARDINALITY_FRACTION: f64 = 0.01;
+/// Candidate wavelet filters to score.
+pub const CANDIDATE_FILTERS: [FilterKind; 3] = [FilterKind::Haar, FilterKind::Db4, FilterKind::Db6];
+/// Fraction of coefficients whose captured energy decides between filters
+/// (0.1 → score = energy in the top 10%).
+pub const COMPACTION_FRACTION: f64 = 0.1;
+/// If the best packet basis beats the plain DWT basis by more than this
+/// relative entropy margin, pick the packet basis.
+pub const PACKET_MARGIN: f64 = 0.05;
+/// Packet-tree depth for the best-basis search.
+pub const PACKET_DEPTH: usize = 4;
 
 /// Distinct values in a column, counted after quantizing to 1e-9 grid (so
 /// float noise does not inflate cardinality).
@@ -125,15 +109,15 @@ fn energy_compaction(coeffs: &[f64], frac: f64) -> f64 {
 
 /// Scores one column under each candidate filter and picks the best
 /// wavelet basis (DWT or packet) for it.
-fn best_wavelet_basis(column: &[f64], params: &SelectionParams) -> BasisChoice {
+fn best_wavelet_basis(column: &[f64]) -> BasisChoice {
     // Pad to a power of two for the transforms.
     let mut padded = column.to_vec();
     padded.resize(next_pow2(column.len()), *column.last().unwrap_or(&0.0));
 
     let mut best: Option<(f64, FilterKind)> = None;
-    for kind in params.candidate_filters {
+    for kind in CANDIDATE_FILTERS {
         let coeffs = dwt_full(&padded, &kind.filter());
-        let score = energy_compaction(&coeffs, params.compaction_fraction);
+        let score = energy_compaction(&coeffs, COMPACTION_FRACTION);
         if best.is_none_or(|(s, _)| score > s) {
             best = Some((score, kind));
         }
@@ -141,13 +125,13 @@ fn best_wavelet_basis(column: &[f64], params: &SelectionParams) -> BasisChoice {
     let (_, kind) = best.expect("at least one candidate filter");
 
     // Packet refinement: does a best-basis search beat the plain cascade?
-    let depth = params.packet_depth.min(padded.len().trailing_zeros() as usize);
+    let depth = PACKET_DEPTH.min(padded.len().trailing_zeros() as usize);
     let tree = WaveletPacketTree::decompose(&padded, &kind.filter(), depth);
     let cost = CostFunction::ShannonEntropy;
     let best_basis = tree.best_basis(cost);
     let dwt_basis = tree.dwt_basis(cost);
     if dwt_basis.cost > 0.0
-        && (dwt_basis.cost - best_basis.cost) / dwt_basis.cost.abs() > params.packet_margin
+        && (dwt_basis.cost - best_basis.cost) / dwt_basis.cost.abs() > PACKET_MARGIN
         && best_basis.nodes != dwt_basis.nodes
     {
         BasisChoice::WaveletPacket(kind, best_basis.nodes)
@@ -160,7 +144,7 @@ fn best_wavelet_basis(column: &[f64], params: &SelectionParams) -> BasisChoice {
 ///
 /// # Panics
 /// If columns are empty or lengths differ.
-pub fn select_bases(columns: &[Vec<f64>], params: &SelectionParams) -> TransformPlan {
+pub fn select_bases(columns: &[Vec<f64>]) -> TransformPlan {
     assert!(!columns.is_empty(), "no dimensions to plan");
     let len = columns[0].len();
     assert!(len > 0, "empty columns");
@@ -172,10 +156,10 @@ pub fn select_bases(columns: &[Vec<f64>], params: &SelectionParams) -> Transform
         .iter()
         .map(|col| {
             let card = cardinality(col);
-            if (card as f64) <= (len as f64 * params.cardinality_fraction).max(2.0) {
+            if (card as f64) <= (len as f64 * CARDINALITY_FRACTION).max(2.0) {
                 BasisChoice::Standard
             } else {
-                best_wavelet_basis(col, params)
+                best_wavelet_basis(col)
             }
         })
         .collect();
@@ -195,7 +179,7 @@ mod tests {
         let n = 1024;
         let sensor_id: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
         let value = smooth(n);
-        let plan = select_bases(&[sensor_id, value], &SelectionParams::default());
+        let plan = select_bases(&[sensor_id, value]);
         assert_eq!(plan.per_dim[0], BasisChoice::Standard);
         assert!(matches!(
             plan.per_dim[1],
@@ -208,7 +192,7 @@ mod tests {
     #[test]
     fn smooth_signal_gets_a_wavelet_basis_with_good_compaction() {
         let col = smooth(2048);
-        let plan = select_bases(std::slice::from_ref(&col), &SelectionParams::default());
+        let plan = select_bases(std::slice::from_ref(&col));
         match &plan.per_dim[0] {
             BasisChoice::Standard => panic!("smooth high-cardinality column kept standard"),
             BasisChoice::Wavelet(k) | BasisChoice::WaveletPacket(k, _) => {
@@ -246,7 +230,7 @@ mod tests {
         // wavelet family choice and the labels render.
         let n = 1024;
         let col: Vec<f64> = (0..n).map(|i| (std::f64::consts::PI * 0.9 * i as f64).sin()).collect();
-        let plan = select_bases(&[col], &SelectionParams::default());
+        let plan = select_bases(&[col]);
         let label = plan.per_dim[0].label();
         assert!(label.starts_with("dwt/") || label.starts_with("dwpt/"), "{label}");
     }
@@ -260,6 +244,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn ragged_columns_panic() {
-        select_bases(&[vec![1.0, 2.0], vec![1.0]], &SelectionParams::default());
+        select_bases(&[vec![1.0, 2.0], vec![1.0]]);
     }
 }

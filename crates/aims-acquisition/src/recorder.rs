@@ -8,10 +8,11 @@
 //!
 //! This module reproduces that architecture: a producer thread plays the
 //! role of the sampling-interrupt handler (copying frames into a bounded
-//! in-memory buffer and *never blocking* — a real interrupt handler can't),
-//! and a consumer thread drains the buffer in batches and "stores" them.
-//! Overruns are counted rather than hidden, so experiments can size the
-//! buffer honestly.
+//! in-memory buffer and *never blocking* — a real interrupt handler can't,
+//! so a frame that finds the buffer full is dropped), and a consumer thread
+//! drains the buffer in batches and "stores" them. Overruns are counted
+//! rather than hidden, so experiments can size the buffer honestly; the
+//! supervised ingest sizes it to its input and so never drops.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,19 +22,8 @@ use std::thread;
 use aims_sensors::types::MultiStream;
 use aims_telemetry::{counter, span};
 
-/// The interrupt-to-storage handoff buffer: (source index, frame) pairs.
-type SharedQueue = Arc<Mutex<VecDeque<(usize, Vec<f64>)>>>;
-
-/// What the interrupt-side producer does when the in-memory buffer is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueuePolicy {
-    /// Drop the arriving frame (the recorder's historical behavior: an
-    /// interrupt handler that finds the buffer full walks away).
-    DropNewest,
-    /// Evict the oldest buffered frame to make room — freshest data wins,
-    /// at the cost of a hole earlier in the recording.
-    DropOldest,
-}
+/// The interrupt-to-storage handoff buffer.
+type SharedQueue = Arc<Mutex<VecDeque<Vec<f64>>>>;
 
 /// Recorder tuning.
 #[derive(Clone, Copy, Debug)]
@@ -104,41 +94,9 @@ impl DoubleBufferRecorder {
     /// The producer simulates the interrupt handler: it offers each frame
     /// once and drops it if the buffer is full. The consumer drains batches
     /// and appends them to the stored stream (optionally sleeping to model
-    /// storage latency).
+    /// storage latency), so the stored frames are a subsequence of the
+    /// source in source order.
     pub fn record(&self, source: &MultiStream) -> (MultiStream, RecordingStats) {
-        let (stored, _, stats) = self.record_with(source, QueuePolicy::DropNewest);
-        (stored, stats)
-    }
-
-    /// Like [`Self::record`], but with an explicit buffer-overflow policy,
-    /// and reporting *which* source frames made it to storage (their
-    /// indices, in stored order) — the supervised ingest uses this to keep
-    /// per-sample quality flags aligned with the stored stream.
-    pub fn record_with(
-        &self,
-        source: &MultiStream,
-        policy: QueuePolicy,
-    ) -> (MultiStream, Vec<usize>, RecordingStats) {
-        self.record_with_sink(source, policy, |_, _| {})
-    }
-
-    /// Like [`Self::record_with`], but the storage thread also hands each
-    /// stored frame `(source index, frame)` to `sink` **as it drains** —
-    /// a downstream segment writer sees data while recording is still in
-    /// progress instead of only at join time. The trailing partial batch
-    /// is delivered before this returns: the consumer previously only
-    /// materialized its drain into the returned stream, so anything a
-    /// caller wired downstream missed whatever sat below one batch
-    /// boundary; routing every frame through the sink closes that gap.
-    pub fn record_with_sink<F>(
-        &self,
-        source: &MultiStream,
-        policy: QueuePolicy,
-        sink: F,
-    ) -> (MultiStream, Vec<usize>, RecordingStats)
-    where
-        F: FnMut(usize, &[f64]) + Send,
-    {
         let _span = span!("acquisition.recorder.record");
         let queue: SharedQueue =
             Arc::new(Mutex::new(VecDeque::with_capacity(self.config.buffer_frames)));
@@ -148,23 +106,19 @@ impl DoubleBufferRecorder {
         let latency = self.config.store_latency_us;
         let capacity = self.config.buffer_frames.max(1);
 
-        let (stored, indices, batches, dropped) = thread::scope(|scope| {
+        let (stored, batches, dropped) = thread::scope(|scope| {
             let consumer = {
                 let queue = Arc::clone(&queue);
                 let done = Arc::clone(&done);
-                let mut sink = sink;
                 scope.spawn(move || {
                     let mut stored = MultiStream::new(spec);
-                    let mut indices = Vec::new();
                     let mut batches = 0usize;
                     let mut batch = 0usize;
                     loop {
                         let next = queue.lock().unwrap().pop_front();
                         match next {
-                            Some((idx, frame)) => {
+                            Some(frame) => {
                                 stored.push(&frame);
-                                sink(idx, &frame);
-                                indices.push(idx);
                                 batch += 1;
                                 if batch >= batch_size {
                                     batches += 1;
@@ -186,31 +140,22 @@ impl DoubleBufferRecorder {
                     if batch > 0 {
                         batches += 1;
                     }
-                    (stored, indices, batches)
+                    (stored, batches)
                 })
             };
 
             let mut dropped = 0usize;
-            let offered = source.len();
-            for t in 0..offered {
+            for t in 0..source.len() {
                 let mut q = queue.lock().unwrap();
                 if q.len() >= capacity {
-                    match policy {
-                        QueuePolicy::DropNewest => {
-                            dropped += 1;
-                            continue;
-                        }
-                        QueuePolicy::DropOldest => {
-                            q.pop_front();
-                            dropped += 1;
-                        }
-                    }
+                    dropped += 1;
+                    continue;
                 }
-                q.push_back((t, source.frame(t).to_vec()));
+                q.push_back(source.frame(t).to_vec());
             }
             done.store(true, Ordering::Release);
-            let (stored, indices, batches) = consumer.join().expect("storage thread panicked");
-            (stored, indices, batches, dropped)
+            let (stored, batches) = consumer.join().expect("storage thread panicked");
+            (stored, batches, dropped)
         });
         let offered = source.len();
 
@@ -224,7 +169,7 @@ impl DoubleBufferRecorder {
         counter!("acquisition.recorder.dropped_frames").add(dropped as u64);
         counter!("acquisition.recorder.batches").add(batches as u64);
         debug_assert_eq!(stats.stored_frames, stored.len());
-        (stored, indices, stats)
+        (stored, stats)
     }
 }
 
@@ -296,39 +241,6 @@ mod tests {
             }
             last_index = Some(idx);
         }
-    }
-
-    #[test]
-    fn drop_oldest_keeps_the_freshest_frames() {
-        let src = stream(2000);
-        let rec = DoubleBufferRecorder::new(RecorderConfig {
-            buffer_frames: 4,
-            batch_size: 4,
-            store_latency_us: 200,
-        });
-        let (stored, indices, stats) = rec.record_with(&src, QueuePolicy::DropOldest);
-        assert_eq!(stats.stored_frames + stats.dropped_frames, 2000);
-        assert_eq!(stored.len(), indices.len());
-        for w in indices.windows(2) {
-            assert!(w[0] < w[1], "stored indices must stay ordered: {w:?}");
-        }
-        // The producer always enqueues the newest frame, so the final frame
-        // of the source survives whatever the overrun.
-        assert_eq!(*indices.last().unwrap(), 1999);
-    }
-
-    #[test]
-    fn record_with_reports_stored_indices() {
-        let src = stream(300);
-        let rec = DoubleBufferRecorder::new(RecorderConfig {
-            buffer_frames: 512,
-            batch_size: 32,
-            store_latency_us: 0,
-        });
-        let (stored, indices, stats) = rec.record_with(&src, QueuePolicy::DropNewest);
-        assert_eq!(stats.dropped_frames, 0);
-        assert_eq!(indices, (0..300).collect::<Vec<_>>());
-        assert_eq!(stored, src);
     }
 
     #[test]

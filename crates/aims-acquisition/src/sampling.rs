@@ -53,38 +53,21 @@ impl Strategy {
     }
 }
 
-/// Tuning knobs shared by the strategies.
-#[derive(Clone, Copy, Debug)]
-pub struct SamplingParams {
-    /// Spectral confidence threshold for `f_max` (fraction of energy).
-    pub confidence: f64,
-    /// Analysis window length in seconds (Modified-Fixed / Adaptive).
-    pub window_s: f64,
-    /// Number of rate clusters for Grouped.
-    pub groups: usize,
-    /// Floor rate (Hz) so reconstruction always has anchor points.
-    pub min_rate: f64,
-    /// Which `f_max` estimator to use.
-    pub estimator: FmaxEstimator,
-}
-
-impl Default for SamplingParams {
-    fn default() -> Self {
-        // The MSE estimator is the default: on short analysis windows the
-        // DFT estimator inflates f_max whenever the window contains a
-        // transient (spectral leakage makes broadband energy look like
-        // signal bandwidth), which penalizes exactly the windowed
-        // strategies. The decimation-error search ties the rate directly
-        // to a reconstruction-error budget and is robust on transients.
-        SamplingParams {
-            confidence: 0.95,
-            window_s: 2.0,
-            groups: 4,
-            min_rate: 2.0,
-            estimator: FmaxEstimator::MinSquareError,
-        }
-    }
-}
+/// Spectral confidence threshold for `f_max` (fraction of energy).
+pub const CONFIDENCE: f64 = 0.95;
+/// Analysis window length in seconds (Modified-Fixed / Adaptive).
+pub const WINDOW_S: f64 = 2.0;
+/// Number of rate clusters for Grouped.
+pub const GROUPS: usize = 4;
+/// Floor rate (Hz) so reconstruction always has anchor points.
+pub const MIN_RATE: f64 = 2.0;
+/// The `f_max` estimator. On short analysis windows the DFT estimator
+/// inflates `f_max` whenever the window contains a transient (spectral
+/// leakage makes broadband energy look like signal bandwidth), which
+/// penalizes exactly the windowed strategies. The decimation-error search
+/// ties the rate directly to a reconstruction-error budget and is robust
+/// on transients.
+pub const ESTIMATOR: FmaxEstimator = FmaxEstimator::MinSquareError;
 
 /// Outcome of applying a strategy to a reference stream.
 #[derive(Clone, Debug)]
@@ -131,11 +114,11 @@ impl SamplingResult {
 
 /// Per-sensor Nyquist rate estimate over one signal slice, floored and
 /// capped to the physical rate.
-fn required_rate(signal: &[f64], sample_rate: f64, params: &SamplingParams) -> f64 {
-    let r = estimate_nyquist_rate(signal, sample_rate, params.estimator, params.confidence);
+fn required_rate(signal: &[f64], sample_rate: f64) -> f64 {
+    let r = estimate_nyquist_rate(signal, sample_rate, ESTIMATOR, CONFIDENCE);
     // Keep a 25% guard band above Nyquist, as real systems do. A stream
     // slower than the floor keeps its own rate.
-    (r * 1.25).max(params.min_rate).min(sample_rate)
+    (r * 1.25).max(MIN_RATE).min(sample_rate)
 }
 
 /// Keeps every `k`-th sample of a window so the local rate is ≥ `rate`.
@@ -176,29 +159,6 @@ fn interpolate(kept: &[(usize, f64)], len: usize) -> Vec<f64> {
     out
 }
 
-/// Uniform rate reduction by an integer factor: keeps every `factor`-th
-/// frame and divides the spec's sample rate accordingly — the same
-/// stride-decimation the strategy pipeline applies once a target rate is
-/// chosen, packaged for callers that must shed load *reactively*. The
-/// supervised ingest's `Degrade` overflow policy halves its rate through
-/// this (factor 2, 4, …) when the recording pipeline cannot keep up.
-///
-/// # Panics
-/// If `factor` is zero or the stream is empty.
-pub fn decimate_stream(stream: &MultiStream, factor: usize) -> MultiStream {
-    assert!(factor > 0, "decimation factor must be positive");
-    assert!(!stream.is_empty(), "cannot decimate an empty stream");
-    let spec = aims_sensors::types::StreamSpec::new(
-        stream.spec().channel_names.clone(),
-        stream.spec().sample_rate / factor as f64,
-    );
-    let channels: Vec<Vec<f64>> = (0..stream.channels())
-        .map(|c| stream.channel(c).into_iter().step_by(factor).collect())
-        .collect();
-    counter!("acquisition.sampling.decimations").inc();
-    MultiStream::from_channels(spec, &channels)
-}
-
 /// Simple 1-D clustering of rates into at most `k` groups: sorts the rates
 /// and greedily splits at the `k−1` largest gaps. Returns a group index
 /// per sensor.
@@ -233,7 +193,7 @@ const HEADER_BYTES: usize = 4;
 /// Applies a sampling strategy to a reference stream.
 ///
 /// ```
-/// use aims_acquisition::sampling::{sample_stream, SamplingParams, Strategy};
+/// use aims_acquisition::sampling::{sample_stream, Strategy};
 /// use aims_sensors::types::{MultiStream, StreamSpec};
 ///
 /// // A slow 1 Hz tone oversampled at 100 Hz: adaptive sampling keeps a
@@ -242,7 +202,7 @@ const HEADER_BYTES: usize = 4;
 ///     .map(|i| (std::f64::consts::TAU * i as f64 / 100.0).sin())
 ///     .collect();
 /// let stream = MultiStream::from_channels(StreamSpec::anonymous(1, 100.0), &[tone]);
-/// let r = sample_stream(&stream, Strategy::Adaptive, &SamplingParams::default());
+/// let r = sample_stream(&stream, Strategy::Adaptive);
 /// assert!(r.kept_samples < 400);
 /// assert!(r.relative_rmse(&stream) < 0.1);
 /// ```
@@ -254,18 +214,14 @@ const HEADER_BYTES: usize = 4;
 ///
 /// # Panics
 /// If the stream is empty.
-pub fn sample_stream(
-    reference: &MultiStream,
-    strategy: Strategy,
-    params: &SamplingParams,
-) -> SamplingResult {
+pub fn sample_stream(reference: &MultiStream, strategy: Strategy) -> SamplingResult {
     assert!(!reference.is_empty(), "cannot sample an empty stream");
     let _span = span!("acquisition.sampling.sample_stream");
     let native = reference.spec().sample_rate;
     let len = reference.len();
     let channels = reference.channels();
     // At least 16 frames a window, but never more than the stream holds.
-    let window = ((params.window_s * native) as usize).max(16).min(len);
+    let window = ((WINDOW_S * native) as usize).max(16).min(len);
 
     let channel_signals: Vec<Vec<f64>> = (0..channels).map(|c| reference.channel(c)).collect();
 
@@ -275,10 +231,8 @@ pub fn sample_stream(
     match strategy {
         Strategy::Fixed => {
             // One rate: the max requirement over all sensors, whole session.
-            let rate = channel_signals
-                .iter()
-                .map(|s| required_rate(s, native, params))
-                .fold(params.min_rate, f64::max);
+            let rate =
+                channel_signals.iter().map(|s| required_rate(s, native)).fold(MIN_RATE, f64::max);
             header_count += 1;
             for (c, signal) in channel_signals.iter().enumerate() {
                 kept_per_channel[c] = decimate(signal, native, rate);
@@ -291,8 +245,8 @@ pub fn sample_stream(
                 let end = (start + window).min(len);
                 let rate = channel_signals
                     .iter()
-                    .map(|s| required_rate(&s[start..end], native, params))
-                    .fold(params.min_rate, f64::max);
+                    .map(|s| required_rate(&s[start..end], native))
+                    .fold(MIN_RATE, f64::max);
                 header_count += 1;
                 for (c, signal) in channel_signals.iter().enumerate() {
                     for (i, v) in decimate(&signal[start..end], native, rate) {
@@ -306,10 +260,10 @@ pub fn sample_stream(
             // Cluster sensors by whole-session requirement; one fixed rate
             // per cluster (the cluster max).
             let rates: Vec<f64> =
-                channel_signals.iter().map(|s| required_rate(s, native, params)).collect();
-            let groups = cluster_rates(&rates, params.groups);
+                channel_signals.iter().map(|s| required_rate(s, native)).collect();
+            let groups = cluster_rates(&rates, GROUPS);
             let n_groups = groups.iter().copied().max().unwrap_or(0) + 1;
-            let mut group_rate = vec![params.min_rate; n_groups];
+            let mut group_rate = vec![MIN_RATE; n_groups];
             for (c, &g) in groups.iter().enumerate() {
                 group_rate[g] = group_rate[g].max(rates[c]);
             }
@@ -324,7 +278,7 @@ pub fn sample_stream(
                 let mut start = 0;
                 while start < len {
                     let end = (start + window).min(len);
-                    let rate = required_rate(&signal[start..end], native, params);
+                    let rate = required_rate(&signal[start..end], native);
                     header_count += 1;
                     for (i, v) in decimate(&signal[start..end], native, rate) {
                         kept_per_channel[c].push((start + i, v));
@@ -386,7 +340,7 @@ mod tests {
     fn all_strategies_reconstruct_accurately() {
         let s = mixed_stream(2000);
         for strat in Strategy::ALL {
-            let r = sample_stream(&s, strat, &SamplingParams::default());
+            let r = sample_stream(&s, strat);
             // Linear interpolation at ~2.5 samples/cycle on the fastest
             // channel caps fidelity around 30–35% relative RMS; every
             // strategy must stay in that envelope.
@@ -400,10 +354,9 @@ mod tests {
     #[test]
     fn adaptive_uses_least_bandwidth_on_heterogeneous_stream() {
         let s = mixed_stream(4000);
-        let params = SamplingParams::default();
-        let fixed = sample_stream(&s, Strategy::Fixed, &params);
-        let grouped = sample_stream(&s, Strategy::Grouped, &params);
-        let adaptive = sample_stream(&s, Strategy::Adaptive, &params);
+        let fixed = sample_stream(&s, Strategy::Fixed);
+        let grouped = sample_stream(&s, Strategy::Grouped);
+        let adaptive = sample_stream(&s, Strategy::Adaptive);
         assert!(grouped.bytes < fixed.bytes, "grouped {} !< fixed {}", grouped.bytes, fixed.bytes);
         assert!(
             adaptive.bytes < fixed.bytes,
@@ -416,7 +369,7 @@ mod tests {
     #[test]
     fn fixed_rate_is_driven_by_fastest_sensor() {
         let s = mixed_stream(2000);
-        let r = sample_stream(&s, Strategy::Fixed, &SamplingParams::default());
+        let r = sample_stream(&s, Strategy::Fixed);
         // Fastest channel is 10 Hz → Nyquist 20 Hz (+guard) out of 100 Hz
         // native; with 4 channels and 20 s we expect roughly
         // 4 · 20 s · ≥20 Hz samples.
@@ -428,7 +381,7 @@ mod tests {
     #[test]
     fn constant_channel_is_cheap_under_adaptive() {
         let s = mixed_stream(2000);
-        let r = sample_stream(&s, Strategy::Adaptive, &SamplingParams::default());
+        let r = sample_stream(&s, Strategy::Adaptive);
         // Reconstruct channel 3 (constant): error must be ~0 even with few
         // samples.
         let rec = r.reconstructed.channel(3);
@@ -453,9 +406,8 @@ mod tests {
             })
             .collect();
         let s = MultiStream::from_channels(spec, &[busy.clone(), busy]);
-        let params = SamplingParams::default();
-        let fixed = sample_stream(&s, Strategy::Fixed, &params);
-        let modified = sample_stream(&s, Strategy::ModifiedFixed, &params);
+        let fixed = sample_stream(&s, Strategy::Fixed);
+        let modified = sample_stream(&s, Strategy::ModifiedFixed);
         assert!(
             modified.bytes < fixed.bytes,
             "modified {} !< fixed {}",
@@ -467,14 +419,13 @@ mod tests {
     #[test]
     fn a_stream_slower_than_the_rate_floor_samples_under_every_strategy() {
         let (rate, len) = (1.0, 40);
-        let params = SamplingParams::default();
-        assert!(rate < params.min_rate);
+        assert!(rate < MIN_RATE);
         let spec = StreamSpec::anonymous(2, rate);
         let ramp: Vec<f64> = (0..len).map(|i| i as f64 * 0.5).collect();
         let wave: Vec<f64> = (0..len).map(|i| (i as f64 * 0.9).sin()).collect();
         let s = MultiStream::from_channels(spec, &[ramp, wave]);
         for strat in Strategy::ALL {
-            let r = sample_stream(&s, strat, &params);
+            let r = sample_stream(&s, strat);
             assert_eq!(r.reconstructed.len(), len, "{}", strat.name());
             assert!(r.kept_samples > 0 && r.kept_samples <= 2 * len, "{}", strat.name());
         }
@@ -515,7 +466,7 @@ mod tests {
     #[test]
     fn bandwidth_accounting() {
         let s = mixed_stream(1000);
-        let r = sample_stream(&s, Strategy::Fixed, &SamplingParams::default());
+        let r = sample_stream(&s, Strategy::Fixed);
         assert_eq!(r.bytes, r.kept_samples * DEVICE_SAMPLE_BYTES + HEADER_BYTES);
         assert!((r.bandwidth_bytes_per_s(10.0) - r.bytes as f64 / 10.0).abs() < 1e-9);
     }

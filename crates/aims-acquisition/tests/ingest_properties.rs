@@ -3,8 +3,10 @@
 //! Three contracts, each over randomized shapes and seeds:
 //!
 //! 1. **Zero-fault transparency** — with every fault rate at zero, the
-//!    supervised path stores a stream bit-identical (`f64::to_bits`) to
-//!    the clean session, repairs nothing and flags nothing.
+//!    default supervised path stores a stream bit-identical
+//!    (`f64::to_bits`) to the clean session, repairs nothing and flags
+//!    nothing; a full-length glove session checks the same at the size
+//!    where the recorder used to overrun.
 //! 2. **Reassembly order** — whatever bounded reordering and duplication
 //!    the wire applies, the reorder window emits every grid slot exactly
 //!    once in strictly increasing sequence order, and its counters
@@ -15,9 +17,12 @@
 
 use proptest::prelude::*;
 
-use aims_acquisition::ingest::{IngestConfig, Reassembler, RepairPolicy, SupervisedIngest};
-use aims_acquisition::recorder::RecorderConfig;
+use aims_acquisition::ingest::{
+    IngestConfig, Reassembler, RepairPolicy, SupervisedIngest, STUCK_AFTER,
+};
 use aims_sensors::faulty::{FaultySensorRig, SensorFaultPlan, WireFrame};
+use aims_sensors::glove::CyberGloveRig;
+use aims_sensors::noise::NoiseSource;
 use aims_sensors::types::{MultiStream, SampleQuality, StreamSpec};
 
 /// A smooth session: steps stay far below the spike threshold and the tiny
@@ -34,25 +39,36 @@ fn smooth(frames: usize, channels: usize, freq: f64, amp: f64) -> MultiStream {
     MultiStream::from_channels(spec, &chans)
 }
 
-/// A recorder buffer the scheduler can never overrun, so content
-/// assertions measure the ingest logic rather than thread timing.
-fn ample(repair: RepairPolicy) -> IngestConfig {
-    IngestConfig {
-        repair,
-        recorder: RecorderConfig { buffer_frames: 1 << 16, batch_size: 64, store_latency_us: 0 },
-        ..IngestConfig::default()
-    }
-}
-
 /// Wire frames delivering `stream` perfectly in order.
 fn perfect_wire(stream: &MultiStream) -> Vec<WireFrame> {
     (0..stream.len())
         .map(|t| WireFrame {
             seq: t as u64,
-            time: t as f64 / stream.spec().sample_rate,
             values: stream.frame(t).iter().copied().map(Some).collect(),
         })
         .collect()
+}
+
+/// Contract 1 at full length: a 40 s, 100 Hz glove session (4 000 frames
+/// of 28 channels) on a fault-free wire, ingested with the default
+/// configuration, stores every frame bit for bit.
+#[test]
+fn default_ingest_stores_every_frame_of_a_full_glove_session() {
+    let clean =
+        CyberGloveRig::default().record_session(40.0, 0.7, &mut NoiseSource::seeded(0xAC41));
+    assert_eq!(clean.len(), 4000);
+    let wire = FaultySensorRig::new(SensorFaultPlan::none(0xFA17)).transmit(&clean);
+    let out = SupervisedIngest::new(IngestConfig::default()).ingest(clean.spec(), &wire);
+    assert_eq!(out.stats.stored_frames, 4000, "dropped {}", out.stats.dropped_frames);
+    assert_eq!(out.stats.dropped_frames, 0);
+    assert_eq!(out.stream.len(), clean.len());
+    for t in 0..clean.len() {
+        for c in 0..clean.channels() {
+            let (got, want) = (out.stream.value(t, c), clean.value(t, c));
+            assert_eq!(got.to_bits(), want.to_bits(), "frame {t} ch {c}");
+        }
+    }
+    assert!(out.quality.all_clean());
 }
 
 proptest! {
@@ -73,7 +89,7 @@ proptest! {
         let rig = FaultySensorRig::new(SensorFaultPlan::none(seed));
         let wire = rig.transmit(&clean);
         let policy = if interpolate { RepairPolicy::Interpolate } else { RepairPolicy::Hold };
-        let out = SupervisedIngest::new(ample(policy)).ingest(clean.spec(), &wire);
+        let out = SupervisedIngest::new(IngestConfig { repair: policy }).ingest(clean.spec(), &wire);
 
         prop_assert_eq!(out.stream.len(), clean.len());
         for t in 0..clean.len() {
@@ -89,7 +105,6 @@ proptest! {
         prop_assert_eq!(out.stats.reordered_frames, 0);
         prop_assert_eq!(out.stats.duplicate_frames, 0);
         prop_assert!(out.quality.all_clean());
-        prop_assert_eq!(out.degrade_factor, 1);
     }
 
     /// Contract 2: under bounded reordering and duplication the window
@@ -112,7 +127,7 @@ proptest! {
         });
         let wire = rig.transmit(&clean);
 
-        let mut asm = Reassembler::new(8);
+        let mut asm = Reassembler::new();
         let mut slots = Vec::new();
         for f in &wire {
             slots.extend(asm.push(f));
@@ -149,9 +164,7 @@ proptest! {
         extra in 0usize..16,
         spike_frac in 0.7f64..0.95,
     ) {
-        let config = ample(RepairPolicy::Interpolate);
-        let stuck_after = config.stuck_after;
-        let run_len = stuck_after + extra;
+        let run_len = STUCK_AFTER + extra;
         let c = ch_pick % channels;
         let start = ((frames as f64 * start_frac) as usize).max(1);
         let spike_at = ((frames as f64 * spike_frac) as usize).min(frames - 2);
@@ -166,11 +179,11 @@ proptest! {
         let spiked = clean.value(spike_at, c) + 100.0;
         wire[spike_at].values[c] = Some(spiked);
 
-        let out = SupervisedIngest::new(config).ingest(clean.spec(), &wire);
+        let out = SupervisedIngest::default().ingest(clean.spec(), &wire);
 
         // The run is flagged from the frame it qualifies onward — i.e.
-        // within `stuck_after` samples of onset.
-        for t in start + stuck_after - 1..start + run_len {
+        // within `STUCK_AFTER` samples of onset.
+        for t in start + STUCK_AFTER - 1..start + run_len {
             prop_assert_ne!(
                 out.quality.get(t, c), SampleQuality::Clean,
                 "stuck sample at frame {} ch {} not flagged", t, c

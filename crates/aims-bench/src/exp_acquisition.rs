@@ -1,7 +1,7 @@
 //! Experiments E1–E3: the acquisition subsystem (paper §3.1, §3.1.1).
 
-use aims_acquisition::multibasis::{select_bases, SelectionParams};
-use aims_acquisition::sampling::{sample_stream, SamplingParams, Strategy};
+use aims_acquisition::multibasis::select_bases;
+use aims_acquisition::sampling::{sample_stream, Strategy};
 use aims_dsp::dwt::{dwt_full, next_pow2};
 use aims_dsp::{adpcm, huffman, quantize};
 use aims_sensors::types::MultiStream;
@@ -22,13 +22,12 @@ pub fn e1_sampling_bandwidth() {
         ("mixed", mixed_activity_session(7, 10.0)),
         ("always busy", busy_session(13)),
     ];
-    let params = SamplingParams::default();
     let mut idle_bytes = Vec::new();
     for (name, session) in &sessions {
         let duration = session.duration();
         let raw_bps = session.device_size_bytes() as f64 / duration;
         for strategy in Strategy::ALL {
-            let r = sample_stream(session, strategy, &params);
+            let r = sample_stream(session, strategy);
             let bps = r.bandwidth_bytes_per_s(duration);
             println!(
                 "{:>20} {:>16} {:>10.2} {:>9.1}x {:>10.3}",
@@ -101,7 +100,7 @@ pub fn e2_sampling_vs_compression() {
 
     // Adaptive sampling, and ADPCM layered on the kept samples: each kept
     // sample shrinks from the device byte to a 4-bit code.
-    let adaptive = sample_stream(&session, Strategy::Adaptive, &SamplingParams::default());
+    let adaptive = sample_stream(&session, Strategy::Adaptive);
     let adaptive_adpcm_bytes = adaptive.kept_samples / 2 + session.channels() * 8;
 
     println!("\n{:>36} {:>10} {:>10} {:>14}", "method", "KB/s", "vs raw", "fidelity");
@@ -158,10 +157,7 @@ pub fn e3_multibasis() {
         ("joint angle", session.channel(4)),
         ("tracker roll", session.channel(27)),
     ];
-    let plan = select_bases(
-        &columns.iter().map(|(_, c)| c.clone()).collect::<Vec<_>>(),
-        &SelectionParams::default(),
-    );
+    let plan = select_bases(&columns.iter().map(|(_, c)| c.clone()).collect::<Vec<_>>());
 
     println!(
         "{:>20} {:>18} {:>22} {:>22}",

@@ -29,7 +29,7 @@ pub fn e13_adhd_classification() {
     crate::header("E13", "ADHD vs normal: SVM on tracker motion speed (§2.1, paper: 86%)");
     // Short sessions: motion-speed estimates carry realistic estimation
     // noise, keeping the classifier below ceiling (as in the study).
-    let config = SessionConfig { duration_s: 40.0, ..Default::default() };
+    let config = SessionConfig { duration_s: 40.0 };
     let sessions = generate_cohort(60, &config, 2003);
     let dataset = cohort_dataset(&sessions);
     println!(

@@ -119,7 +119,7 @@ pub fn e21_incremental_recognizer() {
 
     println!("{:>14} {:>8} {:>12} {:>14}", "mode", "F1", "label acc", "µs/frame");
     for incremental in [false, true] {
-        let config = IsolationConfig { incremental, ..Default::default() };
+        let config = IsolationConfig { incremental };
         let mut rec = StreamRecognizer::new(&templates, vocab.rig.spec(), config);
         let (detections, elapsed) = crate::timed(
             if incremental { "bench.e21.incremental" } else { "bench.e21.batch" },

@@ -7,6 +7,7 @@ use crate::Classifier;
 /// A fitted (memorized) k-NN model with standardized features.
 #[derive(Clone, Debug)]
 pub struct KNearestNeighbors {
+    /// [`Self::K`], clamped to the training-set size.
     k: usize,
     features: Vec<Vec<f64>>,
     labels: Vec<Label>,
@@ -14,29 +15,24 @@ pub struct KNearestNeighbors {
 }
 
 impl KNearestNeighbors {
-    /// Default neighborhood size.
-    pub const DEFAULT_K: usize = 5;
+    /// Neighborhood size.
+    pub const K: usize = 5;
+}
 
-    /// Fits with an explicit `k`.
+impl Classifier for KNearestNeighbors {
+    /// Memorizes the standardized training set.
     ///
     /// # Panics
-    /// If the training set is empty or `k == 0`.
-    pub fn fit_with(train: &Dataset, k: usize) -> Self {
+    /// If the training set is empty.
+    fn fit(train: &Dataset) -> Self {
         assert!(!train.is_empty(), "cannot train on an empty dataset");
-        assert!(k > 0, "k must be positive");
         let (std_ds, scaler) = train.standardized();
         KNearestNeighbors {
-            k: k.min(train.len()),
+            k: Self::K.min(train.len()),
             features: std_ds.features,
             labels: std_ds.labels,
             scaler,
         }
-    }
-}
-
-impl Classifier for KNearestNeighbors {
-    fn fit(train: &Dataset) -> Self {
-        Self::fit_with(train, Self::DEFAULT_K)
     }
 
     fn predict(&self, features: &[f64]) -> Label {
@@ -91,21 +87,12 @@ mod tests {
     }
 
     #[test]
-    fn k_one_memorizes() {
-        let ds = clusters();
-        let knn = KNearestNeighbors::fit_with(&ds, 1);
-        for (f, &l) in ds.features.iter().zip(&ds.labels) {
-            assert_eq!(knn.predict(f), l);
-        }
-    }
-
-    #[test]
     fn k_larger_than_dataset_is_clamped() {
         let ds = Dataset::new(
             vec![vec![0.0], vec![1.0], vec![10.0]],
             vec![Label::Negative, Label::Negative, Label::Positive],
         );
-        let knn = KNearestNeighbors::fit_with(&ds, 50);
+        let knn = KNearestNeighbors::fit(&ds);
         // Majority of all 3 = Negative.
         assert_eq!(knn.predict(&[0.5]), Label::Negative);
     }
@@ -113,14 +100,8 @@ mod tests {
     #[test]
     fn tie_broken_by_nearest() {
         let ds = Dataset::new(vec![vec![0.0], vec![2.0]], vec![Label::Negative, Label::Positive]);
-        let knn = KNearestNeighbors::fit_with(&ds, 2);
+        let knn = KNearestNeighbors::fit(&ds);
         assert_eq!(knn.predict(&[0.4]), Label::Negative);
         assert_eq!(knn.predict(&[1.6]), Label::Positive);
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be positive")]
-    fn zero_k_panics() {
-        KNearestNeighbors::fit_with(&clusters(), 0);
     }
 }

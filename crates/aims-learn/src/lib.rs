@@ -23,8 +23,8 @@ pub use cv::{cross_validate, CvReport};
 pub use dataset::{Dataset, Label};
 pub use knn::KNearestNeighbors;
 pub use metrics::{accuracy, confusion, ConfusionMatrix};
-pub use svm::{LinearSvm, SvmConfig};
-pub use tree::{DecisionTree, TreeConfig};
+pub use svm::LinearSvm;
+pub use tree::DecisionTree;
 
 /// A trainable binary classifier.
 pub trait Classifier: Sized {

@@ -14,22 +14,12 @@ use rand::{Rng, SeedableRng};
 use crate::dataset::{Dataset, Label, Standardizer};
 use crate::Classifier;
 
-/// SVM hyper-parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct SvmConfig {
-    /// Regularization strength λ.
-    pub lambda: f64,
-    /// Training epochs (passes over the data).
-    pub epochs: usize,
-    /// RNG seed for example sampling.
-    pub seed: u64,
-}
-
-impl Default for SvmConfig {
-    fn default() -> Self {
-        SvmConfig { lambda: 1e-2, epochs: 60, seed: 0x5EED }
-    }
-}
+/// Regularization strength λ.
+pub const LAMBDA: f64 = 1e-2;
+/// Training epochs (passes over the data).
+pub const EPOCHS: usize = 60;
+/// RNG seed for example sampling.
+pub const SEED: u64 = 0x5EED;
 
 /// A trained linear SVM (standardizes features internally).
 #[derive(Clone, Debug)]
@@ -40,44 +30,6 @@ pub struct LinearSvm {
 }
 
 impl LinearSvm {
-    /// Trains with explicit hyper-parameters.
-    ///
-    /// # Panics
-    /// If the training set is empty.
-    pub fn fit_with(train: &Dataset, config: SvmConfig) -> Self {
-        let _span = aims_telemetry::span!("learn.svm.fit");
-        assert!(!train.is_empty(), "cannot train on an empty dataset");
-        let (std_ds, scaler) = train.standardized();
-        let n = std_ds.len();
-        let d = std_ds.dim();
-        let mut w = vec![0.0; d];
-        let mut b = 0.0;
-        let mut rng = SmallRng::seed_from_u64(config.seed);
-
-        let mut t = 1usize;
-        for _epoch in 0..config.epochs {
-            for _ in 0..n {
-                let i = rng.gen_range(0..n);
-                let x = &std_ds.features[i];
-                let y = std_ds.labels[i].signum();
-                let eta = 1.0 / (config.lambda * t as f64);
-                let margin = y * (dot(&w, x) + b);
-                // Sub-gradient step.
-                for wj in w.iter_mut() {
-                    *wj *= 1.0 - eta * config.lambda;
-                }
-                if margin < 1.0 {
-                    for (wj, &xj) in w.iter_mut().zip(x) {
-                        *wj += eta * y * xj;
-                    }
-                    b += eta * y;
-                }
-                t += 1;
-            }
-        }
-        LinearSvm { weights: w, bias: b, scaler }
-    }
-
     /// Decision value `w·x + b` (after standardization).
     pub fn decision(&self, features: &[f64]) -> f64 {
         let x = self.scaler.apply(features);
@@ -91,8 +43,42 @@ impl LinearSvm {
 }
 
 impl Classifier for LinearSvm {
+    /// Trains with [`LAMBDA`], [`EPOCHS`] and [`SEED`].
+    ///
+    /// # Panics
+    /// If the training set is empty.
     fn fit(train: &Dataset) -> Self {
-        Self::fit_with(train, SvmConfig::default())
+        let _span = aims_telemetry::span!("learn.svm.fit");
+        assert!(!train.is_empty(), "cannot train on an empty dataset");
+        let (std_ds, scaler) = train.standardized();
+        let n = std_ds.len();
+        let d = std_ds.dim();
+        let mut w = vec![0.0; d];
+        let mut b = 0.0;
+        let mut rng = SmallRng::seed_from_u64(SEED);
+
+        let mut t = 1usize;
+        for _epoch in 0..EPOCHS {
+            for _ in 0..n {
+                let i = rng.gen_range(0..n);
+                let x = &std_ds.features[i];
+                let y = std_ds.labels[i].signum();
+                let eta = 1.0 / (LAMBDA * t as f64);
+                let margin = y * (dot(&w, x) + b);
+                // Sub-gradient step.
+                for wj in w.iter_mut() {
+                    *wj *= 1.0 - eta * LAMBDA;
+                }
+                if margin < 1.0 {
+                    for (wj, &xj) in w.iter_mut().zip(x) {
+                        *wj += eta * y * xj;
+                    }
+                    b += eta * y;
+                }
+                t += 1;
+            }
+        }
+        LinearSvm { weights: w, bias: b, scaler }
     }
 
     fn predict(&self, features: &[f64]) -> Label {
@@ -154,10 +140,10 @@ mod tests {
     }
 
     #[test]
-    fn training_is_deterministic_per_seed() {
+    fn training_is_deterministic() {
         let train = blobs(100, 2.0, 5);
-        let a = LinearSvm::fit_with(&train, SvmConfig { seed: 11, ..Default::default() });
-        let b = LinearSvm::fit_with(&train, SvmConfig { seed: 11, ..Default::default() });
+        let a = LinearSvm::fit(&train);
+        let b = LinearSvm::fit(&train);
         assert_eq!(a.weights(), b.weights());
     }
 

@@ -5,20 +5,10 @@
 use crate::dataset::{Dataset, Label};
 use crate::Classifier;
 
-/// Tree growth limits.
-#[derive(Clone, Copy, Debug)]
-pub struct TreeConfig {
-    /// Maximum depth (root = depth 0).
-    pub max_depth: usize,
-    /// Minimum examples to attempt a split.
-    pub min_split: usize,
-}
-
-impl Default for TreeConfig {
-    fn default() -> Self {
-        TreeConfig { max_depth: 6, min_split: 4 }
-    }
-}
+/// Maximum depth (root = depth 0).
+pub const MAX_DEPTH: usize = 6;
+/// Minimum examples to attempt a split.
+pub const MIN_SPLIT: usize = 4;
 
 #[derive(Clone, Debug)]
 enum Node {
@@ -83,14 +73,10 @@ fn best_split(ds: &Dataset, indices: &[usize]) -> Option<(usize, f64, f64)> {
     best
 }
 
-fn grow(ds: &Dataset, indices: &[usize], depth: usize, config: &TreeConfig) -> Node {
+fn grow(ds: &Dataset, indices: &[usize], depth: usize) -> Node {
     let labels: Vec<Label> = indices.iter().map(|&i| ds.labels[i]).collect();
     let pos = labels.iter().filter(|&&l| l == Label::Positive).count();
-    if pos == 0
-        || pos == labels.len()
-        || depth >= config.max_depth
-        || labels.len() < config.min_split
-    {
+    if pos == 0 || pos == labels.len() || depth >= MAX_DEPTH || labels.len() < MIN_SPLIT {
         return Node::Leaf(majority(&labels));
     }
     match best_split(ds, indices) {
@@ -104,24 +90,14 @@ fn grow(ds: &Dataset, indices: &[usize], depth: usize, config: &TreeConfig) -> N
             Node::Split {
                 feature,
                 threshold,
-                left: Box::new(grow(ds, &left, depth + 1, config)),
-                right: Box::new(grow(ds, &right, depth + 1, config)),
+                left: Box::new(grow(ds, &left, depth + 1)),
+                right: Box::new(grow(ds, &right, depth + 1)),
             }
         }
     }
 }
 
 impl DecisionTree {
-    /// Trains with explicit limits.
-    ///
-    /// # Panics
-    /// If the training set is empty.
-    pub fn fit_with(train: &Dataset, config: TreeConfig) -> Self {
-        assert!(!train.is_empty(), "cannot train on an empty dataset");
-        let indices: Vec<usize> = (0..train.len()).collect();
-        DecisionTree { root: grow(train, &indices, 0, &config) }
-    }
-
     /// Tree depth (leaves at the root = 0).
     pub fn depth(&self) -> usize {
         fn walk(n: &Node) -> usize {
@@ -135,8 +111,15 @@ impl DecisionTree {
 }
 
 impl Classifier for DecisionTree {
+    /// Grows a tree to at most [`MAX_DEPTH`], splitting nodes of at least
+    /// [`MIN_SPLIT`] examples.
+    ///
+    /// # Panics
+    /// If the training set is empty.
     fn fit(train: &Dataset) -> Self {
-        Self::fit_with(train, TreeConfig::default())
+        assert!(!train.is_empty(), "cannot train on an empty dataset");
+        let indices: Vec<usize> = (0..train.len()).collect();
+        DecisionTree { root: grow(train, &indices, 0) }
     }
 
     fn predict(&self, features: &[f64]) -> Label {
@@ -187,12 +170,14 @@ mod tests {
 
     #[test]
     fn depth_limit_is_respected() {
+        // Alternating labels need a split between every pair of points:
+        // only the depth limit stops the tree.
         let ds = Dataset::new(
-            (0..64).map(|i| vec![i as f64]).collect(),
-            (0..64).map(|i| if i % 2 == 0 { Label::Positive } else { Label::Negative }).collect(),
+            (0..256).map(|i| vec![i as f64]).collect(),
+            (0..256).map(|i| if i % 2 == 0 { Label::Positive } else { Label::Negative }).collect(),
         );
-        let tree = DecisionTree::fit_with(&ds, TreeConfig { max_depth: 3, min_split: 2 });
-        assert!(tree.depth() <= 3);
+        let tree = DecisionTree::fit(&ds);
+        assert_eq!(tree.depth(), MAX_DEPTH);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use matrix::Matrix;
 pub use projection::RandomProjection;
 pub use qr::{least_squares, QrDecomposition};
 pub use stats::{column_means, covariance_matrix, gram_matrix};
-pub use svd::{Svd, SvdOptions};
+pub use svd::Svd;
 pub use vector::Vector;
 
 /// Comparison tolerance used throughout the crate for "effectively zero"

@@ -7,20 +7,10 @@
 
 use crate::matrix::Matrix;
 
-/// Convergence controls for [`Svd::compute_with`].
-#[derive(Clone, Copy, Debug)]
-pub struct SvdOptions {
-    /// Off-diagonal orthogonality tolerance, relative to the column norms.
-    pub tolerance: f64,
-    /// Maximum number of Jacobi sweeps before giving up.
-    pub max_sweeps: usize,
-}
-
-impl Default for SvdOptions {
-    fn default() -> Self {
-        SvdOptions { tolerance: 1e-12, max_sweeps: 60 }
-    }
-}
+/// Off-diagonal orthogonality tolerance, relative to the column norms.
+pub const TOLERANCE: f64 = 1e-12;
+/// Maximum number of Jacobi sweeps before giving up.
+pub const MAX_SWEEPS: usize = 60;
 
 /// A (thin) singular value decomposition `A = U Σ Vᵀ`.
 ///
@@ -48,15 +38,9 @@ pub struct Svd {
 }
 
 impl Svd {
-    /// Computes the SVD of `a` with default options.
+    /// Computes the SVD of `a` on the process-wide [`aims_exec`] pool.
     pub fn compute(a: &Matrix) -> Self {
-        Self::compute_with(a, SvdOptions::default())
-    }
-
-    /// Computes the SVD of `a` with explicit convergence options, on the
-    /// process-wide [`aims_exec`] pool.
-    pub fn compute_with(a: &Matrix, opts: SvdOptions) -> Self {
-        Self::compute_on(aims_exec::global_pool(), a, opts)
+        Self::compute_on(aims_exec::global_pool(), a)
     }
 
     /// Computes the SVD of `a` on an explicit thread pool.
@@ -68,11 +52,11 @@ impl Svd {
     /// column inner products use the fixed-block decomposition of
     /// [`aims_exec::ThreadPool::par_map_blocks`] and the rotation itself is
     /// elementwise, so results are bit-identical for every pool size.
-    pub fn compute_on(pool: &aims_exec::ThreadPool, a: &Matrix, opts: SvdOptions) -> Self {
+    pub fn compute_on(pool: &aims_exec::ThreadPool, a: &Matrix) -> Self {
         let _span = aims_telemetry::span!("linalg.svd.compute");
         let (m, n) = a.shape();
         if m < n {
-            let t = Self::compute_on(pool, &a.transpose(), opts);
+            let t = Self::compute_on(pool, &a.transpose());
             return Svd { u: t.v, singular_values: t.singular_values, v: t.u };
         }
         if n == 0 {
@@ -95,13 +79,13 @@ impl Svd {
             vt[j * n + j] = 1.0;
         }
 
-        for _sweep in 0..opts.max_sweeps {
+        for _sweep in 0..MAX_SWEEPS {
             let mut rotated = false;
             for p in 0..n {
                 for q in (p + 1)..n {
                     let (alpha, beta, gamma) =
                         column_moments(pool, &wt[p * m..(p + 1) * m], &wt[q * m..(q + 1) * m]);
-                    if gamma.abs() <= opts.tolerance * (alpha * beta).sqrt() || gamma == 0.0 {
+                    if gamma.abs() <= TOLERANCE * (alpha * beta).sqrt() || gamma == 0.0 {
                         continue;
                     }
                     rotated = true;

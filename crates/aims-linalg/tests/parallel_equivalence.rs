@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use aims_exec::ThreadPool;
-use aims_linalg::{Matrix, QrDecomposition, Svd, SvdOptions};
+use aims_linalg::{Matrix, QrDecomposition, Svd};
 
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_dim, 1..=max_dim)
@@ -43,10 +43,9 @@ proptest! {
     /// elementwise.
     #[test]
     fn svd_bit_identical_across_pools(a in matrix_strategy(12)) {
-        let opts = SvdOptions::default();
-        let reference = Svd::compute_on(&ThreadPool::new(1), &a, opts);
+        let reference = Svd::compute_on(&ThreadPool::new(1), &a);
         for threads in [2, 8] {
-            let got = Svd::compute_on(&ThreadPool::new(threads), &a, opts);
+            let got = Svd::compute_on(&ThreadPool::new(threads), &a);
             let rb: Vec<u64> = reference.singular_values.iter().map(|x| x.to_bits()).collect();
             let gb: Vec<u64> = got.singular_values.iter().map(|x| x.to_bits()).collect();
             prop_assert_eq!(gb, rb, "singular values, threads={}", threads);

@@ -193,27 +193,23 @@ impl SubjectProfile {
     }
 }
 
+/// Tracker sampling rate (Hz).
+pub const SAMPLE_RATE: f64 = 60.0;
+/// Mean inter-stimulus interval (s).
+pub const STIMULUS_INTERVAL_S: f64 = 2.0;
+/// Mean inter-distraction interval (s).
+pub const DISTRACTION_INTERVAL_S: f64 = 12.0;
+
 /// Session generation parameters.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
     /// Session length in seconds.
     pub duration_s: f64,
-    /// Tracker sampling rate (Hz).
-    pub sample_rate: f64,
-    /// Mean inter-stimulus interval (s).
-    pub stimulus_interval_s: f64,
-    /// Mean inter-distraction interval (s).
-    pub distraction_interval_s: f64,
 }
 
 impl Default for SessionConfig {
     fn default() -> Self {
-        SessionConfig {
-            duration_s: 120.0,
-            sample_rate: 60.0,
-            stimulus_interval_s: 2.0,
-            distraction_interval_s: 12.0,
-        }
+        SessionConfig { duration_s: 120.0 }
     }
 }
 
@@ -249,11 +245,11 @@ pub fn generate_session(
     noise: &mut NoiseSource,
 ) -> AdhdSession {
     let profile = SubjectProfile::sample(kind, noise);
-    let frames = (config.duration_s * config.sample_rate) as usize;
+    let frames = (config.duration_s * SAMPLE_RATE) as usize;
 
     // --- Script the distractions. ---
     let mut distractions = Vec::new();
-    let mut t = noise.uniform(2.0, config.distraction_interval_s);
+    let mut t = noise.uniform(2.0, DISTRACTION_INTERVAL_S);
     let mut kind_idx = noise.index(DistractionKind::ALL.len());
     while t < config.duration_s - 3.0 {
         let duration = noise.uniform(1.5, 4.0);
@@ -266,7 +262,7 @@ pub fn generate_session(
             attention_s: attention,
         });
         kind_idx += 1;
-        t += noise.uniform(0.6, 1.4) * config.distraction_interval_s;
+        t += noise.uniform(0.6, 1.4) * DISTRACTION_INTERVAL_S;
     }
 
     // --- Script the AX task. ---
@@ -313,13 +309,13 @@ pub fn generate_session(
             responded,
             reaction_s: reaction,
         });
-        t += noise.uniform(0.7, 1.3) * config.stimulus_interval_s;
+        t += noise.uniform(0.7, 1.3) * STIMULUS_INTERVAL_S;
     }
 
     // --- Synthesize the tracker streams. ---
     let mut trackers = Vec::with_capacity(TrackerSite::ALL.len());
     for site in TrackerSite::ALL {
-        let spec = tracker_spec(site, config.sample_rate);
+        let spec = tracker_spec(site, SAMPLE_RATE);
         let site_gain = match site {
             TrackerSite::Head => 1.0,
             TrackerSite::LeftHand | TrackerSite::RightHand => 1.3,
@@ -337,14 +333,13 @@ pub fn generate_session(
         let expected_bursts = (profile.fidget_rate * config.duration_s) as usize;
         for _ in 0..expected_bursts {
             let at = noise.index(frames.max(1));
-            let len = (noise.uniform(0.3, 1.2) * config.sample_rate) as usize;
+            let len = (noise.uniform(0.3, 1.2) * SAMPLE_RATE) as usize;
             let freq = noise.uniform(2.0, 5.0);
             let amp = profile.motion_sigma * site_gain * noise.uniform(2.0, 5.0);
             for (i, frame) in (at..(at + len).min(frames)).enumerate() {
                 let envelope = (std::f64::consts::PI * i as f64 / len as f64).sin();
-                let wiggle = amp
-                    * envelope
-                    * (std::f64::consts::TAU * freq * i as f64 / config.sample_rate).sin();
+                let wiggle =
+                    amp * envelope * (std::f64::consts::TAU * freq * i as f64 / SAMPLE_RATE).sin();
                 for ch in channels.iter_mut() {
                     ch[frame] += wiggle * 0.5;
                 }
@@ -357,8 +352,8 @@ pub fn generate_session(
                 if d.attention_s <= 0.0 {
                     continue;
                 }
-                let start = (d.time_s * config.sample_rate) as usize;
-                let len = (d.attention_s * config.sample_rate) as usize;
+                let start = (d.time_s * SAMPLE_RATE) as usize;
+                let len = (d.attention_s * SAMPLE_RATE) as usize;
                 let turn = noise.uniform(20.0, 60.0) * if noise.chance(0.5) { 1.0 } else { -1.0 };
                 for (i, frame) in (start..(start + len).min(frames)).enumerate() {
                     let envelope = (std::f64::consts::PI * i as f64 / len.max(1) as f64).sin();
@@ -371,8 +366,8 @@ pub fn generate_session(
         if site == TrackerSite::RightHand {
             for e in &task_events {
                 if let Some(rt) = e.reaction_s {
-                    let at = ((e.time_s + rt) * config.sample_rate) as usize;
-                    let len = (0.15 * config.sample_rate) as usize;
+                    let at = ((e.time_s + rt) * SAMPLE_RATE) as usize;
+                    let len = (0.15 * SAMPLE_RATE) as usize;
                     for (i, frame) in (at..(at + len).min(frames)).enumerate() {
                         let envelope = (std::f64::consts::PI * i as f64 / len.max(1) as f64).sin();
                         channels[2][frame] += 3.0 * envelope; // z dip: press
@@ -390,7 +385,7 @@ pub fn generate_session(
         trackers,
         task_events,
         distractions,
-        sample_rate: config.sample_rate,
+        sample_rate: SAMPLE_RATE,
     }
 }
 
@@ -476,7 +471,7 @@ mod tests {
     use super::*;
 
     fn quick_config() -> SessionConfig {
-        SessionConfig { duration_s: 60.0, sample_rate: 60.0, ..Default::default() }
+        SessionConfig { duration_s: 60.0 }
     }
 
     #[test]

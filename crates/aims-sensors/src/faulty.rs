@@ -18,33 +18,31 @@
 //!   bend sensor losing contact.
 //! - **spikes** (`spike_rate` / `spike_amplitude`): isolated glitch
 //!   outliers added to single samples.
-//! - **clock faults** (`jitter_std_s` / `drift_per_s`): wire timestamps
-//!   wander around the nominal sample clock and accumulate drift.
 //! - **duplicates** (`duplicate_rate`): a frame is delivered twice.
 //! - **reordering** (`reorder_rate` / `reorder_span`): a frame swaps places
 //!   with one up to `reorder_span` positions later.
 //! - **sensor death** (`dead_channel_fraction`): a seed-chosen subset of
 //!   channels stops reporting from a seed-chosen onset frame onward.
 //!
+//! A wire frame carries no timestamp: its device sequence number places it
+//! on the grid, and the supervised ingest orders frames by it.
+//!
 //! A zero-rate plan is a transparent pass-through: the wire frames carry
-//! exactly the clean stream's sequence numbers, grid timestamps and
-//! bit-identical values — the contract the supervised ingest's zero-fault
-//! equivalence tests rest on.
+//! exactly the clean stream's sequence numbers and bit-identical values —
+//! the contract the supervised ingest's zero-fault equivalence tests rest
+//! on.
 
 use crate::types::MultiStream;
 
 /// One frame as delivered by the (possibly faulty) sensor link.
 ///
 /// Unlike the in-memory [`crate::types::Frame`], a wire frame carries the
-/// device's own sequence number and timestamp — which under clock faults
-/// need not match the nominal grid — and per-channel samples that may be
-/// missing entirely.
+/// device's own sequence number in place of a timestamp, and per-channel
+/// samples that may be missing entirely.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WireFrame {
     /// Device sequence number (position in the clean stream).
     pub seq: u64,
-    /// Wire timestamp in seconds (nominal grid time plus jitter/drift).
-    pub time: f64,
     /// One sample per channel; `None` marks a dropped sample.
     pub values: Vec<Option<f64>>,
 }
@@ -76,10 +74,6 @@ pub struct SensorFaultPlan {
     pub spike_rate: f64,
     /// Magnitude added (with seed-chosen sign) by each spike.
     pub spike_amplitude: f64,
-    /// Standard deviation of per-frame timestamp jitter, seconds.
-    pub jitter_std_s: f64,
-    /// Clock drift: extra seconds of reported time per second of stream.
-    pub drift_per_s: f64,
     /// Probability a frame is delivered twice.
     pub duplicate_rate: f64,
     /// Probability a frame swaps places with a later one.
@@ -101,8 +95,6 @@ impl SensorFaultPlan {
             stuck_frames: 8,
             spike_rate: 0.0,
             spike_amplitude: 60.0,
-            jitter_std_s: 0.0,
-            drift_per_s: 0.0,
             duplicate_rate: 0.0,
             reorder_rate: 0.0,
             reorder_span: 4,
@@ -120,8 +112,6 @@ impl SensorFaultPlan {
         self.dropout_rate == 0.0
             && self.stuck_rate == 0.0
             && self.spike_rate == 0.0
-            && self.jitter_std_s == 0.0
-            && self.drift_per_s == 0.0
             && self.duplicate_rate == 0.0
             && self.reorder_rate == 0.0
             && self.dead_channel_fraction == 0.0
@@ -133,7 +123,6 @@ const SALT_DROP: u64 = 0x7101;
 const SALT_STUCK: u64 = 0x7202;
 const SALT_SPIKE: u64 = 0x7303;
 const SALT_SPIKE_SIGN: u64 = 0x7304;
-const SALT_JITTER: u64 = 0x7405;
 const SALT_DUP: u64 = 0x7506;
 const SALT_REORDER: u64 = 0x7607;
 const SALT_REORDER_TO: u64 = 0x7608;
@@ -214,16 +203,15 @@ impl FaultySensorRig {
     }
 
     /// Replays `clean` through the fault schedule and returns the frames
-    /// as the wire delivers them: possibly jittered timestamps, missing
-    /// samples, corrupted values, duplicates and out-of-order arrival.
+    /// as the wire delivers them: possibly missing samples, corrupted
+    /// values, duplicates and out-of-order arrival.
     ///
     /// With a zero-rate plan the result is exactly one in-order wire frame
-    /// per clean frame, `seq == t`, `time == t / rate`, every value
-    /// `Some` and bit-identical to the clean stream.
+    /// per clean frame, `seq == t`, every value `Some` and bit-identical to
+    /// the clean stream.
     pub fn transmit(&self, clean: &MultiStream) -> Vec<WireFrame> {
         let n = clean.len();
         let channels = clean.channels();
-        let rate = clean.spec().sample_rate;
         let seed = self.plan.seed;
 
         let dead: Vec<Option<usize>> = (0..channels)
@@ -236,18 +224,6 @@ impl FaultySensorRig {
 
         let mut frames: Vec<WireFrame> = Vec::with_capacity(n);
         for t in 0..n {
-            let nominal = t as f64 / rate;
-            let mut time = nominal;
-            if self.plan.jitter_std_s > 0.0 {
-                // Uniform jitter scaled to the requested standard deviation
-                // (uniform on [-a, a] has std a/√3).
-                let u = chance(mix(seed, t as u64, 0, SALT_JITTER)) * 2.0 - 1.0;
-                time += u * self.plan.jitter_std_s * 3.0f64.sqrt();
-            }
-            if self.plan.drift_per_s > 0.0 {
-                time += nominal * self.plan.drift_per_s;
-            }
-
             let mut values: Vec<Option<f64>> = Vec::with_capacity(channels);
             for (c, onset) in dead.iter().enumerate() {
                 if let Some(onset) = onset {
@@ -287,7 +263,7 @@ impl FaultySensorRig {
                 }
                 values.push(Some(v));
             }
-            frames.push(WireFrame { seq: t as u64, time, values });
+            frames.push(WireFrame { seq: t as u64, values });
         }
 
         // Out-of-order delivery: bounded forward swaps.
@@ -341,7 +317,6 @@ mod tests {
         assert_eq!(wire.len(), s.len());
         for (t, f) in wire.iter().enumerate() {
             assert_eq!(f.seq, t as u64);
-            assert_eq!(f.time.to_bits(), (t as f64 / 100.0).to_bits());
             for (c, v) in f.values.iter().enumerate() {
                 assert_eq!(v.unwrap().to_bits(), s.value(t, c).to_bits());
             }
@@ -444,22 +419,5 @@ mod tests {
         for t in 0..s.len() as u64 {
             assert!(seqs.contains(&t), "frame {t} lost without dropout");
         }
-    }
-
-    #[test]
-    fn clock_faults_move_timestamps_off_grid() {
-        let s = clean(200, 2);
-        let rig = FaultySensorRig::new(SensorFaultPlan {
-            jitter_std_s: 0.002,
-            drift_per_s: 0.01,
-            ..SensorFaultPlan::none(3)
-        });
-        let wire = rig.transmit(&s);
-        let off_grid = wire.iter().enumerate().filter(|(t, f)| f.time != *t as f64 / 100.0).count();
-        assert!(off_grid > 150, "only {off_grid} timestamps moved");
-        // Drift accumulates: the last timestamp sits ~1% late.
-        let last = wire.last().unwrap();
-        let nominal = 199.0 / 100.0;
-        assert!(last.time > nominal, "drift should push time late");
     }
 }

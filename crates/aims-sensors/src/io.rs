@@ -12,8 +12,17 @@ use crate::types::{MultiStream, StreamSpec};
 pub enum CsvError {
     /// The rate header (`# rate=<hz>`) is missing or malformed.
     MissingRate,
+    /// The rate header holds a number that is not a positive, finite rate.
+    BadRate {
+        /// 1-based line number of the rate header.
+        line: usize,
+        /// The rate text.
+        field: String,
+    },
     /// The column-name header line is missing.
     MissingHeader,
+    /// The headers are followed by no data row.
+    NoData,
     /// A data row has the wrong number of fields.
     RowWidth {
         /// 1-based line number of the offending row.
@@ -23,7 +32,7 @@ pub enum CsvError {
         /// Fields expected.
         expected: usize,
     },
-    /// A field failed to parse as a number.
+    /// A field failed to parse as a finite number.
     BadNumber {
         /// 1-based line number.
         line: usize,
@@ -36,12 +45,16 @@ impl std::fmt::Display for CsvError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CsvError::MissingRate => write!(f, "missing '# rate=<hz>' header"),
+            CsvError::BadRate { line, field } => {
+                write!(f, "line {line}: rate '{field}' is not a positive finite number")
+            }
             CsvError::MissingHeader => write!(f, "missing column-name header"),
+            CsvError::NoData => write!(f, "no data rows after the headers"),
             CsvError::RowWidth { line, got, expected } => {
                 write!(f, "line {line}: {got} fields, expected {expected}")
             }
             CsvError::BadNumber { line, field } => {
-                write!(f, "line {line}: '{field}' is not a number")
+                write!(f, "line {line}: '{field}' is not a finite number")
             }
         }
     }
@@ -65,7 +78,9 @@ pub fn to_csv(stream: &MultiStream) -> String {
 }
 
 /// Parses a stream CSV produced by [`to_csv`] (or hand-written in the same
-/// shape).
+/// shape). The input is refused unless its rate is positive and finite,
+/// every sample is a finite number, and at least one data row follows the
+/// headers.
 pub fn from_csv(text: &str) -> Result<MultiStream, CsvError> {
     let mut lines = text.lines().enumerate();
 
@@ -74,13 +89,18 @@ pub fn from_csv(text: &str) -> Result<MultiStream, CsvError> {
         match lines.next() {
             None => return Err(CsvError::MissingRate),
             Some((_, l)) if l.trim().is_empty() => continue,
-            Some((_, l)) => {
+            Some((idx, l)) => {
                 let l = l.trim();
                 let value = l
                     .strip_prefix("# rate=")
                     .or_else(|| l.strip_prefix("#rate="))
-                    .ok_or(CsvError::MissingRate)?;
-                break value.trim().parse::<f64>().map_err(|_| CsvError::MissingRate)?;
+                    .ok_or(CsvError::MissingRate)?
+                    .trim();
+                let rate = value.parse::<f64>().map_err(|_| CsvError::MissingRate)?;
+                if !(rate.is_finite() && rate > 0.0) {
+                    return Err(CsvError::BadRate { line: idx + 1, field: value.to_string() });
+                }
+                break rate;
             }
         }
     };
@@ -107,14 +127,16 @@ pub fn from_csv(text: &str) -> Result<MultiStream, CsvError> {
         }
         let mut frame = Vec::with_capacity(expected);
         for f in fields {
-            frame.push(
-                f.trim().parse::<f64>().map_err(|_| CsvError::BadNumber {
-                    line: idx + 1,
-                    field: f.trim().to_string(),
-                })?,
-            );
+            let f = f.trim();
+            match f.parse::<f64>() {
+                Ok(v) if v.is_finite() => frame.push(v),
+                _ => return Err(CsvError::BadNumber { line: idx + 1, field: f.to_string() }),
+            }
         }
         stream.push(&frame);
+    }
+    if stream.is_empty() {
+        return Err(CsvError::NoData);
     }
     Ok(stream)
 }
@@ -160,6 +182,30 @@ mod tests {
         assert_eq!(widths, Err(CsvError::RowWidth { line: 3, got: 3, expected: 2 }));
         let bad = from_csv("# rate=10\na,b\n1,zap\n");
         assert_eq!(bad, Err(CsvError::BadNumber { line: 3, field: "zap".into() }));
+    }
+
+    #[test]
+    fn a_rate_that_is_not_positive_and_finite_is_refused_with_its_line() {
+        for rate in ["0", "-5", "nan", "NaN", "inf", "-inf"] {
+            let err = from_csv(&format!("\n# rate={rate}\na,b\n1,2\n")).unwrap_err();
+            assert_eq!(err, CsvError::BadRate { line: 2, field: rate.into() });
+            assert!(err.to_string().starts_with("line 2: "), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_sample_is_refused_with_its_line() {
+        for field in ["NaN", "nan", "inf", "-inf", "infinity"] {
+            let text = format!("# rate=10\na,b\n1,2\n3,{field}\n");
+            let want = CsvError::BadNumber { line: 4, field: field.into() };
+            assert_eq!(from_csv(&text), Err(want), "{field}");
+        }
+    }
+
+    #[test]
+    fn headers_without_data_rows_are_refused() {
+        assert_eq!(from_csv("# rate=10\na,b\n"), Err(CsvError::NoData));
+        assert_eq!(from_csv("# rate=10\na,b\n\n  \n"), Err(CsvError::NoData));
     }
 
     #[test]

@@ -27,48 +27,34 @@ use aims_telemetry::{counter, span};
 use crate::engine::SlidingWindow;
 use crate::signature::SvdSignature;
 
-/// Recognizer tuning.
-#[derive(Clone, Copy, Debug)]
+/// Sliding-window length in frames.
+pub const WINDOW_FRAMES: usize = 40;
+/// Frames between similarity evaluations.
+pub const STEP_FRAMES: usize = 5;
+/// SVD directions retained per signature.
+pub const RANK: usize = 5;
+/// Evidence margin subtracted each step (suppresses ambient drift).
+pub const MARGIN: f64 = 0.01;
+/// Accumulated evidence needed to declare a pattern.
+pub const TRIGGER: f64 = 0.05;
+/// Consecutive non-gaining steps that close an active pattern.
+pub const RELEASE_STEPS: usize = 3;
+/// Saturation ceiling for accumulated evidence. Without it, a label whose
+/// similarity sits persistently above the field mean (easy for the blended
+/// subspace of the incremental tracker, or for degraded input) accumulates
+/// without bound and can never be overtaken — one detection then swallows
+/// the whole stream. The cap bounds how far ahead the incumbent can get,
+/// so a genuinely present newcomer overtakes within a bounded number of
+/// steps.
+pub const EVIDENCE_CAP: f64 = 2.5;
+
+/// Recognizer mode.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct IsolationConfig {
-    /// Sliding-window length in frames.
-    pub window_frames: usize,
-    /// Frames between similarity evaluations.
-    pub step_frames: usize,
-    /// SVD directions retained per signature.
-    pub rank: usize,
-    /// Evidence margin subtracted each step (suppresses ambient drift).
-    pub margin: f64,
-    /// Accumulated evidence needed to declare a pattern.
-    pub trigger: f64,
-    /// Consecutive non-gaining steps that close an active pattern.
-    pub release_steps: usize,
-    /// Saturation ceiling for accumulated evidence. Without it, a label
-    /// whose similarity sits persistently above the field mean (easy for
-    /// the blended subspace of the incremental tracker, or for degraded
-    /// input) accumulates without bound and can never be overtaken — one
-    /// detection then swallows the whole stream. The cap bounds how far
-    /// ahead the incumbent can get, so a genuinely present newcomer
-    /// overtakes within a bounded number of steps.
-    pub evidence_cap: f64,
     /// Maintain the window signature with an exponentially-forgetting
     /// incremental SVD instead of a batch SVD per evaluation — the
     /// lower-cost streaming mode of §3.4.1.
     pub incremental: bool,
-}
-
-impl Default for IsolationConfig {
-    fn default() -> Self {
-        IsolationConfig {
-            window_frames: 40,
-            step_frames: 5,
-            rank: 5,
-            margin: 0.01,
-            trigger: 0.05,
-            release_steps: 3,
-            evidence_cap: 2.5,
-            incremental: false,
-        }
-    }
 }
 
 /// One recognized-and-isolated pattern.
@@ -96,7 +82,6 @@ enum State {
 
 /// The streaming recognizer.
 pub struct StreamRecognizer {
-    config: IsolationConfig,
     templates: Vec<(usize, SvdSignature)>,
     num_labels: usize,
     window: SlidingWindow,
@@ -137,21 +122,18 @@ impl StreamRecognizer {
         for (label, stream) in templates {
             assert_eq!(stream.channels(), spec.channels(), "template channel mismatch");
             num_labels = num_labels.max(label + 1);
-            sigs.push((*label, SvdSignature::from_matrix(&stream.to_sensor_matrix(), config.rank)));
+            sigs.push((*label, SvdSignature::from_matrix(&stream.to_sensor_matrix(), RANK)));
         }
         let channels = spec.channels();
-        let tracker = if config.incremental {
-            Some(IncrementalSvd::new(channels, config.rank + 6))
-        } else {
-            None
-        };
+        let tracker =
+            if config.incremental { Some(IncrementalSvd::new(channels, RANK + 6)) } else { None };
         // Energy contribution of a frame k steps old scales by decay^{2k}.
         // Forgetting twice as fast as the hard window keeps stale pattern
         // directions from lingering across segment boundaries (they decay
         // below the noise floor within half a window).
-        let tracker_decay = (1.0 - 2.0 / config.window_frames as f64).sqrt();
+        let tracker_decay = (1.0 - 2.0 / WINDOW_FRAMES as f64).sqrt();
         StreamRecognizer {
-            window: SlidingWindow::new(spec, config.window_frames),
+            window: SlidingWindow::new(spec, WINDOW_FRAMES),
             evidence: vec![0.0; num_labels],
             rise_start: vec![0; num_labels],
             state: State::Idle,
@@ -159,13 +141,12 @@ impl StreamRecognizer {
             last_emit_end: 0,
             tracker,
             tracker_decay,
-            quality_window: VecDeque::with_capacity(config.window_frames),
+            quality_window: VecDeque::with_capacity(WINDOW_FRAMES),
             dead_counts: vec![0; channels],
             impaired_counts: vec![0; channels],
             last_conf: 1.0,
             templates: sigs,
             num_labels,
-            config,
         }
     }
 
@@ -200,7 +181,7 @@ impl StreamRecognizer {
         flags: Option<&[SampleQuality]>,
     ) -> Option<DetectedPattern> {
         self.window.push(frame);
-        if self.quality_window.len() == self.config.window_frames {
+        if self.quality_window.len() == WINDOW_FRAMES {
             if let Some(old) = self.quality_window.pop_front() {
                 for (c, q) in old.iter().enumerate() {
                     if *q == SampleQuality::Dead {
@@ -230,7 +211,7 @@ impl StreamRecognizer {
             tracker.append_column(&col);
         }
         self.frames_since_eval += 1;
-        if !self.window.is_full() || self.frames_since_eval < self.config.step_frames {
+        if !self.window.is_full() || self.frames_since_eval < STEP_FRAMES {
             return None;
         }
         self.frames_since_eval = 0;
@@ -295,8 +276,8 @@ impl StreamRecognizer {
         let _span = span!("stream.isolation.evaluate");
         counter!("stream.isolation.evaluations").inc();
         let sig = match &self.tracker {
-            Some(tracker) => SvdSignature::from_incremental(tracker, self.config.rank),
-            None => SvdSignature::from_matrix(&self.window.to_matrix(), self.config.rank),
+            Some(tracker) => SvdSignature::from_incremental(tracker, RANK),
+            None => SvdSignature::from_matrix(&self.window.to_matrix(), RANK),
         };
         // Channels dead for at least half the window are masked out of the
         // comparison; the rest of the flags discount confidence.
@@ -332,9 +313,9 @@ impl StreamRecognizer {
         // Accumulate advantage over the field; absent patterns decay to 0,
         // present ones saturate at the cap.
         for (l, e) in self.evidence.iter_mut().enumerate() {
-            let gain = sims[l] - mean - self.config.margin;
+            let gain = sims[l] - mean - MARGIN;
             let was_zero = *e <= 0.0;
-            *e = (*e + gain).max(0.0).min(self.config.evidence_cap);
+            *e = (*e + gain).clamp(0.0, EVIDENCE_CAP);
             if was_zero && *e > 0.0 {
                 // Evidence starts rising: the pattern plausibly began when
                 // the window started covering it.
@@ -350,7 +331,7 @@ impl StreamRecognizer {
                     .enumerate()
                     .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
                     .expect("non-empty evidence");
-                if best_e >= self.config.trigger {
+                if best_e >= TRIGGER {
                     counter!("stream.isolation.accumulation.triggers").inc();
                     self.state = State::Active {
                         label: best,
@@ -376,20 +357,19 @@ impl StreamRecognizer {
                 // stream has moved on — hand over immediately. A challenger
                 // that has itself saturated at the cap counts even though it
                 // cannot strictly exceed the capped incumbent.
-                let overtaken = self.evidence.iter().enumerate().any(|(other, &oe)| {
-                    other != l
-                        && (oe > e.max(self.config.trigger) || oe >= self.config.evidence_cap)
-                });
+                let overtaken =
+                    self.evidence.iter().enumerate().any(|(other, &oe)| {
+                        other != l && (oe > e.max(TRIGGER) || oe >= EVIDENCE_CAP)
+                    });
                 // Close when the pattern stops gaining evidence (its
                 // instantaneous advantage is gone) for several steps, when
                 // its evidence collapsed, or on takeover.
-                let advantage_gone = sims[l] <= mean + self.config.margin;
-                if (*stall >= self.config.release_steps && advantage_gone) || e <= 0.0 || overtaken
-                {
+                let advantage_gone = sims[l] <= mean + MARGIN;
+                if (*stall >= RELEASE_STEPS && advantage_gone) || e <= 0.0 || overtaken {
                     // On takeover the active pattern actually ended about a
                     // window ago (the window now covers the newcomer).
                     let end = if overtaken {
-                        position.saturating_sub(self.config.window_frames / 2).max(*start + 1)
+                        position.saturating_sub(WINDOW_FRAMES / 2).max(*start + 1)
                     } else {
                         position
                     };
@@ -707,7 +687,7 @@ mod incremental_tests {
             truth.iter().map(|t| (t.label, t.start, t.end)).collect();
 
         let run = |incremental: bool| {
-            let config = IsolationConfig { incremental, ..Default::default() };
+            let config = IsolationConfig { incremental };
             let mut rec = StreamRecognizer::new(&templates, vocab.rig.spec(), config);
             let detections = rec.process_stream(&stream);
             evaluate_isolation(&detections, &truth_tuples, 0.3)

@@ -28,9 +28,8 @@
 //!   Cauchy–Schwarz bound. Queries run against
 //!   [`store::TierSnapshot`]s, so a concurrent segment swap can never
 //!   double- or zero-count a sample.
-//! - **Acquisition wiring** ([`feed`]): the double-buffered recorder and
-//!   supervised ingest stream straight into the hot tier, dropped-frame
-//!   holes zero-filled and counted.
+//! - **Acquisition wiring** ([`feed`]): one channel of a supervised
+//!   ingest's repaired grid appends straight into the hot tier.
 //!
 //! The central correctness claim, property-tested in
 //! `tests/tier_properties.rs`: a store that ingested incrementally and
@@ -45,7 +44,7 @@ pub mod query;
 pub mod store;
 
 pub use compact::{drain, run_once, transform_segment, Compactor, CompactorConfig};
-pub use feed::{feed_outcome, feed_recording, record_into_store, FeedReport};
+pub use feed::{feed_outcome, FeedReport};
 pub use layout::TierConfig;
 pub use query::{range_sum, TierStep, TieredProgressive};
 pub use store::{

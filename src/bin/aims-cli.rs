@@ -225,7 +225,7 @@ fn parse_strategy(name: &str) -> Strategy {
 fn cmd_ingest(flags: &HashMap<String, String>) {
     let session = load_stream(flags);
     let strategy = parse_strategy(&flag::<String>(flags, "strategy", "adaptive".into()));
-    let config = AimsConfig { sampling: strategy, ..AimsConfig::default() };
+    let config = AimsConfig { sampling: strategy };
     let mut system = AimsSystem::new(config);
     let report = system.ingest(&session);
     let raw = session.device_size_bytes();
@@ -618,13 +618,12 @@ fn cmd_ingest_faults(flags: &HashMap<String, String>) {
         println!(
             "{{\"seed\":{seed},\"policy\":\"{policy_name}\",\"dropout\":{dropout},\
              \"stuck\":{stuck},\"spike\":{spike},\"dup\":{dup},\"reorder\":{reorder},\
-             \"dead\":{dead},\"frames\":{},\"channels\":{},\"degrade_factor\":{},\
+             \"dead\":{dead},\"frames\":{},\"channels\":{},\
              \"repaired_samples\":{},\"reordered_frames\":{},\"duplicate_frames\":{},\
              \"dropped_frames\":{},\"relative_rmse\":{rmse},\"quality\":{{{}}},\
              \"dead_channels\":{:?},\"health_events\":[{}]}}",
             out.stream.len(),
             out.stream.channels(),
-            out.degrade_factor,
             out.stats.repaired_samples,
             out.stats.reordered_frames,
             out.stats.duplicate_frames,
@@ -639,11 +638,10 @@ fn cmd_ingest_faults(flags: &HashMap<String, String>) {
              spike={spike} dup={dup} reorder={reorder} dead={dead}"
         );
         println!(
-            "  wire → stored     : {} wire frames → {} frames x {} channels (degrade x{})",
+            "  wire → stored     : {} wire frames → {} frames x {} channels",
             report.wire_frames,
             out.stream.len(),
-            out.stream.channels(),
-            out.degrade_factor
+            out.stream.channels()
         );
         println!(
             "  supervisor        : {} repaired samples, {} reordered, {} duplicates, \
@@ -660,7 +658,7 @@ fn cmd_ingest_faults(flags: &HashMap<String, String>) {
         println!("  sample quality    : {}", quality.join(", "));
         if plan.is_none() {
             println!("  fidelity          : bit-identical to the clean session (verified)");
-        } else if out.degrade_factor == 1 {
+        } else {
             println!("  fidelity          : {:.2}% relative RMSE vs clean session", rmse * 100.0);
         }
         println!(

@@ -7,8 +7,8 @@
 //!    writes, dead blocks, latency) under the serving layer's retry and
 //!    degraded-evaluation path.
 //! 2. **Acquisition** — [`aims_sensors::FaultySensorRig`] (dropouts, spikes, stuck-at,
-//!    clock faults, duplicates, reordering, sensor death) under the
-//!    supervised ingest pipeline.
+//!    duplicates, reordering, sensor death) under the supervised ingest
+//!    pipeline.
 //! 3. **Overload** — query floods against a bounded admission queue,
 //!    under the adaptive QoS layer's graduated load shedding.
 //!

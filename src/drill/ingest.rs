@@ -1,15 +1,14 @@
 //! The sensor-fault ingest drill: a clean glove session replayed through
 //! a seeded faulty wire into the supervised ingest stage.
 //!
-//! The recorder behind the supervisor is given a buffer it can never
-//! overrun, so everything the report shows is the injected wire faults,
-//! never recorder-thread scheduling. Invariants: the stored stream is
-//! non-empty and finite, and a zero-fault plan is transparent — the
-//! stored stream is bit-identical to the clean session with nothing
-//! repaired and nothing flagged.
+//! The supervisor's recorder buffer holds the whole repaired grid, so
+//! everything the report shows is the injected wire faults, never
+//! recorder-thread scheduling. Invariants: the stored stream is non-empty
+//! and finite, and a zero-fault plan is transparent — the stored stream is
+//! bit-identical to the clean session with nothing repaired and nothing
+//! flagged.
 
 use aims_acquisition::ingest::{IngestConfig, IngestOutcome, RepairPolicy, SupervisedIngest};
-use aims_acquisition::recorder::RecorderConfig;
 use aims_sensors::faulty::{FaultySensorRig, SensorFaultPlan};
 use aims_sensors::glove::CyberGloveRig;
 use aims_sensors::noise::NoiseSource;
@@ -36,7 +35,8 @@ pub struct Report {
     /// Everything the supervised ingest stored and observed.
     pub outcome: IngestOutcome,
     /// Relative RMSE of the stored stream against the clean session; zero
-    /// when the grids differ (rate degradation) and so cannot be compared.
+    /// when the stored grid's length differs from the session's and so
+    /// cannot be compared.
     pub relative_rmse: f64,
     violations: Vec<String>,
 }
@@ -53,16 +53,6 @@ pub fn session(seed: u64, seconds: f64) -> MultiStream {
     CyberGloveRig::default().record_session(seconds, 0.6, &mut NoiseSource::seeded(seed))
 }
 
-/// An ingest config whose recorder buffer cannot overrun: drill
-/// determinism must not depend on recorder thread timing.
-pub fn overrun_proof(repair: RepairPolicy) -> IngestConfig {
-    IngestConfig {
-        repair,
-        recorder: RecorderConfig { buffer_frames: 1 << 16, batch_size: 64, store_latency_us: 0 },
-        ..IngestConfig::default()
-    }
-}
-
 /// Every `(frame, channel)` of a stream, frame-major.
 fn cells(s: &MultiStream) -> impl Iterator<Item = (usize, usize)> + '_ {
     (0..s.len()).flat_map(move |t| (0..s.channels()).map(move |c| (t, c)))
@@ -72,7 +62,7 @@ fn cells(s: &MultiStream) -> impl Iterator<Item = (usize, usize)> + '_ {
 /// ingest and audits the result.
 pub fn replay(clean: &MultiStream, plan: &SensorFaultPlan, repair: RepairPolicy) -> Report {
     let wire = FaultySensorRig::new(plan.clone()).transmit(clean);
-    let out = SupervisedIngest::new(overrun_proof(repair)).ingest(clean.spec(), &wire);
+    let out = SupervisedIngest::new(IngestConfig { repair }).ingest(clean.spec(), &wire);
 
     let mut violations = Vec::new();
     if out.stream.is_empty() {
@@ -81,7 +71,7 @@ pub fn replay(clean: &MultiStream, plan: &SensorFaultPlan, repair: RepairPolicy)
     if let Some((t, c)) = cells(&out.stream).find(|&(t, c)| !out.stream.value(t, c).is_finite()) {
         violations.push(format!("non-finite repaired sample at frame {t} ch {c}"));
     }
-    let same_grid = out.degrade_factor == 1 && out.stream.len() == clean.len();
+    let same_grid = out.stream.len() == clean.len();
     if plan.is_none() {
         let differs = |&(t, c): &(usize, usize)| {
             out.stream.value(t, c).to_bits() != clean.value(t, c).to_bits()

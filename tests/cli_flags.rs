@@ -71,3 +71,28 @@ fn a_recording_slower_than_the_sampling_rate_floor_ingests() {
         );
     }
 }
+
+#[test]
+fn a_malformed_recording_is_refused_with_its_line_not_a_panic() {
+    let path = std::env::temp_dir().join(format!("aims-cli-bad-{}.csv", std::process::id()));
+    let csv = path.to_str().unwrap();
+    let cases = [
+        ("# rate=0\na,b\n1,2\n", "line 1: rate '0'"),
+        ("# rate=nan\na,b\n1,2\n", "line 1: rate 'nan'"),
+        ("# rate=inf\na,b\n1,2\n", "line 1: rate 'inf'"),
+        ("# rate=10\na,b\n1,2\n3,NaN\n", "line 4: 'NaN'"),
+        ("# rate=10\na,b\n", "no data rows"),
+    ];
+    let mut outcomes = Vec::new();
+    for (text, says) in cases {
+        std::fs::write(&path, text).unwrap();
+        outcomes.push((text, says, aims_cli(&["ingest", "--input", csv])));
+    }
+    std::fs::remove_file(&path).ok();
+    for (text, says, out) in outcomes {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{text:?}: {stderr}");
+        assert!(stderr.contains(says), "{text:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{text:?} ran: {}", String::from_utf8_lossy(&out.stdout));
+    }
+}

@@ -78,7 +78,7 @@ fn svd_similarity_from_propolyne_range_sums() {
 /// design, so accuracy must be high but below ceiling).
 #[test]
 fn adhd_svm_accuracy_matches_paper_band() {
-    let config = SessionConfig { duration_s: 60.0, ..Default::default() };
+    let config = SessionConfig { duration_s: 60.0 };
     let sessions = generate_cohort(25, &config, 404);
     let dataset = Dataset::new(
         sessions.iter().map(|s| s.motion_speed_features()).collect(),

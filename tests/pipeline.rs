@@ -1,7 +1,7 @@
 //! End-to-end integration: acquisition → transform → blocked storage →
 //! offline queries, across crates (the Fig. 1 data path).
 
-use aims::acquisition::sampling::{sample_stream, SamplingParams, Strategy};
+use aims::acquisition::sampling::{sample_stream, Strategy};
 use aims::dsp::dwt::dwt_full;
 use aims::dsp::filters::FilterKind;
 use aims::propolyne::{DataCube, Propolyne, RangeSumQuery};
@@ -42,6 +42,24 @@ fn full_pipeline_preserves_queryable_signal() {
 }
 
 #[test]
+fn a_negative_or_non_finite_query_time_has_no_answer() {
+    let session = CyberGloveRig::default().record_session(2.0, 0.4, &mut NoiseSource::seeded(5));
+    let mut system = AimsSystem::new(AimsConfig::default());
+    system.ingest(&session);
+    for bad in [-1.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(system.channel_value(0, bad), None, "point at {bad}");
+        for (from, to) in [(bad, 1.0), (0.5, bad), (bad, bad)] {
+            assert_eq!(system.channel_range_sum(0, from, to), None, "sum {from}..{to}");
+            assert_eq!(system.channel_average(0, from, to), None, "avg {from}..{to}");
+        }
+    }
+    // The same queries over valid times still answer.
+    assert!(system.channel_value(0, 0.0).is_some());
+    assert!(system.channel_range_sum(0, 0.0, 1.0).is_some());
+    assert!(system.channel_average(0, 0.5, 2.0).is_some());
+}
+
+#[test]
 fn short_recordings_ingest_and_answer_whole_range_sums() {
     // Fewer frames than a sampling window (16) and fewer coefficients than
     // a block (16, under the default tiling): every one still ingests, and
@@ -55,7 +73,7 @@ fn short_recordings_ingest_and_answer_whole_range_sums() {
         let stream = session.slice(0, frames);
         let mut system = AimsSystem::new(AimsConfig::default());
         assert_eq!(system.ingest(&stream).frames, frames);
-        let sampled = sample_stream(&stream, Strategy::Adaptive, &SamplingParams::default());
+        let sampled = sample_stream(&stream, Strategy::Adaptive);
         for c in [0usize, 13, 27] {
             let expect: f64 = sampled.reconstructed.channel(c).iter().sum();
             let got = system.channel_range_sum(c, 0.0, (frames + 1) as f64 / rate).unwrap();
@@ -71,7 +89,7 @@ fn sampling_then_storage_is_cheaper_than_raw_and_still_accurate() {
     let mut session = rig.record_session(3.0, 0.05, &mut noise);
     session.extend(&rig.record_session(3.0, 0.9, &mut noise));
 
-    let sampled = sample_stream(&session, Strategy::Adaptive, &SamplingParams::default());
+    let sampled = sample_stream(&session, Strategy::Adaptive);
     assert!(sampled.bytes * 2 < session.device_size_bytes(), "adaptive saved too little");
     assert!(sampled.relative_rmse(&session) < 0.15);
 
